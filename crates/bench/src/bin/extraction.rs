@@ -11,18 +11,7 @@ use scsi::ScsiDisk;
 use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
-use traxtent::TrackBoundaries;
 use traxtent_bench::{header, row, row_string, Cli};
-
-fn ground_truth(disk: &Disk) -> TrackBoundaries {
-    let starts: Vec<u64> = disk
-        .geometry()
-        .iter_tracks()
-        .filter(|(_, t)| t.lbn_count() > 0)
-        .map(|(_, t)| t.first_lbn())
-        .collect();
-    TrackBoundaries::new(starts, disk.geometry().capacity_lbns()).expect("valid")
-}
 
 /// Factory-defect variants of §4.1: `(name, Some((spares, policy,
 /// rate_per_million, seed)))`, or `None` for the pristine drive.
@@ -113,7 +102,7 @@ fn main() {
     let results = cli.executor().run(jobs, |_, job| match job {
         Job::SmallGeneral(v) => {
             let disk = Disk::new(probe.wrap(apply(&v, models::small_test_disk())));
-            let truth = ground_truth(&disk);
+            let truth = disk.track_boundaries();
             let mut s = ScsiDisk::new(disk);
             let gcfg = GeneralConfig {
                 contexts: 24,
@@ -143,7 +132,7 @@ fn main() {
         }
         Job::SmallScsi(v) => {
             let disk = Disk::new(probe.wrap(apply(&v, models::small_test_disk())));
-            let truth = ground_truth(&disk);
+            let truth = disk.track_boundaries();
             let mut s = ScsiDisk::new(disk);
             let r = match extract_scsi(&mut s) {
                 Ok(r) => r,
@@ -166,7 +155,7 @@ fn main() {
             // minute, ≈ 2.0–2.3 translations per track for the
             // expertise-free walk).
             let disk = Disk::new(probe.wrap(models::quantum_atlas_10k_ii()));
-            let truth = ground_truth(&disk);
+            let truth = disk.track_boundaries();
             let mut s = ScsiDisk::new(disk);
             let r = match extract_scsi(&mut s) {
                 Ok(r) => r,
@@ -195,7 +184,7 @@ fn main() {
         }
         Job::AtlasGeneral => {
             let disk = Disk::new(probe.wrap(models::quantum_atlas_10k_ii()));
-            let truth = ground_truth(&disk);
+            let truth = disk.track_boundaries();
             let mut s = ScsiDisk::new(disk);
             let g = match extract_general(&mut s, &GeneralConfig::default()) {
                 Ok(g) => g,

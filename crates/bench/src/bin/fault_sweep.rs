@@ -23,7 +23,6 @@ use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
 use sim_disk::fault::FaultConfig;
 use sim_disk::models;
-use traxtent::TrackBoundaries;
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
 /// The swept fault levels, mildest first: `(name, --faults spec)`. The
@@ -43,18 +42,6 @@ const LEVELS: [(&str, &str); 7] = [
         "media=2000,grown=100000,transient=20000,seek=gauss:0.05,rot=uniform:0.005,nodiag",
     ),
 ];
-
-fn ground_truth(disk: &Disk) -> TrackBoundaries {
-    TrackBoundaries::new(
-        disk.geometry()
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .collect(),
-        disk.geometry().capacity_lbns(),
-    )
-    .expect("geometry yields a valid table")
-}
 
 /// One level's results, ready for printing and the manifest.
 struct LevelResult {
@@ -92,7 +79,7 @@ fn run_level(
         17,
     ));
     cfg.fault = fault;
-    let truth = ground_truth(&Disk::new(cfg.clone()));
+    let truth = Disk::new(cfg.clone()).track_boundaries();
     let mut s = ScsiDisk::new(Disk::new(cfg));
     let gcfg = GeneralConfig {
         contexts: 16,

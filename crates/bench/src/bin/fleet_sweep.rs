@@ -41,11 +41,11 @@
 use dixtrac::extract_auto;
 use fleet::{pattern_word, StripePolicy, Volume, VolumeKind, VolumeLayout};
 use scsi::ScsiDisk;
-use server::{serve, DiskSpanBridge, SchedulerKind, ServerConfig, TimelineConfig};
+use server::{serve, SchedulerKind, ServerConfig, TimelineConfig};
 use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use sim_disk::trace::{Fanout, SharedSink, Tracer};
+use sim_disk::trace::{DiskSpanBridge, Fanout, SharedSink, Tracer};
 use sim_disk::SimTime;
 use std::sync::{Arc, Mutex};
 use traxtent::boundaries::ConfidentBoundaries;
@@ -465,23 +465,10 @@ fn main() {
         }
     }
 
-    if tracing {
-        // Merge the per-cell span trees (distinct per-cell salts keep ids
-        // unique) and export next to the --trace file. Status goes to
-        // stderr so stdout stays byte-identical with an untraced run.
-        let mut spans: Vec<Span> = results.iter().flat_map(|r| r.spans.clone()).collect();
-        spans.sort_by_key(|s| (s.start_ns, s.id));
-        let path = cli.trace.as_deref().expect("tracing implies --trace");
-        let base = path.strip_suffix(".jsonl").unwrap_or(path);
-        let jsonl: String = spans.iter().map(|s| s.to_json() + "\n").collect();
-        std::fs::write(format!("{base}.spans.jsonl"), jsonl).expect("span export writable");
-        std::fs::write(format!("{base}.chrome.json"), span::chrome_trace(&spans))
-            .expect("chrome export writable");
-        eprintln!(
-            "fleet_sweep: {} spans -> {base}.spans.jsonl, {base}.chrome.json",
-            spans.len()
-        );
-    }
+    cli.export_spans(
+        "fleet_sweep",
+        results.iter().flat_map(|r| r.spans.clone()).collect(),
+    );
 
     probe.finish();
     rec.finish(&reg);

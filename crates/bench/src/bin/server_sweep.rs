@@ -22,12 +22,10 @@
 //! settles, and rotational repositioning), which pushes its saturation
 //! knee past C-LOOK's.
 
-use server::{
-    drive_boundaries, serve, DiskSpanBridge, SchedulerKind, ServerConfig, TimelineConfig,
-};
+use server::{serve, SchedulerKind, ServerConfig, TimelineConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use sim_disk::trace::{Fanout, SharedSink, Tracer};
+use sim_disk::trace::{DiskSpanBridge, Fanout, SharedSink, Tracer};
 use std::sync::{Arc, Mutex};
 use traxtent::obs::span::{self, Span, SpanRecorder};
 use traxtent::ConfidentBoundaries;
@@ -99,7 +97,7 @@ fn run_cell(
         rec
     });
     let mut disk = Disk::new(cfg);
-    let table = drive_boundaries(&disk);
+    let table = disk.track_boundaries();
     let spec = StreamsSpec {
         read_streams: streams,
         write_streams: streams,
@@ -254,23 +252,10 @@ fn main() {
         trec.finish(&treg);
     }
 
-    if tracing {
-        // Merge the per-cell span trees (distinct per-cell salts keep ids
-        // unique) and export next to the --trace file. Status goes to
-        // stderr so stdout stays byte-identical with an untraced run.
-        let mut spans: Vec<Span> = results.iter().flat_map(|r| r.spans.clone()).collect();
-        spans.sort_by_key(|s| (s.start_ns, s.id));
-        let path = cli.trace.as_deref().expect("tracing implies --trace");
-        let base = path.strip_suffix(".jsonl").unwrap_or(path);
-        let jsonl: String = spans.iter().map(|s| s.to_json() + "\n").collect();
-        std::fs::write(format!("{base}.spans.jsonl"), jsonl).expect("span export writable");
-        std::fs::write(format!("{base}.chrome.json"), span::chrome_trace(&spans))
-            .expect("chrome export writable");
-        eprintln!(
-            "server_sweep: {} spans -> {base}.spans.jsonl, {base}.chrome.json",
-            spans.len()
-        );
-    }
+    cli.export_spans(
+        "server_sweep",
+        results.iter().flat_map(|r| r.spans.clone()).collect(),
+    );
 
     probe.finish();
     rec.finish(&reg);

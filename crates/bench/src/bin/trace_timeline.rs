@@ -13,8 +13,9 @@
 
 use std::collections::BTreeMap;
 use std::io::BufRead;
+use traxtent::obs::json;
 use traxtent::obs::span::{self, Span};
-use traxtent_bench::manifest::{json, Manifest};
+use traxtent_bench::manifest::Manifest;
 
 /// The worst request trees printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 3;

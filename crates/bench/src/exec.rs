@@ -60,7 +60,7 @@ impl Executor {
             Mutex::new(items.into_iter().enumerate().collect());
         let mut indexed: Vec<(usize, T)> = Vec::with_capacity(count);
 
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let queue = &queue;

@@ -41,6 +41,7 @@ use sim_disk::fault::FaultConfig;
 use sim_disk::metrics::MetricsRegistry;
 use sim_disk::trace::{Fanout, JsonlSink, SharedSink, Tracer};
 use std::sync::{Arc, Mutex};
+use traxtent::obs::span::{self, Span};
 
 /// Command-line convention shared by the binaries: `--quick`, `--seed N`,
 /// `--threads N`, `--trace <path>`, `--metrics`, `--faults <spec>`,
@@ -241,6 +242,30 @@ impl Cli {
             self.threads,
             self.manifest.as_deref(),
         )
+    }
+
+    /// Exports a traced sweep's merged span trees (distinct per-cell salts
+    /// keep ids unique) next to the `--trace` file, as `<base>.spans.jsonl`
+    /// and `<base>.chrome.json`; does nothing without `--trace`. Status
+    /// goes to stderr so stdout stays byte-identical with an untraced run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either export file cannot be written.
+    pub fn export_spans(&self, binary: &str, mut spans: Vec<Span>) {
+        let Some(path) = self.trace.as_deref() else {
+            return;
+        };
+        spans.sort_by_key(|s| (s.start_ns, s.id));
+        let base = path.strip_suffix(".jsonl").unwrap_or(path);
+        let jsonl: String = spans.iter().map(|s| s.to_json() + "\n").collect();
+        std::fs::write(format!("{base}.spans.jsonl"), jsonl).expect("span export writable");
+        std::fs::write(format!("{base}.chrome.json"), span::chrome_trace(&spans))
+            .expect("chrome export writable");
+        eprintln!(
+            "{binary}: {} spans -> {base}.spans.jsonl, {base}.chrome.json",
+            spans.len()
+        );
     }
 
     /// Builds the observability sinks requested by `--trace`/`--metrics`.

@@ -11,9 +11,9 @@
 //! binary (see [`crate::diff`]) compares a fresh `results/manifest/` tree
 //! against it with configurable tolerances.
 //!
-//! The workspace vendors only a stub `serde`, so JSON is written and parsed
-//! by hand here, the same way `sim_disk::trace` does for trace events. The
-//! format is a fixed-shape object:
+//! The workspace has no serializer dependency, so the manifest is written
+//! by hand here and read back through [`traxtent::obs::json`], the same way
+//! trace events and spans are. The format is a fixed-shape object:
 //!
 //! ```json
 //! {
@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use traxtent::obs::{Registry, Snapshot};
+use traxtent::obs::{json, Registry, Snapshot};
 
 /// One run's manifest: configuration, cost, headline results, and metrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,11 +78,11 @@ impl Manifest {
     /// Serializes the manifest as pretty-printed JSON (trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"figure\": {},", json_string(&self.figure));
+        let _ = writeln!(out, "  \"figure\": {},", json::string(&self.figure));
         let _ = writeln!(out, "  \"quick\": {},", self.quick);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"git_rev\": {},", json_string(&self.git_rev));
+        let _ = writeln!(out, "  \"git_rev\": {},", json::string(&self.git_rev));
         let _ = writeln!(out, "  \"wall_secs\": {},", json_f64(self.wall_secs));
         let _ = writeln!(out, "  \"headline\": {},", {
             let mut obj = String::from("{");
@@ -90,7 +90,7 @@ impl Manifest {
                 if i > 0 {
                     obj.push_str(", ");
                 }
-                let _ = write!(obj, "{}: {}", json_string(k), json_f64(*v));
+                let _ = write!(obj, "{}: {}", json::string(k), json_f64(*v));
             }
             obj.push('}');
             obj
@@ -104,7 +104,7 @@ impl Manifest {
                     if i > 0 {
                         obj.push_str(", ");
                     }
-                    let _ = write!(obj, "{}: {}", json_string(k), v);
+                    let _ = write!(obj, "{}: {}", json::string(k), v);
                 }
                 obj.push('}');
                 obj
@@ -114,14 +114,14 @@ impl Manifest {
         if !self.timeline.is_empty() {
             out.push_str("  \"timeline\": {\n");
             for (i, (name, rows)) in self.timeline.iter().enumerate() {
-                let _ = writeln!(out, "    {}: [", json_string(name),);
+                let _ = writeln!(out, "    {}: [", json::string(name),);
                 for (j, row) in rows.iter().enumerate() {
                     let mut obj = String::from("{");
                     for (k, (key, v)) in row.iter().enumerate() {
                         if k > 0 {
                             obj.push_str(", ");
                         }
-                        let _ = write!(obj, "{}: {}", json_string(key), json_f64(*v));
+                        let _ = write!(obj, "{}: {}", json::string(key), json_f64(*v));
                     }
                     obj.push('}');
                     let _ = writeln!(
@@ -301,27 +301,6 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Quotes and escapes `s` as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats a finite `f64` so it round-trips through [`json::parse`].
 ///
 /// # Panics
@@ -336,278 +315,6 @@ fn json_f64(v: f64) -> String {
         s
     } else {
         format!("{s}.0")
-    }
-}
-
-/// A minimal JSON reader for the manifest's fixed shape: objects, arrays
-/// (the `timeline` section), strings, numbers, and booleans (`null` is
-/// rejected — manifests never contain it). Public so report binaries can
-/// validate other machine-readable artifacts (the Chrome trace export)
-/// without a JSON dependency.
-pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number, kept as its source text so integers round-trip exactly.
-        Num(String),
-        /// A string literal, unescaped.
-        Str(String),
-        /// An object; insertion order is irrelevant to manifests.
-        Obj(BTreeMap<String, Value>),
-        /// An array — only the `timeline` section carries them.
-        Arr(Vec<Value>),
-    }
-
-    impl Value {
-        /// The boolean payload, if this is a [`Value::Bool`].
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// The string payload, if this is a [`Value::Str`].
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The number parsed as `u64`, if this is an integral [`Value::Num`].
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        /// The number parsed as `f64`, if this is a [`Value::Num`].
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        /// The key/value map, if this is a [`Value::Obj`].
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Obj(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        /// The element slice, if this is a [`Value::Arr`].
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses `text` as one JSON value followed only by whitespace.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.at));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        at: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.at)
-                .is_some_and(|b| b.is_ascii_whitespace())
-            {
-                self.at += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.at).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.at += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", b as char, self.at))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') | Some(b'f') => self.boolean(),
-                Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-                Some(b) => Err(format!("unexpected `{}` at byte {}", b as char, self.at)),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.at += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b']') => {
-                        self.at += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {}", self.at)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut map = BTreeMap::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.at += 1;
-                return Ok(Value::Obj(map));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let v = self.value()?;
-                map.insert(key, v);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.at += 1,
-                    Some(b'}') => {
-                        self.at += 1;
-                        return Ok(Value::Obj(map));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {}", self.at)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    Some(b'"') => {
-                        self.at += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.at += 1;
-                        match self.peek() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.at + 1..self.at + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                out.push(
-                                    char::from_u32(code).ok_or("invalid \\u escape codepoint")?,
-                                );
-                                self.at += 4;
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.at)),
-                        }
-                        self.at += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar, not one byte. Decode
-                        // from a 4-byte window — validating the whole tail
-                        // here would make parsing quadratic in input size.
-                        let end = (self.at + 4).min(self.bytes.len());
-                        let chunk = &self.bytes[self.at..end];
-                        let c = match std::str::from_utf8(chunk) {
-                            Ok(s) => s.chars().next().ok_or("unterminated string")?,
-                            Err(e) if e.valid_up_to() > 0 => {
-                                std::str::from_utf8(&chunk[..e.valid_up_to()])
-                                    .expect("validated prefix")
-                                    .chars()
-                                    .next()
-                                    .ok_or("unterminated string")?
-                            }
-                            Err(e) => return Err(e.to_string()),
-                        };
-                        out.push(c);
-                        self.at += c.len_utf8();
-                    }
-                    None => return Err("unterminated string".into()),
-                }
-            }
-        }
-
-        fn boolean(&mut self) -> Result<Value, String> {
-            if self.bytes[self.at..].starts_with(b"true") {
-                self.at += 4;
-                Ok(Value::Bool(true))
-            } else if self.bytes[self.at..].starts_with(b"false") {
-                self.at += 5;
-                Ok(Value::Bool(false))
-            } else {
-                Err(format!("expected boolean at byte {}", self.at))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.at;
-            while self.peek().is_some_and(|b| {
-                b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                self.at += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.at])
-                .map_err(|e| e.to_string())?
-                .to_string();
-            // Validate it parses as a number at all.
-            text.parse::<f64>()
-                .map_err(|_| format!("bad number `{text}` at byte {start}"))?;
-            Ok(Value::Num(text))
-        }
     }
 }
 

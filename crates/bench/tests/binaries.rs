@@ -194,6 +194,10 @@ fn trace_report_counts_unknown_kinds_without_truncating() {
     let mut text = valid_trace_line() + "\n";
     text += "{\"ev\": \"warp_drive\", \"req\": 9, \"t\": 5}\n";
     text += &(Span::new(0x2a, 0, "request", 0, 10, 20).to_json() + "\n");
+    // Escaped quotes and backslashes inside a string are legal JSON too.
+    let mut quoted = Span::new(0x2b, 0x2a, "vol_cmd", 0, 12, 18);
+    quoted.push_attr("note", r#"a"b\c"#);
+    text += &(quoted.to_json() + "\n");
     text += &(valid_trace_line() + "\n");
     fs::write(&path, text).unwrap();
 
@@ -210,6 +214,12 @@ fn trace_report_counts_unknown_kinds_without_truncating() {
     );
     assert!(text.contains("warp_drive"), "stdout: {text}");
     assert!(text.contains("span:request"), "stdout: {text}");
+    assert!(text.contains("span:vol_cmd"), "stdout: {text}");
+    let issues = text.lines().find(|l| l.starts_with("issue")).unwrap();
+    assert!(
+        issues.ends_with(" 2"),
+        "events after it still count: {text}"
+    );
     assert!(!text.contains("truncated"), "no truncation note: {text}");
 
     // A malformed line still truncates — after the events before it.

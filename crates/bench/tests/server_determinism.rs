@@ -6,7 +6,7 @@
 //! * replaying the committed `traces/sample.trc` through the server
 //!   matches the hand-computed completion count for every scheduler.
 
-use server::{drive_boundaries, serve, SchedulerKind, ServerConfig};
+use server::{serve, SchedulerKind, ServerConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use std::fs;
@@ -85,7 +85,7 @@ fn sample_trace_replay_matches_hand_computed_completions() {
         let mut disk = Disk::new(models::quantum_atlas_10k_ii());
         let mut cfg = ServerConfig::new(kind);
         if kind == SchedulerKind::Traxtent {
-            cfg.boundaries = Some(ConfidentBoundaries::certain(drive_boundaries(&disk)));
+            cfg.boundaries = Some(ConfidentBoundaries::certain(disk.track_boundaries()));
         }
         let res = serve(&mut disk, &records, &cfg).unwrap();
         assert_eq!(res.completed(), 2000, "{kind:?} completes every request");

@@ -1,10 +1,9 @@
 //! Extents: half-open LBN ranges.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open range of logical block numbers `[start, start + len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Extent {
     /// First LBN.
     pub start: u64,

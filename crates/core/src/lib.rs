@@ -21,8 +21,11 @@
 //! * [`model`] — closed-form performance models behind Figures 1 and 3 of
 //!   the paper;
 //! * [`stats`] — small statistics helpers used throughout the evaluation;
+//! * [`hash`] — the SplitMix64 mixer every layer derives ids, fault draws
+//!   and fill patterns from;
 //! * [`obs`] — a lightweight counter/gauge registry the upper layers use to
-//!   expose what a run did (lock-free updates, deterministic snapshots).
+//!   expose what a run did (lock-free updates, deterministic snapshots),
+//!   causal spans, and the workspace's one JSON reader/writer.
 //!
 //! # Example
 //!
@@ -45,6 +48,7 @@
 pub mod alloc;
 pub mod boundaries;
 pub mod extent;
+pub mod hash;
 pub mod model;
 pub mod obs;
 pub mod planner;

@@ -35,6 +35,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+pub mod json;
 pub mod span;
 
 /// A shared registry of named `u64` cells. Cloning is cheap and yields a
@@ -154,24 +155,16 @@ impl Snapshot {
     }
 
     /// The snapshot as one flat JSON object (`{"a.b": 1, ...}`), keys
-    /// sorted. Names never need escaping beyond quotes/backslashes because
-    /// instrumentation uses plain dotted identifiers, but both are escaped
-    /// anyway.
+    /// sorted. Instrumentation uses plain dotted identifiers, but names
+    /// are escaped like any other JSON string anyway.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         for (i, (name, value)) in self.entries.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push('"');
-            for c in name.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c => out.push(c),
-                }
-            }
-            out.push_str("\": ");
+            json::write_string(&mut out, name);
+            out.push_str(": ");
             out.push_str(&value.to_string());
         }
         out.push('}');

@@ -37,6 +37,8 @@
 //! assert_eq!(span::validate(&spans).unwrap().roots, 1);
 //! ```
 
+use super::json;
+use crate::hash::{mix64, GOLDEN_GAMMA};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -69,22 +71,14 @@ pub mod kind {
     pub const PHASE: u32 = 11;
 }
 
-/// SplitMix64 finalizer: the bijective mixer used across the simulator
-/// for deterministic hashing.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Derives a deterministic span id from the run salt, a [`kind`] tag and
 /// two caller-chosen sequence keys. The result is never zero (zero means
 /// "no parent"), and distinct `(kind, k1, k2)` triples collide only with
 /// the probability of a 64-bit hash collision.
 pub fn derive_id(salt: u64, kind: u32, k1: u64, k2: u64) -> u64 {
-    let mut x = mix(salt ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(kind) + 1));
-    x = mix(x ^ k1);
-    x = mix(x ^ k2.wrapping_mul(0x2545_f491_4f6c_dd1d));
+    let mut x = mix64(salt ^ GOLDEN_GAMMA.wrapping_mul(u64::from(kind) + 1));
+    x = mix64(x ^ k1);
+    x = mix64(x ^ k2.wrapping_mul(0x2545_f491_4f6c_dd1d));
     if x == 0 {
         1
     } else {
@@ -142,37 +136,37 @@ impl Span {
 
     /// The span as one flat JSON object (one JSONL line, no newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"span\":\"{}\",\"id\":{},\"parent\":{},\"track\":{},\"start\":{},\"end\":{},\"attrs\":\"{}\"}}",
-            escape(&self.name),
-            self.id,
-            self.parent,
-            self.track,
-            self.start_ns,
-            self.end_ns,
-            escape(&self.attrs),
-        )
+        let mut out = String::from("{\"span\":");
+        json::write_string(&mut out, &self.name);
+        let _ = write!(
+            out,
+            ",\"id\":{},\"parent\":{},\"track\":{},\"start\":{},\"end\":{},\"attrs\":",
+            self.id, self.parent, self.track, self.start_ns, self.end_ns,
+        );
+        json::write_string(&mut out, &self.attrs);
+        out.push('}');
+        out
     }
 
     /// Parses one line produced by [`Span::to_json`].
     pub fn parse_json(line: &str) -> Result<Span, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| -> Result<&Field, String> {
+        let value = json::parse(line)?;
+        let fields = value.as_object().ok_or("span line is not a JSON object")?;
+        let get = |key: &str| {
             fields
                 .get(key)
                 .ok_or_else(|| format!("span line missing `{key}`"))
         };
         let num = |key: &str| -> Result<u64, String> {
-            match get(key)? {
-                Field::Num(n) => Ok(*n),
-                Field::Str(_) => Err(format!("span field `{key}` should be a number")),
-            }
+            get(key)?
+                .as_u64()
+                .ok_or_else(|| format!("span field `{key}` should be a number"))
         };
         let text = |key: &str| -> Result<String, String> {
-            match get(key)? {
-                Field::Str(s) => Ok(s.clone()),
-                Field::Num(_) => Err(format!("span field `{key}` should be a string")),
-            }
+            get(key)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("span field `{key}` should be a string"))
         };
         let span = Span {
             name: text("span")?,
@@ -195,90 +189,6 @@ impl Span {
             let (k, v) = pair.split_once('=')?;
             (k == key).then_some(v)
         })
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-enum Field {
-    Num(u64),
-    Str(String),
-}
-
-/// Minimal flat-object parser for span JSONL lines: one `{...}` object of
-/// string or unsigned-integer fields, no nesting. Kept local so `core`
-/// stays dependency-free.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Field>, String> {
-    let line = line.trim();
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|rest| rest.strip_suffix('}'))
-        .ok_or("span line is not a JSON object")?;
-    let mut fields = BTreeMap::new();
-    let mut chars = inner.chars().peekable();
-    loop {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace() || *c == ',') {
-            chars.next();
-        }
-        if chars.peek().is_none() {
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.next() != Some(':') {
-            return Err(format!("expected `:` after key `{key}`"));
-        }
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-        let field = match chars.peek() {
-            Some('"') => Field::Str(parse_string(&mut chars)?),
-            Some(c) if c.is_ascii_digit() => {
-                let mut digits = String::new();
-                while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-                    digits.push(chars.next().unwrap());
-                }
-                Field::Num(
-                    digits
-                        .parse()
-                        .map_err(|_| format!("bad number for `{key}`"))?,
-                )
-            }
-            other => return Err(format!("unexpected value start {other:?} for `{key}`")),
-        };
-        fields.insert(key, field);
-    }
-    Ok(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected string".to_string());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
     }
 }
 
@@ -464,14 +374,14 @@ pub fn chrome_trace(spans: &[Span]) -> String {
     }
     for s in spans {
         push(&mut out, format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"id\":\"{:#x}\",\"parent\":\"{:#x}\",\"attrs\":\"{}\"}}}}",
-            escape(&s.name),
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":1,\"ts\":{},\"dur\":{},\"args\":{{\"id\":\"{:#x}\",\"parent\":\"{:#x}\",\"attrs\":{}}}}}",
+            json::string(&s.name),
             s.track + 1,
             us(s.start_ns),
             us(s.duration_ns()),
             s.id,
             s.parent,
-            escape(&s.attrs),
+            json::string(&s.attrs),
         ));
     }
     out.push_str("\n]}\n");

@@ -7,17 +7,17 @@
 //! that snapshot ordering is stable (sorted by name, independent of
 //! registration order).
 
+use traxtent::hash::{splitmix64, GOLDEN_GAMMA};
 use traxtent::obs::span::{Span, SpanRecorder};
 use traxtent::obs::Registry;
 
-/// SplitMix64, used to derive per-thread shuffled update schedules.
+/// The SplitMix64 stream from `x`, used to derive per-thread shuffled
+/// update schedules.
 fn splitmix(mut x: u64) -> impl FnMut() -> u64 {
     move || {
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let out = splitmix64(x);
+        x = x.wrapping_add(GOLDEN_GAMMA);
+        out
     }
 }
 

@@ -746,16 +746,6 @@ mod tests {
     use sim_disk::disk::Disk;
     use sim_disk::models;
 
-    fn ground_truth(disk: &Disk) -> TrackBoundaries {
-        let starts: Vec<u64> = disk
-            .geometry()
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .collect();
-        TrackBoundaries::new(starts, disk.geometry().capacity_lbns()).unwrap()
-    }
-
     fn test_config() -> GeneralConfig {
         // Fewer contexts than the paper's 100 (the test disk is small), but
         // still comfortably above the 10 cache segments.
@@ -768,7 +758,7 @@ mod tests {
     #[test]
     fn pristine_small_disk_extracts_exactly() {
         let disk = Disk::new(models::small_test_disk());
-        let expect = ground_truth(&disk);
+        let expect = disk.track_boundaries();
         let mut s = ScsiDisk::new(disk);
         let got = extract_general(&mut s, &test_config()).expect("extraction succeeds");
         assert_eq!(got.boundaries, expect);
@@ -789,7 +779,7 @@ mod tests {
             17,
         );
         let disk = Disk::new(cfg);
-        let expect = ground_truth(&disk);
+        let expect = disk.track_boundaries();
         let mut s = ScsiDisk::new(disk);
         let got = extract_general(&mut s, &test_config()).expect("extraction succeeds");
         assert_eq!(got.boundaries, expect);
@@ -805,7 +795,7 @@ mod tests {
             23,
         );
         let disk = Disk::new(cfg);
-        let expect = ground_truth(&disk);
+        let expect = disk.track_boundaries();
         let mut s = ScsiDisk::new(disk);
         let got = extract_general(&mut s, &test_config()).expect("extraction succeeds");
         assert_eq!(got.boundaries, expect);

@@ -89,24 +89,3 @@ pub fn extract_auto(
         Err(other) => Err(other),
     }
 }
-
-/// Runs [`extract_auto`] over every member of a multi-disk fleet,
-/// returning one result per member in member order.
-///
-/// Each member is characterized independently — heterogeneous drives get
-/// heterogeneous boundary maps, and one member refusing diagnostics (or
-/// defeating the timing fallback) does not stop the others from being
-/// extracted. The fleet layer feeds the per-member
-/// [`ConfidentBoundaries`] into its volume-wide stripe-unit map; members
-/// whose extraction failed outright are the caller's policy decision
-/// (typically: exclude the member or fall back to fixed-size stripe
-/// units over its raw capacity).
-pub fn extract_members(
-    members: &mut [ScsiDisk],
-    config: &GeneralConfig,
-) -> Vec<Result<AutoExtraction, ExtractError>> {
-    members
-        .iter_mut()
-        .map(|disk| extract_auto(disk, config))
-        .collect()
-}

@@ -566,19 +566,9 @@ mod tests {
     use sim_disk::disk::Disk;
     use sim_disk::models;
 
-    fn ground_truth_boundaries(disk: &Disk) -> TrackBoundaries {
-        let starts: Vec<u64> = disk
-            .geometry()
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .collect();
-        TrackBoundaries::new(starts, disk.geometry().capacity_lbns()).unwrap()
-    }
-
     fn extract_and_check(cfg: sim_disk::disk::DiskConfig) -> ScsiExtraction {
         let disk = Disk::new(cfg);
-        let expect = ground_truth_boundaries(&disk);
+        let expect = disk.track_boundaries();
         let mut s = ScsiDisk::new(disk);
         let got = extract_scsi(&mut s).expect("extraction succeeds");
         assert_eq!(

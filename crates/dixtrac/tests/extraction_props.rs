@@ -13,7 +13,6 @@ use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::geometry::{GeometrySpec, ZoneSpec};
 use sim_disk::mech::{SeekCurve, Spindle};
 use sim_disk::SimDur;
-use traxtent::TrackBoundaries;
 
 fn arb_slip_spec() -> impl Strategy<Value = GeometrySpec> {
     let zones = prop::collection::vec(
@@ -81,18 +80,6 @@ fn disk_for(spec: GeometrySpec) -> Option<Disk> {
     }))
 }
 
-fn ground_truth(disk: &Disk) -> TrackBoundaries {
-    TrackBoundaries::new(
-        disk.geometry()
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .collect(),
-        disk.geometry().capacity_lbns(),
-    )
-    .expect("valid table")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -100,7 +87,7 @@ proptest! {
     #[test]
     fn scsi_extraction_is_exact(spec in arb_slip_spec()) {
         if let Some(disk) = disk_for(spec) {
-            let truth = ground_truth(&disk);
+            let truth = disk.track_boundaries();
             let mut s = ScsiDisk::new(disk);
             let r = extract_scsi(&mut s).expect("fault-free extraction succeeds");
             prop_assert_eq!(r.boundaries, truth);
@@ -117,7 +104,7 @@ proptest! {
     #[test]
     fn general_extraction_is_exact(spec in arb_slip_spec()) {
         if let Some(disk) = disk_for(spec) {
-            let truth = ground_truth(&disk);
+            let truth = disk.track_boundaries();
             let mut s = ScsiDisk::new(disk);
             let cfg = GeneralConfig { contexts: 16, ..GeneralConfig::default() };
             let g = extract_general(&mut s, &cfg).expect("fault-free extraction succeeds");
@@ -136,7 +123,7 @@ proptest! {
     ) {
         let max_spt = spec.zones.iter().map(|z| z.spt).max().unwrap_or(1);
         if let Some(disk) = disk_for(spec) {
-            let truth = ground_truth(&disk);
+            let truth = disk.track_boundaries();
             // Rotational jitter is drawn as a fraction of one revolution;
             // cap the draw at 0.4 sector times, safely below half a sector.
             let mut cfg = disk.config().clone();

@@ -8,24 +8,11 @@ use scsi::ScsiDisk;
 use sim_disk::disk::Disk;
 use sim_disk::fault::FaultConfig;
 use sim_disk::models;
-use traxtent::TrackBoundaries;
-
-fn ground_truth(disk: &Disk) -> TrackBoundaries {
-    TrackBoundaries::new(
-        disk.geometry()
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .collect(),
-        disk.geometry().capacity_lbns(),
-    )
-    .expect("valid table")
-}
 
 #[test]
 fn auto_extraction_prefers_the_scsi_path() {
     let mut disk = ScsiDisk::new(Disk::new(models::small_test_disk()));
-    let truth = ground_truth(disk.ground_truth());
+    let truth = disk.ground_truth().track_boundaries();
     let auto = extract_auto(&mut disk, &GeneralConfig::default()).expect("healthy drive");
     assert_eq!(auto.method, ExtractionMethod::Scsi);
     assert_eq!(auto.boundaries.table(), &truth);
@@ -41,7 +28,7 @@ fn auto_extraction_falls_back_when_diagnostics_unsupported() {
     let truth;
     {
         let probe = Disk::new(cfg.clone());
-        truth = ground_truth(&probe);
+        truth = probe.track_boundaries();
     }
     let mut disk = ScsiDisk::new(Disk::new(cfg));
     let auto = extract_auto(&mut disk, &GeneralConfig::default())
@@ -74,7 +61,7 @@ fn scsi_extraction_rides_out_transient_aborts() {
     let truth;
     {
         let probe = Disk::new(cfg.clone());
-        truth = ground_truth(&probe);
+        truth = probe.track_boundaries();
     }
     let mut disk = ScsiDisk::new(Disk::new(cfg));
     let r = extract_scsi(&mut disk).expect("bounded retries absorb 10 % aborts");
@@ -93,7 +80,7 @@ fn auto_extraction_with_faults_and_fallback_still_finds_the_geometry() {
     let truth;
     {
         let probe = Disk::new(cfg.clone());
-        truth = ground_truth(&probe);
+        truth = probe.track_boundaries();
     }
     let mut disk = ScsiDisk::new(Disk::new(cfg));
     let gcfg = GeneralConfig {

@@ -178,7 +178,9 @@ impl FileSystem {
 
     /// Mounts a freshly formatted file system.
     pub fn format(disk: Disk, personality: Personality) -> Self {
-        let boundaries = boundaries_of(&disk);
+        // Ground truth stands in for a prior extraction run (the dixtrac
+        // crate produces identical tables).
+        let boundaries = disk.track_boundaries();
         let capacity = disk.geometry().capacity_lbns();
         let layout = Layout::format(personality, boundaries, capacity);
         Self::with_layout(disk, layout)
@@ -885,19 +887,6 @@ fn run_start(cache: &BufferCache, db: u64) -> u64 {
         start -= 1;
     }
     start
-}
-
-/// Ground-truth track boundaries from the drive (stands in for a prior
-/// extraction run; the dixtrac crate produces identical tables).
-fn boundaries_of(disk: &Disk) -> traxtent::TrackBoundaries {
-    let starts: Vec<u64> = disk
-        .geometry()
-        .iter_tracks()
-        .filter(|(_, t)| t.lbn_count() > 0)
-        .map(|(_, t)| t.first_lbn())
-        .collect();
-    traxtent::TrackBoundaries::new(starts, disk.geometry().capacity_lbns())
-        .expect("drive geometry yields a valid table")
 }
 
 #[cfg(test)]

@@ -75,11 +75,6 @@ pub struct InodeRec {
 }
 
 impl InodeRec {
-    /// Total blocks across the extents.
-    pub fn block_count(&self) -> u64 {
-        self.extents.iter().map(|&(_, l)| l).sum()
-    }
-
     /// The blocks in file order.
     pub fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
         self.extents.iter().flat_map(|&(s, l)| s..s + l)

@@ -224,11 +224,6 @@ impl Layout {
         b * BLOCK_SECTORS
     }
 
-    /// The block group a block belongs to.
-    pub fn group_of(&self, b: u64) -> u64 {
-        b / BLOCKS_PER_GROUP
-    }
-
     /// Reserves the first block of every group for on-media metadata (the
     /// crash-consistency image format of [`crate::image`]), so data
     /// allocations never land where metadata writes go. Opt-in: the

@@ -13,14 +13,13 @@
 //! member write carries its byte payload and per-sector durability
 //! instants. [`Volume::power_cut`] then resolves an arbitrary cut
 //! instant to the exact durable state of every member — each store is
-//! rebuilt from its replayed image — and reports how many commands were
-//! torn or lost. The volume keeps serving from that state;
-//! [`Volume::scrub_repair`] is the pass that finds and closes the
-//! resulting write holes.
+//! its armed snapshot with the logged sectors replayed over it — and
+//! reports how many commands were torn or lost. The volume keeps
+//! serving from that state; [`Volume::scrub_repair`] is the pass that
+//! finds and closes the resulting write holes.
 
-use crate::data::SectorStore;
 use crate::volume::Volume;
-use sim_disk::crash::{replay, CrashError, SectorImage};
+use sim_disk::crash::{apply_cut, CrashError, SectorImage};
 use sim_disk::SimTime;
 
 /// What a [`Volume::power_cut`] resolution found.
@@ -47,24 +46,15 @@ impl Volume {
         if self.crash_base.is_some() {
             return;
         }
-        let mut base = Vec::with_capacity(self.members.len());
-        for m in &mut self.members {
-            let mut img = SectorImage::new();
-            for pba in 0..m.store.capacity() {
-                let w = m.store.word(pba);
-                if w != 0 {
-                    img.set_word(pba, w);
-                }
-            }
-            m.disk.enable_crash_log();
-            base.push(img);
-        }
+        let base = self
+            .members
+            .iter_mut()
+            .map(|m| {
+                m.disk.enable_crash_log();
+                m.store.clone()
+            })
+            .collect();
         self.crash_base = Some(base);
-    }
-
-    /// Whether power-cut capture is armed.
-    pub fn crash_armed(&self) -> bool {
-        self.crash_base.is_some()
     }
 
     /// Read-only view of member `m`'s crash log (`None` before
@@ -114,7 +104,7 @@ impl Volume {
         let mut member_writes = Vec::with_capacity(self.members.len());
         let mut torn = 0u64;
         let mut lost = 0u64;
-        for (i, (m, base_img)) in self.members.iter_mut().zip(base).enumerate() {
+        for (i, (m, mut store)) in self.members.iter_mut().zip(base).enumerate() {
             let log = m.disk.take_crash_log().expect("armed member logs writes");
             for rec in &log.records {
                 let durable = rec.durable_count(cut);
@@ -125,8 +115,15 @@ impl Volume {
                 }
             }
             member_writes.push(log.len() as u64);
-            let img = replay(&base_img, &log, cut)?;
-            let mut store = SectorStore::new(m.store.capacity());
+            // Only sectors the log touched can differ from the armed
+            // snapshot, so only those go through the byte-level replay.
+            let mut img = SectorImage::new();
+            for rec in &log.records {
+                for lbn in rec.lbn..rec.lbn + rec.len {
+                    img.set_word(lbn, store.word(lbn));
+                }
+            }
+            apply_cut(&mut img, &log, cut)?;
             for (lbn, _) in img.iter() {
                 store.set_word(lbn, img.word(lbn));
             }

@@ -7,6 +7,7 @@
 //! drives in sight.
 
 use crate::layout::{VolumeKind, VolumeLayout};
+use traxtent::hash::{splitmix64, GOLDEN_GAMMA};
 
 /// Per-member sector contents: one 64-bit word per physical LBN.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,16 +59,10 @@ impl SectorStore {
 }
 
 /// The canonical content of logical LBN `lbn` under fill seed `seed`: a
-/// splitmix-style mix, so every sector of every volume is distinct and
+/// SplitMix64 draw, so every sector of every volume is distinct and
 /// any read can be verified against first principles.
 pub fn pattern_word(seed: u64, lbn: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(lbn)
-        .wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(seed.wrapping_mul(GOLDEN_GAMMA).wrapping_add(lbn))
 }
 
 /// Fills member stores with the canonical pattern for every logical LBN

@@ -467,12 +467,6 @@ impl VolumeLayout {
         &self.rounds
     }
 
-    /// Indices into [`Self::units`] owned by `member`, ascending in
-    /// physical start.
-    pub fn member_units(&self, member: usize) -> &[usize] {
-        &self.by_member[member]
-    }
-
     /// Index of the logical unit containing `lbn`.
     ///
     /// # Panics

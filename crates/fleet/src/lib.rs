@@ -26,8 +26,9 @@
 //!   rebuild/scrub verifiably restore redundancy
 //!   ([`Volume::rebuild_member`], [`Volume::scrub`]) while reporting
 //!   progress through the [`traxtent::obs`] registry.
-//! * [`Volume`] implements [`server::Backend`], so the open-loop server
-//!   loop ([`server::serve`]) runs unchanged on top of a fleet.
+//! * [`Volume`] implements [`sim_disk::Backend`], so the open-loop server
+//!   loop (`server::serve`) runs unchanged on top of a fleet without
+//!   either crate depending on the other.
 //!
 //! Determinism: the volume never spawns threads, member command issue
 //! times are clamped per member (FCFS at each drive), and the data plane

@@ -3,10 +3,10 @@
 use crate::data::{fill_stores, pattern_word, SectorStore};
 use crate::layout::{Chunk, StripePolicy, VolumeKind, VolumeLayout};
 use crate::FleetError;
-use sim_disk::crash::{words_payload, SectorImage};
+use sim_disk::crash::words_payload;
 use sim_disk::disk::Disk;
 use sim_disk::request::{Completion, Op, Request};
-use sim_disk::SimTime;
+use sim_disk::{Backend, SimTime};
 use traxtent::boundaries::ConfidentBoundaries;
 use traxtent::obs::span::{self, Span, SpanRecorder};
 use traxtent::obs::Registry;
@@ -23,7 +23,7 @@ pub const FAULT_RETRIES: u32 = 4;
 ///
 /// [`dixtrac`-style extraction]: crate#example
 pub fn member_boundaries(disk: &Disk) -> ConfidentBoundaries {
-    ConfidentBoundaries::certain(server::drive_boundaries(disk))
+    ConfidentBoundaries::certain(disk.track_boundaries())
 }
 
 /// One member drive with its data plane and health flag.
@@ -118,9 +118,9 @@ pub struct Volume {
     pub(crate) layout: VolumeLayout,
     pub(crate) members: Vec<Member>,
     pub(crate) stats: VolumeStats,
-    /// Per-member base images snapshotted by [`Volume::arm_crash`]; the
+    /// Per-member data planes snapshotted by [`Volume::arm_crash`]; the
     /// state a power-cut replay starts from.
-    pub(crate) crash_base: Option<Vec<SectorImage>>,
+    pub(crate) crash_base: Option<Vec<SectorStore>>,
     fill_seed: u64,
     write_seq: u64,
     spans: Option<SpanRecorder>,
@@ -146,7 +146,7 @@ struct AccessSpans {
 impl AccessSpans {
     /// Issues `req` to `member` under a fresh `member_cmd` span, with the
     /// recorder context pointed at it so the member drive's
-    /// [`server::DiskSpanBridge`] parents its `disk_cmd` spans (one per
+    /// [`sim_disk::trace::DiskSpanBridge`] parents its `disk_cmd` spans (one per
     /// attempt — retries stay visible) underneath.
     fn member_issue(
         &mut self,
@@ -174,7 +174,7 @@ impl AccessSpans {
             end.as_ns(),
         );
         s.push_attr("member", m);
-        s.push_attr("op", op_label(req.op));
+        s.push_attr("op", req.op.as_str());
         s.push_attr("pstart", req.lbn);
         s.push_attr("len", req.len);
         s.push_attr("role", role);
@@ -221,7 +221,7 @@ impl AccessSpans {
             at.as_ns(),
             done.as_ns(),
         );
-        v.push_attr("op", op_label(req.op));
+        v.push_attr("op", req.op.as_str());
         v.push_attr("lbn", req.lbn);
         v.push_attr("len", req.len);
         for mode in std::mem::take(&mut self.notes) {
@@ -236,13 +236,6 @@ impl AccessSpans {
 impl Drop for AccessSpans {
     fn drop(&mut self) {
         self.rec.set_context(self.saved.0, self.saved.1);
-    }
-}
-
-fn op_label(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
     }
 }
 
@@ -303,7 +296,7 @@ impl Volume {
     /// context the caller set — the server's dispatch span) with one
     /// `member_cmd` child per member command, and `reconstruct` grouping
     /// spans on RAID-5 degraded reads. Install a
-    /// [`server::DiskSpanBridge`] as each member drive's tracer on the
+    /// [`sim_disk::trace::DiskSpanBridge`] as each member drive's tracer on the
     /// same recorder to extend the tree down to per-phase drive spans.
     pub fn attach_spans(&mut self, rec: SpanRecorder) {
         self.spans = Some(rec);
@@ -420,11 +413,6 @@ impl Volume {
     /// The counters accumulated so far.
     pub fn stats(&self) -> &VolumeStats {
         &self.stats
-    }
-
-    /// Per-member health flags.
-    pub fn member_health(&self) -> Vec<bool> {
-        self.members.iter().map(|m| m.healthy).collect()
     }
 
     /// Indices of failed members.
@@ -968,7 +956,7 @@ impl Volume {
     }
 }
 
-impl server::Backend for Volume {
+impl Backend for Volume {
     fn capacity_lbns(&self) -> u64 {
         self.layout.capacity()
     }

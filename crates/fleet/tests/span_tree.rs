@@ -4,13 +4,13 @@
 //! cleanly to Chrome trace format.
 
 use fleet::{member_boundaries, StripePolicy, Volume};
-use server::{serve, DiskSpanBridge, SchedulerKind, ServerConfig};
+use server::{serve, SchedulerKind, ServerConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models::small_test_disk;
-use sim_disk::trace::Tracer;
-use sim_disk::SimTime;
+use sim_disk::trace::{DiskSpanBridge, Tracer};
+use sim_disk::{SimTime, TraceRecord};
 use traxtent::obs::span::{self, chrome_trace, Span, SpanRecorder};
-use workloads::replay::{synthetic_trace, SyntheticSpec, TraceRecord};
+use workloads::replay::{synthetic_trace, SyntheticSpec};
 
 /// A RAID-5 volume whose member drives all bridge their trace streams
 /// into `rec`, plus the volume's own span hookup.

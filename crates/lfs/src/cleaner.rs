@@ -182,25 +182,6 @@ impl LfsSim {
         }
     }
 
-    /// Debug helper: run `updates` overwrites with an explicit seed offset
-    /// (used by consistency-check harnesses).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`LfsError`] from the update stream.
-    #[doc(hidden)]
-    pub fn run_updates_dbg(
-        &mut self,
-        updates: u64,
-        seed_offset: u64,
-    ) -> Result<WriteTally, LfsError> {
-        let saved = self.config.seed;
-        self.config.seed = saved.wrapping_add(seed_offset);
-        let t = self.run_updates(updates);
-        self.config.seed = saved;
-        t
-    }
-
     /// Debug helper: verify the location map and the segment liveness agree.
     #[doc(hidden)]
     pub fn check_consistency(&self) -> Result<(), String> {

@@ -65,10 +65,8 @@ pub fn transfer_inefficiency(
     let spt = u64::from(zone.spt);
     let track_starts: Vec<u64> = disk
         .geometry()
-        .iter_tracks()
-        .filter(|(_, t)| t.lbn_count() > 0 && t.first_lbn() >= zone.first_lbn)
-        .map(|(_, t)| t.first_lbn())
-        .filter(|&s| s + segment_sectors <= zone_end)
+        .track_starts()
+        .filter(|&s| s >= zone.first_lbn && s + segment_sectors <= zone_end)
         .collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut times = Vec::with_capacity(samples);

@@ -53,65 +53,27 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod obs;
 pub mod sched;
 pub mod timeline;
 
 pub use admission::{AdmissionError, AdmissionQueue, Queued};
-pub use obs::DiskSpanBridge;
 pub use sched::{CLook, Dispatch, Fifo, Scheduler, SchedulerKind, Traxtent};
 pub use timeline::{Sampler, SloConfig, SloSummary, Timeline, TimelineBucket, TimelineConfig};
 
-use sim_disk::disk::{Disk, Op, Request};
-use sim_disk::{Completion, SimTime};
+use sim_disk::disk::{Disk, Request};
+use sim_disk::{Completion, SimTime, TraceRecord};
 use std::error::Error;
 use std::fmt;
 use traxtent::obs::span::{self, Span, SpanRecorder};
 use traxtent::obs::Registry;
 use traxtent::{stats, ConfidentBoundaries, TrackBoundaries};
-use workloads::replay::TraceRecord;
 
-/// A block service the open-loop server can drive: a single simulated
-/// drive, or any composition of drives (a striped/mirrored/RAID volume)
-/// that presents one logical LBN space.
-///
-/// The contract mirrors [`Disk::service_batch_into`]: commands must be
-/// accepted in non-decreasing issue order, each producing exactly one
-/// [`Completion`] whose `completion` instant is on the same simulated
-/// clock the issue times use. Implementations must be deterministic —
-/// the server's latency percentiles are compared bit-for-bit across
-/// hosts and thread counts.
-pub trait Backend {
-    /// Total addressable LBNs of the logical space.
-    fn capacity_lbns(&self) -> u64;
-
-    /// Services a batch of commands, appending one [`Completion`] per
-    /// request to `out` in issue order.
-    fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>);
-
-    /// Cumulative mechanical occupancy of each member drive in simulated
-    /// nanoseconds (one entry per member; a bare disk is one member).
-    /// The timeline sampler polls this between rounds to derive windowed
-    /// per-member busy fractions; backends without the notion may return
-    /// an empty vector (the default).
-    fn member_busy_ns(&self) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
-impl Backend for Disk {
-    fn capacity_lbns(&self) -> u64 {
-        Disk::capacity_lbns(self)
-    }
-
-    fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>) {
-        Disk::service_batch_into(self, batch, out);
-    }
-
-    fn member_busy_ns(&self) -> Vec<u64> {
-        vec![self.busy_ns()]
-    }
-}
+// Old paths of items that now live in `sim-disk`, kept (with
+// `drive_boundaries` below) because `benchmark/` calls them and only a
+// benchmark PR may edit it: see benchmark/README.md § "Public functions
+// the benchmark calls". Re-point the benchmark, then delete these.
+pub use sim_disk::trace::DiskSpanBridge;
+pub use sim_disk::Backend;
 
 /// Server configuration: queue bound, dispatch policy, batch width.
 #[derive(Debug, Clone)]
@@ -328,18 +290,10 @@ impl ServerResult {
     }
 }
 
-/// Builds the ground-truth track-boundary table of a drive, the way the
-/// extraction figures do: one entry per track that maps LBNs.
+/// [`Disk::track_boundaries`] under its old name (see the note on the
+/// re-exports above).
 pub fn drive_boundaries(disk: &Disk) -> TrackBoundaries {
-    TrackBoundaries::new(
-        disk.geometry()
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .collect(),
-        disk.geometry().capacity_lbns(),
-    )
-    .expect("geometry yields a valid table")
+    disk.track_boundaries()
 }
 
 /// Runs the open-loop server over a sorted arrival trace.
@@ -546,13 +500,6 @@ pub fn serve<B: Backend + ?Sized>(
     })
 }
 
-fn op_label(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
-    }
-}
-
 /// Records the two-span tree of a rejected arrival.
 fn record_rejection(rec: &SpanRecorder, id: u64, r: &TraceRecord, limit: usize) {
     let salt = rec.salt();
@@ -560,7 +507,7 @@ fn record_rejection(rec: &SpanRecorder, id: u64, r: &TraceRecord, limit: usize) 
     let root_id = span::derive_id(salt, span::kind::REQUEST, id, 0);
     let mut root = Span::new(root_id, 0, "request", 0, t, t);
     root.push_attr("id", id);
-    root.push_attr("op", op_label(r.request.op));
+    root.push_attr("op", r.request.op.as_str());
     root.push_attr("lbn", r.request.lbn);
     root.push_attr("len", r.request.len);
     root.push_attr("rejected", 1);
@@ -595,7 +542,7 @@ fn record_dispatch(
         let root_id = span::derive_id(salt, span::kind::REQUEST, p.id, 0);
         let mut root = Span::new(root_id, 0, "request", 0, arr, done);
         root.push_attr("id", p.id);
-        root.push_attr("op", op_label(p.request.op));
+        root.push_attr("op", p.request.op.as_str());
         root.push_attr("lbn", p.request.lbn);
         root.push_attr("len", p.request.len);
         buf.push(root);
@@ -662,7 +609,7 @@ mod tests {
             ids.sort_unstable();
             assert_eq!(ids, (0..500).collect::<Vec<_>>(), "each id exactly once");
         }
-        let table = ConfidentBoundaries::certain(drive_boundaries(&disk));
+        let table = ConfidentBoundaries::certain(disk.track_boundaries());
         let cfg = ServerConfig::new(SchedulerKind::Traxtent).with_boundaries(table);
         let res = serve(&mut disk, &records, &cfg).unwrap();
         assert_eq!(res.completed() + res.rejected(), 500);

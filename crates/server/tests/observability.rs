@@ -2,13 +2,13 @@
 //! cases, span-tree shape over a bare drive, timeline coverage, and the
 //! invariant that instrumentation never perturbs results.
 
-use server::{serve, DiskSpanBridge, SchedulerKind, ServerConfig, TimelineConfig};
+use server::{serve, SchedulerKind, ServerConfig, TimelineConfig};
 use sim_disk::disk::{Disk, Request};
 use sim_disk::models::quantum_atlas_10k_ii;
-use sim_disk::trace::Tracer;
-use sim_disk::SimTime;
+use sim_disk::trace::{DiskSpanBridge, Tracer};
+use sim_disk::{SimTime, TraceRecord};
 use traxtent::obs::span::{self, Span, SpanRecorder};
-use workloads::replay::{synthetic_trace, SyntheticSpec, TraceRecord};
+use workloads::replay::{synthetic_trace, SyntheticSpec};
 
 fn trace(count: usize, interarrival_ms: f64) -> Vec<TraceRecord> {
     let capacity = Disk::new(quantum_atlas_10k_ii()).capacity_lbns();

@@ -69,7 +69,7 @@ proptest! {
         cfg.queue_limit = queue_limit;
         cfg.max_batch = max_batch;
         if kind == SchedulerKind::Traxtent {
-            let table = server::drive_boundaries(&disk);
+            let table = disk.track_boundaries();
             let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ff);
             let conf: Vec<f64> =
                 (0..table.num_tracks()).map(|_| rng.gen::<f64>()).collect();

@@ -7,10 +7,9 @@
 //! (or, as a what-if, out-of-order) delivery.
 
 use crate::{SimDur, SECTOR_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Bus configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusConfig {
     /// Peak transfer rate in bytes per second, or `None` for an infinitely
     /// fast bus (the paper's simulator configuration for Figure 8).

@@ -10,10 +10,8 @@
 //! Writes invalidate overlapping cached data and do not populate the cache
 //! (write-through, no write-back caching).
 
-use serde::{Deserialize, Serialize};
-
 /// Cache configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of cache segments (0 disables the cache).
     pub segments: usize,

@@ -65,11 +65,6 @@ pub struct WriteRecord {
 }
 
 impl WriteRecord {
-    /// Whether sector `i` (0-based within the write) was durable at `cut`.
-    pub fn sector_durable(&self, i: usize, cut: SimTime) -> bool {
-        self.durable[i] <= cut
-    }
-
     /// How many of the write's sectors were durable at `cut`.
     pub fn durable_count(&self, cut: SimTime) -> usize {
         self.durable.iter().filter(|&&d| d <= cut).count()
@@ -261,15 +256,10 @@ pub fn replay(
     Ok(img)
 }
 
-/// SplitMix64 — the same finalizer the fault layer uses; exposed here
-/// so on-disk formats can derive checksums and fill patterns without a
-/// second hash implementation.
-pub fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// SplitMix64 — the workspace's one mixer ([`traxtent::hash`]), exposed
+/// here so on-disk formats can derive checksums and fill patterns without
+/// a second hash implementation.
+pub use traxtent::hash::splitmix64 as splitmix;
 
 /// A 64-bit checksum over arbitrary bytes (SplitMix64-mixed FNV-style
 /// fold). Not cryptographic — it detects torn sectors, which is all an

@@ -14,11 +14,9 @@
 //!   untouched. Access to a remapped LBN costs an extra mechanical
 //!   excursion.
 
-use serde::{Deserialize, Serialize};
-
 /// A physical media location named by cylinder, head (surface), and the
 /// physical sector slot index within the track.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DefectLocation {
     /// Cylinder number, 0 at the outer edge.
     pub cyl: u32,
@@ -40,7 +38,7 @@ impl DefectLocation {
 /// The paper (§3.1) observes "a wide array of spare space schemes" — over
 /// ten in real drives; these five cover the structural variety that the
 /// DIXtrac-style extractor must classify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpareScheme {
     /// No reserved spare space. Only valid for defect-free disks (or when
     /// every defect is remapped to the end of the LBN space, which this
@@ -119,7 +117,7 @@ pub(crate) enum SlipDomain {
 }
 
 /// How factory defects are folded into the LBN mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DefectPolicy {
     /// Skip the defective slot and shift subsequent LBNs (the common case).
     #[default]

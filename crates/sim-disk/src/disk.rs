@@ -17,6 +17,7 @@ use crate::mech::{SeekCurve, Spindle};
 use crate::rotation;
 use crate::trace::{TraceEvent, Tracer};
 use crate::{SimDur, SimTime};
+use traxtent::TrackBoundaries;
 
 /// Full configuration of a simulated drive.
 #[derive(Debug, Clone)]
@@ -187,6 +188,15 @@ impl Disk {
     /// handle among many in a multi-disk volume.
     pub fn capacity_lbns(&self) -> u64 {
         self.config.geometry.capacity_lbns()
+    }
+
+    /// The drive's ground-truth track-boundary table — what extraction is
+    /// scored against, and what a layer that trusts the drive outright
+    /// allocates and schedules by.
+    pub fn track_boundaries(&self) -> TrackBoundaries {
+        let geometry = self.geometry();
+        TrackBoundaries::new(geometry.track_starts().collect(), geometry.capacity_lbns())
+            .expect("geometry yields a valid table")
     }
 
     /// The issue instant of the most recently issued command (`SimTime::ZERO`
@@ -1051,6 +1061,48 @@ impl Disk {
             }
         }
         t
+    }
+}
+
+/// A block service an open-loop server can drive: a single simulated
+/// drive, or any composition of drives (a striped/mirrored/RAID volume)
+/// that presents one logical LBN space.
+///
+/// The contract mirrors [`Disk::service_batch_into`]: commands must be
+/// accepted in non-decreasing issue order, each producing exactly one
+/// [`Completion`] whose `completion` instant is on the same simulated
+/// clock the issue times use. Implementations must be deterministic —
+/// the server's latency percentiles are compared bit-for-bit across
+/// hosts and thread counts.
+pub trait Backend {
+    /// Total addressable LBNs of the logical space.
+    fn capacity_lbns(&self) -> u64;
+
+    /// Services a batch of commands, appending one [`Completion`] per
+    /// request to `out` in issue order.
+    fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>);
+
+    /// Cumulative mechanical occupancy of each member drive in simulated
+    /// nanoseconds (one entry per member; a bare disk is one member).
+    /// The timeline sampler polls this between rounds to derive windowed
+    /// per-member busy fractions; backends without the notion may return
+    /// an empty vector (the default).
+    fn member_busy_ns(&self) -> Vec<u64> {
+        Vec::new()
+    }
+}
+
+impl Backend for Disk {
+    fn capacity_lbns(&self) -> u64 {
+        Disk::capacity_lbns(self)
+    }
+
+    fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>) {
+        Disk::service_batch_into(self, batch, out);
+    }
+
+    fn member_busy_ns(&self) -> Vec<u64> {
+        vec![self.busy_ns()]
     }
 }
 

@@ -28,6 +28,7 @@
 
 use crate::{SimDur, SimTime};
 use std::fmt;
+use traxtent::hash::splitmix64;
 
 /// Distribution of multiplicative timing jitter applied to one mechanical
 /// phase.
@@ -165,8 +166,8 @@ impl FaultConfig {
 
     /// Hash key for a `(request, visit, salt)` decision.
     fn key(&self, rid: u64, visit: u64, salt: u64) -> u64 {
-        splitmix(
-            self.seed ^ splitmix(rid.wrapping_mul(0x100_0193).wrapping_add(visit)) ^ (salt << 56),
+        splitmix64(
+            self.seed ^ splitmix64(rid.wrapping_mul(0x100_0193).wrapping_add(visit)) ^ (salt << 56),
         )
     }
 
@@ -489,17 +490,9 @@ impl fmt::Display for CommandFault {
 
 impl std::error::Error for CommandFault {}
 
-/// SplitMix64: the 64-bit finalizer used for all fault decisions.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Maps a hash to a uniform draw in `[0, 1)`.
 fn unit(key: u64) -> f64 {
-    (splitmix(key) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix64(key) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 //! surface 1, …, cylinder 1 surface 0, … (Figure 2(b) of the paper).
 
 use crate::defects::{DefectLocation, DefectPolicy, SlipDomain, SpareScheme};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -18,11 +17,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a track, in LBN order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TrackId(pub u32);
 
 /// A physical block address: cylinder, head, and physical sector slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pba {
     /// Cylinder number, 0 at the outer edge.
     pub cyl: u32,
@@ -47,7 +46,7 @@ impl fmt::Display for Pba {
 
 /// One recording zone: a contiguous run of cylinders sharing a
 /// sectors-per-track count and skew settings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZoneSpec {
     /// Number of cylinders in the zone.
     pub cylinders: u32,
@@ -73,7 +72,7 @@ impl ZoneSpec {
 }
 
 /// Declarative description of a disk's layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeometrySpec {
     /// Number of media surfaces (read/write heads).
     pub surfaces: u32,
@@ -446,6 +445,16 @@ impl DiskGeometry {
             .iter()
             .enumerate()
             .map(|(i, t)| (TrackId(i as u32), t))
+    }
+
+    /// The first LBN of every track that maps LBNs (spare tracks hold
+    /// none), in ascending order: the drive's ground-truth track
+    /// boundaries.
+    pub fn track_starts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.tracks
+            .iter()
+            .filter(|t| t.lbn_count() > 0)
+            .map(|t| t.first_lbn())
     }
 
     /// The track holding `lbn`.

@@ -36,9 +36,10 @@
 //!
 //! Setting [`disk::DiskConfig::tracer`] streams typed [`trace::TraceEvent`]s
 //! for every mechanical phase of every request into a [`trace::TraceSink`]
-//! (a JSONL file, an in-memory buffer, a [`metrics::MetricsRegistry`], or
-//! any combination via [`trace::Fanout`]). With no tracer attached the
-//! entire subsystem costs one branch per request.
+//! (a JSONL file, an in-memory buffer, a [`metrics::MetricsRegistry`],
+//! causal spans via [`trace::DiskSpanBridge`], or any combination via
+//! [`trace::Fanout`]). With no tracer attached the entire subsystem costs
+//! one branch per request.
 
 #![warn(missing_docs)]
 
@@ -52,15 +53,15 @@ pub mod geometry;
 pub mod mech;
 pub mod metrics;
 pub mod models;
+mod obs;
 pub mod request;
 pub mod rotation;
 pub mod trace;
 
-pub use disk::Disk;
+pub use disk::{Backend, Disk};
 pub use geometry::{DiskGeometry, GeometrySpec, Pba, TrackId, ZoneSpec};
-pub use request::{Breakdown, Completion};
+pub use request::{Breakdown, Completion, TraceRecord};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -70,15 +71,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 ///
 /// Integer nanoseconds keep event ordering exact and runs reproducible;
 /// physics is computed in `f64` and quantized once.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in integer nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDur(u64);
 
 impl SimTime {

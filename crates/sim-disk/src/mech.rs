@@ -8,10 +8,9 @@
 //! `E[d] = C/3` and `E[√d] = (8/15)·√C`.
 
 use crate::{SimDur, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A calibrated seek-time curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeekCurve {
     a: f64, // ms per sqrt(cylinder)
     b: f64, // ms per cylinder
@@ -111,7 +110,7 @@ fn solve3(mut m: [[f64; 4]; 3]) -> Option<[f64; 3]> {
 }
 
 /// The spindle: constant-rate rotation shared by all surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Spindle {
     period_ns: u64,
     /// `ceil(2^128 / period_ns)`: Lemire's fast-mod constant, so the phase

@@ -1,30 +1,27 @@
-//! Bridging drive trace events into causal spans.
-//!
-//! The drive engine already narrates every command as a stream of
-//! [`TraceEvent`]s (issue, queue, seek, rotational wait, media, bus,
-//! fault, complete). [`DiskSpanBridge`] is a [`TraceSink`] that folds
-//! that stream into [`Span`]s parented under whatever causal context the
-//! layer above has set on the shared [`SpanRecorder`] — the dispatch
-//! span of a server round, or the per-member command span of a volume.
-//! Install it as (one fan-out arm of) the drive's tracer and every
-//! serviced command becomes a `disk_cmd` span with one child span per
-//! service phase.
-//!
-//! Commands serviced while the context parent is 0 — extraction traffic,
-//! verification reads, anything not issued on behalf of a request — are
-//! deliberately skipped, so span trees contain exactly the request path.
-//!
-//! Determinism: span ids derive from the drive's own request sequence
-//! number and the recorder salt, and events for one command arrive as
-//! one contiguous batch under the tracer lock, so the bridge needs no
-//! per-drive state and the output is byte-identical at any `--threads`.
+//! [`DiskSpanBridge`]: the trace sink that turns drive events into spans.
 
-use sim_disk::disk::Op;
-use sim_disk::trace::{TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use traxtent::obs::span::{self, Span, SpanRecorder};
 
-/// A [`TraceSink`] converting one drive's trace stream into spans (see
-/// the [module docs](self)).
+/// A [`TraceSink`] bridging one drive's trace events into causal spans.
+///
+/// The drive engine already narrates every command as a stream of
+/// [`TraceEvent`]s (issue, queue, seek, rotational wait, media, bus,
+/// fault, complete). The bridge folds that stream into [`Span`]s parented
+/// under whatever causal context the layer above has set on the shared
+/// [`SpanRecorder`] — the dispatch span of a server round, or the
+/// per-member command span of a volume. Install it as (one fan-out arm
+/// of) the drive's tracer and every serviced command becomes a `disk_cmd`
+/// span with one child span per service phase.
+///
+/// Commands serviced while the context parent is 0 — extraction traffic,
+/// verification reads, anything not issued on behalf of a request — are
+/// deliberately skipped, so span trees contain exactly the request path.
+///
+/// Determinism: span ids derive from the drive's own request sequence
+/// number and the recorder salt, and events for one command arrive as
+/// one contiguous batch under the tracer lock, so the bridge needs no
+/// per-drive state and the output is byte-identical at any `--threads`.
 pub struct DiskSpanBridge {
     rec: SpanRecorder,
     open: Option<OpenCmd>,
@@ -64,13 +61,6 @@ impl DiskSpanBridge {
         self.scratch
             .push(Span::new(id, open.span_id, name, open.track, t, t + dur));
         self.scratch.last_mut()
-    }
-}
-
-fn op_label(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
     }
 }
 
@@ -180,7 +170,7 @@ impl TraceSink for DiskSpanBridge {
                         open.start_ns,
                         *t,
                     );
-                    cmd.push_attr("op", op_label(*op));
+                    cmd.push_attr("op", op.as_str());
                     cmd.push_attr("lbn", lbn);
                     cmd.push_attr("len", len);
                     if *cache_hit {
@@ -197,7 +187,8 @@ impl TraceSink for DiskSpanBridge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_disk::trace::Tracer;
+    use crate::request::Op;
+    use crate::trace::Tracer;
 
     fn drive_events(rid: u64) -> Vec<TraceEvent> {
         vec![

@@ -2,10 +2,9 @@
 //! breakdown used to reproduce the paper's Figure 7.
 
 use crate::{SimDur, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The direction of a media access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Transfer from media to host.
     Read,
@@ -13,8 +12,19 @@ pub enum Op {
     Write,
 }
 
+impl Op {
+    /// The lowercase name every trace, span and report spells the
+    /// direction with: `"read"` or `"write"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Op::Read => "read",
+            Op::Write => "write",
+        }
+    }
+}
+
 /// A block-level request: `len` sectors starting at `lbn`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Direction.
     pub op: Op,
@@ -56,8 +66,18 @@ impl Request {
     }
 }
 
+/// One timestamped request of an arrival trace: what a workload generator
+/// or trace parser produces and an open-loop server consumes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceRecord {
+    /// Arrival time relative to trace start.
+    pub arrival: SimTime,
+    /// The block-level request.
+    pub request: Request,
+}
+
 /// Where each nanosecond of a request's service went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Breakdown {
     /// Queueing: waiting for the mechanism to finish the previous command
     /// (zero for a request issued against an idle drive).
@@ -100,7 +120,7 @@ impl Breakdown {
 }
 
 /// The result of servicing one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// The request serviced.
     pub request: Request,

@@ -46,6 +46,9 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
+use traxtent::obs::json;
+
+pub use crate::obs::DiskSpanBridge;
 
 /// One typed event in a request's service timeline.
 ///
@@ -239,13 +242,6 @@ pub enum TraceEvent {
     },
 }
 
-fn op_name(op: Op) -> &'static str {
-    match op {
-        Op::Read => "read",
-        Op::Write => "write",
-    }
-}
-
 impl TraceEvent {
     /// The event's schema name, as emitted in the JSONL `ev` field.
     pub fn name(&self) -> &'static str {
@@ -330,7 +326,7 @@ impl TraceEvent {
                 num(&mut s, "req", *req);
                 num(&mut s, "t", *t);
                 s.push_str(",\"op\":\"");
-                s.push_str(op_name(*op));
+                s.push_str(op.as_str());
                 s.push('"');
                 num(&mut s, "lbn", *lbn);
                 num(&mut s, "len", *len);
@@ -405,17 +401,15 @@ impl TraceEvent {
                 num(&mut s, "req", *req);
                 num(&mut s, "t", *t);
                 num(&mut s, "dur", *dur);
-                s.push_str(",\"kind\":\"");
-                s.push_str(kind);
-                s.push('"');
+                s.push_str(",\"kind\":");
+                json::write_string(&mut s, kind);
                 num(&mut s, "lbn", *lbn);
             }
             TraceEvent::ScsiCommand { t, dur, kind } => {
                 num(&mut s, "t", *t);
                 num(&mut s, "dur", *dur);
-                s.push_str(",\"kind\":\"");
-                s.push_str(kind);
-                s.push('"');
+                s.push_str(",\"kind\":");
+                json::write_string(&mut s, kind);
             }
             TraceEvent::Complete {
                 req,
@@ -437,7 +431,7 @@ impl TraceEvent {
                 num(&mut s, "req", *req);
                 num(&mut s, "t", *t);
                 s.push_str(",\"op\":\"");
-                s.push_str(op_name(*op));
+                s.push_str(op.as_str());
                 s.push('"');
                 num(&mut s, "lbn", *lbn);
                 num(&mut s, "len", *len);
@@ -458,37 +452,28 @@ impl TraceEvent {
         s
     }
 
-    /// Decodes one JSONL line produced by [`TraceEvent::to_json`].
-    ///
-    /// Accepts exactly the flat-object encoding this module writes:
-    /// string, integer, and boolean values, no nesting, no escapes inside
-    /// strings. Returns a description of the first problem found.
+    /// Decodes one JSONL line produced by [`TraceEvent::to_json`]: one
+    /// JSON object of string, integer, and boolean fields. Returns a
+    /// description of the first problem found.
     pub fn parse_json(line: &str) -> Result<TraceEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{k}`"))
-        };
+        let value = json::parse(line)?;
+        let fields = value.as_object().ok_or("not a JSON object")?;
+        let get = |k: &str| fields.get(k).ok_or_else(|| format!("missing field `{k}`"));
         let num = |k: &str| -> Result<u64, String> {
-            match get(k)? {
-                JsonValue::Num(n) => Ok(*n),
-                _ => Err(format!("field `{k}` is not an integer")),
-            }
+            get(k)?
+                .as_u64()
+                .ok_or_else(|| format!("field `{k}` is not an integer"))
         };
         let string = |k: &str| -> Result<String, String> {
-            match get(k)? {
-                JsonValue::Str(s) => Ok(s.clone()),
-                _ => Err(format!("field `{k}` is not a string")),
-            }
+            get(k)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("field `{k}` is not a string"))
         };
         let boolean = |k: &str| -> Result<bool, String> {
-            match get(k)? {
-                JsonValue::Bool(b) => Ok(*b),
-                _ => Err(format!("field `{k}` is not a boolean")),
-            }
+            get(k)?
+                .as_bool()
+                .ok_or_else(|| format!("field `{k}` is not a boolean"))
         };
         let op = |k: &str| -> Result<Op, String> {
             match string(k)?.as_str() {
@@ -597,8 +582,8 @@ impl TraceEvent {
     }
 }
 
-/// The kind tag of an otherwise well-formed flat JSONL line, whether or
-/// not this library version recognizes it.
+/// The kind tag of an otherwise well-formed JSONL line, whether or not
+/// this library version recognizes it.
 ///
 /// [`TraceEvent::parse_json`] rejects event kinds introduced after this
 /// version, and rejects causal-span records (`{"span": ...}` lines from
@@ -606,77 +591,15 @@ impl TraceEvent {
 /// distinguish a well-formed line of an unrecognized kind — count it and
 /// move on — from genuine corruption, which still marks the trace as
 /// truncated. Returns the `ev` field's value, `span:<name>` for span
-/// records, and `None` when the line is not a flat object carrying
-/// either tag.
+/// records, and `None` when the line is not an object carrying either
+/// tag.
 pub fn peek_event_name(line: &str) -> Option<String> {
-    let fields = parse_flat_object(line).ok()?;
-    let text_field = |wanted: &str| {
-        fields.iter().find_map(|(key, value)| match value {
-            JsonValue::Str(s) if key == wanted => Some(s.clone()),
-            _ => None,
-        })
-    };
-    text_field("ev").or_else(|| text_field("span").map(|name| format!("span:{name}")))
-}
-
-/// A decoded flat-JSON value: the only three shapes the trace schema uses.
-enum JsonValue {
-    Num(u64),
-    Str(String),
-    Bool(bool),
-}
-
-/// Parses a single-level JSON object of string/integer/boolean fields.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        // Key.
-        rest = rest.strip_prefix('"').ok_or("expected a quoted key")?;
-        let close = rest.find('"').ok_or("unterminated key")?;
-        let key = rest[..close].to_string();
-        rest = rest[close + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or("expected `:` after key")?
-            .trim_start();
-        // Value.
-        let (value, after) = if let Some(srest) = rest.strip_prefix('"') {
-            let close = srest.find('"').ok_or("unterminated string value")?;
-            (
-                JsonValue::Str(srest[..close].to_string()),
-                &srest[close + 1..],
-            )
-        } else if let Some(after) = rest.strip_prefix("true") {
-            (JsonValue::Bool(true), after)
-        } else if let Some(after) = rest.strip_prefix("false") {
-            (JsonValue::Bool(false), after)
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end == 0 {
-                return Err(format!("unparsable value near `{rest}`"));
-            }
-            let n: u64 = rest[..end]
-                .parse()
-                .map_err(|_| format!("bad integer near `{rest}`"))?;
-            (JsonValue::Num(n), &rest[end..])
-        };
-        fields.push((key, value));
-        rest = after.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(format!("expected `,` near `{rest}`"));
-        }
-    }
-    Ok(fields)
+    let value = json::parse(line).ok()?;
+    let fields = value.as_object()?;
+    let text_field = |wanted: &str| fields.get(wanted)?.as_str();
+    text_field("ev")
+        .map(str::to_string)
+        .or_else(|| text_field("span").map(|name| format!("span:{name}")))
 }
 
 /// A consumer of trace events.
@@ -842,6 +765,7 @@ impl TraceSink for Fanout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use traxtent::obs::span::Span;
 
     #[test]
     fn peek_event_name_reads_known_unknown_and_span_kinds() {
@@ -861,6 +785,13 @@ mod tests {
             .as_deref(),
             Some("span:vol_cmd")
         );
+        // Escaped quotes and backslashes inside a string are legal JSON: a
+        // span carrying them is still a span, not a truncated trace.
+        let mut awkward = Span::new(7, 1, "vol_cmd", 2, 0, 9);
+        awkward.push_attr("path", r#"a"b\c"#);
+        let line = awkward.to_json();
+        assert_eq!(Span::parse_json(&line).unwrap(), awkward);
+        assert_eq!(peek_event_name(&line).as_deref(), Some("span:vol_cmd"));
         assert_eq!(peek_event_name("garbage"), None);
         assert_eq!(
             peek_event_name(r#"{"req": 1, "t": 2}"#),

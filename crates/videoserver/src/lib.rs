@@ -164,10 +164,8 @@ pub fn measure_rounds(config: &DiskConfig, spec: &RoundSpec) -> RoundMeasurement
     assert!(io_sectors <= zone.lbn_count, "request larger than the zone");
     let track_starts: Vec<u64> = disk
         .geometry()
-        .iter_tracks()
-        .filter(|(_, t)| t.lbn_count() > 0 && t.first_lbn() >= zone.first_lbn)
-        .map(|(_, t)| t.first_lbn())
-        .filter(|&s| s + io_sectors <= zone_end)
+        .track_starts()
+        .filter(|&s| s >= zone.first_lbn && s + io_sectors <= zone_end)
         .collect();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut round_times = Vec::with_capacity(rounds);

@@ -30,11 +30,10 @@
 //! generator is a pure function of its spec — same spec, same trace, on
 //! any machine.
 
-use crate::replay::TraceRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_disk::disk::{Op, Request};
-use sim_disk::SimTime;
+use sim_disk::{SimTime, TraceRecord};
 use traxtent::TrackBoundaries;
 
 /// Golden-ratio increment used to derive independent per-purpose RNG

@@ -204,10 +204,8 @@ pub fn run_random_io(disk: &mut Disk, spec: &RandomIoSpec) -> RandomIoResult {
     let zone_end = zone.first_lbn + zone.lbn_count;
     let track_starts: Vec<u64> = disk
         .geometry()
-        .iter_tracks()
-        .filter(|(_, t)| t.first_lbn() >= zone.first_lbn && t.lbn_count() > 0)
-        .map(|(_, t)| t.first_lbn())
-        .filter(|&s| s + spec.io_sectors <= zone_end)
+        .track_starts()
+        .filter(|&s| s >= zone.first_lbn && s + spec.io_sectors <= zone_end)
         .collect();
     assert!(!track_starts.is_empty(), "no track can hold the request");
 
@@ -248,26 +246,6 @@ pub fn run_random_io(disk: &mut Disk, spec: &RandomIoSpec) -> RandomIoResult {
         completions,
         ideal_media,
     }
-}
-
-/// Convenience: the four curves of Figure 6 at one request size, returning
-/// mean head times in ms as `(onereq_unaligned, onereq_aligned,
-/// tworeq_unaligned, tworeq_aligned)`.
-pub fn head_times_at(disk: &mut Disk, io_sectors: u64) -> (f64, f64, f64, f64) {
-    let mut run = |alignment, queue| {
-        let spec = RandomIoSpec {
-            count: 2000,
-            ..RandomIoSpec::reads(io_sectors, alignment, queue)
-        };
-        let r = run_random_io(disk, &spec);
-        r.mean_head_time(queue).as_millis_f64()
-    };
-    (
-        run(Alignment::Unaligned, QueueDepth::One),
-        run(Alignment::TrackAligned, QueueDepth::One),
-        run(Alignment::Unaligned, QueueDepth::Two),
-        run(Alignment::TrackAligned, QueueDepth::Two),
-    )
 }
 
 #[cfg(test)]

@@ -32,14 +32,10 @@ use std::error::Error;
 use std::fmt;
 use traxtent::stats;
 
-/// One timestamped request from a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Arrival time relative to trace start.
-    pub arrival: SimTime,
-    /// The block-level request.
-    pub request: Request,
-}
+// `TraceRecord` lives in `sim-disk` so that servers need not depend on
+// the generators; this old path stays because `benchmark/` names it (see
+// benchmark/README.md § "Public functions the benchmark calls").
+pub use sim_disk::TraceRecord;
 
 /// What was wrong with a trace line (see [`ParseError`]).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -41,16 +41,9 @@ fn main() {
     );
 
     // Variable segments that exactly match the (varying) track sizes.
-    let boundaries = TrackBoundaries::new(
-        disk.geometry
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .take(256)
-            .collect(),
-        disk.geometry.track(255).end_lbn(),
-    )
-    .expect("valid boundary table");
+    let mut starts: Vec<u64> = disk.geometry.track_starts().take(257).collect();
+    let end = starts.pop().expect("the drive has more than 256 tracks");
+    let boundaries = TrackBoundaries::new(starts, end).expect("valid boundary table");
     let table = SegmentTable::track_matched(&boundaries);
     println!(
         "track-matched segment table: {} segments, sizes {}..{} sectors",

@@ -8,23 +8,11 @@ use scsi::ScsiDisk;
 use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use traxtent::{RequestPlanner, TrackBoundaries, TraxtentAllocator};
+use traxtent::{RequestPlanner, TraxtentAllocator};
 use workloads::apps;
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
 const MB: u64 = 1 << 20;
-
-fn ground_truth(disk: &Disk) -> TrackBoundaries {
-    TrackBoundaries::new(
-        disk.geometry()
-            .iter_tracks()
-            .filter(|(_, t)| t.lbn_count() > 0)
-            .map(|(_, t)| t.first_lbn())
-            .collect(),
-        disk.geometry().capacity_lbns(),
-    )
-    .expect("geometry yields a valid table")
-}
 
 /// Both extraction algorithms agree with each other and the geometry on a
 /// drive with spares and slipped defects, and the extracted table drives
@@ -38,7 +26,7 @@ fn extract_then_allocate_then_plan() {
         500,
         3,
     );
-    let truth = ground_truth(&Disk::new(cfg.clone()));
+    let truth = Disk::new(cfg.clone()).track_boundaries();
 
     let mut s = ScsiDisk::new(Disk::new(cfg.clone()));
     let scsi_result = extract_scsi(&mut s).expect("extraction succeeds");
@@ -154,7 +142,7 @@ fn low_confidence_extraction_degrades_to_untracked_allocation() {
     cfg.fault.diagnostics_unsupported = true;
     cfg.fault.transient_per_million = 10_000;
     cfg.fault.seed = 0xdecade;
-    let truth = ground_truth(&Disk::new(cfg.clone()));
+    let truth = Disk::new(cfg.clone()).track_boundaries();
     let mut s = ScsiDisk::new(Disk::new(cfg));
     let auto = dixtrac::extract_auto(
         &mut s,
@@ -197,7 +185,7 @@ fn low_confidence_extraction_degrades_to_untracked_allocation() {
 #[test]
 fn confident_ffs_reverts_to_untracked_placement_on_weak_tracks() {
     let disk = Disk::new(models::quantum_atlas_10k());
-    let truth = ground_truth(&disk);
+    let truth = disk.track_boundaries();
     let n = truth.num_tracks();
     // First half of the disk untrusted, second half certain.
     let conf: Vec<f64> = (0..n).map(|i| if i < n / 2 { 0.5 } else { 1.0 }).collect();
@@ -234,11 +222,11 @@ fn grown_defect_changes_little() {
         200,
         5,
     ));
-    let before = ground_truth(&disk);
+    let before = disk.track_boundaries();
     disk.geometry_mut()
         .add_grown_defect(12_345)
         .expect("spare available");
-    let after = ground_truth(&disk);
+    let after = disk.track_boundaries();
     // Slip-mapped boundaries are untouched by a remap-style grown defect.
     assert_eq!(before, after);
 }
@@ -256,4 +244,42 @@ fn lfs_prefers_track_sized_aligned_segments() {
         lfs::cleaner::write_cost_fixed(1 << 16, track, 1 << 17, lfs::cleaner::LfsConfig::default());
     assert!(wc >= 1.0);
     assert!(wc * ti_aligned < wc * ti_unaligned);
+}
+
+/// The crate graph ARCHITECTURE.md draws, as each crate's `[dependencies]`
+/// table (`bench` may use everything). A new edge needs a one-line change
+/// here in the PR that adds it — the review hook for the layering.
+#[test]
+fn crate_graph_matches_the_layering() {
+    const FS: &[&str] = &["rand", "sim-disk", "traxtent"];
+    let expected: [(&str, &[&str]); 10] = [
+        ("core", &[]),
+        ("sim-disk", &["rand", "traxtent"]),
+        ("scsi", &["sim-disk"]),
+        ("dixtrac", &["scsi", "sim-disk", "traxtent"]),
+        ("ffs", FS),
+        ("lfs", FS),
+        ("videoserver", FS),
+        ("workloads", &["ffs", "rand", "sim-disk", "traxtent"]),
+        ("server", &["sim-disk", "traxtent"]),
+        ("fleet", &["sim-disk", "traxtent"]),
+    ];
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/bench has a parent");
+    for (dir, want) in expected {
+        let manifest = std::fs::read_to_string(crates.join(dir).join("Cargo.toml")).unwrap();
+        let mut got: Vec<&str> = manifest
+            .lines()
+            .skip_while(|l| l.trim() != "[dependencies]")
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .filter_map(|l| l.split(['.', '=', ' ']).next())
+            .filter(|key| !key.is_empty() && !key.starts_with('#'))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "crates/{dir}/Cargo.toml [dependencies]");
+    }
+    let dirs = std::fs::read_dir(crates).unwrap().count();
+    assert_eq!(dirs, expected.len() + 1, "a new crate needs a row above");
 }
