@@ -22,11 +22,18 @@
 //!   each paying command overhead, rotational latency, and possible
 //!   head switches.
 //!
-//! The server runs the C-LOOK scheduler for every cell: the traxtent
-//! batcher's one-track-per-round dispatch model is built for a single
-//! serial drive, and on a multi-member volume it would idle n−1 members
-//! each round; C-LOOK rounds of up to 32 commands keep every member busy,
-//! so the comparison isolates stripe *geometry*, not dispatch policy.
+//! Those cells run the C-LOOK scheduler, whose rounds of up to 32
+//! commands keep every member busy whatever the layout, so the
+//! aligned-vs-fixed comparison isolates stripe *geometry*, not dispatch
+//! policy. Each shape then gets one more healthy cell, **aligned ×
+//! traxtent**: the same aligned volume under the traxtent scheduler, fed
+//! the volume's logical boundary map ([`Volume::logical_boundaries`]),
+//! whose spindle ids let a round put one track-aligned command on every
+//! member. `compound_gain_<shape>` is p99(fixed × C-LOOK) ÷ p99(aligned ×
+//! traxtent): placement and dispatch both drive-aware against neither —
+//! the two wins compound. These cells come last, so the rows, span ids
+//! and registry totals of the C-LOOK grid are what they were without
+//! them.
 //!
 //! Every policy and health state of a given volume shape sees the
 //! *identical* logical trace (the trace seed mixes in the shape only, and
@@ -96,7 +103,39 @@ struct CellResult {
     spans: Vec<Span>,
 }
 
-/// Per-cell observability requests (RAID-5 aligned cells only): a
+/// One cell of the sweep.
+#[derive(Clone, Copy)]
+struct Cell {
+    kind: VolumeKind,
+    n: usize,
+    aligned: bool,
+    degraded: bool,
+    sched: SchedulerKind,
+}
+
+impl Cell {
+    /// The policy column: placement, plus dispatch where it is not C-LOOK.
+    fn policy_label(&self) -> &'static str {
+        match (self.aligned, self.sched) {
+            (true, SchedulerKind::Traxtent) => "aligned+traxtent",
+            (true, _) => "aligned",
+            (false, _) => "fixed",
+        }
+    }
+
+    /// Manifest key prefix, e.g. `raid5x5_aligned_healthy`.
+    fn tag(&self) -> String {
+        format!(
+            "{}x{}_{}_{}",
+            self.kind.label(),
+            self.n,
+            self.policy_label().replace('+', "_"),
+            fail_label(self.degraded)
+        )
+    }
+}
+
+/// Per-cell observability requests (RAID-5 aligned C-LOOK cells only): a
 /// windowed timeline (`--timeline`) and a causal span tree (`--trace`).
 #[derive(Clone, Copy)]
 struct ObsOpts {
@@ -149,19 +188,22 @@ fn build_members(
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_cell(
     probe: &traxtent_bench::Probe,
     reg: &traxtent::obs::Registry,
-    kind: VolumeKind,
-    n: usize,
-    aligned: bool,
-    degraded: bool,
+    cell: Cell,
     requests: usize,
     seed: u64,
     cell_index: usize,
     obs: ObsOpts,
 ) -> CellResult {
+    let Cell {
+        kind,
+        n,
+        aligned,
+        degraded,
+        sched,
+    } = cell;
     // A per-cell recorder with a per-cell salt, so merged span ids never
     // collide across cells and the export is identical at any --threads.
     let rec = obs.spans.then(|| {
@@ -203,7 +245,7 @@ fn run_cell(
         let line = traxtent_bench::row_string([
             kind.label().into(),
             n.to_string(),
-            policy.label().into(),
+            cell.policy_label().into(),
             fail_label(degraded).into(),
             "0".into(),
             "0".into(),
@@ -251,7 +293,10 @@ fn run_cell(
     }
     trace.retain(|r| r.request.end() <= min_cap);
 
-    let mut server_cfg = ServerConfig::new(SchedulerKind::CLook);
+    let mut server_cfg = ServerConfig::new(sched);
+    if sched == SchedulerKind::Traxtent {
+        server_cfg = server_cfg.with_boundaries(volume.logical_boundaries());
+    }
     if obs.timeline {
         server_cfg = server_cfg.with_timeline(
             TimelineConfig::new(TIMELINE_WINDOW_MS).with_slo(SLO_THRESHOLD_MS, SLO_BREACH_FRACTION),
@@ -261,7 +306,11 @@ fn run_cell(
         server_cfg = server_cfg.with_spans(rec.clone());
     }
     let res = serve(&mut volume, &trace, &server_cfg).expect("generated traces are valid");
-    res.export_metrics(reg);
+    // The registry totals describe the C-LOOK grid.
+    let grid = sched == SchedulerKind::CLook;
+    if grid {
+        res.export_metrics(reg);
+    }
     // Capture the spans now: the verification reads and rebuild below run
     // outside the served workload and stay out of the export.
     let spans = rec.map(|r| r.take_sorted()).unwrap_or_default();
@@ -300,12 +349,14 @@ fn run_cell(
     } else {
         (0.0, 0)
     };
-    volume.export_metrics(reg);
+    if grid {
+        volume.export_metrics(reg);
+    }
 
     let line = traxtent_bench::row_string([
         kind.label().into(),
         n.to_string(),
-        policy.label().into(),
+        cell.policy_label().into(),
         fail_label(degraded).into(),
         res.completed().to_string(),
         res.rejected().to_string(),
@@ -363,48 +414,47 @@ fn main() {
         "integrity".into(),
     ]);
 
-    let cells: Vec<(VolumeKind, usize, bool, bool)> = SHAPES
-        .iter()
-        .flat_map(|&(kind, n)| {
-            [true, false]
-                .iter()
-                .flat_map(move |&aligned| {
-                    [false, true]
-                        .iter()
-                        .map(move |&degraded| (kind, n, aligned, degraded))
-                })
-                .collect::<Vec<_>>()
+    let grid = SHAPES.iter().flat_map(|&(kind, n)| {
+        [true, false].into_iter().flat_map(move |aligned| {
+            [false, true].into_iter().map(move |degraded| Cell {
+                kind,
+                n,
+                aligned,
+                degraded,
+                sched: SchedulerKind::CLook,
+            })
         })
-        .collect();
-    // RAID-5 aligned cells carry the extra observability: their service
-    // path exercises every span kind (fan-out, parity, reconstruction).
-    let results = cli
-        .executor()
-        .run(cells.clone(), |i, (kind, n, aligned, degraded)| {
-            let interesting = kind == VolumeKind::Raid5 && aligned;
-            let obs = ObsOpts {
-                timeline: timeline && interesting,
-                spans: tracing && interesting,
-            };
-            run_cell(
-                &probe, &reg, kind, n, aligned, degraded, requests, cli.seed, i, obs,
-            )
-        });
+    });
+    let compound = SHAPES.iter().map(|&(kind, n)| Cell {
+        kind,
+        n,
+        aligned: true,
+        degraded: false,
+        sched: SchedulerKind::Traxtent,
+    });
+    let cells: Vec<Cell> = grid.chain(compound).collect();
+    // RAID-5 aligned C-LOOK cells carry the extra observability: their
+    // service path exercises every span kind (fan-out, parity,
+    // reconstruction).
+    let results = cli.executor().run(cells.clone(), |i, cell| {
+        let interesting =
+            cell.kind == VolumeKind::Raid5 && cell.aligned && cell.sched == SchedulerKind::CLook;
+        let obs = ObsOpts {
+            timeline: timeline && interesting,
+            spans: tracing && interesting,
+        };
+        run_cell(&probe, &reg, cell, requests, cli.seed, i, obs)
+    });
 
     let mut degraded_verified = 0;
     let mut degraded_mismatches = 0;
-    for ((kind, n, aligned, degraded), r) in cells.iter().zip(&results) {
+    for (cell, r) in cells.iter().zip(&results) {
         println!("{}", r.line);
-        let tag = format!(
-            "{}x{n}_{}_{}",
-            kind.label(),
-            if *aligned { "aligned" } else { "fixed" },
-            fail_label(*degraded)
-        );
+        let tag = cell.tag();
         if r.served {
             rec.headline(&format!("{tag}_p99_ms"), r.p99_ms);
             rec.headline(&format!("{tag}_verified"), r.verified as f64);
-            if *degraded {
+            if cell.degraded {
                 degraded_verified += r.verified;
                 degraded_mismatches += r.scrub_mismatches;
             }
@@ -414,25 +464,38 @@ fn main() {
     }
 
     // The acceptance headlines: aligned stripe units beat naive fixed
-    // units on the healthy path of every shape, and every degraded
-    // redundant cell served bit-exact data.
+    // units on the healthy path of every shape, the traxtent scheduler
+    // on top of them beats both, and every degraded redundant cell
+    // served bit-exact data.
+    let healthy_p99 = |kind: VolumeKind, n: usize, aligned: bool, sched: SchedulerKind| {
+        cells
+            .iter()
+            .zip(&results)
+            .find(|(c, _)| {
+                (c.kind, c.n, c.aligned, c.sched) == (kind, n, aligned, sched) && !c.degraded
+            })
+            .map(|(_, r)| r.p99_ms)
+            .expect("healthy cells always serve")
+    };
     for &(kind, n) in &SHAPES {
-        let p99 = |aligned: bool| {
-            cells
-                .iter()
-                .zip(&results)
-                .find(|((k, nn, a, d), _)| *k == kind && *nn == n && *a == aligned && !*d)
-                .map(|(_, r)| r.p99_ms)
-                .expect("healthy cells always serve")
-        };
-        let gain = p99(false) / p99(true).max(1e-9);
+        let aligned = healthy_p99(kind, n, true, SchedulerKind::CLook);
+        let fixed = healthy_p99(kind, n, false, SchedulerKind::CLook);
+        let gain = fixed / aligned.max(1e-9);
         println!(
-            "{}x{n}: aligned p99 {:.2} ms vs fixed {:.2} ms ({gain:.2}x)",
+            "{}x{n}: aligned p99 {aligned:.2} ms vs fixed {fixed:.2} ms ({gain:.2}x)",
             kind.label(),
-            p99(true),
-            p99(false)
         );
         rec.headline(&format!("aligned_gain_{}x{n}", kind.label()), gain);
+    }
+    for &(kind, n) in &SHAPES {
+        let both = healthy_p99(kind, n, true, SchedulerKind::Traxtent);
+        let neither = healthy_p99(kind, n, false, SchedulerKind::CLook);
+        let gain = neither / both.max(1e-9);
+        println!(
+            "{}x{n}: aligned+traxtent p99 {both:.2} ms vs fixed {neither:.2} ms ({gain:.2}x)",
+            kind.label(),
+        );
+        rec.headline(&format!("compound_gain_{}x{n}", kind.label()), gain);
     }
     println!(
         "degraded service: {degraded_verified} extents verified bit-exact, \
@@ -445,14 +508,9 @@ fn main() {
         // Windowed telemetry for the instrumented cells; the rows ride in
         // this figure's own manifest (the timeline section serializes only
         // when present, so runs without --timeline are unchanged).
-        for ((kind, n, aligned, degraded), r) in cells.iter().zip(&results) {
+        for (cell, r) in cells.iter().zip(&results) {
             let Some(t) = &r.timeline else { continue };
-            let tag = format!(
-                "{}x{n}_{}_{}",
-                kind.label(),
-                if *aligned { "aligned" } else { "fixed" },
-                fail_label(*degraded)
-            );
+            let tag = cell.tag();
             println!(
                 "## timeline {tag} (window {TIMELINE_WINDOW_MS:.0} ms, {} buckets)",
                 t.buckets.len()

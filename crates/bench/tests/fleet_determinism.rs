@@ -56,15 +56,23 @@ fn fleet_sweep_is_thread_count_invariant() {
         }
     }
     // The acceptance headlines are present and hold: aligned stripe
-    // units beat fixed on the healthy path of every shape, and every
+    // units beat fixed on the healthy path of every shape, the traxtent
+    // scheduler's per-spindle rounds compound with them, and every
     // degraded redundant cell served bit-exact data.
     let (_, m) = seen.unwrap();
     for shape in ["stripedx2", "stripedx4", "mirroredx2", "raid5x3", "raid5x5"] {
-        let gain = m
-            .headline
-            .get(&format!("aligned_gain_{shape}"))
-            .unwrap_or_else(|| panic!("aligned_gain_{shape} headline present"));
-        assert!(*gain > 1.0, "{shape}: aligned must beat fixed, got {gain}x");
+        let headline = |key: String| {
+            *m.headline
+                .get(&key)
+                .unwrap_or_else(|| panic!("{key} headline present"))
+        };
+        let gain = headline(format!("aligned_gain_{shape}"));
+        assert!(gain > 1.0, "{shape}: aligned must beat fixed, got {gain}x");
+        let compound = headline(format!("compound_gain_{shape}"));
+        assert!(
+            compound > gain,
+            "{shape}: aligned + traxtent ({compound}x) must beat aligned alone ({gain}x)"
+        );
     }
     assert_eq!(
         m.headline.get("degraded_scrub_mismatches"),

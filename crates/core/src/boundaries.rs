@@ -23,6 +23,8 @@ pub enum BoundariesError {
     /// A confidence vector does not line up with the table's tracks, or
     /// holds a value outside `[0, 1]`.
     BadConfidence,
+    /// A spindle vector does not hold one id per track.
+    BadSpindles,
 }
 
 impl fmt::Display for BoundariesError {
@@ -38,6 +40,9 @@ impl fmt::Display for BoundariesError {
             }
             BoundariesError::BadConfidence => {
                 write!(f, "confidence vector must hold one [0, 1] value per track")
+            }
+            BoundariesError::BadSpindles => {
+                write!(f, "spindle vector must hold one id per track")
             }
         }
     }
@@ -280,10 +285,17 @@ impl TrackBoundaries {
 /// The allocator consults the confidence to decide, per track, whether
 /// track-aligned placement is trustworthy or whether it should degrade to
 /// untracked allocation.
+///
+/// A table that describes a multi-drive volume's logical address space
+/// also says which spindle each track lives on (see
+/// [`ConfidentBoundaries::with_spindles`]), so a scheduler can keep every
+/// spindle busy; a table without that knowledge describes one spindle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfidentBoundaries {
     table: TrackBoundaries,
     confidence: Vec<f64>,
+    /// The spindle holding each track; empty when the table is one spindle.
+    spindles: Vec<u16>,
 }
 
 impl ConfidentBoundaries {
@@ -299,14 +311,69 @@ impl ConfidentBoundaries {
         if confidence.iter().any(|c| !(0.0..=1.0).contains(c)) {
             return Err(BoundariesError::BadConfidence);
         }
-        Ok(ConfidentBoundaries { table, confidence })
+        Ok(ConfidentBoundaries {
+            table,
+            confidence,
+            spindles: Vec::new(),
+        })
     }
 
     /// Wraps a table whose every track is fully trusted (confidence 1.0),
     /// as produced by the exact SCSI-diagnostic extraction.
     pub fn certain(table: TrackBoundaries) -> Self {
         let confidence = vec![1.0; table.num_tracks()];
-        ConfidentBoundaries { table, confidence }
+        ConfidentBoundaries {
+            table,
+            confidence,
+            spindles: Vec::new(),
+        }
+    }
+
+    /// Records which spindle holds each track, indexed like the table's
+    /// tracks. Tracks on different spindles can be accessed at the same
+    /// time; tracks on one spindle queue behind each other.
+    ///
+    /// ```
+    /// use traxtent::{ConfidentBoundaries, TrackBoundaries};
+    ///
+    /// // Four logical tracks striped over two drives.
+    /// let map = ConfidentBoundaries::certain(TrackBoundaries::uniform(4, 100))
+    ///     .with_spindles(vec![0, 1, 0, 1])
+    ///     .unwrap();
+    /// assert_eq!(map.spindle(3), 1);
+    /// assert_eq!(map.num_spindles(), 2);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoundariesError::BadSpindles`] when the vector's length
+    /// differs from the table's track count.
+    pub fn with_spindles(mut self, spindles: Vec<u16>) -> Result<Self, BoundariesError> {
+        if spindles.len() != self.table.num_tracks() {
+            return Err(BoundariesError::BadSpindles);
+        }
+        self.spindles = spindles;
+        Ok(self)
+    }
+
+    /// The spindle holding track `i` (0 for a one-spindle table). Panics
+    /// if `i` is out of range of a table that carries spindle ids.
+    pub fn spindle(&self, i: usize) -> u16 {
+        if self.spindles.is_empty() {
+            0
+        } else {
+            self.spindles[i]
+        }
+    }
+
+    /// Number of distinct spindles the tracks live on (1 for a table
+    /// without spindle ids). Sorts a copy of the ids: call it once, not
+    /// per lookup.
+    pub fn num_spindles(&self) -> usize {
+        let mut ids = self.spindles.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.len().max(1)
     }
 
     /// The underlying boundary table.
@@ -478,6 +545,19 @@ mod tests {
             BoundariesError::BadConfidence
         );
         assert!(ConfidentBoundaries::new(t, vec![1.0, 0.5, 0.0, 1.0]).is_ok());
+    }
+
+    #[test]
+    fn spindle_ids_are_optional_and_one_per_track() {
+        let plain = ConfidentBoundaries::certain(table());
+        assert_eq!((plain.spindle(3), plain.num_spindles()), (0, 1));
+        assert_eq!(
+            plain.clone().with_spindles(vec![0; 3]).unwrap_err(),
+            BoundariesError::BadSpindles
+        );
+        let striped = plain.with_spindles(vec![2, 7, 2, 7]).unwrap();
+        assert_eq!((striped.spindle(1), striped.spindle(2)), (7, 2));
+        assert_eq!(striped.num_spindles(), 2, "distinct ids, not max + 1");
     }
 
     #[test]

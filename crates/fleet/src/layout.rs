@@ -538,11 +538,19 @@ impl VolumeLayout {
     }
 
     /// The volume-wide boundary map: one "track" per logical stripe unit,
-    /// carrying that unit's confidence. Feeding this to the PR 7 server's
-    /// traxtent scheduler makes it batch whole stripe units — which, under
-    /// [`StripePolicy::Aligned`], are whole member tracks.
+    /// carrying that unit's confidence and, as its spindle id, the member
+    /// that holds it. Feeding this to the PR 7 server's traxtent scheduler
+    /// makes it batch whole stripe units — which, under
+    /// [`StripePolicy::Aligned`], are whole member tracks — one per member
+    /// per round.
     pub fn logical_boundaries(&self) -> ConfidentBoundaries {
+        let spindles = self
+            .units
+            .iter()
+            .map(|u| u16::try_from(u.member).expect("a volume has far fewer than 65 536 members"))
+            .collect();
         ConfidentBoundaries::from_unit_lengths(self.units.iter().map(|u| (u.len, u.confidence)))
+            .and_then(|map| map.with_spindles(spindles))
             .expect("layout units are nonempty and nonzero-length")
     }
 }

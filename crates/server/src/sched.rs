@@ -15,9 +15,11 @@
 //!   boundary is trusted (per [`ConfidentBoundaries`]), gathers every
 //!   queued request on the anchor's track and coalesces adjacent same-op
 //!   runs into single track-aligned disk commands — never building a
-//!   command that crosses the track boundary. On low-confidence tracks it
-//!   degrades to plain C-LOOK, mirroring how the allocator degrades to
-//!   untracked placement.
+//!   command that crosses the track boundary — and then does the same
+//!   for one trusted track on every other spindle the table names, so a
+//!   multi-drive volume works on all its members at once. On
+//!   low-confidence tracks it degrades to plain C-LOOK, mirroring how the
+//!   allocator degrades to untracked placement.
 
 use crate::admission::Queued;
 use sim_disk::disk::Request;
@@ -94,49 +96,79 @@ impl SchedulerKind {
     ];
 }
 
-/// Removes the entries at `indices` (which must be distinct and in
-/// bounds), returning them in index-list order while preserving the
-/// relative order of the survivors.
-fn take_indices(pending: &mut Vec<Queued>, indices: &[usize]) -> Vec<Queued> {
-    let taken: Vec<Queued> = indices.iter().map(|&i| pending[i]).collect();
-    let mut marked = vec![false; pending.len()];
-    for &i in indices {
-        debug_assert!(!marked[i], "duplicate dispatch index");
-        marked[i] = true;
-    }
-    let mut j = 0;
-    pending.retain(|_| {
-        let m = marked[j];
-        j += 1;
-        !m
-    });
-    taken
+/// One queued request's place in the sweep. Ordering is `(lbn, id)` —
+/// the elevator's order — with the request's index in the queue last, so
+/// sorting slots equals a stable sort of the queue by `(lbn, id)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Slot {
+    lbn: u64,
+    id: u64,
+    at: usize,
 }
 
-/// Indices of up to `max_batch` pending requests along the ascending
-/// sweep from `*pos`, ordered by `(lbn, id)`. When nothing lies at or
-/// above `*pos` the sweep wraps: `*wraps` is incremented and selection
-/// restarts from the lowest pending LBN.
-fn sweep_indices(
-    pending: &[Queued],
-    pos: &mut u64,
-    wraps: &mut u64,
-    max_batch: usize,
-) -> Vec<usize> {
-    if pending.is_empty() {
-        return Vec::new();
+/// The whole queue in sweep order. Every elevator round derives its
+/// anchor and everything it gathers from this one sort.
+fn sweep_order(pending: &[Queued]) -> Vec<Slot> {
+    let mut order: Vec<Slot> = pending
+        .iter()
+        .enumerate()
+        .map(|(at, q)| Slot {
+            lbn: q.request.lbn,
+            id: q.id,
+            at,
+        })
+        .collect();
+    order.sort_unstable();
+    order
+}
+
+/// Where in the (non-empty) `order` the ascending sweep resumes: the first
+/// slot at or above `*pos`. When nothing lies there the sweep wraps:
+/// `*wraps` is incremented and it restarts from the lowest pending LBN.
+fn sweep_start(order: &[Slot], pos: &mut u64, wraps: &mut u64) -> usize {
+    let start = order.partition_point(|s| s.lbn < *pos);
+    if start < order.len() {
+        start
+    } else {
+        *wraps += 1;
+        *pos = 0;
+        0
     }
-    let mut order: Vec<usize> = (0..pending.len()).collect();
-    order.sort_by_key(|&i| (pending[i].request.lbn, pending[i].id));
-    let start = match order.iter().position(|&i| pending[i].request.lbn >= *pos) {
-        Some(s) => s,
-        None => {
-            *wraps += 1;
-            *pos = 0;
-            0
-        }
-    };
-    order[start..].iter().take(max_batch).copied().collect()
+}
+
+/// Removes the queue entries at the indices `at` (distinct and in
+/// bounds), preserving the relative order of the survivors.
+fn remove_at(pending: &mut Vec<Queued>, mut at: Vec<usize>) {
+    at.sort_unstable();
+    debug_assert!(at.windows(2).all(|w| w[0] < w[1]), "duplicate dispatch");
+    let mut gone = at.iter().peekable();
+    let mut i = 0;
+    pending.retain(|_| {
+        let hit = gone.next_if_eq(&&i).is_some();
+        i += 1;
+        !hit
+    });
+}
+
+/// One plain elevator round: up to `max_batch` slots of `order` from
+/// `start`, one command each, leaving the sweep at the last of them.
+fn sweep_round(
+    pending: &mut Vec<Queued>,
+    order: &[Slot],
+    start: usize,
+    max_batch: usize,
+    pos: &mut u64,
+) -> Vec<Dispatch> {
+    let run = &order[start..order.len().min(start + max_batch)];
+    if let Some(last) = run.last() {
+        *pos = last.lbn;
+    }
+    let round = run
+        .iter()
+        .map(|s| Dispatch::single(pending[s.at]))
+        .collect();
+    remove_at(pending, run.iter().map(|s| s.at).collect());
+    round
 }
 
 /// Arrival-order dispatch.
@@ -171,12 +203,12 @@ impl CLook {
 
 impl Scheduler for CLook {
     fn select(&mut self, pending: &mut Vec<Queued>, max_batch: usize) -> Vec<Dispatch> {
-        let idx = sweep_indices(pending, &mut self.pos, &mut self.wraps, max_batch);
-        let taken = take_indices(pending, &idx);
-        if let Some(last) = taken.last() {
-            self.pos = last.request.lbn;
+        if pending.is_empty() {
+            return Vec::new();
         }
-        taken.into_iter().map(Dispatch::single).collect()
+        let order = sweep_order(pending);
+        let start = sweep_start(&order, &mut self.pos, &mut self.wraps);
+        sweep_round(pending, &order, start, max_batch, &mut self.pos)
     }
 
     fn wraps(&self) -> u64 {
@@ -184,13 +216,34 @@ impl Scheduler for CLook {
     }
 }
 
-/// C-LOOK plus track-aligned coalescing on trusted tracks.
+/// C-LOOK plus track-aligned coalescing on trusted tracks, one track per
+/// spindle per round.
+///
+/// The anchor — the next request along the C-LOOK sweep — picks the
+/// round's first track, and the sweep position advances over that track
+/// alone. When the boundary table says its tracks live on several
+/// spindles ([`ConfidentBoundaries::with_spindles`]: a `fleet` volume's
+/// logical map names the member holding each stripe unit), the round then
+/// carries on along the cyclic sweep order and claims, for every spindle
+/// it has no track on yet, the first trusted track with a request lying
+/// wholly inside it — so every member of a volume gets its own
+/// track-aligned batch instead of idling while one member works. A table
+/// without spindle ids is one spindle, and the round ends with the
+/// anchor's track.
+///
+/// Requests that lie inside one track keep C-LOOK's starvation bound: the
+/// walk only ever takes requests early, and the sweep never passes one.
+/// A request that straddles a trusted boundary has no such bound — when
+/// it sits in the middle of a gathered track the sweep moves past it and
+/// it waits for the next, with one spindle as with several.
 #[derive(Debug)]
 pub struct Traxtent {
     pos: u64,
     wraps: u64,
     boundaries: ConfidentBoundaries,
     threshold: f64,
+    /// Distinct spindles in `boundaries`: a round can claim no more tracks.
+    spindles: usize,
 }
 
 impl Traxtent {
@@ -201,66 +254,89 @@ impl Traxtent {
         Traxtent {
             pos: 0,
             wraps: 0,
+            spindles: boundaries.num_spindles(),
             boundaries,
             threshold,
         }
-    }
-
-    /// Merges ascending same-track client requests into contiguous
-    /// same-op disk commands. Only exactly adjacent requests merge;
-    /// overlapping or gapped neighbours stay separate commands (still
-    /// within the track).
-    fn coalesce(taken: Vec<Queued>) -> Vec<Dispatch> {
-        let mut out: Vec<Dispatch> = Vec::new();
-        for q in taken {
-            if let Some(d) = out.last_mut() {
-                if d.request.op == q.request.op && d.request.lbn + d.request.len == q.request.lbn {
-                    d.request.len += q.request.len;
-                    d.parts.push(q);
-                    continue;
-                }
-            }
-            out.push(Dispatch::single(q));
-        }
-        out
     }
 }
 
 impl Scheduler for Traxtent {
     fn select(&mut self, pending: &mut Vec<Queued>, max_batch: usize) -> Vec<Dispatch> {
-        let anchor_idx = sweep_indices(pending, &mut self.pos, &mut self.wraps, 1);
-        let Some(&a) = anchor_idx.first() else {
+        if pending.is_empty() {
             return Vec::new();
-        };
-        let anchor = pending[a].request;
+        }
+        let order = sweep_order(pending);
+        let start = sweep_start(&order, &mut self.pos, &mut self.wraps);
         let table = self.boundaries.table();
-        let (track_start, track_end) = table.track_bounds(anchor.lbn);
+        let anchor = pending[order[start].at].request;
         let track = table.track_index(anchor.lbn);
-        let trusted = self.boundaries.is_confident(track, self.threshold);
-        let in_track = anchor.lbn + anchor.len <= track_end;
-        if !(trusted && in_track) {
+        let ext = table.track_extent(track);
+        if !(self.boundaries.is_confident(track, self.threshold) && anchor.end() <= ext.end()) {
             // Unknown boundary (or a client request that itself straddles
             // one): no coalescing is safe, serve this round as C-LOOK.
-            let idx = sweep_indices(pending, &mut self.pos, &mut self.wraps, max_batch);
-            let taken = take_indices(pending, &idx);
-            if let Some(last) = taken.last() {
-                self.pos = last.request.lbn;
-            }
-            return taken.into_iter().map(Dispatch::single).collect();
+            return sweep_round(pending, &order, start, max_batch, &mut self.pos);
         }
-        // Trusted track: gather every queued request lying entirely on
-        // the anchor's track (up to the batch bound) and coalesce.
-        let mut idx: Vec<usize> = (0..pending.len())
-            .filter(|&i| {
-                let r = pending[i].request;
-                r.lbn >= track_start && r.lbn + r.len <= track_end
-            })
-            .collect();
-        idx.sort_by_key(|&i| (pending[i].request.lbn, pending[i].id));
-        idx.truncate(max_batch);
-        let taken = take_indices(pending, &idx);
-        self.pos = taken.last().expect("anchor is always gathered").request.lbn;
-        Traxtent::coalesce(taken)
+        // Walk the cyclic sweep order from the lowest queued request on
+        // the anchor's track. A track is looked up once, when the walk
+        // first leaves the previous one; whether its requests are gathered
+        // (`claim`) or passed over is then a range check per request.
+        let mut lo = start;
+        while lo > 0 && order[lo - 1].lbn >= ext.start {
+            lo -= 1;
+        }
+        let mut round: Vec<Dispatch> = Vec::new();
+        let mut taken: Vec<usize> = Vec::new();
+        let mut claimed: Vec<u16> = Vec::new();
+        let (mut from, mut to) = (ext.start, ext.end());
+        // The spindle to claim with the walk's current track, if that
+        // track is trusted and the spindle has no track this round yet.
+        let mut claim = Some(self.boundaries.spindle(track));
+        // Where the current track's commands begin in `round`: requests
+        // coalesce within a track, never across two.
+        let mut first_cmd = 0;
+        for slot in order[lo..].iter().chain(&order[..lo]) {
+            if taken.len() == max_batch {
+                break;
+            }
+            if !(from..to).contains(&slot.lbn) {
+                if claimed.len() == self.spindles {
+                    break;
+                }
+                let t = table.track_index(slot.lbn);
+                let e = table.track_extent(t);
+                (from, to) = (e.start, e.end());
+                let spindle = self.boundaries.spindle(t);
+                let free =
+                    self.boundaries.is_confident(t, self.threshold) && !claimed.contains(&spindle);
+                claim = free.then_some(spindle);
+                first_cmd = round.len();
+            }
+            let Some(spindle) = claim else { continue };
+            let q = pending[slot.at];
+            if q.request.end() > to {
+                continue;
+            }
+            if claimed.last() != Some(&spindle) {
+                claimed.push(spindle);
+            }
+            if claimed.len() == 1 {
+                self.pos = slot.lbn;
+            }
+            taken.push(slot.at);
+            match round[first_cmd..].last_mut() {
+                // Only exactly adjacent same-op requests merge;
+                // overlapping or gapped neighbours stay separate commands
+                // (still within the track).
+                Some(d) if d.request.op == q.request.op && d.request.end() == slot.lbn => {
+                    d.request.len += q.request.len;
+                    d.parts.push(q);
+                }
+                _ => round.push(Dispatch::single(q)),
+            }
+        }
+        remove_at(pending, taken);
+        round
     }
 
     fn wraps(&self) -> u64 {
@@ -351,6 +427,55 @@ mod tests {
         // Anchor lands on the untrusted track 0: C-LOOK round, no merge.
         assert_eq!(ds.len(), 3);
         assert!(ds.iter().all(|d| !d.coalesced()));
+    }
+
+    #[test]
+    fn traxtent_fills_one_track_per_spindle_and_coalesces_per_track() {
+        // Four 100-sector tracks striped over two spindles.
+        let striped = |spindles| {
+            ConfidentBoundaries::certain(TrackBoundaries::uniform(4, 100))
+                .with_spindles(spindles)
+                .unwrap()
+        };
+        // A contiguous run across the 100-boundary is two tracks on two
+        // different spindles: one round, two commands, never one.
+        let mut sched = Traxtent::new(striped(vec![0, 1, 0, 1]), 0.9);
+        let mut pending = vec![q(0, 60, 40), q(1, 100, 40)];
+        let ds = sched.select(&mut pending, 16);
+        assert_eq!(
+            ds.iter()
+                .map(|d| (d.request.lbn, d.request.len))
+                .collect::<Vec<_>>(),
+            [(60, 40), (100, 40)]
+        );
+        assert!(pending.is_empty());
+
+        // The walk is cyclic and skips spindles already claimed: anchored
+        // on track 2 (spindle 0) it passes nothing above, wraps to track 0
+        // (spindle 0 again: passed over) and claims track 1 for spindle 1.
+        let mut sched = Traxtent::new(striped(vec![0, 1, 0, 1]), 0.9);
+        sched.pos = 200;
+        let mut pending = vec![q(0, 10, 10), q(1, 120, 10), q(2, 130, 10), q(3, 210, 10)];
+        let ds = sched.select(&mut pending, 16);
+        assert_eq!(
+            ds.iter()
+                .map(|d| (d.request.lbn, d.request.len))
+                .collect::<Vec<_>>(),
+            [(210, 10), (120, 20)]
+        );
+        assert_eq!(
+            (sched.pos, sched.wraps()),
+            (210, 0),
+            "the anchor alone moves the sweep"
+        );
+        assert_eq!(pending.iter().map(|p| p.id).collect::<Vec<_>>(), [0]);
+
+        // The batch bound covers the whole round, not each track.
+        let mut sched = Traxtent::new(striped(vec![0, 1, 2, 3]), 0.9);
+        let mut pending = vec![q(0, 0, 10), q(1, 20, 10), q(2, 100, 10), q(3, 200, 10)];
+        let ds = sched.select(&mut pending, 3);
+        assert_eq!(ds.iter().map(|d| d.parts.len()).sum::<usize>(), 3);
+        assert_eq!(pending.iter().map(|p| p.id).collect::<Vec<_>>(), [3]);
     }
 
     #[test]

@@ -8,12 +8,17 @@
 //!   request is dispatched within two wrap-arounds of its admission;
 //! * traxtent-aware coalesced batches never cross a trusted track
 //!   boundary, merge only contiguous same-op runs, and only form on
-//!   tracks whose confidence clears the threshold.
+//!   tracks whose confidence clears the threshold;
+//! * a traxtent round holds at most one track per spindle, over random
+//!   spindle maps, within the one batch bound — and a table that names a
+//!   single spindle schedules exactly like a table that names none;
+//! * the traxtent sweep keeps C-LOOK's starvation bound for requests
+//!   that lie inside one track, with one spindle and with several.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
+use server::{serve, CLook, Dispatch, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
 use sim_disk::disk::{Disk, Op, Request};
 use sim_disk::{models, SimTime};
 use traxtent::{ConfidentBoundaries, TrackBoundaries};
@@ -28,15 +33,112 @@ fn q(id: u64, op: Op, lbn: u64, len: u64) -> Queued {
     }
 }
 
-/// Random `(track_len, confidence)` tables plus a raw request stream
-/// `(lbn_seed, len_seed, op_flag)`; seeds are reduced modulo the table's
-/// capacity in the test body (the vendored proptest has no flat-map).
+/// Random `(track_len, confidence, spindle_seed)` tables plus a raw
+/// request stream `(lbn_seed, len_seed, op_flag)`; seeds are reduced
+/// modulo the table's capacity and the case's spindle count in the test
+/// body (the vendored proptest has no flat-map).
 #[allow(clippy::type_complexity)]
-fn arb_table_case() -> impl Strategy<Value = (Vec<(u64, f64)>, Vec<(u64, u64, u64)>)> {
+fn arb_table_case() -> impl Strategy<Value = (Vec<(u64, f64, u16)>, Vec<(u64, u64, u64)>)> {
     (
-        prop::collection::vec((10u64..60, 0.0f64..1.0), 4..16),
+        prop::collection::vec((10u64..60, 0.0f64..1.0, 0u16..1000), 4..16),
         prop::collection::vec((0u64..1_000_000, 1u64..40, 0u64..2), 1..60),
     )
+}
+
+/// The table of a case, its tracks dealt onto `spindles` spindles
+/// (0: the table carries no spindle ids).
+fn table_of(tracks: &[(u64, f64, u16)], spindles: u16) -> ConfidentBoundaries {
+    let table = TrackBoundaries::from_track_lengths(tracks.iter().map(|t| t.0)).unwrap();
+    let map = ConfidentBoundaries::new(table, tracks.iter().map(|t| t.1).collect()).unwrap();
+    if spindles == 0 {
+        return map;
+    }
+    map.with_spindles(tracks.iter().map(|t| t.2 % spindles).collect())
+        .unwrap()
+}
+
+/// The requests of a case, ids in arrival order. `in_track` clips each to
+/// the track it starts in, as an aligned client would issue it.
+fn requests_of(raw: &[(u64, u64, u64)], table: &TrackBoundaries, in_track: bool) -> Vec<Queued> {
+    let cap = table.capacity();
+    raw.iter()
+        .enumerate()
+        .map(|(id, &(lbn_seed, len_seed, op_flag))| {
+            let lbn = lbn_seed % cap;
+            let len = if in_track {
+                table.clip_to_track(lbn, len_seed)
+            } else {
+                len_seed.min(cap - lbn)
+            };
+            let op = if op_flag == 0 { Op::Read } else { Op::Write };
+            q(id as u64, op, lbn, len)
+        })
+        .collect()
+}
+
+/// Admits `requests` in `groups` bursts with one scheduling round between
+/// bursts, then drains the queue; returns every round.
+fn rounds_of(
+    sched: &mut impl Scheduler,
+    requests: &[Queued],
+    groups: usize,
+    max_batch: usize,
+) -> Vec<Vec<Dispatch>> {
+    let mut pending: Vec<Queued> = Vec::new();
+    let mut rounds = Vec::new();
+    for burst in requests.chunks(requests.len().div_ceil(groups)) {
+        pending.extend_from_slice(burst);
+        rounds.push(sched.select(&mut pending, max_batch));
+    }
+    while !pending.is_empty() {
+        rounds.push(sched.select(&mut pending, max_batch));
+    }
+    rounds
+}
+
+/// The starvation bound, for any elevator: between a request's admission
+/// and its dispatch the sweep wraps at most twice, no matter how arrivals
+/// interleave with scheduling rounds.
+fn assert_bounded_starvation(
+    mut sched: impl Scheduler,
+    requests: &[Queued],
+    max_batch: usize,
+    arrive_seed: u64,
+) {
+    let mut pending: Vec<Queued> = Vec::new();
+    let mut admitted_wraps: Vec<u64> = Vec::new();
+    let mut dispatched = vec![false; requests.len()];
+    let mut rng = StdRng::seed_from_u64(arrive_seed);
+    let mut next = 0usize;
+    while next < requests.len() || !pending.is_empty() {
+        // Admit a random-sized burst of the remaining arrivals.
+        let burst = if next < requests.len() {
+            rng.gen_range(0..4)
+        } else {
+            0
+        };
+        for _ in 0..burst.min(requests.len() - next) {
+            pending.push(requests[next]);
+            admitted_wraps.push(sched.wraps());
+            next += 1;
+        }
+        if pending.is_empty() && next < requests.len() {
+            continue;
+        }
+        for d in sched.select(&mut pending, max_batch) {
+            for p in &d.parts {
+                let id = p.id as usize;
+                assert!(!dispatched[id], "request {id} dispatched twice");
+                dispatched[id] = true;
+                assert!(
+                    sched.wraps() - admitted_wraps[id] <= 2,
+                    "request {id} waited {} wraps",
+                    sched.wraps() - admitted_wraps[id]
+                );
+            }
+        }
+    }
+    assert!(dispatched.iter().all(|&d| d), "every request dispatched");
 }
 
 proptest! {
@@ -88,126 +190,136 @@ proptest! {
         }
     }
 
-    /// C-LOOK starvation bound: between a request's admission and its
-    /// dispatch the elevator wraps at most twice, no matter how arrivals
-    /// interleave with scheduling rounds.
+    /// C-LOOK starvation bound: at most two wraps between admission and
+    /// dispatch.
     #[test]
     fn clook_never_starves_past_two_wraps(
-        raw in prop::collection::vec((0u64..100_000, 1u64..64, 1usize..8), 10..120),
+        raw in prop::collection::vec((0u64..100_000, 1u64..64), 10..120),
         max_batch in 1usize..8,
         arrive_seed in 0u64..1_000_000,
     ) {
-        let mut sched = CLook::new();
-        let mut pending: Vec<Queued> = Vec::new();
-        let mut admitted_wraps: Vec<u64> = Vec::new();
-        let mut dispatched = vec![false; raw.len()];
-        let mut rng = StdRng::seed_from_u64(arrive_seed);
-        let mut next = 0usize;
-        while next < raw.len() || !pending.is_empty() {
-            // Admit a random-sized burst of the remaining arrivals.
-            let burst = if next < raw.len() { rng.gen_range(0..4) } else { 0 };
-            for _ in 0..burst.min(raw.len() - next) {
-                let (lbn, len, _) = raw[next];
-                pending.push(q(next as u64, Op::Read, lbn, len));
-                admitted_wraps.push(sched.wraps());
-                next += 1;
-            }
-            if pending.is_empty() && next < raw.len() {
-                continue;
-            }
-            for d in sched.select(&mut pending, max_batch) {
-                for p in &d.parts {
-                    let id = p.id as usize;
-                    prop_assert!(!dispatched[id], "request {id} dispatched twice");
-                    dispatched[id] = true;
-                    prop_assert!(
-                        sched.wraps() - admitted_wraps[id] <= 2,
-                        "request {id} waited {} wraps",
-                        sched.wraps() - admitted_wraps[id]
-                    );
-                }
-            }
-        }
-        prop_assert!(dispatched.iter().all(|&d| d), "every request dispatched");
+        let requests: Vec<Queued> = raw
+            .iter()
+            .enumerate()
+            .map(|(id, &(lbn, len))| q(id as u64, Op::Read, lbn, len))
+            .collect();
+        assert_bounded_starvation(CLook::new(), &requests, max_batch, arrive_seed);
     }
 
-    /// Traxtent batches: coalesced commands lie entirely within one
-    /// track, that track's confidence clears the threshold, merged runs
-    /// are contiguous and same-op, and the scheduler still dispatches
-    /// every request exactly once — over random tables and confidences.
+    /// The same bound for the traxtent sweep, with one spindle and with
+    /// several: the spindle walk takes requests early but only the
+    /// anchor's track moves the sweep. Requests lie inside one track — a
+    /// request straddling a trusted boundary in the middle of a gathered
+    /// track is passed over and waits for the next sweep.
+    #[test]
+    fn traxtent_never_starves_past_two_wraps(
+        case in arb_table_case(),
+        threshold in 0.3f64..0.95,
+        max_batch in 1usize..8,
+        spindles in 1u16..6,
+        arrive_seed in 0u64..1_000_000,
+    ) {
+        let (tracks, raw) = case;
+        for k in [0, spindles] {
+            let map = table_of(&tracks, k);
+            let requests = requests_of(&raw, map.table(), true);
+            let sched = Traxtent::new(map, threshold);
+            assert_bounded_starvation(sched, &requests, max_batch, arrive_seed);
+        }
+    }
+
+    /// Traxtent rounds over random tables, confidences and spindle maps.
+    /// Every request is dispatched exactly once and a round never exceeds
+    /// the batch bound; merged runs are contiguous and same-op; a
+    /// coalesced command lies inside one track whose confidence clears
+    /// the threshold. A round anchored on a trusted track holds commands
+    /// inside trusted tracks only, of at most one track per spindle;
+    /// any other round is a plain C-LOOK round of single commands.
     #[test]
     fn traxtent_batches_never_cross_trusted_boundaries(
         case in arb_table_case(),
         threshold in 0.3f64..0.95,
         max_batch in 1usize..12,
         groups in 1usize..6,
+        spindles in 1u16..6,
     ) {
         let (tracks, raw) = case;
-        let lens: Vec<u64> = tracks.iter().map(|(l, _)| *l).collect();
-        let confs: Vec<f64> = tracks.iter().map(|(_, c)| *c).collect();
-        let table = TrackBoundaries::from_track_lengths(lens).unwrap();
-        let cap = table.capacity();
-        let check = table.clone();
-        let conf = ConfidentBoundaries::new(table, confs.clone()).unwrap();
-        let mut sched = Traxtent::new(conf, threshold);
-        let mut pending: Vec<Queued> = Vec::new();
-        let mut dispatched = vec![false; raw.len()];
-        let group_len = raw.len().div_ceil(groups);
-        let drain = |sched: &mut Traxtent,
-                         pending: &mut Vec<Queued>,
-                         dispatched: &mut Vec<bool>,
-                         all: bool| {
-            loop {
-                let round = sched.select(pending, max_batch);
-                if round.is_empty() {
-                    break;
-                }
-                for d in &round {
-                    let end = d.request.lbn + d.request.len;
-                    prop_assert!(end <= cap);
-                    // Parts partition the command contiguously, same op.
-                    let mut at = d.request.lbn;
-                    for p in &d.parts {
-                        prop_assert_eq!(p.request.lbn, at, "contiguous run");
-                        prop_assert_eq!(p.request.op, d.request.op, "same op");
-                        at += p.request.len;
-                        let id = p.id as usize;
-                        prop_assert!(!dispatched[id], "dispatched twice");
-                        dispatched[id] = true;
-                    }
-                    prop_assert_eq!(at, end, "parts cover the command");
-                    if d.coalesced() {
-                        let (start, t_end) = check.track_bounds(d.request.lbn);
-                        prop_assert!(
-                            d.request.lbn >= start && end <= t_end,
-                            "coalesced batch {}..{} crosses track {}..{}",
-                            d.request.lbn, end, start, t_end
-                        );
-                        let track = check.track_index(d.request.lbn);
-                        prop_assert!(
-                            confs[track] >= threshold,
-                            "coalesced on low-confidence track {track}"
-                        );
-                    }
-                }
-                if !all {
-                    break;
-                }
-            }
+        let map = table_of(&tracks, spindles);
+        let table = map.table().clone();
+        let requests = requests_of(&raw, &table, false);
+        // The trusted track a command lies wholly inside, if any.
+        let trusted_track = |d: &Dispatch| {
+            let t = table.track_index(d.request.lbn);
+            (d.request.end() <= table.track_extent(t).end() && map.is_confident(t, threshold))
+                .then_some(t)
         };
-        for (i, chunk) in raw.chunks(group_len).enumerate() {
-            for (j, &(lbn_seed, len_seed, op_flag)) in chunk.iter().enumerate() {
-                let id = (i * group_len + j) as u64;
-                let lbn = lbn_seed % cap;
-                let len = len_seed.min(cap - lbn).max(1);
-                let op = if op_flag == 0 { Op::Read } else { Op::Write };
-                pending.push(q(id, op, lbn, len));
+        let mut sched = Traxtent::new(map.clone(), threshold);
+        let mut dispatched = vec![false; requests.len()];
+        for round in rounds_of(&mut sched, &requests, groups, max_batch) {
+            prop_assert!(!round.is_empty(), "a round makes progress");
+            let parts: usize = round.iter().map(|d| d.parts.len()).sum();
+            prop_assert!(parts <= max_batch, "{parts} parts in a {max_batch}-wide round");
+            for d in &round {
+                // Parts partition the command contiguously, same op.
+                let mut at = d.request.lbn;
+                for p in &d.parts {
+                    prop_assert_eq!(p.request.lbn, at, "contiguous run");
+                    prop_assert_eq!(p.request.op, d.request.op, "same op");
+                    at += p.request.len;
+                    let id = p.id as usize;
+                    prop_assert!(!dispatched[id], "dispatched twice");
+                    dispatched[id] = true;
+                }
+                prop_assert_eq!(at, d.request.end(), "parts cover the command");
+                prop_assert!(
+                    !d.coalesced() || trusted_track(d).is_some(),
+                    "coalesced command {}..{} is not inside one trusted track",
+                    d.request.lbn,
+                    d.request.end()
+                );
             }
-            // One scheduling round between arrival groups.
-            drain(&mut sched, &mut pending, &mut dispatched, false);
+            if trusted_track(&round[0]).is_none() {
+                prop_assert!(round.iter().all(|d| !d.coalesced()), "C-LOOK round");
+                continue;
+            }
+            let mut track_on: Vec<Option<usize>> = vec![None; usize::from(spindles)];
+            for d in &round {
+                let t = trusted_track(d).expect("command outside a trusted track");
+                let held = track_on[usize::from(map.spindle(t))].get_or_insert(t);
+                prop_assert_eq!(*held, t, "two tracks on one spindle in a round");
+            }
         }
-        drain(&mut sched, &mut pending, &mut dispatched, true);
-        prop_assert!(pending.is_empty());
         prop_assert!(dispatched.iter().all(|&d| d), "every request dispatched");
+    }
+
+    /// One spindle is one spindle however the table says it: equal ids on
+    /// every track give the dispatch sequence of a table with none.
+    #[test]
+    fn a_single_spindle_id_schedules_like_none(
+        case in arb_table_case(),
+        threshold in 0.3f64..0.95,
+        max_batch in 1usize..12,
+        groups in 1usize..6,
+        id in 0u16..1000,
+    ) {
+        let (tracks, raw) = case;
+        let plain = table_of(&tracks, 0);
+        let same = plain.clone().with_spindles(vec![id; tracks.len()]).unwrap();
+        let requests = requests_of(&raw, plain.table(), false);
+        let sequence = |map: ConfidentBoundaries| -> Vec<Vec<(u64, u64, Vec<u64>)>> {
+            rounds_of(&mut Traxtent::new(map, threshold), &requests, groups, max_batch)
+                .iter()
+                .map(|round| {
+                    round
+                        .iter()
+                        .map(|d| {
+                            let ids = d.parts.iter().map(|p| p.id).collect();
+                            (d.request.lbn, d.request.len, ids)
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        prop_assert_eq!(sequence(plain), sequence(same));
     }
 }
