@@ -28,8 +28,9 @@
 //! policy. Each shape then gets one more healthy cell, **aligned ×
 //! traxtent**: the same aligned volume under the traxtent scheduler, fed
 //! the volume's logical boundary map ([`Volume::logical_boundaries`]),
-//! whose spindle ids let a round put one track-aligned command on every
-//! member. `compound_gain_<shape>` is p99(fixed × C-LOOK) ÷ p99(aligned ×
+//! whose spindle ids give every member its own lane in `serve`, so a
+//! track-aligned command waits only for its own member.
+//! `compound_gain_<shape>` is p99(fixed × C-LOOK) ÷ p99(aligned ×
 //! traxtent): placement and dispatch both drive-aware against neither —
 //! the two wins compound. These cells come last, so the rows, span ids
 //! and registry totals of the C-LOOK grid are what they were without

@@ -57,7 +57,7 @@ fn fleet_sweep_is_thread_count_invariant() {
     }
     // The acceptance headlines are present and hold: aligned stripe
     // units beat fixed on the healthy path of every shape, the traxtent
-    // scheduler's per-spindle rounds compound with them, and every
+    // scheduler's per-member lanes compound with them, and every
     // degraded redundant cell served bit-exact data.
     let (_, m) = seen.unwrap();
     for shape in ["stripedx2", "stripedx4", "mirroredx2", "raid5x3", "raid5x5"] {

@@ -541,8 +541,8 @@ impl VolumeLayout {
     /// carrying that unit's confidence and, as its spindle id, the member
     /// that holds it. Feeding this to the PR 7 server's traxtent scheduler
     /// makes it batch whole stripe units — which, under
-    /// [`StripePolicy::Aligned`], are whole member tracks — one per member
-    /// per round.
+    /// [`StripePolicy::Aligned`], are whole member tracks — on one lane
+    /// per member.
     pub fn logical_boundaries(&self) -> ConfidentBoundaries {
         let spindles = self
             .units

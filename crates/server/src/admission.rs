@@ -47,62 +47,65 @@ impl fmt::Display for AdmissionError {
 
 impl Error for AdmissionError {}
 
-/// The bounded queue fronting the server loop.
+/// The bounded queue fronting the server loop: one lane per spindle
+/// under one depth bound.
 ///
-/// Entries stay in admission (arrival) order; schedulers reorder at
-/// dispatch time via [`entries_mut`](AdmissionQueue::entries_mut), not
-/// here. The queue tracks its own admission/rejection counters and the
-/// high-water depth.
+/// A lane's entries stay in admission (arrival) order; schedulers reorder
+/// at dispatch time via [`lane_mut`](AdmissionQueue::lane_mut), not here.
+/// The queue tracks its own admission/rejection counters and the
+/// high-water depth, all summed over the lanes.
 #[derive(Debug)]
 pub struct AdmissionQueue {
     limit: usize,
-    entries: Vec<Queued>,
+    lanes: Vec<Vec<Queued>>,
     admitted: u64,
     rejected: u64,
     max_depth: usize,
 }
 
 impl AdmissionQueue {
-    /// Creates an empty queue bounded at `limit` entries.
+    /// Creates `lanes` empty lanes bounded at `limit` entries in total.
     ///
     /// # Panics
     ///
     /// Panics if `limit` is zero — a server that can hold no request at
     /// all would reject every arrival.
-    pub fn new(limit: usize) -> Self {
+    pub fn new(limit: usize, lanes: usize) -> Self {
         assert!(limit > 0, "queue limit must be positive");
         AdmissionQueue {
             limit,
-            entries: Vec::new(),
+            lanes: vec![Vec::new(); lanes],
             admitted: 0,
             rejected: 0,
             max_depth: 0,
         }
     }
 
-    /// Offers one arrival; admits it or returns the typed rejection.
-    pub fn offer(&mut self, q: Queued) -> Result<(), AdmissionError> {
-        if self.entries.len() >= self.limit {
+    /// Offers one arrival to `lane`; admits it or returns the typed
+    /// rejection.
+    pub fn offer(&mut self, lane: usize, q: Queued) -> Result<(), AdmissionError> {
+        let depth = self.len();
+        if depth >= self.limit {
             self.rejected += 1;
             return Err(AdmissionError::QueueFull {
-                depth: self.entries.len(),
+                depth,
                 limit: self.limit,
             });
         }
-        self.entries.push(q);
+        self.lanes[lane].push(q);
         self.admitted += 1;
-        self.max_depth = self.max_depth.max(self.entries.len());
+        self.max_depth = self.max_depth.max(depth + 1);
         Ok(())
     }
 
-    /// Current queue depth.
+    /// Current queue depth, all lanes together.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.lanes.iter().map(Vec::len).sum()
     }
 
-    /// Whether the queue is empty.
+    /// Whether every lane is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.lanes.iter().all(Vec::is_empty)
     }
 
     /// The configured depth bound.
@@ -110,16 +113,16 @@ impl AdmissionQueue {
         self.limit
     }
 
-    /// The queued entries, in admission order.
-    pub fn entries(&self) -> &[Queued] {
-        &self.entries
+    /// The entries queued on `lane`, in admission order.
+    pub fn lane(&self, lane: usize) -> &[Queued] {
+        &self.lanes[lane]
     }
 
-    /// Mutable access for schedulers, which remove the entries they
-    /// dispatch. Depth accounting reads the length afterwards, so
+    /// Mutable access for the lane's scheduler, which removes the entries
+    /// it dispatches. Depth accounting reads the lengths afterwards, so
     /// schedulers only need to take entries out, never push.
-    pub fn entries_mut(&mut self) -> &mut Vec<Queued> {
-        &mut self.entries
+    pub fn lane_mut(&mut self, lane: usize) -> &mut Vec<Queued> {
+        &mut self.lanes[lane]
     }
 
     /// Arrivals admitted so far.
@@ -152,10 +155,11 @@ mod tests {
 
     #[test]
     fn admits_until_full_then_rejects_typed() {
-        let mut queue = AdmissionQueue::new(2);
-        queue.offer(q(0)).unwrap();
-        queue.offer(q(1)).unwrap();
-        let err = queue.offer(q(2)).unwrap_err();
+        // Two lanes share the one bound.
+        let mut queue = AdmissionQueue::new(2, 2);
+        queue.offer(0, q(0)).unwrap();
+        queue.offer(1, q(1)).unwrap();
+        let err = queue.offer(0, q(2)).unwrap_err();
         assert_eq!(err, AdmissionError::QueueFull { depth: 2, limit: 2 });
         assert_eq!(err.to_string(), "admission queue full (2 of 2)");
         assert_eq!(queue.admitted(), 2);
@@ -165,12 +169,12 @@ mod tests {
 
     #[test]
     fn draining_reopens_admission() {
-        let mut queue = AdmissionQueue::new(1);
-        queue.offer(q(0)).unwrap();
-        assert!(queue.offer(q(1)).is_err());
-        queue.entries_mut().clear();
-        queue.offer(q(2)).unwrap();
-        assert_eq!(queue.entries()[0].id, 2);
+        let mut queue = AdmissionQueue::new(1, 1);
+        queue.offer(0, q(0)).unwrap();
+        assert!(queue.offer(0, q(1)).is_err());
+        queue.lane_mut(0).clear();
+        queue.offer(0, q(2)).unwrap();
+        assert_eq!(queue.lane(0)[0].id, 2);
         assert_eq!(queue.max_depth(), 1);
     }
 }

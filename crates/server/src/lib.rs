@@ -14,14 +14,15 @@
 //!   track-aligned commands on trusted tracks (degrading to C-LOOK where
 //!   boundary confidence is low);
 //! * the [`serve`] loop itself, which drives any [`Backend`] — a bare
-//!   [`Disk`] or a multi-disk `fleet` volume — on simulated time and
-//!   reports response latency percentiles, queue depths, rejections,
-//!   and throughput.
+//!   [`Disk`] or a multi-disk `fleet` volume, one queue and one elevator
+//!   per spindle — on simulated time and reports response latency
+//!   percentiles, queue depths, rejections, and throughput.
 //!
-//! Determinism: the loop advances a single simulated clock; given the
-//! same trace, config, and drive, the result is bit-identical on any
-//! machine and at any host thread count (the server itself never
-//! spawns threads — parallel sweeps fan whole cells out via
+//! Determinism: the loop's only clocks are simulated — one event time and
+//! one busy-until instant per spindle, lanes served in ascending spindle
+//! order; given the same trace, config, and drive, the result is
+//! bit-identical on any machine and at any host thread count (the server
+//! itself never spawns threads — parallel sweeps fan whole cells out via
 //! `bench::exec`).
 //!
 //! # Example
@@ -80,11 +81,12 @@ pub use sim_disk::Backend;
 pub struct ServerConfig {
     /// Admission-queue depth bound; arrivals beyond it are rejected.
     pub queue_limit: usize,
-    /// Most client requests dispatched per scheduling round.
+    /// Most client requests one lane dispatches per scheduling round.
     pub max_batch: usize,
     /// Dispatch policy.
     pub scheduler: SchedulerKind,
-    /// Boundary knowledge for [`SchedulerKind::Traxtent`]; ignored by the
+    /// Boundary knowledge for [`SchedulerKind::Traxtent`] — track extents,
+    /// confidence, and the spindle ids that make the lanes; ignored by the
     /// other policies and required (typed error) by that one.
     pub boundaries: Option<ConfidentBoundaries>,
     /// Confidence below which a track is treated as unknown.
@@ -298,14 +300,24 @@ pub fn drive_boundaries(disk: &Disk) -> TrackBoundaries {
 
 /// Runs the open-loop server over a sorted arrival trace.
 ///
-/// The loop alternates admission and dispatch on one simulated clock:
-/// every arrival at or before `now` is offered to the bounded queue in
-/// trace order (overflow becomes a typed rejection); the scheduler then
-/// picks one round of commands, all issued at `now` through the batched
-/// service path; `now` advances to the round's last completion — during
-/// which newly arrived requests accumulate, which is exactly how open-
-/// loop queues build. When the queue runs dry the clock jumps to the
-/// next arrival.
+/// The server keeps one lane per spindle — a queue, an elevator and the
+/// instant its last round ends — so a request waits only for the member
+/// that holds it. Under [`SchedulerKind::Traxtent`] the lanes are the
+/// spindles the boundary table names ([`ConfidentBoundaries::with_spindles`],
+/// as a `fleet` volume's logical map does) and a request rides the lane of
+/// its first sector's track; a table without ids, FIFO and C-LOOK are one
+/// lane.
+///
+/// The loop is event-driven on simulated time. At each event every arrival
+/// at or before `now` is offered to the bounded queue in trace order (one
+/// bound over all lanes; overflow becomes a typed rejection); then every
+/// lane that is free and has work picks one round from its own queue, all
+/// issued at `now` in one call of the batched service path, and is busy
+/// until that round's last completion. Arrivals that find every lane busy
+/// only accumulate, which is exactly how open-loop queues build. Lane
+/// clocks decide when the server dispatches, not how long the drives take:
+/// the backend queues commands per member, so a command that reaches into
+/// a second member completes when both are done.
 ///
 /// Client response time is `completion − arrival` and therefore includes
 /// queueing delay, not just drive service time.
@@ -326,19 +338,38 @@ pub fn serve<B: Backend + ?Sized>(
             return Err(ServerError::BeyondCapacity { index: i });
         }
     }
-    let mut sched: Box<dyn Scheduler> = match cfg.scheduler {
-        SchedulerKind::Fifo => Box::new(Fifo),
-        SchedulerKind::CLook => Box::new(CLook::new()),
+    // One elevator per lane, in ascending spindle-id order — the order the
+    // lanes dispatch in — and the instant each lane's last round ends.
+    let mut spindles = Vec::new();
+    let mut scheds: Vec<Box<dyn Scheduler>> = match cfg.scheduler {
+        SchedulerKind::Fifo => vec![Box::new(Fifo)],
+        SchedulerKind::CLook => vec![Box::new(CLook::new())],
         SchedulerKind::Traxtent => {
-            let b = cfg
-                .boundaries
-                .clone()
-                .ok_or(ServerError::MissingBoundaries)?;
-            Box::new(Traxtent::new(b, cfg.confidence_threshold))
+            let Some(b) = &cfg.boundaries else {
+                return Err(ServerError::MissingBoundaries);
+            };
+            // The distinct spindle ids, ascending; they need not be dense.
+            spindles = (0..b.table().num_tracks()).map(|t| b.spindle(t)).collect();
+            spindles.sort_unstable();
+            spindles.dedup();
+            let sched = Traxtent::new(b.clone(), cfg.confidence_threshold);
+            let lane = |_| Box::new(sched.clone()) as Box<dyn Scheduler>;
+            spindles.iter().map(lane).collect()
         }
     };
+    let mut free_at = vec![SimTime::ZERO; scheds.len()];
+    // Every request's lane, looked up in one pass while the table is hot
+    // (the backend's work between two dispatches leaves it cold, and a cold
+    // lookup costs ten times more). One lane needs no routing at all.
+    let lane_of: Vec<usize> = match &cfg.boundaries {
+        Some(b) if spindles.len() > 1 => (records.iter())
+            .map(|r| b.spindle(b.table().track_index(r.request.lbn)))
+            .map(|id| spindles.binary_search(&id).expect("every id has a lane"))
+            .collect(),
+        _ => Vec::new(),
+    };
 
-    let mut queue = AdmissionQueue::new(cfg.queue_limit);
+    let mut queue = AdmissionQueue::new(cfg.queue_limit, scheds.len());
     let mut completions: Vec<ClientCompletion> = Vec::with_capacity(records.len());
     let mut rejected_ids: Vec<u64> = Vec::new();
     let mut dispatches = 0u64;
@@ -346,11 +377,7 @@ pub fn serve<B: Backend + ?Sized>(
     let spans = cfg.spans.clone();
     let mut span_buf: Vec<Span> = Vec::new();
     let mut sampler = cfg.timeline.as_ref().map(Sampler::new);
-    let mut busy_prev = if sampler.is_some() {
-        disk.member_busy_ns()
-    } else {
-        Vec::new()
-    };
+    let mut busy_prev = (sampler.as_ref()).map_or(Vec::new(), |_| disk.member_busy_ns());
     // Exact time-weighted depth integral: advanced to each arrival and
     // each dispatch instant with the depth that held since the previous
     // event. Integer arithmetic keeps it bit-deterministic.
@@ -365,14 +392,32 @@ pub fn serve<B: Backend + ?Sized>(
             *last = upto;
         };
 
-    let mut now = SimTime::ZERO;
     let mut next = 0usize;
     let mut rounds = 0u64;
+    // Buffers every event reuses: the instant's commands with their lanes,
+    // the batch handed to the backend, and its completions.
+    let mut round: Vec<(usize, Dispatch)> = Vec::new();
     let mut batch: Vec<(Request, SimTime)> = Vec::new();
     let mut results: Vec<Completion> = Vec::new();
 
     loop {
-        // Admit everything that has arrived by `now`, in trace order.
+        // The next event is the first instant any lane could dispatch: when
+        // it is free, and for an empty lane no sooner than the next arrival.
+        // So while every lane is busy the loop wakes for no arrival at all.
+        let arrival = records.get(next).map(|r| r.arrival);
+        let wake = |l: usize| {
+            if queue.lane(l).is_empty() {
+                arrival.map(|a| a.max(free_at[l]))
+            } else {
+                Some(free_at[l])
+            }
+        };
+        let Some(now) = (0..free_at.len()).filter_map(wake).min() else {
+            break;
+        };
+        // Admit everything that has arrived by `now`, in trace order. The
+        // queue only shrinks at dispatch instants, so this decides exactly
+        // as admitting each arrival at its own instant would.
         while next < records.len() && records[next].arrival <= now {
             let r = &records[next];
             integrate(
@@ -386,7 +431,8 @@ pub fn serve<B: Backend + ?Sized>(
                 arrival: r.arrival,
                 request: r.request,
             };
-            if queue.offer(queued).is_err() {
+            let lane = lane_of.get(next).map_or(0, |&l| l);
+            if queue.offer(lane, queued).is_err() {
                 rejected_ids.push(next as u64);
                 if let Some(s) = &mut sampler {
                     s.observe_rejection(r.arrival);
@@ -397,22 +443,23 @@ pub fn serve<B: Backend + ?Sized>(
             }
             next += 1;
         }
-        if queue.is_empty() {
-            match records.get(next) {
-                Some(r) => {
-                    // Idle: jump the clock to the next arrival.
-                    now = now.max(r.arrival);
-                    continue;
-                }
-                None => break,
+        // One round from every lane that is free and has work, all issued
+        // at `now`.
+        let depth = queue.len();
+        round.clear();
+        for (l, sched) in scheds.iter_mut().enumerate() {
+            if free_at[l] <= now && !queue.lane(l).is_empty() {
+                let cmds = sched.select(queue.lane_mut(l), cfg.max_batch);
+                assert!(!cmds.is_empty(), "scheduler made no progress");
+                round.extend(cmds.into_iter().map(|d| (l, d)));
             }
         }
-        // One scheduling round, issued at `now`.
-        integrate(queue.len(), now, &mut last_event, &mut sampler);
-        let round = sched.select(queue.entries_mut(), cfg.max_batch);
-        assert!(!round.is_empty(), "scheduler made no progress");
+        if round.is_empty() {
+            continue;
+        }
+        integrate(depth, now, &mut last_event, &mut sampler);
         batch.clear();
-        batch.extend(round.iter().map(|d| (d.request, now)));
+        batch.extend(round.iter().map(|(_, d)| (d.request, now)));
         results.clear();
         match &spans {
             // With spans on, issue the round's commands one at a time so
@@ -421,8 +468,8 @@ pub fn serve<B: Backend + ?Sized>(
             // The batched service path is documented to equal serial
             // calls, so completions are unchanged.
             Some(rec) => {
-                for (k, d) in round.iter().enumerate() {
-                    let did = span::derive_id(rec.salt(), span::kind::DISPATCH, d.parts[0].id, 0);
+                for (k, (_, d)) in round.iter().enumerate() {
+                    let did = span::derive_id(rec.salt(), span::kind::DISPATCH, d.first.id, 0);
                     rec.set_context(did, 1);
                     disk.service_batch_into(&batch[k..k + 1], &mut results);
                 }
@@ -432,12 +479,13 @@ pub fn serve<B: Backend + ?Sized>(
         }
         dispatches += round.len() as u64;
         let mut round_end = now;
-        for (d, c) in round.iter().zip(&results) {
+        for ((l, d), c) in round.iter().zip(&results) {
             round_end = round_end.max(c.completion);
+            free_at[*l] = free_at[*l].max(c.completion);
             if d.coalesced() {
-                coalesced_requests += d.parts.len() as u64;
+                coalesced_requests += d.parts().count() as u64;
             }
-            for p in &d.parts {
+            for p in d.parts() {
                 completions.push(ClientCompletion {
                     id: p.id,
                     arrival: p.arrival,
@@ -453,13 +501,13 @@ pub fn serve<B: Backend + ?Sized>(
             }
         }
         if let Some(s) = &mut sampler {
+            // Turn the previous reading into this round's deltas in place.
             let busy = disk.member_busy_ns();
-            let deltas: Vec<u64> = busy
-                .iter()
-                .enumerate()
-                .map(|(m, cur)| cur - busy_prev.get(m).copied().unwrap_or(0))
-                .collect();
-            s.observe_busy(now, round_end, &deltas);
+            busy_prev.resize(busy.len(), 0);
+            for (prev, cur) in busy_prev.iter_mut().zip(&busy) {
+                *prev = cur - *prev;
+            }
+            s.observe_busy(now, round_end, &busy_prev);
             busy_prev = busy;
         }
         if let Some(rec) = &spans {
@@ -467,11 +515,11 @@ pub fn serve<B: Backend + ?Sized>(
             let mut r = Span::new(id, 0, "round", 0, now.as_ns(), round_end.as_ns());
             r.push_attr("sched", cfg.scheduler.label());
             r.push_attr("cmds", round.len());
-            r.push_attr("parts", round.iter().map(|d| d.parts.len()).sum::<usize>());
+            let parts = round.iter().map(|(_, d)| d.parts().count());
+            r.push_attr("parts", parts.sum::<usize>());
             rec.record(r);
         }
         rounds += 1;
-        now = round_end;
     }
 
     completions.sort_by_key(|c| c.id);
@@ -492,7 +540,7 @@ pub fn serve<B: Backend + ?Sized>(
         max_depth: queue.max_depth(),
         dispatches,
         coalesced_requests,
-        wraps: sched.wraps(),
+        wraps: scheds.iter().map(|s| s.wraps()).sum(),
         sim_end,
         timeline,
         slo,
@@ -535,9 +583,9 @@ fn record_dispatch(
     at: SimTime,
 ) {
     let salt = rec.salt();
-    let primary = span::derive_id(salt, span::kind::DISPATCH, d.parts[0].id, 0);
+    let primary = span::derive_id(salt, span::kind::DISPATCH, d.first.id, 0);
     let done = c.completion.as_ns();
-    for p in &d.parts {
+    for p in d.parts() {
         let arr = p.arrival.as_ns();
         let root_id = span::derive_id(salt, span::kind::REQUEST, p.id, 0);
         let mut root = Span::new(root_id, 0, "request", 0, arr, done);
@@ -567,7 +615,7 @@ fn record_dispatch(
         disp.push_attr("cmd_lbn", d.request.lbn);
         disp.push_attr("cmd_len", d.request.len);
         if d.coalesced() {
-            disp.push_attr("coalesced", d.parts.len());
+            disp.push_attr("coalesced", d.parts().count());
         }
         if did != primary {
             // This request rode a coalesced command; the drive's spans
@@ -678,6 +726,65 @@ mod tests {
         let b = res.completions[1];
         assert!(b.completion > a.completion);
         assert!(b.response_ms() > a.response_ms());
+    }
+
+    /// A backend of independent spindles that each take 10 ms a command.
+    struct TenMs;
+
+    impl Backend for TenMs {
+        fn capacity_lbns(&self) -> u64 {
+            400
+        }
+
+        fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>) {
+            out.extend(batch.iter().map(|&(request, issue)| {
+                let done = SimTime::from_ns(issue.as_ns() + 10_000_000);
+                Completion {
+                    request,
+                    issue,
+                    service_start: issue,
+                    media_end: done,
+                    completion: done,
+                    cache_hit: false,
+                    breakdown: Default::default(),
+                }
+            }));
+        }
+    }
+
+    #[test]
+    fn lanes_follow_spindle_ids_that_need_not_be_dense() {
+        // Four 100-sector tracks; track 0 is read at 0 ms, tracks 1 and 2
+        // at 5 ms, while track 0's spindle is still busy.
+        let records: Vec<TraceRecord> = (0..3)
+            .map(|t| TraceRecord {
+                arrival: SimTime::from_ns(5_000_000 * t.min(1)),
+                request: Request::read(100 * t, 50),
+            })
+            .collect();
+        let response_ms = |spindles: Option<Vec<u16>>| -> Vec<f64> {
+            let mut map = ConfidentBoundaries::certain(TrackBoundaries::uniform(4, 100));
+            if let Some(ids) = spindles {
+                map = map.with_spindles(ids).unwrap();
+            }
+            let cfg = ServerConfig::new(SchedulerKind::Traxtent).with_boundaries(map);
+            serve(&mut TenMs, &records, &cfg).unwrap().response_ms()
+        };
+        // One lane: one track per round, each waiting for the last.
+        assert_eq!(response_ms(None), [10.0, 15.0, 25.0]);
+        // Two lanes: track 1 goes out the instant it arrives, and track 2
+        // waits only for track 0, which shares its spindle.
+        assert_eq!(response_ms(Some(vec![7, 2, 7, 2])), [10.0, 10.0, 15.0]);
+        assert_eq!(response_ms(Some(vec![1, 0, 1, 0])), [10.0, 10.0, 15.0]);
+        // Only the traxtent scheduler reads the ids.
+        let mut cfg = ServerConfig::new(SchedulerKind::CLook).with_boundaries(
+            ConfidentBoundaries::certain(TrackBoundaries::uniform(4, 100))
+                .with_spindles(vec![7, 2, 7, 2])
+                .unwrap(),
+        );
+        cfg.max_batch = 1;
+        let res = serve(&mut TenMs, &records, &cfg).unwrap();
+        assert_eq!(res.response_ms(), [10.0, 15.0, 25.0]);
     }
 
     #[test]

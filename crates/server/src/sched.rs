@@ -15,14 +15,17 @@
 //!   boundary is trusted (per [`ConfidentBoundaries`]), gathers every
 //!   queued request on the anchor's track and coalesces adjacent same-op
 //!   runs into single track-aligned disk commands — never building a
-//!   command that crosses the track boundary — and then does the same
-//!   for one trusted track on every other spindle the table names, so a
-//!   multi-drive volume works on all its members at once. On
-//!   low-confidence tracks it degrades to plain C-LOOK, mirroring how the
-//!   allocator degrades to untracked placement.
+//!   command that crosses the track boundary. On low-confidence tracks it
+//!   degrades to plain C-LOOK, mirroring how the allocator degrades to
+//!   untracked placement.
+//!
+//! A scheduler is one elevator over one queue. On a multi-drive volume the
+//! server loop runs one instance per spindle, each over the requests of
+//! its own member, so no policy here knows about spindles.
 
 use crate::admission::Queued;
 use sim_disk::disk::Request;
+use std::sync::Arc;
 use traxtent::ConfidentBoundaries;
 
 /// One disk command plus the client requests it serves.
@@ -35,21 +38,30 @@ use traxtent::ConfidentBoundaries;
 pub struct Dispatch {
     /// The (possibly coalesced) request handed to the drive.
     pub request: Request,
-    /// The client requests this command serves, in ascending-LBN order.
-    pub parts: Vec<Queued>,
+    /// The client request at the command's first LBN.
+    pub first: Queued,
+    /// The client requests merged behind `first`, in ascending-LBN order.
+    /// Empty for an unmerged command, which therefore allocates nothing.
+    pub rest: Vec<Queued>,
 }
 
 impl Dispatch {
     fn single(q: Queued) -> Self {
         Dispatch {
             request: q.request,
-            parts: vec![q],
+            first: q,
+            rest: Vec::new(),
         }
+    }
+
+    /// The client requests this command serves, in ascending-LBN order.
+    pub fn parts(&self) -> impl Iterator<Item = &Queued> {
+        std::iter::once(&self.first).chain(&self.rest)
     }
 
     /// Whether this command serves more than one client request.
     pub fn coalesced(&self) -> bool {
-        self.parts.len() > 1
+        !self.rest.is_empty()
     }
 }
 
@@ -106,69 +118,82 @@ struct Slot {
     at: usize,
 }
 
-/// The whole queue in sweep order. Every elevator round derives its
-/// anchor and everything it gathers from this one sort.
-fn sweep_order(pending: &[Queued]) -> Vec<Slot> {
-    let mut order: Vec<Slot> = pending
-        .iter()
-        .enumerate()
-        .map(|(at, q)| Slot {
-            lbn: q.request.lbn,
-            id: q.id,
-            at,
-        })
-        .collect();
-    order.sort_unstable();
-    order
+/// A circular elevator's state, plus the buffers every round reuses:
+/// with about one command per round, a fresh allocation per `select`
+/// would be most of the scheduler's cost.
+#[derive(Debug, Default, Clone)]
+struct Sweep {
+    pos: u64,
+    wraps: u64,
+    /// The whole queue in sweep order. Every round derives its anchor and
+    /// everything it gathers from this one sort.
+    order: Vec<Slot>,
+    /// Queue indices of the requests the round dispatches.
+    taken: Vec<usize>,
 }
 
-/// Where in the (non-empty) `order` the ascending sweep resumes: the first
-/// slot at or above `*pos`. When nothing lies there the sweep wraps:
-/// `*wraps` is incremented and it restarts from the lowest pending LBN.
-fn sweep_start(order: &[Slot], pos: &mut u64, wraps: &mut u64) -> usize {
-    let start = order.partition_point(|s| s.lbn < *pos);
-    if start < order.len() {
-        start
-    } else {
-        *wraps += 1;
-        *pos = 0;
-        0
+impl Sweep {
+    /// Sorts the (non-empty) queue into `order` and returns where the
+    /// ascending sweep resumes: the first slot at or above `pos`. When
+    /// nothing lies there the sweep wraps: `wraps` is incremented and it
+    /// restarts from the lowest pending LBN.
+    fn start(&mut self, pending: &[Queued]) -> usize {
+        self.order.clear();
+        self.order
+            .extend(pending.iter().enumerate().map(|(at, q)| Slot {
+                lbn: q.request.lbn,
+                id: q.id,
+                at,
+            }));
+        self.order.sort_unstable();
+        let start = self.order.partition_point(|s| s.lbn < self.pos);
+        if start < self.order.len() {
+            start
+        } else {
+            self.wraps += 1;
+            self.pos = 0;
+            0
+        }
     }
-}
 
-/// Removes the queue entries at the indices `at` (distinct and in
-/// bounds), preserving the relative order of the survivors.
-fn remove_at(pending: &mut Vec<Queued>, mut at: Vec<usize>) {
-    at.sort_unstable();
-    debug_assert!(at.windows(2).all(|w| w[0] < w[1]), "duplicate dispatch");
-    let mut gone = at.iter().peekable();
-    let mut i = 0;
-    pending.retain(|_| {
-        let hit = gone.next_if_eq(&&i).is_some();
-        i += 1;
-        !hit
-    });
-}
-
-/// One plain elevator round: up to `max_batch` slots of `order` from
-/// `start`, one command each, leaving the sweep at the last of them.
-fn sweep_round(
-    pending: &mut Vec<Queued>,
-    order: &[Slot],
-    start: usize,
-    max_batch: usize,
-    pos: &mut u64,
-) -> Vec<Dispatch> {
-    let run = &order[start..order.len().min(start + max_batch)];
-    if let Some(last) = run.last() {
-        *pos = last.lbn;
+    /// One plain elevator round: up to `max_batch` slots of `order` from
+    /// `start`, one command each, leaving the sweep at the last of them.
+    fn round(
+        &mut self,
+        pending: &mut Vec<Queued>,
+        start: usize,
+        max_batch: usize,
+    ) -> Vec<Dispatch> {
+        let run = &self.order[start..self.order.len().min(start + max_batch)];
+        if let Some(last) = run.last() {
+            self.pos = last.lbn;
+        }
+        let round = run
+            .iter()
+            .map(|s| Dispatch::single(pending[s.at]))
+            .collect();
+        self.taken.clear();
+        self.taken.extend(run.iter().map(|s| s.at));
+        self.remove_taken(pending);
+        round
     }
-    let round = run
-        .iter()
-        .map(|s| Dispatch::single(pending[s.at]))
-        .collect();
-    remove_at(pending, run.iter().map(|s| s.at).collect());
-    round
+
+    /// Removes the queue entries at the indices `taken` (distinct and in
+    /// bounds), preserving the relative order of the survivors.
+    fn remove_taken(&mut self, pending: &mut Vec<Queued>) {
+        self.taken.sort_unstable();
+        debug_assert!(
+            self.taken.windows(2).all(|w| w[0] < w[1]),
+            "duplicate dispatch"
+        );
+        let mut gone = self.taken.iter().peekable();
+        let mut i = 0;
+        pending.retain(|_| {
+            let hit = gone.next_if_eq(&&i).is_some();
+            i += 1;
+            !hit
+        });
+    }
 }
 
 /// Arrival-order dispatch.
@@ -190,8 +215,7 @@ impl Scheduler for Fifo {
 /// passes a pending request's LBN without dispatching it.
 #[derive(Debug, Default)]
 pub struct CLook {
-    pos: u64,
-    wraps: u64,
+    sweep: Sweep,
 }
 
 impl CLook {
@@ -206,44 +230,35 @@ impl Scheduler for CLook {
         if pending.is_empty() {
             return Vec::new();
         }
-        let order = sweep_order(pending);
-        let start = sweep_start(&order, &mut self.pos, &mut self.wraps);
-        sweep_round(pending, &order, start, max_batch, &mut self.pos)
+        let start = self.sweep.start(pending);
+        self.sweep.round(pending, start, max_batch)
     }
 
     fn wraps(&self) -> u64 {
-        self.wraps
+        self.sweep.wraps
     }
 }
 
 /// C-LOOK plus track-aligned coalescing on trusted tracks, one track per
-/// spindle per round.
+/// round.
 ///
 /// The anchor — the next request along the C-LOOK sweep — picks the
-/// round's first track, and the sweep position advances over that track
-/// alone. When the boundary table says its tracks live on several
-/// spindles ([`ConfidentBoundaries::with_spindles`]: a `fleet` volume's
-/// logical map names the member holding each stripe unit), the round then
-/// carries on along the cyclic sweep order and claims, for every spindle
-/// it has no track on yet, the first trusted track with a request lying
-/// wholly inside it — so every member of a volume gets its own
-/// track-aligned batch instead of idling while one member works. A table
-/// without spindle ids is one spindle, and the round ends with the
-/// anchor's track.
+/// round's track; when that track's boundary is trusted the round gathers
+/// every queued request lying wholly inside it (within the batch bound)
+/// and the sweep position advances over that track alone. The table's
+/// spindle ids play no part: on a volume [`serve`](crate::serve) gives
+/// every spindle its own instance, which only ever sees the requests of
+/// that member. Clones share the boundary table.
 ///
 /// Requests that lie inside one track keep C-LOOK's starvation bound: the
-/// walk only ever takes requests early, and the sweep never passes one.
-/// A request that straddles a trusted boundary has no such bound — when
-/// it sits in the middle of a gathered track the sweep moves past it and
-/// it waits for the next, with one spindle as with several.
-#[derive(Debug)]
+/// sweep never passes one. A request that straddles a trusted boundary has
+/// no such bound — when it sits in the middle of a gathered track the
+/// sweep moves past it and it waits for the next.
+#[derive(Debug, Clone)]
 pub struct Traxtent {
-    pos: u64,
-    wraps: u64,
-    boundaries: ConfidentBoundaries,
+    sweep: Sweep,
+    boundaries: Arc<ConfidentBoundaries>,
     threshold: f64,
-    /// Distinct spindles in `boundaries`: a round can claim no more tracks.
-    spindles: usize,
 }
 
 impl Traxtent {
@@ -252,10 +267,8 @@ impl Traxtent {
     /// with plain C-LOOK.
     pub fn new(boundaries: ConfidentBoundaries, threshold: f64) -> Self {
         Traxtent {
-            pos: 0,
-            wraps: 0,
-            spindles: boundaries.num_spindles(),
-            boundaries,
+            sweep: Sweep::default(),
+            boundaries: Arc::new(boundaries),
             threshold,
         }
     }
@@ -266,81 +279,56 @@ impl Scheduler for Traxtent {
         if pending.is_empty() {
             return Vec::new();
         }
-        let order = sweep_order(pending);
-        let start = sweep_start(&order, &mut self.pos, &mut self.wraps);
+        let sweep = &mut self.sweep;
+        let start = sweep.start(pending);
+        if pending.len() == 1 {
+            // A lone request goes out as it is wherever the boundaries lie,
+            // so an idle lane's round costs no (cold) table lookup.
+            return sweep.round(pending, start, max_batch);
+        }
         let table = self.boundaries.table();
-        let anchor = pending[order[start].at].request;
+        let anchor = pending[sweep.order[start].at].request;
         let track = table.track_index(anchor.lbn);
         let ext = table.track_extent(track);
         if !(self.boundaries.is_confident(track, self.threshold) && anchor.end() <= ext.end()) {
             // Unknown boundary (or a client request that itself straddles
             // one): no coalescing is safe, serve this round as C-LOOK.
-            return sweep_round(pending, &order, start, max_batch, &mut self.pos);
+            return sweep.round(pending, start, max_batch);
         }
-        // Walk the cyclic sweep order from the lowest queued request on
-        // the anchor's track. A track is looked up once, when the walk
-        // first leaves the previous one; whether its requests are gathered
-        // (`claim`) or passed over is then a range check per request.
+        // Gather from the lowest queued request on the anchor's track.
         let mut lo = start;
-        while lo > 0 && order[lo - 1].lbn >= ext.start {
+        while lo > 0 && sweep.order[lo - 1].lbn >= ext.start {
             lo -= 1;
         }
         let mut round: Vec<Dispatch> = Vec::new();
-        let mut taken: Vec<usize> = Vec::new();
-        let mut claimed: Vec<u16> = Vec::new();
-        let (mut from, mut to) = (ext.start, ext.end());
-        // The spindle to claim with the walk's current track, if that
-        // track is trusted and the spindle has no track this round yet.
-        let mut claim = Some(self.boundaries.spindle(track));
-        // Where the current track's commands begin in `round`: requests
-        // coalesce within a track, never across two.
-        let mut first_cmd = 0;
-        for slot in order[lo..].iter().chain(&order[..lo]) {
-            if taken.len() == max_batch {
+        sweep.taken.clear();
+        for slot in &sweep.order[lo..] {
+            if sweep.taken.len() == max_batch || slot.lbn >= ext.end() {
                 break;
             }
-            if !(from..to).contains(&slot.lbn) {
-                if claimed.len() == self.spindles {
-                    break;
-                }
-                let t = table.track_index(slot.lbn);
-                let e = table.track_extent(t);
-                (from, to) = (e.start, e.end());
-                let spindle = self.boundaries.spindle(t);
-                let free =
-                    self.boundaries.is_confident(t, self.threshold) && !claimed.contains(&spindle);
-                claim = free.then_some(spindle);
-                first_cmd = round.len();
-            }
-            let Some(spindle) = claim else { continue };
             let q = pending[slot.at];
-            if q.request.end() > to {
+            if q.request.end() > ext.end() {
                 continue;
             }
-            if claimed.last() != Some(&spindle) {
-                claimed.push(spindle);
-            }
-            if claimed.len() == 1 {
-                self.pos = slot.lbn;
-            }
-            taken.push(slot.at);
-            match round[first_cmd..].last_mut() {
+            sweep.pos = slot.lbn;
+            sweep.taken.push(slot.at);
+            match round.last_mut() {
                 // Only exactly adjacent same-op requests merge;
                 // overlapping or gapped neighbours stay separate commands
                 // (still within the track).
                 Some(d) if d.request.op == q.request.op && d.request.end() == slot.lbn => {
                     d.request.len += q.request.len;
-                    d.parts.push(q);
+                    d.rest.push(q);
                 }
                 _ => round.push(Dispatch::single(q)),
             }
         }
-        remove_at(pending, taken);
+        sweep.remove_taken(pending);
         round
     }
 
     fn wraps(&self) -> u64 {
-        self.wraps
+        self.sweep.wraps
     }
 }
 
@@ -370,7 +358,7 @@ mod tests {
     fn fifo_dispatches_in_arrival_order() {
         let mut pending = vec![q(0, 900, 8), q(1, 100, 8), q(2, 500, 8)];
         let ds = Fifo.select(&mut pending, 2);
-        assert_eq!(ds.iter().map(|d| d.parts[0].id).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(ds.iter().map(|d| d.first.id).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(pending.len(), 1);
     }
 
@@ -411,7 +399,7 @@ mod tests {
         assert_eq!(ds.len(), 3);
         assert_eq!((ds[0].request.lbn, ds[0].request.len), (0, 50));
         assert!(ds[0].coalesced());
-        assert_eq!(ds[0].parts.iter().map(|p| p.id).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(ds[0].parts().map(|p| p.id).collect::<Vec<_>>(), [0, 1]);
         assert_eq!((ds[1].request.lbn, ds[1].request.len), (50, 25));
         assert_eq!((ds[2].request.lbn, ds[2].request.len), (75, 25));
         assert_eq!(pending.len(), 1, "the next-track request stays queued");
@@ -427,55 +415,6 @@ mod tests {
         // Anchor lands on the untrusted track 0: C-LOOK round, no merge.
         assert_eq!(ds.len(), 3);
         assert!(ds.iter().all(|d| !d.coalesced()));
-    }
-
-    #[test]
-    fn traxtent_fills_one_track_per_spindle_and_coalesces_per_track() {
-        // Four 100-sector tracks striped over two spindles.
-        let striped = |spindles| {
-            ConfidentBoundaries::certain(TrackBoundaries::uniform(4, 100))
-                .with_spindles(spindles)
-                .unwrap()
-        };
-        // A contiguous run across the 100-boundary is two tracks on two
-        // different spindles: one round, two commands, never one.
-        let mut sched = Traxtent::new(striped(vec![0, 1, 0, 1]), 0.9);
-        let mut pending = vec![q(0, 60, 40), q(1, 100, 40)];
-        let ds = sched.select(&mut pending, 16);
-        assert_eq!(
-            ds.iter()
-                .map(|d| (d.request.lbn, d.request.len))
-                .collect::<Vec<_>>(),
-            [(60, 40), (100, 40)]
-        );
-        assert!(pending.is_empty());
-
-        // The walk is cyclic and skips spindles already claimed: anchored
-        // on track 2 (spindle 0) it passes nothing above, wraps to track 0
-        // (spindle 0 again: passed over) and claims track 1 for spindle 1.
-        let mut sched = Traxtent::new(striped(vec![0, 1, 0, 1]), 0.9);
-        sched.pos = 200;
-        let mut pending = vec![q(0, 10, 10), q(1, 120, 10), q(2, 130, 10), q(3, 210, 10)];
-        let ds = sched.select(&mut pending, 16);
-        assert_eq!(
-            ds.iter()
-                .map(|d| (d.request.lbn, d.request.len))
-                .collect::<Vec<_>>(),
-            [(210, 10), (120, 20)]
-        );
-        assert_eq!(
-            (sched.pos, sched.wraps()),
-            (210, 0),
-            "the anchor alone moves the sweep"
-        );
-        assert_eq!(pending.iter().map(|p| p.id).collect::<Vec<_>>(), [0]);
-
-        // The batch bound covers the whole round, not each track.
-        let mut sched = Traxtent::new(striped(vec![0, 1, 2, 3]), 0.9);
-        let mut pending = vec![q(0, 0, 10), q(1, 20, 10), q(2, 100, 10), q(3, 200, 10)];
-        let ds = sched.select(&mut pending, 3);
-        assert_eq!(ds.iter().map(|d| d.parts.len()).sum::<usize>(), 3);
-        assert_eq!(pending.iter().map(|p| p.id).collect::<Vec<_>>(), [3]);
     }
 
     #[test]

@@ -9,18 +9,26 @@
 //! * traxtent-aware coalesced batches never cross a trusted track
 //!   boundary, merge only contiguous same-op runs, and only form on
 //!   tracks whose confidence clears the threshold;
-//! * a traxtent round holds at most one track per spindle, over random
-//!   spindle maps, within the one batch bound — and a table that names a
-//!   single spindle schedules exactly like a table that names none;
+//! * a traxtent round anchored on a trusted track stays inside that one
+//!   track, within the batch bound — and `select` ignores the table's
+//!   spindle ids: any spindle map schedules exactly like none;
 //! * the traxtent sweep keeps C-LOOK's starvation bound for requests
-//!   that lie inside one track, with one spindle and with several.
+//!   that lie inside one track;
+//! * `serve` with one lane per spindle equals a brute-force loop that
+//!   wakes at every arrival — same completions, same rejected ids, same
+//!   depth integral — never hands a busy lane a command, dispatches a
+//!   request that finds its lane free and empty the instant it arrives,
+//!   and keeps the starvation bound lane by lane.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use server::{serve, CLook, Dispatch, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
+use server::{
+    serve, Backend, CLook, Dispatch, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent,
+};
 use sim_disk::disk::{Disk, Op, Request};
-use sim_disk::{models, SimTime};
+use sim_disk::{models, Completion, SimDur, SimTime, TraceRecord};
+use std::collections::{BTreeMap, BTreeSet};
 use traxtent::{ConfidentBoundaries, TrackBoundaries};
 
 /// A queued entry with id-derived arrival (arrival order == id order,
@@ -126,7 +134,7 @@ fn assert_bounded_starvation(
             continue;
         }
         for d in sched.select(&mut pending, max_batch) {
-            for p in &d.parts {
+            for p in d.parts() {
                 let id = p.id as usize;
                 assert!(!dispatched[id], "request {id} dispatched twice");
                 dispatched[id] = true;
@@ -139,6 +147,161 @@ fn assert_bounded_starvation(
         }
     }
     assert!(dispatched.iter().all(|&d| d), "every request dispatched");
+}
+
+/// A backend of independent spindles — the table's ids say which one holds
+/// a command's first sector — each serving first come first served, with a
+/// service time that depends on the command alone. It logs every command
+/// with its issue instant, and panics when a spindle is handed a batch
+/// while a command of an earlier batch is still in service there.
+struct Spindles {
+    map: ConfidentBoundaries,
+    free: BTreeMap<u16, SimTime>,
+    log: Vec<(Request, SimTime)>,
+}
+
+impl Spindles {
+    fn new(map: &ConfidentBoundaries) -> Self {
+        Spindles {
+            map: map.clone(),
+            free: BTreeMap::new(),
+            log: Vec::new(),
+        }
+    }
+}
+
+impl Backend for Spindles {
+    fn capacity_lbns(&self) -> u64 {
+        self.map.table().capacity()
+    }
+
+    fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>) {
+        let before = self.free.clone();
+        for &(request, issue) in batch {
+            let spindle = self.map.spindle(self.map.table().track_index(request.lbn));
+            let busy_until = before.get(&spindle).copied().unwrap_or(SimTime::ZERO);
+            assert!(
+                issue >= busy_until,
+                "spindle {spindle} handed a command at {issue}, busy until {busy_until}"
+            );
+            let free = self.free.entry(spindle).or_insert(SimTime::ZERO);
+            let micros = 200 + 10 * request.len + 50 * (request.lbn % 13);
+            let done = issue.max(*free) + SimDur::from_ns(1000 * micros);
+            *free = done;
+            self.log.push((request, issue));
+            out.push(Completion {
+                request,
+                issue,
+                service_start: issue,
+                media_end: done,
+                completion: done,
+                cache_hit: false,
+                breakdown: Default::default(),
+            });
+        }
+    }
+}
+
+/// What a `serve` run must produce, worked out the slow way.
+#[derive(Debug, Default, PartialEq)]
+struct Expected {
+    /// `(id, arrival, completion, coalesced)`, by id.
+    completions: Vec<(u64, SimTime, SimTime, bool)>,
+    rejected: Vec<u64>,
+    max_depth: usize,
+    dispatches: u64,
+    wraps: u64,
+    mean_depth: f64,
+    log: Vec<(Request, SimTime)>,
+}
+
+/// The reference server: one traxtent elevator per spindle id, woken at
+/// every arrival and every time a lane with work comes free, admitting
+/// each arrival at its own instant. Also returns the requests that found
+/// their lane free and had it to themselves, and asserts the two-wrap bound
+/// lane by lane.
+fn brute_force(
+    map: &ConfidentBoundaries,
+    threshold: f64,
+    trace: &[TraceRecord],
+    queue_limit: usize,
+    max_batch: usize,
+) -> (Expected, Vec<u64>) {
+    let table = map.table();
+    let ids: Vec<u16> = (0..table.num_tracks())
+        .map(|t| map.spindle(t))
+        .collect::<BTreeSet<u16>>()
+        .into_iter()
+        .collect();
+    let mut scheds: Vec<Traxtent> = (ids.iter())
+        .map(|_| Traxtent::new(map.clone(), threshold))
+        .collect();
+    let mut queues: Vec<Vec<Queued>> = vec![Vec::new(); ids.len()];
+    let mut free_at = vec![SimTime::ZERO; ids.len()];
+    let mut backend = Spindles::new(map);
+    let mut want = Expected::default();
+    let mut prompt = Vec::new();
+    let mut admitted_wraps = vec![0u64; trace.len()];
+    let (mut next, mut last, mut depth_ns) = (0, SimTime::ZERO, 0u128);
+    loop {
+        let arrival = trace.get(next).map(|r| r.arrival);
+        let work = (0..ids.len())
+            .filter(|&l| !queues[l].is_empty())
+            .map(|l| free_at[l]);
+        let Some(now) = arrival.into_iter().chain(work).min() else {
+            break;
+        };
+        let depth: usize = queues.iter().map(Vec::len).sum();
+        depth_ns += depth as u128 * u128::from(now.since(last).as_ns());
+        last = now;
+        while next < trace.len() && trace[next].arrival == now {
+            let depth: usize = queues.iter().map(Vec::len).sum();
+            if depth >= queue_limit {
+                want.rejected.push(next as u64);
+            } else {
+                let spindle = map.spindle(table.track_index(trace[next].request.lbn));
+                let lane = ids.iter().position(|&id| id == spindle).unwrap();
+                admitted_wraps[next] = scheds[lane].wraps();
+                queues[lane].push(Queued {
+                    id: next as u64,
+                    arrival: now,
+                    request: trace[next].request,
+                });
+                want.max_depth = want.max_depth.max(depth + 1);
+            }
+            next += 1;
+        }
+        for lane in 0..ids.len() {
+            if free_at[lane] > now || queues[lane].is_empty() {
+                continue;
+            }
+            if let [only] = queues[lane][..] {
+                if only.arrival == now {
+                    prompt.push(only.id);
+                }
+            }
+            let round = scheds[lane].select(&mut queues[lane], max_batch);
+            let batch: Vec<(Request, SimTime)> = round.iter().map(|d| (d.request, now)).collect();
+            let mut done = Vec::new();
+            backend.service_batch_into(&batch, &mut done);
+            want.dispatches += round.len() as u64;
+            for (d, c) in round.iter().zip(&done) {
+                free_at[lane] = free_at[lane].max(c.completion);
+                for p in d.parts() {
+                    let waited = scheds[lane].wraps() - admitted_wraps[p.id as usize];
+                    assert!(waited <= 2, "request {} waited {waited} wraps", p.id);
+                    want.completions
+                        .push((p.id, p.arrival, c.completion, d.coalesced()));
+                }
+            }
+        }
+    }
+    want.completions.sort_unstable();
+    let end = want.completions.iter().map(|c| c.2).max();
+    want.mean_depth = end.map_or(0.0, |end| depth_ns as f64 / end.as_ns() as f64);
+    want.wraps = scheds.iter().map(|s| s.wraps()).sum();
+    want.log = backend.log;
+    (want, prompt)
 }
 
 proptest! {
@@ -206,26 +369,21 @@ proptest! {
         assert_bounded_starvation(CLook::new(), &requests, max_batch, arrive_seed);
     }
 
-    /// The same bound for the traxtent sweep, with one spindle and with
-    /// several: the spindle walk takes requests early but only the
-    /// anchor's track moves the sweep. Requests lie inside one track — a
-    /// request straddling a trusted boundary in the middle of a gathered
-    /// track is passed over and waits for the next sweep.
+    /// The same bound for the traxtent sweep. Requests lie inside one
+    /// track — a request straddling a trusted boundary in the middle of a
+    /// gathered track is passed over and waits for the next sweep.
     #[test]
     fn traxtent_never_starves_past_two_wraps(
         case in arb_table_case(),
         threshold in 0.3f64..0.95,
         max_batch in 1usize..8,
-        spindles in 1u16..6,
         arrive_seed in 0u64..1_000_000,
     ) {
         let (tracks, raw) = case;
-        for k in [0, spindles] {
-            let map = table_of(&tracks, k);
-            let requests = requests_of(&raw, map.table(), true);
-            let sched = Traxtent::new(map, threshold);
-            assert_bounded_starvation(sched, &requests, max_batch, arrive_seed);
-        }
+        let map = table_of(&tracks, 0);
+        let requests = requests_of(&raw, map.table(), true);
+        let sched = Traxtent::new(map, threshold);
+        assert_bounded_starvation(sched, &requests, max_batch, arrive_seed);
     }
 
     /// Traxtent rounds over random tables, confidences and spindle maps.
@@ -233,15 +391,15 @@ proptest! {
     /// the batch bound; merged runs are contiguous and same-op; a
     /// coalesced command lies inside one track whose confidence clears
     /// the threshold. A round anchored on a trusted track holds commands
-    /// inside trusted tracks only, of at most one track per spindle;
-    /// any other round is a plain C-LOOK round of single commands.
+    /// inside that one track only; any other round is a plain C-LOOK
+    /// round of single commands.
     #[test]
     fn traxtent_batches_never_cross_trusted_boundaries(
         case in arb_table_case(),
         threshold in 0.3f64..0.95,
         max_batch in 1usize..12,
         groups in 1usize..6,
-        spindles in 1u16..6,
+        spindles in 0u16..6,
     ) {
         let (tracks, raw) = case;
         let map = table_of(&tracks, spindles);
@@ -257,12 +415,12 @@ proptest! {
         let mut dispatched = vec![false; requests.len()];
         for round in rounds_of(&mut sched, &requests, groups, max_batch) {
             prop_assert!(!round.is_empty(), "a round makes progress");
-            let parts: usize = round.iter().map(|d| d.parts.len()).sum();
+            let parts: usize = round.iter().map(|d| d.parts().count()).sum();
             prop_assert!(parts <= max_batch, "{parts} parts in a {max_batch}-wide round");
             for d in &round {
                 // Parts partition the command contiguously, same op.
                 let mut at = d.request.lbn;
-                for p in &d.parts {
+                for p in d.parts() {
                     prop_assert_eq!(p.request.lbn, at, "contiguous run");
                     prop_assert_eq!(p.request.op, d.request.op, "same op");
                     at += p.request.len;
@@ -278,33 +436,30 @@ proptest! {
                     d.request.end()
                 );
             }
-            if trusted_track(&round[0]).is_none() {
-                prop_assert!(round.iter().all(|d| !d.coalesced()), "C-LOOK round");
-                continue;
-            }
-            let mut track_on: Vec<Option<usize>> = vec![None; usize::from(spindles)];
-            for d in &round {
-                let t = trusted_track(d).expect("command outside a trusted track");
-                let held = track_on[usize::from(map.spindle(t))].get_or_insert(t);
-                prop_assert_eq!(*held, t, "two tracks on one spindle in a round");
+            match trusted_track(&round[0]) {
+                None => prop_assert!(round.iter().all(|d| !d.coalesced()), "C-LOOK round"),
+                Some(t) => prop_assert!(
+                    round.iter().all(|d| trusted_track(d) == Some(t)),
+                    "a round anchored on track {t} reaches outside it"
+                ),
             }
         }
         prop_assert!(dispatched.iter().all(|&d| d), "every request dispatched");
     }
 
-    /// One spindle is one spindle however the table says it: equal ids on
-    /// every track give the dispatch sequence of a table with none.
+    /// `select` is one elevator over one queue and ignores the table's
+    /// spindle ids: any spindle map, a single id included, gives the
+    /// dispatch sequence of a table with none.
     #[test]
-    fn a_single_spindle_id_schedules_like_none(
+    fn select_ignores_spindle_ids(
         case in arb_table_case(),
         threshold in 0.3f64..0.95,
         max_batch in 1usize..12,
         groups in 1usize..6,
-        id in 0u16..1000,
+        spindles in 1u16..6,
     ) {
         let (tracks, raw) = case;
         let plain = table_of(&tracks, 0);
-        let same = plain.clone().with_spindles(vec![id; tracks.len()]).unwrap();
         let requests = requests_of(&raw, plain.table(), false);
         let sequence = |map: ConfidentBoundaries| -> Vec<Vec<(u64, u64, Vec<u64>)>> {
             rounds_of(&mut Traxtent::new(map, threshold), &requests, groups, max_batch)
@@ -313,13 +468,80 @@ proptest! {
                     round
                         .iter()
                         .map(|d| {
-                            let ids = d.parts.iter().map(|p| p.id).collect();
+                            let ids = d.parts().map(|p| p.id).collect();
                             (d.request.lbn, d.request.len, ids)
                         })
                         .collect()
                 })
                 .collect()
         };
-        prop_assert_eq!(sequence(plain), sequence(same));
+        prop_assert_eq!(sequence(table_of(&tracks, spindles)), sequence(plain));
+    }
+
+    /// `serve` against the brute-force reference, over random traces,
+    /// tables, spindle maps (none, dense, sparse) and queue bounds.
+    #[test]
+    fn lanes_match_a_brute_force_event_loop(
+        case in arb_table_case(),
+        gaps in prop::collection::vec(0u64..3000, 60..61),
+        threshold in 0.3f64..0.95,
+        queue_limit in 1usize..24,
+        max_batch in 1usize..8,
+        spindles in 0u16..6,
+        sparse in 1u16..9,
+    ) {
+        let (tracks, raw) = case;
+        let mut map = table_of(&tracks, spindles);
+        if spindles > 0 {
+            let ids = (0..tracks.len()).map(|t| 3 + sparse * map.spindle(t)).collect();
+            map = map.with_spindles(ids).unwrap();
+        }
+        // Arrivals some microseconds apart, a third of them at the same
+        // instant as the one before.
+        let mut at = 0;
+        let trace: Vec<TraceRecord> = requests_of(&raw, map.table(), true)
+            .iter()
+            .zip(&gaps)
+            .map(|(q, gap)| {
+                at += if gap % 3 == 0 { 0 } else { 1000 * gap };
+                TraceRecord { arrival: SimTime::from_ns(at), request: q.request }
+            })
+            .collect();
+        let (want, prompt) = brute_force(&map, threshold, &trace, queue_limit, max_batch);
+
+        let mut cfg = ServerConfig::new(SchedulerKind::Traxtent).with_boundaries(map.clone());
+        cfg.confidence_threshold = threshold;
+        cfg.queue_limit = queue_limit;
+        cfg.max_batch = max_batch;
+        let mut backend = Spindles::new(&map);
+        let res = serve(&mut backend, &trace, &cfg).unwrap();
+
+        let got = Expected {
+            completions: (res.completions.iter())
+                .map(|c| (c.id, c.arrival, c.completion, c.coalesced))
+                .collect(),
+            rejected: res.rejected_ids.clone(),
+            max_depth: res.max_depth,
+            dispatches: res.dispatches,
+            wraps: res.wraps,
+            mean_depth: res.mean_depth(),
+            log: backend.log,
+        };
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(res.completed() + res.rejected(), trace.len() as u64);
+        let mut ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
+        ids.extend(&res.rejected_ids);
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..trace.len() as u64).collect::<Vec<_>>(), "exactly once");
+        prop_assert!(res.max_depth <= queue_limit);
+        // Whatever the other lanes were doing, a request that found its
+        // lane free and had it to itself went out the instant it arrived.
+        for id in prompt {
+            let r = trace[id as usize];
+            let sent = got.log.iter().any(|(cmd, at)| {
+                *at == r.arrival && cmd.lbn <= r.request.lbn && r.request.end() <= cmd.end()
+            });
+            prop_assert!(sent, "request {id} was not dispatched on arrival");
+        }
     }
 }
