@@ -11,52 +11,44 @@
 
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
-fn reductions(
-    cfg: &DiskConfig,
-    count: usize,
-    seed: u64,
-    reg: &traxtent::obs::Registry,
-) -> (f64, f64) {
-    let mut disk = Disk::new(cfg.clone());
+/// Appends the onereq and tworeq head-time reductions (percent) that
+/// alignment buys on `cfg` to `row`, keyed `{onereq,tworeq}_pct_<stem>`.
+fn reductions(run: &Run, cfg: DiskConfig, row: Row, stem: &str) -> Row {
+    let cfg = run.drive(cfg);
+    let count = if run.quick { 400 } else { 2000 };
     let track = cfg.geometry.track(0).lbn_count() as u64;
+    let mut disk = Disk::new(cfg);
     let mut head = |alignment, queue| {
         let spec = RandomIoSpec {
             count,
-            seed,
+            seed: run.seed,
             ..RandomIoSpec::reads(track, alignment, queue)
         };
         let r = run_random_io(&mut disk, &spec);
-        r.export_metrics(reg, queue);
+        r.export_metrics(&run.reg, queue);
         r.mean_head_time(queue).as_millis_f64()
     };
-    let one = 1.0
-        - head(Alignment::TrackAligned, QueueDepth::One)
-            / head(Alignment::Unaligned, QueueDepth::One);
-    let two = 1.0
-        - head(Alignment::TrackAligned, QueueDepth::Two)
-            / head(Alignment::Unaligned, QueueDepth::Two);
-    (100.0 * one, 100.0 * two)
+    let mut reduction = |queue| {
+        100.0 * (1.0 - head(Alignment::TrackAligned, queue) / head(Alignment::Unaligned, queue))
+    };
+    row.num(reduction(QueueDepth::One), 0)
+        .unit("%")
+        .key(format!("onereq_pct_{stem}"))
+        .num(reduction(QueueDepth::Two), 0)
+        .unit("%")
+        .key(format!("tworeq_pct_{stem}"))
 }
 
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("ablation");
-    let count = if cli.quick { 400 } else { 2000 };
-    let pool = cli.executor();
+    let run = Run::start("ablation", &[], &[]);
 
-    header("Ablation A: head-time reduction from track alignment, per drive");
-    row([
-        "drive".into(),
-        "zero_latency".into(),
-        "onereq".into(),
-        "tworeq".into(),
-        "paper".into(),
-    ]);
+    run.header(
+        "Ablation A: head-time reduction from track alignment, per drive",
+        &["drive", "zero_latency", "onereq", "tworeq", "paper"],
+    );
     let paper: &[(&str, &str)] = &[
         ("Quantum Atlas 10K", "16% / 32%"),
         ("Quantum Atlas 10K II", "18% / 32%"),
@@ -72,56 +64,30 @@ fn main() {
                 .map(|&(_, pap)| (sheet, pap))
         })
         .collect();
-    let results = pool.run(sheets, |_, (sheet, pap)| {
-        let cfg = probe.wrap(sheet.build());
-        let (one, two) = reductions(&cfg, count, cli.seed, &reg);
-        let line = row_string([
-            sheet.name.to_string(),
-            sheet.zero_latency.to_string(),
-            format!("{one:.0}%"),
-            format!("{two:.0}%"),
-            pap.to_string(),
-        ]);
-        (line, sheet.name, one, two)
+    run.sweep(sheets, |_, (sheet, pap)| {
+        let row = Row::new().col(sheet.name).col(sheet.zero_latency);
+        let stem = sheet.name.to_lowercase().replace([' ', '-'], "_");
+        reductions(&run, sheet.build(), row, &stem).col(pap)
     });
-    for (line, name, one, two) in results {
-        let stem = name.to_lowercase().replace([' ', '-'], "_");
-        rec.headline(&format!("onereq_pct_{stem}"), one);
-        rec.headline(&format!("tworeq_pct_{stem}"), two);
-        println!("{line}");
-    }
 
-    header("Ablation B: Atlas 10K II firmware features in isolation");
-    row(["configuration".into(), "onereq".into(), "tworeq".into()]);
+    run.header(
+        "Ablation B: Atlas 10K II firmware features in isolation",
+        &["configuration", "onereq", "tworeq"],
+    );
     let configs = vec![
-        (
-            "stock (zero-latency on)",
-            "stock",
-            probe.wrap(models::quantum_atlas_10k_ii()),
-        ),
-        (
-            "zero-latency disabled",
-            "no_zl",
-            probe.wrap(DiskConfig {
-                zero_latency: false,
-                ..models::quantum_atlas_10k_ii()
-            }),
-        ),
+        ("stock (zero-latency on)", "stock", true),
+        ("zero-latency disabled", "no_zl", false),
     ];
-    let results = pool.run(configs, |_, (label, key, cfg)| {
-        let (one, two) = reductions(&cfg, count, cli.seed, &reg);
-        let line = row_string([label.into(), format!("{one:.0}%"), format!("{two:.0}%")]);
-        (line, key, one, two)
+    run.sweep(configs, |_, (label, key, zero_latency)| {
+        let cfg = DiskConfig {
+            zero_latency,
+            ..models::quantum_atlas_10k_ii()
+        };
+        reductions(&run, cfg, Row::new().col(label), key)
     });
-    for (line, key, one, two) in results {
-        rec.headline(&format!("onereq_pct_{key}"), one);
-        rec.headline(&format!("tworeq_pct_{key}"), two);
-        println!("{line}");
-    }
     println!(
         "with zero-latency disabled, alignment only saves the head switch — the gain collapses, \
          confirming §2.2's claim that the two mechanisms together make the track the sweet spot"
     );
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

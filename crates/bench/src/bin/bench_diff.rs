@@ -15,49 +15,27 @@
 //! tolerance, 1 on any regression, 2 on usage errors.
 
 use traxtent_bench::diff::{diff_dirs_only, Tolerances};
-
-fn usage(name: &str) -> ! {
-    eprintln!(
-        "usage: {name} <baseline_dir> <current_dir> \
-         [--tol <frac>] [--wall-tol <frac>] [--only <figure>]..."
-    );
-    std::process::exit(2);
-}
+use traxtent_bench::{Cli, Grammar};
 
 fn main() {
-    let name = std::env::args()
-        .next()
-        .unwrap_or_else(|| "bench_diff".into());
-    let mut dirs: Vec<String> = Vec::new();
-    let mut tol = Tolerances::default();
-    let mut only: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--only" => {
-                only.push(args.next().unwrap_or_else(|| usage(&name)));
-            }
-            "--tol" => {
-                tol.headline_rel = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage(&name));
-            }
-            "--wall-tol" => {
-                tol.wall_rel = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage(&name)),
-                );
-            }
-            _ if !a.starts_with('-') && dirs.len() < 2 => dirs.push(a),
-            _ => usage(&name),
-        }
-    }
-    let [baseline, current] = dirs.as_slice() else {
-        usage(&name);
+    let cli = Cli::from_env(&Grammar {
+        usage: Some(
+            "<baseline_dir> <current_dir> \
+             [--tol <frac>] [--wall-tol <frac>] [--only <figure>]...",
+        ),
+        flags: &[],
+        values: &["--tol", "--wall-tol", "--only"],
+        positionals: 2,
+    });
+    let tol = Tolerances {
+        headline_rel: cli
+            .number("--tol")
+            .unwrap_or(Tolerances::default().headline_rel),
+        wall_rel: cli.number("--wall-tol"),
     };
+    let only: Vec<String> = cli.values("--only").into_iter().map(String::from).collect();
 
+    let (baseline, current) = (cli.positional(0), cli.positional(1));
     match diff_dirs_only(baseline.as_ref(), current.as_ref(), &tol, &only) {
         Ok(report) => {
             print!("{}", report.render());

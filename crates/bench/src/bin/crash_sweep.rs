@@ -24,6 +24,7 @@ use sim_disk::crash::{pattern_payload, replay, splitmix, CrashLog, SectorImage, 
 use sim_disk::disk::Disk;
 use sim_disk::{models, SimTime};
 use traxtent::obs::Registry;
+use traxtent_bench::{Row, Run};
 
 const MB: u64 = 1 << 20;
 const LFS_CAPACITY: u64 = 4096;
@@ -80,8 +81,9 @@ struct FfsRun {
     layout: ffs::Layout,
 }
 
-fn build_ffs(seed: u64) -> FfsRun {
-    let mut fs = FileSystem::format(Disk::new(models::small_test_disk()), Personality::Traxtent);
+fn build_ffs(run: &Run, seed: u64) -> FfsRun {
+    let disk = Disk::new(run.drive(models::small_test_disk()));
+    let mut fs = FileSystem::format(disk, Personality::Traxtent);
     fs.enable_crash_shadow(seed ^ 0x0ff5_cafe);
     let initial = fs.format_image();
     ffs_workload(&mut fs, seed);
@@ -101,8 +103,9 @@ fn build_ffs(seed: u64) -> FfsRun {
 
 /// One lfs run: the append/checkpoint write log (the log disk starts
 /// blank, so the replay base is the empty image).
-fn build_lfs(seed: u64) -> CrashLog {
-    let mut log = LogDisk::new(Disk::new(models::small_test_disk()), LFS_CAPACITY);
+fn build_lfs(run: &Run, seed: u64) -> CrashLog {
+    let disk = Disk::new(run.drive(models::small_test_disk()));
+    let mut log = LogDisk::new(disk, LFS_CAPACITY);
     let mut h = seed;
     let mut next = move || {
         h = splitmix(h);
@@ -125,13 +128,13 @@ fn build_lfs(seed: u64) -> CrashLog {
 /// Builds a RAID-5 volume, arms capture, and runs a deterministic mixed
 /// workload whose multi-chunk writes fan out asymmetrically enough to
 /// open real write holes under a cut.
-fn build_raid5(seed: u64) -> Volume {
+fn build_raid5(run: &Run, seed: u64) -> Volume {
     // Heterogeneous spindles: identical phase-locked members would tear
     // data and parity writes in lockstep, hiding the write hole.
     let members: Vec<_> = [10_000u32, 12_000, 15_000]
         .iter()
         .map(|&rpm| {
-            let mut cfg = models::small_test_disk();
+            let mut cfg = run.drive(models::small_test_disk());
             cfg.spindle = sim_disk::mech::Spindle::new(rpm);
             let d = Disk::new(cfg);
             let b = member_boundaries(&d);
@@ -223,22 +226,9 @@ fn snap_cut(cands: &[SimTime], target: SimTime, frac: u64) -> SimTime {
         .expect("candidates nonempty")
 }
 
-/// Everything one grid point measures.
-struct CutResult {
-    line: String,
-    ffs_mountable_norec: bool,
-    ffs_repairs: u64,
-    ffs_mountable_rec: bool,
-    ffs_files: u64,
-    lfs_batches_norec: u64,
-    lfs_batches_rec: u64,
-    raid5_torn: u64,
-    raid5_mismatches_norec: u64,
-    raid5_mismatches_rec: u64,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cut(ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64) -> CutResult {
+/// Everything one grid point measures; the headlines total each column
+/// over the grid.
+fn run_cut(run: &Run, ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64) -> Row {
     // ffs: replay the durable image, try to mount raw, then fsck.
     let mut cands = Vec::new();
     mid_meta_instants(&ffs_run.initial, &ffs_run.log, &mut cands);
@@ -274,12 +264,10 @@ fn run_cut(ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64) -> CutRes
     );
     let limg = replay(&SectorImage::new(), lfs_log, lcut).expect("payloads attached");
     let recovered = recover(&limg, LFS_CAPACITY);
-    let lfs_batches_norec = recovered.checkpoint_seq;
-    let lfs_batches_rec = recovered.seq;
 
     // RAID-5: cut the armed volume mid-run, count the write holes a
     // read-only scrub sees, repair, and re-scrub.
-    let mut v = build_raid5(seed);
+    let mut v = build_raid5(run, seed);
     let mut cands = Vec::new();
     for m in 0..3 {
         if let Some(log) = v.member_crash_log(m) {
@@ -304,105 +292,64 @@ fn run_cut(ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64) -> CutRes
     );
     let after = v.scrub(&reg);
 
-    let line = traxtent_bench::row_string([
-        format!("{:.1} %", frac as f64 / 10.0),
-        if mountable_norec { "clean" } else { "dirty" }.into(),
-        repairs.to_string(),
-        mountable_rec.to_string(),
-        report.files.to_string(),
-        lfs_batches_norec.to_string(),
-        lfs_batches_rec.to_string(),
-        rep.torn_writes.to_string(),
-        before.mismatches.to_string(),
-        after.mismatches.to_string(),
-    ]);
-    CutResult {
-        line,
-        ffs_mountable_norec: mountable_norec,
-        ffs_repairs: repairs,
-        ffs_mountable_rec: mountable_rec,
-        ffs_files: report.files,
-        lfs_batches_norec,
-        lfs_batches_rec,
-        raid5_torn: rep.torn_writes,
-        raid5_mismatches_norec: before.mismatches,
-        raid5_mismatches_rec: after.mismatches,
-    }
+    Row::new()
+        .col(format!("{:.1} %", frac as f64 / 10.0))
+        .add("grid_points", 1)
+        .col(if mountable_norec { "clean" } else { "dirty" })
+        .add("ffs_dirty_without_recovery", u8::from(!mountable_norec))
+        .count(repairs)
+        .sum("ffs_repairs")
+        .col(mountable_rec)
+        .add("ffs_mountable_after_fsck", u8::from(mountable_rec))
+        .count(report.files)
+        .sum("ffs_files_survived")
+        .count(recovered.checkpoint_seq)
+        .sum("lfs_seq_checkpoint_only")
+        .count(recovered.seq)
+        .sum("lfs_seq_rolled_forward")
+        .count(rep.torn_writes)
+        .sum("raid5_torn_writes")
+        .count(before.mismatches)
+        .sum("raid5_holes_before_repair")
+        .count(after.mismatches)
+        .sum("raid5_holes_after_repair")
 }
 
 fn main() {
-    let cli = traxtent_bench::Cli::parse();
-    if cli.fault.is_some() {
-        eprintln!(
-            "error: crash_sweep injects power cuts, not drive faults; \
-             vary --seed to replay the sweep on a different workload"
-        );
-        std::process::exit(2);
-    }
-    let probe = cli.probe();
-    let reg = Registry::new();
-    let mut rec = cli.recorder("crash_sweep");
-    let seed = cli.seed ^ 0xc0a7;
+    let run = Run::start("crash_sweep", &[], &[]);
+    run.no_faults(
+        "crash_sweep injects power cuts, not drive faults; \
+         vary --seed to replay the sweep on a different workload",
+    );
+    let seed = run.seed ^ 0xc0a7;
 
     // Cut fractions of the durability horizon, in permille.
-    let grid: Vec<u64> = if cli.quick {
+    let grid: Vec<u64> = if run.quick {
         vec![0, 100, 250, 500, 750, 900, 1000]
     } else {
         (0..=20).map(|i| i * 50).collect()
     };
 
-    let ffs_run = build_ffs(seed);
-    let lfs_log = build_lfs(seed);
+    let ffs_run = build_ffs(&run, seed);
+    let lfs_log = build_lfs(&run, seed);
 
-    traxtent_bench::header("crash sweep: cut-point grid x {ffs, lfs, raid5} x recovery on/off");
-    traxtent_bench::row([
-        "cut".into(),
-        "ffs_raw".into(),
-        "fsck_fixes".into(),
-        "mountable".into(),
-        "files".into(),
-        "lfs_ckpt_seq".into(),
-        "lfs_rolled_seq".into(),
-        "r5_torn".into(),
-        "r5_holes".into(),
-        "r5_after".into(),
-    ]);
-
-    let results = cli.executor().run(grid.clone(), |_, frac| {
-        run_cut(&ffs_run, &lfs_log, seed, frac)
+    run.header(
+        "crash sweep: cut-point grid x {ffs, lfs, raid5} x recovery on/off",
+        &[
+            "cut",
+            "ffs_raw",
+            "fsck_fixes",
+            "mountable",
+            "files",
+            "lfs_ckpt_seq",
+            "lfs_rolled_seq",
+            "r5_torn",
+            "r5_holes",
+            "r5_after",
+        ],
+    );
+    run.sweep(grid, |_, frac| {
+        run_cut(&run, &ffs_run, &lfs_log, seed, frac)
     });
-
-    let mut dirty_norec = 0u64;
-    let mut mountable_rec = 0u64;
-    let mut repairs = 0u64;
-    let mut files = 0u64;
-    let mut lfs_norec = 0u64;
-    let mut lfs_rec = 0u64;
-    let mut torn = 0u64;
-    let mut holes_norec = 0u64;
-    let mut holes_rec = 0u64;
-    for r in &results {
-        dirty_norec += u64::from(!r.ffs_mountable_norec);
-        mountable_rec += u64::from(r.ffs_mountable_rec);
-        repairs += r.ffs_repairs;
-        files += r.ffs_files;
-        lfs_norec += r.lfs_batches_norec;
-        lfs_rec += r.lfs_batches_rec;
-        torn += r.raid5_torn;
-        holes_norec += r.raid5_mismatches_norec;
-        holes_rec += r.raid5_mismatches_rec;
-        println!("{}", r.line);
-    }
-    rec.headline("grid_points", results.len() as f64);
-    rec.headline("ffs_dirty_without_recovery", dirty_norec as f64);
-    rec.headline("ffs_mountable_after_fsck", mountable_rec as f64);
-    rec.headline("ffs_repairs", repairs as f64);
-    rec.headline("ffs_files_survived", files as f64);
-    rec.headline("lfs_seq_checkpoint_only", lfs_norec as f64);
-    rec.headline("lfs_seq_rolled_forward", lfs_rec as f64);
-    rec.headline("raid5_torn_writes", torn as f64);
-    rec.headline("raid5_holes_before_repair", holes_norec as f64);
-    rec.headline("raid5_holes_after_repair", holes_rec as f64);
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

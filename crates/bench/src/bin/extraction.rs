@@ -9,9 +9,9 @@
 use dixtrac::{extract_general, extract_scsi, GeneralConfig};
 use scsi::ScsiDisk;
 use sim_disk::defects::{DefectPolicy, SpareScheme};
-use sim_disk::disk::{Disk, DiskConfig};
+use sim_disk::disk::Disk;
 use sim_disk::models;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 
 /// Factory-defect variants of §4.1: `(name, Some((spares, policy,
 /// rate_per_million, seed)))`, or `None` for the pristine drive.
@@ -43,183 +43,96 @@ const VARIANTS: [Variant; 4] = [
     ),
 ];
 
-/// One extraction run: which drive, which variant, which algorithm.
-enum Job {
-    SmallGeneral(Variant),
-    SmallScsi(Variant),
-    AtlasScsi,
-    AtlasGeneral,
-}
-
-/// Table row for an extraction run that reported an error (e.g. the drive
-/// refuses diagnostics, or faults defeated every retry) instead of a table.
-fn failed_row(disk: &str, variant: &str, algorithm: &str, err: &dixtrac::ExtractError) -> String {
-    row_string([
-        disk.into(),
-        variant.into(),
-        algorithm.into(),
-        "false".into(),
-        format!("failed: {err}"),
-        "-".into(),
-    ])
-}
-
-fn apply(variant: &Variant, cfg: DiskConfig) -> DiskConfig {
-    match variant.1 {
-        None => cfg,
-        Some((spare, policy, rate, seed)) => {
-            models::with_factory_defects(cfg, spare, policy, rate, seed)
-        }
-    }
-}
-
 fn main() {
-    let cli = Cli::parse_with(&["--full"]);
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("extraction");
+    let run = Run::start("extraction", &["--full"], &[]);
+    run.header(
+        "§4.1: track-boundary extraction",
+        &["disk", "variant", "algorithm", "exact", "cost", "sim_time"],
+    );
 
-    header("§4.1: track-boundary extraction");
-    row([
-        "disk".into(),
-        "variant".into(),
-        "algorithm".into(),
-        "exact".into(),
-        "cost".into(),
-        "sim_time".into(),
-    ]);
-
+    // One extraction run per job: `(full Atlas 10K II or small test disk,
+    // variant, general or SCSI algorithm)`.
     let mut jobs = Vec::new();
     for v in VARIANTS {
-        jobs.push(Job::SmallGeneral(v));
-        jobs.push(Job::SmallScsi(v));
+        jobs.push((false, v, true));
+        jobs.push((false, v, false));
     }
-    jobs.push(Job::AtlasScsi);
-    if cli.has("--full") {
-        jobs.push(Job::AtlasGeneral);
+    jobs.push((true, VARIANTS[0], false));
+    if run.has("--full") {
+        jobs.push((true, VARIANTS[0], true));
     }
 
-    let results = cli.executor().run(jobs, |_, job| match job {
-        Job::SmallGeneral(v) => {
-            let disk = Disk::new(probe.wrap(apply(&v, models::small_test_disk())));
-            let truth = disk.track_boundaries();
-            let mut s = ScsiDisk::new(disk);
-            let gcfg = GeneralConfig {
-                contexts: 24,
-                ..GeneralConfig::default()
-            };
-            let g = match extract_general(&mut s, &gcfg) {
-                Ok(g) => g,
-                Err(e) => {
-                    return (
-                        failed_row("SimTest", v.0, "general (timing)", &e),
-                        false,
-                        None,
-                    )
-                }
-            };
-            g.export_metrics(&reg);
-            let exact = g.boundaries == truth;
-            let line = row_string([
-                "SimTest".into(),
-                v.0.into(),
-                "general (timing)".into(),
-                exact.to_string(),
-                format!("{:.1} probes/track", g.probes_per_track),
-                format!("{:.1} s", g.elapsed.as_secs_f64()),
-            ]);
-            (line, exact, None)
+    run.sweep(jobs, |_, (atlas, variant, general)| {
+        let (name, mut cfg) = if atlas {
+            ("Atlas 10K II", models::quantum_atlas_10k_ii())
+        } else {
+            ("SimTest", models::small_test_disk())
+        };
+        if let Some((spare, policy, rate, seed)) = variant.1 {
+            cfg = models::with_factory_defects(cfg, spare, policy, rate, seed);
         }
-        Job::SmallScsi(v) => {
-            let disk = Disk::new(probe.wrap(apply(&v, models::small_test_disk())));
-            let truth = disk.track_boundaries();
-            let mut s = ScsiDisk::new(disk);
-            let r = match extract_scsi(&mut s) {
-                Ok(r) => r,
-                Err(e) => return (failed_row("SimTest", v.0, "scsi", &e), false, None),
-            };
-            r.export_metrics(&reg);
-            let exact = r.boundaries == truth;
-            let line = row_string([
-                "SimTest".into(),
-                v.0.into(),
-                format!("scsi ({:?}, {:?})", r.scheme, r.policy),
-                exact.to_string(),
-                format!("{:.2} translations/track", r.translations_per_track),
-                format!("{:.1} s", s.elapsed().as_secs_f64()),
-            ]);
-            (line, exact, None)
-        }
-        Job::AtlasScsi => {
-            // The full Atlas 10K II with the SCSI algorithm (paper: < 1
-            // minute, ≈ 2.0–2.3 translations per track for the
-            // expertise-free walk).
-            let disk = Disk::new(probe.wrap(models::quantum_atlas_10k_ii()));
-            let truth = disk.track_boundaries();
-            let mut s = ScsiDisk::new(disk);
-            let r = match extract_scsi(&mut s) {
-                Ok(r) => r,
-                Err(e) => {
-                    return (
-                        failed_row("Atlas 10K II", "pristine", "scsi", &e),
-                        false,
-                        None,
-                    )
-                }
-            };
-            r.export_metrics(&reg);
-            let exact = r.boundaries == truth;
-            let line = row_string([
-                "Atlas 10K II".into(),
-                "pristine".into(),
-                "scsi".into(),
-                exact.to_string(),
-                format!(
-                    "{:.2} translations/track ({} total)",
-                    r.translations_per_track, r.translations
-                ),
-                format!("{:.1} s", s.elapsed().as_secs_f64()),
-            ]);
-            (line, exact, Some(r.translations_per_track))
-        }
-        Job::AtlasGeneral => {
-            let disk = Disk::new(probe.wrap(models::quantum_atlas_10k_ii()));
-            let truth = disk.track_boundaries();
-            let mut s = ScsiDisk::new(disk);
-            let g = match extract_general(&mut s, &GeneralConfig::default()) {
-                Ok(g) => g,
-                Err(e) => {
-                    return (
-                        failed_row("Atlas 10K II", "pristine", "general (timing)", &e),
-                        false,
-                        None,
-                    )
-                }
-            };
-            g.export_metrics(&reg);
-            let exact = g.boundaries == truth;
-            let line = row_string([
-                "Atlas 10K II".into(),
-                "pristine".into(),
-                "general (timing)".into(),
-                exact.to_string(),
-                format!("{:.1} probes/track", g.probes_per_track),
-                format!("{:.0} s (paper: hours)", g.elapsed.as_secs_f64()),
-            ]);
-            (line, exact, None)
+        let disk = Disk::new(run.drive(cfg));
+        let truth = disk.track_boundaries();
+        let mut s = ScsiDisk::new(disk);
+        let row = Row::new().col(name).col(variant.0).add("total_runs", 1);
+        // The algorithm, exact, cost and sim_time columns of a finished run.
+        let outcome = if general {
+            let mut gcfg = GeneralConfig::default();
+            if !atlas {
+                gcfg.contexts = 24;
+            }
+            extract_general(&mut s, &gcfg).map(|g| {
+                g.export_metrics(&run.reg);
+                let secs = g.elapsed.as_secs_f64();
+                (
+                    "general (timing)".to_string(),
+                    g.boundaries == truth,
+                    Row::new().num(g.probes_per_track, 1).unit(" probes/track"),
+                    if atlas {
+                        format!("{secs:.0} s (paper: hours)")
+                    } else {
+                        format!("{secs:.1} s")
+                    },
+                )
+            })
+        } else {
+            extract_scsi(&mut s).map(|r| {
+                r.export_metrics(&run.reg);
+                let cost = Row::new().num(r.translations_per_track, 2);
+                (
+                    if atlas {
+                        "scsi".to_string()
+                    } else {
+                        format!("scsi ({:?}, {:?})", r.scheme, r.policy)
+                    },
+                    r.boundaries == truth,
+                    // The full Atlas 10K II (paper: < 1 minute, ≈ 2.0–2.3
+                    // translations per track for the expertise-free walk).
+                    if atlas {
+                        cost.unit(&format!(" translations/track ({} total)", r.translations))
+                            .key("atlas_scsi_translations_per_track")
+                    } else {
+                        cost.unit(" translations/track")
+                    },
+                    format!("{:.1} s", s.elapsed().as_secs_f64()),
+                )
+            })
+        };
+        match outcome {
+            Ok((algorithm, exact, cost, time)) => row
+                .col(algorithm)
+                .col(exact)
+                .add("exact_runs", u8::from(exact))
+                .join(cost)
+                .col(time),
+            // The drive refuses diagnostics, or faults defeated every retry.
+            Err(e) => row
+                .col(if general { "general (timing)" } else { "scsi" })
+                .col(false)
+                .add("exact_runs", 0)
+                .col(format!("failed: {e}"))
+                .col("-"),
         }
     });
-    let mut exact_runs = 0usize;
-    let total_runs = results.len();
-    for (line, exact, atlas_tpt) in results {
-        exact_runs += usize::from(exact);
-        if let Some(tpt) = atlas_tpt {
-            rec.headline("atlas_scsi_translations_per_track", tpt);
-        }
-        println!("{line}");
-    }
-    rec.headline("exact_runs", exact_runs as f64);
-    rec.headline("total_runs", total_runs as f64);
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

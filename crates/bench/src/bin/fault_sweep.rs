@@ -23,6 +23,7 @@ use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
 use sim_disk::fault::FaultConfig;
 use sim_disk::models;
+use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
 /// The swept fault levels, mildest first: `(name, --faults spec)`. The
@@ -43,35 +44,18 @@ const LEVELS: [(&str, &str); 7] = [
     ),
 ];
 
-/// One level's results, ready for printing and the manifest.
-struct LevelResult {
-    line: String,
-    exact: bool,
-    fallback: bool,
-    mean_conf: f64,
-    gain: f64,
-}
-
-fn run_level(
-    probe: &traxtent_bench::Probe,
-    reg: &traxtent::obs::Registry,
-    name: &str,
-    spec: &str,
-    fault_seed: u64,
-    io_count: usize,
-    seed: u64,
-) -> LevelResult {
+fn run_level(run: &Run, name: &str, spec: &str) -> Row {
     let mut fault = if spec.is_empty() {
         FaultConfig::default()
     } else {
         FaultConfig::parse_spec(spec).expect("level specs are valid")
     };
-    fault.seed = fault_seed;
+    fault.seed = run.seed ^ 0xfa17;
 
     // Extraction robustness on the defect-laden small disk. Three votes
     // per boundary decision everywhere, so the only swept variable is the
     // fault level itself.
-    let mut cfg = probe.wrap(models::with_factory_defects(
+    let mut cfg = run.drive(models::with_factory_defects(
         models::small_test_disk(),
         SpareScheme::SectorsPerCylinder(8),
         DefectPolicy::Slip,
@@ -89,10 +73,10 @@ fn run_level(
     let (method, exact, mean_conf) = match extract_auto(&mut s, &gcfg) {
         Ok(auto) => {
             if let Some(r) = &auto.scsi {
-                r.export_metrics(reg);
+                r.export_metrics(&run.reg);
             }
             if let Some(g) = &auto.general {
-                g.export_metrics(reg);
+                g.export_metrics(&run.reg);
             }
             (
                 match auto.method {
@@ -107,89 +91,60 @@ fn run_level(
     };
 
     // The §5.2 alignment win under the same faults.
-    let mut cfg = probe.wrap(models::quantum_atlas_10k_ii());
+    let mut cfg = run.drive(models::quantum_atlas_10k_ii());
     cfg.fault = fault;
     let mut disk = Disk::new(cfg);
-    let run = |disk: &mut Disk, alignment| {
+    let io = |disk: &mut Disk, alignment| {
         let spec = RandomIoSpec {
-            count: io_count,
-            seed,
+            count: if run.quick { 200 } else { 800 },
+            seed: run.seed,
             ..RandomIoSpec::reads(528, alignment, QueueDepth::Two)
         };
         run_random_io(disk, &spec).efficiency(QueueDepth::Two)
     };
-    let aligned = run(&mut disk, Alignment::TrackAligned);
-    let unaligned = run(&mut disk, Alignment::Unaligned);
+    let aligned = io(&mut disk, Alignment::TrackAligned);
+    let unaligned = io(&mut disk, Alignment::Unaligned);
     let gain = aligned / unaligned - 1.0;
     let stats = disk.fault_stats();
 
-    let line = traxtent_bench::row_string([
-        name.into(),
-        if spec.is_empty() {
-            "-".into()
-        } else {
-            spec.into()
-        },
-        method.into(),
-        exact.to_string(),
-        format!("{mean_conf:.3}"),
-        format!("{:+.1} %", gain * 100.0),
-        format!(
+    Row::new()
+        .col(name)
+        .col(if spec.is_empty() { "-" } else { spec })
+        .col(method)
+        .add("fallback_levels", u8::from(method == "fallback"))
+        .col(exact)
+        .add("exact_levels", u8::from(exact))
+        .num(mean_conf, 3)
+        .key(format!("{name}_mean_conf"))
+        .col(format!("{:+.1} %", gain * 100.0))
+        .set(format!("{name}_gain"), gain)
+        .col(format!(
             "{} media / {} transient",
             stats.media_errors,
             stats.transient_recovered + stats.transient_surfaced
-        ),
-    ]);
-    LevelResult {
-        line,
-        exact,
-        fallback: method == "fallback",
-        mean_conf,
-        gain,
-    }
+        ))
 }
 
 fn main() {
-    let cli = traxtent_bench::Cli::parse();
-    if cli.fault.is_some() {
-        eprintln!(
-            "error: fault_sweep sweeps its own fault specs per level; \
-             vary --seed to replay the sweep on a different fault stream"
-        );
-        std::process::exit(2);
-    }
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("fault_sweep");
-    let fault_seed = cli.seed ^ 0xfa17;
-    let io_count = if cli.quick { 200 } else { 800 };
-
-    traxtent_bench::header("fault sweep: extraction robustness and the alignment win");
-    traxtent_bench::row([
-        "level".into(),
-        "spec".into(),
-        "extraction".into(),
-        "exact".into(),
-        "mean_conf".into(),
-        "aligned_gain".into(),
-        "injected".into(),
-    ]);
-
-    let results = cli.executor().run(LEVELS.to_vec(), |_, (name, spec)| {
-        run_level(&probe, &reg, name, spec, fault_seed, io_count, cli.seed)
+    let run = Run::start("fault_sweep", &[], &[]);
+    run.no_faults(
+        "fault_sweep sweeps its own fault specs per level; \
+         vary --seed to replay the sweep on a different fault stream",
+    );
+    run.header(
+        "fault sweep: extraction robustness and the alignment win",
+        &[
+            "level",
+            "spec",
+            "extraction",
+            "exact",
+            "mean_conf",
+            "aligned_gain",
+            "injected",
+        ],
+    );
+    run.sweep(LEVELS.to_vec(), |_, (name, spec)| {
+        run_level(&run, name, spec)
     });
-
-    let mut exact_levels = 0usize;
-    let mut fallback_levels = 0usize;
-    for ((name, _), r) in LEVELS.iter().zip(&results) {
-        exact_levels += usize::from(r.exact);
-        fallback_levels += usize::from(r.fallback);
-        rec.headline(&format!("{name}_mean_conf"), r.mean_conf);
-        rec.headline(&format!("{name}_gain"), r.gain);
-        println!("{}", r.line);
-    }
-    rec.headline("exact_levels", exact_levels as f64);
-    rec.headline("fallback_levels", fallback_levels as f64);
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

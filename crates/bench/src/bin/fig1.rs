@@ -10,16 +10,13 @@
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use traxtent::model::DiskParams;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("fig1");
-    let count = if cli.quick { 300 } else { 2000 };
-    let cfg = probe.wrap(models::quantum_atlas_10k_ii());
+    let run = Run::start("fig1", &[], &[]);
+    let count = if run.quick { 300 } else { 2000 };
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64; // 528 sectors
     let params = DiskParams {
         rev_ms: cfg.spindle.revolution().as_millis_f64(),
@@ -28,70 +25,48 @@ fn main() {
         spt: track as u32,
         zero_latency: true,
     };
+    let max = params.max_streaming_efficiency();
 
-    header("Figure 1: disk efficiency vs I/O size (Atlas 10K II, zone 0)");
-    println!(
-        "max streaming efficiency: {:.3}",
-        params.max_streaming_efficiency()
+    run.header(
+        "Figure 1: disk efficiency vs I/O size (Atlas 10K II, zone 0)",
+        &[],
     );
-    row([
-        "KB".into(),
-        "aligned".into(),
-        "unaligned".into(),
-        "model_aligned".into(),
-        "model_unaligned".into(),
-    ]);
+    println!("max streaming efficiency: {max:.3}");
+    run.set("max_streaming_eff", max);
+    println!("KB\taligned\tunaligned\tmodel_aligned\tmodel_unaligned");
 
-    // Sweep: fractions of a track up to 8 tracks (≈ 2 MB), plus the
-    // paper's Point A as a final job.
-    let sizes: Vec<u64> = (1..=4)
-        .map(|k| k * track / 4)
-        .chain((2..=8).map(|k| k * track))
-        .collect();
     let measure = |io, alignment| {
         let spec = RandomIoSpec {
             count,
-            seed: cli.seed,
+            seed: run.seed,
             ..RandomIoSpec::reads(io, alignment, QueueDepth::Two)
         };
         let r = run_random_io(&mut Disk::new(cfg.clone()), &spec);
-        r.export_metrics(&reg, QueueDepth::Two);
+        r.export_metrics(&run.reg, QueueDepth::Two);
         r.efficiency(QueueDepth::Two)
     };
-
-    let mut jobs: Vec<Option<u64>> = sizes.into_iter().map(Some).collect();
-    jobs.push(None); // Point A
-    let results = cli.executor().run(jobs, |_, job| match job {
-        Some(io) => {
-            let aligned = measure(io, Alignment::TrackAligned);
-            let unaligned = measure(io, Alignment::Unaligned);
-            let line = row_string([
-                format!("{}", io * 512 / 1024),
-                format!("{aligned:.3}"),
-                format!("{unaligned:.3}"),
-                format!("{:.3}", params.aligned_efficiency(io)),
-                format!("{:.3}", params.unaligned_efficiency(io)),
-            ]);
-            (line, (io == track).then_some((aligned, unaligned)))
-        }
+    // Sweep: fractions of a track up to 8 tracks (≈ 2 MB), plus the
+    // paper's Point A as a final job.
+    let sizes = (1..=4)
+        .map(|k| k * track / 4)
+        .chain((2..=8).map(|k| k * track));
+    let jobs: Vec<Option<u64>> = sizes.map(Some).chain([None]).collect();
+    run.sweep(jobs, |_, job| match job {
+        Some(io) => Row::new()
+            .col(io * 512 / 1024)
+            .num(measure(io, Alignment::TrackAligned), 3)
+            .key_if(io == track, "aligned_eff_at_track")
+            .num(measure(io, Alignment::Unaligned), 3)
+            .key_if(io == track, "unaligned_eff_at_track")
+            .num(params.aligned_efficiency(io), 3)
+            .num(params.unaligned_efficiency(io), 3),
         None => {
             let a = measure(track, Alignment::TrackAligned);
-            let line = format!(
-                "Point A: track-aligned @ 1 track = {:.3} ({:.0}% of max; paper: 0.73, 82%)",
-                a,
-                100.0 * a / params.max_streaming_efficiency()
-            );
-            (line, None)
+            Row::new().col(format!(
+                "Point A: track-aligned @ 1 track = {a:.3} ({:.0}% of max; paper: 0.73, 82%)",
+                100.0 * a / max
+            ))
         }
     });
-    rec.headline("max_streaming_eff", params.max_streaming_efficiency());
-    for (line, at_track) in results {
-        if let Some((aligned, unaligned)) = at_track {
-            rec.headline("aligned_eff_at_track", aligned);
-            rec.headline("unaligned_eff_at_track", unaligned);
-        }
-        println!("{line}");
-    }
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

@@ -9,39 +9,38 @@ use lfs::cleaner::{LfsConfig, LfsSim};
 use lfs::transfer_inefficiency;
 use sim_disk::models;
 use traxtent::model::matthews_transfer_inefficiency;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("fig10");
-    let (ti_samples, updates, capacity) = if cli.quick {
+    let run = Run::start("fig10", &[], &[]);
+    let (ti_samples, updates, capacity) = if run.quick {
         (120, 40_000, 1 << 16)
     } else {
         (400, 150_000, 1 << 18)
     };
-    let cfg = probe.wrap(models::quantum_atlas_10k_ii());
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64; // 528 sectors = 264 KB
 
-    header("Figure 10: LFS overall write cost vs segment size (Atlas 10K II)");
-    row([
-        "segment_KB".into(),
-        "write_cost".into(),
-        "TI_aligned".into(),
-        "TI_unaligned".into(),
-        "OWC_aligned".into(),
-        "OWC_unaligned".into(),
-        "OWC_model(5.2ms*40MB/s)".into(),
-    ]);
+    run.header(
+        "Figure 10: LFS overall write cost vs segment size (Atlas 10K II)",
+        &[
+            "segment_KB",
+            "write_cost",
+            "TI_aligned",
+            "TI_unaligned",
+            "OWC_aligned",
+            "OWC_unaligned",
+            "OWC_model(5.2ms*40MB/s)",
+        ],
+    );
 
     // 32 KB … 4 MB, plus the exact track size.
     let mut sizes: Vec<u64> = (0..8).map(|k| 64u64 << k).collect(); // sectors
     sizes.push(track);
     sizes.sort_unstable();
-    let results = cli.executor().run(sizes, |_, sectors| {
+    run.sweep(sizes, |_, sectors| {
         let lfs_cfg = LfsConfig {
-            seed: cli.seed,
+            seed: run.seed,
             ..LfsConfig::default()
         };
         // Keep at least 32 segments regardless of segment size so the
@@ -54,38 +53,30 @@ fn main() {
             .run_updates(upd)
             .expect("steady-state workload never breaks segment accounting")
             .write_cost();
-        sim.export_metrics(&reg);
-        let ti_a = transfer_inefficiency(&cfg, sectors, true, ti_samples, cli.seed);
-        let ti_u = transfer_inefficiency(&cfg, sectors, false, ti_samples, cli.seed);
+        sim.export_metrics(&run.reg);
+        let ti_a = transfer_inefficiency(&cfg, sectors, true, ti_samples, run.seed);
+        let ti_u = transfer_inefficiency(&cfg, sectors, false, ti_samples, run.seed);
         let model = matthews_transfer_inefficiency(5.2e-3, 40e6, sectors as f64 * 512.0);
-        let line = row_string([
-            format!("{}", sectors * 512 / 1024),
-            format!("{wc:.2}"),
-            format!("{ti_a:.2}"),
-            format!("{ti_u:.2}"),
-            format!("{:.2}", wc * ti_a),
-            format!("{:.2}", wc * ti_u),
-            format!("{:.2}", wc * model),
-        ]);
-        (sectors, line, (wc * ti_a, wc * ti_u))
+        Row::new()
+            .col(sectors * 512 / 1024)
+            .num(wc, 2)
+            .num(ti_a, 2)
+            .num(ti_u, 2)
+            .num(wc * ti_a, 2)
+            .key_if(sectors == track, "owc_aligned_at_track")
+            .num(wc * ti_u, 2)
+            .key_if(sectors == track, "owc_unaligned_at_track")
+            .num(wc * model, 2)
     });
 
-    let mut at_track = (0.0, 0.0);
-    for (sectors, line, owc) in results {
-        if sectors == track {
-            at_track = owc;
-        }
-        println!("{line}");
-    }
-    println!(
-        "at the track size: aligned OWC {:.2} vs unaligned {:.2} ({:.0}% lower; paper: 44% lower \
-         overall write cost for track-sized segments)",
-        at_track.0,
-        at_track.1,
-        100.0 * (1.0 - at_track.0 / at_track.1)
+    let (aligned, unaligned) = (
+        run.get("owc_aligned_at_track"),
+        run.get("owc_unaligned_at_track"),
     );
-    rec.headline("owc_aligned_at_track", at_track.0);
-    rec.headline("owc_unaligned_at_track", at_track.1);
-    probe.finish();
-    rec.finish(&reg);
+    println!(
+        "at the track size: aligned OWC {aligned:.2} vs unaligned {unaligned:.2} ({:.0}% lower; \
+         paper: 44% lower overall write cost for track-sized segments)",
+        100.0 * (1.0 - aligned / unaligned)
+    );
+    run.finish();
 }

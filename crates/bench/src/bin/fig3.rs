@@ -6,70 +6,57 @@
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
 use traxtent::model;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("fig3");
-    let count = if cli.quick { 200 } else { 1500 };
-    let cfg = probe.wrap(models::quantum_atlas_10k_ii());
+    let run = Run::start("fig3", &[], &[]);
+    let count = if run.quick { 200 } else { 1500 };
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
     let rev_ms = cfg.spindle.revolution().as_millis_f64();
     let spt = cfg.geometry.track(0).lbn_count();
 
-    header("Figure 3: average rotational latency vs request size (10K RPM)");
-    row([
-        "pct_of_track".into(),
-        "zero_latency_model_ms".into(),
-        "zero_latency_sim_ms".into(),
-        "ordinary_model_ms".into(),
-        "ordinary_sim_ms".into(),
-    ]);
-    let results = cli
-        .executor()
-        .run(vec![5u32, 10, 25, 50, 75, 90, 100], |_, pct| {
-            let sectors = (u64::from(spt) * u64::from(pct) / 100).max(1);
-            let f = sectors as f64 / f64::from(spt);
-            // Effective rotational latency = (positioning wait + media sweep)
-            // minus the ideal transfer time, which matches the model's
-            // definition for both firmware types (a zero-latency arc that wraps
-            // hides its waiting inside the media sweep).
-            let sim = |zero_latency: bool| {
-                let mut disk = Disk::new(DiskConfig {
-                    zero_latency,
-                    ..cfg.clone()
-                });
-                let spec = RandomIoSpec {
-                    count,
-                    seed: cli.seed,
-                    ..RandomIoSpec::reads(sectors, Alignment::TrackAligned, QueueDepth::One)
-                };
-                let r = run_random_io(&mut disk, &spec);
-                r.export_metrics(&reg, QueueDepth::One);
-                r.mean_component_ms(|c| c.breakdown.rot_latency)
-                    + r.mean_component_ms(|c| c.breakdown.media)
-                    - f * rev_ms
+    run.header(
+        "Figure 3: average rotational latency vs request size (10K RPM)",
+        &[
+            "pct_of_track",
+            "zero_latency_model_ms",
+            "zero_latency_sim_ms",
+            "ordinary_model_ms",
+            "ordinary_sim_ms",
+        ],
+    );
+    run.sweep(vec![5u32, 10, 25, 50, 75, 90, 100], |_, pct| {
+        let sectors = (u64::from(spt) * u64::from(pct) / 100).max(1);
+        let f = sectors as f64 / f64::from(spt);
+        // Effective rotational latency = (positioning wait + media sweep)
+        // minus the ideal transfer time, which matches the model's
+        // definition for both firmware types (a zero-latency arc that wraps
+        // hides its waiting inside the media sweep).
+        let sim = |zero_latency: bool| {
+            let mut disk = Disk::new(DiskConfig {
+                zero_latency,
+                ..cfg.clone()
+            });
+            let spec = RandomIoSpec {
+                count,
+                seed: run.seed,
+                ..RandomIoSpec::reads(sectors, Alignment::TrackAligned, QueueDepth::One)
             };
-            let zl = sim(true);
-            let ordinary = sim(false);
-            let line = row_string([
-                pct.to_string(),
-                format!("{:.2}", model::zero_latency_rot_latency_revs(f) * rev_ms),
-                format!("{zl:.2}"),
-                format!("{:.2}", model::ordinary_rot_latency_revs(spt) * rev_ms),
-                format!("{ordinary:.2}"),
-            ]);
-            (line, (pct == 100).then_some((zl, ordinary)))
-        });
-    for (line, at_track) in results {
-        if let Some((zl, ordinary)) = at_track {
-            rec.headline("zero_latency_ms_at_track", zl);
-            rec.headline("ordinary_ms_at_track", ordinary);
-        }
-        println!("{line}");
-    }
-    probe.finish();
-    rec.finish(&reg);
+            let r = run_random_io(&mut disk, &spec);
+            r.export_metrics(&run.reg, QueueDepth::One);
+            r.mean_component_ms(|c| c.breakdown.rot_latency)
+                + r.mean_component_ms(|c| c.breakdown.media)
+                - f * rev_ms
+        };
+        Row::new()
+            .col(pct)
+            .num(model::zero_latency_rot_latency_revs(f) * rev_ms, 2)
+            .num(sim(true), 2)
+            .key_if(pct == 100, "zero_latency_ms_at_track")
+            .num(model::ordinary_rot_latency_revs(spt) * rev_ms, 2)
+            .num(sim(false), 2)
+            .key_if(pct == 100, "ordinary_ms_at_track")
+    });
+    run.finish();
 }

@@ -6,10 +6,22 @@
 use sim_disk::bus::BusConfig;
 use sim_disk::disk::{Disk, DiskConfig, Op};
 use sim_disk::models;
-use traxtent_bench::{header, row, Cli};
+use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
-/// The five measurement columns of each row, in print order.
+/// Column names, in print order; a measurement column's name is also the
+/// manifest key of its track-sized cell, the value the paper quotes.
+const COLUMNS: [&str; 6] = [
+    "pct_of_track",
+    "onereq_unaligned_ms",
+    "onereq_aligned_ms",
+    "tworeq_unaligned_ms",
+    "tworeq_aligned_ms",
+    "zero_bus_onereq_aligned_ms",
+];
+
+/// The configuration behind each measurement column: `(zero-cost bus,
+/// alignment, queue depth)`.
 const CELLS: [(bool, Alignment, QueueDepth); 5] = [
     (false, Alignment::Unaligned, QueueDepth::One),
     (false, Alignment::TrackAligned, QueueDepth::One),
@@ -18,43 +30,29 @@ const CELLS: [(bool, Alignment, QueueDepth); 5] = [
     (true, Alignment::TrackAligned, QueueDepth::One),
 ];
 
-const PCTS: [u64; 5] = [10, 25, 50, 75, 100];
-
 fn main() {
-    let cli = Cli::parse_with(&["--writes"]);
-    let writes = cli.has("--writes");
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder(if writes { "fig6_writes" } else { "fig6" });
-    let count = if cli.quick { 300 } else { 2000 };
-    let cfg = probe.wrap(models::quantum_atlas_10k_ii());
+    let run = Run::start("fig6", &["--writes"], &[]);
+    let writes = run.has("--writes");
+    let count = if run.quick { 300 } else { 2000 };
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64;
     let op = if writes { Op::Write } else { Op::Read };
 
-    header(if writes {
+    let title = if writes {
+        run.rename("fig6_writes");
         "§5.2 write head times (Atlas 10K II)"
     } else {
         "Figure 6: average head time vs I/O size (Atlas 10K II)"
-    });
-    row([
-        "pct_of_track".into(),
-        "onereq_unaligned_ms".into(),
-        "onereq_aligned_ms".into(),
-        "tworeq_unaligned_ms".into(),
-        "tworeq_aligned_ms".into(),
-        "zero_bus_onereq_aligned_ms".into(),
-    ]);
+    };
+    run.header(title, &COLUMNS);
 
     // One job per (row, column) cell; each builds its own disk, so cells
     // are independent and the pool can fan them out freely.
-    let jobs: Vec<(u64, (bool, Alignment, QueueDepth))> = PCTS
-        .iter()
-        .flat_map(|&pct| CELLS.iter().map(move |&cell| (pct, cell)))
-        .collect();
-    let cells = cli
-        .executor()
-        .run(jobs, |_, (pct, (zero_bus, alignment, queue))| {
-            let sectors = (track * pct / 100).max(1);
+    run.grid(
+        &[10u64, 25, 50, 75, 100],
+        &Vec::from_iter(COLUMNS[1..].iter().zip(CELLS)),
+        |pct| Row::new().col(pct),
+        |&pct, &(&key, (zero_bus, alignment, queue))| {
             let mut disk = if zero_bus {
                 Disk::new(DiskConfig {
                     bus: BusConfig::infinite(),
@@ -66,33 +64,16 @@ fn main() {
             let spec = RandomIoSpec {
                 count,
                 op,
-                seed: cli.seed,
-                ..RandomIoSpec::reads(sectors, alignment, queue)
+                seed: run.seed,
+                ..RandomIoSpec::reads((track * pct / 100).max(1), alignment, queue)
             };
             let r = run_random_io(&mut disk, &spec);
-            r.export_metrics(&reg, queue);
-            let ms = r.mean_head_time(queue).as_millis_f64();
-            (format!("{ms:.2}"), ms)
-        });
-
-    for (i, pct) in PCTS.iter().enumerate() {
-        let r = &cells[i * CELLS.len()..(i + 1) * CELLS.len()];
-        row([
-            pct.to_string(),
-            r[0].0.clone(),
-            r[1].0.clone(),
-            r[2].0.clone(),
-            r[3].0.clone(),
-            r[4].0.clone(),
-        ]);
-    }
-    // Headlines: the track-sized (100 %) row, the values the paper quotes.
-    let track_row = &cells[(PCTS.len() - 1) * CELLS.len()..];
-    rec.headline("onereq_unaligned_ms", track_row[0].1);
-    rec.headline("onereq_aligned_ms", track_row[1].1);
-    rec.headline("tworeq_unaligned_ms", track_row[2].1);
-    rec.headline("tworeq_aligned_ms", track_row[3].1);
-    rec.headline("zero_bus_onereq_aligned_ms", track_row[4].1);
+            r.export_metrics(&run.reg, queue);
+            Row::new()
+                .num(r.mean_head_time(queue).as_millis_f64(), 2)
+                .key_if(pct == 100, key)
+        },
+    );
     if !writes {
         println!(
             "paper: track-sized reads — onereq ≈ 9.2 ms aligned, tworeq ≈ 8.3 ms aligned \
@@ -101,6 +82,5 @@ fn main() {
     } else {
         println!("paper: track-sized writes — onereq 10.0 vs 13.9 ms, tworeq 10.2 vs 13.8 ms");
     }
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

@@ -5,28 +5,26 @@
 use sim_disk::bus::BusConfig;
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("fig7");
-    let count = if cli.quick { 300 } else { 2000 };
-    let cfg = probe.wrap(models::quantum_atlas_10k_ii());
+    let run = Run::start("fig7", &[], &[]);
+    let count = if run.quick { 300 } else { 2000 };
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64;
 
-    header("Figure 7: response-time breakdown, track-sized reads (ms)");
-    row([
-        "access".into(),
-        "seek".into(),
-        "rot_latency+switch+media".into(),
-        "bus_tail".into(),
-        "total_response".into(),
-    ]);
-
-    let accesses: Vec<(&str, &str, bool, Alignment)> = vec![
+    run.header(
+        "Figure 7: response-time breakdown, track-sized reads (ms)",
+        &[
+            "access",
+            "seek",
+            "rot_latency+switch+media",
+            "bus_tail",
+            "total_response",
+        ],
+    );
+    let accesses = vec![
         (
             "normal (unaligned)",
             "normal_ms",
@@ -46,47 +44,35 @@ fn main() {
             Alignment::TrackAligned,
         ),
     ];
-    let results = cli
-        .executor()
-        .run(accesses, |_, (label, key, ooo_bus, alignment)| {
-            let mut disk = if ooo_bus {
-                Disk::new(DiskConfig {
-                    bus: BusConfig::out_of_order(160.0),
-                    ..cfg.clone()
-                })
-            } else {
-                Disk::new(cfg.clone())
-            };
-            let spec = RandomIoSpec {
-                count,
-                seed: cli.seed,
-                ..RandomIoSpec::reads(track, alignment, QueueDepth::One)
-            };
-            let r = run_random_io(&mut disk, &spec);
-            r.export_metrics(&reg, QueueDepth::One);
-            let seek = r.mean_component_ms(|c| c.breakdown.seek);
-            let mid = r.mean_component_ms(|c| c.breakdown.rot_latency)
-                + r.mean_component_ms(|c| c.breakdown.head_switch)
-                + r.mean_component_ms(|c| c.breakdown.media);
-            let bus = r.mean_component_ms(|c| c.breakdown.bus);
-            let response = r.mean_response().as_millis_f64();
-            let line = row_string([
-                label.to_string(),
-                format!("{seek:.2}"),
-                format!("{mid:.2}"),
-                format!("{bus:.2}"),
-                format!("{response:.2}"),
-            ]);
-            (line, key, response)
-        });
-    for (line, key, response) in results {
-        rec.headline(key, response);
-        println!("{line}");
-    }
-
+    run.sweep(accesses, |_, (label, key, ooo_bus, alignment)| {
+        let mut disk = if ooo_bus {
+            Disk::new(DiskConfig {
+                bus: BusConfig::out_of_order(160.0),
+                ..cfg.clone()
+            })
+        } else {
+            Disk::new(cfg.clone())
+        };
+        let spec = RandomIoSpec {
+            count,
+            seed: run.seed,
+            ..RandomIoSpec::reads(track, alignment, QueueDepth::One)
+        };
+        let r = run_random_io(&mut disk, &spec);
+        r.export_metrics(&run.reg, QueueDepth::One);
+        let mid = r.mean_component_ms(|c| c.breakdown.rot_latency)
+            + r.mean_component_ms(|c| c.breakdown.head_switch)
+            + r.mean_component_ms(|c| c.breakdown.media);
+        Row::new()
+            .col(label)
+            .num(r.mean_component_ms(|c| c.breakdown.seek), 2)
+            .num(mid, 2)
+            .num(r.mean_component_ms(|c| c.breakdown.bus), 2)
+            .num(r.mean_response().as_millis_f64(), 2)
+            .key(key)
+    });
     println!(
         "paper: normal ≈ 12.0 ms; aligned ≈ 9.2 ms; out-of-order delivery overlaps the bus tail"
     );
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

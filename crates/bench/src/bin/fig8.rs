@@ -5,67 +5,51 @@
 use sim_disk::bus::BusConfig;
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
-use traxtent_bench::{header, row, Cli};
+use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
-const PCTS: [u64; 6] = [2, 10, 25, 50, 75, 100];
-
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("fig8");
-    let count = if cli.quick { 400 } else { 3000 };
-    let cfg = probe.wrap(DiskConfig {
+    let run = Run::start("fig8", &[], &[]);
+    let count = if run.quick { 400 } else { 3000 };
+    let cfg = run.drive(DiskConfig {
         bus: BusConfig::infinite(),
         ..models::quantum_atlas_10k_ii()
     });
     let track = cfg.geometry.track(0).lbn_count() as u64;
 
-    header("Figure 8: response time ± σ vs request size (infinite bus)");
-    row([
-        "pct_of_track".into(),
-        "aligned_mean_ms".into(),
-        "aligned_sigma_ms".into(),
-        "unaligned_mean_ms".into(),
-        "unaligned_sigma_ms".into(),
-    ]);
-
+    run.header(
+        "Figure 8: response time ± σ vs request size (infinite bus)",
+        &[
+            "pct_of_track",
+            "aligned_mean_ms",
+            "aligned_sigma_ms",
+            "unaligned_mean_ms",
+            "unaligned_sigma_ms",
+        ],
+    );
     // One job per (size, alignment) cell.
-    let jobs: Vec<(u64, Alignment)> = PCTS
-        .iter()
-        .flat_map(|&pct| [Alignment::TrackAligned, Alignment::Unaligned].map(move |a| (pct, a)))
-        .collect();
-    let cells = cli.executor().run(jobs, |_, (pct, alignment)| {
-        let sectors = (track * pct / 100).max(1);
-        let spec = RandomIoSpec {
-            count,
-            seed: cli.seed,
-            ..RandomIoSpec::reads(sectors, alignment, QueueDepth::One)
-        };
-        let r = run_random_io(&mut Disk::new(cfg.clone()), &spec);
-        r.export_metrics(&reg, QueueDepth::One);
-        (r.mean_response().as_millis_f64(), r.response_std_dev_ms())
-    });
-
-    for (i, pct) in PCTS.iter().enumerate() {
-        let (am, asd) = cells[2 * i];
-        let (um, usd) = cells[2 * i + 1];
-        row([
-            pct.to_string(),
-            format!("{am:.2}"),
-            format!("{asd:.2}"),
-            format!("{um:.2}"),
-            format!("{usd:.2}"),
-        ]);
-    }
-    let (am, asd) = cells[cells.len() - 2];
-    let (um, usd) = cells[cells.len() - 1];
-    rec.headline("aligned_mean_ms_at_track", am);
-    rec.headline("aligned_sigma_ms_at_track", asd);
-    rec.headline("unaligned_mean_ms_at_track", um);
-    rec.headline("unaligned_sigma_ms_at_track", usd);
+    run.grid(
+        &[2u64, 10, 25, 50, 75, 100],
+        &[
+            ("aligned", Alignment::TrackAligned),
+            ("unaligned", Alignment::Unaligned),
+        ],
+        |pct| Row::new().col(pct),
+        |&pct, &(name, alignment)| {
+            let spec = RandomIoSpec {
+                count,
+                seed: run.seed,
+                ..RandomIoSpec::reads((track * pct / 100).max(1), alignment, QueueDepth::One)
+            };
+            let r = run_random_io(&mut Disk::new(cfg.clone()), &spec);
+            r.export_metrics(&run.reg, QueueDepth::One);
+            Row::new()
+                .num(r.mean_response().as_millis_f64(), 2)
+                .key_if(pct == 100, format!("{name}_mean_ms_at_track"))
+                .num(r.response_std_dev_ms(), 2)
+                .key_if(pct == 100, format!("{name}_sigma_ms_at_track"))
+        },
+    );
     println!("paper: σ_aligned falls to ≈ 0.4 ms at track size (pure seek variance); σ_unaligned stays ≈ 1.5 ms");
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

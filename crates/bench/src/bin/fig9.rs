@@ -5,105 +5,84 @@
 
 use sim_disk::models;
 use sim_disk::SimDur;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 use videoserver::{hard, soft, ServerConfig};
 
 fn main() {
-    let cli = Cli::parse_with(&["--hard"]);
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let cfg = probe.wrap(models::quantum_atlas_10k_ii());
+    let run = Run::start("fig9", &["--hard"], &[]);
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64;
 
-    if cli.has("--hard") {
-        let mut rec = cli.recorder("fig9_hard");
-        header("§5.4.2: hard real-time streams per disk (4 Mb/s)");
-        row(["io_size".into(), "unaligned".into(), "track-aligned".into()]);
-        let results = cli.executor().run(
-            vec![("264 KB", "264kb", track), ("528 KB", "528kb", 2 * track)],
-            |_, (label, key, io)| {
-                let unaligned = hard::max_streams(&cfg, 4.0, io, false);
-                let aligned = hard::max_streams(&cfg, 4.0, io, true);
-                let line = row_string([label.into(), unaligned.to_string(), aligned.to_string()]);
-                (line, key, unaligned, aligned)
-            },
+    if run.has("--hard") {
+        run.rename("fig9_hard");
+        run.header(
+            "§5.4.2: hard real-time streams per disk (4 Mb/s)",
+            &["io_size", "unaligned", "track-aligned"],
         );
-        for (line, key, unaligned, aligned) in results {
-            rec.headline(&format!("unaligned_streams_{key}"), unaligned as f64);
-            rec.headline(&format!("aligned_streams_{key}"), aligned as f64);
-            println!("{line}");
-        }
+        let sizes = vec![("264 KB", "264kb", track), ("528 KB", "528kb", 2 * track)];
+        run.sweep(sizes, |_, (label, key, io)| {
+            Row::new()
+                .col(label)
+                .num(hard::max_streams(&cfg, 4.0, io, false) as f64, 0)
+                .key(format!("unaligned_streams_{key}"))
+                .num(hard::max_streams(&cfg, 4.0, io, true) as f64, 0)
+                .key(format!("aligned_streams_{key}"))
+        });
         println!("paper: 264 KB → 36 vs 67; 528 KB → 52 vs 75");
-        probe.finish();
-        rec.finish(&reg);
-        return;
+        return run.finish();
     }
-    let mut rec = cli.recorder("fig9");
 
-    let (rounds, quantile) = if cli.quick { (60, 0.98) } else { (400, 0.9999) };
-    header("Figure 9: startup latency vs concurrent streams (10-disk array)");
-    row([
-        "streams_total".into(),
-        "aligned_io_KB".into(),
-        "aligned_latency_s".into(),
-        "unaligned_io_KB".into(),
-        "unaligned_latency_s".into(),
-    ]);
-    let per_disk: Vec<usize> = if cli.quick {
-        vec![20, 40, 55, 65]
+    let (rounds, quantile) = if run.quick { (60, 0.98) } else { (400, 0.9999) };
+    run.header(
+        "Figure 9: startup latency vs concurrent streams (10-disk array)",
+        &[
+            "streams_total",
+            "aligned_io_KB",
+            "aligned_latency_s",
+            "unaligned_io_KB",
+            "unaligned_latency_s",
+        ],
+    );
+    let per_disk: &[usize] = if run.quick {
+        &[20, 40, 55, 65]
     } else {
-        vec![10, 20, 30, 40, 45, 55, 60, 65, 70, 75]
+        &[10, 20, 30, 40, 45, 55, 60, 65, 70, 75]
+    };
+    let server = |aligned| ServerConfig {
+        aligned,
+        rounds,
+        quantile,
+        seed: run.seed,
+        ..Default::default()
     };
 
     // One job per (streams, alignment) cell; the server simulation is the
     // dominant cost, so fan the whole grid out.
-    let jobs: Vec<(usize, bool)> = per_disk
-        .iter()
-        .flat_map(|&v| [true, false].map(move |a| (v, a)))
-        .collect();
-    let cells = cli.executor().run(jobs, |_, (v, aligned)| {
-        let server = ServerConfig {
-            aligned,
-            rounds,
-            quantile,
-            seed: cli.seed,
-            ..Default::default()
-        };
-        match soft::operating_point(&cfg, &server, v) {
+    run.grid(
+        per_disk,
+        &[true, false],
+        |v| Row::new().col(v * 10),
+        |&v, &aligned| match soft::operating_point(&cfg, &server(aligned), v) {
             Some(p) => {
-                p.measurement.export_metrics(&reg);
-                (
-                    format!("{}", p.io_sectors * 512 / 1024),
-                    format!("{:.2}", p.startup_latency.as_secs_f64()),
-                )
+                p.measurement.export_metrics(&run.reg);
+                Row::new()
+                    .col(p.io_sectors * 512 / 1024)
+                    .num(p.startup_latency.as_secs_f64(), 2)
             }
-            None => ("-".into(), "unsupportable".into()),
-        }
-    });
-    for (i, &v) in per_disk.iter().enumerate() {
-        let (aio, alat) = cells[2 * i].clone();
-        let (uio, ulat) = cells[2 * i + 1].clone();
-        row([format!("{}", v * 10), aio, alat, uio, ulat]);
-    }
+            None => Row::new().col("-").col("unsupportable"),
+        },
+    );
 
     // The 0.5 s round-time comparison.
     let cap = SimDur::from_secs_f64(0.5);
-    let counts = cli.executor().run(vec![true, false], |_, aligned| {
-        let server = ServerConfig {
-            aligned,
-            rounds,
-            quantile,
-            seed: cli.seed,
-            ..Default::default()
-        };
-        soft::max_streams_at_round(&cfg, &server, track, cap)
+    let counts = run.map(vec![true, false], |_, aligned| {
+        soft::max_streams_at_round(&cfg, &server(aligned), track, cap)
     });
     println!(
         "at a 0.5 s round with track-sized I/Os: aligned {} vs unaligned {} streams/disk (paper: 70 vs 45)",
         counts[0], counts[1]
     );
-    rec.headline("aligned_streams_at_half_s_round", counts[0] as f64);
-    rec.headline("unaligned_streams_at_half_s_round", counts[1] as f64);
-    probe.finish();
-    rec.finish(&reg);
+    run.set("aligned_streams_at_half_s_round", counts[0] as f64);
+    run.set("unaligned_streams_at_half_s_round", counts[1] as f64);
+    run.finish();
 }

@@ -19,79 +19,60 @@
 
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use traxtent_bench::{header, row, Cli};
+use traxtent_bench::{die, Row, Run};
 use workloads::replay::{parse_trace, render_trace, replay, synthetic_trace, SyntheticSpec};
 
 fn main() {
-    let cli = Cli::parse_with_values(&[], &["--input", "--count", "--emit"]);
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
+    let run = Run::start("replay_synthetic", &[], &["--input", "--count", "--emit"]);
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
 
-    let cfg = probe.wrap(models::quantum_atlas_10k_ii());
-    let capacity = cfg.geometry.capacity_lbns();
-
-    let default_count = if cli.quick { 20_000 } else { 200_000 };
-    let count: usize = match cli.value("--count") {
-        None => default_count,
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("error: --count requires an integer, got `{raw}`");
-            std::process::exit(2);
-        }),
-    };
-
-    let (figure, records) = match cli.value("--input") {
+    let default_count = if run.quick { 20_000 } else { 200_000 };
+    let count: usize = run.number("--count").unwrap_or(default_count);
+    let records = match run.value("--input") {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read trace `{path}`: {e}");
-                std::process::exit(2);
-            });
-            let records = parse_trace(&text).unwrap_or_else(|e| {
-                eprintln!("error: `{path}`: {e}");
-                std::process::exit(2);
-            });
-            ("replay", records)
+            run.rename("replay");
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(&format!("cannot read trace `{path}`: {e}")));
+            parse_trace(&text).unwrap_or_else(|e| die(&format!("`{path}`: {e}")))
         }
         None => {
-            let spec = SyntheticSpec::default_for(capacity, count, cli.seed);
-            ("replay_synthetic", synthetic_trace(&spec))
+            let capacity = cfg.geometry.capacity_lbns();
+            synthetic_trace(&SyntheticSpec::default_for(capacity, count, run.seed))
         }
     };
     if records.is_empty() {
-        eprintln!("error: trace contains no requests");
-        std::process::exit(2);
+        die("trace contains no requests");
     }
 
-    if let Some(path) = cli.value("--emit") {
-        std::fs::write(path, render_trace(&records)).unwrap_or_else(|e| {
-            eprintln!("error: cannot write trace `{path}`: {e}");
-            std::process::exit(2);
-        });
+    if let Some(path) = run.value("--emit") {
+        std::fs::write(path, render_trace(&records))
+            .unwrap_or_else(|e| die(&format!("cannot write trace `{path}`: {e}")));
         eprintln!("wrote {} requests to {path}", records.len());
         return;
     }
 
-    let mut rec = cli.recorder(figure);
     let mut disk = Disk::new(cfg);
     let wall_start = std::time::Instant::now();
     let result = replay(&mut disk, &records);
     let wall = wall_start.elapsed().as_secs_f64();
-    result.export_metrics(&reg);
+    result.export_metrics(&run.reg);
 
-    let span_s = result.sim_span().as_secs_f64();
-    let mean_ms = result.mean_response_ms();
-    let max_ms = result.max_response_ms();
-    let hit_frac = result.cache_hit_fraction();
-
-    header(&format!(
-        "Trace replay: {} requests on the Atlas 10K II",
-        result.requests()
-    ));
-    row(["metric".into(), "value".into()]);
-    row(["requests".into(), result.requests().to_string()]);
-    row(["sim_span_s".into(), format!("{span_s:.3}")]);
-    row(["mean_response_ms".into(), format!("{mean_ms:.3}")]);
-    row(["max_response_ms".into(), format!("{max_ms:.3}")]);
-    row(["cache_hit_fraction".into(), format!("{hit_frac:.4}")]);
+    run.header(
+        &format!(
+            "Trace replay: {} requests on the Atlas 10K II",
+            result.requests()
+        ),
+        &["metric", "value"],
+    );
+    run.row(Row::new().col("requests").col(result.requests()));
+    for (metric, value, decimals) in [
+        ("sim_span_s", result.sim_span().as_secs_f64(), 3),
+        ("mean_response_ms", result.mean_response_ms(), 3),
+        ("max_response_ms", result.max_response_ms(), 3),
+        ("cache_hit_fraction", result.cache_hit_fraction(), 4),
+    ] {
+        run.row(Row::new().col(metric).num(value, decimals).key(metric));
+    }
 
     // Wall-dependent numbers stay off stdout so the figure output is
     // byte-reproducible across machines and thread counts.
@@ -102,12 +83,7 @@ fn main() {
         wall,
         req_per_sec
     );
-    reg.set_gauge("replay.requests_per_sec", req_per_sec as u64);
-
-    rec.headline("sim_span_s", span_s);
-    rec.headline("mean_response_ms", mean_ms);
-    rec.headline("max_response_ms", max_ms);
-    rec.headline("cache_hit_fraction", hit_frac);
-    probe.finish();
-    rec.finish(&reg);
+    run.reg
+        .set_gauge("replay.requests_per_sec", req_per_sec as u64);
+    run.finish();
 }

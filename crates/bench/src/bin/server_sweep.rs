@@ -25,15 +25,18 @@
 use server::{serve, SchedulerKind, ServerConfig, TimelineConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use sim_disk::trace::{DiskSpanBridge, Fanout, SharedSink, Tracer};
-use std::sync::{Arc, Mutex};
-use traxtent::obs::span::{self, Span, SpanRecorder};
 use traxtent::ConfidentBoundaries;
+use traxtent_bench::{Row, Run, Telemetry};
 use workloads::arrivals::{stream_trace, StreamsSpec};
 
 /// Concurrent streams per direction at each load level; total offered
 /// chunk rate is `2 × streams × 1000 / CHUNK_PERIOD_MS` per second.
 const LEVELS: [usize; 4] = [1, 2, 4, 6];
+
+/// Only the peak-load cells carry the extra observability (a windowed
+/// timeline under `--timeline`, a causal span tree under `--trace`): that
+/// is where the SLO story lives, and it keeps the span export readable.
+const PEAK: usize = LEVELS[LEVELS.len() - 1];
 
 /// Per-stream chunk cadence (isochronous clients).
 const CHUNK_PERIOD_MS: f64 = 40.0;
@@ -50,213 +53,97 @@ const TIMELINE_WINDOW_MS: f64 = 250.0;
 const SLO_THRESHOLD_MS: f64 = 40.0;
 const SLO_BREACH_FRACTION: f64 = 0.05;
 
-struct CellResult {
-    line: String,
-    p50_ms: f64,
-    p99_ms: f64,
-    p999_ms: f64,
-    rejected: u64,
-    throughput_rps: f64,
-    completed: u64,
-    timeline: Option<server::Timeline>,
-    slo: Option<server::SloSummary>,
-    spans: Vec<Span>,
-}
-
-/// Per-cell observability requests: the peak-load cells additionally
-/// record a windowed timeline (`--timeline`) and a causal span tree
-/// (`--trace`).
-#[derive(Clone, Copy)]
-struct ObsOpts {
-    timeline: bool,
-    spans: bool,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    probe: &traxtent_bench::Probe,
-    reg: &traxtent::obs::Registry,
-    streams: usize,
-    sched: SchedulerKind,
-    chunks_per_stream: usize,
-    seed: u64,
-    cell_index: usize,
-    obs: ObsOpts,
-) -> CellResult {
-    let mut cfg = probe.wrap(models::quantum_atlas_10k_ii());
-    // A per-cell recorder with a per-cell salt, so merged span ids never
-    // collide across cells and the export is identical at any --threads.
-    let rec = obs.spans.then(|| {
-        let rec = SpanRecorder::new();
-        rec.set_salt(span::derive_id(seed, 0xCE11, cell_index as u64, 0));
-        let bridge: SharedSink = Arc::new(Mutex::new(DiskSpanBridge::new(rec.clone())));
-        cfg.tracer = Some(match cfg.tracer.take() {
-            Some(t) => Tracer::from_sink(Fanout::new(vec![t.sink(), bridge])),
-            None => Tracer::new(bridge),
-        });
-        rec
-    });
-    let mut disk = Disk::new(cfg);
+fn run_cell(run: &Run, cell_index: usize, streams: usize, sched: SchedulerKind) -> Row {
+    let obs = run.observe(cell_index, 0xCE11, streams == PEAK);
+    let mut disk = Disk::new(obs.drive(models::quantum_atlas_10k_ii()));
     let table = disk.track_boundaries();
     let spec = StreamsSpec {
         read_streams: streams,
         write_streams: streams,
         chunk_sectors: CHUNK_SECTORS,
         chunk_period_ms: CHUNK_PERIOD_MS,
-        chunks_per_stream,
+        chunks_per_stream: if run.quick { 400 } else { 2000 },
         // Same trace for every scheduler at this level: the seed mixes
         // in the load level only.
-        seed: seed ^ ((streams as u64) << 8),
+        seed: run.seed ^ ((streams as u64) << 8),
     };
     let trace = stream_trace(&spec, &table);
-    let mut server_cfg =
-        ServerConfig::new(sched).with_boundaries(ConfidentBoundaries::certain(table));
-    if obs.timeline {
-        server_cfg = server_cfg.with_timeline(
-            TimelineConfig::new(TIMELINE_WINDOW_MS).with_slo(SLO_THRESHOLD_MS, SLO_BREACH_FRACTION),
-        );
-    }
-    if let Some(rec) = &rec {
-        server_cfg = server_cfg.with_spans(rec.clone());
-    }
+    let server_cfg = obs.server(
+        ServerConfig::new(sched).with_boundaries(ConfidentBoundaries::certain(table)),
+        TimelineConfig::new(TIMELINE_WINDOW_MS).with_slo(SLO_THRESHOLD_MS, SLO_BREACH_FRACTION),
+    );
     let res = serve(&mut disk, &trace, &server_cfg).expect("generated traces are valid");
-    res.export_metrics(reg);
+    res.export_metrics(&run.reg);
 
-    let offered_rps = 2.0 * streams as f64 * 1000.0 / CHUNK_PERIOD_MS;
-    let line = traxtent_bench::row_string([
-        format!("{offered_rps:.0}"),
-        sched.label().into(),
-        res.completed().to_string(),
-        res.rejected().to_string(),
-        format!("{:.2}", res.percentile_ms(0.50)),
-        format!("{:.2}", res.percentile_ms(0.99)),
-        format!("{:.2}", res.percentile_ms(0.999)),
-        format!("{:.1}", res.mean_depth()),
-        res.max_depth.to_string(),
-        format!("{:.1}", res.throughput_rps()),
-    ]);
-    CellResult {
-        line,
-        p50_ms: res.percentile_ms(0.50),
-        p99_ms: res.percentile_ms(0.99),
-        p999_ms: res.percentile_ms(0.999),
-        rejected: res.rejected(),
-        throughput_rps: res.throughput_rps(),
-        completed: res.completed(),
-        timeline: res.timeline,
-        slo: res.slo,
-        spans: rec.map(|r| r.take_sorted()).unwrap_or_default(),
+    // The timeline section is mirrored into a manifest of its own, with
+    // the SLO verdict, so CI can diff the series run over run.
+    let tag = format!("s{streams}_{}", sched.label());
+    let mut headlines = vec![
+        (format!("{tag}_completed"), res.completed() as f64),
+        (format!("{tag}_p99_ms"), res.percentile_ms(0.99)),
+    ];
+    if let Some(slo) = &res.slo {
+        headlines.push((format!("{tag}_slo_breached"), slo.breached as f64));
+        headlines.push((format!("{tag}_slo_worst_burn"), slo.worst_burn_rate));
     }
+    Row::new()
+        .num(2.0 * streams as f64 * 1000.0 / CHUNK_PERIOD_MS, 0)
+        .col(sched.label())
+        .col(res.completed())
+        .num(res.rejected() as f64, 0)
+        .key(format!("{tag}_rejected"))
+        .num(res.percentile_ms(0.50), 2)
+        .key(format!("{tag}_p50_ms"))
+        .num(res.percentile_ms(0.99), 2)
+        .key(format!("{tag}_p99_ms"))
+        .num(res.percentile_ms(0.999), 2)
+        .key(format!("{tag}_p999_ms"))
+        .num(res.mean_depth(), 1)
+        .col(res.max_depth)
+        .num(res.throughput_rps(), 1)
+        .key(format!("{tag}_throughput_rps"))
+        .telemetry(Telemetry {
+            headlines,
+            ..obs.telemetry(tag, res.timeline, res.slo)
+        })
 }
 
 fn main() {
-    let cli = traxtent_bench::Cli::parse_with(&["--timeline"]);
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("server_sweep");
-    let timeline = cli.has("--timeline");
-    let tracing = cli.trace.is_some();
-    let chunks_per_stream = if cli.quick { 400 } else { 2000 };
-
-    traxtent_bench::header(
+    let run = Run::start("server_sweep", &["--timeline"], &[]);
+    run.header(
         "open-loop server: response latency vs offered load (track-aligned streams)",
+        &[
+            "offered_rps",
+            "scheduler",
+            "completed",
+            "rejected",
+            "p50_ms",
+            "p99_ms",
+            "p999_ms",
+            "mean_depth",
+            "max_depth",
+            "throughput_rps",
+        ],
     );
-    traxtent_bench::row([
-        "offered_rps".into(),
-        "scheduler".into(),
-        "completed".into(),
-        "rejected".into(),
-        "p50_ms".into(),
-        "p99_ms".into(),
-        "p999_ms".into(),
-        "mean_depth".into(),
-        "max_depth".into(),
-        "throughput_rps".into(),
-    ]);
-
     let cells: Vec<(usize, SchedulerKind)> = LEVELS
         .iter()
         .flat_map(|&s| SchedulerKind::ALL.iter().map(move |&k| (s, k)))
         .collect();
-    // Only the peak-load cells carry the extra observability: that is
-    // where the SLO story lives, and it keeps the span export readable.
-    let peak = LEVELS[LEVELS.len() - 1];
-    let results = cli.executor().run(cells.clone(), |i, (streams, sched)| {
-        let obs = ObsOpts {
-            timeline: timeline && streams == peak,
-            spans: tracing && streams == peak,
-        };
-        run_cell(
-            &probe,
-            &reg,
-            streams,
-            sched,
-            chunks_per_stream,
-            cli.seed,
-            i,
-            obs,
-        )
+    run.sweep(cells, |i, (streams, sched)| {
+        run_cell(&run, i, streams, sched)
     });
-
-    let mut hi_clook_p99 = 0.0f64;
-    let mut hi_traxtent_p99 = 0.0f64;
-    for ((streams, sched), r) in cells.iter().zip(&results) {
-        let tag = format!("s{streams}_{}", sched.label());
-        rec.headline(&format!("{tag}_p50_ms"), r.p50_ms);
-        rec.headline(&format!("{tag}_p99_ms"), r.p99_ms);
-        rec.headline(&format!("{tag}_p999_ms"), r.p999_ms);
-        rec.headline(&format!("{tag}_rejected"), r.rejected as f64);
-        rec.headline(&format!("{tag}_throughput_rps"), r.throughput_rps);
-        if *streams == LEVELS[LEVELS.len() - 1] {
-            match sched {
-                SchedulerKind::CLook => hi_clook_p99 = r.p99_ms,
-                SchedulerKind::Traxtent => hi_traxtent_p99 = r.p99_ms,
-                SchedulerKind::Fifo => {}
-            }
-        }
-        println!("{}", r.line);
-    }
 
     // The acceptance headline: how much p99 the traxtent batcher saves
     // over C-LOOK at the highest offered load.
-    let gain = hi_clook_p99 / hi_traxtent_p99.max(1e-9);
-    println!(
-        "traxtent p99 at peak load: {hi_traxtent_p99:.2} ms vs C-LOOK {hi_clook_p99:.2} ms \
-         ({gain:.2}x)"
+    let peak_p99 = |sched: SchedulerKind| run.get(&format!("s{PEAK}_{}_p99_ms", sched.label()));
+    let (clook, traxtent) = (
+        peak_p99(SchedulerKind::CLook),
+        peak_p99(SchedulerKind::Traxtent),
     );
-    rec.headline("traxtent_p99_gain_hiload", gain);
+    let gain = clook / traxtent.max(1e-9);
+    println!("traxtent p99 at peak load: {traxtent:.2} ms vs C-LOOK {clook:.2} ms ({gain:.2}x)");
+    run.set("traxtent_p99_gain_hiload", gain);
 
-    if timeline {
-        // The live-telemetry section: one windowed table per peak-load
-        // cell, plus the SLO verdict, mirrored into its own manifest so
-        // CI can diff the series run over run.
-        let mut trec = cli.recorder("server_timeline");
-        let treg = traxtent::obs::Registry::new();
-        for ((streams, sched), r) in cells.iter().zip(&results) {
-            let Some(t) = &r.timeline else { continue };
-            let tag = format!("s{streams}_{}", sched.label());
-            println!(
-                "## timeline {tag} (window {TIMELINE_WINDOW_MS:.0} ms, {} buckets)",
-                t.buckets.len()
-            );
-            print!("{t}");
-            if let Some(slo) = &r.slo {
-                println!("{slo}");
-                trec.headline(&format!("{tag}_slo_breached"), slo.breached as f64);
-                trec.headline(&format!("{tag}_slo_worst_burn"), slo.worst_burn_rate);
-            }
-            trec.headline(&format!("{tag}_completed"), r.completed as f64);
-            trec.headline(&format!("{tag}_p99_ms"), r.p99_ms);
-            trec.timeline(&tag, t.rows());
-        }
-        trec.finish(&treg);
-    }
-
-    cli.export_spans(
-        "server_sweep",
-        results.iter().flat_map(|r| r.spans.clone()).collect(),
-    );
-
-    probe.finish();
-    rec.finish(&reg);
+    run.print_timelines(Some("server_timeline"));
+    run.finish();
 }

@@ -2,54 +2,45 @@
 //! presets alongside what the built geometries actually provide.
 
 use sim_disk::models;
-use traxtent_bench::{header, row, row_string, Cli};
+use traxtent_bench::{Row, Run};
 
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("table1");
-    header("Table 1: representative disk characteristics");
-    row([
-        "Disk".into(),
-        "Year".into(),
-        "RPM".into(),
-        "HeadSwitch".into(),
-        "AvgSeek".into(),
-        "SectorsPerTrack".into(),
-        "Tracks".into(),
-        "Capacity".into(),
-        "BuiltCapacityGB".into(),
-    ]);
+    let run = Run::start("table1", &[], &[]);
+    run.header(
+        "Table 1: representative disk characteristics",
+        &[
+            "Disk",
+            "Year",
+            "RPM",
+            "HeadSwitch",
+            "AvgSeek",
+            "SectorsPerTrack",
+            "Tracks",
+            "Capacity",
+            "BuiltCapacityGB",
+        ],
+    );
     // Building a full geometry is the expensive part; build each sheet's in
     // its own job.
-    let results = cli.executor().run(models::table1_sheets(), |_, sheet| {
-        let cfg = probe.wrap(sheet.build());
-        let built_gb = cfg.geometry.capacity_lbns() as f64 * 512.0 / 1e9;
-        reg.add("bench.table1.drives_built", 1);
-        reg.add(
-            "bench.table1.tracks_built",
-            cfg.geometry.num_tracks() as u64,
-        );
-        let line = row_string([
-            sheet.name.to_string(),
-            sheet.year.to_string(),
-            sheet.rpm.to_string(),
-            format!("{:.1} ms", sheet.head_switch_ms),
-            format!("{:.1} ms", sheet.avg_seek_ms),
-            format!("{}–{}", sheet.spt_outer, sheet.spt_inner),
-            cfg.geometry.num_tracks().to_string(),
-            format!("{:.1} GB", sheet.capacity_gb),
-            format!("{built_gb:.1}"),
-        ]);
-        (line, built_gb)
+    run.sweep(models::table1_sheets(), |_, sheet| {
+        let cfg = run.drive(sheet.build());
+        let tracks = cfg.geometry.num_tracks();
+        run.reg.add("bench.table1.drives_built", 1);
+        run.reg.add("bench.table1.tracks_built", tracks as u64);
+        Row::new()
+            .col(sheet.name)
+            .col(sheet.year)
+            .col(sheet.rpm)
+            .num(sheet.head_switch_ms, 1)
+            .unit(" ms")
+            .num(sheet.avg_seek_ms, 1)
+            .unit(" ms")
+            .col(format!("{}–{}", sheet.spt_outer, sheet.spt_inner))
+            .col(tracks)
+            .num(sheet.capacity_gb, 1)
+            .unit(" GB")
+            .num(cfg.geometry.capacity_lbns() as f64 * 512.0 / 1e9, 1)
+            .sum("total_built_gb")
     });
-    let mut total_gb = 0.0;
-    for (line, built_gb) in results {
-        total_gb += built_gb;
-        println!("{line}");
-    }
-    rec.headline("total_built_gb", total_gb);
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

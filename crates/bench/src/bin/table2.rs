@@ -7,13 +7,12 @@
 use ffs::{FileSystem, Personality};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use traxtent_bench::{header, row, Cli};
+use traxtent_bench::{Row, Run};
 use workloads::apps;
 
 const MB: u64 = 1 << 20;
 const GB: u64 = 1 << 30;
 
-const APPS: usize = 6;
 const PERSONALITIES: [Personality; 3] = [
     Personality::Unmodified,
     Personality::FastStart,
@@ -21,7 +20,7 @@ const PERSONALITIES: [Personality; 3] = [
 ];
 
 /// Manifest key stems for the six applications, in column order.
-const APP_KEYS: [&str; APPS] = [
+const APP_KEYS: [&str; 6] = [
     "scan_s",
     "diff_s",
     "copy_s",
@@ -31,90 +30,62 @@ const APP_KEYS: [&str; APPS] = [
 ];
 
 fn main() {
-    let cli = Cli::parse();
-    let probe = cli.probe();
-    let reg = traxtent::obs::Registry::new();
-    let mut rec = cli.recorder("table2");
-    let scale = if cli.quick { 8 } else { 1 };
+    let run = Run::start("table2", &[], &[]);
+    let scale = if run.quick { 8 } else { 1 };
     let (scan_bytes, diff_bytes, copy_bytes) = (4 * GB / scale, 512 * MB / scale, GB / scale);
-    let (pm_files, pm_tx) = if cli.quick { (120, 400) } else { (500, 2000) };
-    let head_files = if cli.quick { 200 } else { 1000 };
+    let (pm_files, pm_tx) = if run.quick { (120, 400) } else { (500, 2000) };
+    let head_files = if run.quick { 200 } else { 1000 };
 
-    header("Table 2: FFS application benchmarks (Quantum Atlas 10K)");
-    row([
-        "FFS".into(),
-        format!("{}GB scan (s)", 4 / scale.min(4)),
-        "diff (s)".into(),
-        "copy (s)".into(),
-        "Postmark (tr/s)".into(),
-        "SSH-build (s)".into(),
-        "head* (s)".into(),
-    ]);
+    run.header(
+        "Table 2: FFS application benchmarks (Quantum Atlas 10K)",
+        &[
+            "FFS",
+            &format!("{}GB scan (s)", 4 / scale.min(4)),
+            "diff (s)",
+            "copy (s)",
+            "Postmark (tr/s)",
+            "SSH-build (s)",
+            "head* (s)",
+        ],
+    );
 
     // One job per (personality, application) cell; every application run
     // formats its own fresh file system, so cells are independent.
-    let jobs: Vec<(Personality, usize)> = PERSONALITIES
-        .iter()
-        .flat_map(|&p| (0..APPS).map(move |a| (p, a)))
-        .collect();
-    let cells = cli.executor().run(jobs, |_, (p, app)| {
-        let mut fs = FileSystem::format(Disk::new(probe.wrap(models::quantum_atlas_10k())), p);
-        let name = APP_KEYS[app].rsplit_once('_').expect("stem_unit").0;
-        let (text, value) = match app {
-            0 => {
-                let r = apps::scan(&mut fs, scan_bytes, 64 * 1024);
-                r.export_metrics(&reg, name);
-                let s = r.elapsed.as_secs_f64();
-                (format!("{s:.1}"), s)
+    run.grid(
+        &PERSONALITIES,
+        &APP_KEYS,
+        |p| Row::new().col(format!("{p:?}")),
+        |&p, &key| {
+            let disk = Disk::new(run.drive(models::quantum_atlas_10k()));
+            let mut fs = FileSystem::format(disk, p);
+            // Postmark reports transactions per second; the rest, run time.
+            let mut tps = None;
+            let r = match key {
+                "scan_s" => apps::scan(&mut fs, scan_bytes, 64 * 1024),
+                "diff_s" => apps::diff(&mut fs, diff_bytes, 64 * 1024),
+                "copy_s" => apps::copy(&mut fs, copy_bytes, 64 * 1024),
+                "postmark_tps" => {
+                    let (r, per_sec) = apps::postmark(&mut fs, pm_files, pm_tx, run.seed);
+                    tps = Some(per_sec);
+                    r
+                }
+                "ssh_build_s" => apps::ssh_build(&mut fs, run.seed),
+                "head_star_s" => apps::head_star(&mut fs, head_files, 200 * 1024),
+                other => unreachable!("no application `{other}`"),
+            };
+            r.export_metrics(&run.reg, key.rsplit_once('_').expect("stem_unit").0);
+            fs.export_metrics(&run.reg);
+            let personality = format!("{p:?}").to_lowercase();
+            match tps {
+                Some(tps) => Row::new().num(tps, 0),
+                None => Row::new().num(r.elapsed.as_secs_f64(), 1),
             }
-            1 => {
-                let r = apps::diff(&mut fs, diff_bytes, 64 * 1024);
-                r.export_metrics(&reg, name);
-                let s = r.elapsed.as_secs_f64();
-                (format!("{s:.1}"), s)
-            }
-            2 => {
-                let r = apps::copy(&mut fs, copy_bytes, 64 * 1024);
-                r.export_metrics(&reg, name);
-                let s = r.elapsed.as_secs_f64();
-                (format!("{s:.1}"), s)
-            }
-            3 => {
-                let (r, tps) = apps::postmark(&mut fs, pm_files, pm_tx, cli.seed);
-                r.export_metrics(&reg, name);
-                (format!("{tps:.0}"), tps)
-            }
-            4 => {
-                let r = apps::ssh_build(&mut fs, cli.seed);
-                r.export_metrics(&reg, name);
-                let s = r.elapsed.as_secs_f64();
-                (format!("{s:.1}"), s)
-            }
-            _ => {
-                let r = apps::head_star(&mut fs, head_files, 200 * 1024);
-                r.export_metrics(&reg, name);
-                let s = r.elapsed.as_secs_f64();
-                (format!("{s:.1}"), s)
-            }
-        };
-        fs.export_metrics(&reg);
-        (text, value)
-    });
-
-    for (i, p) in PERSONALITIES.iter().enumerate() {
-        let r = &cells[i * APPS..(i + 1) * APPS];
-        let mut cols = vec![format!("{p:?}")];
-        cols.extend(r.iter().map(|(text, _)| text.clone()));
-        row(cols);
-        let personality = format!("{p:?}").to_lowercase();
-        for (key, (_, value)) in APP_KEYS.iter().zip(r) {
-            rec.headline(&format!("{key}_{personality}"), *value);
-        }
-    }
+            .key(format!("{key}_{personality}"))
+        },
+    );
     println!(
         "paper (unmodified / fast start / traxtents): scan 189.6/188.9/199.8, diff 69.7/70.0/56.6, \
          copy 156.9/155.3/124.9, Postmark 53/53/55, SSH-build 72.0/71.5/71.5, head* 4.6/5.5/5.2"
     );
-    probe.finish();
-    rec.finish(&reg);
+    run.finish();
 }

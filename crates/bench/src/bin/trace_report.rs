@@ -12,37 +12,22 @@ use sim_disk::metrics::{MetricsRegistry, PHASES};
 use sim_disk::trace::{peek_event_name, TraceEvent};
 use std::collections::BTreeMap;
 use std::io::BufRead;
+use traxtent_bench::{Cli, Grammar};
 
 /// The worst request rows printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 5;
 
-fn usage(name: &str) -> ! {
-    eprintln!("usage: {name} <trace.jsonl> [--top <n>]");
-    std::process::exit(2);
-}
-
 fn main() {
-    let name = std::env::args()
-        .next()
-        .unwrap_or_else(|| "trace_report".into());
-    let mut path = None;
-    let mut top = DEFAULT_TOP;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--top" => {
-                top = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage(&name));
-            }
-            _ if path.is_none() && !a.starts_with('-') => path = Some(a),
-            _ => usage(&name),
-        }
-    }
-    let path = path.unwrap_or_else(|| usage(&name));
+    let cli = Cli::from_env(&Grammar {
+        usage: Some("<trace.jsonl> [--top <n>]"),
+        flags: &[],
+        values: &["--top"],
+        positionals: 1,
+    });
+    let path = cli.positional(0);
+    let top: usize = cli.number("--top").unwrap_or(DEFAULT_TOP);
 
-    let file = std::fs::File::open(&path).unwrap_or_else(|e| {
+    let file = std::fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("error: cannot open `{path}`: {e}");
         std::process::exit(1);
     });

@@ -16,14 +16,10 @@ use std::io::BufRead;
 use traxtent::obs::json;
 use traxtent::obs::span::{self, Span};
 use traxtent_bench::manifest::Manifest;
+use traxtent_bench::{Cli, Grammar};
 
 /// The worst request trees printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 3;
-
-fn usage(name: &str) -> ! {
-    eprintln!("usage: {name} <spans.jsonl> [--top <n>] [--chrome <file>] [--manifest <file>]");
-    std::process::exit(2);
-}
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -31,32 +27,17 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let name = std::env::args()
-        .next()
-        .unwrap_or_else(|| "trace_timeline".into());
-    let mut path = None;
-    let mut top = DEFAULT_TOP;
-    let mut chrome = None;
-    let mut manifest = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--top" => {
-                top = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage(&name));
-            }
-            "--chrome" => chrome = Some(args.next().unwrap_or_else(|| usage(&name))),
-            "--manifest" => manifest = Some(args.next().unwrap_or_else(|| usage(&name))),
-            _ if path.is_none() && !a.starts_with('-') => path = Some(a),
-            _ => usage(&name),
-        }
-    }
-    let path = path.unwrap_or_else(|| usage(&name));
+    let cli = Cli::from_env(&Grammar {
+        usage: Some("<spans.jsonl> [--top <n>] [--chrome <file>] [--manifest <file>]"),
+        flags: &[],
+        values: &["--top", "--chrome", "--manifest"],
+        positionals: 1,
+    });
+    let path = cli.positional(0);
+    let top: usize = cli.number("--top").unwrap_or(DEFAULT_TOP);
 
     let file =
-        std::fs::File::open(&path).unwrap_or_else(|e| fail(&format!("cannot open `{path}`: {e}")));
+        std::fs::File::open(path).unwrap_or_else(|e| fail(&format!("cannot open `{path}`: {e}")));
     let mut spans: Vec<Span> = Vec::new();
     for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
         let line = line.unwrap_or_else(|e| fail(&format!("read failure at line {}: {e}", i + 1)));
@@ -146,11 +127,11 @@ fn main() {
         }
     }
 
-    if let Some(chrome_path) = chrome {
-        check_chrome(&chrome_path, stats.spans);
+    if let Some(chrome_path) = cli.value("--chrome") {
+        check_chrome(chrome_path, stats.spans);
     }
-    if let Some(manifest_path) = manifest {
-        print_manifest_timelines(&manifest_path);
+    if let Some(manifest_path) = cli.value("--manifest") {
+        print_manifest_timelines(manifest_path);
     }
 }
 

@@ -1,7 +1,8 @@
-//! Shared helpers for the figure/table regeneration binaries.
+//! The figure runner and its binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! and prints the same rows/series the paper reports:
+//! (or one experiment of this repo's own) and prints the same rows/series
+//! the paper reports:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -14,38 +15,145 @@
 //! | `table2` | Table 2 — FFS application benchmarks |
 //! | `fig9` | Figure 9 — video-server startup latency (+ §5.4.2 via `--hard`) |
 //! | `fig10` | Figure 10 — LFS overall write cost vs segment size |
-//! | `extraction` | §4.1 — track-boundary extraction cost and accuracy |
+//! | `extraction` | §4.1 — track-boundary extraction cost and accuracy (`--full`: general algorithm on the full drive) |
 //! | `ablation` | §5.2 ablations — zero-latency / queueing in isolation |
-//! | `server_sweep` | open-loop server: response latency vs offered load per scheduler |
+//! | `fault_sweep` | extraction robustness and the alignment win vs injected fault level |
+//! | `replay` | trace replay through the batched service path (`--input`, `--count`, `--emit`) |
+//! | `server_sweep` | open-loop server: response latency vs offered load per scheduler (`--timeline`) |
+//! | `fleet_sweep` | multi-disk volumes: aligned vs fixed stripe units, healthy vs degraded (`--timeline`) |
+//! | `crash_sweep` | power-cut grid × {ffs fsck, lfs roll-forward, RAID-5 scrub repair} |
+//! | `bench_diff` | tool: compare two manifest directories, exit 1 on a regression |
+//! | `trace_report` | tool: census and phase breakdown of a `--trace` JSONL file |
+//! | `trace_timeline` | tool: validate and summarise a sweep's span export |
 //!
-//! Every binary accepts `--seed <n>`, `--threads <n>`, and a `--quick` flag
-//! that shrinks sample counts for smoke testing. Simulation cells fan out
-//! across a worker pool (see [`exec`]); output is byte-identical at any
-//! thread count because results are merged back in submission order.
+//! # The runner
 //!
-//! Every binary also accepts `--faults <spec>` / `--fault-seed <n>` to run
-//! its figure against a deliberately unreliable drive (see
-//! [`sim_disk::fault::FaultConfig::parse_spec`] for the spec grammar).
-//! Fault decisions are a pure function of the fault seed and request
-//! identity, so faulty runs stay bit-reproducible at any `--threads`. The
-//! `fault_sweep` binary sweeps this axis systematically.
+//! A figure binary is its cell function, its column list and its closing
+//! prose; everything else is [`Run`]:
+//!
+//! ```text
+//! let run = Run::start("fig3", &[], &[]);          // flags, sinks, output paths, registry, clock
+//! let cfg = run.drive(models::quantum_atlas_10k_ii());  // every DiskConfig passes through here
+//! run.header("Figure 3: …", &["pct_of_track", "zero_latency_sim_ms"]);
+//! run.sweep(vec![5u32, 100], |_, pct| {            // worker pool, merged in submission order
+//!     let ms = simulate(&cfg, pct, run.seed, &run.reg);
+//!     Row::new().col(pct).num(ms, 2).key_if(pct == 100, "zero_latency_ms_at_track")
+//! });
+//! run.finish();                                     // span export, trace flush, --metrics table, manifest
+//! ```
+//!
+//! * **Flags.** [`Run::start`] parses the common flags — `--quick`,
+//!   `--seed <n>`, `--threads <n>`, `--trace <path>`, `--metrics`,
+//!   `--manifest <dir>`, `--faults <spec>`, `--fault-seed <n>` — plus the
+//!   binary's own, through the one pure parser [`Cli::parse_args`] (the
+//!   tool binaries use the same parser with a [`Grammar`] of their own).
+//!   A usage error, an uncreatable `--trace` file or an uncreatable
+//!   `--manifest` directory exits 2 with a one-line message before any
+//!   cell runs.
+//! * **Attachment.** [`Run::drive`] points a
+//!   [`DiskConfig`](sim_disk::disk::DiskConfig) at the `--trace`/`--metrics`
+//!   sink and stamps the `--faults` config on it (see
+//!   [`sim_disk::fault::FaultConfig::parse_spec`] for the grammar), so
+//!   every drive built from it — directly or deep inside a file-system
+//!   layer — reports there and misbehaves identically. Fault decisions are
+//!   a pure function of the fault seed and request identity, so faulty
+//!   runs stay bit-reproducible at any `--threads`.
+//! * **Cells and rows.** [`Run::sweep`] and [`Run::grid`] fan independent
+//!   cells across the worker pool ([`exec`]) and merge the [`Row`]s back in
+//!   submission order, so stdout is byte-identical at any thread count
+//!   (`--trace`/`--metrics` force one thread so the event stream is
+//!   deterministic too). A row states each number once: [`Row::num`] is
+//!   the formatted column, and [`Row::key`]/[`Row::sum`] make the same
+//!   number a manifest headline, which closing prose reads back with
+//!   [`Run::get`].
+//! * **Telemetry.** The two sweeps ask [`Run::observe`] for a per-cell
+//!   [`CellObs`]: a salted span recorder woven into the drive's tracer
+//!   under `--trace`, the windowed sampler under `--timeline`. The rows
+//!   carry the results back; [`Run::print_timelines`] prints the
+//!   `## timeline` sections and [`Run::finish`] exports the merged span
+//!   trees next to the trace file.
+//! * **Epilogue.** [`Run::finish`] flushes the trace, prints the
+//!   `--metrics` phase table to **stderr** (stdout stays byte-identical
+//!   with the sinks disabled) and writes `<dir>/<figure>.json` (see
+//!   [`manifest`]) when `--manifest` was given.
 
 #![warn(missing_docs)]
 
 pub mod diff;
 pub mod exec;
 pub mod manifest;
+mod run;
 
-use sim_disk::disk::DiskConfig;
+pub use run::{die, CellObs, Row, Run, Telemetry};
+
 use sim_disk::fault::FaultConfig;
-use sim_disk::metrics::MetricsRegistry;
-use sim_disk::trace::{Fanout, JsonlSink, SharedSink, Tracer};
-use std::sync::{Arc, Mutex};
-use traxtent::obs::span::{self, Span};
 
-/// Command-line convention shared by the binaries: `--quick`, `--seed N`,
-/// `--threads N`, `--trace <path>`, `--metrics`, `--faults <spec>`,
-/// `--fault-seed N`, plus binary-specific boolean flags.
+/// What one binary accepts on its command line.
+#[derive(Debug, Clone, Copy)]
+pub struct Grammar<'a> {
+    /// A tool binary's usage line after its name, e.g.
+    /// `<trace.jsonl> [--top <n>]`. `None` marks a figure binary: it also
+    /// accepts the common flags, and its usage line is generated.
+    pub usage: Option<&'a str>,
+    /// Boolean flags, e.g. `--writes`.
+    pub flags: &'a [&'a str],
+    /// Options that take a value, e.g. `--input`; repeatable.
+    pub values: &'a [&'a str],
+    /// Exactly how many positional arguments are required.
+    pub positionals: usize,
+}
+
+/// The common boolean flags of the figure binaries.
+const COMMON_FLAGS: [&str; 2] = ["--quick", "--metrics"];
+
+/// The common value options of the figure binaries, and what each requires.
+const COMMON_VALUES: [(&str, &str); 6] = [
+    ("--seed", "an integer"),
+    ("--threads", "an integer"),
+    ("--trace", "a path"),
+    ("--manifest", "a directory"),
+    ("--faults", "a spec, e.g. `media=500,rot=gauss:0.05`"),
+    ("--fault-seed", "an integer"),
+];
+
+impl Grammar<'_> {
+    /// A figure binary's grammar: the common flags plus its own.
+    pub fn figure<'a>(flags: &'a [&'a str], values: &'a [&'a str]) -> Grammar<'a> {
+        Grammar {
+            usage: None,
+            flags,
+            values,
+            positionals: 0,
+        }
+    }
+
+    /// The usage line after the binary name.
+    fn usage(&self) -> String {
+        match self.usage {
+            Some(fixed) => fixed.to_string(),
+            None => {
+                let own = self.flags.iter().map(|f| format!(" [{f}]"));
+                let own = own.chain(self.values.iter().map(|v| format!(" [{v} <value>]")));
+                "[--quick] [--seed <n>] [--threads <n>] [--trace <path>] [--metrics] \
+                 [--manifest <dir>] [--faults <spec>] [--fault-seed <n>]"
+                    .to_string()
+                    + &own.collect::<String>()
+            }
+        }
+    }
+}
+
+/// Prints the error and the usage line, then exits 2.
+fn usage_exit(msg: &str, usage: &str) -> ! {
+    let name = std::env::args().next().unwrap_or_else(|| "bench".into());
+    eprintln!("error: {msg}");
+    eprintln!("usage: {name} {usage}");
+    std::process::exit(2);
+}
+
+/// A parsed command line: the common flags of the figure binaries
+/// (defaults for a tool binary, whose grammar does not admit them) plus
+/// whatever the binary's own [`Grammar`] accepted.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Reduced sample counts for fast smoke runs.
@@ -69,74 +177,26 @@ pub struct Cli {
     /// `--fault-seed <n>`. `None` when the flag was absent: drives keep
     /// their configs' own (default, fault-free) settings.
     pub fault: Option<FaultConfig>,
-    /// Binary-specific boolean flags that were passed (e.g. `--writes`).
     flags: Vec<String>,
-    /// Binary-specific value options that were passed (e.g. `--input x`).
     values: Vec<(String, String)>,
+    positionals: Vec<String>,
+    usage: String,
 }
 
 impl Cli {
-    /// Parses `std::env::args` accepting only the common flags. Exits with
-    /// a usage message on malformed or unknown arguments.
-    pub fn parse() -> Self {
-        Self::parse_with(&[])
+    /// Parses the process arguments against `grammar`; on a malformed or
+    /// unknown argument prints the error and the usage line, and exits 2.
+    pub fn from_env(grammar: &Grammar) -> Self {
+        Self::parse_args(std::env::args().skip(1), grammar)
+            .unwrap_or_else(|e| usage_exit(&e, &grammar.usage()))
     }
 
-    /// Parses `std::env::args`, additionally accepting the given
-    /// binary-specific boolean flags (e.g. `&["--writes"]`). Exits with a
-    /// usage message on malformed or unknown arguments.
-    pub fn parse_with(known: &[&str]) -> Self {
-        Self::parse_with_values(known, &[])
-    }
-
-    /// Like [`Cli::parse_with`], additionally accepting binary-specific
-    /// options that take a value (e.g. `&["--input"]`), retrievable with
-    /// [`Cli::value`].
-    pub fn parse_with_values(known: &[&str], known_values: &[&str]) -> Self {
-        match Self::parse_args_values(std::env::args().skip(1), known, known_values) {
-            Ok(cli) => cli,
-            Err(msg) => {
-                let name = std::env::args().next().unwrap_or_else(|| "bench".into());
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: {name} [--quick] [--seed <n>] [--threads <n>] \
-                     [--trace <path>] [--metrics] [--manifest <dir>] \
-                     [--faults <spec>] [--fault-seed <n>]{}{}",
-                    {
-                        let extra: String = known.iter().map(|f| format!(" [{f}]")).collect();
-                        extra
-                    },
-                    {
-                        let extra: String = known_values
-                            .iter()
-                            .map(|f| format!(" [{f} <value>]"))
-                            .collect();
-                        extra
-                    }
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Pure parser behind [`Cli::parse_with`], separated for testing.
-    pub fn parse_args<I>(args: I, known: &[&str]) -> Result<Self, String>
+    /// The pure parser behind [`Cli::from_env`].
+    pub fn parse_args<I>(args: I, grammar: &Grammar) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
     {
-        Self::parse_args_values(args, known, &[])
-    }
-
-    /// Pure parser behind [`Cli::parse_with_values`], separated for
-    /// testing.
-    pub fn parse_args_values<I>(
-        args: I,
-        known: &[&str],
-        known_values: &[&str],
-    ) -> Result<Self, String>
-    where
-        I: IntoIterator<Item = String>,
-    {
+        let common = grammar.usage.is_none();
         let mut cli = Cli {
             quick: false,
             seed: 0x5eed,
@@ -147,52 +207,53 @@ impl Cli {
             fault: None,
             flags: Vec::new(),
             values: Vec::new(),
+            positionals: Vec::new(),
+            usage: grammar.usage(),
         };
-        let mut explicit_threads = false;
-        let mut fault_seed: Option<u64> = None;
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => cli.quick = true,
-                "--seed" => {
-                    cli.seed = parse_value(args.next(), "--seed")?;
-                }
-                "--threads" => {
-                    cli.threads = parse_value(args.next(), "--threads")?;
-                    if cli.threads == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    explicit_threads = true;
-                }
-                "--trace" => {
-                    cli.trace = Some(args.next().ok_or("--trace requires a path")?);
-                }
-                "--metrics" => cli.metrics = true,
-                "--manifest" => {
-                    cli.manifest = Some(args.next().ok_or("--manifest requires a directory")?);
-                }
-                "--faults" => {
-                    let spec = args
-                        .next()
-                        .ok_or("--faults requires a spec, e.g. `media=500,rot=gauss:0.05`")?;
-                    cli.fault =
-                        Some(FaultConfig::parse_spec(&spec).map_err(|e| format!("--faults: {e}"))?);
-                }
-                "--fault-seed" => {
-                    fault_seed = Some(parse_value(args.next(), "--fault-seed")?);
-                }
-                flag if known.contains(&flag) => cli.flags.push(a),
-                opt if known_values.contains(&opt) => {
-                    let value = args.next().ok_or_else(|| format!("{a} requires a value"))?;
-                    cli.values.push((a, value));
-                }
-                _ => return Err(format!("unrecognized argument `{a}`")),
+            let requires = COMMON_VALUES
+                .iter()
+                .find(|(opt, _)| common && *opt == a)
+                .map(|(_, what)| *what)
+                .or_else(|| grammar.values.contains(&a.as_str()).then_some("a value"));
+            if let Some(what) = requires {
+                let value = args.next().ok_or(format!("{a} requires {what}"))?;
+                cli.values.push((a, value));
+            } else if grammar.flags.contains(&a.as_str())
+                || (common && COMMON_FLAGS.contains(&a.as_str()))
+            {
+                cli.flags.push(a);
+            } else if !a.starts_with('-') && cli.positionals.len() < grammar.positionals {
+                cli.positionals.push(a);
+            } else {
+                return Err(format!("unrecognized argument `{a}`"));
             }
+        }
+        if cli.positionals.len() < grammar.positionals {
+            return Err(format!(
+                "expected {} positional argument(s), got {}",
+                grammar.positionals,
+                cli.positionals.len()
+            ));
+        }
+        if !common {
+            return Ok(cli);
+        }
+
+        cli.quick = cli.has("--quick");
+        cli.metrics = cli.has("--metrics");
+        cli.seed = cli.parsed("--seed")?.unwrap_or(cli.seed);
+        cli.trace = cli.value("--trace").map(str::to_string);
+        cli.manifest = cli.value("--manifest").map(str::to_string);
+        let threads: Option<usize> = cli.parsed("--threads")?;
+        if threads == Some(0) {
+            return Err("--threads must be at least 1".into());
         }
         if cli.trace.is_some() || cli.metrics {
             // One worker: requests then hit the shared sink in a stable
             // order, and the hot path never contends on the sink lock.
-            if explicit_threads && cli.threads > 1 {
+            if threads.is_some_and(|t| t > 1) {
                 return Err(
                     "--trace/--metrics need a deterministic event stream and run \
                      single-threaded; drop --threads or pass --threads 1"
@@ -200,7 +261,13 @@ impl Cli {
                 );
             }
             cli.threads = 1;
+        } else if let Some(t) = threads {
+            cli.threads = t;
         }
+        if let Some(spec) = cli.value("--faults") {
+            cli.fault = Some(FaultConfig::parse_spec(spec).map_err(|e| format!("--faults: {e}"))?);
+        }
+        let fault_seed: Option<u64> = cli.parsed("--fault-seed")?;
         match (&mut cli.fault, fault_seed) {
             (Some(f), Some(seed)) => f.seed = seed,
             (None, Some(_)) => {
@@ -216,155 +283,40 @@ impl Cli {
         self.flags.iter().any(|a| a == flag)
     }
 
-    /// The value of a binary-specific option like `--input`, if passed
-    /// (last occurrence wins).
+    /// Every value passed for an option like `--only`, in order.
+    pub fn values(&self, opt: &str) -> Vec<&str> {
+        let of_opt = self.values.iter().filter(|(o, _)| o == opt);
+        of_opt.map(|(_, v)| v.as_str()).collect()
+    }
+
+    /// The value of an option like `--input`, if passed (last occurrence
+    /// wins).
     pub fn value(&self, opt: &str) -> Option<&str> {
-        self.values
-            .iter()
-            .rev()
-            .find(|(o, _)| o == opt)
-            .map(|(_, v)| v.as_str())
+        self.values(opt).pop()
     }
 
-    /// A worker pool sized by `--threads`.
-    pub fn executor(&self) -> exec::Executor {
-        exec::Executor::new(self.threads)
+    /// The `index`-th positional argument; the parser has checked that the
+    /// grammar's count of them is present.
+    pub fn positional(&self, index: usize) -> &str {
+        &self.positionals[index]
     }
 
-    /// A manifest recorder for `figure`, writing into the `--manifest`
-    /// directory on [`manifest::Recorder::finish`] (or nowhere without the
-    /// flag). Recording headline values is always free.
-    pub fn recorder(&self, figure: &str) -> manifest::Recorder {
-        manifest::Recorder::new(
-            figure,
-            self.quick,
-            self.seed,
-            self.threads,
-            self.manifest.as_deref(),
-        )
+    /// [`Cli::value`] parsed as a number; a malformed value is an error.
+    pub fn parsed<T: std::str::FromStr>(&self, opt: &str) -> Result<Option<T>, String> {
+        self.value(opt)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("{opt} requires a number, got `{raw}`"))
+            })
+            .transpose()
     }
 
-    /// Exports a traced sweep's merged span trees (distinct per-cell salts
-    /// keep ids unique) next to the `--trace` file, as `<base>.spans.jsonl`
-    /// and `<base>.chrome.json`; does nothing without `--trace`. Status
-    /// goes to stderr so stdout stays byte-identical with an untraced run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either export file cannot be written.
-    pub fn export_spans(&self, binary: &str, mut spans: Vec<Span>) {
-        let Some(path) = self.trace.as_deref() else {
-            return;
-        };
-        spans.sort_by_key(|s| (s.start_ns, s.id));
-        let base = path.strip_suffix(".jsonl").unwrap_or(path);
-        let jsonl: String = spans.iter().map(|s| s.to_json() + "\n").collect();
-        std::fs::write(format!("{base}.spans.jsonl"), jsonl).expect("span export writable");
-        std::fs::write(format!("{base}.chrome.json"), span::chrome_trace(&spans))
-            .expect("chrome export writable");
-        eprintln!(
-            "{binary}: {} spans -> {base}.spans.jsonl, {base}.chrome.json",
-            spans.len()
-        );
+    /// [`Cli::parsed`] for a binary's own options: a malformed value prints
+    /// the error and the usage line, and exits 2.
+    pub fn number<T: std::str::FromStr>(&self, opt: &str) -> Option<T> {
+        self.parsed(opt)
+            .unwrap_or_else(|e| usage_exit(&e, &self.usage))
     }
-
-    /// Builds the observability sinks requested by `--trace`/`--metrics`.
-    /// With neither flag, the probe is inert and attaching it leaves
-    /// configurations untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `--trace` file cannot be created.
-    pub fn probe(&self) -> Probe {
-        let metrics = (self.metrics).then(|| Arc::new(Mutex::new(MetricsRegistry::new())));
-        let mut sinks: Vec<SharedSink> = Vec::new();
-        if let Some(path) = &self.trace {
-            let sink = JsonlSink::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file `{path}`: {e}"));
-            sinks.push(Arc::new(Mutex::new(sink)));
-        }
-        if let Some(reg) = &metrics {
-            sinks.push(reg.clone() as SharedSink);
-        }
-        let tracer = match sinks.len() {
-            0 => None,
-            1 => Some(Tracer::new(sinks.pop().expect("one sink"))),
-            _ => Some(Tracer::from_sink(Fanout::new(sinks))),
-        };
-        Probe {
-            tracer,
-            metrics,
-            fault: self.fault,
-        }
-    }
-}
-
-/// The per-run observability harness behind `--trace` and `--metrics`:
-/// holds the shared trace sink (JSONL file, metrics registry, or both) and
-/// attaches it to drive configurations as they are built.
-///
-/// Figure binaries create one probe per run, [`Probe::attach`] it to every
-/// [`DiskConfig`] they construct, and call [`Probe::finish`] before
-/// exiting; the metrics table goes to **stderr** so a figure's stdout
-/// stays byte-identical with the probe disabled.
-pub struct Probe {
-    tracer: Option<Tracer>,
-    metrics: Option<Arc<Mutex<MetricsRegistry>>>,
-    fault: Option<FaultConfig>,
-}
-
-impl Probe {
-    /// An inert probe (no tracing, no metrics, no fault injection).
-    pub fn disabled() -> Self {
-        Probe {
-            tracer: None,
-            metrics: None,
-            fault: None,
-        }
-    }
-
-    /// Whether any sink is attached.
-    pub fn enabled(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Points `config` at the probe's sink (no-op for an inert probe), so
-    /// every drive built from it — directly or deep inside a file-system
-    /// layer — reports there. When the run asked for fault injection
-    /// (`--faults`), the fault config is stamped on here too, so every
-    /// drive the binary builds misbehaves identically.
-    pub fn attach(&self, config: &mut DiskConfig) {
-        if let Some(t) = &self.tracer {
-            config.tracer = Some(t.clone());
-        }
-        if let Some(f) = self.fault {
-            config.fault = f;
-        }
-    }
-
-    /// [`Probe::attach`] as a by-value adapter, for builder-style call
-    /// sites.
-    pub fn wrap(&self, mut config: DiskConfig) -> DiskConfig {
-        self.attach(&mut config);
-        config
-    }
-
-    /// Flushes the trace file and, when `--metrics` was given, prints the
-    /// per-phase latency table to stderr.
-    pub fn finish(&self) {
-        if let Some(t) = &self.tracer {
-            t.flush();
-        }
-        if let Some(reg) = &self.metrics {
-            eprint!("{}", reg.lock().expect("metrics registry").report());
-        }
-    }
-}
-
-fn parse_value<T: std::str::FromStr>(arg: Option<String>, flag: &str) -> Result<T, String> {
-    let raw = arg.ok_or_else(|| format!("{flag} requires an integer"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag} requires an integer, got `{raw}`"))
 }
 
 /// Default worker count: all available cores.
@@ -372,35 +324,20 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Prints a header in the common format.
-pub fn header(title: &str) {
-    println!("# {title}");
-}
-
-/// Formats a row of tab-separated columns without printing it.
-pub fn row_string<I: IntoIterator<Item = String>>(cols: I) -> String {
-    cols.into_iter().collect::<Vec<_>>().join("\t")
-}
-
-/// Prints a row of tab-separated columns.
-pub fn row<I: IntoIterator<Item = String>>(cols: I) {
-    println!("{}", row_string(cols));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> std::vec::IntoIter<String> {
-        list.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
+    fn parse(list: &[&str], flags: &[&str], values: &[&str]) -> Result<Cli, String> {
+        Cli::parse_args(
+            list.iter().map(|s| s.to_string()),
+            &Grammar::figure(flags, values),
+        )
     }
 
     #[test]
     fn parse_defaults() {
-        let cli = Cli::parse_args(args(&[]), &[]).unwrap();
+        let cli = parse(&[], &[], &[]).unwrap();
         assert!(!cli.quick);
         assert_eq!(cli.seed, 0x5eed);
         assert_eq!(cli.threads, default_threads());
@@ -409,9 +346,10 @@ mod tests {
 
     #[test]
     fn parse_common_and_known_flags() {
-        let cli = Cli::parse_args(
-            args(&["--quick", "--seed", "42", "--threads", "3", "--writes"]),
+        let cli = parse(
+            &["--quick", "--seed", "42", "--threads", "3", "--writes"],
             &["--writes"],
+            &[],
         )
         .unwrap();
         assert!(cli.quick);
@@ -423,99 +361,119 @@ mod tests {
 
     #[test]
     fn malformed_seed_is_an_error_not_a_panic() {
-        let err = Cli::parse_args(args(&["--seed", "banana"]), &[]).unwrap_err();
+        let err = parse(&["--seed", "banana"], &[], &[]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
-        let err = Cli::parse_args(args(&["--seed"]), &[]).unwrap_err();
+        let err = parse(&["--seed"], &[], &[]).unwrap_err();
         assert!(err.contains("--seed"), "{err}");
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let err = Cli::parse_args(args(&["--writes"]), &[]).unwrap_err();
+        let err = parse(&["--writes"], &[], &[]).unwrap_err();
         assert!(err.contains("--writes"), "{err}");
-        let err = Cli::parse_args(args(&["--frobnicate"]), &["--writes"]).unwrap_err();
+        let err = parse(&["--frobnicate"], &["--writes"], &[]).unwrap_err();
         assert!(err.contains("--frobnicate"), "{err}");
+        // A figure binary takes no positional arguments.
+        assert!(parse(&["stray"], &[], &[]).is_err());
     }
 
     #[test]
     fn value_options_are_parsed_and_validated() {
-        let cli = Cli::parse_args_values(
-            args(&["--input", "traces/sample.trc", "--quick"]),
-            &[],
-            &["--input", "--count"],
-        )
-        .unwrap();
+        let own = ["--input", "--count"];
+        let cli = parse(&["--input", "traces/sample.trc", "--quick"], &[], &own).unwrap();
         assert_eq!(cli.value("--input"), Some("traces/sample.trc"));
         assert_eq!(cli.value("--count"), None);
         assert!(cli.quick);
 
         // A missing value is an error, not a silent swallow.
-        let err = Cli::parse_args_values(args(&["--input"]), &[], &["--input"]).unwrap_err();
+        let err = parse(&["--input"], &[], &own).unwrap_err();
         assert!(err.contains("--input"), "{err}");
         // Unknown value options are still rejected.
-        assert!(Cli::parse_args_values(args(&["--input", "x"]), &[], &[]).is_err());
+        assert!(parse(&["--input", "x"], &[], &[]).is_err());
         // Last occurrence wins.
-        let cli =
-            Cli::parse_args_values(args(&["--count", "5", "--count", "9"]), &[], &["--count"])
-                .unwrap();
+        let cli = parse(&["--count", "5", "--count", "9"], &[], &own).unwrap();
         assert_eq!(cli.value("--count"), Some("9"));
+        assert_eq!(cli.parsed::<usize>("--count"), Ok(Some(9)));
+        assert!(parse(&["--count", "x"], &[], &own)
+            .unwrap()
+            .parsed::<usize>("--count")
+            .is_err());
+    }
+
+    #[test]
+    fn tool_grammars_take_positionals_and_not_the_common_flags() {
+        let tool = Grammar {
+            usage: Some("<a> <b> [--tol <frac>] [--only <figure>]..."),
+            flags: &[],
+            values: &["--tol", "--only", "--manifest"],
+            positionals: 2,
+        };
+        let parse = |list: &[&str]| Cli::parse_args(list.iter().map(|s| s.to_string()), &tool);
+        let cli = parse(&["base", "--only", "x", "cur", "--only", "y", "--tol", "0.5"]).unwrap();
+        assert_eq!((cli.positional(0), cli.positional(1)), ("base", "cur"));
+        assert_eq!(cli.values("--only"), ["x", "y"]);
+        assert_eq!(cli.parsed::<f64>("--tol"), Ok(Some(0.5)));
+        // A tool's own `--manifest` is its own business, not the run's.
+        assert_eq!(
+            parse(&["a", "b", "--manifest", "m.json"]).unwrap().manifest,
+            None
+        );
+        for bad in [
+            &["base"][..],
+            &["a", "b", "c"],
+            &["a", "b", "--quick"],
+            &["a", "b", "--seed", "1"],
+            &["a", "b", "--tol"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn zero_threads_is_rejected() {
-        assert!(Cli::parse_args(args(&["--threads", "0"]), &[]).is_err());
+        assert!(parse(&["--threads", "0"], &[], &[]).is_err());
     }
 
     #[test]
     fn trace_and_metrics_default_to_one_thread() {
-        let cli = Cli::parse_args(args(&["--metrics"]), &[]).unwrap();
+        let cli = parse(&["--metrics"], &[], &[]).unwrap();
         assert!(cli.metrics);
         assert_eq!(cli.threads, 1);
-        let cli = Cli::parse_args(args(&["--trace", "/tmp/t.jsonl"]), &[]).unwrap();
+        let cli = parse(&["--trace", "/tmp/t.jsonl"], &[], &[]).unwrap();
         assert_eq!(cli.trace.as_deref(), Some("/tmp/t.jsonl"));
         assert_eq!(cli.threads, 1);
-        assert!(Cli::parse_args(args(&["--trace"]), &[]).is_err());
+        assert!(parse(&["--trace"], &[], &[]).is_err());
     }
 
     #[test]
     fn explicit_parallel_threads_with_trace_or_metrics_is_an_error() {
         // Silently forcing one thread would make `--threads 8` a lie; the
         // combination is rejected with an actionable message instead.
-        let err = Cli::parse_args(args(&["--threads", "8", "--metrics"]), &[]).unwrap_err();
+        let err = parse(&["--threads", "8", "--metrics"], &[], &[]).unwrap_err();
         assert!(err.contains("--threads 1"), "{err}");
-        let err =
-            Cli::parse_args(args(&["--trace", "/tmp/t.jsonl", "--threads", "2"]), &[]).unwrap_err();
+        let err = parse(&["--trace", "/tmp/t.jsonl", "--threads", "2"], &[], &[]).unwrap_err();
         assert!(err.contains("single-threaded"), "{err}");
         // An explicit `--threads 1` is consistent and accepted.
-        let cli = Cli::parse_args(args(&["--threads", "1", "--metrics"]), &[]).unwrap();
+        let cli = parse(&["--threads", "1", "--metrics"], &[], &[]).unwrap();
         assert_eq!(cli.threads, 1);
     }
 
     #[test]
     fn manifest_flag_is_parsed() {
-        let cli = Cli::parse_args(args(&["--manifest", "results/manifest"]), &[]).unwrap();
+        let cli = parse(&["--manifest", "results/manifest"], &[], &[]).unwrap();
         assert_eq!(cli.manifest.as_deref(), Some("results/manifest"));
-        assert!(Cli::parse_args(args(&["--manifest"]), &[]).is_err());
+        assert!(parse(&["--manifest"], &[], &[]).is_err());
         // Manifests do not constrain the thread count.
-        let cli = Cli::parse_args(args(&["--manifest", "m", "--threads", "4"]), &[]).unwrap();
+        let cli = parse(&["--manifest", "m", "--threads", "4"], &[], &[]).unwrap();
         assert_eq!(cli.threads, 4);
     }
 
     #[test]
     fn fault_flags_parse_into_a_config() {
-        let cli = Cli::parse_args(args(&[]), &[]).unwrap();
-        assert!(cli.fault.is_none());
+        assert!(parse(&[], &[], &[]).unwrap().fault.is_none());
 
-        let cli = Cli::parse_args(
-            args(&[
-                "--faults",
-                "media=500,rot=gauss:0.05,nodiag",
-                "--fault-seed",
-                "99",
-            ]),
-            &[],
-        )
-        .unwrap();
+        let spec = "media=500,rot=gauss:0.05,nodiag";
+        let cli = parse(&["--faults", spec, "--fault-seed", "99"], &[], &[]).unwrap();
         let f = cli.fault.expect("fault config parsed");
         assert_eq!(f.media_per_million, 500);
         assert_eq!(f.rot_jitter, sim_disk::fault::Jitter::Gaussian(0.05));
@@ -523,8 +481,9 @@ mod tests {
         assert_eq!(f.seed, 99);
 
         // Flag order must not matter for the seed.
-        let cli = Cli::parse_args(
-            args(&["--fault-seed", "7", "--faults", "transient=100"]),
+        let cli = parse(
+            &["--fault-seed", "7", "--faults", "transient=100"],
+            &[],
             &[],
         )
         .unwrap();
@@ -533,55 +492,13 @@ mod tests {
 
     #[test]
     fn malformed_fault_flags_are_errors_not_panics() {
-        let err = Cli::parse_args(args(&["--faults"]), &[]).unwrap_err();
+        let err = parse(&["--faults"], &[], &[]).unwrap_err();
         assert!(err.contains("--faults"), "{err}");
-        let err = Cli::parse_args(args(&["--faults", "media=lots"]), &[]).unwrap_err();
+        let err = parse(&["--faults", "media=lots"], &[], &[]).unwrap_err();
         assert!(err.contains("per-million"), "{err}");
-        let err = Cli::parse_args(args(&["--fault-seed", "3"]), &[]).unwrap_err();
+        let err = parse(&["--fault-seed", "3"], &[], &[]).unwrap_err();
         assert!(err.contains("--faults"), "{err}");
-        let err =
-            Cli::parse_args(args(&["--faults", "media=1", "--fault-seed", "x"]), &[]).unwrap_err();
+        let err = parse(&["--faults", "media=1", "--fault-seed", "x"], &[], &[]).unwrap_err();
         assert!(err.contains("--fault-seed"), "{err}");
-    }
-
-    #[test]
-    fn probe_stamps_the_fault_config_on_attach() {
-        let cli = Cli::parse_args(args(&["--faults", "media=250,nodiag"]), &[]).unwrap();
-        let probe = cli.probe();
-        let cfg = probe.wrap(sim_disk::models::small_test_disk());
-        assert_eq!(cfg.fault.media_per_million, 250);
-        assert!(cfg.fault.diagnostics_unsupported);
-        // Without the flag, attach leaves the config's own faults alone.
-        let cli = Cli::parse_args(args(&[]), &[]).unwrap();
-        let mut cfg = sim_disk::models::small_test_disk();
-        cfg.fault.transient_per_million = 42;
-        let cfg = cli.probe().wrap(cfg);
-        assert_eq!(cfg.fault.transient_per_million, 42);
-    }
-
-    #[test]
-    fn disabled_probe_leaves_configs_untouched() {
-        let probe = Probe::disabled();
-        assert!(!probe.enabled());
-        let cfg = probe.wrap(sim_disk::models::small_test_disk());
-        assert!(cfg.tracer.is_none());
-        probe.finish(); // must be a no-op, not a panic
-    }
-
-    #[test]
-    fn metrics_probe_collects_from_attached_drives() {
-        let cli = Cli::parse_args(args(&["--metrics"]), &[]).unwrap();
-        let probe = cli.probe();
-        assert!(probe.enabled());
-        let cfg = probe.wrap(sim_disk::models::small_test_disk());
-        let mut disk = sim_disk::Disk::new(cfg);
-        let c = disk.service(
-            sim_disk::disk::Request::read(0, 64),
-            sim_disk::SimTime::ZERO,
-        );
-        let reg = probe.metrics.as_ref().unwrap().lock().unwrap();
-        assert_eq!(reg.requests(), 1);
-        let resp = reg.phase("response").unwrap();
-        assert_eq!(resp.max_ns(), c.response_time().as_ns());
     }
 }

@@ -31,8 +31,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
-use traxtent::obs::{json, Registry, Snapshot};
+use traxtent::obs::json;
 
 /// One run's manifest: configuration, cost, headline results, and metrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,64 +231,8 @@ impl Manifest {
     }
 }
 
-/// Records one figure binary's run and writes the manifest at the end.
-///
-/// Binaries construct a recorder unconditionally (recording headline values
-/// costs nothing), and [`Recorder::finish`] only touches the file system
-/// when `--manifest <dir>` was given — so a run without the flag is
-/// byte-for-byte the run it always was.
-pub struct Recorder {
-    manifest: Manifest,
-    dir: Option<PathBuf>,
-    start: Instant,
-}
-
-impl Recorder {
-    /// A recorder for `figure`, writing into `dir` at the end if given.
-    pub fn new(figure: &str, quick: bool, seed: u64, threads: usize, dir: Option<&str>) -> Self {
-        Recorder {
-            manifest: Manifest::new(figure, quick, seed, threads),
-            dir: dir.map(PathBuf::from),
-            start: Instant::now(),
-        }
-    }
-
-    /// Records one headline result value.
-    pub fn headline(&mut self, key: &str, value: f64) {
-        self.manifest.headline.insert(key.to_string(), value);
-    }
-
-    /// Records one named time-series (one row of named values per window).
-    pub fn timeline(&mut self, name: &str, rows: Vec<BTreeMap<String, f64>>) {
-        self.manifest.timeline.insert(name.to_string(), rows);
-    }
-
-    /// Stamps wall time and the registry snapshot, then writes the manifest
-    /// if a directory was requested. Returns the path written, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manifest file cannot be written.
-    pub fn finish(mut self, registry: &Registry) -> Option<PathBuf> {
-        let dir = self.dir.take()?;
-        self.manifest.wall_secs = self.start.elapsed().as_secs_f64();
-        self.manifest.git_rev = git_rev();
-        self.manifest.metrics = snapshot_map(&registry.snapshot());
-        let path = self
-            .manifest
-            .write_to(&dir)
-            .unwrap_or_else(|e| panic!("cannot write manifest into `{}`: {e}", dir.display()));
-        Some(path)
-    }
-}
-
-/// A [`Snapshot`]'s entries as an owned map.
-fn snapshot_map(snap: &Snapshot) -> BTreeMap<String, u64> {
-    snap.entries().iter().cloned().collect()
-}
-
 /// The working tree's short revision, or `unknown` outside a git checkout.
-fn git_rev() -> String {
+pub(crate) fn git_rev() -> String {
     std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -403,27 +346,6 @@ mod tests {
         let loaded = Manifest::load_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded["fig1"], m);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recorder_writes_only_when_asked() {
-        let reg = Registry::new();
-        reg.add("a.count", 3);
-        let silent = Recorder::new("figX", true, 1, 1, None);
-        assert_eq!(silent.finish(&reg), None);
-
-        let dir = std::env::temp_dir().join(format!("traxtent-recorder-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut rec = Recorder::new("figX", true, 1, 2, dir.to_str());
-        rec.headline("value", 42.0);
-        let path = rec.finish(&reg).expect("manifest written");
-        let m = Manifest::load(&path).unwrap();
-        assert_eq!(m.figure, "figX");
-        assert_eq!(m.threads, 2);
-        assert_eq!(m.headline["value"], 42.0);
-        assert_eq!(m.metrics["a.count"], 3);
-        assert!(m.wall_secs >= 0.0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

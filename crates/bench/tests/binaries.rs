@@ -5,33 +5,17 @@
 //!
 //! `table1` stands in for the figure binaries because it is the cheapest
 //! (geometry construction only, ~0.1 s in a debug build) while exercising
-//! the whole `Cli` → executor → `Recorder` path the others share.
+//! the whole `Run` path the others share.
 
+mod common;
+
+use common::{golden, repo, run, scratch, stdout};
 use sim_disk::disk::Op;
 use sim_disk::trace::TraceEvent;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::Path;
+use std::process::{Command, Stdio};
 use traxtent_bench::manifest::Manifest;
-
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("traxtent-bin-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| panic!("cannot spawn `{bin}`: {e}"))
-}
-
-fn stdout(out: &Output) -> String {
-    String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
-}
 
 /// One syntactically valid trace line, as a figure run would emit it.
 fn valid_trace_line() -> String {
@@ -303,5 +287,95 @@ fn sweep_trace_exports_chain_into_trace_timeline() {
     );
     assert_eq!(out.status.code(), Some(1), "malformed span must fail");
 
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn figure_stdout_matches_the_committed_goldens() {
+    // (golden name, binary, extra flags); the two sweeps are checked by
+    // their determinism tests, on the `--threads 1` run those already make.
+    let sample = repo("traces/sample.trc");
+    let figures: [(&str, &str, &[&str]); 17] = [
+        ("table1", env!("CARGO_BIN_EXE_table1"), &[]),
+        ("fig1", env!("CARGO_BIN_EXE_fig1"), &[]),
+        ("fig3", env!("CARGO_BIN_EXE_fig3"), &[]),
+        ("fig6", env!("CARGO_BIN_EXE_fig6"), &[]),
+        ("fig6_writes", env!("CARGO_BIN_EXE_fig6"), &["--writes"]),
+        ("fig7", env!("CARGO_BIN_EXE_fig7"), &[]),
+        ("fig8", env!("CARGO_BIN_EXE_fig8"), &[]),
+        ("table2", env!("CARGO_BIN_EXE_table2"), &[]),
+        ("fig9", env!("CARGO_BIN_EXE_fig9"), &[]),
+        ("fig9_hard", env!("CARGO_BIN_EXE_fig9"), &["--hard"]),
+        ("fig10", env!("CARGO_BIN_EXE_fig10"), &[]),
+        ("extraction", env!("CARGO_BIN_EXE_extraction"), &[]),
+        ("ablation", env!("CARGO_BIN_EXE_ablation"), &[]),
+        ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep"), &[]),
+        ("replay", env!("CARGO_BIN_EXE_replay"), &[]),
+        (
+            "replay_input",
+            env!("CARGO_BIN_EXE_replay"),
+            &["--input", sample.to_str().unwrap()],
+        ),
+        ("crash_sweep", env!("CARGO_BIN_EXE_crash_sweep"), &[]),
+    ];
+    // Unoptimized, table2, fig9 and fig10 cost 8–10 s each: a debug build
+    // leaves them to `cargo test --release` and to CI's smoke loop, which
+    // `cmp`s every golden against the release binaries.
+    let slow = ["table2", "fig9", "fig10"];
+    let figures = figures
+        .iter()
+        .filter(|(name, ..)| !(cfg!(debug_assertions) && slow.contains(name)));
+    let children: Vec<_> = figures
+        .clone()
+        .map(|(_, bin, extra)| {
+            Command::new(bin)
+                .args(["--quick", "--threads", "1"])
+                .args(*extra)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::null())
+                .spawn()
+                .unwrap_or_else(|e| panic!("cannot spawn `{bin}`: {e}"))
+        })
+        .collect();
+    for ((name, ..), child) in figures.zip(children) {
+        let out = child.wait_with_output().expect("child runs to completion");
+        assert!(out.status.success(), "{name}: {:?}", out.status);
+        assert_eq!(stdout(&out), golden(name), "{name}: stdout moved");
+    }
+}
+
+#[test]
+fn crash_sweep_traces_its_drives_without_moving_stdout() {
+    let dir = scratch("crash-trace");
+    let trace = dir.join("crash.jsonl");
+    let bin = env!("CARGO_BIN_EXE_crash_sweep");
+    let plain = run(bin, &["--quick"]);
+    let traced = run(bin, &["--quick", "--trace", trace.to_str().unwrap()]);
+    assert!(plain.status.success() && traced.status.success());
+    assert_eq!(stdout(&plain), stdout(&traced), "tracing moved stdout");
+    let first = fs::read_to_string(&trace).unwrap();
+    let first = first.lines().next().expect("the drives report to --trace");
+    TraceEvent::parse_json(first).expect("a trace event");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unwritable_output_paths_exit_2_before_any_cell() {
+    // A path under a regular file cannot be created even by root.
+    let dir = scratch("bad-paths");
+    let file = dir.join("file");
+    fs::write(&file, "").unwrap();
+    let under = file.join("sub");
+    for flag in ["--manifest", "--trace"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_table1"),
+            &["--quick", flag, under.to_str().unwrap()],
+        );
+        assert_eq!(out.status.code(), Some(2), "{flag}: {:?}", out.status);
+        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "{flag}: one line, got {err}");
+        assert!(err.starts_with("error: cannot create"), "{flag}: {err}");
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

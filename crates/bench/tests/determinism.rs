@@ -6,7 +6,7 @@ use sim_disk::bus::BusConfig;
 use sim_disk::disk::{Disk, DiskConfig, Op};
 use sim_disk::models;
 use traxtent_bench::exec::Executor;
-use traxtent_bench::row_string;
+use traxtent_bench::Row;
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoResult, RandomIoSpec};
 
 /// A small but representative config matrix: sizes × alignment × queue
@@ -55,19 +55,19 @@ fn parallel_results_match_sequential_exactly() {
 
 #[test]
 fn merged_row_output_is_byte_identical() {
-    // The binaries' pattern: jobs format row strings, the caller joins
-    // them. The joined text must not depend on the thread count.
+    // The binaries' pattern: jobs build rows, the caller prints them in
+    // order. The joined text must not depend on the thread count.
     let render = |threads: usize| -> String {
         let cfg = models::quantum_atlas_10k_ii();
         let rows = Executor::new(threads).run(matrix(), |idx, spec| {
             let mut disk = Disk::new(cfg.clone());
             let r = run_random_io(&mut disk, &spec);
-            row_string([
-                idx.to_string(),
-                format!("{:.3}", r.mean_response().as_millis_f64()),
-                format!("{:.3}", r.mean_head_time(spec.queue).as_millis_f64()),
-                format!("{:.4}", r.efficiency(spec.queue)),
-            ])
+            Row::new()
+                .col(idx)
+                .num(r.mean_response().as_millis_f64(), 3)
+                .num(r.mean_head_time(spec.queue).as_millis_f64(), 3)
+                .num(r.efficiency(spec.queue), 4)
+                .to_string()
         });
         rows.join("\n")
     };

@@ -4,37 +4,33 @@
 //! degraded-mode reconstruction, rebuild, and scrub all run on the
 //! simulated clock and owe nothing to the host thread count.
 
+mod common;
+
+use common::{golden, run, scratch};
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::Path;
+use std::process::Output;
 use traxtent_bench::manifest::Manifest;
 
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("traxtent-fleet-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 fn run_sweep(manifest_dir: &Path, threads: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
-        .args([
+    let dir = manifest_dir.to_str().unwrap();
+    run(
+        env!("CARGO_BIN_EXE_fleet_sweep"),
+        &[
             "--quick",
             "--seed",
             "42",
             "--threads",
             threads,
             "--manifest",
-            manifest_dir.to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn fleet_sweep")
+            dir,
+        ],
+    )
 }
 
 #[test]
 fn fleet_sweep_is_thread_count_invariant() {
-    let base = scratch("threads");
+    let base = scratch("fleet-threads");
     let mut seen: Option<(String, Manifest)> = None;
     for threads in ["1", "2", "8"] {
         let dir = base.join(format!("t{threads}"));
@@ -45,7 +41,10 @@ fn fleet_sweep_is_thread_count_invariant() {
         let manifest = Manifest::load(&dir.join("fleet_sweep.json")).unwrap();
         assert_eq!(manifest.threads, threads.parse::<usize>().unwrap());
         match &seen {
-            None => seen = Some((text, manifest)),
+            None => {
+                assert_eq!(text, golden("fleet_sweep"), "stdout moved since the golden");
+                seen = Some((text, manifest));
+            }
             Some((text1, m1)) => {
                 assert_eq!(text1, &text, "stdout differs at --threads {threads}");
                 assert_eq!(

@@ -6,42 +6,38 @@
 //! * replaying the committed `traces/sample.trc` through the server
 //!   matches the hand-computed completion count for every scheduler.
 
+mod common;
+
+use common::{golden, repo, run, scratch};
 use server::{serve, SchedulerKind, ServerConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use std::fs;
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::path::Path;
+use std::process::Output;
 use traxtent::ConfidentBoundaries;
 use traxtent_bench::manifest::Manifest;
 use workloads::replay::parse_trace;
 
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("traxtent-srv-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
 fn run_sweep(manifest_dir: &Path, threads: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_server_sweep"))
-        .args([
+    let dir = manifest_dir.to_str().unwrap();
+    run(
+        env!("CARGO_BIN_EXE_server_sweep"),
+        &[
             "--quick",
             "--seed",
             "42",
             "--threads",
             threads,
             "--manifest",
-            manifest_dir.to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn server_sweep")
+            dir,
+        ],
+    )
 }
 
 #[test]
 fn server_sweep_is_thread_count_invariant() {
-    let base = scratch("threads");
+    let base = scratch("server-threads");
     let mut seen: Option<(String, Manifest)> = None;
     for threads in ["1", "2", "8"] {
         let dir = base.join(format!("t{threads}"));
@@ -52,7 +48,14 @@ fn server_sweep_is_thread_count_invariant() {
         let manifest = Manifest::load(&dir.join("server_sweep.json")).unwrap();
         assert_eq!(manifest.threads, threads.parse::<usize>().unwrap());
         match &seen {
-            None => seen = Some((text, manifest)),
+            None => {
+                assert_eq!(
+                    text,
+                    golden("server_sweep"),
+                    "stdout moved since the golden"
+                );
+                seen = Some((text, manifest));
+            }
             Some((text1, m1)) => {
                 assert_eq!(text1, &text, "stdout differs at --threads {threads}");
                 assert_eq!(
@@ -76,8 +79,7 @@ fn sample_trace_replay_matches_hand_computed_completions() {
     // (~33 req/s) against a ~13 ms random track-sized service time —
     // utilization ~0.45, so the 128-deep admission queue can never fill:
     // by hand, completions = 2000 and rejections = 0, for every policy.
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../traces/sample.trc");
-    let text = fs::read_to_string(path).expect("committed trace exists");
+    let text = fs::read_to_string(repo("traces/sample.trc")).expect("committed trace exists");
     let records = parse_trace(&text).expect("committed trace parses");
     assert_eq!(records.len(), 2000, "trace length is part of the contract");
 
