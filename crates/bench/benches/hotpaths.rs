@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks for the library's hot paths: LBN↔physical
-//! translation, drive request servicing, boundary-table queries, and the
-//! traxtent allocator. These guard the performance of the building blocks
-//! that every figure harness leans on.
+//! translation, drive request servicing, boundary-table queries, the
+//! traxtent allocator, and the file system's per-block structures. These
+//! guard the performance of the building blocks that every figure harness
+//! leans on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ffs::cache::BufferCache;
+use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
 use sim_disk::disk::{Disk, Request};
 use sim_disk::models;
 use sim_disk::SimTime;
@@ -160,12 +163,75 @@ fn bench_allocator(c: &mut Criterion) {
     });
 }
 
+/// The file system's per-block structures: what a cached block, an
+/// eviction and a written block cost, what `create` costs on a disk whose
+/// low tracks are full, and `mkfs`.
+fn bench_ffs(c: &mut Criterion) {
+    let blocks = FileSystem::DEFAULT_CACHE_BLOCKS as u64;
+    c.bench_function("ffs/cache_hit", |b| {
+        let mut cache = BufferCache::new(blocks as usize);
+        for block in 0..blocks {
+            cache.insert(block);
+        }
+        let mut block = 0u64;
+        b.iter(|| {
+            block = (block + 1) % blocks;
+            black_box(cache.contains(black_box(block)))
+        })
+    });
+    c.bench_function("ffs/cache_insert_evict", |b| {
+        let mut cache = BufferCache::new(blocks as usize);
+        let mut block = 0u64;
+        b.iter(|| {
+            block += 1;
+            black_box(cache.insert(black_box(block)))
+        })
+    });
+    c.bench_function("ffs/write_block_sequential", |b| {
+        let disk = Disk::new(models::quantum_atlas_10k());
+        let mut fs = FileSystem::format(disk, Personality::Traxtent);
+        let mut file = fs.create();
+        let mut at = 0u64;
+        b.iter(|| {
+            if fs.write(file, at, BYTES_PER_BLOCK).is_ok() {
+                at += BYTES_PER_BLOCK;
+            } else {
+                // Disk full: start over on an empty one.
+                fs.delete(file).expect("file exists");
+                file = fs.create();
+                at = 0;
+            }
+        })
+    });
+    let atlas = Disk::new(models::quantum_atlas_10k());
+    let table = atlas.track_boundaries();
+    let capacity = atlas.geometry().capacity_lbns();
+    c.bench_function("ffs/create_past_2000_full_tracks", |b| {
+        let mut layout = Layout::format(Personality::Traxtent, table.clone(), capacity);
+        let full = table.track_extent(2000).start / BLOCK_SECTORS;
+        for block in 0..full {
+            if layout.is_free(block) {
+                layout.take(block);
+            }
+        }
+        b.iter(|| {
+            let first = layout.alloc_next(None, 8).expect("space");
+            layout.release(first);
+            black_box(first)
+        })
+    });
+    c.bench_function("ffs/format_atlas10k", |b| {
+        b.iter(|| Layout::format(Personality::Traxtent, table.clone(), capacity))
+    });
+}
+
 criterion_group!(
     benches,
     bench_geometry,
     bench_disk_service,
     bench_rotation,
     bench_boundaries,
-    bench_allocator
+    bench_allocator,
+    bench_ffs
 );
 criterion_main!(benches);

@@ -15,7 +15,7 @@ use crate::layout::{Layout, Personality, BLOCKS_PER_GROUP, BLOCK_SECTORS, BYTES_
 use sim_disk::crash::SectorImage;
 use sim_disk::disk::{Disk, Request};
 use sim_disk::{SimDur, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -142,7 +142,7 @@ impl FsStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inode {
     /// File block index → disk block number.
     blocks: Vec<u64>,
@@ -161,13 +161,18 @@ pub struct FileSystem {
     layout: Layout,
     cache: BufferCache,
     clock: SimTime,
-    files: HashMap<FileId, Inode>,
-    /// Prefetched blocks still in flight: block → instant the data arrives.
-    inflight: HashMap<u64, SimTime>,
-    next_id: u64,
+    /// Inodes by raw file id; `None` marks a deleted file. Ids are handed
+    /// out in sequence from 1, so slot 0 is never a file.
+    files: Vec<Option<Inode>>,
+    /// Prefetched runs still in flight: first block → (blocks, instant the
+    /// data arrives). Runs never overlap, and each lies within one file.
+    inflight: BTreeMap<u64, (u64, SimTime)>,
     stats: FsStats,
     /// Cap on clustered transfers, in blocks (32 in FreeBSD).
     cluster_cap: u64,
+    /// The cluster limit of the dirty run starting at block `.0`, as last
+    /// worked out by `maybe_commit_cluster` (it depends on the start alone).
+    commit_limit: (u64, u64),
     /// Crash-consistency shadow (None on the default timing-only path).
     shadow: Option<Box<Shadow>>,
 }
@@ -206,11 +211,11 @@ impl FileSystem {
             layout,
             cache: BufferCache::new(Self::DEFAULT_CACHE_BLOCKS),
             clock: SimTime::ZERO,
-            files: HashMap::new(),
-            inflight: HashMap::new(),
-            next_id: 1,
+            files: vec![None],
+            inflight: BTreeMap::new(),
             stats: FsStats::default(),
             cluster_cap: 32,
+            commit_limit: (u64::MAX, 0),
             shadow: None,
         }
     }
@@ -231,7 +236,7 @@ impl FileSystem {
     /// Panics if files already exist.
     pub fn enable_crash_shadow(&mut self, salt: u64) {
         assert!(
-            self.files.is_empty(),
+            self.files.iter().all(Option::is_none),
             "enable the crash shadow on a freshly formatted file system"
         );
         self.layout.reserve_group_metadata();
@@ -290,14 +295,7 @@ impl FileSystem {
     pub fn checkpoint_metadata(&mut self) -> SimTime {
         assert!(self.shadow.is_some(), "crash shadow not enabled");
         for g in 0..image::ngroups(self.layout.blocks()) {
-            let c = self.disk.service(
-                Request::write(image::meta_lbn(g), BLOCK_SECTORS),
-                self.clock,
-            );
-            self.stats.disk_writes += 1;
-            self.stats.sectors_written += BLOCK_SECTORS;
-            self.clock = c.completion;
-            self.attach_group_payload(g);
+            self.write_group_metadata(g);
         }
         self.clock
     }
@@ -320,7 +318,7 @@ impl FileSystem {
         if let Some(owners) = sh.slots.get(g as usize) {
             for (si, owner) in owners.iter().enumerate() {
                 let Some(fid) = owner else { continue };
-                let inode = &self.files[fid];
+                let inode = self.inode(*fid).expect("slot owners are live files");
                 let mut extents = image::extents_of(&inode.blocks);
                 if extents.len() > image::MAX_EXTENTS {
                     err = Some(ShadowError::TooManyExtents {
@@ -443,13 +441,21 @@ impl FileSystem {
     /// Every live file as `(id, size_bytes, blocks)`, in id order — the
     /// in-memory truth crash harnesses compare recovered images against.
     pub fn live_files(&self) -> Vec<(FileId, u64, Vec<u64>)> {
-        let mut out: Vec<_> = self
-            .files
+        self.files
             .iter()
-            .map(|(id, inode)| (*id, inode.size_bytes, inode.blocks.clone()))
-            .collect();
-        out.sort_by_key(|&(id, _, _)| id);
-        out
+            .enumerate()
+            .filter_map(|(id, inode)| {
+                let inode = inode.as_ref()?;
+                Some((FileId(id as u64), inode.size_bytes, inode.blocks.clone()))
+            })
+            .collect()
+    }
+
+    fn inode(&self, file: FileId) -> Result<&Inode, FsError> {
+        self.files
+            .get(file.0 as usize)
+            .and_then(Option::as_ref)
+            .ok_or(FsError::NoSuchFile(file))
     }
 
     /// The size of a file in bytes.
@@ -458,29 +464,14 @@ impl FileSystem {
     ///
     /// Returns [`FsError::NoSuchFile`] for unknown ids.
     pub fn size_of(&self, file: FileId) -> Result<u64, FsError> {
-        Ok(self
-            .files
-            .get(&file)
-            .ok_or(FsError::NoSuchFile(file))?
-            .size_bytes)
+        Ok(self.inode(file)?.size_bytes)
     }
 
     /// Creates an empty file, charging a synchronous one-block metadata
     /// write (inode + directory update).
     pub fn create(&mut self) -> FileId {
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(
-            id,
-            Inode {
-                blocks: Vec::new(),
-                size_bytes: 0,
-                last_read: None,
-                seq_count: 0,
-                accessed: false,
-                nonseq_seen: false,
-            },
-        );
+        let id = FileId(self.files.len() as u64);
+        self.files.push(Some(Inode::default()));
         if let Some(sh) = self.shadow.as_deref_mut() {
             let g = (id.0 % (self.layout.blocks() / BLOCKS_PER_GROUP)) as usize;
             match sh.slots[g].iter_mut().find(|s| s.is_none()) {
@@ -502,9 +493,14 @@ impl FileSystem {
     ///
     /// Returns [`FsError::NoSuchFile`] for unknown ids.
     pub fn delete(&mut self, file: FileId) -> Result<(), FsError> {
-        let inode = self.files.remove(&file).ok_or(FsError::NoSuchFile(file))?;
+        let inode = self
+            .files
+            .get_mut(file.0 as usize)
+            .and_then(Option::take)
+            .ok_or(FsError::NoSuchFile(file))?;
         for b in inode.blocks {
             self.cache.discard(b);
+            // A run lies within one file, so its first block is one of these.
             self.inflight.remove(&b);
             self.layout.release(b);
         }
@@ -522,16 +518,34 @@ impl FileSystem {
 
     /// Synchronous small write to the file's block group's metadata area.
     fn metadata_write(&mut self, file: FileId) {
-        // The inode block for the file's group: the first block of group g.
-        let group = file.0 % (self.layout.blocks() / BLOCKS_PER_GROUP);
-        let lbn = group * BLOCKS_PER_GROUP * BLOCK_SECTORS;
-        let c = self
-            .disk
-            .service(Request::write(lbn, BLOCK_SECTORS), self.clock);
+        self.write_group_metadata(file.0 % (self.layout.blocks() / BLOCKS_PER_GROUP));
+    }
+
+    /// Writes group `g`'s metadata block (the first block of the group)
+    /// and waits for it.
+    fn write_group_metadata(&mut self, g: u64) {
+        self.clock = self.issue_write(image::meta_lbn(g), BLOCK_SECTORS);
+        self.attach_group_payload(g);
+    }
+
+    /// Issues one disk write at the current clock and counts it; returns
+    /// its completion.
+    fn issue_write(&mut self, lbn: u64, sectors: u64) -> SimTime {
         self.stats.disk_writes += 1;
-        self.stats.sectors_written += BLOCK_SECTORS;
-        self.clock = c.completion;
-        self.attach_group_payload(group);
+        self.stats.sectors_written += sectors;
+        let request = Request::write(lbn, sectors);
+        self.disk.service(request, self.clock).completion
+    }
+
+    /// Issues one read of `blocks` blocks from block `db` at the current
+    /// clock and counts it; returns the instant its data arrives.
+    fn issue_fetch(&mut self, db: u64, blocks: u64) -> SimTime {
+        let sectors = blocks * BLOCK_SECTORS;
+        self.stats.disk_reads += 1;
+        self.stats.sectors_read += sectors;
+        self.stats.largest_read_sectors = self.stats.largest_read_sectors.max(sectors);
+        let request = Request::read(self.layout.block_to_lbn(db), sectors);
+        self.disk.service(request, self.clock).completion
     }
 
     /// Reads `len` bytes at `offset`. Returns when the data is available
@@ -545,19 +559,16 @@ impl FileSystem {
         if len == 0 {
             return Ok(());
         }
-        {
-            let inode = self.files.get(&file).ok_or(FsError::NoSuchFile(file))?;
-            if offset + len > inode.size_bytes {
-                return Err(FsError::BeyondEof {
-                    file,
-                    offset: offset + len,
-                });
-            }
+        if offset + len > self.inode(file)?.size_bytes {
+            return Err(FsError::BeyondEof {
+                file,
+                offset: offset + len,
+            });
         }
         let first = offset / BYTES_PER_BLOCK;
         let last = (offset + len - 1) / BYTES_PER_BLOCK;
         for fb in first..=last {
-            self.read_block(file, fb)?;
+            self.read_block(file, fb);
         }
         Ok(())
     }
@@ -566,125 +577,100 @@ impl FileSystem {
     /// a miss and keeping one prefetch outstanding per sequential stream
     /// (unmodified FreeBSD "attempts to have at least one outstanding
     /// request for each active data stream", §4.2.2).
-    fn read_block(&mut self, file: FileId, fb: u64) -> Result<(), FsError> {
-        let db = {
-            let inode = self.files.get(&file).ok_or(FsError::NoSuchFile(file))?;
-            inode.blocks[fb as usize]
-        };
+    fn read_block(&mut self, file: FileId, fb: u64) {
+        let inode = live_inode(&mut self.files, file);
+        let db = inode.blocks[fb as usize];
         if self.cache.contains(db) {
-            let inode = self.files.get_mut(&file).expect("checked above");
             update_seq(inode, fb);
-            return Ok(());
+            return;
         }
-        if let Some(&ready) = self.inflight.get(&db) {
+        if let Some((first, len, ready)) = self.prefetch_covering(db) {
             // The prefetch covering this block is in flight. First queue the
             // *next* prefetch behind it — before blocking — so the drive
             // always has a request to start on (the command-queueing overlap
-            // of §3.2); then wait and absorb the arrived request.
-            let arrived: Vec<u64> = self
-                .inflight
-                .iter()
-                .filter(|&(_, &r)| r == ready)
-                .map(|(&b, _)| b)
-                .collect();
-            let next_fb = fb + arrived.len() as u64;
-            self.maybe_prefetch(file, next_fb);
+            // of §3.2); then wait and absorb the arrived request, its blocks
+            // entering the cache in ascending order.
+            self.maybe_prefetch(file, fb + len);
             self.clock = self.clock.max(ready);
-            for b in &arrived {
-                self.inflight.remove(b);
-                for victim in self.cache.insert(*b) {
-                    self.flush_block(victim);
-                }
-            }
-            let inode = self.files.get_mut(&file).expect("checked above");
-            update_seq(inode, fb);
-            return Ok(());
+            self.inflight.remove(&first);
+            self.cache_run(first, len);
+            update_seq(live_inode(&mut self.files, file), fb);
+            return;
         }
 
         // Demand miss: fetch a cluster synchronously.
         let ra_len = self.plan_fetch(file, fb);
-        let lbn = self.layout.block_to_lbn(db);
-        let c = self
-            .disk
-            .service(Request::read(lbn, ra_len * BLOCK_SECTORS), self.clock);
-        self.stats.disk_reads += 1;
-        self.stats.sectors_read += ra_len * BLOCK_SECTORS;
-        self.stats.largest_read_sectors =
-            self.stats.largest_read_sectors.max(ra_len * BLOCK_SECTORS);
-        self.clock = c.completion;
-        for i in 0..ra_len {
-            for victim in self.cache.insert(db + i) {
-                self.flush_block(victim);
+        self.clock = self.issue_fetch(db, ra_len);
+        self.cache_run(db, ra_len);
+        update_seq(live_inode(&mut self.files, file), fb);
+        self.maybe_prefetch(file, fb + ra_len);
+    }
+
+    /// Caches the fetched blocks `[first, first + len)`, in ascending order,
+    /// writing back whatever dirty block each one pushes out.
+    fn cache_run(&mut self, first: u64, len: u64) {
+        for b in first..first + len {
+            if let Some(victim) = self.cache.insert(b) {
+                self.write_run(victim, 1);
             }
         }
-        let inode = self.files.get_mut(&file).expect("checked above");
-        update_seq(inode, fb);
-        self.maybe_prefetch(file, fb + ra_len);
-        Ok(())
+    }
+
+    /// The in-flight prefetch holding block `db`, as `(first block, blocks,
+    /// arrival)`.
+    fn prefetch_covering(&self, db: u64) -> Option<(u64, u64, SimTime)> {
+        let (&first, &(len, ready)) = self.inflight.range(..=db).next_back()?;
+        (db < first + len).then_some((first, len, ready))
     }
 
     /// Sizes a fetch starting at file block `fb` according to the
     /// personality.
     fn plan_fetch(&self, file: FileId, fb: u64) -> u64 {
-        let inode = &self.files[&file];
+        let inode = self.inode(file).expect("file is live");
         let db = inode.blocks[fb as usize];
-        let contig = contiguous_run(inode, fb, &self.cache, self.cluster_cap * 4);
-        let seq = inode.seq_count.max(1);
-        let ra = match self.layout.personality() {
-            Personality::Unmodified => (seq + 1).min(contig).min(self.cluster_cap),
-            Personality::FastStart => {
-                if !inode.accessed {
-                    contig.min(self.cluster_cap)
-                } else {
-                    (seq + 1).min(contig).min(self.cluster_cap)
-                }
+        // History-based ramp-up, as in the unmodified file system.
+        let ramp = (inode.seq_count.max(1) + 1).min(self.cluster_cap);
+        let want = match self.layout.personality() {
+            Personality::Unmodified => ramp,
+            Personality::FastStart if !inode.accessed => self.cluster_cap,
+            Personality::FastStart => ramp,
+            // The extraction was not confident about this track's
+            // boundaries; clipping at them would be arbitrary. Degrade to
+            // the unmodified sizing.
+            Personality::Traxtent if !self.layout.block_trusted(db) => ramp,
+            // Fetch the rest of the traxtent, never crossing a track
+            // boundary (§4.2.2, "traxtent-sized access").
+            Personality::Traxtent if !inode.nonseq_seen => {
+                self.layout.traxtent_run(db).min(self.cluster_cap * 4)
             }
-            Personality::Traxtent => {
-                if !self.layout.block_trusted(db) {
-                    // The extraction was not confident about this track's
-                    // boundaries; clipping at them would be arbitrary.
-                    // Degrade to the unmodified sizing.
-                    (seq + 1).min(contig).min(self.cluster_cap)
-                } else if !inode.nonseq_seen {
-                    // Fetch the rest of the traxtent, never crossing a
-                    // track boundary (§4.2.2, "traxtent-sized access").
-                    contig.min(self.layout.traxtent_run(db))
-                } else {
-                    (seq + 1)
-                        .min(contig)
-                        .min(self.cluster_cap)
-                        .min(self.layout.traxtent_run(db))
-                }
-            }
+            Personality::Traxtent => ramp.min(self.layout.traxtent_run(db)),
         };
-        ra.max(1)
+        contiguous_run(inode, fb, &self.cache, want)
     }
 
     /// Issues an asynchronous prefetch for the run starting at file block
     /// `fb`, unless the file ends, the pattern is non-sequential, or data is
     /// already cached/in flight.
     fn maybe_prefetch(&mut self, file: FileId, fb: u64) {
-        let Some(inode) = self.files.get(&file) else {
-            return;
-        };
+        let inode = self.inode(file).expect("file is live");
         if fb as usize >= inode.blocks.len() || inode.nonseq_seen {
             return;
         }
         let db = inode.blocks[fb as usize];
-        if self.cache.peek(db) || self.inflight.contains_key(&db) {
+        if self.cache.peek(db) || self.prefetch_covering(db).is_some() {
             return;
         }
         let len = self.plan_fetch(file, fb);
-        let lbn = self.layout.block_to_lbn(db);
-        let c = self
-            .disk
-            .service(Request::read(lbn, len * BLOCK_SECTORS), self.clock);
-        self.stats.disk_reads += 1;
-        self.stats.sectors_read += len * BLOCK_SECTORS;
-        self.stats.largest_read_sectors = self.stats.largest_read_sectors.max(len * BLOCK_SECTORS);
-        for i in 0..len {
-            self.inflight.insert(db + i, c.completion);
+        let ready = self.issue_fetch(db, len);
+        // Blocks of an older run that this one covers now arrive with it.
+        let end = db + len;
+        while let Some((&first, &(l, ready))) = self.inflight.range(db..end).next() {
+            self.inflight.remove(&first);
+            if first + l > end {
+                self.inflight.insert(end, (first + l - end, ready));
+            }
         }
+        self.inflight.insert(db, (len, ready));
     }
 
     /// Writes `len` bytes at `offset`, extending the file as needed. Data
@@ -699,20 +685,21 @@ impl FileSystem {
         if len == 0 {
             return Ok(());
         }
-        self.files.get(&file).ok_or(FsError::NoSuchFile(file))?;
+        self.inode(file)?;
         let first = offset / BYTES_PER_BLOCK;
         let last = (offset + len - 1) / BYTES_PER_BLOCK;
         for fb in first..=last {
             // Allocate if beyond current allocation.
-            let nblocks = self.files[&file].blocks.len() as u64;
+            let inode = live_inode(&mut self.files, file);
+            let nblocks = inode.blocks.len() as u64;
             if fb >= nblocks {
                 debug_assert_eq!(fb, nblocks, "writes are block-continuous");
-                let prev = self.files[&file].blocks.last().copied();
+                let prev = inode.blocks.last().copied();
                 let hint = (last - fb + 1).min(self.cluster_cap);
                 let db = self.layout.alloc_next(prev, hint).ok_or(FsError::NoSpace)?;
-                self.files.get_mut(&file).expect("exists").blocks.push(db);
+                inode.blocks.push(db);
             }
-            let db = self.files[&file].blocks[fb as usize];
+            let db = inode.blocks[fb as usize];
             // A partial overwrite of an uncached existing block reads it
             // first (read-modify-write at block granularity).
             let partial = (fb == first && !offset.is_multiple_of(BYTES_PER_BLOCK))
@@ -727,13 +714,13 @@ impl FileSystem {
                 self.stats.sectors_read += BLOCK_SECTORS;
                 self.clock = c.completion;
             }
-            for victim in self.cache.insert_dirty(db) {
-                self.flush_block(victim);
+            if let Some(victim) = self.cache.insert_dirty(db) {
+                self.write_run(victim, 1);
             }
             // Commit a full cluster as soon as it exists (FFS behaviour).
             self.maybe_commit_cluster(db);
         }
-        let inode = self.files.get_mut(&file).expect("exists");
+        let inode = live_inode(&mut self.files, file);
         inode.size_bytes = inode.size_bytes.max(offset + len);
         Ok(())
     }
@@ -741,77 +728,51 @@ impl FileSystem {
     /// If the dirty run containing `db` reached the cluster limit, write it
     /// out (asynchronously: the clock does not advance).
     fn maybe_commit_cluster(&mut self, db: u64) {
-        let limit = match self.layout.personality() {
-            Personality::Traxtent if self.layout.block_trusted(run_start(&self.cache, db)) => {
-                self.layout.traxtent_run(run_start(&self.cache, db))
-            }
-            _ => self.cluster_cap,
-        };
-        // Find the dirty run around db.
-        let start = run_start(&self.cache, db);
-        let mut end = db + 1;
-        while self.cache.is_dirty(end) {
-            end += 1;
+        let (start, end) = self.cache.dirty_run(db);
+        if self.commit_limit.0 != start {
+            self.commit_limit = (start, self.cluster_limit(start));
         }
-        if end - start >= limit {
+        if end - start >= self.commit_limit.1 {
             self.write_run(start, end - start);
         }
     }
 
-    /// Issues one disk write for blocks `[start, start+len)` and marks them
-    /// clean. Does not advance the application clock (write-back).
+    /// The most blocks one write-back starting at block `start` may carry:
+    /// to the end of its traxtent where the track is trusted, else the
+    /// cluster cap.
+    fn cluster_limit(&self, start: u64) -> u64 {
+        match self.layout.personality() {
+            Personality::Traxtent if self.layout.block_trusted(start) => {
+                self.layout.traxtent_run(start)
+            }
+            _ => self.cluster_cap,
+        }
+    }
+
+    /// Issues one disk write for blocks `[start, start+len)` and marks
+    /// those still cached clean. Does not advance the application clock
+    /// (write-back). An evicted dirty block is written this way too, alone:
+    /// its neighbours were already clean or they would still be cached.
     fn write_run(&mut self, start: u64, len: u64) {
         let lbn = self.layout.block_to_lbn(start);
-        let _ = self
-            .disk
-            .service(Request::write(lbn, len * BLOCK_SECTORS), self.clock);
-        self.stats.disk_writes += 1;
-        self.stats.sectors_written += len * BLOCK_SECTORS;
+        self.issue_write(lbn, len * BLOCK_SECTORS);
         self.attach_data_payload(lbn, len * BLOCK_SECTORS);
         for b in start..start + len {
             self.cache.mark_clean(b);
         }
     }
 
-    /// Write-back for an evicted dirty block (alone; its neighbours were
-    /// already clean or they would still be cached).
-    fn flush_block(&mut self, b: u64) {
-        let lbn = self.layout.block_to_lbn(b);
-        let _ = self
-            .disk
-            .service(Request::write(lbn, BLOCK_SECTORS), self.clock);
-        self.stats.disk_writes += 1;
-        self.stats.sectors_written += BLOCK_SECTORS;
-        self.attach_data_payload(lbn, BLOCK_SECTORS);
-    }
-
     /// Flushes all dirty data and waits for the disk to go idle. Returns
     /// the clock at completion.
     pub fn sync(&mut self) -> SimTime {
-        let dirty = self.cache.dirty_blocks();
         // Coalesce into contiguous runs, clipped per the write-back planner.
-        let mut i = 0;
-        while i < dirty.len() {
-            let start = dirty[i];
-            let mut len = 1u64;
-            while i + (len as usize) < dirty.len() && dirty[i + len as usize] == start + len {
-                len += 1;
-            }
-            // Clip at track boundaries for the traxtent personality.
-            let mut at = start;
-            let mut remaining = len;
-            while remaining > 0 {
-                let chunk = match self.layout.personality() {
-                    Personality::Traxtent if self.layout.block_trusted(at) => {
-                        remaining.min(self.layout.traxtent_run(at))
-                    }
-                    _ => remaining.min(self.cluster_cap),
-                };
+        for run in self.cache.dirty_blocks().chunk_by(|a, b| a + 1 == *b) {
+            let (mut at, end) = (run[0], run[0] + run.len() as u64);
+            while at < end {
+                let chunk = self.cluster_limit(at).min(end - at);
                 self.write_run(at, chunk);
                 at += chunk;
-                remaining -= chunk;
             }
-            i += len as usize;
         }
         self.clock = self.clock.max(self.disk.idle_at());
         self.clock
@@ -827,7 +788,7 @@ impl FileSystem {
         self.disk.reset();
         self.clock = SimTime::ZERO;
         self.stats = FsStats::default();
-        for inode in self.files.values_mut() {
+        for inode in self.files.iter_mut().flatten() {
             inode.last_read = None;
             inode.seq_count = 0;
             inode.accessed = false;
@@ -843,6 +804,12 @@ impl FileSystem {
         let end = self.sync();
         (r, end - SimTime::ZERO)
     }
+}
+
+/// The inode of a file the caller has already looked up. Borrows the table
+/// alone, so the cache, layout and drive stay usable beside it.
+fn live_inode(files: &mut [Option<Inode>], file: FileId) -> &mut Inode {
+    files[file.0 as usize].as_mut().expect("file is live")
 }
 
 /// Updates an inode's sequential detector after an access to file block
@@ -864,29 +831,13 @@ fn update_seq(inode: &mut Inode, fb: u64) {
 /// Length of the contiguously allocated, uncached run starting at file
 /// block `fb`, capped.
 fn contiguous_run(inode: &Inode, fb: u64, cache: &BufferCache, cap: u64) -> u64 {
-    let db0 = inode.blocks[fb as usize];
-    let mut n = 0u64;
-    while n < cap {
-        let idx = (fb + n) as usize;
-        if idx >= inode.blocks.len() {
-            break;
-        }
-        let db = inode.blocks[idx];
-        if db != db0 + n || cache.peek(db) {
-            break;
-        }
-        n += 1;
-    }
-    n.max(1)
-}
-
-/// The first block of the dirty run containing `db`.
-fn run_start(cache: &BufferCache, db: u64) -> u64 {
-    let mut start = db;
-    while start > 0 && cache.is_dirty(start - 1) {
-        start -= 1;
-    }
-    start
+    let tail = &inode.blocks[fb as usize..];
+    let run = tail
+        .iter()
+        .zip(tail[0]..)
+        .take(cap as usize)
+        .take_while(|&(&db, next)| db == next && !cache.peek(db));
+    (run.count() as u64).max(1)
 }
 
 #[cfg(test)]
@@ -1023,6 +974,28 @@ mod tests {
         u.remount();
         u.read(id, 0, 16 * MB).unwrap();
         assert!(u.stats().largest_read_sectors > 200);
+    }
+
+    #[test]
+    fn a_prefetch_takes_over_the_blocks_of_an_older_one_it_covers() {
+        let mut f = fs(Personality::Unmodified);
+        let id = f.create();
+        f.write(id, 0, MB).unwrap();
+        let blocks = f.live_files().remove(0).2;
+        assert_eq!(blocks[14], blocks[8] + 6, "the file is contiguous");
+        f.remount();
+        // A stale prefetch of file blocks 10..14, then a four-block one at 8.
+        let stale = SimTime::from_ns(1);
+        f.inflight.insert(blocks[10], (4, stale));
+        live_inode(&mut f.files, id).seq_count = 3;
+        f.maybe_prefetch(id, 8);
+        let fresh = f.disk.idle_at();
+        let runs: Vec<_> = f.inflight.iter().map(|(&b, &r)| (b, r)).collect();
+        assert_eq!(
+            runs,
+            vec![(blocks[8], (4, fresh)), (blocks[12], (2, stale))],
+            "blocks 10 and 11 now arrive with the newer request"
+        );
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub struct Layout {
     /// (traxtent personality only).
     excluded: Vec<bool>,
     free_count: u64,
+    /// The first free block (`blocks` when none is): no placement search
+    /// needs to look below it. `take` advances it, `release` lowers it.
+    low: u64,
     alloc_stats: AllocStats,
     /// Per-track trust mask from a noisy extraction; empty means every
     /// track is trusted. Untrusted tracks get no boundary exclusions and
@@ -113,22 +116,28 @@ impl Layout {
             blocks >= BLOCKS_PER_GROUP,
             "disk too small for one block group"
         );
-        let track_trusted = |lbn: u64| trusted.is_empty() || trusted[boundaries.track_index(lbn)];
         let mut excluded = vec![false; blocks as usize];
         let mut free = vec![true; blocks as usize];
         let mut free_count = blocks;
         if personality == Personality::Traxtent {
-            for b in 0..blocks {
+            // A block is excluded when it starts on a trusted track and
+            // runs past that track's end; the only candidate per track is
+            // the block holding the track's last sector.
+            for (i, track) in boundaries.iter().enumerate() {
+                let b = (track.end() - 1) / BLOCK_SECTORS;
                 let first = b * BLOCK_SECTORS;
-                let last = first + BLOCK_SECTORS - 1;
-                let (_, track_end) = boundaries.track_bounds(first);
-                if last >= track_end && track_trusted(first) {
+                if b < blocks
+                    && first >= track.start
+                    && first + BLOCK_SECTORS > track.end()
+                    && (trusted.is_empty() || trusted[i])
+                {
                     excluded[b as usize] = true;
                     free[b as usize] = false;
                     free_count -= 1;
                 }
             }
         }
+        let low = free.iter().position(|&f| f).map_or(blocks, |b| b as u64);
         Layout {
             personality,
             boundaries,
@@ -136,6 +145,7 @@ impl Layout {
             free,
             excluded,
             free_count,
+            low,
             alloc_stats: AllocStats::default(),
             trusted,
         }
@@ -250,6 +260,10 @@ impl Layout {
         assert!(self.free[b as usize], "block {b} is not free");
         self.free[b as usize] = false;
         self.free_count -= 1;
+        if b == self.low {
+            let rest = &self.free[b as usize..];
+            self.low = b + rest.iter().position(|&f| f).unwrap_or(rest.len()) as u64;
+        }
     }
 
     /// Releases a block.
@@ -265,6 +279,7 @@ impl Layout {
         assert!(!self.free[b as usize], "block {b} is already free");
         self.free[b as usize] = true;
         self.free_count += 1;
+        self.low = self.low.min(b);
     }
 
     /// Allocates the block for file offset following `prev` (FFS's
@@ -318,7 +333,8 @@ impl Layout {
     fn closest_free_run(&self, near: u64, run_hint: u64) -> Option<u64> {
         let want = run_hint.max(1);
         let mut best_single: Option<u64> = None;
-        for dist in 0..self.blocks {
+        // Closer distances reach only blocks below the first free one.
+        for dist in self.low.saturating_sub(near)..self.blocks {
             for b in [near.checked_add(dist), near.checked_sub(dist)] {
                 let Some(b) = b else { continue };
                 if b >= self.blocks || !self.free[b as usize] {
@@ -355,11 +371,18 @@ impl Layout {
     /// excluded blocks on one track) that has at least `run_hint` free
     /// blocks, scanning tracks outward from the track containing `near`.
     fn closest_traxtent_run(&self, near: u64, run_hint: u64) -> Option<u64> {
+        if self.low == self.blocks {
+            return None;
+        }
         let want = run_hint.max(1);
         let near_lbn = self.block_to_lbn(near).min(self.boundaries.capacity() - 1);
         let origin = self.boundaries.track_index(near_lbn);
         let n = self.boundaries.num_tracks();
-        for k in 0..2 * n {
+        // A track that ends at or before the first free block holds nothing
+        // to return: start the outward walk where it first reaches one that
+        // does not, and pass over the rest.
+        let low_track = self.boundaries.track_index(self.block_to_lbn(self.low));
+        for k in 2 * low_track.saturating_sub(origin)..2 * n {
             let step = k / 2 + k % 2;
             let idx = if k % 2 == 0 {
                 origin.checked_add(step)
@@ -367,7 +390,7 @@ impl Layout {
                 origin.checked_sub(step)
             };
             let Some(idx) = idx else { continue };
-            if idx >= n {
+            if idx >= n || idx < low_track {
                 continue;
             }
             if !self.trusted.is_empty() && !self.trusted[idx] {

@@ -141,3 +141,32 @@ fn request_size_signatures() {
     // Small test disk: 200-sector tracks → 12-block traxtents.
     assert_eq!(run(Personality::Traxtent), 12 * BLOCK_SECTORS);
 }
+
+/// A prefetch larger than the whole cache is absorbed in ascending block
+/// order, so what survives is its tail — the same blocks in every process
+/// (the per-block table this pins used to hand them over in hash order).
+#[test]
+fn an_absorbed_prefetch_enters_the_cache_in_block_order() {
+    let mut f = fs(Personality::Traxtent);
+    let id = f.create();
+    f.write(id, 0, MB).expect("space available");
+    f.remount();
+    f.set_cache_blocks(4);
+    // Small test disk: 12-block traxtents. The first access fetches the
+    // file's first traxtent and leaves a prefetch of the second in flight;
+    // touching that one absorbs all 12 of its blocks into 4 slots.
+    f.read(id, 0, 1).expect("in range");
+    f.read(id, 12 * BYTES_PER_BLOCK, 1).expect("in range");
+    // A two-block fetch elsewhere now evicts the two that entered first of
+    // the four survivors (file blocks 20 and 21), and no others.
+    let sectors = f.stats().sectors_read;
+    f.read(id, 0, 1).expect("in range");
+    assert_eq!(f.stats().sectors_read - sectors, 2 * BLOCK_SECTORS);
+    let (hits, reads) = (f.cache_stats().0, f.stats().disk_reads);
+    f.read(id, 22 * BYTES_PER_BLOCK, 2 * BYTES_PER_BLOCK)
+        .expect("in range");
+    assert_eq!(f.cache_stats().0, hits + 2, "the batch's tail is cached");
+    assert_eq!(f.stats().disk_reads, reads, "and costs no disk read");
+    f.read(id, 21 * BYTES_PER_BLOCK, 1).expect("in range");
+    assert_eq!(f.stats().disk_reads, reads + 1, "block 21 went before it");
+}
