@@ -26,6 +26,7 @@ fn main() {
     let run = Run::start("replay_synthetic", &[], &["--input", "--count", "--emit"]);
     let cfg = run.drive(models::quantum_atlas_10k_ii());
 
+    let capacity = cfg.geometry.capacity_lbns();
     let default_count = if run.quick { 20_000 } else { 200_000 };
     let count: usize = run.number("--count").unwrap_or(default_count);
     let records = match run.value("--input") {
@@ -33,12 +34,19 @@ fn main() {
             run.rename("replay");
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| die(&format!("cannot read trace `{path}`: {e}")));
-            parse_trace(&text).unwrap_or_else(|e| die(&format!("`{path}`: {e}")))
+            let records = parse_trace(&text).unwrap_or_else(|e| die(&format!("`{path}`: {e}")));
+            if let Some(i) = records.iter().position(|r| !r.request.fits(capacity)) {
+                let r = records[i].request;
+                die(&format!(
+                    "`{path}`: request {}: {} sectors at {} exceed the drive's {capacity}",
+                    i + 1,
+                    r.len,
+                    r.lbn
+                ));
+            }
+            records
         }
-        None => {
-            let capacity = cfg.geometry.capacity_lbns();
-            synthetic_trace(&SyntheticSpec::default_for(capacity, count, run.seed))
-        }
+        None => synthetic_trace(&SyntheticSpec::default_for(capacity, count, run.seed)),
     };
     if records.is_empty() {
         die("trace contains no requests");

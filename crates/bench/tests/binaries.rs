@@ -379,3 +379,27 @@ fn unwritable_output_paths_exit_2_before_any_cell() {
     }
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn replay_rejects_a_trace_the_drive_cannot_hold() {
+    // A range that wraps past 2^64 (it used to be served as a 1-sector
+    // request) and one merely past the last sector (it used to panic).
+    let dir = scratch("bad-trace");
+    let trace = dir.join("bad.trc");
+    for (line, why) in [
+        ("0.000 R 18446744073709551615 2\n", "overflows"),
+        ("0.000 R 99999999999 2\n", "exceed the drive's"),
+    ] {
+        fs::write(&trace, line).unwrap();
+        let out = run(
+            env!("CARGO_BIN_EXE_replay"),
+            &["--quick", "--input", trace.to_str().unwrap()],
+        );
+        assert_eq!(out.status.code(), Some(2), "{line}: {:?}", out.status);
+        assert!(out.stdout.is_empty(), "{line}: nothing ran");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "{line}: one line, got {err}");
+        assert!(err.contains(why), "{line}: {err}");
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}

@@ -706,13 +706,7 @@ impl FileSystem {
                 || (fb == last && !(offset + len).is_multiple_of(BYTES_PER_BLOCK));
             let existed = fb < nblocks;
             if partial && existed && !self.cache.peek(db) {
-                let lbn = self.layout.block_to_lbn(db);
-                let c = self
-                    .disk
-                    .service(Request::read(lbn, BLOCK_SECTORS), self.clock);
-                self.stats.disk_reads += 1;
-                self.stats.sectors_read += BLOCK_SECTORS;
-                self.clock = c.completion;
+                self.clock = self.issue_fetch(db, 1);
             }
             if let Some(victim) = self.cache.insert_dirty(db) {
                 self.write_run(victim, 1);

@@ -124,6 +124,23 @@ fn append_growth_is_exact() {
     }
 }
 
+/// A partial overwrite of an uncached block reads it first, and that read
+/// is counted like every other fetch — a file system whose only reads are
+/// these used to report a largest read of 0.
+#[test]
+fn partial_block_overwrite_counts_its_read() {
+    let mut f = fs(Personality::Traxtent);
+    let id = f.create();
+    f.write(id, 0, 4 * BYTES_PER_BLOCK)
+        .expect("space available");
+    f.remount();
+    f.reset_stats();
+    f.write(id, BYTES_PER_BLOCK + 1, 10).expect("in place");
+    let s = f.stats();
+    assert_eq!((s.disk_reads, s.sectors_read), (1, BLOCK_SECTORS));
+    assert_eq!(s.largest_read_sectors, BLOCK_SECTORS);
+}
+
 /// Mean request size signature: traxtent requests are track-bounded,
 /// unmodified requests reach the 32-block cluster cap.
 #[test]

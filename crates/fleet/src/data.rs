@@ -48,6 +48,16 @@ impl SectorStore {
         self.words[pba as usize..pba as usize + data.len()].copy_from_slice(data);
     }
 
+    /// XORs the `out.len()` words starting at `pba` into `out` — the one
+    /// parity kernel: reconstruction, parity update, syndrome and (into
+    /// zeroes) a plain copy are all folds of this over member columns.
+    pub fn xor_into(&self, pba: u64, out: &mut [u64]) {
+        let column = &self.words[pba as usize..pba as usize + out.len()];
+        for (o, w) in out.iter_mut().zip(column) {
+            *o ^= w;
+        }
+    }
+
     /// Deterministically destroys the contents (models a dead drive's
     /// platters), so any test that "recovers" data from a failed member
     /// can only pass by real reconstruction.
@@ -70,31 +80,20 @@ pub fn pattern_word(seed: u64, lbn: u64) -> u64 {
 /// RAID-5 parity units get the XOR of their round's data columns.
 pub fn fill_stores(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
     assert_eq!(stores.len(), layout.members(), "one store per member");
+    let mut words = Vec::new();
     for u in layout.units() {
-        for o in 0..u.len {
-            let word = pattern_word(seed, u.lstart + o);
-            match layout.kind() {
-                VolumeKind::Mirrored => {
-                    for store in stores.iter_mut() {
-                        store.set_word(u.pstart + o, word);
-                    }
-                }
-                _ => stores[u.member].set_word(u.pstart + o, word),
-            }
+        words.clear();
+        words.extend((0..u.len).map(|o| pattern_word(seed, u.lstart + o)));
+        match layout.kind() {
+            VolumeKind::Mirrored => stores.iter_mut().for_each(|s| s.write(u.pstart, &words)),
+            _ => stores[u.member].write(u.pstart, &words),
         }
     }
-    if layout.kind() == VolumeKind::Raid5 {
-        for info in layout.rounds() {
-            for o in 0..info.len {
-                let mut parity = 0;
-                for (m, store) in stores.iter().enumerate() {
-                    if m != info.parity {
-                        parity ^= store.word(info.pstarts[m] + o);
-                    }
-                }
-                stores[info.parity].set_word(info.pstarts[info.parity] + o, parity);
-            }
-        }
+    // RAID-5 only (no rounds otherwise): a parity unit is what
+    // reconstructing it from its round's data columns yields.
+    for (r, info) in layout.rounds().iter().enumerate() {
+        let parity = reconstruct_unit(layout, stores, r, info.parity);
+        stores[info.parity].write(info.pstarts[info.parity], &parity);
     }
 }
 
@@ -126,11 +125,8 @@ pub fn reconstruct_unit(
             let info = &layout.rounds()[round];
             let mut out = vec![0u64; info.len as usize];
             for (m, store) in stores.iter().enumerate() {
-                if m == member {
-                    continue;
-                }
-                for (o, w) in out.iter_mut().enumerate() {
-                    *w ^= store.word(info.pstarts[m] + o as u64);
+                if m != member {
+                    store.xor_into(info.pstarts[m], &mut out);
                 }
             }
             out

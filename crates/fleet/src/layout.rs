@@ -509,7 +509,7 @@ impl VolumeLayout {
     /// Splits a logical access into per-member physical fragments, in
     /// ascending logical order. Fragments never span units.
     pub fn split(&self, lbn: u64, len: u64) -> Result<Vec<Chunk>, FleetError> {
-        if len == 0 || lbn + len > self.capacity {
+        if len == 0 || lbn > self.capacity || len > self.capacity - lbn {
             return Err(FleetError::OutOfRange {
                 lbn,
                 len,

@@ -165,8 +165,7 @@ impl fmt::Display for FleetError {
             FleetError::OutOfRange { lbn, len, capacity } => {
                 write!(
                     f,
-                    "access [{lbn}, {}) exceeds capacity {capacity}",
-                    lbn + len
+                    "access of {len} sectors at {lbn} exceeds capacity {capacity}"
                 )
             }
             FleetError::Unrecoverable { member } => {

@@ -6,10 +6,9 @@
 //! and report progress through the [`traxtent::obs`] registry so the
 //! same observability surface that watches the server watches repair.
 
-use crate::layout::VolumeKind;
-use crate::volume::Volume;
+use crate::layout::{LogicalUnit, VolumeKind};
+use crate::volume::{lost, Access, Volume};
 use crate::FleetError;
-use sim_disk::request::Request;
 use sim_disk::SimTime;
 use traxtent::obs::Registry;
 
@@ -64,6 +63,12 @@ fn suspicion(v: &Volume, m: usize) -> u64 {
     s.media_errors + 2 * s.grown_defects + 2 * s.grown_defects_unspared + s.transient_surfaced
 }
 
+/// Sectors of a syndrome (the XOR of columns that should cancel) that
+/// violate the redundancy invariant.
+fn nonzero(syndrome: &[u64]) -> u64 {
+    syndrome.iter().filter(|&&w| w != 0).count() as u64
+}
+
 impl Volume {
     /// Reconstructs the failed member `i` in place: a sequential
     /// background scan that, per stripe unit, reads the surviving
@@ -86,91 +91,60 @@ impl Volume {
         at: SimTime,
     ) -> Result<RebuildReport, FleetError> {
         if i >= self.members.len() || !self.layout.kind().redundant() {
-            return Err(FleetError::Unrecoverable { member: i });
+            return Err(lost(i));
         }
         if self.members[i].healthy {
             return Err(FleetError::NotFailed { member: i });
         }
-        // RAID-5 reconstruction needs every surviving column; a mirror
-        // only needs one healthy copy to read from.
-        if self.layout.kind() == VolumeKind::Raid5 {
-            if let Some(peer) =
-                (0..self.members.len()).find(|&m| m != i && !self.members[m].healthy)
-            {
+        let peers = || (0..self.members.len()).filter(|&m| m != i);
+        // A mirror copies one healthy member's units; RAID-5 XORs every
+        // surviving column of each round, so it needs all of them.
+        let (source, total) = if self.layout.kind() == VolumeKind::Mirrored {
+            let source = peers().find(|&m| self.members[m].healthy);
+            (Some(source.ok_or(lost(i))?), self.layout.units().len())
+        } else {
+            if let Some(peer) = peers().find(|&m| !self.members[m].healthy) {
                 return Err(FleetError::DegradedPeer { member: peer });
             }
-        }
+            (None, self.layout.rounds().len())
+        };
 
+        let mut acc = Access::default();
         let mut t = at;
-        let mut units = 0u64;
         let mut sectors = 0u64;
-        match self.layout.kind() {
-            VolumeKind::Striped => unreachable!("checked redundant above"),
-            VolumeKind::Mirrored => {
-                let source = (0..self.members.len())
-                    .find(|&m| m != i && self.members[m].healthy)
-                    .ok_or(FleetError::Unrecoverable { member: i })?;
-                let steps: Vec<(u64, u64)> = self
-                    .layout
-                    .units()
-                    .iter()
-                    .map(|u| (u.pstart, u.len))
-                    .collect();
-                let total = steps.len() as u64;
-                for (pstart, len) in steps {
-                    let r = self.members[source]
-                        .issue(Request::read(pstart, len), t)
-                        .map_err(|_| FleetError::Unrecoverable { member: i })?;
-                    let w = self.members[i]
-                        .issue(Request::write(pstart, len), r.completion)
-                        .map_err(|_| FleetError::Unrecoverable { member: i })?;
-                    let mut words = Vec::with_capacity(len as usize);
-                    self.members[source]
-                        .store
-                        .read_into(pstart, len, &mut words);
-                    self.members[i].note_words(&words);
-                    self.members[i].store.write(pstart, &words);
-                    t = w.completion;
-                    units += 1;
-                    sectors += len;
-                    self.stats.member_cmds += 2;
-                    reg.set_gauge("fleet.rebuild.progress_pct", units * 100 / total);
+        let mut words = Vec::new();
+        for step in 0..total {
+            let (dst, len) = match source {
+                Some(_) => {
+                    let LogicalUnit { pstart, len, .. } = self.layout.units()[step];
+                    (pstart, len)
                 }
-            }
-            VolumeKind::Raid5 => {
-                let rounds = self.layout.rounds().to_vec();
-                let total = rounds.len() as u64;
-                for info in &rounds {
-                    let dst = info.pstarts[i];
-                    let mut words = vec![0u64; info.len as usize];
-                    let mut reads_done = t;
-                    for m in 0..self.members.len() {
-                        if m == i {
-                            continue;
-                        }
-                        let src = info.pstarts[m];
-                        let c = self.members[m]
-                            .issue(Request::read(src, info.len), t)
-                            .map_err(|_| FleetError::Unrecoverable { member: i })?;
-                        reads_done = reads_done.max(c.completion);
-                        for (o, w) in words.iter_mut().enumerate() {
-                            *w ^= self.members[m].store.word(src + o as u64);
-                        }
-                        self.stats.member_cmds += 1;
-                    }
-                    let w = self.members[i]
-                        .issue(Request::write(dst, info.len), reads_done)
-                        .map_err(|_| FleetError::Unrecoverable { member: i })?;
-                    self.members[i].note_words(&words);
-                    self.members[i].store.write(dst, &words);
-                    t = w.completion;
-                    units += 1;
-                    sectors += info.len;
-                    self.stats.member_cmds += 1;
-                    reg.set_gauge("fleet.rebuild.progress_pct", units * 100 / total);
+                None => {
+                    let info = &self.layout.rounds()[step];
+                    (info.pstarts[i], info.len)
                 }
+            };
+            words.clear();
+            words.resize(len as usize, 0);
+            let reads_done = match source {
+                Some(src) => {
+                    let read = self.read_member(&mut acc, src, dst, len, t, "survivor");
+                    // Into zeroes: a copy.
+                    self.members[src].store.xor_into(dst, &mut words);
+                    read
+                }
+                None => self.xor_survivors(&mut acc, step, 0, &[i], t, &mut words),
             }
+            .map_err(|_| lost(i))?;
+            t = self
+                .write_member(&mut acc, i, dst, &words, reads_done, "rebuild")
+                .map_err(|_| lost(i))?;
+            self.members[i].store.write(dst, &words);
+            sectors += len;
+            let pct = (step as u64 + 1) * 100 / total as u64;
+            reg.set_gauge("fleet.rebuild.progress_pct", pct);
         }
+        let units = total as u64;
         self.members[i].healthy = true;
         self.stats.reconstructed_sectors += sectors;
         reg.add("fleet.rebuild.units", units);
@@ -199,6 +173,7 @@ impl Volume {
         order.sort_by_key(|&m| std::cmp::Reverse(suspicion(self, m)));
         let mut checked = 0u64;
         let mut mismatches = 0u64;
+        let mut syndrome = Vec::new();
         match self.layout.kind() {
             VolumeKind::Striped => {}
             VolumeKind::Mirrored => {
@@ -209,13 +184,14 @@ impl Volume {
                         if m == reference || !self.members[m].healthy {
                             continue;
                         }
-                        for lbn in 0..self.layout.capacity() {
-                            checked += 1;
-                            if self.members[m].store.word(lbn)
-                                != self.members[reference].store.word(lbn)
-                            {
-                                mismatches += 1;
-                            }
+                        for u in self.layout.units() {
+                            syndrome.clear();
+                            self.members[reference]
+                                .store
+                                .read_into(u.pstart, u.len, &mut syndrome);
+                            self.members[m].store.xor_into(u.pstart, &mut syndrome);
+                            checked += u.len;
+                            mismatches += nonzero(&syndrome);
                         }
                     }
                 }
@@ -224,27 +200,20 @@ impl Volume {
                 if self.failed_members().is_empty() {
                     // Rounds whose parity lives on the most suspect
                     // member are verified first.
-                    let mut rounds: Vec<usize> = (0..self.layout.rounds().len()).collect();
-                    let rank: Vec<usize> = {
-                        let mut rank = vec![0; self.members.len()];
-                        for (pos, &m) in order.iter().enumerate() {
-                            rank[m] = pos;
+                    let mut rank = vec![0; self.members.len()];
+                    for (pos, &m) in order.iter().enumerate() {
+                        rank[m] = pos;
+                    }
+                    let mut rounds: Vec<_> = self.layout.rounds().iter().collect();
+                    rounds.sort_by_key(|info| rank[info.parity]);
+                    for info in rounds {
+                        syndrome.clear();
+                        syndrome.resize(info.len as usize, 0);
+                        for (m, member) in self.members.iter().enumerate() {
+                            member.store.xor_into(info.pstarts[m], &mut syndrome);
                         }
-                        rank
-                    };
-                    rounds.sort_by_key(|&r| rank[self.layout.rounds()[r].parity]);
-                    for r in rounds {
-                        let info = self.layout.rounds()[r].clone();
-                        for o in 0..info.len {
-                            let mut x = 0u64;
-                            for m in 0..self.members.len() {
-                                x ^= self.members[m].store.word(info.pstarts[m] + o);
-                            }
-                            checked += 1;
-                            if x != 0 {
-                                mismatches += 1;
-                            }
-                        }
+                        checked += info.len;
+                        mismatches += nonzero(&syndrome);
                     }
                 }
             }
@@ -296,99 +265,56 @@ impl Volume {
         if let Some(peer) = self.failed_members().first().copied() {
             return Err(FleetError::DegradedPeer { member: peer });
         }
-        let exhausted = |member: usize| FleetError::RetriesExhausted {
-            member,
-            attempts: crate::volume::FAULT_RETRIES,
-        };
+        let mut acc = Access::default();
         let mut t = at;
         let mut checked = 0u64;
         let mut mismatched = 0u64;
         let mut repaired = 0u64;
+        let mut words = Vec::new();
+        let mut syndrome = Vec::new();
         match self.layout.kind() {
             VolumeKind::Striped => {}
             VolumeKind::Mirrored => {
-                let reference = 0;
-                let steps: Vec<(u64, u64)> = self
-                    .layout
-                    .units()
-                    .iter()
-                    .map(|u| (u.pstart, u.len))
-                    .collect();
-                for (pstart, len) in steps {
-                    let r = self.members[reference]
-                        .issue(Request::read(pstart, len), t)
-                        .map_err(|_| exhausted(reference))?;
-                    t = t.max(r.completion);
-                    self.stats.member_cmds += 1;
-                    let mut words = Vec::with_capacity(len as usize);
-                    self.members[reference]
-                        .store
-                        .read_into(pstart, len, &mut words);
+                for u in 0..self.layout.units().len() {
+                    let LogicalUnit { pstart, len, .. } = self.layout.units()[u];
+                    t = self.read_member(&mut acc, 0, pstart, len, t, "verify")?;
+                    words.clear();
+                    self.members[0].store.read_into(pstart, len, &mut words);
                     for m in 1..self.members.len() {
-                        let r = self.members[m]
-                            .issue(Request::read(pstart, len), t)
-                            .map_err(|_| exhausted(m))?;
-                        t = t.max(r.completion);
-                        self.stats.member_cmds += 1;
+                        t = self.read_member(&mut acc, m, pstart, len, t, "verify")?;
                         checked += len;
-                        let diverged = (0..len)
-                            .filter(|&o| {
-                                self.members[m].store.word(pstart + o) != words[o as usize]
-                            })
-                            .count() as u64;
+                        syndrome.clone_from(&words);
+                        self.members[m].store.xor_into(pstart, &mut syndrome);
+                        let diverged = nonzero(&syndrome);
                         if diverged == 0 {
                             continue;
                         }
                         mismatched += diverged;
-                        let w = self.members[m]
-                            .issue(Request::write(pstart, len), t)
-                            .map_err(|_| exhausted(m))?;
-                        self.members[m].note_words(&words);
+                        t = self.write_member(&mut acc, m, pstart, &words, t, "repair")?;
                         self.members[m].store.write(pstart, &words);
-                        t = t.max(w.completion);
-                        self.stats.member_cmds += 1;
                         repaired += len;
                     }
                 }
             }
             VolumeKind::Raid5 => {
-                let rounds = self.layout.rounds().to_vec();
-                for info in &rounds {
-                    let mut syndrome = vec![0u64; info.len as usize];
-                    let mut reads_done = t;
-                    for m in 0..self.members.len() {
-                        let src = info.pstarts[m];
-                        let c = self.members[m]
-                            .issue(Request::read(src, info.len), t)
-                            .map_err(|_| exhausted(m))?;
-                        reads_done = reads_done.max(c.completion);
-                        self.stats.member_cmds += 1;
-                        for (o, w) in syndrome.iter_mut().enumerate() {
-                            *w ^= self.members[m].store.word(src + o as u64);
-                        }
-                    }
-                    t = reads_done;
-                    checked += info.len;
-                    let bad = syndrome.iter().filter(|&&w| w != 0).count() as u64;
+                for r in 0..self.layout.rounds().len() {
+                    let info = &self.layout.rounds()[r];
+                    let (len, p, pdst) = (info.len, info.parity, info.pstarts[info.parity]);
+                    syndrome.clear();
+                    syndrome.resize(len as usize, 0);
+                    t = self.xor_survivors(&mut acc, r, 0, &[], t, &mut syndrome)?;
+                    checked += len;
+                    let bad = nonzero(&syndrome);
                     if bad == 0 {
                         continue;
                     }
                     mismatched += bad;
-                    // Recompute the parity column from the data columns
-                    // (equivalently: old parity XOR syndrome).
-                    let p = info.parity;
-                    let pdst = info.pstarts[p];
-                    let words: Vec<u64> = (0..info.len as usize)
-                        .map(|o| self.members[p].store.word(pdst + o as u64) ^ syndrome[o])
-                        .collect();
-                    let w = self.members[p]
-                        .issue(Request::write(pdst, info.len), t)
-                        .map_err(|_| exhausted(p))?;
-                    self.members[p].note_words(&words);
-                    self.members[p].store.write(pdst, &words);
-                    t = t.max(w.completion);
-                    self.stats.member_cmds += 1;
-                    repaired += info.len;
+                    // The parity that covers the data columns as they are
+                    // is the old parity XOR the syndrome.
+                    self.members[p].store.xor_into(pdst, &mut syndrome);
+                    t = self.write_member(&mut acc, p, pdst, &syndrome, t, "repair")?;
+                    self.members[p].store.write(pdst, &syndrome);
+                    repaired += len;
                 }
             }
         }

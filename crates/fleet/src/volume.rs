@@ -11,9 +11,12 @@ use traxtent::boundaries::ConfidentBoundaries;
 use traxtent::obs::span::{self, Span, SpanRecorder};
 use traxtent::obs::Registry;
 
-/// How many times a surfaced [`sim_disk::fault::CommandFault`] is
-/// re-issued before the volume gives up on that member for the access
-/// and falls over to redundancy (or reports the data unrecoverable).
+/// How many times a member command that surfaces a
+/// [`sim_disk::fault::CommandFault`] is attempted before the volume gives
+/// up on that member for the access. A read then falls over to redundancy
+/// (a mirror copy, parity reconstruction) or reports the data
+/// [`FleetError::Unrecoverable`]; a write never falls over — the access
+/// returns [`FleetError::RetriesExhausted`] with the data plane untouched.
 pub const FAULT_RETRIES: u32 = 4;
 
 /// Builds a member's ground-truth boundary map straight from its drive
@@ -37,7 +40,7 @@ pub(crate) struct Member {
 impl Member {
     /// Issues a command clamped to the member's own issue-time floor
     /// (per-member FCFS), retrying surfaced transient faults.
-    pub(crate) fn issue(&mut self, req: Request, at: SimTime) -> Result<Completion, ()> {
+    fn issue(&mut self, req: Request, at: SimTime) -> Result<Completion, ()> {
         for _ in 0..FAULT_RETRIES {
             let t = at.max(self.disk.last_issue());
             if let Ok(done) = self.disk.try_service(req, t) {
@@ -51,7 +54,7 @@ impl Member {
     /// write command to its crash log (no-op when crash capture is not
     /// armed). Must be called right after the issuing write, before any
     /// other command goes to this member.
-    pub(crate) fn note_words(&mut self, words: &[u64]) {
+    fn note_words(&mut self, words: &[u64]) {
         if self.disk.crash_log().is_some() {
             self.disk.note_write_payload(&words_payload(words));
         }
@@ -239,19 +242,73 @@ impl Drop for AccessSpans {
     }
 }
 
-/// Issues `req` to `member`, through the span scope when one is active.
+/// One logical access in flight: its span scope (when recording) and
+/// what it amounts to so far. A background pass opens one with
+/// `Access::default()` — no span scope, never finished.
+#[derive(Default)]
+pub(crate) struct Access {
+    spans: Option<AccessSpans>,
+    /// Member commands accepted so far.
+    cmds: u32,
+    /// Latest member completion so far.
+    done: SimTime,
+    /// True once any chunk took a degraded path.
+    degraded: bool,
+}
+
+impl Access {
+    /// Records the service mode a chunk took (a `mode` attr on the
+    /// `vol_cmd` span) and whether that mode is a degraded one.
+    fn took(&mut self, mode: &'static str, degraded: bool) {
+        self.degraded |= degraded;
+        if let Some(s) = self.spans.as_mut() {
+            s.note(mode);
+        }
+    }
+
+    /// Closes the access issued at `at`: emits its `vol_cmd` span and
+    /// reports what it fanned out into.
+    fn finish(self, request: Request, at: SimTime) -> VolumeCompletion {
+        let completion = self.done.max(at);
+        if let Some(s) = self.spans {
+            s.finish(request, at, completion);
+        }
+        VolumeCompletion {
+            request,
+            issue: at,
+            completion,
+            member_cmds: self.cmds,
+            reconstructed: self.degraded,
+        }
+    }
+}
+
+/// Issues `req` to `member` with retries, through the span scope when one
+/// is active, and books an accepted command on the access.
 fn issue_member(
+    acc: &mut Access,
     member: &mut Member,
     m: usize,
     req: Request,
     at: SimTime,
-    sp: &mut Option<AccessSpans>,
     role: &'static str,
-) -> Result<Completion, ()> {
-    match sp {
+) -> Result<SimTime, FleetError> {
+    let res = match acc.spans.as_mut() {
         Some(s) => s.member_issue(member, m, req, at, role),
         None => member.issue(req, at),
-    }
+    };
+    let done = res.map_err(|()| FleetError::RetriesExhausted {
+        member: m,
+        attempts: FAULT_RETRIES,
+    })?;
+    acc.cmds += 1;
+    acc.done = acc.done.max(done.completion);
+    Ok(done.completion)
+}
+
+/// Data on `member` that no redundancy can stand in for.
+pub(crate) fn lost(member: usize) -> FleetError {
+    FleetError::Unrecoverable { member }
 }
 
 impl Volume {
@@ -302,22 +359,27 @@ impl Volume {
         self.spans = Some(rec);
     }
 
-    /// Opens the span scope for one logical access, if recording.
-    fn begin_access(&mut self) -> Option<AccessSpans> {
-        let rec = self.spans.clone()?;
-        self.span_seq += 1;
-        let saved = rec.context();
-        let vol_id = span::derive_id(rec.salt(), span::kind::VOL_CMD, self.span_seq, 0);
-        Some(AccessSpans {
-            rec,
-            saved,
-            vol_id,
-            seq: self.span_seq,
-            sub: 0,
-            parent: vol_id,
-            notes: Vec::new(),
-            buf: Vec::new(),
-        })
+    /// Opens one logical access, with a span scope if recording.
+    fn begin_access(&mut self) -> Access {
+        let spans = self.spans.clone().map(|rec| {
+            self.span_seq += 1;
+            let saved = rec.context();
+            let vol_id = span::derive_id(rec.salt(), span::kind::VOL_CMD, self.span_seq, 0);
+            AccessSpans {
+                rec,
+                saved,
+                vol_id,
+                seq: self.span_seq,
+                sub: 0,
+                parent: vol_id,
+                notes: Vec::new(),
+                buf: Vec::new(),
+            }
+        });
+        Access {
+            spans,
+            ..Access::default()
+        }
     }
 
     /// A RAID-0 volume: stripe units round-robin across `members`, no
@@ -480,65 +542,156 @@ impl Volume {
         Ok(())
     }
 
-    fn check_range(&self, lbn: u64, len: u64) -> Result<(), FleetError> {
-        if len == 0 || lbn + len > self.layout.capacity() {
-            return Err(FleetError::OutOfRange {
-                lbn,
-                len,
-                capacity: self.layout.capacity(),
-            });
+    /// The one way a member is read: a timed read of `len` sectors at
+    /// physical `pstart` of member `m`, issued at `at`. A failed member is
+    /// refused without a command ([`FleetError::Unrecoverable`] — its
+    /// platters hold nothing worth reading), a member that faults past the
+    /// retry budget is [`FleetError::RetriesExhausted`]; callers fail over
+    /// or name the member whose data is actually lost. Returns when the
+    /// read completed; the words themselves are the caller's to take from
+    /// the member's store.
+    pub(crate) fn read_member(
+        &mut self,
+        acc: &mut Access,
+        m: usize,
+        pstart: u64,
+        len: u64,
+        at: SimTime,
+        role: &'static str,
+    ) -> Result<SimTime, FleetError> {
+        if !self.members[m].healthy {
+            return Err(lost(m));
         }
-        Ok(())
+        let req = Request::read(pstart, len);
+        let done = issue_member(acc, &mut self.members[m], m, req, at, role)?;
+        self.stats.member_cmds += 1;
+        Ok(done)
     }
 
-    /// Reconstructs chunk contents + completion time for a RAID-5 chunk
-    /// whose owner cannot serve: timed reads of every surviving member's
-    /// column, XOR of their stored words.
-    fn raid5_reconstruct_read(
+    /// The one way a member is written: a timed write of `words` at
+    /// physical `pstart` of member `m`, issued at `at`, carrying its crash
+    /// payload when capture is armed. The data plane is NOT touched: the
+    /// caller commits `words` to the member's store only once every write
+    /// of the chunk was accepted, so an exhausted retry budget
+    /// ([`FleetError::RetriesExhausted`]) never leaves a half-updated
+    /// stripe visible. Health is the caller's business — rebuild writes to
+    /// the failed member.
+    pub(crate) fn write_member(
         &mut self,
+        acc: &mut Access,
+        m: usize,
+        pstart: u64,
+        words: &[u64],
+        at: SimTime,
+        role: &'static str,
+    ) -> Result<SimTime, FleetError> {
+        let req = Request::write(pstart, words.len() as u64);
+        let done = issue_member(acc, &mut self.members[m], m, req, at, role)?;
+        self.members[m].note_words(words);
+        self.stats.member_cmds += 1;
+        Ok(done)
+    }
+
+    /// Reads sectors `[off, off + out.len())` of every member's RAID-5
+    /// round-`round` column except the `skip`ped members', all issued at
+    /// `at`, and folds the stored words into `out`. Returns when the last
+    /// read completed.
+    pub(crate) fn xor_survivors(
+        &mut self,
+        acc: &mut Access,
+        round: usize,
+        off: u64,
+        skip: &[usize],
+        at: SimTime,
+        out: &mut [u64],
+    ) -> Result<SimTime, FleetError> {
+        let mut done = at;
+        for m in (0..self.members.len()).filter(|m| !skip.contains(m)) {
+            let pstart = self.layout.rounds()[round].pstarts[m] + off;
+            let read = self.read_member(acc, m, pstart, out.len() as u64, at, "survivor")?;
+            done = done.max(read);
+            self.members[m].store.xor_into(pstart, out);
+        }
+        Ok(done)
+    }
+
+    /// Books a read chunk that was served from redundancy.
+    fn degraded_read(&mut self, acc: &mut Access, mode: &'static str, sectors: u64) {
+        self.stats.degraded_reads += 1;
+        self.stats.reconstructed_sectors += sectors;
+        acc.took(mode, true);
+    }
+
+    /// Reads one chunk into `data`: from its home member, or — when that
+    /// member is failed or keeps faulting — from the next mirror copy or
+    /// the XOR of the RAID-5 round's surviving columns.
+    fn read_chunk(
+        &mut self,
+        acc: &mut Access,
         chunk: &Chunk,
         at: SimTime,
         data: &mut Vec<u64>,
-        sp: &mut Option<AccessSpans>,
-    ) -> Result<(SimTime, u32), FleetError> {
-        let info = self.layout.rounds()[chunk.round].clone();
-        let off = chunk.pstart - info.pstarts[chunk.member];
-        let mut done = at;
-        let mut cmds = 0;
+    ) -> Result<(), FleetError> {
+        let Chunk {
+            member: home,
+            pstart,
+            len,
+            ..
+        } = *chunk;
+        let n = self.members.len();
+        let source = match self.layout.kind() {
+            VolumeKind::Striped => {
+                self.read_member(acc, home, pstart, len, at, "data")
+                    .map_err(|_| lost(home))?;
+                home
+            }
+            VolumeKind::Mirrored => {
+                let copy = (0..n)
+                    .map(|k| (home + k) % n)
+                    .find(|&m| {
+                        let role = if m == home { "data" } else { "mirror" };
+                        self.read_member(acc, m, pstart, len, at, role).is_ok()
+                    })
+                    .ok_or(lost(home))?;
+                if copy != home {
+                    self.degraded_read(acc, "degraded_mirror", len);
+                }
+                copy
+            }
+            VolumeKind::Raid5 => {
+                let read = self.read_member(acc, home, pstart, len, at, "data");
+                if read.is_err() {
+                    return self.raid5_reconstruct_read(acc, chunk, at, data);
+                }
+                home
+            }
+        };
+        self.members[source].store.read_into(pstart, len, data);
+        Ok(())
+    }
+
+    /// A RAID-5 chunk whose owner cannot serve: the XOR of every surviving
+    /// member's column, under one `reconstruct` span.
+    fn raid5_reconstruct_read(
+        &mut self,
+        acc: &mut Access,
+        chunk: &Chunk,
+        at: SimTime,
+        data: &mut Vec<u64>,
+    ) -> Result<(), FleetError> {
+        let owner = chunk.member;
+        let off = chunk.pstart - self.layout.rounds()[chunk.round].pstarts[owner];
         let base = data.len();
         data.resize(base + chunk.len as usize, 0);
-        let rid = sp.as_mut().map(AccessSpans::begin_reconstruct);
-        for m in 0..self.members.len() {
-            if m == chunk.member {
-                continue;
-            }
-            if !self.members[m].healthy {
-                return Err(FleetError::Unrecoverable {
-                    member: chunk.member,
-                });
-            }
-            let pstart = info.pstarts[m] + off;
-            let req = Request::read(pstart, chunk.len);
-            let c =
-                issue_member(&mut self.members[m], m, req, at, sp, "survivor").map_err(|_| {
-                    FleetError::Unrecoverable {
-                        member: chunk.member,
-                    }
-                })?;
-            cmds += 1;
-            done = done.max(c.completion);
-            for o in 0..chunk.len as usize {
-                data[base + o] ^= self.members[m].store.word(pstart + o as u64);
-            }
-        }
-        if let (Some(s), Some(id)) = (sp.as_mut(), rid) {
+        let rid = acc.spans.as_mut().map(AccessSpans::begin_reconstruct);
+        let done = self
+            .xor_survivors(acc, chunk.round, off, &[owner], at, &mut data[base..])
+            .map_err(|_| lost(owner))?;
+        if let (Some(s), Some(id)) = (acc.spans.as_mut(), rid) {
             s.end_reconstruct(id, chunk, at, done);
-            s.note("reconstruct_read");
         }
-        self.stats.member_cmds += cmds as u64;
-        self.stats.degraded_reads += 1;
-        self.stats.reconstructed_sectors += chunk.len;
-        Ok((done, cmds))
+        self.degraded_read(acc, "reconstruct_read", chunk.len);
+        Ok(())
     }
 
     /// Reads `len` sectors at logical `lbn`, issued at `at`. Returns the
@@ -551,108 +704,13 @@ impl Volume {
         len: u64,
         at: SimTime,
     ) -> Result<(VolumeCompletion, Vec<u64>), FleetError> {
-        self.check_range(lbn, len)?;
         let chunks = self.layout.split(lbn, len)?;
-        let mut sp = self.begin_access();
-        let mut done = at;
-        let mut cmds = 0u32;
-        let mut reconstructed = false;
+        let mut acc = self.begin_access();
         let mut data = Vec::with_capacity(len as usize);
         for chunk in &chunks {
-            match self.layout.kind() {
-                VolumeKind::Striped => {
-                    let m = chunk.member;
-                    if !self.members[m].healthy {
-                        return Err(FleetError::Unrecoverable { member: m });
-                    }
-                    let req = Request::read(chunk.pstart, chunk.len);
-                    let c = issue_member(&mut self.members[m], m, req, at, &mut sp, "data")
-                        .map_err(|_| FleetError::Unrecoverable { member: m })?;
-                    self.stats.member_cmds += 1;
-                    cmds += 1;
-                    done = done.max(c.completion);
-                    self.members[m]
-                        .store
-                        .read_into(chunk.pstart, chunk.len, &mut data);
-                }
-                VolumeKind::Mirrored => {
-                    let n = self.members.len();
-                    let mut served = false;
-                    for k in 0..n {
-                        let m = (chunk.member + k) % n;
-                        if !self.members[m].healthy {
-                            continue;
-                        }
-                        let req = Request::read(chunk.pstart, chunk.len);
-                        let role = if k == 0 { "data" } else { "mirror" };
-                        if let Ok(c) = issue_member(&mut self.members[m], m, req, at, &mut sp, role)
-                        {
-                            self.stats.member_cmds += 1;
-                            cmds += 1;
-                            done = done.max(c.completion);
-                            self.members[m]
-                                .store
-                                .read_into(chunk.pstart, chunk.len, &mut data);
-                            if k > 0 {
-                                self.stats.degraded_reads += 1;
-                                self.stats.reconstructed_sectors += chunk.len;
-                                reconstructed = true;
-                                if let Some(s) = sp.as_mut() {
-                                    s.note("degraded_mirror");
-                                }
-                            }
-                            served = true;
-                            break;
-                        }
-                    }
-                    if !served {
-                        return Err(FleetError::Unrecoverable {
-                            member: chunk.member,
-                        });
-                    }
-                }
-                VolumeKind::Raid5 => {
-                    let m = chunk.member;
-                    let healthy_ok = if self.members[m].healthy {
-                        let req = Request::read(chunk.pstart, chunk.len);
-                        match issue_member(&mut self.members[m], m, req, at, &mut sp, "data") {
-                            Ok(c) => {
-                                self.stats.member_cmds += 1;
-                                cmds += 1;
-                                done = done.max(c.completion);
-                                self.members[m]
-                                    .store
-                                    .read_into(chunk.pstart, chunk.len, &mut data);
-                                true
-                            }
-                            Err(()) => false,
-                        }
-                    } else {
-                        false
-                    };
-                    if !healthy_ok {
-                        let (t, c) = self.raid5_reconstruct_read(chunk, at, &mut data, &mut sp)?;
-                        done = done.max(t);
-                        cmds += c;
-                        reconstructed = true;
-                    }
-                }
-            }
+            self.read_chunk(&mut acc, chunk, at, &mut data)?;
         }
-        let request = Request::read(lbn, len);
-        if let Some(s) = sp {
-            s.finish(request, at, done);
-        }
-        Ok((
-            VolumeCompletion {
-                request,
-                issue: at,
-                completion: done,
-                member_cmds: cmds,
-                reconstructed,
-            },
-            data,
-        ))
+        Ok((acc.finish(Request::read(lbn, len), at), data))
     }
 
     /// Writes `data` at logical `lbn`, issued at `at`, maintaining the
@@ -666,257 +724,120 @@ impl Volume {
         at: SimTime,
     ) -> Result<VolumeCompletion, FleetError> {
         let len = data.len() as u64;
-        self.check_range(lbn, len)?;
         let chunks = self.layout.split(lbn, len)?;
-        let mut sp = self.begin_access();
-        let mut done = at;
-        let mut cmds = 0u32;
-        let mut reconstructed = false;
+        let mut acc = self.begin_access();
         for chunk in &chunks {
-            let words =
-                &data[(chunk.lstart - lbn) as usize..(chunk.lstart - lbn + chunk.len) as usize];
-            let (t, c, degraded) = self.write_chunk(chunk, words, at, &mut sp)?;
-            done = done.max(t);
-            cmds += c;
-            reconstructed |= degraded;
+            let from = (chunk.lstart - lbn) as usize;
+            let words = &data[from..from + chunk.len as usize];
+            self.write_chunk(&mut acc, chunk, words, at)?;
         }
-        let request = Request::write(lbn, len);
-        if let Some(s) = sp {
-            s.finish(request, at, done);
-        }
-        Ok(VolumeCompletion {
-            request,
-            issue: at,
-            completion: done,
-            member_cmds: cmds,
-            reconstructed,
-        })
+        Ok(acc.finish(Request::write(lbn, len), at))
     }
 
+    /// Writes one chunk. Two-phase in every mode: every member write of
+    /// the chunk is issued first, and the data plane is committed only
+    /// once all of them were accepted — a retry-exhausted member must
+    /// never leave a half-updated stripe visible to later reads.
     fn write_chunk(
         &mut self,
+        acc: &mut Access,
         chunk: &Chunk,
         words: &[u64],
         at: SimTime,
-        sp: &mut Option<AccessSpans>,
-    ) -> Result<(SimTime, u32, bool), FleetError> {
+    ) -> Result<(), FleetError> {
+        let Chunk {
+            member: owner,
+            pstart,
+            ..
+        } = *chunk;
         match self.layout.kind() {
             VolumeKind::Striped => {
-                let m = chunk.member;
-                if !self.members[m].healthy {
-                    return Err(FleetError::Unrecoverable { member: m });
+                if !self.members[owner].healthy {
+                    return Err(lost(owner));
                 }
-                let req = Request::write(chunk.pstart, chunk.len);
-                let c =
-                    issue_member(&mut self.members[m], m, req, at, sp, "data").map_err(|_| {
-                        FleetError::RetriesExhausted {
-                            member: m,
-                            attempts: FAULT_RETRIES,
-                        }
-                    })?;
-                self.members[m].note_words(words);
-                self.stats.member_cmds += 1;
-                self.members[m].store.write(chunk.pstart, words);
-                Ok((c.completion, 1, false))
+                self.write_member(acc, owner, pstart, words, at, "data")?;
+                self.members[owner].store.write(pstart, words);
             }
             VolumeKind::Mirrored => {
-                // Two-phase: issue every copy's command first, commit the
-                // data plane only once all of them succeeded — a
-                // retry-exhausted copy must never leave a half-updated
-                // stripe visible to later reads.
-                let mut done = at;
-                let mut wrote = Vec::new();
+                if !self.can_serve() {
+                    return Err(lost(owner));
+                }
                 for m in 0..self.members.len() {
-                    if !self.members[m].healthy {
-                        continue;
-                    }
-                    let req = Request::write(chunk.pstart, chunk.len);
-                    let c = issue_member(&mut self.members[m], m, req, at, sp, "copy").map_err(
-                        |_| FleetError::RetriesExhausted {
-                            member: m,
-                            attempts: FAULT_RETRIES,
-                        },
-                    )?;
-                    self.members[m].note_words(words);
-                    done = done.max(c.completion);
-                    wrote.push(m);
-                }
-                if wrote.is_empty() {
-                    return Err(FleetError::Unrecoverable {
-                        member: chunk.member,
-                    });
-                }
-                let cmds = wrote.len() as u32;
-                self.stats.member_cmds += u64::from(cmds);
-                for m in wrote {
-                    self.members[m].store.write(chunk.pstart, words);
-                }
-                let degraded = self.is_degraded();
-                if degraded {
-                    if let Some(s) = sp.as_mut() {
-                        s.note("degraded_mirror");
+                    if self.members[m].healthy {
+                        self.write_member(acc, m, pstart, words, at, "copy")?;
                     }
                 }
-                Ok((done, cmds, degraded))
+                for copy in self.members.iter_mut().filter(|m| m.healthy) {
+                    copy.store.write(pstart, words);
+                }
+                if self.is_degraded() {
+                    acc.took("degraded_mirror", true);
+                }
             }
-            VolumeKind::Raid5 => self.raid5_write_chunk(chunk, words, at, sp),
+            VolumeKind::Raid5 => self.raid5_write_chunk(acc, chunk, words, at)?,
         }
+        Ok(())
     }
 
     fn raid5_write_chunk(
         &mut self,
+        acc: &mut Access,
         chunk: &Chunk,
         words: &[u64],
         at: SimTime,
-        sp: &mut Option<AccessSpans>,
-    ) -> Result<(SimTime, u32, bool), FleetError> {
-        let info = self.layout.rounds()[chunk.round].clone();
+    ) -> Result<(), FleetError> {
         let owner = chunk.member;
+        let info = &self.layout.rounds()[chunk.round];
         let parity = info.parity;
         let off = chunk.pstart - info.pstarts[owner];
         let ppstart = info.pstarts[parity] + off;
-        let owner_ok = self.members[owner].healthy;
-        let parity_ok = self.members[parity].healthy;
-        match (owner_ok, parity_ok) {
+        match (self.members[owner].healthy, self.members[parity].healthy) {
             (true, true) => {
                 // Read-modify-write: read old data and old parity, then
                 // write both with the XOR-updated parity.
-                if let Some(s) = sp.as_mut() {
-                    s.note("rmw");
-                }
-                let r1 = issue_member(
-                    &mut self.members[owner],
-                    owner,
-                    Request::read(chunk.pstart, chunk.len),
-                    at,
-                    sp,
-                    "data",
-                )
-                .map_err(|_| FleetError::Unrecoverable { member: owner })?;
-                let r2 = issue_member(
-                    &mut self.members[parity],
-                    parity,
-                    Request::read(ppstart, chunk.len),
-                    at,
-                    sp,
-                    "parity",
-                )
-                .map_err(|_| FleetError::Unrecoverable { member: parity })?;
-                let reads_done = r1.completion.max(r2.completion);
-                let mut new_parity = Vec::with_capacity(words.len());
-                for (o, &w) in words.iter().enumerate() {
-                    let old = self.members[owner].store.word(chunk.pstart + o as u64);
-                    let oldp = self.members[parity].store.word(ppstart + o as u64);
-                    new_parity.push(oldp ^ old ^ w);
-                }
-                let w1 = issue_member(
-                    &mut self.members[owner],
-                    owner,
-                    Request::write(chunk.pstart, chunk.len),
-                    reads_done,
-                    sp,
-                    "data",
-                )
-                .map_err(|_| FleetError::RetriesExhausted {
-                    member: owner,
-                    attempts: FAULT_RETRIES,
-                })?;
-                self.members[owner].note_words(words);
-                let w2 = issue_member(
-                    &mut self.members[parity],
-                    parity,
-                    Request::write(ppstart, chunk.len),
-                    reads_done,
-                    sp,
-                    "parity",
-                )
-                .map_err(|_| FleetError::RetriesExhausted {
-                    member: parity,
-                    attempts: FAULT_RETRIES,
-                })?;
-                self.members[parity].note_words(&new_parity);
+                acc.took("rmw", false);
+                let mut new_parity = words.to_vec();
+                let r1 = self
+                    .read_member(acc, owner, chunk.pstart, chunk.len, at, "data")
+                    .map_err(|_| lost(owner))?;
+                let r2 = self
+                    .read_member(acc, parity, ppstart, chunk.len, at, "parity")
+                    .map_err(|_| lost(parity))?;
+                self.members[owner]
+                    .store
+                    .xor_into(chunk.pstart, &mut new_parity);
+                self.members[parity]
+                    .store
+                    .xor_into(ppstart, &mut new_parity);
+                let reads_done = r1.max(r2);
+                self.write_member(acc, owner, chunk.pstart, words, reads_done, "data")?;
+                self.write_member(acc, parity, ppstart, &new_parity, reads_done, "parity")?;
                 self.members[owner].store.write(chunk.pstart, words);
                 self.members[parity].store.write(ppstart, &new_parity);
-                self.stats.member_cmds += 4;
-                Ok((w1.completion.max(w2.completion), 4, false))
             }
             (false, true) => {
                 // Reconstruct-write: the new parity is the XOR of the new
                 // data with every *surviving* data column; the dead
                 // member's platters stay untouched.
-                if let Some(s) = sp.as_mut() {
-                    s.note("reconstruct_write");
-                }
+                acc.took("reconstruct_write", true);
                 let mut new_parity = words.to_vec();
-                let mut reads_done = at;
-                let mut cmds = 0;
-                for m in 0..self.members.len() {
-                    if m == owner || m == parity {
-                        continue;
-                    }
-                    if !self.members[m].healthy {
-                        return Err(FleetError::Unrecoverable { member: owner });
-                    }
-                    let pstart = info.pstarts[m] + off;
-                    let c = issue_member(
-                        &mut self.members[m],
-                        m,
-                        Request::read(pstart, chunk.len),
-                        at,
-                        sp,
-                        "survivor",
-                    )
-                    .map_err(|_| FleetError::Unrecoverable { member: owner })?;
-                    cmds += 1;
-                    reads_done = reads_done.max(c.completion);
-                    for (o, p) in new_parity.iter_mut().enumerate() {
-                        *p ^= self.members[m].store.word(pstart + o as u64);
-                    }
-                }
-                let w = issue_member(
-                    &mut self.members[parity],
-                    parity,
-                    Request::write(ppstart, chunk.len),
-                    reads_done,
-                    sp,
-                    "parity",
-                )
-                .map_err(|_| FleetError::RetriesExhausted {
-                    member: parity,
-                    attempts: FAULT_RETRIES,
-                })?;
-                self.members[parity].note_words(&new_parity);
-                cmds += 1;
+                let reads_done = self
+                    .xor_survivors(acc, chunk.round, off, &[owner, parity], at, &mut new_parity)
+                    .map_err(|_| lost(owner))?;
+                self.write_member(acc, parity, ppstart, &new_parity, reads_done, "parity")?;
                 self.members[parity].store.write(ppstart, &new_parity);
-                self.stats.member_cmds += cmds as u64;
                 self.stats.degraded_writes += 1;
-                Ok((w.completion, cmds, true))
             }
             (true, false) => {
                 // Parity member is dead: write the data, skip parity.
-                if let Some(s) = sp.as_mut() {
-                    s.note("parity_skip");
-                }
-                let c = issue_member(
-                    &mut self.members[owner],
-                    owner,
-                    Request::write(chunk.pstart, chunk.len),
-                    at,
-                    sp,
-                    "data",
-                )
-                .map_err(|_| FleetError::RetriesExhausted {
-                    member: owner,
-                    attempts: FAULT_RETRIES,
-                })?;
-                self.members[owner].note_words(words);
+                acc.took("parity_skip", true);
+                self.write_member(acc, owner, chunk.pstart, words, at, "data")?;
                 self.members[owner].store.write(chunk.pstart, words);
-                self.stats.member_cmds += 1;
                 self.stats.degraded_writes += 1;
-                Ok((c.completion, 1, true))
             }
-            (false, false) => Err(FleetError::Unrecoverable { member: owner }),
+            (false, false) => return Err(lost(owner)),
         }
+        Ok(())
     }
 
     /// Services one logical request as the server sees it: reads return

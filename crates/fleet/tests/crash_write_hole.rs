@@ -3,7 +3,7 @@
 //! invariant without ever touching data columns — reproducibly from
 //! (seed, cut) alone.
 
-use fleet::{member_boundaries, FleetError, StripePolicy, Volume, FAULT_RETRIES};
+use fleet::{member_boundaries, pattern_word, FleetError, StripePolicy, Volume, FAULT_RETRIES};
 use proptest::prelude::*;
 use sim_disk::crash::splitmix;
 use sim_disk::disk::Disk;
@@ -190,6 +190,67 @@ fn degraded_mirror_write_retry_exhaustion_is_typed_and_atomic() {
         .expect("a healthy copy serves");
     assert_eq!(after, before, "failed write must not leave partial data");
     assert_ne!(after, words, "the aborted write must not be visible");
+}
+
+/// The RAID-5 twin: a member that never takes a command is read around
+/// by reconstruction, and a write whose data or parity column lands on
+/// it fails typed before anything is committed — no half-updated stripe.
+#[test]
+fn raid5_write_onto_a_faulting_member_is_typed_and_atomic() {
+    let mut always_faulting = models::small_test_disk();
+    always_faulting.fault.transient_per_million = 1_000_000;
+    let mut members = Vec::new();
+    for cfg in [
+        models::small_test_disk(),
+        always_faulting,
+        models::small_test_disk(),
+    ] {
+        let d = Disk::new(cfg);
+        let b = member_boundaries(&d);
+        members.push((d, b));
+    }
+    let mut v = Volume::raid5(members, StripePolicy::aligned()).unwrap();
+    v.format(7);
+    assert!(!v.is_degraded(), "faulting is not failed");
+
+    // Member 1's data column is served by XOR of the other two, bit-exact.
+    let units = v.layout().units().to_vec();
+    let on_faulting = units.iter().find(|u| u.member == 1).expect("owns units");
+    let (c, words) = v
+        .read(on_faulting.lstart, 64, SimTime::ZERO)
+        .expect("parity stands in");
+    assert!(c.reconstructed && c.member_cmds == 2);
+    for (o, &w) in words.iter().enumerate() {
+        assert_eq!(w, pattern_word(7, on_faulting.lstart + o as u64));
+    }
+    let before = logical_contents(&mut v);
+
+    // A read-modify-write has to read the old data and the old parity,
+    // so either column on member 1 stops it at the read, naming member 1.
+    let parity_on_faulting = units
+        .iter()
+        .find(|u| u.member != 1 && v.layout().rounds()[u.round].parity == 1)
+        .expect("parity rotates onto every member");
+    let payload = vec![0xabcd_ef01_2345_6789u64; 64];
+    for unit in [on_faulting, parity_on_faulting] {
+        let err = v.write(unit.lstart, &payload, SimTime::ZERO).unwrap_err();
+        assert_eq!(err, FleetError::Unrecoverable { member: 1 });
+    }
+    // A stripe that keeps both columns off member 1 still takes writes.
+    let clear = units
+        .iter()
+        .find(|u| u.member != 1 && v.layout().rounds()[u.round].parity != 1)
+        .expect("some round has member 1 as the bystander");
+    let old: Vec<u64> = before[clear.lstart as usize..][..64].to_vec();
+    v.write(clear.lstart, &old, SimTime::ZERO)
+        .expect("member 1 is not involved");
+
+    assert_eq!(
+        logical_contents(&mut v),
+        before,
+        "failed writes are invisible"
+    );
+    assert_eq!(v.scrub(&Registry::new()).mismatches, 0, "no torn stripe");
 }
 
 /// A torn RAID-5 logical write is detectable: cut between the data and

@@ -2,7 +2,7 @@
 //! reads return bit-exact data, writes maintain the redundancy
 //! invariant, rebuild restores a failed member, and scrub verifies it.
 
-use fleet::{member_boundaries, pattern_word, FleetError, StripePolicy, Volume};
+use fleet::{member_boundaries, pattern_word, FleetError, StripePolicy, Volume, VolumeKind};
 use sim_disk::disk::Disk;
 use sim_disk::models::small_test_disk;
 use sim_disk::SimTime;
@@ -172,4 +172,91 @@ fn raid5_degraded_reads_and_writes_are_exact() {
         v.rebuild_member(2, &reg, SimTime::from_ns(8)),
         Err(FleetError::DegradedPeer { member: 0 })
     ));
+}
+
+/// Which member of a one-chunk access's stripe is failed.
+#[derive(Debug, Clone, Copy)]
+enum Failed {
+    Nobody,
+    /// The chunk's home member (for a mirror: the preferred copy).
+    Owner,
+    /// The RAID-5 round's parity member.
+    Parity,
+    /// A member the healthy access would not have touched.
+    Bystander,
+}
+
+/// The accounting the single member-command path owns, as one table:
+/// what a one-chunk read and a one-chunk write fan out into and whether
+/// they count as degraded, per volume kind and per failed member
+/// (DESIGN.md §9) — and that the running counter is exactly the sum of
+/// what the completions reported, background passes included.
+#[test]
+fn member_command_accounting_by_mode() {
+    use Failed::*;
+    use VolumeKind::*;
+    // (kind, members, failed, read (cmds, degraded), write (cmds, degraded))
+    let table = [
+        (Striped, 3, Nobody, (1, false), (1, false)),
+        (Striped, 3, Bystander, (1, false), (1, false)),
+        (Mirrored, 3, Nobody, (1, false), (3, false)),
+        (Mirrored, 3, Owner, (1, true), (2, true)),
+        (Mirrored, 3, Bystander, (1, false), (2, true)),
+        (Raid5, 4, Nobody, (1, false), (4, false)),
+        (Raid5, 4, Owner, (3, true), (3, true)),
+        (Raid5, 4, Parity, (1, false), (1, true)),
+        (Raid5, 4, Bystander, (1, false), (4, false)),
+    ];
+    for (kind, n, failed, read, write) in table {
+        let case = format!("{kind:?} x {n}, failed: {failed:?}");
+        let policy = StripePolicy::aligned();
+        let mut v = match kind {
+            Striped => Volume::striped(members(n), policy),
+            Mirrored => Volume::mirrored(members(n), policy),
+            Raid5 => Volume::raid5(members(n), policy),
+        }
+        .unwrap();
+        v.format(SEED);
+        let unit = v.layout().units()[0];
+        let parity = v.layout().rounds().get(unit.round).map(|r| r.parity);
+        let dead = match failed {
+            Nobody => None,
+            Owner => Some(unit.member),
+            Parity => parity,
+            Bystander => (0..n).find(|&m| m != unit.member && Some(m) != parity),
+        };
+        if let Some(m) = dead {
+            v.fail_member(m).unwrap();
+        }
+
+        let (r, data) = v.read(unit.lstart, 16, SimTime::ZERO).unwrap();
+        expect_pattern(&data, unit.lstart);
+        assert_eq!((r.member_cmds, r.reconstructed), read, "{case}: read");
+        let w = v.write(unit.lstart, &data, r.completion).unwrap();
+        assert_eq!((w.member_cmds, w.reconstructed), write, "{case}: write");
+        let mut issued = u64::from(r.member_cmds + w.member_cmds);
+        assert_eq!(v.stats().member_cmds, issued, "{case}: foreground");
+
+        // Background passes go through the same two functions: a rebuild
+        // step reads its sources and writes one unit, a clean repair pass
+        // reads every column once and writes nothing.
+        let reg = Registry::new();
+        let steps = match kind {
+            Striped => 0,
+            Mirrored => v.layout().units().len() as u64,
+            Raid5 => v.layout().rounds().len() as u64,
+        };
+        if let (Some(m), true) = (dead, kind.redundant()) {
+            let rebuilt = v.rebuild_member(m, &reg, w.completion).unwrap();
+            assert_eq!(rebuilt.units, steps, "{case}");
+            issued += steps * if kind == Mirrored { 2 } else { n as u64 };
+            assert_eq!(v.stats().member_cmds, issued, "{case}: rebuild");
+        }
+        if !v.is_degraded() {
+            let repair = v.scrub_repair(&reg, w.completion).unwrap();
+            assert_eq!(repair.repaired_sectors, 0, "{case}");
+            issued += steps * n as u64;
+            assert_eq!(v.stats().member_cmds, issued, "{case}: scrub_repair");
+        }
+    }
 }

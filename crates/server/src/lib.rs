@@ -334,7 +334,7 @@ pub fn serve<B: Backend + ?Sized>(
         if i > 0 && r.arrival < records[i - 1].arrival {
             return Err(ServerError::UnsortedArrivals { index: i });
         }
-        if r.request.lbn + r.request.len > capacity {
+        if !r.request.fits(capacity) {
             return Err(ServerError::BeyondCapacity { index: i });
         }
     }

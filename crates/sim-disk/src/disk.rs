@@ -311,12 +311,12 @@ impl Disk {
     /// Panics if the request extends past the disk capacity or if `issue`
     /// precedes a previously issued command.
     pub fn service(&mut self, req: Request, issue: SimTime) -> Completion {
+        let cap = self.config.geometry.capacity_lbns();
         assert!(
-            req.end() <= self.config.geometry.capacity_lbns(),
-            "request [{}, {}) exceeds capacity {}",
+            req.fits(cap),
+            "request of {} sectors at {} exceeds capacity {cap}",
+            req.len,
             req.lbn,
-            req.end(),
-            self.config.geometry.capacity_lbns()
         );
         assert!(
             issue >= self.last_issue,
@@ -344,10 +344,10 @@ impl Disk {
         let mut last = self.last_issue;
         for (req, issue) in batch {
             assert!(
-                req.end() <= cap,
-                "request [{}, {}) exceeds capacity {cap}",
+                req.fits(cap),
+                "request of {} sectors at {} exceeds capacity {cap}",
+                req.len,
                 req.lbn,
-                req.end(),
             );
             assert!(*issue >= last, "commands must be issued in time order");
             last = *issue;
@@ -390,7 +390,7 @@ impl Disk {
         req: Request,
         issue: SimTime,
     ) -> Result<Completion, CommandFault> {
-        if req.end() > self.config.geometry.capacity_lbns() {
+        if !req.fits(self.config.geometry.capacity_lbns()) {
             return Err(CommandFault {
                 sense: SenseKey::IllegalRequest,
                 at: issue,

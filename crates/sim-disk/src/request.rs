@@ -60,6 +60,13 @@ impl Request {
         self.lbn + self.len
     }
 
+    /// True if the request lies within a device of `capacity` sectors.
+    /// Compares without adding, so no `lbn` / `len` from outside the
+    /// program can wrap its way past the check.
+    pub fn fits(&self, capacity: u64) -> bool {
+        self.lbn <= capacity && self.len <= capacity - self.lbn
+    }
+
     /// Request size in bytes.
     pub fn bytes(&self) -> u64 {
         self.len * crate::SECTOR_BYTES

@@ -50,6 +50,8 @@ pub enum ParseErrorKind {
     BadOp(String),
     /// `sectors` was zero.
     ZeroSectors,
+    /// `lbn + sectors` does not fit in 64 bits: no device holds it.
+    RangeOverflow,
     /// Extra fields after `sectors`.
     TrailingFields,
     /// The line's arrival precedes its predecessor's.
@@ -80,6 +82,7 @@ impl fmt::Display for ParseError {
             ParseErrorKind::NegativeArrival => write!(f, "arrival_ms must be non-negative"),
             ParseErrorKind::BadOp(tok) => write!(f, "op must be R or W, got `{tok}`"),
             ParseErrorKind::ZeroSectors => write!(f, "sectors must be positive"),
+            ParseErrorKind::RangeOverflow => write!(f, "lbn + sectors overflows"),
             ParseErrorKind::TrailingFields => write!(f, "trailing fields"),
             ParseErrorKind::NonMonotoneArrival => write!(f, "arrivals must be sorted by time"),
         }
@@ -130,6 +133,9 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
             .map_err(|_| err(ParseErrorKind::BadField("sectors")))?;
         if sectors == 0 {
             return Err(err(ParseErrorKind::ZeroSectors));
+        }
+        if lbn.checked_add(sectors).is_none() {
+            return Err(err(ParseErrorKind::RangeOverflow));
         }
         if fields.next().is_some() {
             return Err(err(ParseErrorKind::TrailingFields));
@@ -360,6 +366,7 @@ mod tests {
             ("0.0 R 100", "line 1"),
             ("0.0 X 100 8", "R or W"),
             ("0.0 R 100 0", "positive"),
+            ("0.0 R 18446744073709551615 2", "overflows"),
             ("0.0 R 100 8 9", "trailing"),
             ("-1 R 100 8", "non-negative"),
             ("5.0 R 1 1\n2.0 R 1 1", "sorted"),
@@ -381,6 +388,13 @@ mod tests {
         let err = parse_trace("0.0 R 100 0").unwrap_err();
         assert_eq!(err.line, 1);
         assert_eq!(err.kind, ParseErrorKind::ZeroSectors);
+
+        // A range that wraps past 2^64 is rejected here, before any
+        // capacity check could add it up; the last representable one is not.
+        let err = parse_trace("0.0 R 1 1\n1.0 R 18446744073709551615 2\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.kind, ParseErrorKind::RangeOverflow);
+        assert!(parse_trace("0.0 R 18446744073709551614 1").is_ok());
 
         // Trailing garbage after a well-formed prefix.
         let err = parse_trace("0.0 R 100 8\n1.0 W 200 16 junk\n").unwrap_err();
