@@ -68,7 +68,6 @@ fn run_level(run: &Run, name: &str, spec: &str) -> Row {
     let gcfg = GeneralConfig {
         contexts: 16,
         votes: 3,
-        ..GeneralConfig::default()
     };
     let (method, exact, mean_conf) = match extract_auto(&mut s, &gcfg) {
         Ok(auto) => {

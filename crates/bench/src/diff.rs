@@ -197,14 +197,10 @@ fn diff_one(figure: &str, base: &Manifest, cur: &Manifest, tol: &Tolerances, rep
     }
 }
 
-/// Loads both directories and compares them.
-pub fn diff_dirs(baseline: &Path, current: &Path, tol: &Tolerances) -> Result<Report, String> {
-    diff_dirs_only(baseline, current, tol, &[])
-}
-
-/// Like [`diff_dirs`], restricted to the named figures when `only` is
-/// non-empty. Asking for a figure the baseline does not have is an error —
-/// a gate that silently compares nothing would always pass.
+/// Loads both directories and compares them, restricted to the named
+/// figures when `only` is non-empty. Asking for a figure the baseline does
+/// not have is an error — a gate that silently compares nothing would
+/// always pass.
 pub fn diff_dirs_only(
     baseline: &Path,
     current: &Path,
@@ -393,7 +389,9 @@ mod tests {
             .unwrap();
 
         let tol = Tolerances::default();
-        assert!(!diff_dirs(&base_dir, &cur_dir, &tol).unwrap().passed());
+        assert!(!diff_dirs_only(&base_dir, &cur_dir, &tol, &[])
+            .unwrap()
+            .passed());
         let only = vec!["replay".to_string()];
         let report = diff_dirs_only(&base_dir, &cur_dir, &tol, &only).unwrap();
         assert!(report.passed(), "{}", report.render());

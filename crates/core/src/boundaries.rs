@@ -199,11 +199,6 @@ impl TrackBoundaries {
         self.starts.get(i + 1).copied().unwrap_or(self.capacity)
     }
 
-    /// Whether `lbn` is the first sector of a track.
-    pub fn is_track_start(&self, lbn: u64) -> bool {
-        self.starts.binary_search(&lbn).is_ok()
-    }
-
     /// Iterates over all track extents.
     pub fn iter(&self) -> impl Iterator<Item = Extent> + '_ {
         (0..self.starts.len()).map(|i| self.track_extent(i))
@@ -254,25 +249,6 @@ impl TrackBoundaries {
     pub fn clip_to_track(&self, start: u64, want: u64) -> u64 {
         let (_, end) = self.track_bounds(start);
         want.min(end - start)
-    }
-
-    /// The whole-track extents fully contained in `ext` (used to turn a free
-    /// region into traxtents).
-    pub fn contained_tracks(&self, ext: Extent) -> impl Iterator<Item = Extent> + '_ {
-        let first = if ext.start == 0 {
-            0
-        } else {
-            self.track_index(ext.start - 1) + 1
-        };
-        (first..self.num_tracks())
-            .map(|i| self.track_extent(i))
-            .take_while(move |t| t.end() <= ext.end())
-            .filter(move |t| t.start >= ext.start)
-    }
-
-    /// Mean track length in sectors.
-    pub fn mean_track_len(&self) -> f64 {
-        self.capacity as f64 / self.starts.len() as f64
     }
 }
 
@@ -341,7 +317,6 @@ impl ConfidentBoundaries {
     ///     .with_spindles(vec![0, 1, 0, 1])
     ///     .unwrap();
     /// assert_eq!(map.spindle(3), 1);
-    /// assert_eq!(map.num_spindles(), 2);
     /// ```
     ///
     /// # Errors
@@ -364,16 +339,6 @@ impl ConfidentBoundaries {
         } else {
             self.spindles[i]
         }
-    }
-
-    /// Number of distinct spindles the tracks live on (1 for a table
-    /// without spindle ids). Sorts a copy of the ids: call it once, not
-    /// per lookup.
-    pub fn num_spindles(&self) -> usize {
-        let mut ids = self.spindles.clone();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len().max(1)
     }
 
     /// The underlying boundary table.
@@ -401,22 +366,6 @@ impl ConfidentBoundaries {
         self.confidence.iter().sum::<f64>() / self.confidence.len() as f64
     }
 
-    /// Fraction of tracks at or above `threshold`.
-    pub fn confident_fraction(&self, threshold: f64) -> f64 {
-        let n = self.confidence.iter().filter(|c| **c >= threshold).count();
-        n as f64 / self.confidence.len() as f64
-    }
-
-    /// Indices of tracks whose confidence falls below `threshold`.
-    pub fn low_confidence_tracks(&self, threshold: f64) -> Vec<usize> {
-        self.confidence
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c < threshold)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Lowers track `i`'s confidence to at most `to` (clamped to
     /// `[0, 1]`), returning the new value. Never raises: demotion is how
     /// the self-healing loop marks a track suspect after recovered media
@@ -437,11 +386,6 @@ impl ConfidentBoundaries {
         let to = to.clamp(0.0, 1.0);
         self.confidence[i] = self.confidence[i].max(to);
         self.confidence[i]
-    }
-
-    /// Consumes the wrapper, returning the bare table.
-    pub fn into_table(self) -> TrackBoundaries {
-        self.table
     }
 
     /// Composes a boundary map from consecutive `(length, confidence)`
@@ -550,14 +494,13 @@ mod tests {
     #[test]
     fn spindle_ids_are_optional_and_one_per_track() {
         let plain = ConfidentBoundaries::certain(table());
-        assert_eq!((plain.spindle(3), plain.num_spindles()), (0, 1));
+        assert_eq!(plain.spindle(3), 0);
         assert_eq!(
             plain.clone().with_spindles(vec![0; 3]).unwrap_err(),
             BoundariesError::BadSpindles
         );
         let striped = plain.with_spindles(vec![2, 7, 2, 7]).unwrap();
         assert_eq!((striped.spindle(1), striped.spindle(2)), (7, 2));
-        assert_eq!(striped.num_spindles(), 2, "distinct ids, not max + 1");
     }
 
     #[test]
@@ -565,9 +508,7 @@ mod tests {
         let c = ConfidentBoundaries::certain(table());
         assert_eq!(c.confidence(), &[1.0; 4]);
         assert_eq!(c.mean_confidence(), 1.0);
-        assert_eq!(c.confident_fraction(0.9), 1.0);
-        assert!(c.low_confidence_tracks(0.9).is_empty());
-        assert_eq!(c.into_table(), table());
+        assert_eq!(c.table(), &table());
     }
 
     #[test]
@@ -576,8 +517,6 @@ mod tests {
         assert!(c.is_confident(0, 0.9));
         assert!(!c.is_confident(1, 0.9));
         assert_eq!(c.track_confidence(2), 0.95);
-        assert_eq!(c.low_confidence_tracks(0.9), vec![1]);
-        assert_eq!(c.confident_fraction(0.9), 0.75);
         assert!((c.mean_confidence() - 0.8875).abs() < 1e-12);
         assert_eq!(c.table().num_tracks(), 4);
     }
@@ -591,8 +530,6 @@ mod tests {
         assert_eq!(tb.track_bounds(99), (0, 100));
         assert_eq!(tb.track_bounds(100), (100, 199));
         assert_eq!(tb.track_bounds(399), (300, 400));
-        assert!(tb.is_track_start(199));
-        assert!(!tb.is_track_start(200));
     }
 
     #[test]
@@ -627,20 +564,10 @@ mod tests {
     }
 
     #[test]
-    fn contained_tracks_filters_partials() {
-        let tb = table();
-        let tracks: Vec<Extent> = tb.contained_tracks(Extent::new(50, 300)).collect();
-        assert_eq!(tracks, vec![Extent::new(100, 99), Extent::new(199, 101)]);
-        let all: Vec<Extent> = tb.contained_tracks(Extent::new(0, 400)).collect();
-        assert_eq!(all.len(), 4);
-    }
-
-    #[test]
     fn uniform_table() {
         let tb = TrackBoundaries::uniform(5, 10);
         assert_eq!(tb.capacity(), 50);
         assert_eq!(tb.track_bounds(42), (40, 50));
-        assert!((tb.mean_track_len() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -56,16 +56,6 @@ impl Extent {
         (self.start..self.end()).contains(&lbn)
     }
 
-    /// Whether two extents share any LBN.
-    pub fn overlaps(&self, other: &Extent) -> bool {
-        self.start < other.end() && other.start < self.end()
-    }
-
-    /// Whether `other` lies entirely within `self`.
-    pub fn contains_extent(&self, other: &Extent) -> bool {
-        self.start <= other.start && other.end() <= self.end()
-    }
-
     /// The overlap of two extents, if any.
     ///
     /// ```
@@ -77,26 +67,6 @@ impl Extent {
     /// ```
     pub fn intersect(&self, other: &Extent) -> Option<Extent> {
         Extent::from_bounds(self.start.max(other.start), self.end().min(other.end()))
-    }
-
-    /// Splits at an absolute LBN, returning the (left, right) parts. Either
-    /// may be `None` if the cut falls at or outside an edge.
-    ///
-    /// ```
-    /// use traxtent::Extent;
-    ///
-    /// let e = Extent::new(10, 10);
-    /// assert_eq!(
-    ///     e.split_at(15),
-    ///     (Some(Extent::new(10, 5)), Some(Extent::new(15, 5)))
-    /// );
-    /// assert_eq!(e.split_at(10), (None, Some(e))); // cut at the left edge
-    /// ```
-    pub fn split_at(&self, lbn: u64) -> (Option<Extent>, Option<Extent>) {
-        (
-            Extent::from_bounds(self.start, lbn.min(self.end())),
-            Extent::from_bounds(lbn.max(self.start), self.end()),
-        )
     }
 }
 
@@ -142,24 +112,7 @@ mod tests {
         let a = Extent::new(0, 10);
         let b = Extent::new(5, 10);
         let c = Extent::new(10, 5);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c));
-        assert!(a.contains_extent(&Extent::new(2, 8)));
-        assert!(!a.contains_extent(&b));
         assert_eq!(a.intersect(&b), Some(Extent::new(5, 5)));
         assert_eq!(a.intersect(&c), None);
-    }
-
-    #[test]
-    fn split_at_edges() {
-        let e = Extent::new(10, 10);
-        assert_eq!(e.split_at(10), (None, Some(e)));
-        assert_eq!(e.split_at(20), (Some(e), None));
-        assert_eq!(
-            e.split_at(15),
-            (Some(Extent::new(10, 5)), Some(Extent::new(15, 5)))
-        );
-        assert_eq!(e.split_at(5), (None, Some(e)));
-        assert_eq!(e.split_at(25), (Some(e), None));
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! let reg = Registry::new();
 //! let hits = reg.counter("cache.hits");
-//! hits.inc();
+//! hits.add(1);
 //! hits.add(2);
 //! reg.set_gauge("segments.live", 17);
 //! let snap = reg.snapshot();
@@ -52,11 +52,6 @@ pub struct Registry {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -192,7 +187,7 @@ mod tests {
         let reg = Registry::new();
         let a = reg.counter("a");
         let a2 = reg.counter("a");
-        a.inc();
+        a.add(1);
         a2.add(4);
         assert_eq!(a.get(), 5, "same name resolves to the same cell");
         assert_eq!(reg.snapshot().get("a"), Some(5));
@@ -259,7 +254,7 @@ mod tests {
                 let c = reg.counter("n");
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.inc();
+                        c.add(1);
                     }
                 });
             }

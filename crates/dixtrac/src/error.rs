@@ -141,8 +141,10 @@ mod tests {
         // 100 reads, all of which must come back despite ~40 % aborts.
         for i in 0..100u64 {
             let lbn = (i * 613) % 10_000;
-            let c = with_retries(&mut disk, "read", lbn, |d| d.read_at(lbn, 8))
-                .expect("bounded retries must absorb transient aborts");
+            let c = with_retries(&mut disk, "read", lbn, |d| {
+                d.read_at_time(lbn, 8, d.elapsed())
+            })
+            .expect("bounded retries must absorb transient aborts");
             assert!(c.completion > SimTime::ZERO);
         }
     }

@@ -35,14 +35,6 @@ pub struct GeneralConfig {
     /// Number of interleaved probe streams (must exceed the firmware cache's
     /// segment count to defeat it; the paper uses 100).
     pub contexts: usize,
-    /// Phases tried during per-context rotational calibration.
-    pub calibration_phases: u32,
-    /// Response-time excess over one revolution that classifies a probe as
-    /// having crossed a track boundary (about half a head-switch time).
-    pub cross_threshold: SimDur,
-    /// Residual rotational wait tolerated before re-aligning the probe
-    /// phase, as a fraction of a revolution.
-    pub rot_budget_frac: f64,
     /// Timing probes per boundary decision; the majority wins and the
     /// losing fraction lowers the boundary's confidence. Use an odd count
     /// (3, 5) on drives with timing jitter; `1` reproduces the noise-free
@@ -54,13 +46,19 @@ impl Default for GeneralConfig {
     fn default() -> Self {
         GeneralConfig {
             contexts: 100,
-            calibration_phases: 32,
-            cross_threshold: SimDur::from_micros_f64(250.0),
-            rot_budget_frac: 1.0 / 32.0,
             votes: 1,
         }
     }
 }
+
+/// Phases tried during per-context rotational calibration.
+const CALIBRATION_PHASES: u32 = 32;
+/// Response-time excess over the linear model that classifies a probe as
+/// having crossed a track boundary: 250 µs, about half a head-switch time.
+const CROSS_THRESHOLD: SimDur = SimDur::from_ns(250_000);
+/// Residual rotational wait tolerated before re-aligning the probe phase,
+/// as a fraction of a revolution.
+const ROT_BUDGET_FRAC: f64 = 1.0 / 32.0;
 
 /// The outcome of a general extraction.
 #[derive(Debug, Clone)]
@@ -429,7 +427,7 @@ fn step(
     // plus realignment, far above the threshold. Requests running past the
     // end of the disk cross by definition.
     let crosses = |r: SimDur, baseline: SimDur, slope: SimDur, n: u64| -> bool {
-        r > baseline + slope * (n - 1) + config.cross_threshold
+        r > baseline + slope * (n - 1) + CROSS_THRESHOLD
     };
 
     // A boundary decision under `config.votes`: probe the same request
@@ -467,15 +465,14 @@ fn step(
             best_phase,
         } => {
             counters.calibration_probes += 1;
-            let phase =
-                SimDur::from_ns(rev.as_ns() * u64::from(i) / u64::from(config.calibration_phases));
+            let phase = SimDur::from_ns(rev.as_ns() * u64::from(i) / u64::from(CALIBRATION_PHASES));
             let r = measure(disk, 1, phase, probe_reads)?;
             let (best_r, best_phase) = if r < best_r {
                 (r, phase)
             } else {
                 (best_r, best_phase)
             };
-            if i + 1 < config.calibration_phases {
+            if i + 1 < CALIBRATION_PHASES {
                 ctx.state = State::Calibrate {
                     i: i + 1,
                     best_r,
@@ -552,7 +549,7 @@ fn step(
             let r = measure(disk, 1, ctx.phase, probe_reads)?;
             ctx.floor_r1 = ctx.floor_r1.min(r);
             let excess = r.saturating_sub(ctx.floor_r1);
-            let budget = SimDur::from_ns((rev.as_ns() as f64 * config.rot_budget_frac) as u64);
+            let budget = SimDur::from_ns((rev.as_ns() as f64 * ROT_BUDGET_FRAC) as u64);
             if excess <= budget {
                 ctx.baseline = r;
                 ctx.state = if ctx.slope.is_some() {

@@ -200,7 +200,8 @@ mod tests {
     fn provoke_errors(disk: &mut ScsiDisk) {
         for i in 0..200u64 {
             let lbn = (i * 977) % (disk.ground_truth().capacity_lbns() - 64);
-            disk.read_at(lbn, 64).expect("reads recover media errors");
+            disk.read_at_time(lbn, 64, disk.elapsed())
+                .expect("reads recover media errors");
         }
         assert!(
             disk.ground_truth().fault_stats().media_errors > 0,

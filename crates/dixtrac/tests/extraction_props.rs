@@ -130,7 +130,7 @@ proptest! {
             cfg.fault.rot_jitter = sim_disk::fault::Jitter::Uniform(0.4 / f64::from(max_spt));
             cfg.fault.seed = seed;
             let mut s = ScsiDisk::new(Disk::new(cfg));
-            let gcfg = GeneralConfig { contexts: 16, votes: 5, ..GeneralConfig::default() };
+            let gcfg = GeneralConfig { contexts: 16, votes: 5 };
             let g = extract_general(&mut s, &gcfg).expect("jittered extraction succeeds");
             prop_assert_eq!(&g.boundaries, &truth);
             // Every boundary was carried by a majority, so no track's

@@ -157,15 +157,6 @@ impl Layout {
         self.trusted.is_empty() || self.trusted[self.boundaries.track_index(self.block_to_lbn(b))]
     }
 
-    /// Fraction of tracks whose boundaries are trusted (1.0 without
-    /// confidence data).
-    pub fn trusted_fraction(&self) -> f64 {
-        if self.trusted.is_empty() {
-            return 1.0;
-        }
-        self.trusted.iter().filter(|&&t| t).count() as f64 / self.trusted.len() as f64
-    }
-
     /// The personality this layout was formatted with.
     pub fn personality(&self) -> Personality {
         self.personality
@@ -479,7 +470,6 @@ mod tests {
         assert!(l.is_excluded(37));
         assert!(!l.block_trusted(0));
         assert!(l.block_trusted(30));
-        assert!((l.trusted_fraction() - 398.0 / 400.0).abs() < 1e-12);
 
         // Track-aligned placement near the untrusted region jumps to the
         // first trusted track instead.
@@ -497,7 +487,7 @@ mod tests {
         let cb = ConfidentBoundaries::new(boundaries(), vec![0.0; 400]).unwrap();
         let mut l = Layout::format_confident(Personality::Traxtent, &cb, 0.5, 400 * 200);
         assert_eq!(l.excluded_fraction(), 0.0);
-        assert_eq!(l.trusted_fraction(), 0.0);
+        assert!(!l.block_trusted(0));
         // Every placement is a fallback: the aligned policy has nowhere
         // trusted to go.
         let a = l.alloc_next(None, 8).expect("space");
@@ -514,7 +504,7 @@ mod tests {
         let plain = Layout::format(Personality::Traxtent, boundaries(), 400 * 200);
         assert_eq!(confident.excluded_fraction(), plain.excluded_fraction());
         assert_eq!(confident.free_blocks(), plain.free_blocks());
-        assert_eq!(confident.trusted_fraction(), 1.0);
+        assert!(confident.block_trusted(0));
     }
 
     #[test]

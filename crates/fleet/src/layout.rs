@@ -279,14 +279,10 @@ pub struct VolumeLayout {
     units: Vec<LogicalUnit>,
     /// `units[i].lstart`, for `partition_point` lookup.
     lstarts: Vec<u64>,
-    /// Logical-unit indices owned by each member, ascending in `pstart`.
-    by_member: Vec<Vec<usize>>,
     capacity: u64,
     member_caps: Vec<u64>,
     /// RAID-5 only; empty otherwise.
     rounds: Vec<RoundInfo>,
-    /// Member sectors that no logical LBN (and no parity) maps to.
-    slack: u64,
 }
 
 impl VolumeLayout {
@@ -318,7 +314,6 @@ impl VolumeLayout {
 
         let mut units = Vec::new();
         let mut rounds = Vec::new();
-        let mut parity_sectors = 0u64;
         match kind {
             VolumeKind::Striped => {
                 let nrounds = per_member.iter().map(Vec::len).min().unwrap_or(0);
@@ -395,7 +390,6 @@ impl VolumeLayout {
                         });
                         lbn += len;
                     }
-                    parity_sectors += len;
                     rounds.push(RoundInfo {
                         len,
                         parity,
@@ -407,26 +401,14 @@ impl VolumeLayout {
 
         let capacity = units.last().map(|u| u.lstart + u.len).unwrap_or(0);
         let lstarts = units.iter().map(|u| u.lstart).collect();
-        let mut by_member = vec![Vec::new(); n];
-        for (i, u) in units.iter().enumerate() {
-            by_member[u.member].push(i);
-        }
-        let mapped: u64 = match kind {
-            // Every mirror member carries a full copy of the logical space.
-            VolumeKind::Mirrored => capacity * n as u64,
-            _ => capacity + parity_sectors,
-        };
-        let slack = member_caps.iter().sum::<u64>() - mapped;
         Ok(VolumeLayout {
             kind,
             members: n,
             units,
             lstarts,
-            by_member,
             capacity,
             member_caps,
             rounds,
-            slack,
         })
     }
 
@@ -448,12 +430,6 @@ impl VolumeLayout {
     /// Each member's physical capacity in sectors.
     pub fn member_caps(&self) -> &[u64] {
         &self.member_caps
-    }
-
-    /// Member sectors mapped to neither data nor parity (round slack and
-    /// clipped tails).
-    pub fn slack(&self) -> u64 {
-        self.slack
     }
 
     /// The logical stripe units, ascending in `lstart` and contiguous
@@ -479,31 +455,6 @@ impl VolumeLayout {
             self.capacity
         );
         self.lstarts.partition_point(|&s| s <= lbn) - 1
-    }
-
-    /// Maps a logical LBN to its unique `(member, physical LBN)` home.
-    /// For mirrors this names the preferred read member; the same offset
-    /// is valid on every member.
-    pub fn to_physical(&self, lbn: u64) -> (usize, u64) {
-        let u = &self.units[self.unit_index(lbn)];
-        (u.member, u.pstart + (lbn - u.lstart))
-    }
-
-    /// Maps a member-physical LBN back to the logical LBN it serves, or
-    /// `None` for parity and slack sectors. Inverse of
-    /// [`Self::to_physical`] (for mirrors: of the identity map on any
-    /// member).
-    pub fn to_logical(&self, member: usize, pba: u64) -> Option<u64> {
-        if self.kind == VolumeKind::Mirrored {
-            return (member < self.members && pba < self.capacity).then_some(pba);
-        }
-        let list = &self.by_member[member];
-        let i = list.partition_point(|&ui| self.units[ui].pstart <= pba);
-        if i == 0 {
-            return None;
-        }
-        let u = &self.units[list[i - 1]];
-        (pba < u.pstart + u.len).then(|| u.lstart + (pba - u.pstart))
     }
 
     /// Splits a logical access into per-member physical fragments, in

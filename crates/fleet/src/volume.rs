@@ -523,11 +523,6 @@ impl Volume {
         }
     }
 
-    /// The seed the volume was last [`Volume::format`]ted with.
-    pub fn fill_seed(&self) -> u64 {
-        self.fill_seed
-    }
-
     /// Marks member `i` failed and destroys its contents, so that any
     /// data later "recovered" from it can only come from real
     /// reconstruction. Idempotent.

@@ -49,35 +49,25 @@ fn arb_kind() -> impl Strategy<Value = VolumeKind> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// (a) Every logical LBN maps to exactly one (member, physical LBN)
-    /// and round-trips back through `to_logical`; distinct logical LBNs
-    /// never share a physical home.
+    /// (a) The units tile the logical space, every unit lies inside its
+    /// member, and distinct logical LBNs never share a physical home.
     #[test]
     fn mapping_is_a_bijection(
         maps in arb_members(3),
         kind in arb_kind(),
         policy in arb_policy(),
-        picks in prop::collection::vec(0u64..u64::MAX, 8..9),
     ) {
         let layout = match VolumeLayout::new(kind, &maps, &policy) {
             Ok(l) => l,
             Err(_) => return, // e.g. no complete round fits
         };
         prop_assert!(layout.capacity() > 0);
-        // Spot-check round-tripping at random logical addresses...
-        for pick in picks {
-            let lbn = pick % layout.capacity();
-            let (m, pba) = layout.to_physical(lbn);
-            prop_assert!(m < layout.members());
-            prop_assert!(pba < layout.member_caps()[m]);
-            prop_assert_eq!(layout.to_logical(m, pba), Some(lbn));
-        }
-        // ...and check global injectivity + unit bookkeeping exactly.
         let mut expected_lstart = 0;
         let mut seen = std::collections::HashSet::new();
         for u in layout.units() {
             prop_assert_eq!(u.lstart, expected_lstart, "units tile the logical space");
             prop_assert!(u.len > 0);
+            prop_assert!(u.pstart + u.len <= layout.member_caps()[u.member]);
             expected_lstart += u.len;
             for o in 0..u.len {
                 prop_assert!(

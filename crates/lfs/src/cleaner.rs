@@ -340,28 +340,14 @@ impl LfsSim {
     }
 }
 
-/// Convenience: steady-state write cost for fixed segments of
-/// `segment_sectors` over `capacity`, after `updates` skewed overwrites.
-///
-/// # Panics
-///
-/// Panics if the update stream hits an accounting error — impossible for
-/// a well-formed configuration, so the figure binaries treat it as fatal.
-pub fn write_cost_fixed(
-    capacity: u64,
-    segment_sectors: u64,
-    updates: u64,
-    config: LfsConfig,
-) -> f64 {
-    let mut sim = LfsSim::fixed(capacity, segment_sectors, config);
-    sim.run_updates(updates)
-        .expect("well-formed config never breaks accounting")
-        .write_cost()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn write_cost_fixed(capacity: u64, segment: u64, updates: u64, config: LfsConfig) -> f64 {
+        let mut sim = LfsSim::fixed(capacity, segment, config);
+        sim.run_updates(updates).unwrap().write_cost()
+    }
 
     const CAP: u64 = 64 * 1024; // 32 MB in sectors
 

@@ -48,6 +48,11 @@ use traxtent::stats;
 /// `aligned` segments start at track boundaries (and are written one track
 /// per request, as a traxtent LFS would); unaligned segments start anywhere
 /// and are written with one request per segment.
+///
+/// # Panics
+///
+/// Panics unless the segment is shorter than the first zone
+/// ([`DiskGeometry::track_starts_fitting`](sim_disk::geometry::DiskGeometry::track_starts_fitting)).
 pub fn transfer_inefficiency(
     config: &DiskConfig,
     segment_sectors: u64,
@@ -58,16 +63,11 @@ pub fn transfer_inefficiency(
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    assert!(segment_sectors > 0 && samples > 0);
+    assert!(samples > 0);
     let mut disk = Disk::new(config.clone());
     let zone = disk.geometry().zones()[0];
-    let zone_end = zone.first_lbn + zone.lbn_count;
     let spt = u64::from(zone.spt);
-    let track_starts: Vec<u64> = disk
-        .geometry()
-        .track_starts()
-        .filter(|&s| s >= zone.first_lbn && s + segment_sectors <= zone_end)
-        .collect();
+    let track_starts = disk.geometry().track_starts_fitting(0, segment_sectors);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut times = Vec::with_capacity(samples);
     let mut now = SimTime::ZERO;
@@ -122,6 +122,14 @@ mod tests {
         // Aligned track-sized write ≈ seek + settle + rev over rev ≈ 1.5.
         assert!((1.2..=1.8).contains(&a), "aligned TI {a}");
         assert!((1.8..=2.6).contains(&u), "unaligned TI {u}");
+    }
+
+    #[test]
+    #[should_panic(expected = "must be shorter than zone 0")]
+    fn a_zone_sized_segment_is_refused_up_front() {
+        let cfg = models::small_test_disk();
+        let zone = cfg.geometry.zones()[0].lbn_count;
+        transfer_inefficiency(&cfg, zone, false, 1, 1);
     }
 
     #[test]

@@ -132,25 +132,6 @@ impl SegmentTable {
     pub fn total_live(&self) -> u64 {
         self.segments.iter().map(|s| s.live).sum()
     }
-
-    /// Indexes of completely empty segments.
-    pub fn empty_segments(&self) -> Vec<usize> {
-        (0..self.segments.len())
-            .filter(|&i| self.segments[i].live == 0)
-            .collect()
-    }
-
-    /// The non-empty segment with the lowest utilization (greedy cleaning
-    /// victim), if any.
-    pub fn best_cleaning_victim(&self) -> Option<usize> {
-        (0..self.segments.len())
-            .filter(|&i| self.segments[i].live > 0)
-            .min_by(|&a, &b| {
-                self.utilization(a)
-                    .partial_cmp(&self.utilization(b))
-                    .expect("utilizations are finite")
-            })
-    }
 }
 
 #[cfg(test)]
@@ -188,9 +169,9 @@ mod tests {
         assert_eq!(t.total_live(), 70);
         assert!((t.utilization(0) - 0.6).abs() < 1e-12);
         t.remove_live(0, 30).unwrap();
-        assert_eq!(t.best_cleaning_victim(), Some(1));
+        assert_eq!(t.total_live(), 40);
         t.reset(1);
-        assert_eq!(t.empty_segments().len(), 9);
+        assert_eq!(t.total_live(), 30);
     }
 
     #[test]

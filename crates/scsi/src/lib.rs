@@ -6,7 +6,7 @@
 //! boundary:
 //!
 //! * `READ CAPACITY` → [`ScsiDisk::read_capacity`]
-//! * `READ(10)` / `WRITE(10)` → [`ScsiDisk::read_at`] / [`ScsiDisk::write_at`]
+//! * `READ(10)` / `WRITE(10)` → [`ScsiDisk::read_at_time`] / [`ScsiDisk::write_at`]
 //! * `SEND/RECEIVE DIAGNOSTIC` address translation →
 //!   [`ScsiDisk::translate_lbn`] and [`ScsiDisk::translate_pba`]
 //! * `READ DEFECT DATA` → [`ScsiDisk::read_defect_list`]
@@ -266,20 +266,13 @@ impl ScsiDisk {
         }
     }
 
-    /// `READ(10)` at the current host clock: issues the read immediately and
-    /// advances the clock to its completion. Returns the completion record
-    /// (the host can only observe its timing, not the breakdown — extraction
-    /// code must use [`Completion::response_time`] only). Fails with CHECK
-    /// CONDITION sense data when the drive aborts the command or rejects the
-    /// address.
-    pub fn read_at(&mut self, lbn: u64, len: u64) -> ScsiResult<Completion> {
-        self.counts.reads += 1;
-        self.media("read", Request::read(lbn, len), self.now)
-    }
-
-    /// `READ(10)` issued at a chosen future instant (for rotation-
-    /// synchronized probing). The clock advances to the completion. An issue
-    /// instant in the past is rejected with ILLEGAL REQUEST.
+    /// `READ(10)` issued at a chosen instant, [`Self::elapsed`] or later
+    /// (for rotation-synchronized probing). The clock advances to the
+    /// completion; the host can only observe the command's timing, not the
+    /// breakdown — extraction code must use [`Completion::response_time`]
+    /// only. Fails with CHECK CONDITION sense data when the drive aborts the
+    /// command or rejects the address; an issue instant in the past is
+    /// rejected with ILLEGAL REQUEST.
     pub fn read_at_time(&mut self, lbn: u64, len: u64, at: SimTime) -> ScsiResult<Completion> {
         if at < self.now {
             return Err(ScsiError::Check {
@@ -385,7 +378,7 @@ mod tests {
     fn reads_advance_the_clock() {
         let mut s = scsi();
         let t0 = s.elapsed();
-        let c = s.read_at(0, 64).unwrap();
+        let c = s.read_at_time(0, 64, s.elapsed()).unwrap();
         assert!(s.elapsed() > t0);
         assert_eq!(s.elapsed(), c.completion);
         assert_eq!(s.counts().reads, 1);
@@ -421,7 +414,7 @@ mod tests {
     #[test]
     fn timed_read_waits_for_the_chosen_instant() {
         let mut s = scsi();
-        let _ = s.read_at(0, 1).unwrap();
+        let _ = s.read_at_time(0, 1, s.elapsed()).unwrap();
         let at = s.elapsed() + SimDur::from_millis_f64(5.0);
         let c = s.read_at_time(1000, 1, at).unwrap();
         assert!(c.issue == at);
@@ -431,7 +424,7 @@ mod tests {
     #[test]
     fn past_issue_is_rejected_with_illegal_request() {
         let mut s = scsi();
-        let _ = s.read_at(0, 1).unwrap();
+        let _ = s.read_at_time(0, 1, s.elapsed()).unwrap();
         let before = s.elapsed();
         let err = s.read_at_time(0, 1, SimTime::ZERO).unwrap_err();
         assert!(matches!(
@@ -484,7 +477,7 @@ mod tests {
         // Mandatory commands still work.
         assert!(s.read_capacity() > 0);
         let _ = s.mode_sense();
-        assert!(s.read_at(0, 8).is_ok());
+        assert!(s.read_at_time(0, 8, s.elapsed()).is_ok());
     }
 
     #[test]
@@ -499,7 +492,7 @@ mod tests {
         let mut failures = 0;
         let mut successes = 0;
         for i in 0..100u64 {
-            match s.read_at((i * 777) % 10_000, 16) {
+            match s.read_at_time((i * 777) % 10_000, 16, s.elapsed()) {
                 Ok(_) => successes += 1,
                 Err(e) => {
                     assert!(e.is_transient());
@@ -529,9 +522,9 @@ mod tests {
         let _ = s.read_capacity();
         let pba = s.translate_lbn(0).unwrap();
         let _ = s.translate_pba(pba).unwrap();
-        let _ = s.read_at(0, 8).unwrap();
+        let _ = s.read_at_time(0, 8, s.elapsed()).unwrap();
 
-        let events = sink.lock().unwrap().take_events();
+        let events = sink.lock().unwrap().events().to_vec();
         let kinds: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {

@@ -244,11 +244,6 @@ impl ServerResult {
         }
     }
 
-    /// Mean response time in milliseconds.
-    pub fn mean_response_ms(&self) -> f64 {
-        stats::mean(&self.response_ms())
-    }
-
     /// Completed requests per simulated second.
     pub fn throughput_rps(&self) -> f64 {
         let span = self.sim_end.as_secs_f64();

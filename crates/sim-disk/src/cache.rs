@@ -29,16 +29,6 @@ impl Default for CacheConfig {
     }
 }
 
-impl CacheConfig {
-    /// A disabled cache.
-    pub fn disabled() -> Self {
-        CacheConfig {
-            segments: 0,
-            readahead_to_track_end: false,
-        }
-    }
-}
-
 /// Sentinel "start" for an unoccupied ring slot: no containment or overlap
 /// test can match it (`start == u64::MAX` with `end == 0` fails both
 /// `s <= x` and `x <= e` for every real LBN range).
@@ -342,7 +332,10 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits() {
-        let mut c = SegmentCache::new(CacheConfig::disabled());
+        let mut c = SegmentCache::new(CacheConfig {
+            segments: 0,
+            readahead_to_track_end: false,
+        });
         c.insert(0, 1000);
         assert!(!c.lookup(0, 1));
         assert_eq!(c.stats(), (0, 0));

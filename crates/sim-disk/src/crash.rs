@@ -207,11 +207,6 @@ impl SectorImage {
         self.write(lbn, &s);
     }
 
-    /// Number of sectors ever written.
-    pub fn written_len(&self) -> usize {
-        self.sectors.len()
-    }
-
     /// Iterates written sectors in LBN order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8; SECTOR_USIZE])> {
         self.sectors.iter().map(|(&l, b)| (l, &**b))
@@ -451,7 +446,7 @@ mod tests {
         assert_eq!(full, expect);
         // Cutting at zero applies nothing.
         let none = replay(&SectorImage::new(), &log, SimTime::ZERO).unwrap();
-        assert_eq!(none.written_len(), 0);
+        assert_eq!(none.iter().count(), 0);
     }
 
     #[test]

@@ -172,12 +172,6 @@ impl Disk {
         &self.config.geometry
     }
 
-    /// Mutable access to the layout (for injecting grown defects in tests
-    /// and experiments).
-    pub fn geometry_mut(&mut self) -> &mut DiskGeometry {
-        &mut self.config.geometry
-    }
-
     /// The drive's configuration.
     pub fn config(&self) -> &DiskConfig {
         &self.config
@@ -282,11 +276,6 @@ impl Disk {
         std::mem::take(&mut self.recent_error_lbns)
     }
 
-    /// Attaches (or, with `None`, detaches) a trace sink on a built drive.
-    pub fn set_tracer(&mut self, tracer: Option<Tracer>) {
-        self.config.tracer = tracer;
-    }
-
     /// The attached tracer, if any.
     pub fn tracer(&self) -> Option<&Tracer> {
         self.config.tracer.as_ref()
@@ -359,13 +348,6 @@ impl Disk {
                 .expect("transient faults are recovered internally");
             out.push(c);
         }
-    }
-
-    /// [`Disk::service_batch_into`], collecting into a fresh vector.
-    pub fn service_batch(&mut self, batch: &[(Request, SimTime)]) -> Vec<Completion> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.service_batch_into(batch, &mut out);
-        out
     }
 
     /// Like [`Disk::service`], but surfaces failures the way a real drive
@@ -1150,7 +1132,7 @@ mod tests {
         let t = d.idle_at();
         let c = d.service(Request::read(0, 200), t);
         // rot latency ≤ one slot; media ≈ one revolution (6 ms).
-        assert!(c.breakdown.rot_latency <= d.spindle().slot_time(200));
+        assert!(c.breakdown.rot_latency <= d.spindle().sweep(1.0 / 200.0));
         let rev = d.spindle().revolution().as_millis_f64();
         assert!((c.breakdown.media.as_millis_f64() - rev).abs() < 0.05);
     }
@@ -1352,9 +1334,9 @@ mod tests {
         let base = d
             .service(Request::read(0, 10), SimTime::ZERO)
             .response_time();
-        d.reset();
-        d.geometry_mut().add_grown_defect(5).unwrap();
-        let with_remap = d
+        let mut cfg = d.config().clone();
+        cfg.geometry.add_grown_defect(5).unwrap();
+        let with_remap = Disk::new(cfg)
             .service(Request::read(0, 10), SimTime::ZERO)
             .response_time();
         assert!(
@@ -1449,7 +1431,8 @@ mod tests {
             batch.push((req, SimTime::from_ns(t)));
         }
         let mut a = mk();
-        let batched = a.service_batch(&batch);
+        let mut batched = Vec::new();
+        a.service_batch_into(&batch, &mut batched);
         let mut b = mk();
         let looped: Vec<Completion> = batch.iter().map(|&(r, at)| b.service(r, at)).collect();
         assert_eq!(batched, looped);

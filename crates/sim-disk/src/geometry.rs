@@ -58,19 +58,6 @@ pub struct ZoneSpec {
     pub cyl_skew: u32,
 }
 
-impl ZoneSpec {
-    /// Creates a zone with the given cylinder count and sectors per track and
-    /// zero skew (useful in tests).
-    pub fn unskewed(cylinders: u32, spt: u32) -> Self {
-        ZoneSpec {
-            cylinders,
-            spt,
-            track_skew: 0,
-            cyl_skew: 0,
-        }
-    }
-}
-
 /// Declarative description of a disk's layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeometrySpec {
@@ -137,7 +124,6 @@ pub struct Track {
     count: u32,
     cyl: u32,
     head: u32,
-    zone: u32,
     spt: u32,
     /// Angle of physical slot 0, in revolutions, at spindle phase 0.
     angle0: f64,
@@ -182,11 +168,6 @@ impl Track {
         self.head
     }
 
-    /// Zone index this track belongs to.
-    pub fn zone(&self) -> u32 {
-        self.zone
-    }
-
     /// Physical sector slots on this track.
     pub fn spt(&self) -> u32 {
         self.spt
@@ -223,11 +204,6 @@ impl Track {
     /// [`Track::angle0`] for slot `s`. Non-decreasing in `s`.
     pub fn slot_fracs(&self) -> &[f64] {
         &self.slot_frac
-    }
-
-    /// Sorted factory-defective slots.
-    pub fn defect_slots(&self) -> &[u32] {
-        &self.defect_slots
     }
 
     /// True if the given physical slot is defective (factory or grown).
@@ -363,8 +339,6 @@ pub struct DiskGeometry {
     spec: GeometrySpec,
     tracks: Vec<Track>,
     zones: Vec<ZoneInfo>,
-    /// First cylinder of each zone, for zone-of-cylinder lookup.
-    zone_first_cyl: Vec<u32>,
     capacity: u64,
     /// Remapped LBNs (factory remap policy and grown defects): lbn → spare
     /// location.
@@ -384,7 +358,6 @@ impl Clone for DiskGeometry {
             spec: self.spec.clone(),
             tracks: self.tracks.clone(),
             zones: self.zones.clone(),
-            zone_first_cyl: self.zone_first_cyl.clone(),
             capacity: self.capacity,
             remaps: self.remaps.clone(),
             hot: self.hot.clone(),
@@ -424,12 +397,6 @@ impl DiskGeometry {
         &self.zones
     }
 
-    /// The zone a cylinder belongs to.
-    pub fn zone_of_cyl(&self, cyl: u32) -> &ZoneInfo {
-        let idx = self.zone_first_cyl.partition_point(|&c| c <= cyl) - 1;
-        &self.zones[idx]
-    }
-
     /// Access a track by id.
     ///
     /// # Panics
@@ -437,14 +404,6 @@ impl DiskGeometry {
     /// Panics if `id` is out of range.
     pub fn track(&self, id: u32) -> &Track {
         &self.tracks[id as usize]
-    }
-
-    /// Iterates over all tracks in LBN order.
-    pub fn iter_tracks(&self) -> impl Iterator<Item = (TrackId, &Track)> {
-        self.tracks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TrackId(i as u32), t))
     }
 
     /// The first LBN of every track that maps LBNs (spare tracks hold
@@ -455,6 +414,29 @@ impl DiskGeometry {
             .iter()
             .filter(|t| t.lbn_count() > 0)
             .map(|t| t.first_lbn())
+    }
+
+    /// The track starts of zone `zone` from which `len` sectors still end
+    /// inside the zone: where a track-aligned request of that size may
+    /// begin. Never empty — the zone's first track always qualifies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zone` is out of range, or unless `0 < len <
+    /// lbn_count` of the zone: a request as long as its zone has one
+    /// placement, so there is nothing to draw.
+    pub fn track_starts_fitting(&self, zone: usize, len: u64) -> Vec<u64> {
+        assert!(zone < self.zones.len(), "zone {zone} out of range");
+        let z = self.zones[zone];
+        assert!(
+            len > 0 && len < z.lbn_count,
+            "request of {len} sectors must be shorter than zone {zone} ({} LBNs)",
+            z.lbn_count
+        );
+        let zone_end = z.first_lbn + z.lbn_count;
+        self.track_starts()
+            .filter(|&s| s >= z.first_lbn && s + len <= zone_end)
+            .collect()
     }
 
     /// The track holding `lbn`.
@@ -631,11 +613,6 @@ impl DiskGeometry {
             return None;
         }
         self.remaps.range(start..end).next().map(|(&l, _)| l)
-    }
-
-    /// All remapped LBNs and their spare locations.
-    pub fn remapped_lbns(&self) -> impl Iterator<Item = (u64, Pba)> + '_ {
-        self.remaps.iter().map(|(&l, &p)| (l, p))
     }
 
     /// The factory defect list, as a sorted vector (the simulator's
@@ -850,7 +827,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                         count: take,
                         cyl: m.cyl,
                         head: m.head,
-                        zone: m.zone,
                         spt: m.spt,
                         angle0: m.angle0,
                         inv_spt: 1.0 / f64::from(m.spt),
@@ -897,7 +873,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                         count: take,
                         cyl: m.cyl,
                         head: m.head,
-                        zone: m.zone,
                         spt: m.spt,
                         angle0: m.angle0,
                         inv_spt: 1.0 / f64::from(m.spt),
@@ -928,7 +903,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
 
     // Zone summary.
     let mut zones = Vec::with_capacity(spec.zones.len());
-    let mut zone_first_cyl = Vec::with_capacity(spec.zones.len());
     {
         let mut cyl = 0u32;
         for (zi, z) in spec.zones.iter().enumerate() {
@@ -943,7 +917,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                 first_lbn,
                 lbn_count: end_lbn - first_lbn,
             });
-            zone_first_cyl.push(cyl);
             cyl += z.cylinders;
             let _ = zi;
         }
@@ -957,7 +930,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         spec,
         tracks,
         zones,
-        zone_first_cyl,
         capacity: next_lbn,
         remaps,
         hot,
@@ -968,6 +940,15 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn unskewed(cylinders: u32, spt: u32) -> ZoneSpec {
+        ZoneSpec {
+            cylinders,
+            spt,
+            track_skew: 0,
+            cyl_skew: 0,
+        }
+    }
 
     fn simple_spec() -> GeometrySpec {
         // The Figure 2(b) disk: 200 sectors/track, 2 surfaces, skew 20.
@@ -1113,7 +1094,7 @@ mod tests {
     #[test]
     fn degenerate_specs_are_errors() {
         assert_eq!(
-            GeometrySpec::pristine(0, vec![ZoneSpec::unskewed(1, 10)])
+            GeometrySpec::pristine(0, vec![unskewed(1, 10)])
                 .build()
                 .unwrap_err(),
             GeometryError::NoSurfaces
@@ -1123,7 +1104,7 @@ mod tests {
             GeometryError::NoZones
         );
         assert_eq!(
-            GeometrySpec::pristine(1, vec![ZoneSpec::unskewed(1, 0)])
+            GeometrySpec::pristine(1, vec![unskewed(1, 0)])
                 .build()
                 .unwrap_err(),
             GeometryError::EmptyTrack
@@ -1132,16 +1113,12 @@ mod tests {
 
     #[test]
     fn multi_zone_boundaries_and_lookup() {
-        let spec = GeometrySpec::pristine(
-            2,
-            vec![ZoneSpec::unskewed(5, 100), ZoneSpec::unskewed(5, 80)],
-        );
+        let spec = GeometrySpec::pristine(2, vec![unskewed(5, 100), unskewed(5, 80)]);
         let g = spec.build().unwrap();
         assert_eq!(g.zones().len(), 2);
         assert_eq!(g.zones()[0].lbn_count, 5 * 2 * 100);
         assert_eq!(g.zones()[1].first_lbn, 1000);
-        assert_eq!(g.zone_of_cyl(4).spt, 100);
-        assert_eq!(g.zone_of_cyl(5).spt, 80);
+        assert_eq!((g.zones()[0].spt, g.zones()[1].spt), (100, 80));
         // Track sizes change at the zone boundary.
         assert_eq!(g.track_bounds(999).unwrap(), (900, 1000));
         assert_eq!(g.track_bounds(1000).unwrap(), (1000, 1080));
@@ -1198,10 +1175,7 @@ mod tests {
     fn track_of_lbn_uniform_zone_fast_path_matches_search() {
         // Pristine multi-zone disk: every zone is uniform, so lookups take
         // the divide path. Cross-check against a linear scan.
-        let spec = GeometrySpec::pristine(
-            2,
-            vec![ZoneSpec::unskewed(5, 100), ZoneSpec::unskewed(5, 80)],
-        );
+        let spec = GeometrySpec::pristine(2, vec![unskewed(5, 100), unskewed(5, 80)]);
         let g = spec.build().unwrap();
         for lbn in 0..g.capacity_lbns() {
             let tid = g.track_of_lbn(lbn).unwrap();

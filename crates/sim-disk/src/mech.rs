@@ -73,13 +73,6 @@ impl SeekCurve {
         let d = f64::from(distance).min(self.max_dist.max(1.0));
         SimDur::from_millis_f64(self.a * d.sqrt() + self.b * d + self.c)
     }
-
-    /// Average seek time implied by the curve over uniform random pairs on
-    /// a drive with `cylinders` cylinders (useful for verification).
-    pub fn average_ms(&self, cylinders: u32) -> f64 {
-        let cmax = f64::from(cylinders - 1);
-        self.a * (8.0 / 15.0) * cmax.sqrt() + self.b * cmax / 3.0 + self.c
-    }
 }
 
 /// Solves a 3×3 linear system given as rows `[a, b, c | rhs]` by Gaussian
@@ -163,30 +156,10 @@ impl Spindle {
         rem as f64 / self.period_ns as f64
     }
 
-    /// Time from `t` until the spindle reaches `angle` (revolutions in
-    /// `[0, 1)`), i.e. the rotational delay to wait for a given media angle.
-    pub fn time_to_angle(&self, t: SimTime, angle: f64) -> SimDur {
-        let now = self.angle_at(t);
-        let mut delta = angle - now;
-        if delta < 0.0 {
-            delta += 1.0;
-        }
-        // Guard against FP residue putting us a hair past a full turn.
-        if delta >= 1.0 {
-            delta -= 1.0;
-        }
-        SimDur::from_ns((delta * self.period_ns as f64).round() as u64)
-    }
-
     /// The time to sweep `frac` of a revolution (e.g. to pass under `n`
     /// sector slots: `frac = n / spt`).
     pub fn sweep(&self, frac: f64) -> SimDur {
         SimDur::from_ns((frac * self.period_ns as f64).round() as u64)
-    }
-
-    /// Duration under one sector slot on a track with `spt` slots.
-    pub fn slot_time(&self, spt: u32) -> SimDur {
-        self.sweep(1.0 / f64::from(spt))
     }
 }
 
@@ -199,7 +172,10 @@ mod tests {
         let c = SeekCurve::calibrate(0.8, 4.7, 9.5, 8660);
         assert!((c.seek_time(1).as_millis_f64() - 0.8).abs() < 1e-6);
         assert!((c.seek_time(8659).as_millis_f64() - 9.5).abs() < 1e-6);
-        assert!((c.average_ms(8660) - 4.7).abs() < 1e-9);
+        // The mean over uniform random pairs of cylinders.
+        let cmax = 8659.0_f64;
+        let average = c.a * (8.0 / 15.0) * cmax.sqrt() + c.b * cmax / 3.0 + c.c;
+        assert!((average - 4.7).abs() < 1e-9);
     }
 
     #[test]
@@ -259,12 +235,7 @@ mod tests {
         assert_eq!(s.revolution().as_ns(), 6_000_000);
         let t = SimTime::from_ns(1_500_000); // quarter turn
         assert!((s.angle_at(t) - 0.25).abs() < 1e-12);
-        // Wait from 0.25 to 0.75: half a revolution.
-        assert_eq!(s.time_to_angle(t, 0.75).as_ns(), 3_000_000);
-        // Wait from 0.25 to 0.25: zero.
-        assert_eq!(s.time_to_angle(t, 0.25).as_ns(), 0);
-        // Wait from 0.25 to 0.0: three quarters.
-        assert_eq!(s.time_to_angle(t, 0.0).as_ns(), 4_500_000);
+        assert_eq!(s.angle_at(SimTime::from_ns(6_000_000)), 0.0);
     }
 
     #[test]
@@ -303,7 +274,7 @@ mod tests {
     fn slot_time_divides_revolution() {
         let s = Spindle::new(10_000);
         assert_eq!(
-            s.slot_time(528).as_ns(),
+            s.sweep(1.0 / 528.0).as_ns(),
             (6_000_000.0 / 528.0_f64).round() as u64
         );
         assert_eq!(s.sweep(1.0), s.revolution());

@@ -119,11 +119,6 @@ impl Breakdown {
             + self.bus
             + self.write_settle
     }
-
-    /// Positioning time: everything but media transfer, bus, and overhead.
-    pub fn positioning(&self) -> SimDur {
-        self.seek + self.head_switch + self.rot_latency + self.write_settle
-    }
 }
 
 /// The result of servicing one request.
@@ -151,16 +146,6 @@ impl Completion {
     /// Response time as seen by the host driver.
     pub fn response_time(&self) -> SimDur {
         self.completion - self.issue
-    }
-
-    /// Disk efficiency for this request: the fraction of response time spent
-    /// moving data to or from the media (the paper's Figure 1 metric,
-    /// computed against a caller-supplied denominator such as head time).
-    pub fn efficiency_against(&self, denominator: SimDur) -> f64 {
-        if denominator == SimDur::ZERO {
-            return 0.0;
-        }
-        self.breakdown.media.as_secs_f64() / denominator.as_secs_f64()
     }
 }
 
@@ -195,25 +180,5 @@ mod tests {
             write_settle: SimDur::from_ns(7),
         };
         assert_eq!(b.total().as_ns(), 36);
-        assert_eq!(b.positioning().as_ns(), 2 + 3 + 4 + 7);
-    }
-
-    #[test]
-    fn efficiency_is_media_fraction() {
-        let b = Breakdown {
-            media: SimDur::from_millis_f64(6.0),
-            ..Breakdown::default()
-        };
-        let c = Completion {
-            request: Request::read(0, 1),
-            issue: SimTime::ZERO,
-            service_start: SimTime::ZERO,
-            media_end: SimTime::from_ns(0),
-            completion: SimTime::from_ns(12_000_000),
-            cache_hit: false,
-            breakdown: b,
-        };
-        assert!((c.efficiency_against(c.response_time()) - 0.5).abs() < 1e-12);
-        assert_eq!(c.efficiency_against(SimDur::ZERO), 0.0);
     }
 }

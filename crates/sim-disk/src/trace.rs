@@ -19,10 +19,9 @@
 //!
 //! # Attaching a sink
 //!
-//! Sinks attach either to a built drive ([`crate::Disk::set_tracer`]) or
-//! to its [`crate::disk::DiskConfig::tracer`] field, in which case every
-//! drive built from that config — including drives built deep inside the
-//! file-system, video-server, or LFS layers — inherits the sink:
+//! Sinks attach to a drive's [`crate::disk::DiskConfig::tracer`] field, so
+//! every drive built from that config — including drives built deep inside
+//! the file-system, video-server, or LFS layers — inherits the sink:
 //!
 //! ```
 //! use std::sync::{Arc, Mutex};
@@ -35,7 +34,7 @@
 //! cfg.tracer = Some(Tracer::new(sink.clone()));
 //! let mut disk = Disk::new(cfg);
 //! disk.service(Request::read(0, 8), SimTime::ZERO);
-//! let events = sink.lock().unwrap().take_events();
+//! let events = sink.lock().unwrap().events().to_vec();
 //! assert!(matches!(events.first(), Some(TraceEvent::Issue { .. })));
 //! assert!(matches!(events.last(), Some(TraceEvent::Complete { .. })));
 //! ```
@@ -682,11 +681,6 @@ impl MemorySink {
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
-
-    /// Drains and returns all recorded events.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
 }
 
 impl TraceSink for MemorySink {
@@ -931,10 +925,7 @@ mod tests {
         for e in samples() {
             sink.record(&e);
         }
-        assert_eq!(sink.events().len(), samples().len());
-        let drained = sink.take_events();
-        assert_eq!(drained, samples());
-        assert!(sink.events().is_empty());
+        assert_eq!(sink.events(), samples());
     }
 
     #[test]

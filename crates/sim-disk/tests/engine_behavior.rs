@@ -2,7 +2,6 @@
 //! configurations: the invariants every figure harness relies on.
 
 use sim_disk::bus::BusConfig;
-use sim_disk::cache::CacheConfig;
 use sim_disk::disk::{Disk, DiskConfig, Request};
 use sim_disk::models;
 use sim_disk::{SimDur, SimTime};
@@ -99,7 +98,7 @@ fn cross_zone_reads_work() {
 #[test]
 fn disabled_cache_never_hits() {
     let mut cfg = models::quantum_atlas_10k_ii();
-    cfg.cache = CacheConfig::disabled();
+    cfg.cache.segments = 0;
     let mut d = Disk::new(cfg);
     let a = d.service(Request::read(0, 64), SimTime::ZERO);
     let b = d.service(Request::read(0, 64), a.completion);
@@ -126,16 +125,11 @@ fn breakdown_sums_to_response() {
     }
 }
 
-/// Writes on all four Table-1 evaluation drives complete and pay the
-/// settle penalty exactly once.
+/// Writes on every Table-1 drive complete and pay the settle penalty
+/// exactly once.
 #[test]
 fn writes_work_on_all_eval_drives() {
-    for cfg in [
-        models::quantum_atlas_10k(),
-        models::quantum_atlas_10k_ii(),
-        models::seagate_cheetah_x15(),
-        models::ibm_ultrastar_18es(),
-    ] {
+    for cfg in models::table1_sheets().iter().map(|sheet| sheet.build()) {
         let settle = cfg.write_settle;
         let mut d = Disk::new(cfg);
         let c = d.service(Request::write(10_000, 700), SimTime::ZERO);
@@ -165,6 +159,6 @@ fn whole_disk_sweep() {
 fn single_sector_read_is_fast() {
     let mut d = atlas(BusConfig::infinite(), true);
     let c = d.service(Request::read(1_000_000, 1), SimTime::ZERO);
-    assert!(c.breakdown.media < d.spindle().slot_time(353) * 2);
+    assert!(c.breakdown.media < d.spindle().sweep(2.0 / 353.0));
     assert!(c.breakdown.rot_latency < d.spindle().revolution());
 }

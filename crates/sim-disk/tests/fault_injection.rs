@@ -206,7 +206,7 @@ fn jitter_perturbs_timings_but_preserves_accounting() {
     let mut d = Disk::new(cfg);
     let _ = run(&mut d, 200);
 
-    let events = sink.lock().unwrap().take_events();
+    let events = sink.lock().unwrap().events().to_vec();
     let mut fault_events = 0;
     let mut completes = 0;
     for e in &events {

@@ -100,7 +100,7 @@ proptest! {
     fn tracks_tile_the_lbn_space(spec in arb_spec()) {
         if let Ok(geom) = spec.build() {
             let mut next = 0u64;
-            for (_, t) in geom.iter_tracks() {
+            for t in (0..geom.num_tracks()).map(|id| geom.track(id)) {
                 prop_assert_eq!(t.first_lbn(), next);
                 next = t.end_lbn();
             }
@@ -119,7 +119,7 @@ proptest! {
                 prop_assert_eq!(geom.pba_to_lbn(Pba::new(d.cyl, d.head, d.slot)), None);
             }
             if policy == DefectPolicy::Slip {
-                prop_assert_eq!(geom.remapped_lbns().count(), 0);
+                prop_assert_eq!(geom.first_remap_in(0, geom.capacity_lbns()), None);
             }
         }
     }

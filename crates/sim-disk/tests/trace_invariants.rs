@@ -31,7 +31,7 @@ fn traced_run(count: u64) -> (Vec<sim_disk::disk::Completion>, Vec<TraceEvent>) 
         t = if i % 5 == 0 { t } else { c.completion };
         completions.push(c);
     }
-    let events = sink.lock().expect("sink").take_events();
+    let events = sink.lock().expect("sink").events().to_vec();
     (completions, events)
 }
 
@@ -149,48 +149,32 @@ fn phase_events_match_their_summary() {
 #[test]
 fn jsonl_round_trip_preserves_the_stream() {
     let path = std::env::temp_dir().join("sim_disk_trace_invariants.jsonl");
-    let sink = Arc::new(Mutex::new(
-        JsonlSink::create(&path).expect("temp trace file"),
-    ));
-    let mut cfg = models::quantum_atlas_10k_ii();
-    cfg.tracer = Some(Tracer::new(sink));
-    let mut disk = Disk::new(cfg);
-    let mut expected = Vec::new();
-    let mem = Arc::new(Mutex::new(MemorySink::new()));
-    disk.set_tracer(Some(Tracer::new(mem.clone())));
-    // One tracer at a time: run the same workload twice, once per sink.
-    for trial in 0..2 {
-        disk.reset();
-        if trial == 1 {
-            let jsonl = Arc::new(Mutex::new(
-                JsonlSink::create(&path).expect("temp trace file"),
-            ));
-            disk.set_tracer(Some(Tracer::new(jsonl)));
-        }
+    // The same workload twice, once per sink; dropping the drive drops
+    // its tracer, which flushes the file.
+    let run = |tracer: Tracer| {
+        let mut cfg = models::quantum_atlas_10k_ii();
+        cfg.tracer = Some(tracer);
+        let mut disk = Disk::new(cfg);
         let mut t = SimTime::ZERO;
         for i in 0..100u64 {
             let lbn = (i * 1_234_567) % 4_000_000;
             let c = disk.service(Request::read(lbn, 64 + (i % 512)), t);
             t = c.completion;
         }
-        if trial == 0 {
-            expected = mem.lock().expect("sink").take_events();
-        }
-    }
-    disk.set_tracer(None); // drop the sink so the file is flushed
+    };
+    let mem = Arc::new(Mutex::new(MemorySink::new()));
+    run(Tracer::new(mem.clone()));
+    let expected = mem.lock().expect("sink").events().to_vec();
+    run(Tracer::new(Arc::new(Mutex::new(
+        JsonlSink::create(&path).expect("temp trace file"),
+    ))));
 
     let text = std::fs::read_to_string(&path).expect("trace file");
     let parsed: Vec<TraceEvent> = text
         .lines()
         .map(|l| TraceEvent::parse_json(l).expect("valid event"))
         .collect();
-    // Request ids differ (the sequence number keeps counting across
-    // reset()), but everything else must match event for event.
-    assert_eq!(parsed.len(), expected.len());
-    for (a, b) in expected.iter().zip(&parsed) {
-        assert_eq!(a.name(), b.name());
-        assert_eq!(a.time_ns(), b.time_ns());
-    }
+    assert_eq!(parsed, expected);
     std::fs::remove_file(&path).ok();
 }
 

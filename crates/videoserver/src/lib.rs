@@ -147,6 +147,11 @@ impl RoundMeasurement {
 /// longer than the interval one I/O sustains (`io_sectors × 512 × 8 /
 /// bit_rate`) counts as a deadline miss, and per-round slack feeds the
 /// `min_buffer_ppm` high-water mark.
+///
+/// # Panics
+///
+/// Panics unless a request is shorter than the outermost zone
+/// ([`DiskGeometry::track_starts_fitting`](sim_disk::geometry::DiskGeometry::track_starts_fitting)).
 pub fn measure_rounds(config: &DiskConfig, spec: &RoundSpec) -> RoundMeasurement {
     let &RoundSpec {
         v,
@@ -160,13 +165,7 @@ pub fn measure_rounds(config: &DiskConfig, spec: &RoundSpec) -> RoundMeasurement
     assert!(v > 0 && rounds > 0);
     let mut disk = Disk::new(config.clone());
     let zone = disk.geometry().zones()[0];
-    let zone_end = zone.first_lbn + zone.lbn_count;
-    assert!(io_sectors <= zone.lbn_count, "request larger than the zone");
-    let track_starts: Vec<u64> = disk
-        .geometry()
-        .track_starts()
-        .filter(|&s| s >= zone.first_lbn && s + io_sectors <= zone_end)
-        .collect();
+    let track_starts = disk.geometry().track_starts_fitting(0, io_sectors);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut round_times = Vec::with_capacity(rounds);
     let mut now = SimTime::ZERO;
@@ -384,6 +383,14 @@ mod tests {
         );
         assert!(a.quantile_round >= a.mean_round);
         assert!(a.max_round >= a.quantile_round);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be shorter than zone 0")]
+    fn a_zone_sized_request_is_refused_up_front() {
+        let cfg = models::small_test_disk();
+        let zone = cfg.geometry.zones()[0].lbn_count;
+        measure_rounds(&cfg, &spec(zone, false, 4.0));
     }
 
     #[test]

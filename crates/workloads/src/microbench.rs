@@ -66,14 +66,6 @@ impl RandomIoSpec {
             seed: 0x5eed,
         }
     }
-
-    /// Same, for writes.
-    pub fn writes(io_sectors: u64, alignment: Alignment, queue: QueueDepth) -> Self {
-        RandomIoSpec {
-            op: Op::Write,
-            ..Self::reads(io_sectors, alignment, queue)
-        }
-    }
 }
 
 /// The measured outcome of a microbenchmark run.
@@ -185,29 +177,15 @@ impl RandomIoResult {
 ///
 /// # Panics
 ///
-/// Panics if the zone index is out of range or the request size exceeds the
-/// zone size.
+/// Panics if the zone index is out of range or the request is not shorter
+/// than the zone.
 pub fn run_random_io(disk: &mut Disk, spec: &RandomIoSpec) -> RandomIoResult {
     disk.reset();
-    let zones = disk.geometry().zones().to_vec();
-    assert!(spec.zone < zones.len(), "zone {} out of range", spec.zone);
-    let zone = zones[spec.zone];
-    assert!(
-        spec.io_sectors > 0 && spec.io_sectors <= zone.lbn_count,
-        "request size {} must be within the zone ({} LBNs)",
-        spec.io_sectors,
-        zone.lbn_count
-    );
-
-    // Track starts within the zone, for aligned placement. Keep only tracks
-    // where the full request fits inside the zone.
-    let zone_end = zone.first_lbn + zone.lbn_count;
-    let track_starts: Vec<u64> = disk
+    // Track starts within the zone, for aligned placement.
+    let track_starts = disk
         .geometry()
-        .track_starts()
-        .filter(|&s| s >= zone.first_lbn && s + spec.io_sectors <= zone_end)
-        .collect();
-    assert!(!track_starts.is_empty(), "no track can hold the request");
+        .track_starts_fitting(spec.zone, spec.io_sectors);
+    let zone = disk.geometry().zones()[spec.zone];
 
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut completions: Vec<Completion> = Vec::with_capacity(spec.count);
@@ -369,14 +347,16 @@ mod tests {
             &mut d,
             &RandomIoSpec {
                 count: 800,
-                ..RandomIoSpec::writes(528, Alignment::TrackAligned, QueueDepth::One)
+                op: Op::Write,
+                ..RandomIoSpec::reads(528, Alignment::TrackAligned, QueueDepth::One)
             },
         );
         let unaligned = run_random_io(
             &mut d,
             &RandomIoSpec {
                 count: 800,
-                ..RandomIoSpec::writes(528, Alignment::Unaligned, QueueDepth::One)
+                op: Op::Write,
+                ..RandomIoSpec::reads(528, Alignment::Unaligned, QueueDepth::One)
             },
         );
         let ha = aligned.mean_head_time(QueueDepth::One).as_millis_f64();
