@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ffs::cache::BufferCache;
 use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
-use sim_disk::disk::{Disk, Request};
+use sim_disk::bus::{BusConfig, Delivery};
+use sim_disk::disk::{Disk, DiskConfig, Request};
 use sim_disk::models;
 use sim_disk::SimTime;
 use std::hint::black_box;
@@ -68,22 +69,93 @@ fn bench_disk_service(c: &mut Criterion) {
             black_box(done.completion)
         })
     });
-    // The zero-latency access-on-arrival scan dominates full-track reads:
-    // an infinite bus isolates it from bus-delivery chaining, and the
-    // random stride defeats the firmware cache.
+    // The zero-latency window kernel on its own: an infinite bus keeps
+    // delivery out of it, and the random stride defeats the firmware
+    // cache. That infinite bus is also why this row never saw what a
+    // finite one cost: every catalogued drive has a finite bus, and until
+    // `Delivery` a finite bus sent every read down the per-sector path,
+    // past the kernel this row measures. The rows below it are the ones
+    // that price a catalogued drive.
     c.bench_function("disk/zero_latency_scan", |b| {
-        let cfg = sim_disk::disk::DiskConfig {
-            bus: sim_disk::bus::BusConfig::infinite(),
+        let cfg = DiskConfig {
+            bus: BusConfig::infinite(),
             ..models::quantum_atlas_10k_ii()
         };
-        let mut disk = Disk::new(cfg);
-        let mut t = SimTime::ZERO;
-        let mut lbn = 1u64;
+        random_reads(b, cfg, 528)
+    });
+    c.bench_function("disk/finite_bus_read_128", |b| {
+        random_reads(b, models::quantum_atlas_10k_ii(), 128)
+    });
+    c.bench_function("disk/finite_bus_track_read", |b| {
+        random_reads(b, models::quantum_atlas_10k_ii(), 528)
+    });
+    c.bench_function("disk/finite_bus_track_read_out_of_order", |b| {
+        let cfg = DiskConfig {
+            bus: BusConfig::out_of_order(160.0),
+            ..models::quantum_atlas_10k_ii()
+        };
+        random_reads(b, cfg, 528)
+    });
+}
+
+/// Back-to-back `len`-sector reads at a random stride over the drive's
+/// first four million sectors.
+fn random_reads(b: &mut criterion::Bencher, cfg: DiskConfig, len: u64) {
+    let mut disk = Disk::new(cfg);
+    let mut t = SimTime::ZERO;
+    let mut lbn = 1u64;
+    b.iter(|| {
+        lbn = (lbn.wrapping_mul(6364136223846793005).wrapping_add(1)) % 4_000_000;
+        let done = disk.service(Request::read(lbn, len), t);
+        t = done.completion;
+        black_box(done.completion)
+    })
+}
+
+/// Bus delivery of one zero-latency full-track read, old vs new: the
+/// per-sector algorithm the read path ran on every finite bus (collect an
+/// availability instant per sector, run the delivery recurrence over
+/// them; `sim-disk`'s `bus_props` keeps it as its oracle) against
+/// [`Delivery::zero_latency_run`]. Both produce the same instant to the
+/// nanosecond; only the cost differs.
+fn bench_bus(c: &mut Criterion) {
+    let cfg = models::quantum_atlas_10k_ii();
+    let (bus, spindle) = (cfg.bus, cfg.spindle);
+    let track = cfg.geometry.track(0);
+    let spt = track.spt();
+    let base = SimTime::from_ns(123_456_789);
+    let next = |angle: &mut f64| {
+        *angle += 0.000_37;
+        if *angle >= 1.0 {
+            *angle -= 1.0;
+        }
+        black_box(*angle)
+    };
+    c.bench_function("bus/delivery_scan_ref", |b| {
+        let mut angle = 0.1234_f64;
+        let mut avail: Vec<SimTime> = Vec::new();
         b.iter(|| {
-            lbn = (lbn.wrapping_mul(6364136223846793005).wrapping_add(1)) % 4_000_000;
-            let done = disk.service(Request::read(lbn, 528), t);
-            t = done.completion;
-            black_box(done.completion)
+            let arr = next(&mut angle);
+            avail.clear();
+            for slot in 0..spt {
+                let d = sim_disk::rotation::slot_distance(track, arr, slot);
+                avail.push(base + spindle.sweep(d + track.inv_spt()));
+            }
+            let sector = bus.sector_time();
+            let mut end = base;
+            for &a in &avail {
+                end = a.max(end) + sector;
+            }
+            black_box(end)
+        })
+    });
+    c.bench_function("bus/delivery_closed", |b| {
+        let mut angle = 0.1234_f64;
+        b.iter(|| {
+            let arr = next(&mut angle);
+            let mut delivery = Delivery::new(&bus, base);
+            black_box(delivery.zero_latency_run(track, spindle, base, arr, 0, spt));
+            black_box(delivery.end())
         })
     });
 }
@@ -230,6 +302,7 @@ criterion_group!(
     bench_geometry,
     bench_disk_service,
     bench_rotation,
+    bench_bus,
     bench_boundaries,
     bench_allocator,
     bench_ffs

@@ -617,15 +617,17 @@ impl Volume {
         acc.took(mode, true);
     }
 
-    /// Reads one chunk into `data`: from its home member, or — when that
-    /// member is failed or keeps faulting — from the next mirror copy or
-    /// the XOR of the RAID-5 round's surviving columns.
+    /// Reads one chunk: from its home member, or — when that member is
+    /// failed or keeps faulting — from the next mirror copy or the XOR of
+    /// the RAID-5 round's surviving columns. The words are appended to
+    /// `data` when the caller wants them; timing, counters and spans are
+    /// the same either way.
     fn read_chunk(
         &mut self,
         acc: &mut Access,
         chunk: &Chunk,
         at: SimTime,
-        data: &mut Vec<u64>,
+        data: Option<&mut Vec<u64>>,
     ) -> Result<(), FleetError> {
         let Chunk {
             member: home,
@@ -661,19 +663,25 @@ impl Volume {
                 home
             }
         };
-        self.members[source].store.read_into(pstart, len, data);
+        if let Some(data) = data {
+            self.members[source].store.read_into(pstart, len, data);
+        }
         Ok(())
     }
 
     /// A RAID-5 chunk whose owner cannot serve: the XOR of every surviving
-    /// member's column, under one `reconstruct` span.
+    /// member's column, under one `reconstruct` span. The XOR is the work
+    /// a degraded read is, so it runs whether or not anyone keeps the
+    /// words.
     fn raid5_reconstruct_read(
         &mut self,
         acc: &mut Access,
         chunk: &Chunk,
         at: SimTime,
-        data: &mut Vec<u64>,
+        data: Option<&mut Vec<u64>>,
     ) -> Result<(), FleetError> {
+        let mut unkept = Vec::new();
+        let data = data.unwrap_or(&mut unkept);
         let owner = chunk.member;
         let off = chunk.pstart - self.layout.rounds()[chunk.round].pstarts[owner];
         let base = data.len();
@@ -699,13 +707,26 @@ impl Volume {
         len: u64,
         at: SimTime,
     ) -> Result<(VolumeCompletion, Vec<u64>), FleetError> {
+        let mut data = Vec::with_capacity(len as usize);
+        let done = self.read_timed(lbn, len, at, Some(&mut data))?;
+        Ok((done, data))
+    }
+
+    /// The read behind [`Volume::read`] (which keeps the words) and
+    /// [`Volume::service`] (which wants the timing only).
+    fn read_timed(
+        &mut self,
+        lbn: u64,
+        len: u64,
+        at: SimTime,
+        mut data: Option<&mut Vec<u64>>,
+    ) -> Result<VolumeCompletion, FleetError> {
         let chunks = self.layout.split(lbn, len)?;
         let mut acc = self.begin_access();
-        let mut data = Vec::with_capacity(len as usize);
         for chunk in &chunks {
-            self.read_chunk(&mut acc, chunk, at, &mut data)?;
+            self.read_chunk(&mut acc, chunk, at, data.as_deref_mut())?;
         }
-        Ok((acc.finish(Request::read(lbn, len), at), data))
+        Ok(acc.finish(Request::read(lbn, len), at))
     }
 
     /// Writes `data` at logical `lbn`, issued at `at`, maintaining the
@@ -840,7 +861,7 @@ impl Volume {
     /// deterministic payloads from an internal sequence number.
     pub fn service(&mut self, req: Request, at: SimTime) -> Result<VolumeCompletion, FleetError> {
         match req.op {
-            Op::Read => self.read(req.lbn, req.len, at).map(|(c, _)| c),
+            Op::Read => self.read_timed(req.lbn, req.len, at, None),
             Op::Write => {
                 self.write_seq += 1;
                 let salt = self.fill_seed ^ self.write_seq.rotate_left(17);

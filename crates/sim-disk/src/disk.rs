@@ -9,7 +9,7 @@
 
 pub use crate::request::{Breakdown, Completion, Op, Request};
 
-use crate::bus::BusConfig;
+use crate::bus::{BusConfig, Delivery};
 use crate::cache::{CacheConfig, SegmentCache};
 use crate::fault::{CommandFault, FaultConfig, FaultStats, SenseKey};
 use crate::geometry::{DiskGeometry, TrackId};
@@ -69,9 +69,11 @@ pub struct Disk {
     actuator_free: SimTime,
     bus_free: SimTime,
     last_issue: SimTime,
-    /// Reused per-sector availability buffer. The buffer never leaves the
-    /// drive: [`Disk::run_visits`] borrows it in place (no take/give-back
-    /// hand-off), so no early return can drop its capacity.
+    /// Reused per-sector durability buffer of crash-logged writes — the
+    /// one consumer that records an instant per sector; reads deliver
+    /// through [`Delivery`] and never touch it. The buffer never leaves
+    /// the drive: [`Disk::run_visits`] borrows it in place (no
+    /// take/give-back hand-off), so no early return can drop its capacity.
     avail_scratch: Vec<SimTime>,
     /// Reused visit plan (capacity persists across requests so the hot
     /// path stops allocating).
@@ -129,6 +131,18 @@ struct Visit {
     slot_idx: Option<u32>,
 }
 
+/// What [`Disk::run_visits`] does with the instant each sector comes off
+/// (or, for a write, lands on) the media.
+enum Sectors<'a> {
+    /// Nothing: only the mechanism's own timing is wanted.
+    Ignore,
+    /// Record every instant in [`Disk::avail_scratch`], in LBN order (a
+    /// crash-logged write).
+    Log,
+    /// Deliver them to the host over a finite bus (a read).
+    Deliver(&'a mut Delivery),
+}
+
 /// Per-request tracing context threaded through the service path: the
 /// request's sequence number, whether tracing is on (checked before any
 /// event is constructed), and the batch buffer events accumulate in.
@@ -136,6 +150,17 @@ struct Trace<'a> {
     rid: u64,
     on: bool,
     events: &'a mut Vec<TraceEvent>,
+}
+
+impl Sectors<'_> {
+    /// Hands one visit's instants, in LBN order, to whoever wants them.
+    fn feed(&mut self, log: &mut Vec<SimTime>, instants: impl Iterator<Item = SimTime>) {
+        match self {
+            Sectors::Ignore => instants.for_each(drop),
+            Sectors::Log => log.extend(instants),
+            Sectors::Deliver(bus) => bus.visit(instants),
+        }
+    }
 }
 
 impl Disk {
@@ -559,11 +584,11 @@ impl Disk {
                 dur: breakdown.queue.as_ns(),
             });
         }
-        // Availability instants are only consumed by finite-bus delivery
-        // below; skip collecting them otherwise (the zero-latency path
-        // then takes the closed form instead of the per-sector scan).
-        let want_avail = !self.config.bus.is_infinite();
-        let media_end = self.run_visits(pos_start, None, want_avail, &mut breakdown, &mut trc);
+        // Bus delivery rides along with the mechanism, visit by visit.
+        let mut delivery = (!self.config.bus.is_infinite())
+            .then(|| Delivery::new(&self.config.bus, self.bus_free));
+        let sectors = delivery.as_mut().map_or(Sectors::Ignore, Sectors::Deliver);
+        let media_end = self.run_visits(pos_start, None, sectors, &mut breakdown, &mut trc);
         self.actuator_free = media_end;
 
         // Firmware read-ahead: the cache segment extends to the end of the
@@ -599,27 +624,7 @@ impl Disk {
             });
         }
 
-        // Bus delivery.
-        let completion = if self.config.bus.is_infinite() {
-            media_end
-        } else {
-            let sector = self.config.bus.sector_time();
-            if self.config.bus.out_of_order {
-                self.avail_scratch.sort_unstable();
-            }
-            let mut prev_end = SimTime::ZERO;
-            let mut first = true;
-            for &a in &self.avail_scratch {
-                let start = if first {
-                    first = false;
-                    a.max(self.bus_free)
-                } else {
-                    a.max(prev_end)
-                };
-                prev_end = start + sector;
-            }
-            prev_end
-        };
+        let completion = delivery.map_or(media_end, |d| d.end());
         self.bus_free = self.bus_free.max(completion);
         breakdown.bus = completion.saturating_since(media_end);
         if trc.on && completion > media_end {
@@ -684,10 +689,15 @@ impl Disk {
         // the closed form it replaces (rotation_props proves this), so
         // logging never perturbs results.
         let want_avail = self.crash_log.is_some();
+        let sectors = if want_avail {
+            Sectors::Log
+        } else {
+            Sectors::Ignore
+        };
         let media_end = self.run_visits(
             pos_start,
             Some(all_buffered),
-            want_avail,
+            sectors,
             &mut breakdown,
             &mut trc,
         );
@@ -784,15 +794,15 @@ impl Disk {
     /// Runs the mechanism over the planned visits ([`Disk::plan_visits`])
     /// starting at `start`. For writes, `data_ready` is when the last
     /// sector is buffered; media transfer for each visit cannot begin
-    /// before it. Returns the media completion time and, when `want_avail`
-    /// is set, leaves per-sector availability instants in LBN order in
-    /// `self.avail_scratch` (borrowed in place — the buffer never leaves
+    /// before it. Returns the media completion time; every sector's media
+    /// instant goes where `sectors` says ([`Sectors::Log`] leaves them in
+    /// `self.avail_scratch`, borrowed in place — the buffer never leaves
     /// the drive, so its capacity survives any exit path).
     fn run_visits(
         &mut self,
         start: SimTime,
         data_ready: Option<SimTime>,
-        want_avail: bool,
+        mut sectors: Sectors<'_>,
         breakdown: &mut Breakdown,
         trc: &mut Trace<'_>,
     ) -> SimTime {
@@ -817,11 +827,12 @@ impl Disk {
         let mut grown: Vec<u64> = Vec::new();
         let mut t = start;
         let avail = avail_scratch;
-        avail.clear();
+        if matches!(sectors, Sectors::Log) {
+            avail.clear();
+        }
 
         let nvisits = visit_scratch.len();
         for (vi, v) in visit_scratch.iter().enumerate() {
-            let avail_start = avail.len();
             // Positioning.
             let dist = v.cyl.abs_diff(*cur_cyl);
             if dist > 0 {
@@ -895,6 +906,15 @@ impl Disk {
                 }
             }
 
+            // Recovered media errors: the firmware re-reads the failing
+            // sector one revolution later, so this visit's sectors reach
+            // the host (or count as durable) only after the re-read. The
+            // draw is a pure function of the request; the revolution
+            // itself is charged after the visit, below.
+            let retry = faults_on && fault.media_error(trc.rid, vi as u64, u64::from(v.count));
+            let rev = spindle.revolution();
+            let base = if retry { t + rev } else { t };
+
             // Media access on this track (angular distances per
             // [`rotation::slot_distance`]).
             let track = geom.track(v.track.0);
@@ -905,6 +925,14 @@ impl Disk {
             let slot_list = v
                 .slot_idx
                 .map(|i| &slot_scratch[i as usize..i as usize + v.count as usize]);
+            let slots = || {
+                let range = if slot_list.is_some() {
+                    0..0
+                } else {
+                    v.first_slot..v.last_slot + 1
+                };
+                slot_list.unwrap_or(&[]).iter().copied().chain(range)
+            };
 
             // Access-on-arrival (zero-latency) can reorder sectors *within*
             // one mechanical visit, so it applies when the visit covers the
@@ -916,28 +944,30 @@ impl Disk {
             let full_track = v.count == track.lbn_count();
             let zero_latency_visit = config.zero_latency && (full_track || vi == nvisits - 1);
             let (visit_end, rot, media) = if zero_latency_visit {
-                let (min_d, max_d) = if slot_list.is_none() && !want_avail {
-                    // Closed form: O(log spt), bit-identical to the scan.
-                    rotation::window_closed(track, arr_angle, v.first_slot, v.count)
-                } else {
-                    // Per-sector path: the bus model consumes every
-                    // sector's availability instant, or the run is
-                    // non-contiguous.
-                    let mut min_d = f64::INFINITY;
-                    let mut max_d = f64::NEG_INFINITY;
-                    let mut scan = |s: u32| {
-                        let d = rotation::slot_distance(track, arr_angle, s);
-                        min_d = min_d.min(d);
-                        max_d = max_d.max(d);
-                        if want_avail {
-                            avail.push(t + spindle.sweep(d + slot_frac));
-                        }
-                    };
-                    match slot_list {
-                        Some(slots) => slots.iter().for_each(|&s| scan(s)),
-                        None => (v.first_slot..=v.last_slot).for_each(&mut scan),
+                let (min_d, max_d) = match (&mut sectors, slot_list) {
+                    // Closed forms: O(log spt), bit-identical to the scan.
+                    (Sectors::Ignore, None) => {
+                        rotation::window_closed(track, arr_angle, v.first_slot, v.count)
                     }
-                    (min_d, max_d)
+                    (Sectors::Deliver(bus), None) => {
+                        bus.zero_latency_run(track, spindle, base, arr_angle, v.first_slot, v.count)
+                    }
+                    // Per-sector path: the crash log records every
+                    // sector's instant, or the run is non-contiguous.
+                    (sectors, _) => {
+                        let mut min_d = f64::INFINITY;
+                        let mut max_d = f64::NEG_INFINITY;
+                        sectors.feed(
+                            avail,
+                            slots().map(|s| {
+                                let d = rotation::slot_distance(track, arr_angle, s);
+                                min_d = min_d.min(d);
+                                max_d = max_d.max(d);
+                                base + spindle.sweep(d + slot_frac)
+                            }),
+                        );
+                        (min_d, max_d)
+                    }
                 };
                 let end = t + spindle.sweep(max_d + slot_frac);
                 (
@@ -948,19 +978,19 @@ impl Disk {
             } else {
                 let s0 = v.first_slot;
                 let d0 = rotation::slot_distance(track, arr_angle, s0);
-                if want_avail {
-                    let mut push = |s: u32| {
-                        avail.push(t + spindle.sweep(d0 + f64::from(s - s0 + 1) * slot_frac));
-                    };
-                    match slot_list {
-                        Some(slots) => slots.iter().for_each(|&s| push(s)),
-                        None => (v.first_slot..=v.last_slot).for_each(&mut push),
-                    }
-                }
+                let after = |slots: u32| spindle.sweep(d0 + f64::from(slots) * slot_frac);
                 let span = v.last_slot - s0 + 1;
-                let end = t + spindle.sweep(d0 + f64::from(span) * slot_frac);
+                match &mut sectors {
+                    // Slots ascend, so the instants do, a slot time or
+                    // more apart: one run, ending with the visit.
+                    Sectors::Deliver(bus) if bus.paced_by(spindle.sweep(slot_frac)) => {
+                        bus.run(v.count, base + after(span));
+                    }
+                    Sectors::Ignore => {}
+                    sectors => sectors.feed(avail, slots().map(|s| base + after(s - s0 + 1))),
+                }
                 (
-                    end,
+                    t + after(span),
                     spindle.sweep(d0),
                     spindle.sweep(f64::from(span) * slot_frac),
                 )
@@ -986,38 +1016,26 @@ impl Disk {
             breakdown.media += media;
             t = visit_end;
 
-            // Recovered media errors: the firmware re-reads the failing
-            // sector one revolution later; the lost revolution is charged
-            // as rotational latency and this visit's sectors reach the
-            // host only after the re-read.
-            if faults_on {
-                let sectors = u64::from(v.count);
-                if fault.media_error(trc.rid, vi as u64, sectors) {
-                    let rev = spindle.revolution();
-                    media_errors += 1;
-                    let bad = v.lbn + fault.failing_sector(trc.rid, vi as u64, sectors);
-                    if recent_error_lbns.len() < Self::ERROR_LBN_CAP {
-                        recent_error_lbns.push(bad);
-                    }
-                    if trc.on {
-                        trc.events.push(TraceEvent::Fault {
-                            req: trc.rid,
-                            t: t.as_ns(),
-                            dur: rev.as_ns(),
-                            kind: "media_retry".to_string(),
-                            lbn: bad,
-                        });
-                    }
-                    breakdown.rot_latency += rev;
-                    if want_avail {
-                        for a in &mut avail[avail_start..] {
-                            *a += rev;
-                        }
-                    }
-                    t += rev;
-                    if fault.grows_defect(trc.rid, vi as u64) {
-                        grown.push(bad);
-                    }
+            if retry {
+                media_errors += 1;
+                let bad = v.lbn + fault.failing_sector(trc.rid, vi as u64, u64::from(v.count));
+                if recent_error_lbns.len() < Self::ERROR_LBN_CAP {
+                    recent_error_lbns.push(bad);
+                }
+                if trc.on {
+                    trc.events.push(TraceEvent::Fault {
+                        req: trc.rid,
+                        t: t.as_ns(),
+                        dur: rev.as_ns(),
+                        kind: "media_retry".to_string(),
+                        lbn: bad,
+                    });
+                }
+                // The lost revolution is charged as rotational latency.
+                breakdown.rot_latency += rev;
+                t += rev;
+                if fault.grows_defect(trc.rid, vi as u64) {
+                    grown.push(bad);
                 }
             }
         }
@@ -1376,9 +1394,11 @@ mod tests {
     fn avail_scratch_capacity_survives_faulted_requests() {
         // Regression for the old take/give-back hand-off: an early return
         // (surfaced transient abort) or a fault-path detour must not drop
-        // the reusable buffer's capacity.
+        // the reusable buffer's capacity. Crash-logged writes are what
+        // fill it.
         let mut d = test_disk(true, BusConfig::in_order(160.0));
-        let c = d.service(Request::read(0, 400), SimTime::ZERO);
+        d.enable_crash_log();
+        let c = d.service(Request::write(0, 400), SimTime::ZERO);
         let cap_before = d.avail_scratch.capacity();
         assert!(cap_before >= 400, "scratch not primed: {cap_before}");
 
@@ -1410,6 +1430,40 @@ mod tests {
             d.avail_scratch.capacity() >= cap_before,
             "capacity dropped across recovered faults"
         );
+    }
+
+    #[test]
+    fn reads_never_collect_per_sector_instants() {
+        // The inverse gate: on every catalogued drive (each has a finite
+        // bus), reads of every shape deliver through `Delivery` and leave
+        // the per-sector buffer unallocated.
+        let mut configs: Vec<DiskConfig> = crate::models::table1_sheets()
+            .iter()
+            .map(|sheet| sheet.build())
+            .collect();
+        configs.push(crate::models::small_test_disk());
+        for config in configs {
+            assert!(!config.bus.is_infinite(), "{}", config.name);
+            let mut d = Disk::new(config);
+            let cap = d.capacity_lbns();
+            let spt = u64::from(d.geometry().track(0).spt());
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            let mut t = SimTime::ZERO;
+            let mut misses = 0;
+            for i in 0..300u64 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                // One sector up to two and a half tracks, anywhere; every
+                // third command queues behind the one before it.
+                let len = 1 + (state >> 40) % (5 * spt / 2);
+                let c = d.service(Request::read((state >> 8) % (cap - len), len), t);
+                misses += u64::from(!c.cache_hit);
+                if i % 3 != 0 {
+                    t = c.completion;
+                }
+            }
+            assert!(misses >= 250, "{}: only {misses} misses", d.config.name);
+            assert_eq!(d.avail_scratch.capacity(), 0, "{}", d.config.name);
+        }
     }
 
     #[test]

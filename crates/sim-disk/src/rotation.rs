@@ -67,9 +67,11 @@ pub fn slot_distance(track: &Track, arr_angle: f64, slot: u32) -> f64 {
 /// `[first, first + count)`, by scanning every slot.
 ///
 /// This is the pre-closed-form algorithm, kept as the oracle the property
-/// tests compare [`window_closed`] against (and as the code path the
-/// engine still uses when it must touch every slot anyway to collect
-/// per-sector availability instants for the bus model).
+/// tests compare [`window_closed`] against and as what `window_closed`
+/// itself runs on degenerate runs. The engine touches every slot only
+/// where it must: for a crash-logged write, which records an instant per
+/// sector, and in the fallbacks of the bus model
+/// ([`crate::bus::Delivery::zero_latency_run`]).
 ///
 /// # Panics
 ///
@@ -124,42 +126,56 @@ fn guess_slot(threshold: f64, spt: f64) -> u32 {
     }
 }
 
-/// Closed-form equivalent of [`window_scan`]: the same (min, max) pair,
-/// bit-for-bit, in O(log spt) instead of O(count).
+/// The monotone pieces of a contiguous slot run, as [`window_pieces`]
+/// finds them: what both the rotational window and the bus-delivery closed
+/// form ([`crate::bus::Delivery::zero_latency_run`]) are read off.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pieces {
+    /// Smallest *pre-snap* distance over the run.
+    pub min_d: f64,
+    /// Largest pre-snap distance over the run. The EPS snap fires on some
+    /// slot of the run exactly when this reaches `1.0 - EPS`; below that,
+    /// every pre-snap value in here *is* the slot's [`slot_distance`].
+    pub max_d: f64,
+    /// `(sectors, pre-snap distance of the last sector)` for each piece on
+    /// which the distance is monotone non-decreasing, in slot order. The
+    /// sector counts sum to the run's; unused entries hold zero sectors.
+    pub runs: [(u32, f64); 4],
+}
+
+/// Cuts the contiguous run `[first, first + count)` into the ≤ 4 pieces
+/// on which the pre-snap distance is monotone non-decreasing — by where
+/// `slot_angle`'s conditional subtraction kicks in and where the `d < 0.0`
+/// branch stops firing — in O(log spt), and evaluates the distance only
+/// at piece endpoints, through the very expression [`slot_distance`]
+/// uses.
 ///
-/// See the module documentation for why the candidate set below provably
-/// contains both extremes.
+/// See the module documentation for why the extremes over the run sit at
+/// those endpoints.
 ///
 /// # Panics
 ///
 /// Panics (debug) if the run is empty or extends past the track.
-pub fn window_closed(track: &Track, arr_angle: f64, first: u32, count: u32) -> (f64, f64) {
+#[inline]
+pub fn window_pieces(track: &Track, arr_angle: f64, first: u32, count: u32) -> Pieces {
     debug_assert!(count > 0);
     debug_assert!(first + count <= track.spt());
-    if count <= 2 {
-        // Degenerate runs: the scan *is* the cheapest correct algorithm.
-        return window_scan(track, arr_angle, first, count);
-    }
     let angle0 = track.angle0();
-    let fracs = track.slot_fracs();
     let spt_f = f64::from(track.spt());
     let end = first + count;
 
     // Split 1: where the raw angle crosses 1.0 and `slot_angle`'s
     // conditional subtraction kicks in. `slot_angle` is monotone
     // non-decreasing on each side.
-    let wrap = seeded_bound(first, end, guess_slot(1.0 - angle0, spt_f), |s| {
-        angle0 + fracs[s as usize] >= 1.0
-    });
+    let wrap = wrap_slot(track, first, end);
 
-    // Fast path: the pre-snap distance is monotone non-decreasing on each
-    // of the ≤4 pieces cut by `wrap` and by the `d < 0.0` crossover, so
-    // its extremes over the run sit at piece endpoints. Evaluating just
-    // those candidates also proves whether the EPS snap fires anywhere
-    // (its trigger is a pre-snap maximum, which is itself a candidate);
-    // when it does not — almost always — the candidate values *are* the
-    // final distances and the four snap searches below are skipped.
+    // The pre-snap distance is monotone non-decreasing on each of the ≤4
+    // pieces cut by `wrap` and by the `d < 0.0` crossover, so its extremes
+    // over the run sit at piece endpoints. Evaluating just those
+    // candidates also proves whether the EPS snap fires anywhere (its
+    // trigger is a pre-snap maximum, which is itself a candidate).
     let mut cands = [0u32; 8];
+    let mut runs = [(0u32, 0.0f64); 4];
     let mut n = 0;
     for &(seg_lo, seg_hi, off) in &[(first, wrap, 0.0), (wrap, end, 1.0)] {
         if seg_lo >= seg_hi {
@@ -177,11 +193,12 @@ pub fn window_closed(track: &Track, arr_angle: f64, first: u32, count: u32) -> (
         cands[n + 1] = cross.max(seg_lo + 1) - 1;
         cands[n + 2] = cross.min(seg_hi - 1);
         cands[n + 3] = seg_hi - 1;
+        runs[n / 2].0 = cross - seg_lo;
+        runs[n / 2 + 1].0 = seg_hi - cross;
         n += 4;
     }
     // Independent pre-snap evaluations (no loop-carried chain), then a
-    // pairwise reduction. The global pre-snap maximum is among the
-    // candidates, so `max_d` alone decides whether any slot snaps.
+    // pairwise reduction.
     let pre = |s: u32| {
         let mut d = track.slot_angle(s) - arr_angle;
         if d < 0.0 {
@@ -189,36 +206,59 @@ pub fn window_closed(track: &Track, arr_angle: f64, first: u32, count: u32) -> (
         }
         d
     };
-    let (min_d, max_d);
-    if n == 4 {
-        let (d0, d1, d2, d3) = (pre(cands[0]), pre(cands[1]), pre(cands[2]), pre(cands[3]));
-        min_d = d0.min(d1).min(d2.min(d3));
-        max_d = d0.max(d1).max(d2.max(d3));
-    } else {
-        let (d0, d1, d2, d3) = (pre(cands[0]), pre(cands[1]), pre(cands[2]), pre(cands[3]));
+    let (d0, d1, d2, d3) = (pre(cands[0]), pre(cands[1]), pre(cands[2]), pre(cands[3]));
+    let mut min_d = d0.min(d1).min(d2.min(d3));
+    let mut max_d = d0.max(d1).max(d2.max(d3));
+    (runs[0].1, runs[1].1) = (d1, d3);
+    if n == 8 {
         let (d4, d5, d6, d7) = (pre(cands[4]), pre(cands[5]), pre(cands[6]), pre(cands[7]));
-        min_d = d0.min(d1).min(d2.min(d3)).min(d4.min(d5).min(d6.min(d7)));
-        max_d = d0.max(d1).max(d2.max(d3)).max(d4.max(d5).max(d6.max(d7)));
+        min_d = min_d.min(d4.min(d5).min(d6.min(d7)));
+        max_d = max_d.max(d4.max(d5).max(d6.max(d7)));
+        (runs[2].1, runs[3].1) = (d5, d7);
     }
-    if max_d < 1.0 - EPS {
-        return (min_d, max_d);
+    Pieces { min_d, max_d, runs }
+}
+
+/// First slot of `[first, end)` whose raw angle reaches 1.0 (`end` when
+/// none does).
+#[inline]
+fn wrap_slot(track: &Track, first: u32, end: u32) -> u32 {
+    let angle0 = track.angle0();
+    let fracs = track.slot_fracs();
+    let guess = guess_slot(1.0 - angle0, f64::from(track.spt()));
+    seeded_bound(first, end, guess, |s| angle0 + fracs[s as usize] >= 1.0)
+}
+
+/// Closed-form equivalent of [`window_scan`]: the same (min, max) pair,
+/// bit-for-bit, in O(log spt) instead of O(count).
+///
+/// When the snap fires nowhere — almost always — [`window_pieces`]'
+/// candidate values *are* the final distances and the snap searches of
+/// the slow path are skipped.
+///
+/// # Panics
+///
+/// Panics (debug) if the run is empty or extends past the track.
+pub fn window_closed(track: &Track, arr_angle: f64, first: u32, count: u32) -> (f64, f64) {
+    if count <= 2 {
+        // Degenerate runs: the scan *is* the cheapest correct algorithm.
+        return window_scan(track, arr_angle, first, count);
     }
-    window_snapped(track, arr_angle, first, end, wrap, angle0, spt_f)
+    let p = window_pieces(track, arr_angle, first, count);
+    if p.max_d < 1.0 - EPS {
+        return (p.min_d, p.max_d);
+    }
+    window_snapped(track, arr_angle, first, first + count)
 }
 
 /// Slow path of [`window_closed`] for runs where the EPS snap fires on at
 /// least one slot: locates every snap boundary by search so snapped
 /// suffixes contribute exactly `0.0`.
 #[cold]
-fn window_snapped(
-    track: &Track,
-    arr_angle: f64,
-    first: u32,
-    end: u32,
-    wrap: u32,
-    angle0: f64,
-    spt_f: f64,
-) -> (f64, f64) {
+fn window_snapped(track: &Track, arr_angle: f64, first: u32, end: u32) -> (f64, f64) {
+    let angle0 = track.angle0();
+    let spt_f = f64::from(track.spt());
+    let wrap = wrap_slot(track, first, end);
     // Pre-snap distance: monotone within each of the sub-segments below.
     let pre_snap = |s: u32| {
         let mut d = track.slot_angle(s) - arr_angle;
