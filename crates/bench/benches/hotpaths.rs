@@ -1,18 +1,20 @@
 //! Criterion micro-benchmarks for the library's hot paths: LBN↔physical
 //! translation, drive request servicing, boundary-table queries, the
-//! traxtent allocator, and the file system's per-block structures. These
-//! guard the performance of the building blocks that every figure harness
-//! leans on.
+//! traxtent allocator, the file system's per-block structures, and the
+//! server's admission and scheduling round. These guard the performance of
+//! the building blocks that every figure harness leans on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ffs::cache::BufferCache;
 use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
+use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
 use sim_disk::bus::{BusConfig, Delivery};
 use sim_disk::disk::{Disk, DiskConfig, Request};
 use sim_disk::models;
-use sim_disk::SimTime;
+use sim_disk::{SimTime, TraceRecord};
 use std::hint::black_box;
-use traxtent::{Extent, TrackBoundaries, TraxtentAllocator};
+use traxtent::{ConfidentBoundaries, Extent, TrackBoundaries, TraxtentAllocator};
+use workloads::arrivals::{stream_trace, StreamsSpec};
 
 fn bench_geometry(c: &mut Criterion) {
     let cfg = models::quantum_atlas_10k_ii();
@@ -297,6 +299,115 @@ fn bench_ffs(c: &mut Criterion) {
     });
 }
 
+/// The repo benchmark's `serve_disk` traffic at a tenth of its length: 16
+/// readers and 16 writers, each walking forward in 132-sector chunks at its
+/// own period around 120 ms, inside the first 3 000 tracks of `table`.
+fn stream_clients(table: &TrackBoundaries, requests: usize) -> Vec<TraceRecord> {
+    let starts = table.iter().take(3000).map(|e| e.start).collect();
+    let band = TrackBoundaries::new(starts, table.track_extent(2999).end()).expect("a prefix");
+    let mut trace = Vec::new();
+    for i in 0..32usize {
+        let period = 120.0 + 0.5 * (i as f64 - 16.0);
+        let spec = StreamsSpec {
+            read_streams: (i + 1) % 2,
+            write_streams: i % 2,
+            chunk_sectors: 132,
+            chunk_period_ms: period,
+            chunks_per_stream: (requests as f64 / 32.0 * 120.0 / period) as usize,
+            seed: 11 ^ ((i as u64) << 32),
+        };
+        trace.extend(stream_trace(&spec, &band));
+    }
+    trace.sort_by_key(|r| r.arrival);
+    trace
+}
+
+/// Consecutive `depth`-request windows of `trace` as lanes, each entry put
+/// in place by `place`; ids are trace indices, as `serve` assigns them.
+fn lanes(
+    trace: &[TraceRecord],
+    depth: usize,
+    place: impl Fn(&mut Vec<Queued>, Queued),
+) -> Vec<Vec<Queued>> {
+    let mut id = 0;
+    let lane = |window: &[TraceRecord]| {
+        let mut lane = Vec::with_capacity(depth + 1);
+        for r in window {
+            let q = Queued {
+                id,
+                arrival: r.arrival,
+                request: r.request,
+            };
+            place(&mut lane, q);
+            id += 1;
+        }
+        lane
+    };
+    trace.chunks_exact(depth).take(1000).map(lane).collect()
+}
+
+/// The server's host cost per request: one scheduling round on a lane as
+/// `serve` builds it (through `admit`) and on one handed over in arrival
+/// order (what the repo benchmark's `server.sched_select_ns` prices), one
+/// admission, and `serve` end to end on `serve_disk`'s traffic.
+fn bench_server(c: &mut Criterion) {
+    let cfg = models::quantum_atlas_10k_ii();
+    let table = Disk::new(cfg.clone()).track_boundaries();
+    let trace = stream_clients(&table, 50_000);
+    let traxtent = Traxtent::new(ConfidentBoundaries::certain(table.clone()), 0.9);
+    let admit = |lane: &mut Vec<Queued>, q| traxtent.admit(lane, q);
+    // One round of `sched` (whose sweep carries on from call to call) on a
+    // fresh copy of each lane in turn; the copy is not timed.
+    fn rounds(b: &mut criterion::Bencher, mut sched: impl Scheduler, lanes: &[Vec<Queued>]) {
+        let mut next = 0;
+        let lane = || {
+            next = (next + 1) % lanes.len();
+            lanes[next].clone()
+        };
+        b.iter_batched(
+            lane,
+            |mut lane| sched.select(&mut lane, 32),
+            BatchSize::SmallInput,
+        )
+    }
+    let in_sweep_order = lanes(&trace, 40, admit);
+    c.bench_function("server/select_traxtent_lane_40", |b| {
+        rounds(b, traxtent.clone(), &in_sweep_order)
+    });
+    let arbitrary = lanes(&trace, 128, Vec::push);
+    c.bench_function("server/select_traxtent_arbitrary_128", |b| {
+        rounds(b, traxtent.clone(), &arbitrary)
+    });
+    c.bench_function("server/select_clook_arbitrary_128", |b| {
+        rounds(b, CLook::new(), &arbitrary)
+    });
+    for depth in [40, 128] {
+        let lanes = lanes(&trace, depth, admit);
+        let mut next = 0;
+        c.bench_function(&format!("server/admit_depth_{depth}"), |b| {
+            // Each lane admits the first request of the window after it.
+            let lane = || {
+                next = (next + 1) % (lanes.len() - 1);
+                (lanes[next].clone(), lanes[next + 1][0])
+            };
+            let one = |(mut lane, q): (Vec<Queued>, Queued)| {
+                admit(&mut lane, q);
+                lane
+            };
+            b.iter_batched(lane, one, BatchSize::SmallInput)
+        });
+    }
+    let config = ServerConfig::new(SchedulerKind::Traxtent)
+        .with_boundaries(ConfidentBoundaries::certain(table));
+    c.bench_function("server/serve_streams_50k", |b| {
+        b.iter_batched(
+            || Disk::new(cfg.clone()),
+            |mut disk| serve(&mut disk, &trace, &config).expect("a valid trace"),
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 criterion_group!(
     benches,
     bench_geometry,
@@ -305,6 +416,7 @@ criterion_group!(
     bench_bus,
     bench_boundaries,
     bench_allocator,
-    bench_ffs
+    bench_ffs,
+    bench_server
 );
 criterion_main!(benches);

@@ -5,6 +5,7 @@
 //! typed [`AdmissionError`] rather than queued without limit, so overload
 //! shows up as an explicit rejection count instead of unbounded latency.
 
+use crate::sched::Scheduler;
 use sim_disk::disk::Request;
 use sim_disk::SimTime;
 use std::error::Error;
@@ -50,8 +51,10 @@ impl Error for AdmissionError {}
 /// The bounded queue fronting the server loop: one lane per spindle
 /// under one depth bound.
 ///
-/// A lane's entries stay in admission (arrival) order; schedulers reorder
-/// at dispatch time via [`lane_mut`](AdmissionQueue::lane_mut), not here.
+/// A lane is kept in the order its policy admits in
+/// ([`Scheduler::admit`]): arrival order under FIFO, sweep order under the
+/// elevators, whose rounds then take entries out through
+/// [`lane_mut`](AdmissionQueue::lane_mut) without reordering the rest.
 /// The queue tracks its own admission/rejection counters and the
 /// high-water depth, all summed over the lanes.
 #[derive(Debug)]
@@ -69,7 +72,8 @@ impl AdmissionQueue {
     /// # Panics
     ///
     /// Panics if `limit` is zero — a server that can hold no request at
-    /// all would reject every arrival.
+    /// all would reject every arrival. [`serve`](crate::serve) checks its
+    /// config first and returns a typed error instead.
     pub fn new(limit: usize, lanes: usize) -> Self {
         assert!(limit > 0, "queue limit must be positive");
         AdmissionQueue {
@@ -81,9 +85,14 @@ impl AdmissionQueue {
         }
     }
 
-    /// Offers one arrival to `lane`; admits it or returns the typed
-    /// rejection.
-    pub fn offer(&mut self, lane: usize, q: Queued) -> Result<(), AdmissionError> {
+    /// Offers one arrival to `lane`; admits it where the lane's `policy`
+    /// places it, or returns the typed rejection.
+    pub fn offer(
+        &mut self,
+        lane: usize,
+        q: Queued,
+        policy: &dyn Scheduler,
+    ) -> Result<(), AdmissionError> {
         let depth = self.len();
         if depth >= self.limit {
             self.rejected += 1;
@@ -92,7 +101,7 @@ impl AdmissionQueue {
                 limit: self.limit,
             });
         }
-        self.lanes[lane].push(q);
+        policy.admit(&mut self.lanes[lane], q);
         self.admitted += 1;
         self.max_depth = self.max_depth.max(depth + 1);
         Ok(())
@@ -113,7 +122,7 @@ impl AdmissionQueue {
         self.limit
     }
 
-    /// The entries queued on `lane`, in admission order.
+    /// The entries queued on `lane`, in its policy's order.
     pub fn lane(&self, lane: usize) -> &[Queued] {
         &self.lanes[lane]
     }
@@ -144,6 +153,7 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::Fifo;
 
     fn q(id: u64) -> Queued {
         Queued {
@@ -157,9 +167,9 @@ mod tests {
     fn admits_until_full_then_rejects_typed() {
         // Two lanes share the one bound.
         let mut queue = AdmissionQueue::new(2, 2);
-        queue.offer(0, q(0)).unwrap();
-        queue.offer(1, q(1)).unwrap();
-        let err = queue.offer(0, q(2)).unwrap_err();
+        queue.offer(0, q(0), &Fifo).unwrap();
+        queue.offer(1, q(1), &Fifo).unwrap();
+        let err = queue.offer(0, q(2), &Fifo).unwrap_err();
         assert_eq!(err, AdmissionError::QueueFull { depth: 2, limit: 2 });
         assert_eq!(err.to_string(), "admission queue full (2 of 2)");
         assert_eq!(queue.admitted(), 2);
@@ -170,10 +180,10 @@ mod tests {
     #[test]
     fn draining_reopens_admission() {
         let mut queue = AdmissionQueue::new(1, 1);
-        queue.offer(0, q(0)).unwrap();
-        assert!(queue.offer(0, q(1)).is_err());
+        queue.offer(0, q(0), &Fifo).unwrap();
+        assert!(queue.offer(0, q(1), &Fifo).is_err());
         queue.lane_mut(0).clear();
-        queue.offer(0, q(2)).unwrap();
+        queue.offer(0, q(2), &Fifo).unwrap();
         assert_eq!(queue.lane(0)[0].id, 2);
         assert_eq!(queue.max_depth(), 1);
     }

@@ -151,6 +151,9 @@ pub enum ServerError {
         /// 0-based index of the offending record.
         index: usize,
     },
+    /// The named [`ServerConfig`] field must be positive and is zero: a
+    /// queue that admits nothing, or rounds that dispatch nothing.
+    ZeroConfig(&'static str),
 }
 
 impl fmt::Display for ServerError {
@@ -164,6 +167,9 @@ impl fmt::Display for ServerError {
             }
             ServerError::BeyondCapacity { index } => {
                 write!(f, "trace record {index} runs past drive capacity")
+            }
+            ServerError::ZeroConfig(field) => {
+                write!(f, "server config field `{field}` must be positive")
             }
         }
     }
@@ -324,6 +330,12 @@ pub fn serve<B: Backend + ?Sized>(
     records: &[TraceRecord],
     cfg: &ServerConfig,
 ) -> Result<ServerResult, ServerError> {
+    if cfg.queue_limit == 0 {
+        return Err(ServerError::ZeroConfig("queue_limit"));
+    }
+    if cfg.max_batch == 0 {
+        return Err(ServerError::ZeroConfig("max_batch"));
+    }
     let capacity = disk.capacity_lbns();
     for (i, r) in records.iter().enumerate() {
         if i > 0 && r.arrival < records[i - 1].arrival {
@@ -389,6 +401,7 @@ pub fn serve<B: Backend + ?Sized>(
 
     let mut next = 0usize;
     let mut rounds = 0u64;
+    let mut sim_end = SimTime::ZERO;
     // Buffers every event reuses: the instant's commands with their lanes,
     // the batch handed to the backend, and its completions.
     let mut round: Vec<(usize, Dispatch)> = Vec::new();
@@ -427,7 +440,7 @@ pub fn serve<B: Backend + ?Sized>(
                 request: r.request,
             };
             let lane = lane_of.get(next).map_or(0, |&l| l);
-            if queue.offer(lane, queued).is_err() {
+            if queue.offer(lane, queued, &*scheds[lane]).is_err() {
                 rejected_ids.push(next as u64);
                 if let Some(s) = &mut sampler {
                     s.observe_rejection(r.arrival);
@@ -476,6 +489,7 @@ pub fn serve<B: Backend + ?Sized>(
         let mut round_end = now;
         for ((l, d), c) in round.iter().zip(&results) {
             round_end = round_end.max(c.completion);
+            sim_end = sim_end.max(c.completion);
             free_at[*l] = free_at[*l].max(c.completion);
             if d.coalesced() {
                 coalesced_requests += d.parts().count() as u64;
@@ -517,11 +531,9 @@ pub fn serve<B: Backend + ?Sized>(
         rounds += 1;
     }
 
-    completions.sort_by_key(|c| c.id);
-    let sim_end = completions
-        .iter()
-        .map(|c| c.completion)
-        .fold(SimTime::ZERO, SimTime::max);
+    // In place: ids are unique, so the unstable sort gives the one order
+    // there is, without the stable sort's scratch copy of half the run.
+    completions.sort_unstable_by_key(|c| c.id);
     let (timeline, slo) = match sampler {
         Some(s) => {
             let (t, slo) = s.finish(sim_end);
@@ -697,6 +709,19 @@ mod tests {
         records[5].request.lbn = disk.geometry().capacity_lbns();
         let r = serve(&mut disk, &records, &ServerConfig::new(SchedulerKind::Fifo));
         assert_eq!(r.unwrap_err(), ServerError::BeyondCapacity { index: 5 });
+    }
+
+    #[test]
+    fn zero_config_bounds_are_typed_errors() {
+        let mut disk = Disk::new(quantum_atlas_10k_ii());
+        let records = trace(10, 5.0, &disk);
+        for (field, queue_limit, max_batch) in [("queue_limit", 0, 32), ("max_batch", 128, 0)] {
+            let mut cfg = ServerConfig::new(SchedulerKind::CLook);
+            (cfg.queue_limit, cfg.max_batch) = (queue_limit, max_batch);
+            let err = serve(&mut disk, &records, &cfg).unwrap_err();
+            assert_eq!(err, ServerError::ZeroConfig(field));
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -67,10 +67,22 @@ impl Dispatch {
 
 /// A dispatch policy over the admission queue.
 pub trait Scheduler {
+    /// Places an admitted arrival in its lane. The default appends, which
+    /// keeps arrival order; the elevators insert at the arrival's place in
+    /// sweep order — `(lbn, id)` — so that `select` never has to sort.
+    fn admit(&self, pending: &mut Vec<Queued>, q: Queued) {
+        pending.push(q);
+    }
+
     /// Removes up to `max_batch` client requests from `pending` and
     /// returns the disk commands to issue, in issue order. Must make
     /// progress: returns at least one dispatch whenever `pending` is
-    /// non-empty.
+    /// non-empty and `max_batch` is positive.
+    ///
+    /// `pending` may be in any order: the result is that of a lane built
+    /// through [`admit`](Scheduler::admit), which merely spares the
+    /// elevators a sort. They leave the survivors in sweep order; FIFO
+    /// leaves them as they were.
     fn select(&mut self, pending: &mut Vec<Queued>, max_batch: usize) -> Vec<Dispatch>;
 
     /// Completed sweep wrap-arounds so far (always 0 for FIFO).
@@ -108,46 +120,43 @@ impl SchedulerKind {
     ];
 }
 
-/// One queued request's place in the sweep. Ordering is `(lbn, id)` —
-/// the elevator's order — with the request's index in the queue last, so
-/// sorting slots equals a stable sort of the queue by `(lbn, id)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Slot {
-    lbn: u64,
-    id: u64,
-    at: usize,
+/// The elevator's total order: ascending LBN, ties by id (arrival order).
+fn sweep_key(q: &Queued) -> (u64, u64) {
+    (q.request.lbn, q.id)
 }
 
-/// A circular elevator's state, plus the buffers every round reuses:
-/// with about one command per round, a fresh allocation per `select`
-/// would be most of the scheduler's cost.
+/// [`Scheduler::admit`] for an elevator: `q` goes where the sweep will
+/// meet it, so a lane built through `admit` is always in sweep order.
+/// The lane is bounded by the queue limit, so this is a short memmove.
+fn admit_in_sweep_order(pending: &mut Vec<Queued>, q: Queued) {
+    let key = sweep_key(&q);
+    let at = pending.partition_point(|p| sweep_key(p) < key);
+    pending.insert(at, q);
+}
+
+/// A circular elevator's state. Its lane is kept in sweep order — by
+/// [`Scheduler::admit`], and by every round, which takes entries out and
+/// never reorders the rest — so a round costs a binary search and the
+/// entries it dispatches, not a sort of the lane.
 #[derive(Debug, Default, Clone)]
 struct Sweep {
     pos: u64,
     wraps: u64,
-    /// The whole queue in sweep order. Every round derives its anchor and
-    /// everything it gathers from this one sort.
-    order: Vec<Slot>,
-    /// Queue indices of the requests the round dispatches.
-    taken: Vec<usize>,
 }
 
 impl Sweep {
-    /// Sorts the (non-empty) queue into `order` and returns where the
-    /// ascending sweep resumes: the first slot at or above `pos`. When
-    /// nothing lies there the sweep wraps: `wraps` is incremented and it
-    /// restarts from the lowest pending LBN.
-    fn start(&mut self, pending: &[Queued]) -> usize {
-        self.order.clear();
-        self.order
-            .extend(pending.iter().enumerate().map(|(at, q)| Slot {
-                lbn: q.request.lbn,
-                id: q.id,
-                at,
-            }));
-        self.order.sort_unstable();
-        let start = self.order.partition_point(|s| s.lbn < self.pos);
-        if start < self.order.len() {
+    /// Returns where in the (non-empty) lane the ascending sweep resumes:
+    /// the first entry at or above `pos`. When nothing lies there the
+    /// sweep wraps: `wraps` is incremented and it restarts from the lowest
+    /// pending LBN. A lane that was not built through `admit` is put in
+    /// sweep order first; ids are unique, so the order is the same
+    /// whatever order the lane arrived in.
+    fn start(&mut self, pending: &mut [Queued]) -> usize {
+        if !pending.is_sorted_by_key(sweep_key) {
+            pending.sort_unstable_by_key(sweep_key);
+        }
+        let start = pending.partition_point(|q| q.request.lbn < self.pos);
+        if start < pending.len() {
             start
         } else {
             self.wraps += 1;
@@ -156,43 +165,19 @@ impl Sweep {
         }
     }
 
-    /// One plain elevator round: up to `max_batch` slots of `order` from
-    /// `start`, one command each, leaving the sweep at the last of them.
+    /// One plain elevator round: up to `max_batch` entries from `start`,
+    /// one command each, leaving the sweep at the last of them.
     fn round(
         &mut self,
         pending: &mut Vec<Queued>,
         start: usize,
         max_batch: usize,
     ) -> Vec<Dispatch> {
-        let run = &self.order[start..self.order.len().min(start + max_batch)];
-        if let Some(last) = run.last() {
-            self.pos = last.lbn;
+        let end = pending.len().min(start + max_batch);
+        if let Some(last) = pending[start..end].last() {
+            self.pos = last.request.lbn;
         }
-        let round = run
-            .iter()
-            .map(|s| Dispatch::single(pending[s.at]))
-            .collect();
-        self.taken.clear();
-        self.taken.extend(run.iter().map(|s| s.at));
-        self.remove_taken(pending);
-        round
-    }
-
-    /// Removes the queue entries at the indices `taken` (distinct and in
-    /// bounds), preserving the relative order of the survivors.
-    fn remove_taken(&mut self, pending: &mut Vec<Queued>) {
-        self.taken.sort_unstable();
-        debug_assert!(
-            self.taken.windows(2).all(|w| w[0] < w[1]),
-            "duplicate dispatch"
-        );
-        let mut gone = self.taken.iter().peekable();
-        let mut i = 0;
-        pending.retain(|_| {
-            let hit = gone.next_if_eq(&&i).is_some();
-            i += 1;
-            !hit
-        });
+        pending.drain(start..end).map(Dispatch::single).collect()
     }
 }
 
@@ -226,6 +211,10 @@ impl CLook {
 }
 
 impl Scheduler for CLook {
+    fn admit(&self, pending: &mut Vec<Queued>, q: Queued) {
+        admit_in_sweep_order(pending, q);
+    }
+
     fn select(&mut self, pending: &mut Vec<Queued>, max_batch: usize) -> Vec<Dispatch> {
         if pending.is_empty() {
             return Vec::new();
@@ -275,6 +264,10 @@ impl Traxtent {
 }
 
 impl Scheduler for Traxtent {
+    fn admit(&self, pending: &mut Vec<Queued>, q: Queued) {
+        admit_in_sweep_order(pending, q);
+    }
+
     fn select(&mut self, pending: &mut Vec<Queued>, max_batch: usize) -> Vec<Dispatch> {
         if pending.is_empty() {
             return Vec::new();
@@ -287,7 +280,7 @@ impl Scheduler for Traxtent {
             return sweep.round(pending, start, max_batch);
         }
         let table = self.boundaries.table();
-        let anchor = pending[sweep.order[start].at].request;
+        let anchor = pending[start].request;
         let track = table.track_index(anchor.lbn);
         let ext = table.track_extent(track);
         if !(self.boundaries.is_confident(track, self.threshold) && anchor.end() <= ext.end()) {
@@ -297,33 +290,39 @@ impl Scheduler for Traxtent {
         }
         // Gather from the lowest queued request on the anchor's track.
         let mut lo = start;
-        while lo > 0 && sweep.order[lo - 1].lbn >= ext.start {
+        while lo > 0 && pending[lo - 1].request.lbn >= ext.start {
             lo -= 1;
         }
         let mut round: Vec<Dispatch> = Vec::new();
-        sweep.taken.clear();
-        for slot in &sweep.order[lo..] {
-            if sweep.taken.len() == max_batch || slot.lbn >= ext.end() {
+        let mut taken = 0;
+        // The walk covers `lo..at`; the entries it passes over (they run
+        // past the track's end) are moved down to `lo..kept`, in order.
+        let (mut kept, mut at) = (lo, lo);
+        while at < pending.len() && taken < max_batch {
+            let q = pending[at];
+            if q.request.lbn >= ext.end() {
                 break;
             }
-            let q = pending[slot.at];
+            at += 1;
             if q.request.end() > ext.end() {
+                pending[kept] = q;
+                kept += 1;
                 continue;
             }
-            sweep.pos = slot.lbn;
-            sweep.taken.push(slot.at);
+            sweep.pos = q.request.lbn;
+            taken += 1;
             match round.last_mut() {
                 // Only exactly adjacent same-op requests merge;
                 // overlapping or gapped neighbours stay separate commands
                 // (still within the track).
-                Some(d) if d.request.op == q.request.op && d.request.end() == slot.lbn => {
+                Some(d) if d.request.op == q.request.op && d.request.end() == q.request.lbn => {
                     d.request.len += q.request.len;
                     d.rest.push(q);
                 }
                 _ => round.push(Dispatch::single(q)),
             }
         }
-        sweep.remove_taken(pending);
+        pending.drain(kept..at);
         round
     }
 

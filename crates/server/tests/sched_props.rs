@@ -304,6 +304,34 @@ fn brute_force(
     (want, prompt)
 }
 
+/// `serve` sorts its completions in place, by id. Overflowing a queue of
+/// four leaves holes in the id range — the rejections, exactly — which is
+/// where placing a completion at the index its id names would go wrong.
+#[test]
+fn completions_ascend_by_id_around_the_rejected_holes() {
+    let table = Disk::new(models::quantum_atlas_10k_ii()).track_boundaries();
+    let trace = workloads::replay::synthetic_trace(&workloads::replay::SyntheticSpec {
+        count: 400,
+        interarrival_ms: 0.2,
+        io_sectors: 128,
+        read_fraction: 0.6,
+        capacity_lbns: table.capacity(),
+        seed: 17,
+    });
+    for kind in SchedulerKind::ALL {
+        let mut cfg =
+            ServerConfig::new(kind).with_boundaries(ConfidentBoundaries::certain(table.clone()));
+        cfg.queue_limit = 4;
+        let mut disk = Disk::new(models::quantum_atlas_10k_ii());
+        let res = serve(&mut disk, &trace, &cfg).unwrap();
+        assert!(res.rejected() > 0 && res.completed() > 4, "{kind:?}");
+        let ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{kind:?}: {ids:?}");
+        let holes: Vec<u64> = (0..400).filter(|id| !ids.contains(id)).collect();
+        assert_eq!(holes, res.rejected_ids, "{kind:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
