@@ -1,14 +1,16 @@
 //! Criterion micro-benchmarks for the library's hot paths: LBN↔physical
-//! translation, drive request servicing, boundary-table queries, the
-//! traxtent allocator, the file system's per-block structures, and the
-//! server's admission and scheduling round. These guard the performance of
-//! the building blocks that every figure harness leans on.
+//! translation, drive request servicing, the firmware cache and spindle
+//! phase, boundary-table queries, the traxtent allocator, the file
+//! system's per-block structures, and the server's admission and
+//! scheduling round. These guard the performance of the building blocks
+//! that every figure harness leans on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ffs::cache::BufferCache;
 use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
 use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
 use sim_disk::bus::{BusConfig, Delivery};
+use sim_disk::cache::{CacheConfig, SegmentCache};
 use sim_disk::disk::{Disk, DiskConfig, Request};
 use sim_disk::models;
 use sim_disk::{SimTime, TraceRecord};
@@ -27,8 +29,8 @@ fn bench_geometry(c: &mut Criterion) {
             black_box(geom.lbn_to_pba(black_box(lbn)).unwrap())
         })
     });
-    // Streaming translation: the last-track hint should make this nearly
-    // free compared to the random case above.
+    // Streaming translation: the same lookup as the random case above,
+    // on tables that stay in cache.
     c.bench_function("geometry/lbn_to_pba_sequential", |b| {
         let mut lbn = 0u64;
         b.iter(|| {
@@ -158,6 +160,34 @@ fn bench_bus(c: &mut Criterion) {
             let mut delivery = Delivery::new(&bus, base);
             black_box(delivery.zero_latency_run(track, spindle, base, arr, 0, spt));
             black_box(delivery.end())
+        })
+    });
+}
+
+/// The firmware segment cache and the spindle phase: the kernel-level
+/// price of the two plain forms DESIGN.md §5's table weighs end to end.
+fn bench_firmware(c: &mut Criterion) {
+    // Ten segments, the drives' default. An iteration is what a
+    // cache-missing read does (a miss, then an insert that evicts the
+    // oldest segment) and what a cached one does (a hit on a segment that
+    // is not the newest, moved to the back).
+    c.bench_function("cache/lookup_insert_10", |b| {
+        let mut cache = SegmentCache::new(CacheConfig::default());
+        let mut lbn = 0u64;
+        b.iter(|| {
+            let prev = lbn;
+            lbn += 1_000;
+            let miss = cache.lookup(black_box(lbn), 8);
+            cache.insert(lbn, lbn + 528);
+            black_box((miss, cache.lookup(black_box(prev), 8)))
+        })
+    });
+    c.bench_function("mech/angle_at", |b| {
+        let spindle = models::quantum_atlas_10k_ii().spindle;
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 7_654_321;
+            black_box(spindle.angle_at(SimTime::from_ns(black_box(t))))
         })
     });
 }
@@ -414,6 +444,7 @@ criterion_group!(
     bench_disk_service,
     bench_rotation,
     bench_bus,
+    bench_firmware,
     bench_boundaries,
     bench_allocator,
     bench_ffs,

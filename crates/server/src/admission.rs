@@ -55,14 +55,11 @@ impl Error for AdmissionError {}
 /// ([`Scheduler::admit`]): arrival order under FIFO, sweep order under the
 /// elevators, whose rounds then take entries out through
 /// [`lane_mut`](AdmissionQueue::lane_mut) without reordering the rest.
-/// The queue tracks its own admission/rejection counters and the
-/// high-water depth, all summed over the lanes.
+/// The queue tracks its high-water depth, summed over the lanes.
 #[derive(Debug)]
 pub struct AdmissionQueue {
     limit: usize,
     lanes: Vec<Vec<Queued>>,
-    admitted: u64,
-    rejected: u64,
     max_depth: usize,
 }
 
@@ -79,8 +76,6 @@ impl AdmissionQueue {
         AdmissionQueue {
             limit,
             lanes: vec![Vec::new(); lanes],
-            admitted: 0,
-            rejected: 0,
             max_depth: 0,
         }
     }
@@ -95,14 +90,12 @@ impl AdmissionQueue {
     ) -> Result<(), AdmissionError> {
         let depth = self.len();
         if depth >= self.limit {
-            self.rejected += 1;
             return Err(AdmissionError::QueueFull {
                 depth,
                 limit: self.limit,
             });
         }
         policy.admit(&mut self.lanes[lane], q);
-        self.admitted += 1;
         self.max_depth = self.max_depth.max(depth + 1);
         Ok(())
     }
@@ -134,16 +127,6 @@ impl AdmissionQueue {
         &mut self.lanes[lane]
     }
 
-    /// Arrivals admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Arrivals refused so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
     /// High-water queue depth.
     pub fn max_depth(&self) -> usize {
         self.max_depth
@@ -172,8 +155,6 @@ mod tests {
         let err = queue.offer(0, q(2), &Fifo).unwrap_err();
         assert_eq!(err, AdmissionError::QueueFull { depth: 2, limit: 2 });
         assert_eq!(err.to_string(), "admission queue full (2 of 2)");
-        assert_eq!(queue.admitted(), 2);
-        assert_eq!(queue.rejected(), 1);
         assert_eq!(queue.max_depth(), 2);
     }
 

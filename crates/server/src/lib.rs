@@ -154,6 +154,11 @@ pub enum ServerError {
     /// The named [`ServerConfig`] field must be positive and is zero: a
     /// queue that admits nothing, or rounds that dispatch nothing.
     ZeroConfig(&'static str),
+    /// The named [`TimelineConfig`] field is outside its domain:
+    /// `timeline.window_ms` must be finite and at least a nanosecond,
+    /// `slo.threshold_ms` finite and non-negative, `slo.breach_fraction`
+    /// in (0, 1].
+    InvalidConfig(&'static str),
 }
 
 impl fmt::Display for ServerError {
@@ -170,6 +175,9 @@ impl fmt::Display for ServerError {
             }
             ServerError::ZeroConfig(field) => {
                 write!(f, "server config field `{field}` must be positive")
+            }
+            ServerError::InvalidConfig(field) => {
+                write!(f, "server config field `{field}` is out of range")
             }
         }
     }
@@ -335,6 +343,9 @@ pub fn serve<B: Backend + ?Sized>(
     }
     if cfg.max_batch == 0 {
         return Err(ServerError::ZeroConfig("max_batch"));
+    }
+    if let Some(timeline) = &cfg.timeline {
+        timeline.validate().map_err(ServerError::InvalidConfig)?;
     }
     let capacity = disk.capacity_lbns();
     for (i, r) in records.iter().enumerate() {
@@ -722,6 +733,30 @@ mod tests {
             assert_eq!(err, ServerError::ZeroConfig(field));
             assert!(err.to_string().contains(field), "{err}");
         }
+    }
+
+    #[test]
+    fn out_of_range_timeline_fields_are_typed_errors() {
+        let mut disk = Disk::new(quantum_atlas_10k_ii());
+        let records = trace(10, 5.0, &disk);
+        let mut run = |window_ms: f64, threshold_ms: f64, breach_fraction: f64| {
+            let timeline = TimelineConfig::new(window_ms).with_slo(threshold_ms, breach_fraction);
+            let cfg = ServerConfig::new(SchedulerKind::CLook).with_timeline(timeline);
+            serve(&mut disk, &records, &cfg).map(|_| ())
+        };
+        assert_eq!(run(100.0, 0.0, 1.0), Ok(()));
+        let err = |field| Err(ServerError::InvalidConfig(field));
+        for v in [0.0, -1.0, 1e-7, f64::NAN, f64::INFINITY] {
+            assert_eq!(run(v, 25.0, 0.01), err("timeline.window_ms"), "{v}");
+        }
+        for v in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(run(100.0, v, 0.01), err("slo.threshold_ms"), "{v}");
+        }
+        for v in [0.0, -0.1, 1.5, f64::NAN] {
+            assert_eq!(run(100.0, 25.0, v), err("slo.breach_fraction"), "{v}");
+        }
+        let shown = ServerError::InvalidConfig("slo.breach_fraction").to_string();
+        assert!(shown.contains("slo.breach_fraction"), "{shown}");
     }
 
     #[test]

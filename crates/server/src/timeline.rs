@@ -72,6 +72,26 @@ impl TimelineConfig {
         });
         self
     }
+
+    /// Names the first field a run cannot work with: a window that is not
+    /// finite or rounds to zero nanoseconds ([`Sampler::new`] panics on
+    /// it), an SLO threshold that is negative or not finite, a breach
+    /// budget outside (0, 1] (the burn rate divides by it). NaN fails
+    /// every comparison, so each test is one only a good value passes.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        if !(self.window_ms.is_finite() && (self.window_ms * 1e6).round() >= 1.0) {
+            return Err("timeline.window_ms");
+        }
+        if let Some(slo) = self.slo {
+            if !(slo.threshold_ms.is_finite() && slo.threshold_ms >= 0.0) {
+                return Err("slo.threshold_ms");
+            }
+            if !(slo.breach_fraction > 0.0 && slo.breach_fraction <= 1.0) {
+                return Err("slo.breach_fraction");
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Accumulates per-window observations during a run (see the
@@ -96,8 +116,13 @@ struct Acc {
 }
 
 impl Sampler {
-    /// A sampler for the given config. Panics if the window is not a
-    /// positive whole number of nanoseconds.
+    /// A sampler for the given config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not round to a positive whole number of
+    /// nanoseconds. [`serve`](crate::serve) checks its config first and
+    /// returns [`ServerError::InvalidConfig`](crate::ServerError) instead.
     pub fn new(cfg: &TimelineConfig) -> Self {
         let window_ns = (cfg.window_ms * 1e6).round() as u64;
         assert!(window_ns > 0, "timeline window must be positive");

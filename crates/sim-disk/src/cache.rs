@@ -29,38 +29,17 @@ impl Default for CacheConfig {
     }
 }
 
-/// Sentinel "start" for an unoccupied ring slot: no containment or overlap
-/// test can match it (`start == u64::MAX` with `end == 0` fails both
-/// `s <= x` and `x <= e` for every real LBN range).
-const EMPTY_START: u64 = u64::MAX;
-/// Sentinel "end" for an unoccupied ring slot.
-const EMPTY_END: u64 = 0;
-
 /// The segmented cache. LRU across segments; a hit refreshes recency.
 ///
-/// Cached runs live in two parallel fixed-size rings (`starts`/`ends`) of
-/// exactly `config.segments` slots, oldest at `head`, newest at
-/// `head + len - 1`. Unoccupied slots hold a sentinel range that no lookup
-/// or overlap test can match, so the hot scans sweep the whole array
-/// branch-free without translating logical indices; eviction is O(1)
-/// (advance `head`). Live segments are
-/// pairwise disjoint — [`SegmentCache::insert`] absorbs every overlapping
-/// segment and [`SegmentCache::invalidate`] only shrinks — so at most one
-/// segment can satisfy a lookup and "first match" equals "unique match".
-/// On the trace-replay hot path every media read does one lookup and one
-/// insert; a mispredict-free L1-resident sweep is what keeps that
-/// affordable.
+/// Live segments are pairwise disjoint — [`SegmentCache::insert`] absorbs
+/// every segment it overlaps or abuts and [`SegmentCache::invalidate`]
+/// only shrinks — so at most one segment can satisfy a lookup.
+/// `tests/cache_props.rs` drives it against a model made of sector sets.
 #[derive(Debug, Clone)]
 pub struct SegmentCache {
     config: CacheConfig,
-    /// Segment first LBNs (physical ring slots; sentinel when empty).
-    starts: Vec<u64>,
-    /// Segment end LBNs, exclusive (parallel to `starts`).
-    ends: Vec<u64>,
-    /// Physical index of the least recently used segment.
-    head: usize,
-    /// Number of live segments.
-    len: usize,
+    /// Cached `[start, end)` runs, least recently used first.
+    segs: Vec<(u64, u64)>,
     hits: u64,
     misses: u64,
 }
@@ -68,71 +47,12 @@ pub struct SegmentCache {
 impl SegmentCache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        let ring = config.segments.max(1);
         SegmentCache {
             config,
-            starts: vec![EMPTY_START; ring],
-            ends: vec![EMPTY_END; ring],
-            head: 0,
-            len: 0,
+            segs: Vec::with_capacity(config.segments),
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Physical ring slot of logical (recency) index `i` (0 = oldest).
-    #[inline]
-    fn slot(&self, i: usize) -> usize {
-        let p = self.head + i;
-        if p >= self.starts.len() {
-            p - self.starts.len()
-        } else {
-            p
-        }
-    }
-
-    /// Physical slot of the unique segment containing `[start, end)`.
-    #[inline]
-    fn containing(&self, start: u64, end: u64) -> Option<usize> {
-        let mut idx = usize::MAX;
-        for (i, (&s, &e)) in self.starts.iter().zip(&self.ends).enumerate() {
-            if s <= start && end <= e {
-                idx = i;
-            }
-        }
-        (idx != usize::MAX).then_some(idx)
-    }
-
-    /// Appends a segment at the most-recent end. Requires a free slot.
-    #[inline]
-    fn push(&mut self, start: u64, end: u64) {
-        debug_assert!(self.len < self.starts.len());
-        let at = self.slot(self.len);
-        self.starts[at] = start;
-        self.ends[at] = end;
-        self.len += 1;
-    }
-
-    /// Removes the segment in physical slot `at`, sliding newer segments
-    /// down one logical position (recency order among survivors is kept).
-    fn remove_at(&mut self, at: usize) -> (u64, u64) {
-        let removed = (self.starts[at], self.ends[at]);
-        let logical = if at >= self.head {
-            at - self.head
-        } else {
-            at + self.starts.len() - self.head
-        };
-        debug_assert!(logical < self.len);
-        for i in logical + 1..self.len {
-            let (from, to) = (self.slot(i), self.slot(i - 1));
-            self.starts[to] = self.starts[from];
-            self.ends[to] = self.ends[from];
-        }
-        let last = self.slot(self.len - 1);
-        self.starts[last] = EMPTY_START;
-        self.ends[last] = EMPTY_END;
-        self.len -= 1;
-        removed
     }
 
     /// Returns true — and refreshes recency — if `[start, start+len)` is
@@ -142,60 +62,40 @@ impl SegmentCache {
             return false;
         }
         let end = start + len;
-        if let Some(at) = self.containing(start, end) {
-            if at != self.slot(self.len - 1) {
-                let (s, e) = self.remove_at(at);
-                self.push(s, e);
+        match self.segs.iter().position(|&(s, e)| s <= start && end <= e) {
+            Some(at) => {
+                self.segs[at..].rotate_left(1);
+                self.hits += 1;
+                true
             }
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+            None => {
+                self.misses += 1;
+                false
+            }
         }
     }
 
     /// Records that `[start, end)` was read from media (already extended by
     /// read-ahead by the caller if configured). Evicts the least recently
     /// used segment if full. Overlapping older segments are absorbed.
-    pub fn insert(&mut self, start: u64, end: u64) {
+    pub fn insert(&mut self, mut start: u64, mut end: u64) {
         if self.config.segments == 0 || start >= end {
             return;
         }
-        // Absorb overlapping or adjacent segments into the new one. The
-        // common case (disjoint insert) is a branch-free read-only scan;
-        // only an actual overlap pays for removing the absorbed segments
-        // (recency order among survivors is kept).
-        let (mut new_start, mut new_end) = (start, end);
-        let mut any = false;
-        for (&s, &e) in self.starts.iter().zip(&self.ends) {
-            any |= s <= new_end && new_start <= e;
-        }
-        if any {
-            let mut i = 0;
-            while i < self.len {
-                let at = self.slot(i);
-                let (s, e) = (self.starts[at], self.ends[at]);
-                if s <= new_end && new_start <= e {
-                    new_start = new_start.min(s);
-                    new_end = new_end.max(e);
-                    self.remove_at(at);
-                } else {
-                    i += 1;
-                }
+        // One pass, oldest first: a segment that overlaps or abuts the run
+        // as grown so far joins it; the survivors keep their order.
+        self.segs.retain(|&(s, e)| {
+            let absorbed = s <= end && start <= e;
+            if absorbed {
+                start = start.min(s);
+                end = end.max(e);
             }
+            !absorbed
+        });
+        while self.segs.len() >= self.config.segments {
+            self.segs.remove(0);
         }
-        while self.len >= self.config.segments {
-            // O(1) eviction: blank the oldest slot and advance the head.
-            self.starts[self.head] = EMPTY_START;
-            self.ends[self.head] = EMPTY_END;
-            self.head += 1;
-            if self.head == self.starts.len() {
-                self.head = 0;
-            }
-            self.len -= 1;
-        }
-        self.push(new_start, new_end);
+        self.segs.push((start, end));
     }
 
     /// Invalidates any cached data overlapping `[start, start+len)` (called
@@ -204,42 +104,28 @@ impl SegmentCache {
     /// simplicity, as real firmware typically does).
     pub fn invalidate(&mut self, start: u64, len: u64) {
         let end = start + len;
-        let mut i = 0;
-        while i < self.len {
-            let at = self.slot(i);
-            let (mut s, mut e) = (self.starts[at], self.ends[at]);
-            if s < end && start < e {
-                if start <= s && end >= e {
-                    e = s; // fully covered: empty it
-                } else if start <= s {
-                    s = end;
-                } else if end >= e {
-                    e = start;
-                } else {
+        self.segs.retain_mut(|(s, e)| {
+            if *s < end && start < *e {
+                if start <= *s && end >= *e {
+                    *e = *s; // fully covered: empty it
+                } else if start <= *s {
+                    *s = end;
+                } else if end >= *e {
+                    *e = start;
+                } else if start - *s >= *e - end {
                     // Write splits the segment: keep the larger half.
-                    if start - s >= e - end {
-                        e = start;
-                    } else {
-                        s = end;
-                    }
+                    *e = start;
+                } else {
+                    *s = end;
                 }
             }
-            if s < e {
-                self.starts[at] = s;
-                self.ends[at] = e;
-                i += 1;
-            } else {
-                self.remove_at(at);
-            }
-        }
+            *s < *e
+        });
     }
 
     /// Drops all cached data.
     pub fn clear(&mut self) {
-        self.starts.fill(EMPTY_START);
-        self.ends.fill(EMPTY_END);
-        self.head = 0;
-        self.len = 0;
+        self.segs.clear();
     }
 
     /// (hits, misses) since creation.
@@ -249,12 +135,12 @@ impl SegmentCache {
 
     /// Number of live segments.
     pub fn len(&self) -> usize {
-        self.len
+        self.segs.len()
     }
 
     /// True if no segments are cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.segs.is_empty()
     }
 }
 

@@ -13,7 +13,6 @@ use crate::defects::{DefectLocation, DefectPolicy, SlipDomain, SpareScheme};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a track, in LBN order.
@@ -270,6 +269,12 @@ impl Error for GeometryError {}
 /// 100-byte-plus [`Track`] structs) keeps the whole search path in a few
 /// cache lines, and zones whose tracks all map exactly `spt` LBNs skip the
 /// search entirely with one divide.
+///
+/// The divide and [`last_le`] stay because a workload sees them: one
+/// `partition_point` over `first_lbns` in their place costs `disk_replay`
+/// 19 % of its host rate (2.13 M → 1.73 M requests per host second, 10 of
+/// 10 alternating pairs, every run below; 68 % of its lookups take the
+/// divide — DESIGN.md §5's table).
 #[derive(Debug, Clone)]
 struct HotTables {
     /// `first_lbns[t]` is the first LBN of track `t`; the final entry is the
@@ -334,7 +339,7 @@ fn last_le(table: &[u64], lbn: u64) -> usize {
 }
 
 /// A fully built disk layout with O(log n) translation in both directions.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DiskGeometry {
     spec: GeometrySpec,
     tracks: Vec<Track>,
@@ -345,25 +350,6 @@ pub struct DiskGeometry {
     remaps: BTreeMap<u64, Pba>,
     /// Flat SoA translation tables (see [`HotTables`]).
     hot: HotTables,
-    /// Track returned by the previous `track_of_lbn` call. Sequential and
-    /// streaming access hits this track or the next one almost always,
-    /// skipping the binary search. Relaxed ordering is enough: a stale
-    /// hint is never wrong, merely a missed shortcut.
-    last_track: AtomicU32,
-}
-
-impl Clone for DiskGeometry {
-    fn clone(&self) -> Self {
-        DiskGeometry {
-            spec: self.spec.clone(),
-            tracks: self.tracks.clone(),
-            zones: self.zones.clone(),
-            capacity: self.capacity,
-            remaps: self.remaps.clone(),
-            hot: self.hot.clone(),
-            last_track: AtomicU32::new(self.last_track.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl DiskGeometry {
@@ -451,22 +437,6 @@ impl DiskGeometry {
         if lbn >= self.capacity {
             return Err(GeometryError::LbnOutOfRange(lbn));
         }
-        let fl = &self.hot.first_lbns;
-        // Fast path: the track found last time, or its successor. Track
-        // LBN ranges are contiguous (`first_lbns[t + 1]` is track `t`'s
-        // end), so a containment hit is always the track the search below
-        // would find; an empty (spare) track's range is empty and can
-        // never hit.
-        let hint = self.last_track.load(Ordering::Relaxed) as usize;
-        if fl[hint] <= lbn {
-            if lbn < fl[hint + 1] {
-                return Ok(TrackId(hint as u32));
-            }
-            if hint + 2 < fl.len() && fl[hint + 1] <= lbn && lbn < fl[hint + 2] {
-                self.last_track.store((hint + 1) as u32, Ordering::Relaxed);
-                return Ok(TrackId((hint + 1) as u32));
-            }
-        }
         // Zone lookup over the flat per-zone table (a handful of entries):
         // the last zone whose first LBN is ≤ lbn holds it.
         let zi = last_le(&self.hot.zone_first_lbn, lbn);
@@ -478,14 +448,13 @@ impl DiskGeometry {
             // The last track whose first LBN is ≤ lbn. Empty (spare)
             // tracks share their first LBN with their successor and so are
             // never the last such track for an in-range lbn.
-            last_le(fl, lbn)
+            last_le(&self.hot.first_lbns, lbn)
         };
         debug_assert!(idx < self.tracks.len());
         debug_assert!(
             self.tracks[idx].first_lbn <= lbn && lbn < self.tracks[idx].end_lbn(),
             "lbn {lbn} not on resolved track {idx}"
         );
-        self.last_track.store(idx as u32, Ordering::Relaxed);
         Ok(TrackId(idx as u32))
     }
 
@@ -933,7 +902,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         capacity: next_lbn,
         remaps,
         hot,
-        last_track: AtomicU32::new(0),
     })
 }
 
@@ -1213,8 +1181,8 @@ mod tests {
     #[test]
     fn track_hint_agrees_with_binary_search_on_any_pattern() {
         let g = simple_spec().build().unwrap();
-        // Sequential sweep (exercises the hint/hint+1 fast path), then
-        // jumps that invalidate the hint, then a backwards sweep.
+        // A sequential sweep, jumps, then a backwards sweep: a lookup's
+        // answer does not depend on the lookups before it.
         let cap = g.capacity_lbns();
         let pattern = (0..cap)
             .chain([cap - 1, 0, cap / 2, 1, cap / 2 + 1, cap - 2])
@@ -1227,17 +1195,15 @@ mod tests {
 
     #[test]
     fn track_hint_skips_empty_spare_tracks() {
-        // Zone spare tracks produce zero-LBN tracks that the hinted fast
-        // path must never return.
+        // Spare tracks hold no LBNs and share their first LBN with their
+        // successor; a lookup must never return one.
         let mut spec = simple_spec();
         spec.spare = SpareScheme::TracksAtEnd(2);
         let g = spec.build().unwrap();
-        for _pass in 0..2 {
-            for lbn in 0..g.capacity_lbns() {
-                let t = g.track(g.track_of_lbn(lbn).unwrap().0);
-                assert!(t.first_lbn() <= lbn && lbn < t.end_lbn(), "lbn {lbn}");
-                assert!(t.lbn_count() > 0, "lbn {lbn} resolved to a spare track");
-            }
+        for lbn in 0..g.capacity_lbns() {
+            let t = g.track(g.track_of_lbn(lbn).unwrap().0);
+            assert!(t.first_lbn() <= lbn && lbn < t.end_lbn(), "lbn {lbn}");
+            assert!(t.lbn_count() > 0, "lbn {lbn} resolved to a spare track");
         }
     }
 

@@ -106,25 +106,6 @@ fn solve3(mut m: [[f64; 4]; 3]) -> Option<[f64; 3]> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Spindle {
     period_ns: u64,
-    /// `ceil(2^128 / period_ns)`: Lemire's fast-mod constant, so the phase
-    /// reduction on the per-visit service path multiplies instead of
-    /// dividing. Derived from `period_ns` in [`Spindle::new`] (the only
-    /// constructor), so derived equality stays consistent.
-    mod_magic: u128,
-}
-
-/// `n % d` where `magic == ceil(2^128 / d)`, via two multiplies instead of
-/// a hardware divide (D. Lemire's fastmod, widened to 64-bit operands).
-#[inline]
-fn fast_mod(n: u64, magic: u128, d: u64) -> u64 {
-    // low 128 bits of magic * n, then the high 64 bits of (that * d),
-    // accumulated from 64-bit halves (a_hi*d is at most (2^64-1)^2, so the
-    // carry addition cannot overflow a u128).
-    let low = magic.wrapping_mul(u128::from(n));
-    let a_lo = low & 0xFFFF_FFFF_FFFF_FFFF;
-    let a_hi = low >> 64;
-    let d = u128::from(d);
-    ((a_hi * d + ((a_lo * d) >> 64)) >> 64) as u64
 }
 
 impl Spindle {
@@ -135,12 +116,8 @@ impl Spindle {
     /// Panics if `rpm` is zero.
     pub fn new(rpm: u32) -> Self {
         assert!(rpm > 0, "rpm must be positive");
-        let period_ns = (60.0e9 / f64::from(rpm)).round() as u64;
         Spindle {
-            period_ns,
-            // floor((2^128 - 1) / d) + 1 == ceil(2^128 / d) for every d > 1
-            // (and the d == 1 phase is identically zero below).
-            mod_magic: (u128::MAX / u128::from(period_ns)) + 1,
+            period_ns: (60.0e9 / f64::from(rpm)).round() as u64,
         }
     }
 
@@ -151,9 +128,7 @@ impl Spindle {
 
     /// The spindle phase angle at `t`, in revolutions `[0, 1)`.
     pub fn angle_at(&self, t: SimTime) -> f64 {
-        let rem = fast_mod(t.as_ns(), self.mod_magic, self.period_ns);
-        debug_assert_eq!(rem, t.as_ns() % self.period_ns);
-        rem as f64 / self.period_ns as f64
+        (t.as_ns() % self.period_ns) as f64 / self.period_ns as f64
     }
 
     /// The time to sweep `frac` of a revolution (e.g. to pass under `n`
@@ -236,38 +211,6 @@ mod tests {
         let t = SimTime::from_ns(1_500_000); // quarter turn
         assert!((s.angle_at(t) - 0.25).abs() < 1e-12);
         assert_eq!(s.angle_at(SimTime::from_ns(6_000_000)), 0.0);
-    }
-
-    #[test]
-    fn fast_mod_matches_hardware_remainder() {
-        // Every drive rpm the models use, plus awkward divisors (small,
-        // power-of-two, near 2^32), against adversarial dividends.
-        let divisors = [
-            2u64,
-            3,
-            14,
-            4096,
-            5_555_555,
-            5_999_999,
-            6_000_000,
-            8_333_333,
-            (1 << 32) - 1,
-            1 << 32,
-        ];
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        for &d in &divisors {
-            let magic = (u128::MAX / u128::from(d)) + 1;
-            for n in [0u64, 1, d - 1, d, d + 1, u64::MAX, u64::MAX - 1] {
-                assert_eq!(fast_mod(n, magic, d), n % d, "n={n} d={d}");
-            }
-            for _ in 0..10_000 {
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                let n = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-                assert_eq!(fast_mod(n, magic, d), n % d, "n={n} d={d}");
-            }
-        }
     }
 
     #[test]

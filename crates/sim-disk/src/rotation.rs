@@ -26,15 +26,15 @@
 //!    0.0` agrees exactly with `slot_angle(s) < arr_angle` (an IEEE
 //!    subtraction is negative iff the real difference is);
 //! 4. the `+ 1.0` for negative distances applies on a prefix of each
-//!    monotone segment and is itself monotone;
-//! 5. the EPS snap to zero fires on a suffix of each resulting segment
-//!    (where the pre-snap distance reaches `1.0 - EPS`).
+//!    monotone segment and is itself monotone.
 //!
 //! The run therefore splits into at most four sub-segments on which the
-//! distance is monotone non-decreasing, each with an all-zero snapped
-//! suffix. Every boundary is found by binary search on the exact same
-//! computed values, and the extremes can only sit at sub-segment endpoints
-//! (or be exactly `0.0` in a snapped suffix).
+//! *pre-snap* distance is monotone non-decreasing. Every boundary is found
+//! by binary search on the exact same computed values, and the extremes
+//! can only sit at sub-segment endpoints. The EPS snap to zero fires on a
+//! slot exactly where its pre-snap distance reaches `1.0 - EPS`, so a
+//! pre-snap maximum below that proves it fired nowhere; a run where it
+//! did is handed to the scan.
 
 use crate::geometry::Track;
 
@@ -68,10 +68,10 @@ pub fn slot_distance(track: &Track, arr_angle: f64, slot: u32) -> f64 {
 ///
 /// This is the pre-closed-form algorithm, kept as the oracle the property
 /// tests compare [`window_closed`] against and as what `window_closed`
-/// itself runs on degenerate runs. The engine touches every slot only
-/// where it must: for a crash-logged write, which records an instant per
-/// sector, and in the fallbacks of the bus model
-/// ([`crate::bus::Delivery::zero_latency_run`]).
+/// itself runs on degenerate runs and on runs the EPS snap fires in.
+/// Beyond those the engine touches every slot only where it must: for a
+/// crash-logged write, which records an instant per sector, and in the
+/// fallbacks of the bus model ([`crate::bus::Delivery::zero_latency_run`]).
 ///
 /// # Panics
 ///
@@ -99,6 +99,11 @@ pub fn window_scan(track: &Track, arr_angle: f64, first: u32, count: u32) -> (f6
 /// off the floating-point rounding error. Correctness never depends on
 /// the guess — the exits are decided purely by `pred`, and a bad guess
 /// just walks further.
+///
+/// The seed stays because a workload sees it: a plain bisection in its
+/// place costs `serve_raid5` 6.9 % of its host rate (406 k → 378 k
+/// requests per host second, 10 of 10 alternating pairs, every run
+/// without the seed below every run with it; DESIGN.md §5's table).
 #[inline]
 fn seeded_bound(lo: u32, hi: u32, guess: u32, pred: impl Fn(u32) -> bool) -> u32 {
     let mut s = guess.clamp(lo, hi);
@@ -233,8 +238,9 @@ fn wrap_slot(track: &Track, first: u32, end: u32) -> u32 {
 /// bit-for-bit, in O(log spt) instead of O(count).
 ///
 /// When the snap fires nowhere — almost always — [`window_pieces`]'
-/// candidate values *are* the final distances and the snap searches of
-/// the slow path are skipped.
+/// candidate values *are* the final distances. A run in which it does fire
+/// (an arrival pinned on a slot edge; at most 1.9 % of calls on any
+/// benchmark workload) is scanned.
 ///
 /// # Panics
 ///
@@ -246,72 +252,10 @@ pub fn window_closed(track: &Track, arr_angle: f64, first: u32, count: u32) -> (
     }
     let p = window_pieces(track, arr_angle, first, count);
     if p.max_d < 1.0 - EPS {
-        return (p.min_d, p.max_d);
+        (p.min_d, p.max_d)
+    } else {
+        window_scan(track, arr_angle, first, count)
     }
-    window_snapped(track, arr_angle, first, first + count)
-}
-
-/// Slow path of [`window_closed`] for runs where the EPS snap fires on at
-/// least one slot: locates every snap boundary by search so snapped
-/// suffixes contribute exactly `0.0`.
-#[cold]
-fn window_snapped(track: &Track, arr_angle: f64, first: u32, end: u32) -> (f64, f64) {
-    let angle0 = track.angle0();
-    let spt_f = f64::from(track.spt());
-    let wrap = wrap_slot(track, first, end);
-    // Pre-snap distance: monotone within each of the sub-segments below.
-    let pre_snap = |s: u32| {
-        let mut d = track.slot_angle(s) - arr_angle;
-        if d < 0.0 {
-            d += 1.0;
-        }
-        d
-    };
-
-    let mut min_d = f64::INFINITY;
-    let mut max_d = f64::NEG_INFINITY;
-    // `off` is the wrap correction already applied inside `slot_angle` on
-    // each side of `wrap`; the seed guesses below add it back so every
-    // threshold is expressed against the raw `fracs` table.
-    for &(seg_lo, seg_hi, off) in &[(first, wrap, 0.0), (wrap, end, 1.0)] {
-        if seg_lo >= seg_hi {
-            continue;
-        }
-        // Split 2: where the `d < 0.0` branch stops firing. Both sides are
-        // monotone non-decreasing in the pre-snap distance.
-        let cross = seeded_bound(
-            seg_lo,
-            seg_hi,
-            guess_slot(arr_angle - angle0 + off, spt_f),
-            |s| track.slot_angle(s) >= arr_angle,
-        );
-        for &(lo, hi, thr) in &[
-            (seg_lo, cross, arr_angle - EPS),
-            (cross, seg_hi, 1.0 - EPS + arr_angle),
-        ] {
-            if lo >= hi {
-                continue;
-            }
-            // Split 3: where the EPS snap starts; everything from there on
-            // is exactly 0.0.
-            let snap = seeded_bound(lo, hi, guess_slot(thr - angle0 + off, spt_f), |s| {
-                pre_snap(s) >= 1.0 - EPS
-            });
-            if snap > lo {
-                // Unsnapped monotone prefix: extremes at its endpoints,
-                // evaluated through the very same expression the scan uses.
-                let d_lo = slot_distance(track, arr_angle, lo);
-                let d_hi = slot_distance(track, arr_angle, snap - 1);
-                min_d = min_d.min(d_lo.min(d_hi));
-                max_d = max_d.max(d_lo.max(d_hi));
-            }
-            if snap < hi {
-                min_d = min_d.min(0.0);
-                max_d = max_d.max(0.0);
-            }
-        }
-    }
-    (min_d, max_d)
 }
 
 #[cfg(test)]

@@ -293,9 +293,9 @@ fn crate_graph_matches_the_layering() {
 /// it needs no row); every other row is something tests call on purpose.
 #[rustfmt::skip]
 const UNCALLED: &[(&str, &str)] = &[
-    ("crates/core/src/alloc.rs", "ROADMAP item 2: the benchmark PR re-points its rows or drops rows and code"),
-    ("crates/core/src/planner.rs", "ROADMAP item 2: the benchmark PR re-points its rows or drops rows and code"),
-    ("crates/dixtrac/src/heal.rs", "ROADMAP item 3: the composed harness is Healer's first caller, or it goes"),
+    ("crates/core/src/alloc.rs", "ROADMAP item 3: ffs and fleet run the paper's allocator and planner, or they go"),
+    ("crates/core/src/planner.rs", "ROADMAP item 3: ffs and fleet run the paper's allocator and planner, or they go"),
+    ("crates/dixtrac/src/heal.rs", "ROADMAP item 4: the composed harness is Healer's first caller, or it goes"),
     ("uniform", "test fake: the boundary table of 13 unit tests in five crates and two doctests"),
     ("attr", "observer for fleet span_tree and the sim-disk span tests: one attribute of a span"),
     ("time_ns", "observer for trace_invariants: every event lies inside its request's lifetime"),
