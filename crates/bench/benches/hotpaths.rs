@@ -1,16 +1,18 @@
 //! Criterion micro-benchmarks for the library's hot paths: LBN↔physical
 //! translation, drive request servicing, the firmware cache and spindle
 //! phase, boundary-table queries, the traxtent allocator, the file
-//! system's per-block structures, and the server's admission and
-//! scheduling round. These guard the performance of the building blocks
-//! that every figure harness leans on.
+//! system's per-block structures, a volume's request split, and the
+//! server's admission and scheduling round. These guard the performance
+//! of the building blocks that every figure harness leans on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ffs::cache::BufferCache;
 use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
+use fleet::{member_boundaries, StripePolicy, VolumeKind, VolumeLayout};
 use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
 use sim_disk::bus::{BusConfig, Delivery};
 use sim_disk::cache::{CacheConfig, SegmentCache};
+use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::{Disk, DiskConfig, Request};
 use sim_disk::models;
 use sim_disk::{SimTime, TraceRecord};
@@ -45,6 +47,17 @@ fn bench_geometry(c: &mut Criterion) {
             black_box(geom.track_of_lbn(black_box(lbn)).unwrap())
         })
     });
+    // A member of the benchmark's RAID-5 volume: spare sectors in every
+    // cylinder leave no zone uniform, so no lookup takes the divide.
+    c.bench_function("geometry/track_of_lbn_random_defective", |b| {
+        let geom = raid5_member(0).geometry;
+        let cap = geom.capacity_lbns();
+        let mut lbn = 0u64;
+        b.iter(|| {
+            lbn = (lbn.wrapping_mul(6364136223846793005).wrapping_add(1)) % cap;
+            black_box(geom.track_of_lbn(black_box(lbn)).unwrap())
+        })
+    });
     c.bench_function("geometry/track_of_lbn_sequential", |b| {
         let mut lbn = 0u64;
         b.iter(|| {
@@ -59,6 +72,17 @@ fn bench_geometry(c: &mut Criterion) {
             black_box(geom.track_bounds(black_box(lbn)).unwrap())
         })
     });
+}
+
+/// An Atlas 10K II as `serve_raid5` builds its members.
+fn raid5_member(m: u32) -> DiskConfig {
+    models::with_factory_defects(
+        models::quantum_atlas_10k_ii(),
+        SpareScheme::SectorsPerCylinder(8),
+        DefectPolicy::Slip,
+        150 + 50 * m,
+        0x6d30 + u64::from(m),
+    )
 }
 
 fn bench_disk_service(c: &mut Criterion) {
@@ -241,6 +265,34 @@ fn bench_boundaries(c: &mut Criterion) {
         b.iter(|| {
             lbn = (lbn.wrapping_mul(2862933555777941757).wrapping_add(3)) % tb.capacity();
             black_box(tb.clip_to_track(black_box(lbn), 528))
+        })
+    });
+    // The shape of an aligned RAID-5 volume's logical table: one "track"
+    // per stripe unit, ≈ 208 000 of them, looked up at uniform LBNs.
+    c.bench_function("boundaries/track_index_random", |b| {
+        let lengths = (0..208_000).map(|i| 330 + i % 29);
+        let units = TrackBoundaries::from_track_lengths(lengths).unwrap();
+        let mut lbn = 0u64;
+        b.iter(|| {
+            lbn = (lbn.wrapping_mul(2862933555777941757).wrapping_add(3)) % units.capacity();
+            black_box(units.track_index(black_box(lbn)))
+        })
+    });
+}
+
+fn bench_fleet(c: &mut Criterion) {
+    // `serve_raid5`'s layout and its request: the whole stripe unit a
+    // uniform LBN falls in.
+    c.bench_function("fleet/split_whole_unit_random", |b| {
+        let maps: Vec<ConfidentBoundaries> = (0..5)
+            .map(|m| member_boundaries(&Disk::new(raid5_member(m))))
+            .collect();
+        let layout = VolumeLayout::new(VolumeKind::Raid5, &maps, &StripePolicy::aligned()).unwrap();
+        let mut lbn = 0u64;
+        b.iter(|| {
+            lbn = (lbn.wrapping_mul(2862933555777941757).wrapping_add(3)) % layout.capacity();
+            let unit = layout.units()[layout.unit_index(black_box(lbn))];
+            black_box(layout.split(unit.lstart, unit.len).unwrap())
         })
     });
 }
@@ -446,6 +498,7 @@ criterion_group!(
     bench_bus,
     bench_firmware,
     bench_boundaries,
+    bench_fleet,
     bench_allocator,
     bench_ffs,
     bench_server

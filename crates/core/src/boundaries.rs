@@ -50,6 +50,90 @@ impl fmt::Display for BoundariesError {
 
 impl Error for BoundariesError {}
 
+/// A bucket directory in front of a sorted table of track starts: which
+/// entry holds an LBN, in two loads instead of a binary search's dependent
+/// chain of them.
+///
+/// A bucket is `2^shift` LBNs, about one mean track, and `first[b]` is the
+/// last entry starting at or before the bucket's first LBN, so an answer is
+/// a few entries past it and the directory costs at most 8 bytes per track
+/// (one pass over the table to build). The scan from there is *branchy* on
+/// purpose: a load that only feeds a predicted branch does not gate the
+/// loads after it, where a branch-free search serializes them (DESIGN.md §5
+/// has both measured — do not tidy the scan into a `partition_point`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LbnDirectory {
+    shift: u32,
+    /// One entry per bucket, then the table's last index.
+    first: Vec<u32>,
+}
+
+/// How [`LbnDirectory::locate`] found its answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Found {
+    /// The forward scan, this many entries past the bucket's first.
+    Scan(usize),
+    /// The search of a bucket more crowded than the scan covers.
+    Crowded,
+}
+
+impl LbnDirectory {
+    /// Entries the scan steps past before a bucket counts as crowded.
+    const SCAN: usize = 4;
+
+    /// Indexes `starts` — non-decreasing, `starts[0] == 0`, repeats allowed —
+    /// for lookups of LBNs below `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `starts` is empty, does not begin at 0 or holds 2³² entries
+    /// or more, or if `capacity` is zero.
+    pub fn new(starts: &[u64], capacity: u64) -> Self {
+        assert!(starts.first() == Some(&0) && capacity > 0);
+        let last = u32::try_from(starts.len() - 1).expect("fewer than 2^32 tracks");
+        let shift = (capacity / starts.len() as u64).max(1).ilog2();
+        let mut i = 0u32;
+        let mut first: Vec<u32> = (0..=(capacity - 1) >> shift)
+            .map(|b| {
+                while i < last && starts[i as usize + 1] <= b << shift {
+                    i += 1;
+                }
+                i
+            })
+            .collect();
+        first.push(last);
+        LbnDirectory { shift, first }
+    }
+
+    /// The last `i` with `starts[i] <= lbn`, for the `starts` and below the
+    /// `capacity` the directory was built from.
+    #[inline]
+    pub fn last_le(&self, starts: &[u64], lbn: u64) -> usize {
+        self.locate(starts, lbn).0
+    }
+
+    /// [`Self::last_le`], and how it was answered.
+    #[inline]
+    pub fn locate(&self, starts: &[u64], lbn: u64) -> (usize, Found) {
+        let bucket = (lbn >> self.shift) as usize;
+        let mut i = self.first[bucket] as usize;
+        for step in 0..Self::SCAN {
+            if starts.get(i + 1).is_none_or(|&s| s > lbn) {
+                return (i, Found::Scan(step));
+            }
+            i += 1;
+        }
+        (self.crowded(starts, i, bucket, lbn), Found::Crowded)
+    }
+
+    /// The answer lies in `i..=first[bucket + 1]`: O(log n) on any table.
+    #[cold]
+    fn crowded(&self, starts: &[u64], i: usize, bucket: usize, lbn: u64) -> usize {
+        let hi = self.first[bucket + 1] as usize;
+        i + starts[i + 1..=hi].partition_point(|&s| s <= lbn)
+    }
+}
+
 /// A validated table of track boundaries covering LBNs `[0, capacity)`.
 ///
 /// Tracks are variable-sized: zoned recording, spare space, and slipped
@@ -61,6 +145,8 @@ pub struct TrackBoundaries {
     starts: Vec<u64>,
     /// Total LBNs covered.
     capacity: u64,
+    /// Where in `starts` an LBN's track is (a pure function of the two).
+    dir: LbnDirectory,
 }
 
 impl TrackBoundaries {
@@ -99,7 +185,12 @@ impl TrackBoundaries {
         if capacity <= *starts.last().expect("non-empty") {
             return Err(BoundariesError::BadCapacity);
         }
-        Ok(TrackBoundaries { starts, capacity })
+        let dir = LbnDirectory::new(&starts, capacity);
+        Ok(TrackBoundaries {
+            starts,
+            capacity,
+            dir,
+        })
     }
 
     /// Builds a table from consecutive track lengths.
@@ -173,7 +264,7 @@ impl TrackBoundaries {
             "lbn {lbn} beyond capacity {}",
             self.capacity
         );
-        self.starts.partition_point(|&s| s <= lbn) - 1
+        self.dir.last_le(&self.starts, lbn)
     }
 
     /// The `[start, end)` bounds of the track containing `lbn`.

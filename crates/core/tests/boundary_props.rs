@@ -1,8 +1,12 @@
 //! Property-based tests for the traxtent core: boundary tables, extent
 //! splitting, the planner's track-locality guarantee, and allocator
-//! conservation.
+//! conservation — and the bucket directory every boundary lookup goes
+//! through, against the binary search it replaced.
 
 use proptest::prelude::*;
+use proptest::{FailureReporter, TestRng};
+use std::fmt::Debug;
+use traxtent::boundaries::{Found, LbnDirectory};
 use traxtent::{Extent, RequestPlanner, TrackBoundaries, TraxtentAllocator};
 
 fn arb_table() -> impl Strategy<Value = TrackBoundaries> {
@@ -101,4 +105,148 @@ proptest! {
         prop_assert_eq!(count, tb.num_tracks());
         prop_assert_eq!(alloc.free_sectors(), 0);
     }
+}
+
+// ---------------------------------------------------------------------
+// The bucket directory against the search it replaced.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Default)]
+struct Tally {
+    lookups: u32,
+    /// The bucket's own entry was the answer.
+    step0: u32,
+    step1: u32,
+    step2_3: u32,
+    /// The bucket held more starts than the scan covers.
+    crowded: u32,
+    /// ... and was the table's last, bounded by the sentinel entry.
+    crowded_sentinel: u32,
+}
+
+impl Tally {
+    fn require(&self, name: &str, paths: &[(&str, u32)]) {
+        println!("{name}: {self:?}");
+        for (path, n) in paths {
+            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
+        }
+    }
+}
+
+/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
+/// draws them (seeded by `name`, inputs printed when a case panics) —
+/// spelled out so that the property can tally paths across cases.
+fn for_cases<S: Strategy>(
+    name: &'static str,
+    cases: u32,
+    strategy: S,
+    mut body: impl FnMut(S::Value),
+) where
+    S::Value: Debug,
+{
+    let mut rng = TestRng::deterministic(name);
+    for case in 0..cases {
+        let value = strategy.sample(&mut rng);
+        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
+        body(value);
+        reporter.disarm();
+    }
+}
+
+/// Track lengths in the shapes that break a naive directory. A zero length
+/// is an empty track: a repeated start.
+fn lengths(shape: u8, raw: &[u64], big: u64) -> Vec<u64> {
+    let ones = || raw.iter().map(|_| 1);
+    match shape {
+        // Ordinary tracks; one track when `raw` holds one.
+        0 => raw.iter().map(|r| 1 + r % 600).collect(),
+        1 => vec![big],
+        // Every track one sector: a bucket per track.
+        2 => ones().collect(),
+        // One bucket holds every start but the last ...
+        3 => ones().chain([big]).collect(),
+        // ... or every start but the first, and is the sentinel's.
+        4 => [big].into_iter().chain(ones()).collect(),
+        // Runs of repeated starts, leading and trailing ones included.
+        5 => (raw.iter().map(|r| if r % 3 == 0 { r % 50 } else { 0 })).collect(),
+        // Whole tracks with runs of 64-sector fallback units between them.
+        _ => (raw.iter())
+            .flat_map(|&r| {
+                let fuzzy = r % 4 == 0;
+                let n = if fuzzy { 2 + r % 7 } else { 1 };
+                (0..n).map(move |_| if fuzzy { 64 } else { 300 + r % 100 })
+            })
+            .collect(),
+    }
+}
+
+/// Checks every start, every start − 1, `capacity − 1` and `picks` against
+/// `partition_point`, through the directory and through `TrackBoundaries`.
+fn check_table(lengths: &[u64], picks: &[u64], tally: &mut Tally) {
+    let mut starts = Vec::with_capacity(lengths.len());
+    let mut capacity = 0;
+    for len in lengths {
+        starts.push(capacity);
+        capacity += len;
+    }
+    let capacity = capacity.max(1);
+    let dir = LbnDirectory::new(&starts, capacity);
+    // `None` when a start repeats: a table only the drive model builds.
+    let table = TrackBoundaries::new(starts.clone(), capacity).ok();
+    // The documented bucket width, for telling the sentinel's bucket.
+    let shift = (capacity / starts.len() as u64).max(1).ilog2();
+    let probes = (starts.iter().flat_map(|&s| [s, s.saturating_sub(1)]))
+        .chain([capacity - 1])
+        .chain(picks.iter().map(|p| p % capacity))
+        .filter(|&lbn| lbn < capacity);
+    for lbn in probes {
+        let want = starts.partition_point(|&s| s <= lbn) - 1;
+        let (got, found) = dir.locate(&starts, lbn);
+        assert_eq!(got, want, "lbn {lbn} of {capacity}");
+        assert_eq!(dir.last_le(&starts, lbn), want, "lbn {lbn} of {capacity}");
+        if let Some(tb) = &table {
+            assert_eq!(tb.track_index(lbn), want, "lbn {lbn} of {capacity}");
+        }
+        if lbn % (1 << shift) == 0 {
+            assert_eq!(found, Found::Scan(0), "bucket {lbn} >> {shift} starts late");
+        }
+        tally.lookups += 1;
+        match found {
+            Found::Scan(0) => tally.step0 += 1,
+            Found::Scan(1) => tally.step1 += 1,
+            Found::Scan(_) => tally.step2_3 += 1,
+            Found::Crowded => {
+                tally.crowded += 1;
+                let last_bucket = lbn >> shift == (capacity - 1) >> shift;
+                tally.crowded_sentinel += u32::from(last_bucket);
+            }
+        }
+    }
+}
+
+#[test]
+fn directory_matches_the_binary_search() {
+    let mut tally = Tally::default();
+    let raw = prop::collection::vec(0u64..u64::MAX, 1..400);
+    let picks = prop::collection::vec(0u64..u64::MAX, 0..64);
+    for_cases(
+        "directory_matches_the_binary_search",
+        256,
+        (0u8..7, raw, 1u64..1 << 40, picks),
+        |(shape, raw, big, picks)| check_table(&lengths(shape, &raw, big), &picks, &mut tally),
+    );
+    // 10⁵ one-sector tracks, then one of 2³⁰ sectors: thousands of starts
+    // in each of the first buckets, and a capacity no bucket width divides.
+    let ones = vec![0; 100_000];
+    check_table(&lengths(3, &ones, 1 << 30), &[12_345, 1 << 29], &mut tally);
+    tally.require(
+        "directory_matches_the_binary_search",
+        &[
+            ("scan step 0", tally.step0),
+            ("scan step 1", tally.step1),
+            ("scan steps 2-3", tally.step2_3),
+            ("crowded bucket", tally.crowded),
+            ("crowded sentinel bucket", tally.crowded_sentinel),
+        ],
+    );
 }

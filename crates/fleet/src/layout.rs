@@ -277,9 +277,10 @@ pub struct VolumeLayout {
     kind: VolumeKind,
     members: usize,
     units: Vec<LogicalUnit>,
-    /// `units[i].lstart`, for `partition_point` lookup.
-    lstarts: Vec<u64>,
-    capacity: u64,
+    /// The logical address space with one "track" per unit: what
+    /// [`Self::unit_index`] looks up and [`Self::logical_boundaries`]
+    /// publishes.
+    logical: ConfidentBoundaries,
     member_caps: Vec<u64>,
     /// RAID-5 only; empty otherwise.
     rounds: Vec<RoundInfo>,
@@ -399,14 +400,18 @@ impl VolumeLayout {
             }
         }
 
-        let capacity = units.last().map(|u| u.lstart + u.len).unwrap_or(0);
-        let lstarts = units.iter().map(|u| u.lstart).collect();
+        let spindles = (units.iter())
+            .map(|u| u16::try_from(u.member).expect("a volume has far fewer than 65 536 members"))
+            .collect();
+        let logical =
+            ConfidentBoundaries::from_unit_lengths(units.iter().map(|u| (u.len, u.confidence)))
+                .and_then(|map| map.with_spindles(spindles))
+                .expect("every kind leaves at least one unit, none of them empty");
         Ok(VolumeLayout {
             kind,
             members: n,
             units,
-            lstarts,
-            capacity,
+            logical,
             member_caps,
             rounds,
         })
@@ -424,7 +429,7 @@ impl VolumeLayout {
 
     /// Logical capacity in sectors.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.logical.table().capacity()
     }
 
     /// Each member's physical capacity in sectors.
@@ -449,23 +454,15 @@ impl VolumeLayout {
     ///
     /// Panics if `lbn` is at or past [`Self::capacity`].
     pub fn unit_index(&self, lbn: u64) -> usize {
-        assert!(
-            lbn < self.capacity,
-            "lbn {lbn} >= capacity {}",
-            self.capacity
-        );
-        self.lstarts.partition_point(|&s| s <= lbn) - 1
+        self.logical.table().track_index(lbn)
     }
 
     /// Splits a logical access into per-member physical fragments, in
     /// ascending logical order. Fragments never span units.
     pub fn split(&self, lbn: u64, len: u64) -> Result<Vec<Chunk>, FleetError> {
-        if len == 0 || lbn > self.capacity || len > self.capacity - lbn {
-            return Err(FleetError::OutOfRange {
-                lbn,
-                len,
-                capacity: self.capacity,
-            });
+        let capacity = self.capacity();
+        if len == 0 || lbn > capacity || len > capacity - lbn {
+            return Err(FleetError::OutOfRange { lbn, len, capacity });
         }
         let mut chunks = Vec::new();
         let mut at = lbn;
@@ -495,13 +492,6 @@ impl VolumeLayout {
     /// [`StripePolicy::Aligned`], are whole member tracks — on one lane
     /// per member.
     pub fn logical_boundaries(&self) -> ConfidentBoundaries {
-        let spindles = self
-            .units
-            .iter()
-            .map(|u| u16::try_from(u.member).expect("a volume has far fewer than 65 536 members"))
-            .collect();
-        ConfidentBoundaries::from_unit_lengths(self.units.iter().map(|u| (u.len, u.confidence)))
-            .and_then(|map| map.with_spindles(spindles))
-            .expect("layout units are nonempty and nonzero-length")
+        self.logical.clone()
     }
 }

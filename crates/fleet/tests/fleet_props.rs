@@ -2,13 +2,16 @@
 //! the logical↔physical map is a bijection, aligned stripe units respect
 //! trusted member track boundaries, and RAID-5 reconstruction of any
 //! single member is bit-exact — all over random heterogeneous member
-//! geometries with mixed extraction confidence.
+//! geometries with mixed extraction confidence. `split`, whose unit lookup
+//! goes through the bucket directory, is held to a walk over the units.
 
 use fleet::{
-    fill_stores, reconstruct_unit, stripe_units, SectorStore, StripePolicy, VolumeKind,
+    fill_stores, reconstruct_unit, stripe_units, Chunk, SectorStore, StripePolicy, VolumeKind,
     VolumeLayout,
 };
 use proptest::prelude::*;
+use proptest::{FailureReporter, TestRng};
+use std::fmt::Debug;
 use traxtent::boundaries::ConfidentBoundaries;
 
 /// A random member boundary map: 2–60 tracks of 1–400 sectors, each
@@ -165,4 +168,178 @@ proptest! {
             prop_assert_eq!((ext.start, ext.len), (u.lstart, u.len));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// `split` against a naive walk over the units.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Default)]
+struct Tally {
+    requests: u32,
+    striped: u32,
+    mirrored: u32,
+    raid5: u32,
+    fixed: u32,
+    aligned: u32,
+    /// The request starts in a fallback unit carved from a fuzzy run: many
+    /// short units in one directory bucket.
+    starts_in_fallback_unit: u32,
+    one_chunk: u32,
+    many_chunks: u32,
+    ends_at_capacity: u32,
+    /// Past the end, or empty: an error from both.
+    rejected: u32,
+    /// A volume whose logical table is one unit.
+    one_unit_volume: u32,
+}
+
+impl Tally {
+    fn require(&self, name: &str, paths: &[(&str, u32)]) {
+        println!("{name}: {self:?}");
+        for (path, n) in paths {
+            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
+        }
+    }
+}
+
+/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
+/// draws them (seeded by `name`, inputs printed when a case panics) —
+/// spelled out so that the property can tally paths across cases.
+fn for_cases<S: Strategy>(
+    name: &'static str,
+    cases: u32,
+    strategy: S,
+    mut body: impl FnMut(S::Value),
+) where
+    S::Value: Debug,
+{
+    let mut rng = TestRng::deterministic(name);
+    for case in 0..cases {
+        let value = strategy.sample(&mut rng);
+        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
+        body(value);
+        reporter.disarm();
+    }
+}
+
+/// `split` with no lookup at all: every unit, in order, clipped to the
+/// request.
+fn walk(layout: &VolumeLayout, lbn: u64, len: u64) -> Option<Vec<Chunk>> {
+    if len == 0
+        || lbn
+            .checked_add(len)
+            .is_none_or(|end| end > layout.capacity())
+    {
+        return None;
+    }
+    let clip = |(unit, u): (usize, &fleet::LogicalUnit)| {
+        let lstart = u.lstart.max(lbn);
+        let end = (u.lstart + u.len).min(lbn + len);
+        (lstart < end).then(|| Chunk {
+            unit,
+            member: u.member,
+            pstart: u.pstart + (lstart - u.lstart),
+            lstart,
+            len: end - lstart,
+            round: u.round,
+        })
+    };
+    Some(layout.units().iter().enumerate().filter_map(clip).collect())
+}
+
+fn check_split(
+    layout: &VolumeLayout,
+    fallback: Option<u64>,
+    lbn: u64,
+    len: u64,
+    tally: &mut Tally,
+) {
+    let want = walk(layout, lbn, len);
+    assert_eq!(layout.split(lbn, len).ok(), want, "split({lbn}, {len})");
+    tally.requests += 1;
+    let Some(chunks) = want else {
+        tally.rejected += 1;
+        return;
+    };
+    assert_eq!(layout.unit_index(lbn), chunks[0].unit);
+    let first = &layout.units()[chunks[0].unit];
+    tally.starts_in_fallback_unit +=
+        u32::from(first.confidence < 0.9 && Some(first.len) == fallback);
+    *(if chunks.len() == 1 {
+        &mut tally.one_chunk
+    } else {
+        &mut tally.many_chunks
+    }) += 1;
+    tally.ends_at_capacity += u32::from(lbn + len == layout.capacity());
+}
+
+#[test]
+fn split_matches_a_walk_over_the_units() {
+    let mut tally = Tally::default();
+    // `(lbn, len)` seeds: `len % 8 == 0` runs the request to the capacity,
+    // and a start within 8 of it lets the length run past.
+    let requests = prop::collection::vec((0u64..u64::MAX, 0u64..1200), 1..48);
+    for_cases(
+        "split_matches_a_walk_over_the_units",
+        192,
+        (arb_members(3), arb_kind(), arb_policy(), requests),
+        |(maps, kind, policy, requests)| {
+            let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
+                return; // e.g. no complete round fits
+            };
+            let fallback = match policy {
+                StripePolicy::Fixed { .. } => {
+                    tally.fixed += 1;
+                    None
+                }
+                StripePolicy::Aligned {
+                    fallback_sectors, ..
+                } => {
+                    tally.aligned += 1;
+                    Some(fallback_sectors)
+                }
+            };
+            *match kind {
+                VolumeKind::Striped => &mut tally.striped,
+                VolumeKind::Mirrored => &mut tally.mirrored,
+                VolumeKind::Raid5 => &mut tally.raid5,
+            } += 1;
+            for (at, len) in requests {
+                let lbn = at % (layout.capacity() + 1);
+                let len = if len % 8 == 0 {
+                    layout.capacity() - lbn
+                } else {
+                    len
+                };
+                check_split(&layout, fallback, lbn, len, &mut tally);
+            }
+        },
+    );
+    // Boundary state: two one-track mirrors make a one-unit logical table.
+    let one_track = ConfidentBoundaries::from_unit_lengths([(300, 1.0)]).expect("one track");
+    let maps = [one_track.clone(), one_track];
+    let layout = VolumeLayout::new(VolumeKind::Mirrored, &maps, &StripePolicy::aligned())
+        .expect("two members mirror");
+    assert_eq!(layout.units().len(), 1);
+    for (lbn, len) in (0..=300).flat_map(|lbn| [(lbn, 1), (lbn, 300 - lbn), (lbn, 301 - lbn)]) {
+        check_split(&layout, Some(64), lbn, len, &mut tally);
+        tally.one_unit_volume += 1;
+    }
+    tally.require(
+        "split_matches_a_walk_over_the_units",
+        &[
+            ("striped", tally.striped),
+            ("mirrored", tally.mirrored),
+            ("raid5", tally.raid5),
+            ("fixed units", tally.fixed),
+            ("aligned units", tally.aligned),
+            ("start in a fallback unit", tally.starts_in_fallback_unit),
+            ("one chunk", tally.one_chunk),
+            ("many chunks", tally.many_chunks),
+            ("end at capacity", tally.ends_at_capacity),
+            ("rejected", tally.rejected),
+            ("one-unit volume", tally.one_unit_volume),
+        ],
+    );
 }

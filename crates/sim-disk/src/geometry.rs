@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
+use traxtent::boundaries::LbnDirectory;
 
 /// Identifier of a track, in LBN order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -265,16 +266,19 @@ impl Error for GeometryError {}
 
 /// Flat structure-of-arrays translation tables, rebuilt alongside the
 /// per-track map. LBN→track translation is the hottest operation in the
-/// engine; searching a dense `u64` array (instead of striding over
-/// 100-byte-plus [`Track`] structs) keeps the whole search path in a few
-/// cache lines, and zones whose tracks all map exactly `spt` LBNs skip the
-/// search entirely with one divide.
+/// engine; looking a dense `u64` array up (instead of striding over
+/// 100-byte-plus [`Track`] structs) keeps the whole path in a few cache
+/// lines, and zones whose tracks all map exactly `spt` LBNs skip the lookup
+/// entirely with one divide.
 ///
-/// The divide and [`last_le`] stay because a workload sees them: one
-/// `partition_point` over `first_lbns` in their place costs `disk_replay`
-/// 19 % of its host rate (2.13 M → 1.73 M requests per host second, 10 of
-/// 10 alternating pairs, every run below; 68 % of its lookups take the
-/// divide — DESIGN.md §5's table).
+/// Each arm stays because a workload sees it (DESIGN.md §5's table). The
+/// divide and [`last_le`] over the zone starts: one `partition_point` over
+/// `first_lbns` in their place costs `disk_replay` 19 % of its host rate
+/// (2.13 M → 1.73 M requests per host second, 10 of 10 alternating pairs;
+/// 68 % of its lookups take the divide). The [`LbnDirectory`] for every
+/// other zone: a drive with spare sectors has no uniform zone, and a
+/// branch-free search of its ≈ 52 000 `first_lbns` was a dependent chain of
+/// cache misses on every member command of `serve_raid5`.
 #[derive(Debug, Clone)]
 struct HotTables {
     /// `first_lbns[t]` is the first LBN of track `t`; the final entry is the
@@ -290,6 +294,9 @@ struct HotTables {
     /// no spare slots, no reserved tracks) — the common case for the
     /// pristine drive presets — enabling `track = first + offset / spt`.
     zone_uniform: Vec<bool>,
+    /// Over `first_lbns`, for the zones that are not uniform; a drive whose
+    /// zones all are never asks, and does not pay its memory.
+    dir: Option<LbnDirectory>,
 }
 
 impl HotTables {
@@ -310,12 +317,15 @@ impl HotTables {
             zone_spt.push(u64::from(z.spt));
             zone_uniform.push(zone_tracks.iter().all(|t| t.count == t.spt));
         }
+        let dir =
+            (zone_uniform.iter().any(|u| !u)).then(|| LbnDirectory::new(&first_lbns, capacity));
         HotTables {
             first_lbns,
             zone_first_lbn,
             zone_first_track,
             zone_spt,
             zone_uniform,
+            dir,
         }
     }
 }
@@ -440,15 +450,16 @@ impl DiskGeometry {
         // Zone lookup over the flat per-zone table (a handful of entries):
         // the last zone whose first LBN is ≤ lbn holds it.
         let zi = last_le(&self.hot.zone_first_lbn, lbn);
-        let idx = if self.hot.zone_uniform[zi] {
-            // Every track in the zone maps exactly spt LBNs: one divide.
-            self.hot.zone_first_track[zi] as usize
-                + ((lbn - self.hot.zone_first_lbn[zi]) / self.hot.zone_spt[zi]) as usize
-        } else {
+        let idx = match &self.hot.dir {
             // The last track whose first LBN is ≤ lbn. Empty (spare)
             // tracks share their first LBN with their successor and so are
             // never the last such track for an in-range lbn.
-            last_le(&self.hot.first_lbns, lbn)
+            Some(dir) if !self.hot.zone_uniform[zi] => dir.last_le(&self.hot.first_lbns, lbn),
+            // Every track in the zone maps exactly spt LBNs: one divide.
+            _ => {
+                self.hot.zone_first_track[zi] as usize
+                    + ((lbn - self.hot.zone_first_lbn[zi]) / self.hot.zone_spt[zi]) as usize
+            }
         };
         debug_assert!(idx < self.tracks.len());
         debug_assert!(

@@ -1,10 +1,13 @@
 //! Property-based tests for the geometry engine: for arbitrary zoned
 //! layouts, spare schemes, defect lists, and policies, the LBN↔physical
-//! mapping must stay a bijection and the track map consistent.
+//! mapping must stay a bijection and the track map consistent — and
+//! `track_of_lbn`, whichever arm answers, agrees with a walk over the tracks.
 
 use proptest::prelude::*;
+use proptest::{FailureReporter, TestRng};
 use sim_disk::defects::{DefectLocation, DefectPolicy, SpareScheme};
-use sim_disk::geometry::{GeometrySpec, Pba, ZoneSpec};
+use sim_disk::geometry::{DiskGeometry, GeometryError, GeometrySpec, Pba, TrackId, ZoneSpec};
+use std::fmt::Debug;
 
 /// An arbitrary small-but-varied geometry spec with defects the spare
 /// scheme can plausibly absorb.
@@ -147,4 +150,146 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// `track_of_lbn` against a linear walk over the tracks.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Default)]
+struct Tally {
+    drives: u32,
+    lookups: u32,
+    /// The zone's tracks all map `spt` LBNs: one divide.
+    divide: u32,
+    /// Any other zone: the bucket directory over the tracks' first LBNs.
+    directory: u32,
+    /// The track before the answer is empty: it shares the answer's first
+    /// LBN, and the lookup must step past it.
+    after_empty_track: u32,
+    /// The answer is the only track of its zone.
+    single_track_zone: u32,
+}
+
+impl Tally {
+    fn require(&self, name: &str, paths: &[(&str, u32)]) {
+        println!("{name}: {self:?}");
+        for (path, n) in paths {
+            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
+        }
+    }
+}
+
+/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
+/// draws them (seeded by `name`, inputs printed when a case panics) —
+/// spelled out so that the property can tally paths across cases.
+fn for_cases<S: Strategy>(
+    name: &'static str,
+    cases: u32,
+    strategy: S,
+    mut body: impl FnMut(S::Value),
+) where
+    S::Value: Debug,
+{
+    let mut rng = TestRng::deterministic(name);
+    for case in 0..cases {
+        let value = strategy.sample(&mut rng);
+        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
+        body(value);
+        reporter.disarm();
+    }
+}
+
+/// Every LBN of the drive, looked up and compared with the one track whose
+/// `[first_lbn, end_lbn)` holds it, found by walking the tracks in order.
+fn check_every_lbn(geom: &DiskGeometry, tally: &mut Tally) {
+    let tracks_per_zone = |z: usize| geom.zones()[z].cylinders * geom.surfaces();
+    let uniform: Vec<bool> = (geom.zones().iter())
+        .map(|z| {
+            (z.first_cyl * geom.surfaces()..(z.first_cyl + z.cylinders) * geom.surfaces())
+                .all(|t| geom.track(t).lbn_count() == z.spt)
+        })
+        .collect();
+    tally.drives += 1;
+    let (mut t, mut zone) = (0u32, 0usize);
+    for lbn in 0..geom.capacity_lbns() {
+        while geom.track(t).end_lbn() <= lbn {
+            t += 1;
+        }
+        let track = geom.track(t);
+        assert!(track.first_lbn() <= lbn, "the tracks tile the LBN space");
+        while track.cyl() >= geom.zones()[zone].first_cyl + geom.zones()[zone].cylinders {
+            zone += 1;
+        }
+        assert_eq!(geom.track_of_lbn(lbn), Ok(TrackId(t)), "lbn {lbn}");
+        tally.lookups += 1;
+        *(if uniform[zone] {
+            &mut tally.divide
+        } else {
+            &mut tally.directory
+        }) += 1;
+        tally.after_empty_track += u32::from(t > 0 && geom.track(t - 1).lbn_count() == 0);
+        tally.single_track_zone += u32::from(tracks_per_zone(zone) == 1);
+    }
+    let end = geom.capacity_lbns();
+    assert_eq!(
+        geom.track_of_lbn(end),
+        Err(GeometryError::LbnOutOfRange(end))
+    );
+}
+
+#[test]
+fn track_of_lbn_matches_a_walk_over_the_tracks() {
+    let mut tally = Tally::default();
+    let schemes = [
+        SpareScheme::None,
+        SpareScheme::SectorsPerTrack(3),
+        SpareScheme::SectorsPerCylinder(6),
+        SpareScheme::TracksPerZone(2),
+        SpareScheme::TracksAtEnd(3),
+    ];
+    for_cases(
+        "track_of_lbn_matches_a_walk_over_the_tracks",
+        24,
+        arb_spec(),
+        |drawn| {
+            for spare in schemes {
+                for policy in [DefectPolicy::Slip, DefectPolicy::Remap] {
+                    let mut spec = drawn.clone();
+                    (spec.spare, spec.policy) = (spare, policy);
+                    if spare == SpareScheme::None {
+                        spec.defects.clear();
+                    }
+                    // A defect list the scheme cannot absorb is an error.
+                    if let Ok(geom) = spec.build() {
+                        check_every_lbn(&geom, &mut tally);
+                    }
+                }
+            }
+        },
+    );
+    // Boundary states: a drive of one track, and zones of one track each
+    // (spare sectors keep them off the divide).
+    let zone = |spt| ZoneSpec {
+        cylinders: 1,
+        spt,
+        track_skew: 0,
+        cyl_skew: 0,
+    };
+    for zones in [vec![zone(40)], vec![zone(50), zone(40), zone(30)]] {
+        for spare in [SpareScheme::None, SpareScheme::SectorsPerTrack(3)] {
+            let mut spec = GeometrySpec::pristine(1, zones.clone());
+            spec.spare = spare;
+            check_every_lbn(&spec.build().expect("no defects to absorb"), &mut tally);
+        }
+    }
+    tally.require(
+        "track_of_lbn_matches_a_walk_over_the_tracks",
+        &[
+            ("uniform-zone divide", tally.divide),
+            ("directory", tally.directory),
+            ("answer after an empty track", tally.after_empty_track),
+            ("single-track zone", tally.single_track_zone),
+        ],
+    );
 }
