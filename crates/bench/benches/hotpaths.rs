@@ -1,14 +1,15 @@
 //! Criterion micro-benchmarks for the library's hot paths: LBN↔physical
 //! translation, drive request servicing, the firmware cache and spindle
 //! phase, boundary-table queries, the traxtent allocator, the file
-//! system's per-block structures, a volume's request split, and the
-//! server's admission and scheduling round. These guard the performance
-//! of the building blocks that every figure harness leans on.
+//! system's per-block structures, the LFS cleaner, a volume's request
+//! split, and the server's admission and scheduling round. These guard the
+//! performance of the building blocks that every figure harness leans on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ffs::cache::BufferCache;
 use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
 use fleet::{member_boundaries, StripePolicy, VolumeKind, VolumeLayout};
+use lfs::cleaner::{LfsConfig, LfsSim};
 use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
 use sim_disk::bus::{BusConfig, Delivery};
 use sim_disk::cache::{CacheConfig, SegmentCache};
@@ -381,6 +382,33 @@ fn bench_ffs(c: &mut Criterion) {
     });
 }
 
+/// Figure 10's cell at the two ends of its sweep: a fresh 2¹⁸-sector log
+/// at the default 75 % utilization, overwritten twice (2¹⁹ updates an
+/// iteration — divide by 524 288 for ns per update). 64-sector segments
+/// make 4 096 of them, where choosing a victim costs most; 528 is the
+/// track. `clean_pass` fills the log to the 95 % the simulator allows, so
+/// that an iteration (2¹⁷ updates) is nearly all cleaning: 1 450 passes
+/// moving 435 sectors each.
+fn bench_lfs(c: &mut Criterion) {
+    const LOG: u64 = 1 << 18;
+    let mut row = |name: &str, segment, utilization, updates| {
+        let config = LfsConfig {
+            utilization,
+            ..LfsConfig::default()
+        };
+        c.bench_function(name, |b| {
+            b.iter_batched(
+                || LfsSim::fixed(LOG, segment, config),
+                |mut sim| sim.run_updates(updates).expect("the reserve holds"),
+                BatchSize::LargeInput,
+            )
+        });
+    };
+    row("lfs/run_updates/track_528", 528, 0.75, 2 * LOG);
+    row("lfs/run_updates/fixed_64", 64, 0.75, 2 * LOG);
+    row("lfs/clean_pass/track_528", 528, 0.95, LOG / 2);
+}
+
 /// The repo benchmark's `serve_disk` traffic at a tenth of its length: 16
 /// readers and 16 writers, each walking forward in 132-sector chunks at its
 /// own period around 120 ms, inside the first 3 000 tracks of `table`.
@@ -501,6 +529,7 @@ criterion_group!(
     bench_fleet,
     bench_allocator,
     bench_ffs,
+    bench_lfs,
     bench_server
 );
 criterion_main!(benches);

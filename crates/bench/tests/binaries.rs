@@ -318,15 +318,10 @@ fn figure_stdout_matches_the_committed_goldens() {
         ),
         ("crash_sweep", env!("CARGO_BIN_EXE_crash_sweep"), &[]),
     ];
-    // Unoptimized, table2, fig9 and fig10 cost 8–10 s each: a debug build
-    // leaves them to `cargo test --release` and to CI's smoke loop, which
-    // `cmp`s every golden against the release binaries.
-    let slow = ["table2", "fig9", "fig10"];
-    let figures = figures
-        .iter()
-        .filter(|(name, ..)| !(cfg!(debug_assertions) && slow.contains(name)));
+    // All at once: the slowest unoptimized (fig9, fig10, table2) take 2.0,
+    // 1.5 and 1.4 s.
     let children: Vec<_> = figures
-        .clone()
+        .iter()
         .map(|(_, bin, extra)| {
             Command::new(bin)
                 .args(["--quick", "--threads", "1"])
@@ -337,7 +332,7 @@ fn figure_stdout_matches_the_committed_goldens() {
                 .unwrap_or_else(|e| panic!("cannot spawn `{bin}`: {e}"))
         })
         .collect();
-    for ((name, ..), child) in figures.zip(children) {
+    for ((name, ..), child) in figures.iter().zip(children) {
         let out = child.wait_with_output().expect("child runs to completion");
         assert!(out.status.success(), "{name}: {:?}", out.status);
         assert_eq!(stdout(&out), golden(name), "{name}: stdout moved");

@@ -8,12 +8,15 @@
 //! cleaned live data is appended to the log like any other write, so
 //! cleaning both reads and rewrites live sectors, exactly the `N_clean_read
 //! + N_clean_written` terms of the metric.
+//!
+//! As in Sprite-LFS, the cleaner finds a victim's live sectors through the
+//! *segment summary* — which logical sector was appended to each log slot —
+//! and checks each entry against the location map; it never scans the map.
 
 use crate::error::LfsError;
-use crate::segments::SegmentTable;
+use crate::segments::{SegmentInfo, SegmentTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 use traxtent::TrackBoundaries;
 
 /// Workload and policy parameters.
@@ -64,16 +67,21 @@ impl WriteTally {
     }
 }
 
+/// `location` of a logical sector with no live copy: before the initial
+/// fill reaches it, and between an overwrite's kill and its append.
+const NOWHERE: u32 = u32::MAX;
+
 /// The LFS simulator.
 #[derive(Debug)]
 pub struct LfsSim {
     table: SegmentTable,
     config: LfsConfig,
-    /// Logical sector → segment currently holding it (or None before the
-    /// initial fill).
-    location: Vec<Option<usize>>,
-    /// Segments ordered by scaled utilization for greedy victim selection.
-    by_util: BTreeSet<(u64, usize)>,
+    /// Logical sector → segment currently holding it (or [`NOWHERE`]).
+    location: Vec<u32>,
+    /// The segment summary, one entry per log slot from the first segment's
+    /// first sector: the logical sector last appended there. Never cleared:
+    /// an entry is live exactly when `location` still points at its segment.
+    summary: Vec<u32>,
     /// The segment currently being appended to and its fill level.
     open: usize,
     open_fill: u64,
@@ -88,7 +96,10 @@ impl LfsSim {
     /// # Panics
     ///
     /// Panics if the configuration leaves fewer than `reserve_segments + 2`
-    /// segments or utilization is not within `(0, 0.95]`.
+    /// segments, utilization is not within `(0, 0.95]` or leaves no live
+    /// sector, `hot_update_frac` or `hot_data_frac` is not within `[0, 1]`,
+    /// or the table spans more sectors than the `u32` that the summary
+    /// stores a logical sector in can count.
     pub fn fixed(capacity: u64, segment_sectors: u64, config: LfsConfig) -> Self {
         Self::with_table(SegmentTable::fixed(capacity, segment_sectors), config)
     }
@@ -101,24 +112,29 @@ impl LfsSim {
     /// Creates a simulator over an explicit segment table.
     pub fn with_table(table: SegmentTable, config: LfsConfig) -> Self {
         assert!(config.utilization > 0.0 && config.utilization <= 0.95);
+        for frac in [config.hot_update_frac, config.hot_data_frac] {
+            assert!((0.0..=1.0).contains(&frac), "hot fractions lie in [0, 1]");
+        }
         assert!(
             table.len() > config.reserve_segments + 2,
             "too few segments for the reserve"
         );
-        let capacity: u64 = (0..table.len()).map(|i| table.get(i).len).sum();
+        let lens = || (0..table.len()).map(|i| table.get(i).len);
+        let (capacity, max_seg) = (lens().sum::<u64>(), lens().max().expect("non-empty"));
+        // Both table constructors lay segments out in ascending LBN order.
+        let (first, last) = (table.get(0), table.get(table.len() - 1));
+        let span = last.start + last.len - first.start;
+        assert!(span < u64::from(NOWHERE), "log too large for a u32 summary");
         let live_target = (capacity as f64 * config.utilization) as u64;
-        let max_seg = (0..table.len())
-            .map(|i| table.get(i).len)
-            .max()
-            .expect("non-empty");
+        assert!(live_target > 0, "utilization leaves no live sector");
         assert!(
             live_target + (config.reserve_segments as u64 + 2) * max_seg <= capacity,
             "utilization too high to maintain the cleaning reserve \
              (shrink segments or grow capacity)"
         );
         let mut sim = LfsSim {
-            location: vec![None; live_target as usize],
-            by_util: BTreeSet::new(),
+            location: vec![NOWHERE; live_target as usize],
+            summary: vec![0; span as usize],
             open: 0,
             open_fill: 0,
             empty: (1..table.len()).rev().collect(),
@@ -127,11 +143,12 @@ impl LfsSim {
             tally: WriteTally::default(),
             cleaner_passes: 0,
         };
-        // Initial fill: write every logical sector once (not tallied — the
-        // metric covers steady-state behaviour). The fill fits by the
-        // capacity assertion above, so failure here is a construction bug.
+        // Initial fill: write every logical sector once (the tally is reset
+        // after it — the metric covers steady-state behaviour). The fill
+        // fits by the capacity assertion above, so failure here is a
+        // construction bug.
         for logical in 0..live_target {
-            sim.append(logical as usize, false)
+            sim.append(logical as usize)
                 .expect("initial fill fits within capacity");
         }
         sim.tally = WriteTally::default();
@@ -182,12 +199,19 @@ impl LfsSim {
         }
     }
 
+    /// Debug helper: the segment holding each logical sector's live copy.
+    #[doc(hidden)]
+    pub fn locations(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        let located = |&seg: &u32| (seg != NOWHERE).then_some(seg as usize);
+        self.location.iter().map(located)
+    }
+
     /// Debug helper: verify the location map and the segment liveness agree.
     #[doc(hidden)]
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut counts = vec![0u64; self.table.len()];
-        for loc in self.location.iter().flatten() {
-            counts[*loc] += 1;
+        for seg in self.locations().flatten() {
+            counts[seg] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
             if c != self.table.get(i).live {
@@ -227,33 +251,36 @@ impl LfsSim {
 
     /// Overwrites one logical sector: kill the old copy, append the new.
     fn overwrite(&mut self, logical: usize) -> Result<(), LfsError> {
-        if let Some(seg) = self.location[logical] {
-            self.unindex(seg);
-            self.table.remove_live(seg, 1)?;
-            self.index(seg);
+        let seg = self.location[logical];
+        if seg != NOWHERE {
+            self.table.remove_live(seg as usize, 1)?;
             // Clear the stale pointer *before* appending: the append may
             // trigger cleaning, and the cleaner must not relocate the dead
             // copy.
-            self.location[logical] = None;
+            self.location[logical] = NOWHERE;
         }
-        self.append(logical, true)
+        self.append(logical)
     }
 
     /// Appends a (re)written logical sector to the open segment, rolling to
-    /// a fresh segment — and cleaning — as needed. `tallied` distinguishes
-    /// application writes from the untallied initial fill.
-    fn append(&mut self, logical: usize, tallied: bool) -> Result<(), LfsError> {
+    /// a fresh segment — and cleaning — as needed.
+    fn append(&mut self, logical: usize) -> Result<(), LfsError> {
         if self.open_fill >= self.table.get(self.open).len {
             self.roll_segment()?;
         }
+        self.log(logical)?;
+        self.tally.new_written += 1;
+        Ok(())
+    }
+
+    /// Writes `logical` into the open segment's next slot (there is one)
+    /// and enters it in the summary.
+    fn log(&mut self, logical: usize) -> Result<(), LfsError> {
+        let slot = self.table.get(self.open).start - self.table.get(0).start + self.open_fill;
+        self.summary[slot as usize] = logical as u32;
         self.open_fill += 1;
-        self.unindex(self.open);
         self.table.add_live(self.open, 1)?;
-        self.index(self.open);
-        self.location[logical] = Some(self.open);
-        if tallied {
-            self.tally.new_written += 1;
-        }
+        self.location[logical] = self.open as u32;
         Ok(())
     }
 
@@ -269,40 +296,34 @@ impl LfsSim {
         Ok(())
     }
 
-    /// Cleans the lowest-utilization victim: reads its live sectors and
-    /// appends them to the log.
+    /// Cleans the lowest-utilization victim (the lowest-numbered of equals;
+    /// never the open segment, never one with nothing live): reads its live
+    /// sectors and appends them to the log.
     fn clean_one(&mut self) -> Result<(), LfsError> {
         self.cleaner_passes += 1;
-        let victim = self
-            .by_util
-            .iter()
-            .find(|&&(_, seg)| seg != self.open && self.table.get(seg).live > 0)
-            .map(|&(_, seg)| seg)
+        let scaled_utilization = |s: SegmentInfo| (s.live * 1_000_000) / s.len.max(1);
+        let victim = (0..self.table.len())
+            .filter(|&seg| seg != self.open && self.table.get(seg).live > 0)
+            .min_by_key(|&seg| scaled_utilization(self.table.get(seg)))
             .ok_or(LfsError::NoCleaningVictim)?;
-        let live = self.table.get(victim).live;
+        let SegmentInfo { start, len, live } = self.table.get(victim);
         self.tally.clean_read += live;
-        // Relocate each live logical sector: find them via the location map
-        // is O(n); instead we only need the *count* — the identity of which
-        // logical sectors move does not affect the metric, but their
-        // location must follow them. Move the cheapest-to-find ones: scan
-        // once and remap.
-        let mut moved = 0;
-        for logical in 0..self.location.len() {
-            if moved == live {
-                break;
-            }
-            if self.location[logical] == Some(victim) {
-                self.unindex(victim);
-                self.table.remove_live(victim, 1)?;
-                self.index(victim);
-                self.append_cleaned(logical)?;
-                moved += 1;
-            }
+        // The victim's summary names every sector appended to it, some of
+        // them since overwritten elsewhere (or left by an earlier life of
+        // the segment) and some more than once. Relocate the live ones in
+        // ascending logical order: the order decides which cleaned sector
+        // lands in which segment, and so every later victim.
+        let first = (start - self.table.get(0).start) as usize;
+        let mut movers = self.summary[first..first + len as usize].to_vec();
+        movers.retain(|&logical| self.location[logical as usize] == victim as u32);
+        movers.sort_unstable();
+        movers.dedup();
+        debug_assert_eq!(movers.len() as u64, live);
+        for logical in movers {
+            self.table.remove_live(victim, 1)?;
+            self.append_cleaned(logical as usize)?;
         }
-        debug_assert_eq!(moved, live);
-        self.unindex(victim);
         self.table.reset(victim);
-        self.index(victim);
         self.empty.push(victim);
         Ok(())
     }
@@ -315,28 +336,9 @@ impl LfsSim {
             self.open = self.empty.pop().ok_or(LfsError::ReserveExhausted)?;
             self.open_fill = 0;
         }
-        self.open_fill += 1;
-        self.unindex(self.open);
-        self.table.add_live(self.open, 1)?;
-        self.index(self.open);
-        self.location[logical] = Some(self.open);
+        self.log(logical)?;
         self.tally.clean_written += 1;
         Ok(())
-    }
-
-    fn util_key(&self, seg: usize) -> (u64, usize) {
-        let s = self.table.get(seg);
-        ((s.live * 1_000_000) / s.len.max(1), seg)
-    }
-
-    fn index(&mut self, seg: usize) {
-        let k = self.util_key(seg);
-        self.by_util.insert(k);
-    }
-
-    fn unindex(&mut self, seg: usize) {
-        let k = self.util_key(seg);
-        self.by_util.remove(&k);
     }
 }
 

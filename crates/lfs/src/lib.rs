@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `WriteCost` depends only on the workload and the cleaner
-//! ([`cleaner::LfsSim`] — a segment writer plus greedy/cost-benefit cleaner
-//! driven by a hot/cold update stream standing in for the Auspex trace).
+//! ([`cleaner::LfsSim`] — a segment writer plus a greedy cleaner, lowest
+//! utilization first, driven by a hot/cold update stream standing in for
+//! the Auspex trace).
 //! `TransferInefficiency` depends only on the disk and is *measured* on the
 //! simulated drive for track-aligned and unaligned segment writes
 //! ([`transfer_inefficiency`]).
