@@ -322,11 +322,17 @@ fn bench_allocator(c: &mut Criterion) {
 
 /// The file system's per-block structures: what a cached block, an
 /// eviction and a written block cost, what `create` costs on a disk whose
-/// low tracks are full, and `mkfs`.
+/// low tracks are full (entirely, or but for a hole a track, as Postmark
+/// leaves them), what taking the first free block of such a disk costs,
+/// and `mkfs`.
 fn bench_ffs(c: &mut Criterion) {
+    let atlas = Disk::new(models::quantum_atlas_10k());
+    let table = atlas.track_boundaries();
+    let capacity = atlas.geometry().capacity_lbns();
+    let fs_blocks = capacity / BLOCK_SECTORS;
     let blocks = FileSystem::DEFAULT_CACHE_BLOCKS as u64;
     c.bench_function("ffs/cache_hit", |b| {
-        let mut cache = BufferCache::new(blocks as usize);
+        let mut cache = BufferCache::new(blocks as usize, fs_blocks as usize);
         for block in 0..blocks {
             cache.insert(block);
         }
@@ -337,10 +343,10 @@ fn bench_ffs(c: &mut Criterion) {
         })
     });
     c.bench_function("ffs/cache_insert_evict", |b| {
-        let mut cache = BufferCache::new(blocks as usize);
+        let mut cache = BufferCache::new(blocks as usize, fs_blocks as usize);
         let mut block = 0u64;
         b.iter(|| {
-            block += 1;
+            block = (block + 1) % fs_blocks;
             black_box(cache.insert(black_box(block)))
         })
     });
@@ -360,21 +366,47 @@ fn bench_ffs(c: &mut Criterion) {
             }
         })
     });
-    let atlas = Disk::new(models::quantum_atlas_10k());
-    let table = atlas.track_boundaries();
-    let capacity = atlas.geometry().capacity_lbns();
-    c.bench_function("ffs/create_past_2000_full_tracks", |b| {
+    // The first `tracks` tracks full; with `holes`, but for the sixth whole
+    // block of each.
+    let filled = |tracks: usize, holes: bool| {
         let mut layout = Layout::format(Personality::Traxtent, table.clone(), capacity);
-        let full = table.track_extent(2000).start / BLOCK_SECTORS;
+        let full = table.track_extent(tracks).start / BLOCK_SECTORS;
         for block in 0..full {
             if layout.is_free(block) {
                 layout.take(block);
             }
         }
+        if holes {
+            for track in 0..tracks {
+                layout.release(table.track_extent(track).start.div_ceil(BLOCK_SECTORS) + 5);
+            }
+        }
+        layout
+    };
+    c.bench_function("ffs/create_past_2000_full_tracks", |b| {
+        let mut layout = filled(2000, false);
         b.iter(|| {
             let first = layout.alloc_next(None, 8).expect("space");
             layout.release(first);
             black_box(first)
+        })
+    });
+    // A two-block file finds no room in any of the 60 holes it walks past.
+    c.bench_function("ffs/create_into_singleton_holes", |b| {
+        let mut layout = filled(60, true);
+        b.iter(|| {
+            let first = layout.alloc_next(None, 2).expect("space");
+            layout.release(first);
+            black_box(first)
+        })
+    });
+    // Taking the lowest hole moves the first-free-block mark a track on.
+    c.bench_function("ffs/take_at_low_water_fragmented", |b| {
+        let mut layout = filled(60, true);
+        let lowest = table.track_extent(0).start.div_ceil(BLOCK_SECTORS) + 5;
+        b.iter(|| {
+            layout.take(black_box(lowest));
+            layout.release(lowest);
         })
     });
     c.bench_function("ffs/format_atlas10k", |b| {

@@ -4,32 +4,6 @@
 //! clean/dirty state; eviction hands a dirty victim back to the caller (the
 //! file system), which is responsible for writing it out.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hashes a block number with one multiply. Block numbers come from the
-/// allocator, not from outside the program, so nothing can craft
-/// collisions; runs of consecutive blocks (the common case) spread
-/// perfectly.
-#[derive(Debug, Default)]
-struct BlockHasher(u64);
-
-impl Hasher for BlockHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("block numbers hash through write_u64");
-    }
-
-    fn write_u64(&mut self, block: u64) {
-        let h = block.wrapping_mul(traxtent::hash::GOLDEN_GAMMA);
-        // Fold the well-mixed high half into the low bits the table indexes by.
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// "No slot": the end of the recency list.
 const NIL: u32 = u32::MAX;
 
@@ -47,16 +21,20 @@ struct Slot {
 /// A bounded LRU block cache.
 ///
 /// Cached blocks live in a slab of slots threaded as a doubly linked
-/// recency list (oldest at `head`), with one index from block number to
-/// slot, so a hit, an insertion and an eviction are each O(1).
+/// recency list (oldest at `head`), with one table from block number to
+/// slot, so a hit, an insertion and an eviction are each O(1) and none
+/// hashes anything.
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
     slots: Vec<Slot>,
-    /// Slots vacated by [`discard`](Self::discard), reused before the slab
-    /// grows.
+    /// Slots vacated by [`discard`](Self::discard) (left clean), reused
+    /// before the slab grows.
     vacant: Vec<u32>,
-    index: HashMap<u64, u32, BuildHasherDefault<BlockHasher>>,
+    /// Block number → its slot + 1; 0 for a block that is not cached. One
+    /// entry per block of the file system, allocated zeroed, so the only
+    /// pages ever touched are those a workload's blocks fall in.
+    index: Vec<u32>,
     /// Least recently used slot.
     head: u32,
     /// Most recently used slot.
@@ -70,20 +48,24 @@ pub struct BufferCache {
 }
 
 impl BufferCache {
-    /// Creates a cache holding up to `capacity` blocks.
+    /// Creates a cache holding up to `capacity` of a file system's `blocks`
+    /// blocks. A block number at or past `blocks` can be asked about (it is
+    /// never cached) but not inserted.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero (or beyond what a slot index can
-    /// address).
-    pub fn new(capacity: usize) -> Self {
+    /// address). [`insert`](Self::insert) and
+    /// [`insert_dirty`](Self::insert_dirty) panic on a block number that
+    /// is not below `blocks`.
+    pub fn new(capacity: usize, blocks: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         assert!(capacity < NIL as usize, "cache capacity exceeds slot index");
         BufferCache {
             capacity,
             slots: Vec::new(),
             vacant: Vec::new(),
-            index: HashMap::default(),
+            index: vec![0; blocks],
             head: NIL,
             tail: NIL,
             run: None,
@@ -94,12 +76,18 @@ impl BufferCache {
 
     /// Number of cached blocks.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.vacant.len()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
+    }
+
+    /// The slot holding `block`, if it is cached.
+    fn slot_of(&self, block: u64) -> Option<u32> {
+        let entry = *self.index.get(usize::try_from(block).ok()?)?;
+        entry.checked_sub(1)
     }
 
     /// (hits, misses) recorded by [`contains`](Self::contains).
@@ -110,7 +98,7 @@ impl BufferCache {
     /// Whether `block` is cached; refreshes recency and records a
     /// hit/miss.
     pub fn contains(&mut self, block: u64) -> bool {
-        if let Some(&slot) = self.index.get(&block) {
+        if let Some(slot) = self.slot_of(block) {
             self.touch(slot);
             self.hits += 1;
             true
@@ -122,7 +110,7 @@ impl BufferCache {
 
     /// Whether `block` is cached, without touching recency or stats.
     pub fn peek(&self, block: u64) -> bool {
-        self.index.contains_key(&block)
+        self.slot_of(block).is_some()
     }
 
     /// Inserts `block` (clean unless already dirty). Returns the dirty
@@ -139,9 +127,8 @@ impl BufferCache {
 
     /// Whether `block` is cached and dirty.
     pub fn is_dirty(&self, block: u64) -> bool {
-        self.index
-            .get(&block)
-            .is_some_and(|&slot| self.slots[slot as usize].dirty)
+        self.slot_of(block)
+            .is_some_and(|slot| self.slots[slot as usize].dirty)
     }
 
     /// The run of consecutive dirty blocks around dirty block `block`, as
@@ -168,7 +155,7 @@ impl BufferCache {
 
     /// Marks `block` clean (after write-back); no-op if absent.
     pub fn mark_clean(&mut self, block: u64) {
-        if let Some(&slot) = self.index.get(&block) {
+        if let Some(slot) = self.slot_of(block) {
             self.slots[slot as usize].dirty = false;
             self.run = None;
         }
@@ -176,8 +163,10 @@ impl BufferCache {
 
     /// Drops `block` regardless of state (file deletion).
     pub fn discard(&mut self, block: u64) {
-        if let Some(slot) = self.index.remove(&block) {
+        if let Some(slot) = self.slot_of(block) {
+            self.index[block as usize] = 0;
             self.unlink(slot);
+            self.slots[slot as usize].dirty = false;
             self.vacant.push(slot);
             self.run = None;
         }
@@ -186,10 +175,10 @@ impl BufferCache {
     /// All dirty blocks, sorted (for sync).
     pub fn dirty_blocks(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self
-            .index
+            .slots
             .iter()
-            .filter(|&(_, &slot)| self.slots[slot as usize].dirty)
-            .map(|(&b, _)| b)
+            .filter(|slot| slot.dirty)
+            .map(|slot| slot.block)
             .collect();
         v.sort_unstable();
         v
@@ -198,7 +187,12 @@ impl BufferCache {
     /// Empties the cache (remount). Dirty data is dropped — callers must
     /// sync first.
     pub fn clear(&mut self) {
-        self.index.clear();
+        // Un-index the few blocks the slab names (a vacated slot's entry is
+        // zero already, or belongs to a live slot) rather than zero a table
+        // the size of the file system.
+        for slot in &self.slots {
+            self.index[slot.block as usize] = 0;
+        }
         self.slots.clear();
         self.vacant.clear();
         self.head = NIL;
@@ -213,7 +207,7 @@ impl BufferCache {
         if dirty && self.run.is_some_and(|(_, end)| end != block) {
             self.run = None;
         }
-        if let Some(&slot) = self.index.get(&block) {
+        if let Some(slot) = self.slot_of(block) {
             self.slots[slot as usize].dirty |= dirty;
             self.touch(slot);
             return None;
@@ -225,11 +219,11 @@ impl BufferCache {
             next: NIL,
         };
         let mut victim = None;
-        let slot = if self.index.len() >= self.capacity {
+        let slot = if self.len() >= self.capacity {
             let slot = self.head;
             self.unlink(slot);
             let old = std::mem::replace(&mut self.slots[slot as usize], entry);
-            self.index.remove(&old.block);
+            self.index[old.block as usize] = 0;
             if old.dirty {
                 self.run = None;
                 victim = Some(old.block);
@@ -242,7 +236,7 @@ impl BufferCache {
             self.slots.push(entry);
             (self.slots.len() - 1) as u32
         };
-        self.index.insert(block, slot);
+        self.index[block as usize] = slot + 1;
         self.push_back(slot);
         victim
     }
@@ -288,7 +282,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting() {
-        let mut c = BufferCache::new(4);
+        let mut c = BufferCache::new(4, 16);
         assert!(!c.contains(1));
         c.insert(1);
         assert!(c.contains(1));
@@ -297,7 +291,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_returns_dirty_victims() {
-        let mut c = BufferCache::new(2);
+        let mut c = BufferCache::new(2, 16);
         c.insert_dirty(1);
         c.insert(2);
         let evicted = c.insert(3); // evicts 1 (oldest), which is dirty
@@ -308,7 +302,7 @@ mod tests {
 
     #[test]
     fn recency_updates_on_contains() {
-        let mut c = BufferCache::new(2);
+        let mut c = BufferCache::new(2, 16);
         c.insert(1);
         c.insert(2);
         assert!(c.contains(1)); // refresh 1
@@ -319,7 +313,7 @@ mod tests {
 
     #[test]
     fn dirty_lifecycle() {
-        let mut c = BufferCache::new(4);
+        let mut c = BufferCache::new(4, 16);
         c.insert_dirty(7);
         assert!(c.is_dirty(7));
         assert_eq!(c.dirty_blocks(), vec![7]);
@@ -333,12 +327,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = BufferCache::new(0);
+        let _ = BufferCache::new(0, 16);
     }
 
     #[test]
     fn clear_empties() {
-        let mut c = BufferCache::new(4);
+        let mut c = BufferCache::new(4, 16);
         c.insert(1);
         c.insert_dirty(2);
         c.clear();

@@ -208,8 +208,8 @@ impl FileSystem {
     fn with_layout(disk: Disk, layout: Layout) -> Self {
         FileSystem {
             disk,
+            cache: BufferCache::new(Self::DEFAULT_CACHE_BLOCKS, layout.blocks() as usize),
             layout,
-            cache: BufferCache::new(Self::DEFAULT_CACHE_BLOCKS),
             clock: SimTime::ZERO,
             files: vec![None],
             inflight: BTreeMap::new(),
@@ -369,10 +369,20 @@ impl FileSystem {
         self.disk.note_write_payload(&bytes);
     }
 
-    /// Replaces the buffer cache with one of `blocks` blocks (dropping the
-    /// current contents; call before running workloads).
+    /// Replaces the buffer cache with one of `blocks` blocks. Call right
+    /// after formatting, before running workloads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if anything is cached (a dirty block would be dropped
+    /// unwritten), or if `blocks` is zero.
     pub fn set_cache_blocks(&mut self, blocks: usize) {
-        self.cache = BufferCache::new(blocks);
+        assert!(
+            self.cache.is_empty(),
+            "set the cache size before running workloads: {} blocks are cached",
+            self.cache.len()
+        );
+        self.cache = BufferCache::new(blocks, self.layout.blocks() as usize);
     }
 
     /// The current simulated time.

@@ -23,6 +23,122 @@ pub enum Personality {
     Traxtent,
 }
 
+/// One bit per item, item `i` at bit `i % 64` of word `i / 64`. Bits past
+/// `len` stay zero, so no scan has to mask the last word.
+#[derive(Debug, Clone)]
+struct Bitmap {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl Bitmap {
+    fn zeros(len: u64) -> Self {
+        Bitmap {
+            words: vec![0; len.div_ceil(64) as usize],
+            len,
+        }
+    }
+
+    fn ones(len: u64) -> Self {
+        let mut words = vec![u64::MAX; len.div_ceil(64) as usize];
+        if !len.is_multiple_of(64) {
+            *words.last_mut().expect("len is positive") = (1 << (len % 64)) - 1;
+        }
+        Bitmap { words, len }
+    }
+
+    /// Word index and bit mask of item `i`.
+    fn bit(&self, i: u64) -> (usize, u64) {
+        assert!(i < self.len, "item {i} beyond the map's {}", self.len);
+        ((i / 64) as usize, 1 << (i % 64))
+    }
+
+    fn get(&self, i: u64) -> bool {
+        let (word, bit) = self.bit(i);
+        self.words[word] & bit != 0
+    }
+
+    fn set(&mut self, i: u64) {
+        let (word, bit) = self.bit(i);
+        self.words[word] |= bit;
+    }
+
+    fn clear(&mut self, i: u64) {
+        let (word, bit) = self.bit(i);
+        self.words[word] &= !bit;
+    }
+
+    fn count_ones(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// The first set item at or after `from`; `len` when there is none.
+    fn next_one(&self, from: u64) -> u64 {
+        if from >= self.len {
+            return self.len;
+        }
+        let mut at = (from / 64) as usize;
+        let mut word = self.words[at] & (u64::MAX << (from % 64));
+        while word == 0 {
+            at += 1;
+            if at == self.words.len() {
+                return self.len;
+            }
+            word = self.words[at];
+        }
+        at as u64 * 64 + u64::from(word.trailing_zeros())
+    }
+
+    /// The last set item at or before `from`.
+    fn prev_one(&self, from: u64) -> Option<u64> {
+        let from = from.min(self.len - 1);
+        let mut at = (from / 64) as usize;
+        let mut word = self.words[at] & (u64::MAX >> (63 - from % 64));
+        while word == 0 {
+            at = at.checked_sub(1)?;
+            word = self.words[at];
+        }
+        Some(at as u64 * 64 + 63 - u64::from(word.leading_zeros()))
+    }
+
+    /// Length of the run of set items starting at `from`, capped at `cap`.
+    fn ones_at(&self, from: u64, cap: u64) -> u64 {
+        let (mut n, mut at) = (0, from);
+        while n < cap && at < self.len {
+            let rest = 64 - at % 64;
+            let ones = u64::from((self.words[(at / 64) as usize] >> (at % 64)).trailing_ones());
+            n += ones;
+            if ones < rest {
+                break;
+            }
+            at += rest;
+        }
+        n.min(cap)
+    }
+
+    /// Items `first..first + width` in the low `width` bits of a word
+    /// (`1 <= width <= 64`).
+    fn window(&self, first: u64, width: u64) -> u64 {
+        let (at, shift) = ((first / 64) as usize, first % 64);
+        let mut bits = self.words[at] >> shift;
+        if shift + width > 64 {
+            bits |= self.words[at + 1] << (64 - shift);
+        }
+        bits & (u64::MAX >> (64 - width))
+    }
+
+    /// Length of the longest run of set items.
+    fn longest_run(&self) -> u64 {
+        let (mut longest, mut at) = (0, self.next_one(0));
+        while at < self.len {
+            let run = self.ones_at(at, u64::MAX);
+            longest = longest.max(run);
+            at = self.next_one(at + run);
+        }
+        longest
+    }
+}
+
 /// Where [`Layout::alloc_next`] placements came from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -44,21 +160,21 @@ pub struct Layout {
     boundaries: TrackBoundaries,
     /// Total file-system blocks.
     blocks: u64,
-    /// free[b] == true → block b is free.
-    free: Vec<bool>,
+    /// The free-block bitmap: bit `b` set → block `b` is free.
+    free: Bitmap,
     /// Blocks permanently excluded because they span a track boundary
     /// (traxtent personality only).
-    excluded: Vec<bool>,
+    excluded: Bitmap,
     free_count: u64,
     /// The first free block (`blocks` when none is): no placement search
     /// needs to look below it. `take` advances it, `release` lowers it.
     low: u64,
     alloc_stats: AllocStats,
-    /// Per-track trust mask from a noisy extraction; empty means every
+    /// Per-track trust mask from a noisy extraction; absent means every
     /// track is trusted. Untrusted tracks get no boundary exclusions and
     /// no track-aligned placement — the file system treats them exactly
     /// like the unmodified personality would (untracked allocation).
-    trusted: Vec<bool>,
+    trusted: Option<Bitmap>,
 }
 
 impl Layout {
@@ -75,7 +191,7 @@ impl Layout {
         boundaries: TrackBoundaries,
         capacity_lbns: u64,
     ) -> Self {
-        Self::build(personality, boundaries, capacity_lbns, Vec::new())
+        Self::build(personality, boundaries, capacity_lbns, None)
     }
 
     /// Like [`format`](Self::format), but from a noisy extraction: tracks
@@ -94,14 +210,16 @@ impl Layout {
         threshold: f64,
         capacity_lbns: u64,
     ) -> Self {
-        let trusted: Vec<bool> = (0..boundaries.table().num_tracks())
-            .map(|i| boundaries.is_confident(i, threshold))
-            .collect();
+        let tracks = boundaries.table().num_tracks();
+        let mut trusted = Bitmap::zeros(tracks as u64);
+        for i in (0..tracks).filter(|&i| boundaries.is_confident(i, threshold)) {
+            trusted.set(i as u64);
+        }
         Self::build(
             personality,
             boundaries.table().clone(),
             capacity_lbns,
-            trusted,
+            Some(trusted),
         )
     }
 
@@ -109,15 +227,15 @@ impl Layout {
         personality: Personality,
         boundaries: TrackBoundaries,
         capacity_lbns: u64,
-        trusted: Vec<bool>,
+        trusted: Option<Bitmap>,
     ) -> Self {
         let blocks = capacity_lbns / BLOCK_SECTORS;
         assert!(
             blocks >= BLOCKS_PER_GROUP,
             "disk too small for one block group"
         );
-        let mut excluded = vec![false; blocks as usize];
-        let mut free = vec![true; blocks as usize];
+        let mut excluded = Bitmap::zeros(blocks);
+        let mut free = Bitmap::ones(blocks);
         let mut free_count = blocks;
         if personality == Personality::Traxtent {
             // A block is excluded when it starts on a trusted track and
@@ -129,15 +247,15 @@ impl Layout {
                 if b < blocks
                     && first >= track.start
                     && first + BLOCK_SECTORS > track.end()
-                    && (trusted.is_empty() || trusted[i])
+                    && trusted.as_ref().is_none_or(|t| t.get(i as u64))
                 {
-                    excluded[b as usize] = true;
-                    free[b as usize] = false;
+                    excluded.set(b);
+                    free.clear(b);
                     free_count -= 1;
                 }
             }
         }
-        let low = free.iter().position(|&f| f).map_or(blocks, |b| b as u64);
+        let low = free.next_one(0);
         Layout {
             personality,
             boundaries,
@@ -154,7 +272,12 @@ impl Layout {
     /// Whether the track holding block `b` has trustworthy boundaries
     /// (always true for a layout formatted without confidence data).
     pub fn block_trusted(&self, b: u64) -> bool {
-        self.trusted.is_empty() || self.trusted[self.boundaries.track_index(self.block_to_lbn(b))]
+        self.trusted.is_none()
+            || self.track_trusted(self.boundaries.track_index(self.block_to_lbn(b)))
+    }
+
+    fn track_trusted(&self, track: usize) -> bool {
+        self.trusted.as_ref().is_none_or(|t| t.get(track as u64))
     }
 
     /// The personality this layout was formatted with.
@@ -180,7 +303,7 @@ impl Layout {
     /// Fraction of all blocks lost to exclusion (≈ 5 % on the Atlas 10K, 3 %
     /// on the 10K II, per §4.2.2).
     pub fn excluded_fraction(&self) -> f64 {
-        self.excluded.iter().filter(|&&e| e).count() as f64 / self.blocks as f64
+        self.excluded.count_ones() as f64 / self.blocks as f64
     }
 
     /// Where allocations have been placed so far.
@@ -197,27 +320,17 @@ impl Layout {
         if self.free_count == 0 {
             return 0.0;
         }
-        let mut largest = 0u64;
-        let mut run = 0u64;
-        for &f in &self.free {
-            if f {
-                run += 1;
-                largest = largest.max(run);
-            } else {
-                run = 0;
-            }
-        }
-        1.0 - largest as f64 / self.free_count as f64
+        1.0 - self.free.longest_run() as f64 / self.free_count as f64
     }
 
     /// Whether a block is excluded.
     pub fn is_excluded(&self, b: u64) -> bool {
-        self.excluded[b as usize]
+        self.excluded.get(b)
     }
 
     /// Whether a block is free.
     pub fn is_free(&self, b: u64) -> bool {
-        self.free[b as usize]
+        self.free.get(b)
     }
 
     /// First sector of a block.
@@ -235,7 +348,7 @@ impl Layout {
     pub fn reserve_group_metadata(&mut self) {
         let mut b = 0;
         while b < self.blocks {
-            if self.free[b as usize] {
+            if self.free.get(b) {
                 self.take(b);
             }
             b += BLOCKS_PER_GROUP;
@@ -248,12 +361,11 @@ impl Layout {
     ///
     /// Panics if the block is not free.
     pub fn take(&mut self, b: u64) {
-        assert!(self.free[b as usize], "block {b} is not free");
-        self.free[b as usize] = false;
+        assert!(self.free.get(b), "block {b} is not free");
+        self.free.clear(b);
         self.free_count -= 1;
         if b == self.low {
-            let rest = &self.free[b as usize..];
-            self.low = b + rest.iter().position(|&f| f).unwrap_or(rest.len()) as u64;
+            self.low = self.free.next_one(b + 1);
         }
     }
 
@@ -263,12 +375,9 @@ impl Layout {
     ///
     /// Panics if the block is already free or is excluded.
     pub fn release(&mut self, b: u64) {
-        assert!(
-            !self.excluded[b as usize],
-            "excluded block {b} cannot be freed"
-        );
-        assert!(!self.free[b as usize], "block {b} is already free");
-        self.free[b as usize] = true;
+        assert!(!self.excluded.get(b), "excluded block {b} cannot be freed");
+        assert!(!self.free.get(b), "block {b} is already free");
+        self.free.set(b);
         self.free_count += 1;
         self.low = self.low.min(b);
     }
@@ -283,7 +392,7 @@ impl Layout {
     pub fn alloc_next(&mut self, prev: Option<u64>, run_hint: u64) -> Option<u64> {
         if let Some(p) = prev {
             let preferred = p + 1;
-            if preferred < self.blocks && self.free[preferred as usize] {
+            if preferred < self.blocks && self.free.get(preferred) {
                 self.alloc_stats.sequential += 1;
                 self.take(preferred);
                 return Some(preferred);
@@ -319,43 +428,37 @@ impl Layout {
         Some(b)
     }
 
-    /// Closest free run of at least `min(run_hint, 1)` blocks, scanning
-    /// outward from `near`; degrades to the closest single free block.
+    /// Closest free run of at least `max(run_hint, 1)` blocks, looking
+    /// outward from `near` (the upper block first at equal distance);
+    /// degrades to the closest single free block.
     fn closest_free_run(&self, near: u64, run_hint: u64) -> Option<u64> {
         let want = run_hint.max(1);
-        let mut best_single: Option<u64> = None;
-        // Closer distances reach only blocks below the first free one.
-        for dist in self.low.saturating_sub(near)..self.blocks {
-            for b in [near.checked_add(dist), near.checked_sub(dist)] {
-                let Some(b) = b else { continue };
-                if b >= self.blocks || !self.free[b as usize] {
-                    continue;
-                }
-                if best_single.is_none() {
-                    best_single = Some(b);
-                }
-                if self.run_len_at(b, want) >= want {
-                    return Some(b);
-                }
+        let dist = |b: u64| b.abs_diff(near);
+        let nearer = |up: Option<u64>, down: Option<u64>| {
+            [up, down].into_iter().flatten().min_by_key(|&b| dist(b))
+        };
+        let above = |b: u64| Some(self.free.next_one(b)).filter(|&b| b < self.blocks);
+        // The closest free block on each side; nothing below `low` is free.
+        let mut up = above(near.max(self.low));
+        let mut down = self.free.prev_one(near);
+        let single = nearer(up, down)?;
+        // Give up on finding a full run after a generous radius and take
+        // the closest free block (an aged, fragmented disk).
+        let radius = 8 * BLOCKS_PER_GROUP + 1;
+        while let Some(b) = nearer(up, down).filter(|&b| dist(b) <= radius) {
+            let run = self.free.ones_at(b, want);
+            if run >= want {
+                return Some(b);
             }
-            // Give up on finding a full run after a generous radius and take
-            // any free block (an aged, fragmented disk).
-            if dist > 8 * BLOCKS_PER_GROUP {
-                if let Some(s) = best_single {
-                    return Some(s);
-                }
+            if down == Some(b) {
+                down = b.checked_sub(1).and_then(|b| self.free.prev_one(b));
+            }
+            if up == Some(b) {
+                // The rest of this run is shorter still.
+                up = above(b + run);
             }
         }
-        best_single
-    }
-
-    /// Free-run length at `b`, capped at `cap`.
-    fn run_len_at(&self, b: u64, cap: u64) -> u64 {
-        let mut n = 0;
-        while n < cap && b + n < self.blocks && self.free[(b + n) as usize] {
-            n += 1;
-        }
-        n
+        Some(single)
     }
 
     /// The first free block of the closest traxtent (run of blocks between
@@ -368,41 +471,64 @@ impl Layout {
         let want = run_hint.max(1);
         let near_lbn = self.block_to_lbn(near).min(self.boundaries.capacity() - 1);
         let origin = self.boundaries.track_index(near_lbn);
-        let n = self.boundaries.num_tracks();
         // A track that ends at or before the first free block holds nothing
-        // to return: start the outward walk where it first reaches one that
-        // does not, and pass over the rest.
+        // to return, so neither side of the walk goes below that block's
+        // track. Outward from the origin, the upper track first at each
+        // distance, and one side alone once the other has run out.
         let low_track = self.boundaries.track_index(self.block_to_lbn(self.low));
-        for k in 2 * low_track.saturating_sub(origin)..2 * n {
-            let step = k / 2 + k % 2;
-            let idx = if k % 2 == 0 {
-                origin.checked_add(step)
-            } else {
-                origin.checked_sub(step)
-            };
-            let Some(idx) = idx else { continue };
-            if idx >= n || idx < low_track {
-                continue;
+        let ups = origin.max(low_track)..self.boundaries.num_tracks();
+        let downs = (low_track..origin).rev();
+        let paired = ups.len().min(downs.len());
+        let pairs = ups.clone().zip(downs.clone()).flat_map(|(u, d)| [u, d]);
+        pairs
+            .chain(ups.skip(paired))
+            .chain(downs.skip(paired))
+            .find_map(|track| self.traxtent_on_track(track, want))
+    }
+
+    /// The first free block on trusted track `track` that starts `want`
+    /// free blocks, or a shorter free run reaching the track's last whole
+    /// block.
+    fn traxtent_on_track(&self, track: usize, want: u64) -> Option<u64> {
+        if !self.track_trusted(track) {
+            return None;
+        }
+        let t = self.boundaries.track_extent(track);
+        // Blocks fully inside this track.
+        let first = t.start.div_ceil(BLOCK_SECTORS);
+        let last = t.end() / BLOCK_SECTORS; // exclusive
+        let end = last.min(self.blocks);
+        if first >= end {
+            return None;
+        }
+        let width = end - first;
+        if width <= 64 {
+            let bits = self.free.window(first, width);
+            if bits == 0 {
+                return None;
             }
-            if !self.trusted.is_empty() && !self.trusted[idx] {
-                continue;
-            }
-            let t = self.boundaries.track_extent(idx);
-            // Blocks fully inside this track.
-            let first_block = t.start.div_ceil(BLOCK_SECTORS);
-            let last_block = t.end() / BLOCK_SECTORS; // exclusive
-            let mut b = first_block;
-            while b < last_block.min(self.blocks) {
-                if self.free[b as usize] {
-                    let run = self.run_len_at(b, want);
-                    if run >= want || (b + run == last_block && run > 0) {
-                        return Some(b);
+            if bits >> (width - 1) == 0 {
+                // The last block is taken, so no run leaves the track or
+                // reaches its end: the answer is in these bits. Each
+                // `starts & starts >> 1` keeps the bits that start a run
+                // one block longer.
+                let mut starts = bits;
+                for _ in 1..want {
+                    starts &= starts >> 1;
+                    if starts == 0 {
+                        return None;
                     }
-                    b += run.max(1);
-                } else {
-                    b += 1;
                 }
+                return Some(first + u64::from(starts.trailing_zeros()));
             }
+        }
+        let mut b = self.free.next_one(first);
+        while b < end {
+            let run = self.free.ones_at(b, want);
+            if run >= want || b + run == last {
+                return Some(b);
+            }
+            b = self.free.next_one(b + run);
         }
         None
     }

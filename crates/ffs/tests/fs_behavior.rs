@@ -63,6 +63,17 @@ fn cache_pressure_forces_writeback() {
     f.read(id, 0, 8 * MB).expect("in range");
 }
 
+/// Resizing the cache under a workload would drop its dirty blocks
+/// unwritten; it is refused.
+#[test]
+#[should_panic(expected = "set the cache size before running workloads")]
+fn resizing_a_cache_that_holds_blocks_panics() {
+    let mut f = fs(Personality::Unmodified);
+    let id = f.create();
+    f.write(id, 0, MB).expect("space available");
+    f.set_cache_blocks(64);
+}
+
 /// Sparse re-reads after a remount produce cache hits only for blocks
 /// actually fetched.
 #[test]

@@ -298,7 +298,9 @@ impl LfsSim {
 
     /// Cleans the lowest-utilization victim (the lowest-numbered of equals;
     /// never the open segment, never one with nothing live): reads its live
-    /// sectors and appends them to the log.
+    /// sectors and appends them to the log. A victim that is all live means
+    /// every candidate is: a pass would fill as much of the log as it frees,
+    /// so `roll_segment` would never see its reserve again.
     fn clean_one(&mut self) -> Result<(), LfsError> {
         self.cleaner_passes += 1;
         let scaled_utilization = |s: SegmentInfo| (s.live * 1_000_000) / s.len.max(1);
@@ -307,6 +309,9 @@ impl LfsSim {
             .min_by_key(|&seg| scaled_utilization(self.table.get(seg)))
             .ok_or(LfsError::NoCleaningVictim)?;
         let SegmentInfo { start, len, live } = self.table.get(victim);
+        if live == len {
+            return Err(LfsError::NoCleaningVictim);
+        }
         self.tally.clean_read += live;
         // The victim's summary names every sector appended to it, some of
         // them since overwritten elsewhere (or left by an earlier life of

@@ -32,8 +32,10 @@ pub enum LfsError {
         /// Sectors the caller tried to remove.
         remove: u64,
     },
-    /// The cleaner needed a victim but every candidate segment is empty
-    /// or open.
+    /// The cleaner needed a victim but every candidate segment is empty,
+    /// open, or entirely live — cleaning one of those frees no space, and
+    /// the closed segments whose last live sector was overwritten are not
+    /// reclaimed, so a tiny hot set can leak the log into this state.
     NoCleaningVictim,
     /// The cleaning reserve ran dry mid-clean: no empty segment was
     /// available to receive relocated live data.
@@ -68,7 +70,7 @@ impl fmt::Display for LfsError {
                 f,
                 "segment {segment} under-flowed: {remove} removed with {live} live"
             ),
-            LfsError::NoCleaningVictim => write!(f, "no non-empty segment to clean"),
+            LfsError::NoCleaningVictim => write!(f, "no segment whose cleaning frees space"),
             LfsError::ReserveExhausted => write!(f, "cleaning reserve exhausted mid-clean"),
             LfsError::LogFull { needed, remaining } => {
                 write!(

@@ -602,3 +602,33 @@ fn a_hot_set_larger_than_the_log_is_rejected() {
         ..LfsConfig::default()
     });
 }
+
+// ---------------------------------------------------------------------
+// A configuration the parent accepted and then never returned from: every
+// update overwrites the one hot sector, each overwrite leaves a closed
+// segment with nothing live (which no pass reclaims), and once enough of
+// the log has leaked that way every cleanable segment is entirely live —
+// a pass frees one segment and fills one, and `roll_segment` spins.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_log_leaked_full_by_one_hot_sector_is_an_error_not_a_hang() {
+    let (done, result) = std::sync::mpsc::channel();
+    // On its own thread, so that a cleaner that spins fails the test
+    // instead of hanging the suite (the thread is left behind).
+    std::thread::spawn(move || {
+        let mut sim = small_log(LfsConfig {
+            hot_update_frac: 1.0,
+            hot_data_frac: 0.0,
+            reserve_segments: 2,
+            ..LfsConfig::default()
+        });
+        let result = sim.run_updates(100_000);
+        let _ = done.send((result, sim.check_consistency()));
+    });
+    let (result, consistency) = result
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the cleaner returns");
+    assert_eq!(result, Err(LfsError::NoCleaningVictim));
+    assert_eq!(consistency, Ok(()), "the log it stopped on is consistent");
+}
