@@ -125,6 +125,53 @@ fn bench_disk_service(c: &mut Criterion) {
         };
         random_reads(b, cfg, 528)
     });
+    // Every row above runs a pristine drive. A `serve_raid5` member has a
+    // slipped defect on about one track in ten, and a whole-track command
+    // there is a zero-latency visit of two or more contiguous sub-runs.
+    let member = raid5_member(2);
+    let holed = slipped_tracks(&member);
+    c.bench_function("disk/finite_bus_track_read_slipped", |b| {
+        whole_tracks(b, member.clone(), &holed, Request::read)
+    });
+    c.bench_function("disk/track_write_slipped", |b| {
+        whole_tracks(b, member.clone(), &holed, Request::write)
+    });
+}
+
+/// `(first LBN, LBNs)` of each track of `cfg` with a slipped defect
+/// between its first and last LBN.
+fn slipped_tracks(cfg: &DiskConfig) -> Vec<(u64, u64)> {
+    let g = &cfg.geometry;
+    let mut tracks: Vec<(u64, u64)> = (g.defect_list().iter())
+        .map(|d| (d, g.track(g.track_at(d.cyl, d.head).unwrap().0)))
+        .filter(|(d, t)| {
+            let slot = |lbn| g.lbn_to_pba(lbn).unwrap().slot;
+            t.lbn_count() > 0 && slot(t.first_lbn()) < d.slot && d.slot < slot(t.end_lbn() - 1)
+        })
+        .map(|(_, t)| (t.first_lbn(), u64::from(t.lbn_count())))
+        .collect();
+    tracks.dedup();
+    tracks
+}
+
+/// Back-to-back whole-track commands on tracks drawn at random from
+/// `tracks`.
+fn whole_tracks(
+    b: &mut criterion::Bencher,
+    cfg: DiskConfig,
+    tracks: &[(u64, u64)],
+    op: fn(u64, u64) -> Request,
+) {
+    let mut disk = Disk::new(cfg);
+    let mut t = SimTime::ZERO;
+    let mut state = 1u64;
+    b.iter(|| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let (lbn, len) = tracks[(state >> 33) as usize % tracks.len()];
+        let done = disk.service(op(lbn, len), t);
+        t = done.completion;
+        black_box(done.completion)
+    })
 }
 
 /// Back-to-back `len`-sector reads at a random stride over the drive's

@@ -195,8 +195,10 @@ impl Delivery {
     ///   slot's distance snaps to zero, which moves its instant a whole
     ///   revolution out of its piece.
     ///
-    /// A run that straddles slipped defects is not contiguous and never
-    /// gets here: the drive feeds its slot list to [`Delivery::visit`].
+    /// A visit that straddles slipped defects comes here once per
+    /// contiguous sub-run on an in-order bus (the maps compose, in LBN
+    /// order); an out-of-order bus takes such a visit by instant, across
+    /// its sub-runs, so the drive feeds it to [`Delivery::visit`] whole.
     pub fn zero_latency_run(
         &mut self,
         track: &Track,

@@ -78,9 +78,6 @@ pub struct Disk {
     /// Reused visit plan (capacity persists across requests so the hot
     /// path stops allocating).
     visit_scratch: Vec<Visit>,
-    /// Reused backing store for the rare non-contiguous visits' explicit
-    /// slot lists (`Visit::slot_idx` points in here).
-    slot_scratch: Vec<u32>,
     /// Next request sequence number for trace events (monotonic for the
     /// life of the drive, surviving [`Disk::reset`]).
     req_seq: u64,
@@ -106,12 +103,9 @@ pub struct Disk {
 }
 
 /// One mechanical stop during a request: a track (or a remapped sector's
-/// spare location) and the physical slots to transfer there, in LBN order.
-///
-/// The common contiguous case (no slipped defect inside the run) is fully
-/// described by `first_slot..=last_slot`; only runs straddling defects
-/// materialize an explicit slot list, indexed into the drive's shared
-/// scratch so planning a request allocates nothing.
+/// spare location) and the physical slots to transfer there, in LBN order:
+/// `first_slot..=last_slot`, less the slipped defects in between
+/// (`Track::slot_runs`).
 #[derive(Debug, Clone, Copy)]
 struct Visit {
     cyl: u32,
@@ -125,10 +119,6 @@ struct Visit {
     first_slot: u32,
     /// Physical slot of the last LBN.
     last_slot: u32,
-    /// `None` when the run is contiguous (`last_slot - first_slot + 1 ==
-    /// count`); otherwise the start of the run's `count` slots in
-    /// [`Disk::slot_scratch`].
-    slot_idx: Option<u32>,
 }
 
 /// What [`Disk::run_visits`] does with the instant each sector comes off
@@ -178,7 +168,6 @@ impl Disk {
             last_issue: SimTime::ZERO,
             avail_scratch: Vec::new(),
             visit_scratch: Vec::new(),
-            slot_scratch: Vec::new(),
             req_seq: 0,
             busy_ns: 0,
             trace_scratch: Vec::new(),
@@ -735,12 +724,10 @@ impl Disk {
         let Disk {
             ref config,
             ref mut visit_scratch,
-            ref mut slot_scratch,
             ..
         } = *self;
         let geom = &config.geometry;
         visit_scratch.clear();
-        slot_scratch.clear();
         let mut cur = lbn;
         let end = lbn + len;
         while cur < end {
@@ -754,7 +741,6 @@ impl Disk {
                     count: 1,
                     first_slot: pba.slot,
                     last_slot: pba.slot,
-                    slot_idx: None,
                 });
                 cur += 1;
                 continue;
@@ -769,14 +755,6 @@ impl Disk {
             let first_logical = (cur - t.first_lbn()) as u32;
             let first_slot = geom.slot_of_logical(t, first_logical);
             let last_slot = geom.slot_of_logical(t, first_logical + count - 1);
-            let slot_idx = if last_slot - first_slot + 1 == count {
-                None
-            } else {
-                // Slipped defect(s) inside the run: materialize the list.
-                let idx = slot_scratch.len() as u32;
-                geom.slots_for_range_into(tid, cur, count, slot_scratch);
-                Some(idx)
-            };
             visit_scratch.push(Visit {
                 cyl: t.cyl(),
                 head: t.head(),
@@ -785,7 +763,6 @@ impl Disk {
                 count,
                 first_slot,
                 last_slot,
-                slot_idx,
             });
             cur = run_end;
         }
@@ -810,7 +787,6 @@ impl Disk {
             ref mut config,
             ref mut avail_scratch,
             ref visit_scratch,
-            ref slot_scratch,
             ref mut cur_cyl,
             ref mut cur_head,
             ref mut fault_stats,
@@ -920,19 +896,11 @@ impl Disk {
             let track = geom.track(v.track.0);
             let slot_frac = track.inv_spt();
             let arr_angle = spindle.angle_at(t);
-            // The explicit slot list, when the run straddles slipped
-            // defects; contiguous runs iterate `first_slot..=last_slot`.
-            let slot_list = v
-                .slot_idx
-                .map(|i| &slot_scratch[i as usize..i as usize + v.count as usize]);
-            let slots = || {
-                let range = if slot_list.is_some() {
-                    0..0
-                } else {
-                    v.first_slot..v.last_slot + 1
-                };
-                slot_list.unwrap_or(&[]).iter().copied().chain(range)
-            };
+            // The visit's slots: one contiguous run, or the sub-runs its
+            // slipped defects leave.
+            let contiguous = v.last_slot - v.first_slot + 1 == v.count;
+            let runs = || track.slot_runs(v.first_slot, v.last_slot);
+            let slots = || runs().flat_map(|(s, n)| s..s + n);
 
             // Access-on-arrival (zero-latency) can reorder sectors *within*
             // one mechanical visit, so it applies when the visit covers the
@@ -944,29 +912,38 @@ impl Disk {
             let full_track = v.count == track.lbn_count();
             let zero_latency_visit = config.zero_latency && (full_track || vi == nvisits - 1);
             let (visit_end, rot, media) = if zero_latency_visit {
-                let (min_d, max_d) = match (&mut sectors, slot_list) {
-                    // Closed forms: O(log spt), bit-identical to the scan.
-                    (Sectors::Ignore, None) => {
+                // Closed forms, O(log spt) a run and bit-identical to the
+                // scan. A slipped visit is priced sub-run by sub-run: every
+                // sub-run's instants come from the one expression below, and
+                // the window's min / max and an in-order delivery's max-plus
+                // maps compose across them.
+                let within = |(lo, hi): (f64, f64), (a, b): (f64, f64)| (lo.min(a), hi.max(b));
+                let empty = (f64::INFINITY, f64::NEG_INFINITY);
+                let (min_d, max_d) = match &mut sectors {
+                    Sectors::Ignore if contiguous => {
                         rotation::window_closed(track, arr_angle, v.first_slot, v.count)
                     }
-                    (Sectors::Deliver(bus), None) => {
+                    Sectors::Deliver(bus) if contiguous => {
                         bus.zero_latency_run(track, spindle, base, arr_angle, v.first_slot, v.count)
                     }
+                    Sectors::Ignore => runs()
+                        .map(|(s, n)| rotation::window_closed(track, arr_angle, s, n))
+                        .fold(empty, within),
+                    Sectors::Deliver(bus) if !config.bus.out_of_order => runs()
+                        .map(|(s, n)| bus.zero_latency_run(track, spindle, base, arr_angle, s, n))
+                        .fold(empty, within),
                     // Per-sector path: the crash log records every
-                    // sector's instant, or the run is non-contiguous.
-                    (sectors, _) => {
-                        let mut min_d = f64::INFINITY;
-                        let mut max_d = f64::NEG_INFINITY;
-                        sectors.feed(
-                            avail,
-                            slots().map(|s| {
-                                let d = rotation::slot_distance(track, arr_angle, s);
-                                min_d = min_d.min(d);
-                                max_d = max_d.max(d);
-                                base + spindle.sweep(d + slot_frac)
-                            }),
-                        );
-                        (min_d, max_d)
+                    // sector's instant, or an out-of-order bus takes a
+                    // slipped visit by instant, across its sub-runs.
+                    sectors => {
+                        let mut window = empty;
+                        let at = |s| {
+                            let d = rotation::slot_distance(track, arr_angle, s);
+                            window = within(window, (d, d));
+                            base + spindle.sweep(d + slot_frac)
+                        };
+                        sectors.feed(avail, slots().map(at));
+                        window
                     }
                 };
                 let end = t + spindle.sweep(max_d + slot_frac);

@@ -211,6 +211,24 @@ impl Track {
         self.defect_slots.binary_search(&slot).is_ok()
             || self.grown_slots.binary_search(&slot).is_ok()
     }
+
+    /// The maximal contiguous `(first, count)` runs of the slots
+    /// `first..=last` that are not factory-defective, in slot order, in
+    /// O(defects in range): the slots of a visit whose first and last LBNs
+    /// sit in `first` and `last`. Under [`DefectPolicy::Remap`] that is one
+    /// run — the LBNs a defect displaced are remapped, and the drive
+    /// visits them on their own — and a grown defect's LBN is remapped
+    /// under either policy.
+    pub(crate) fn slot_runs(&self, first: u32, last: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let d = &self.defect_slots[..];
+        let holes = &d[d.partition_point(|&s| s < first)..d.partition_point(|&s| s <= last)];
+        let mut next = first;
+        (holes.iter().copied().chain([last + 1])).filter_map(move |hole| {
+            let run = (next, hole - next);
+            next = hole + 1;
+            (run.1 > 0).then_some(run)
+        })
+    }
 }
 
 /// Error building or mutating a [`DiskGeometry`].
@@ -556,28 +574,6 @@ impl DiskGeometry {
         } else {
             None
         }
-    }
-
-    /// Appends the physical slots, in slot order, of the LBN range
-    /// `[start, start+len)` restricted to a single track. Used by the drive
-    /// model's media scheduler when a run straddles slipped defects (the
-    /// contiguous common case needs no materialized list at all).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the range is not fully on the given track or any LBN
-    /// in it is remapped; the drive model handles remapped LBNs separately.
-    pub(crate) fn slots_for_range_into(
-        &self,
-        tid: TrackId,
-        start: u64,
-        len: u32,
-        out: &mut Vec<u32>,
-    ) {
-        let t = &self.tracks[tid.0 as usize];
-        debug_assert!(start >= t.first_lbn && start + u64::from(len) <= t.end_lbn());
-        let first_logical = (start - t.first_lbn) as u32;
-        out.extend((first_logical..first_logical + len).map(|l| self.slot_of_logical(t, l)));
     }
 
     /// Whether an LBN has been remapped (factory or grown).
@@ -1142,12 +1138,79 @@ mod tests {
         ));
     }
 
+    /// `Track::slot_runs` against the `lbn_to_pba` slot of each LBN of
+    /// every run the drive can plan (a track's LBNs cut at remaps, then
+    /// trimmed) over both policies, two spare schemes, factory defects
+    /// (half of them in adjacent pairs) and grown ones. The iterator is
+    /// crate-private, so this oracle sits here, not in `geometry_props`.
     #[test]
-    fn slots_for_range_is_contiguous_without_defects() {
-        let g = simple_spec().build().unwrap();
-        let mut slots = Vec::new();
-        g.slots_for_range_into(TrackId(0), 10, 5, &mut slots);
-        assert_eq!(slots, vec![10, 11, 12, 13, 14]);
+    fn slot_runs_flatten_to_the_mapped_slots() {
+        use proptest::prelude::*;
+        let defects = prop::collection::vec((0u32..12, 0u32..4, 0u32..80, 0u32..2), 0..12);
+        let grown = prop::collection::vec(0u64..u64::MAX, 0..6);
+        let strategy = (1u32..4, 8u32..80, 0usize..4, defects, grown);
+        let name = "slot_runs_flatten_to_the_mapped_slots";
+        let mut rng = proptest::TestRng::deterministic(name);
+        // No hole, one, adjacent ones, one beside the run's first or last
+        // slot; a defective track under remapping; a run cut by a grown remap.
+        let mut tally = [0u32; 6];
+        for case in 0..256 {
+            let value = strategy.sample(&mut rng);
+            let reporter = proptest::FailureReporter::new(name, case, format!("{value:?}"));
+            let (surfaces, spt, scheme, defects, grown) = value;
+            let mut spec = GeometrySpec::pristine(surfaces, vec![unskewed(12, spt)]);
+            let spares = [
+                SpareScheme::SectorsPerTrack(4),
+                SpareScheme::SectorsPerCylinder(6),
+            ];
+            spec.spare = spares[scheme % 2];
+            spec.policy = [DefectPolicy::Slip, DefectPolicy::Remap][scheme / 2];
+            let holes = |(c, h, s, pair)| (s..=s + pair).map(move |s| (c, h % surfaces, s % spt));
+            let holes = defects.into_iter().flat_map(holes);
+            spec.defects = holes
+                .map(|(c, h, s)| DefectLocation::new(c, h, s))
+                .collect();
+            if let Ok(mut g) = spec.build() {
+                let cap = g.capacity_lbns();
+                let grown: Vec<u64> = (grown.iter().map(|p| p % cap))
+                    .filter(|&lbn| g.add_grown_defect(lbn).is_ok())
+                    .collect();
+                for t in (0..g.num_tracks()).map(|id| g.track(id)) {
+                    let mut lbn = t.first_lbn();
+                    while lbn < t.end_lbn() {
+                        let end = g.first_remap_in(lbn, t.end_lbn()).unwrap_or(t.end_lbn());
+                        let cut = grown.contains(&end) || grown.contains(&lbn.wrapping_sub(1));
+                        let mid = (lbn + end) / 2;
+                        for (a, b) in [(lbn, end), (lbn + 1, end), (mid, end.saturating_sub(1))] {
+                            let want: Vec<u32> =
+                                (a..b).map(|l| g.lbn_to_pba(l).unwrap().slot).collect();
+                            let (Some(&first), Some(&last)) = (want.first(), want.last()) else {
+                                continue;
+                            };
+                            let runs: Vec<(u32, u32)> = t.slot_runs(first, last).collect();
+                            let got: Vec<u32> = runs.iter().flat_map(|&(s, n)| s..s + n).collect();
+                            assert_eq!(got, want, "LBNs {a}..{b} on c{}/h{}", t.cyl, t.head);
+                            // Maximal: no run is empty, a hole parts each from the next.
+                            let parted = runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0);
+                            assert!(parted && runs.iter().all(|r| r.1 > 0), "{runs:?}");
+                            let gaps = || want.windows(2).map(|w| w[1] - w[0] - 1);
+                            let holes = last - first + 1 - want.len() as u32;
+                            let edge = gaps().next() > Some(0) || gaps().next_back() > Some(0);
+                            let defective = scheme >= 2 && !t.defect_slots.is_empty();
+                            let adjacent = gaps().any(|gap| gap > 1);
+                            let hits = [holes == 0, holes == 1, adjacent, edge, defective, cut];
+                            for (n, hit) in tally.iter_mut().zip(hits) {
+                                *n += u32::from(hit);
+                            }
+                        }
+                        lbn = end + u64::from(end < t.end_lbn());
+                    }
+                }
+            }
+            reporter.disarm();
+        }
+        println!("{name}: {tally:?}");
+        assert!(tally.iter().all(|&n| n >= 16), "a path ran under 16 times");
     }
 
     #[test]

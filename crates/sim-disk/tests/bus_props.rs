@@ -96,8 +96,20 @@ struct Tally {
     unpaced: u32,
     /// Fallback: the EPS snap fires in the run.
     snap: u32,
-    /// Fallback: the run straddles slipped defects.
+    /// Zero-latency visits that straddle slipped defects.
     slipped: u32,
+    /// Their sub-runs on an in-order bus, closed form.
+    slipped_closed: u32,
+    /// ... and each of the kernel's named fallbacks, per sub-run.
+    subrun_short: u32,
+    subrun_unpaced: u32,
+    subrun_snap: u32,
+    /// A slipped visit with holes in adjacent slots.
+    adjacent_defects: u32,
+    /// A slipped visit with a hole next to its first or last slot.
+    defect_next_to_run_edge: u32,
+    /// A slipped visit on an out-of-order bus: sector by sector.
+    slipped_out_of_order_fallback: u32,
     /// Ordinary (first-sector-first) visit, one run.
     ordinary: u32,
     /// Ordinary visit on an unpaced bus, sector by sector.
@@ -106,7 +118,24 @@ struct Tally {
     retried: u32,
 }
 
+/// A visit's slots (ascending) cut into maximal contiguous `(first,
+/// count)` runs: what `Track::slot_runs` yields, derived here from the
+/// slots alone.
+fn sub_runs(slots: &[u32]) -> Vec<(u32, u32)> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for &s in slots {
+        match runs.last_mut() {
+            Some((first, n)) if *first + *n == s => *n += 1,
+            _ => runs.push((s, 1)),
+        }
+    }
+    runs
+}
+
 impl Tally {
+    /// Tallies the path a zero-latency visit of `slots` takes: a
+    /// contiguous one by the kernel's closed form or named fallback, a
+    /// slipped one by its shape and, on an in-order bus, by each sub-run's.
     fn zero_latency(
         &mut self,
         bus: &BusConfig,
@@ -115,21 +144,48 @@ impl Tally {
         arr: f64,
         slots: &[u32],
     ) {
-        let count = slots.len() as u32;
-        let contiguous = slots[slots.len() - 1] - slots[0] + 1 == count;
+        let runs = sub_runs(slots);
         let paced = Delivery::new(bus, SimTime::ZERO).paced_by(spindle.sweep(track.inv_spt()));
-        let path = if !contiguous {
-            &mut self.slipped
-        } else if count <= 2 {
-            &mut self.short_run
-        } else if !paced {
-            &mut self.unpaced
-        } else if rotation::window_pieces(track, arr, slots[0], count).max_d >= 1.0 - EPS {
-            &mut self.snap
-        } else {
-            &mut self.closed
+        let mut path = |contiguous: bool, first: u32, count: u32| {
+            let (short, unpaced, snap, closed) = if contiguous {
+                (
+                    &mut self.short_run,
+                    &mut self.unpaced,
+                    &mut self.snap,
+                    &mut self.closed,
+                )
+            } else {
+                (
+                    &mut self.subrun_short,
+                    &mut self.subrun_unpaced,
+                    &mut self.subrun_snap,
+                    &mut self.slipped_closed,
+                )
+            };
+            *(if count <= 2 {
+                short
+            } else if !paced {
+                unpaced
+            } else if rotation::window_pieces(track, arr, first, count).max_d >= 1.0 - EPS {
+                snap
+            } else {
+                closed
+            }) += 1;
         };
-        *path += 1;
+        if let [(first, count)] = runs[..] {
+            path(true, first, count);
+            return;
+        }
+        if bus.out_of_order {
+            self.slipped_out_of_order_fallback += 1;
+        } else {
+            for &(first, count) in &runs {
+                path(false, first, count);
+            }
+        }
+        self.slipped += 1;
+        self.adjacent_defects += u32::from(runs.windows(2).any(|w| w[1].0 - (w[0].0 + w[0].1) > 1));
+        self.defect_next_to_run_edge += u32::from(runs[0].1 == 1 || runs[runs.len() - 1].1 == 1);
     }
 
     fn ordinary(&mut self, bus: &BusConfig, track: &Track, spindle: Spindle) {
@@ -188,8 +244,18 @@ fn for_cases<S: Strategy>(
 // The kernel alone.
 // ---------------------------------------------------------------------
 
-/// Checks one zero-latency run through the kernel against the oracle:
-/// delivery end to the nanosecond, window to the bit.
+/// The smallest and largest of two `(min, max)` windows.
+fn within((lo, hi): (f64, f64), (a, b): (f64, f64)) -> (f64, f64) {
+    (lo.min(a), hi.max(b))
+}
+
+const NO_WINDOW: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
+/// Checks one zero-latency visit of `slots` (ascending; contiguous, or cut
+/// by slipped defects) through the kernels, composed over its contiguous
+/// sub-runs the way the drive composes them, against the oracle: delivery
+/// end to the nanosecond, window to the bit. An out-of-order bus takes a
+/// slipped visit sector by sector (`Delivery::visit`), as the drive does.
 #[allow(clippy::too_many_arguments)]
 fn check_kernel(
     tally: &mut Tally,
@@ -199,24 +265,44 @@ fn check_kernel(
     bus_free: SimTime,
     base: SimTime,
     arr: f64,
-    first: u32,
-    count: u32,
+    slots: &[u32],
 ) {
-    let slots: Vec<u32> = (first..first + count).collect();
-    tally.zero_latency(bus, track, spindle, arr, &slots);
+    tally.zero_latency(bus, track, spindle, arr, slots);
+    let runs = sub_runs(slots);
+    let per_sector = bus.out_of_order && runs.len() > 1;
 
     let mut avail = Vec::new();
-    avail_scan(track, spindle, base, arr, &slots, true, &mut avail);
-    let want_end = delivery_scan_ref(&mut avail, bus_free, bus);
-    let want_window = rotation::window_scan(track, arr, first, count);
-
+    avail_scan(track, spindle, base, arr, slots, true, &mut avail);
     let mut delivery = Delivery::new(bus, bus_free);
-    let window = delivery.zero_latency_run(track, spindle, base, arr, first, count);
-    assert_eq!(delivery.end(), want_end, "delivery end");
+    if per_sector {
+        delivery.visit(avail.iter().copied());
+    }
+    let want_end = delivery_scan_ref(&mut avail, bus_free, bus);
+    let want_window = (slots.iter())
+        .map(|&s| rotation::window_scan(track, arr, s, 1))
+        .fold(NO_WINDOW, within);
+
+    let (mut delivered, mut closed) = (NO_WINDOW, NO_WINDOW);
+    for &(first, count) in &runs {
+        if !per_sector {
+            let w = delivery.zero_latency_run(track, spindle, base, arr, first, count);
+            delivered = within(delivered, w);
+        }
+        closed = within(closed, rotation::window_closed(track, arr, first, count));
+    }
+    assert_eq!(delivery.end(), want_end, "delivery end over {runs:?}");
+    let bits = |w: (f64, f64)| (w.0.to_bits(), w.1.to_bits());
+    if !per_sector {
+        assert_eq!(
+            bits(delivered),
+            bits(want_window),
+            "delivered {delivered:?} != scan {want_window:?}"
+        );
+    }
     assert_eq!(
-        (window.0.to_bits(), window.1.to_bits()),
-        (want_window.0.to_bits(), want_window.1.to_bits()),
-        "window {window:?} != scan {want_window:?}"
+        bits(closed),
+        bits(want_window),
+        "closed {closed:?} != scan {want_window:?}"
     );
 }
 
@@ -271,8 +357,9 @@ fn zero_latency_run_matches_scan() {
                 1 => base,
                 _ => base + SimDur::from_ns(lead),
             };
+            let slots: Vec<u32> = (first..first + count).collect();
             check_kernel(
-                &mut tally, track, spindle, &bus, bus_free, base, arr, first, count,
+                &mut tally, track, spindle, &bus, bus_free, base, arr, &slots,
             );
         },
     );
@@ -314,9 +401,8 @@ fn kernel_cases(tally: &mut Tally, geom: &DiskGeometry, sector_ns: u64, arr: f64
             for first in [0, 1, track.spt() / 3] {
                 for &count in counts {
                     if first + count <= track.spt() {
-                        check_kernel(
-                            tally, track, spindle, &bus, bus_free, base, arr, first, count,
-                        );
+                        let slots: Vec<u32> = (first..first + count).collect();
+                        check_kernel(tally, track, spindle, &bus, bus_free, base, arr, &slots);
                     }
                 }
             }
@@ -371,6 +457,114 @@ fn fallback_eps_snap() {
         }
     }
     assert!(tally.snap > 0 && tally.unpaced == 0, "{tally:?}");
+}
+
+#[test]
+fn slipped_run_matches_scan() {
+    // A track of a drawn shape gets 1–4 slipped defects, all inside the
+    // run (adjacent in a third of the cases), and a run whose first or
+    // last slot sits right beside one in a third of the cases per edge.
+    let holes = (
+        1u32..5,
+        (0u32..10_000, 0u32..10_000, 0u32..10_000, 0u32..10_000),
+    );
+    let run = (0u32..3, 0u32..3, 0u32..3, 0u32..10_000);
+    let angle = prop_oneof![0.0..1.0f64, Just(0.0), Just(1.0 - EPS / 2.0)];
+    let strategy = (
+        (arb_spec(), 0u32..10_000, holes, run),
+        (angle, 0u32..3),
+        (0usize..RPMS.len(), 0u32..3, 0u64..7),
+        (0u32..2, 0u32..3, 0u64..1_000_000_000, 0u64..40_000_000),
+    );
+    let mut tally = Tally::default();
+    for_cases(
+        "slipped_run_matches_scan",
+        1024,
+        strategy,
+        |(
+            (mut spec, tsel, (k, raw), (adjacent, lo_edge, hi_edge, sel)),
+            (arr_raw, pin),
+            (rpm, mode, delta),
+            (ooo, ahead, base, lead),
+        )| {
+            (spec.spare, spec.policy) = (SpareScheme::SectorsPerTrack(4), DefectPolicy::Slip);
+            spec.defects.clear();
+            let Ok(plain) = spec.clone().build() else {
+                return;
+            };
+            let tid = tsel % plain.num_tracks();
+            let t = plain.track(tid);
+            // Holes in slots 1..=span: LBN slots lie on both sides of them.
+            let Some(span) = t.spt().checked_sub(6).filter(|&span| span >= k) else {
+                return;
+            };
+            let raw = [raw.0, raw.1, raw.2, raw.3];
+            spec.defects = (0..k as usize)
+                .map(|i| match adjacent {
+                    0 => 1 + raw[0] % (span - k + 1) + i as u32,
+                    _ => 1 + raw[i] % span,
+                })
+                .map(|slot| DefectLocation::new(t.cyl(), t.head(), slot))
+                .collect();
+            let holes: Vec<u32> = spec.defects.iter().map(|d| d.slot).collect();
+            let (lo, hi) = (*holes.iter().min().unwrap(), *holes.iter().max().unwrap());
+            let geom = spec.build().expect("four spare slots absorb four defects");
+            let track = geom.track(tid);
+            let mapped: Vec<u32> = (track.first_lbn()..track.end_lbn())
+                .map(|l| geom.lbn_to_pba(l).unwrap().slot)
+                .collect();
+            let below = mapped.partition_point(|&s| s < lo);
+            let above = mapped.partition_point(|&s| s < hi);
+            let first = if lo_edge == 0 {
+                below - 1
+            } else {
+                sel as usize % below
+            };
+            let last = above
+                + if hi_edge == 0 {
+                    0
+                } else {
+                    sel as usize % (mapped.len() - above)
+                };
+            let slots = &mapped[first..=last];
+            let arr = match pin {
+                0 => arr_raw,
+                1 => track.slot_angle(slots[sel as usize % slots.len()]),
+                _ => (track.slot_angle(slots[sel as usize % slots.len()]) + EPS / 2.0)
+                    .rem_euclid(1.0),
+            };
+            let spindle = Spindle::new(RPMS[rpm]);
+            let slot_time = spindle.sweep(track.inv_spt());
+            let bus = bus_with_sector_ns(sector_ns(slot_time, mode, delta), ooo == 1);
+            let base = SimTime::from_ns(base);
+            let bus_free = match ahead {
+                0 => SimTime::ZERO,
+                1 => base,
+                _ => base + SimDur::from_ns(lead),
+            };
+            check_kernel(&mut tally, track, spindle, &bus, bus_free, base, arr, slots);
+        },
+    );
+    println!("slipped_run_matches_scan: {tally:?}");
+    assert_eq!(
+        tally.closed + tally.short_run + tally.unpaced + tally.snap,
+        0,
+        "{tally:?}"
+    );
+    for (name, n) in [
+        ("slipped, sub-run closed", tally.slipped_closed),
+        ("sub-run short", tally.subrun_short),
+        ("sub-run EPS snap", tally.subrun_snap),
+        ("sub-run unpaced bus", tally.subrun_unpaced),
+        ("adjacent defects", tally.adjacent_defects),
+        ("defect next to a run edge", tally.defect_next_to_run_edge),
+        (
+            "slipped, out-of-order fallback",
+            tally.slipped_out_of_order_fallback,
+        ),
+    ] {
+        assert!(n >= 16, "{name} ran only {n} times: {tally:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -464,6 +658,66 @@ fn traced_visits(events: &[TraceEvent]) -> Vec<TracedVisit> {
     visits
 }
 
+/// When the next command is issued, by its rule, after `prev` was
+/// issued at `issue`.
+fn next_issue(issue: SimTime, rule: Issue, prev: Option<Completion>) -> SimTime {
+    issue.max(match (rule, prev) {
+        (Issue::After(ns), _) => issue + SimDur::from_ns(ns),
+        (Issue::AtMediaEnd, Some(p)) => p.media_end,
+        (Issue::AtCompletion, Some(p)) => p.completion,
+        _ => issue,
+    })
+}
+
+/// The oracle's media instants for the `len` sectors at `lbn`, in LBN
+/// order, rebuilt from the visits the drive traced (`events`) on the
+/// layout it ran on (`geom`): `seen` is shown each visit's track, arrival
+/// angle and slots, and whether it was zero-latency and retried.
+fn oracle_instants(
+    cfg: &DiskConfig,
+    geom: &DiskGeometry,
+    (lbn, len): (u64, u64),
+    events: &[TraceEvent],
+    mut seen: impl FnMut(&Track, f64, &[u32], bool, bool),
+) -> Vec<SimTime> {
+    let spindle = cfg.spindle;
+    let visits = traced_visits(events);
+    let mut avail = Vec::new();
+    let mut cur = lbn;
+    for (vi, v) in visits.iter().enumerate() {
+        let track = geom.track(v.track);
+        let slots: Vec<u32> = (cur..cur + v.sectors)
+            .map(|l| {
+                let pba = geom.lbn_to_pba(l).unwrap();
+                assert_eq!((pba.cyl, pba.head), (track.cyl(), track.head()));
+                pba.slot
+            })
+            .collect();
+        cur += v.sectors;
+        let zero_latency_visit = cfg.zero_latency
+            && (v.sectors == u64::from(track.lbn_count()) || vi == visits.len() - 1);
+        let arr = spindle.angle_at(v.t);
+        seen(track, arr, &slots, zero_latency_visit, v.retried);
+        let from = avail.len();
+        avail_scan(
+            track,
+            spindle,
+            v.t,
+            arr,
+            &slots,
+            zero_latency_visit,
+            &mut avail,
+        );
+        if v.retried {
+            for a in &mut avail[from..] {
+                *a += spindle.revolution();
+            }
+        }
+    }
+    assert_eq!(cur, lbn + len, "the traced visits cover the request");
+    avail
+}
+
 /// Services `reads` on a drive built from `cfg` and checks every
 /// [`Completion`] against the reference: the mechanism's fields from an
 /// infinite-bus twin (a read's mechanics never wait for the bus), the
@@ -486,12 +740,7 @@ fn check_reads(cfg: &DiskConfig, reads: &[(u64, u64, Issue)], tally: &mut Tally)
     let mut prev: Option<Completion> = None;
     let mut seen = 0;
     for &(lbn, len, rule) in reads {
-        issue = issue.max(match (rule, prev) {
-            (Issue::After(ns), _) => issue + SimDur::from_ns(ns),
-            (Issue::AtMediaEnd, Some(p)) => p.media_end,
-            (Issue::AtCompletion, Some(p)) => p.completion,
-            _ => issue,
-        });
+        issue = next_issue(issue, rule, prev);
         // A grown defect remaps from the next command on: this command
         // runs on the layout as it stands now.
         let geom = disk.geometry().clone();
@@ -507,45 +756,15 @@ fn check_reads(cfg: &DiskConfig, reads: &[(u64, u64, Issue)], tally: &mut Tally)
             bus_free = end;
             (end, end - cmd_ready)
         } else {
-            let visits = traced_visits(&events);
-            let mut avail = Vec::new();
-            let mut cur = lbn;
-            for (vi, v) in visits.iter().enumerate() {
-                let track = geom.track(v.track);
-                let slots: Vec<u32> = (cur..cur + v.sectors)
-                    .map(|l| {
-                        let pba = geom.lbn_to_pba(l).unwrap();
-                        assert_eq!((pba.cyl, pba.head), (track.cyl(), track.head()));
-                        pba.slot
-                    })
-                    .collect();
-                cur += v.sectors;
-                let zero_latency_visit = cfg.zero_latency
-                    && (v.sectors == u64::from(track.lbn_count()) || vi == visits.len() - 1);
-                let arr = spindle.angle_at(v.t);
-                if zero_latency_visit {
-                    tally.zero_latency(&bus, track, spindle, arr, &slots);
+            let seen = |track: &Track, arr, slots: &[u32], zero_latency, retried| {
+                if zero_latency {
+                    tally.zero_latency(&bus, track, spindle, arr, slots);
                 } else {
                     tally.ordinary(&bus, track, spindle);
                 }
-                let from = avail.len();
-                avail_scan(
-                    track,
-                    spindle,
-                    v.t,
-                    arr,
-                    &slots,
-                    zero_latency_visit,
-                    &mut avail,
-                );
-                if v.retried {
-                    tally.retried += 1;
-                    for a in &mut avail[from..] {
-                        *a += spindle.revolution();
-                    }
-                }
-            }
-            assert_eq!(cur, lbn + len, "the traced visits cover the request");
+                tally.retried += u32::from(retried);
+            };
+            let mut avail = oracle_instants(cfg, &geom, (lbn, len), &events, seen);
             let end = delivery_scan_ref(&mut avail, bus_free, &bus);
             bus_free = bus_free.max(end);
             (end, end.saturating_since(mech.media_end))
@@ -658,11 +877,156 @@ fn completions_match_per_sector_reference() {
         ("unpaced bus", tally.unpaced),
         ("EPS snap", tally.snap),
         ("slipped run", tally.slipped),
+        ("slipped run, sub-run closed", tally.slipped_closed),
+        (
+            "slipped run, out-of-order bus",
+            tally.slipped_out_of_order_fallback,
+        ),
         ("ordinary visit", tally.ordinary),
         ("ordinary visit, unpaced bus", tally.ordinary_unpaced),
         ("media retry", tally.retried),
     ] {
         assert!(n >= 8, "{name} ran only {n} times: {tally:?}");
+    }
+}
+
+/// Services `writes` on a drive built from `cfg` and on its crash-logged
+/// twin: the plain drive prices each zero-latency visit by closed forms
+/// over its contiguous sub-runs, the twin records every sector's instant.
+/// Their [`Completion`]s must be equal, and the twin's instants the
+/// oracle's, rebuilt from the visits it traced. The tally counts the
+/// slipped zero-latency visits and the path of each of their sub-runs
+/// through `rotation::window_closed`.
+fn check_writes(cfg: &DiskConfig, writes: &[(u64, u64, Issue)], tally: &mut Tally) {
+    let sink = Arc::new(Mutex::new(MemorySink::new()));
+    let mut logged = Disk::new(DiskConfig {
+        tracer: Some(Tracer::new(sink.clone())),
+        ..cfg.clone()
+    });
+    logged.enable_crash_log();
+    let mut plain = Disk::new(cfg.clone());
+    let (mut issue, mut prev, mut seen) = (SimTime::ZERO, None, 0);
+    for &(lbn, len, rule) in writes {
+        issue = next_issue(issue, rule, prev);
+        let geom = logged.geometry().clone();
+        let req = Request::write(lbn, len);
+        let got = logged.service(req, issue);
+        assert_eq!(
+            got,
+            plain.service(req, issue),
+            "write of {len} at {lbn}, issued {issue}"
+        );
+        let events = sink.lock().unwrap().events()[seen..].to_vec();
+        seen += events.len();
+        let want = oracle_instants(
+            cfg,
+            &geom,
+            (lbn, len),
+            &events,
+            |track, arr, slots, zl, _| {
+                let runs = sub_runs(slots);
+                if zl && runs.len() > 1 {
+                    tally.slipped += 1;
+                    for (first, count) in runs {
+                        *(if count <= 2 {
+                            &mut tally.subrun_short
+                        } else if rotation::window_pieces(track, arr, first, count).max_d
+                            >= 1.0 - EPS
+                        {
+                            &mut tally.subrun_snap
+                        } else {
+                            &mut tally.slipped_closed
+                        }) += 1;
+                    }
+                }
+            },
+        );
+        let log = logged.crash_log().expect("attached");
+        assert_eq!(
+            log.records.last().unwrap().durable,
+            want,
+            "write of {len} at {lbn}"
+        );
+        prev = Some(got);
+    }
+}
+
+#[test]
+fn slipped_writes_match_their_logged_twin() {
+    // Slipped drives of a drawn shape; writes aimed at the tracks that
+    // hold a factory defect: the whole track, a stretch from inside it
+    // into the next, or a few sectors around the hole.
+    let knobs = (0usize..RPMS.len(), 0u32..3, 0u32..2, 0u32..2);
+    let writes = prop::collection::vec(
+        (
+            0u32..10_000,
+            0u32..3,
+            0u64..10_000,
+            0u32..5,
+            0u64..9_000_000,
+        ),
+        1..16,
+    );
+    let mut tally = Tally::default();
+    for_cases(
+        "slipped_writes_match_their_logged_twin",
+        256,
+        (arb_spec(), knobs, writes),
+        |(mut spec, (rpm, zl, finite, faults), raw)| {
+            spec.policy = DefectPolicy::Slip;
+            let Ok(geometry) = spec.build() else { return };
+            let holes: Vec<_> = (geometry.defect_list().iter())
+                .map(|d| geometry.track(geometry.track_at(d.cyl, d.head).unwrap().0))
+                .filter(|t| t.lbn_count() > 0)
+                .map(|t| (t.first_lbn(), u64::from(t.lbn_count())))
+                .collect();
+            if holes.is_empty() {
+                return;
+            }
+            let cap = geometry.capacity_lbns();
+            let writes: Vec<(u64, u64, Issue)> = (raw.into_iter())
+                .map(|(dsel, shape, nsel, when, gap)| {
+                    let (first, count) = holes[dsel as usize % holes.len()];
+                    let (lbn, len) = match shape {
+                        0 => (first, count),
+                        1 => (first + nsel % count, count),
+                        _ => (first + nsel % count, 1 + nsel % 5),
+                    };
+                    let rule = match when {
+                        0 => Issue::Together,
+                        1 => Issue::After(gap),
+                        2 | 3 => Issue::AtMediaEnd,
+                        _ => Issue::AtCompletion,
+                    };
+                    (lbn, len.min(cap - lbn), rule)
+                })
+                .collect();
+            let spindle = Spindle::new(RPMS[rpm]);
+            let bus = if finite == 1 {
+                bus_with_sector_ns(
+                    sector_ns(spindle.sweep(geometry.track(0).inv_spt()), 0, 0),
+                    false,
+                )
+            } else {
+                BusConfig::infinite()
+            };
+            let fault = FaultConfig {
+                media_per_million: 20_000 * faults,
+                grown_per_million: 300_000 * faults,
+                seed: 7,
+                ..FaultConfig::default()
+            };
+            let cfg = drive(geometry, RPMS[rpm], zl != 0, bus, true, true, fault);
+            check_writes(&cfg, &writes, &mut tally);
+        },
+    );
+    println!("slipped_writes_match_their_logged_twin: {tally:?}");
+    for (name, n) in [
+        ("slipped visit", tally.slipped),
+        ("sub-run closed", tally.slipped_closed),
+        ("sub-run short", tally.subrun_short),
+    ] {
+        assert!(n >= 16, "{name} ran only {n} times: {tally:?}");
     }
 }
 
@@ -710,9 +1074,11 @@ fn fallback_eps_snap_back_to_back() {
 }
 
 #[test]
-fn fallback_slipped_run() {
-    // Two slipped defects inside track 0's LBN range: a read across them
-    // visits a slot list, not a contiguous run.
+fn slipped_run_takes_the_closed_form() {
+    // Two slipped defects inside track 0's LBN range: three zero-latency
+    // reads across them (the whole track, and two last visits) are eight
+    // contiguous sub-runs, each priced in closed form on an in-order bus;
+    // an out-of-order bus takes each of the three sector by sector.
     let mut spec = small_spec();
     spec.spare = SpareScheme::SectorsPerTrack(4);
     spec.policy = DefectPolicy::Slip;
@@ -730,7 +1096,16 @@ fn fallback_slipped_run() {
         ];
         let mut tally = Tally::default();
         check_reads(&cfg, &reads, &mut tally);
-        assert!(tally.slipped >= 3, "{tally:?}");
+        let (closed, per_sector) = if out_of_order { (0, 3) } else { (8, 0) };
+        assert_eq!(
+            (
+                tally.slipped,
+                tally.slipped_closed,
+                tally.slipped_out_of_order_fallback
+            ),
+            (3, closed, per_sector),
+            "{tally:?}"
+        );
     }
 }
 
