@@ -2,8 +2,9 @@
 //! translation, drive request servicing, the firmware cache and spindle
 //! phase, boundary-table queries, the traxtent allocator, the file
 //! system's per-block structures, the LFS cleaner, a volume's request
-//! split, and the server's admission and scheduling round. These guard the
-//! performance of the building blocks that every figure harness leans on.
+//! split, the server's admission and scheduling round, and what a
+//! catalogued drive and `mkfs` cost to set up. These guard the performance
+//! of the building blocks that every figure harness leans on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ffs::cache::BufferCache;
@@ -19,6 +20,7 @@ use sim_disk::models;
 use sim_disk::{SimTime, TraceRecord};
 use std::hint::black_box;
 use traxtent::{ConfidentBoundaries, Extent, TrackBoundaries, TraxtentAllocator};
+use workloads::apps;
 use workloads::arrivals::{stream_trace, StreamsSpec};
 
 fn bench_geometry(c: &mut Criterion) {
@@ -597,6 +599,26 @@ fn bench_server(c: &mut Criterion) {
     });
 }
 
+/// What a catalogued drive costs the code that asks for one: the preset
+/// (the process has asked for it before), a clone of its configuration,
+/// and `mkfs` on a fresh drive — `ffs_apps` pays the last once per
+/// application. Each iteration drops what it built, as a caller does.
+fn bench_setup(c: &mut Criterion) {
+    c.bench_function("setup/model_atlas_10k", |b| {
+        b.iter(|| black_box(models::quantum_atlas_10k()))
+    });
+    c.bench_function("setup/mkfs_traxtent", |b| {
+        b.iter(|| {
+            let disk = Disk::new(models::quantum_atlas_10k());
+            black_box(apps::mkfs(disk, Personality::Traxtent))
+        })
+    });
+    let cfg = models::quantum_atlas_10k();
+    c.bench_function("setup/disk_config_clone", |b| {
+        b.iter(|| black_box(cfg.clone()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_geometry,
@@ -609,6 +631,7 @@ criterion_group!(
     bench_allocator,
     bench_ffs,
     bench_lfs,
-    bench_server
+    bench_server,
+    bench_setup
 );
 criterion_main!(benches);

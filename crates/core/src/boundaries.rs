@@ -8,6 +8,7 @@
 use crate::extent::Extent;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error validating a boundary table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +62,12 @@ impl Error for BoundariesError {}
 /// purpose: a load that only feeds a predicted branch does not gate the
 /// loads after it, where a branch-free search serializes them (DESIGN.md §5
 /// has both measured — do not tidy the scan into a `partition_point`).
+/// The table is shared, so a clone costs O(1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LbnDirectory {
     shift: u32,
     /// One entry per bucket, then the table's last index.
-    first: Vec<u32>,
+    first: Arc<[u32]>,
 }
 
 /// How [`LbnDirectory::locate`] found its answer.
@@ -93,15 +95,15 @@ impl LbnDirectory {
         let last = u32::try_from(starts.len() - 1).expect("fewer than 2^32 tracks");
         let shift = (capacity / starts.len() as u64).max(1).ilog2();
         let mut i = 0u32;
-        let mut first: Vec<u32> = (0..=(capacity - 1) >> shift)
+        let first = (0..=(capacity - 1) >> shift)
             .map(|b| {
                 while i < last && starts[i as usize + 1] <= b << shift {
                     i += 1;
                 }
                 i
             })
+            .chain([last])
             .collect();
-        first.push(last);
         LbnDirectory { shift, first }
     }
 
@@ -139,10 +141,14 @@ impl LbnDirectory {
 /// Tracks are variable-sized: zoned recording, spare space, and slipped
 /// defects all perturb track lengths, which is why a simple "N sectors per
 /// track" constant does not work on any modern drive.
+///
+/// A table never changes once built and its arrays are shared, so a clone
+/// costs O(1): every file system, lane and volume member built over one
+/// drive reads the same copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackBoundaries {
     /// Strictly increasing track start LBNs; `starts[0] == 0`.
-    starts: Vec<u64>,
+    starts: Arc<[u64]>,
     /// Total LBNs covered.
     capacity: u64,
     /// Where in `starts` an LBN's track is (a pure function of the two).
@@ -187,7 +193,7 @@ impl TrackBoundaries {
         }
         let dir = LbnDirectory::new(&starts, capacity);
         Ok(TrackBoundaries {
-            starts,
+            starts: starts.into(),
             capacity,
             dir,
         })

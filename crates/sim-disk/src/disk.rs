@@ -200,11 +200,10 @@ impl Disk {
 
     /// The drive's ground-truth track-boundary table — what extraction is
     /// scored against, and what a layer that trusts the drive outright
-    /// allocates and schedules by.
+    /// allocates and schedules by. The geometry builds it once and every
+    /// caller shares it: the clone is O(1).
     pub fn track_boundaries(&self) -> TrackBoundaries {
-        let geometry = self.geometry();
-        TrackBoundaries::new(geometry.track_starts().collect(), geometry.capacity_lbns())
-            .expect("geometry yields a valid table")
+        self.geometry().track_boundaries().clone()
     }
 
     /// The issue instant of the most recently issued command (`SimTime::ZERO`

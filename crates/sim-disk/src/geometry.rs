@@ -15,6 +15,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 use traxtent::boundaries::LbnDirectory;
+use traxtent::TrackBoundaries;
 
 /// Identifier of a track, in LBN order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -301,7 +302,7 @@ impl Error for GeometryError {}
 struct HotTables {
     /// `first_lbns[t]` is the first LBN of track `t`; the final entry is the
     /// disk capacity, so `first_lbns[t + 1]` always bounds track `t`'s range.
-    first_lbns: Vec<u64>,
+    first_lbns: Arc<[u64]>,
     /// Per-zone first LBN (equal to the zone's first track's first LBN).
     zone_first_lbn: Vec<u64>,
     /// Per-zone first track id.
@@ -319,9 +320,9 @@ struct HotTables {
 
 impl HotTables {
     fn build(tracks: &[Track], zones: &[ZoneInfo], capacity: u64, surfaces: u32) -> Self {
-        let mut first_lbns = Vec::with_capacity(tracks.len() + 1);
-        first_lbns.extend(tracks.iter().map(|t| t.first_lbn));
-        first_lbns.push(capacity);
+        let first_lbns: Arc<[u64]> = (tracks.iter().map(|t| t.first_lbn))
+            .chain([capacity])
+            .collect();
         let mut zone_first_lbn = Vec::with_capacity(zones.len());
         let mut zone_first_track = Vec::with_capacity(zones.len());
         let mut zone_spt = Vec::with_capacity(zones.len());
@@ -367,10 +368,14 @@ fn last_le(table: &[u64], lbn: u64) -> usize {
 }
 
 /// A fully built disk layout with O(log n) translation in both directions.
+///
+/// The per-track tables are shared slices, so a clone costs O(1) in them;
+/// [`DiskGeometry::add_grown_defect`], the one mutator, copies the track
+/// table the first time it writes to a shared one.
 #[derive(Debug, Clone)]
 pub struct DiskGeometry {
     spec: GeometrySpec,
-    tracks: Vec<Track>,
+    tracks: Arc<[Track]>,
     zones: Vec<ZoneInfo>,
     capacity: u64,
     /// Remapped LBNs (factory remap policy and grown defects): lbn → spare
@@ -378,6 +383,9 @@ pub struct DiskGeometry {
     remaps: BTreeMap<u64, Pba>,
     /// Flat SoA translation tables (see [`HotTables`]).
     hot: HotTables,
+    /// The starts of the tracks that map LBNs: fixed at build time, since a
+    /// grown defect remaps one LBN and moves no track start.
+    boundaries: TrackBoundaries,
 }
 
 impl DiskGeometry {
@@ -428,6 +436,11 @@ impl DiskGeometry {
             .iter()
             .filter(|t| t.lbn_count() > 0)
             .map(|t| t.first_lbn())
+    }
+
+    /// [`DiskGeometry::track_starts`] as a boundary table, built once.
+    pub(crate) fn track_boundaries(&self) -> &TrackBoundaries {
+        &self.boundaries
     }
 
     /// The track starts of zone `zone` from which `len` sectors still end
@@ -612,18 +625,22 @@ impl DiskGeometry {
         let spare = self
             .find_free_spare_slot()
             .ok_or(GeometryError::NoSpareForGrownDefect(lbn))?;
+        let tracks = Arc::make_mut(&mut self.tracks);
         // Mark the old physical slot defective.
-        let tid = (old.cyl * self.spec.surfaces + old.head) as usize;
-        let t = &mut self.tracks[tid];
+        let t = &mut tracks[(old.cyl * self.spec.surfaces + old.head) as usize];
         if let Err(pos) = t.grown_slots.binary_search(&old.slot) {
             t.grown_slots.insert(pos, old.slot);
         }
         // Record the redirect on the spare's track for pba_to_lbn.
-        let stid = (spare.cyl * self.spec.surfaces + spare.head) as usize;
-        let st = &mut self.tracks[stid];
+        let st = &mut tracks[(spare.cyl * self.spec.surfaces + spare.head) as usize];
         let pos = st.remap_targets.partition_point(|&(s, _)| s < spare.slot);
         st.remap_targets.insert(pos, (spare.slot, lbn));
         self.remaps.insert(lbn, spare);
+        debug_assert_eq!(
+            Ok(self.boundaries.track_bounds(lbn)),
+            self.track_bounds(lbn),
+            "a grown defect moves no track start"
+        );
         Ok(spare)
     }
 
@@ -713,7 +730,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         let mut angle: f64 = 0.0;
         let mut cyl = 0u32;
         for (zi, z) in spec.zones.iter().enumerate() {
-            let zone_last_cyl = cyl + z.cylinders - 1;
             for zc in 0..z.cylinders {
                 for head in 0..surfaces {
                     let track_in_zone = zc * surfaces + head;
@@ -744,7 +760,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                 }
                 cyl += 1;
             }
-            let _ = zone_last_cyl;
         }
     }
 
@@ -773,7 +788,10 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         })
         .collect();
 
-    let mut tracks: Vec<Track> = Vec::with_capacity(total_tracks as usize);
+    // LBNs mapped on each track, and the first LBN of every track that
+    // maps any: the boundary table.
+    let mut counts: Vec<u32> = Vec::with_capacity(total_tracks as usize);
+    let mut starts: Vec<u64> = Vec::with_capacity(total_tracks as usize);
     let mut next_lbn: u64 = 0;
     let mut remaps: BTreeMap<u64, Pba> = BTreeMap::new();
 
@@ -790,27 +808,14 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
             DefectPolicy::Slip => {
                 let mut remaining = capacity;
                 for t in dtracks.clone() {
-                    let m = &metas[t];
-                    let defs = defects_by_track
-                        .get(&(t as u32))
-                        .cloned()
-                        .unwrap_or_default();
-                    let avail = u64::from(m.spt) - defs.len() as u64;
+                    let defects = defects_by_track.get(&(t as u32)).map_or(0, Vec::len);
+                    let avail = u64::from(metas[t].spt) - defects as u64;
                     let take = remaining.min(avail) as u32;
                     remaining -= u64::from(take);
-                    tracks.push(Track {
-                        first_lbn: next_lbn,
-                        count: take,
-                        cyl: m.cyl,
-                        head: m.head,
-                        spt: m.spt,
-                        angle0: m.angle0,
-                        inv_spt: 1.0 / f64::from(m.spt),
-                        slot_frac: zone_fracs[m.zone as usize].clone(),
-                        defect_slots: defs,
-                        grown_slots: Vec::new(),
-                        remap_targets: Vec::new(),
-                    });
+                    if take > 0 {
+                        starts.push(next_lbn);
+                    }
+                    counts.push(take);
                     next_lbn += u64::from(take);
                 }
                 if remaining > 0 {
@@ -825,16 +830,17 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                 let mut remaining = capacity;
                 let mut victims: Vec<u64> = Vec::new();
                 let mut spares: Vec<Pba> = Vec::new();
-                let domain_first = tracks.len();
                 for t in dtracks.clone() {
                     let m = &metas[t];
                     let defs = defects_by_track
                         .get(&(t as u32))
-                        .cloned()
-                        .unwrap_or_default();
+                        .map_or(&[][..], Vec::as_slice);
                     let take = remaining.min(u64::from(m.spt)) as u32;
                     remaining -= u64::from(take);
-                    for &d in &defs {
+                    if take > 0 {
+                        starts.push(next_lbn);
+                    }
+                    for &d in defs {
                         if d < take {
                             victims.push(next_lbn + u64::from(d));
                         }
@@ -844,19 +850,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                             spares.push(Pba::new(m.cyl, m.head, slot));
                         }
                     }
-                    tracks.push(Track {
-                        first_lbn: next_lbn,
-                        count: take,
-                        cyl: m.cyl,
-                        head: m.head,
-                        spt: m.spt,
-                        angle0: m.angle0,
-                        inv_spt: 1.0 / f64::from(m.spt),
-                        slot_frac: zone_fracs[m.zone as usize].clone(),
-                        defect_slots: defs,
-                        grown_slots: Vec::new(),
-                        remap_targets: Vec::new(),
-                    });
+                    counts.push(take);
                     next_lbn += u64::from(take);
                 }
                 if victims.len() > spares.len() {
@@ -864,24 +858,47 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                         domain_first_track: i as u32,
                     });
                 }
-                for (lbn, pba) in victims.into_iter().zip(spares) {
-                    remaps.insert(lbn, pba);
-                    let tid = (pba.cyl * surfaces + pba.head) as usize;
-                    debug_assert!(tid >= domain_first && tid < tracks.len());
-                    let tt = &mut tracks[tid];
-                    let pos = tt.remap_targets.partition_point(|&(s, _)| s < pba.slot);
-                    tt.remap_targets.insert(pos, (pba.slot, lbn));
-                }
+                remaps.extend(victims.into_iter().zip(spares));
             }
         }
         i += dlen;
     }
 
+    // The spares holding remapped LBNs, by track. Each domain paired its
+    // victims and spares in ascending order, so LBN order puts each
+    // track's targets in slot order.
+    let mut remap_targets: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
+    for (&lbn, pba) in &remaps {
+        let tid = pba.cyl * surfaces + pba.head;
+        remap_targets.entry(tid).or_default().push((pba.slot, lbn));
+    }
+    // Collected straight into the shared table: one allocation, no copy.
+    let mut first_lbn = 0;
+    let tracks: Arc<[Track]> = (metas.iter().zip(counts).enumerate())
+        .map(|(t, (m, count))| {
+            let track = Track {
+                first_lbn,
+                count,
+                cyl: m.cyl,
+                head: m.head,
+                spt: m.spt,
+                angle0: m.angle0,
+                inv_spt: 1.0 / f64::from(m.spt),
+                slot_frac: zone_fracs[m.zone as usize].clone(),
+                defect_slots: defects_by_track.remove(&(t as u32)).unwrap_or_default(),
+                grown_slots: Vec::new(),
+                remap_targets: remap_targets.remove(&(t as u32)).unwrap_or_default(),
+            };
+            first_lbn += u64::from(count);
+            track
+        })
+        .collect();
+
     // Zone summary.
     let mut zones = Vec::with_capacity(spec.zones.len());
     {
         let mut cyl = 0u32;
-        for (zi, z) in spec.zones.iter().enumerate() {
+        for z in &spec.zones {
             let first_track = (cyl * surfaces) as usize;
             let last_track = ((cyl + z.cylinders) * surfaces) as usize - 1;
             let first_lbn = tracks[first_track].first_lbn;
@@ -894,7 +911,6 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                 lbn_count: end_lbn - first_lbn,
             });
             cyl += z.cylinders;
-            let _ = zi;
         }
     }
 
@@ -902,6 +918,8 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         return Err(GeometryError::ZeroCapacity);
     }
     let hot = HotTables::build(&tracks, &zones, next_lbn, surfaces);
+    let boundaries =
+        TrackBoundaries::new(starts, next_lbn).expect("the mapped tracks tile the LBN space");
     Ok(DiskGeometry {
         spec,
         tracks,
@@ -909,6 +927,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         capacity: next_lbn,
         remaps,
         hot,
+        boundaries,
     })
 }
 
@@ -1127,6 +1146,40 @@ mod tests {
         // Neighbours untouched: boundaries did not change.
         assert_eq!(g.lbn_to_pba(41).unwrap(), before_neighbors.0);
         assert_eq!(g.lbn_to_pba(43).unwrap(), before_neighbors.1);
+    }
+
+    /// Two catalogued drives share one track table, and a failed write
+    /// copies nothing; a clone's first grown defect copies the table, its
+    /// next one writes in place, and the tables no write reaches stay
+    /// shared.
+    #[test]
+    fn clones_share_their_tables_until_a_grown_defect_writes() {
+        let (atlas, mut again) = (
+            crate::models::quantum_atlas_10k().geometry,
+            crate::models::quantum_atlas_10k().geometry,
+        );
+        assert!(Arc::ptr_eq(&atlas.tracks, &again.tracks));
+        assert!(Arc::ptr_eq(&atlas.hot.first_lbns, &again.hot.first_lbns));
+        assert!(
+            again.add_grown_defect(0).is_err(),
+            "a pristine drive has no spare"
+        );
+        assert!(Arc::ptr_eq(&atlas.tracks, &again.tracks));
+
+        let mut spec = simple_spec();
+        spec.spare = SpareScheme::SectorsPerCylinder(4);
+        spec.defects = vec![DefectLocation::new(3, 0, 7)];
+        let original = spec.build().unwrap();
+        let mut clone = original.clone();
+        assert!(Arc::ptr_eq(&original.tracks, &clone.tracks));
+        clone.add_grown_defect(42).unwrap();
+        assert!(!Arc::ptr_eq(&original.tracks, &clone.tracks));
+        let private = Arc::as_ptr(&clone.tracks);
+        clone.add_grown_defect(43).unwrap();
+        assert_eq!(Arc::as_ptr(&clone.tracks), private);
+        assert!(Arc::ptr_eq(&original.hot.first_lbns, &clone.hot.first_lbns));
+        assert_eq!(original.boundaries, clone.boundaries);
+        assert!(!original.is_remapped(42) && clone.is_remapped(43));
     }
 
     #[test]

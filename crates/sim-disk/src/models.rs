@@ -11,17 +11,22 @@
 //! to format a drive with a deterministic pseudo-random defect list and a
 //! per-cylinder spare scheme, which is what makes track-boundary extraction
 //! non-trivial.
+//!
+//! A preset's geometry is built once per process and shared: asking for a
+//! drive again costs a clone of its shared tables, not a rebuild of its
+//! layout.
 
 use crate::bus::BusConfig;
 use crate::cache::CacheConfig;
 use crate::defects::{DefectLocation, DefectPolicy, SpareScheme};
 use crate::disk::DiskConfig;
 use crate::fault::FaultConfig;
-use crate::geometry::{GeometrySpec, ZoneSpec};
+use crate::geometry::{DiskGeometry, GeometrySpec, ZoneSpec};
 use crate::mech::{SeekCurve, Spindle};
 use crate::SimDur;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 /// Published characteristics of a drive, as in Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,13 +238,9 @@ impl ModelSheet {
             });
         }
 
-        let geometry = GeometrySpec::pristine(self.surfaces, zone_specs)
-            .build()
-            .expect("preset geometry is valid");
-
         DiskConfig {
             name: self.name.to_string(),
-            geometry,
+            geometry: catalogued(GeometrySpec::pristine(self.surfaces, zone_specs)),
             spindle,
             seek: SeekCurve::calibrate(
                 single,
@@ -259,12 +260,32 @@ impl ModelSheet {
     }
 }
 
+/// The geometry `spec` describes, built the first time the process asks
+/// for it and shared from then on. A geometry is a pure function of its
+/// spec, so every caller on every thread gets the same tables whichever
+/// built them. The key is the whole spec, never a sheet's name: a modified
+/// sheet gets a geometry of its own. The table keeps one geometry per
+/// distinct spec asked for — the pristine drives of the catalogue;
+/// defective ones are built fresh by [`with_factory_defects`].
+fn catalogued(spec: GeometrySpec) -> DiskGeometry {
+    static BUILT: Mutex<Vec<DiskGeometry>> = Mutex::new(Vec::new());
+    // The one write is a push of a whole geometry, so a panic while the
+    // lock is held leaves the table valid and poisoning can be ignored.
+    let mut built = BUILT.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(geometry) = built.iter().find(|g| *g.spec() == spec) {
+        return geometry.clone();
+    }
+    let geometry = spec.build().expect("catalogued geometry is valid");
+    built.push(geometry.clone());
+    geometry
+}
+
 /// The Quantum Atlas 10K II — the paper's primary measurement platform.
 pub fn quantum_atlas_10k_ii() -> DiskConfig {
     table1_sheets()
         .into_iter()
         .find(|s| s.name == "Quantum Atlas 10K II")
-        .unwrap()
+        .expect("table1_sheets() lists the Quantum Atlas 10K II")
         .build()
 }
 
@@ -273,7 +294,7 @@ pub fn quantum_atlas_10k() -> DiskConfig {
     table1_sheets()
         .into_iter()
         .find(|s| s.name == "Quantum Atlas 10K")
-        .unwrap()
+        .expect("table1_sheets() lists the Quantum Atlas 10K")
         .build()
 }
 
@@ -281,7 +302,7 @@ pub fn quantum_atlas_10k() -> DiskConfig {
 /// 4 surfaces, 10 000 RPM, zero-latency, in the spirit of the Atlas family.
 pub fn small_test_disk() -> DiskConfig {
     let spindle = Spindle::new(10_000);
-    let geometry = GeometrySpec::pristine(
+    let geometry = catalogued(GeometrySpec::pristine(
         4,
         vec![
             ZoneSpec {
@@ -297,9 +318,7 @@ pub fn small_test_disk() -> DiskConfig {
                 cyl_skew: 27,
             },
         ],
-    )
-    .build()
-    .expect("test geometry is valid");
+    ));
     DiskConfig {
         name: "SimTest 100".to_string(),
         geometry,
@@ -476,6 +495,68 @@ mod tests {
             if ["Seagate Cheetah X15", "IBM Ultrastar 18 ES"].contains(&sheet.name) {
                 assert!(!sheet.zero_latency, "{}", sheet.name);
             }
+        }
+    }
+
+    /// `got` answers as an uncached build of its own spec: capacity, every
+    /// track start, and the physical location of a thousand LBNs.
+    fn assert_built_fresh(got: &DiskGeometry, what: &str) {
+        let want = got.spec().clone().build().expect("built once already");
+        assert_eq!(got.capacity_lbns(), want.capacity_lbns(), "{what}");
+        assert!(got.track_starts().eq(want.track_starts()), "{what}");
+        let cap = want.capacity_lbns();
+        for lbn in (0..cap).step_by(cap as usize / 997).chain([cap - 1]) {
+            assert_eq!(got.lbn_to_pba(lbn), want.lbn_to_pba(lbn), "{what}: {lbn}");
+        }
+    }
+
+    #[test]
+    fn catalogued_drives_built_twice_match_an_uncached_build() {
+        for sheet in table1_sheets() {
+            assert_built_fresh(&sheet.build().geometry, sheet.name);
+            assert_built_fresh(&sheet.build().geometry, sheet.name);
+        }
+        assert_built_fresh(&small_test_disk().geometry, "SimTest 100");
+        assert_built_fresh(&small_test_disk().geometry, "SimTest 100");
+    }
+
+    #[test]
+    fn a_modified_sheet_under_the_same_name_gets_its_own_geometry() {
+        let sheet = table1_sheets().swap_remove(0);
+        let fewer_zones = ModelSheet {
+            zones: sheet.zones - 1,
+            ..sheet.clone()
+        };
+        let denser = ModelSheet {
+            spt_outer: sheet.spt_outer + 8,
+            ..sheet.clone()
+        };
+        for modified in [&sheet, &fewer_zones, &denser, &sheet] {
+            let geometry = modified.build().geometry;
+            assert_eq!(geometry.zones().len() as u32, modified.zones);
+            assert_eq!(geometry.zones()[0].spt, modified.spt_outer);
+            assert_built_fresh(&geometry, modified.name);
+        }
+    }
+
+    #[test]
+    fn concurrent_builds_of_one_drive_are_equal() {
+        let start = std::sync::Barrier::new(4);
+        let built: Vec<DiskGeometry> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        quantum_atlas_10k_ii().geometry
+                    })
+                })
+                .collect();
+            let done = workers.into_iter().map(|w| w.join());
+            done.map(|g| g.expect("a worker panicked")).collect()
+        });
+        for geometry in &built {
+            assert_eq!(geometry.spec(), built[0].spec());
+            assert_built_fresh(geometry, "Quantum Atlas 10K II");
         }
     }
 }

@@ -1,13 +1,18 @@
 //! Property-based tests for the geometry engine: for arbitrary zoned
 //! layouts, spare schemes, defect lists, and policies, the LBN↔physical
-//! mapping must stay a bijection and the track map consistent — and
-//! `track_of_lbn`, whichever arm answers, agrees with a walk over the tracks.
+//! mapping must stay a bijection and the track map consistent —
+//! `track_of_lbn`, whichever arm answers, agrees with a walk over the tracks,
+//! and a geometry that shares its tables with a clone answers as if it did
+//! not, whichever of the two grown defects are written to.
 
 use proptest::prelude::*;
 use proptest::{FailureReporter, TestRng};
 use sim_disk::defects::{DefectLocation, DefectPolicy, SpareScheme};
+use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::geometry::{DiskGeometry, GeometryError, GeometrySpec, Pba, TrackId, ZoneSpec};
+use sim_disk::models;
 use std::fmt::Debug;
+use traxtent::TrackBoundaries;
 
 /// An arbitrary small-but-varied geometry spec with defects the spare
 /// scheme can plausibly absorb.
@@ -171,12 +176,11 @@ struct Tally {
     single_track_zone: u32,
 }
 
-impl Tally {
-    fn require(&self, name: &str, paths: &[(&str, u32)]) {
-        println!("{name}: {self:?}");
-        for (path, n) in paths {
-            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
-        }
+/// Prints a property's path tally and fails if a path ran under 16 times.
+fn require(name: &str, tally: &impl Debug, paths: &[(&str, u32)]) {
+    println!("{name}: {tally:?}");
+    for (path, n) in paths {
+        assert!(*n >= 16, "{path} ran only {n} times: {tally:?}");
     }
 }
 
@@ -283,13 +287,145 @@ fn track_of_lbn_matches_a_walk_over_the_tracks() {
             check_every_lbn(&spec.build().expect("no defects to absorb"), &mut tally);
         }
     }
-    tally.require(
+    require(
         "track_of_lbn_matches_a_walk_over_the_tracks",
+        &tally,
         &[
             ("uniform-zone divide", tally.divide),
             ("directory", tally.directory),
             ("answer after an empty track", tally.after_empty_track),
             ("single-track zone", tally.single_track_zone),
+        ],
+    );
+}
+
+// ---------------------------------------------------------------------
+// A shared geometry against fresh, unshared builds.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Default)]
+struct CowTally {
+    /// An original checked after its clone was written.
+    untouched_sharer: u32,
+    /// A grown defect written to a clone that still shared its tables.
+    first_write_copies: u32,
+    /// A grown defect written to a clone that had already copied them.
+    second_write_private: u32,
+    slip_policy: u32,
+    remap_policy: u32,
+}
+
+/// `got` gives `want`'s answer to every translation question: each LBN's
+/// physical location and track (one past the last LBN included), each
+/// physical slot's LBN (one past each track's last slot included), and the
+/// track starts.
+fn assert_same_answers(got: &DiskGeometry, want: &DiskGeometry, what: &str) {
+    assert_eq!(got.capacity_lbns(), want.capacity_lbns(), "{what}");
+    for lbn in 0..=want.capacity_lbns() {
+        assert_eq!(
+            got.lbn_to_pba(lbn),
+            want.lbn_to_pba(lbn),
+            "{what}: lbn {lbn}"
+        );
+        assert_eq!(
+            got.track_of_lbn(lbn),
+            want.track_of_lbn(lbn),
+            "{what}: lbn {lbn}"
+        );
+    }
+    for t in (0..want.num_tracks()).map(|id| want.track(id)) {
+        for slot in 0..=t.spt() {
+            let pba = Pba::new(t.cyl(), t.head(), slot);
+            assert_eq!(got.pba_to_lbn(pba), want.pba_to_lbn(pba), "{what}: {pba}");
+        }
+    }
+    assert!(got.track_starts().eq(want.track_starts()), "{what}: starts");
+}
+
+/// The boundary table a drive over `geometry` hands out, against one
+/// recomputed from the geometry's track starts.
+fn assert_boundaries_match_the_starts(geometry: &DiskGeometry, what: &str) {
+    let cfg = DiskConfig {
+        geometry: geometry.clone(),
+        ..models::small_test_disk()
+    };
+    let starts = geometry.track_starts().collect();
+    let want = TrackBoundaries::new(starts, geometry.capacity_lbns()).expect("the starts tile");
+    assert_eq!(Disk::new(cfg).track_boundaries(), want, "{what}");
+}
+
+/// A built geometry, a clone of it given 1–8 grown defects, and for each
+/// of the two a fresh build of the same spec (given the same defects) that
+/// never shared a table: the original must answer as its fresh build does,
+/// the clone as its own, and each drive's boundary table must be the one
+/// its track starts give.
+#[test]
+fn a_written_clone_leaves_its_original_as_built() {
+    let mut tally = CowTally::default();
+    let picks = prop::collection::vec(0u64..u64::MAX, 1..9);
+    for_cases(
+        "a_written_clone_leaves_its_original_as_built",
+        48,
+        (arb_spec(), picks),
+        |(drawn, picks)| {
+            for policy in [DefectPolicy::Slip, DefectPolicy::Remap] {
+                let spec = GeometrySpec {
+                    policy,
+                    ..drawn.clone()
+                };
+                // A defect list the scheme cannot absorb is an error.
+                let Ok(original) = spec.clone().build() else {
+                    continue;
+                };
+                let fresh = || spec.clone().build().expect("built once already");
+                let (mut clone, mut twin) = (original.clone(), fresh());
+                let mut written: Vec<(u64, Pba, Pba)> = Vec::new();
+                for lbn in picks.iter().map(|p| p % original.capacity_lbns()) {
+                    // A remapped LBN's old slot stays its remap target.
+                    if clone.is_remapped(lbn) {
+                        continue;
+                    }
+                    let old = clone.lbn_to_pba(lbn).expect("in range");
+                    let got = clone.add_grown_defect(lbn);
+                    assert_eq!(got, twin.add_grown_defect(lbn), "lbn {lbn}");
+                    if let Ok(spare) = got {
+                        *(if written.is_empty() {
+                            &mut tally.first_write_copies
+                        } else {
+                            &mut tally.second_write_private
+                        }) += 1;
+                        written.push((lbn, old, spare));
+                    }
+                }
+                if written.is_empty() {
+                    continue;
+                }
+                for &(lbn, old, spare) in &written {
+                    assert_eq!(clone.lbn_to_pba(lbn), Ok(spare), "lbn {lbn}");
+                    assert_eq!(clone.pba_to_lbn(spare), Some(lbn), "lbn {lbn}");
+                    assert_eq!(clone.pba_to_lbn(old), None, "lbn {lbn}");
+                }
+                assert_same_answers(&clone, &twin, "the written clone");
+                assert_same_answers(&original, &fresh(), "the original");
+                tally.untouched_sharer += 1;
+                assert_boundaries_match_the_starts(&clone, "the written clone");
+                assert_boundaries_match_the_starts(&original, "the original");
+                *(match policy {
+                    DefectPolicy::Slip => &mut tally.slip_policy,
+                    DefectPolicy::Remap => &mut tally.remap_policy,
+                }) += 1;
+            }
+        },
+    );
+    require(
+        "a_written_clone_leaves_its_original_as_built",
+        &tally,
+        &[
+            ("untouched sharer", tally.untouched_sharer),
+            ("first write copies", tally.first_write_copies),
+            ("second write private", tally.second_write_private),
+            ("slip policy", tally.slip_policy),
+            ("remap policy", tally.remap_policy),
         ],
     );
 }
