@@ -362,7 +362,7 @@ fn bench_allocator(c: &mut Criterion) {
                 for e in got {
                     a.free(e);
                 }
-                black_box(a.free_sectors())
+                black_box(a.free_units())
             },
             BatchSize::SmallInput,
         )

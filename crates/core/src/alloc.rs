@@ -1,85 +1,254 @@
-//! A boundary-aware free-space manager.
+//! The traxtent allocator: a free-space map that knows where the tracks are.
 //!
-//! [`TraxtentAllocator`] tracks free LBN runs and serves three placement
-//! policies, in the order a traxtent-aware file system wants them (§3.2):
+//! [`TraxtentAllocator`] keeps one bit per *allocation unit* — a file-system
+//! block for `ffs` ([`in_units`](TraxtentAllocator::in_units)), one sector
+//! for [`new`](TraxtentAllocator::new) — and serves the placements a
+//! traxtent-aware file system wants (§3.2, §4.2.2):
 //!
-//! 1. [`alloc_traxtent`](TraxtentAllocator::alloc_traxtent) — a whole track,
-//!    closest to a hint (for large files and LFS segments);
-//! 2. [`alloc_within_track`](TraxtentAllocator::alloc_within_track) — a run
-//!    that does not cross a track boundary (for mid-size files);
-//! 3. [`alloc_near`](TraxtentAllocator::alloc_near) — the closest free run
+//! 1. [`exclude_straddlers`](TraxtentAllocator::exclude_straddlers) — every
+//!    unit that spans a track boundary is allocated forever, so no
+//!    allocation crosses one;
+//! 2. [`closest_traxtent_run`](TraxtentAllocator::closest_traxtent_run) —
+//!    the first free unit of the closest traxtent (the whole units of one
+//!    track) with room for a run, and
+//!    [`alloc_traxtent`](TraxtentAllocator::alloc_traxtent), a whole free
+//!    traxtent, both walking tracks outward from a hint;
+//! 3. [`closest_free_run`](TraxtentAllocator::closest_free_run) and
+//!    [`alloc_near`](TraxtentAllocator::alloc_near) — the closest free run
 //!    regardless of boundaries (the track-unaware fallback).
+//!
+//! Positions and lengths are in units throughout. Tracks a noisy extraction
+//! was not confident about get no exclusions and no track-aligned
+//! placement: alignment to a boundary that may be wrong buys nothing, so
+//! the untracked policies serve them.
 
 use crate::boundaries::{ConfidentBoundaries, TrackBoundaries};
 use crate::extent::Extent;
-use std::collections::BTreeMap;
 
-/// Free-space manager over the LBN space described by a boundary table.
+/// One bit per item, item `i` at bit `i % 64` of word `i / 64`. Bits past
+/// `len` stay zero, so no scan has to mask the last word.
+#[derive(Debug, Clone)]
+struct Bitmap {
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl Bitmap {
+    fn zeros(len: u64) -> Self {
+        Bitmap {
+            words: vec![0; len.div_ceil(64) as usize],
+            len,
+        }
+    }
+
+    fn ones(len: u64) -> Self {
+        let mut words = vec![u64::MAX; len.div_ceil(64) as usize];
+        if !len.is_multiple_of(64) {
+            *words.last_mut().expect("len is positive") = (1 << (len % 64)) - 1;
+        }
+        Bitmap { words, len }
+    }
+
+    // The one-bit operations are `#[inline]` because `ffs` reaches them
+    // through `take` and `is_free` once a block, from another crate.
+    /// Word index and bit mask of item `i`.
+    #[inline]
+    fn bit(&self, i: u64) -> (usize, u64) {
+        assert!(i < self.len, "item {i} beyond the map's {}", self.len);
+        ((i / 64) as usize, 1 << (i % 64))
+    }
+
+    #[inline]
+    fn get(&self, i: u64) -> bool {
+        let (word, bit) = self.bit(i);
+        self.words[word] & bit != 0
+    }
+
+    #[inline]
+    fn set(&mut self, i: u64) {
+        let (word, bit) = self.bit(i);
+        self.words[word] |= bit;
+    }
+
+    #[inline]
+    fn clear(&mut self, i: u64) {
+        let (word, bit) = self.bit(i);
+        self.words[word] &= !bit;
+    }
+
+    fn count_ones(&self) -> u64 {
+        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+    }
+
+    /// The first set item at or after `from`; `len` when there is none.
+    fn next_one(&self, from: u64) -> u64 {
+        if from >= self.len {
+            return self.len;
+        }
+        let mut at = (from / 64) as usize;
+        let mut word = self.words[at] & (u64::MAX << (from % 64));
+        while word == 0 {
+            at += 1;
+            if at == self.words.len() {
+                return self.len;
+            }
+            word = self.words[at];
+        }
+        at as u64 * 64 + u64::from(word.trailing_zeros())
+    }
+
+    /// The last set item at or before `from` (`len` is positive: the
+    /// allocator refuses an empty map).
+    fn prev_one(&self, from: u64) -> Option<u64> {
+        let from = from.min(self.len - 1);
+        let mut at = (from / 64) as usize;
+        let mut word = self.words[at] & (u64::MAX >> (63 - from % 64));
+        while word == 0 {
+            at = at.checked_sub(1)?;
+            word = self.words[at];
+        }
+        Some(at as u64 * 64 + 63 - u64::from(word.leading_zeros()))
+    }
+
+    /// Length of the run of set items starting at `from`, capped at `cap`.
+    fn ones_at(&self, from: u64, cap: u64) -> u64 {
+        let (mut n, mut at) = (0, from);
+        while n < cap && at < self.len {
+            let rest = 64 - at % 64;
+            let ones = u64::from((self.words[(at / 64) as usize] >> (at % 64)).trailing_ones());
+            n += ones;
+            if ones < rest {
+                break;
+            }
+            at += rest;
+        }
+        n.min(cap)
+    }
+
+    /// Items `first..first + width` in the low `width` bits of a word
+    /// (`1 <= width <= 64`).
+    fn window(&self, first: u64, width: u64) -> u64 {
+        let (at, shift) = ((first / 64) as usize, first % 64);
+        let mut bits = self.words[at] >> shift;
+        if shift + width > 64 {
+            bits |= self.words[at + 1] << (64 - shift);
+        }
+        bits & (u64::MAX >> (64 - width))
+    }
+
+    /// Length of the longest run of set items.
+    fn longest_run(&self) -> u64 {
+        let (mut longest, mut at) = (0, self.next_one(0));
+        while at < self.len {
+            let run = self.ones_at(at, u64::MAX);
+            longest = longest.max(run);
+            at = self.next_one(at + run);
+        }
+        longest
+    }
+}
+
+/// Free-space map over the allocation units of a disk whose track
+/// boundaries it knows.
 #[derive(Debug, Clone)]
 pub struct TraxtentAllocator {
     boundaries: TrackBoundaries,
-    /// Free runs: start → length. Invariant: non-overlapping, non-adjacent
-    /// (adjacent runs are coalesced), all within `[0, capacity)`.
-    free: BTreeMap<u64, u64>,
-    free_sectors: u64,
-    /// Per-track trust mask from a noisy extraction; `None` means every
-    /// track's boundaries are trusted. Untrusted tracks are never handed
-    /// out by the track-aligned policies — only by the untracked
-    /// [`alloc_near`](Self::alloc_near) fallback.
-    trusted: Option<Vec<bool>>,
+    /// Sectors per allocation unit, `1 << shift`. The track walk turns
+    /// sectors into units with these two alone: dividing, or shifting to
+    /// make the unit, measured slower on `ffs`'s Postmark walk.
+    unit: u64,
+    shift: u32,
+    /// Allocation units: the whole units that fit in the capacity.
+    units: u64,
+    /// Bit `u` set → unit `u` is free.
+    free: Bitmap,
+    /// Units allocated forever because they span a trusted track boundary.
+    excluded: Bitmap,
+    free_count: u64,
+    /// The first free unit (`units` when none is): no placement search
+    /// needs to look below it. `take` advances it, `release` lowers it.
+    low: u64,
+    /// Per-track trust mask from a noisy extraction; absent means every
+    /// track is trusted.
+    trusted: Option<Bitmap>,
 }
 
 impl TraxtentAllocator {
-    /// Creates an allocator with the entire LBN space free.
+    /// A sector-granular allocator over the table's whole LBN space, every
+    /// sector free and every track trusted.
     pub fn new(boundaries: TrackBoundaries) -> Self {
-        let cap = boundaries.capacity();
-        let mut free = BTreeMap::new();
-        free.insert(0, cap);
+        let capacity = boundaries.capacity();
+        Self::in_units(boundaries, 1, capacity, None)
+    }
+
+    /// An allocator over the `capacity / unit` whole units of `unit`
+    /// sectors that start the LBN space, every unit free. With `trust` =
+    /// `(extraction, threshold)`, tracks whose confidence falls below the
+    /// threshold are left out of the track-aligned policies and are never
+    /// excluded from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is not a power of two (the track walk shifts where
+    /// it would divide), or if no whole unit fits in `capacity`: an empty
+    /// map has no first free unit to keep.
+    pub fn in_units(
+        boundaries: TrackBoundaries,
+        unit: u64,
+        capacity: u64,
+        trust: Option<(&ConfidentBoundaries, f64)>,
+    ) -> Self {
+        assert!(
+            unit.is_power_of_two(),
+            "a {unit}-sector unit is no power of two"
+        );
+        assert!(
+            capacity >= unit,
+            "no whole {unit}-sector unit in {capacity} sectors"
+        );
+        let shift = unit.trailing_zeros();
+        let units = capacity >> shift;
+        let trusted = trust.map(|(extraction, threshold)| {
+            let tracks = extraction.table().num_tracks();
+            let mut mask = Bitmap::zeros(tracks as u64);
+            for i in (0..tracks).filter(|&i| extraction.is_confident(i, threshold)) {
+                mask.set(i as u64);
+            }
+            mask
+        });
         TraxtentAllocator {
             boundaries,
-            free,
-            free_sectors: cap,
-            trusted: None,
+            unit,
+            shift,
+            units,
+            free: Bitmap::ones(units),
+            excluded: Bitmap::zeros(units),
+            free_count: units,
+            low: 0,
+            trusted,
         }
     }
 
-    /// Creates an allocator with everything allocated (free space is added
-    /// with [`free`](Self::free)).
-    pub fn new_full(boundaries: TrackBoundaries) -> Self {
-        TraxtentAllocator {
-            boundaries,
-            free: BTreeMap::new(),
-            free_sectors: 0,
-            trusted: None,
+    /// Excludes every unit that starts on a trusted track and runs past its
+    /// end: the traxtent file system treats such a unit as allocated
+    /// forever, so no allocation spans a boundary. The only candidate per
+    /// track is the unit holding the track's last sector; with one-sector
+    /// units there is none. Call once, on a fresh map.
+    pub fn exclude_straddlers(&mut self) {
+        for (i, track) in self.boundaries.iter().enumerate() {
+            let u = (track.end() - 1) >> self.shift;
+            let first = u << self.shift;
+            if u < self.units
+                && first >= track.start
+                && first + self.unit > track.end()
+                && self.track_trusted(i)
+            {
+                self.excluded.set(u);
+                self.free.clear(u);
+                self.free_count -= 1;
+            }
         }
-    }
-
-    /// Creates an allocator from a noisy extraction: tracks whose
-    /// confidence falls below `threshold` are excluded from the
-    /// track-aligned policies ([`alloc_traxtent`](Self::alloc_traxtent) and
-    /// [`alloc_within_track`](Self::alloc_within_track)) — their boundaries
-    /// may be wrong, so alignment to them buys nothing. The space is still
-    /// served, untracked, by [`alloc_near`](Self::alloc_near).
-    pub fn with_confidence(boundaries: &ConfidentBoundaries, threshold: f64) -> Self {
-        let trusted = (0..boundaries.table().num_tracks())
-            .map(|i| boundaries.is_confident(i, threshold))
-            .collect();
-        let mut a = TraxtentAllocator::new(boundaries.table().clone());
-        a.trusted = Some(trusted);
-        a
-    }
-
-    /// Whether track `idx`'s boundaries are trusted for aligned placement
-    /// (always true for an allocator built without confidence data).
-    pub fn is_track_trusted(&self, idx: usize) -> bool {
-        self.trusted.as_ref().is_none_or(|t| t[idx])
-    }
-
-    /// Number of tracks excluded from aligned placement by low confidence.
-    pub fn untrusted_tracks(&self) -> usize {
-        self.trusted
-            .as_ref()
-            .map_or(0, |t| t.iter().filter(|&&x| !x).count())
+        self.low = self.free.next_one(0);
     }
 
     /// The boundary table in use.
@@ -87,219 +256,236 @@ impl TraxtentAllocator {
         &self.boundaries
     }
 
-    /// Total free sectors.
-    pub fn free_sectors(&self) -> u64 {
-        self.free_sectors
+    /// Allocation units in the map.
+    pub fn units(&self) -> u64 {
+        self.units
     }
 
-    /// Number of discontiguous free runs (a fragmentation signal).
-    pub fn free_runs(&self) -> usize {
-        self.free.len()
+    /// Free units remaining.
+    pub fn free_units(&self) -> u64 {
+        self.free_count
     }
 
-    /// Whether the whole extent is currently free.
-    pub fn is_free(&self, ext: Extent) -> bool {
-        match self.free.range(..=ext.start).next_back() {
-            Some((&s, &l)) => s + l >= ext.end(),
-            None => false,
+    /// Whether unit `u` is free.
+    #[inline]
+    pub fn is_free(&self, u: u64) -> bool {
+        self.free.get(u)
+    }
+
+    /// Whether unit `u` is excluded.
+    pub fn is_excluded(&self, u: u64) -> bool {
+        self.excluded.get(u)
+    }
+
+    /// Whether the track holding unit `u` has trustworthy boundaries
+    /// (always true for an allocator built without confidence data).
+    #[inline]
+    pub fn is_trusted(&self, u: u64) -> bool {
+        self.trusted.is_none() || self.track_trusted(self.boundaries.track_index(u << self.shift))
+    }
+
+    fn track_trusted(&self, track: usize) -> bool {
+        self.trusted.as_ref().is_none_or(|t| t.get(track as u64))
+    }
+
+    /// Fraction of all units lost to exclusion.
+    pub fn excluded_fraction(&self) -> f64 {
+        self.excluded.count_ones() as f64 / self.units as f64
+    }
+
+    /// Free-space fragmentation in `[0, 1]`: `1 − longest free run / free
+    /// units`. One contiguous free run scores 0; free space scattered in
+    /// many small runs approaches 1. Returns 0 on a full map.
+    pub fn fragmentation(&self) -> f64 {
+        if self.free_count == 0 {
+            return 0.0;
         }
+        1.0 - self.free.longest_run() as f64 / self.free_count as f64
     }
 
-    /// Allocates the whole track closest to `near` whose sectors are all
-    /// free. Returns the track extent, or `None` if no fully free track
-    /// remains.
-    pub fn alloc_traxtent(&mut self, near: u64) -> Option<Extent> {
-        let n = self.boundaries.num_tracks();
-        let origin = self
-            .boundaries
-            .track_index(near.min(self.boundaries.capacity() - 1));
-        for idx in ring(origin, n) {
-            if !self.is_track_trusted(idx) {
-                continue;
-            }
-            let t = self.boundaries.track_extent(idx);
-            if self.is_free(t) {
-                self.take(t);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Allocates `len` sectors that do not cross a track boundary, as close
-    /// to `near` as possible. Returns `None` if no single track has a free
-    /// run of `len` sectors.
+    /// Marks unit `u` allocated.
     ///
     /// # Panics
     ///
-    /// Panics if `len` is zero.
-    pub fn alloc_within_track(&mut self, len: u64, near: u64) -> Option<Extent> {
-        assert!(len > 0);
-        let n = self.boundaries.num_tracks();
-        let origin = self
-            .boundaries
-            .track_index(near.min(self.boundaries.capacity() - 1));
-        for idx in ring(origin, n) {
-            if !self.is_track_trusted(idx) {
-                continue;
+    /// Panics if the unit is not free.
+    #[inline]
+    pub fn take(&mut self, u: u64) {
+        assert!(self.free.get(u), "unit {u} is not free");
+        self.free.clear(u);
+        self.free_count -= 1;
+        if u == self.low {
+            self.low = self.free.next_one(u + 1);
+        }
+    }
+
+    /// Releases unit `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the unit is free or excluded.
+    pub fn release(&mut self, u: u64) {
+        assert!(!self.excluded.get(u), "excluded unit {u} cannot be freed");
+        assert!(!self.free.get(u), "double free of unit {u}");
+        self.free.set(u);
+        self.free_count += 1;
+        self.low = self.low.min(u);
+    }
+
+    /// The unit closest to `near` that starts `want` free units — the upper
+    /// one at equal distance — no further than `radius` units away.
+    pub fn closest_free_run(&self, near: u64, want: u64, radius: u64) -> Option<u64> {
+        let dist = |u: u64| u.abs_diff(near);
+        let nearer = |up: Option<u64>, down: Option<u64>| {
+            [up, down].into_iter().flatten().min_by_key(|&u| dist(u))
+        };
+        let above = |u: u64| Some(self.free.next_one(u)).filter(|&u| u < self.units);
+        // The closest free unit on each side; nothing below `low` is free.
+        let mut up = above(near.max(self.low));
+        let mut down = self.free.prev_one(near);
+        while let Some(u) = nearer(up, down).filter(|&u| dist(u) <= radius) {
+            let run = self.free.ones_at(u, want);
+            if run >= want {
+                return Some(u);
             }
-            let t = self.boundaries.track_extent(idx);
-            if let Some(e) = self.first_fit_within(t, len) {
-                self.take(e);
-                return Some(e);
+            if down == Some(u) {
+                down = u.checked_sub(1).and_then(|u| self.free.prev_one(u));
+            }
+            if up == Some(u) {
+                // The rest of this run is shorter still.
+                up = above(u + run);
             }
         }
         None
     }
 
-    /// Allocates `len` contiguous sectors from the free run closest to
-    /// `near`, ignoring track boundaries (the track-unaware policy used by
-    /// the baseline systems). Returns `None` when no run is long enough.
+    /// The first free unit of the closest traxtent that starts `want` free
+    /// units, or a shorter free run reaching the traxtent's last unit,
+    /// walking trusted tracks outward from the one holding unit `near`.
+    pub fn closest_traxtent_run(&self, near: u64, want: u64) -> Option<u64> {
+        self.tracks_outward(near)
+            .find_map(|track| self.traxtent_on_track(track, want))
+    }
+
+    /// Allocates the closest traxtent whose units are all free, walking
+    /// trusted tracks outward from the one holding unit `near`. Returns the
+    /// units taken, or `None` if no free traxtent remains.
+    pub fn alloc_traxtent(&mut self, near: u64) -> Option<Extent> {
+        let whole = self
+            .tracks_outward(near)
+            .filter_map(|track| self.traxtent(track))
+            .find(|t| self.free.ones_at(t.start, t.len) == t.len)?;
+        self.take_extent(whole);
+        Some(whole)
+    }
+
+    /// Allocates the `len` contiguous free units closest to `near`,
+    /// ignoring track boundaries (the track-unaware policy). Returns `None`
+    /// when no free run is that long.
     ///
     /// # Panics
     ///
     /// Panics if `len` is zero.
     pub fn alloc_near(&mut self, len: u64, near: u64) -> Option<Extent> {
-        assert!(len > 0);
-        let mut best: Option<(u64, Extent)> = None; // (distance, candidate)
-                                                    // Closest suitable run after `near` (or containing it).
-        for (&s, &l) in self
-            .free
-            .range(..=near)
-            .next_back()
-            .into_iter()
-            .chain(self.free.range(near..))
-        {
-            if l < len {
-                continue;
-            }
-            // Allocate at max(near, s) if the tail from there still fits,
-            // else at the run start.
-            let at = if near > s && near + len <= s + l {
-                near
-            } else {
-                s
-            };
-            let dist = at.abs_diff(near);
-            if best.map(|(d, _)| dist < d).unwrap_or(true) {
-                best = Some((dist, Extent::new(at, len)));
-            }
-            if s >= near {
-                break; // runs only get farther from here on
-            }
-        }
-        // Also scan backwards for a closer earlier run.
-        let limit = best.map(|(d, _)| d).unwrap_or(u64::MAX);
-        for (&s, &l) in self.free.range(..near).rev() {
-            if near - s > limit.saturating_add(l) {
-                break;
-            }
-            if l >= len {
-                let at = if near > s && near + len <= s + l {
-                    near
-                } else {
-                    s
-                };
-                let dist = at.abs_diff(near);
-                if best.map(|(d, _)| dist < d).unwrap_or(true) {
-                    best = Some((dist, Extent::new(at, len)));
-                }
-                break;
-            }
-        }
-        let (_, e) = best?;
-        self.take(e);
-        Some(e)
+        assert!(len > 0, "allocation of zero units");
+        let first = self.closest_free_run(near, len, u64::MAX)?;
+        let run = Extent::new(first, len);
+        self.take_extent(run);
+        Some(run)
     }
 
-    /// Frees an extent.
+    /// Frees an extent of units.
     ///
     /// # Panics
     ///
-    /// Panics if any part of the extent is already free or out of range.
+    /// Panics if any unit of it is free, excluded or past the map.
     pub fn free(&mut self, ext: Extent) {
-        assert!(
-            ext.end() <= self.boundaries.capacity(),
-            "free {ext} out of range"
-        );
-        // Check no overlap with existing free space.
-        if let Some((&s, &l)) = self.free.range(..ext.end()).next_back() {
-            assert!(
-                s + l <= ext.start,
-                "double free of {ext} (overlaps run [{s}, {})",
-                s + l
-            );
+        for u in ext.start..ext.end() {
+            self.release(u);
         }
-        self.free_sectors += ext.len;
-        // Coalesce with predecessor and successor.
-        let mut start = ext.start;
-        let mut end = ext.end();
-        if let Some((&s, &l)) = self.free.range(..start).next_back() {
-            if s + l == start {
-                start = s;
-                self.free.remove(&s);
-            }
-        }
-        if let Some((&s, &l)) = self.free.range(end..).next() {
-            if s == end {
-                end += l;
-                self.free.remove(&s);
-            }
-        }
-        self.free.insert(start, end - start);
     }
 
-    /// First free sub-run of `len` sectors inside track extent `t`.
-    fn first_fit_within(&self, t: Extent, len: u64) -> Option<Extent> {
-        // Runs that could overlap t: the one starting before t, plus those
-        // starting within it.
-        let before = self
-            .free
-            .range(..t.start)
-            .next_back()
-            .map(|(&s, &l)| Extent::new(s, l))
-            .filter(|r| r.end() > t.start);
-        let within = self
-            .free
-            .range(t.start..t.end())
-            .map(|(&s, &l)| Extent::new(s, l));
-        for run in before.into_iter().chain(within) {
-            if let Some(overlap) = run.intersect(&t) {
-                if overlap.len >= len {
-                    return Some(Extent::new(overlap.start, len));
-                }
+    fn take_extent(&mut self, ext: Extent) {
+        for u in ext.start..ext.end() {
+            self.take(u);
+        }
+    }
+
+    /// Track `track`'s traxtent: its whole units inside the map, if any.
+    fn traxtent(&self, track: usize) -> Option<Extent> {
+        let t = self.boundaries.track_extent(track);
+        let first = (t.start + self.unit - 1) >> self.shift;
+        let map = Extent {
+            start: 0,
+            len: self.units,
+        };
+        Extent::from_bounds(first, t.end() >> self.shift)?.intersect(&map)
+    }
+
+    /// Trusted tracks outward from the one holding unit `near`: that track,
+    /// then one below, one above, two below, two above, …, one side alone
+    /// once the other has run out. No track below the first free unit's:
+    /// one that ends at or before that unit has nothing free.
+    fn tracks_outward(&self, near: u64) -> impl Iterator<Item = usize> + '_ {
+        let tracks = self.boundaries.num_tracks();
+        // The unit's first sector, or the last sector when that lies past
+        // the table.
+        let last = self.boundaries.capacity() - 1;
+        let lbn = if near > last >> self.shift {
+            last
+        } else {
+            near << self.shift
+        };
+        let origin = self.boundaries.track_index(lbn);
+        let low_track = if self.low < self.units {
+            self.boundaries.track_index(self.low << self.shift)
+        } else {
+            tracks
+        };
+        let ups = origin.max(low_track)..tracks;
+        let downs = (low_track..origin).rev();
+        let paired = ups.len().min(downs.len());
+        let pairs = ups.clone().zip(downs.clone()).flat_map(|(u, d)| [u, d]);
+        pairs
+            .chain(ups.skip(paired))
+            .chain(downs.skip(paired))
+            .filter(|&track| self.track_trusted(track))
+    }
+
+    /// The first free unit of track `track`'s traxtent that starts `want`
+    /// free units, or a shorter free run reaching the traxtent's end.
+    fn traxtent_on_track(&self, track: usize, want: u64) -> Option<u64> {
+        let t = self.traxtent(track)?;
+        let (first, end, width) = (t.start, t.end(), t.len);
+        if width <= 64 {
+            let bits = self.free.window(first, width);
+            if bits == 0 {
+                return None;
             }
+            if bits >> (width - 1) == 0 {
+                // The last unit is taken, so no run leaves the track or
+                // reaches its end: the answer is in these bits. Each
+                // `starts & starts >> 1` keeps the bits that start a run
+                // one unit longer.
+                let mut starts = bits;
+                for _ in 1..want {
+                    starts &= starts >> 1;
+                    if starts == 0 {
+                        return None;
+                    }
+                }
+                return Some(first + u64::from(starts.trailing_zeros()));
+            }
+        }
+        let mut u = self.free.next_one(first);
+        while u < end {
+            let run = self.free.ones_at(u, want);
+            if run >= want || u + run == end {
+                return Some(u);
+            }
+            u = self.free.next_one(u + run);
         }
         None
     }
-
-    /// Removes `e` from the free map; `e` must be entirely free.
-    fn take(&mut self, e: Extent) {
-        let (&s, &l) = self
-            .free
-            .range(..=e.start)
-            .next_back()
-            .expect("allocating free space");
-        debug_assert!(s + l >= e.end(), "take of non-free extent");
-        self.free.remove(&s);
-        if s < e.start {
-            self.free.insert(s, e.start - s);
-        }
-        if e.end() < s + l {
-            self.free.insert(e.end(), s + l - e.end());
-        }
-        self.free_sectors -= e.len;
-    }
-}
-
-/// Yields `origin, origin+1, origin-1, origin+2, …` over `0..n`, visiting
-/// every index exactly once in order of distance from the origin.
-fn ring(origin: usize, n: usize) -> impl Iterator<Item = usize> {
-    std::iter::once(origin).chain((1..n).flat_map(move |step| {
-        let up = origin.checked_add(step).filter(|&i| i < n);
-        let down = origin.checked_sub(step);
-        up.into_iter().chain(down)
-    }))
 }
 
 #[cfg(test)]
@@ -310,15 +496,27 @@ mod tests {
         TrackBoundaries::uniform(10, 100)
     }
 
+    fn trusting(conf: Vec<f64>, threshold: f64) -> TraxtentAllocator {
+        let cb = ConfidentBoundaries::new(boundaries(), conf).unwrap();
+        TraxtentAllocator::in_units(boundaries(), 1, 1000, Some((&cb, threshold)))
+    }
+
+    fn track_of(a: &TraxtentAllocator, u: u64) -> usize {
+        a.boundaries().track_index(u)
+    }
+
     #[test]
     fn ring_visits_everything_once_starting_near_origin() {
-        let seen: Vec<usize> = ring(3, 6).collect();
-        let mut sorted = seen.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(seen.len(), 6);
-        assert_eq!(seen[0], 3, "origin first");
+        let a = TraxtentAllocator::new(TrackBoundaries::uniform(6, 10));
+        let seen: Vec<usize> = a.tracks_outward(35).collect();
+        assert_eq!(seen, [3, 2, 4, 1, 5, 0]);
+        // Nothing below the first free unit's track.
+        let mut a = a;
+        for u in 0..25 {
+            a.take(u);
+        }
+        let seen: Vec<usize> = a.tracks_outward(5).collect();
+        assert_eq!(seen, [2, 3, 4, 5]);
     }
 
     #[test]
@@ -326,9 +524,9 @@ mod tests {
         let mut a = TraxtentAllocator::new(boundaries());
         let e = a.alloc_traxtent(350).unwrap();
         assert_eq!(e, Extent::new(300, 100));
-        // That track is now gone; next closest wins.
-        let e2 = a.alloc_traxtent(350).unwrap();
-        assert!(e2 == Extent::new(400, 100) || e2 == Extent::new(200, 100));
+        // That track is now gone; the next closest wins, the lower first.
+        assert_eq!(a.alloc_traxtent(350), Some(Extent::new(200, 100)));
+        assert_eq!(a.alloc_traxtent(350), Some(Extent::new(400, 100)));
     }
 
     #[test]
@@ -338,25 +536,7 @@ mod tests {
         assert!(a.alloc_traxtent(0).is_some());
         assert!(a.alloc_traxtent(0).is_some());
         assert!(a.alloc_traxtent(0).is_none());
-        assert_eq!(a.free_sectors(), 0);
-    }
-
-    #[test]
-    fn alloc_within_track_never_crosses_boundary() {
-        let mut a = TraxtentAllocator::new(boundaries());
-        for _ in 0..20 {
-            if let Some(e) = a.alloc_within_track(33, 450) {
-                let (s, end) = a.boundaries().track_bounds(e.start);
-                assert!(e.start >= s && e.end() <= end, "{e} crosses a boundary");
-            }
-        }
-    }
-
-    #[test]
-    fn alloc_within_track_fails_for_oversized() {
-        let mut a = TraxtentAllocator::new(boundaries());
-        assert!(a.alloc_within_track(101, 0).is_none());
-        assert!(a.alloc_within_track(100, 0).is_some());
+        assert_eq!(a.free_units(), 0);
     }
 
     #[test]
@@ -364,41 +544,41 @@ mod tests {
         let mut a = TraxtentAllocator::new(boundaries());
         let e = a.alloc_near(150, 80).unwrap();
         assert_eq!(e, Extent::new(80, 150));
-        assert!(!a.is_free(Extent::new(80, 1)));
-        assert!(a.is_free(Extent::new(0, 80)));
-        assert!(a.is_free(Extent::new(230, 1)));
+        assert!(!a.is_free(80) && !a.is_free(229));
+        assert!((0..80).all(|u| a.is_free(u)));
+        assert!(a.is_free(230));
     }
 
     #[test]
     fn alloc_near_finds_earlier_run_when_later_absent() {
         let tb = TrackBoundaries::uniform(4, 100);
-        let mut a = TraxtentAllocator::new_full(tb);
+        let mut a = TraxtentAllocator::new(tb);
+        let all = a.alloc_near(400, 0).unwrap();
         a.free(Extent::new(0, 50));
-        let e = a.alloc_near(30, 399).unwrap();
-        assert_eq!(e.start, 0);
-        assert_eq!(e.len, 30);
+        assert_eq!(a.alloc_near(51, 399), None);
+        // The closest position that fits, not the run's start.
+        assert_eq!(a.alloc_near(30, 399), Some(Extent::new(20, 30)));
+        assert_eq!(all, Extent::new(0, 400));
     }
 
     #[test]
     fn low_confidence_tracks_are_skipped_by_aligned_policies() {
         // Tracks 3 and 4 came out of a noisy extraction below threshold.
         let conf = vec![1.0, 1.0, 1.0, 0.4, 0.6, 1.0, 1.0, 1.0, 1.0, 1.0];
-        let cb = ConfidentBoundaries::new(boundaries(), conf).unwrap();
-        let mut a = TraxtentAllocator::with_confidence(&cb, 0.9);
-        assert_eq!(a.untrusted_tracks(), 2);
-        assert!(!a.is_track_trusted(3));
-        assert!(a.is_track_trusted(5));
+        let mut a = trusting(conf, 0.9);
+        assert!(!a.is_trusted(350) && !a.is_trusted(499));
+        assert!(a.is_trusted(500));
 
         // A whole-track request near track 3 lands on a trusted neighbour.
         let e = a.alloc_traxtent(350).unwrap();
-        let idx = a.boundaries().track_index(e.start);
+        let idx = track_of(&a, e.start);
         assert!(idx != 3 && idx != 4, "allocated untrusted track {idx}");
 
-        // Within-track placement near track 4 avoids the untrusted region
-        // too, even though those sectors are free.
-        let e = a.alloc_within_track(50, 430).unwrap();
-        let idx = a.boundaries().track_index(e.start);
-        assert!(idx != 3 && idx != 4, "allocated untrusted track {idx}");
+        // A traxtent run near track 4 avoids the untrusted region too, even
+        // though those units are free.
+        let u = a.closest_traxtent_run(430, 50).unwrap();
+        let idx = track_of(&a, u);
+        assert!(idx != 3 && idx != 4, "placed on untrusted track {idx}");
 
         // The untracked fallback still serves the region.
         let e = a.alloc_near(50, 330).unwrap();
@@ -407,24 +587,21 @@ mod tests {
 
     #[test]
     fn fully_untrusted_table_degrades_to_untracked_only() {
-        let cb = ConfidentBoundaries::new(boundaries(), vec![0.0; 10]).unwrap();
-        let mut a = TraxtentAllocator::with_confidence(&cb, 0.5);
+        let mut a = trusting(vec![0.0; 10], 0.5);
         assert!(a.alloc_traxtent(0).is_none());
-        assert!(a.alloc_within_track(10, 0).is_none());
+        assert!(a.closest_traxtent_run(0, 10).is_none());
         // Untracked allocation is unaffected.
         assert!(a.alloc_near(150, 0).is_some());
     }
 
     #[test]
     fn certain_confidence_changes_nothing() {
-        let cb = ConfidentBoundaries::certain(boundaries());
-        let mut gated = TraxtentAllocator::with_confidence(&cb, 0.9);
+        let mut gated = trusting(vec![1.0; 10], 0.9);
         let mut plain = TraxtentAllocator::new(boundaries());
-        assert_eq!(gated.untrusted_tracks(), 0);
         assert_eq!(gated.alloc_traxtent(350), plain.alloc_traxtent(350));
         assert_eq!(
-            gated.alloc_within_track(33, 120),
-            plain.alloc_within_track(33, 120)
+            gated.closest_traxtent_run(120, 33),
+            plain.closest_traxtent_run(120, 33)
         );
     }
 
@@ -433,11 +610,12 @@ mod tests {
         let mut a = TraxtentAllocator::new(boundaries());
         let e1 = a.alloc_near(100, 0).unwrap();
         let e2 = a.alloc_near(100, 100).unwrap();
-        assert_eq!(a.free_runs(), 1);
+        assert_eq!(a.fragmentation(), 0.0, "one free run");
         a.free(e1);
+        assert!(a.fragmentation() > 0.0, "two runs with a hole between");
         a.free(e2);
-        assert_eq!(a.free_runs(), 1, "freed runs should coalesce");
-        assert_eq!(a.free_sectors(), 1000);
+        assert_eq!(a.fragmentation(), 0.0, "freed runs coalesce");
+        assert_eq!(a.free_units(), 1000);
     }
 
     #[test]
@@ -450,19 +628,18 @@ mod tests {
     #[test]
     fn accounting_is_conserved() {
         let mut a = TraxtentAllocator::new(boundaries());
-        let total = a.free_sectors();
+        let total = a.free_units();
         let mut held = Vec::new();
         for i in 0..8 {
-            if let Some(e) = a.alloc_within_track(37, i * 117) {
-                held.push(e);
-            }
+            held.extend(a.alloc_near(37, i * 117));
+            held.extend(a.alloc_traxtent(i * 117));
         }
         let held_total: u64 = held.iter().map(|e| e.len).sum();
-        assert_eq!(a.free_sectors() + held_total, total);
+        assert_eq!(a.free_units() + held_total, total);
         for e in held {
             a.free(e);
         }
-        assert_eq!(a.free_sectors(), total);
-        assert_eq!(a.free_runs(), 1);
+        assert_eq!(a.free_units(), total);
+        assert_eq!(a.fragmentation(), 0.0);
     }
 }

@@ -19,7 +19,6 @@ impl Extent {
     ///
     /// let e = Extent::new(10, 5); // sectors 10, 11, 12, 13, 14
     /// assert_eq!(e.end(), 15);
-    /// assert!(e.contains(14) && !e.contains(15));
     /// ```
     ///
     /// # Panics
@@ -43,17 +42,16 @@ impl Extent {
     /// assert_eq!(Extent::from_bounds(5, 5), None); // empty range
     /// ```
     pub fn from_bounds(start: u64, end: u64) -> Option<Self> {
-        (end > start).then(|| Extent::new(start, end - start))
+        // `end > start`: the length is positive and the end is in range.
+        (end > start).then(|| Extent {
+            start,
+            len: end - start,
+        })
     }
 
     /// One past the last LBN.
     pub fn end(&self) -> u64 {
         self.start + self.len
-    }
-
-    /// Whether `lbn` falls inside the extent.
-    pub fn contains(&self, lbn: u64) -> bool {
-        (self.start..self.end()).contains(&lbn)
     }
 
     /// The overlap of two extents, if any.
@@ -84,7 +82,6 @@ mod tests {
     fn basics() {
         let e = Extent::new(10, 5);
         assert_eq!(e.end(), 15);
-        assert!(e.contains(10) && e.contains(14) && !e.contains(15));
         assert_eq!(format!("{e}"), "[10, 15)");
     }
 

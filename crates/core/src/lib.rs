@@ -14,10 +14,11 @@
 //!
 //! * [`TrackBoundaries`] — the boundary table with O(log n) queries;
 //! * [`Extent`] and boundary-aware splitting;
-//! * [`alloc::TraxtentAllocator`] — a free-space manager that prefers
-//!   whole-traxtent and within-traxtent placements;
+//! * [`alloc::TraxtentAllocator`] — the free-space map the `ffs` file
+//!   system allocates from: excluded blocks, traxtent placement and the
+//!   untracked fallback, in allocation units of any size;
 //! * [`planner::RequestPlanner`] — clips or extends prefetch and write-back
-//!   requests at track boundaries;
+//!   requests at track boundaries (`ffs` sizes its transfers with it);
 //! * [`model`] — closed-form performance models behind Figures 1 and 3 of
 //!   the paper;
 //! * [`stats`] — small statistics helpers used throughout the evaluation;
@@ -57,4 +58,4 @@ pub mod stats;
 pub use alloc::TraxtentAllocator;
 pub use boundaries::{BoundariesError, ConfidentBoundaries, TrackBoundaries};
 pub use extent::Extent;
-pub use planner::{PlanStatsSnapshot, RequestPlanner, StripePlanner};
+pub use planner::RequestPlanner;

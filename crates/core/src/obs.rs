@@ -3,15 +3,14 @@
 //! The layers above the drive engine — extraction, file systems, the video
 //! server, workload generators — expose what they did through a shared
 //! [`Registry`]: a named set of monotonically increasing counters and
-//! set-on-export gauges. The design follows the `PlanStatsSnapshot` idiom
-//! already used by [`crate::planner::RequestPlanner`]:
+//! set-on-export gauges:
 //!
 //! * hot-path updates are a single relaxed atomic add on a pre-registered
 //!   [`Counter`] handle — no lock, no allocation, no formatting;
 //! * registration (name lookup) takes a mutex, but happens once per counter,
 //!   outside any measured loop;
 //! * reading is always via an immutable point-in-time [`Snapshot`], sorted
-//!   by name so output and JSON are deterministic.
+//!   by name so output is deterministic.
 //!
 //! Because relaxed counter additions commute, totals are deterministic even
 //! when independent simulation cells update the same registry from a worker
@@ -148,23 +147,6 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The snapshot as one flat JSON object (`{"a.b": 1, ...}`), keys
-    /// sorted. Instrumentation uses plain dotted identifiers, but names
-    /// are escaped like any other JSON string anyway.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::write_string(&mut out, name);
-            out.push_str(": ");
-            out.push_str(&value.to_string());
-        }
-        out.push('}');
-        out
-    }
 }
 
 impl fmt::Display for Snapshot {
@@ -228,22 +210,13 @@ mod tests {
         let names: Vec<&str> = snap.entries().iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "m", "z"]);
         assert_eq!(snap.get("missing"), None);
-        assert_eq!(snap.to_json(), r#"{"a": 2, "m": 3, "z": 1}"#);
     }
 
     #[test]
     fn empty_snapshot() {
         let snap = Registry::new().snapshot();
         assert!(snap.is_empty());
-        assert_eq!(snap.to_json(), "{}");
         assert_eq!(snap.to_string(), "");
-    }
-
-    #[test]
-    fn json_escapes_quotes() {
-        let reg = Registry::new();
-        reg.add("we\"ird\\name", 1);
-        assert_eq!(reg.snapshot().to_json(), r#"{"we\"ird\\name": 1}"#);
     }
 
     #[test]

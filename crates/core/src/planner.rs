@@ -7,89 +7,17 @@
 
 use crate::boundaries::TrackBoundaries;
 use crate::extent::Extent;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Planner activity counters, kept with relaxed atomics so a planner
-/// shared across worker threads can be observed without locking.
-#[derive(Debug, Default)]
-struct PlanStats {
-    prefetches: AtomicU64,
-    prefetch_extensions: AtomicU64,
-    writebacks: AtomicU64,
-    writeback_clips: AtomicU64,
-    splits: AtomicU64,
-    split_pieces: AtomicU64,
-}
-
-/// A point-in-time copy of a planner's activity counters
-/// (see [`RequestPlanner::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanStatsSnapshot {
-    /// Prefetch plans made ([`RequestPlanner::plan_prefetch`]).
-    pub prefetches: u64,
-    /// Prefetches that opened a track and were extended to cover it — the
-    /// traxtent-sized fetches the paper's §3.2 policy exists to create.
-    pub prefetch_extensions: u64,
-    /// Write-back plans made ([`RequestPlanner::plan_writeback`]).
-    pub writebacks: u64,
-    /// Write-backs that were clipped short at a track boundary.
-    pub writeback_clips: u64,
-    /// Extent splits performed ([`RequestPlanner::split`]).
-    pub splits: u64,
-    /// Total track-aligned pieces those splits produced.
-    pub split_pieces: u64,
-}
 
 /// Plans request sizes against a boundary table.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RequestPlanner {
     boundaries: TrackBoundaries,
-    stats: PlanStats,
-}
-
-impl Clone for RequestPlanner {
-    /// Cloning copies the boundary table and the counters' current values.
-    fn clone(&self) -> Self {
-        let snap = self.stats();
-        RequestPlanner {
-            boundaries: self.boundaries.clone(),
-            stats: PlanStats {
-                prefetches: AtomicU64::new(snap.prefetches),
-                prefetch_extensions: AtomicU64::new(snap.prefetch_extensions),
-                writebacks: AtomicU64::new(snap.writebacks),
-                writeback_clips: AtomicU64::new(snap.writeback_clips),
-                splits: AtomicU64::new(snap.splits),
-                split_pieces: AtomicU64::new(snap.split_pieces),
-            },
-        }
-    }
 }
 
 impl RequestPlanner {
     /// Creates a planner.
     pub fn new(boundaries: TrackBoundaries) -> Self {
-        RequestPlanner {
-            boundaries,
-            stats: PlanStats::default(),
-        }
-    }
-
-    /// The boundary table in use.
-    pub fn boundaries(&self) -> &TrackBoundaries {
-        &self.boundaries
-    }
-
-    /// A snapshot of the planner's activity counters since creation (or the
-    /// values carried over by a clone).
-    pub fn stats(&self) -> PlanStatsSnapshot {
-        PlanStatsSnapshot {
-            prefetches: self.stats.prefetches.load(Ordering::Relaxed),
-            prefetch_extensions: self.stats.prefetch_extensions.load(Ordering::Relaxed),
-            writebacks: self.stats.writebacks.load(Ordering::Relaxed),
-            writeback_clips: self.stats.writeback_clips.load(Ordering::Relaxed),
-            splits: self.stats.splits.load(Ordering::Relaxed),
-            split_pieces: self.stats.split_pieces.load(Ordering::Relaxed),
-        }
+        RequestPlanner { boundaries }
     }
 
     /// Plans a prefetch starting at `start`: the caller wants `want` sectors
@@ -103,15 +31,9 @@ impl RequestPlanner {
     /// Panics if `start` is at or beyond capacity or `want` is zero.
     pub fn plan_prefetch(&self, start: u64, want: u64, cap: u64) -> u64 {
         assert!(want > 0, "prefetch of zero sectors");
-        self.stats.prefetches.fetch_add(1, Ordering::Relaxed);
         let (tstart, tend) = self.boundaries.track_bounds(start);
         let track_remaining = tend - start;
         let len = if start == tstart {
-            if track_remaining > want {
-                self.stats
-                    .prefetch_extensions
-                    .fetch_add(1, Ordering::Relaxed);
-            }
             track_remaining.max(want)
         } else {
             want
@@ -128,29 +50,13 @@ impl RequestPlanner {
     /// Panics if `start` is at or beyond capacity or `want` is zero.
     pub fn plan_writeback(&self, start: u64, want: u64) -> u64 {
         assert!(want > 0, "write-back of zero sectors");
-        self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
-        let len = self.boundaries.clip_to_track(start, want);
-        if len < want {
-            self.stats.writeback_clips.fetch_add(1, Ordering::Relaxed);
-        }
-        len
+        self.boundaries.clip_to_track(start, want)
     }
 
     /// Splits an arbitrary transfer into track-aligned pieces, each of which
     /// becomes one disk request.
     pub fn split(&self, ext: Extent) -> Vec<Extent> {
-        let pieces: Vec<Extent> = self.boundaries.split_extent(ext).collect();
-        self.stats.splits.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .split_pieces
-            .fetch_add(pieces.len() as u64, Ordering::Relaxed);
-        pieces
-    }
-
-    /// True if `[start, start+len)` stays within one track.
-    pub fn is_track_local(&self, start: u64, len: u64) -> bool {
-        let (_, end) = self.boundaries.track_bounds(start);
-        start + len <= end
+        self.boundaries.split_extent(ext).collect()
     }
 }
 
@@ -158,8 +64,12 @@ impl RequestPlanner {
 mod tests {
     use super::*;
 
+    fn table() -> TrackBoundaries {
+        TrackBoundaries::from_track_lengths([100, 99, 101]).unwrap()
+    }
+
     fn planner() -> RequestPlanner {
-        RequestPlanner::new(TrackBoundaries::from_track_lengths([100, 99, 101]).unwrap())
+        RequestPlanner::new(table())
     }
 
     #[test]
@@ -197,11 +107,11 @@ mod tests {
 
     #[test]
     fn split_covers_without_crossing() {
-        let p = planner();
-        let pieces = p.split(Extent::new(0, 300));
+        let pieces = planner().split(Extent::new(0, 300));
         assert_eq!(pieces.len(), 3);
         for e in &pieces {
-            assert!(p.is_track_local(e.start, e.len), "{e} crosses a track");
+            let (_, end) = table().track_bounds(e.start);
+            assert!(e.end() <= end, "{e} crosses a track");
         }
         assert_eq!(pieces.iter().map(|e| e.len).sum::<u64>(), 300);
     }
@@ -210,117 +120,5 @@ mod tests {
     #[should_panic(expected = "zero sectors")]
     fn zero_prefetch_panics() {
         planner().plan_prefetch(0, 0, 10);
-    }
-
-    #[test]
-    fn stats_count_planner_activity() {
-        let p = planner();
-        let _ = p.plan_prefetch(0, 8, 1_000); // opens track 0 → extended
-        let _ = p.plan_prefetch(150, 8, 1_000); // mid-track → not extended
-        let _ = p.plan_writeback(95, 64); // clipped at 100
-        let _ = p.plan_writeback(100, 32); // fits
-        let pieces = p.split(Extent::new(0, 300));
-        let s = p.stats();
-        assert_eq!(s.prefetches, 2);
-        assert_eq!(s.prefetch_extensions, 1);
-        assert_eq!(s.writebacks, 2);
-        assert_eq!(s.writeback_clips, 1);
-        assert_eq!(s.splits, 1);
-        assert_eq!(s.split_pieces, pieces.len() as u64);
-        // Clones carry the counters over.
-        assert_eq!(p.clone().stats(), s);
-    }
-}
-
-/// Generalized boundary planning: §1 notes that variable-sized extents let
-/// a file system honor *other* boundary-related goals with the same
-/// machinery — e.g. matching writes to RAID 5 stripe boundaries to avoid
-/// read-modify-write cycles. `StripePlanner` composes a stripe grid with a
-/// track-boundary table: requests are clipped at whichever boundary comes
-/// first.
-#[derive(Debug, Clone)]
-pub struct StripePlanner {
-    tracks: RequestPlanner,
-    /// Stripe unit in sectors.
-    stripe: u64,
-}
-
-impl StripePlanner {
-    /// Creates a planner over `boundaries` with the given stripe unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripe_sectors` is zero.
-    pub fn new(boundaries: TrackBoundaries, stripe_sectors: u64) -> Self {
-        assert!(stripe_sectors > 0, "stripe unit must be positive");
-        StripePlanner {
-            tracks: RequestPlanner::new(boundaries),
-            stripe: stripe_sectors,
-        }
-    }
-
-    /// Next stripe boundary strictly after `lbn`.
-    pub fn next_stripe_boundary(&self, lbn: u64) -> u64 {
-        (lbn / self.stripe + 1) * self.stripe
-    }
-
-    /// Plans a write-back clipped at both the next track boundary and the
-    /// next stripe boundary, so a full-stripe write never degenerates into
-    /// a read-modify-write and a track write never crosses a track.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is at or beyond capacity or `want` is zero.
-    pub fn plan_writeback(&self, start: u64, want: u64) -> u64 {
-        let track_clipped = self.tracks.plan_writeback(start, want);
-        track_clipped.min(self.next_stripe_boundary(start) - start)
-    }
-
-    /// True if `[start, start+len)` crosses neither kind of boundary.
-    pub fn is_local(&self, start: u64, len: u64) -> bool {
-        self.tracks.is_track_local(start, len) && start + len <= self.next_stripe_boundary(start)
-    }
-}
-
-#[cfg(test)]
-mod stripe_tests {
-    use super::*;
-
-    #[test]
-    fn clips_at_the_nearer_boundary() {
-        // Tracks of 100, stripes of 64.
-        let tb = TrackBoundaries::uniform(10, 100);
-        let p = StripePlanner::new(tb, 64);
-        // From 0: stripe ends at 64, track at 100 → clip at 64.
-        assert_eq!(p.plan_writeback(0, 1000), 64);
-        // From 70: track ends at 100, stripe at 128 → clip at 100.
-        assert_eq!(p.plan_writeback(70, 1000), 30);
-        // Small writes untouched.
-        assert_eq!(p.plan_writeback(10, 5), 5);
-    }
-
-    #[test]
-    fn locality_respects_both_grids() {
-        let tb = TrackBoundaries::uniform(10, 100);
-        let p = StripePlanner::new(tb, 64);
-        assert!(p.is_local(0, 64));
-        assert!(!p.is_local(0, 65));
-        assert!(p.is_local(64, 36));
-        assert!(!p.is_local(64, 37), "crosses the track at 100");
-    }
-
-    #[test]
-    fn stripe_boundary_math() {
-        let tb = TrackBoundaries::uniform(4, 100);
-        let p = StripePlanner::new(tb, 64);
-        assert_eq!(p.next_stripe_boundary(0), 64);
-        assert_eq!(p.next_stripe_boundary(63), 64);
-        assert_eq!(p.next_stripe_boundary(64), 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "stripe unit must be positive")]
-    fn zero_stripe_rejected() {
-        let _ = StripePlanner::new(TrackBoundaries::uniform(2, 10), 0);
     }
 }

@@ -23,16 +23,6 @@ impl Running {
         self.m2 += d * (x - self.mean);
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 for an empty accumulator).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Population standard deviation (0 with fewer than two samples).
     pub fn std_dev(&self) -> f64 {
         if self.n < 2 {
@@ -103,19 +93,19 @@ mod tests {
     fn running_matches_batch() {
         let xs = [1.0, 2.0, 3.0, 4.0, 10.0];
         let r: Running = xs.iter().copied().collect();
-        assert_eq!(r.count(), 5);
-        assert!((r.mean() - mean(&xs)).abs() < 1e-12);
+        assert_eq!(r.n, 5);
+        assert!((r.mean - mean(&xs)).abs() < 1e-12);
         assert!((r.std_dev() - std_dev(&xs)).abs() < 1e-12);
     }
 
     #[test]
     fn empty_and_singleton() {
         let r = Running::new();
-        assert_eq!(r.mean(), 0.0);
+        assert_eq!(r.mean, 0.0);
         assert_eq!(r.std_dev(), 0.0);
         let mut one = Running::new();
         one.push(7.0);
-        assert_eq!(one.mean(), 7.0);
+        assert_eq!(one.mean, 7.0);
         assert_eq!(one.std_dev(), 0.0);
         assert_eq!(mean(&[]), 0.0);
     }

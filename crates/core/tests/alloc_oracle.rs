@@ -1,0 +1,519 @@
+//! The allocator's sector API against the allocator it replaced: free runs
+//! in a `BTreeMap`, start → length, and a `Vec<bool>` trust mask, kept here
+//! because it is obviously right and nowhere else because it is slow.
+//!
+//! The bitmap allocator took two rules over from the file system, whose
+//! placements every figure ran, and the tree allocator is changed to match
+//! in the two places marked *Changed* (DESIGN §6 has which side is the
+//! paper's): the track walk visits the lower of two equidistant tracks
+//! first, and `alloc_near` places at the free position closest to the hint
+//! — the upper one at equal distance — instead of at the start of the
+//! closest run. Run with `-- --nocapture`, the property prints how often
+//! each branch was seen and fails if one was seen fewer than 16 times.
+//!
+//! The boundary states random tables rarely reach — one track, tracks
+//! shorter than a unit, a capacity that is no whole number of units, a map
+//! filled to nothing and drained back, a map of no unit — are plain tests
+//! at the end.
+
+use proptest::prelude::*;
+use proptest::{FailureReporter, TestRng};
+use std::collections::BTreeMap;
+use std::fmt::Debug;
+use traxtent::{ConfidentBoundaries, Extent, TrackBoundaries, TraxtentAllocator};
+
+/// How often each named branch was seen, over all the cases of a property.
+#[derive(Debug, Default)]
+struct Tally(BTreeMap<&'static str, u32>);
+
+impl Tally {
+    fn note(&mut self, branch: &'static str) {
+        *self.0.entry(branch).or_default() += 1;
+    }
+
+    fn note_if(&mut self, seen: bool, branch: &'static str) {
+        if seen {
+            self.note(branch);
+        }
+    }
+
+    fn require(&self, name: &str, branches: &[&str]) {
+        println!("{name}: {:?}", self.0);
+        for branch in branches {
+            let n = self.0.get(branch).copied().unwrap_or(0);
+            assert!(n >= 16, "{branch} was seen only {n} times: {:?}", self.0);
+        }
+    }
+}
+
+/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
+/// draws them (seeded by `name`, inputs printed when a case panics) —
+/// spelled out so that the property can tally branches across cases.
+fn for_cases<S: Strategy>(
+    name: &'static str,
+    cases: u32,
+    strategy: S,
+    mut body: impl FnMut(S::Value),
+) where
+    S::Value: Debug,
+{
+    let mut rng = TestRng::deterministic(name);
+    for case in 0..cases {
+        let value = strategy.sample(&mut rng);
+        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
+        body(value);
+        reporter.disarm();
+    }
+}
+
+/// Free-space manager over the LBN space described by a boundary table.
+#[derive(Debug, Clone)]
+struct TreeAllocator {
+    boundaries: TrackBoundaries,
+    /// Free runs: start → length. Invariant: non-overlapping, non-adjacent
+    /// (adjacent runs are coalesced), all within `[0, capacity)`.
+    free: BTreeMap<u64, u64>,
+    free_sectors: u64,
+    /// Per-track trust mask from a noisy extraction; `None` means every
+    /// track's boundaries are trusted. Untrusted tracks are never handed
+    /// out by the track-aligned policies — only by the untracked
+    /// [`alloc_near`](Self::alloc_near) fallback.
+    trusted: Option<Vec<bool>>,
+}
+
+impl TreeAllocator {
+    /// Creates an allocator with the entire LBN space free.
+    fn new(boundaries: TrackBoundaries) -> Self {
+        let cap = boundaries.capacity();
+        let mut free = BTreeMap::new();
+        free.insert(0, cap);
+        TreeAllocator {
+            boundaries,
+            free,
+            free_sectors: cap,
+            trusted: None,
+        }
+    }
+
+    /// Creates an allocator from a noisy extraction: tracks whose
+    /// confidence falls below `threshold` are excluded from the
+    /// track-aligned policy.
+    fn with_confidence(boundaries: &ConfidentBoundaries, threshold: f64) -> Self {
+        let trusted = (0..boundaries.table().num_tracks())
+            .map(|i| boundaries.is_confident(i, threshold))
+            .collect();
+        let mut a = TreeAllocator::new(boundaries.table().clone());
+        a.trusted = Some(trusted);
+        a
+    }
+
+    /// Whether track `idx`'s boundaries are trusted for aligned placement
+    /// (always true for an allocator built without confidence data).
+    fn is_track_trusted(&self, idx: usize) -> bool {
+        self.trusted.as_ref().is_none_or(|t| t[idx])
+    }
+
+    /// Whether the whole extent is currently free.
+    fn is_free(&self, ext: Extent) -> bool {
+        match self.free.range(..=ext.start).next_back() {
+            Some((&s, &l)) => s + l >= ext.end(),
+            None => false,
+        }
+    }
+
+    /// Allocates the whole track closest to `near` whose sectors are all
+    /// free. Returns the track extent, or `None` if no fully free track
+    /// remains.
+    fn alloc_traxtent(&mut self, near: u64, seen: &mut Tally) -> Option<Extent> {
+        let n = self.boundaries.num_tracks();
+        let origin = self
+            .boundaries
+            .track_index(near.min(self.boundaries.capacity() - 1));
+        for idx in ring(origin, n) {
+            let t = self.boundaries.track_extent(idx);
+            if !self.is_track_trusted(idx) {
+                seen.note_if(self.is_free(t), "untrusted_free_track_skipped");
+                continue;
+            }
+            if self.is_free(t) {
+                seen.note_if(idx == origin, "traxtent_at_the_origin");
+                seen.note_if(idx < origin, "traxtent_below_the_origin");
+                seen.note_if(idx > origin, "traxtent_above_the_origin");
+                let distance = origin.abs_diff(idx);
+                seen.note_if(
+                    idx < origin && origin + distance >= n,
+                    "traxtent_below_once_the_top_ran_out",
+                );
+                seen.note_if(
+                    idx > origin && distance > origin,
+                    "traxtent_above_once_the_bottom_ran_out",
+                );
+                let first_free = *self.free.keys().next().expect("a track is free");
+                seen.note_if(
+                    self.boundaries.track_index(first_free) > origin,
+                    "origin_below_the_first_free_track",
+                );
+                self.take(t);
+                return Some(t);
+            }
+        }
+        seen.note("no_free_traxtent");
+        None
+    }
+
+    /// *Changed:* the `len` free sectors closest to `near`, the upper
+    /// placement at equal distance. The library placed at `near` when the
+    /// run holding it had room from there, and at a run's start otherwise.
+    fn alloc_near(&mut self, len: u64, near: u64, seen: &mut Tally) -> Option<Extent> {
+        assert!(len > 0);
+        let placements = || {
+            (self.free.iter())
+                .filter(move |&(_, &l)| l >= len)
+                .map(move |(&s, &l)| near.clamp(s, s + l - len))
+        };
+        let best = placements().min_by_key(|&at| (at.abs_diff(near), at < near));
+        let Some(at) = best else {
+            seen.note("no_free_run");
+            return None;
+        };
+        let distance = at.abs_diff(near);
+        seen.note_if(at == near, "run_at_the_hint");
+        seen.note_if(at < near, "run_below_the_hint");
+        seen.note_if(at > near, "run_above_the_hint");
+        seen.note_if(
+            at > near && placements().any(|b| b < near && near - b == distance),
+            "tie_went_up",
+        );
+        seen.note_if(
+            at < near && self.is_free(Extent::new(at, near - at + 1)),
+            "run_holds_the_hint_but_ends_short",
+        );
+        seen.note_if(near >= self.boundaries.capacity(), "hint_past_the_end");
+        let e = Extent::new(at, len);
+        self.take(e);
+        Some(e)
+    }
+
+    /// Frees an extent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any part of the extent is already free or out of range.
+    fn free(&mut self, ext: Extent, seen: &mut Tally) {
+        assert!(
+            ext.end() <= self.boundaries.capacity(),
+            "free {ext} out of range"
+        );
+        // Check no overlap with existing free space.
+        if let Some((&s, &l)) = self.free.range(..ext.end()).next_back() {
+            assert!(
+                s + l <= ext.start,
+                "double free of {ext} (overlaps run [{s}, {})",
+                s + l
+            );
+        }
+        self.free_sectors += ext.len;
+        // Coalesce with predecessor and successor.
+        let mut start = ext.start;
+        let mut end = ext.end();
+        let mut joined = 0;
+        if let Some((&s, &l)) = self.free.range(..start).next_back() {
+            if s + l == start {
+                start = s;
+                self.free.remove(&s);
+                joined += 1;
+            }
+        }
+        if let Some((&s, &l)) = self.free.range(end..).next() {
+            if s == end {
+                end += l;
+                self.free.remove(&s);
+                joined += 1;
+            }
+        }
+        self.free.insert(start, end - start);
+        seen.note(
+            [
+                "freed_alone",
+                "freed_beside_one_run",
+                "freed_between_two_runs",
+            ][joined],
+        );
+    }
+
+    /// Removes `e` from the free map; `e` must be entirely free.
+    fn take(&mut self, e: Extent) {
+        let (&s, &l) = self
+            .free
+            .range(..=e.start)
+            .next_back()
+            .expect("allocating free space");
+        debug_assert!(s + l >= e.end(), "take of non-free extent");
+        self.free.remove(&s);
+        if s < e.start {
+            self.free.insert(s, e.start - s);
+        }
+        if e.end() < s + l {
+            self.free.insert(e.end(), s + l - e.end());
+        }
+        self.free_sectors -= e.len;
+    }
+}
+
+/// *Changed:* yields `origin, origin-1, origin+1, origin-2, …` over `0..n`,
+/// visiting every index exactly once in order of distance from the origin,
+/// the lower first at equal distance (the library went up first).
+fn ring(origin: usize, n: usize) -> impl Iterator<Item = usize> {
+    std::iter::once(origin).chain((1..n).flat_map(move |step| {
+        let up = origin.checked_add(step).filter(|&i| i < n);
+        let down = origin.checked_sub(step);
+        down.into_iter().chain(up)
+    }))
+}
+
+fn arb_table() -> impl Strategy<Value = TrackBoundaries> {
+    let lengths = prop_oneof![1u64..600, 1u64..600, 1u64..8];
+    prop::collection::vec(lengths, 1..120).prop_map(|lens| {
+        TrackBoundaries::from_track_lengths(lens).expect("positive lengths are valid")
+    })
+}
+
+/// A per-track trust mask from `seed` (roughly one track in five
+/// untrusted), as certain-or-zero confidences.
+fn confidences(tb: &TrackBoundaries, seed: u64) -> ConfidentBoundaries {
+    let conf = (0..tb.num_tracks() as u64)
+        .map(|i| f64::from(!traxtent::hash::mix64(seed ^ i).is_multiple_of(5)))
+        .collect();
+    ConfidentBoundaries::new(tb.clone(), conf).expect("one confidence per track")
+}
+
+/// The free state, the free count and the fragmentation agree, sector by
+/// sector.
+fn assert_same_map(fast: &TraxtentAllocator, slow: &TreeAllocator) {
+    let capacity = slow.boundaries.capacity();
+    assert_eq!(fast.units(), capacity);
+    assert_eq!(fast.free_units(), slow.free_sectors);
+    for u in 0..capacity {
+        assert_eq!(
+            fast.is_free(u),
+            slow.is_free(Extent::new(u, 1)),
+            "sector {u}"
+        );
+    }
+    let longest = slow.free.values().max().copied().unwrap_or(0);
+    let fragmentation = match slow.free_sectors {
+        0 => 0.0,
+        free => 1.0 - longest as f64 / free as f64,
+    };
+    assert_eq!(fast.fragmentation(), fragmentation);
+}
+
+/// The hint halfway between the last place `len` sectors fit in one free
+/// run and the first in the next run that can hold them, if two can.
+fn between_runs(slow: &TreeAllocator, pick: u64, len: u64) -> Option<u64> {
+    let runs: Vec<(u64, u64)> = (slow.free.iter())
+        .filter(|&(_, &l)| l >= len)
+        .map(|(&s, &l)| (s, l))
+        .collect();
+    let i = pick as usize % runs.len().checked_sub(1).filter(|&n| n > 0)?;
+    let ((s, l), (next, _)) = (runs[i], runs[i + 1]);
+    Some((s + l - len + next) / 2)
+}
+
+/// What a case draws: the table, a trust-mask seed, and the operations as
+/// `(kind, pick, length)`.
+type Case = (TrackBoundaries, Option<u64>, Vec<(u8, u64, u64)>);
+
+fn arb_case() -> impl Strategy<Value = Case> {
+    let len = prop_oneof![1u64..8, 1u64..200, 100u64..1_200];
+    (
+        arb_table(),
+        prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
+        prop::collection::vec((0u8..12, 0u64..u64::MAX, len), 1..150),
+    )
+}
+
+/// `alloc_traxtent`, `alloc_near` and `free` return what the tree
+/// allocator returns and leave the same free map, over random tables with
+/// and without a trust mask, from a pristine map to a full one and back:
+/// whole and partial frees, hints anywhere in the table and past it, and
+/// hints between two equidistant runs.
+#[test]
+fn sector_api_matches_the_tree_allocator() {
+    let name = "sector_api_matches_the_tree_allocator";
+    let mut tally = Tally::default();
+    for_cases(name, 128, arb_case(), |(tb, mask, ops)| {
+        let capacity = tb.capacity();
+        let (mut fast, mut slow) = match mask {
+            None => (
+                TraxtentAllocator::new(tb.clone()),
+                TreeAllocator::new(tb.clone()),
+            ),
+            Some(seed) => {
+                let cb = confidences(&tb, seed);
+                (
+                    TraxtentAllocator::in_units(tb.clone(), 1, capacity, Some((&cb, 0.5))),
+                    TreeAllocator::with_confidence(&cb, 0.5),
+                )
+            }
+        };
+        for (i, t) in tb.iter().enumerate() {
+            assert_eq!(fast.is_trusted(t.start), slow.is_track_trusted(i));
+        }
+        let mut held: Vec<Extent> = Vec::new();
+        for (op, pick, len) in ops {
+            // Mostly inside the table, sometimes past its end, and
+            // sometimes halfway between two places `len` sectors fit.
+            let near = match op % 4 {
+                0 => between_runs(&slow, pick, len).unwrap_or(pick % capacity),
+                1 => capacity + pick % 64,
+                _ => pick % capacity,
+            };
+            match op {
+                0..=2 => {
+                    let got = fast.alloc_traxtent(near);
+                    assert_eq!(
+                        got,
+                        slow.alloc_traxtent(near, &mut tally),
+                        "alloc_traxtent({near})"
+                    );
+                    held.extend(got);
+                }
+                3..=6 => {
+                    let got = fast.alloc_near(len, near);
+                    assert_eq!(
+                        got,
+                        slow.alloc_near(len, near, &mut tally),
+                        "alloc_near({len}, {near})"
+                    );
+                    held.extend(got);
+                }
+                7..=9 if !held.is_empty() => {
+                    // A whole held extent, or its head, leaving the rest held.
+                    let at = pick as usize % held.len();
+                    let h = held.swap_remove(at);
+                    let cut = if op == 9 { 1 + len % h.len } else { h.len };
+                    let freed = Extent::new(h.start, cut);
+                    held.extend(Extent::from_bounds(freed.end(), h.end()));
+                    fast.free(freed);
+                    slow.free(freed, &mut tally);
+                }
+                10 if pick % 4 == 0 => {
+                    // Fill the map, a whole free run at a time.
+                    let runs: Vec<(u64, u64)> = slow.free.iter().map(|(&s, &l)| (s, l)).collect();
+                    for (s, l) in runs {
+                        let got = fast.alloc_near(l, s);
+                        assert_eq!(got, Some(Extent::new(s, l)));
+                        assert_eq!(got, slow.alloc_near(l, s, &mut Tally::default()));
+                        held.extend(got);
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(fast.free_units(), slow.free_sectors);
+            tally.note_if(slow.free_sectors == 0, "map_full");
+        }
+        assert_same_map(&fast, &slow);
+    });
+    tally.require(
+        name,
+        &[
+            "traxtent_at_the_origin",
+            "traxtent_below_the_origin",
+            "traxtent_above_the_origin",
+            "traxtent_below_once_the_top_ran_out",
+            "traxtent_above_once_the_bottom_ran_out",
+            "origin_below_the_first_free_track",
+            "untrusted_free_track_skipped",
+            "no_free_traxtent",
+            "run_at_the_hint",
+            "run_below_the_hint",
+            "run_above_the_hint",
+            "tie_went_up",
+            "run_holds_the_hint_but_ends_short",
+            "hint_past_the_end",
+            "no_free_run",
+            "freed_alone",
+            "freed_beside_one_run",
+            "freed_between_two_runs",
+            "map_full",
+        ],
+    );
+}
+
+#[test]
+fn a_one_track_table() {
+    let tb = TrackBoundaries::uniform(1, 100);
+    let mut a = TraxtentAllocator::new(tb.clone());
+    assert_eq!(a.alloc_traxtent(500), Some(Extent::new(0, 100)));
+    assert_eq!(a.alloc_traxtent(0), None);
+    assert_eq!(a.alloc_near(1, 0), None);
+    // Six whole 16-sector units; the track ends inside no unit of the
+    // map, so nothing is excluded.
+    let mut a = TraxtentAllocator::in_units(tb, 16, 100, None);
+    a.exclude_straddlers();
+    assert_eq!((a.units(), a.free_units()), (6, 6));
+    assert_eq!(a.closest_traxtent_run(3, 6), Some(0));
+    assert_eq!(a.alloc_traxtent(3), Some(Extent::new(0, 6)));
+}
+
+#[test]
+fn tracks_shorter_than_a_unit() {
+    let tb = TrackBoundaries::uniform(20, 10);
+    let mut a = TraxtentAllocator::in_units(tb.clone(), 16, 200, None);
+    // No track holds a whole unit: no traxtent anywhere, while the
+    // untracked fallback still places.
+    assert_eq!(a.closest_traxtent_run(5, 1), None);
+    assert_eq!(a.alloc_traxtent(5), None);
+    assert_eq!(a.closest_free_run(5, 3, u64::MAX), Some(5));
+    // Every unit spans a boundary, so exclusion takes them all.
+    let mut a = TraxtentAllocator::in_units(tb, 16, 200, None);
+    a.exclude_straddlers();
+    assert_eq!((a.units(), a.free_units()), (12, 0));
+    assert_eq!(a.excluded_fraction(), 1.0);
+    assert_eq!(a.closest_free_run(5, 1, u64::MAX), None);
+    assert_eq!(a.alloc_near(1, 5), None);
+}
+
+#[test]
+fn a_capacity_that_is_not_a_multiple_of_the_unit() {
+    // 300 sectors: 18 whole units, the last 12 sectors in none.
+    let tb = TrackBoundaries::uniform(3, 100);
+    let mut a = TraxtentAllocator::in_units(tb, 16, 300, None);
+    a.exclude_straddlers();
+    // Tracks 0 and 1 end inside units 6 and 12; track 2 ends past the
+    // map.
+    assert!(a.is_excluded(6) && a.is_excluded(12) && !a.is_excluded(17));
+    assert_eq!(a.free_units(), 16);
+    // Track 2's traxtent is its whole units inside the map, 13..18.
+    assert_eq!(a.alloc_traxtent(17), Some(Extent::new(13, 5)));
+    // A hint past the map looks down from its last unit.
+    assert_eq!(a.alloc_near(5, 1_000), Some(Extent::new(7, 5)));
+}
+
+#[test]
+fn a_map_filled_to_zero_then_drained_to_one_run() {
+    let mut a = TraxtentAllocator::new(TrackBoundaries::uniform(4, 50));
+    let mut held = Vec::new();
+    for i in 0..40 {
+        held.extend(a.alloc_near(7, i * 13));
+    }
+    while let Some(e) = a.alloc_near(1, 0) {
+        held.push(e);
+    }
+    assert_eq!(a.free_units(), 0);
+    assert_eq!(a.fragmentation(), 0.0);
+    assert_eq!(a.alloc_traxtent(0), None);
+    assert_eq!(a.closest_free_run(100, 1, u64::MAX), None);
+    for e in held {
+        a.free(e);
+    }
+    assert_eq!((a.free_units(), a.fragmentation()), (200, 0.0));
+    assert_eq!(a.alloc_traxtent(0), Some(Extent::new(0, 50)));
+}
+
+#[test]
+#[should_panic(expected = "no whole 16-sector unit in 10 sectors")]
+fn a_map_without_a_whole_unit_is_refused() {
+    let _ = TraxtentAllocator::in_units(TrackBoundaries::uniform(1, 10), 16, 10, None);
+}

@@ -18,6 +18,7 @@ use sim_disk::{SimDur, SimTime};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use traxtent::RequestPlanner;
 
 /// Identifies an open file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -159,6 +160,8 @@ struct Inode {
 pub struct FileSystem {
     disk: Disk,
     layout: Layout,
+    /// Sizes traxtent fetches and write-backs so none crosses a track.
+    planner: RequestPlanner,
     cache: BufferCache,
     clock: SimTime,
     /// Inodes by raw file id; `None` marks a deleted file. Ids are handed
@@ -209,6 +212,7 @@ impl FileSystem {
         FileSystem {
             disk,
             cache: BufferCache::new(Self::DEFAULT_CACHE_BLOCKS, layout.blocks() as usize),
+            planner: RequestPlanner::new(layout.boundaries().clone()),
             layout,
             clock: SimTime::ZERO,
             files: vec![None],
@@ -383,11 +387,6 @@ impl FileSystem {
             self.cache.len()
         );
         self.cache = BufferCache::new(blocks, self.layout.blocks() as usize);
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.clock
     }
 
     /// The layout (for inspection).
@@ -640,6 +639,14 @@ impl FileSystem {
         let db = inode.blocks[fb as usize];
         // History-based ramp-up, as in the unmodified file system.
         let ramp = (inode.seq_count.max(1) + 1).min(self.cluster_cap);
+        // The rest of the traxtent, up to `cap` blocks: the planner never
+        // lets a fetch cross a track boundary (§4.2.2, "traxtent-sized
+        // access").
+        let traxtent = |cap: u64| {
+            let sectors = cap * BLOCK_SECTORS;
+            let lbn = self.layout.block_to_lbn(db);
+            whole_blocks(self.planner.plan_prefetch(lbn, sectors, sectors))
+        };
         let want = match self.layout.personality() {
             Personality::Unmodified => ramp,
             Personality::FastStart if !inode.accessed => self.cluster_cap,
@@ -648,12 +655,8 @@ impl FileSystem {
             // boundaries; clipping at them would be arbitrary. Degrade to
             // the unmodified sizing.
             Personality::Traxtent if !self.layout.block_trusted(db) => ramp,
-            // Fetch the rest of the traxtent, never crossing a track
-            // boundary (§4.2.2, "traxtent-sized access").
-            Personality::Traxtent if !inode.nonseq_seen => {
-                self.layout.traxtent_run(db).min(self.cluster_cap * 4)
-            }
-            Personality::Traxtent => ramp.min(self.layout.traxtent_run(db)),
+            Personality::Traxtent if !inode.nonseq_seen => traxtent(self.cluster_cap * 4),
+            Personality::Traxtent => traxtent(ramp),
         };
         contiguous_run(inode, fb, &self.cache, want)
     }
@@ -742,12 +745,13 @@ impl FileSystem {
     }
 
     /// The most blocks one write-back starting at block `start` may carry:
-    /// to the end of its traxtent where the track is trusted, else the
-    /// cluster cap.
+    /// to the end of its traxtent, as the planner clips it, where the track
+    /// is trusted, else the cluster cap.
     fn cluster_limit(&self, start: u64) -> u64 {
         match self.layout.personality() {
             Personality::Traxtent if self.layout.block_trusted(start) => {
-                self.layout.traxtent_run(start)
+                let lbn = self.layout.block_to_lbn(start);
+                whole_blocks(self.planner.plan_writeback(lbn, u64::MAX))
             }
             _ => self.cluster_cap,
         }
@@ -832,6 +836,12 @@ fn update_seq(inode: &mut Inode, fb: u64) {
     inode.accessed = true;
 }
 
+/// The blocks a planned transfer of `sectors` carries: its whole blocks,
+/// and at least one (a block that spans a boundary travels alone).
+fn whole_blocks(sectors: u64) -> u64 {
+    (sectors / BLOCK_SECTORS).max(1)
+}
+
 /// Length of the contiguously allocated, uncached run starting at file
 /// block `fb`, capped.
 fn contiguous_run(inode: &Inode, fb: u64, cache: &BufferCache, cap: u64) -> u64 {
@@ -863,7 +873,18 @@ mod tests {
         assert_eq!(f.size_of(id).unwrap(), 4 * MB);
         f.sync();
         f.read(id, 0, 4 * MB).unwrap();
-        assert!(f.now() > SimTime::ZERO);
+        assert!(f.sync() > SimTime::ZERO);
+    }
+
+    #[test]
+    fn traxtent_run_measures_to_track_end() {
+        // 200-sector tracks: 12 whole blocks, then one that straddles.
+        let table = traxtent::TrackBoundaries::uniform(400, 200);
+        let layout = Layout::format(Personality::Traxtent, table, 400 * 200);
+        let f = FileSystem::with_layout(Disk::new(models::small_test_disk()), layout);
+        assert_eq!(f.cluster_limit(0), 12);
+        assert_eq!(f.cluster_limit(5), 7);
+        assert_eq!(f.cluster_limit(11), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! On-disk layout: block groups, free-block bitmaps, excluded blocks, and
-//! the allocation policies of the three FFS personalities.
+//! On-disk layout: block groups and the allocation policies of the three
+//! FFS personalities, over the traxtent allocator's free-block map.
 
-use traxtent::{ConfidentBoundaries, TrackBoundaries};
+use traxtent::{ConfidentBoundaries, TrackBoundaries, TraxtentAllocator};
 
 /// Sectors per file-system block (8 KB blocks over 512-byte sectors).
 pub const BLOCK_SECTORS: u64 = 16;
@@ -12,6 +12,11 @@ pub const BYTES_PER_BLOCK: u64 = BLOCK_SECTORS * 512;
 /// Blocks per block group (32 MB groups, as in the paper's experiments).
 pub const BLOCKS_PER_GROUP: u64 = 4096;
 
+/// How far from the preferred block, in blocks, the fallback looks for a
+/// free cluster before it settles for the closest free block (an aged,
+/// fragmented disk).
+const CLUSTER_RADIUS: u64 = 8 * BLOCKS_PER_GROUP + 1;
+
 /// Which FFS variant is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Personality {
@@ -21,122 +26,6 @@ pub enum Personality {
     FastStart,
     /// Traxtent-aware allocation and access.
     Traxtent,
-}
-
-/// One bit per item, item `i` at bit `i % 64` of word `i / 64`. Bits past
-/// `len` stay zero, so no scan has to mask the last word.
-#[derive(Debug, Clone)]
-struct Bitmap {
-    words: Vec<u64>,
-    len: u64,
-}
-
-impl Bitmap {
-    fn zeros(len: u64) -> Self {
-        Bitmap {
-            words: vec![0; len.div_ceil(64) as usize],
-            len,
-        }
-    }
-
-    fn ones(len: u64) -> Self {
-        let mut words = vec![u64::MAX; len.div_ceil(64) as usize];
-        if !len.is_multiple_of(64) {
-            *words.last_mut().expect("len is positive") = (1 << (len % 64)) - 1;
-        }
-        Bitmap { words, len }
-    }
-
-    /// Word index and bit mask of item `i`.
-    fn bit(&self, i: u64) -> (usize, u64) {
-        assert!(i < self.len, "item {i} beyond the map's {}", self.len);
-        ((i / 64) as usize, 1 << (i % 64))
-    }
-
-    fn get(&self, i: u64) -> bool {
-        let (word, bit) = self.bit(i);
-        self.words[word] & bit != 0
-    }
-
-    fn set(&mut self, i: u64) {
-        let (word, bit) = self.bit(i);
-        self.words[word] |= bit;
-    }
-
-    fn clear(&mut self, i: u64) {
-        let (word, bit) = self.bit(i);
-        self.words[word] &= !bit;
-    }
-
-    fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-
-    /// The first set item at or after `from`; `len` when there is none.
-    fn next_one(&self, from: u64) -> u64 {
-        if from >= self.len {
-            return self.len;
-        }
-        let mut at = (from / 64) as usize;
-        let mut word = self.words[at] & (u64::MAX << (from % 64));
-        while word == 0 {
-            at += 1;
-            if at == self.words.len() {
-                return self.len;
-            }
-            word = self.words[at];
-        }
-        at as u64 * 64 + u64::from(word.trailing_zeros())
-    }
-
-    /// The last set item at or before `from`.
-    fn prev_one(&self, from: u64) -> Option<u64> {
-        let from = from.min(self.len - 1);
-        let mut at = (from / 64) as usize;
-        let mut word = self.words[at] & (u64::MAX >> (63 - from % 64));
-        while word == 0 {
-            at = at.checked_sub(1)?;
-            word = self.words[at];
-        }
-        Some(at as u64 * 64 + 63 - u64::from(word.leading_zeros()))
-    }
-
-    /// Length of the run of set items starting at `from`, capped at `cap`.
-    fn ones_at(&self, from: u64, cap: u64) -> u64 {
-        let (mut n, mut at) = (0, from);
-        while n < cap && at < self.len {
-            let rest = 64 - at % 64;
-            let ones = u64::from((self.words[(at / 64) as usize] >> (at % 64)).trailing_ones());
-            n += ones;
-            if ones < rest {
-                break;
-            }
-            at += rest;
-        }
-        n.min(cap)
-    }
-
-    /// Items `first..first + width` in the low `width` bits of a word
-    /// (`1 <= width <= 64`).
-    fn window(&self, first: u64, width: u64) -> u64 {
-        let (at, shift) = ((first / 64) as usize, first % 64);
-        let mut bits = self.words[at] >> shift;
-        if shift + width > 64 {
-            bits |= self.words[at + 1] << (64 - shift);
-        }
-        bits & (u64::MAX >> (64 - width))
-    }
-
-    /// Length of the longest run of set items.
-    fn longest_run(&self) -> u64 {
-        let (mut longest, mut at) = (0, self.next_one(0));
-        while at < self.len {
-            let run = self.ones_at(at, u64::MAX);
-            longest = longest.max(run);
-            at = self.next_one(at + run);
-        }
-        longest
-    }
 }
 
 /// Where [`Layout::alloc_next`] placements came from.
@@ -152,29 +41,15 @@ pub struct AllocStats {
     pub fallback: u64,
 }
 
-/// The formatted layout: free-block state for every group plus the
-/// traxtent structures.
+/// The formatted layout: the free-block map of every group, kept by the
+/// traxtent allocator in units of one block, and the personality's policy
+/// over it.
 #[derive(Debug, Clone)]
 pub struct Layout {
     personality: Personality,
-    boundaries: TrackBoundaries,
-    /// Total file-system blocks.
-    blocks: u64,
-    /// The free-block bitmap: bit `b` set → block `b` is free.
-    free: Bitmap,
-    /// Blocks permanently excluded because they span a track boundary
-    /// (traxtent personality only).
-    excluded: Bitmap,
-    free_count: u64,
-    /// The first free block (`blocks` when none is): no placement search
-    /// needs to look below it. `take` advances it, `release` lowers it.
-    low: u64,
+    /// Free, excluded and trusted state of every block.
+    alloc: TraxtentAllocator,
     alloc_stats: AllocStats,
-    /// Per-track trust mask from a noisy extraction; absent means every
-    /// track is trusted. Untrusted tracks get no boundary exclusions and
-    /// no track-aligned placement — the file system treats them exactly
-    /// like the unmodified personality would (untracked allocation).
-    trusted: Option<Bitmap>,
 }
 
 impl Layout {
@@ -210,16 +85,12 @@ impl Layout {
         threshold: f64,
         capacity_lbns: u64,
     ) -> Self {
-        let tracks = boundaries.table().num_tracks();
-        let mut trusted = Bitmap::zeros(tracks as u64);
-        for i in (0..tracks).filter(|&i| boundaries.is_confident(i, threshold)) {
-            trusted.set(i as u64);
-        }
+        let table = boundaries.table().clone();
         Self::build(
             personality,
-            boundaries.table().clone(),
+            table,
             capacity_lbns,
-            Some(trusted),
+            Some((boundaries, threshold)),
         )
     }
 
@@ -227,57 +98,28 @@ impl Layout {
         personality: Personality,
         boundaries: TrackBoundaries,
         capacity_lbns: u64,
-        trusted: Option<Bitmap>,
+        trust: Option<(&ConfidentBoundaries, f64)>,
     ) -> Self {
-        let blocks = capacity_lbns / BLOCK_SECTORS;
         assert!(
-            blocks >= BLOCKS_PER_GROUP,
+            capacity_lbns / BLOCK_SECTORS >= BLOCKS_PER_GROUP,
             "disk too small for one block group"
         );
-        let mut excluded = Bitmap::zeros(blocks);
-        let mut free = Bitmap::ones(blocks);
-        let mut free_count = blocks;
+        let mut alloc =
+            TraxtentAllocator::in_units(boundaries, BLOCK_SECTORS, capacity_lbns, trust);
         if personality == Personality::Traxtent {
-            // A block is excluded when it starts on a trusted track and
-            // runs past that track's end; the only candidate per track is
-            // the block holding the track's last sector.
-            for (i, track) in boundaries.iter().enumerate() {
-                let b = (track.end() - 1) / BLOCK_SECTORS;
-                let first = b * BLOCK_SECTORS;
-                if b < blocks
-                    && first >= track.start
-                    && first + BLOCK_SECTORS > track.end()
-                    && trusted.as_ref().is_none_or(|t| t.get(i as u64))
-                {
-                    excluded.set(b);
-                    free.clear(b);
-                    free_count -= 1;
-                }
-            }
+            alloc.exclude_straddlers();
         }
-        let low = free.next_one(0);
         Layout {
             personality,
-            boundaries,
-            blocks,
-            free,
-            excluded,
-            free_count,
-            low,
+            alloc,
             alloc_stats: AllocStats::default(),
-            trusted,
         }
     }
 
     /// Whether the track holding block `b` has trustworthy boundaries
     /// (always true for a layout formatted without confidence data).
     pub fn block_trusted(&self, b: u64) -> bool {
-        self.trusted.is_none()
-            || self.track_trusted(self.boundaries.track_index(self.block_to_lbn(b)))
-    }
-
-    fn track_trusted(&self, track: usize) -> bool {
-        self.trusted.as_ref().is_none_or(|t| t.get(track as u64))
+        self.alloc.is_trusted(b)
     }
 
     /// The personality this layout was formatted with.
@@ -287,23 +129,23 @@ impl Layout {
 
     /// The boundary table.
     pub fn boundaries(&self) -> &TrackBoundaries {
-        &self.boundaries
+        self.alloc.boundaries()
     }
 
     /// Total blocks.
     pub fn blocks(&self) -> u64 {
-        self.blocks
+        self.alloc.units()
     }
 
     /// Free blocks remaining.
     pub fn free_blocks(&self) -> u64 {
-        self.free_count
+        self.alloc.free_units()
     }
 
     /// Fraction of all blocks lost to exclusion (≈ 5 % on the Atlas 10K, 3 %
     /// on the 10K II, per §4.2.2).
     pub fn excluded_fraction(&self) -> f64 {
-        self.excluded.count_ones() as f64 / self.blocks as f64
+        self.alloc.excluded_fraction()
     }
 
     /// Where allocations have been placed so far.
@@ -311,26 +153,22 @@ impl Layout {
         self.alloc_stats
     }
 
-    /// Free-space fragmentation in `[0, 1]`: `1 − largest free run /
-    /// free blocks`. A fully contiguous free pool scores 0; free space
-    /// scattered in many small runs approaches 1. (Excluded blocks split
-    /// runs, so a freshly formatted traxtent layout reports per-track
-    /// granularity rather than 0.) Returns 0 on a full disk.
+    /// Free-space fragmentation in `[0, 1]` (see
+    /// [`TraxtentAllocator::fragmentation`]). Excluded blocks split runs,
+    /// so a freshly formatted traxtent layout reports per-track granularity
+    /// rather than 0.
     pub fn fragmentation(&self) -> f64 {
-        if self.free_count == 0 {
-            return 0.0;
-        }
-        1.0 - self.free.longest_run() as f64 / self.free_count as f64
+        self.alloc.fragmentation()
     }
 
     /// Whether a block is excluded.
     pub fn is_excluded(&self, b: u64) -> bool {
-        self.excluded.get(b)
+        self.alloc.is_excluded(b)
     }
 
     /// Whether a block is free.
     pub fn is_free(&self, b: u64) -> bool {
-        self.free.get(b)
+        self.alloc.is_free(b)
     }
 
     /// First sector of a block.
@@ -347,9 +185,9 @@ impl Layout {
     /// data either way).
     pub fn reserve_group_metadata(&mut self) {
         let mut b = 0;
-        while b < self.blocks {
-            if self.free.get(b) {
-                self.take(b);
+        while b < self.blocks() {
+            if self.alloc.is_free(b) {
+                self.alloc.take(b);
             }
             b += BLOCKS_PER_GROUP;
         }
@@ -361,12 +199,7 @@ impl Layout {
     ///
     /// Panics if the block is not free.
     pub fn take(&mut self, b: u64) {
-        assert!(self.free.get(b), "block {b} is not free");
-        self.free.clear(b);
-        self.free_count -= 1;
-        if b == self.low {
-            self.low = self.free.next_one(b + 1);
-        }
+        self.alloc.take(b);
     }
 
     /// Releases a block.
@@ -375,11 +208,7 @@ impl Layout {
     ///
     /// Panics if the block is already free or is excluded.
     pub fn release(&mut self, b: u64) {
-        assert!(!self.excluded.get(b), "excluded block {b} cannot be freed");
-        assert!(!self.free.get(b), "block {b} is already free");
-        self.free.set(b);
-        self.free_count += 1;
-        self.low = self.low.min(b);
+        self.alloc.release(b);
     }
 
     /// Allocates the block for file offset following `prev` (FFS's
@@ -392,24 +221,24 @@ impl Layout {
     pub fn alloc_next(&mut self, prev: Option<u64>, run_hint: u64) -> Option<u64> {
         if let Some(p) = prev {
             let preferred = p + 1;
-            if preferred < self.blocks && self.free.get(preferred) {
+            if preferred < self.blocks() && self.alloc.is_free(preferred) {
                 self.alloc_stats.sequential += 1;
-                self.take(preferred);
+                self.alloc.take(preferred);
                 return Some(preferred);
             }
             // Preferred block taken (or excluded): find the closest suitable
             // run. The traxtent personality jumps to the start of the
             // closest traxtent with room (§4.2.2); the others take the
             // closest free cluster big enough for the buffered data.
-            let b = self.place_near(preferred.min(self.blocks - 1), run_hint)?;
-            self.take(b);
+            let b = self.place_near(preferred.min(self.blocks() - 1), run_hint)?;
+            self.alloc.take(b);
             return Some(b);
         }
         // First block of a file: start of the closest suitable free run from
         // the beginning of the group rotation (block 0 heuristic stands in
         // for FFS's directory-based group choice).
         let b = self.place_near(0, run_hint)?;
-        self.take(b);
+        self.alloc.take(b);
         Some(b)
     }
 
@@ -417,130 +246,17 @@ impl Layout {
     /// placement landed in a whole-traxtent run or fell back to the
     /// track-unaware closest-free-run search.
     fn place_near(&mut self, near: u64, run_hint: u64) -> Option<u64> {
+        let want = run_hint.max(1);
         if self.personality == Personality::Traxtent {
-            if let Some(b) = self.closest_traxtent_run(near, run_hint) {
+            if let Some(b) = self.alloc.closest_traxtent_run(near, want) {
                 self.alloc_stats.track_aligned += 1;
                 return Some(b);
             }
         }
-        let b = self.closest_free_run(near, run_hint)?;
+        let b = (self.alloc.closest_free_run(near, want, CLUSTER_RADIUS))
+            .or_else(|| self.alloc.closest_free_run(near, 1, u64::MAX))?;
         self.alloc_stats.fallback += 1;
         Some(b)
-    }
-
-    /// Closest free run of at least `max(run_hint, 1)` blocks, looking
-    /// outward from `near` (the upper block first at equal distance);
-    /// degrades to the closest single free block.
-    fn closest_free_run(&self, near: u64, run_hint: u64) -> Option<u64> {
-        let want = run_hint.max(1);
-        let dist = |b: u64| b.abs_diff(near);
-        let nearer = |up: Option<u64>, down: Option<u64>| {
-            [up, down].into_iter().flatten().min_by_key(|&b| dist(b))
-        };
-        let above = |b: u64| Some(self.free.next_one(b)).filter(|&b| b < self.blocks);
-        // The closest free block on each side; nothing below `low` is free.
-        let mut up = above(near.max(self.low));
-        let mut down = self.free.prev_one(near);
-        let single = nearer(up, down)?;
-        // Give up on finding a full run after a generous radius and take
-        // the closest free block (an aged, fragmented disk).
-        let radius = 8 * BLOCKS_PER_GROUP + 1;
-        while let Some(b) = nearer(up, down).filter(|&b| dist(b) <= radius) {
-            let run = self.free.ones_at(b, want);
-            if run >= want {
-                return Some(b);
-            }
-            if down == Some(b) {
-                down = b.checked_sub(1).and_then(|b| self.free.prev_one(b));
-            }
-            if up == Some(b) {
-                // The rest of this run is shorter still.
-                up = above(b + run);
-            }
-        }
-        Some(single)
-    }
-
-    /// The first free block of the closest traxtent (run of blocks between
-    /// excluded blocks on one track) that has at least `run_hint` free
-    /// blocks, scanning tracks outward from the track containing `near`.
-    fn closest_traxtent_run(&self, near: u64, run_hint: u64) -> Option<u64> {
-        if self.low == self.blocks {
-            return None;
-        }
-        let want = run_hint.max(1);
-        let near_lbn = self.block_to_lbn(near).min(self.boundaries.capacity() - 1);
-        let origin = self.boundaries.track_index(near_lbn);
-        // A track that ends at or before the first free block holds nothing
-        // to return, so neither side of the walk goes below that block's
-        // track. Outward from the origin, the upper track first at each
-        // distance, and one side alone once the other has run out.
-        let low_track = self.boundaries.track_index(self.block_to_lbn(self.low));
-        let ups = origin.max(low_track)..self.boundaries.num_tracks();
-        let downs = (low_track..origin).rev();
-        let paired = ups.len().min(downs.len());
-        let pairs = ups.clone().zip(downs.clone()).flat_map(|(u, d)| [u, d]);
-        pairs
-            .chain(ups.skip(paired))
-            .chain(downs.skip(paired))
-            .find_map(|track| self.traxtent_on_track(track, want))
-    }
-
-    /// The first free block on trusted track `track` that starts `want`
-    /// free blocks, or a shorter free run reaching the track's last whole
-    /// block.
-    fn traxtent_on_track(&self, track: usize, want: u64) -> Option<u64> {
-        if !self.track_trusted(track) {
-            return None;
-        }
-        let t = self.boundaries.track_extent(track);
-        // Blocks fully inside this track.
-        let first = t.start.div_ceil(BLOCK_SECTORS);
-        let last = t.end() / BLOCK_SECTORS; // exclusive
-        let end = last.min(self.blocks);
-        if first >= end {
-            return None;
-        }
-        let width = end - first;
-        if width <= 64 {
-            let bits = self.free.window(first, width);
-            if bits == 0 {
-                return None;
-            }
-            if bits >> (width - 1) == 0 {
-                // The last block is taken, so no run leaves the track or
-                // reaches its end: the answer is in these bits. Each
-                // `starts & starts >> 1` keeps the bits that start a run
-                // one block longer.
-                let mut starts = bits;
-                for _ in 1..want {
-                    starts &= starts >> 1;
-                    if starts == 0 {
-                        return None;
-                    }
-                }
-                return Some(first + u64::from(starts.trailing_zeros()));
-            }
-        }
-        let mut b = self.free.next_one(first);
-        while b < end {
-            let run = self.free.ones_at(b, want);
-            if run >= want || b + run == last {
-                return Some(b);
-            }
-            b = self.free.next_one(b + run);
-        }
-        None
-    }
-
-    /// Length of the traxtent run starting at block `b`: contiguous blocks
-    /// to the end of the track (exclusive of excluded blocks). Used to size
-    /// traxtent reads and write-backs.
-    pub fn traxtent_run(&self, b: u64) -> u64 {
-        let lbn = self.block_to_lbn(b);
-        let (_, track_end) = self.boundaries.track_bounds(lbn);
-        let last_block = track_end / BLOCK_SECTORS; // exclusive
-        last_block.saturating_sub(b).max(1)
     }
 }
 
@@ -684,18 +400,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "excluded block")]
+    #[should_panic(expected = "excluded unit 12 cannot be freed")]
     fn releasing_excluded_block_panics() {
         let mut l = layout(Personality::Traxtent);
         l.release(12);
-    }
-
-    #[test]
-    fn traxtent_run_measures_to_track_end() {
-        let l = layout(Personality::Traxtent);
-        assert_eq!(l.traxtent_run(0), 12);
-        assert_eq!(l.traxtent_run(5), 7);
-        assert_eq!(l.traxtent_run(11), 1);
     }
 
     #[test]

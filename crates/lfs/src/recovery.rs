@@ -98,11 +98,6 @@ impl LogDisk {
         }
     }
 
-    /// The simulated clock after the last write completed.
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
     /// Next LBN the log will append at.
     pub fn head(&self) -> u64 {
         self.head
@@ -321,7 +316,7 @@ mod tests {
     fn cut_before_a_batch_is_durable_discards_the_tail() {
         let mut log = log_disk();
         log.append(&pattern_payload(4, 0, 2)).unwrap();
-        let before_tail = log.clock();
+        let before_tail = log.clock;
         log.append(&pattern_payload(5, 0, 6)).unwrap();
         // Cut strictly before the second command starts: only batch 1 can
         // have durable sectors.
@@ -357,7 +352,7 @@ mod tests {
         let mut log = log_disk();
         log.append(&pattern_payload(8, 0, 2)).unwrap();
         log.checkpoint(); // gen 1 → LBN 1
-        let gen1_done = log.clock();
+        let gen1_done = log.clock;
         log.append(&pattern_payload(9, 0, 2)).unwrap();
         log.checkpoint(); // gen 2 → LBN 0
 

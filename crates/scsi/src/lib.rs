@@ -53,20 +53,6 @@ pub enum ScsiError {
 }
 
 impl ScsiError {
-    /// The command that failed.
-    pub fn command(&self) -> &'static str {
-        match self {
-            ScsiError::Check { command, .. } | ScsiError::Unsupported { command, .. } => command,
-        }
-    }
-
-    /// Host time when the failure was delivered.
-    pub fn at(&self) -> SimTime {
-        match self {
-            ScsiError::Check { at, .. } | ScsiError::Unsupported { at, .. } => *at,
-        }
-    }
-
     /// Whether a fresh retry of the same command can succeed (ABORTED
     /// COMMAND — transport noise, not a property of the address).
     pub fn is_transient(&self) -> bool {
@@ -496,7 +482,6 @@ mod tests {
                 Ok(_) => successes += 1,
                 Err(e) => {
                     assert!(e.is_transient());
-                    assert!(e.at() >= SimTime::ZERO);
                     failures += 1;
                 }
             }

@@ -180,11 +180,6 @@ impl SectorImage {
         }
     }
 
-    /// The sector's contents if it was ever written.
-    pub fn sector(&self, lbn: u64) -> Option<&[u8; SECTOR_USIZE]> {
-        self.sectors.get(&lbn).map(|b| &**b)
-    }
-
     /// Overwrites one sector.
     pub fn write(&mut self, lbn: u64, data: &[u8; SECTOR_USIZE]) {
         self.sectors.insert(lbn, Box::new(*data));

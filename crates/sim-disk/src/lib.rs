@@ -166,16 +166,6 @@ impl SimDur {
         self.0 as f64 / 1e6
     }
 
-    /// The larger of two durations.
-    pub fn max(self, other: SimDur) -> SimDur {
-        SimDur(self.0.max(other.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDur) -> SimDur {
-        SimDur(self.0.min(other.0))
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDur) -> SimDur {
         SimDur(self.0.saturating_sub(other.0))

@@ -273,16 +273,6 @@ impl MetricsRegistry {
         self.reads
     }
 
-    /// Writes observed.
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Requests serviced from the firmware cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
     /// Merges another registry into this one.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (a, b) in self.phases.iter_mut().zip(other.phases.iter()) {
@@ -479,8 +469,9 @@ mod tests {
         });
         assert_eq!(reg.requests(), 3);
         assert_eq!(reg.reads(), 2);
-        assert_eq!(reg.writes(), 1);
-        assert_eq!(reg.cache_hits(), 1);
+        assert!(reg
+            .report()
+            .contains("requests 3 (reads 2, writes 1, cache hits 1)"));
         let resp = reg.phase("response").unwrap();
         assert_eq!(resp.count(), 3);
         assert!((resp.mean_ns() - (8.0 * 5000.0 / 3.0)).abs() < 1.0);

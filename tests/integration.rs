@@ -43,17 +43,16 @@ fn extract_then_allocate_then_plan() {
     .expect("extraction succeeds");
     assert_eq!(general.boundaries, truth);
 
-    // Allocate mid-size extents and plan requests: nothing crosses a track.
-    let mut alloc = TraxtentAllocator::new(scsi_result.boundaries.clone());
+    // Allocate whole traxtents and plan requests inside them: nothing
+    // crosses a track.
+    let mut alloc = TraxtentAllocator::new(truth.clone());
     let planner = RequestPlanner::new(scsi_result.boundaries);
     for i in 0..50 {
-        let e = alloc
-            .alloc_within_track(64, i * 1009)
-            .expect("space available");
-        assert!(
-            planner.is_track_local(e.start, e.len),
-            "{e} crosses a track"
-        );
+        let e = alloc.alloc_traxtent(i * 1009).expect("space available");
+        assert_eq!(e, truth.track_extent(truth.track_index(e.start)));
+        let mid = e.start + e.len / 2;
+        assert_eq!(planner.plan_writeback(mid, 4 * e.len), e.end() - mid);
+        assert_eq!(planner.plan_prefetch(e.start, 8, u64::MAX), e.len);
     }
 }
 
@@ -168,8 +167,11 @@ fn low_confidence_extraction_degrades_to_untracked_allocation() {
     let degraded = traxtent::ConfidentBoundaries::new(truth.clone(), conf).expect("valid");
 
     // The extent allocator never hands out aligned space on weak tracks.
-    let mut alloc = TraxtentAllocator::with_confidence(&degraded, 0.75);
-    assert_eq!(alloc.untrusted_tracks(), weak.len());
+    let capacity = truth.capacity();
+    let trust = Some((&degraded, 0.75));
+    let mut alloc = TraxtentAllocator::in_units(truth.clone(), 1, capacity, trust);
+    let untrusted = (0..n).filter(|&i| !alloc.is_trusted(truth.track_extent(i).start));
+    assert!(untrusted.eq(weak.iter().copied()));
     let weak_mid = truth.track_extent(weak[weak.len() / 2]).start;
     for _ in 0..8 {
         let e = alloc.alloc_traxtent(weak_mid).expect("trusted space left");
@@ -288,13 +290,11 @@ fn crate_graph_matches_the_layering() {
 }
 
 /// Public items no other production source names, and why each stays.
-/// A key with a `/` exempts every public item of that file. The first three
-/// rows are the two ROADMAP holds (what only they call is named by them, so
-/// it needs no row); every other row is something tests call on purpose.
+/// A key with a `/` exempts every public item of that file. The first row
+/// is a ROADMAP hold (what only it calls is named by it, so it needs no
+/// row); every other row is something tests call on purpose.
 #[rustfmt::skip]
 const UNCALLED: &[(&str, &str)] = &[
-    ("crates/core/src/alloc.rs", "ROADMAP item 3: ffs and fleet run the paper's allocator and planner, or they go"),
-    ("crates/core/src/planner.rs", "ROADMAP item 3: ffs and fleet run the paper's allocator and planner, or they go"),
     ("crates/dixtrac/src/heal.rs", "ROADMAP item 4: the composed harness is Healer's first caller, or it goes"),
     ("uniform", "test fake: the boundary table of 13 unit tests in five crates and two doctests"),
     ("attr", "observer for fleet span_tree and the sim-disk span tests: one attribute of a span"),
