@@ -2,14 +2,15 @@
 //! translation, drive request servicing, the firmware cache and spindle
 //! phase, boundary-table queries, the traxtent allocator, the file
 //! system's per-block structures, the LFS cleaner, a volume's request
-//! split, the server's admission and scheduling round, and what a
-//! catalogued drive and `mkfs` cost to set up. These guard the performance
-//! of the building blocks that every figure harness leans on.
+//! split, format and first write, the server's admission and scheduling
+//! round, and what a catalogued drive and `mkfs` cost to set up. These
+//! guard the performance of the building blocks that every figure harness
+//! leans on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ffs::cache::BufferCache;
 use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
-use fleet::{member_boundaries, StripePolicy, VolumeKind, VolumeLayout};
+use fleet::{member_boundaries, StripePolicy, Volume, VolumeKind, VolumeLayout};
 use lfs::cleaner::{LfsConfig, LfsSim};
 use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
 use sim_disk::bus::{BusConfig, Delivery};
@@ -343,6 +344,38 @@ fn bench_fleet(c: &mut Criterion) {
             lbn = (lbn.wrapping_mul(2862933555777941757).wrapping_add(3)) % layout.capacity();
             let unit = layout.units()[layout.unit_index(black_box(lbn))];
             black_box(layout.split(unit.lstart, unit.len).unwrap())
+        })
+    });
+    // A RAID-5 volume of five small-drive members (84 000 sectors each).
+    // A format records its seed; the first write after it fills every
+    // member's store, so the second row is what a format costs a volume
+    // that is written at all.
+    let small_raid5 = || {
+        let members = (0..5)
+            .map(|_| {
+                let disk = Disk::new(models::small_test_disk());
+                let map = member_boundaries(&disk);
+                (disk, map)
+            })
+            .collect();
+        Volume::raid5(members, StripePolicy::aligned()).unwrap()
+    };
+    c.bench_function("fleet/format_raid5", |b| {
+        let mut volume = small_raid5();
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            volume.format(black_box(seed))
+        })
+    });
+    c.bench_function("fleet/first_write_after_format", |b| {
+        let mut volume = small_raid5();
+        let words = [0x5eed_u64; 16];
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            volume.format(black_box(seed));
+            black_box(volume.write(1000, &words, SimTime::ZERO).unwrap())
         })
     });
 }

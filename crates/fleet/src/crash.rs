@@ -18,6 +18,7 @@
 //! serving from that state; [`Volume::scrub_repair`] is the pass that
 //! finds and closes the resulting write holes.
 
+use crate::data::Plane;
 use crate::volume::Volume;
 use sim_disk::crash::{apply_cut, CrashError, SectorImage};
 use sim_disk::SimTime;
@@ -39,22 +40,17 @@ pub struct PowerCutReport {
 
 impl Volume {
     /// Arms power-cut capture: snapshots every member's current data
-    /// plane as the replay base and enables each member drive's crash
-    /// log. Timing is unchanged — an armed run is bit-identical to an
-    /// unarmed one. Idempotent.
+    /// plane (filling an implicit one) as the replay base and enables
+    /// each member drive's crash log. Timing is unchanged — an armed run
+    /// is bit-identical to an unarmed one. Idempotent.
     pub fn arm_crash(&mut self) {
         if self.crash_base.is_some() {
             return;
         }
-        let base = self
-            .members
-            .iter_mut()
-            .map(|m| {
-                m.disk.enable_crash_log();
-                m.store.clone()
-            })
-            .collect();
-        self.crash_base = Some(base);
+        self.crash_base = Some(self.stores().to_vec());
+        for m in &mut self.members {
+            m.disk.enable_crash_log();
+        }
     }
 
     /// Read-only view of member `m`'s crash log (`None` before
@@ -104,6 +100,7 @@ impl Volume {
         let mut member_writes = Vec::with_capacity(self.members.len());
         let mut torn = 0u64;
         let mut lost = 0u64;
+        let mut stores = Vec::with_capacity(self.members.len());
         for (i, (m, mut store)) in self.members.iter_mut().zip(base).enumerate() {
             let log = m.disk.take_crash_log().expect("armed member logs writes");
             for rec in &log.records {
@@ -130,9 +127,10 @@ impl Volume {
             if !m.healthy {
                 store.scramble(i as u64);
             }
-            m.store = store;
+            stores.push(store);
             m.disk.reset();
         }
+        self.plane = Plane::Filled(stores);
         Ok(PowerCutReport {
             cut,
             member_writes,

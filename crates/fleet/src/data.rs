@@ -6,8 +6,65 @@
 //! this module is pure — reconstruction math is property-testable with no
 //! drives in sight.
 
-use crate::layout::{VolumeKind, VolumeLayout};
+use crate::layout::{Chunk, LogicalUnit, VolumeKind, VolumeLayout};
 use traxtent::hash::{splitmix64, GOLDEN_GAMMA};
+
+/// A volume's data plane: every member's store, or — from a format until
+/// the first operation that changes or snapshots contents — only the
+/// format's seed.
+#[derive(Debug)]
+pub(crate) enum Plane {
+    /// Exactly what [`fill_stores`] writes into fresh stores under this
+    /// seed, with nothing allocated or filled yet.
+    Implicit(u64),
+    /// One store per member.
+    Filled(Vec<SectorStore>),
+}
+
+impl Plane {
+    /// Every member's store, filled first if the plane is still implicit:
+    /// the one way to the stores, so no store read can see an unfilled
+    /// plane.
+    pub(crate) fn stores(&mut self, layout: &VolumeLayout) -> &mut [SectorStore] {
+        if let Plane::Implicit(seed) = *self {
+            *self = Plane::fill(layout, seed);
+        }
+        match self {
+            Plane::Filled(stores) => stores,
+            Plane::Implicit(_) => unreachable!("filled above"),
+        }
+    }
+
+    /// What `Implicit(seed)` stands for. Cold: it runs once per format,
+    /// and kept out of line it leaves the store accessors small.
+    #[cold]
+    #[inline(never)]
+    fn fill(layout: &VolumeLayout, seed: u64) -> Plane {
+        let mut stores = zeroed_stores(layout);
+        fill_stores(layout, &mut stores, seed);
+        Plane::Filled(stores)
+    }
+
+    /// Appends chunk `chunk`'s words, as member `source` holds them, to
+    /// `out` — the healthy-read copy, the one read an implicit plane
+    /// answers without filling: a copy of the pattern is the pattern.
+    pub(crate) fn read_into(&self, source: usize, chunk: &Chunk, out: &mut Vec<u64>) {
+        match self {
+            Plane::Implicit(seed) => {
+                let lbns = chunk.lstart..chunk.lstart + chunk.len;
+                out.extend(lbns.map(|lbn| pattern_word(*seed, lbn)));
+            }
+            Plane::Filled(stores) => stores[source].read_into(chunk.pstart, chunk.len, out),
+        }
+    }
+}
+
+/// A zero-filled store for every member of `layout`.
+pub(crate) fn zeroed_stores(layout: &VolumeLayout) -> Vec<SectorStore> {
+    (layout.member_caps().iter())
+        .map(|&capacity| SectorStore::new(capacity))
+        .collect()
+}
 
 /// Per-member sector contents: one 64-bit word per physical LBN.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,24 +134,52 @@ pub fn pattern_word(seed: u64, lbn: u64) -> u64 {
 
 /// Fills member stores with the canonical pattern for every logical LBN
 /// and establishes the redundancy invariant: mirrors get full copies,
-/// RAID-5 parity units get the XOR of their round's data columns.
+/// RAID-5 parity units get the XOR of their round's data columns. One
+/// pass: each data word is written once, straight into its store, and a
+/// round's parity is folded in one unit-sized buffer as its data columns
+/// are written. Sectors no unit maps are left as they were.
 pub fn fill_stores(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
     assert_eq!(stores.len(), layout.members(), "one store per member");
-    let mut words = Vec::new();
-    for u in layout.units() {
-        words.clear();
-        words.extend((0..u.len).map(|o| pattern_word(seed, u.lstart + o)));
-        match layout.kind() {
-            VolumeKind::Mirrored => stores.iter_mut().for_each(|s| s.write(u.pstart, &words)),
-            _ => stores[u.member].write(u.pstart, &words),
+    match layout.kind() {
+        VolumeKind::Striped => {
+            for u in layout.units() {
+                fill_unit(&mut stores[u.member], u, seed);
+            }
+        }
+        VolumeKind::Mirrored => {
+            for u in layout.units() {
+                for store in stores.iter_mut() {
+                    fill_unit(store, u, seed);
+                }
+            }
+        }
+        VolumeKind::Raid5 => {
+            // A round is its `members - 1` data units, in member order.
+            let rounds = layout.units().chunks(layout.members() - 1);
+            let mut parity = Vec::new();
+            for (info, units) in layout.rounds().iter().zip(rounds) {
+                parity.clear();
+                parity.resize(info.len as usize, 0);
+                for u in units {
+                    let column = fill_unit(&mut stores[u.member], u, seed);
+                    for (p, w) in parity.iter_mut().zip(column) {
+                        *p ^= w;
+                    }
+                }
+                stores[info.parity].write(info.pstarts[info.parity], &parity);
+            }
         }
     }
-    // RAID-5 only (no rounds otherwise): a parity unit is what
-    // reconstructing it from its round's data columns yields.
-    for (r, info) in layout.rounds().iter().enumerate() {
-        let parity = reconstruct_unit(layout, stores, r, info.parity);
-        stores[info.parity].write(info.pstarts[info.parity], &parity);
+}
+
+/// Writes unit `u`'s canonical words into its column of `store`, and
+/// returns the column.
+fn fill_unit<'a>(store: &'a mut SectorStore, u: &LogicalUnit, seed: u64) -> &'a [u64] {
+    let column = &mut store.words[u.pstart as usize..][..u.len as usize];
+    for (w, lbn) in column.iter_mut().zip(u.lstart..) {
+        *w = pattern_word(seed, lbn);
     }
+    column
 }
 
 /// Reconstructs member `member`'s round-`round` unit from the surviving

@@ -122,6 +122,13 @@ pub enum FleetError {
         /// The member whose data is lost.
         member: usize,
     },
+    /// A member index past the volume's last member.
+    NoSuchMember {
+        /// The index asked for.
+        member: usize,
+        /// How many members the volume has.
+        members: usize,
+    },
     /// Rebuild was asked for a member that is not failed.
     NotFailed {
         /// The healthy member.
@@ -170,6 +177,12 @@ impl fmt::Display for FleetError {
             }
             FleetError::Unrecoverable { member } => {
                 write!(f, "data on failed member {member} cannot be reconstructed")
+            }
+            FleetError::NoSuchMember { member, members } => {
+                write!(
+                    f,
+                    "member {member} does not exist: the volume has {members} members"
+                )
             }
             FleetError::NotFailed { member } => {
                 write!(f, "member {member} is healthy; nothing to rebuild")

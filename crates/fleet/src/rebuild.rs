@@ -81,7 +81,8 @@ impl Volume {
     /// `fleet.rebuild.units`, `fleet.rebuild.sectors`,
     /// `fleet.rebuild.progress_pct`, and `fleet.rebuild.completed`.
     ///
-    /// Fails with [`FleetError::NotFailed`] if the member is healthy,
+    /// Fails with [`FleetError::NoSuchMember`] if `i` is not a member,
+    /// [`FleetError::NotFailed`] if the member is healthy,
     /// [`FleetError::DegradedPeer`] if any *other* member is down, and
     /// [`FleetError::Unrecoverable`] on a RAID-0 volume.
     pub fn rebuild_member(
@@ -90,7 +91,8 @@ impl Volume {
         reg: &Registry,
         at: SimTime,
     ) -> Result<RebuildReport, FleetError> {
-        if i >= self.members.len() || !self.layout.kind().redundant() {
+        self.check_member(i)?;
+        if !self.layout.kind().redundant() {
             return Err(lost(i));
         }
         if self.members[i].healthy {
@@ -130,7 +132,7 @@ impl Volume {
                 Some(src) => {
                     let read = self.read_member(&mut acc, src, dst, len, t, "survivor");
                     // Into zeroes: a copy.
-                    self.members[src].store.xor_into(dst, &mut words);
+                    self.stores()[src].xor_into(dst, &mut words);
                     read
                 }
                 None => self.xor_survivors(&mut acc, step, 0, &[i], t, &mut words),
@@ -139,7 +141,7 @@ impl Volume {
             t = self
                 .write_member(&mut acc, i, dst, &words, reads_done, "rebuild")
                 .map_err(|_| lost(i))?;
-            self.members[i].store.write(dst, &words);
+            self.stores()[i].write(dst, &words);
             sectors += len;
             let pct = (step as u64 + 1) * 100 / total as u64;
             reg.set_gauge("fleet.rebuild.progress_pct", pct);
@@ -171,6 +173,8 @@ impl Volume {
     pub fn scrub(&mut self, reg: &Registry) -> ScrubReport {
         let mut order: Vec<usize> = (0..self.members.len()).collect();
         order.sort_by_key(|&m| std::cmp::Reverse(suspicion(self, m)));
+        // A scrub reads the whole plane, so it fills an implicit one.
+        let stores = self.plane.stores(&self.layout);
         let mut checked = 0u64;
         let mut mismatches = 0u64;
         let mut syndrome = Vec::new();
@@ -186,10 +190,8 @@ impl Volume {
                         }
                         for u in self.layout.units() {
                             syndrome.clear();
-                            self.members[reference]
-                                .store
-                                .read_into(u.pstart, u.len, &mut syndrome);
-                            self.members[m].store.xor_into(u.pstart, &mut syndrome);
+                            stores[reference].read_into(u.pstart, u.len, &mut syndrome);
+                            stores[m].xor_into(u.pstart, &mut syndrome);
                             checked += u.len;
                             mismatches += nonzero(&syndrome);
                         }
@@ -197,7 +199,7 @@ impl Volume {
                 }
             }
             VolumeKind::Raid5 => {
-                if self.failed_members().is_empty() {
+                if self.members.iter().all(|m| m.healthy) {
                     // Rounds whose parity lives on the most suspect
                     // member are verified first.
                     let mut rank = vec![0; self.members.len()];
@@ -209,8 +211,8 @@ impl Volume {
                     for info in rounds {
                         syndrome.clear();
                         syndrome.resize(info.len as usize, 0);
-                        for (m, member) in self.members.iter().enumerate() {
-                            member.store.xor_into(info.pstarts[m], &mut syndrome);
+                        for (store, &pstart) in stores.iter().zip(&info.pstarts) {
+                            store.xor_into(pstart, &mut syndrome);
                         }
                         checked += info.len;
                         mismatches += nonzero(&syndrome);
@@ -279,19 +281,19 @@ impl Volume {
                     let LogicalUnit { pstart, len, .. } = self.layout.units()[u];
                     t = self.read_member(&mut acc, 0, pstart, len, t, "verify")?;
                     words.clear();
-                    self.members[0].store.read_into(pstart, len, &mut words);
+                    self.stores()[0].read_into(pstart, len, &mut words);
                     for m in 1..self.members.len() {
                         t = self.read_member(&mut acc, m, pstart, len, t, "verify")?;
                         checked += len;
                         syndrome.clone_from(&words);
-                        self.members[m].store.xor_into(pstart, &mut syndrome);
+                        self.stores()[m].xor_into(pstart, &mut syndrome);
                         let diverged = nonzero(&syndrome);
                         if diverged == 0 {
                             continue;
                         }
                         mismatched += diverged;
                         t = self.write_member(&mut acc, m, pstart, &words, t, "repair")?;
-                        self.members[m].store.write(pstart, &words);
+                        self.stores()[m].write(pstart, &words);
                         repaired += len;
                     }
                 }
@@ -311,9 +313,9 @@ impl Volume {
                     mismatched += bad;
                     // The parity that covers the data columns as they are
                     // is the old parity XOR the syndrome.
-                    self.members[p].store.xor_into(pdst, &mut syndrome);
+                    self.stores()[p].xor_into(pdst, &mut syndrome);
                     t = self.write_member(&mut acc, p, pdst, &syndrome, t, "repair")?;
-                    self.members[p].store.write(pdst, &syndrome);
+                    self.stores()[p].write(pdst, &syndrome);
                     repaired += len;
                 }
             }

@@ -1,6 +1,6 @@
 //! The volume proper: member drives + data plane + degraded-mode service.
 
-use crate::data::{fill_stores, pattern_word, SectorStore};
+use crate::data::{pattern_word, zeroed_stores, Plane, SectorStore};
 use crate::layout::{Chunk, StripePolicy, VolumeKind, VolumeLayout};
 use crate::FleetError;
 use sim_disk::crash::words_payload;
@@ -29,11 +29,10 @@ pub fn member_boundaries(disk: &Disk) -> ConfidentBoundaries {
     ConfidentBoundaries::certain(disk.track_boundaries())
 }
 
-/// One member drive with its data plane and health flag.
+/// One member drive and its health flag.
 #[derive(Debug)]
 pub(crate) struct Member {
     pub(crate) disk: Disk,
-    pub(crate) store: SectorStore,
     pub(crate) healthy: bool,
 }
 
@@ -121,6 +120,8 @@ pub struct Volume {
     pub(crate) layout: VolumeLayout,
     pub(crate) members: Vec<Member>,
     pub(crate) stats: VolumeStats,
+    /// Every member's contents; reached through [`Volume::stores`].
+    pub(crate) plane: Plane,
     /// Per-member data planes snapshotted by [`Volume::arm_crash`]; the
     /// state a power-cut replay starts from.
     pub(crate) crash_base: Option<Vec<SectorStore>>,
@@ -331,12 +332,12 @@ impl Volume {
         let members = members
             .into_iter()
             .map(|(disk, _)| Member {
-                store: SectorStore::new(disk.capacity_lbns()),
                 disk,
                 healthy: true,
             })
             .collect();
         Ok(Volume {
+            plane: Plane::Filled(zeroed_stores(&layout)),
             layout,
             members,
             stats: VolumeStats::default(),
@@ -510,29 +511,51 @@ impl Volume {
     /// Fills the logical space with the canonical [`pattern_word`]
     /// content and establishes mirror/parity redundancy. Data-plane only
     /// — a format costs no simulated time.
+    ///
+    /// The fill itself is deferred: the plane stays *implicit* (the seed
+    /// alone) until the first operation that changes or snapshots
+    /// contents fills every store — a write, a member failure, a rebuild,
+    /// a scrub, arming crash capture, or a RAID-5 reconstruct-read. Until
+    /// then a healthy read computes its words from the seed, so a volume
+    /// that is only ever read never allocates its stores.
     pub fn format(&mut self, seed: u64) {
         self.fill_seed = seed;
-        let mut stores: Vec<SectorStore> = self
-            .members
-            .iter()
-            .map(|m| SectorStore::new(m.disk.capacity_lbns()))
-            .collect();
-        fill_stores(&self.layout, &mut stores, seed);
-        for (m, store) in self.members.iter_mut().zip(stores) {
-            m.store = store;
+        self.plane = Plane::Implicit(seed);
+    }
+
+    /// Every member's store, filled first if the plane is implicit.
+    pub(crate) fn stores(&mut self) -> &mut [SectorStore] {
+        self.plane.stores(&self.layout)
+    }
+
+    /// Member `m`'s contents, or `None` while the plane is implicit (a
+    /// format nothing has filled yet).
+    pub fn member_store(&self, m: usize) -> Option<&SectorStore> {
+        match &self.plane {
+            Plane::Implicit(_) => None,
+            Plane::Filled(stores) => Some(&stores[m]),
+        }
+    }
+
+    /// `Ok` if `i` names a member.
+    pub(crate) fn check_member(&self, i: usize) -> Result<(), FleetError> {
+        let members = self.members.len();
+        if i < members {
+            Ok(())
+        } else {
+            Err(FleetError::NoSuchMember { member: i, members })
         }
     }
 
     /// Marks member `i` failed and destroys its contents, so that any
     /// data later "recovered" from it can only come from real
-    /// reconstruction. Idempotent.
+    /// reconstruction. Idempotent. Fails with
+    /// [`FleetError::NoSuchMember`] if `i` is not a member.
     pub fn fail_member(&mut self, i: usize) -> Result<(), FleetError> {
-        if i >= self.members.len() {
-            return Err(FleetError::Unrecoverable { member: i });
-        }
+        self.check_member(i)?;
         if self.members[i].healthy {
             self.members[i].healthy = false;
-            self.members[i].store.scramble(i as u64);
+            self.stores()[i].scramble(i as u64);
         }
         Ok(())
     }
@@ -605,7 +628,7 @@ impl Volume {
             let pstart = self.layout.rounds()[round].pstarts[m] + off;
             let read = self.read_member(acc, m, pstart, out.len() as u64, at, "survivor")?;
             done = done.max(read);
-            self.members[m].store.xor_into(pstart, out);
+            self.stores()[m].xor_into(pstart, out);
         }
         Ok(done)
     }
@@ -664,7 +687,7 @@ impl Volume {
             }
         };
         if let Some(data) = data {
-            self.members[source].store.read_into(pstart, len, data);
+            self.plane.read_into(source, chunk, data);
         }
         Ok(())
     }
@@ -772,7 +795,7 @@ impl Volume {
                     return Err(lost(owner));
                 }
                 self.write_member(acc, owner, pstart, words, at, "data")?;
-                self.members[owner].store.write(pstart, words);
+                self.stores()[owner].write(pstart, words);
             }
             VolumeKind::Mirrored => {
                 if !self.can_serve() {
@@ -783,8 +806,10 @@ impl Volume {
                         self.write_member(acc, m, pstart, words, at, "copy")?;
                     }
                 }
-                for copy in self.members.iter_mut().filter(|m| m.healthy) {
-                    copy.store.write(pstart, words);
+                for m in 0..self.members.len() {
+                    if self.members[m].healthy {
+                        self.stores()[m].write(pstart, words);
+                    }
                 }
                 if self.is_degraded() {
                     acc.took("degraded_mirror", true);
@@ -819,17 +844,15 @@ impl Volume {
                 let r2 = self
                     .read_member(acc, parity, ppstart, chunk.len, at, "parity")
                     .map_err(|_| lost(parity))?;
-                self.members[owner]
-                    .store
-                    .xor_into(chunk.pstart, &mut new_parity);
-                self.members[parity]
-                    .store
-                    .xor_into(ppstart, &mut new_parity);
+                let stores = self.stores();
+                stores[owner].xor_into(chunk.pstart, &mut new_parity);
+                stores[parity].xor_into(ppstart, &mut new_parity);
                 let reads_done = r1.max(r2);
                 self.write_member(acc, owner, chunk.pstart, words, reads_done, "data")?;
                 self.write_member(acc, parity, ppstart, &new_parity, reads_done, "parity")?;
-                self.members[owner].store.write(chunk.pstart, words);
-                self.members[parity].store.write(ppstart, &new_parity);
+                let stores = self.stores();
+                stores[owner].write(chunk.pstart, words);
+                stores[parity].write(ppstart, &new_parity);
             }
             (false, true) => {
                 // Reconstruct-write: the new parity is the XOR of the new
@@ -841,14 +864,14 @@ impl Volume {
                     .xor_survivors(acc, chunk.round, off, &[owner, parity], at, &mut new_parity)
                     .map_err(|_| lost(owner))?;
                 self.write_member(acc, parity, ppstart, &new_parity, reads_done, "parity")?;
-                self.members[parity].store.write(ppstart, &new_parity);
+                self.stores()[parity].write(ppstart, &new_parity);
                 self.stats.degraded_writes += 1;
             }
             (true, false) => {
                 // Parity member is dead: write the data, skip parity.
                 acc.took("parity_skip", true);
                 self.write_member(acc, owner, chunk.pstart, words, at, "data")?;
-                self.members[owner].store.write(chunk.pstart, words);
+                self.stores()[owner].write(chunk.pstart, words);
                 self.stats.degraded_writes += 1;
             }
             (false, false) => return Err(lost(owner)),

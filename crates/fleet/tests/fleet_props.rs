@@ -3,11 +3,12 @@
 //! trusted member track boundaries, and RAID-5 reconstruction of any
 //! single member is bit-exact — all over random heterogeneous member
 //! geometries with mixed extraction confidence. `split`, whose unit lookup
-//! goes through the bucket directory, is held to a walk over the units.
+//! goes through the bucket directory, is held to a walk over the units,
+//! and the single-pass `fill_stores` to the two-pass fill it replaced.
 
 use fleet::{
-    fill_stores, reconstruct_unit, stripe_units, Chunk, SectorStore, StripePolicy, VolumeKind,
-    VolumeLayout,
+    fill_stores, pattern_word, reconstruct_unit, stripe_units, Chunk, SectorStore, StripePolicy,
+    VolumeKind, VolumeLayout,
 };
 use proptest::prelude::*;
 use proptest::{FailureReporter, TestRng};
@@ -342,4 +343,79 @@ fn split_matches_a_walk_over_the_units() {
             ("one-unit volume", tally.one_unit_volume),
         ],
     );
+}
+
+// ---------------------------------------------------------------------
+// `fill_stores` against the two-pass fill it replaced.
+// ---------------------------------------------------------------------
+
+/// `fill_stores` before its single pass, verbatim: each unit's pattern
+/// goes into a temporary that is copied into its store, then every RAID-5
+/// parity unit is rebuilt from its round's data columns.
+fn two_pass_fill(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
+    assert_eq!(stores.len(), layout.members(), "one store per member");
+    let mut words = Vec::new();
+    for u in layout.units() {
+        words.clear();
+        words.extend((0..u.len).map(|o| pattern_word(seed, u.lstart + o)));
+        match layout.kind() {
+            VolumeKind::Mirrored => stores.iter_mut().for_each(|s| s.write(u.pstart, &words)),
+            _ => stores[u.member].write(u.pstart, &words),
+        }
+    }
+    // RAID-5 only (no rounds otherwise): a parity unit is what
+    // reconstructing it from its round's data columns yields.
+    for (r, info) in layout.rounds().iter().enumerate() {
+        let parity = reconstruct_unit(layout, stores, r, info.parity);
+        stores[info.parity].write(info.pstarts[info.parity], &parity);
+    }
+}
+
+#[test]
+fn fill_matches_the_two_pass_fill() {
+    // Cases per volume kind (striped, mirrored, RAID-5) × policy (fixed,
+    // aligned), and cases whose stores held other words before the fill:
+    // what no unit maps must come through both fills as it was.
+    let mut runs = [[0u32; 2]; 3];
+    let mut dirty = 0;
+    for_cases(
+        "fill_matches_the_two_pass_fill",
+        192,
+        (
+            arb_members(3),
+            arb_kind(),
+            arb_policy(),
+            0u64..u64::MAX,
+            0u32..2,
+        ),
+        |(maps, kind, policy, seed, scrambled)| {
+            let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
+                return; // e.g. no complete round fits
+            };
+            let before: Vec<SectorStore> = (layout.member_caps().iter().enumerate())
+                .map(|(m, &cap)| {
+                    let mut store = SectorStore::new(cap);
+                    if scrambled == 1 {
+                        store.scramble(seed ^ m as u64);
+                    }
+                    store
+                })
+                .collect();
+            let mut want = before.clone();
+            two_pass_fill(&layout, &mut want, seed);
+            let mut got = before;
+            fill_stores(&layout, &mut got, seed);
+            assert_eq!(got, want, "{kind:?} under {policy:?}");
+            let policy = usize::from(matches!(policy, StripePolicy::Aligned { .. }));
+            runs[kind as usize][policy] += 1;
+            dirty += scrambled;
+        },
+    );
+    println!("fill_matches_the_two_pass_fill: [fixed, aligned] per kind {runs:?}, over old words {dirty}");
+    for (kind, per_policy) in ["striped", "mirrored", "raid5"].iter().zip(runs) {
+        for (policy, n) in ["fixed", "aligned"].iter().zip(per_policy) {
+            assert!(n >= 16, "{kind} × {policy} ran only {n} times");
+        }
+    }
+    assert!(dirty >= 16, "a fill over old words ran only {dirty} times");
 }

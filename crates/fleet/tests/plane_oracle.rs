@@ -1,0 +1,486 @@
+//! The deferred data plane against an eager twin. `Volume::format` keeps
+//! only its seed until the first operation that changes or snapshots
+//! contents fills the stores; here a formatted volume runs beside a twin
+//! whose stores were filled right after every format, through random
+//! sequences of reads (keeping their words, and timing-only), writes,
+//! member failures, rebuilds, scrubs, repair scrubs, power cuts and
+//! re-formats, on random small volumes of every kind under both stripe
+//! policies — some with a member whose transient faults force
+//! reconstruct-reads and mirror failover. Every answer, every read's
+//! words, `VolumeStats`, the failed set and finally every member's
+//! contents must be equal.
+//!
+//! With `-- --nocapture` the test prints how often the deferred volume
+//! answered a read while still implicit and which operation filled it,
+//! and fails if any of those ran fewer than 16 times.
+
+use fleet::{pattern_word, FleetError, StripePolicy, Volume, VolumeKind};
+use proptest::prelude::*;
+use proptest::{FailureReporter, TestRng};
+use sim_disk::disk::{Disk, DiskConfig};
+use sim_disk::geometry::{GeometrySpec, ZoneSpec};
+use sim_disk::models::small_test_disk;
+use sim_disk::request::Request;
+use sim_disk::SimTime;
+use std::fmt::Debug;
+use traxtent::boundaries::ConfidentBoundaries;
+use traxtent::obs::Registry;
+
+/// One random volume.
+#[derive(Debug, Clone)]
+struct Spec {
+    kind: VolumeKind,
+    members: usize,
+    policy: StripePolicy,
+    /// Per member: track cut points (any order, repeats allowed) and
+    /// whether each track is trusted.
+    cuts: Vec<Vec<(u64, bool)>>,
+    /// A member surfacing transient faults, at this rate per million
+    /// attempts (a read or write gives up after four).
+    faulty: Option<(usize, u32)>,
+    /// A member failed before the first format, so that the formatted
+    /// plane starts out implicit with a member to rebuild.
+    failed: Option<usize>,
+    seed: u64,
+}
+
+fn arb_spec() -> impl Strategy<Value = Spec> {
+    // RAID-5 twice: its reconstruct-read is the rarest fill.
+    let kind = prop_oneof![
+        Just(VolumeKind::Striped),
+        Just(VolumeKind::Mirrored),
+        Just(VolumeKind::Raid5),
+        Just(VolumeKind::Raid5),
+    ];
+    let policy = prop_oneof![
+        (150u64..600).prop_map(StripePolicy::fixed),
+        (150u64..600).prop_map(|fallback_sectors| StripePolicy::Aligned {
+            threshold: 0.9,
+            fallback_sectors,
+        }),
+    ];
+    let cuts = prop::collection::vec(
+        prop::collection::vec((1u64..u64::MAX, (0u32..3).prop_map(|t| t > 0)), 1..24),
+        5..6,
+    );
+    let faulty = prop_oneof![
+        Just(None),
+        (0usize..5).prop_map(|m| Some((m, 600_000))),
+        (0usize..5).prop_map(|m| Some((m, 1_000_000))),
+    ];
+    let failed = prop_oneof![Just(None), (0usize..5).prop_map(Some)];
+    let volume = (kind, 2usize..6, policy, cuts);
+    (volume, faulty, failed, 0u64..u64::MAX).prop_map(
+        |((kind, members, policy, cuts), faulty, failed, seed)| {
+            let members = if kind == VolumeKind::Raid5 {
+                members.max(3)
+            } else {
+                members
+            };
+            Spec {
+                kind,
+                members,
+                policy,
+                cuts,
+                faulty: faulty.map(|(m, ppm)| (m % members, ppm)),
+                failed: failed.map(|m| m % members),
+                seed,
+            }
+        },
+    )
+}
+
+/// A member drive: `small_test_disk` cut to 2 surfaces of 30 cylinders,
+/// 12 000 sectors.
+fn member_config() -> DiskConfig {
+    let zone = ZoneSpec {
+        cylinders: 30,
+        spt: 200,
+        track_skew: 30,
+        cyl_skew: 36,
+    };
+    DiskConfig {
+        geometry: GeometrySpec::pristine(2, vec![zone])
+            .build()
+            .expect("a valid geometry"),
+        ..small_test_disk()
+    }
+}
+
+/// The volume `spec` describes, unformatted; `None` if no layout fits.
+fn build(spec: &Spec) -> Option<Volume> {
+    let members = (0..spec.members)
+        .map(|m| {
+            let mut config = member_config();
+            if let Some((_, ppm)) = spec.faulty.filter(|&(f, _)| f == m) {
+                config.fault.transient_per_million = ppm;
+            }
+            let disk = Disk::new(config);
+            let cap = disk.capacity_lbns();
+            let mut cuts: Vec<(u64, bool)> =
+                spec.cuts[m].iter().map(|&(c, t)| (c % cap, t)).collect();
+            cuts.push((cap, true));
+            cuts.sort_unstable();
+            cuts.dedup_by_key(|c| c.0);
+            let mut start = 0;
+            let tracks = cuts
+                .into_iter()
+                .filter(|&(c, _)| c > 0)
+                .map(|(end, trusted)| {
+                    let len = end - start;
+                    start = end;
+                    (len, if trusted { 1.0 } else { 0.35 })
+                });
+            let map = ConfidentBoundaries::from_unit_lengths(tracks).expect("positive lengths");
+            (disk, map)
+        })
+        .collect();
+    match spec.kind {
+        VolumeKind::Striped => Volume::striped(members, spec.policy),
+        VolumeKind::Mirrored => Volume::mirrored(members, spec.policy),
+        VolumeKind::Raid5 => Volume::raid5(members, spec.policy),
+    }
+    .ok()
+}
+
+/// One operation, applied to both volumes. Positions and lengths are
+/// folded into the volume when applied.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `Volume::read`, keeping the words.
+    Read {
+        lbn: u64,
+        len: u64,
+    },
+    /// `Volume::service`: a timing-only read, or a write of synthesized
+    /// words.
+    Serve {
+        write: bool,
+        lbn: u64,
+        len: u64,
+    },
+    Write {
+        lbn: u64,
+        len: u64,
+        salt: u64,
+    },
+    /// One past the last member is `NoSuchMember`.
+    Fail {
+        member: usize,
+    },
+    /// A failed member when there is one.
+    Rebuild {
+        member: usize,
+    },
+    Scrub,
+    ScrubRepair,
+    /// `arm_crash`, these writes, maybe a format (which the cut undoes),
+    /// then `power_cut` at `frac` ‰ of the crash horizon.
+    Crash {
+        writes: Vec<(u64, u64, u64)>,
+        reformat: Option<u64>,
+        frac: u64,
+    },
+    Format {
+        seed: u64,
+    },
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    let pos = || (0u64..u64::MAX, 1u64..400);
+    let step = prop_oneof![
+        pos().prop_map(|(lbn, len)| Step::Read { lbn, len }),
+        pos().prop_map(|(lbn, len)| Step::Read { lbn, len }),
+        pos().prop_map(|(lbn, len)| Step::Read { lbn, len }),
+        (0u32..2, pos()).prop_map(|(w, (lbn, len))| Step::Serve {
+            write: w == 1,
+            lbn,
+            len
+        }),
+        (pos(), 0u64..u64::MAX).prop_map(|((lbn, len), salt)| Step::Write { lbn, len, salt }),
+        (0usize..6).prop_map(|member| Step::Fail { member }),
+        (0usize..6).prop_map(|member| Step::Rebuild { member }),
+        (0usize..6).prop_map(|member| Step::Rebuild { member }),
+        Just(Step::Scrub),
+        Just(Step::ScrubRepair),
+        (
+            prop::collection::vec((0u64..u64::MAX, 1u64..400, 0u64..u64::MAX), 0..4),
+            prop_oneof![Just(None), Just(None), (0u64..u64::MAX).prop_map(Some)],
+            0u64..=1000
+        )
+            .prop_map(|(writes, reformat, frac)| Step::Crash {
+                writes,
+                reformat,
+                frac
+            }),
+        (0u64..u64::MAX).prop_map(|seed| Step::Format { seed }),
+        (0u64..u64::MAX).prop_map(|seed| Step::Format { seed }),
+        (0u64..u64::MAX).prop_map(|seed| Step::Format { seed }),
+    ];
+    prop::collection::vec(step, 1..16)
+}
+
+#[derive(Debug, Default)]
+struct Tally {
+    cases: u32,
+    striped: u32,
+    mirrored: u32,
+    raid5: u32,
+    fixed: u32,
+    aligned: u32,
+    /// A kept read answered from the seed, the plane still implicit after.
+    implicit_read: u32,
+    /// … of which a mirror read served by a copy other than the preferred one.
+    implicit_failover: u32,
+    /// What filled an implicit plane.
+    by_write: u32,
+    by_serve: u32,
+    by_fail: u32,
+    by_rebuild: u32,
+    by_scrub: u32,
+    by_scrub_repair: u32,
+    by_crash: u32,
+    by_reconstruct_read: u32,
+    /// Member indices past the end, refused by `fail_member` and
+    /// `rebuild_member`.
+    no_such_member: u32,
+}
+
+impl Tally {
+    fn require(&self, paths: &[(&str, u32)]) {
+        println!("deferred_plane_matches_an_eager_twin: {self:?}");
+        for (path, n) in paths {
+            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
+        }
+    }
+}
+
+/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
+/// draws them (seeded by `name`, inputs printed when a case panics) —
+/// spelled out so that the property can tally paths across cases.
+fn for_cases<S: Strategy>(
+    name: &'static str,
+    cases: u32,
+    strategy: S,
+    mut body: impl FnMut(S::Value),
+) where
+    S::Value: Debug,
+{
+    let mut rng = TestRng::deterministic(name);
+    for case in 0..cases {
+        let value = strategy.sample(&mut rng);
+        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
+        body(value);
+        reporter.disarm();
+    }
+}
+
+/// The deferred volume and its eager twin.
+struct Twins {
+    lazy: Volume,
+    eager: Volume,
+}
+
+impl Twins {
+    /// Applies `op` to both and requires the same answer.
+    fn same<T: PartialEq + Debug>(&mut self, what: &Step, op: impl Fn(&mut Volume) -> T) -> T {
+        let got = op(&mut self.lazy);
+        let want = op(&mut self.eager);
+        assert_eq!(got, want, "{what:?}");
+        got
+    }
+
+    fn format(&mut self, seed: u64) {
+        self.lazy.format(seed);
+        self.eager.format(seed);
+        // The eager twin's fill, right after the format: a scrub reads
+        // the whole plane.
+        self.eager.scrub(&Registry::new());
+        assert!(self.lazy.member_store(0).is_none(), "a format is implicit");
+        assert!(self.eager.member_store(0).is_some(), "a scrub fills");
+    }
+
+    fn implicit(&self) -> bool {
+        self.lazy.member_store(0).is_none()
+    }
+}
+
+/// `(lbn, len)` folded into a volume of `cap` sectors.
+fn fold(cap: u64, lbn: u64, len: u64) -> (u64, u64) {
+    let len = len.min(cap);
+    (lbn % (cap - len + 1), len)
+}
+
+fn words(lbn: u64, len: u64, salt: u64) -> Vec<u64> {
+    (0..len).map(|o| pattern_word(salt, lbn + o)).collect()
+}
+
+fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
+    let (Some(lazy), Some(eager)) = (build(spec), build(spec)) else {
+        return; // e.g. no complete round fits
+    };
+    tally.cases += 1;
+    *match spec.kind {
+        VolumeKind::Striped => &mut tally.striped,
+        VolumeKind::Mirrored => &mut tally.mirrored,
+        VolumeKind::Raid5 => &mut tally.raid5,
+    } += 1;
+    *match spec.policy {
+        StripePolicy::Fixed { .. } => &mut tally.fixed,
+        StripePolicy::Aligned { .. } => &mut tally.aligned,
+    } += 1;
+    let mut v = Twins { lazy, eager };
+    if let Some(m) = spec.failed {
+        v.same(&Step::Fail { member: m }, |v| v.fail_member(m))
+            .expect("a member");
+    }
+    v.format(spec.seed);
+    let cap = v.lazy.capacity();
+    let n = spec.members;
+    let missing = Err(FleetError::NoSuchMember {
+        member: n,
+        members: n,
+    });
+    let mut t = SimTime::ZERO;
+    for step in steps {
+        let implicit = v.implicit();
+        let fill = match *step {
+            Step::Read { lbn, len } => {
+                let (lbn, len) = fold(cap, lbn, len);
+                let got = v.same(step, |v| v.read(lbn, len, t));
+                if let Ok((done, _)) = got {
+                    t = t.max(done.completion);
+                    if implicit && v.implicit() {
+                        tally.implicit_read += 1;
+                        tally.implicit_failover +=
+                            u32::from(spec.kind == VolumeKind::Mirrored && done.reconstructed);
+                    }
+                }
+                &mut tally.by_reconstruct_read
+            }
+            Step::Serve { write, lbn, len } => {
+                let (lbn, len) = fold(cap, lbn, len);
+                let req = if write {
+                    Request::write(lbn, len)
+                } else {
+                    Request::read(lbn, len)
+                };
+                if let Ok(done) = v.same(step, |v| v.service(req, t)) {
+                    t = t.max(done.completion);
+                }
+                &mut tally.by_serve
+            }
+            Step::Write { lbn, len, salt } => {
+                let (lbn, len) = fold(cap, lbn, len);
+                let data = words(lbn, len, salt);
+                if let Ok(done) = v.same(step, |v| v.write(lbn, &data, t)) {
+                    t = t.max(done.completion);
+                }
+                &mut tally.by_write
+            }
+            Step::Fail { member } => {
+                let i = member % (n + 1);
+                let got = v.same(step, |v| v.fail_member(i));
+                if i == n {
+                    assert_eq!(got, missing);
+                    tally.no_such_member += 1;
+                }
+                &mut tally.by_fail
+            }
+            Step::Rebuild { member } => {
+                let failed = v.lazy.failed_members();
+                let i = match failed.len() {
+                    0 => member % (n + 1),
+                    k => failed[member % k],
+                };
+                let got = v.same(step, |v| v.rebuild_member(i, &Registry::new(), t));
+                if i == n {
+                    assert_eq!(got.map(|_| ()), missing);
+                    tally.no_such_member += 1;
+                } else if let Ok(report) = got {
+                    t = t.max(report.finished);
+                }
+                &mut tally.by_rebuild
+            }
+            Step::Scrub => {
+                v.same(step, |v| v.scrub(&Registry::new()));
+                &mut tally.by_scrub
+            }
+            Step::ScrubRepair => {
+                if let Ok(report) = v.same(step, |v| v.scrub_repair(&Registry::new(), t)) {
+                    t = t.max(report.finished);
+                }
+                &mut tally.by_scrub_repair
+            }
+            Step::Crash {
+                ref writes,
+                reformat,
+                frac,
+            } => {
+                v.same(step, Volume::arm_crash);
+                for &(lbn, len, salt) in writes {
+                    let (lbn, len) = fold(cap, lbn, len);
+                    let data = words(lbn, len, salt);
+                    if let Ok(done) = v.same(step, |v| v.write(lbn, &data, t)) {
+                        t = t.max(done.completion);
+                    }
+                }
+                if let Some(seed) = reformat {
+                    v.format(seed);
+                }
+                let horizon = v.same(step, |v| v.crash_horizon());
+                let cut = SimTime::from_ns(horizon.as_ns() * frac / 1000);
+                v.same(step, |v| {
+                    v.power_cut(cut)
+                        .expect("every write path attaches payloads")
+                });
+                &mut tally.by_crash
+            }
+            Step::Format { seed } => {
+                v.format(seed);
+                continue;
+            }
+        };
+        if implicit && !v.implicit() {
+            *fill += 1;
+        }
+        assert_eq!(v.lazy.stats(), v.eager.stats(), "after {step:?}");
+        assert_eq!(v.lazy.failed_members(), v.eager.failed_members());
+    }
+    let last = Step::Scrub;
+    v.same(&last, |v| v.scrub(&Registry::new()));
+    for m in 0..n {
+        let (lazy, eager) = (v.lazy.member_store(m), v.eager.member_store(m));
+        assert!(lazy.is_some(), "a scrub fills");
+        assert!(lazy == eager, "member {m}'s contents differ");
+    }
+}
+
+#[test]
+fn deferred_plane_matches_an_eager_twin() {
+    let mut tally = Tally::default();
+    for_cases(
+        "deferred_plane_matches_an_eager_twin",
+        512,
+        (arb_spec(), arb_steps()),
+        |(spec, steps)| run_case(&spec, &steps, &mut tally),
+    );
+    tally.require(&[
+        ("striped", tally.striped),
+        ("mirrored", tally.mirrored),
+        ("raid5", tally.raid5),
+        ("fixed units", tally.fixed),
+        ("aligned units", tally.aligned),
+        ("implicit read", tally.implicit_read),
+        ("implicit read from a mirror copy", tally.implicit_failover),
+        ("fill by write", tally.by_write),
+        ("fill by service", tally.by_serve),
+        ("fill by fail_member", tally.by_fail),
+        ("fill by rebuild_member", tally.by_rebuild),
+        ("fill by scrub", tally.by_scrub),
+        ("fill by scrub_repair", tally.by_scrub_repair),
+        ("fill by arm_crash", tally.by_crash),
+        ("fill by reconstruct-read", tally.by_reconstruct_read),
+        ("no such member", tally.no_such_member),
+    ]);
+}

@@ -260,3 +260,42 @@ fn member_command_accounting_by_mode() {
         }
     }
 }
+
+/// A member index past the last member is its own typed error from both
+/// calls that take one, not a claim that data was lost; RAID-0 still
+/// refuses to rebuild a member it has.
+#[test]
+fn a_missing_member_is_no_such_member() {
+    for kind in [VolumeKind::Striped, VolumeKind::Mirrored, VolumeKind::Raid5] {
+        let policy = StripePolicy::aligned();
+        let mut v = match kind {
+            VolumeKind::Striped => Volume::striped(members(3), policy),
+            VolumeKind::Mirrored => Volume::mirrored(members(3), policy),
+            VolumeKind::Raid5 => Volume::raid5(members(3), policy),
+        }
+        .unwrap();
+        v.format(SEED);
+        let missing = FleetError::NoSuchMember {
+            member: 9,
+            members: 3,
+        };
+        assert_eq!(v.fail_member(9), Err(missing.clone()), "{kind:?}");
+        let reg = Registry::new();
+        assert_eq!(
+            v.rebuild_member(9, &reg, SimTime::ZERO),
+            Err(missing.clone()),
+            "{kind:?}"
+        );
+        assert_eq!(
+            missing.to_string(),
+            "member 9 does not exist: the volume has 3 members"
+        );
+        assert!(v.member_store(0).is_none(), "a refused call fills nothing");
+    }
+    let mut v = Volume::striped(members(2), StripePolicy::aligned()).unwrap();
+    v.fail_member(1).unwrap();
+    assert_eq!(
+        v.rebuild_member(1, &Registry::new(), SimTime::ZERO),
+        Err(FleetError::Unrecoverable { member: 1 })
+    );
+}

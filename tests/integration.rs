@@ -304,6 +304,7 @@ const UNCALLED: &[(&str, &str)] = &[
     ("live_files", "proptest oracle for crash_fsck: the in-memory truth a recovered image must equal"),
     ("clean", "observer for crash_fsck: a second fsck repairs nothing"),
     ("free_blocks", "observer for fs_behavior and the layout tests: churn leaks no block"),
+    ("member_store", "observer for fleet plane_oracle: a member's contents, and whether a format is still implicit"),
 ];
 
 /// `src` with comments, literals and `#[cfg(test)]` items blanked out.
