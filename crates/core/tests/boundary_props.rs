@@ -4,8 +4,6 @@
 //! through, against the binary search it replaced.
 
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
-use std::fmt::Debug;
 use traxtent::boundaries::{Found, LbnDirectory};
 use traxtent::{Extent, RequestPlanner, TrackBoundaries, TraxtentAllocator};
 
@@ -115,48 +113,6 @@ proptest! {
 // The bucket directory against the search it replaced.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Tally {
-    lookups: u32,
-    /// The bucket's own entry was the answer.
-    step0: u32,
-    step1: u32,
-    step2_3: u32,
-    /// The bucket held more starts than the scan covers.
-    crowded: u32,
-    /// ... and was the table's last, bounded by the sentinel entry.
-    crowded_sentinel: u32,
-}
-
-impl Tally {
-    fn require(&self, name: &str, paths: &[(&str, u32)]) {
-        println!("{name}: {self:?}");
-        for (path, n) in paths {
-            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
-        }
-    }
-}
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
-
 /// Track lengths in the shapes that break a naive directory. A zero length
 /// is an empty track: a repeated start.
 fn lengths(shape: u8, raw: &[u64], big: u64) -> Vec<u64> {
@@ -214,17 +170,18 @@ fn check_table(lengths: &[u64], picks: &[u64], tally: &mut Tally) {
         if lbn % (1 << shift) == 0 {
             assert_eq!(found, Found::Scan(0), "bucket {lbn} >> {shift} starts late");
         }
-        tally.lookups += 1;
-        match found {
-            Found::Scan(0) => tally.step0 += 1,
-            Found::Scan(1) => tally.step1 += 1,
-            Found::Scan(_) => tally.step2_3 += 1,
-            Found::Crowded => {
-                tally.crowded += 1;
-                let last_bucket = lbn >> shift == (capacity - 1) >> shift;
-                tally.crowded_sentinel += u32::from(last_bucket);
-            }
-        }
+        tally.note("lookups");
+        // The bucket's own entry, a step or more past it, or a bucket more
+        // crowded than the scan covers — the table's last one bounded by the
+        // sentinel entry.
+        tally.note(match found {
+            Found::Scan(0) => "step0",
+            Found::Scan(1) => "step1",
+            Found::Scan(_) => "step2_3",
+            Found::Crowded => "crowded",
+        });
+        let last_bucket = lbn >> shift == (capacity - 1) >> shift;
+        tally.note_if(found == Found::Crowded && last_bucket, "crowded_sentinel");
     }
 }
 
@@ -245,12 +202,6 @@ fn directory_matches_the_binary_search() {
     check_table(&lengths(3, &ones, 1 << 30), &[12_345, 1 << 29], &mut tally);
     tally.require(
         "directory_matches_the_binary_search",
-        &[
-            ("scan step 0", tally.step0),
-            ("scan step 1", tally.step1),
-            ("scan steps 2-3", tally.step2_3),
-            ("crowded bucket", tally.crowded),
-            ("crowded sentinel bucket", tally.crowded_sentinel),
-        ],
+        &["step0", "step1", "step2_3", "crowded", "crowded_sentinel"],
     );
 }

@@ -13,60 +13,8 @@ use ffs::cache::BufferCache;
 use ffs::layout::{AllocStats, BLOCKS_PER_GROUP};
 use ffs::{Layout, Personality, BLOCK_SECTORS};
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt::Debug;
 use traxtent::{ConfidentBoundaries, TrackBoundaries};
-
-/// How often each named branch was seen, over all the cases of a property.
-#[derive(Debug, Default)]
-struct Tally(BTreeMap<&'static str, u32>);
-
-impl Tally {
-    fn note(&mut self, branch: &'static str) {
-        *self.0.entry(branch).or_default() += 1;
-    }
-
-    fn note_if(&mut self, seen: bool, branch: &'static str) {
-        if seen {
-            self.note(branch);
-        }
-    }
-
-    fn absorb(&mut self, other: Tally) {
-        for (branch, n) in other.0 {
-            *self.0.entry(branch).or_default() += n;
-        }
-    }
-
-    fn require(&self, name: &str, branches: &[&str]) {
-        println!("{name}: {:?}", self.0);
-        for branch in branches {
-            let n = self.0.get(branch).copied().unwrap_or(0);
-            assert!(n >= 16, "{branch} was seen only {n} times: {:?}", self.0);
-        }
-    }
-}
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally branches across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
 
 /// The buffer cache as a map plus a recency index keyed by a monotone
 /// stamp: eviction takes the smallest stamp.

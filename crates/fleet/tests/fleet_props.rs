@@ -11,8 +11,6 @@ use fleet::{
     VolumeKind, VolumeLayout,
 };
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
-use std::fmt::Debug;
 use traxtent::boundaries::ConfidentBoundaries;
 
 /// A random member boundary map: 2–60 tracks of 1–400 sectors, each
@@ -175,54 +173,8 @@ proptest! {
 // `split` against a naive walk over the units.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Tally {
-    requests: u32,
-    striped: u32,
-    mirrored: u32,
-    raid5: u32,
-    fixed: u32,
-    aligned: u32,
-    /// The request starts in a fallback unit carved from a fuzzy run: many
-    /// short units in one directory bucket.
-    starts_in_fallback_unit: u32,
-    one_chunk: u32,
-    many_chunks: u32,
-    ends_at_capacity: u32,
-    /// Past the end, or empty: an error from both.
-    rejected: u32,
-    /// A volume whose logical table is one unit.
-    one_unit_volume: u32,
-}
-
-impl Tally {
-    fn require(&self, name: &str, paths: &[(&str, u32)]) {
-        println!("{name}: {self:?}");
-        for (path, n) in paths {
-            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
-        }
-    }
-}
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
+/// A volume kind's tally branch, in `VolumeKind` order.
+const KINDS: [&str; 3] = ["striped", "mirrored", "raid5"];
 
 /// `split` with no lookup at all: every unit, in order, clipped to the
 /// request.
@@ -258,21 +210,25 @@ fn check_split(
 ) {
     let want = walk(layout, lbn, len);
     assert_eq!(layout.split(lbn, len).ok(), want, "split({lbn}, {len})");
-    tally.requests += 1;
+    tally.note("requests");
     let Some(chunks) = want else {
-        tally.rejected += 1;
+        tally.note("rejected"); // past the end, or empty: an error from both
         return;
     };
     assert_eq!(layout.unit_index(lbn), chunks[0].unit);
     let first = &layout.units()[chunks[0].unit];
-    tally.starts_in_fallback_unit +=
-        u32::from(first.confidence < 0.9 && Some(first.len) == fallback);
-    *(if chunks.len() == 1 {
-        &mut tally.one_chunk
+    // A fallback unit carved from a fuzzy run: many short units in one
+    // directory bucket.
+    tally.note_if(
+        first.confidence < 0.9 && Some(first.len) == fallback,
+        "starts_in_fallback_unit",
+    );
+    tally.note(if chunks.len() == 1 {
+        "one_chunk"
     } else {
-        &mut tally.many_chunks
-    }) += 1;
-    tally.ends_at_capacity += u32::from(lbn + len == layout.capacity());
+        "many_chunks"
+    });
+    tally.note_if(lbn + len == layout.capacity(), "ends_at_capacity");
 }
 
 #[test]
@@ -291,21 +247,17 @@ fn split_matches_a_walk_over_the_units() {
             };
             let fallback = match policy {
                 StripePolicy::Fixed { .. } => {
-                    tally.fixed += 1;
+                    tally.note("fixed");
                     None
                 }
                 StripePolicy::Aligned {
                     fallback_sectors, ..
                 } => {
-                    tally.aligned += 1;
+                    tally.note("aligned");
                     Some(fallback_sectors)
                 }
             };
-            *match kind {
-                VolumeKind::Striped => &mut tally.striped,
-                VolumeKind::Mirrored => &mut tally.mirrored,
-                VolumeKind::Raid5 => &mut tally.raid5,
-            } += 1;
+            tally.note(KINDS[kind as usize]);
             for (at, len) in requests {
                 let lbn = at % (layout.capacity() + 1);
                 let len = if len % 8 == 0 {
@@ -325,22 +277,22 @@ fn split_matches_a_walk_over_the_units() {
     assert_eq!(layout.units().len(), 1);
     for (lbn, len) in (0..=300).flat_map(|lbn| [(lbn, 1), (lbn, 300 - lbn), (lbn, 301 - lbn)]) {
         check_split(&layout, Some(64), lbn, len, &mut tally);
-        tally.one_unit_volume += 1;
+        tally.note("one_unit_volume");
     }
     tally.require(
         "split_matches_a_walk_over_the_units",
         &[
-            ("striped", tally.striped),
-            ("mirrored", tally.mirrored),
-            ("raid5", tally.raid5),
-            ("fixed units", tally.fixed),
-            ("aligned units", tally.aligned),
-            ("start in a fallback unit", tally.starts_in_fallback_unit),
-            ("one chunk", tally.one_chunk),
-            ("many chunks", tally.many_chunks),
-            ("end at capacity", tally.ends_at_capacity),
-            ("rejected", tally.rejected),
-            ("one-unit volume", tally.one_unit_volume),
+            "striped",
+            "mirrored",
+            "raid5",
+            "fixed",
+            "aligned",
+            "starts_in_fallback_unit",
+            "one_chunk",
+            "many_chunks",
+            "ends_at_capacity",
+            "rejected",
+            "one_unit_volume",
         ],
     );
 }
@@ -371,15 +323,23 @@ fn two_pass_fill(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
     }
 }
 
+/// Each volume kind × stripe policy's tally branch, kinds in `VolumeKind`
+/// order and the fixed policy first.
+const KIND_POLICIES: [[&str; 2]; 3] = [
+    ["striped_fixed", "striped_aligned"],
+    ["mirrored_fixed", "mirrored_aligned"],
+    ["raid5_fixed", "raid5_aligned"],
+];
+
 #[test]
 fn fill_matches_the_two_pass_fill() {
     // Cases per volume kind (striped, mirrored, RAID-5) × policy (fixed,
     // aligned), and cases whose stores held other words before the fill:
     // what no unit maps must come through both fills as it was.
-    let mut runs = [[0u32; 2]; 3];
-    let mut dirty = 0;
+    let name = "fill_matches_the_two_pass_fill";
+    let mut tally = Tally::default();
     for_cases(
-        "fill_matches_the_two_pass_fill",
+        name,
         192,
         (
             arb_members(3),
@@ -407,15 +367,11 @@ fn fill_matches_the_two_pass_fill() {
             fill_stores(&layout, &mut got, seed);
             assert_eq!(got, want, "{kind:?} under {policy:?}");
             let policy = usize::from(matches!(policy, StripePolicy::Aligned { .. }));
-            runs[kind as usize][policy] += 1;
-            dirty += scrambled;
+            tally.note(KIND_POLICIES[kind as usize][policy]);
+            tally.note_if(scrambled == 1, "over_old_words");
         },
     );
-    println!("fill_matches_the_two_pass_fill: [fixed, aligned] per kind {runs:?}, over old words {dirty}");
-    for (kind, per_policy) in ["striped", "mirrored", "raid5"].iter().zip(runs) {
-        for (policy, n) in ["fixed", "aligned"].iter().zip(per_policy) {
-            assert!(n >= 16, "{kind} × {policy} ran only {n} times");
-        }
-    }
-    assert!(dirty >= 16, "a fill over old words ran only {dirty} times");
+    let mut branches: Vec<&str> = KIND_POLICIES.concat();
+    branches.push("over_old_words");
+    tally.require(name, &branches);
 }

@@ -16,7 +16,6 @@
 
 use fleet::{pattern_word, FleetError, StripePolicy, Volume, VolumeKind};
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::geometry::{GeometrySpec, ZoneSpec};
 use sim_disk::models::small_test_disk;
@@ -220,61 +219,6 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(step, 1..16)
 }
 
-#[derive(Debug, Default)]
-struct Tally {
-    cases: u32,
-    striped: u32,
-    mirrored: u32,
-    raid5: u32,
-    fixed: u32,
-    aligned: u32,
-    /// A kept read answered from the seed, the plane still implicit after.
-    implicit_read: u32,
-    /// … of which a mirror read served by a copy other than the preferred one.
-    implicit_failover: u32,
-    /// What filled an implicit plane.
-    by_write: u32,
-    by_serve: u32,
-    by_fail: u32,
-    by_rebuild: u32,
-    by_scrub: u32,
-    by_scrub_repair: u32,
-    by_crash: u32,
-    by_reconstruct_read: u32,
-    /// Member indices past the end, refused by `fail_member` and
-    /// `rebuild_member`.
-    no_such_member: u32,
-}
-
-impl Tally {
-    fn require(&self, paths: &[(&str, u32)]) {
-        println!("deferred_plane_matches_an_eager_twin: {self:?}");
-        for (path, n) in paths {
-            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
-        }
-    }
-}
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
-
 /// The deferred volume and its eager twin.
 struct Twins {
     lazy: Volume,
@@ -319,16 +263,16 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
     let (Some(lazy), Some(eager)) = (build(spec), build(spec)) else {
         return; // e.g. no complete round fits
     };
-    tally.cases += 1;
-    *match spec.kind {
-        VolumeKind::Striped => &mut tally.striped,
-        VolumeKind::Mirrored => &mut tally.mirrored,
-        VolumeKind::Raid5 => &mut tally.raid5,
-    } += 1;
-    *match spec.policy {
-        StripePolicy::Fixed { .. } => &mut tally.fixed,
-        StripePolicy::Aligned { .. } => &mut tally.aligned,
-    } += 1;
+    tally.note("cases");
+    tally.note(match spec.kind {
+        VolumeKind::Striped => "striped",
+        VolumeKind::Mirrored => "mirrored",
+        VolumeKind::Raid5 => "raid5",
+    });
+    tally.note(match spec.policy {
+        StripePolicy::Fixed { .. } => "fixed",
+        StripePolicy::Aligned { .. } => "aligned",
+    });
     let mut v = Twins { lazy, eager };
     if let Some(m) = spec.failed {
         v.same(&Step::Fail { member: m }, |v| v.fail_member(m))
@@ -351,12 +295,17 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
                 if let Ok((done, _)) = got {
                     t = t.max(done.completion);
                     if implicit && v.implicit() {
-                        tally.implicit_read += 1;
-                        tally.implicit_failover +=
-                            u32::from(spec.kind == VolumeKind::Mirrored && done.reconstructed);
+                        // A kept read answered from the seed, the plane
+                        // still implicit after; and a mirror read served by
+                        // a copy other than the preferred one.
+                        tally.note("implicit_read");
+                        tally.note_if(
+                            spec.kind == VolumeKind::Mirrored && done.reconstructed,
+                            "implicit_failover",
+                        );
                     }
                 }
-                &mut tally.by_reconstruct_read
+                "by_reconstruct_read"
             }
             Step::Serve { write, lbn, len } => {
                 let (lbn, len) = fold(cap, lbn, len);
@@ -368,7 +317,7 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
                 if let Ok(done) = v.same(step, |v| v.service(req, t)) {
                     t = t.max(done.completion);
                 }
-                &mut tally.by_serve
+                "by_serve"
             }
             Step::Write { lbn, len, salt } => {
                 let (lbn, len) = fold(cap, lbn, len);
@@ -376,16 +325,16 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
                 if let Ok(done) = v.same(step, |v| v.write(lbn, &data, t)) {
                     t = t.max(done.completion);
                 }
-                &mut tally.by_write
+                "by_write"
             }
             Step::Fail { member } => {
                 let i = member % (n + 1);
                 let got = v.same(step, |v| v.fail_member(i));
                 if i == n {
                     assert_eq!(got, missing);
-                    tally.no_such_member += 1;
+                    tally.note("no_such_member");
                 }
-                &mut tally.by_fail
+                "by_fail"
             }
             Step::Rebuild { member } => {
                 let failed = v.lazy.failed_members();
@@ -396,21 +345,21 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
                 let got = v.same(step, |v| v.rebuild_member(i, &Registry::new(), t));
                 if i == n {
                     assert_eq!(got.map(|_| ()), missing);
-                    tally.no_such_member += 1;
+                    tally.note("no_such_member");
                 } else if let Ok(report) = got {
                     t = t.max(report.finished);
                 }
-                &mut tally.by_rebuild
+                "by_rebuild"
             }
             Step::Scrub => {
                 v.same(step, |v| v.scrub(&Registry::new()));
-                &mut tally.by_scrub
+                "by_scrub"
             }
             Step::ScrubRepair => {
                 if let Ok(report) = v.same(step, |v| v.scrub_repair(&Registry::new(), t)) {
                     t = t.max(report.finished);
                 }
-                &mut tally.by_scrub_repair
+                "by_scrub_repair"
             }
             Step::Crash {
                 ref writes,
@@ -434,16 +383,15 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
                     v.power_cut(cut)
                         .expect("every write path attaches payloads")
                 });
-                &mut tally.by_crash
+                "by_crash"
             }
             Step::Format { seed } => {
                 v.format(seed);
                 continue;
             }
         };
-        if implicit && !v.implicit() {
-            *fill += 1;
-        }
+        // What filled an implicit plane.
+        tally.note_if(implicit && !v.implicit(), fill);
         assert_eq!(v.lazy.stats(), v.eager.stats(), "after {step:?}");
         assert_eq!(v.lazy.failed_members(), v.eager.failed_members());
     }
@@ -458,29 +406,30 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
 
 #[test]
 fn deferred_plane_matches_an_eager_twin() {
+    let name = "deferred_plane_matches_an_eager_twin";
     let mut tally = Tally::default();
-    for_cases(
-        "deferred_plane_matches_an_eager_twin",
-        512,
-        (arb_spec(), arb_steps()),
-        |(spec, steps)| run_case(&spec, &steps, &mut tally),
+    for_cases(name, 512, (arb_spec(), arb_steps()), |(spec, steps)| {
+        run_case(&spec, &steps, &mut tally)
+    });
+    tally.require(
+        name,
+        &[
+            "striped",
+            "mirrored",
+            "raid5",
+            "fixed",
+            "aligned",
+            "implicit_read",
+            "implicit_failover",
+            "by_write",
+            "by_serve",
+            "by_fail",
+            "by_rebuild",
+            "by_scrub",
+            "by_scrub_repair",
+            "by_crash",
+            "by_reconstruct_read",
+            "no_such_member",
+        ],
     );
-    tally.require(&[
-        ("striped", tally.striped),
-        ("mirrored", tally.mirrored),
-        ("raid5", tally.raid5),
-        ("fixed units", tally.fixed),
-        ("aligned units", tally.aligned),
-        ("implicit read", tally.implicit_read),
-        ("implicit read from a mirror copy", tally.implicit_failover),
-        ("fill by write", tally.by_write),
-        ("fill by service", tally.by_serve),
-        ("fill by fail_member", tally.by_fail),
-        ("fill by rebuild_member", tally.by_rebuild),
-        ("fill by scrub", tally.by_scrub),
-        ("fill by scrub_repair", tally.by_scrub_repair),
-        ("fill by arm_crash", tally.by_crash),
-        ("fill by reconstruct-read", tally.by_reconstruct_read),
-        ("no such member", tally.no_such_member),
-    ]);
 }

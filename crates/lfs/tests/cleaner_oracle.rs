@@ -21,11 +21,9 @@ use lfs::cleaner::{LfsConfig, LfsSim, WriteTally};
 use lfs::segments::SegmentTable;
 use lfs::LfsError;
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::fmt::Debug;
 use traxtent::TrackBoundaries;
 
 // ---------------------------------------------------------------------
@@ -363,41 +361,15 @@ impl ScanCleaner {
     }
 }
 
-#[derive(Debug, Default)]
-struct Tally {
-    cases: u32,
-    chunks: u32,
-    passes: u32,
-    stale: u32,
-    twice: u32,
-    filled: u32,
-    part_filled: u32,
-    tie: u32,
-    open_was_lower: u32,
-    crossed: u32,
-    /// A chunk ended in an error (the reserve ran dry mid-pass), the same
-    /// on both sides and with the same state left behind.
-    failed: u32,
-}
-
-impl Tally {
-    fn note(&mut self, pass: Pass) {
-        self.passes += 1;
-        self.stale += pass.stale as u32;
-        self.twice += pass.twice as u32;
-        self.filled += pass.filled as u32;
-        self.part_filled += !pass.filled as u32;
-        self.tie += pass.tie as u32;
-        self.open_was_lower += pass.open_was_lower as u32;
-        self.crossed += pass.crossed as u32;
-    }
-
-    fn require(&self, name: &str, paths: &[(&str, u32)]) {
-        println!("{name}: {self:?}");
-        for (path, n) in paths {
-            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
-        }
-    }
+/// Tallies one pass by what it looked like.
+fn note_pass(tally: &mut Tally, pass: Pass) {
+    tally.note("passes");
+    tally.note_if(pass.stale, "stale");
+    tally.note_if(pass.twice, "twice");
+    tally.note(if pass.filled { "filled" } else { "part_filled" });
+    tally.note_if(pass.tie, "tie");
+    tally.note_if(pass.open_was_lower, "open_was_lower");
+    tally.note_if(pass.crossed, "crossed");
 }
 
 // ---------------------------------------------------------------------
@@ -431,18 +403,18 @@ fn assert_same(fast: &LfsSim, scan: &ScanCleaner, healthy: bool) {
 fn check(tally: &mut Tally, table: SegmentTable, config: LfsConfig, chunks: &[u64]) {
     let mut fast = LfsSim::with_table(table.clone(), config);
     let mut scan = ScanCleaner::with_table(table, config);
-    tally.cases += 1;
+    tally.note("cases");
     assert_same(&fast, &scan, true);
     for &updates in chunks {
-        tally.chunks += 1;
+        tally.note("chunks");
         let want = scan.run_updates(updates);
         assert_eq!(fast.run_updates(updates), want);
         assert_same(&fast, &scan, want.is_ok());
         for pass in scan.watch.passes.drain(..) {
-            tally.note(pass);
+            note_pass(tally, pass);
         }
         if want.is_err() {
-            tally.failed += 1;
+            tally.note("failed");
             return;
         }
     }
@@ -451,26 +423,6 @@ fn check(tally: &mut Tally, table: SegmentTable, config: LfsConfig, chunks: &[u6
 // ---------------------------------------------------------------------
 // Cases.
 // ---------------------------------------------------------------------
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
 
 /// What a case draws besides its table: reserve (0…9, clamped to 1…8 so
 /// that the ends are drawn twice as often — 1 is the reserve that runs dry
@@ -509,21 +461,19 @@ fn config_of(table: &SegmentTable, knobs: Knobs) -> LfsConfig {
     }
 }
 
-fn require_every_kind_of_pass(name: &str, tally: &Tally) {
-    tally.require(
-        name,
-        &[
-            ("victim with a stale entry", tally.stale),
-            ("victim naming a live sector twice", tally.twice),
-            ("victim every slot of which was written", tally.filled),
-            ("victim left part-filled", tally.part_filled),
-            ("victim chosen on a utilization tie", tally.tie),
-            ("open segment below the victim", tally.open_was_lower),
-            ("relocation crossing into a fresh segment", tally.crossed),
-            ("chunk ending in an error", tally.failed),
-        ],
-    );
-}
+/// Every kind of pass, and a chunk that ended in an error (the reserve ran
+/// dry mid-pass), the same on both sides and with the same state left
+/// behind.
+const EVERY_KIND_OF_PASS: &[&str] = &[
+    "stale",
+    "twice",
+    "filled",
+    "part_filled",
+    "tie",
+    "open_was_lower",
+    "crossed",
+    "failed",
+];
 
 #[test]
 fn fixed_segments_match_the_scan_cleaner() {
@@ -544,7 +494,7 @@ fn fixed_segments_match_the_scan_cleaner() {
             check(&mut tally, table, config, &chunks);
         },
     );
-    require_every_kind_of_pass(name, &tally);
+    tally.require(name, EVERY_KIND_OF_PASS);
 }
 
 #[test]
@@ -563,7 +513,7 @@ fn track_matched_segments_match_the_scan_cleaner() {
             check(&mut tally, table, config, &chunks);
         },
     );
-    require_every_kind_of_pass(name, &tally);
+    tally.require(name, EVERY_KIND_OF_PASS);
 }
 
 // ---------------------------------------------------------------------

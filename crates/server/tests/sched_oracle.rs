@@ -16,13 +16,11 @@
 //! properties print how often each path ran and fail if one hardly did.
 
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use server::{CLook, Dispatch, Queued, Scheduler, Traxtent};
 use sim_disk::disk::{Op, Request};
 use sim_disk::SimTime;
-use std::fmt::Debug;
 use traxtent::{ConfidentBoundaries, TrackBoundaries};
 
 // ---------------------------------------------------------------------
@@ -198,34 +196,6 @@ impl Scheduler for RefTraxtent {
 // Which path a round takes, decided here from the lane before and after.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Tally {
-    rounds: u32,
-    /// The admit-built lane reached `select` more than one deep (and in
-    /// sweep order, as asserted after every `admit`): no sort.
-    presorted: u32,
-    /// The arrival-order lane reached `select` out of sweep order.
-    unsorted_fallback: u32,
-    /// A request running past its track's end was passed over between two
-    /// that were gathered.
-    straddler_skipped: u32,
-    /// The batch bound ended a gather with more of the track still queued.
-    batch_cut: u32,
-    /// The sweep wrapped.
-    wrap: u32,
-    /// A lone request went out without a table lookup.
-    lone: u32,
-}
-
-impl Tally {
-    fn require(&self, name: &str, paths: &[(&str, u32)]) {
-        println!("{name}: {self:?}");
-        for (path, n) in paths {
-            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
-        }
-    }
-}
-
 fn sweep_key(q: &Queued) -> (u64, u64) {
     (q.request.lbn, q.id)
 }
@@ -278,11 +248,12 @@ fn check_lanes<S: Scheduler, R: Scheduler>(
 
         let before = by_id(&reference);
         let wraps_before = oracle.wraps();
-        tally.rounds += 1;
-        tally.presorted += (admitted.len() > 1) as u32;
-        if !arrival.is_sorted_by_key(sweep_key) {
-            tally.unsorted_fallback += 1;
-        }
+        tally.note("rounds");
+        // The admit-built lane reaches `select` more than one deep (and in
+        // sweep order, as asserted after every `admit`): no sort. The
+        // arrival-order lane reaches it out of sweep order.
+        tally.note_if(admitted.len() > 1, "presorted");
+        tally.note_if(!arrival.is_sorted_by_key(sweep_key), "unsorted_fallback");
 
         let want = oracle.select(&mut reference, max_batch);
         let got = fast[0].select(&mut admitted, max_batch);
@@ -303,49 +274,32 @@ fn check_lanes<S: Scheduler, R: Scheduler>(
         assert!(admitted.is_sorted_by_key(sweep_key), "{admitted:?}");
         assert!(arrival.is_sorted_by_key(sweep_key), "{arrival:?}");
 
-        tally.wrap += (oracle.wraps() > wraps_before) as u32;
+        tally.note_if(oracle.wraps() > wraps_before, "wrap");
         let Some((map, threshold)) = table else {
             continue;
         };
         if before.len() == 1 {
-            tally.lone += 1;
+            tally.note("lone"); // out without a table lookup
             continue;
         }
         let taken: Vec<Queued> = want.iter().flat_map(|d| d.parts().copied()).collect();
         let (lo, hi) = (sweep_key(&taken[0]), sweep_key(&taken[taken.len() - 1]));
         let between = |q: &Queued| lo < sweep_key(q) && sweep_key(q) < hi;
-        tally.straddler_skipped += survivors.iter().any(between) as u32;
+        // A request running past its track's end passed over between two
+        // that were gathered; the batch bound ending a gather with more of
+        // the track still queued.
+        tally.note_if(survivors.iter().any(between), "straddler_skipped");
         let t = map.table().track_index(want[0].request.lbn);
         let ext = map.table().track_extent(t);
         let gathered = map.is_confident(t, threshold) && want[0].request.end() <= ext.end();
         let more = |q: &Queued| sweep_key(q) > hi && q.request.end() <= ext.end();
-        tally.batch_cut += (gathered && survivors.iter().any(more)) as u32;
+        tally.note_if(gathered && survivors.iter().any(more), "batch_cut");
     }
 }
 
 // ---------------------------------------------------------------------
 // Cases.
 // ---------------------------------------------------------------------
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
 
 /// Track lengths with confidences, and a raw request stream
 /// `(lbn_seed, len, op_flag, shape)`.
@@ -412,11 +366,7 @@ fn clook_matches_the_sort_every_round_oracle() {
     );
     tally.require(
         "clook_matches_the_sort_every_round_oracle",
-        &[
-            ("presorted lane", tally.presorted),
-            ("unsorted fallback", tally.unsorted_fallback),
-            ("wrap", tally.wrap),
-        ],
+        &["presorted", "unsorted_fallback", "wrap"],
     );
 }
 
@@ -448,12 +398,12 @@ fn traxtent_matches_the_sort_every_round_oracle() {
     tally.require(
         "traxtent_matches_the_sort_every_round_oracle",
         &[
-            ("presorted lane", tally.presorted),
-            ("unsorted fallback", tally.unsorted_fallback),
-            ("straddler skipped mid-track", tally.straddler_skipped),
-            ("batch cut mid-track", tally.batch_cut),
-            ("wrap", tally.wrap),
-            ("lone-request shortcut", tally.lone),
+            "presorted",
+            "unsorted_fallback",
+            "straddler_skipped",
+            "batch_cut",
+            "wrap",
+            "lone",
         ],
     );
 }

@@ -1203,14 +1203,12 @@ mod tests {
         let grown = prop::collection::vec(0u64..u64::MAX, 0..6);
         let strategy = (1u32..4, 8u32..80, 0usize..4, defects, grown);
         let name = "slot_runs_flatten_to_the_mapped_slots";
-        let mut rng = proptest::TestRng::deterministic(name);
         // No hole, one, adjacent ones, one beside the run's first or last
         // slot; a defective track under remapping; a run cut by a grown remap.
-        let mut tally = [0u32; 6];
-        for case in 0..256 {
-            let value = strategy.sample(&mut rng);
-            let reporter = proptest::FailureReporter::new(name, case, format!("{value:?}"));
-            let (surfaces, spt, scheme, defects, grown) = value;
+        let paths = ["no_hole", "one_hole", "adjacent", "edge", "remap", "grown"];
+        let mut tally = Tally::default();
+        for_cases(name, 256, strategy, |case| {
+            let (surfaces, spt, scheme, defects, grown) = case;
             let mut spec = GeometrySpec::pristine(surfaces, vec![unskewed(12, spt)]);
             let spares = [
                 SpareScheme::SectorsPerTrack(4),
@@ -1223,47 +1221,44 @@ mod tests {
             spec.defects = holes
                 .map(|(c, h, s)| DefectLocation::new(c, h, s))
                 .collect();
-            if let Ok(mut g) = spec.build() {
-                let cap = g.capacity_lbns();
-                let grown: Vec<u64> = (grown.iter().map(|p| p % cap))
-                    .filter(|&lbn| g.add_grown_defect(lbn).is_ok())
-                    .collect();
-                for t in (0..g.num_tracks()).map(|id| g.track(id)) {
-                    let mut lbn = t.first_lbn();
-                    while lbn < t.end_lbn() {
-                        let end = g.first_remap_in(lbn, t.end_lbn()).unwrap_or(t.end_lbn());
-                        let cut = grown.contains(&end) || grown.contains(&lbn.wrapping_sub(1));
-                        let mid = (lbn + end) / 2;
-                        for (a, b) in [(lbn, end), (lbn + 1, end), (mid, end.saturating_sub(1))] {
-                            let want: Vec<u32> =
-                                (a..b).map(|l| g.lbn_to_pba(l).unwrap().slot).collect();
-                            let (Some(&first), Some(&last)) = (want.first(), want.last()) else {
-                                continue;
-                            };
-                            let runs: Vec<(u32, u32)> = t.slot_runs(first, last).collect();
-                            let got: Vec<u32> = runs.iter().flat_map(|&(s, n)| s..s + n).collect();
-                            assert_eq!(got, want, "LBNs {a}..{b} on c{}/h{}", t.cyl, t.head);
-                            // Maximal: no run is empty, a hole parts each from the next.
-                            let parted = runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0);
-                            assert!(parted && runs.iter().all(|r| r.1 > 0), "{runs:?}");
-                            let gaps = || want.windows(2).map(|w| w[1] - w[0] - 1);
-                            let holes = last - first + 1 - want.len() as u32;
-                            let edge = gaps().next() > Some(0) || gaps().next_back() > Some(0);
-                            let defective = scheme >= 2 && !t.defect_slots.is_empty();
-                            let adjacent = gaps().any(|gap| gap > 1);
-                            let hits = [holes == 0, holes == 1, adjacent, edge, defective, cut];
-                            for (n, hit) in tally.iter_mut().zip(hits) {
-                                *n += u32::from(hit);
-                            }
+            let Ok(mut g) = spec.build() else { return };
+            let cap = g.capacity_lbns();
+            let grown: Vec<u64> = (grown.iter().map(|p| p % cap))
+                .filter(|&lbn| g.add_grown_defect(lbn).is_ok())
+                .collect();
+            for t in (0..g.num_tracks()).map(|id| g.track(id)) {
+                let mut lbn = t.first_lbn();
+                while lbn < t.end_lbn() {
+                    let end = g.first_remap_in(lbn, t.end_lbn()).unwrap_or(t.end_lbn());
+                    let cut = grown.contains(&end) || grown.contains(&lbn.wrapping_sub(1));
+                    let mid = (lbn + end) / 2;
+                    for (a, b) in [(lbn, end), (lbn + 1, end), (mid, end.saturating_sub(1))] {
+                        let want: Vec<u32> =
+                            (a..b).map(|l| g.lbn_to_pba(l).unwrap().slot).collect();
+                        let (Some(&first), Some(&last)) = (want.first(), want.last()) else {
+                            continue;
+                        };
+                        let runs: Vec<(u32, u32)> = t.slot_runs(first, last).collect();
+                        let got: Vec<u32> = runs.iter().flat_map(|&(s, n)| s..s + n).collect();
+                        assert_eq!(got, want, "LBNs {a}..{b} on c{}/h{}", t.cyl, t.head);
+                        // Maximal: no run is empty, a hole parts each from the next.
+                        let parted = runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0);
+                        assert!(parted && runs.iter().all(|r| r.1 > 0), "{runs:?}");
+                        let gaps = || want.windows(2).map(|w| w[1] - w[0] - 1);
+                        let holes = last - first + 1 - want.len() as u32;
+                        let edge = gaps().next() > Some(0) || gaps().next_back() > Some(0);
+                        let defective = scheme >= 2 && !t.defect_slots.is_empty();
+                        let adjacent = gaps().any(|gap| gap > 1);
+                        let hits = [holes == 0, holes == 1, adjacent, edge, defective, cut];
+                        for (path, hit) in paths.into_iter().zip(hits) {
+                            tally.note_if(hit, path);
                         }
-                        lbn = end + u64::from(end < t.end_lbn());
                     }
+                    lbn = end + u64::from(end < t.end_lbn());
                 }
             }
-            reporter.disarm();
-        }
-        println!("{name}: {tally:?}");
-        assert!(tally.iter().all(|&n| n >= 16), "a path ran under 16 times");
+        });
+        tally.require(name, &paths);
     }
 
     #[test]

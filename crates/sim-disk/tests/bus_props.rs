@@ -16,7 +16,6 @@ mod common;
 
 use common::arb_spec;
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
 use sim_disk::bus::{BusConfig, Delivery};
 use sim_disk::cache::CacheConfig;
 use sim_disk::defects::{DefectLocation, DefectPolicy, SpareScheme};
@@ -27,7 +26,6 @@ use sim_disk::mech::{SeekCurve, Spindle};
 use sim_disk::rotation::{self, EPS};
 use sim_disk::trace::{MemorySink, TraceEvent, Tracer};
 use sim_disk::{SimDur, SimTime};
-use std::fmt::Debug;
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
@@ -86,38 +84,6 @@ fn delivery_scan_ref(avail: &mut [SimTime], bus_free: SimTime, bus: &BusConfig) 
 // Which path a visit takes, decided here from the documented conditions.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Tally {
-    /// Zero-latency, contiguous, closed form.
-    closed: u32,
-    /// Fallback: `count <= 2`.
-    short_run: u32,
-    /// Fallback: bus sector time not 2 ns under the slot time.
-    unpaced: u32,
-    /// Fallback: the EPS snap fires in the run.
-    snap: u32,
-    /// Zero-latency visits that straddle slipped defects.
-    slipped: u32,
-    /// Their sub-runs on an in-order bus, closed form.
-    slipped_closed: u32,
-    /// ... and each of the kernel's named fallbacks, per sub-run.
-    subrun_short: u32,
-    subrun_unpaced: u32,
-    subrun_snap: u32,
-    /// A slipped visit with holes in adjacent slots.
-    adjacent_defects: u32,
-    /// A slipped visit with a hole next to its first or last slot.
-    defect_next_to_run_edge: u32,
-    /// A slipped visit on an out-of-order bus: sector by sector.
-    slipped_out_of_order_fallback: u32,
-    /// Ordinary (first-sector-first) visit, one run.
-    ordinary: u32,
-    /// Ordinary visit on an unpaced bus, sector by sector.
-    ordinary_unpaced: u32,
-    /// Visits shifted a revolution by a recovered media error.
-    retried: u32,
-}
-
 /// A visit's slots (ascending) cut into maximal contiguous `(first,
 /// count)` runs: what `Track::slot_runs` yields, derived here from the
 /// slots alone.
@@ -132,69 +98,74 @@ fn sub_runs(slots: &[u32]) -> Vec<(u32, u32)> {
     runs
 }
 
-impl Tally {
-    /// Tallies the path a zero-latency visit of `slots` takes: a
-    /// contiguous one by the kernel's closed form or named fallback, a
-    /// slipped one by its shape and, on an in-order bus, by each sub-run's.
-    fn zero_latency(
-        &mut self,
-        bus: &BusConfig,
-        track: &Track,
-        spindle: Spindle,
-        arr: f64,
-        slots: &[u32],
-    ) {
-        let runs = sub_runs(slots);
-        let paced = Delivery::new(bus, SimTime::ZERO).paced_by(spindle.sweep(track.inv_spt()));
-        let mut path = |contiguous: bool, first: u32, count: u32| {
-            let (short, unpaced, snap, closed) = if contiguous {
-                (
-                    &mut self.short_run,
-                    &mut self.unpaced,
-                    &mut self.snap,
-                    &mut self.closed,
-                )
-            } else {
-                (
-                    &mut self.subrun_short,
-                    &mut self.subrun_unpaced,
-                    &mut self.subrun_snap,
-                    &mut self.slipped_closed,
-                )
-            };
-            *(if count <= 2 {
-                short
+/// Tallies the path a zero-latency visit of `slots` takes: a contiguous
+/// one by the kernel's closed form (`closed`) or named fallback
+/// (`short_run`: `count <= 2`; `unpaced`: the bus sector time not 2 ns
+/// under the slot time; `snap`: the EPS snap fires in the run), a slipped
+/// one (`slipped`) by its shape — holes in adjacent slots, a hole next to
+/// its first or last slot — and, on an in-order bus, by each sub-run's
+/// path (`slipped_closed`, `subrun_*`); on an out-of-order bus it goes
+/// sector by sector.
+fn zero_latency(
+    tally: &mut Tally,
+    bus: &BusConfig,
+    track: &Track,
+    spindle: Spindle,
+    arr: f64,
+    slots: &[u32],
+) {
+    let runs = sub_runs(slots);
+    let paced = Delivery::new(bus, SimTime::ZERO).paced_by(spindle.sweep(track.inv_spt()));
+    let mut path = |names: [&'static str; 4], first: u32, count: u32| {
+        tally.note(
+            names[if count <= 2 {
+                0
             } else if !paced {
-                unpaced
+                1
             } else if rotation::window_pieces(track, arr, first, count).max_d >= 1.0 - EPS {
-                snap
+                2
             } else {
-                closed
-            }) += 1;
-        };
-        if let [(first, count)] = runs[..] {
-            path(true, first, count);
-            return;
-        }
-        if bus.out_of_order {
-            self.slipped_out_of_order_fallback += 1;
-        } else {
-            for &(first, count) in &runs {
-                path(false, first, count);
-            }
-        }
-        self.slipped += 1;
-        self.adjacent_defects += u32::from(runs.windows(2).any(|w| w[1].0 - (w[0].0 + w[0].1) > 1));
-        self.defect_next_to_run_edge += u32::from(runs[0].1 == 1 || runs[runs.len() - 1].1 == 1);
+                3
+            }],
+        );
+    };
+    if let [(first, count)] = runs[..] {
+        path(["short_run", "unpaced", "snap", "closed"], first, count);
+        return;
     }
+    if bus.out_of_order {
+        tally.note("slipped_out_of_order_fallback");
+    } else {
+        for &(first, count) in &runs {
+            let names = [
+                "subrun_short",
+                "subrun_unpaced",
+                "subrun_snap",
+                "slipped_closed",
+            ];
+            path(names, first, count);
+        }
+    }
+    tally.note("slipped");
+    tally.note_if(
+        runs.windows(2).any(|w| w[1].0 - (w[0].0 + w[0].1) > 1),
+        "adjacent_defects",
+    );
+    tally.note_if(
+        runs[0].1 == 1 || runs[runs.len() - 1].1 == 1,
+        "defect_next_to_run_edge",
+    );
+}
 
-    fn ordinary(&mut self, bus: &BusConfig, track: &Track, spindle: Spindle) {
-        if Delivery::new(bus, SimTime::ZERO).paced_by(spindle.sweep(track.inv_spt())) {
-            self.ordinary += 1;
-        } else {
-            self.ordinary_unpaced += 1;
-        }
-    }
+/// Tallies an ordinary (first-sector-first) visit: one run, or sector by
+/// sector on an unpaced bus.
+fn ordinary(tally: &mut Tally, bus: &BusConfig, track: &Track, spindle: Spindle) {
+    let paced = Delivery::new(bus, SimTime::ZERO).paced_by(spindle.sweep(track.inv_spt()));
+    tally.note(if paced {
+        "ordinary"
+    } else {
+        "ordinary_unpaced"
+    });
 }
 
 /// A finite bus whose sector time is exactly `ns`.
@@ -219,26 +190,6 @@ fn sector_ns(slot_time: SimDur, mode: u32, delta: u64) -> u64 {
 }
 
 const RPMS: [u32; 5] = [3_600, 5_400, 7_200, 10_000, 15_000];
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
 
 // ---------------------------------------------------------------------
 // The kernel alone.
@@ -267,7 +218,7 @@ fn check_kernel(
     arr: f64,
     slots: &[u32],
 ) {
-    tally.zero_latency(bus, track, spindle, arr, slots);
+    zero_latency(tally, bus, track, spindle, arr, slots);
     let runs = sub_runs(slots);
     let per_sector = bus.out_of_order && runs.len() > 1;
 
@@ -363,15 +314,10 @@ fn zero_latency_run_matches_scan() {
             );
         },
     );
-    println!("zero_latency_run_matches_scan: {tally:?}");
-    for (name, n) in [
-        ("closed form", tally.closed),
-        ("short run", tally.short_run),
-        ("unpaced bus", tally.unpaced),
-        ("EPS snap", tally.snap),
-    ] {
-        assert!(n >= 16, "{name} ran only {n} times: {tally:?}");
-    }
+    tally.require(
+        "zero_latency_run_matches_scan",
+        &["closed", "short_run", "unpaced", "snap"],
+    );
 }
 
 /// A 10 000 RPM track of `spt` slots with skew, for the named kernel cases.
@@ -417,8 +363,9 @@ fn fallback_short_run() {
     for arr in [0.0, 0.3, geom.track(3).slot_angle(1)] {
         kernel_cases(&mut tally, &geom, 3_200, arr, &[1, 2]);
     }
+    let count = |paths: &[&str]| paths.iter().map(|p| tally.count(p)).sum::<u32>();
     assert!(
-        tally.short_run > 0 && tally.closed + tally.unpaced + tally.snap == 0,
+        count(&["short_run"]) > 0 && count(&["closed", "unpaced", "snap"]) == 0,
         "{tally:?}"
     );
 }
@@ -435,12 +382,12 @@ fn fallback_unpaced_bus() {
         }
     }
     assert!(
-        tally.unpaced > 0 && tally.closed + tally.snap == 0,
+        tally.count("unpaced") > 0 && tally.count("closed") + tally.count("snap") == 0,
         "{tally:?}"
     );
     // And 2 ns under is the closed form's.
     kernel_cases(&mut tally, &geom, 29_998, 0.3, &[3, 100, 200]);
-    assert!(tally.closed > 0, "{tally:?}");
+    assert!(tally.count("closed") > 0, "{tally:?}");
 }
 
 #[test]
@@ -456,7 +403,10 @@ fn fallback_eps_snap() {
             kernel_cases(&mut tally, &geom, 3_200, arr, &[3, 100, 200]);
         }
     }
-    assert!(tally.snap > 0 && tally.unpaced == 0, "{tally:?}");
+    assert!(
+        tally.count("snap") > 0 && tally.count("unpaced") == 0,
+        "{tally:?}"
+    );
 }
 
 #[test]
@@ -545,26 +495,20 @@ fn slipped_run_matches_scan() {
             check_kernel(&mut tally, track, spindle, &bus, bus_free, base, arr, slots);
         },
     );
-    println!("slipped_run_matches_scan: {tally:?}");
-    assert_eq!(
-        tally.closed + tally.short_run + tally.unpaced + tally.snap,
-        0,
-        "{tally:?}"
+    tally.require(
+        "slipped_run_matches_scan",
+        &[
+            "slipped_closed",
+            "subrun_short",
+            "subrun_snap",
+            "subrun_unpaced",
+            "adjacent_defects",
+            "defect_next_to_run_edge",
+            "slipped_out_of_order_fallback",
+        ],
     );
-    for (name, n) in [
-        ("slipped, sub-run closed", tally.slipped_closed),
-        ("sub-run short", tally.subrun_short),
-        ("sub-run EPS snap", tally.subrun_snap),
-        ("sub-run unpaced bus", tally.subrun_unpaced),
-        ("adjacent defects", tally.adjacent_defects),
-        ("defect next to a run edge", tally.defect_next_to_run_edge),
-        (
-            "slipped, out-of-order fallback",
-            tally.slipped_out_of_order_fallback,
-        ),
-    ] {
-        assert!(n >= 16, "{name} ran only {n} times: {tally:?}");
-    }
+    let contiguous = ["closed", "short_run", "unpaced", "snap"];
+    assert!(contiguous.iter().all(|p| tally.count(p) == 0), "{tally:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -756,13 +700,13 @@ fn check_reads(cfg: &DiskConfig, reads: &[(u64, u64, Issue)], tally: &mut Tally)
             bus_free = end;
             (end, end - cmd_ready)
         } else {
-            let seen = |track: &Track, arr, slots: &[u32], zero_latency, retried| {
-                if zero_latency {
-                    tally.zero_latency(&bus, track, spindle, arr, slots);
+            let seen = |track: &Track, arr, slots: &[u32], zl, retried| {
+                if zl {
+                    zero_latency(tally, &bus, track, spindle, arr, slots);
                 } else {
-                    tally.ordinary(&bus, track, spindle);
+                    ordinary(tally, &bus, track, spindle);
                 }
-                tally.retried += u32::from(retried);
+                tally.note_if(retried, "retried");
             };
             let mut avail = oracle_instants(cfg, &geom, (lbn, len), &events, seen);
             let end = delivery_scan_ref(&mut avail, bus_free, &bus);
@@ -870,24 +814,21 @@ fn completions_match_per_sector_reference() {
             check_reads(&cfg, &reads, &mut tally);
         },
     );
-    println!("completions_match_per_sector_reference: {tally:?}");
-    for (name, n) in [
-        ("closed form", tally.closed),
-        ("short run", tally.short_run),
-        ("unpaced bus", tally.unpaced),
-        ("EPS snap", tally.snap),
-        ("slipped run", tally.slipped),
-        ("slipped run, sub-run closed", tally.slipped_closed),
-        (
-            "slipped run, out-of-order bus",
-            tally.slipped_out_of_order_fallback,
-        ),
-        ("ordinary visit", tally.ordinary),
-        ("ordinary visit, unpaced bus", tally.ordinary_unpaced),
-        ("media retry", tally.retried),
-    ] {
-        assert!(n >= 8, "{name} ran only {n} times: {tally:?}");
-    }
+    tally.require(
+        "completions_match_per_sector_reference",
+        &[
+            "closed",
+            "short_run",
+            "unpaced",
+            "snap",
+            "slipped",
+            "slipped_closed",
+            "slipped_out_of_order_fallback",
+            "ordinary",
+            "ordinary_unpaced",
+            "retried",
+        ],
+    );
 }
 
 /// Services `writes` on a drive built from `cfg` and on its crash-logged
@@ -926,17 +867,17 @@ fn check_writes(cfg: &DiskConfig, writes: &[(u64, u64, Issue)], tally: &mut Tall
             |track, arr, slots, zl, _| {
                 let runs = sub_runs(slots);
                 if zl && runs.len() > 1 {
-                    tally.slipped += 1;
+                    tally.note("slipped");
                     for (first, count) in runs {
-                        *(if count <= 2 {
-                            &mut tally.subrun_short
+                        tally.note(if count <= 2 {
+                            "subrun_short"
                         } else if rotation::window_pieces(track, arr, first, count).max_d
                             >= 1.0 - EPS
                         {
-                            &mut tally.subrun_snap
+                            "subrun_snap"
                         } else {
-                            &mut tally.slipped_closed
-                        }) += 1;
+                            "slipped_closed"
+                        });
                     }
                 }
             },
@@ -1020,14 +961,10 @@ fn slipped_writes_match_their_logged_twin() {
             check_writes(&cfg, &writes, &mut tally);
         },
     );
-    println!("slipped_writes_match_their_logged_twin: {tally:?}");
-    for (name, n) in [
-        ("slipped visit", tally.slipped),
-        ("sub-run closed", tally.slipped_closed),
-        ("sub-run short", tally.subrun_short),
-    ] {
-        assert!(n >= 16, "{name} ran only {n} times: {tally:?}");
-    }
+    tally.require(
+        "slipped_writes_match_their_logged_twin",
+        &["slipped", "slipped_closed", "subrun_short"],
+    );
 }
 
 /// The small two-surface zero-latency drive the named cases share: 200
@@ -1069,7 +1006,7 @@ fn fallback_eps_snap_back_to_back() {
             (0..60).map(|i| (i * 40, 40, Issue::AtMediaEnd)).collect();
         let mut tally = Tally::default();
         check_reads(&cfg, &reads, &mut tally);
-        assert!(tally.snap > 0, "no arrival snapped: {tally:?}");
+        assert!(tally.count("snap") > 0, "no arrival snapped: {tally:?}");
     }
 }
 
@@ -1097,13 +1034,10 @@ fn slipped_run_takes_the_closed_form() {
         let mut tally = Tally::default();
         check_reads(&cfg, &reads, &mut tally);
         let (closed, per_sector) = if out_of_order { (0, 3) } else { (8, 0) };
+        let paths = ["slipped", "slipped_closed", "slipped_out_of_order_fallback"];
         assert_eq!(
-            (
-                tally.slipped,
-                tally.slipped_closed,
-                tally.slipped_out_of_order_fallback
-            ),
-            (3, closed, per_sector),
+            paths.map(|p| tally.count(p)),
+            [3, closed, per_sector],
             "{tally:?}"
         );
     }
@@ -1123,11 +1057,8 @@ fn media_retry_shifts_the_visit() {
         let cfg = small_drive(small_spec(), out_of_order, fault);
         let mut tally = Tally::default();
         check_reads(&cfg, &[(100, 300, Issue::Together)], &mut tally);
-        assert_eq!(
-            (tally.retried, tally.ordinary, tally.closed),
-            (2, 1, 1),
-            "{tally:?}"
-        );
+        let paths = ["retried", "ordinary", "closed"];
+        assert_eq!(paths.map(|p| tally.count(p)), [2, 1, 1], "{tally:?}");
 
         // And the shift is the whole difference from a healthy drive's.
         let read = Request::read(100, 300);

@@ -12,10 +12,8 @@
 //! did.
 
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
 use sim_disk::cache::{CacheConfig, SegmentCache};
 use std::collections::BTreeSet;
-use std::fmt::Debug;
 
 /// LBNs the traffic touches; [`FAR`] and up are used only to push
 /// segments out of a clone.
@@ -49,13 +47,13 @@ fn touches(set: &Sectors, start: u64, end: u64) -> bool {
 impl Model {
     fn lookup(&mut self, tally: &mut Tally, start: u64, len: u64) -> bool {
         if self.segments == 0 {
-            tally.disabled += 1;
+            tally.note("disabled"); // a cache of zero segments
             return false;
         }
         let want = range(start, start + len);
         match self.segs.iter().position(|s| want.is_subset(s)) {
             Some(at) => {
-                tally.hit_refreshes_recency += (at + 1 != self.segs.len()) as u32;
+                tally.note_if(at + 1 != self.segs.len(), "hit_refreshes_recency");
                 let seg = self.segs.remove(at);
                 self.segs.push(seg);
                 self.hits += 1;
@@ -70,7 +68,7 @@ impl Model {
 
     fn insert(&mut self, tally: &mut Tally, start: u64, end: u64) {
         if self.segments == 0 {
-            tally.disabled += 1;
+            tally.note("disabled");
             return;
         }
         if start >= end {
@@ -89,9 +87,9 @@ impl Model {
                 at += 1;
             }
         }
-        tally.absorb_one += (absorbed == 1) as u32;
-        tally.absorb_several += (absorbed > 1) as u32;
-        tally.evict += (self.segs.len() >= self.segments) as u32;
+        tally.note_if(absorbed == 1, "absorb_one");
+        tally.note_if(absorbed > 1, "absorb_several");
+        tally.note_if(self.segs.len() >= self.segments, "evict");
         while self.segs.len() >= self.segments {
             self.segs.remove(0);
         }
@@ -108,19 +106,19 @@ impl Model {
             }
             *seg = match (left.is_empty(), right.is_empty()) {
                 (true, true) => {
-                    tally.full_cover_drop += 1;
+                    tally.note("full_cover_drop");
                     Sectors::new()
                 }
                 (true, false) => {
-                    tally.trim_left += 1;
+                    tally.note("trim_left");
                     right
                 }
                 (false, true) => {
-                    tally.trim_right += 1;
+                    tally.note("trim_right");
                     left
                 }
                 (false, false) => {
-                    tally.split_keeps_larger_half += (left.len() != right.len()) as u32;
+                    tally.note_if(left.len() != right.len(), "split_keeps_larger_half");
                     if left.len() >= right.len() {
                         left
                     } else {
@@ -169,50 +167,6 @@ fn eviction_order(cache: &SegmentCache, segments: usize) -> Vec<Sectors> {
 // Paths, cases, the property.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Tally {
-    steps: u32,
-    hit_refreshes_recency: u32,
-    absorb_one: u32,
-    absorb_several: u32,
-    evict: u32,
-    trim_left: u32,
-    trim_right: u32,
-    split_keeps_larger_half: u32,
-    full_cover_drop: u32,
-    /// A `lookup` or `insert` on a cache of zero segments.
-    disabled: u32,
-}
-
-impl Tally {
-    fn require(&self, name: &str, paths: &[(&str, u32)]) {
-        println!("{name}: {self:?}");
-        for (path, n) in paths {
-            assert!(*n >= 16, "{path} ran only {n} times: {self:?}");
-        }
-    }
-}
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
-
 /// `(kind, start, len)`: kinds 0–3 look up, 4–6 insert, 7–8 invalidate,
 /// 9 inserts an empty run or, when `len` is a multiple of 8, clears.
 fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64, u64)>> {
@@ -237,7 +191,7 @@ fn cache_matches_the_sector_set_model() {
             };
             for (kind, start, len) in ops {
                 let len = len.min(SPACE - start);
-                tally.steps += 1;
+                tally.note("steps");
                 match kind {
                     0..=3 => {
                         let len = len.min(6);
@@ -274,15 +228,15 @@ fn cache_matches_the_sector_set_model() {
     tally.require(
         "cache_matches_the_sector_set_model",
         &[
-            ("hit refreshes recency", tally.hit_refreshes_recency),
-            ("absorb one", tally.absorb_one),
-            ("absorb several", tally.absorb_several),
-            ("evict", tally.evict),
-            ("trim left", tally.trim_left),
-            ("trim right", tally.trim_right),
-            ("split keeps larger half", tally.split_keeps_larger_half),
-            ("full-cover drop", tally.full_cover_drop),
-            ("disabled cache", tally.disabled),
+            "hit_refreshes_recency",
+            "absorb_one",
+            "absorb_several",
+            "evict",
+            "trim_left",
+            "trim_right",
+            "split_keeps_larger_half",
+            "full_cover_drop",
+            "disabled",
         ],
     );
 }

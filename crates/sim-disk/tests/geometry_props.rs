@@ -6,12 +6,10 @@
 //! not, whichever of the two grown defects are written to.
 
 use proptest::prelude::*;
-use proptest::{FailureReporter, TestRng};
 use sim_disk::defects::{DefectLocation, DefectPolicy, SpareScheme};
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::geometry::{DiskGeometry, GeometryError, GeometrySpec, Pba, TrackId, ZoneSpec};
 use sim_disk::models;
-use std::fmt::Debug;
 use traxtent::TrackBoundaries;
 
 /// An arbitrary small-but-varied geometry spec with defects the spare
@@ -161,49 +159,6 @@ proptest! {
 // `track_of_lbn` against a linear walk over the tracks.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct Tally {
-    drives: u32,
-    lookups: u32,
-    /// The zone's tracks all map `spt` LBNs: one divide.
-    divide: u32,
-    /// Any other zone: the bucket directory over the tracks' first LBNs.
-    directory: u32,
-    /// The track before the answer is empty: it shares the answer's first
-    /// LBN, and the lookup must step past it.
-    after_empty_track: u32,
-    /// The answer is the only track of its zone.
-    single_track_zone: u32,
-}
-
-/// Prints a property's path tally and fails if a path ran under 16 times.
-fn require(name: &str, tally: &impl Debug, paths: &[(&str, u32)]) {
-    println!("{name}: {tally:?}");
-    for (path, n) in paths {
-        assert!(*n >= 16, "{path} ran only {n} times: {tally:?}");
-    }
-}
-
-/// Runs `body` over `cases` samples of `strategy`, drawn as `proptest!`
-/// draws them (seeded by `name`, inputs printed when a case panics) —
-/// spelled out so that the property can tally paths across cases.
-fn for_cases<S: Strategy>(
-    name: &'static str,
-    cases: u32,
-    strategy: S,
-    mut body: impl FnMut(S::Value),
-) where
-    S::Value: Debug,
-{
-    let mut rng = TestRng::deterministic(name);
-    for case in 0..cases {
-        let value = strategy.sample(&mut rng);
-        let reporter = FailureReporter::new(name, case, format!("{value:?}"));
-        body(value);
-        reporter.disarm();
-    }
-}
-
 /// Every LBN of the drive, looked up and compared with the one track whose
 /// `[first_lbn, end_lbn)` holds it, found by walking the tracks in order.
 fn check_every_lbn(geom: &DiskGeometry, tally: &mut Tally) {
@@ -214,7 +169,7 @@ fn check_every_lbn(geom: &DiskGeometry, tally: &mut Tally) {
                 .all(|t| geom.track(t).lbn_count() == z.spt)
         })
         .collect();
-    tally.drives += 1;
+    tally.note("drives");
     let (mut t, mut zone) = (0u32, 0usize);
     for lbn in 0..geom.capacity_lbns() {
         while geom.track(t).end_lbn() <= lbn {
@@ -226,14 +181,17 @@ fn check_every_lbn(geom: &DiskGeometry, tally: &mut Tally) {
             zone += 1;
         }
         assert_eq!(geom.track_of_lbn(lbn), Ok(TrackId(t)), "lbn {lbn}");
-        tally.lookups += 1;
-        *(if uniform[zone] {
-            &mut tally.divide
-        } else {
-            &mut tally.directory
-        }) += 1;
-        tally.after_empty_track += u32::from(t > 0 && geom.track(t - 1).lbn_count() == 0);
-        tally.single_track_zone += u32::from(tracks_per_zone(zone) == 1);
+        tally.note("lookups");
+        // A zone whose tracks all map `spt` LBNs is one divide; any other
+        // goes through the bucket directory over the tracks' first LBNs.
+        // An empty track before the answer shares its first LBN, and the
+        // lookup must step past it.
+        tally.note(if uniform[zone] { "divide" } else { "directory" });
+        tally.note_if(
+            t > 0 && geom.track(t - 1).lbn_count() == 0,
+            "after_empty_track",
+        );
+        tally.note_if(tracks_per_zone(zone) == 1, "single_track_zone");
     }
     let end = geom.capacity_lbns();
     assert_eq!(
@@ -287,14 +245,13 @@ fn track_of_lbn_matches_a_walk_over_the_tracks() {
             check_every_lbn(&spec.build().expect("no defects to absorb"), &mut tally);
         }
     }
-    require(
+    tally.require(
         "track_of_lbn_matches_a_walk_over_the_tracks",
-        &tally,
         &[
-            ("uniform-zone divide", tally.divide),
-            ("directory", tally.directory),
-            ("answer after an empty track", tally.after_empty_track),
-            ("single-track zone", tally.single_track_zone),
+            "divide",
+            "directory",
+            "after_empty_track",
+            "single_track_zone",
         ],
     );
 }
@@ -302,18 +259,6 @@ fn track_of_lbn_matches_a_walk_over_the_tracks() {
 // ---------------------------------------------------------------------
 // A shared geometry against fresh, unshared builds.
 // ---------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct CowTally {
-    /// An original checked after its clone was written.
-    untouched_sharer: u32,
-    /// A grown defect written to a clone that still shared its tables.
-    first_write_copies: u32,
-    /// A grown defect written to a clone that had already copied them.
-    second_write_private: u32,
-    slip_policy: u32,
-    remap_policy: u32,
-}
 
 /// `got` gives `want`'s answer to every translation question: each LBN's
 /// physical location and track (one past the last LBN included), each
@@ -361,7 +306,7 @@ fn assert_boundaries_match_the_starts(geometry: &DiskGeometry, what: &str) {
 /// its track starts give.
 #[test]
 fn a_written_clone_leaves_its_original_as_built() {
-    let mut tally = CowTally::default();
+    let mut tally = Tally::default();
     let picks = prop::collection::vec(0u64..u64::MAX, 1..9);
     for_cases(
         "a_written_clone_leaves_its_original_as_built",
@@ -389,11 +334,11 @@ fn a_written_clone_leaves_its_original_as_built() {
                     let got = clone.add_grown_defect(lbn);
                     assert_eq!(got, twin.add_grown_defect(lbn), "lbn {lbn}");
                     if let Ok(spare) = got {
-                        *(if written.is_empty() {
-                            &mut tally.first_write_copies
+                        tally.note(if written.is_empty() {
+                            "first_write_copies"
                         } else {
-                            &mut tally.second_write_private
-                        }) += 1;
+                            "second_write_private"
+                        });
                         written.push((lbn, old, spare));
                     }
                 }
@@ -407,25 +352,24 @@ fn a_written_clone_leaves_its_original_as_built() {
                 }
                 assert_same_answers(&clone, &twin, "the written clone");
                 assert_same_answers(&original, &fresh(), "the original");
-                tally.untouched_sharer += 1;
+                tally.note("untouched_sharer"); // checked after its clone was written
                 assert_boundaries_match_the_starts(&clone, "the written clone");
                 assert_boundaries_match_the_starts(&original, "the original");
-                *(match policy {
-                    DefectPolicy::Slip => &mut tally.slip_policy,
-                    DefectPolicy::Remap => &mut tally.remap_policy,
-                }) += 1;
+                tally.note(match policy {
+                    DefectPolicy::Slip => "slip_policy",
+                    DefectPolicy::Remap => "remap_policy",
+                });
             }
         },
     );
-    require(
+    tally.require(
         "a_written_clone_leaves_its_original_as_built",
-        &tally,
         &[
-            ("untouched sharer", tally.untouched_sharer),
-            ("first write copies", tally.first_write_copies),
-            ("second write private", tally.second_write_private),
-            ("slip policy", tally.slip_policy),
-            ("remap policy", tally.remap_policy),
+            "untouched_sharer",
+            "first_write_copies",
+            "second_write_private",
+            "slip_policy",
+            "remap_policy",
         ],
     );
 }

@@ -15,7 +15,9 @@
 //! ```
 //!
 //! * `arrival_ms` — request arrival time in milliseconds since trace
-//!   start, a non-negative decimal; lines must be sorted by arrival;
+//!   start, a non-negative decimal of at most `1e12` (about 31.7 years,
+//!   which leaves the simulated clock's 584 years of nanoseconds ample
+//!   room for the requests' service); lines must be sorted by arrival;
 //! * `R`/`W` — read or write (lowercase accepted);
 //! * `lbn` — first logical block, decimal;
 //! * `sectors` — request length in sectors, decimal, positive.
@@ -46,6 +48,9 @@ pub enum ParseErrorKind {
     BadField(&'static str),
     /// `arrival_ms` was negative, NaN, or infinite.
     NegativeArrival,
+    /// `arrival_ms` was past `1e12` (about 31.7 years): serving it could
+    /// run the simulated clock past its last nanosecond.
+    FarArrival,
     /// The op column was neither `R` nor `W`; carries the offending token.
     BadOp(String),
     /// `sectors` was zero.
@@ -80,6 +85,7 @@ impl fmt::Display for ParseError {
             ParseErrorKind::BadField("arrival_ms") => write!(f, "arrival_ms is not a number"),
             ParseErrorKind::BadField(name) => write!(f, "{name} is not an integer"),
             ParseErrorKind::NegativeArrival => write!(f, "arrival_ms must be non-negative"),
+            ParseErrorKind::FarArrival => write!(f, "arrival_ms must be at most 1e12"),
             ParseErrorKind::BadOp(tok) => write!(f, "op must be R or W, got `{tok}`"),
             ParseErrorKind::ZeroSectors => write!(f, "sectors must be positive"),
             ParseErrorKind::RangeOverflow => write!(f, "lbn + sectors overflows"),
@@ -90,6 +96,10 @@ impl fmt::Display for ParseError {
 }
 
 impl Error for ParseError {}
+
+/// The latest arrival a trace line may carry, in milliseconds: about 31.7
+/// years, an 18th of what the nanosecond clock holds.
+const MAX_ARRIVAL_MS: f64 = 1e12;
 
 /// Parses a trace in the module's line format.
 ///
@@ -119,6 +129,9 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
             .map_err(|_| err(ParseErrorKind::BadField("arrival_ms")))?;
         if !arrival_ms.is_finite() || arrival_ms < 0.0 {
             return Err(err(ParseErrorKind::NegativeArrival));
+        }
+        if arrival_ms > MAX_ARRIVAL_MS {
+            return Err(err(ParseErrorKind::FarArrival));
         }
         let op = match field("op")? {
             "R" | "r" => Op::Read,
@@ -415,6 +428,26 @@ mod tests {
 
         // Equal arrivals are fine; only a step backwards is non-monotone.
         assert!(parse_trace("3.0 R 1 1\n3.0 R 2 1\n").is_ok());
+    }
+
+    #[test]
+    fn a_far_future_arrival_is_refused_before_it_can_wrap_the_clock() {
+        // 1e300 ms saturates to the clock's last nanosecond, and
+        // 18446744073709.552 ms is that nanosecond exactly: serving either
+        // would add the command overhead past it.
+        for line in [
+            "1e300 R 0 8",
+            "18446744073709.552 R 0 8",
+            "1000000000000.001 R 0 8",
+        ] {
+            let err = parse_trace(line).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::FarArrival, "{line}");
+            assert_eq!(err.to_string(), "line 1: arrival_ms must be at most 1e12");
+        }
+        let last = parse_trace("1e12 R 0 8").unwrap();
+        assert_eq!(last[0].arrival.as_ns(), 1_000_000_000_000_000_000);
+        let completions = replay(&mut atlas(), &last).completions;
+        assert!(completions[0].completion > last[0].arrival);
     }
 
     #[test]
