@@ -159,11 +159,11 @@ impl Manifest {
                 "git_rev" => {
                     m.git_rev = v.as_str().ok_or("git_rev must be a string")?.to_string();
                 }
-                "wall_secs" => m.wall_secs = v.as_f64().ok_or("wall_secs must be a number")?,
+                "wall_secs" => m.wall_secs = finite(v, "wall_secs")?,
                 "headline" => {
                     let h = v.as_object().ok_or("headline must be an object")?;
                     for (k, hv) in h {
-                        let num = hv.as_f64().ok_or("headline values must be numbers")?;
+                        let num = finite(hv, &format!("headline {}", json::string(k)))?;
                         m.headline.insert(k.clone(), num);
                     }
                 }
@@ -183,8 +183,9 @@ impl Manifest {
                             let obj = row.as_object().ok_or("timeline rows must be objects")?;
                             let mut map = BTreeMap::new();
                             for (k, rv) in obj {
-                                let num = rv.as_f64().ok_or("timeline values must be numbers")?;
-                                map.insert(k.clone(), num);
+                                let key =
+                                    format!("timeline {} {}", json::string(name), json::string(k));
+                                map.insert(k.clone(), finite(rv, &key)?);
                             }
                             parsed.push(map);
                         }
@@ -242,6 +243,16 @@ pub(crate) fn git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The finite number `v`, or an error naming `key`: `1e999` parses to
+/// infinity, which [`json_f64`] cannot write back.
+fn finite(v: &json::Value, key: &str) -> Result<f64, String> {
+    match v.as_f64() {
+        Some(x) if x.is_finite() => Ok(x),
+        Some(x) => Err(format!("{key} must be finite, got {x}")),
+        None => Err(format!("{key} must be a number")),
+    }
 }
 
 /// Formats a finite `f64` so it round-trips through [`json::parse`].
@@ -328,6 +339,24 @@ mod tests {
         );
         let truncated = &sample().to_json()[..40];
         assert!(Manifest::parse_json(truncated).is_err());
+    }
+
+    #[test]
+    fn rejects_numbers_that_overflow_naming_the_key() {
+        for (text, key) in [
+            ("{\"figure\": \"f\", \"wall_secs\": 1e999}", "wall_secs"),
+            (
+                "{\"figure\": \"f\", \"headline\": {\"h\": -1e999}}",
+                "headline \"h\"",
+            ),
+            (
+                "{\"figure\": \"f\", \"timeline\": {\"t\": [{\"p99_ms\": 1e999}]}}",
+                "timeline \"t\" \"p99_ms\"",
+            ),
+        ] {
+            let err = Manifest::parse_json(text).unwrap_err();
+            assert!(err.starts_with(&format!("{key} must be finite")), "{err}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! serving from that state; [`Volume::scrub_repair`] is the pass that
 //! finds and closes the resulting write holes.
 
-use crate::data::Plane;
+use crate::data::{Plane, SectorStore};
 use crate::volume::Volume;
 use sim_disk::crash::{apply_cut, CrashError, SectorImage};
 use sim_disk::SimTime;
@@ -40,9 +40,10 @@ pub struct PowerCutReport {
 
 impl Volume {
     /// Arms power-cut capture: snapshots every member's current data
-    /// plane (filling an implicit one) as the replay base and enables
-    /// each member drive's crash log. Timing is unchanged — an armed run
-    /// is bit-identical to an unarmed one. Idempotent.
+    /// plane (filling an implicit one; a failed member's is empty) as the
+    /// replay base and enables each member drive's crash log. Timing is
+    /// unchanged — an armed run is bit-identical to an unarmed one.
+    /// Idempotent.
     pub fn arm_crash(&mut self) {
         if self.crash_base.is_some() {
             return;
@@ -76,8 +77,8 @@ impl Volume {
     /// exactly what its media durably held at that instant (later and
     /// torn-away sectors revert to the armed snapshot), member drives
     /// power-cycle back to their reset state, and capture is disarmed.
-    /// Failed members stay failed — a power cut does not resurrect dead
-    /// platters.
+    /// Failed members stay failed, with no store — a power cut does not
+    /// resurrect dead platters.
     ///
     /// The redundancy invariant is NOT restored: a cut that lands inside
     /// a logical write leaves the write hole on media, which is the
@@ -101,7 +102,8 @@ impl Volume {
         let mut torn = 0u64;
         let mut lost = 0u64;
         let mut stores = Vec::with_capacity(self.members.len());
-        for (i, (m, mut store)) in self.members.iter_mut().zip(base).enumerate() {
+        let caps = self.layout.member_caps();
+        for ((m, mut store), &cap) in self.members.iter_mut().zip(base).zip(caps) {
             let log = m.disk.take_crash_log().expect("armed member logs writes");
             for rec in &log.records {
                 let durable = rec.durable_count(cut);
@@ -112,20 +114,27 @@ impl Volume {
                 }
             }
             member_writes.push(log.len() as u64);
-            // Only sectors the log touched can differ from the armed
-            // snapshot, so only those go through the byte-level replay.
-            let mut img = SectorImage::new();
-            for rec in &log.records {
-                for lbn in rec.lbn..rec.lbn + rec.len {
-                    img.set_word(lbn, store.word(lbn));
+            if m.healthy {
+                if store.capacity() == 0 {
+                    // Failed at the arm and rebuilt since: the rebuild's
+                    // durable writes land on its fresh, zeroed store.
+                    store = SectorStore::new(cap);
                 }
-            }
-            apply_cut(&mut img, &log, cut)?;
-            for (lbn, _) in img.iter() {
-                store.set_word(lbn, img.word(lbn));
-            }
-            if !m.healthy {
-                store.scramble(i as u64);
+                // Only sectors the log touched can differ from the armed
+                // snapshot, so only those go through the byte-level replay.
+                let mut img = SectorImage::new();
+                for rec in &log.records {
+                    for lbn in rec.lbn..rec.lbn + rec.len {
+                        img.set_word(lbn, store.word(lbn));
+                    }
+                }
+                apply_cut(&mut img, &log, cut)?;
+                for (lbn, _) in img.iter() {
+                    store.set_word(lbn, img.word(lbn));
+                }
+            } else {
+                // Failed since (or before) the arm: it holds no store.
+                store = SectorStore::new(0);
             }
             stores.push(store);
             m.disk.reset();

@@ -12,22 +12,37 @@ use traxtent::hash::{splitmix64, GOLDEN_GAMMA};
 /// A volume's data plane: every member's store, or — from a format until
 /// the first operation that changes or snapshots contents — only the
 /// format's seed.
+///
+/// A member is failed if and only if its store is empty (capacity 0): a
+/// dead drive holds nothing, and a rebuild installs a whole new store
+/// when it marks the member healthy. Nothing indexes an empty store,
+/// because `Volume::read_member` refuses a failed member before any
+/// caller takes words from its store, no write arm writes a failed
+/// member's store, and `Volume::xor_survivors` reads a member (and so
+/// refuses a failed one) before it folds that member's column. A stray
+/// read of a dead member panics on the empty store instead of returning
+/// words.
 #[derive(Debug)]
 pub(crate) enum Plane {
-    /// Exactly what [`fill_stores`] writes into fresh stores under this
-    /// seed, with nothing allocated or filled yet.
+    /// Exactly what [`fill_stores`] writes under this seed into fresh
+    /// stores, empty for the failed members, with nothing allocated or
+    /// filled yet.
     Implicit(u64),
     /// One store per member.
     Filled(Vec<SectorStore>),
 }
 
 impl Plane {
-    /// Every member's store, filled first if the plane is still implicit:
-    /// the one way to the stores, so no store read can see an unfilled
-    /// plane.
-    pub(crate) fn stores(&mut self, layout: &VolumeLayout) -> &mut [SectorStore] {
+    /// Every member's store, filled first if the plane is still implicit
+    /// (`failed(m)` names the members left empty): the one way to the
+    /// stores, so no store read can see an unfilled plane.
+    pub(crate) fn stores(
+        &mut self,
+        layout: &VolumeLayout,
+        failed: impl Fn(usize) -> bool,
+    ) -> &mut [SectorStore] {
         if let Plane::Implicit(seed) = *self {
-            *self = Plane::fill(layout, seed);
+            *self = Plane::fill(layout, seed, &failed);
         }
         match self {
             Plane::Filled(stores) => stores,
@@ -39,8 +54,10 @@ impl Plane {
     /// and kept out of line it leaves the store accessors small.
     #[cold]
     #[inline(never)]
-    fn fill(layout: &VolumeLayout, seed: u64) -> Plane {
-        let mut stores = zeroed_stores(layout);
+    fn fill(layout: &VolumeLayout, seed: u64, failed: &dyn Fn(usize) -> bool) -> Plane {
+        let mut stores: Vec<SectorStore> = (layout.member_caps().iter().enumerate())
+            .map(|(m, &capacity)| SectorStore::new(if failed(m) { 0 } else { capacity }))
+            .collect();
         fill_stores(layout, &mut stores, seed);
         Plane::Filled(stores)
     }
@@ -114,15 +131,6 @@ impl SectorStore {
             *o ^= w;
         }
     }
-
-    /// Deterministically destroys the contents (models a dead drive's
-    /// platters), so any test that "recovers" data from a failed member
-    /// can only pass by real reconstruction.
-    pub fn scramble(&mut self, salt: u64) {
-        for (i, w) in self.words.iter_mut().enumerate() {
-            *w = pattern_word(salt ^ 0xdead_beef_dead_beef, i as u64) ^ !0;
-        }
-    }
 }
 
 /// The canonical content of logical LBN `lbn` under fill seed `seed`: a
@@ -138,17 +146,24 @@ pub fn pattern_word(seed: u64, lbn: u64) -> u64 {
 /// pass: each data word is written once, straight into its store, and a
 /// round's parity is folded in one unit-sized buffer as its data columns
 /// are written. Sectors no unit maps are left as they were.
+///
+/// An empty store (capacity 0) is a failed member's, and is left empty:
+/// its data columns still fold into their round's parity, but nothing of
+/// it is stored.
 pub fn fill_stores(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
     assert_eq!(stores.len(), layout.members(), "one store per member");
+    let live = |store: &SectorStore| store.capacity() > 0;
     match layout.kind() {
         VolumeKind::Striped => {
             for u in layout.units() {
-                fill_unit(&mut stores[u.member], u, seed);
+                if live(&stores[u.member]) {
+                    fill_unit(&mut stores[u.member], u, seed);
+                }
             }
         }
         VolumeKind::Mirrored => {
             for u in layout.units() {
-                for store in stores.iter_mut() {
+                for store in stores.iter_mut().filter(|s| live(s)) {
                     fill_unit(store, u, seed);
                 }
             }
@@ -161,12 +176,21 @@ pub fn fill_stores(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64)
                 parity.clear();
                 parity.resize(info.len as usize, 0);
                 for u in units {
-                    let column = fill_unit(&mut stores[u.member], u, seed);
-                    for (p, w) in parity.iter_mut().zip(column) {
-                        *p ^= w;
+                    let store = &mut stores[u.member];
+                    if live(store) {
+                        let column = fill_unit(store, u, seed);
+                        for (p, w) in parity.iter_mut().zip(column) {
+                            *p ^= w;
+                        }
+                    } else {
+                        for (p, lbn) in parity.iter_mut().zip(u.lstart..) {
+                            *p ^= pattern_word(seed, lbn);
+                        }
                     }
                 }
-                stores[info.parity].write(info.pstarts[info.parity], &parity);
+                if live(&stores[info.parity]) {
+                    stores[info.parity].write(info.pstarts[info.parity], &parity);
+                }
             }
         }
     }

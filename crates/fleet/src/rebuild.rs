@@ -6,6 +6,7 @@
 //! and report progress through the [`traxtent::obs`] registry so the
 //! same observability surface that watches the server watches repair.
 
+use crate::data::SectorStore;
 use crate::layout::{LogicalUnit, VolumeKind};
 use crate::volume::{lost, Access, Volume};
 use crate::FleetError;
@@ -74,8 +75,11 @@ impl Volume {
     /// background scan that, per stripe unit, reads the surviving
     /// members' columns (timed member commands), recomputes the lost
     /// contents (XOR for RAID-5, a copy for mirrors), and writes them
-    /// back to member `i`. On return the member is healthy again and its
-    /// store holds bit-exact reconstructed data.
+    /// back to member `i`. The words go into a fresh zeroed store, which
+    /// becomes the member's only when the scan completes: on return the
+    /// member is healthy again and its store holds bit-exact
+    /// reconstructed data (and zeroes where no unit maps), while a scan
+    /// that fails leaves the member failed with no store.
     ///
     /// Progress and totals are exported into `reg` as
     /// `fleet.rebuild.units`, `fleet.rebuild.sectors`,
@@ -115,6 +119,7 @@ impl Volume {
         let mut t = at;
         let mut sectors = 0u64;
         let mut words = Vec::new();
+        let mut rebuilt = SectorStore::new(self.layout.member_caps()[i]);
         for step in 0..total {
             let (dst, len) = match source {
                 Some(_) => {
@@ -141,12 +146,13 @@ impl Volume {
             t = self
                 .write_member(&mut acc, i, dst, &words, reads_done, "rebuild")
                 .map_err(|_| lost(i))?;
-            self.stores()[i].write(dst, &words);
+            rebuilt.write(dst, &words);
             sectors += len;
             let pct = (step as u64 + 1) * 100 / total as u64;
             reg.set_gauge("fleet.rebuild.progress_pct", pct);
         }
         let units = total as u64;
+        self.stores()[i] = rebuilt;
         self.members[i].healthy = true;
         self.stats.reconstructed_sectors += sectors;
         reg.add("fleet.rebuild.units", units);
@@ -174,7 +180,8 @@ impl Volume {
         let mut order: Vec<usize> = (0..self.members.len()).collect();
         order.sort_by_key(|&m| std::cmp::Reverse(suspicion(self, m)));
         // A scrub reads the whole plane, so it fills an implicit one.
-        let stores = self.plane.stores(&self.layout);
+        let members = &self.members;
+        let stores = self.plane.stores(&self.layout, |m| !members[m].healthy);
         let mut checked = 0u64;
         let mut mismatches = 0u64;
         let mut syndrome = Vec::new();

@@ -514,10 +514,11 @@ impl Volume {
     ///
     /// The fill itself is deferred: the plane stays *implicit* (the seed
     /// alone) until the first operation that changes or snapshots
-    /// contents fills every store — a write, a member failure, a rebuild,
-    /// a scrub, arming crash capture, or a RAID-5 reconstruct-read. Until
-    /// then a healthy read computes its words from the seed, so a volume
-    /// that is only ever read never allocates its stores.
+    /// contents fills every surviving member's store — a write, a member
+    /// failure, a rebuild, a scrub, arming crash capture, or a RAID-5
+    /// reconstruct-read. Until then a healthy read computes its words
+    /// from the seed, so a volume that is only ever read never allocates
+    /// its stores. A failed member's store stays empty.
     pub fn format(&mut self, seed: u64) {
         self.fill_seed = seed;
         self.plane = Plane::Implicit(seed);
@@ -525,11 +526,12 @@ impl Volume {
 
     /// Every member's store, filled first if the plane is implicit.
     pub(crate) fn stores(&mut self) -> &mut [SectorStore] {
-        self.plane.stores(&self.layout)
+        let members = &self.members;
+        self.plane.stores(&self.layout, |m| !members[m].healthy)
     }
 
-    /// Member `m`'s contents, or `None` while the plane is implicit (a
-    /// format nothing has filled yet).
+    /// Member `m`'s contents — empty while it is failed — or `None` while
+    /// the plane is implicit (a format nothing has filled yet).
     pub fn member_store(&self, m: usize) -> Option<&SectorStore> {
         match &self.plane {
             Plane::Implicit(_) => None,
@@ -547,23 +549,24 @@ impl Volume {
         }
     }
 
-    /// Marks member `i` failed and destroys its contents, so that any
-    /// data later "recovered" from it can only come from real
-    /// reconstruction. Idempotent. Fails with
-    /// [`FleetError::NoSuchMember`] if `i` is not a member.
+    /// Marks member `i` failed and drops its store: a dead drive holds
+    /// nothing, so any data later "recovered" from it can only come from
+    /// real reconstruction. An implicit plane is filled first, survivors
+    /// only. Idempotent. Fails with [`FleetError::NoSuchMember`] if `i`
+    /// is not a member.
     pub fn fail_member(&mut self, i: usize) -> Result<(), FleetError> {
         self.check_member(i)?;
         if self.members[i].healthy {
             self.members[i].healthy = false;
-            self.stores()[i].scramble(i as u64);
+            self.stores()[i] = SectorStore::new(0);
         }
         Ok(())
     }
 
     /// The one way a member is read: a timed read of `len` sectors at
     /// physical `pstart` of member `m`, issued at `at`. A failed member is
-    /// refused without a command ([`FleetError::Unrecoverable`] — its
-    /// platters hold nothing worth reading), a member that faults past the
+    /// refused without a command ([`FleetError::Unrecoverable`] — it
+    /// holds no store to read), a member that faults past the
     /// retry budget is [`FleetError::RetriesExhausted`]; callers fail over
     /// or name the member whose data is actually lost. Returns when the
     /// read completed; the words themselves are the caller's to take from
@@ -613,7 +616,8 @@ impl Volume {
     /// Reads sectors `[off, off + out.len())` of every member's RAID-5
     /// round-`round` column except the `skip`ped members', all issued at
     /// `at`, and folds the stored words into `out`. Returns when the last
-    /// read completed.
+    /// read completed; a failed member among them is refused by its read
+    /// before its (empty) store is touched.
     pub(crate) fn xor_survivors(
         &mut self,
         acc: &mut Access,

@@ -334,8 +334,11 @@ const KIND_POLICIES: [[&str; 2]; 3] = [
 #[test]
 fn fill_matches_the_two_pass_fill() {
     // Cases per volume kind (striped, mirrored, RAID-5) × policy (fixed,
-    // aligned), and cases whose stores held other words before the fill:
-    // what no unit maps must come through both fills as it was.
+    // aligned); cases whose stores held other words before the fill, where
+    // what no unit maps must come through both fills as it was; and cases
+    // with a failed member's empty store, which the fill must leave empty
+    // while every survivor gets what the two-pass fill of all members
+    // gives it.
     let name = "fill_matches_the_two_pass_fill";
     let mut tally = Tally::default();
     for_cases(
@@ -346,17 +349,20 @@ fn fill_matches_the_two_pass_fill() {
             arb_kind(),
             arb_policy(),
             0u64..u64::MAX,
-            0u32..2,
+            (0u32..2, 0usize..12),
         ),
-        |(maps, kind, policy, seed, scrambled)| {
+        |(maps, kind, policy, seed, (old_words, dead))| {
             let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
                 return; // e.g. no complete round fits
             };
             let before: Vec<SectorStore> = (layout.member_caps().iter().enumerate())
                 .map(|(m, &cap)| {
                     let mut store = SectorStore::new(cap);
-                    if scrambled == 1 {
-                        store.scramble(seed ^ m as u64);
+                    if old_words == 1 {
+                        let old: Vec<u64> = (0..cap)
+                            .map(|i| !pattern_word(seed ^ m as u64, i))
+                            .collect();
+                        store.write(0, &old);
                     }
                     store
                 })
@@ -364,14 +370,21 @@ fn fill_matches_the_two_pass_fill() {
             let mut want = before.clone();
             two_pass_fill(&layout, &mut want, seed);
             let mut got = before;
+            // Half the cases run with every member; the rest empty one.
+            let dead = (dead >= 6).then(|| dead % layout.members());
+            if let Some(d) = dead {
+                got[d] = SectorStore::new(0);
+                want[d] = SectorStore::new(0);
+            }
             fill_stores(&layout, &mut got, seed);
-            assert_eq!(got, want, "{kind:?} under {policy:?}");
+            assert_eq!(got, want, "{kind:?} under {policy:?}, dead {dead:?}");
             let policy = usize::from(matches!(policy, StripePolicy::Aligned { .. }));
             tally.note(KIND_POLICIES[kind as usize][policy]);
-            tally.note_if(scrambled == 1, "over_old_words");
+            tally.note_if(old_words == 1, "over_old_words");
+            tally.note_if(dead.is_some(), "dead_member");
         },
     );
     let mut branches: Vec<&str> = KIND_POLICIES.concat();
-    branches.push("over_old_words");
+    branches.extend(["over_old_words", "dead_member"]);
     tally.require(name, &branches);
 }

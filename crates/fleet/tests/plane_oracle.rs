@@ -13,8 +13,16 @@
 //! With `-- --nocapture` the test prints how often the deferred volume
 //! answered a read while still implicit and which operation filled it,
 //! and fails if any of those ran fewer than 16 times.
+//!
+//! A second property holds a degraded volume to its never-failed twin: a
+//! mirror or RAID-5 volume loses a member, serves the same reads, writes
+//! and power cuts as a twin that keeps every member, and is rebuilt. Every
+//! read returns the twin's words, the dead member holds an empty store
+//! until the rebuild, every survivor's store equals the twin's throughout,
+//! and after the rebuild every member's store does, sectors no unit maps
+//! included.
 
-use fleet::{pattern_word, FleetError, StripePolicy, Volume, VolumeKind};
+use fleet::{pattern_word, Chunk, FleetError, StripePolicy, Volume, VolumeKind, VolumeLayout};
 use proptest::prelude::*;
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::geometry::{GeometrySpec, ZoneSpec};
@@ -430,6 +438,246 @@ fn deferred_plane_matches_an_eager_twin() {
             "by_crash",
             "by_reconstruct_read",
             "no_such_member",
+        ],
+    );
+}
+
+// ---------------------------------------------------------------------
+// A rebuilt volume against its never-failed twin.
+// ---------------------------------------------------------------------
+
+/// When the member fails: on a plane a format left implicit, on one a
+/// write filled, or inside an armed crash window (which the first `Cut`
+/// resolves).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum When {
+    Implicit,
+    Filled,
+    Armed,
+}
+
+/// One operation of a degraded run, applied to the volume and its twin.
+#[derive(Debug, Clone)]
+enum Degraded {
+    Read {
+        lbn: u64,
+        len: u64,
+    },
+    Write {
+        lbn: u64,
+        len: u64,
+        salt: u64,
+    },
+    /// `arm_crash`, these writes, then `power_cut` either after every
+    /// write was durable or before any was.
+    Cut {
+        writes: Vec<(u64, u64, u64)>,
+        durable: bool,
+    },
+    /// A re-format while the member is dead: the next fill must leave its
+    /// store empty.
+    Format {
+        seed: u64,
+    },
+}
+
+fn arb_degraded() -> impl Strategy<Value = (When, Vec<Degraded>)> {
+    let when = prop_oneof![Just(When::Implicit), Just(When::Filled), Just(When::Armed)];
+    let pos = || (0u64..u64::MAX, 1u64..400);
+    let op = prop_oneof![
+        pos().prop_map(|(lbn, len)| Degraded::Read { lbn, len }),
+        pos().prop_map(|(lbn, len)| Degraded::Read { lbn, len }),
+        (pos(), 0u64..u64::MAX).prop_map(|((lbn, len), salt)| Degraded::Write { lbn, len, salt }),
+        (pos(), 0u64..u64::MAX).prop_map(|((lbn, len), salt)| Degraded::Write { lbn, len, salt }),
+        (
+            prop::collection::vec((0u64..u64::MAX, 1u64..400, 0u64..u64::MAX), 0..3),
+            0u32..2
+        )
+            .prop_map(|(writes, durable)| Degraded::Cut {
+                writes,
+                durable: durable == 1
+            }),
+        (0u64..u64::MAX).prop_map(|seed| Degraded::Format { seed }),
+    ];
+    (when, prop::collection::vec(op, 1..10))
+}
+
+/// Requires every store of `v` but the failed member's to equal `twin`'s
+/// (which is always filled), and the failed member's to be empty; an
+/// implicit `v` has nothing to compare yet.
+fn survivors_match(v: &Volume, twin: &Volume, dead: Option<usize>, what: &dyn Debug) {
+    for m in 0..v.layout().members() {
+        let Some(got) = v.member_store(m) else {
+            continue;
+        };
+        if Some(m) == dead {
+            assert_eq!(got.capacity(), 0, "dead member {m} holds a store, {what:?}");
+        } else {
+            let want = twin.member_store(m);
+            assert!(Some(got) == want, "member {m}'s contents differ, {what:?}");
+        }
+    }
+}
+
+/// Writes `salt`'s words at `lbn` on both volumes; returns the chunks.
+fn write_both(
+    v: &mut Volume,
+    twin: &mut Volume,
+    (lbn, len, salt): (u64, u64, u64),
+    t: &mut SimTime,
+) -> Vec<Chunk> {
+    let data = words(lbn, len, salt);
+    let a = v
+        .write(lbn, &data, *t)
+        .expect("one failed member is served");
+    let b = twin
+        .write(lbn, &data, *t)
+        .expect("a healthy volume is served");
+    *t = (*t).max(a.completion).max(b.completion);
+    v.layout().split(lbn, len).expect("in range")
+}
+
+/// Notes the degraded RAID-5 write arms `chunks` took with `dead` failed.
+fn note_write(layout: &VolumeLayout, chunks: &[Chunk], dead: usize, tally: &mut Tally) {
+    if layout.kind() == VolumeKind::Raid5 {
+        let rounds = layout.rounds();
+        tally.note_if(chunks.iter().any(|c| c.member == dead), "reconstruct_write");
+        tally.note_if(
+            chunks.iter().any(|c| rounds[c.round].parity == dead),
+            "parity_skip",
+        );
+    }
+}
+
+fn run_degraded(spec: &Spec, dead: usize, when: When, ops: &[Degraded], tally: &mut Tally) {
+    let (Some(mut v), Some(mut twin)) = (build(spec), build(spec)) else {
+        return; // e.g. no complete round fits
+    };
+    let dead = dead % spec.members;
+    v.format(spec.seed);
+    twin.format(spec.seed);
+    twin.scrub(&Registry::new()); // the twin is always filled
+    let cap = v.capacity();
+    let mut t = SimTime::ZERO;
+    match when {
+        When::Implicit => assert!(v.member_store(0).is_none(), "a format is implicit"),
+        When::Filled => {
+            let (lbn, len) = fold(cap, spec.seed, 1 + spec.seed % 300);
+            write_both(&mut v, &mut twin, (lbn, len, !spec.seed), &mut t);
+        }
+        When::Armed => {
+            v.arm_crash();
+            twin.arm_crash();
+        }
+    }
+    tally.note(match when {
+        When::Implicit => "failed_while_implicit",
+        When::Filled => "failed_while_filled",
+        When::Armed => "failed_while_armed",
+    });
+    v.fail_member(dead).expect("a member");
+    assert!(v.member_store(dead).is_some(), "a failure fills");
+    survivors_match(&v, &twin, Some(dead), &"fail_member");
+    let mut armed = when == When::Armed;
+    for op in ops {
+        match *op {
+            Degraded::Read { lbn, len } => {
+                let (lbn, len) = fold(cap, lbn, len);
+                let (a, got) = v.read(lbn, len, t).expect("one failed member is served");
+                let (b, want) = twin.read(lbn, len, t).expect("a healthy volume is served");
+                assert_eq!(got, want, "read({lbn}, {len})");
+                t = t.max(a.completion).max(b.completion);
+                let chunks = v.layout().split(lbn, len).expect("in range");
+                tally.note_if(
+                    v.layout().kind() == VolumeKind::Raid5
+                        && chunks.iter().any(|c| c.member == dead),
+                    "reconstruct_read",
+                );
+            }
+            Degraded::Write { lbn, len, salt } => {
+                let (lbn, len) = fold(cap, lbn, len);
+                let chunks = write_both(&mut v, &mut twin, (lbn, len, salt), &mut t);
+                note_write(v.layout(), &chunks, dead, tally);
+            }
+            Degraded::Cut {
+                ref writes,
+                durable,
+            } => {
+                v.arm_crash();
+                twin.arm_crash();
+                let before = t;
+                for &(lbn, len, salt) in writes {
+                    let (lbn, len) = fold(cap, lbn, len);
+                    let chunks = write_both(&mut v, &mut twin, (lbn, len, salt), &mut t);
+                    note_write(v.layout(), &chunks, dead, tally);
+                }
+                // The two volumes issue different commands, so each is cut
+                // at its own horizon, or both where nothing was yet durable.
+                for x in [&mut v, &mut twin] {
+                    let cut = if durable { x.crash_horizon() } else { before };
+                    x.power_cut(cut)
+                        .expect("every write path attaches payloads");
+                }
+                tally.note("cut_while_dead");
+                tally.note_if(std::mem::take(&mut armed), "cut_after_an_armed_failure");
+            }
+            Degraded::Format { seed } => {
+                if armed {
+                    // A cut would undo the format under the writes after
+                    // it, leaving parity the twin's rebuild would not see.
+                    continue;
+                }
+                v.format(seed);
+                twin.format(seed);
+                twin.scrub(&Registry::new());
+                tally.note("format_while_dead");
+            }
+        }
+        survivors_match(&v, &twin, Some(dead), op);
+    }
+    let report = (v.rebuild_member(dead, &Registry::new(), t)).expect("the peers are healthy");
+    assert_eq!(report.member, dead);
+    survivors_match(&v, &twin, None, &"rebuild_member");
+    let layout = v.layout();
+    let mapped: u64 = match layout.kind() {
+        VolumeKind::Raid5 => layout.rounds().iter().map(|r| r.len).sum(),
+        _ => layout.units().iter().map(|u| u.len).sum(),
+    };
+    tally.note_if(mapped < layout.member_caps()[dead], "unmapped_tail");
+}
+
+#[test]
+fn a_rebuilt_volume_equals_its_never_failed_twin() {
+    let name = "a_rebuilt_volume_equals_its_never_failed_twin";
+    let mut tally = Tally::default();
+    let cases = (arb_spec(), 0usize..5, arb_degraded());
+    for_cases(name, 256, cases, |(spec, dead, (when, ops))| {
+        // Mirror or RAID-5, no faulty member, nothing failed yet.
+        let kind = match spec.kind {
+            VolumeKind::Striped => VolumeKind::Mirrored,
+            kind => kind,
+        };
+        let spec = Spec {
+            kind,
+            faulty: None,
+            failed: None,
+            ..spec
+        };
+        run_degraded(&spec, dead, when, &ops, &mut tally)
+    });
+    tally.require(
+        name,
+        &[
+            "failed_while_implicit",
+            "failed_while_filled",
+            "failed_while_armed",
+            "reconstruct_write",
+            "parity_skip",
+            "reconstruct_read",
+            "cut_while_dead",
+            "cut_after_an_armed_failure",
+            "format_while_dead",
+            "unmapped_tail",
         ],
     );
 }

@@ -2,7 +2,9 @@
 //! reads return bit-exact data, writes maintain the redundancy
 //! invariant, rebuild restores a failed member, and scrub verifies it.
 
-use fleet::{member_boundaries, pattern_word, FleetError, StripePolicy, Volume, VolumeKind};
+use fleet::{
+    member_boundaries, pattern_word, FleetError, SectorStore, StripePolicy, Volume, VolumeKind,
+};
 use sim_disk::disk::Disk;
 use sim_disk::models::small_test_disk;
 use sim_disk::SimTime;
@@ -298,4 +300,47 @@ fn a_missing_member_is_no_such_member() {
         v.rebuild_member(1, &Registry::new(), SimTime::ZERO),
         Err(FleetError::Unrecoverable { member: 1 })
     );
+}
+
+/// A failed member holds no store: a rebuild that cannot finish leaves it
+/// failed with none, and one rebuilt inside a crash window replays the
+/// rebuild's durable writes onto the zeroed store it was rebuilt into.
+#[test]
+fn a_failed_member_holds_no_store() {
+    let reg = Registry::new();
+    let empty = |v: &Volume, m: usize| v.member_store(m).map(SectorStore::capacity) == Some(0);
+    let mut faulting = small_test_disk();
+    faulting.fault.transient_per_million = 1_000_000;
+    let pair = [small_test_disk(), faulting].map(|config| {
+        let d = Disk::new(config);
+        let b = member_boundaries(&d);
+        (d, b)
+    });
+    let mut v = Volume::mirrored(pair.into(), StripePolicy::aligned()).unwrap();
+    v.format(SEED);
+    v.fail_member(0).unwrap();
+    assert!(empty(&v, 0), "a failure drops the store");
+    assert_eq!(
+        v.rebuild_member(0, &reg, SimTime::ZERO),
+        Err(FleetError::Unrecoverable { member: 0 }),
+        "the only copy never answers"
+    );
+    assert_eq!(v.failed_members(), [0]);
+    assert!(empty(&v, 0), "a failed rebuild installs nothing");
+
+    let mut twin = Volume::raid5(members(3), StripePolicy::aligned()).unwrap();
+    twin.format(SEED);
+    twin.scrub(&reg);
+    let mut v = Volume::raid5(members(3), StripePolicy::aligned()).unwrap();
+    v.format(SEED);
+    v.fail_member(1).unwrap();
+    v.arm_crash();
+    v.rebuild_member(1, &reg, SimTime::ZERO).unwrap();
+    let horizon = v.crash_horizon();
+    v.power_cut(horizon).unwrap();
+    assert!(
+        v.member_store(1) == twin.member_store(1),
+        "rebuilt as never failed"
+    );
+    assert_eq!(v.scrub(&reg).mismatches, 0);
 }
