@@ -5,8 +5,10 @@
 //! tokens and valid text with random edits, and requires that the parser
 //! never panics, that what it accepts renders back to itself wherever the
 //! renderer promises that, and that an accepted trace that fits the drive
-//! replays. Run with `-- --nocapture`, each prints how often each kind of
-//! acceptance and rejection ran, and fails if one ran fewer than 16 times.
+//! replays. Each parse of a case's text must also finish within
+//! [`PARSE_BOUND`]. Run with `-- --nocapture`, each prints how often each
+//! kind of acceptance and rejection ran, and fails if one ran fewer than
+//! 16 times.
 
 use proptest::prelude::*;
 use sim_disk::disk::{Disk, Op};
@@ -15,6 +17,7 @@ use sim_disk::models::small_test_disk;
 use sim_disk::trace::{peek_event_name, TraceEvent};
 use sim_disk::TraceRecord;
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 use traxtent::obs::json;
 use traxtent::obs::span::Span;
 use traxtent_bench::manifest::Manifest;
@@ -23,6 +26,33 @@ use workloads::replay::{parse_trace, render_trace, replay, ParseErrorKind};
 // ---------------------------------------------------------------------
 // Text and edits.
 // ---------------------------------------------------------------------
+
+/// The longest one parse of a case's text may take. The longest cases
+/// (traces) are a few KB, which a linear parser reads in well under a
+/// millisecond even unoptimized on a shared 2-core runner; a quadratic
+/// one takes about twice the bound there.
+const PARSE_BOUND: Duration = Duration::from_millis(50);
+
+/// `parse(text)`, failing the case (which the harness then names by
+/// number) if it took longer than [`PARSE_BOUND`] twice running: a slow
+/// parser is slow again, a preempted thread seldom twice.
+fn timed<T>(text: &str, parse: impl Fn(&str) -> T) -> T {
+    let time = || {
+        let start = Instant::now();
+        let parsed = parse(text);
+        (start.elapsed(), parsed)
+    };
+    let (took, parsed) = time();
+    if took > PARSE_BOUND {
+        let (again, _) = time();
+        assert!(
+            again <= PARSE_BOUND,
+            "parsing {} bytes took {took:?}, then {again:?}: over the {PARSE_BOUND:?} bound",
+            text.len()
+        );
+    }
+    parsed
+}
 
 /// One edit: `(kind, position, token)`, the position and token taken
 /// modulo what they index.
@@ -124,10 +154,15 @@ const TRACE: Grammar = Grammar {
     ],
 };
 
-/// `(arrival step in µs, write, lbn, sectors)` records, rendered.
+/// `(arrival step in µs, write, lbn, sectors)` records, rendered: a few,
+/// or a few KB of them, which is what [`PARSE_BOUND`] is sized for.
 fn arb_trace() -> impl Strategy<Value = String> {
-    let record = (0u64..5_000, 0u8..2, 0u64..100_000, 1u64..600);
-    (prop::collection::vec(record, 1..5), 0u8..2).prop_map(|(raw, header)| {
+    let record = || (0u64..5_000, 0u8..2, 0u64..100_000, 1u64..600);
+    let records = prop_oneof![
+        prop::collection::vec(record(), 1..5),
+        prop::collection::vec(record(), 1..200),
+    ];
+    (records, 0u8..2).prop_map(|(raw, header)| {
         let mut text = String::new();
         if header == 1 {
             text.push_str("# <arrival_ms> <R|W> <lbn> <sectors>\n");
@@ -172,7 +207,7 @@ fn replay_traces_parse_render_and_replay() {
         (arb_trace(), text_of(TRACE.tokens)),
         |(valid, text)| {
             let text = TRACE.text(valid, text);
-            let records = match parse_trace(&text) {
+            let records = match timed(&text, parse_trace) {
                 Ok(records) => records,
                 Err(e) => return tally.note(trace_verdict(&e.kind)),
             };
@@ -270,7 +305,7 @@ fn fault_specs_parse_or_say_why_not() {
         (arb_spec(), text_of(SPEC.tokens)),
         |(valid, text)| {
             let text = SPEC.text(valid, text);
-            let config = match FaultConfig::parse_spec(&text) {
+            let config = match timed(&text, FaultConfig::parse_spec) {
                 Ok(config) => config,
                 Err(e) => return tally.note(spec_verdict(&e)),
             };
@@ -460,8 +495,8 @@ fn event_lines_parse_render_and_peek() {
         (arb_event(), text_of(JSON_TOKENS)),
         |(event, text)| {
             let text = EVENT.text(event.to_json(), text);
-            let peeked = peek_event_name(&text);
-            let event = match TraceEvent::parse_json(&text) {
+            let peeked = timed(&text, peek_event_name);
+            let event = match timed(&text, TraceEvent::parse_json) {
                 Ok(event) => event,
                 Err(e) => return tally.note(json_verdict(&text, &e)),
             };
@@ -520,8 +555,8 @@ fn span_lines_parse_render_and_peek() {
         (arb_span(), text_of(JSON_TOKENS)),
         |(span, text)| {
             let text = SPAN.text(span.to_json(), text);
-            let peeked = peek_event_name(&text);
-            let span = match Span::parse_json(&text) {
+            let peeked = timed(&text, peek_event_name);
+            let span = match timed(&text, Span::parse_json) {
                 Ok(span) => span,
                 Err(e) => return tally.note(json_verdict(&text, &e)),
             };
@@ -589,7 +624,7 @@ fn manifests_parse_and_render() {
         (arb_manifest(), text_of(JSON_TOKENS)),
         |(manifest, text)| {
             let text = MANIFEST.text(manifest.to_json(), text);
-            let manifest = match Manifest::parse_json(&text) {
+            let manifest = match timed(&text, Manifest::parse_json) {
                 Ok(manifest) => manifest,
                 Err(e) => return tally.note(json_verdict(&text, &e)),
             };

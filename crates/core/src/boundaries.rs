@@ -463,28 +463,6 @@ impl ConfidentBoundaries {
         self.confidence.iter().sum::<f64>() / self.confidence.len() as f64
     }
 
-    /// Lowers track `i`'s confidence to at most `to` (clamped to
-    /// `[0, 1]`), returning the new value. Never raises: demotion is how
-    /// the self-healing loop marks a track suspect after recovered media
-    /// errors, and a suspect track must not accidentally regain trust.
-    /// Panics if `i` is out of range.
-    pub fn demote(&mut self, i: usize, to: f64) -> f64 {
-        let to = to.clamp(0.0, 1.0);
-        self.confidence[i] = self.confidence[i].min(to);
-        self.confidence[i]
-    }
-
-    /// Raises track `i`'s confidence to at least `to` (clamped to
-    /// `[0, 1]`), returning the new value. Never lowers: promotion is the
-    /// inverse of [`ConfidentBoundaries::demote`], applied when exact
-    /// re-verification confirms a suspect track's boundaries are intact.
-    /// Panics if `i` is out of range.
-    pub fn promote(&mut self, i: usize, to: f64) -> f64 {
-        let to = to.clamp(0.0, 1.0);
-        self.confidence[i] = self.confidence[i].max(to);
-        self.confidence[i]
-    }
-
     /// Composes a boundary map from consecutive `(length, confidence)`
     /// units — the primitive the fleet layer uses to publish a
     /// *volume-wide* boundary map: each member's stripe units (snapped to

@@ -168,14 +168,15 @@ enum State {
     /// Measuring the linear model's slope: point `i` of the 17/33/49-sector
     /// ladder, with the responses gathered so far.
     SlotProbe { i: u8, r: [SimDur; 3] },
-    /// Verifying that `spt_est` sectors do not cross.
-    VerifyLow,
-    /// Verifying that `spt_est + 1` sectors do cross.
-    VerifyHigh,
+    /// Verifying that the predicted `p` sectors do not cross. This and the
+    /// three searches below judge crossings by the measured `slope`.
+    VerifyLow { p: u64, slope: SimDur },
+    /// Verifying that `p + 1` sectors do cross.
+    VerifyHigh { p: u64, slope: SimDur },
     /// Doubling `hi` until a crossing is found; `lo` is known non-crossing.
-    SearchUp { lo: u64, hi: u64 },
+    SearchUp { lo: u64, hi: u64, slope: SimDur },
     /// Bisecting: `lo` non-crossing, `hi` crossing.
-    Bisect { lo: u64, hi: u64 },
+    Bisect { lo: u64, hi: u64, slope: SimDur },
     /// Region finished.
     Done,
 }
@@ -327,7 +328,7 @@ fn step_slot(state: &State) -> usize {
         State::Calibrate { .. } => 0,
         State::Baseline { .. } => 1,
         State::SlotProbe { .. } => 2,
-        State::VerifyLow | State::VerifyHigh => 3,
+        State::VerifyLow { .. } | State::VerifyHigh { .. } => 3,
         State::SearchUp { .. } | State::Bisect { .. } | State::Done => 4,
     }
 }
@@ -510,7 +511,7 @@ fn step(
                 // zero slope is safe for the few sectors that remain.
                 ctx.slope = Some(SimDur::ZERO);
                 ctx.slope_at = Some(ctx.s);
-                ctx.state = next_measure_state(ctx, capacity);
+                ctx.state = next_measure_state(ctx, SimDur::ZERO, capacity);
                 return Ok(());
             }
             r[i as usize] = measure(disk, lens[i as usize], ctx.phase, probe_reads)?;
@@ -543,7 +544,7 @@ fn step(
                 .unwrap_or(floor);
             ctx.slope = Some(slope);
             ctx.slope_at = Some(ctx.s);
-            ctx.state = next_measure_state(ctx, capacity);
+            ctx.state = next_measure_state(ctx, slope, capacity);
         }
         State::Baseline { attempts } => {
             let r = measure(disk, 1, ctx.phase, probe_reads)?;
@@ -552,13 +553,12 @@ fn step(
             let budget = SimDur::from_ns((rev.as_ns() as f64 * ROT_BUDGET_FRAC) as u64);
             if excess <= budget {
                 ctx.baseline = r;
-                ctx.state = if ctx.slope.is_some() {
-                    next_measure_state(ctx, capacity)
-                } else {
-                    State::SlotProbe {
+                ctx.state = match ctx.slope {
+                    Some(slope) => next_measure_state(ctx, slope, capacity),
+                    None => State::SlotProbe {
                         i: 0,
                         r: [SimDur::ZERO; 3],
-                    }
+                    },
                 };
             } else if attempts < 3 {
                 // Shift the issue phase so the head arrives just before the
@@ -582,29 +582,26 @@ fn step(
                 };
             }
         }
-        State::VerifyLow => {
-            let p = ctx.spt_est.expect("verify requires a prediction");
+        State::VerifyLow { p, slope } => {
             if ctx.s + p >= capacity {
                 ctx.state = State::Bisect {
                     lo: 1,
                     hi: capacity - ctx.s + 1,
+                    slope,
                 };
                 return Ok(());
             }
-            let (crossed, agree) = vote(
-                disk,
-                p,
-                ctx.phase,
-                ctx.baseline,
-                ctx.slope.expect("slope measured"),
-                probe_reads,
-            )?;
+            let (crossed, agree) = vote(disk, p, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
             if crossed {
                 counters.mispredictions += 1;
                 if ctx.slope_at == Some(ctx.s) {
                     // The prediction overshot: bisect below it.
-                    ctx.state = State::Bisect { lo: 1, hi: p };
+                    ctx.state = State::Bisect {
+                        lo: 1,
+                        hi: p,
+                        slope,
+                    };
                 } else {
                     // The failed prediction may mean the layout changed under
                     // us (zone boundary): re-measure the slope here first.
@@ -614,25 +611,17 @@ fn step(
                     };
                 }
             } else {
-                ctx.state = State::VerifyHigh;
+                ctx.state = State::VerifyHigh { p, slope };
             }
         }
-        State::VerifyHigh => {
-            let p = ctx.spt_est.expect("verify requires a prediction");
+        State::VerifyHigh { p, slope } => {
             if ctx.s + p + 1 > capacity {
                 // The predicted track would end exactly at (or past) the end
                 // of the disk.
                 finish_track(ctx, (capacity - ctx.s).min(p), capacity);
                 return Ok(());
             }
-            let (crossed, agree) = vote(
-                disk,
-                p + 1,
-                ctx.phase,
-                ctx.baseline,
-                ctx.slope.expect("slope measured"),
-                probe_reads,
-            )?;
+            let (crossed, agree) = vote(disk, p + 1, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
             if crossed {
                 counters.verified_predictions += 1;
@@ -642,6 +631,7 @@ fn step(
                 ctx.state = State::SearchUp {
                     lo: p + 1,
                     hi: (p + 1) * 2,
+                    slope,
                 };
             } else {
                 counters.mispredictions += 1;
@@ -651,48 +641,39 @@ fn step(
                 };
             }
         }
-        State::SearchUp { lo, hi } => {
+        State::SearchUp { lo, hi, slope } => {
             if ctx.s + hi > capacity {
                 ctx.state = State::Bisect {
                     lo,
                     hi: capacity - ctx.s + 1,
+                    slope,
                 };
                 return Ok(());
             }
-            let (crossed, agree) = vote(
-                disk,
-                hi,
-                ctx.phase,
-                ctx.baseline,
-                ctx.slope.expect("slope measured"),
-                probe_reads,
-            )?;
+            let (crossed, agree) = vote(disk, hi, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
             if crossed {
-                ctx.state = State::Bisect { lo, hi };
+                ctx.state = State::Bisect { lo, hi, slope };
             } else {
-                ctx.state = State::SearchUp { lo: hi, hi: hi * 2 };
+                ctx.state = State::SearchUp {
+                    lo: hi,
+                    hi: hi * 2,
+                    slope,
+                };
             }
         }
-        State::Bisect { lo, hi } => {
+        State::Bisect { lo, hi, slope } => {
             if hi - lo <= 1 {
                 finish_track(ctx, lo, capacity);
                 return Ok(());
             }
             let mid = lo + (hi - lo) / 2;
-            let (crossed, agree) = vote(
-                disk,
-                mid,
-                ctx.phase,
-                ctx.baseline,
-                ctx.slope.expect("slope measured"),
-                probe_reads,
-            )?;
+            let (crossed, agree) = vote(disk, mid, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
             if crossed {
-                ctx.state = State::Bisect { lo, hi: mid };
+                ctx.state = State::Bisect { lo, hi: mid, slope };
             } else {
-                ctx.state = State::Bisect { lo: mid, hi };
+                ctx.state = State::Bisect { lo: mid, hi, slope };
             }
         }
         State::Done => {}
@@ -700,14 +681,15 @@ fn step(
     Ok(())
 }
 
-/// Chooses what to do at a fresh `s` once the baseline is trustworthy.
-fn next_measure_state(ctx: &Context, capacity: u64) -> State {
+/// Chooses what to do at a fresh `s` once the baseline is trustworthy and
+/// the per-sector `slope` is measured.
+fn next_measure_state(ctx: &Context, slope: SimDur, capacity: u64) -> State {
     match ctx.spt_est {
-        Some(_) => State::VerifyLow,
+        Some(p) => State::VerifyLow { p, slope },
         None => {
             // No prediction yet: find an upper bound by doubling.
             let hi = 2u64.min(capacity - ctx.s);
-            State::SearchUp { lo: 1, hi }
+            State::SearchUp { lo: 1, hi, slope }
         }
     }
 }

@@ -17,15 +17,19 @@
 //! the extraction cost.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod error;
 pub mod general;
-pub mod heal;
 pub mod scsi_probe;
 
 pub use error::ExtractError;
 pub use general::{extract_general, GeneralConfig, GeneralExtraction};
-pub use heal::{HealConfig, HealReport, Healer};
 pub use scsi_probe::{extract_scsi, SchemeGuess, ScsiExtraction};
 
 use scsi::ScsiDisk;

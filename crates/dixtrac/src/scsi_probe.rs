@@ -449,10 +449,8 @@ fn classify_scheme(
         Ok(None)
     };
     if let Some(lens) = find_clean_cyl_tracks(disk, true)? {
-        let head_len = lens[0];
-        if lens[..lens.len() - 1].iter().all(|&l| l == head_len) {
-            let last = *lens.last().expect("non-empty");
-            if last < head_len {
+        if let [head_len, rest @ .., last] = lens.as_slice() {
+            if rest.iter().all(|l| l == head_len) && last < head_len {
                 return Ok(SchemeGuess::SectorsPerCylinder((head_len - last) as u32));
             }
         }

@@ -5,6 +5,7 @@
 use fleet::{
     member_boundaries, pattern_word, FleetError, SectorStore, StripePolicy, Volume, VolumeKind,
 };
+use server::{serve, Backend, SchedulerKind, ServerConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models::small_test_disk;
 use sim_disk::SimTime;
@@ -343,4 +344,35 @@ fn a_failed_member_holds_no_store() {
         "rebuilt as never failed"
     );
     assert_eq!(v.scrub(&reg).mismatches, 0);
+}
+
+/// A zero-length trace serves nothing and reports zeros, on one drive and
+/// on a RAID-5 volume, under every scheduler.
+#[test]
+fn an_empty_trace_serves_nothing() {
+    let replayed = workloads::replay::replay(&mut Disk::new(small_test_disk()), &[]);
+    assert_eq!(replayed.requests(), 0);
+    assert_eq!(replayed.sim_span(), sim_disk::SimDur::ZERO);
+    assert_eq!(replayed.max_response_ms(), 0.0);
+    assert_eq!(replayed.mean_response_ms(), 0.0);
+
+    let check = |backend: &mut dyn Backend, map: traxtent::boundaries::ConfidentBoundaries| {
+        for kind in [
+            SchedulerKind::Fifo,
+            SchedulerKind::CLook,
+            SchedulerKind::Traxtent,
+        ] {
+            let cfg = ServerConfig::new(kind).with_boundaries(map.clone());
+            let res = serve(backend, &[], &cfg).expect("an empty trace is served");
+            assert_eq!((res.completed(), res.rejected()), (0, 0), "{kind:?}");
+            assert_eq!(res.percentile_ms(0.99), 0.0, "{kind:?}");
+        }
+    };
+    let mut disk = Disk::new(small_test_disk());
+    let map = member_boundaries(&disk);
+    check(&mut disk, map);
+    let mut volume = Volume::raid5(members(5), StripePolicy::aligned()).unwrap();
+    volume.format(SEED);
+    let map = volume.logical_boundaries();
+    check(&mut volume, map);
 }

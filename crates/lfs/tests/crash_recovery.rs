@@ -3,7 +3,7 @@
 //! the newest durable checkpoint and accept exactly the fully-durable
 //! batch prefix — bit-exact and reproducible from (seed, cut) alone.
 
-use lfs::recovery::{recover, LogDisk, LOG_START};
+use lfs::recovery::{recover, LogDisk, RecoveredLog, LOG_START};
 use proptest::prelude::*;
 use sim_disk::crash::{pattern_payload, replay, splitmix, CrashLog, SectorImage, SECTOR_USIZE};
 use sim_disk::disk::Disk;
@@ -66,6 +66,34 @@ fn build(seed: u64) -> (Vec<Op>, CrashLog) {
 
 fn fully_durable(log: &CrashLog, record: usize, cut: SimTime) -> bool {
     log.records[record].durable.iter().all(|&d| d <= cut)
+}
+
+/// Where nothing durable exists — blank media, or a log cut before its
+/// first checkpoint lands — recovery is the mkfs log: generation 0, the
+/// head at `LOG_START`, nothing to roll forward.
+#[test]
+fn nothing_durable_recovers_the_empty_log() {
+    let assert_empty = |got: RecoveredLog| {
+        assert_eq!(
+            (got.generation, got.checkpoint_head, got.head, got.seq),
+            (0, LOG_START, LOG_START, 0)
+        );
+        assert!(got.batches.is_empty());
+    };
+    assert_empty(recover(&SectorImage::new(), CAPACITY));
+
+    let mut log = LogDisk::new(Disk::new(models::small_test_disk()), CAPACITY);
+    log.checkpoint();
+    log.append(&pattern_payload(1, LOG_START + 1, 4))
+        .expect("one small batch fits");
+    let crash = log
+        .disk_mut()
+        .take_crash_log()
+        .expect("LogDisk arms the log");
+    let first_durable = crash.records[0].durable.iter().min().expect("one sector");
+    let cut = SimTime::from_ns(first_durable.as_ns() - 1);
+    let img = replay(&SectorImage::new(), &crash, cut).expect("payloads attached");
+    assert_empty(recover(&img, CAPACITY));
 }
 
 proptest! {

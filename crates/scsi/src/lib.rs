@@ -19,6 +19,12 @@
 //! per track").
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use sim_disk::defects::DefectLocation;
 use sim_disk::disk::{Disk, Request};
@@ -164,20 +170,6 @@ impl ScsiDisk {
     /// Lets host time pass without issuing a command (retry backoff).
     pub fn wait(&mut self, dur: SimDur) {
         self.now += dur;
-    }
-
-    /// Whether the drive implements the vendor diagnostic commands
-    /// (address translation, defect lists). Hosts learn this the hard way —
-    /// from [`ScsiError::Unsupported`] — but tests and reports may ask.
-    pub fn diagnostics_supported(&self) -> bool {
-        !self.disk.config().fault.diagnostics_unsupported
-    }
-
-    /// Drains the firmware's buffer of LBNs that needed a recovered media
-    /// retry (see [`sim_disk::disk::Disk::take_recent_error_lbns`]). The
-    /// self-healing loop polls this to find suspect tracks.
-    pub fn take_recent_error_lbns(&mut self) -> Vec<u64> {
-        self.disk.take_recent_error_lbns()
     }
 
     /// Consumes the wrapper, returning the drive.
@@ -447,7 +439,6 @@ mod tests {
         let mut cfg = models::small_test_disk();
         cfg.fault.diagnostics_unsupported = true;
         let mut s = ScsiDisk::new(Disk::new(cfg));
-        assert!(!s.diagnostics_supported());
         let t0 = s.elapsed();
         let err = s.translate_lbn(0).unwrap_err();
         assert!(matches!(

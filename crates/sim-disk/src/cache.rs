@@ -15,17 +15,11 @@
 pub struct CacheConfig {
     /// Number of cache segments (0 disables the cache).
     pub segments: usize,
-    /// Whether a media read populates its segment out to the end of the last
-    /// track touched (firmware read-ahead).
-    pub readahead_to_track_end: bool,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            segments: 10,
-            readahead_to_track_end: true,
-        }
+        CacheConfig { segments: 10 }
     }
 }
 
@@ -149,10 +143,7 @@ mod tests {
     use super::*;
 
     fn cache(n: usize) -> SegmentCache {
-        SegmentCache::new(CacheConfig {
-            segments: n,
-            readahead_to_track_end: true,
-        })
+        SegmentCache::new(CacheConfig { segments: n })
     }
 
     #[test]
@@ -218,10 +209,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits() {
-        let mut c = SegmentCache::new(CacheConfig {
-            segments: 0,
-            readahead_to_track_end: false,
-        });
+        let mut c = SegmentCache::new(CacheConfig { segments: 0 });
         c.insert(0, 1000);
         assert!(!c.lookup(0, 1));
         assert_eq!(c.stats(), (0, 0));

@@ -96,10 +96,6 @@ pub struct Disk {
     /// write; when attached, timing stays bit-identical (the per-sector
     /// scan it forces matches the closed form exactly).
     crash_log: Option<Box<crate::crash::CrashLog>>,
-    /// LBNs of recently recovered media errors, oldest first, capped at
-    /// [`Disk::ERROR_LBN_CAP`]; drained by self-healing scrubbers via
-    /// [`Disk::take_recent_error_lbns`]. Empty with faults off.
-    recent_error_lbns: Vec<u64>,
 }
 
 /// One mechanical stop during a request: a track (or a remapped sector's
@@ -173,13 +169,8 @@ impl Disk {
             trace_scratch: Vec::new(),
             fault_stats: FaultStats::default(),
             crash_log: None,
-            recent_error_lbns: Vec::new(),
         }
     }
-
-    /// Cap on the recovered-media-error LBN backlog kept for
-    /// self-healing scrubbers.
-    pub const ERROR_LBN_CAP: usize = 64;
 
     /// The drive's layout.
     pub fn geometry(&self) -> &DiskGeometry {
@@ -279,14 +270,6 @@ impl Disk {
         if let Some(log) = self.crash_log.as_deref_mut() {
             log.attach_payload(payload.to_vec());
         }
-    }
-
-    /// Drains the backlog of LBNs whose media errors the firmware
-    /// recovered by retrying (oldest first, capped at
-    /// [`Disk::ERROR_LBN_CAP`]). Self-healing scrubbers map these to
-    /// suspect tracks; always empty with fault injection off.
-    pub fn take_recent_error_lbns(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.recent_error_lbns)
     }
 
     /// The attached tracer, if any.
@@ -583,24 +566,20 @@ impl Disk {
         // last track touched. The planned last visit already holds that
         // track unless the tail sector was remapped (the visit then sits on
         // the spare track); only that case re-resolves the logical track.
-        let seg_end = if self.config.cache.readahead_to_track_end {
-            let last = req.end() - 1;
-            let planned = self
-                .visit_scratch
-                .last()
-                .map(|v| self.config.geometry.track(v.track.0))
-                .filter(|t| t.first_lbn() <= last && last < t.end_lbn());
-            match planned {
-                Some(t) => t.end_lbn(),
-                None => self
-                    .config
-                    .geometry
-                    .track_bounds(last)
-                    .map(|(_, e)| e)
-                    .unwrap_or(req.end()),
-            }
-        } else {
-            req.end()
+        let last = req.end() - 1;
+        let planned = self
+            .visit_scratch
+            .last()
+            .map(|v| self.config.geometry.track(v.track.0))
+            .filter(|t| t.first_lbn() <= last && last < t.end_lbn());
+        let seg_end = match planned {
+            Some(t) => t.end_lbn(),
+            None => self
+                .config
+                .geometry
+                .track_bounds(last)
+                .map(|(_, e)| e)
+                .unwrap_or(req.end()),
         };
         self.cache.insert(req.lbn, seg_end);
         if trc.on && self.config.cache.segments > 0 {
@@ -789,7 +768,6 @@ impl Disk {
             ref mut cur_cyl,
             ref mut cur_head,
             ref mut fault_stats,
-            ref mut recent_error_lbns,
             ..
         } = *self;
         let geom = &config.geometry;
@@ -995,9 +973,6 @@ impl Disk {
             if retry {
                 media_errors += 1;
                 let bad = v.lbn + fault.failing_sector(trc.rid, vi as u64, u64::from(v.count));
-                if recent_error_lbns.len() < Self::ERROR_LBN_CAP {
-                    recent_error_lbns.push(bad);
-                }
                 if trc.on {
                     trc.events.push(TraceEvent::Fault {
                         req: trc.rid,

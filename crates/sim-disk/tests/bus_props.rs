@@ -554,10 +554,7 @@ fn drive(
         cache: if cache {
             CacheConfig::default()
         } else {
-            CacheConfig {
-                segments: 0,
-                readahead_to_track_end: false,
-            }
+            CacheConfig { segments: 0 }
         },
         tracer: None,
         fault,

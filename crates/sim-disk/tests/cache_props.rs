@@ -181,10 +181,7 @@ fn cache_matches_the_sector_set_model() {
         512,
         (0usize..13, arb_ops()),
         |(segments, ops)| {
-            let mut cache = SegmentCache::new(CacheConfig {
-                segments,
-                readahead_to_track_end: true,
-            });
+            let mut cache = SegmentCache::new(CacheConfig { segments });
             let mut model = Model {
                 segments,
                 ..Model::default()

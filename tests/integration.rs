@@ -289,13 +289,10 @@ fn crate_graph_matches_the_layering() {
     assert_eq!(dirs, expected.len() + 1, "a new crate needs a row above");
 }
 
-/// Public items no other production source names, and why each stays.
-/// A key with a `/` exempts every public item of that file. The first row
-/// is a ROADMAP hold (what only it calls is named by it, so it needs no
-/// row); every other row is something tests call on purpose.
+/// Public items no other production source names, and why each stays:
+/// each row names one item that tests call on purpose.
 #[rustfmt::skip]
 const UNCALLED: &[(&str, &str)] = &[
-    ("crates/dixtrac/src/heal.rs", "ROADMAP item 4: the composed harness is Healer's first caller, or it goes"),
     ("uniform", "test fake: the boundary table of 13 unit tests in five crates and two doctests"),
     ("attr", "observer for fleet span_tree and the sim-disk span tests: one attribute of a span"),
     ("time_ns", "observer for trace_invariants: every event lies inside its request's lifetime"),
@@ -449,10 +446,7 @@ fn every_public_item_has_a_production_caller() {
         if mentions[name] > declarations(name) {
             continue;
         }
-        match UNCALLED
-            .iter()
-            .position(|(key, _)| key == name || key == file)
-        {
+        match UNCALLED.iter().position(|(key, _)| key == name) {
             Some(row) => used_rows[row] = true,
             None => dead.push(format!("{file}:{line}: {name}")),
         }
