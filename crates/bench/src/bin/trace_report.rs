@@ -1,6 +1,7 @@
-//! Offline analyzer for `--trace` JSONL files: event census, per-phase
-//! latency percentiles, a Figure-3/7-style mean breakdown of where the
-//! response time went, and an accounting check that the per-phase sums
+//! Offline analyzer for `--trace` JSONL files: event census, one per-phase
+//! table folded over the requests' closing `complete` events (a
+//! Figure-3/7-style mean breakdown of where the response time went, with
+//! exact percentiles), and an accounting check that the per-phase sums
 //! reproduce the host-observed response times.
 //!
 //! ```text
@@ -8,11 +9,29 @@
 //! trace_report /tmp/fig3.jsonl
 //! ```
 
-use sim_disk::metrics::{MetricsRegistry, PHASES};
+use sim_disk::disk::Op;
 use sim_disk::trace::{peek_event_name, TraceEvent};
 use std::collections::BTreeMap;
 use std::io::BufRead;
+use traxtent::stats::percentile;
 use traxtent_bench::{Cli, Grammar};
+
+/// The phases of a [`TraceEvent::Complete`], in report order: eight
+/// additive components, then the host-observed `response` they sum to.
+const PHASES: [&str; 9] = [
+    "queue",
+    "overhead",
+    "seek",
+    "head_switch",
+    "rot_latency",
+    "media",
+    "bus",
+    "write_settle",
+    "response",
+];
+
+/// The index of `response` in [`PHASES`].
+const RESPONSE: usize = PHASES.len() - 1;
 
 /// The worst request rows printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 5;
@@ -33,7 +52,6 @@ fn main() {
     });
 
     let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut registry = MetricsRegistry::new();
     let mut completes: Vec<TraceEvent> = Vec::new();
     let mut scsi: BTreeMap<String, u64> = BTreeMap::new();
     // A well-formed line whose event kind this build does not know (a
@@ -65,10 +83,7 @@ fn main() {
         };
         *census.entry(event.name()).or_insert(0) += 1;
         match &event {
-            TraceEvent::Complete { .. } => {
-                registry.observe_complete(&event);
-                completes.push(event);
-            }
+            TraceEvent::Complete { .. } => completes.push(event),
             TraceEvent::ScsiCommand { kind, .. } => {
                 *scsi.entry(kind.clone()).or_insert(0) += 1;
             }
@@ -119,47 +134,53 @@ fn main() {
         return;
     }
 
-    // Figure-3/7-style mean breakdown: where the average response went.
-    let n = completes.len() as f64;
-    let mut sums = [0u128; PHASES.len()];
-    let mut worst_residual = 0u64;
-    for c in &completes {
-        for (k, phase) in PHASES.iter().enumerate() {
-            sums[k] += u128::from(phase_ns(c, phase));
-        }
-        let accounted: u64 = PHASES[..PHASES.len() - 1]
-            .iter()
-            .map(|p| phase_ns(c, p))
-            .sum();
-        let response = phase_ns(c, "response");
-        worst_residual = worst_residual.max(response.abs_diff(accounted));
-    }
-    let mean_ms = |k: usize| sums[k] as f64 / n / 1e6;
-    let response_ms = mean_ms(PHASES.len() - 1);
+    // Figure-3/7-style breakdown: where the response time went, per phase.
+    let by_phase: Vec<[u64; PHASES.len()]> = completes.iter().map(phases).collect();
+    let ms = |ns: f64| ns / 1e6;
+    let mean_ms: Vec<f64> = (0..PHASES.len())
+        .map(|k| {
+            let sum: u128 = by_phase.iter().map(|p| u128::from(p[k])).sum();
+            ms(sum as f64 / by_phase.len() as f64)
+        })
+        .collect();
+    println!("## Response-time breakdown by phase");
     println!(
-        "## Mean response-time breakdown ({} requests)",
-        completes.len()
+        "{:<13} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9}",
+        "phase", "mean_ms", "share", "p50_ms", "p95_ms", "p99_ms", "max_ms"
     );
-    println!("{:<13} {:>9} {:>7}", "phase", "mean_ms", "share");
-    for (k, phase) in PHASES.iter().enumerate().take(PHASES.len() - 1) {
+    for (k, phase) in PHASES.iter().enumerate() {
+        let samples: Vec<f64> = by_phase.iter().map(|p| p[k] as f64).collect();
+        let [p50, p95, p99, max] = [0.50, 0.95, 0.99, 1.0].map(|q| ms(percentile(&samples, q)));
+        let share = 100.0 * mean_ms[k] / mean_ms[RESPONSE];
         println!(
-            "{:<13} {:>9.4} {:>6.1}%",
-            phase,
-            mean_ms(k),
-            100.0 * mean_ms(k) / response_ms
+            "{phase:<13} {:>9.4} {share:>6.1}% {p50:>9.4} {p95:>9.4} {p99:>9.4} {max:>9.4}",
+            mean_ms[k]
         );
     }
-    println!("{:<13} {:>9.4} {:>6.1}%", "response", response_ms, 100.0);
+    let (mut reads, mut hits) = (0, 0);
+    for c in &completes {
+        if let TraceEvent::Complete { op, cache_hit, .. } = c {
+            reads += usize::from(*op == Op::Read);
+            hits += usize::from(*cache_hit);
+        }
+    }
+    let n = completes.len();
+    println!(
+        "requests {n} (reads {reads}, writes {}, cache hits {hits})",
+        n - reads
+    );
+    let worst_residual = by_phase
+        .iter()
+        .map(|p| p[RESPONSE].abs_diff(p[..RESPONSE].iter().sum()))
+        .max()
+        .unwrap_or(0);
     println!(
         "phase sums reproduce response within {:.1} µs worst-case (rounding residual)",
         worst_residual as f64 / 1e3
     );
 
-    // Percentile table — the same one `--metrics` prints at run time.
-    print!("{}", registry.report());
-
     // The slowest requests, with their individual breakdowns.
-    completes.sort_by_key(|c| std::cmp::Reverse(phase_ns(c, "response")));
+    completes.sort_by_key(|c| std::cmp::Reverse(phases(c)[RESPONSE]));
     println!("## Slowest {} requests (ms)", top.min(completes.len()));
     println!(
         "{:<8} {:<5} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7}",
@@ -193,8 +214,8 @@ fn main() {
     }
 }
 
-/// One named phase of a [`TraceEvent::Complete`], in nanoseconds.
-fn phase_ns(c: &TraceEvent, phase: &str) -> u64 {
+/// The [`PHASES`] of a [`TraceEvent::Complete`], in nanoseconds.
+fn phases(c: &TraceEvent) -> [u64; PHASES.len()] {
     let TraceEvent::Complete {
         queue,
         overhead,
@@ -206,20 +227,19 @@ fn phase_ns(c: &TraceEvent, phase: &str) -> u64 {
         write_settle,
         response,
         ..
-    } = c
+    } = *c
     else {
-        return 0;
+        return [0; PHASES.len()];
     };
-    match phase {
-        "queue" => *queue,
-        "overhead" => *overhead,
-        "seek" => *seek,
-        "head_switch" => *head_switch,
-        "rot_latency" => *rot_latency,
-        "media" => *media,
-        "bus" => *bus,
-        "write_settle" => *write_settle,
-        "response" => *response,
-        _ => 0,
-    }
+    [
+        queue,
+        overhead,
+        seek,
+        head_switch,
+        rot_latency,
+        media,
+        bus,
+        write_settle,
+        response,
+    ]
 }

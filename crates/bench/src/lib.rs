@@ -39,20 +39,20 @@
 //!     let ms = simulate(&cfg, pct, run.seed, &run.reg);
 //!     Row::new().col(pct).num(ms, 2).key_if(pct == 100, "zero_latency_ms_at_track")
 //! });
-//! run.finish();                                     // span export, trace flush, --metrics table, manifest
+//! run.finish();                                     // span export, trace flush, manifest
 //! ```
 //!
 //! * **Flags.** [`Run::start`] parses the common flags — `--quick`,
-//!   `--seed <n>`, `--threads <n>`, `--trace <path>`, `--metrics`,
-//!   `--manifest <dir>`, `--faults <spec>`, `--fault-seed <n>` — plus the
-//!   binary's own, through the one pure parser [`Cli::parse_args`] (the
-//!   tool binaries use the same parser with a [`Grammar`] of their own).
+//!   `--seed <n>`, `--threads <n>`, `--trace <path>`, `--manifest <dir>`,
+//!   `--faults <spec>`, `--fault-seed <n>` — plus the binary's own,
+//!   through the one pure parser [`Cli::parse_args`] (the tool binaries
+//!   use the same parser with a [`Grammar`] of their own).
 //!   A usage error, an uncreatable `--trace` file or an uncreatable
 //!   `--manifest` directory exits 2 with a one-line message before any
 //!   cell runs.
 //! * **Attachment.** [`Run::drive`] points a
-//!   [`DiskConfig`](sim_disk::disk::DiskConfig) at the `--trace`/`--metrics`
-//!   sink and stamps the `--faults` config on it (see
+//!   [`DiskConfig`](sim_disk::disk::DiskConfig) at the `--trace` sink
+//!   and stamps the `--faults` config on it (see
 //!   [`sim_disk::fault::FaultConfig::parse_spec`] for the grammar), so
 //!   every drive built from it — directly or deep inside a file-system
 //!   layer — reports there and misbehaves identically. Fault decisions are
@@ -61,8 +61,8 @@
 //! * **Cells and rows.** [`Run::sweep`] and [`Run::grid`] fan independent
 //!   cells across the worker pool ([`exec`]) and merge the [`Row`]s back in
 //!   submission order, so stdout is byte-identical at any thread count
-//!   (`--trace`/`--metrics` force one thread so the event stream is
-//!   deterministic too). A row states each number once: [`Row::num`] is
+//!   (`--trace` forces one thread so the event stream is deterministic
+//!   too). A row states each number once: [`Row::num`] is
 //!   the formatted column, and [`Row::key`]/[`Row::sum`] make the same
 //!   number a manifest headline, which closing prose reads back with
 //!   [`Run::get`].
@@ -72,10 +72,11 @@
 //!   carry the results back; [`Run::print_timelines`] prints the
 //!   `## timeline` sections and [`Run::finish`] exports the merged span
 //!   trees next to the trace file.
-//! * **Epilogue.** [`Run::finish`] flushes the trace, prints the
-//!   `--metrics` phase table to **stderr** (stdout stays byte-identical
-//!   with the sinks disabled) and writes `<dir>/<figure>.json` (see
-//!   [`manifest`]) when `--manifest` was given.
+//! * **Epilogue.** [`Run::finish`] flushes the trace and writes
+//!   `<dir>/<figure>.json` (see [`manifest`]) when `--manifest` was given.
+//!   Where a request's time went is read back from the trace file:
+//!   `trace_report <trace.jsonl>` prints the per-phase table with exact
+//!   percentiles.
 
 #![warn(missing_docs)]
 
@@ -104,7 +105,7 @@ pub struct Grammar<'a> {
 }
 
 /// The common boolean flags of the figure binaries.
-const COMMON_FLAGS: [&str; 2] = ["--quick", "--metrics"];
+const COMMON_FLAGS: [&str; 1] = ["--quick"];
 
 /// The common value options of the figure binaries, and what each requires.
 const COMMON_VALUES: [(&str, &str); 6] = [
@@ -134,7 +135,7 @@ impl Grammar<'_> {
             None => {
                 let own = self.flags.iter().map(|f| format!(" [{f}]"));
                 let own = own.chain(self.values.iter().map(|v| format!(" [{v} <value>]")));
-                "[--quick] [--seed <n>] [--threads <n>] [--trace <path>] [--metrics] \
+                "[--quick] [--seed <n>] [--threads <n>] [--trace <path>] \
                  [--manifest <dir>] [--faults <spec>] [--fault-seed <n>]"
                     .to_string()
                     + &own.collect::<String>()
@@ -161,15 +162,12 @@ pub struct Cli {
     /// Base RNG seed.
     pub seed: u64,
     /// Worker threads for independent simulation cells (1 = sequential).
-    /// Defaults to 1 when `--trace` or `--metrics` is given, so the event
-    /// stream is deterministic; combining either flag with an explicit
-    /// `--threads N > 1` is a usage error.
+    /// Defaults to 1 when `--trace` is given, so the event stream is
+    /// deterministic; combining it with an explicit `--threads N > 1` is a
+    /// usage error.
     pub threads: usize,
     /// JSONL trace output path (`--trace <path>`), if requested.
     pub trace: Option<String>,
-    /// Whether `--metrics` was given: print a per-phase latency table to
-    /// stderr when the run finishes.
-    pub metrics: bool,
     /// Directory for the run manifest (`--manifest <dir>`), if requested.
     pub manifest: Option<String>,
     /// Fault injection requested via `--faults <spec>` (see
@@ -202,7 +200,6 @@ impl Cli {
             seed: 0x5eed,
             threads: default_threads(),
             trace: None,
-            metrics: false,
             manifest: None,
             fault: None,
             flags: Vec::new(),
@@ -242,7 +239,6 @@ impl Cli {
         }
 
         cli.quick = cli.has("--quick");
-        cli.metrics = cli.has("--metrics");
         cli.seed = cli.parsed("--seed")?.unwrap_or(cli.seed);
         cli.trace = cli.value("--trace").map(str::to_string);
         cli.manifest = cli.value("--manifest").map(str::to_string);
@@ -250,15 +246,13 @@ impl Cli {
         if threads == Some(0) {
             return Err("--threads must be at least 1".into());
         }
-        if cli.trace.is_some() || cli.metrics {
+        if cli.trace.is_some() {
             // One worker: requests then hit the shared sink in a stable
             // order, and the hot path never contends on the sink lock.
             if threads.is_some_and(|t| t > 1) {
-                return Err(
-                    "--trace/--metrics need a deterministic event stream and run \
+                return Err("--trace needs a deterministic event stream and runs \
                      single-threaded; drop --threads or pass --threads 1"
-                        .into(),
-                );
+                    .into());
             }
             cli.threads = 1;
         } else if let Some(t) = threads {
@@ -435,10 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_metrics_default_to_one_thread() {
-        let cli = parse(&["--metrics"], &[], &[]).unwrap();
-        assert!(cli.metrics);
-        assert_eq!(cli.threads, 1);
+    fn trace_defaults_to_one_thread() {
         let cli = parse(&["--trace", "/tmp/t.jsonl"], &[], &[]).unwrap();
         assert_eq!(cli.trace.as_deref(), Some("/tmp/t.jsonl"));
         assert_eq!(cli.threads, 1);
@@ -446,15 +437,14 @@ mod tests {
     }
 
     #[test]
-    fn explicit_parallel_threads_with_trace_or_metrics_is_an_error() {
+    fn explicit_parallel_threads_with_trace_is_an_error() {
         // Silently forcing one thread would make `--threads 8` a lie; the
         // combination is rejected with an actionable message instead.
-        let err = parse(&["--threads", "8", "--metrics"], &[], &[]).unwrap_err();
-        assert!(err.contains("--threads 1"), "{err}");
         let err = parse(&["--trace", "/tmp/t.jsonl", "--threads", "2"], &[], &[]).unwrap_err();
         assert!(err.contains("single-threaded"), "{err}");
+        assert!(err.contains("--threads 1"), "{err}");
         // An explicit `--threads 1` is consistent and accepted.
-        let cli = parse(&["--threads", "1", "--metrics"], &[], &[]).unwrap();
+        let cli = parse(&["--threads", "1", "--trace", "/tmp/t.jsonl"], &[], &[]).unwrap();
         assert_eq!(cli.threads, 1);
     }
 

@@ -5,7 +5,6 @@ use crate::manifest::Manifest;
 use crate::{Cli, Grammar};
 use server::{ServerConfig, SloSummary, Timeline, TimelineConfig};
 use sim_disk::disk::DiskConfig;
-use sim_disk::metrics::MetricsRegistry;
 use sim_disk::trace::{DiskSpanBridge, Fanout, JsonlSink, SharedSink, Tracer};
 use std::fmt::{self, Display};
 use std::path::Path;
@@ -197,7 +196,6 @@ pub struct Run {
     /// is the manifest's `metrics` object.
     pub reg: Registry,
     tracer: Option<Tracer>,
-    metrics: Option<Arc<Mutex<MetricsRegistry>>>,
     started: Instant,
     out: Mutex<Collected>,
 }
@@ -227,27 +225,21 @@ impl Run {
     }
 
     /// Opens a run: creates the `--manifest` directory and the `--trace`
-    /// file now, so a bad path costs no simulation, and builds the sinks.
+    /// file now, so a bad path costs no simulation, and builds the sink.
     pub fn new(figure: &str, cli: Cli) -> Result<Run, String> {
         if let Some(dir) = &cli.manifest {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create manifest directory `{dir}`: {e}"))?;
         }
-        let mut sinks: Vec<SharedSink> = Vec::new();
-        if let Some(path) = &cli.trace {
-            let sink = JsonlSink::create(path)
-                .map_err(|e| format!("cannot create trace file `{path}`: {e}"))?;
-            sinks.push(Arc::new(Mutex::new(sink)));
-        }
-        let metrics = (cli.metrics).then(|| Arc::new(Mutex::new(MetricsRegistry::new())));
-        if let Some(reg) = &metrics {
-            sinks.push(reg.clone() as SharedSink);
-        }
-        let tracer = match sinks.len() {
-            0 => None,
-            1 => Some(Tracer::new(sinks.pop().expect("one sink"))),
-            _ => Some(Tracer::from_sink(Fanout::new(sinks))),
-        };
+        let tracer = cli
+            .trace
+            .as_deref()
+            .map(|path| {
+                JsonlSink::create(path)
+                    .map(Tracer::from_sink)
+                    .map_err(|e| format!("cannot create trace file `{path}`: {e}"))
+            })
+            .transpose()?;
         let manifest = Manifest::new(figure, cli.quick, cli.seed, cli.threads);
         Ok(Run {
             out: Mutex::new(Collected {
@@ -257,7 +249,6 @@ impl Run {
             cli,
             reg: Registry::new(),
             tracer,
-            metrics,
             started: Instant::now(),
         })
     }
@@ -275,8 +266,8 @@ impl Run {
         }
     }
 
-    /// Points `config` at the `--trace`/`--metrics` sink and stamps the
-    /// `--faults` config on it; with none of the flags, returns it as is.
+    /// Points `config` at the `--trace` sink and stamps the `--faults`
+    /// config on it; with neither flag, returns it as is.
     /// Every drive a figure builds takes its config through here.
     pub fn drive(&self, mut config: DiskConfig) -> DiskConfig {
         if let Some(t) = &self.tracer {
@@ -417,8 +408,7 @@ impl Run {
 
     /// The epilogue: exports the observed cells' merged span trees next to
     /// the `--trace` file (`<base>.spans.jsonl`, `<base>.chrome.json`;
-    /// status on stderr), flushes the trace, prints the `--metrics` table
-    /// to stderr and writes the manifest.
+    /// status on stderr), flushes the trace and writes the manifest.
     pub fn finish(self) {
         let Collected { manifest, observed } = self.out.into_inner().expect("cells have finished");
         let mut spans: Vec<Span> = observed.into_iter().flat_map(|t| t.spans).collect();
@@ -442,9 +432,6 @@ impl Run {
         }
         if let Some(t) = &self.tracer {
             t.flush();
-        }
-        if let Some(reg) = &self.metrics {
-            eprint!("{}", reg.lock().expect("metrics registry").report());
         }
         write_manifest(&self.cli, manifest, &self.reg, self.started);
     }
@@ -470,6 +457,7 @@ fn write_manifest(cli: &Cli, mut manifest: Manifest, registry: &Registry, starte
 mod tests {
     use super::*;
     use sim_disk::models::small_test_disk;
+    use sim_disk::trace::TraceEvent;
 
     fn run_of(list: &[&str]) -> Run {
         let args = list.iter().map(|s| s.to_string());
@@ -504,17 +492,25 @@ mod tests {
     }
 
     #[test]
-    fn metrics_collect_from_driven_configs() {
-        let run = run_of(&["--metrics"]);
+    fn trace_reaches_driven_configs() {
+        let path =
+            std::env::temp_dir().join(format!("traxtent-trace-{}.jsonl", std::process::id()));
+        let run = run_of(&["--trace", path.to_str().unwrap()]);
         let mut disk = sim_disk::Disk::new(run.drive(small_test_disk()));
         let c = disk.service(
             sim_disk::disk::Request::read(0, 64),
             sim_disk::SimTime::ZERO,
         );
-        let reg = run.metrics.as_ref().unwrap().lock().unwrap();
-        assert_eq!(reg.requests(), 1);
-        let resp = reg.phase("response").unwrap();
-        assert_eq!(resp.max_ns(), c.response_time().as_ns());
+        run.finish();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let responses: Vec<u64> = (text.lines())
+            .filter_map(|l| match TraceEvent::parse_json(l).unwrap() {
+                TraceEvent::Complete { response, .. } => Some(response),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(responses, [c.response_time().as_ns()]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests of the observability binaries: a figure run emitting a
 //! manifest, `bench_diff` passing on an unchanged run and failing on a
-//! perturbed headline, and `trace_report` degrading gracefully on empty or
-//! truncated traces.
+//! perturbed headline, and `trace_report` printing exact percentiles and
+//! degrading gracefully on empty or truncated traces.
 //!
 //! `table1` stands in for the figure binaries because it is the cheapest
 //! (geometry construction only, ~0.1 s in a debug build) while exercising
@@ -82,6 +82,63 @@ fn trace_report_reports_truncated_trace_and_exits_zero() {
     assert!(text.contains("trace truncated at line 2"), "stdout: {text}");
     assert!(text.contains("issue"), "census missing from: {text}");
 
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn trace_report_percentiles_are_exact() {
+    let dir = scratch("trace-exact");
+    let path = dir.join("four.jsonl");
+    let responses = [1_000_001u64, 2_000_003, 3_000_007, 40_000_009];
+    let text: String = responses
+        .iter()
+        .enumerate()
+        .map(|(i, &response)| {
+            let complete = TraceEvent::Complete {
+                req: i as u64,
+                t: response,
+                op: if i == 3 { Op::Write } else { Op::Read },
+                lbn: 0,
+                len: 8,
+                cache_hit: i == 0,
+                queue: 0,
+                overhead: 0,
+                seek: 0,
+                head_switch: 0,
+                rot_latency: 0,
+                media: response,
+                bus: 0,
+                write_settle: 0,
+                response,
+            };
+            complete.to_json() + "\n"
+        })
+        .collect();
+    fs::write(&path, text).unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &[path.to_str().unwrap()],
+    );
+    assert!(out.status.success(), "exit: {:?}", out.status);
+    let text = stdout(&out);
+    let row: Vec<&str> = text
+        .lines()
+        .find(|l| l.starts_with("response "))
+        .unwrap_or_else(|| panic!("no response row in: {text}"))
+        .split_whitespace()
+        .collect();
+    let samples = responses.map(|ns| ns as f64);
+    let p99 = format!("{:.4}", traxtent::stats::percentile(&samples, 0.99) / 1e6);
+    // share, p50 (midway between the 2nd and 3rd values), p99, max.
+    assert_eq!(
+        [row[2], row[3], row[5], row[6]],
+        ["100.0%", "2.5000", p99.as_str(), "40.0000"],
+        "{text}"
+    );
+    assert!(
+        text.contains("requests 4 (reads 3, writes 1, cache hits 1)"),
+        "{text}"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 

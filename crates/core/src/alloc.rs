@@ -43,8 +43,9 @@ impl Bitmap {
 
     fn ones(len: u64) -> Self {
         let mut words = vec![u64::MAX; len.div_ceil(64) as usize];
-        if !len.is_multiple_of(64) {
-            *words.last_mut().expect("len is positive") = (1 << (len % 64)) - 1;
+        let tail = len % 64;
+        if let Some(last) = words.last_mut().filter(|_| tail > 0) {
+            *last = (1 << tail) - 1;
         }
         Bitmap { words, len }
     }

@@ -90,6 +90,10 @@ impl LbnDirectory {
     ///
     /// Panics if `starts` is empty, does not begin at 0 or holds 2³² entries
     /// or more, or if `capacity` is zero.
+    #[expect(
+        clippy::expect_used,
+        reason = "the # Panics contract: a table of 2^32 tracks or more is refused"
+    )]
     pub fn new(starts: &[u64], capacity: u64) -> Self {
         assert!(starts.first() == Some(&0) && capacity > 0);
         let last = u32::try_from(starts.len() - 1).expect("fewer than 2^32 tracks");
@@ -177,9 +181,9 @@ impl TrackBoundaries {
     /// Returns a [`BoundariesError`] unless `starts` begins at 0, is strictly
     /// increasing, and `capacity` exceeds the last start.
     pub fn new(starts: Vec<u64>, capacity: u64) -> Result<Self, BoundariesError> {
-        if starts.is_empty() {
+        let Some(&last) = starts.last() else {
             return Err(BoundariesError::Empty);
-        }
+        };
         if starts[0] != 0 {
             return Err(BoundariesError::MissingOrigin);
         }
@@ -188,7 +192,7 @@ impl TrackBoundaries {
                 return Err(BoundariesError::NotIncreasing(i));
             }
         }
-        if capacity <= *starts.last().expect("non-empty") {
+        if capacity <= last {
             return Err(BoundariesError::BadCapacity);
         }
         let dir = LbnDirectory::new(&starts, capacity);
@@ -237,7 +241,14 @@ impl TrackBoundaries {
     /// Panics if either argument is zero.
     pub fn uniform(tracks: u64, spt: u64) -> Self {
         assert!(tracks > 0 && spt > 0);
-        Self::from_track_lengths((0..tracks).map(|_| spt)).expect("uniform table is valid")
+        let starts: Vec<u64> = (0..tracks).map(|t| t * spt).collect();
+        let capacity = tracks * spt;
+        let dir = LbnDirectory::new(&starts, capacity);
+        TrackBoundaries {
+            starts: starts.into(),
+            capacity,
+            dir,
+        }
     }
 
     /// Total LBNs covered.

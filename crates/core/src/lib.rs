@@ -45,6 +45,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod alloc;
 pub mod boundaries;

@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 pub mod json;
 pub mod span;
@@ -72,11 +72,7 @@ impl Registry {
     /// first use. Call once and keep the handle; the lookup locks the
     /// registration table.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut cells = self.cells.lock().expect("obs registry");
-        let cell = cells
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter(Arc::clone(cell))
+        Counter(self.cell(name))
     }
 
     /// Adds `n` to the counter named `name` (registering it if new). A
@@ -92,11 +88,7 @@ impl Registry {
     /// fraction scaled to fixed-point) written once from a single thread;
     /// concurrent setters race by last-write-wins.
     pub fn set_gauge(&self, name: &str, value: u64) {
-        let mut cells = self.cells.lock().expect("obs registry");
-        cells
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .store(value, Ordering::Relaxed);
+        self.cell(name).store(value, Ordering::Relaxed);
     }
 
     /// Raises the cell named `name` to at least `value`. Like [`Registry::add`],
@@ -104,22 +96,28 @@ impl Registry {
     /// simulation cells each publishing a high-water mark) produce the same
     /// final value under any interleaving.
     pub fn set_max(&self, name: &str, value: u64) {
-        let mut cells = self.cells.lock().expect("obs registry");
-        cells
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .fetch_max(value, Ordering::Relaxed);
+        self.cell(name).fetch_max(value, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of every cell, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        let cells = self.cells.lock().expect("obs registry");
         Snapshot {
-            entries: cells
-                .iter()
+            entries: (self.cells().iter())
                 .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
                 .collect(),
         }
+    }
+
+    /// The cell named `name`, registered at zero on first use.
+    fn cell(&self, name: &str) -> Arc<AtomicU64> {
+        Arc::clone(self.cells().entry(name.to_string()).or_default())
+    }
+
+    /// The registration table. An insert completes or aborts, so a panic
+    /// elsewhere cannot leave it half updated and a poisoned lock is taken
+    /// as is.
+    fn cells(&self) -> MutexGuard<'_, BTreeMap<String, Arc<AtomicU64>>> {
+        self.cells.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -104,37 +104,30 @@ pub fn string(s: &str) -> String {
 
 /// Parses `text` as one JSON value followed only by whitespace.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        at: 0,
-    };
+    let mut p = Parser { text, at: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.at != p.bytes.len() {
+    if p.at != p.text.len() {
         return Err(format!("trailing garbage at byte {}", p.at));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     at: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.at += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+        self.text.as_bytes().get(self.at).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -228,15 +221,9 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'r') => out.push('\r'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
+                            let hex = (self.text.get(self.at + 1..self.at + 5))
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).ok_or("invalid \\u escape codepoint")?);
                             self.at += 4;
                         }
@@ -245,22 +232,12 @@ impl Parser<'_> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte. Decode
-                    // from a 4-byte window — validating the whole tail
-                    // here would make parsing quadratic in input size.
-                    let end = (self.at + 4).min(self.bytes.len());
-                    let chunk = &self.bytes[self.at..end];
-                    let c = match std::str::from_utf8(chunk) {
-                        Ok(s) => s.chars().next().ok_or("unterminated string")?,
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&chunk[..e.valid_up_to()])
-                                .expect("validated prefix")
-                                .chars()
-                                .next()
-                                .ok_or("unterminated string")?
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
+                    // Consume one UTF-8 scalar, not one byte: every
+                    // other step moves over ASCII, so `at` sits on a char
+                    // boundary of the input.
+                    let c = (self.text.get(self.at..))
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     out.push(c);
                     self.at += c.len_utf8();
                 }
@@ -270,10 +247,10 @@ impl Parser<'_> {
     }
 
     fn boolean(&mut self) -> Result<Value, String> {
-        if self.bytes[self.at..].starts_with(b"true") {
+        if self.text.as_bytes()[self.at..].starts_with(b"true") {
             self.at += 4;
             Ok(Value::Bool(true))
-        } else if self.bytes[self.at..].starts_with(b"false") {
+        } else if self.text.as_bytes()[self.at..].starts_with(b"false") {
             self.at += 5;
             Ok(Value::Bool(false))
         } else {
@@ -289,9 +266,7 @@ impl Parser<'_> {
         {
             self.at += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at])
-            .map_err(|e| e.to_string())?
-            .to_string();
+        let text = self.text[start..self.at].to_string();
         // Validate it parses as a number at all.
         text.parse::<f64>()
             .map_err(|_| format!("bad number `{text}` at byte {start}"))?;

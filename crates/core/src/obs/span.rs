@@ -42,7 +42,7 @@ use crate::hash::{mix64, GOLDEN_GAMMA};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Span-kind tags mixed into id derivation so spans of different kinds
 /// keyed by the same sequence number never collide.
@@ -247,7 +247,7 @@ impl SpanRecorder {
 
     /// Records one span.
     pub fn record(&self, span: Span) {
-        self.inner.buf.lock().expect("span buffer").push(span);
+        self.buf().push(span);
     }
 
     /// Records a batch under one lock acquisition, draining `spans`.
@@ -255,12 +255,12 @@ impl SpanRecorder {
         if spans.is_empty() {
             return;
         }
-        self.inner.buf.lock().expect("span buffer").append(spans);
+        self.buf().append(spans);
     }
 
     /// Number of spans recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.buf.lock().expect("span buffer").len()
+        self.buf().len()
     }
 
     /// True when nothing has been recorded.
@@ -271,9 +271,19 @@ impl SpanRecorder {
     /// Drains the buffer sorted by `(start_ns, id)` — a deterministic
     /// total order because ids are unique.
     pub fn take_sorted(&self) -> Vec<Span> {
-        let mut spans = std::mem::take(&mut *self.inner.buf.lock().expect("span buffer"));
+        let mut spans = std::mem::take(&mut *self.buf());
         spans.sort_by_key(|s| (s.start_ns, s.id));
         spans
+    }
+
+    /// The span buffer. A push or an append completes or aborts, so a
+    /// panic elsewhere cannot leave it half updated and a poisoned lock is
+    /// taken as is.
+    fn buf(&self) -> MutexGuard<'_, Vec<Span>> {
+        self.inner
+            .buf
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

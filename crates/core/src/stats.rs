@@ -64,7 +64,8 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 }
 
 /// The `p`-quantile (0 ≤ p ≤ 1) by linear interpolation between order
-/// statistics. Sorts a copy of the input.
+/// statistics. Sorts a copy of the input by [`f64::total_cmp`], so a NaN
+/// sample sorts to an end instead of panicking.
 ///
 /// # Panics
 ///
@@ -73,7 +74,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of empty sample");
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
     let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
+    v.sort_by(f64::total_cmp);
     let rank = p * (v.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;

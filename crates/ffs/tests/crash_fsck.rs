@@ -92,6 +92,34 @@ fn expected_sector(log: &CrashLog, cut: SimTime, lbn: u64) -> Option<Vec<u8>> {
     out
 }
 
+/// Boundary state: a freshly formatted file system, before any write.
+/// Every personality's mkfs image passes `check`, needs no repair, and
+/// mounts with no files.
+#[test]
+fn freshly_formatted_image_is_clean_and_empty() {
+    for p in [
+        Personality::Unmodified,
+        Personality::FastStart,
+        Personality::Traxtent,
+    ] {
+        let mut fs = FileSystem::format(Disk::new(models::small_test_disk()), p);
+        fs.enable_crash_shadow(0x0ff5_cafe);
+        let mut img = fs.format_image();
+        if let Err(e) = check(&img, fs.layout()) {
+            panic!("{p:?}: fresh image not mountable: {e}");
+        }
+        let fresh = img.clone();
+        let report = fsck(&mut img, fs.layout());
+        assert!(
+            report.clean(),
+            "{p:?}: fresh image needed repair: {report:?}"
+        );
+        assert_eq!(img, fresh, "{p:?}: fsck rewrote a fresh image");
+        let recovered = mount(&img, fs.layout()).expect("checked above");
+        assert!(recovered.files.is_empty(), "{p:?}: {:?}", recovered.files);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -34,6 +34,25 @@ fn expect_pattern(words: &[u64], lbn: u64) {
     }
 }
 
+/// Boundary state: a volume short of its kind's minimum is refused.
+#[test]
+fn too_few_members_is_a_typed_error() {
+    let policy = StripePolicy::aligned();
+    let too_few = |kind, need, got| Some(FleetError::TooFewMembers { kind, need, got });
+    assert_eq!(
+        Volume::striped(members(1), policy).err(),
+        too_few("striped", 2, 1)
+    );
+    assert_eq!(
+        Volume::mirrored(members(1), policy).err(),
+        too_few("mirrored", 2, 1)
+    );
+    assert_eq!(
+        Volume::raid5(members(2), policy).err(),
+        too_few("raid5", 3, 2)
+    );
+}
+
 #[test]
 fn striped_reads_whole_logical_space() {
     let mut v = Volume::striped(members(2), StripePolicy::aligned()).unwrap();

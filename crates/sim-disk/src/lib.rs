@@ -36,10 +36,10 @@
 //!
 //! Setting [`disk::DiskConfig::tracer`] streams typed [`trace::TraceEvent`]s
 //! for every mechanical phase of every request into a [`trace::TraceSink`]
-//! (a JSONL file, an in-memory buffer, a [`metrics::MetricsRegistry`],
-//! causal spans via [`trace::DiskSpanBridge`], or any combination via
-//! [`trace::Fanout`]). With no tracer attached the entire subsystem costs
-//! one branch per request.
+//! (a JSONL file, an in-memory buffer, causal spans via
+//! [`trace::DiskSpanBridge`], or any combination via [`trace::Fanout`]).
+//! With no tracer attached the entire subsystem costs one branch per
+//! request.
 
 #![warn(missing_docs)]
 
@@ -51,7 +51,6 @@ pub mod disk;
 pub mod fault;
 pub mod geometry;
 pub mod mech;
-pub mod metrics;
 pub mod models;
 mod obs;
 pub mod request;

@@ -724,7 +724,7 @@ impl<W: Write + Send> TraceSink for JsonlSink<W> {
 }
 
 /// A sink forwarding every event to several sinks (e.g. a JSONL file plus
-/// a live metrics registry).
+/// a span bridge).
 pub struct Fanout(Vec<SharedSink>);
 
 impl Fanout {
