@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use sim_disk::disk::{Disk, Op};
 use sim_disk::fault::{FaultConfig, Jitter, SpecError};
 use sim_disk::models::small_test_disk;
-use sim_disk::trace::{peek_event_name, TraceEvent};
+use sim_disk::trace::{peek_event_name, Phase, TraceEvent, Value, PHASE_EVENTS};
 use sim_disk::TraceRecord;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -375,14 +375,30 @@ fn num() -> impl Strategy<Value = u64> {
 #[rustfmt::skip]
 const STRINGS: &[&str] = &["media_retry", "", "a\"b\\c", "tab\there", "é", "\u{1}", "k=v,x=1"];
 
+/// A drive event of any kind: a [`PHASE_EVENTS`] row's, then an issue, a
+/// SCSI command or a completion.
 fn arb_event() -> impl Strategy<Value = TraceEvent> {
     let fields = prop::collection::vec(num(), 12..13);
-    (0u8..13, fields, 0usize..STRINGS.len(), 0u8..4).prop_map(|(variant, f, s, flags)| {
+    let kinds = PHASE_EVENTS.len() + 3;
+    (0..kinds, fields, 0usize..STRINGS.len(), 0u8..4).prop_map(|(kind, f, s, flags)| {
         let (req, t, dur) = (f[0], f[1], f[2]);
-        let narrow = |x: u64| x as u32;
         let op = if flags & 1 == 1 { Op::Write } else { Op::Read };
-        let kind = STRINGS[s].to_string();
-        match variant {
+        let text = STRINGS[s].to_string();
+        if let Some(&(name, has_dur, keys)) = PHASE_EVENTS.get(kind) {
+            let attrs = keys.iter().zip(&f[3..]).map(|(&k, &n)| match k {
+                "kind" => (k, Value::Text(text.clone())),
+                "from_cyl" | "to_cyl" | "track" => (k, Value::Num(u64::from(n as u32))),
+                _ => (k, Value::Num(n)),
+            });
+            return TraceEvent::Phase(Phase {
+                name,
+                req,
+                t,
+                dur: has_dur.then_some(dur),
+                attrs: attrs.collect(),
+            });
+        }
+        match kind - PHASE_EVENTS.len() {
             0 => TraceEvent::Issue {
                 req,
                 t,
@@ -390,55 +406,7 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
                 lbn: f[3],
                 len: f[4],
             },
-            1 => TraceEvent::Queue { req, t, dur },
-            2 => TraceEvent::Seek {
-                req,
-                t,
-                dur,
-                from_cyl: narrow(f[3]),
-                to_cyl: narrow(f[4]),
-            },
-            3 => TraceEvent::HeadSwitch { req, t, dur },
-            4 => TraceEvent::Settle { req, t, dur },
-            5 => TraceEvent::RotWait {
-                req,
-                t,
-                dur,
-                track: narrow(f[3]),
-            },
-            6 => TraceEvent::Media {
-                req,
-                t,
-                dur,
-                track: narrow(f[3]),
-                sectors: f[4],
-            },
-            7 => TraceEvent::CacheHit {
-                req,
-                t,
-                lbn: f[3],
-                len: f[4],
-            },
-            8 => TraceEvent::CacheFill {
-                req,
-                t,
-                start: f[3],
-                end: f[4],
-            },
-            9 => TraceEvent::Bus {
-                req,
-                t,
-                dur,
-                bytes: f[3],
-            },
-            10 => TraceEvent::Fault {
-                req,
-                t,
-                dur,
-                kind,
-                lbn: f[3],
-            },
-            11 => TraceEvent::ScsiCommand { t, dur, kind },
+            1 => TraceEvent::ScsiCommand { t, dur, kind: text },
             _ => TraceEvent::Complete {
                 req,
                 t,
@@ -459,6 +427,16 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
         }
     })
 }
+
+/// One tally branch per event kind: the [`PHASE_EVENTS`] rows, then the
+/// three typed events.
+#[rustfmt::skip]
+const ACCEPTED: [&str; 13] = [
+    "accepted:queue", "accepted:seek", "accepted:head_switch", "accepted:settle",
+    "accepted:rot_wait", "accepted:media", "accepted:cache_hit", "accepted:cache_fill",
+    "accepted:bus", "accepted:fault", "accepted:issue", "accepted:scsi_command",
+    "accepted:complete",
+];
 
 /// A rejected JSON text's kind: unreadable, not an object, or what the
 /// parser's message says — a field missing, of the wrong JSON type, or of
@@ -500,25 +478,36 @@ fn event_lines_parse_render_and_peek() {
                 Ok(event) => event,
                 Err(e) => return tally.note(json_verdict(&text, &e)),
             };
-            tally.note("accepted");
+            let kind = Some(event.name());
+            let branch = ACCEPTED
+                .iter()
+                .find(|b| b.strip_prefix("accepted:") == kind);
+            tally.note(branch.expect("every event kind has a branch"));
             let line = event.to_json();
             assert_eq!(TraceEvent::parse_json(&line).as_ref(), Ok(&event), "{line}");
             let name = Some(event.name().to_string());
             assert_eq!((&peeked, &peek_event_name(&line)), (&name, &name), "{text}");
         },
     );
-    tally.require(
-        name,
-        &[
-            "accepted",
-            "not_json",
-            "not_an_object",
-            "missing_field",
-            "wrong_type",
-            "bad_value",
-            "unknown_event",
-        ],
+    let phases = PHASE_EVENTS.map(|row| row.0);
+    let typed = ["issue", "scsi_command", "complete"];
+    let kinds: Vec<_> = ACCEPTED
+        .map(|b| b.strip_prefix("accepted:").unwrap_or(b))
+        .into();
+    assert_eq!(
+        kinds,
+        [&phases[..], &typed[..]].concat(),
+        "one branch per kind"
     );
+    let rejected = [
+        "not_json",
+        "not_an_object",
+        "missing_field",
+        "wrong_type",
+        "bad_value",
+        "unknown_event",
+    ];
+    tally.require(name, &[&ACCEPTED[..], &rejected[..]].concat());
 }
 
 #[rustfmt::skip]

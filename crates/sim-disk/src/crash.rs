@@ -115,6 +115,7 @@ impl CrashLog {
     /// Panics if the log is empty, the last record already has a
     /// payload, or the payload length is not `len * SECTOR_BYTES` —
     /// all three are caller contract violations, not runtime states.
+    #[expect(clippy::expect_used, reason = "the # Panics contract")]
     pub fn attach_payload(&mut self, payload: Vec<u8>) {
         let rec = self
             .records
@@ -190,7 +191,7 @@ impl SectorImage {
     /// per sector (e.g. the fleet's member stores).
     pub fn word(&self, lbn: u64) -> u64 {
         match self.sectors.get(&lbn) {
-            Some(s) => u64::from_le_bytes(s[..8].try_into().expect("8 bytes")),
+            Some(s) => u64::from_le_bytes(std::array::from_fn(|i| s[i])),
             None => 0,
         }
     }

@@ -15,7 +15,7 @@ use crate::fault::{CommandFault, FaultConfig, FaultStats, SenseKey};
 use crate::geometry::{DiskGeometry, TrackId};
 use crate::mech::{SeekCurve, Spindle};
 use crate::rotation;
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{Phase, TraceEvent, Tracer, Value};
 use crate::{SimDur, SimTime};
 use traxtent::TrackBoundaries;
 
@@ -132,10 +132,50 @@ enum Sectors<'a> {
 /// Per-request tracing context threaded through the service path: the
 /// request's sequence number, whether tracing is on (checked before any
 /// event is constructed), and the batch buffer events accumulate in.
-struct Trace<'a> {
+struct Trace {
     rid: u64,
     on: bool,
-    events: &'a mut Vec<TraceEvent>,
+    events: Vec<TraceEvent>,
+}
+
+impl Trace {
+    /// Records a phase of this request (a [`crate::trace::PHASE_EVENTS`]
+    /// row); with tracing off, builds nothing.
+    fn phase<const N: usize>(
+        &mut self,
+        name: &'static str,
+        t: SimTime,
+        dur: Option<SimDur>,
+        attrs: [(&'static str, u64); N],
+    ) {
+        if self.on {
+            self.push(name, t, dur, attrs.map(|(k, v)| (k, Value::Num(v))).into());
+        }
+    }
+
+    /// Records an injected fault of `kind` striking `lbn`, charging `dur`.
+    fn fault(&mut self, t: SimTime, dur: SimDur, kind: &str, lbn: u64) {
+        if self.on {
+            let attrs = vec![("kind", Value::Text(kind.into())), ("lbn", Value::Num(lbn))];
+            self.push("fault", t, Some(dur), attrs);
+        }
+    }
+
+    fn push(
+        &mut self,
+        name: &'static str,
+        t: SimTime,
+        dur: Option<SimDur>,
+        attrs: Vec<(&'static str, Value)>,
+    ) {
+        self.events.push(TraceEvent::Phase(Phase {
+            name,
+            req: self.rid,
+            t: t.as_ns(),
+            dur: dur.map(SimDur::as_ns),
+            attrs,
+        }));
+    }
 }
 
 impl Sectors<'_> {
@@ -307,8 +347,7 @@ impl Disk {
             issue >= self.last_issue,
             "commands must be issued in time order"
         );
-        self.service_faultable(req, issue, true)
-            .expect("transient faults are recovered internally")
+        self.serve(req, issue)
     }
 
     /// Services a batch of commands, appending one [`Completion`] per
@@ -337,13 +376,7 @@ impl Disk {
             assert!(*issue >= last, "commands must be issued in time order");
             last = *issue;
         }
-        out.reserve(batch.len());
-        for &(req, issue) in batch {
-            let c = self
-                .service_faultable(req, issue, true)
-                .expect("transient faults are recovered internally");
-            out.push(c);
-        }
+        out.extend(batch.iter().map(|&(req, issue)| self.serve(req, issue)));
     }
 
     /// Like [`Disk::service`], but surfaces failures the way a real drive
@@ -378,30 +411,58 @@ impl Disk {
             issue >= self.last_issue,
             "commands must be issued in time order"
         );
-        self.service_faultable(req, issue, false)
+        let mut trc = self.begin(req, issue);
+        let overhead = self.config.cmd_overhead;
+        if self.config.fault.transient(trc.rid, 0) {
+            self.fault_stats.transient_surfaced += 1;
+            let at = issue + overhead;
+            trc.fault(at, SimDur::ZERO, "transient_abort", req.lbn);
+            self.deliver(trc);
+            return Err(CommandFault {
+                sense: SenseKey::AbortedCommand,
+                at,
+            });
+        }
+        Ok(self.finish(req, issue, overhead, trc))
     }
 
-    /// The common service path behind [`Disk::service`] (which recovers
-    /// transient faults internally) and [`Disk::try_service`] (which
-    /// surfaces them). Requests are pre-validated by the callers.
-    fn service_faultable(
-        &mut self,
-        req: Request,
-        issue: SimTime,
-        recover: bool,
-    ) -> Result<Completion, CommandFault> {
+    /// The service path behind [`Disk::service`]: transient command
+    /// failures are recovered in firmware, each failed attempt costing a
+    /// retry charged to overhead. Requests are pre-validated by the
+    /// callers.
+    fn serve(&mut self, req: Request, issue: SimTime) -> Completion {
+        let mut trc = self.begin(req, issue);
+        let fault = self.config.fault;
+        let mut overhead = self.config.cmd_overhead;
+        let mut attempt = 0u64;
+        while attempt < 8 && fault.transient(trc.rid, attempt) {
+            self.fault_stats.transient_recovered += 1;
+            let at = issue + overhead;
+            trc.fault(at, fault.transient_retry, "transient_retry", req.lbn);
+            overhead += fault.transient_retry;
+            attempt += 1;
+        }
+        self.finish(req, issue, overhead, trc)
+    }
+
+    /// Accepts a command: numbers it and, with tracing on, records its
+    /// issue.
+    fn begin(&mut self, req: Request, issue: SimTime) -> Trace {
         self.last_issue = issue;
         let rid = self.req_seq;
         self.req_seq += 1;
-
-        let tracing = self.config.tracer.is_some();
-        let mut events = if tracing {
-            std::mem::take(&mut self.trace_scratch)
-        } else {
-            Vec::new()
+        let on = self.config.tracer.is_some();
+        let mut trc = Trace {
+            rid,
+            on,
+            events: if on {
+                std::mem::take(&mut self.trace_scratch)
+            } else {
+                Vec::new()
+            },
         };
-        if tracing {
-            events.push(TraceEvent::Issue {
+        if on {
+            trc.events.push(TraceEvent::Issue {
                 req: rid,
                 t: issue.as_ns(),
                 op: req.op,
@@ -409,78 +470,38 @@ impl Disk {
                 len: req.len,
             });
         }
+        trc
+    }
 
-        // Transient command failures: each failed attempt either costs a
-        // firmware retry (recovered, charged to overhead) or aborts the
-        // command back to the host.
-        let mut overhead = self.config.cmd_overhead;
-        let fault = self.config.fault;
-        if fault.transient_per_million > 0 {
-            if recover {
-                let mut attempt = 0u64;
-                while attempt < 8 && fault.transient(rid, attempt) {
-                    self.fault_stats.transient_recovered += 1;
-                    if tracing {
-                        events.push(TraceEvent::Fault {
-                            req: rid,
-                            t: (issue + overhead).as_ns(),
-                            dur: fault.transient_retry.as_ns(),
-                            kind: "transient_retry".to_string(),
-                            lbn: req.lbn,
-                        });
-                    }
-                    overhead += fault.transient_retry;
-                    attempt += 1;
-                }
-            } else if fault.transient(rid, 0) {
-                self.fault_stats.transient_surfaced += 1;
-                let at = issue + overhead;
-                if tracing {
-                    events.push(TraceEvent::Fault {
-                        req: rid,
-                        t: at.as_ns(),
-                        dur: 0,
-                        kind: "transient_abort".to_string(),
-                        lbn: req.lbn,
-                    });
-                    if let Some(tracer) = &self.config.tracer {
-                        tracer.record_all(&events);
-                    }
-                    events.clear();
-                    self.trace_scratch = events;
-                }
-                return Err(CommandFault {
-                    sense: SenseKey::AbortedCommand,
-                    at,
-                });
-            }
-        }
-
+    /// Services a [`Disk::begin`]-accepted command whose processing
+    /// (transient retries included) took `overhead`.
+    fn finish(
+        &mut self,
+        req: Request,
+        issue: SimTime,
+        overhead: SimDur,
+        mut trc: Trace,
+    ) -> Completion {
         let mut breakdown = Breakdown {
             overhead,
             ..Breakdown::default()
         };
         let cmd_ready = issue + overhead;
 
-        let trc = Trace {
-            rid,
-            on: tracing,
-            events: &mut events,
-        };
         let completion = match req.op {
-            Op::Read => self.service_read(req, issue, cmd_ready, breakdown, trc),
+            Op::Read => self.service_read(req, issue, cmd_ready, breakdown, &mut trc),
             Op::Write => {
                 self.cache.invalidate(req.lbn, req.len);
                 breakdown.write_settle = self.config.write_settle;
-                self.service_write(req, issue, cmd_ready, breakdown, trc)
+                self.service_write(req, issue, cmd_ready, breakdown, &mut trc)
             }
         };
         self.busy_ns += completion.media_end.since(completion.service_start).as_ns();
 
-        if tracing {
+        if trc.on {
             let b = completion.breakdown;
-            events.push(TraceEvent::Complete {
-                req: rid,
+            trc.events.push(TraceEvent::Complete {
+                req: trc.rid,
                 t: completion.completion.as_ns(),
                 op: req.op,
                 lbn: req.lbn,
@@ -496,13 +517,19 @@ impl Disk {
                 write_settle: b.write_settle.as_ns(),
                 response: completion.response_time().as_ns(),
             });
-            if let Some(tracer) = &self.config.tracer {
-                tracer.record_all(&events);
-            }
-            events.clear();
-            self.trace_scratch = events;
+            self.deliver(trc);
         }
-        Ok(completion)
+        completion
+    }
+
+    /// Hands a traced request's events to the tracer under one lock and
+    /// keeps the buffer for the next request.
+    fn deliver(&mut self, mut trc: Trace) {
+        if let Some(tracer) = &self.config.tracer {
+            tracer.record_all(&trc.events);
+        }
+        trc.events.clear();
+        self.trace_scratch = trc.events;
     }
 
     fn service_read(
@@ -511,28 +538,18 @@ impl Disk {
         issue: SimTime,
         cmd_ready: SimTime,
         mut breakdown: Breakdown,
-        mut trc: Trace<'_>,
+        trc: &mut Trace,
     ) -> Completion {
+        let bytes = [("bytes", req.bytes())];
         if self.cache.lookup(req.lbn, req.len) {
             let bus_start = cmd_ready.max(self.bus_free);
             let end = bus_start + self.config.bus.transfer_time(req.bytes());
             self.bus_free = end;
             breakdown.bus = end - cmd_ready;
-            if trc.on {
-                trc.events.push(TraceEvent::CacheHit {
-                    req: trc.rid,
-                    t: cmd_ready.as_ns(),
-                    lbn: req.lbn,
-                    len: req.len,
-                });
-                if end > bus_start {
-                    trc.events.push(TraceEvent::Bus {
-                        req: trc.rid,
-                        t: bus_start.as_ns(),
-                        dur: (end - bus_start).as_ns(),
-                        bytes: req.bytes(),
-                    });
-                }
+            let range = [("lbn", req.lbn), ("len", req.len)];
+            trc.phase("cache_hit", cmd_ready, None, range);
+            if end > bus_start {
+                trc.phase("bus", bus_start, Some(end - bus_start), bytes);
             }
             return Completion {
                 request: req,
@@ -548,18 +565,14 @@ impl Disk {
         self.plan_visits(req.lbn, req.len);
         let pos_start = cmd_ready.max(self.actuator_free);
         breakdown.queue = pos_start.since(cmd_ready);
-        if trc.on && breakdown.queue > SimDur::ZERO {
-            trc.events.push(TraceEvent::Queue {
-                req: trc.rid,
-                t: cmd_ready.as_ns(),
-                dur: breakdown.queue.as_ns(),
-            });
+        if breakdown.queue > SimDur::ZERO {
+            trc.phase("queue", cmd_ready, Some(breakdown.queue), []);
         }
         // Bus delivery rides along with the mechanism, visit by visit.
         let mut delivery = (!self.config.bus.is_infinite())
             .then(|| Delivery::new(&self.config.bus, self.bus_free));
         let sectors = delivery.as_mut().map_or(Sectors::Ignore, Sectors::Deliver);
-        let media_end = self.run_visits(pos_start, None, sectors, &mut breakdown, &mut trc);
+        let media_end = self.run_visits(pos_start, None, sectors, &mut breakdown, trc);
         self.actuator_free = media_end;
 
         // Firmware read-ahead: the cache segment extends to the end of the
@@ -582,25 +595,16 @@ impl Disk {
                 .unwrap_or(req.end()),
         };
         self.cache.insert(req.lbn, seg_end);
-        if trc.on && self.config.cache.segments > 0 {
-            trc.events.push(TraceEvent::CacheFill {
-                req: trc.rid,
-                t: media_end.as_ns(),
-                start: req.lbn,
-                end: seg_end,
-            });
+        if self.config.cache.segments > 0 {
+            let cached = [("start", req.lbn), ("end", seg_end)];
+            trc.phase("cache_fill", media_end, None, cached);
         }
 
         let completion = delivery.map_or(media_end, |d| d.end());
         self.bus_free = self.bus_free.max(completion);
         breakdown.bus = completion.saturating_since(media_end);
-        if trc.on && completion > media_end {
-            trc.events.push(TraceEvent::Bus {
-                req: trc.rid,
-                t: media_end.as_ns(),
-                dur: breakdown.bus.as_ns(),
-                bytes: req.bytes(),
-            });
+        if completion > media_end {
+            trc.phase("bus", media_end, Some(breakdown.bus), bytes);
         }
 
         Completion {
@@ -620,7 +624,7 @@ impl Disk {
         issue: SimTime,
         cmd_ready: SimTime,
         mut breakdown: Breakdown,
-        mut trc: Trace<'_>,
+        trc: &mut Trace,
     ) -> Completion {
         // Host data moves into the drive buffer over the bus, overlapping the
         // seek (§5.2 "Write performance").
@@ -630,13 +634,9 @@ impl Disk {
             let bus_start = cmd_ready.max(self.bus_free);
             let end = bus_start + self.config.bus.transfer_time(req.bytes());
             self.bus_free = end;
-            if trc.on && end > bus_start {
-                trc.events.push(TraceEvent::Bus {
-                    req: trc.rid,
-                    t: bus_start.as_ns(),
-                    dur: (end - bus_start).as_ns(),
-                    bytes: req.bytes(),
-                });
+            if end > bus_start {
+                let bytes = [("bytes", req.bytes())];
+                trc.phase("bus", bus_start, Some(end - bus_start), bytes);
             }
             end
         };
@@ -644,12 +644,8 @@ impl Disk {
         self.plan_visits(req.lbn, req.len);
         let pos_start = cmd_ready.max(self.actuator_free);
         breakdown.queue = pos_start.since(cmd_ready);
-        if trc.on && breakdown.queue > SimDur::ZERO {
-            trc.events.push(TraceEvent::Queue {
-                req: trc.rid,
-                t: cmd_ready.as_ns(),
-                dur: breakdown.queue.as_ns(),
-            });
+        if breakdown.queue > SimDur::ZERO {
+            trc.phase("queue", cmd_ready, Some(breakdown.queue), []);
         }
         // With a crash log attached the per-sector scan collects each
         // sector's media instant; the scan is bit-identical in timing to
@@ -661,13 +657,8 @@ impl Disk {
         } else {
             Sectors::Ignore
         };
-        let media_end = self.run_visits(
-            pos_start,
-            Some(all_buffered),
-            sectors,
-            &mut breakdown,
-            &mut trc,
-        );
+        let media_end =
+            self.run_visits(pos_start, Some(all_buffered), sectors, &mut breakdown, trc);
         self.actuator_free = media_end;
         if want_avail {
             debug_assert_eq!(self.avail_scratch.len() as u64, req.len);
@@ -698,6 +689,10 @@ impl Disk {
     /// Splits an LBN range into mechanical visits (maximal same-track runs,
     /// with remapped LBNs visiting their spare locations individually) into
     /// the drive's reusable visit scratch.
+    #[expect(
+        clippy::expect_used,
+        reason = "every caller checks req.fits(capacity) first, so each LBN planned is mapped"
+    )]
     fn plan_visits(&mut self, lbn: u64, len: u64) {
         let Disk {
             ref config,
@@ -759,7 +754,7 @@ impl Disk {
         data_ready: Option<SimTime>,
         mut sectors: Sectors<'_>,
         breakdown: &mut Breakdown,
-        trc: &mut Trace<'_>,
+        trc: &mut Trace,
     ) -> SimTime {
         let Disk {
             ref mut config,
@@ -793,15 +788,8 @@ impl Disk {
                 if faults_on {
                     s = fault.jitter_seek(s, trc.rid, vi as u64);
                 }
-                if trc.on {
-                    trc.events.push(TraceEvent::Seek {
-                        req: trc.rid,
-                        t: t.as_ns(),
-                        dur: s.as_ns(),
-                        from_cyl: *cur_cyl,
-                        to_cyl: v.cyl,
-                    });
-                }
+                let (from, to) = (u64::from(*cur_cyl), u64::from(v.cyl));
+                trc.phase("seek", t, Some(s), [("from_cyl", from), ("to_cyl", to)]);
                 breakdown.seek += s;
                 t += s;
             } else if v.head != *cur_head {
@@ -809,13 +797,7 @@ impl Disk {
                 if faults_on {
                     hs = fault.jitter_head_switch(hs, trc.rid, vi as u64);
                 }
-                if trc.on {
-                    trc.events.push(TraceEvent::HeadSwitch {
-                        req: trc.rid,
-                        t: t.as_ns(),
-                        dur: hs.as_ns(),
-                    });
-                }
+                trc.phase("head_switch", t, Some(hs), []);
                 breakdown.head_switch += hs;
                 t += hs;
             }
@@ -826,23 +808,12 @@ impl Disk {
                 if let Some(ready) = data_ready {
                     // Write settle (once per command), then wait for buffered
                     // data if the bus is still feeding the drive.
-                    if trc.on && config.write_settle > SimDur::ZERO {
-                        trc.events.push(TraceEvent::Settle {
-                            req: trc.rid,
-                            t: t.as_ns(),
-                            dur: config.write_settle.as_ns(),
-                        });
+                    if config.write_settle > SimDur::ZERO {
+                        trc.phase("settle", t, Some(config.write_settle), []);
                     }
                     t += config.write_settle;
                     if ready > t {
-                        if trc.on {
-                            trc.events.push(TraceEvent::Bus {
-                                req: trc.rid,
-                                t: t.as_ns(),
-                                dur: (ready - t).as_ns(),
-                                bytes: 0,
-                            });
-                        }
+                        trc.phase("bus", t, Some(ready - t), [("bytes", 0)]);
                         breakdown.bus += ready - t;
                         t = ready;
                     }
@@ -949,23 +920,12 @@ impl Disk {
                     spindle.sweep(f64::from(span) * slot_frac),
                 )
             };
-            if trc.on {
-                if rot > SimDur::ZERO {
-                    trc.events.push(TraceEvent::RotWait {
-                        req: trc.rid,
-                        t: t.as_ns(),
-                        dur: rot.as_ns(),
-                        track: v.track.0,
-                    });
-                }
-                trc.events.push(TraceEvent::Media {
-                    req: trc.rid,
-                    t: (t + rot).as_ns(),
-                    dur: media.as_ns(),
-                    track: v.track.0,
-                    sectors: u64::from(v.count),
-                });
+            let tid = u64::from(v.track.0);
+            if rot > SimDur::ZERO {
+                trc.phase("rot_wait", t, Some(rot), [("track", tid)]);
             }
+            let moved = [("track", tid), ("sectors", u64::from(v.count))];
+            trc.phase("media", t + rot, Some(media), moved);
             breakdown.rot_latency += rot;
             breakdown.media += media;
             t = visit_end;
@@ -973,15 +933,7 @@ impl Disk {
             if retry {
                 media_errors += 1;
                 let bad = v.lbn + fault.failing_sector(trc.rid, vi as u64, u64::from(v.count));
-                if trc.on {
-                    trc.events.push(TraceEvent::Fault {
-                        req: trc.rid,
-                        t: t.as_ns(),
-                        dur: rev.as_ns(),
-                        kind: "media_retry".to_string(),
-                        lbn: bad,
-                    });
-                }
+                trc.fault(t, rev, "media_retry", bad);
                 // The lost revolution is charged as rotational latency.
                 breakdown.rot_latency += rev;
                 t += rev;
@@ -1001,15 +953,7 @@ impl Disk {
                 fault_stats.grown_defects_unspared += 1;
                 "grown_defect_unspared"
             };
-            if trc.on {
-                trc.events.push(TraceEvent::Fault {
-                    req: trc.rid,
-                    t: t.as_ns(),
-                    dur: 0,
-                    kind: kind.to_string(),
-                    lbn,
-                });
-            }
+            trc.fault(t, SimDur::ZERO, kind, lbn);
         }
         t
     }

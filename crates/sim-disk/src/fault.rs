@@ -253,28 +253,34 @@ impl FaultConfig {
         if spec.trim().is_empty() {
             return Err(SpecError::Empty);
         }
-        // One bit per known key, in KNOWN_KEYS order, to reject duplicates.
-        let mut seen = [false; KNOWN_KEYS.len()];
-        let mut mark = |key: &str| -> Result<(), SpecError> {
-            let idx = KNOWN_KEYS.iter().position(|&k| k == key).expect("known");
-            if seen[idx] {
+        // The keys read so far. A key is marked before its value is read,
+        // so a repeat is a duplicate whatever its value; an unknown key
+        // fails at its first use, so only known keys can repeat.
+        let mut seen: Vec<&str> = Vec::new();
+        for part in spec.split(',') {
+            let part = part.trim();
+            let (key, value) = match part.split_once('=') {
+                // `nodiag` is the one key without a value: `nodiag=…` is
+                // not in the grammar.
+                _ if part == "nodiag" => (part, ""),
+                Some(("nodiag", _)) => {
+                    return Err(SpecError::UnknownKey {
+                        key: "nodiag".to_string(),
+                    })
+                }
+                Some(kv) => kv,
+                None => {
+                    return Err(SpecError::NotKeyValue {
+                        entry: part.to_string(),
+                    })
+                }
+            };
+            if seen.contains(&key) {
                 return Err(SpecError::DuplicateKey {
                     key: key.to_string(),
                 });
             }
-            seen[idx] = true;
-            Ok(())
-        };
-        for part in spec.split(',') {
-            let part = part.trim();
-            if part == "nodiag" {
-                mark("nodiag")?;
-                cfg.diagnostics_unsupported = true;
-                continue;
-            }
-            let (key, value) = part.split_once('=').ok_or_else(|| SpecError::NotKeyValue {
-                entry: part.to_string(),
-            })?;
+            seen.push(key);
             let ppm = |v: &str| -> Result<u32, SpecError> {
                 v.parse::<u32>().map_err(|_| SpecError::BadRate {
                     key: key.to_string(),
@@ -282,29 +288,23 @@ impl FaultConfig {
                 })
             };
             match key {
-                "media" | "grown" | "transient" | "seek" | "hs" | "rot" => mark(key)?,
-                other => {
-                    return Err(SpecError::UnknownKey {
-                        key: other.to_string(),
-                    })
-                }
-            }
-            match key {
+                "nodiag" => cfg.diagnostics_unsupported = true,
                 "media" => cfg.media_per_million = ppm(value)?,
                 "grown" => cfg.grown_per_million = ppm(value)?,
                 "transient" => cfg.transient_per_million = ppm(value)?,
                 "seek" => cfg.seek_jitter = parse_jitter(value)?,
                 "hs" => cfg.head_switch_jitter = parse_jitter(value)?,
                 "rot" => cfg.rot_jitter = parse_jitter(value)?,
-                _ => unreachable!("filtered above"),
+                other => {
+                    return Err(SpecError::UnknownKey {
+                        key: other.to_string(),
+                    })
+                }
             }
         }
         Ok(cfg)
     }
 }
-
-/// Every key the `--faults` grammar accepts, in documentation order.
-const KNOWN_KEYS: [&str; 7] = ["media", "grown", "transient", "seek", "hs", "rot", "nodiag"];
 
 /// Why a `--faults` spec failed to parse (see
 /// [`FaultConfig::parse_spec`]). Typed so callers can branch on the

@@ -918,6 +918,11 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         return Err(GeometryError::ZeroCapacity);
     }
     let hot = HotTables::build(&tracks, &zones, next_lbn, surfaces);
+    #[expect(
+        clippy::expect_used,
+        reason = "a start is pushed only for a track that maps LBNs, so the starts begin \
+                  at 0 and rise strictly below next_lbn; geometry_props checks the table"
+    )]
     let boundaries =
         TrackBoundaries::new(starts, next_lbn).expect("the mapped tracks tile the LBN space");
     Ok(DiskGeometry {

@@ -42,6 +42,12 @@
 //! request.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod bus;
 pub mod cache;
@@ -111,6 +117,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
+    #[expect(clippy::expect_used, reason = "the # Panics contract")]
     pub fn since(self, earlier: SimTime) -> SimDur {
         SimDur(self.0.checked_sub(earlier.0).expect("time went backwards"))
     }
@@ -211,8 +218,12 @@ impl AddAssign<SimDur> for SimDur {
     }
 }
 
+/// # Panics
+///
+/// Panics if `rhs` is longer than `self`: durations are never negative.
 impl Sub<SimDur> for SimDur {
     type Output = SimDur;
+    #[expect(clippy::expect_used, reason = "the # Panics contract")]
     fn sub(self, rhs: SimDur) -> SimDur {
         SimDur(self.0.checked_sub(rhs.0).expect("negative duration"))
     }

@@ -28,11 +28,17 @@ impl SeekCurve {
     ///
     /// # Panics
     ///
-    /// Panics if the inputs are non-positive, non-finite, or mutually
+    /// Panics if there are fewer than three cylinders (two have one seek
+    /// distance), if the inputs are non-positive, non-finite, or mutually
     /// inconsistent (e.g. `avg >= full`), or if the solved curve would not be
     /// monotonically non-decreasing.
+    #[expect(
+        clippy::expect_used,
+        reason = "with C = cylinders - 1 >= 2 the system is regular: its determinant \
+                  is sqrt(C)(3 sqrt(C) - 7)(sqrt(C) - 1)/15, zero only at C = 1 and 49/9"
+    )]
     pub fn calibrate(single_ms: f64, avg_ms: f64, full_ms: f64, cylinders: u32) -> Self {
-        assert!(cylinders >= 2, "need at least two cylinders");
+        assert!(cylinders >= 3, "need at least three cylinders");
         assert!(
             single_ms > 0.0 && avg_ms > single_ms && full_ms > avg_ms,
             "seek characteristics must satisfy 0 < single < avg < full \
@@ -79,12 +85,7 @@ impl SeekCurve {
 /// elimination with partial pivoting. Returns `None` if singular.
 fn solve3(mut m: [[f64; 4]; 3]) -> Option<[f64; 3]> {
     for col in 0..3 {
-        let pivot = (col..3).max_by(|&i, &j| {
-            m[i][col]
-                .abs()
-                .partial_cmp(&m[j][col].abs())
-                .expect("non-finite matrix")
-        })?;
+        let pivot = (col..3).max_by(|&i, &j| m[i][col].abs().total_cmp(&m[j][col].abs()))?;
         if m[pivot][col].abs() < 1e-12 {
             return None;
         }
@@ -180,6 +181,12 @@ mod tests {
     #[should_panic(expected = "seek characteristics")]
     fn inconsistent_inputs_panic() {
         let _ = SeekCurve::calibrate(5.0, 4.0, 10.0, 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "three cylinders")]
+    fn two_cylinders_panic() {
+        let _ = SeekCurve::calibrate(1.0, 2.0, 3.0, 2);
     }
 
     #[test]

@@ -188,6 +188,12 @@ impl ModelSheet {
     }
 
     /// Builds the pristine drive configuration for this sheet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sheet describes no drive the geometry and the seek
+    /// curve accept (no surfaces, say, or fewer than three cylinders).
+    /// Every sheet of [`table1_sheets`] builds.
     pub fn build(&self) -> DiskConfig {
         let cylinders = self.cylinders();
         let spindle = Spindle::new(self.rpm);
@@ -267,6 +273,11 @@ impl ModelSheet {
 /// sheet gets a geometry of its own. The table keeps one geometry per
 /// distinct spec asked for — the pristine drives of the catalogue;
 /// defective ones are built fresh by [`with_factory_defects`].
+#[expect(
+    clippy::expect_used,
+    reason = "ModelSheet::build's # Panics contract; every catalogued sheet builds \
+              (all_presets_build), and so does small_test_disk"
+)]
 fn catalogued(spec: GeometrySpec) -> DiskGeometry {
     static BUILT: Mutex<Vec<DiskGeometry>> = Mutex::new(Vec::new());
     // The one write is a push of a whole geometry, so a panic while the
@@ -282,19 +293,21 @@ fn catalogued(spec: GeometrySpec) -> DiskGeometry {
 
 /// The Quantum Atlas 10K II — the paper's primary measurement platform.
 pub fn quantum_atlas_10k_ii() -> DiskConfig {
-    table1_sheets()
-        .into_iter()
-        .find(|s| s.name == "Quantum Atlas 10K II")
-        .expect("table1_sheets() lists the Quantum Atlas 10K II")
-        .build()
+    table1("Quantum Atlas 10K II")
 }
 
 /// The Quantum Atlas 10K — the FFS experiment platform.
 pub fn quantum_atlas_10k() -> DiskConfig {
+    table1("Quantum Atlas 10K")
+}
+
+/// The [`table1_sheets`] drive called `name`, built.
+#[expect(clippy::expect_used, reason = "callers name a table1_sheets() row")]
+fn table1(name: &str) -> DiskConfig {
     table1_sheets()
         .into_iter()
-        .find(|s| s.name == "Quantum Atlas 10K")
-        .expect("table1_sheets() lists the Quantum Atlas 10K")
+        .find(|s| s.name == name)
+        .expect("table1_sheets() lists every preset")
         .build()
 }
 
@@ -344,6 +357,10 @@ pub fn small_test_disk() -> DiskConfig {
 ///
 /// Panics if the spare scheme cannot absorb the generated defect list
 /// (choose a larger reserve).
+#[expect(
+    clippy::expect_used,
+    reason = "the # Panics contract: too small a spare reserve is the caller's error"
+)]
 pub fn with_factory_defects(
     config: DiskConfig,
     spare: SpareScheme,

@@ -48,20 +48,6 @@ impl DiskSpanBridge {
             scratch: Vec::new(),
         }
     }
-
-    fn phase(&mut self, rid: u64, name: &str, t: u64, dur: u64) -> Option<&mut Span> {
-        let open = self.open.as_mut().filter(|o| o.rid == rid)?;
-        let id = span::derive_id(
-            self.rec.salt(),
-            span::kind::PHASE,
-            open.span_id,
-            open.phases,
-        );
-        open.phases += 1;
-        self.scratch
-            .push(Span::new(id, open.span_id, name, open.track, t, t + dur));
-        self.scratch.last_mut()
-    }
 }
 
 impl TraceSink for DiskSpanBridge {
@@ -84,72 +70,29 @@ impl TraceSink for DiskSpanBridge {
                     phases: 0,
                 });
             }
-            TraceEvent::Queue { req, t, dur } => {
-                self.phase(*req, "drive_queue", *t, *dur);
-            }
-            TraceEvent::Seek {
-                req,
-                t,
-                dur,
-                from_cyl,
-                to_cyl,
-            } => {
-                if let Some(s) = self.phase(*req, "seek", *t, *dur) {
-                    s.push_attr("from_cyl", from_cyl);
-                    s.push_attr("to_cyl", to_cyl);
+            TraceEvent::Phase(p) => {
+                let Some(open) = self.open.as_mut().filter(|o| o.rid == p.req) else {
+                    return;
+                };
+                let id = span::derive_id(
+                    self.rec.salt(),
+                    span::kind::PHASE,
+                    open.span_id,
+                    open.phases,
+                );
+                open.phases += 1;
+                // The drive's queue, told apart from the server's in a tree.
+                let name = if p.name == "queue" {
+                    "drive_queue"
+                } else {
+                    p.name
+                };
+                let end = p.t + p.dur.unwrap_or(0);
+                let mut s = Span::new(id, open.span_id, name, open.track, p.t, end);
+                for (k, v) in &p.attrs {
+                    s.push_attr(k, v);
                 }
-            }
-            TraceEvent::HeadSwitch { req, t, dur } => {
-                self.phase(*req, "head_switch", *t, *dur);
-            }
-            TraceEvent::Settle { req, t, dur } => {
-                self.phase(*req, "settle", *t, *dur);
-            }
-            TraceEvent::RotWait { req, t, dur, track } => {
-                if let Some(s) = self.phase(*req, "rot_wait", *t, *dur) {
-                    s.push_attr("track", track);
-                }
-            }
-            TraceEvent::Media {
-                req,
-                t,
-                dur,
-                track,
-                sectors,
-            } => {
-                if let Some(s) = self.phase(*req, "media", *t, *dur) {
-                    s.push_attr("track", track);
-                    s.push_attr("sectors", sectors);
-                }
-            }
-            TraceEvent::CacheHit { req, t, lbn, len } => {
-                if let Some(s) = self.phase(*req, "cache_hit", *t, 0) {
-                    s.push_attr("lbn", lbn);
-                    s.push_attr("len", len);
-                }
-            }
-            TraceEvent::CacheFill { req, t, start, end } => {
-                if let Some(s) = self.phase(*req, "cache_fill", *t, 0) {
-                    s.push_attr("start", start);
-                    s.push_attr("end", end);
-                }
-            }
-            TraceEvent::Bus { req, t, dur, bytes } => {
-                if let Some(s) = self.phase(*req, "bus", *t, *dur) {
-                    s.push_attr("bytes", bytes);
-                }
-            }
-            TraceEvent::Fault {
-                req,
-                t,
-                dur,
-                kind,
-                lbn,
-            } => {
-                if let Some(s) = self.phase(*req, "fault", *t, *dur) {
-                    s.push_attr("kind", kind);
-                    s.push_attr("lbn", lbn);
-                }
+                self.scratch.push(s);
             }
             TraceEvent::ScsiCommand { .. } => {}
             TraceEvent::Complete {
@@ -188,7 +131,7 @@ impl TraceSink for DiskSpanBridge {
 mod tests {
     use super::*;
     use crate::request::Op;
-    use crate::trace::Tracer;
+    use crate::trace::{Phase, Tracer, Value};
 
     fn drive_events(rid: u64) -> Vec<TraceEvent> {
         vec![
@@ -199,20 +142,20 @@ mod tests {
                 lbn: 0,
                 len: 8,
             },
-            TraceEvent::Seek {
+            TraceEvent::Phase(Phase {
+                name: "seek",
                 req: rid,
                 t: 100,
-                dur: 40,
-                from_cyl: 0,
-                to_cyl: 3,
-            },
-            TraceEvent::Media {
+                dur: Some(40),
+                attrs: vec![("from_cyl", Value::Num(0)), ("to_cyl", Value::Num(3))],
+            }),
+            TraceEvent::Phase(Phase {
+                name: "media",
                 req: rid,
                 t: 140,
-                dur: 60,
-                track: 6,
-                sectors: 8,
-            },
+                dur: Some(60),
+                attrs: vec![("track", Value::Num(6)), ("sectors", Value::Num(8))],
+            }),
             TraceEvent::Complete {
                 req: rid,
                 t: 200,

@@ -1,12 +1,12 @@
 //! Opt-in, request-level mechanical event tracing.
 //!
-//! Every serviced request can emit a stream of typed [`TraceEvent`]s —
-//! command issue, queueing, seek, head switch, settle, rotational wait,
-//! media transfer, cache hit/fill, bus phases, and a closing per-request
-//! summary — into a [`TraceSink`]. Tracing is **disabled by default** and
-//! costs nothing when off: the drive checks a single `Option` per request
-//! and a boolean per phase; no events are constructed and no locks are
-//! taken.
+//! Every serviced request can emit a stream of [`TraceEvent`]s into a
+//! [`TraceSink`]: an `issue`, one [`Phase`] record per service phase that
+//! actually occurs (a zero-distance seek or an unqueued request emits
+//! nothing), and a closing per-request `complete` summary. Tracing is
+//! **disabled by default** and costs nothing when off: the drive checks a
+//! single `Option` per request and a boolean per phase; no events are
+//! constructed and no locks are taken.
 //!
 //! The JSONL encoding produced by [`TraceEvent::to_json`] (one flat JSON
 //! object per line, decoded by [`TraceEvent::parse_json`]) is the
@@ -16,6 +16,29 @@
 //! times are absolute simulated nanoseconds since the run's epoch
 //! ([`crate::SimTime::as_ns`]); all durations are nanoseconds; `lbn`/`len` are
 //! 512-byte sectors.
+//!
+//! # Phases
+//!
+//! A phase line is `{"ev":<name>,"req":..,"t":..}`, then `"dur"` where the
+//! phase has a length, then the phase's own fields. [`PHASE_EVENTS`] is
+//! this table; `t` is the instant the phase starts.
+//!
+//! | `ev` | `dur` | fields | what it is |
+//! |---|---|---|---|
+//! | `queue` | yes | | wait for the mechanism to finish the previous command |
+//! | `seek` | yes | `from_cyl`, `to_cyl` | arm movement between cylinders |
+//! | `head_switch` | yes | | switch between surfaces of one cylinder |
+//! | `settle` | yes | | extra settle charged before a media write |
+//! | `rot_wait` | yes | `track` | rotational wait for a visit's first sector on global track `track` |
+//! | `media` | yes | `track`, `sectors` | one mechanical visit's media transfer |
+//! | `cache_hit` | no | `lbn`, `len` | a read served entirely from the firmware cache |
+//! | `cache_fill` | no | `start`, `end` | sectors `[start, end)` are now cached (read-ahead included) |
+//! | `bus` | yes | `bytes` | un-overlapped bus time (`bytes` is 0 for a write-data stall) |
+//! | `fault` | yes | `kind`, `lbn` | an injected fault ([`crate::fault`]) striking `lbn`; `dur` is the recovery charged |
+//!
+//! `from_cyl`, `to_cyl` and `track` fit in `u32`. A fault's `kind` is the
+//! one text field: `media_retry`, `grown_defect`, `grown_defect_unspared`,
+//! `transient_retry` or `transient_abort`.
 //!
 //! # Attaching a sink
 //!
@@ -44,18 +67,64 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use traxtent::obs::json;
 
 pub use crate::obs::DiskSpanBridge;
 
-/// One typed event in a request's service timeline.
+/// Every phase kind: its `ev` name, whether its line carries `dur`, and
+/// its own fields in line order (the table in the [module docs](self)).
+pub const PHASE_EVENTS: [(&str, bool, &[&str]); 10] = [
+    ("queue", true, &[]),
+    ("seek", true, &["from_cyl", "to_cyl"]),
+    ("head_switch", true, &[]),
+    ("settle", true, &[]),
+    ("rot_wait", true, &["track"]),
+    ("media", true, &["track", "sectors"]),
+    ("cache_hit", false, &["lbn", "len"]),
+    ("cache_fill", false, &["start", "end"]),
+    ("bus", true, &["bytes"]),
+    ("fault", true, &["kind", "lbn"]),
+];
+
+/// One service phase of one request, shaped like the span it becomes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Phase {
+    /// The [`PHASE_EVENTS`] name.
+    pub name: &'static str,
+    /// Request sequence number.
+    pub req: u64,
+    /// Phase start, ns.
+    pub t: u64,
+    /// Phase length, ns, for the phases that have one.
+    pub dur: Option<u64>,
+    /// The phase's own fields, in [`PHASE_EVENTS`] order.
+    pub attrs: Vec<(&'static str, Value)>,
+}
+
+/// A phase field's value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A count, an address or an instant.
+    Num(u64),
+    /// A fault's kind.
+    Text(String),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Num(n) => n.fmt(f),
+            Value::Text(s) => f.write_str(s),
+        }
+    }
+}
+
+/// One event in a request's service timeline.
 ///
 /// `req` is the drive-assigned request sequence number (monotonic per
-/// drive, starting at 0); `t` is the instant the phase *starts*, in
-/// nanoseconds; `dur` is the phase length in nanoseconds. A phase event is
-/// emitted only when the phase actually occurs (a zero-distance seek or an
-/// unqueued request emits nothing).
+/// drive, starting at 0); `t` is the instant the event starts, in
+/// nanoseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// The host issued a command (entry into the drive's FCFS queue).
@@ -71,127 +140,8 @@ pub enum TraceEvent {
         /// Length in sectors.
         len: u64,
     },
-    /// Wait for the mechanism to finish the previous command (queueing
-    /// delay between command-ready and service start).
-    Queue {
-        /// Request sequence number.
-        req: u64,
-        /// Wait start, ns.
-        t: u64,
-        /// Wait length, ns.
-        dur: u64,
-    },
-    /// Arm movement between cylinders. The pair (`t`, `t + dur`) encodes
-    /// seek-start and seek-end.
-    Seek {
-        /// Request sequence number.
-        req: u64,
-        /// Seek start, ns.
-        t: u64,
-        /// Seek length, ns.
-        dur: u64,
-        /// Cylinder the arm left.
-        from_cyl: u32,
-        /// Cylinder the arm settled on.
-        to_cyl: u32,
-    },
-    /// Head switch between surfaces of the same cylinder.
-    HeadSwitch {
-        /// Request sequence number.
-        req: u64,
-        /// Switch start, ns.
-        t: u64,
-        /// Switch length, ns.
-        dur: u64,
-    },
-    /// Extra settle time charged before a media write.
-    Settle {
-        /// Request sequence number.
-        req: u64,
-        /// Settle start, ns.
-        t: u64,
-        /// Settle length, ns.
-        dur: u64,
-    },
-    /// Rotational wait for the first needed sector of a mechanical visit.
-    RotWait {
-        /// Request sequence number.
-        req: u64,
-        /// Wait start, ns.
-        t: u64,
-        /// Wait length, ns.
-        dur: u64,
-        /// Global track index being waited on.
-        track: u32,
-    },
-    /// Media transfer: sectors sweeping under the head on one track (one
-    /// event per mechanical visit; `sectors` counts the sectors moved).
-    Media {
-        /// Request sequence number.
-        req: u64,
-        /// Transfer start, ns.
-        t: u64,
-        /// Transfer length, ns.
-        dur: u64,
-        /// Global track index.
-        track: u32,
-        /// Sectors transferred during this visit.
-        sectors: u64,
-    },
-    /// A read serviced entirely from the firmware cache.
-    CacheHit {
-        /// Request sequence number.
-        req: u64,
-        /// Lookup instant, ns.
-        t: u64,
-        /// First logical block.
-        lbn: u64,
-        /// Length in sectors.
-        len: u64,
-    },
-    /// The firmware cache absorbed a media read (extended by read-ahead):
-    /// `[start, end)` in sectors is now cached.
-    CacheFill {
-        /// Request sequence number.
-        req: u64,
-        /// Fill instant (media completion), ns.
-        t: u64,
-        /// First cached LBN.
-        start: u64,
-        /// One past the last cached LBN.
-        end: u64,
-    },
-    /// Un-overlapped bus activity: the trailing host transfer of a read,
-    /// the whole transfer of a cache hit, or a write stalling on buffered
-    /// data still crossing the bus.
-    Bus {
-        /// Request sequence number.
-        req: u64,
-        /// Phase start, ns.
-        t: u64,
-        /// Phase length, ns.
-        dur: u64,
-        /// Bytes moved (0 for a write-data stall).
-        bytes: u64,
-    },
-    /// An injected fault (see [`crate::fault`]): a recovered media error,
-    /// a grown-defect reallocation, or a transient command failure.
-    /// `dur` is the recovery time charged to the request (zero for
-    /// instantaneous events such as a reallocation or a surfaced abort).
-    Fault {
-        /// Request sequence number.
-        req: u64,
-        /// Fault instant, ns.
-        t: u64,
-        /// Recovery time charged, ns.
-        dur: u64,
-        /// Fault kind (`"media_retry"`, `"grown_defect"`,
-        /// `"grown_defect_unspared"`, `"transient_retry"`,
-        /// `"transient_abort"`).
-        kind: String,
-        /// Logical block the fault struck.
-        lbn: u64,
-    },
+    /// One service phase (a row of [`PHASE_EVENTS`]).
+    Phase(Phase),
     /// A non-media SCSI command (MODE SENSE, address translation, defect
     /// list, READ CAPACITY) from the emulated command layer.
     ScsiCommand {
@@ -246,16 +196,7 @@ impl TraceEvent {
     pub fn name(&self) -> &'static str {
         match self {
             TraceEvent::Issue { .. } => "issue",
-            TraceEvent::Queue { .. } => "queue",
-            TraceEvent::Seek { .. } => "seek",
-            TraceEvent::HeadSwitch { .. } => "head_switch",
-            TraceEvent::Settle { .. } => "settle",
-            TraceEvent::RotWait { .. } => "rot_wait",
-            TraceEvent::Media { .. } => "media",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheFill { .. } => "cache_fill",
-            TraceEvent::Bus { .. } => "bus",
-            TraceEvent::Fault { .. } => "fault",
+            TraceEvent::Phase(p) => p.name,
             TraceEvent::ScsiCommand { .. } => "scsi_command",
             TraceEvent::Complete { .. } => "complete",
         }
@@ -265,16 +206,7 @@ impl TraceEvent {
     pub fn req(&self) -> Option<u64> {
         match *self {
             TraceEvent::Issue { req, .. }
-            | TraceEvent::Queue { req, .. }
-            | TraceEvent::Seek { req, .. }
-            | TraceEvent::HeadSwitch { req, .. }
-            | TraceEvent::Settle { req, .. }
-            | TraceEvent::RotWait { req, .. }
-            | TraceEvent::Media { req, .. }
-            | TraceEvent::CacheHit { req, .. }
-            | TraceEvent::CacheFill { req, .. }
-            | TraceEvent::Bus { req, .. }
-            | TraceEvent::Fault { req, .. }
+            | TraceEvent::Phase(Phase { req, .. })
             | TraceEvent::Complete { req, .. } => Some(req),
             TraceEvent::ScsiCommand { .. } => None,
         }
@@ -284,16 +216,7 @@ impl TraceEvent {
     pub fn time_ns(&self) -> u64 {
         match *self {
             TraceEvent::Issue { t, .. }
-            | TraceEvent::Queue { t, .. }
-            | TraceEvent::Seek { t, .. }
-            | TraceEvent::HeadSwitch { t, .. }
-            | TraceEvent::Settle { t, .. }
-            | TraceEvent::RotWait { t, .. }
-            | TraceEvent::Media { t, .. }
-            | TraceEvent::CacheHit { t, .. }
-            | TraceEvent::CacheFill { t, .. }
-            | TraceEvent::Bus { t, .. }
-            | TraceEvent::Fault { t, .. }
+            | TraceEvent::Phase(Phase { t, .. })
             | TraceEvent::ScsiCommand { t, .. }
             | TraceEvent::Complete { t, .. } => t,
         }
@@ -302,17 +225,25 @@ impl TraceEvent {
     /// Serializes the event as one flat JSON object (no trailing newline).
     ///
     /// The first field is always `"ev"` with the [`TraceEvent::name`];
-    /// remaining fields are the variant's fields in declaration order.
+    /// remaining fields are the variant's fields in declaration order (a
+    /// phase's as the [module docs](self) list them).
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
         s.push_str("{\"ev\":\"");
         s.push_str(self.name());
         s.push('"');
-        let num = |s: &mut String, k: &str, v: u64| {
+        let key = |s: &mut String, k: &str| {
             s.push_str(",\"");
             s.push_str(k);
             s.push_str("\":");
+        };
+        let num = |s: &mut String, k: &str, v: u64| {
+            key(s, k);
             s.push_str(&v.to_string());
+        };
+        let text = |s: &mut String, k: &str, v: &str| {
+            key(s, k);
+            json::write_string(s, v);
         };
         match self {
             TraceEvent::Issue {
@@ -324,91 +255,27 @@ impl TraceEvent {
             } => {
                 num(&mut s, "req", *req);
                 num(&mut s, "t", *t);
-                s.push_str(",\"op\":\"");
-                s.push_str(op.as_str());
-                s.push('"');
+                text(&mut s, "op", op.as_str());
                 num(&mut s, "lbn", *lbn);
                 num(&mut s, "len", *len);
             }
-            TraceEvent::Queue { req, t, dur } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-            }
-            TraceEvent::Seek {
-                req,
-                t,
-                dur,
-                from_cyl,
-                to_cyl,
-            } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-                num(&mut s, "from_cyl", u64::from(*from_cyl));
-                num(&mut s, "to_cyl", u64::from(*to_cyl));
-            }
-            TraceEvent::HeadSwitch { req, t, dur } | TraceEvent::Settle { req, t, dur } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-            }
-            TraceEvent::RotWait { req, t, dur, track } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-                num(&mut s, "track", u64::from(*track));
-            }
-            TraceEvent::Media {
-                req,
-                t,
-                dur,
-                track,
-                sectors,
-            } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-                num(&mut s, "track", u64::from(*track));
-                num(&mut s, "sectors", *sectors);
-            }
-            TraceEvent::CacheHit { req, t, lbn, len } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "lbn", *lbn);
-                num(&mut s, "len", *len);
-            }
-            TraceEvent::CacheFill { req, t, start, end } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "start", *start);
-                num(&mut s, "end", *end);
-            }
-            TraceEvent::Bus { req, t, dur, bytes } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-                num(&mut s, "bytes", *bytes);
-            }
-            TraceEvent::Fault {
-                req,
-                t,
-                dur,
-                kind,
-                lbn,
-            } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-                s.push_str(",\"kind\":");
-                json::write_string(&mut s, kind);
-                num(&mut s, "lbn", *lbn);
+            TraceEvent::Phase(p) => {
+                num(&mut s, "req", p.req);
+                num(&mut s, "t", p.t);
+                if let Some(dur) = p.dur {
+                    num(&mut s, "dur", dur);
+                }
+                for (k, v) in &p.attrs {
+                    match v {
+                        Value::Num(n) => num(&mut s, k, *n),
+                        Value::Text(x) => text(&mut s, k, x),
+                    }
+                }
             }
             TraceEvent::ScsiCommand { t, dur, kind } => {
                 num(&mut s, "t", *t);
                 num(&mut s, "dur", *dur);
-                s.push_str(",\"kind\":");
-                json::write_string(&mut s, kind);
+                text(&mut s, "kind", kind);
             }
             TraceEvent::Complete {
                 req,
@@ -429,12 +296,10 @@ impl TraceEvent {
             } => {
                 num(&mut s, "req", *req);
                 num(&mut s, "t", *t);
-                s.push_str(",\"op\":\"");
-                s.push_str(op.as_str());
-                s.push('"');
+                text(&mut s, "op", op.as_str());
                 num(&mut s, "lbn", *lbn);
                 num(&mut s, "len", *len);
-                s.push_str(",\"cache_hit\":");
+                key(&mut s, "cache_hit");
                 s.push_str(if *cache_hit { "true" } else { "false" });
                 num(&mut s, "queue", *queue);
                 num(&mut s, "overhead", *overhead);
@@ -481,8 +346,17 @@ impl TraceEvent {
                 other => Err(format!("unknown op `{other}`")),
             }
         };
-        let track = |k: &str| -> Result<u32, String> {
-            u32::try_from(num(k)?).map_err(|_| format!("field `{k}` exceeds u32"))
+        let field = |k: &'static str| -> Result<(&'static str, Value), String> {
+            let v = match k {
+                "kind" => Value::Text(string(k)?),
+                "from_cyl" | "to_cyl" | "track" => {
+                    let n = num(k)?;
+                    u32::try_from(n).map_err(|_| format!("field `{k}` exceeds u32"))?;
+                    Value::Num(n)
+                }
+                _ => Value::Num(num(k)?),
+            };
+            Ok((k, v))
         };
 
         let ev = string("ev")?;
@@ -493,66 +367,6 @@ impl TraceEvent {
                 op: op("op")?,
                 lbn: num("lbn")?,
                 len: num("len")?,
-            },
-            "queue" => TraceEvent::Queue {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-            },
-            "seek" => TraceEvent::Seek {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                from_cyl: track("from_cyl")?,
-                to_cyl: track("to_cyl")?,
-            },
-            "head_switch" => TraceEvent::HeadSwitch {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-            },
-            "settle" => TraceEvent::Settle {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-            },
-            "rot_wait" => TraceEvent::RotWait {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                track: track("track")?,
-            },
-            "media" => TraceEvent::Media {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                track: track("track")?,
-                sectors: num("sectors")?,
-            },
-            "cache_hit" => TraceEvent::CacheHit {
-                req: num("req")?,
-                t: num("t")?,
-                lbn: num("lbn")?,
-                len: num("len")?,
-            },
-            "cache_fill" => TraceEvent::CacheFill {
-                req: num("req")?,
-                t: num("t")?,
-                start: num("start")?,
-                end: num("end")?,
-            },
-            "bus" => TraceEvent::Bus {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                bytes: num("bytes")?,
-            },
-            "fault" => TraceEvent::Fault {
-                req: num("req")?,
-                t: num("t")?,
-                dur: num("dur")?,
-                kind: string("kind")?,
-                lbn: num("lbn")?,
             },
             "scsi_command" => TraceEvent::ScsiCommand {
                 t: num("t")?,
@@ -576,7 +390,19 @@ impl TraceEvent {
                 write_settle: num("write_settle")?,
                 response: num("response")?,
             },
-            other => return Err(format!("unknown event `{other}`")),
+            other => {
+                let Some(&(name, has_dur, keys)) = PHASE_EVENTS.iter().find(|r| r.0 == other)
+                else {
+                    return Err(format!("unknown event `{other}`"));
+                };
+                TraceEvent::Phase(Phase {
+                    name,
+                    req: num("req")?,
+                    t: num("t")?,
+                    dur: has_dur.then(|| num("dur")).transpose()?,
+                    attrs: keys.iter().copied().map(field).collect::<Result<_, _>>()?,
+                })
+            }
         })
     }
 }
@@ -617,6 +443,16 @@ pub trait TraceSink: Send {
 /// A shareable, thread-safe handle to a [`TraceSink`].
 pub type SharedSink = Arc<Mutex<dyn TraceSink>>;
 
+/// The sink behind `shared`.
+#[expect(
+    clippy::expect_used,
+    reason = "a sink panics only when a write fails, and a trace missing a line is worse \
+              than no trace, so every later use of a poisoned sink fails too"
+)]
+fn lock(shared: &SharedSink) -> MutexGuard<'_, dyn TraceSink + 'static> {
+    shared.lock().expect("trace sink poisoned")
+}
+
 /// A cloneable tracing handle carried by drive configs and drives.
 ///
 /// Cloning shares the underlying sink, so every drive built from a traced
@@ -642,7 +478,7 @@ impl Tracer {
 
     /// Records a batch of events under one lock acquisition.
     pub fn record_all(&self, events: &[TraceEvent]) {
-        let mut sink = self.0.lock().expect("trace sink poisoned");
+        let mut sink = lock(&self.0);
         for e in events {
             sink.record(e);
         }
@@ -650,12 +486,12 @@ impl Tracer {
 
     /// Records a single event.
     pub fn record(&self, event: &TraceEvent) {
-        self.0.lock().expect("trace sink poisoned").record(event);
+        lock(&self.0).record(event);
     }
 
     /// Flushes the underlying sink.
     pub fn flush(&self) {
-        self.0.lock().expect("trace sink poisoned").flush();
+        lock(&self.0).flush();
     }
 }
 
@@ -711,10 +547,12 @@ impl<W: Write + Send> JsonlSink<W> {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "I/O errors abort the run: a silently truncated trace is worse than no trace"
+)]
 impl<W: Write + Send> TraceSink for JsonlSink<W> {
     fn record(&mut self, event: &TraceEvent) {
-        // I/O errors abort the run: a silently truncated trace is worse
-        // than no trace.
         writeln!(self.out, "{}", event.to_json()).expect("trace write failed");
     }
 
@@ -737,13 +575,13 @@ impl Fanout {
 impl TraceSink for Fanout {
     fn record(&mut self, event: &TraceEvent) {
         for s in &self.0 {
-            s.lock().expect("fanout sink poisoned").record(event);
+            lock(s).record(event);
         }
     }
 
     fn flush(&mut self) {
         for s in &self.0 {
-            s.lock().expect("fanout sink poisoned").flush();
+            lock(s).flush();
         }
     }
 }
@@ -787,6 +625,16 @@ mod tests {
     }
 
     fn samples() -> Vec<TraceEvent> {
+        let phase = |name, t, dur, attrs| {
+            TraceEvent::Phase(Phase {
+                name,
+                req: 1,
+                t,
+                dur,
+                attrs,
+            })
+        };
+        let n = Value::Num;
         vec![
             TraceEvent::Issue {
                 req: 1,
@@ -795,66 +643,36 @@ mod tests {
                 lbn: 3,
                 len: 4,
             },
-            TraceEvent::Queue {
-                req: 1,
-                t: 2,
-                dur: 3,
-            },
-            TraceEvent::Seek {
-                req: 1,
-                t: 5,
-                dur: 6,
-                from_cyl: 7,
-                to_cyl: 8,
-            },
-            TraceEvent::HeadSwitch {
-                req: 1,
-                t: 9,
-                dur: 10,
-            },
-            TraceEvent::Settle {
-                req: 1,
-                t: 11,
-                dur: 12,
-            },
-            TraceEvent::RotWait {
-                req: 1,
-                t: 13,
-                dur: 14,
-                track: 15,
-            },
-            TraceEvent::Media {
-                req: 1,
-                t: 16,
-                dur: 17,
-                track: 18,
-                sectors: 19,
-            },
-            TraceEvent::CacheHit {
-                req: 1,
-                t: 20,
-                lbn: 21,
-                len: 22,
-            },
-            TraceEvent::CacheFill {
-                req: 1,
-                t: 23,
-                start: 24,
-                end: 25,
-            },
-            TraceEvent::Bus {
-                req: 1,
-                t: 26,
-                dur: 27,
-                bytes: 28,
-            },
-            TraceEvent::Fault {
-                req: 1,
-                t: 28,
-                dur: 29,
-                kind: "media_retry".into(),
-                lbn: 30,
-            },
+            phase("queue", 2, Some(3), vec![]),
+            phase(
+                "seek",
+                5,
+                Some(6),
+                vec![("from_cyl", n(7)), ("to_cyl", n(8))],
+            ),
+            phase("head_switch", 9, Some(10), vec![]),
+            phase("settle", 11, Some(12), vec![]),
+            phase("rot_wait", 13, Some(14), vec![("track", n(15))]),
+            phase(
+                "media",
+                16,
+                Some(17),
+                vec![("track", n(18)), ("sectors", n(19))],
+            ),
+            phase("cache_hit", 20, None, vec![("lbn", n(21)), ("len", n(22))]),
+            phase(
+                "cache_fill",
+                23,
+                None,
+                vec![("start", n(24)), ("end", n(25))],
+            ),
+            phase("bus", 26, Some(27), vec![("bytes", n(28))]),
+            phase(
+                "fault",
+                28,
+                Some(29),
+                vec![("kind", Value::Text("media_retry".into())), ("lbn", n(30))],
+            ),
             TraceEvent::ScsiCommand {
                 t: 29,
                 dur: 30,
@@ -884,10 +702,7 @@ mod tests {
     fn json_round_trips_every_variant() {
         for e in samples() {
             let line = e.to_json();
-            let back = TraceEvent::parse_json(&line).unwrap_or_else(|err| {
-                panic!("parse of {line} failed: {err}");
-            });
-            assert_eq!(e, back, "line {line}");
+            assert_eq!(TraceEvent::parse_json(&line), Ok(e), "line {line}");
         }
     }
 
@@ -909,6 +724,18 @@ mod tests {
         assert!(TraceEvent::parse_json("{\"ev\":\"queue\",\"req\":1}").is_err());
         assert!(TraceEvent::parse_json("{\"ev\":\"queue\",\"req\":-1,\"t\":0,\"dur\":0}").is_err());
         assert!(TraceEvent::parse_json("not json").is_err());
+        let wide = r#"{"ev":"rot_wait","req":1,"t":0,"dur":0,"track":4294967296}"#;
+        assert!(TraceEvent::parse_json(wide).is_err_and(|e| e.contains("exceeds u32")));
+        assert!(TraceEvent::parse_json(r#"{"ev":"queue","req":1,"t":0}"#).is_err());
+        // A `dur` on a phase without one is ignored, like any other
+        // field the kind does not name.
+        let stray = r#"{"ev":"cache_hit","req":1,"t":0,"dur":5,"lbn":2,"len":3}"#;
+        assert_eq!(
+            TraceEvent::parse_json(stray)
+                .map(|e| e.to_json())
+                .as_deref(),
+            Ok(r#"{"ev":"cache_hit","req":1,"t":0,"lbn":2,"len":3}"#)
+        );
     }
 
     #[test]

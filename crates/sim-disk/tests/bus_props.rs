@@ -24,7 +24,7 @@ use sim_disk::fault::{FaultConfig, Jitter};
 use sim_disk::geometry::{DiskGeometry, GeometrySpec, Track, ZoneSpec};
 use sim_disk::mech::{SeekCurve, Spindle};
 use sim_disk::rotation::{self, EPS};
-use sim_disk::trace::{MemorySink, TraceEvent, Tracer};
+use sim_disk::trace::{MemorySink, Phase, TraceEvent, Tracer, Value};
 use sim_disk::{SimDur, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -575,19 +575,34 @@ fn traced_visits(events: &[TraceEvent]) -> Vec<TracedVisit> {
     let mut rot = 0;
     for e in events {
         match e {
-            TraceEvent::RotWait { dur, .. } => rot = *dur,
-            TraceEvent::Media {
-                t, track, sectors, ..
-            } => {
+            TraceEvent::Phase(Phase {
+                name: "rot_wait",
+                dur: Some(dur),
+                ..
+            }) => rot = *dur,
+            TraceEvent::Phase(Phase {
+                name: "media",
+                t,
+                attrs,
+                ..
+            }) => {
+                let [("track", Value::Num(track)), ("sectors", Value::Num(sectors))] = attrs[..]
+                else {
+                    panic!("media fields: {attrs:?}");
+                };
                 visits.push(TracedVisit {
                     t: SimTime::from_ns(*t - rot),
-                    track: *track,
-                    sectors: *sectors,
+                    track: u32::try_from(track).unwrap(),
+                    sectors,
                     retried: false,
                 });
                 rot = 0;
             }
-            TraceEvent::Fault { kind, .. } if kind == "media_retry" => {
+            TraceEvent::Phase(Phase {
+                name: "fault",
+                attrs,
+                ..
+            }) if matches!(&attrs[0], ("kind", Value::Text(k)) if k == "media_retry") => {
                 visits
                     .last_mut()
                     .expect("a retry follows its visit")

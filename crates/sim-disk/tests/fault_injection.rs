@@ -6,7 +6,7 @@
 use sim_disk::disk::{Disk, Request};
 use sim_disk::fault::{FaultConfig, Jitter, SenseKey};
 use sim_disk::models;
-use sim_disk::trace::{MemorySink, TraceEvent, Tracer};
+use sim_disk::trace::{MemorySink, Phase, TraceEvent, Tracer, Value};
 use sim_disk::{SimDur, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -211,7 +211,14 @@ fn jitter_perturbs_timings_but_preserves_accounting() {
     let mut completes = 0;
     for e in &events {
         match e {
-            TraceEvent::Fault { kind, .. } => {
+            TraceEvent::Phase(Phase {
+                name: "fault",
+                attrs,
+                ..
+            }) => {
+                let [("kind", Value::Text(kind)), ("lbn", Value::Num(_))] = &attrs[..] else {
+                    panic!("fault fields: {attrs:?}");
+                };
                 assert!(
                     [
                         "media_retry",
@@ -259,7 +266,7 @@ fn jitter_perturbs_timings_but_preserves_accounting() {
     // Fault events survive the JSONL round trip.
     for e in events
         .iter()
-        .filter(|e| matches!(e, TraceEvent::Fault { .. }))
+        .filter(|e| matches!(e, TraceEvent::Phase(p) if p.name == "fault"))
     {
         let back = TraceEvent::parse_json(&e.to_json()).expect("fault event parses");
         assert_eq!(&back, e);

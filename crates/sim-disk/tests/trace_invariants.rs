@@ -4,9 +4,12 @@
 
 use sim_disk::disk::{Disk, Op, Request};
 use sim_disk::models;
-use sim_disk::trace::{JsonlSink, MemorySink, TraceEvent, Tracer};
+use sim_disk::trace::{
+    DiskSpanBridge, JsonlSink, MemorySink, Phase, TraceEvent, Tracer, Value, PHASE_EVENTS,
+};
 use sim_disk::{SimDur, SimTime};
 use std::sync::{Arc, Mutex};
+use traxtent::obs::span::SpanRecorder;
 
 /// Mixed read/write random workload over the whole drive; returns the
 /// engine-reported completions alongside whatever the tracer captured.
@@ -99,6 +102,7 @@ fn complete_events_account_for_every_nanosecond() {
 /// Phase events of one request agree with its `Complete` summary: seek
 /// durations sum to the seek phase, media durations to the media phase,
 /// and every event lands inside the request's [issue, completion] window.
+/// Every phase has the shape its [`PHASE_EVENTS`] row gives it.
 #[test]
 fn phase_events_match_their_summary() {
     let (completions, events) = traced_run(300);
@@ -114,14 +118,16 @@ fn phase_events_match_their_summary() {
         let mut media = 0u64;
         let mut queue = 0u64;
         for e in &mine {
-            if let TraceEvent::Seek { dur, .. } = e {
-                seek += dur;
-            }
-            if let TraceEvent::Media { dur, .. } = e {
-                media += dur;
-            }
-            if let TraceEvent::Queue { dur, .. } = e {
-                queue += dur;
+            if let TraceEvent::Phase(p) = e {
+                let row = PHASE_EVENTS.iter().find(|r| r.0 == p.name);
+                let keys: Vec<&str> = p.attrs.iter().map(|a| a.0).collect();
+                assert_eq!(row, Some(&(p.name, p.dur.is_some(), &keys[..])), "{p:?}");
+                match (p.name, p.dur) {
+                    ("seek", Some(dur)) => seek += dur,
+                    ("media", Some(dur)) => media += dur,
+                    ("queue", Some(dur)) => queue += dur,
+                    _ => {}
+                }
             }
             let t = e.time_ns();
             assert!(
@@ -138,7 +144,7 @@ fn phase_events_match_their_summary() {
         if c.cache_hit {
             assert!(mine
                 .iter()
-                .any(|e| matches!(e, TraceEvent::CacheHit { .. })));
+                .any(|e| matches!(e, TraceEvent::Phase(p) if p.name == "cache_hit")));
         }
     }
     // The burst arrivals above must actually have exercised queueing.
@@ -210,9 +216,9 @@ fn tracing_never_perturbs_the_simulation() {
 fn writes_emit_settle_and_reads_do_not() {
     let (completions, events) = traced_run(200);
     for (rid, c) in completions.iter().enumerate() {
-        let has_settle = events
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Settle { req, .. } if *req == rid as u64));
+        let has_settle = events.iter().any(
+            |e| matches!(e, TraceEvent::Phase(p) if p.name == "settle" && p.req == rid as u64),
+        );
         let charged = c.breakdown.write_settle > SimDur::ZERO;
         assert_eq!(
             has_settle,
@@ -224,5 +230,76 @@ fn writes_emit_settle_and_reads_do_not() {
         if c.request.op == Op::Read {
             assert!(!has_settle);
         }
+    }
+}
+
+/// Every phase kind becomes one span under its command's `disk_cmd` span:
+/// named after its event (`queue` as `drive_queue`), over `[t, t + dur]`
+/// (zero-length without a `dur`), with the phase's own fields as
+/// attributes, `k=v` and in order.
+#[test]
+fn the_bridge_makes_every_phase_kind_a_child_span() {
+    for (name, has_dur, keys) in PHASE_EVENTS {
+        let rec = SpanRecorder::new();
+        rec.set_context(0xAB, 2);
+        let tracer = Tracer::from_sink(DiskSpanBridge::new(rec.clone()));
+        let attrs: Vec<(&'static str, Value)> = keys
+            .iter()
+            .zip(10u64..)
+            .map(|(&k, n)| match k {
+                "kind" => (k, Value::Text("media_retry".into())),
+                _ => (k, Value::Num(n)),
+            })
+            .collect();
+        let want_attrs: Vec<String> = attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let phase = Phase {
+            name,
+            req: 7,
+            t: 120,
+            dur: has_dur.then_some(30),
+            attrs,
+        };
+        tracer.record_all(&[
+            TraceEvent::Issue {
+                req: 7,
+                t: 100,
+                op: Op::Read,
+                lbn: 0,
+                len: 8,
+            },
+            TraceEvent::Phase(phase),
+            TraceEvent::Complete {
+                req: 7,
+                t: 200,
+                op: Op::Read,
+                lbn: 0,
+                len: 8,
+                cache_hit: false,
+                queue: 0,
+                overhead: 0,
+                seek: 0,
+                head_switch: 0,
+                rot_latency: 0,
+                media: 0,
+                bus: 0,
+                write_settle: 0,
+                response: 100,
+            },
+        ]);
+        let spans = rec.take_sorted();
+        assert_eq!(spans.len(), 2, "{name}: disk_cmd and one phase");
+        let (cmds, children): (Vec<_>, Vec<_>) = spans.iter().partition(|s| s.name == "disk_cmd");
+        let (cmd, child) = (cmds[0], children[0]);
+        let want_name = if name == "queue" { "drive_queue" } else { name };
+        assert_eq!(child.name, want_name);
+        assert_eq!((child.parent, child.track), (cmd.id, 2), "{name}");
+        let end = if has_dur { 150 } else { 120 };
+        assert_eq!((child.start_ns, child.end_ns), (120, end), "{name}");
+        assert_eq!(
+            has_dur,
+            !matches!(name, "cache_hit" | "cache_fill"),
+            "{name}"
+        );
+        assert_eq!(child.attrs, want_attrs.join(","), "{name}");
     }
 }
