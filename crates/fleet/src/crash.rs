@@ -86,25 +86,21 @@ impl Volume {
     ///
     /// # Errors
     ///
-    /// [`CrashError::MissingPayload`] if a logged write never had its
-    /// bytes attached (an internal contract violation — every volume
-    /// write path attaches payloads while armed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if capture was never armed.
+    /// [`CrashError::NotArmed`] if capture was never armed (or a cut
+    /// already disarmed it), and [`CrashError::MissingPayload`] if a
+    /// logged write never had its bytes attached (an internal contract
+    /// violation — every volume write path attaches payloads while
+    /// armed).
     pub fn power_cut(&mut self, cut: SimTime) -> Result<PowerCutReport, CrashError> {
-        let base = self
-            .crash_base
-            .take()
-            .expect("power_cut requires arm_crash");
+        let base = self.crash_base.take().ok_or(CrashError::NotArmed)?;
         let mut member_writes = Vec::with_capacity(self.members.len());
         let mut torn = 0u64;
         let mut lost = 0u64;
         let mut stores = Vec::with_capacity(self.members.len());
         let caps = self.layout.member_caps();
         for ((m, mut store), &cap) in self.members.iter_mut().zip(base).zip(caps) {
-            let log = m.disk.take_crash_log().expect("armed member logs writes");
+            // The arm enabled every member's log: a missing one logged nothing.
+            let log = m.disk.take_crash_log().unwrap_or_default();
             for rec in &log.records {
                 let durable = rec.durable_count(cut);
                 if durable == 0 {

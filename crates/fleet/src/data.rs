@@ -7,6 +7,9 @@
 //! drives in sight.
 
 use crate::layout::{Chunk, LogicalUnit, VolumeKind, VolumeLayout};
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::{panic, thread};
 use traxtent::hash::{splitmix64, GOLDEN_GAMMA};
 
 /// A volume's data plane: every member's store, or — from a format until
@@ -36,6 +39,10 @@ impl Plane {
     /// Every member's store, filled first if the plane is still implicit
     /// (`failed(m)` names the members left empty): the one way to the
     /// stores, so no store read can see an unfilled plane.
+    #[expect(
+        clippy::unreachable,
+        reason = "an implicit plane is replaced by a filled one just above"
+    )]
     pub(crate) fn stores(
         &mut self,
         layout: &VolumeLayout,
@@ -150,37 +157,155 @@ pub fn pattern_word(seed: u64, lbn: u64) -> u64 {
 /// An empty store (capacity 0) is a failed member's, and is left empty:
 /// its data columns still fold into their round's parity, but nothing of
 /// it is stored.
+///
+/// The rounds are cut into one range per core, each filled on its own
+/// thread into its own share of every store; what lands in the stores
+/// depends on `(layout, seed)` alone, never on how many ranges there are.
 pub fn fill_stores(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
+    fill_in_parts(layout, stores, seed, cores());
+}
+
+/// How many round ranges a fill or a scrub cuts a volume into: one per
+/// core the process may run on.
+pub(crate) fn cores() -> usize {
+    thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// [`fill_stores`] over `parts` round ranges.
+pub(crate) fn fill_in_parts(
+    layout: &VolumeLayout,
+    stores: &mut [SectorStore],
+    seed: u64,
+    parts: usize,
+) {
     assert_eq!(stores.len(), layout.members(), "one store per member");
-    let live = |store: &SectorStore| store.capacity() > 0;
+    let ranges = round_ranges(layout, parts);
+    let shares = carve(layout, &ranges, stores);
+    let jobs = ranges.into_iter().zip(shares).collect();
+    in_parallel(jobs, |(rounds, mut columns)| {
+        fill_range(layout, rounds, &mut columns, seed);
+    });
+}
+
+/// The rounds of `layout` cut into `min(parts, rounds)` contiguous,
+/// nonempty ranges of about equal logical sectors, and so of about equal
+/// words: a round holds its logical sectors' words times a factor fixed
+/// by the kind (a parity column more for RAID-5, a copy a member for a
+/// mirror).
+fn round_ranges(layout: &VolumeLayout, parts: usize) -> Vec<Range<usize>> {
+    let units = layout.units();
+    let rounds = units.last().map_or(0, |u| u.round + 1);
+    let parts = parts.clamp(1, rounds.max(1));
+    let mut start = 0;
+    (1..=parts)
+        .map(|i| {
+            let mut end = rounds;
+            if i < parts {
+                let lbn = layout.capacity() / parts as u64 * i as u64;
+                let at = units.partition_point(|u| u.lstart < lbn);
+                let round = units.get(at).map_or(rounds, |u| u.round);
+                end = round.clamp(start + 1, rounds - (parts - i));
+            }
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
+}
+
+/// The logical units of the rounds `rounds`: units ascend by round in
+/// every kind.
+fn units_of(layout: &VolumeLayout, rounds: Range<usize>) -> &[LogicalUnit] {
+    let units = layout.units();
+    let first = |r| units.partition_point(|u| u.round < r);
+    &units[first(rounds.start)..first(rounds.end)]
+}
+
+/// One live member's share of a round range: `words[0]` is its physical
+/// LBN `base`.
+struct Column<'a> {
+    base: u64,
+    words: &'a mut [u64],
+}
+
+impl Column<'_> {
+    /// The member's words `[pba, pba + len)`.
+    fn at(&mut self, pba: u64, len: u64) -> &mut [u64] {
+        &mut self.words[(pba - self.base) as usize..][..len as usize]
+    }
+}
+
+/// Every range's share of every store, one column a member, `None` for
+/// a failed member's empty store. A range's column on member `m` runs
+/// from where its first round begins on `m` (LBN 0 for the first range)
+/// to where the next range's does (the store's end for the last range):
+/// every member's units ascend physically with the round, so the column
+/// holds all of the range's units on `m` and nothing of another range's.
+fn carve<'a>(
+    layout: &VolumeLayout,
+    ranges: &[Range<usize>],
+    stores: &'a mut [SectorStore],
+) -> Vec<Vec<Option<Column<'a>>>> {
+    let mut shares: Vec<Vec<Option<Column>>> = ranges
+        .iter()
+        .map(|_| Vec::with_capacity(stores.len()))
+        .collect();
+    for (m, store) in stores.iter_mut().enumerate() {
+        if store.capacity() == 0 {
+            shares.iter_mut().for_each(|columns| columns.push(None));
+            continue;
+        }
+        let (mut base, mut rest) = (0, store.words.as_mut_slice());
+        for (i, columns) in shares.iter_mut().enumerate() {
+            let end = (ranges.get(i + 1)).map_or(base + rest.len() as u64, |next| {
+                layout.round_start(next.start, m)
+            });
+            let (words, tail) = std::mem::take(&mut rest).split_at_mut((end - base) as usize);
+            columns.push(Some(Column { base, words }));
+            (base, rest) = (end, tail);
+        }
+    }
+    shares
+}
+
+/// Fills the rounds `rounds` of `layout` into their columns, one a
+/// member: the whole-volume fill's loop, with every store offset by its
+/// column's base.
+fn fill_range(
+    layout: &VolumeLayout,
+    rounds: Range<usize>,
+    columns: &mut [Option<Column>],
+    seed: u64,
+) {
+    let units = units_of(layout, rounds.clone());
     match layout.kind() {
         VolumeKind::Striped => {
-            for u in layout.units() {
-                if live(&stores[u.member]) {
-                    fill_unit(&mut stores[u.member], u, seed);
+            for u in units {
+                if let Some(column) = &mut columns[u.member] {
+                    fill_unit(column.at(u.pstart, u.len), u, seed);
                 }
             }
         }
         VolumeKind::Mirrored => {
-            for u in layout.units() {
-                for store in stores.iter_mut().filter(|s| live(s)) {
-                    fill_unit(store, u, seed);
+            for u in units {
+                for column in columns.iter_mut().flatten() {
+                    fill_unit(column.at(u.pstart, u.len), u, seed);
                 }
             }
         }
         VolumeKind::Raid5 => {
             // A round is its `members - 1` data units, in member order.
-            let rounds = layout.units().chunks(layout.members() - 1);
+            let data_units = units.chunks(layout.members() - 1);
             let mut parity = Vec::new();
-            for (info, units) in layout.rounds().iter().zip(rounds) {
+            for (info, units) in layout.rounds()[rounds].iter().zip(data_units) {
                 parity.clear();
                 parity.resize(info.len as usize, 0);
                 for u in units {
-                    let store = &mut stores[u.member];
-                    if live(store) {
-                        let column = fill_unit(store, u, seed);
+                    if let Some(column) = &mut columns[u.member] {
+                        let column = column.at(u.pstart, u.len);
+                        fill_unit(column, u, seed);
                         for (p, w) in parity.iter_mut().zip(column) {
-                            *p ^= w;
+                            *p ^= *w;
                         }
                     } else {
                         for (p, lbn) in parity.iter_mut().zip(u.lstart..) {
@@ -188,22 +313,107 @@ pub fn fill_stores(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64)
                         }
                     }
                 }
-                if live(&stores[info.parity]) {
-                    stores[info.parity].write(info.pstarts[info.parity], &parity);
+                if let Some(column) = &mut columns[info.parity] {
+                    column
+                        .at(info.pstarts[info.parity], info.len)
+                        .copy_from_slice(&parity);
                 }
             }
         }
     }
 }
 
-/// Writes unit `u`'s canonical words into its column of `store`, and
-/// returns the column.
-fn fill_unit<'a>(store: &'a mut SectorStore, u: &LogicalUnit, seed: u64) -> &'a [u64] {
-    let column = &mut store.words[u.pstart as usize..][..u.len as usize];
+/// Writes unit `u`'s canonical words into `column`, its words on its
+/// member.
+fn fill_unit(column: &mut [u64], u: &LogicalUnit, seed: u64) {
     for (w, lbn) in column.iter_mut().zip(u.lstart..) {
         *w = pattern_word(seed, lbn);
     }
-    column
+}
+
+/// Runs `work` on every job, each on its own scoped thread but the last,
+/// which runs on the calling thread, and returns the results in job
+/// order. A panicking job panics the caller with its payload.
+fn in_parallel<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
+    let mut jobs = jobs.into_iter();
+    let last = jobs.next_back();
+    thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> = jobs.map(|job| scope.spawn(move || work(job))).collect();
+        let last = last.map(work);
+        (spawned.into_iter())
+            .map(|handle| handle.join().unwrap_or_else(|e| panic::resume_unwind(e)))
+            .chain(last)
+            .collect()
+    })
+}
+
+/// What [`crate::Volume::scrub`] verifies, folded over `parts` round
+/// ranges: the sectors checked, and those whose redundancy fails. A
+/// RAID-5 round is checked only when no store is empty, and fails where
+/// its columns do not XOR to zero; every live mirror copy but
+/// `reference` is compared with `reference`'s (no copy is compared
+/// without one). RAID-0 has nothing to check.
+pub(crate) fn scrub_in_parts(
+    layout: &VolumeLayout,
+    stores: &[SectorStore],
+    reference: Option<usize>,
+    parts: usize,
+) -> (u64, u64) {
+    let ranges = round_ranges(layout, parts);
+    let counts = in_parallel(ranges, |rounds| {
+        scrub_range(layout, stores, reference, rounds)
+    });
+    (counts.into_iter()).fold((0, 0), |(c, m), (checked, bad)| (c + checked, m + bad))
+}
+
+/// [`scrub_in_parts`] over the rounds `rounds` alone.
+fn scrub_range(
+    layout: &VolumeLayout,
+    stores: &[SectorStore],
+    reference: Option<usize>,
+    rounds: Range<usize>,
+) -> (u64, u64) {
+    let live = |store: &SectorStore| store.capacity() > 0;
+    let (mut checked, mut mismatches) = (0, 0);
+    let mut syndrome = Vec::new();
+    match (layout.kind(), reference) {
+        (VolumeKind::Striped, _) | (VolumeKind::Mirrored, None) => {}
+        (VolumeKind::Mirrored, Some(reference)) => {
+            for u in units_of(layout, rounds) {
+                for (m, store) in stores.iter().enumerate() {
+                    if m == reference || !live(store) {
+                        continue;
+                    }
+                    syndrome.clear();
+                    stores[reference].read_into(u.pstart, u.len, &mut syndrome);
+                    store.xor_into(u.pstart, &mut syndrome);
+                    checked += u.len;
+                    mismatches += nonzero(&syndrome);
+                }
+            }
+        }
+        (VolumeKind::Raid5, _) => {
+            if stores.iter().all(live) {
+                for info in &layout.rounds()[rounds] {
+                    syndrome.clear();
+                    syndrome.resize(info.len as usize, 0);
+                    for (store, &pstart) in stores.iter().zip(&info.pstarts) {
+                        store.xor_into(pstart, &mut syndrome);
+                    }
+                    checked += info.len;
+                    mismatches += nonzero(&syndrome);
+                }
+            }
+        }
+    }
+    (checked, mismatches)
+}
+
+/// Sectors of a syndrome (the XOR of columns that should cancel) that
+/// violate the redundancy invariant.
+pub(crate) fn nonzero(syndrome: &[u64]) -> u64 {
+    syndrome.iter().filter(|&&w| w != 0).count() as u64
 }
 
 /// Reconstructs member `member`'s round-`round` unit from the surviving
@@ -215,6 +425,7 @@ fn fill_unit<'a>(store: &'a mut SectorStore, u: &LogicalUnit, seed: u64) -> &'a 
 /// # Panics
 ///
 /// Panics for [`VolumeKind::Striped`] — RAID-0 has no redundancy.
+#[expect(clippy::panic, reason = "the # Panics contract")]
 pub fn reconstruct_unit(
     layout: &VolumeLayout,
     stores: &[SectorStore],
@@ -240,5 +451,142 @@ pub fn reconstruct_unit(
             }
             out
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::StripePolicy;
+    use proptest::prelude::*;
+    use traxtent::boundaries::ConfidentBoundaries;
+
+    /// A member map as `fleet_props` draws one: 2–60 tracks of 1–400
+    /// sectors, each trusted or fuzzy.
+    fn arb_member() -> impl Strategy<Value = ConfidentBoundaries> {
+        prop::collection::vec((1u64..400, 0u32..2), 2..60).prop_map(|tracks| {
+            ConfidentBoundaries::from_unit_lengths(
+                (tracks.into_iter())
+                    .map(|(len, trusted)| (len, if trusted == 1 { 1.0 } else { 0.35 })),
+            )
+            .expect("positive lengths are valid")
+        })
+    }
+
+    fn arb_policy() -> impl Strategy<Value = StripePolicy> {
+        prop_oneof![
+            (1u64..200).prop_map(StripePolicy::fixed),
+            (1u64..200).prop_map(|fallback_sectors| StripePolicy::Aligned {
+                threshold: 0.9,
+                fallback_sectors,
+            }),
+        ]
+    }
+
+    fn arb_kind() -> impl Strategy<Value = VolumeKind> {
+        prop_oneof![
+            Just(VolumeKind::Striped),
+            Just(VolumeKind::Mirrored),
+            Just(VolumeKind::Raid5),
+        ]
+    }
+
+    /// The serial fill and scrub are the one-part case; every other part
+    /// count must write the same words and count the same sectors.
+    #[test]
+    fn every_part_count_fills_and_scrubs_as_one() {
+        let name = "every_part_count_fills_and_scrubs_as_one";
+        let mut tally = Tally::default();
+        let corruptions = prop::collection::vec((0u64..u64::MAX, 1u64..u64::MAX), 0..6);
+        for_cases(
+            name,
+            192,
+            (
+                prop::collection::vec(arb_member(), 3..6),
+                (arb_kind(), arb_policy()),
+                0u64..u64::MAX,
+                (0u32..2, 0usize..12, 0usize..6),
+                corruptions,
+            ),
+            |(maps, (kind, policy), seed, (old_words, dead, reference), corruptions)| {
+                let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
+                    return; // e.g. no complete round fits
+                };
+                let members = layout.members();
+                // Half the cases fill over other words, and half empty one
+                // member's store.
+                let dead = (dead >= 6).then(|| dead % members);
+                let before: Vec<SectorStore> = (layout.member_caps().iter().enumerate())
+                    .map(|(m, &cap)| {
+                        let mut store = SectorStore::new(if dead == Some(m) { 0 } else { cap });
+                        if old_words == 1 {
+                            (0..store.capacity()).for_each(|i| store.set_word(i, !i ^ seed));
+                        }
+                        store
+                    })
+                    .collect();
+                let mut want = before.clone();
+                fill_in_parts(&layout, &mut want, seed, 1);
+                let rounds = round_ranges(&layout, usize::MAX).len();
+                for parts in 2..=8 {
+                    let mut got = before.clone();
+                    fill_in_parts(&layout, &mut got, seed, parts);
+                    assert_eq!(got, want, "{kind:?} under {policy:?} in {parts} parts");
+                    let ranges = round_ranges(&layout, parts);
+                    assert_eq!(ranges.len(), parts.min(rounds));
+                    tally.note_if(parts > rounds, "parts_exceed_rounds");
+                    tally.note_if(
+                        ranges[0].len() != ranges[ranges.len() - 1].len(),
+                        "uneven_last_part",
+                    );
+                }
+
+                // A mirror's reference is a live copy; a RAID-5 volume with
+                // an empty store checks nothing.
+                let live: Vec<bool> = want.iter().map(|store| store.capacity() > 0).collect();
+                let reference = (0..members)
+                    .map(|m| (m + reference) % members)
+                    .find(|&m| live[m]);
+                let live_copies = live.iter().filter(|&&l| l).count() as u64;
+                let clean = match kind {
+                    VolumeKind::Striped => 0,
+                    VolumeKind::Mirrored => (live_copies - 1) * layout.capacity(),
+                    VolumeKind::Raid5 if dead.is_some() => 0,
+                    VolumeKind::Raid5 => layout.rounds().iter().map(|info| info.len).sum(),
+                };
+                assert_eq!(scrub_in_parts(&layout, &want, reference, 1), (clean, 0));
+                for (at, flip) in &corruptions {
+                    let m = *at as usize % members;
+                    if live[m] {
+                        let store = &mut want[m];
+                        let pba = at / members as u64 % store.capacity();
+                        store.set_word(pba, store.word(pba) ^ flip);
+                    }
+                }
+                let one = scrub_in_parts(&layout, &want, reference, 1);
+                assert_eq!(one.0, clean, "corruption moves no checked sector");
+                for parts in 2..=8 {
+                    let got = scrub_in_parts(&layout, &want, reference, parts);
+                    assert_eq!(got, one, "{kind:?} under {policy:?} in {parts} parts");
+                }
+                tally.note(kind.label());
+                tally.note_if(old_words == 1, "over_old_words");
+                tally.note_if(dead.is_some(), "dead_member");
+                tally.note_if(one.1 > 0, "corrupted");
+            },
+        );
+        tally.require(
+            name,
+            &[
+                "striped",
+                "mirrored",
+                "raid5",
+                "parts_exceed_rounds",
+                "dead_member",
+                "over_old_words",
+                "uneven_last_part",
+                "corrupted",
+            ],
+        );
     }
 }

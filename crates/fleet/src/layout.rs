@@ -290,6 +290,11 @@ impl VolumeLayout {
     /// Builds the layout for `kind` over the given per-member boundary
     /// maps. Pure — no drives involved; [`crate::Volume`] constructors
     /// call this after validating maps against real drive capacities.
+    #[expect(
+        clippy::expect_used,
+        reason = "the unit list is nonempty (NoRounds above) and its lengths and confidences \
+                  come from valid maps: mapping_is_a_bijection builds every kind"
+    )]
     pub fn new(
         kind: VolumeKind,
         maps: &[ConfidentBoundaries],
@@ -340,7 +345,7 @@ impl VolumeLayout {
             VolumeKind::Mirrored => {
                 // Logical space is member 0's carve, clipped to the
                 // smallest member; logical == physical on every member.
-                let clip = *member_caps.iter().min().expect("members checked nonempty");
+                let clip = member_caps.iter().copied().min().unwrap_or(0);
                 let mut lbn = 0;
                 for (r, u) in per_member[0].iter().enumerate() {
                     if lbn >= clip {
@@ -368,11 +373,7 @@ impl VolumeLayout {
                 }
                 let mut lbn = 0;
                 for r in 0..nrounds {
-                    let len = per_member
-                        .iter()
-                        .map(|mu| mu[r].len)
-                        .min()
-                        .expect("members checked nonempty");
+                    let len = per_member.iter().map(|mu| mu[r].len).min().unwrap_or(0);
                     // Rotate parity backwards from the last member, the
                     // classic left-symmetric placement.
                     let parity = n - 1 - (r % n);
@@ -401,8 +402,9 @@ impl VolumeLayout {
         }
 
         let spindles = (units.iter())
-            .map(|u| u16::try_from(u.member).expect("a volume has far fewer than 65 536 members"))
-            .collect();
+            .map(|u| u16::try_from(u.member))
+            .collect::<Result<_, _>>()
+            .map_err(|_| FleetError::TooManyMembers { got: n })?;
         let logical =
             ConfidentBoundaries::from_unit_lengths(units.iter().map(|u| (u.len, u.confidence)))
                 .and_then(|map| map.with_spindles(spindles))
@@ -446,6 +448,18 @@ impl VolumeLayout {
     /// RAID-5 per-round geometry; empty for other kinds.
     pub fn rounds(&self) -> &[RoundInfo] {
         &self.rounds
+    }
+
+    /// Where round `r` begins on member `m`. Every member's units ascend
+    /// physically with the round (`fleet_props::
+    /// rounds_ascend_on_every_member`), so the rounds before `r` lie
+    /// below this LBN on `m` and the others at or above it.
+    pub(crate) fn round_start(&self, r: usize, m: usize) -> u64 {
+        match self.kind {
+            VolumeKind::Striped => self.units[r * self.members + m].pstart,
+            VolumeKind::Mirrored => self.units[r].pstart,
+            VolumeKind::Raid5 => self.rounds[r].pstarts[m],
+        }
     }
 
     /// Index of the logical unit containing `lbn`.

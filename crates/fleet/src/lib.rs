@@ -30,10 +30,12 @@
 //!   loop (`server::serve`) runs unchanged on top of a fleet without
 //!   either crate depending on the other.
 //!
-//! Determinism: the volume never spawns threads, member command issue
-//! times are clamped per member (FCFS at each drive), and the data plane
-//! is pure integer arithmetic — a volume run is bit-identical on any
-//! host at any thread count, like every layer below it.
+//! Determinism: member commands issue on the calling thread, their
+//! times clamped per member (FCFS at each drive), and the data plane is
+//! pure integer arithmetic. A fill or scrub splits the stripe rounds
+//! into ranges on scoped threads, but each range's words are a function
+//! of the layout and the seed alone — a volume run is bit-identical on
+//! any host at any thread count, like every layer below it.
 //!
 //! # Example
 //!
@@ -62,6 +64,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod crash;
 pub mod data;
@@ -89,6 +97,12 @@ pub enum FleetError {
         kind: &'static str,
         /// Members required.
         need: usize,
+        /// Members supplied.
+        got: usize,
+    },
+    /// A stripe unit landed on a member past index 65 535, which the
+    /// volume-wide boundary map's `u16` spindle ids cannot name.
+    TooManyMembers {
         /// Members supplied.
         got: usize,
     },
@@ -158,6 +172,9 @@ impl fmt::Display for FleetError {
                     f,
                     "a {kind} volume needs at least {need} members, got {got}"
                 )
+            }
+            FleetError::TooManyMembers { got } => {
+                write!(f, "a volume spans at most 65 536 members, got {got}")
             }
             FleetError::MemberMismatch {
                 member,

@@ -1,12 +1,13 @@
 //! Background repair: rebuilding a failed member and scrubbing
 //! redundancy.
 //!
-//! Both run as sequential background scans on the simulated clock —
-//! each step's member commands issue when the previous step's finished —
-//! and report progress through the [`traxtent::obs`] registry so the
+//! Rebuild and `scrub_repair` run as sequential background scans on the
+//! simulated clock — each step's member commands issue when the previous
+//! step's finished — while `scrub` issues no command and folds over the
+//! stores; all report through the [`traxtent::obs`] registry so the
 //! same observability surface that watches the server watches repair.
 
-use crate::data::SectorStore;
+use crate::data::{cores, nonzero, scrub_in_parts, SectorStore};
 use crate::layout::{LogicalUnit, VolumeKind};
 use crate::volume::{lost, Access, Volume};
 use crate::FleetError;
@@ -47,8 +48,7 @@ pub struct RepairReport {
 /// What a [`Volume::scrub`] pass verified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScrubReport {
-    /// Members in the order the scrub prioritized them (most suspect
-    /// first, by fault-layer statistics).
+    /// Members most suspect first, by fault-layer statistics.
     pub order: Vec<usize>,
     /// Sectors whose redundancy was checked.
     pub checked_sectors: u64,
@@ -56,18 +56,11 @@ pub struct ScrubReport {
     pub mismatches: u64,
 }
 
-/// A member's scrub priority: drives that have been throwing media
-/// errors, growing defects, or surfacing transient faults get verified
-/// first.
+/// A member's scrub rank: drives that have been throwing media errors,
+/// growing defects, or surfacing transient faults rank first.
 fn suspicion(v: &Volume, m: usize) -> u64 {
     let s = v.members[m].disk.fault_stats();
     s.media_errors + 2 * s.grown_defects + 2 * s.grown_defects_unspared + s.transient_surfaced
-}
-
-/// Sectors of a syndrome (the XOR of columns that should cancel) that
-/// violate the redundancy invariant.
-fn nonzero(syndrome: &[u64]) -> u64 {
-    syndrome.iter().filter(|&&w| w != 0).count() as u64
 }
 
 impl Volume {
@@ -168,65 +161,27 @@ impl Volume {
     }
 
     /// Verifies the redundancy invariant across the data plane: parity
-    /// equals the XOR of its data columns (RAID-5), every healthy mirror
-    /// copy agrees (RAID-1). Members are prioritized by their fault-layer
-    /// statistics — drives that have been throwing errors get their
-    /// stripes checked first — which is the scheduling signal a
-    /// background scrubber keys on. RAID-0 has nothing to cross-check.
+    /// equals the XOR of its data columns (RAID-5, every member healthy),
+    /// every healthy mirror copy agrees with the least suspect one
+    /// (RAID-1). The report ranks members by their fault-layer statistics,
+    /// most suspect first — the signal a background scrubber keys on.
+    /// RAID-0 has nothing to cross-check. The check is a pure fold over
+    /// the stores, cut into one range of stripe rounds per core.
     ///
     /// Totals land in `reg` as `fleet.scrub.passes`,
     /// `fleet.scrub.checked_sectors`, and `fleet.scrub.mismatches`.
     pub fn scrub(&mut self, reg: &Registry) -> ScrubReport {
         let mut order: Vec<usize> = (0..self.members.len()).collect();
         order.sort_by_key(|&m| std::cmp::Reverse(suspicion(self, m)));
+        let reference = order
+            .iter()
+            .rev()
+            .copied()
+            .find(|&m| self.members[m].healthy);
         // A scrub reads the whole plane, so it fills an implicit one.
         let members = &self.members;
         let stores = self.plane.stores(&self.layout, |m| !members[m].healthy);
-        let mut checked = 0u64;
-        let mut mismatches = 0u64;
-        let mut syndrome = Vec::new();
-        match self.layout.kind() {
-            VolumeKind::Striped => {}
-            VolumeKind::Mirrored => {
-                // Walk copies most-suspect-first against a healthy
-                // reference copy.
-                if let Some(&reference) = order.iter().rev().find(|&&m| self.members[m].healthy) {
-                    for &m in &order {
-                        if m == reference || !self.members[m].healthy {
-                            continue;
-                        }
-                        for u in self.layout.units() {
-                            syndrome.clear();
-                            stores[reference].read_into(u.pstart, u.len, &mut syndrome);
-                            stores[m].xor_into(u.pstart, &mut syndrome);
-                            checked += u.len;
-                            mismatches += nonzero(&syndrome);
-                        }
-                    }
-                }
-            }
-            VolumeKind::Raid5 => {
-                if self.members.iter().all(|m| m.healthy) {
-                    // Rounds whose parity lives on the most suspect
-                    // member are verified first.
-                    let mut rank = vec![0; self.members.len()];
-                    for (pos, &m) in order.iter().enumerate() {
-                        rank[m] = pos;
-                    }
-                    let mut rounds: Vec<_> = self.layout.rounds().iter().collect();
-                    rounds.sort_by_key(|info| rank[info.parity]);
-                    for info in rounds {
-                        syndrome.clear();
-                        syndrome.resize(info.len as usize, 0);
-                        for (store, &pstart) in stores.iter().zip(&info.pstarts) {
-                            store.xor_into(pstart, &mut syndrome);
-                        }
-                        checked += info.len;
-                        mismatches += nonzero(&syndrome);
-                    }
-                }
-            }
-        }
+        let (checked, mismatches) = scrub_in_parts(&self.layout, stores, reference, cores());
         reg.add("fleet.scrub.passes", 1);
         reg.add("fleet.scrub.checked_sectors", checked);
         reg.add("fleet.scrub.mismatches", mismatches);

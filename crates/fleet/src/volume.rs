@@ -930,6 +930,7 @@ impl Backend for Volume {
     /// Panics if the volume cannot serve a request — a failed RAID-0
     /// member or a double failure. Callers gate degraded service on
     /// [`Volume::can_serve`].
+    #[expect(clippy::panic, reason = "the # Panics contract")]
     fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>) {
         for &(req, at) in batch {
             let done = self

@@ -4,7 +4,9 @@
 //! single member is bit-exact — all over random heterogeneous member
 //! geometries with mixed extraction confidence. `split`, whose unit lookup
 //! goes through the bucket directory, is held to a walk over the units,
-//! and the single-pass `fill_stores` to the two-pass fill it replaced.
+//! and the single-pass `fill_stores` to the two-pass fill it replaced;
+//! every member's rounds ascend physically, which the range-split fill
+//! rests on.
 
 use fleet::{
     fill_stores, pattern_word, reconstruct_unit, stripe_units, Chunk, SectorStore, StripePolicy,
@@ -386,5 +388,67 @@ fn fill_matches_the_two_pass_fill() {
     );
     let mut branches: Vec<&str> = KIND_POLICIES.concat();
     branches.extend(["over_old_words", "dead_member"]);
+    tally.require(name, &branches);
+}
+
+// ---------------------------------------------------------------------
+// The precondition the range-split fill rests on.
+// ---------------------------------------------------------------------
+
+/// Each member's physical range of every round, in round order: a unit
+/// on its member (every member, for a mirror) and a RAID-5 round's
+/// parity unit on the parity member.
+fn member_rounds(layout: &VolumeLayout) -> Vec<Vec<(usize, u64, u64)>> {
+    let mut ranges = vec![Vec::new(); layout.members()];
+    for u in layout.units() {
+        let range = (u.round, u.pstart, u.pstart + u.len);
+        match layout.kind() {
+            VolumeKind::Mirrored => ranges.iter_mut().for_each(|m| m.push(range)),
+            _ => ranges[u.member].push(range),
+        }
+    }
+    for (r, info) in layout.rounds().iter().enumerate() {
+        let start = info.pstarts[info.parity];
+        let parity = &mut ranges[info.parity];
+        let at = parity.partition_point(|&(round, ..)| round < r);
+        parity.insert(at, (r, start, start + info.len));
+    }
+    ranges
+}
+
+#[test]
+fn rounds_ascend_on_every_member() {
+    // `fill_stores` splits every store where a round range begins on it,
+    // which holds only if each member's round `r` ends at or before where
+    // its round `r + 1` begins.
+    let name = "rounds_ascend_on_every_member";
+    let mut tally = Tally::default();
+    for_cases(
+        name,
+        192,
+        (arb_members(3), arb_kind(), arb_policy()),
+        |(maps, kind, policy)| {
+            let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
+                return; // e.g. no complete round fits
+            };
+            let rounds = layout.units().last().map_or(0, |u| u.round + 1);
+            for (m, ranges) in member_rounds(&layout).iter().enumerate() {
+                let held: Vec<usize> = ranges.iter().map(|&(round, ..)| round).collect();
+                assert_eq!(held, (0..rounds).collect::<Vec<_>>(), "member {m}");
+                for pair in ranges.windows(2) {
+                    let ((r, _, end), (_, next, _)) = (pair[0], pair[1]);
+                    assert!(
+                        end <= next,
+                        "member {m}: round {r} ends at {end}, past {next}"
+                    );
+                    tally.note(if end < next { "gap" } else { "abutting" });
+                }
+            }
+            let policy = usize::from(matches!(policy, StripePolicy::Aligned { .. }));
+            tally.note(KIND_POLICIES[kind as usize][policy]);
+        },
+    );
+    let mut branches: Vec<&str> = KIND_POLICIES.concat();
+    branches.extend(["gap", "abutting"]);
     tally.require(name, &branches);
 }

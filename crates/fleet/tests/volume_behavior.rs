@@ -4,11 +4,14 @@
 
 use fleet::{
     member_boundaries, pattern_word, FleetError, SectorStore, StripePolicy, Volume, VolumeKind,
+    VolumeLayout,
 };
 use server::{serve, Backend, SchedulerKind, ServerConfig};
+use sim_disk::crash::CrashError;
 use sim_disk::disk::Disk;
 use sim_disk::models::small_test_disk;
 use sim_disk::SimTime;
+use traxtent::boundaries::ConfidentBoundaries;
 use traxtent::obs::Registry;
 
 fn members(n: usize) -> Vec<(Disk, traxtent::boundaries::ConfidentBoundaries)> {
@@ -51,6 +54,23 @@ fn too_few_members_is_a_typed_error() {
         Volume::raid5(members(2), policy).err(),
         too_few("raid5", 3, 2)
     );
+}
+
+/// Boundary state: a stripe unit on a member past index 65 535 has no
+/// `u16` spindle id, so the layout is refused rather than mislabelled.
+#[test]
+fn too_many_members_is_a_typed_error() {
+    let one_track = ConfidentBoundaries::from_unit_lengths([(1, 1.0)]).unwrap();
+    let policy = StripePolicy::aligned();
+    let maps = vec![one_track; 65_537];
+    let err = VolumeLayout::new(VolumeKind::Striped, &maps, &policy).err();
+    assert_eq!(err, Some(FleetError::TooManyMembers { got: 65_537 }));
+    assert_eq!(
+        err.map(|e| e.to_string()).as_deref(),
+        Some("a volume spans at most 65 536 members, got 65537")
+    );
+    let layout = VolumeLayout::new(VolumeKind::Striped, &maps[1..], &policy).unwrap();
+    assert_eq!(layout.units().last().map(|u| u.member), Some(65_535));
 }
 
 #[test]
@@ -363,6 +383,29 @@ fn a_failed_member_holds_no_store() {
         "rebuilt as never failed"
     );
     assert_eq!(v.scrub(&reg).mismatches, 0);
+}
+
+/// A power cut needs an armed capture to resolve against: without one —
+/// never armed, or disarmed by an earlier cut — it is a typed error that
+/// leaves the plane as it was.
+#[test]
+fn a_cut_without_an_armed_capture_is_not_armed() {
+    let mut v = Volume::raid5(members(3), StripePolicy::aligned()).unwrap();
+    v.format(SEED);
+    assert_eq!(v.power_cut(SimTime::ZERO), Err(CrashError::NotArmed));
+    assert!(v.member_store(0).is_none(), "a refused cut fills nothing");
+    v.arm_crash();
+    v.write(0, &[7; 64], SimTime::ZERO).unwrap();
+    let horizon = v.crash_horizon();
+    let report = v.power_cut(horizon).unwrap();
+    assert_eq!(report.lost_writes, 0);
+    let after = v.member_store(0).cloned();
+    assert_eq!(v.power_cut(horizon), Err(CrashError::NotArmed));
+    assert_eq!(v.member_store(0).cloned(), after);
+    assert_eq!(
+        CrashError::NotArmed.to_string(),
+        "power cut without armed crash capture"
+    );
 }
 
 /// A zero-length trace serves nothing and reports zeros, on one drive and

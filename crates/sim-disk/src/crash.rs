@@ -145,6 +145,9 @@ pub enum CrashError {
         /// The offending write's request sequence number.
         req: u64,
     },
+    /// A cut was asked of a capture that was never armed: there is no
+    /// snapshot to resolve it against.
+    NotArmed,
 }
 
 impl fmt::Display for CrashError {
@@ -153,6 +156,7 @@ impl fmt::Display for CrashError {
             CrashError::MissingPayload { req } => {
                 write!(f, "write {req} hit media but has no recorded payload")
             }
+            CrashError::NotArmed => write!(f, "power cut without armed crash capture"),
         }
     }
 }
