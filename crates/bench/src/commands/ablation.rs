@@ -9,10 +9,11 @@
 //!   as the only difference — separating the two mechanisms the design
 //!   stacks together.
 
+use super::random_io;
+use crate::{Row, Run};
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
-use traxtent_bench::{Row, Run};
-use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
+use workloads::microbench::{Alignment, QueueDepth, RandomIoSpec};
 
 /// Appends the onereq and tworeq head-time reductions (percent) that
 /// alignment buys on `cfg` to `row`, keyed `{onereq,tworeq}_pct_<stem>`.
@@ -22,14 +23,10 @@ fn reductions(run: &Run, cfg: DiskConfig, row: Row, stem: &str) -> Row {
     let track = cfg.geometry.track(0).lbn_count() as u64;
     let mut disk = Disk::new(cfg);
     let mut head = |alignment, queue| {
-        let spec = RandomIoSpec {
-            count,
-            seed: run.seed,
-            ..RandomIoSpec::reads(track, alignment, queue)
-        };
-        let r = run_random_io(&mut disk, &spec);
-        r.export_metrics(&run.reg, queue);
-        r.mean_head_time(queue).as_millis_f64()
+        let spec = RandomIoSpec::reads(track, alignment, queue);
+        random_io(run, &mut disk, count, spec)
+            .mean_head_time(queue)
+            .as_millis_f64()
     };
     let mut reduction = |queue| {
         100.0 * (1.0 - head(Alignment::TrackAligned, queue) / head(Alignment::Unaligned, queue))
@@ -42,9 +39,7 @@ fn reductions(run: &Run, cfg: DiskConfig, row: Row, stem: &str) -> Row {
         .key(format!("tworeq_pct_{stem}"))
 }
 
-fn main() {
-    let run = Run::start("ablation", &[], &[]);
-
+pub(crate) fn main(run: &Run) {
     run.header(
         "Ablation A: head-time reduction from track alignment, per drive",
         &["drive", "zero_latency", "onereq", "tworeq", "paper"],
@@ -67,7 +62,7 @@ fn main() {
     run.sweep(sheets, |_, (sheet, pap)| {
         let row = Row::new().col(sheet.name).col(sheet.zero_latency);
         let stem = sheet.name.to_lowercase().replace([' ', '-'], "_");
-        reductions(&run, sheet.build(), row, &stem).col(pap)
+        reductions(run, sheet.build(), row, &stem).col(pap)
     });
 
     run.header(
@@ -83,11 +78,10 @@ fn main() {
             zero_latency,
             ..models::quantum_atlas_10k_ii()
         };
-        reductions(&run, cfg, Row::new().col(label), key)
+        reductions(run, cfg, Row::new().col(label), key)
     });
     println!(
         "with zero-latency disabled, alignment only saves the head switch — the gain collapses, \
          confirming §2.2's claim that the two mechanisms together make the track the sweet spot"
     );
-    run.finish();
 }

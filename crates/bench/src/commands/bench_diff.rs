@@ -1,9 +1,9 @@
 //! Compares two manifest directories and fails on regressions.
 //!
 //! ```text
-//! bench_diff results/baseline results/manifest
-//! bench_diff results/baseline results/manifest --tol 0.05 --wall-tol 2.0
-//! bench_diff results/baseline results/manifest --only replay_synthetic --wall-tol 3.0
+//! bench bench_diff results/baseline results/manifest
+//! bench bench_diff results/baseline results/manifest --tol 0.05 --wall-tol 2.0
+//! bench bench_diff results/baseline results/manifest --only replay_synthetic --wall-tol 3.0
 //! ```
 //!
 //! Every figure present in the baseline must appear in the current run with
@@ -14,19 +14,10 @@
 //! beside the strict full-set diff. Exits 0 when everything is within
 //! tolerance, 1 on any regression, 2 on usage errors.
 
-use traxtent_bench::diff::{diff_dirs_only, Tolerances};
-use traxtent_bench::{Cli, Grammar};
+use crate::diff::{diff_dirs_only, Tolerances};
+use crate::{die, Cli};
 
-fn main() {
-    let cli = Cli::from_env(&Grammar {
-        usage: Some(
-            "<baseline_dir> <current_dir> \
-             [--tol <frac>] [--wall-tol <frac>] [--only <figure>]...",
-        ),
-        flags: &[],
-        values: &["--tol", "--wall-tol", "--only"],
-        positionals: 2,
-    });
+pub(crate) fn main(cli: &Cli) {
     let tol = Tolerances {
         headline_rel: cli
             .number("--tol")
@@ -41,9 +32,6 @@ fn main() {
             print!("{}", report.render());
             std::process::exit(if report.passed() { 0 } else { 1 });
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => die(&e),
     }
 }

@@ -15,6 +15,7 @@
 //! bit-reproducible at any `--threads`, and the committed baseline
 //! manifest turns any drift into a `bench_diff` failure.
 
+use crate::{Row, Run};
 use ffs::fsck::{check, fsck};
 use ffs::image::is_meta_block;
 use ffs::{FileId, FileSystem, Personality, BLOCK_SECTORS};
@@ -24,19 +25,22 @@ use sim_disk::crash::{pattern_payload, replay, splitmix, CrashLog, SectorImage, 
 use sim_disk::disk::Disk;
 use sim_disk::{models, SimTime};
 use traxtent::obs::Registry;
-use traxtent_bench::{Row, Run};
 
 const MB: u64 = 1 << 20;
 const LFS_CAPACITY: u64 = 4096;
 
+/// The splitmix stream after `seed`: each call returns the next draw.
+fn draws(mut h: u64) -> impl FnMut() -> u64 {
+    move || {
+        h = splitmix(h);
+        h
+    }
+}
+
 /// Deterministic ffs workload (creates, appends, deletes, syncs), kept
 /// well inside the small test disk.
 fn ffs_workload(fs: &mut FileSystem, seed: u64) {
-    let mut h = seed;
-    let mut next = move || {
-        h = splitmix(h);
-        h
-    };
+    let mut next = draws(seed);
     let mut live: Vec<FileId> = Vec::new();
     for _ in 0..30 {
         match next() % 10 {
@@ -63,7 +67,7 @@ fn ffs_workload(fs: &mut FileSystem, seed: u64) {
                 }
             }
             _ => {
-                if next() % 2 == 0 {
+                if next().is_multiple_of(2) {
                     fs.sync();
                 } else {
                     fs.checkpoint_metadata();
@@ -106,13 +110,9 @@ fn build_ffs(run: &Run, seed: u64) -> FfsRun {
 fn build_lfs(run: &Run, seed: u64) -> CrashLog {
     let disk = Disk::new(run.drive(models::small_test_disk()));
     let mut log = LogDisk::new(disk, LFS_CAPACITY);
-    let mut h = seed;
-    let mut next = move || {
-        h = splitmix(h);
-        h
-    };
+    let mut next = draws(seed);
     for i in 0..40u64 {
-        if next() % 5 == 0 {
+        if next().is_multiple_of(5) {
             log.checkpoint();
         } else {
             let sectors = 1 + next() % 16;
@@ -144,11 +144,7 @@ fn build_raid5(run: &Run, seed: u64) -> Volume {
     let mut v = Volume::raid5(members, StripePolicy::aligned()).unwrap();
     v.format(seed);
     v.arm_crash();
-    let mut h = seed;
-    let mut next = move || {
-        h = splitmix(h);
-        h
-    };
+    let mut next = draws(seed);
     let cap = v.capacity();
     let mut t = SimTime::ZERO;
     for _ in 0..20 {
@@ -214,9 +210,11 @@ fn mid_meta_instants(initial: &SectorImage, log: &CrashLog, out: &mut Vec<SimTim
     }
 }
 
-/// Snaps `target` to the nearest candidate instant; endpoint fractions
-/// (nothing durable / everything durable) pass through untouched.
-fn snap_cut(cands: &[SimTime], target: SimTime, frac: u64) -> SimTime {
+/// The cut `frac` thousandths of the way to `horizon`, snapped to the
+/// nearest candidate instant; endpoint fractions (nothing durable /
+/// everything durable) pass through untouched.
+fn snap_cut(cands: &[SimTime], horizon: SimTime, frac: u64) -> SimTime {
+    let target = SimTime::from_ns(horizon.as_ns() * frac / 1000);
     if frac == 0 || frac == 1000 || cands.is_empty() {
         return target;
     }
@@ -235,11 +233,7 @@ fn run_cut(run: &Run, ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64
     if cands.is_empty() {
         mid_record_instants(&ffs_run.log, &mut cands);
     }
-    let cut = snap_cut(
-        &cands,
-        SimTime::from_ns(ffs_run.log.horizon().as_ns() * frac / 1000),
-        frac,
-    );
+    let cut = snap_cut(&cands, ffs_run.log.horizon(), frac);
     let mut img = replay(&ffs_run.initial, &ffs_run.log, cut).expect("payloads attached");
     let mountable_norec = check(&img, &ffs_run.layout).is_ok();
     let report = fsck(&mut img, &ffs_run.layout);
@@ -257,11 +251,7 @@ fn run_cut(run: &Run, ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64
     // roll-forward replays every durable sealed batch past it.
     let mut cands = Vec::new();
     mid_record_instants(lfs_log, &mut cands);
-    let lcut = snap_cut(
-        &cands,
-        SimTime::from_ns(lfs_log.horizon().as_ns() * frac / 1000),
-        frac,
-    );
+    let lcut = snap_cut(&cands, lfs_log.horizon(), frac);
     let limg = replay(&SectorImage::new(), lfs_log, lcut).expect("payloads attached");
     let recovered = recover(&limg, LFS_CAPACITY);
 
@@ -275,11 +265,7 @@ fn run_cut(run: &Run, ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64
         }
     }
     cands.sort_unstable();
-    let vcut = snap_cut(
-        &cands,
-        SimTime::from_ns(v.crash_horizon().as_ns() * frac / 1000),
-        frac,
-    );
+    let vcut = snap_cut(&cands, v.crash_horizon(), frac);
     let rep = v.power_cut(vcut).expect("payloads attached");
     let reg = Registry::new();
     let before = v.scrub(&reg);
@@ -315,8 +301,7 @@ fn run_cut(run: &Run, ffs_run: &FfsRun, lfs_log: &CrashLog, seed: u64, frac: u64
         .sum("raid5_holes_after_repair")
 }
 
-fn main() {
-    let run = Run::start("crash_sweep", &[], &[]);
+pub(crate) fn main(run: &Run) {
     run.no_faults(
         "crash_sweep injects power cuts, not drive faults; \
          vary --seed to replay the sweep on a different workload",
@@ -330,8 +315,8 @@ fn main() {
         (0..=20).map(|i| i * 50).collect()
     };
 
-    let ffs_run = build_ffs(&run, seed);
-    let lfs_log = build_lfs(&run, seed);
+    let ffs_run = build_ffs(run, seed);
+    let lfs_log = build_lfs(run, seed);
 
     run.header(
         "crash sweep: cut-point grid x {ffs, lfs, raid5} x recovery on/off",
@@ -348,8 +333,5 @@ fn main() {
             "r5_after",
         ],
     );
-    run.sweep(grid, |_, frac| {
-        run_cut(&run, &ffs_run, &lfs_log, seed, frac)
-    });
-    run.finish();
+    run.sweep(grid, |_, frac| run_cut(run, &ffs_run, &lfs_log, seed, frac));
 }

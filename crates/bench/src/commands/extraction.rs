@@ -6,12 +6,12 @@
 //! the SCSI algorithm on the full Atlas 10K II; `--full` also runs the
 //! general algorithm on the full drive (minutes of wall time).
 
+use crate::{Row, Run};
 use dixtrac::{extract_general, extract_scsi, GeneralConfig};
 use scsi::ScsiDisk;
 use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use traxtent_bench::{Row, Run};
 
 /// Factory-defect variants of §4.1: `(name, Some((spares, policy,
 /// rate_per_million, seed)))`, or `None` for the pristine drive.
@@ -43,8 +43,7 @@ const VARIANTS: [Variant; 4] = [
     ),
 ];
 
-fn main() {
-    let run = Run::start("extraction", &["--full"], &[]);
+pub(crate) fn main(run: &Run) {
     run.header(
         "§4.1: track-boundary extraction",
         &["disk", "variant", "algorithm", "exact", "cost", "sim_time"],
@@ -134,5 +133,4 @@ fn main() {
                 .col("-"),
         }
     });
-    run.finish();
 }

@@ -14,16 +14,16 @@
 //! Fault decisions are pure functions of the fault seed and request
 //! identity, so the sweep is bit-reproducible at any `--threads`. The
 //! fault seed derives from `--seed`, so one flag replays the whole sweep
-//! on a different fault stream; a `--faults` spec passed to this binary is
+//! on a different fault stream; a `--faults` spec passed to this figure is
 //! rejected since the sweep sets its own per level.
 
+use crate::{Row, Run};
 use dixtrac::{extract_auto, ExtractionMethod, GeneralConfig};
 use scsi::ScsiDisk;
 use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
 use sim_disk::fault::FaultConfig;
 use sim_disk::models;
-use traxtent_bench::{Row, Run};
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
 
 /// The swept fault levels, mildest first: `(name, --faults spec)`. The
@@ -124,8 +124,7 @@ fn run_level(run: &Run, name: &str, spec: &str) -> Row {
         ))
 }
 
-fn main() {
-    let run = Run::start("fault_sweep", &[], &[]);
+pub(crate) fn main(run: &Run) {
     run.no_faults(
         "fault_sweep sweeps its own fault specs per level; \
          vary --seed to replay the sweep on a different fault stream",
@@ -143,7 +142,6 @@ fn main() {
         ],
     );
     run.sweep(LEVELS.to_vec(), |_, (name, spec)| {
-        run_level(&run, name, spec)
+        run_level(run, name, spec)
     });
-    run.finish();
 }

@@ -7,14 +7,14 @@
 //! track (≈ 82 % of the streaming maximum), while unaligned access needs
 //! ≈ 1 MB to catch up.
 
+use super::random_io;
+use crate::{Row, Run};
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use traxtent::model::DiskParams;
-use traxtent_bench::{Row, Run};
-use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
+use workloads::microbench::{Alignment, QueueDepth, RandomIoSpec};
 
-fn main() {
-    let run = Run::start("fig1", &[], &[]);
+pub(crate) fn main(run: &Run) {
     let count = if run.quick { 300 } else { 2000 };
     let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64; // 528 sectors
@@ -36,13 +36,8 @@ fn main() {
     println!("KB\taligned\tunaligned\tmodel_aligned\tmodel_unaligned");
 
     let measure = |io, alignment| {
-        let spec = RandomIoSpec {
-            count,
-            seed: run.seed,
-            ..RandomIoSpec::reads(io, alignment, QueueDepth::Two)
-        };
-        let r = run_random_io(&mut Disk::new(cfg.clone()), &spec);
-        r.export_metrics(&run.reg, QueueDepth::Two);
+        let spec = RandomIoSpec::reads(io, alignment, QueueDepth::Two);
+        let r = random_io(run, &mut Disk::new(cfg.clone()), count, spec);
         r.efficiency(QueueDepth::Two)
     };
     // Sweep: fractions of a track up to 8 tracks (≈ 2 MB), plus the
@@ -68,5 +63,4 @@ fn main() {
             ))
         }
     });
-    run.finish();
 }

@@ -5,14 +5,13 @@
 //! `WriteCost` comes from the cleaner simulator under the hot/cold update
 //! stream; `TransferInefficiency` is measured on the simulated drive.
 
+use crate::{Row, Run};
 use lfs::cleaner::{LfsConfig, LfsSim};
 use lfs::transfer_inefficiency;
 use sim_disk::models;
 use traxtent::model::matthews_transfer_inefficiency;
-use traxtent_bench::{Row, Run};
 
-fn main() {
-    let run = Run::start("fig10", &[], &[]);
+pub(crate) fn main(run: &Run) {
     let (ti_samples, updates, capacity) = if run.quick {
         (120, 40_000, 1 << 16)
     } else {
@@ -78,5 +77,4 @@ fn main() {
          paper: 44% lower overall write cost for track-sized segments)",
         100.0 * (1.0 - aligned / unaligned)
     );
-    run.finish();
 }

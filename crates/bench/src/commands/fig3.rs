@@ -3,14 +3,14 @@
 //! plus simulated confirmation on the Atlas 10K II (zero-latency) and on
 //! the same drive with zero-latency support disabled (ordinary).
 
+use super::random_io;
+use crate::{Row, Run};
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
 use traxtent::model;
-use traxtent_bench::{Row, Run};
-use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
+use workloads::microbench::{Alignment, QueueDepth, RandomIoSpec};
 
-fn main() {
-    let run = Run::start("fig3", &[], &[]);
+pub(crate) fn main(run: &Run) {
     let count = if run.quick { 200 } else { 1500 };
     let cfg = run.drive(models::quantum_atlas_10k_ii());
     let rev_ms = cfg.spindle.revolution().as_millis_f64();
@@ -38,13 +38,8 @@ fn main() {
                 zero_latency,
                 ..cfg.clone()
             });
-            let spec = RandomIoSpec {
-                count,
-                seed: run.seed,
-                ..RandomIoSpec::reads(sectors, Alignment::TrackAligned, QueueDepth::One)
-            };
-            let r = run_random_io(&mut disk, &spec);
-            r.export_metrics(&run.reg, QueueDepth::One);
+            let spec = RandomIoSpec::reads(sectors, Alignment::TrackAligned, QueueDepth::One);
+            let r = random_io(run, &mut disk, count, spec);
             r.mean_component_ms(|c| c.breakdown.rot_latency)
                 + r.mean_component_ms(|c| c.breakdown.media)
                 - f * rev_ms
@@ -58,5 +53,4 @@ fn main() {
             .num(sim(false), 2)
             .key_if(pct == 100, "ordinary_ms_at_track")
     });
-    run.finish();
 }

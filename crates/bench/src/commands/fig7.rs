@@ -2,14 +2,14 @@
 //! a zero-latency disk — normal (unaligned) access vs track-aligned access
 //! vs the hypothetical out-of-order bus delivery.
 
+use super::random_io;
+use crate::{Row, Run};
 use sim_disk::bus::BusConfig;
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
-use traxtent_bench::{Row, Run};
-use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
+use workloads::microbench::{Alignment, QueueDepth, RandomIoSpec};
 
-fn main() {
-    let run = Run::start("fig7", &[], &[]);
+pub(crate) fn main(run: &Run) {
     let count = if run.quick { 300 } else { 2000 };
     let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64;
@@ -53,13 +53,8 @@ fn main() {
         } else {
             Disk::new(cfg.clone())
         };
-        let spec = RandomIoSpec {
-            count,
-            seed: run.seed,
-            ..RandomIoSpec::reads(track, alignment, QueueDepth::One)
-        };
-        let r = run_random_io(&mut disk, &spec);
-        r.export_metrics(&run.reg, QueueDepth::One);
+        let spec = RandomIoSpec::reads(track, alignment, QueueDepth::One);
+        let r = random_io(run, &mut disk, count, spec);
         let mid = r.mean_component_ms(|c| c.breakdown.rot_latency)
             + r.mean_component_ms(|c| c.breakdown.head_switch)
             + r.mean_component_ms(|c| c.breakdown.media);
@@ -74,5 +69,4 @@ fn main() {
     println!(
         "paper: normal ≈ 12.0 ms; aligned ≈ 9.2 ms; out-of-order delivery overlaps the bus tail"
     );
-    run.finish();
 }

@@ -2,14 +2,14 @@
 //! and unaligned access, on a simulated Atlas 10K II with an infinitely
 //! fast bus (isolating mechanical variance, as the paper does).
 
+use super::random_io;
+use crate::{Row, Run};
 use sim_disk::bus::BusConfig;
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::models;
-use traxtent_bench::{Row, Run};
-use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoSpec};
+use workloads::microbench::{Alignment, QueueDepth, RandomIoSpec};
 
-fn main() {
-    let run = Run::start("fig8", &[], &[]);
+pub(crate) fn main(run: &Run) {
     let count = if run.quick { 400 } else { 3000 };
     let cfg = run.drive(DiskConfig {
         bus: BusConfig::infinite(),
@@ -36,13 +36,8 @@ fn main() {
         ],
         |pct| Row::new().col(pct),
         |&pct, &(name, alignment)| {
-            let spec = RandomIoSpec {
-                count,
-                seed: run.seed,
-                ..RandomIoSpec::reads((track * pct / 100).max(1), alignment, QueueDepth::One)
-            };
-            let r = run_random_io(&mut Disk::new(cfg.clone()), &spec);
-            r.export_metrics(&run.reg, QueueDepth::One);
+            let spec = RandomIoSpec::reads((track * pct / 100).max(1), alignment, QueueDepth::One);
+            let r = random_io(run, &mut Disk::new(cfg.clone()), count, spec);
             Row::new()
                 .num(r.mean_response().as_millis_f64(), 2)
                 .key_if(pct == 100, format!("{name}_mean_ms_at_track"))
@@ -51,5 +46,4 @@ fn main() {
         },
     );
     println!("paper: σ_aligned falls to ≈ 0.4 ms at track size (pure seek variance); σ_unaligned stays ≈ 1.5 ms");
-    run.finish();
 }

@@ -1,36 +1,37 @@
 //! Figure 9: worst-case startup latency of a video stream vs number of
 //! concurrent streams on a 10-disk Atlas 10K II array, for track-aligned
-//! and unaligned access. With `--hard`, prints the §5.4.2 hard-real-time
-//! admission numbers instead.
+//! and unaligned access; `fig9_hard` prints the §5.4.2 hard-real-time
+//! admission numbers.
 
+use crate::{Row, Run};
 use sim_disk::models;
 use sim_disk::SimDur;
-use traxtent_bench::{Row, Run};
 use videoserver::{hard, soft, ServerConfig};
 
-fn main() {
-    let run = Run::start("fig9", &["--hard"], &[]);
+/// §5.4.2: hard real-time streams per disk.
+pub(crate) fn hard_real_time(run: &Run) {
     let cfg = run.drive(models::quantum_atlas_10k_ii());
     let track = cfg.geometry.track(0).lbn_count() as u64;
+    run.header(
+        "§5.4.2: hard real-time streams per disk (4 Mb/s)",
+        &["io_size", "unaligned", "track-aligned"],
+    );
+    let sizes = vec![("264 KB", "264kb", track), ("528 KB", "528kb", 2 * track)];
+    run.sweep(sizes, |_, (label, key, io)| {
+        Row::new()
+            .col(label)
+            .num(hard::max_streams(&cfg, 4.0, io, false) as f64, 0)
+            .key(format!("unaligned_streams_{key}"))
+            .num(hard::max_streams(&cfg, 4.0, io, true) as f64, 0)
+            .key(format!("aligned_streams_{key}"))
+    });
+    println!("paper: 264 KB → 36 vs 67; 528 KB → 52 vs 75");
+}
 
-    if run.has("--hard") {
-        run.rename("fig9_hard");
-        run.header(
-            "§5.4.2: hard real-time streams per disk (4 Mb/s)",
-            &["io_size", "unaligned", "track-aligned"],
-        );
-        let sizes = vec![("264 KB", "264kb", track), ("528 KB", "528kb", 2 * track)];
-        run.sweep(sizes, |_, (label, key, io)| {
-            Row::new()
-                .col(label)
-                .num(hard::max_streams(&cfg, 4.0, io, false) as f64, 0)
-                .key(format!("unaligned_streams_{key}"))
-                .num(hard::max_streams(&cfg, 4.0, io, true) as f64, 0)
-                .key(format!("aligned_streams_{key}"))
-        });
-        println!("paper: 264 KB → 36 vs 67; 528 KB → 52 vs 75");
-        return run.finish();
-    }
+/// Figure 9: startup latency vs concurrent streams.
+pub(crate) fn main(run: &Run) {
+    let cfg = run.drive(models::quantum_atlas_10k_ii());
+    let track = cfg.geometry.track(0).lbn_count() as u64;
 
     let (rounds, quantile) = if run.quick { (60, 0.98) } else { (400, 0.9999) };
     run.header(
@@ -84,5 +85,4 @@ fn main() {
     );
     run.set("aligned_streams_at_half_s_round", counts[0] as f64);
     run.set("unaligned_streams_at_half_s_round", counts[1] as f64);
-    run.finish();
 }

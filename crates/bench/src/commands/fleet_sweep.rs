@@ -2,8 +2,8 @@
 //! healthy vs one-member-degraded.
 //!
 //! ```text
-//! fleet_sweep            # full grid
-//! fleet_sweep --quick    # CI grid (fewer requests per cell)
+//! bench fleet_sweep            # full grid
+//! bench fleet_sweep --quick    # CI grid (fewer requests per cell)
 //! ```
 //!
 //! Builds volumes — RAID-0 ×2/×4, RAID-1 ×2, RAID-5 ×3/×5 — out of
@@ -46,6 +46,7 @@
 //! report data loss. Each cell simulates independently and rows merge in
 //! submission order, so stdout is byte-identical at any `--threads`.
 
+use crate::{CellObs, Row, Run};
 use dixtrac::extract_auto;
 use fleet::{pattern_word, StripePolicy, Volume, VolumeKind, VolumeLayout};
 use scsi::ScsiDisk;
@@ -55,7 +56,6 @@ use sim_disk::disk::Disk;
 use sim_disk::models;
 use sim_disk::SimTime;
 use traxtent::boundaries::ConfidentBoundaries;
-use traxtent_bench::{CellObs, Row, Run};
 use workloads::arrivals::{poisson_trace, PoissonSpec};
 
 /// The volume shapes on the sweep's outer axis.
@@ -317,8 +317,7 @@ fn run_cell(run: &Run, cell_index: usize, cell: Cell) -> Row {
         .telemetry(telemetry)
 }
 
-fn main() {
-    let run = Run::start("fleet_sweep", &["--timeline"], &[]);
+pub(crate) fn main(run: &Run) {
     run.header(
         "fleet volumes: track-aligned vs fixed stripe units, healthy vs degraded",
         &[
@@ -358,7 +357,7 @@ fn main() {
         sched: SchedulerKind::Traxtent,
     });
     run.sweep(grid.chain(compound).collect(), |i, cell| {
-        run_cell(&run, i, cell)
+        run_cell(run, i, cell)
     });
 
     // The acceptance headlines: aligned stripe units beat naive fixed
@@ -390,5 +389,4 @@ fn main() {
     // figure's own manifest (the timeline section serializes only when
     // present, so runs without --timeline are unchanged).
     run.print_timelines(None);
-    run.finish();
 }

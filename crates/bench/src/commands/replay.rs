@@ -2,10 +2,10 @@
 //! service path.
 //!
 //! ```text
-//! replay                              # synthetic trace (figure `replay_synthetic`)
-//! replay --input traces/sample.trc   # a committed/external trace (figure `replay`)
-//! replay --count 200000              # synthetic trace of a given length
-//! replay --count 500 --emit out.trc  # write the synthetic trace, don't replay
+//! bench replay                              # synthetic trace (manifest `replay_synthetic`)
+//! bench replay --input traces/sample.trc   # a committed/external trace (manifest `replay`)
+//! bench replay --count 200000              # synthetic trace of a given length
+//! bench replay --count 500 --emit out.trc  # write the synthetic trace, don't replay
 //! ```
 //!
 //! Reads a timestamped block trace (see [`workloads::replay`] for the line
@@ -17,13 +17,13 @@
 //! manifest — wall time is judged by `bench_diff` only under an explicit
 //! `--wall-tol`.
 
+use super::read_input;
+use crate::{die, Row, Run};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use traxtent_bench::{die, Row, Run};
 use workloads::replay::{parse_trace, render_trace, replay, synthetic_trace, SyntheticSpec};
 
-fn main() {
-    let run = Run::start("replay_synthetic", &[], &["--input", "--count", "--emit"]);
+pub(crate) fn main(run: &Run) {
     let cfg = run.drive(models::quantum_atlas_10k_ii());
 
     let capacity = cfg.geometry.capacity_lbns();
@@ -31,10 +31,8 @@ fn main() {
     let count: usize = run.number("--count").unwrap_or(default_count);
     let records = match run.value("--input") {
         Some(path) => {
-            run.rename("replay");
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("cannot read trace `{path}`: {e}")));
-            let records = parse_trace(&text).unwrap_or_else(|e| die(&format!("`{path}`: {e}")));
+            let records =
+                parse_trace(&read_input(path)).unwrap_or_else(|e| die(&format!("`{path}`: {e}")));
             if let Some(i) = records.iter().position(|r| !r.request.fits(capacity)) {
                 let r = records[i].request;
                 die(&format!(
@@ -46,7 +44,10 @@ fn main() {
             }
             records
         }
-        None => synthetic_trace(&SyntheticSpec::default_for(capacity, count, run.seed)),
+        None => {
+            run.rename("replay_synthetic");
+            synthetic_trace(&SyntheticSpec::default_for(capacity, count, run.seed))
+        }
     };
     if records.is_empty() {
         die("trace contains no requests");
@@ -93,5 +94,4 @@ fn main() {
     );
     run.reg
         .set_gauge("replay.requests_per_sec", req_per_sec as u64);
-    run.finish();
 }

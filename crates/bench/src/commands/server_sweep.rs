@@ -2,8 +2,8 @@
 //! scheduler.
 //!
 //! ```text
-//! server_sweep            # full grid
-//! server_sweep --quick    # CI grid (fewer chunks per stream)
+//! bench server_sweep            # full grid
+//! bench server_sweep --quick    # CI grid (fewer chunks per stream)
 //! ```
 //!
 //! Runs the `server` crate's open-loop loop on the Atlas 10K II over a
@@ -22,11 +22,11 @@
 //! settles, and rotational repositioning), which pushes its saturation
 //! knee past C-LOOK's.
 
+use crate::{Row, Run, Telemetry};
 use server::{serve, SchedulerKind, ServerConfig, TimelineConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use traxtent::ConfidentBoundaries;
-use traxtent_bench::{Row, Run, Telemetry};
 use workloads::arrivals::{stream_trace, StreamsSpec};
 
 /// Concurrent streams per direction at each load level; total offered
@@ -108,8 +108,7 @@ fn run_cell(run: &Run, cell_index: usize, streams: usize, sched: SchedulerKind) 
         })
 }
 
-fn main() {
-    let run = Run::start("server_sweep", &["--timeline"], &[]);
+pub(crate) fn main(run: &Run) {
     run.header(
         "open-loop server: response latency vs offered load (track-aligned streams)",
         &[
@@ -130,7 +129,7 @@ fn main() {
         .flat_map(|&s| SchedulerKind::ALL.iter().map(move |&k| (s, k)))
         .collect();
     run.sweep(cells, |i, (streams, sched)| {
-        run_cell(&run, i, streams, sched)
+        run_cell(run, i, streams, sched)
     });
 
     // The acceptance headline: how much p99 the traxtent batcher saves
@@ -145,5 +144,4 @@ fn main() {
     run.set("traxtent_p99_gain_hiload", gain);
 
     run.print_timelines(Some("server_timeline"));
-    run.finish();
 }

@@ -1,11 +1,10 @@
 //! Table 1: representative disk characteristics, printed from the model
 //! presets alongside what the built geometries actually provide.
 
+use crate::{Row, Run};
 use sim_disk::models;
-use traxtent_bench::{Row, Run};
 
-fn main() {
-    let run = Run::start("table1", &[], &[]);
+pub(crate) fn main(run: &Run) {
     run.header(
         "Table 1: representative disk characteristics",
         &[
@@ -42,5 +41,4 @@ fn main() {
             .num(cfg.geometry.capacity_lbns() as f64 * 512.0 / 1e9, 1)
             .sum("total_built_gb")
     });
-    run.finish();
 }

@@ -4,10 +4,10 @@
 //! `--quick` scales the large-file sizes down 8× (ratios are preserved —
 //! these workloads are streaming-dominated).
 
+use crate::{Row, Run};
 use ffs::{FileSystem, Personality};
 use sim_disk::disk::Disk;
 use sim_disk::models;
-use traxtent_bench::{Row, Run};
 use workloads::apps;
 
 const MB: u64 = 1 << 20;
@@ -29,8 +29,7 @@ const APP_KEYS: [&str; 6] = [
     "head_star_s",
 ];
 
-fn main() {
-    let run = Run::start("table2", &[], &[]);
+pub(crate) fn main(run: &Run) {
     let scale = if run.quick { 8 } else { 1 };
     let (scan_bytes, diff_bytes, copy_bytes) = (4 * GB / scale, 512 * MB / scale, GB / scale);
     let (pm_files, pm_tx) = if run.quick { (120, 400) } else { (500, 2000) };
@@ -87,5 +86,4 @@ fn main() {
         "paper (unmodified / fast start / traxtents): scan 189.6/188.9/199.8, diff 69.7/70.0/56.6, \
          copy 156.9/155.3/124.9, Postmark 53/53/55, SSH-build 72.0/71.5/71.5, head* 4.6/5.5/5.2"
     );
-    run.finish();
 }

@@ -5,16 +5,16 @@
 //! reproduce the host-observed response times.
 //!
 //! ```text
-//! fig3 --quick --trace /tmp/fig3.jsonl
-//! trace_report /tmp/fig3.jsonl
+//! bench fig3 --quick --trace /tmp/fig3.jsonl
+//! bench trace_report /tmp/fig3.jsonl
 //! ```
 
+use super::input_lines;
+use crate::Cli;
 use sim_disk::disk::Op;
 use sim_disk::trace::{peek_event_name, TraceEvent};
 use std::collections::BTreeMap;
-use std::io::BufRead;
 use traxtent::stats::percentile;
-use traxtent_bench::{Cli, Grammar};
 
 /// The phases of a [`TraceEvent::Complete`], in report order: eight
 /// additive components, then the host-observed `response` they sum to.
@@ -33,26 +33,24 @@ const PHASES: [&str; 9] = [
 /// The index of `response` in [`PHASES`].
 const RESPONSE: usize = PHASES.len() - 1;
 
+/// What the report reads of a request's closing `complete` event.
+struct Done {
+    req: u64,
+    op: Op,
+    cache_hit: bool,
+    /// The [`PHASES`], in nanoseconds.
+    ns: [u64; PHASES.len()],
+}
+
 /// The worst request rows printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 5;
 
-fn main() {
-    let cli = Cli::from_env(&Grammar {
-        usage: Some("<trace.jsonl> [--top <n>]"),
-        flags: &[],
-        values: &["--top"],
-        positionals: 1,
-    });
+pub(crate) fn main(cli: &Cli) {
     let path = cli.positional(0);
     let top: usize = cli.number("--top").unwrap_or(DEFAULT_TOP);
 
-    let file = std::fs::File::open(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot open `{path}`: {e}");
-        std::process::exit(1);
-    });
-
     let mut census: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut completes: Vec<TraceEvent> = Vec::new();
+    let mut completes: Vec<Done> = Vec::new();
     let mut scsi: BTreeMap<String, u64> = BTreeMap::new();
     // A well-formed line whose event kind this build does not know (a
     // newer producer, or span records mixed into the stream) is counted
@@ -60,14 +58,7 @@ fn main() {
     // mid-write, leaving a truncated tail — stops the scan.
     let mut unknown: BTreeMap<String, u64> = BTreeMap::new();
     let mut truncated_at: Option<usize> = None;
-    for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
-        let line = line.unwrap_or_else(|e| {
-            eprintln!("error: read failure at line {}: {e}", i + 1);
-            std::process::exit(1);
-        });
-        if line.trim().is_empty() {
-            continue;
-        }
+    for (line_no, line) in input_lines(path) {
         let event = match TraceEvent::parse_json(&line) {
             Ok(event) => event,
             Err(_) => match peek_event_name(&line) {
@@ -76,17 +67,44 @@ fn main() {
                     continue;
                 }
                 None => {
-                    truncated_at = Some(i + 1);
+                    truncated_at = Some(line_no);
                     break;
                 }
             },
         };
         *census.entry(event.name()).or_insert(0) += 1;
-        match &event {
-            TraceEvent::Complete { .. } => completes.push(event),
-            TraceEvent::ScsiCommand { kind, .. } => {
-                *scsi.entry(kind.clone()).or_insert(0) += 1;
-            }
+        match event {
+            TraceEvent::Complete {
+                req,
+                op,
+                cache_hit,
+                queue,
+                overhead,
+                seek,
+                head_switch,
+                rot_latency,
+                media,
+                bus,
+                write_settle,
+                response,
+                ..
+            } => completes.push(Done {
+                req,
+                op,
+                cache_hit,
+                ns: [
+                    queue,
+                    overhead,
+                    seek,
+                    head_switch,
+                    rot_latency,
+                    media,
+                    bus,
+                    write_settle,
+                    response,
+                ],
+            }),
+            TraceEvent::ScsiCommand { kind, .. } => *scsi.entry(kind).or_insert(0) += 1,
             _ => {}
         }
     }
@@ -135,7 +153,7 @@ fn main() {
     }
 
     // Figure-3/7-style breakdown: where the response time went, per phase.
-    let by_phase: Vec<[u64; PHASES.len()]> = completes.iter().map(phases).collect();
+    let by_phase: Vec<[u64; PHASES.len()]> = completes.iter().map(|d| d.ns).collect();
     let ms = |ns: f64| ns / 1e6;
     let mean_ms: Vec<f64> = (0..PHASES.len())
         .map(|k| {
@@ -157,13 +175,8 @@ fn main() {
             mean_ms[k]
         );
     }
-    let (mut reads, mut hits) = (0, 0);
-    for c in &completes {
-        if let TraceEvent::Complete { op, cache_hit, .. } = c {
-            reads += usize::from(*op == Op::Read);
-            hits += usize::from(*cache_hit);
-        }
-    }
+    let reads = completes.iter().filter(|d| d.op == Op::Read).count();
+    let hits = completes.iter().filter(|d| d.cache_hit).count();
     let n = completes.len();
     println!(
         "requests {n} (reads {reads}, writes {}, cache hits {hits})",
@@ -180,66 +193,18 @@ fn main() {
     );
 
     // The slowest requests, with their individual breakdowns.
-    completes.sort_by_key(|c| std::cmp::Reverse(phases(c)[RESPONSE]));
+    completes.sort_by_key(|d| std::cmp::Reverse(d.ns[RESPONSE]));
     println!("## Slowest {} requests (ms)", top.min(completes.len()));
     println!(
         "{:<8} {:<5} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "req", "op", "response", "queue", "seek", "rot", "media", "bus"
     );
-    for c in completes.iter().take(top) {
-        if let TraceEvent::Complete {
-            req,
-            op,
-            queue,
-            seek,
-            rot_latency,
-            media,
-            bus,
-            response,
-            ..
-        } = c
-        {
-            println!(
-                "{:<8} {:<5} {:>9.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
-                req,
-                format!("{op:?}").to_lowercase(),
-                *response as f64 / 1e6,
-                *queue as f64 / 1e6,
-                *seek as f64 / 1e6,
-                *rot_latency as f64 / 1e6,
-                *media as f64 / 1e6,
-                *bus as f64 / 1e6,
-            );
-        }
+    for d in completes.iter().take(top) {
+        let [queue, _, seek, _, rot, media, bus, _, response] = d.ns.map(|ns| ns as f64 / 1e6);
+        let op = format!("{:?}", d.op).to_lowercase();
+        println!(
+            "{:<8} {:<5} {:>9.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
+            d.req, op, response, queue, seek, rot, media, bus
+        );
     }
-}
-
-/// The [`PHASES`] of a [`TraceEvent::Complete`], in nanoseconds.
-fn phases(c: &TraceEvent) -> [u64; PHASES.len()] {
-    let TraceEvent::Complete {
-        queue,
-        overhead,
-        seek,
-        head_switch,
-        rot_latency,
-        media,
-        bus,
-        write_settle,
-        response,
-        ..
-    } = *c
-    else {
-        return [0; PHASES.len()];
-    };
-    [
-        queue,
-        overhead,
-        seek,
-        head_switch,
-        rot_latency,
-        media,
-        bus,
-        write_settle,
-        response,
-    ]
 }

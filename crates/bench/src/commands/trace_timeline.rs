@@ -1,53 +1,43 @@
-//! Offline analyzer for causal span exports (`--trace` on the sweep
-//! binaries): validates the span trees, prints a per-layer breakdown of
+//! Offline analyzer for causal span exports (`--trace` on the sweeps):
+//! validates the span trees, prints a per-layer breakdown of
 //! where request time went — the Figure-3 view rebuilt from spans rather
 //! than from drive phase events — and renders the slowest request trees.
 //! Optionally cross-checks the sibling Chrome export and prints the
 //! time-series tables from a `--timeline` manifest.
 //!
 //! ```text
-//! server_sweep --quick --trace /tmp/sweep.jsonl --timeline --manifest /tmp/m
-//! trace_timeline /tmp/sweep.spans.jsonl --chrome /tmp/sweep.chrome.json \
+//! bench server_sweep --quick --trace /tmp/sweep.jsonl --timeline --manifest /tmp/m
+//! bench trace_timeline /tmp/sweep.spans.jsonl --chrome /tmp/sweep.chrome.json \
 //!     --manifest /tmp/m/server_timeline.json
 //! ```
 
+use super::{input_lines, read_input};
+use crate::manifest::Manifest;
+use crate::Cli;
 use std::collections::BTreeMap;
-use std::io::BufRead;
 use traxtent::obs::json;
 use traxtent::obs::span::{self, Span};
-use traxtent_bench::manifest::Manifest;
-use traxtent_bench::{Cli, Grammar};
 
 /// The worst request trees printed by default; override with `--top <n>`.
 const DEFAULT_TOP: usize = 3;
 
+/// Prints a one-line verdict against the input and exits 1; an input that
+/// cannot be read at all exits 2 (see [`input_lines`]).
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
 }
 
-fn main() {
-    let cli = Cli::from_env(&Grammar {
-        usage: Some("<spans.jsonl> [--top <n>] [--chrome <file>] [--manifest <file>]"),
-        flags: &[],
-        values: &["--top", "--chrome", "--manifest"],
-        positionals: 1,
-    });
+pub(crate) fn main(cli: &Cli) {
     let path = cli.positional(0);
     let top: usize = cli.number("--top").unwrap_or(DEFAULT_TOP);
 
-    let file =
-        std::fs::File::open(path).unwrap_or_else(|e| fail(&format!("cannot open `{path}`: {e}")));
-    let mut spans: Vec<Span> = Vec::new();
-    for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
-        let line = line.unwrap_or_else(|e| fail(&format!("read failure at line {}: {e}", i + 1)));
-        if line.trim().is_empty() {
-            continue;
-        }
-        let span = Span::parse_json(&line)
-            .unwrap_or_else(|e| fail(&format!("malformed span at line {}: {e}", i + 1)));
-        spans.push(span);
-    }
+    let spans: Vec<Span> = input_lines(path)
+        .map(|(line_no, line)| {
+            Span::parse_json(&line)
+                .unwrap_or_else(|e| fail(&format!("malformed span at line {line_no}: {e}")))
+        })
+        .collect();
     if spans.is_empty() {
         println!("span export `{path}` is empty: nothing to report");
         return;
@@ -163,9 +153,7 @@ fn render(s: &Span, children: &BTreeMap<u64, Vec<&Span>>, depth: usize) {
 /// Validates the sibling Chrome `trace_event` export: well-formed JSON
 /// with a `traceEvents` array of objects, one complete event per span.
 fn check_chrome(path: &str, spans: usize) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("cannot read `{path}`: {e}")));
-    let value = json::parse(&text)
+    let value = json::parse(&read_input(path))
         .unwrap_or_else(|e| fail(&format!("chrome export `{path}` is not valid JSON: {e}")));
     let events = value
         .as_object()
@@ -190,7 +178,7 @@ fn check_chrome(path: &str, spans: usize) {
 
 /// Prints every time-series recorded in a `--timeline` manifest.
 fn print_manifest_timelines(path: &str) {
-    let m = Manifest::load(std::path::Path::new(path))
+    let m = Manifest::parse_json(&read_input(path))
         .unwrap_or_else(|e| fail(&format!("cannot load manifest `{path}`: {e}")));
     if m.timeline.is_empty() {
         println!("manifest `{path}` records no timelines");
@@ -199,21 +187,12 @@ fn print_manifest_timelines(path: &str) {
     for (name, rows) in &m.timeline {
         println!("## Manifest timeline {name} ({} windows)", rows.len());
         let cols: Vec<&String> = rows.first().map(|r| r.keys().collect()).unwrap_or_default();
-        println!(
-            "{}",
-            cols.iter()
-                .map(|c| format!("{c:>10}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
+        let header: Vec<String> = cols.iter().map(|c| format!("{c:>10}")).collect();
+        println!("{}", header.join(" "));
         for row in rows {
-            println!(
-                "{}",
-                cols.iter()
-                    .map(|c| format!("{:>10.3}", row.get(*c).copied().unwrap_or(f64::NAN)))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
+            let value = |c: &&String| row.get(*c).copied().unwrap_or(f64::NAN);
+            let cells: Vec<String> = cols.iter().map(|c| format!("{:>10.3}", value(c))).collect();
+            println!("{}", cells.join(" "));
         }
     }
 }

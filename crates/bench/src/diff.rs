@@ -1,4 +1,4 @@
-//! Manifest comparison: the engine behind the `bench_diff` binary.
+//! Manifest comparison: the engine behind `bench bench_diff`.
 //!
 //! Compares two directories of run manifests (see [`crate::manifest`]) —
 //! typically the committed `results/baseline/` against a fresh

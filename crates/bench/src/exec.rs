@@ -1,9 +1,9 @@
 //! Deterministic parallel experiment executor.
 //!
-//! The figure/table binaries are sweeps over independent simulation cells
+//! The figures and tables are sweeps over independent simulation cells
 //! (one disk config + workload spec per cell). [`Executor::run`] fans those
 //! cells across a scoped worker pool and merges the results **in submission
-//! order**, so a binary's output is byte-identical at any thread count:
+//! order**, so a figure's output is byte-identical at any thread count:
 //!
 //! * every job receives its submission index and must not print;
 //! * workers pull `(index, item)` pairs from a shared queue, so imbalanced

@@ -1,52 +1,32 @@
-//! The figure runner and its binaries.
+//! The figure runner and its binary.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (or one experiment of this repo's own) and prints the same rows/series
-//! the paper reports:
-//!
-//! | binary | reproduces |
-//! |---|---|
-//! | `table1` | Table 1 — representative disk characteristics |
-//! | `fig1` | Figure 1 — disk efficiency vs I/O size, aligned vs unaligned |
-//! | `fig3` | Figure 3 — rotational latency vs request size |
-//! | `fig6` | Figure 6 — head time, onereq/tworeq (+ §5.2 writes via `--writes`) |
-//! | `fig7` | Figure 7 — response-time breakdown |
-//! | `fig8` | Figure 8 — response time ± σ, infinitely fast bus |
-//! | `table2` | Table 2 — FFS application benchmarks |
-//! | `fig9` | Figure 9 — video-server startup latency (+ §5.4.2 via `--hard`) |
-//! | `fig10` | Figure 10 — LFS overall write cost vs segment size |
-//! | `extraction` | §4.1 — track-boundary extraction cost and accuracy (`--full`: general algorithm on the full drive) |
-//! | `ablation` | §5.2 ablations — zero-latency / queueing in isolation |
-//! | `fault_sweep` | extraction robustness and the alignment win vs injected fault level |
-//! | `replay` | trace replay through the batched service path (`--input`, `--count`, `--emit`) |
-//! | `server_sweep` | open-loop server: response latency vs offered load per scheduler (`--timeline`) |
-//! | `fleet_sweep` | multi-disk volumes: aligned vs fixed stripe units, healthy vs degraded (`--timeline`) |
-//! | `crash_sweep` | power-cut grid × {ffs fsck, lfs roll-forward, RAID-5 scrub repair} |
-//! | `bench_diff` | tool: compare two manifest directories, exit 1 on a regression |
-//! | `trace_report` | tool: census and phase breakdown of a `--trace` JSONL file |
-//! | `trace_timeline` | tool: validate and summarise a sweep's span export |
+//! `bench <subcommand> [args]` runs one row of [`COMMANDS`]: a figure
+//! regenerates one table or figure of the paper (or one experiment of this
+//! repo's own) and prints the same rows/series the paper reports; a tool
+//! reads what the figures wrote. `bench` alone lists the rows.
 //!
 //! # The runner
 //!
-//! A figure binary is its cell function, its column list and its closing
-//! prose; everything else is [`Run`]:
+//! A figure is its cell function, its column list and its closing prose;
+//! everything else is [`Run`], which the dispatcher opens under the row's
+//! name and finishes after it:
 //!
 //! ```text
-//! let run = Run::start("fig3", &[], &[]);          // flags, sinks, output paths, registry, clock
-//! let cfg = run.drive(models::quantum_atlas_10k_ii());  // every DiskConfig passes through here
-//! run.header("Figure 3: …", &["pct_of_track", "zero_latency_sim_ms"]);
-//! run.sweep(vec![5u32, 100], |_, pct| {            // worker pool, merged in submission order
-//!     let ms = simulate(&cfg, pct, run.seed, &run.reg);
-//!     Row::new().col(pct).num(ms, 2).key_if(pct == 100, "zero_latency_ms_at_track")
-//! });
-//! run.finish();                                     // span export, trace flush, manifest
+//! pub(crate) fn main(run: &Run) {   // flags, sinks, output paths, registry, clock
+//!     let cfg = run.drive(models::quantum_atlas_10k_ii());  // every DiskConfig passes through here
+//!     run.header("Figure 3: …", &["pct_of_track", "zero_latency_sim_ms"]);
+//!     run.sweep(vec![5u32, 100], |_, pct| {  // worker pool, merged in submission order
+//!         let ms = simulate(&cfg, pct, run.seed, &run.reg);
+//!         Row::new().col(pct).num(ms, 2).key_if(pct == 100, "zero_latency_ms_at_track")
+//!     });
+//! }                                 // then run.finish(): span export, trace flush, manifest
 //! ```
 //!
-//! * **Flags.** [`Run::start`] parses the common flags — `--quick`,
+//! * **Flags.** [`dispatch`] parses the common flags — `--quick`,
 //!   `--seed <n>`, `--threads <n>`, `--trace <path>`, `--manifest <dir>`,
-//!   `--faults <spec>`, `--fault-seed <n>` — plus the binary's own,
-//!   through the one pure parser [`Cli::parse_args`] (the tool binaries
-//!   use the same parser with a [`Grammar`] of their own).
+//!   `--faults <spec>`, `--fault-seed <n>` — plus the figure's own,
+//!   through the one pure parser [`Cli::parse_args`] (the tools use the
+//!   same parser with a [`Grammar`] of their own).
 //!   A usage error, an uncreatable `--trace` file or an uncreatable
 //!   `--manifest` directory exits 2 with a one-line message before any
 //!   cell runs.
@@ -75,28 +55,30 @@
 //! * **Epilogue.** [`Run::finish`] flushes the trace and writes
 //!   `<dir>/<figure>.json` (see [`manifest`]) when `--manifest` was given.
 //!   Where a request's time went is read back from the trace file:
-//!   `trace_report <trace.jsonl>` prints the per-phase table with exact
-//!   percentiles.
+//!   `bench trace_report <trace.jsonl>` prints the per-phase table with
+//!   exact percentiles.
 
 #![warn(missing_docs)]
 
+mod commands;
 pub mod diff;
 pub mod exec;
 pub mod manifest;
 mod run;
 
+pub use commands::{dispatch, Command, COMMANDS};
 pub use run::{die, CellObs, Row, Run, Telemetry};
 
 use sim_disk::fault::FaultConfig;
 
-/// What one binary accepts on its command line.
+/// What one subcommand accepts on its command line.
 #[derive(Debug, Clone, Copy)]
 pub struct Grammar<'a> {
-    /// A tool binary's usage line after its name, e.g.
-    /// `<trace.jsonl> [--top <n>]`. `None` marks a figure binary: it also
-    /// accepts the common flags, and its usage line is generated.
+    /// A tool's usage line after its name, e.g. `<trace.jsonl> [--top <n>]`.
+    /// `None` marks a figure: it also accepts the common flags, and its
+    /// usage line is generated.
     pub usage: Option<&'a str>,
-    /// Boolean flags, e.g. `--writes`.
+    /// Boolean flags, e.g. `--full`.
     pub flags: &'a [&'a str],
     /// Options that take a value, e.g. `--input`; repeatable.
     pub values: &'a [&'a str],
@@ -104,10 +86,10 @@ pub struct Grammar<'a> {
     pub positionals: usize,
 }
 
-/// The common boolean flags of the figure binaries.
+/// The common boolean flags of the figures.
 const COMMON_FLAGS: [&str; 1] = ["--quick"];
 
-/// The common value options of the figure binaries, and what each requires.
+/// The common value options of the figures, and what each requires.
 const COMMON_VALUES: [(&str, &str); 6] = [
     ("--seed", "an integer"),
     ("--threads", "an integer"),
@@ -118,8 +100,8 @@ const COMMON_VALUES: [(&str, &str); 6] = [
 ];
 
 impl Grammar<'_> {
-    /// A figure binary's grammar: the common flags plus its own.
-    pub fn figure<'a>(flags: &'a [&'a str], values: &'a [&'a str]) -> Grammar<'a> {
+    /// A figure's grammar: the common flags plus its own.
+    pub const fn figure<'a>(flags: &'a [&'a str], values: &'a [&'a str]) -> Grammar<'a> {
         Grammar {
             usage: None,
             flags,
@@ -128,7 +110,22 @@ impl Grammar<'_> {
         }
     }
 
-    /// The usage line after the binary name.
+    /// A tool's grammar: exactly `positionals` positional arguments and its
+    /// own `values` options, with `usage` as its usage line.
+    pub(crate) const fn tool<'a>(
+        usage: &'a str,
+        values: &'a [&'a str],
+        positionals: usize,
+    ) -> Grammar<'a> {
+        Grammar {
+            usage: Some(usage),
+            flags: &[],
+            values,
+            positionals,
+        }
+    }
+
+    /// The usage line after the subcommand's name.
     fn usage(&self) -> String {
         match self.usage {
             Some(fixed) => fixed.to_string(),
@@ -146,15 +143,14 @@ impl Grammar<'_> {
 
 /// Prints the error and the usage line, then exits 2.
 fn usage_exit(msg: &str, usage: &str) -> ! {
-    let name = std::env::args().next().unwrap_or_else(|| "bench".into());
     eprintln!("error: {msg}");
-    eprintln!("usage: {name} {usage}");
+    eprintln!("usage: {usage}");
     std::process::exit(2);
 }
 
-/// A parsed command line: the common flags of the figure binaries
-/// (defaults for a tool binary, whose grammar does not admit them) plus
-/// whatever the binary's own [`Grammar`] accepted.
+/// A parsed command line: the common flags of the figures (defaults for a
+/// tool, whose grammar does not admit them) plus whatever the subcommand's
+/// own [`Grammar`] accepted.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Reduced sample counts for fast smoke runs.
@@ -178,18 +174,14 @@ pub struct Cli {
     flags: Vec<String>,
     values: Vec<(String, String)>,
     positionals: Vec<String>,
+    /// The usage line a malformed [`Cli::number`] prints: `bench <name> …`
+    /// once [`dispatch`] has parsed it.
     usage: String,
 }
 
 impl Cli {
-    /// Parses the process arguments against `grammar`; on a malformed or
-    /// unknown argument prints the error and the usage line, and exits 2.
-    pub fn from_env(grammar: &Grammar) -> Self {
-        Self::parse_args(std::env::args().skip(1), grammar)
-            .unwrap_or_else(|e| usage_exit(&e, &grammar.usage()))
-    }
-
-    /// The pure parser behind [`Cli::from_env`].
+    /// Parses `args`, the words after the subcommand, against `grammar`;
+    /// a malformed or unknown argument is an error naming it.
     pub fn parse_args<I>(args: I, grammar: &Grammar) -> Result<Self, String>
     where
         I: IntoIterator<Item = String>,
@@ -272,7 +264,7 @@ impl Cli {
         Ok(cli)
     }
 
-    /// Whether a flag like `--writes` was passed.
+    /// Whether a flag like `--full` was passed.
     pub fn has(&self, flag: &str) -> bool {
         self.flags.iter().any(|a| a == flag)
     }
@@ -305,8 +297,8 @@ impl Cli {
             .transpose()
     }
 
-    /// [`Cli::parsed`] for a binary's own options: a malformed value prints
-    /// the error and the usage line, and exits 2.
+    /// [`Cli::parsed`] for a subcommand's own options: a malformed value
+    /// prints the error and the usage line, and exits 2.
     pub fn number<T: std::str::FromStr>(&self, opt: &str) -> Option<T> {
         self.parsed(opt)
             .unwrap_or_else(|e| usage_exit(&e, &self.usage))
@@ -341,16 +333,16 @@ mod tests {
     #[test]
     fn parse_common_and_known_flags() {
         let cli = parse(
-            &["--quick", "--seed", "42", "--threads", "3", "--writes"],
-            &["--writes"],
+            &["--quick", "--seed", "42", "--threads", "3", "--full"],
+            &["--full"],
             &[],
         )
         .unwrap();
         assert!(cli.quick);
         assert_eq!(cli.seed, 42);
         assert_eq!(cli.threads, 3);
-        assert!(cli.has("--writes"));
-        assert!(!cli.has("--hard"));
+        assert!(cli.has("--full"));
+        assert!(!cli.has("--timeline"));
     }
 
     #[test]
@@ -363,11 +355,11 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let err = parse(&["--writes"], &[], &[]).unwrap_err();
-        assert!(err.contains("--writes"), "{err}");
-        let err = parse(&["--frobnicate"], &["--writes"], &[]).unwrap_err();
+        let err = parse(&["--full"], &[], &[]).unwrap_err();
+        assert!(err.contains("--full"), "{err}");
+        let err = parse(&["--frobnicate"], &["--full"], &[]).unwrap_err();
         assert!(err.contains("--frobnicate"), "{err}");
-        // A figure binary takes no positional arguments.
+        // A figure takes no positional arguments.
         assert!(parse(&["stray"], &[], &[]).is_err());
     }
 
@@ -396,12 +388,11 @@ mod tests {
 
     #[test]
     fn tool_grammars_take_positionals_and_not_the_common_flags() {
-        let tool = Grammar {
-            usage: Some("<a> <b> [--tol <frac>] [--only <figure>]..."),
-            flags: &[],
-            values: &["--tol", "--only", "--manifest"],
-            positionals: 2,
-        };
+        let tool = Grammar::tool(
+            "<a> <b> [--tol <frac>] [--only <figure>]...",
+            &["--tol", "--only", "--manifest"],
+            2,
+        );
         let parse = |list: &[&str]| Cli::parse_args(list.iter().map(|s| s.to_string()), &tool);
         let cli = parse(&["base", "--only", "x", "cur", "--only", "y", "--tol", "0.5"]).unwrap();
         assert_eq!((cli.positional(0), cli.positional(1)), ("base", "cur"));

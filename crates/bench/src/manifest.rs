@@ -1,14 +1,14 @@
-//! Run manifests: the machine-readable record a figure binary leaves behind.
+//! Run manifests: the machine-readable record a figure leaves behind.
 //!
-//! With `--manifest <dir>`, every figure binary writes `<dir>/<figure>.json`
+//! With `--manifest <dir>`, every figure writes `<dir>/<figure>.json`
 //! capturing how the run was configured (quick mode, seed, thread count,
 //! git revision), how long it took, the figure's *headline* result values
 //! (the handful of numbers a reader would quote from the figure), and a
 //! snapshot of the [`traxtent::obs`] metrics the upper stack exported.
 //!
 //! Manifests are the durable per-PR artifact behind the regression workflow:
-//! `results/baseline/` holds a committed reference run, and the `bench_diff`
-//! binary (see [`crate::diff`]) compares a fresh `results/manifest/` tree
+//! `results/baseline/` holds a committed reference run, and `bench
+//! bench_diff` (see [`crate::diff`]) compares a fresh `results/manifest/` tree
 //! against it with configurable tolerances.
 //!
 //! The workspace has no serializer dependency, so the manifest is written
@@ -83,46 +83,17 @@ impl Manifest {
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"git_rev\": {},", json::string(&self.git_rev));
         let _ = writeln!(out, "  \"wall_secs\": {},", json_f64(self.wall_secs));
-        let _ = writeln!(out, "  \"headline\": {},", {
-            let mut obj = String::from("{");
-            for (i, (k, v)) in self.headline.iter().enumerate() {
-                if i > 0 {
-                    obj.push_str(", ");
-                }
-                let _ = write!(obj, "{}: {}", json::string(k), json_f64(*v));
-            }
-            obj.push('}');
-            obj
-        });
-        let _ = writeln!(
-            out,
-            "  \"metrics\": {}{}",
-            {
-                let mut obj = String::from("{");
-                for (i, (k, v)) in self.metrics.iter().enumerate() {
-                    if i > 0 {
-                        obj.push_str(", ");
-                    }
-                    let _ = write!(obj, "{}: {}", json::string(k), v);
-                }
-                obj.push('}');
-                obj
-            },
-            if self.timeline.is_empty() { "" } else { "," }
-        );
+        let headline = object(&self.headline, |v| json_f64(*v));
+        let _ = writeln!(out, "  \"headline\": {headline},");
+        let metrics = object(&self.metrics, u64::to_string);
+        let more = if self.timeline.is_empty() { "" } else { "," };
+        let _ = writeln!(out, "  \"metrics\": {metrics}{more}");
         if !self.timeline.is_empty() {
             out.push_str("  \"timeline\": {\n");
             for (i, (name, rows)) in self.timeline.iter().enumerate() {
                 let _ = writeln!(out, "    {}: [", json::string(name),);
                 for (j, row) in rows.iter().enumerate() {
-                    let mut obj = String::from("{");
-                    for (k, (key, v)) in row.iter().enumerate() {
-                        if k > 0 {
-                            obj.push_str(", ");
-                        }
-                        let _ = write!(obj, "{}: {}", json::string(key), json_f64(*v));
-                    }
-                    obj.push('}');
+                    let obj = object(row, |v| json_f64(*v));
                     let _ = writeln!(
                         out,
                         "      {obj}{}",
@@ -230,6 +201,15 @@ impl Manifest {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
+}
+
+/// `{"key": value, ...}` on one line, each value written by `value`.
+fn object<V>(entries: &BTreeMap<String, V>, value: impl Fn(&V) -> String) -> String {
+    let fields: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| format!("{}: {}", json::string(k), value(v)))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// The working tree's short revision, or `unknown` outside a git checkout.

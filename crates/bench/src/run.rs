@@ -2,7 +2,7 @@
 
 use crate::exec::Executor;
 use crate::manifest::Manifest;
-use crate::{Cli, Grammar};
+use crate::Cli;
 use server::{ServerConfig, SloSummary, Timeline, TimelineConfig};
 use sim_disk::disk::DiskConfig;
 use sim_disk::trace::{DiskSpanBridge, Fanout, JsonlSink, SharedSink, Tracer};
@@ -189,7 +189,7 @@ impl CellObs<'_> {
     }
 }
 
-/// One figure binary's run: see the crate documentation.
+/// One figure's run: see the crate documentation.
 pub struct Run {
     cli: Cli,
     /// The registry the layers' `export_metrics` report into; its snapshot
@@ -215,16 +215,8 @@ impl std::ops::Deref for Run {
 }
 
 impl Run {
-    /// Parses the process arguments — the common flags plus the binary's
-    /// own boolean `flags` and `values` options — and opens the run for
-    /// `figure` (the manifest's name and file stem). Exits 2 on a usage
-    /// error or an output path that cannot be created.
-    pub fn start(figure: &str, flags: &[&str], values: &[&str]) -> Run {
-        let cli = Cli::from_env(&Grammar::figure(flags, values));
-        Run::new(figure, cli).unwrap_or_else(|e| die(&e))
-    }
-
-    /// Opens a run: creates the `--manifest` directory and the `--trace`
+    /// Opens the run for `figure` (the manifest's name and file stem):
+    /// creates the `--manifest` directory and the `--trace`
     /// file now, so a bad path costs no simulation, and builds the sink.
     pub fn new(figure: &str, cli: Cli) -> Result<Run, String> {
         if let Some(dir) = &cli.manifest {
@@ -253,8 +245,8 @@ impl Run {
         })
     }
 
-    /// Names the manifest after a variant the flags selected, e.g.
-    /// `fig6_writes`.
+    /// Names the manifest after a variant the flags selected: `replay`'s
+    /// synthetic trace is `replay_synthetic`.
     pub fn rename(&self, figure: &str) {
         self.out().manifest.figure = figure.to_string();
     }
@@ -456,6 +448,7 @@ fn write_manifest(cli: &Cli, mut manifest: Manifest, registry: &Registry, starte
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Grammar;
     use sim_disk::models::small_test_disk;
     use sim_disk::trace::TraceEvent;
 

@@ -1,21 +1,23 @@
-//! End-to-end tests of the observability binaries: a figure run emitting a
-//! manifest, `bench_diff` passing on an unchanged run and failing on a
-//! perturbed headline, and `trace_report` printing exact percentiles and
-//! degrading gracefully on empty or truncated traces.
+//! End-to-end tests of the `bench` binary: every figure's stdout against
+//! its golden, every row's usage error, a figure run emitting a manifest,
+//! `bench_diff` passing on an unchanged run and failing on a perturbed
+//! headline, and `trace_report` printing exact percentiles and degrading
+//! gracefully on empty or truncated traces.
 //!
-//! `table1` stands in for the figure binaries because it is the cheapest
+//! `table1` stands in for the figures because it is the cheapest
 //! (geometry construction only, ~0.1 s in a debug build) while exercising
 //! the whole `Run` path the others share.
 
 mod common;
 
-use common::{golden, repo, run, scratch, stdout};
+use common::{bench, golden, repo, scratch, stdout, BENCH};
 use sim_disk::disk::Op;
 use sim_disk::trace::TraceEvent;
 use std::fs;
 use std::path::Path;
 use std::process::{Command, Stdio};
 use traxtent_bench::manifest::Manifest;
+use traxtent_bench::COMMANDS;
 
 /// One syntactically valid trace line, as a figure run would emit it.
 fn valid_trace_line() -> String {
@@ -34,10 +36,7 @@ fn trace_report_reports_empty_trace_and_exits_zero() {
     let dir = scratch("trace-empty");
     let path = dir.join("empty.jsonl");
     fs::write(&path, "").unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_report"),
-        &[path.to_str().unwrap()],
-    );
+    let out = bench("trace_report", &[path.to_str().unwrap()]);
     assert!(out.status.success(), "exit: {:?}", out.status);
     assert!(
         stdout(&out).contains("is empty: nothing to report"),
@@ -54,10 +53,7 @@ fn trace_report_reports_truncated_trace_and_exits_zero() {
     // A file holding nothing parseable: report the truncation, exit 0.
     let garbage = dir.join("garbage.jsonl");
     fs::write(&garbage, "{\"ev\": \"iss").unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_report"),
-        &[garbage.to_str().unwrap()],
-    );
+    let out = bench("trace_report", &[garbage.to_str().unwrap()]);
     assert!(out.status.success(), "exit: {:?}", out.status);
     assert!(
         stdout(&out).contains("no usable events (truncated at line 1)"),
@@ -73,10 +69,7 @@ fn trace_report_reports_truncated_trace_and_exits_zero() {
         format!("{}\n{}", valid_trace_line(), "{\"ev\": \"se"),
     )
     .unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_report"),
-        &[torn.to_str().unwrap()],
-    );
+    let out = bench("trace_report", &[torn.to_str().unwrap()]);
     assert!(out.status.success(), "exit: {:?}", out.status);
     let text = stdout(&out);
     assert!(text.contains("trace truncated at line 2"), "stdout: {text}");
@@ -115,10 +108,7 @@ fn trace_report_percentiles_are_exact() {
         })
         .collect();
     fs::write(&path, text).unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_report"),
-        &[path.to_str().unwrap()],
-    );
+    let out = bench("trace_report", &[path.to_str().unwrap()]);
     assert!(out.status.success(), "exit: {:?}", out.status);
     let text = stdout(&out);
     let row: Vec<&str> = text
@@ -146,7 +136,7 @@ fn trace_report_percentiles_are_exact() {
 fn run_table1(manifest_dir: &Path, extra: &[&str]) -> String {
     let mut args = vec!["--quick", "--manifest", manifest_dir.to_str().unwrap()];
     args.extend_from_slice(extra);
-    let out = run(env!("CARGO_BIN_EXE_table1"), &args);
+    let out = bench("table1", &args);
     assert!(out.status.success(), "table1 failed: {:?}", out.status);
     stdout(&out)
 }
@@ -161,13 +151,12 @@ fn manifest_pipeline_passes_unchanged_and_fails_when_perturbed() {
     assert_eq!(text_a, text_b, "reruns must be byte-identical");
 
     // A run without --manifest prints exactly the same report.
-    let plain = run(env!("CARGO_BIN_EXE_table1"), &["--quick"]);
+    let plain = bench("table1", &["--quick"]);
     assert_eq!(text_a, stdout(&plain), "--manifest must not change stdout");
 
     // Unchanged runs pass the diff.
-    let bench_diff = env!("CARGO_BIN_EXE_bench_diff");
-    let out = run(
-        bench_diff,
+    let out = bench(
+        "bench_diff",
         &[baseline.to_str().unwrap(), current.to_str().unwrap()],
     );
     assert!(out.status.success(), "diff of identical runs must pass");
@@ -182,8 +171,8 @@ fn manifest_pipeline_passes_unchanged_and_fails_when_perturbed() {
     };
     m.headline.insert(key.clone(), value * 1.10);
     m.write_to(&current).unwrap();
-    let out = run(
-        bench_diff,
+    let out = bench(
+        "bench_diff",
         &[baseline.to_str().unwrap(), current.to_str().unwrap()],
     );
     assert_eq!(out.status.code(), Some(1), "perturbed run must fail");
@@ -192,8 +181,8 @@ fn manifest_pipeline_passes_unchanged_and_fails_when_perturbed() {
     assert!(text.contains(&key), "regression must name `{key}`: {text}");
 
     // A loose tolerance forgives the same perturbation.
-    let out = run(
-        bench_diff,
+    let out = bench(
+        "bench_diff",
         &[
             baseline.to_str().unwrap(),
             current.to_str().unwrap(),
@@ -242,10 +231,7 @@ fn trace_report_counts_unknown_kinds_without_truncating() {
     text += &(valid_trace_line() + "\n");
     fs::write(&path, text).unwrap();
 
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_report"),
-        &[path.to_str().unwrap()],
-    );
+    let out = bench("trace_report", &[path.to_str().unwrap()]);
     assert!(out.status.success(), "exit: {:?}", out.status);
     let text = stdout(&out);
     assert!(text.contains("issue"), "census keeps known events: {text}");
@@ -265,10 +251,7 @@ fn trace_report_counts_unknown_kinds_without_truncating() {
 
     // A malformed line still truncates — after the events before it.
     fs::write(&path, valid_trace_line() + "\n{\"ev\": \"se").unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_report"),
-        &[path.to_str().unwrap()],
-    );
+    let out = bench("trace_report", &[path.to_str().unwrap()]);
     assert!(out.status.success(), "exit: {:?}", out.status);
     assert!(
         stdout(&out).contains("truncated at line 2"),
@@ -286,8 +269,8 @@ fn sweep_trace_exports_chain_into_trace_timeline() {
 
     // The acceptance chain: a traced+timed sweep writes the span export,
     // the Chrome export, and the timeline manifest...
-    let out = run(
-        env!("CARGO_BIN_EXE_server_sweep"),
+    let out = bench(
+        "server_sweep",
         &[
             "--quick",
             "--seed",
@@ -312,8 +295,8 @@ fn sweep_trace_exports_chain_into_trace_timeline() {
     assert!(!m.timeline.is_empty(), "timeline rows recorded");
 
     // ...and trace_timeline validates all three together.
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_timeline"),
+    let out = bench(
+        "trace_timeline",
         &[
             spans.to_str().unwrap(),
             "--chrome",
@@ -334,14 +317,11 @@ fn sweep_trace_exports_chain_into_trace_timeline() {
 
     // A corrupted span line is a hard error, unlike trace_report's
     // tolerant event stream: span exports are written atomically by the
-    // sweep binaries, so damage means the file cannot be trusted.
+    // sweeps, so damage means the file cannot be trusted.
     let mut lines = fs::read_to_string(&spans).unwrap();
     lines.insert_str(0, "{\"span\": \"req");
     fs::write(&spans, lines).unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_timeline"),
-        &[spans.to_str().unwrap()],
-    );
+    let out = bench("trace_timeline", &[spans.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "malformed span must fail");
 
     fs::remove_dir_all(&dir).unwrap();
@@ -349,44 +329,35 @@ fn sweep_trace_exports_chain_into_trace_timeline() {
 
 #[test]
 fn figure_stdout_matches_the_committed_goldens() {
-    // (golden name, binary, extra flags); the two sweeps are checked by
-    // their determinism tests, on the `--threads 1` run those already make.
+    // (golden name, subcommand, extra flags): every figure row under its
+    // own name, plus `replay` on the committed trace. The two sweeps are
+    // checked by their determinism tests, on the `--threads 1` run those
+    // already make.
     let sample = repo("traces/sample.trc");
-    let figures: [(&str, &str, &[&str]); 17] = [
-        ("table1", env!("CARGO_BIN_EXE_table1"), &[]),
-        ("fig1", env!("CARGO_BIN_EXE_fig1"), &[]),
-        ("fig3", env!("CARGO_BIN_EXE_fig3"), &[]),
-        ("fig6", env!("CARGO_BIN_EXE_fig6"), &[]),
-        ("fig6_writes", env!("CARGO_BIN_EXE_fig6"), &["--writes"]),
-        ("fig7", env!("CARGO_BIN_EXE_fig7"), &[]),
-        ("fig8", env!("CARGO_BIN_EXE_fig8"), &[]),
-        ("table2", env!("CARGO_BIN_EXE_table2"), &[]),
-        ("fig9", env!("CARGO_BIN_EXE_fig9"), &[]),
-        ("fig9_hard", env!("CARGO_BIN_EXE_fig9"), &["--hard"]),
-        ("fig10", env!("CARGO_BIN_EXE_fig10"), &[]),
-        ("extraction", env!("CARGO_BIN_EXE_extraction"), &[]),
-        ("ablation", env!("CARGO_BIN_EXE_ablation"), &[]),
-        ("fault_sweep", env!("CARGO_BIN_EXE_fault_sweep"), &[]),
-        ("replay", env!("CARGO_BIN_EXE_replay"), &[]),
-        (
-            "replay_input",
-            env!("CARGO_BIN_EXE_replay"),
-            &["--input", sample.to_str().unwrap()],
-        ),
-        ("crash_sweep", env!("CARGO_BIN_EXE_crash_sweep"), &[]),
-    ];
+    let mut figures: Vec<(&str, &str, Vec<&str>)> = COMMANDS
+        .iter()
+        .filter(|c| c.grammar.usage.is_none())
+        .filter(|c| !matches!(c.name, "server_sweep" | "fleet_sweep"))
+        .map(|c| (c.name, c.name, Vec::new()))
+        .collect();
+    figures.push((
+        "replay_input",
+        "replay",
+        vec!["--input", sample.to_str().unwrap()],
+    ));
     // All at once: the slowest unoptimized (fig9, fig10, table2) take 2.0,
     // 1.5 and 1.4 s.
     let children: Vec<_> = figures
         .iter()
-        .map(|(_, bin, extra)| {
-            Command::new(bin)
+        .map(|(_, subcommand, extra)| {
+            Command::new(BENCH)
+                .arg(subcommand)
                 .args(["--quick", "--threads", "1"])
-                .args(*extra)
+                .args(extra)
                 .stdout(Stdio::piped())
                 .stderr(Stdio::null())
                 .spawn()
-                .unwrap_or_else(|e| panic!("cannot spawn `{bin}`: {e}"))
+                .unwrap_or_else(|e| panic!("cannot spawn `bench {subcommand}`: {e}"))
         })
         .collect();
     for ((name, ..), child) in figures.iter().zip(children) {
@@ -397,12 +368,68 @@ fn figure_stdout_matches_the_committed_goldens() {
 }
 
 #[test]
+fn every_row_rejects_an_unknown_flag_with_its_usage_line() {
+    for c in &COMMANDS {
+        let out = bench(c.name, &["--frobnicate"]);
+        assert_eq!(out.status.code(), Some(2), "{}: {:?}", c.name, out.status);
+        assert!(out.stdout.is_empty(), "{}: nothing ran", c.name);
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("`--frobnicate`"), "{}: {err}", c.name);
+        let usage = format!("usage: bench {} ", c.name);
+        assert!(err.contains(&usage), "{}: {err}", c.name);
+    }
+}
+
+#[test]
+fn no_subcommand_or_an_unknown_one_lists_every_row() {
+    for args in [&[][..], &["nope"]] {
+        let out = Command::new(BENCH).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {:?}", out.status);
+        assert!(out.stdout.is_empty(), "{args:?}: nothing ran");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let mut lines = err.lines();
+        assert!(lines.next().unwrap().starts_with("error: "), "{err}");
+        for c in &COMMANDS {
+            assert!(
+                lines
+                    .clone()
+                    .any(|l| l.split_whitespace().next() == Some(c.name)),
+                "{args:?}: `{}` missing from {err}",
+                c.name
+            );
+        }
+    }
+}
+
+#[test]
+fn a_missing_input_file_exits_2_with_one_line() {
+    let dir = scratch("missing-input");
+    let missing = dir.join("missing");
+    let missing = missing.to_str().unwrap();
+    for (subcommand, args) in [
+        ("trace_report", &[missing][..]),
+        ("trace_timeline", &[missing]),
+        ("replay", &["--quick", "--input", missing]),
+    ] {
+        let out = bench(subcommand, args);
+        assert_eq!(out.status.code(), Some(2), "{subcommand}: {:?}", out.status);
+        assert!(out.stdout.is_empty(), "{subcommand}: nothing ran");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(err.lines().count(), 1, "{subcommand}: one line, got {err}");
+        assert!(err.contains(missing), "{subcommand}: {err}");
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn crash_sweep_traces_its_drives_without_moving_stdout() {
     let dir = scratch("crash-trace");
     let trace = dir.join("crash.jsonl");
-    let bin = env!("CARGO_BIN_EXE_crash_sweep");
-    let plain = run(bin, &["--quick"]);
-    let traced = run(bin, &["--quick", "--trace", trace.to_str().unwrap()]);
+    let plain = bench("crash_sweep", &["--quick"]);
+    let traced = bench(
+        "crash_sweep",
+        &["--quick", "--trace", trace.to_str().unwrap()],
+    );
     assert!(plain.status.success() && traced.status.success());
     assert_eq!(stdout(&plain), stdout(&traced), "tracing moved stdout");
     let first = fs::read_to_string(&trace).unwrap();
@@ -419,10 +446,7 @@ fn unwritable_output_paths_exit_2_before_any_cell() {
     fs::write(&file, "").unwrap();
     let under = file.join("sub");
     for flag in ["--manifest", "--trace"] {
-        let out = run(
-            env!("CARGO_BIN_EXE_table1"),
-            &["--quick", flag, under.to_str().unwrap()],
-        );
+        let out = bench("table1", &["--quick", flag, under.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(2), "{flag}: {:?}", out.status);
         assert!(out.stdout.is_empty(), "{flag}: nothing ran");
         let err = String::from_utf8(out.stderr).unwrap();
@@ -443,10 +467,7 @@ fn replay_rejects_a_trace_the_drive_cannot_hold() {
         ("0.000 R 99999999999 2\n", "exceed the drive's"),
     ] {
         fs::write(&trace, line).unwrap();
-        let out = run(
-            env!("CARGO_BIN_EXE_replay"),
-            &["--quick", "--input", trace.to_str().unwrap()],
-        );
+        let out = bench("replay", &["--quick", "--input", trace.to_str().unwrap()]);
         assert_eq!(out.status.code(), Some(2), "{line}: {:?}", out.status);
         assert!(out.stdout.is_empty(), "{line}: nothing ran");
         let err = String::from_utf8(out.stderr).unwrap();

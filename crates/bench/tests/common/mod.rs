@@ -1,4 +1,4 @@
-//! Helpers shared by the integration tests that drive the built binaries.
+//! Helpers shared by the integration tests that drive the built `bench`.
 #![allow(dead_code)] // each test crate uses its own subset
 
 use std::fs;
@@ -13,11 +13,16 @@ pub fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-pub fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin)
+/// The `bench` binary.
+pub const BENCH: &str = env!("CARGO_BIN_EXE_bench");
+
+/// Runs `bench <subcommand> <args>` to completion.
+pub fn bench(subcommand: &str, args: &[&str]) -> Output {
+    Command::new(BENCH)
+        .arg(subcommand)
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("cannot spawn `{bin}`: {e}"))
+        .unwrap_or_else(|e| panic!("cannot spawn `{BENCH} {subcommand}`: {e}"))
 }
 
 pub fn stdout(out: &Output) -> String {

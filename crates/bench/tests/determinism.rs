@@ -10,7 +10,7 @@ use traxtent_bench::Row;
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoResult, RandomIoSpec};
 
 /// A small but representative config matrix: sizes × alignment × queue
-/// depth × op × bus, the dimensions the figure binaries sweep.
+/// depth × op × bus, the dimensions the figures sweep.
 fn matrix() -> Vec<RandomIoSpec> {
     let mut specs = Vec::new();
     for &io_sectors in &[64u64, 528] {
@@ -55,7 +55,7 @@ fn parallel_results_match_sequential_exactly() {
 
 #[test]
 fn merged_row_output_is_byte_identical() {
-    // The binaries' pattern: jobs build rows, the caller prints them in
+    // The figures' pattern: jobs build rows, the caller prints them in
     // order. The joined text must not depend on the thread count.
     let render = |threads: usize| -> String {
         let cfg = models::quantum_atlas_10k_ii();

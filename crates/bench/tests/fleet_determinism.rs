@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{golden, run, scratch};
+use common::{bench, golden, scratch};
 use std::fs;
 use std::path::Path;
 use std::process::Output;
@@ -14,8 +14,8 @@ use traxtent_bench::manifest::Manifest;
 
 fn run_sweep(manifest_dir: &Path, threads: &str) -> Output {
     let dir = manifest_dir.to_str().unwrap();
-    run(
-        env!("CARGO_BIN_EXE_fleet_sweep"),
+    bench(
+        "fleet_sweep",
         &[
             "--quick",
             "--seed",

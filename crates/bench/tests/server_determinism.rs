@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{golden, repo, run, scratch};
+use common::{bench, golden, repo, scratch};
 use server::{serve, SchedulerKind, ServerConfig};
 use sim_disk::disk::Disk;
 use sim_disk::models;
@@ -21,8 +21,8 @@ use workloads::replay::parse_trace;
 
 fn run_sweep(manifest_dir: &Path, threads: &str) -> Output {
     let dir = manifest_dir.to_str().unwrap();
-    run(
-        env!("CARGO_BIN_EXE_server_sweep"),
+    bench(
+        "server_sweep",
         &[
             "--quick",
             "--seed",

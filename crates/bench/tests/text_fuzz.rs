@@ -1,4 +1,4 @@
-//! The text surfaces the binaries read, fuzzed: replay traces (`replay
+//! The text surfaces the `bench` subcommands read, fuzzed: replay traces (`replay
 //! --input`), the `--faults` grammar, drive-event and span JSONL (the
 //! `trace_report` / `trace_timeline` inputs) and run manifests
 //! (`bench_diff`'s). Each property feeds its parser strings of random

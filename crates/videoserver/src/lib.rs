@@ -19,6 +19,12 @@
 //! `round_time × (D + 1)` (Santos et al., as used in the paper).
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

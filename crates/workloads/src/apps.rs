@@ -60,6 +60,12 @@ pub fn mkfs(disk: Disk, personality: Personality) -> FileSystem {
 /// Sequential scan of one large file (the paper's 4 GB scan; size here is a
 /// parameter so small test disks can run it too), reading `chunk` bytes at
 /// a time.
+///
+/// # Panics
+///
+/// Panics if `file_bytes` does not fit the free space of `fs`: the caller
+/// sizes the file to the image it formatted.
+#[expect(clippy::expect_used, reason = "the file fits the caller's image")]
 pub fn scan(fs: &mut FileSystem, file_bytes: u64, chunk: u64) -> AppResult {
     let f = fs.create();
     fs.write(f, 0, file_bytes).expect("setup write fits");
@@ -76,6 +82,12 @@ pub fn scan(fs: &mut FileSystem, file_bytes: u64, chunk: u64) -> AppResult {
 
 /// `diff` of two large files: interleaved sequential reads of both, `chunk`
 /// bytes from each in turn (the application compares them in memory).
+///
+/// # Panics
+///
+/// Panics if two files of `file_bytes` do not fit the free space of `fs`:
+/// the caller sizes them to the image it formatted.
+#[expect(clippy::expect_used, reason = "both files fit the caller's image")]
 pub fn diff(fs: &mut FileSystem, file_bytes: u64, chunk: u64) -> AppResult {
     let a = fs.create();
     fs.write(a, 0, file_bytes).expect("setup write fits");
@@ -96,6 +108,12 @@ pub fn diff(fs: &mut FileSystem, file_bytes: u64, chunk: u64) -> AppResult {
 /// Copy of one large file to a new file in the same directory: sequential
 /// reads feeding buffered writes, two interleaved request streams at the
 /// disk.
+///
+/// # Panics
+///
+/// Panics if two files of `file_bytes` do not fit the free space of `fs`:
+/// the caller sizes the source and its copy to the image it formatted.
+#[expect(clippy::expect_used, reason = "the file and its copy fit the image")]
 pub fn copy(fs: &mut FileSystem, file_bytes: u64, chunk: u64) -> AppResult {
     let src = fs.create();
     fs.write(src, 0, file_bytes).expect("setup write fits");
@@ -116,6 +134,13 @@ pub fn copy(fs: &mut FileSystem, file_bytes: u64, chunk: u64) -> AppResult {
 /// Postmark-like small-file transactions (v1.11 defaults: 5–10 KB files,
 /// 1:1 read/write and create/delete mixes). Returns the result plus the
 /// transactions-per-second rate the Postmark tool reports.
+///
+/// # Panics
+///
+/// Panics if `initial_files` is zero, or if the pool, grown by
+/// `transactions` appends and creates of at most 10 KB each, does not fit
+/// the free space of `fs`.
+#[expect(clippy::expect_used, reason = "the pool and its growth fit the image")]
 pub fn postmark(
     fs: &mut FileSystem,
     initial_files: usize,
@@ -164,6 +189,12 @@ pub fn postmark(
 /// small files), configure (read a subset, write small outputs), build
 /// (read sources, write objects). Dominated by small synchronous writes and
 /// cache hits, as in the paper.
+///
+/// # Panics
+///
+/// Panics if the build's files, at most 21 MB of sources, outputs and
+/// objects, do not fit the free space of `fs`.
+#[expect(clippy::expect_used, reason = "the caller's image holds the build")]
 pub fn ssh_build(fs: &mut FileSystem, seed: u64) -> AppResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let ((), elapsed) = fs.timed(|fs| {
@@ -196,6 +227,12 @@ pub fn ssh_build(fs: &mut FileSystem, seed: u64) -> AppResult {
 /// `head*`: read the first byte of many medium files — the traxtent
 /// worst-case (§5.3), because the traxtent FFS fetches the whole first
 /// traxtent where stock FFS fetches one block plus one read-ahead block.
+///
+/// # Panics
+///
+/// Panics if `files` files of `file_bytes` do not fit the free space of
+/// `fs`: the caller sizes them to the image it formatted.
+#[expect(clippy::expect_used, reason = "the files fit the caller's image")]
 pub fn head_star(fs: &mut FileSystem, files: usize, file_bytes: u64) -> AppResult {
     let mut ids = Vec::new();
     for _ in 0..files {

@@ -13,6 +13,12 @@
 //!   [`replay`]-format traces for the storage-server experiments.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod apps;
 pub mod arrivals;
