@@ -200,7 +200,7 @@ fn random_reads(b: &mut criterion::Bencher, cfg: DiskConfig, len: u64) {
 fn bench_bus(c: &mut Criterion) {
     let cfg = models::quantum_atlas_10k_ii();
     let (bus, spindle) = (cfg.bus, cfg.spindle);
-    let track = cfg.geometry.track(0);
+    let track = &cfg.geometry.track(0);
     let spt = track.spt();
     let base = SimTime::from_ns(123_456_789);
     let next = |angle: &mut f64| {
@@ -275,7 +275,7 @@ fn bench_firmware(c: &mut Criterion) {
 fn bench_rotation(c: &mut Criterion) {
     let cfg = models::quantum_atlas_10k_ii();
     let geom = cfg.geometry;
-    let track = geom.track(0);
+    let track = &geom.track(0);
     let spt = track.spt();
     c.bench_function("rotation/window_scan_ref", |b| {
         let mut angle = 0.1234_f64;

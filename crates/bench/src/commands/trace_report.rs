@@ -1,8 +1,9 @@
 //! Offline analyzer for `--trace` JSONL files: event census, one per-phase
 //! table folded over the requests' closing `complete` events (a
 //! Figure-3/7-style mean breakdown of where the response time went, with
-//! exact percentiles), and an accounting check that the per-phase sums
-//! reproduce the host-observed response times.
+//! exact percentiles), an accounting check that the per-phase sums
+//! reproduce the host-observed response times, and the track crossings
+//! the drives saw, by request kind and by drive ([`Crossings`]).
 //!
 //! ```text
 //! bench fig3 --quick --trace /tmp/fig3.jsonl
@@ -10,6 +11,7 @@
 //! ```
 
 use super::input_lines;
+use crate::crossings::Crossings;
 use crate::Cli;
 use sim_disk::disk::Op;
 use sim_disk::trace::{peek_event_name, TraceEvent};
@@ -58,6 +60,7 @@ pub(crate) fn main(cli: &Cli) {
     // mid-write, leaving a truncated tail — stops the scan.
     let mut unknown: BTreeMap<String, u64> = BTreeMap::new();
     let mut truncated_at: Option<usize> = None;
+    let mut crossings = Crossings::default();
     for (line_no, line) in input_lines(path) {
         let event = match TraceEvent::parse_json(&line) {
             Ok(event) => event,
@@ -73,6 +76,7 @@ pub(crate) fn main(cli: &Cli) {
             },
         };
         *census.entry(event.name()).or_insert(0) += 1;
+        crossings.read(&event);
         match event {
             TraceEvent::Complete {
                 req,
@@ -147,6 +151,7 @@ pub(crate) fn main(cli: &Cli) {
         }
     }
 
+    print_crossings(&crossings);
     if completes.is_empty() {
         println!("no completed requests in trace");
         return;
@@ -207,4 +212,40 @@ pub(crate) fn main(cli: &Cli) {
             d.req, op, response, queue, seek, rot, media, bus
         );
     }
+}
+
+/// The track crossings table: by request kind, then by drive.
+fn print_crossings(crossings: &Crossings) {
+    let Some(longest) = crossings.longest() else {
+        return;
+    };
+    // (requests, crossing) by kind and by drive.
+    let mut kinds: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    let mut drives = vec![(0u64, 0u64); crossings.drives()];
+    for r in crossings.requests().iter().filter(|r| r.tracks > 0) {
+        let kind = if r.op == Op::Read { "read" } else { "write" };
+        let crosses = u64::from(crossings.crosses(r));
+        for tally in [kinds.entry(kind).or_default(), &mut drives[r.drive]] {
+            *tally = (tally.0 + 1, tally.1 + crosses);
+        }
+    }
+    println!("## Track crossings");
+    println!(
+        "a request crosses when its media phases touch more than ⌈len / {longest}⌉ tracks \
+         ({longest} sectors: the longest visit in the trace)"
+    );
+    let row = |name: String, (n, crossing): (u64, u64)| {
+        let share = 100.0 * crossing as f64 / n.max(1) as f64;
+        println!("{name:<8} {n:>9} {crossing:>9} {share:>7.2}%");
+    };
+    println!(
+        "{:<8} {:>9} {:>9} {:>8}",
+        "kind", "requests", "crossing", "share"
+    );
+    kinds.into_iter().for_each(|(k, t)| row(k.to_string(), t));
+    println!(
+        "{:<8} {:>9} {:>9} {:>8}",
+        "drive", "requests", "crossing", "share"
+    );
+    (drives.into_iter().enumerate()).for_each(|(d, t)| row(d.to_string(), t));
 }

@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 
 mod commands;
+pub mod crossings;
 pub mod diff;
 pub mod exec;
 pub mod manifest;

@@ -115,6 +115,9 @@ struct Visit {
     first_slot: u32,
     /// Physical slot of the last LBN.
     last_slot: u32,
+    /// One past the last LBN of the track the visit's LBNs map to; 0 for
+    /// a remapped sector's visit, whose spare location says nothing of it.
+    track_end: u64,
 }
 
 /// What [`Disk::run_visits`] does with the instant each sector comes off
@@ -576,17 +579,14 @@ impl Disk {
         self.actuator_free = media_end;
 
         // Firmware read-ahead: the cache segment extends to the end of the
-        // last track touched. The planned last visit already holds that
-        // track unless the tail sector was remapped (the visit then sits on
-        // the spare track); only that case re-resolves the logical track.
+        // last track touched. The planned last visit already knows that
+        // track's end unless the tail sector was remapped (the visit then
+        // sits on the spare track); only that case re-resolves the logical
+        // track.
         let last = req.end() - 1;
-        let planned = self
-            .visit_scratch
-            .last()
-            .map(|v| self.config.geometry.track(v.track.0))
-            .filter(|t| t.first_lbn() <= last && last < t.end_lbn());
+        let planned = (self.visit_scratch.last()).filter(|v| last < v.track_end);
         let seg_end = match planned {
-            Some(t) => t.end_lbn(),
+            Some(v) => v.track_end,
             None => self
                 .config
                 .geometry
@@ -714,12 +714,13 @@ impl Disk {
                     count: 1,
                     first_slot: pba.slot,
                     last_slot: pba.slot,
+                    track_end: 0,
                 });
                 cur += 1;
                 continue;
             }
             let tid = geom.track_of_lbn(cur).expect("validated range");
-            let t = geom.track(tid.0);
+            let t = &geom.track(tid.0);
             let mut run_end = end.min(t.end_lbn());
             if let Some(l) = geom.first_remap_in(cur, run_end) {
                 run_end = l;
@@ -736,6 +737,7 @@ impl Disk {
                 count,
                 first_slot,
                 last_slot,
+                track_end: t.end_lbn(),
             });
             cur = run_end;
         }
@@ -841,7 +843,7 @@ impl Disk {
 
             // Media access on this track (angular distances per
             // [`rotation::slot_distance`]).
-            let track = geom.track(v.track.0);
+            let track = &geom.track(v.track.0);
             let slot_frac = track.inv_spt();
             let arr_angle = spindle.angle_at(t);
             // The visit's slots: one contiguous run, or the sub-runs its

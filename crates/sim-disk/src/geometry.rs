@@ -118,9 +118,11 @@ pub struct ZoneInfo {
     pub lbn_count: u64,
 }
 
-/// One track of the built mapping.
-#[derive(Debug, Clone)]
-pub struct Track {
+/// One track of the built mapping: a by-value view over the geometry's
+/// flat per-track tables, built without a divide. It is `Copy` and borrows
+/// the geometry, so the service path passes it by reference.
+#[derive(Debug, Clone, Copy)]
+pub struct Track<'a> {
     first_lbn: u64,
     count: u32,
     cyl: u32,
@@ -128,22 +130,19 @@ pub struct Track {
     spt: u32,
     /// Angle of physical slot 0, in revolutions, at spindle phase 0.
     angle0: f64,
-    /// `1.0 / spt`, precomputed: the service path adds one slot fraction
-    /// per sweep and would otherwise pay a floating-point divide per visit.
+    /// `1.0 / spt`, precomputed per zone: the service path adds one slot
+    /// fraction per sweep and would otherwise pay a floating-point divide
+    /// per visit.
     inv_spt: f64,
     /// `slot_frac[s] = s / spt`, shared across the zone's tracks, so the
     /// access-on-arrival scan reads slot angles without a division.
-    slot_frac: Arc<[f64]>,
-    /// Sorted factory-defective slots on this track.
-    defect_slots: Vec<u32>,
-    /// Grown-defective slots (remapped after formatting); sorted.
-    grown_slots: Vec<u32>,
-    /// Spare slots on this track holding remapped LBNs: (slot, lbn), sorted
-    /// by slot.
-    remap_targets: Vec<(u32, u64)>,
+    slot_frac: &'a [f64],
+    /// The track's defect and remap lists (the shared empty entry on a
+    /// clean track).
+    lists: &'a TrackLists,
 }
 
-impl Track {
+impl<'a> Track<'a> {
     /// First LBN mapped on this track.
     pub fn first_lbn(&self) -> u64 {
         self.first_lbn
@@ -195,7 +194,7 @@ impl Track {
         self.angle0
     }
 
-    /// Exactly `1.0 / f64::from(self.spt())`, computed once at build time.
+    /// Exactly `1.0 / f64::from(self.spt())`, computed once per zone.
     pub fn inv_spt(&self) -> f64 {
         self.inv_spt
     }
@@ -203,14 +202,30 @@ impl Track {
     /// The precomputed `slot / spt` table shared by the zone's tracks:
     /// `slot_fracs()[s]` is exactly the value [`Track::slot_angle`] adds to
     /// [`Track::angle0`] for slot `s`. Non-decreasing in `s`.
-    pub fn slot_fracs(&self) -> &[f64] {
-        &self.slot_frac
+    pub fn slot_fracs(&self) -> &'a [f64] {
+        self.slot_frac
+    }
+
+    /// Sorted factory-defective slots on this track.
+    pub fn defect_slots(&self) -> &'a [u32] {
+        &self.lists.defect_slots
+    }
+
+    /// Grown-defective slots (remapped after formatting); sorted.
+    pub fn grown_slots(&self) -> &'a [u32] {
+        &self.lists.grown_slots
+    }
+
+    /// Spare slots on this track holding remapped LBNs: `(slot, lbn)`,
+    /// sorted by slot.
+    pub fn remap_targets(&self) -> &'a [(u32, u64)] {
+        &self.lists.remap_targets
     }
 
     /// True if the given physical slot is defective (factory or grown).
     pub fn is_defective_slot(&self, slot: u32) -> bool {
-        self.defect_slots.binary_search(&slot).is_ok()
-            || self.grown_slots.binary_search(&slot).is_ok()
+        self.defect_slots().binary_search(&slot).is_ok()
+            || self.grown_slots().binary_search(&slot).is_ok()
     }
 
     /// The maximal contiguous `(first, count)` runs of the slots
@@ -220,8 +235,8 @@ impl Track {
     /// run — the LBNs a defect displaced are remapped, and the drive
     /// visits them on their own — and a grown defect's LBN is remapped
     /// under either policy.
-    pub(crate) fn slot_runs(&self, first: u32, last: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let d = &self.defect_slots[..];
+    pub(crate) fn slot_runs(&self, first: u32, last: u32) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let d = self.defect_slots();
         let holes = &d[d.partition_point(|&s| s < first)..d.partition_point(|&s| s <= last)];
         let mut next = first;
         (holes.iter().copied().chain([last + 1])).filter_map(move |hole| {
@@ -230,6 +245,77 @@ impl Track {
             (run.1 > 0).then_some(run)
         })
     }
+}
+
+/// The three lists of one track, kept out of line: on a pristine drive
+/// every track shares the empty entry, and on a defective one ≈ 10 % of
+/// the tracks have an entry of their own.
+#[derive(Debug, Clone, Default)]
+struct TrackLists {
+    /// Sorted factory-defective slots.
+    defect_slots: Vec<u32>,
+    /// Grown-defective slots (remapped after formatting); sorted.
+    grown_slots: Vec<u32>,
+    /// Spare slots holding remapped LBNs: (slot, lbn), sorted by slot.
+    remap_targets: Vec<(u32, u64)>,
+}
+
+/// What a track stores of its own beside its start in
+/// [`HotTables::first_lbns`]: its `angle0`, and its cylinder, head, zone
+/// and lists index packed into one word. Cylinder and head are stored, not
+/// derived from the id, so building a [`Track`] never divides.
+#[derive(Debug, Clone, Copy)]
+struct TrackRow {
+    /// Angle of physical slot 0, in revolutions, at spindle phase 0.
+    angle0: f64,
+    /// Cylinder in bits 0–23, head in 24–31, zone in 32–39, and the index
+    /// of the track's entry in [`DiskGeometry::lists`] in 40–63.
+    packed: u64,
+}
+
+// A track's own bytes, its start and its row, stay within 24.
+const _: () = assert!(std::mem::size_of::<u64>() + std::mem::size_of::<TrackRow>() <= 24);
+
+/// The widths of [`TrackRow::packed`]'s fields: a spec beyond them is
+/// [`GeometryError::TooLarge`].
+const HEADS: u32 = 1 << 8;
+const ZONES: usize = 1 << 8;
+const TRACKS: u64 = 1 << 24;
+
+impl TrackRow {
+    fn new(angle0: f64, cyl: u32, head: u32, zone: usize, lists: usize) -> Self {
+        let packed = u64::from(cyl) | u64::from(head) << 24 | (zone as u64) << 32;
+        TrackRow {
+            angle0,
+            packed: packed | (lists as u64) << 40,
+        }
+    }
+
+    fn cyl(self) -> u32 {
+        (self.packed & 0xFF_FFFF) as u32
+    }
+
+    fn head(self) -> u32 {
+        (self.packed >> 24 & 0xFF) as u32
+    }
+
+    fn zone(self) -> usize {
+        (self.packed >> 32 & 0xFF) as usize
+    }
+
+    fn lists(self) -> usize {
+        (self.packed >> 40) as usize
+    }
+}
+
+/// What every track of one zone shares.
+#[derive(Debug, Clone)]
+struct ZoneSlots {
+    spt: u32,
+    /// `1.0 / spt`.
+    inv_spt: f64,
+    /// `slot_frac[s] = s / spt`.
+    slot_frac: Arc<[f64]>,
 }
 
 /// Error building or mutating a [`DiskGeometry`].
@@ -255,6 +341,9 @@ pub enum GeometryError {
     /// The spare scheme reserves every sector; the disk would expose no
     /// LBNs at all.
     ZeroCapacity,
+    /// The spec has more than 256 surfaces, more than 256 zones, or
+    /// 2^24 tracks or more: beyond what a track's packed row holds.
+    TooLarge,
 }
 
 impl fmt::Display for GeometryError {
@@ -277,6 +366,10 @@ impl fmt::Display for GeometryError {
             GeometryError::ZeroCapacity => {
                 write!(f, "spare scheme reserves the entire disk; no LBNs remain")
             }
+            GeometryError::TooLarge => write!(
+                f,
+                "disk exceeds 256 surfaces, 256 zones or 2^24 - 1 tracks"
+            ),
         }
     }
 }
@@ -285,10 +378,10 @@ impl Error for GeometryError {}
 
 /// Flat structure-of-arrays translation tables, rebuilt alongside the
 /// per-track map. LBN→track translation is the hottest operation in the
-/// engine; looking a dense `u64` array up (instead of striding over
-/// 100-byte-plus [`Track`] structs) keeps the whole path in a few cache
-/// lines, and zones whose tracks all map exactly `spt` LBNs skip the lookup
-/// entirely with one divide.
+/// engine; looking a dense `u64` array up keeps the whole path in a few
+/// cache lines, and zones whose tracks all map exactly `spt` LBNs skip the
+/// lookup entirely with one divide. `first_lbns` is also the only copy of
+/// the track starts: a [`Track`]'s first LBN and LBN count are read off it.
 ///
 /// Each arm stays because a workload sees it (DESIGN.md §5's table). The
 /// divide and [`last_le`] over the zone starts: one `partition_point` over
@@ -319,10 +412,8 @@ struct HotTables {
 }
 
 impl HotTables {
-    fn build(tracks: &[Track], zones: &[ZoneInfo], capacity: u64, surfaces: u32) -> Self {
-        let first_lbns: Arc<[u64]> = (tracks.iter().map(|t| t.first_lbn))
-            .chain([capacity])
-            .collect();
+    fn build(first_lbns: Arc<[u64]>, zones: &[ZoneInfo], surfaces: u32) -> Self {
+        let capacity = first_lbns[first_lbns.len() - 1];
         let mut zone_first_lbn = Vec::with_capacity(zones.len());
         let mut zone_first_track = Vec::with_capacity(zones.len());
         let mut zone_spt = Vec::with_capacity(zones.len());
@@ -330,11 +421,11 @@ impl HotTables {
         for z in zones {
             let first_track = z.first_cyl * surfaces;
             let track_count = (z.cylinders * surfaces) as usize;
-            let zone_tracks = &tracks[first_track as usize..first_track as usize + track_count];
-            zone_first_lbn.push(zone_tracks[0].first_lbn);
+            let starts = &first_lbns[first_track as usize..=first_track as usize + track_count];
+            zone_first_lbn.push(z.first_lbn);
             zone_first_track.push(first_track);
             zone_spt.push(u64::from(z.spt));
-            zone_uniform.push(zone_tracks.iter().all(|t| t.count == t.spt));
+            zone_uniform.push(starts.windows(2).all(|w| w[1] - w[0] == u64::from(z.spt)));
         }
         let dir =
             (zone_uniform.iter().any(|u| !u)).then(|| LbnDirectory::new(&first_lbns, capacity));
@@ -369,13 +460,20 @@ fn last_le(table: &[u64], lbn: u64) -> usize {
 
 /// A fully built disk layout with O(log n) translation in both directions.
 ///
-/// The per-track tables are shared slices, so a clone costs O(1) in them;
-/// [`DiskGeometry::add_grown_defect`], the one mutator, copies the track
-/// table the first time it writes to a shared one.
+/// A track's state is flat: its start in [`HotTables::first_lbns`], one
+/// [`TrackRow`], the [`ZoneSlots`] of its zone, and an entry in the lists
+/// side table if it has any defect or remap target. The tables are shared
+/// slices, so a clone costs O(1) in them; [`DiskGeometry::add_grown_defect`],
+/// the one mutator, copies a shared table the first time it writes to it,
+/// and only the tables it writes.
 #[derive(Debug, Clone)]
 pub struct DiskGeometry {
     spec: GeometrySpec,
-    tracks: Arc<[Track]>,
+    rows: Arc<[TrackRow]>,
+    zone_slots: Arc<[ZoneSlots]>,
+    /// Every track's lists; entry 0 is the empty one a clean track points
+    /// at, and no other entry is empty.
+    lists: Arc<Vec<TrackLists>>,
     zones: Vec<ZoneInfo>,
     capacity: u64,
     /// Remapped LBNs (factory remap policy and grown defects): lbn → spare
@@ -411,7 +509,7 @@ impl DiskGeometry {
 
     /// Number of tracks (surfaces × cylinders).
     pub fn num_tracks(&self) -> u32 {
-        self.tracks.len() as u32
+        self.rows.len() as u32
     }
 
     /// The zones of the disk, outermost first.
@@ -424,18 +522,36 @@ impl DiskGeometry {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn track(&self, id: u32) -> &Track {
-        &self.tracks[id as usize]
+    // The drive builds a view per visit in `plan_visits` and again in
+    // `run_visits`; left out of line, the call cost `dixtrac_extract` ≈ 3 %
+    // of its samples.
+    #[inline(always)]
+    pub fn track(&self, id: u32) -> Track<'_> {
+        let i = id as usize;
+        let row = self.rows[i];
+        // One bounds check for both neighbours.
+        let starts = &self.hot.first_lbns[i..i + 2];
+        let zone = &self.zone_slots[row.zone()];
+        Track {
+            first_lbn: starts[0],
+            count: (starts[1] - starts[0]) as u32,
+            cyl: row.cyl(),
+            head: row.head(),
+            spt: zone.spt,
+            angle0: row.angle0,
+            inv_spt: zone.inv_spt,
+            slot_frac: &zone.slot_frac,
+            lists: &self.lists[row.lists()],
+        }
     }
 
     /// The first LBN of every track that maps LBNs (spare tracks hold
     /// none), in ascending order: the drive's ground-truth track
     /// boundaries.
     pub fn track_starts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tracks
-            .iter()
-            .filter(|t| t.lbn_count() > 0)
-            .map(|t| t.first_lbn())
+        (self.hot.first_lbns.windows(2))
+            .filter(|w| w[0] < w[1])
+            .map(|w| w[0])
     }
 
     /// [`DiskGeometry::track_starts`] as a boundary table, built once.
@@ -492,9 +608,8 @@ impl DiskGeometry {
                     + ((lbn - self.hot.zone_first_lbn[zi]) / self.hot.zone_spt[zi]) as usize
             }
         };
-        debug_assert!(idx < self.tracks.len());
         debug_assert!(
-            self.tracks[idx].first_lbn <= lbn && lbn < self.tracks[idx].end_lbn(),
+            self.hot.first_lbns[idx] <= lbn && lbn < self.hot.first_lbns[idx + 1],
             "lbn {lbn} not on resolved track {idx}"
         );
         Ok(TrackId(idx as u32))
@@ -507,8 +622,8 @@ impl DiskGeometry {
     ///
     /// Returns [`GeometryError::LbnOutOfRange`] if `lbn` is beyond capacity.
     pub fn track_bounds(&self, lbn: u64) -> Result<(u64, u64), GeometryError> {
-        let t = &self.tracks[self.track_of_lbn(lbn)?.0 as usize];
-        Ok((t.first_lbn, t.end_lbn()))
+        let t = self.track_of_lbn(lbn)?.0 as usize;
+        Ok((self.hot.first_lbns[t], self.hot.first_lbns[t + 1]))
     }
 
     /// Translates an LBN to its physical location, following remaps.
@@ -520,10 +635,9 @@ impl DiskGeometry {
         if let Some(&pba) = self.remaps.get(&lbn) {
             return Ok(pba);
         }
-        let tid = self.track_of_lbn(lbn)?;
-        let t = &self.tracks[tid.0 as usize];
+        let t = self.track(self.track_of_lbn(lbn)?.0);
         let logical = (lbn - t.first_lbn) as u32;
-        Ok(Pba::new(t.cyl, t.head, self.slot_of_logical(t, logical)))
+        Ok(Pba::new(t.cyl, t.head, self.slot_of_logical(&t, logical)))
     }
 
     /// The physical slot holding the `logical`-th LBN of a track.
@@ -532,7 +646,7 @@ impl DiskGeometry {
             DefectPolicy::Slip => {
                 // LBNs occupy the first `count` non-defective slots.
                 let mut slot = logical;
-                for &d in &t.defect_slots {
+                for &d in t.defect_slots() {
                     if d <= slot {
                         slot += 1;
                     } else {
@@ -555,20 +669,20 @@ impl DiskGeometry {
         if pba.head >= self.spec.surfaces || pba.cyl >= self.cylinders() {
             return None;
         }
-        let tid = pba.cyl * self.spec.surfaces + pba.head;
-        let t = &self.tracks[tid as usize];
+        let t = self.track(pba.cyl * self.spec.surfaces + pba.head);
         if pba.slot >= t.spt {
             return None;
         }
-        if let Ok(i) = t.remap_targets.binary_search_by_key(&pba.slot, |&(s, _)| s) {
-            return Some(t.remap_targets[i].1);
+        let targets = t.remap_targets();
+        if let Ok(i) = targets.binary_search_by_key(&pba.slot, |&(s, _)| s) {
+            return Some(targets[i].1);
         }
         if t.is_defective_slot(pba.slot) {
             return None;
         }
         let logical = match self.spec.policy {
             DefectPolicy::Slip => {
-                let before = t.defect_slots.partition_point(|&d| d < pba.slot) as u32;
+                let before = t.defect_slots().partition_point(|&d| d < pba.slot) as u32;
                 pba.slot - before
             }
             DefectPolicy::Remap => pba.slot,
@@ -625,16 +739,19 @@ impl DiskGeometry {
         let spare = self
             .find_free_spare_slot()
             .ok_or(GeometryError::NoSpareForGrownDefect(lbn))?;
-        let tracks = Arc::make_mut(&mut self.tracks);
         // Mark the old physical slot defective.
-        let t = &mut tracks[(old.cyl * self.spec.surfaces + old.head) as usize];
-        if let Err(pos) = t.grown_slots.binary_search(&old.slot) {
-            t.grown_slots.insert(pos, old.slot);
+        let grown = &mut self
+            .lists_mut(old.cyl * self.spec.surfaces + old.head)
+            .grown_slots;
+        if let Err(pos) = grown.binary_search(&old.slot) {
+            grown.insert(pos, old.slot);
         }
         // Record the redirect on the spare's track for pba_to_lbn.
-        let st = &mut tracks[(spare.cyl * self.spec.surfaces + spare.head) as usize];
-        let pos = st.remap_targets.partition_point(|&(s, _)| s < spare.slot);
-        st.remap_targets.insert(pos, (spare.slot, lbn));
+        let targets = &mut self
+            .lists_mut(spare.cyl * self.spec.surfaces + spare.head)
+            .remap_targets;
+        let pos = targets.partition_point(|&(s, _)| s < spare.slot);
+        targets.insert(pos, (spare.slot, lbn));
         self.remaps.insert(lbn, spare);
         debug_assert_eq!(
             Ok(self.boundaries.track_bounds(lbn)),
@@ -644,10 +761,24 @@ impl DiskGeometry {
         Ok(spare)
     }
 
+    /// Track `tid`'s lists, to write: a track with none gets an entry of
+    /// its own. Copies the lists table if it is shared, and the rows too
+    /// if the entry is new.
+    fn lists_mut(&mut self, tid: u32) -> &mut TrackLists {
+        let mut i = self.rows[tid as usize].lists();
+        if i == 0 {
+            i = self.lists.len();
+            Arc::make_mut(&mut self.lists).push(TrackLists::default());
+            // The row's lists field was 0.
+            Arc::make_mut(&mut self.rows)[tid as usize].packed |= (i as u64) << 40;
+        }
+        &mut Arc::make_mut(&mut self.lists)[i]
+    }
+
     /// Finds a spare slot holding no LBN and no remap target, scanning from
     /// the end of the disk (where every spare scheme leaves room).
     fn find_free_spare_slot(&self) -> Option<Pba> {
-        for t in self.tracks.iter().rev() {
+        for t in (0..self.num_tracks()).rev().map(|id| self.track(id)) {
             // Candidate slots: those beyond the mapped region.
             let mapped = match self.spec.policy {
                 DefectPolicy::Slip => {
@@ -656,14 +787,13 @@ impl DiskGeometry {
                     if t.count == 0 {
                         0
                     } else {
-                        self.slot_of_logical(t, t.count - 1) + 1
+                        self.slot_of_logical(&t, t.count - 1) + 1
                     }
                 }
                 DefectPolicy::Remap => t.count,
             };
             for slot in (mapped..t.spt).rev() {
-                let taken = t
-                    .remap_targets
+                let taken = (t.remap_targets())
                     .binary_search_by_key(&slot, |&(s, _)| s)
                     .is_ok();
                 if !taken && !t.is_defective_slot(slot) {
@@ -686,8 +816,15 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         return Err(GeometryError::EmptyTrack);
     }
 
+    let total_cyls: u64 = spec.zones.iter().map(|z| u64::from(z.cylinders)).sum();
+    if spec.surfaces > HEADS
+        || spec.zones.len() > ZONES
+        || total_cyls * u64::from(spec.surfaces) >= TRACKS
+    {
+        return Err(GeometryError::TooLarge);
+    }
     let surfaces = spec.surfaces;
-    let total_cyls: u32 = spec.zones.iter().map(|z| z.cylinders).sum();
+    let total_cyls = total_cyls as u32;
     let total_tracks = total_cyls * surfaces;
 
     // Validate defects and bin them per track.
@@ -777,20 +914,20 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         }
     };
 
-    // One slot-fraction table per zone, shared by all its tracks.
-    let zone_fracs: Vec<Arc<[f64]>> = spec
-        .zones
-        .iter()
-        .map(|z| {
-            (0..z.spt)
+    // What every track of a zone shares, once per zone.
+    let zone_slots: Arc<[ZoneSlots]> = (spec.zones.iter())
+        .map(|z| ZoneSlots {
+            spt: z.spt,
+            inv_spt: 1.0 / f64::from(z.spt),
+            slot_frac: (0..z.spt)
                 .map(|s| f64::from(s) / f64::from(z.spt))
-                .collect()
+                .collect(),
         })
         .collect();
 
-    // LBNs mapped on each track, and the first LBN of every track that
-    // maps any: the boundary table.
-    let mut counts: Vec<u32> = Vec::with_capacity(total_tracks as usize);
+    // The first LBN of each track, and of every track that maps any: the
+    // boundary table.
+    let mut first_lbns: Vec<u64> = Vec::with_capacity(total_tracks as usize + 1);
     let mut starts: Vec<u64> = Vec::with_capacity(total_tracks as usize);
     let mut next_lbn: u64 = 0;
     let mut remaps: BTreeMap<u64, Pba> = BTreeMap::new();
@@ -815,7 +952,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                     if take > 0 {
                         starts.push(next_lbn);
                     }
-                    counts.push(take);
+                    first_lbns.push(next_lbn);
                     next_lbn += u64::from(take);
                 }
                 if remaining > 0 {
@@ -850,7 +987,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                             spares.push(Pba::new(m.cyl, m.head, slot));
                         }
                     }
-                    counts.push(take);
+                    first_lbns.push(next_lbn);
                     next_lbn += u64::from(take);
                 }
                 if victims.len() > spares.len() {
@@ -872,27 +1009,26 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         let tid = pba.cyl * surfaces + pba.head;
         remap_targets.entry(tid).or_default().push((pba.slot, lbn));
     }
-    // Collected straight into the shared table: one allocation, no copy.
-    let mut first_lbn = 0;
-    let tracks: Arc<[Track]> = (metas.iter().zip(counts).enumerate())
-        .map(|(t, (m, count))| {
-            let track = Track {
-                first_lbn,
-                count,
-                cyl: m.cyl,
-                head: m.head,
-                spt: m.spt,
-                angle0: m.angle0,
-                inv_spt: 1.0 / f64::from(m.spt),
-                slot_frac: zone_fracs[m.zone as usize].clone(),
+    // A track with a defect or a remap target gets an entry in the lists
+    // table; the rest share entry 0.
+    let mut lists = vec![TrackLists::default()];
+    let rows: Arc<[TrackRow]> = (metas.iter().enumerate())
+        .map(|(t, m)| {
+            let entry = TrackLists {
                 defect_slots: defects_by_track.remove(&(t as u32)).unwrap_or_default(),
                 grown_slots: Vec::new(),
                 remap_targets: remap_targets.remove(&(t as u32)).unwrap_or_default(),
             };
-            first_lbn += u64::from(count);
-            track
+            let index = if entry.defect_slots.is_empty() && entry.remap_targets.is_empty() {
+                0
+            } else {
+                lists.push(entry);
+                lists.len() - 1
+            };
+            TrackRow::new(m.angle0, m.cyl, m.head, m.zone as usize, index)
         })
         .collect();
+    first_lbns.push(next_lbn);
 
     // Zone summary.
     let mut zones = Vec::with_capacity(spec.zones.len());
@@ -900,15 +1036,14 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         let mut cyl = 0u32;
         for z in &spec.zones {
             let first_track = (cyl * surfaces) as usize;
-            let last_track = ((cyl + z.cylinders) * surfaces) as usize - 1;
-            let first_lbn = tracks[first_track].first_lbn;
-            let end_lbn = tracks[last_track].end_lbn();
+            let end_track = ((cyl + z.cylinders) * surfaces) as usize;
+            let first_lbn = first_lbns[first_track];
             zones.push(ZoneInfo {
                 first_cyl: cyl,
                 cylinders: z.cylinders,
                 spt: z.spt,
                 first_lbn,
-                lbn_count: end_lbn - first_lbn,
+                lbn_count: first_lbns[end_track] - first_lbn,
             });
             cyl += z.cylinders;
         }
@@ -917,7 +1052,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
     if next_lbn == 0 {
         return Err(GeometryError::ZeroCapacity);
     }
-    let hot = HotTables::build(&tracks, &zones, next_lbn, surfaces);
+    let hot = HotTables::build(first_lbns.into(), &zones, surfaces);
     #[expect(
         clippy::expect_used,
         reason = "a start is pushed only for a track that maps LBNs, so the starts begin \
@@ -927,7 +1062,9 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         TrackBoundaries::new(starts, next_lbn).expect("the mapped tracks tile the LBN space");
     Ok(DiskGeometry {
         spec,
-        tracks,
+        rows,
+        zone_slots,
+        lists: Arc::new(lists),
         zones,
         capacity: next_lbn,
         remaps,
@@ -1153,38 +1290,71 @@ mod tests {
         assert_eq!(g.lbn_to_pba(43).unwrap(), before_neighbors.1);
     }
 
-    /// Two catalogued drives share one track table, and a failed write
-    /// copies nothing; a clone's first grown defect copies the table, its
-    /// next one writes in place, and the tables no write reaches stay
-    /// shared.
+    /// Two catalogued drives share one set of track tables, and a failed
+    /// write copies nothing; a clone's first grown defect copies the tables
+    /// it writes, its next one writes in place, and the tables no write
+    /// reaches stay shared: the rows, while every written track already
+    /// has lists, and always the starts and the zone tables.
     #[test]
     fn clones_share_their_tables_until_a_grown_defect_writes() {
         let (atlas, mut again) = (
             crate::models::quantum_atlas_10k().geometry,
             crate::models::quantum_atlas_10k().geometry,
         );
-        assert!(Arc::ptr_eq(&atlas.tracks, &again.tracks));
+        let shared = |a: &DiskGeometry, b: &DiskGeometry| {
+            (
+                Arc::ptr_eq(&a.rows, &b.rows),
+                Arc::ptr_eq(&a.lists, &b.lists),
+            )
+        };
+        assert_eq!(shared(&atlas, &again), (true, true));
         assert!(Arc::ptr_eq(&atlas.hot.first_lbns, &again.hot.first_lbns));
         assert!(
             again.add_grown_defect(0).is_err(),
             "a pristine drive has no spare"
         );
-        assert!(Arc::ptr_eq(&atlas.tracks, &again.tracks));
+        assert_eq!(shared(&atlas, &again), (true, true));
 
         let mut spec = simple_spec();
         spec.spare = SpareScheme::SectorsPerCylinder(4);
         spec.defects = vec![DefectLocation::new(3, 0, 7)];
         let original = spec.build().unwrap();
         let mut clone = original.clone();
-        assert!(Arc::ptr_eq(&original.tracks, &clone.tracks));
+        assert_eq!(shared(&original, &clone), (true, true));
+        // Track 0 and the spare's track get their first lists.
         clone.add_grown_defect(42).unwrap();
-        assert!(!Arc::ptr_eq(&original.tracks, &clone.tracks));
-        let private = Arc::as_ptr(&clone.tracks);
+        assert_eq!(shared(&original, &clone), (false, false));
+        let private = (Arc::as_ptr(&clone.rows), Arc::as_ptr(&clone.lists));
         clone.add_grown_defect(43).unwrap();
-        assert_eq!(Arc::as_ptr(&clone.tracks), private);
-        assert!(Arc::ptr_eq(&original.hot.first_lbns, &clone.hot.first_lbns));
-        assert_eq!(original.boundaries, clone.boundaries);
-        assert!(!original.is_remapped(42) && clone.is_remapped(43));
+        assert_eq!(
+            (Arc::as_ptr(&clone.rows), Arc::as_ptr(&clone.lists)),
+            private
+        );
+        // The same two tracks again: only the lists are written.
+        let mut third = clone.clone();
+        third.add_grown_defect(44).unwrap();
+        assert_eq!(shared(&clone, &third), (true, false));
+        assert!(Arc::ptr_eq(&original.hot.first_lbns, &third.hot.first_lbns));
+        assert!(Arc::ptr_eq(&original.zone_slots, &third.zone_slots));
+        assert_eq!(original.boundaries, third.boundaries);
+        assert!(!original.is_remapped(42) && clone.is_remapped(43) && !clone.is_remapped(44));
+    }
+
+    #[test]
+    fn specs_beyond_the_packed_row_are_errors() {
+        let one = |cylinders| unskewed(cylinders, 1);
+        for spec in [
+            GeometrySpec::pristine(257, vec![one(1)]),
+            GeometrySpec::pristine(1, vec![one(1); 257]),
+            GeometrySpec::pristine(2, vec![one(1 << 23)]),
+        ] {
+            assert_eq!(spec.build().unwrap_err(), GeometryError::TooLarge);
+        }
+        let widest = GeometrySpec::pristine(256, vec![one(1); 256])
+            .build()
+            .unwrap();
+        let last = widest.track(widest.num_tracks() - 1);
+        assert_eq!((last.cyl(), last.head()), (255, 255));
     }
 
     #[test]
@@ -1252,7 +1422,7 @@ mod tests {
                         let gaps = || want.windows(2).map(|w| w[1] - w[0] - 1);
                         let holes = last - first + 1 - want.len() as u32;
                         let edge = gaps().next() > Some(0) || gaps().next_back() > Some(0);
-                        let defective = scheme >= 2 && !t.defect_slots.is_empty();
+                        let defective = scheme >= 2 && !t.defect_slots().is_empty();
                         let adjacent = gaps().any(|gap| gap > 1);
                         let hits = [holes == 0, holes == 1, adjacent, edge, defective, cut];
                         for (path, hit) in paths.into_iter().zip(hits) {

@@ -285,7 +285,7 @@ mod tests {
     }
 
     fn check_all_runs(g: &crate::geometry::DiskGeometry, tid: u32, arr: f64) {
-        let t = g.track(tid);
+        let t = &g.track(tid);
         let spt = t.spt();
         for first in [0, 1, spt / 3, spt - 1] {
             for count in [1, 2, spt / 2, spt - first] {
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn full_track_window_spans_whole_revolution() {
         let g = track_with(200, 20, 40, 1);
-        let t = g.track(1);
+        let t = &g.track(1);
         let (min_d, max_d) = window_closed(t, 0.123456, 0, 200);
         // Some slot is (nearly) under the head and some slot is (nearly) a
         // full turn away.

@@ -286,7 +286,7 @@ fn zero_latency_run_matches_scan() {
             (ooo, ahead, base, lead),
         )| {
             let Ok(geom) = spec.build() else { return };
-            let track = geom.track(tsel % geom.num_tracks());
+            let track = &geom.track(tsel % geom.num_tracks());
             let spt = track.spt();
             let first = fsel % spt;
             let count = 1 + csel % (spt - first);
@@ -338,7 +338,7 @@ fn one_track(spt: u32) -> DiskGeometry {
 /// Runs the kernel over every run shape of track 3 for one bus and
 /// arrival, in both delivery orders, idle bus and busy.
 fn kernel_cases(tally: &mut Tally, geom: &DiskGeometry, sector_ns: u64, arr: f64, counts: &[u32]) {
-    let track = geom.track(3);
+    let track = &geom.track(3);
     let spindle = Spindle::new(10_000);
     let base = SimTime::from_ns(123_456_789);
     for ooo in [false, true] {
@@ -395,7 +395,7 @@ fn fallback_eps_snap() {
     // Arriving a hair past a slot's leading edge puts that slot within EPS
     // of a full turn away, and its distance snaps to zero.
     let geom = one_track(200);
-    let track = geom.track(3);
+    let track = &geom.track(3);
     let mut tally = Tally::default();
     for slot in [0, 1, 66, 67, 100, 199] {
         for hair in [1e-9, EPS / 2.0, EPS * 0.99] {
@@ -459,7 +459,7 @@ fn slipped_run_matches_scan() {
             let holes: Vec<u32> = spec.defects.iter().map(|d| d.slot).collect();
             let (lo, hi) = (*holes.iter().min().unwrap(), *holes.iter().max().unwrap());
             let geom = spec.build().expect("four spare slots absorb four defects");
-            let track = geom.track(tid);
+            let track = &geom.track(tid);
             let mapped: Vec<u32> = (track.first_lbn()..track.end_lbn())
                 .map(|l| geom.lbn_to_pba(l).unwrap().slot)
                 .collect();
@@ -641,7 +641,7 @@ fn oracle_instants(
     let mut avail = Vec::new();
     let mut cur = lbn;
     for (vi, v) in visits.iter().enumerate() {
-        let track = geom.track(v.track);
+        let track = &geom.track(v.track);
         let slots: Vec<u32> = (cur..cur + v.sectors)
             .map(|l| {
                 let pba = geom.lbn_to_pba(l).unwrap();

@@ -8,7 +8,9 @@
 use proptest::prelude::*;
 use sim_disk::defects::{DefectLocation, DefectPolicy, SpareScheme};
 use sim_disk::disk::{Disk, DiskConfig};
-use sim_disk::geometry::{DiskGeometry, GeometryError, GeometrySpec, Pba, TrackId, ZoneSpec};
+use sim_disk::geometry::{
+    DiskGeometry, GeometryError, GeometrySpec, Pba, Track, TrackId, ZoneSpec,
+};
 use sim_disk::models;
 use traxtent::TrackBoundaries;
 
@@ -370,6 +372,242 @@ fn a_written_clone_leaves_its_original_as_built() {
             "second_write_private",
             "slip_policy",
             "remap_policy",
+        ],
+    );
+}
+
+// ---------------------------------------------------------------------
+// Every track view against a rebuild from the spec.
+// ---------------------------------------------------------------------
+
+/// What a track view says, floats as bits.
+#[derive(Debug, PartialEq)]
+struct View {
+    first_lbn: u64,
+    count: u32,
+    cyl: u32,
+    head: u32,
+    spt: u32,
+    angle0: u64,
+    inv_spt: u64,
+    defect_slots: Vec<u32>,
+    grown_slots: Vec<u32>,
+    remap_targets: Vec<(u32, u64)>,
+}
+
+impl View {
+    fn of(t: &Track) -> Self {
+        View {
+            first_lbn: t.first_lbn(),
+            count: t.lbn_count(),
+            cyl: t.cyl(),
+            head: t.head(),
+            spt: t.spt(),
+            angle0: t.angle0().to_bits(),
+            inv_spt: t.inv_spt().to_bits(),
+            defect_slots: t.defect_slots().to_vec(),
+            grown_slots: t.grown_slots().to_vec(),
+            remap_targets: t.remap_targets().to_vec(),
+        }
+    }
+}
+
+/// The track `lbn_to_pba` puts `lbn` on, and the LBN's index among the
+/// track's LBNs: its slot less the factory defects slipped before it.
+fn placed(geom: &DiskGeometry, lbn: u64) -> (u32, u64) {
+    let pba = geom.lbn_to_pba(lbn).expect("in range");
+    let id = pba.cyl * geom.surfaces() + pba.head;
+    let slipped = match geom.spec().policy {
+        DefectPolicy::Slip => (geom.spec().defects.iter())
+            .filter(|d| (d.cyl, d.head) == (pba.cyl, pba.head) && d.slot < pba.slot)
+            .map(|d| d.slot)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64,
+        DefectPolicy::Remap => 0,
+    };
+    (id, u64::from(pba.slot) - slipped)
+}
+
+/// Each track's `(first LBN, LBN count)`, from walking `lbn_to_pba` over
+/// the LBNs. A remapped LBN counts on the last track whose first LBN is at
+/// or below it. Without remaps, the tracks come in LBN order and the walk
+/// bisects each track's end instead of visiting every LBN.
+fn walk_the_lbns(geom: &DiskGeometry) -> Vec<(u64, u32)> {
+    let cap = geom.capacity_lbns();
+    let mut starts: Vec<Option<u64>> = vec![None; geom.num_tracks() as usize];
+    let mut counts = vec![0u32; starts.len()];
+    let mut remapped = Vec::new();
+    if geom.first_remap_in(0, cap).is_none() {
+        let mut lbn = 0;
+        while lbn < cap {
+            let (id, index) = placed(geom, lbn);
+            assert_eq!(index, 0, "lbn {lbn} opens track {id}");
+            // The first LBN past the track, by bisection.
+            let (mut lo, mut hi) = (lbn + 1, cap.min(lbn + u64::from(geom.track(id).spt())) + 1);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if mid < cap && placed(geom, mid).0 == id {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            starts[id as usize] = Some(lbn);
+            counts[id as usize] = (lo - lbn) as u32;
+            lbn = lo;
+        }
+    } else {
+        for lbn in 0..cap {
+            if geom.is_remapped(lbn) {
+                remapped.push(lbn);
+                continue;
+            }
+            let (id, index) = placed(geom, lbn);
+            let start = *starts[id as usize].get_or_insert(lbn - index);
+            assert_eq!(start, lbn - index, "lbn {lbn} on track {id}");
+            counts[id as usize] += 1;
+        }
+        for lbn in remapped {
+            let owner =
+                (starts.iter().rposition(|s| s.is_some_and(|s| s <= lbn))).expect("track 0");
+            counts[owner] += 1;
+        }
+    }
+    // A track that maps nothing starts where the next one that does.
+    let mut next = cap;
+    let mut tracks: Vec<(u64, u32)> = (starts.iter().zip(&counts).rev())
+        .map(|(start, &count)| {
+            next = start.unwrap_or(next);
+            (next, count)
+        })
+        .collect();
+    tracks.reverse();
+    tracks
+}
+
+/// Every view of `geom` against a rebuild from `spec`, `grown` (the
+/// `(track, slot)` of each grown defect written) and the public
+/// translation: counts and first LBNs from [`walk_the_lbns`], cylinder and
+/// head from the id, `angle0` re-accumulated from the skews, the
+/// per-zone floats recomputed, and the lists from the defect list and the
+/// remapped LBNs' spare locations.
+fn check_views(geom: &DiskGeometry, spec: &GeometrySpec, grown: &[(u32, u32)], tally: &mut Tally) {
+    let surfaces = spec.surfaces;
+    let zone_of_cyl: Vec<usize> = (spec.zones.iter().enumerate())
+        .flat_map(|(z, zone)| std::iter::repeat_n(z, zone.cylinders as usize))
+        .collect();
+    let fracs: Vec<Vec<u64>> = (spec.zones.iter())
+        .map(|z| {
+            (0..z.spt)
+                .map(|s| (f64::from(s) / f64::from(z.spt)).to_bits())
+                .collect()
+        })
+        .collect();
+    let mut targets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); geom.num_tracks() as usize];
+    let mut remapped = geom.first_remap_in(0, geom.capacity_lbns());
+    while let Some(lbn) = remapped {
+        let pba = geom.lbn_to_pba(lbn).expect("in range");
+        targets[(pba.cyl * surfaces + pba.head) as usize].push((pba.slot, lbn));
+        remapped = geom.first_remap_in(lbn + 1, geom.capacity_lbns());
+    }
+    let defects = geom.defect_list();
+    let mut angle = 0.0f64;
+    // The last slot-fraction table compared, and the zone it matched.
+    let mut compared: Option<(*const f64, usize)> = None;
+    assert_eq!(geom.num_tracks(), surfaces * spec.cylinders());
+    for (id, (first_lbn, count)) in (0..geom.num_tracks()).zip(walk_the_lbns(geom)) {
+        let (cyl, head) = (id / surfaces, id % surfaces);
+        let zone = zone_of_cyl[cyl as usize];
+        let z = spec.zones[zone];
+        if id > 0 {
+            let skew = if head == 0 { z.cyl_skew } else { z.track_skew };
+            angle = (angle + f64::from(skew) / f64::from(z.spt)).fract();
+        }
+        let mut grown_slots: Vec<u32> = (grown.iter()).filter(|g| g.0 == id).map(|g| g.1).collect();
+        grown_slots.sort_unstable();
+        grown_slots.dedup();
+        let mut remap_targets = std::mem::take(&mut targets[id as usize]);
+        remap_targets.sort_unstable();
+        let want = View {
+            first_lbn,
+            count,
+            cyl,
+            head,
+            spt: z.spt,
+            angle0: angle.to_bits(),
+            inv_spt: (1.0 / f64::from(z.spt)).to_bits(),
+            defect_slots: (defects.iter())
+                .filter(|d| (d.cyl, d.head) == (cyl, head))
+                .map(|d| d.slot)
+                .collect(),
+            grown_slots,
+            remap_targets,
+        };
+        let t = geom.track(id);
+        assert_eq!(View::of(&t), want, "track {id}");
+        let key = (t.slot_fracs().as_ptr(), zone);
+        if compared != Some(key) {
+            let bits = t.slot_fracs().iter().map(|f| f.to_bits());
+            assert!(
+                bits.eq(fracs[zone].iter().copied()),
+                "track {id}: slot fractions"
+            );
+            compared = Some(key);
+        }
+        let clean = want.defect_slots.is_empty()
+            && want.grown_slots.is_empty()
+            && want.remap_targets.is_empty();
+        tally.note_if(clean && count > 0, "clean");
+        tally.note_if(
+            !want.defect_slots.is_empty() && spec.policy == DefectPolicy::Slip,
+            "slipped_defect",
+        );
+        tally.note_if(!want.remap_targets.is_empty(), "remap_target");
+        tally.note_if(count == 0, "empty_spare");
+        tally.note_if(!want.grown_slots.is_empty(), "grown");
+    }
+}
+
+/// Every track view equals a naive rebuild from the spec, on arbitrary
+/// specs, after one and after two grown defects on a clone (its original
+/// unchanged), and on the catalogued drives.
+#[test]
+fn track_views_match_a_walk_over_the_slots() {
+    let name = "track_views_match_a_walk_over_the_slots";
+    let mut tally = Tally::default();
+    let picks = prop::collection::vec(0u64..u64::MAX, 2..3);
+    for_cases(name, 64, (arb_spec(), picks), |(spec, picks)| {
+        // A defect list the scheme cannot absorb is an error.
+        let Ok(original) = spec.clone().build() else {
+            return;
+        };
+        check_views(&original, &spec, &[], &mut tally);
+        let mut clone = original.clone();
+        let mut grown = Vec::new();
+        for lbn in picks.iter().map(|p| p % original.capacity_lbns()) {
+            if clone.is_remapped(lbn) {
+                continue;
+            }
+            let old = clone.lbn_to_pba(lbn).expect("in range");
+            if clone.add_grown_defect(lbn).is_ok() {
+                grown.push((old.cyl * spec.surfaces + old.head, old.slot));
+                check_views(&clone, &spec, &grown, &mut tally);
+            }
+        }
+        check_views(&original, &spec, &[], &mut tally);
+    });
+    for sheet in models::table1_sheets() {
+        let geometry = sheet.build().geometry;
+        check_views(&geometry, &geometry.spec().clone(), &[], &mut tally);
+    }
+    tally.require(
+        name,
+        &[
+            "clean",
+            "slipped_defect",
+            "remap_target",
+            "empty_spare",
+            "grown",
         ],
     );
 }

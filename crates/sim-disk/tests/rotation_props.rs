@@ -38,7 +38,7 @@ proptest! {
     ) {
         if let Ok(geom) = spec.build() {
             let tid = tsel % geom.num_tracks();
-            let track = geom.track(tid);
+            let track = &geom.track(tid);
             let spt = track.spt();
             if spt > 0 {
                 let first = fsel % spt;
