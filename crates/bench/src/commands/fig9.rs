@@ -4,9 +4,9 @@
 //! admission numbers.
 
 use crate::{Row, Run};
+use server::video::{hard, soft, VideoConfig};
 use sim_disk::models;
 use sim_disk::SimDur;
-use videoserver::{hard, soft, ServerConfig};
 
 /// §5.4.2: hard real-time streams per disk.
 pub(crate) fn hard_real_time(run: &Run) {
@@ -49,7 +49,7 @@ pub(crate) fn main(run: &Run) {
     } else {
         &[10, 20, 30, 40, 45, 55, 60, 65, 70, 75]
     };
-    let server = |aligned| ServerConfig {
+    let video = |aligned| VideoConfig {
         aligned,
         rounds,
         quantile,
@@ -63,7 +63,7 @@ pub(crate) fn main(run: &Run) {
         per_disk,
         &[true, false],
         |v| Row::new().col(v * 10),
-        |&v, &aligned| match soft::operating_point(&cfg, &server(aligned), v) {
+        |&v, &aligned| match soft::operating_point(&cfg, &video(aligned), v) {
             Some(p) => {
                 p.measurement.export_metrics(&run.reg);
                 Row::new()
@@ -77,7 +77,7 @@ pub(crate) fn main(run: &Run) {
     // The 0.5 s round-time comparison.
     let cap = SimDur::from_secs_f64(0.5);
     let counts = run.map(vec![true, false], |_, aligned| {
-        soft::max_streams_at_round(&cfg, &server(aligned), track, cap)
+        soft::max_streams_at_round(&cfg, &video(aligned), track, cap)
     });
     println!(
         "at a 0.5 s round with track-sized I/Os: aligned {} vs unaligned {} streams/disk (paper: 70 vs 45)",

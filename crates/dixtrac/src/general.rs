@@ -165,9 +165,10 @@ enum State {
     },
     /// Re-measuring the one-sector baseline at the current phase.
     Baseline { attempts: u32 },
-    /// Measuring the linear model's slope: point `i` of the 17/33/49-sector
-    /// ladder, with the responses gathered so far.
-    SlotProbe { i: u8, r: [SimDur; 3] },
+    /// Measuring the linear model's slope: point `i` of the `1 + w`,
+    /// `1 + 2w`, `1 + 3w`-sector ladder, with the responses gathered so
+    /// far.
+    SlotProbe { i: u8, w: u64, r: [SimDur; 3] },
     /// Verifying that the predicted `p` sectors do not cross. This and the
     /// three searches below judge crossings by the measured `slope`.
     VerifyLow { p: u64, slope: SimDur },
@@ -179,6 +180,17 @@ enum State {
     Bisect { lo: u64, hi: u64, slope: SimDur },
     /// Region finished.
     Done,
+}
+
+impl State {
+    /// A fresh slope measurement over `w`-sector windows.
+    fn slot_probe(w: u64) -> State {
+        State::SlotProbe {
+            i: 0,
+            w,
+            r: [SimDur::ZERO; 3],
+        }
+    }
 }
 
 /// One interleaved probe stream.
@@ -289,11 +301,21 @@ pub fn extract_general(
 
     // Merge: all discovered boundaries, plus the origin. Where two contexts
     // found the same boundary, keep the lower confidence (the cautious
-    // merge never overstates what the probes agreed on).
+    // merge never overstates what the probes agreed on). A context starts
+    // mid-track, where its slope windows may have run into a zone of
+    // faster sectors; its predecessor walked on from a track start to a
+    // boundary at or past that start, so where the two disagree on the
+    // sectors before that boundary, the predecessor's walk wins.
     let mut conf_of: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-    for (b, conf) in contexts.iter().flat_map(|c| c.found.iter().copied()) {
-        let e = conf_of.entry(b).or_insert(conf);
-        *e = e.min(conf);
+    for (k, c) in contexts.iter().enumerate() {
+        let before = k.checked_sub(1).map(|j| &contexts[j].found);
+        let covered = before.and_then(|f| f.last()).map_or(0, |&(b, _)| b);
+        let agrees =
+            |b: u64| b >= covered || before.is_some_and(|f| f.iter().any(|&(p, _)| p == b));
+        for &(b, conf) in c.found.iter().filter(|&&(b, _)| agrees(b)) {
+            let e = conf_of.entry(b).or_insert(conf);
+            *e = e.min(conf);
+        }
     }
     let mut starts: Vec<u64> = conf_of.keys().copied().collect();
     starts.push(0);
@@ -426,9 +448,15 @@ fn step(
     // The linear model of §4.1.1: a non-crossing `read(s, n)` responds in
     // `baseline + (n − 1) × slope`; a boundary crossing adds a head switch
     // plus realignment, far above the threshold. Requests running past the
-    // end of the disk cross by definition.
+    // end of the disk cross by definition. A read that crosses into a zone
+    // of faster sectors can instead come in far *under* the model once
+    // enough of it lies past the boundary, which no read inside one track
+    // can: `under` reports that.
     let crosses = |r: SimDur, baseline: SimDur, slope: SimDur, n: u64| -> bool {
         r > baseline + slope * (n - 1) + CROSS_THRESHOLD
+    };
+    let under = |r: SimDur, baseline: SimDur, slope: SimDur, n: u64| -> bool {
+        r + CROSS_THRESHOLD < baseline + slope * (n - 1)
     };
 
     // A boundary decision under `config.votes`: probe the same request
@@ -442,21 +470,20 @@ fn step(
                 baseline: SimDur,
                 slope: SimDur,
                 n: &mut u64|
-     -> Result<(bool, f64), ExtractError> {
+     -> Result<(bool, bool, f64), ExtractError> {
         let votes = config.votes.max(1);
-        let mut crossing = 0u32;
+        let (mut crossing, mut below) = (0u32, 0u32);
         for v in 0..votes {
             if v > 0 {
                 let _ = with_retries(disk, "write", anchor, |d| d.write_at(anchor, 1))?;
             }
             let r = probe(disk, anchor, len, phase, n)?;
-            if crosses(r, baseline, slope, len) {
-                crossing += 1;
-            }
+            crossing += u32::from(crosses(r, baseline, slope, len));
+            below += u32::from(under(r, baseline, slope, len));
         }
         let majority = crossing * 2 > votes;
         let agree = f64::from(crossing.max(votes - crossing)) / f64::from(votes);
-        Ok((majority, agree))
+        Ok((majority, below * 2 > votes, agree))
     };
 
     match ctx.state {
@@ -498,28 +525,34 @@ fn step(
                     );
                     ctx.baseline += guard;
                 }
-                ctx.state = State::SlotProbe {
-                    i: 0,
-                    r: [SimDur::ZERO; 3],
-                };
+                ctx.state = State::slot_probe(16);
             }
         }
-        State::SlotProbe { i, mut r } => {
-            let lens = [17u64, 33, 49];
-            if ctx.s + 49 > capacity {
-                // Too little disk left for slope probing; a conservative
-                // zero slope is safe for the few sectors that remain.
-                ctx.slope = Some(SimDur::ZERO);
+        State::SlotProbe { i, w, mut r } => {
+            // Three windows of `w` sectors: the 17/33/49 ladder wherever
+            // the disk leaves room for it, narrower ones near its end. A
+            // zero slope there would call every read longer than the
+            // threshold over one sector time a crossing, and cut the
+            // disk's last track into slivers of a few sectors.
+            let w = ((capacity - ctx.s - 1) / 3).min(w);
+            if w == 0 {
+                // Three sectors or fewer remain: keep the slope measured
+                // before, if any; with none, reads this short cross the
+                // threshold only on a drive slower than about 125 µs a
+                // sector.
+                let slope = ctx.slope.unwrap_or(SimDur::ZERO);
+                ctx.slope = Some(slope);
                 ctx.slope_at = Some(ctx.s);
-                ctx.state = next_measure_state(ctx, SimDur::ZERO, capacity);
+                ctx.state = next_measure_state(ctx, slope, capacity);
                 return Ok(());
             }
+            let lens = [1 + w, 1 + 2 * w, 1 + 3 * w];
             r[i as usize] = measure(disk, lens[i as usize], ctx.phase, probe_reads)?;
             if usize::from(i) + 1 < lens.len() {
-                ctx.state = State::SlotProbe { i: i + 1, r };
+                ctx.state = State::SlotProbe { i: i + 1, w, r };
                 return Ok(());
             }
-            // Per-sector slope over three 16-sector windows. A slipped
+            // Per-sector slope over three `w`-sector windows. A slipped
             // defect or a track boundary inside a window only ever inflates
             // it, so the *minimum* of the windows is the clean sector time
             // whenever at least one window is clean — which makes the linear
@@ -532,10 +565,17 @@ fn step(
             // as a media rate and is discarded.
             let floor = SimDur::from_ns(rev.as_ns() / 1024);
             let windows = [
-                r[0].saturating_sub(ctx.baseline) / 16,
-                r[1].saturating_sub(r[0]) / 16,
-                r[2].saturating_sub(r[1]) / 16,
+                r[0].saturating_sub(ctx.baseline) / w,
+                r[1].saturating_sub(r[0]) / w,
+                r[2].saturating_sub(r[1]) / w,
             ];
+            if windows[1] < floor && windows[2] < floor && w > 1 {
+                // The later windows both crossed, so the boundary lies in
+                // the first and no window timed this track alone: narrow
+                // them until one does.
+                ctx.state = State::slot_probe(w / 2);
+                return Ok(());
+            }
             let slope = windows
                 .iter()
                 .copied()
@@ -555,10 +595,7 @@ fn step(
                 ctx.baseline = r;
                 ctx.state = match ctx.slope {
                     Some(slope) => next_measure_state(ctx, slope, capacity),
-                    None => State::SlotProbe {
-                        i: 0,
-                        r: [SimDur::ZERO; 3],
-                    },
+                    None => State::slot_probe(16),
                 };
             } else if attempts < 3 {
                 // Shift the issue phase so the head arrives just before the
@@ -591,7 +628,7 @@ fn step(
                 };
                 return Ok(());
             }
-            let (crossed, agree) = vote(disk, p, ctx.phase, ctx.baseline, slope, probe_reads)?;
+            let (crossed, _, agree) = vote(disk, p, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
             if crossed {
                 counters.mispredictions += 1;
@@ -605,10 +642,7 @@ fn step(
                 } else {
                     // The failed prediction may mean the layout changed under
                     // us (zone boundary): re-measure the slope here first.
-                    ctx.state = State::SlotProbe {
-                        i: 0,
-                        r: [SimDur::ZERO; 3],
-                    };
+                    ctx.state = State::slot_probe(16);
                 }
             } else {
                 ctx.state = State::VerifyHigh { p, slope };
@@ -621,7 +655,8 @@ fn step(
                 finish_track(ctx, (capacity - ctx.s).min(p), capacity);
                 return Ok(());
             }
-            let (crossed, agree) = vote(disk, p + 1, ctx.phase, ctx.baseline, slope, probe_reads)?;
+            let (crossed, _, agree) =
+                vote(disk, p + 1, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
             if crossed {
                 counters.verified_predictions += 1;
@@ -635,10 +670,7 @@ fn step(
                 };
             } else {
                 counters.mispredictions += 1;
-                ctx.state = State::SlotProbe {
-                    i: 0,
-                    r: [SimDur::ZERO; 3],
-                };
+                ctx.state = State::slot_probe(16);
             }
         }
         State::SearchUp { lo, hi, slope } => {
@@ -650,10 +682,24 @@ fn step(
                 };
                 return Ok(());
             }
-            let (crossed, agree) = vote(disk, hi, ctx.phase, ctx.baseline, slope, probe_reads)?;
+            let (crossed, faster, agree) =
+                vote(disk, hi, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
+            // A track is one revolution: it holds at most `rev / slope`
+            // sectors, so a read of `revolution` sectors crosses, and a
+            // crossing into faster sectors that the doubling overshot lies
+            // below it. Past such a crossing a read can also come in on
+            // the model, so a `lo` that long proves nothing: bisect from
+            // one sector instead.
+            let revolution = rev.as_ns() / slope.as_ns().max(1) + 1;
             if crossed {
                 ctx.state = State::Bisect { lo, hi, slope };
+            } else if faster && revolution < hi {
+                ctx.state = State::Bisect {
+                    lo: if lo < revolution { lo } else { 1 },
+                    hi: revolution,
+                    slope,
+                };
             } else {
                 ctx.state = State::SearchUp {
                     lo: hi,
@@ -668,7 +714,7 @@ fn step(
                 return Ok(());
             }
             let mid = lo + (hi - lo) / 2;
-            let (crossed, agree) = vote(disk, mid, ctx.phase, ctx.baseline, slope, probe_reads)?;
+            let (crossed, _, agree) = vote(disk, mid, ctx.phase, ctx.baseline, slope, probe_reads)?;
             ctx.cur_conf = ctx.cur_conf.min(agree);
             if crossed {
                 ctx.state = State::Bisect { lo, hi: mid, slope };

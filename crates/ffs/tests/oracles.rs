@@ -639,7 +639,7 @@ fn low_water_mark_matches_the_full_scan() {
             // Fill a prefix so the first free block is far from block 0,
             // then punch the holes a Postmark run leaves behind.
             let rest = if nearly_full {
-                fill + 12..slow.blocks - 12
+                fill + 4..slow.blocks - 4
             } else {
                 0..0
             };

@@ -110,6 +110,11 @@ impl LfsSim {
     }
 
     /// Creates a simulator over an explicit segment table.
+    #[expect(
+        clippy::expect_used,
+        reason = "the capacity assertion leaves room for every live sector, so the initial \
+                  fill cannot fail; cleaner_oracle builds tables of every shape"
+    )]
     pub fn with_table(table: SegmentTable, config: LfsConfig) -> Self {
         assert!(config.utilization > 0.0 && config.utilization <= 0.95);
         for frac in [config.hot_update_frac, config.hot_data_frac] {
@@ -120,7 +125,7 @@ impl LfsSim {
             "too few segments for the reserve"
         );
         let lens = || (0..table.len()).map(|i| table.get(i).len);
-        let (capacity, max_seg) = (lens().sum::<u64>(), lens().max().expect("non-empty"));
+        let (capacity, max_seg) = (lens().sum::<u64>(), lens().fold(0, u64::max));
         // Both table constructors lay segments out in ascending LBN order.
         let (first, last) = (table.get(0), table.get(table.len() - 1));
         let span = last.start + last.len - first.start;

@@ -30,6 +30,12 @@
 //! surface as the typed [`LfsError`] rather than panics.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod cleaner;
 pub mod error;
@@ -54,6 +60,11 @@ use traxtent::stats;
 ///
 /// Panics unless the segment is shorter than the first zone
 /// ([`DiskGeometry::track_starts_fitting`](sim_disk::geometry::DiskGeometry::track_starts_fitting)).
+#[expect(
+    clippy::expect_used,
+    reason = "every written LBN lies in a segment that `track_starts_fitting` placed inside \
+              zone 0, so it is below capacity; integration's lfs_prefers_track_sized_aligned_segments runs it"
+)]
 pub fn transfer_inefficiency(
     config: &DiskConfig,
     segment_sectors: u64,

@@ -52,15 +52,11 @@ fn seal_sector(words: &[u64]) -> [u8; SECTOR_USIZE] {
 /// Reads `n` sealed words back out of `sector`, or `None` if the
 /// self-checksum does not hold.
 fn unseal_sector(sector: &[u8; SECTOR_USIZE], n: usize) -> Option<Vec<u64>> {
-    let stored = u64::from_le_bytes(sector[n * 8..(n + 1) * 8].try_into().unwrap());
-    if checksum(&sector[..n * 8]) != stored {
+    let (words, _) = sector.as_chunks::<8>();
+    if checksum(&sector[..n * 8]) != u64::from_le_bytes(words[n]) {
         return None;
     }
-    Some(
-        (0..n)
-            .map(|i| u64::from_le_bytes(sector[i * 8..(i + 1) * 8].try_into().unwrap()))
-            .collect(),
-    )
+    Some(words[..n].iter().map(|&w| u64::from_le_bytes(w)).collect())
 }
 
 /// An append-only checkpointed log over a crash-logged disk.

@@ -16,7 +16,9 @@
 //! * the [`serve`] loop itself, which drives any [`Backend`] — a bare
 //!   [`Disk`] or a multi-disk `fleet` volume, one queue and one elevator
 //!   per spindle — on simulated time and reports response latency
-//!   percentiles, queue depths, rejections, and throughput.
+//!   percentiles, queue depths, rejections, and throughput;
+//! * the §5.4 [`video`] server, whose rounds are bursts of arrivals served
+//!   by that loop, and its soft and hard real-time admission.
 //!
 //! Determinism: the loop's only clocks are simulated — one event time and
 //! one busy-until instant per spindle, lanes served in ascending spindle
@@ -62,6 +64,7 @@
 pub mod admission;
 pub mod sched;
 pub mod timeline;
+pub mod video;
 
 pub use admission::{AdmissionError, AdmissionQueue, Queued};
 pub use sched::{CLook, Dispatch, Fifo, Scheduler, SchedulerKind, Traxtent};

@@ -1,15 +1,17 @@
-//! A round-based streaming video server over simulated disks (§5.4).
+//! A round-based streaming video server over the simulated drive (§5.4).
 //!
 //! The server fetches one interval of video per stream per *round*. Streams
-//! are spread over `D` disks; each disk serves `V` streams per round, with
-//! the per-round requests sorted by LBN (the scan order a real server's
-//! scheduler would use) and kept queued at the drive.
+//! are spread over `D` disks; each disk serves `V` streams per round. A
+//! round is `V` reads that all arrive at the round start, served by
+//! [`serve`] under C-LOOK with the whole round in one batch
+//! — the scan order a real server's scheduler would use, with every
+//! request queued at the drive.
 //!
 //! * **Soft real-time** ([`soft`]): round times are *measured* over many
 //!   simulated rounds; admission uses the 99.99th-percentile round time,
 //!   RIO-style. A stream set `V` at I/O size `S` is feasible when that
 //!   round time does not exceed the interval the fetched data lasts
-//!   (`S × 8 / bit_rate`).
+//!   (`S × 512 × 8 / bit_rate` seconds).
 //! * **Hard real-time** ([`hard`]): admission from closed-form worst cases
 //!   — worst scheduled seek route, a full revolution of rotational latency
 //!   for unaligned access (none for track-aligned), and at least one head
@@ -18,23 +20,16 @@
 //! Worst-case startup latency for a newly admitted stream is
 //! `round_time × (D + 1)` (Santos et al., as used in the paper).
 
-#![warn(missing_docs)]
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
-
+use crate::{serve, SchedulerKind, ServerConfig, ServerError, ServerResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_disk::disk::{Disk, DiskConfig, Request};
-use sim_disk::{SimDur, SimTime};
+use sim_disk::{SimDur, SimTime, TraceRecord};
 use traxtent::stats;
 
-/// Server-wide parameters.
+/// Video-server parameters.
 #[derive(Debug, Clone)]
-pub struct ServerConfig {
+pub struct VideoConfig {
     /// Number of disks video is striped across.
     pub disks: usize,
     /// Per-stream bit rate, megabits per second.
@@ -51,9 +46,9 @@ pub struct ServerConfig {
     pub seed: u64,
 }
 
-impl Default for ServerConfig {
+impl Default for VideoConfig {
     fn default() -> Self {
-        ServerConfig {
+        VideoConfig {
             disks: 10,
             bit_rate_mbps: 4.0,
             aligned: true,
@@ -64,39 +59,10 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// The measurement spec for one (streams-per-disk, I/O size) point
-    /// under this server's policy parameters.
-    pub fn round_spec(&self, v: usize, io_sectors: u64) -> RoundSpec {
-        RoundSpec {
-            v,
-            io_sectors,
-            aligned: self.aligned,
-            rounds: self.rounds,
-            quantile: self.quantile,
-            bit_rate_mbps: self.bit_rate_mbps,
-            seed: self.seed,
-        }
-    }
-}
-
-/// Everything one [`measure_rounds`] call needs besides the disk.
-#[derive(Debug, Clone, Copy)]
-pub struct RoundSpec {
-    /// Streams per disk (requests per round).
-    pub v: usize,
-    /// Per-request size, sectors.
-    pub io_sectors: u64,
-    /// Track-aligned placement (traxtent server) or free placement.
-    pub aligned: bool,
-    /// Rounds to simulate.
-    pub rounds: usize,
-    /// Quantile reported as the admission round time.
-    pub quantile: f64,
-    /// Per-stream bit rate, megabits per second — sets the deadline.
-    pub bit_rate_mbps: f64,
-    /// RNG seed.
-    pub seed: u64,
+/// How long one fetched I/O of `io_sectors` plays at `bit_rate_mbps`, in
+/// seconds: the deadline of the round that fetches it.
+fn playback_secs(io_sectors: u64, bit_rate_mbps: f64) -> f64 {
+    io_sectors as f64 * 512.0 * 8.0 / (bit_rate_mbps * 1e6)
 }
 
 /// Measured behaviour of one (streams-per-disk, I/O size) operating point.
@@ -139,64 +105,94 @@ impl RoundMeasurement {
     }
 }
 
-/// Simulates `spec.rounds` rounds of `spec.v` random requests of
-/// `spec.io_sectors` each on one disk and returns the round-time
-/// distribution summary.
+/// Serves one round: a read of `io_sectors` at each of `lbns`, all
+/// arriving at `start`, through [`serve`] under C-LOOK with the whole
+/// round admitted and dispatched as one batch. A fresh elevator sweeps up
+/// from LBN 0, so the drive sees the round in ascending-LBN order; the
+/// round ends at the result's `sim_end`.
+///
+/// # Errors
+///
+/// [`ServerError::ZeroConfig`] for an empty round, and
+/// [`ServerError::BeyondCapacity`] for a read past the drive's end.
+pub fn round(
+    disk: &mut Disk,
+    start: SimTime,
+    lbns: &[u64],
+    io_sectors: u64,
+) -> Result<ServerResult, ServerError> {
+    let records: Vec<TraceRecord> = (lbns.iter())
+        .map(|&lbn| TraceRecord {
+            arrival: start,
+            request: Request::read(lbn, io_sectors),
+        })
+        .collect();
+    let mut cfg = ServerConfig::new(SchedulerKind::CLook);
+    (cfg.queue_limit, cfg.max_batch) = (lbns.len(), lbns.len());
+    serve(disk, &records, &cfg)
+}
+
+/// Simulates `video.rounds` rounds of `v` random requests of
+/// `io_sectors` each on one disk and returns the round-time distribution
+/// summary.
 ///
 /// Requests are drawn from the outermost zone — video servers place content
 /// on the outer, highest-bandwidth cylinders (as the Tiger server did), and
 /// that is also where request size equals track size for the aligned
-/// server. Requests within a round are sorted by LBN and issued together
-/// (queued at the drive); the round time is the completion of the last.
+/// server. Each round is one [`round`]; the next starts when it ends.
 ///
-/// `spec.bit_rate_mbps` sets the playback deadline: a round that takes
+/// `video.bit_rate_mbps` sets the playback deadline: a round that takes
 /// longer than the interval one I/O sustains (`io_sectors × 512 × 8 /
 /// bit_rate`) counts as a deadline miss, and per-round slack feeds the
 /// `min_buffer_ppm` high-water mark.
 ///
 /// # Panics
 ///
-/// Panics unless a request is shorter than the outermost zone
+/// Panics if `v` or `video.rounds` is zero, or unless a request is shorter
+/// than the outermost zone
 /// ([`DiskGeometry::track_starts_fitting`](sim_disk::geometry::DiskGeometry::track_starts_fitting)).
-pub fn measure_rounds(config: &DiskConfig, spec: &RoundSpec) -> RoundMeasurement {
-    let &RoundSpec {
-        v,
-        io_sectors,
+#[expect(
+    clippy::expect_used,
+    reason = "v > 0 is asserted and every read lies inside zone 0, so `round` cannot fail"
+)]
+pub fn measure_rounds(
+    config: &DiskConfig,
+    video: &VideoConfig,
+    v: usize,
+    io_sectors: u64,
+) -> RoundMeasurement {
+    let VideoConfig {
         aligned,
         rounds,
         quantile,
         bit_rate_mbps,
         seed,
-    } = spec;
+        ..
+    } = *video;
     assert!(v > 0 && rounds > 0);
     let mut disk = Disk::new(config.clone());
     let zone = disk.geometry().zones()[0];
     let track_starts = disk.geometry().track_starts_fitting(0, io_sectors);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut round_times = Vec::with_capacity(rounds);
+    let mut lbns = Vec::with_capacity(v);
     let mut now = SimTime::ZERO;
     for _ in 0..rounds {
-        let mut lbns: Vec<u64> = (0..v)
-            .map(|_| {
-                if aligned {
-                    track_starts[rng.gen_range(0..track_starts.len())]
-                } else {
-                    zone.first_lbn + rng.gen_range(0..zone.lbn_count - io_sectors)
-                }
-            })
-            .collect();
-        lbns.sort_unstable();
-        let start = now;
-        let mut last = start;
-        for lbn in lbns {
-            // All round requests are issued up front (queued at the drive).
-            let c = disk.service(Request::read(lbn, io_sectors), start);
-            last = c.completion;
-        }
-        round_times.push((last - start).as_secs_f64());
-        now = last;
+        lbns.clear();
+        lbns.extend((0..v).map(|_| {
+            if aligned {
+                track_starts[rng.gen_range(0..track_starts.len())]
+            } else {
+                zone.first_lbn + rng.gen_range(0..zone.lbn_count - io_sectors)
+            }
+        }));
+        let end = round(&mut disk, now, &lbns, io_sectors)
+            .expect("a non-empty round inside zone 0")
+            .sim_end;
+        round_times.push((end - now).as_secs_f64());
+        now = end;
     }
-    let playback = io_sectors as f64 * 512.0 * 8.0 / (bit_rate_mbps * 1e6);
+    let playback = playback_secs(io_sectors, bit_rate_mbps);
     let deadline_misses = round_times.iter().filter(|&&r| r > playback).count() as u64;
     let min_slack = round_times
         .iter()
@@ -244,11 +240,11 @@ pub mod soft {
     /// largest size tried (4 MB) fails.
     pub fn operating_point(
         disk: &DiskConfig,
-        server: &ServerConfig,
+        video: &VideoConfig,
         v: usize,
     ) -> Option<OperatingPoint> {
         let track = disk.geometry.track(0).lbn_count() as u64;
-        let candidates: Vec<u64> = if server.aligned {
+        let candidates: Vec<u64> = if video.aligned {
             (1..=16).map(|k| k * track).collect()
         } else {
             (1..=64).map(|k| k * 128).collect() // 64 KB steps up to 4 MB
@@ -257,16 +253,15 @@ pub mod soft {
             if io * 512 * 8 > (1 << 33) {
                 break;
             }
-            let m = measure_rounds(disk, &server.round_spec(v, io));
-            let playback =
-                SimDur::from_secs_f64(io as f64 * 512.0 * 8.0 / (server.bit_rate_mbps * 1e6));
+            let m = measure_rounds(disk, video, v, io);
+            let playback = SimDur::from_secs_f64(playback_secs(io, video.bit_rate_mbps));
             if m.quantile_round <= playback {
                 return Some(OperatingPoint {
                     streams_per_disk: v,
                     io_sectors: io,
                     round_time: m.quantile_round,
                     startup_latency: SimDur::from_ns(
-                        m.quantile_round.as_ns() * (server.disks as u64 + 1),
+                        m.quantile_round.as_ns() * (video.disks as u64 + 1),
                     ),
                     measurement: m,
                 });
@@ -279,17 +274,15 @@ pub mod soft {
     /// with a fixed I/O size (the paper's "70 vs 45 at a 0.5 s round").
     pub fn max_streams_at_round(
         disk: &DiskConfig,
-        server: &ServerConfig,
+        video: &VideoConfig,
         io_sectors: u64,
         round_cap: SimDur,
     ) -> usize {
+        let playback = SimDur::from_secs_f64(playback_secs(io_sectors, video.bit_rate_mbps));
         let mut best = 0;
         let mut v = 1;
         while v <= 90 {
-            let m = measure_rounds(disk, &server.round_spec(v, io_sectors));
-            let playback = SimDur::from_secs_f64(
-                io_sectors as f64 * 512.0 * 8.0 / (server.bit_rate_mbps * 1e6),
-            );
+            let m = measure_rounds(disk, video, v, io_sectors);
             if m.quantile_round <= round_cap && m.quantile_round <= playback {
                 best = v;
                 v += 1;
@@ -343,7 +336,7 @@ pub mod hard {
         io_sectors: u64,
         aligned: bool,
     ) -> usize {
-        let playback = io_sectors as f64 * 512.0 * 8.0 / (bit_rate_mbps * 1e6);
+        let playback = playback_secs(io_sectors, bit_rate_mbps);
         let mut v = 0;
         loop {
             let next = v + 1;
@@ -354,143 +347,5 @@ pub mod hard {
                 return v;
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sim_disk::models;
-
-    /// A short 20-stream measurement spec for the tests.
-    fn spec(io_sectors: u64, aligned: bool, bit_rate_mbps: f64) -> RoundSpec {
-        RoundSpec {
-            v: 20,
-            io_sectors,
-            aligned,
-            rounds: 60,
-            quantile: 0.99,
-            bit_rate_mbps,
-            seed: 1,
-        }
-    }
-
-    #[test]
-    fn aligned_rounds_are_shorter() {
-        let cfg = models::quantum_atlas_10k_ii();
-        let io = cfg.geometry.track(0).lbn_count() as u64;
-        let a = measure_rounds(&cfg, &spec(io, true, 4.0));
-        let u = measure_rounds(&cfg, &spec(io, false, 4.0));
-        assert!(
-            a.mean_round < u.mean_round,
-            "{} !< {}",
-            a.mean_round,
-            u.mean_round
-        );
-        assert!(a.quantile_round >= a.mean_round);
-        assert!(a.max_round >= a.quantile_round);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be shorter than zone 0")]
-    fn a_zone_sized_request_is_refused_up_front() {
-        let cfg = models::small_test_disk();
-        let zone = cfg.geometry.zones()[0].lbn_count;
-        measure_rounds(&cfg, &spec(zone, false, 4.0));
-    }
-
-    #[test]
-    fn overloaded_rounds_miss_deadlines() {
-        let cfg = models::quantum_atlas_10k_ii();
-        let io = cfg.geometry.track(0).lbn_count() as u64;
-        // 20 streams at track-sized I/Os are comfortable at 4 Mb/s; at an
-        // absurd 400 Mb/s bit rate every round overruns the interval.
-        let ok = measure_rounds(&cfg, &spec(io, true, 4.0));
-        let bad = measure_rounds(&cfg, &spec(io, true, 400.0));
-        assert_eq!(ok.deadline_misses, 0, "feasible point misses nothing");
-        assert!(ok.min_buffer_ppm > 0);
-        assert_eq!(bad.deadline_misses, bad.rounds);
-        assert_eq!(bad.min_buffer_ppm, 0, "buffer fully drained");
-        let reg = traxtent::obs::Registry::new();
-        ok.export_metrics(&reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.get("videoserver.rounds"), Some(ok.rounds));
-        assert_eq!(snap.get("videoserver.deadline_misses"), Some(0));
-        assert_eq!(
-            snap.get("videoserver.buffer_drain_ppm"),
-            Some(1_000_000 - ok.min_buffer_ppm)
-        );
-    }
-
-    #[test]
-    fn hard_admission_matches_paper_264kb() {
-        // §5.4.2: 264 KB I/Os at 4 Mb/s — 36 streams unaligned vs 67
-        // aligned per disk.
-        let cfg = models::quantum_atlas_10k_ii();
-        let io = 528; // 264 KB
-        let aligned = hard::max_streams(&cfg, 4.0, io, true);
-        let unaligned = hard::max_streams(&cfg, 4.0, io, false);
-        assert!((60..=75).contains(&aligned), "aligned {aligned}");
-        assert!((30..=42).contains(&unaligned), "unaligned {unaligned}");
-        assert!(aligned > unaligned + 20);
-    }
-
-    #[test]
-    fn hard_admission_matches_paper_528kb() {
-        // 528 KB I/Os: 52 unaligned vs 75 aligned.
-        let cfg = models::quantum_atlas_10k_ii();
-        let io = 1056;
-        let aligned = hard::max_streams(&cfg, 4.0, io, true);
-        let unaligned = hard::max_streams(&cfg, 4.0, io, false);
-        assert!((68..=82).contains(&aligned), "aligned {aligned}");
-        assert!((45..=58).contains(&unaligned), "unaligned {unaligned}");
-    }
-
-    #[test]
-    fn soft_admission_prefers_aligned() {
-        // At a 0.5 s round cap with track-sized I/Os the aligned server
-        // supports many more streams (paper: 70 vs 45).
-        let cfg = models::quantum_atlas_10k_ii();
-        let server_a = ServerConfig {
-            rounds: 60,
-            quantile: 0.98,
-            aligned: true,
-            ..Default::default()
-        };
-        let server_u = ServerConfig {
-            rounds: 60,
-            quantile: 0.98,
-            aligned: false,
-            ..Default::default()
-        };
-        let io = 528;
-        let cap = SimDur::from_secs_f64(0.5);
-        let a = soft::max_streams_at_round(&cfg, &server_a, io, cap);
-        let u = soft::max_streams_at_round(&cfg, &server_u, io, cap);
-        assert!(a > u, "aligned {a} streams vs unaligned {u}");
-        assert!((55..=80).contains(&a), "aligned {a}");
-        assert!((35..=55).contains(&u), "unaligned {u}");
-    }
-
-    #[test]
-    fn operating_point_latency_grows_with_streams() {
-        let cfg = models::quantum_atlas_10k_ii();
-        let server = ServerConfig {
-            rounds: 40,
-            quantile: 0.95,
-            ..Default::default()
-        };
-        let low = soft::operating_point(&cfg, &server, 20).expect("feasible");
-        let high = soft::operating_point(&cfg, &server, 60).expect("feasible");
-        assert!(high.startup_latency > low.startup_latency);
-        assert_eq!(low.startup_latency.as_ns(), low.round_time.as_ns() * 11);
-    }
-
-    #[test]
-    fn worst_case_monotone_in_io_size() {
-        let cfg = models::quantum_atlas_10k_ii();
-        let a = hard::worst_case_request(&cfg, 10, 528, false);
-        let b = hard::worst_case_request(&cfg, 10, 1056, false);
-        assert!(b > a);
     }
 }

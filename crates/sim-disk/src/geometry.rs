@@ -460,8 +460,8 @@ fn last_le(table: &[u64], lbn: u64) -> usize {
 
 /// A fully built disk layout with O(log n) translation in both directions.
 ///
-/// A track's state is flat: its start in [`HotTables::first_lbns`], one
-/// [`TrackRow`], the [`ZoneSlots`] of its zone, and an entry in the lists
+/// A track's state is flat: its start in `HotTables::first_lbns`, one
+/// `TrackRow`, the `ZoneSlots` of its zone, and an entry in the lists
 /// side table if it has any defect or remap target. The tables are shared
 /// slices, so a clone costs O(1) in them; [`DiskGeometry::add_grown_defect`],
 /// the one mutator, copies a shared table the first time it writes to it,

@@ -756,7 +756,7 @@ fn completions_match_per_sector_reference() {
     let mut tally = Tally::default();
     for_cases(
         "completions_match_per_sector_reference",
-        384,
+        512,
         strategy,
         |(spec, (zl, rpm, cache, overhead), (ooo, mode, delta), faults, raw_reads)| {
             let Ok(geometry) = spec.build() else { return };

@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release -p traxtent-bench --example video_server`
 
+use server::video::{hard, soft, VideoConfig};
 use sim_disk::models;
 use sim_disk::SimDur;
-use videoserver::{hard, soft, ServerConfig};
 
 fn main() {
     let disk = models::quantum_atlas_10k_ii();
@@ -23,7 +23,7 @@ fn main() {
     }
 
     // Soft real-time: measured round-time distributions.
-    let mk = |aligned| ServerConfig {
+    let mk = |aligned| VideoConfig {
         aligned,
         rounds: 120,
         quantile: 0.99,

@@ -257,16 +257,15 @@ fn lfs_prefers_track_sized_aligned_segments() {
 #[test]
 fn crate_graph_matches_the_layering() {
     const FS: &[&str] = &["rand", "sim-disk", "traxtent"];
-    let expected: [(&str, &[&str]); 10] = [
+    let expected: [(&str, &[&str]); 9] = [
         ("core", &[]),
         ("sim-disk", &["rand", "traxtent"]),
         ("scsi", &["sim-disk"]),
         ("dixtrac", &["scsi", "sim-disk", "traxtent"]),
         ("ffs", FS),
         ("lfs", FS),
-        ("videoserver", FS),
         ("workloads", &["ffs", "rand", "sim-disk", "traxtent"]),
-        ("server", &["sim-disk", "traxtent"]),
+        ("server", &["rand", "sim-disk", "traxtent"]),
         ("fleet", &["sim-disk", "traxtent"]),
     ];
     let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
