@@ -117,6 +117,57 @@ struct Shadow {
     error: Option<ShadowError>,
 }
 
+impl Shadow {
+    /// Encodes group `g`'s metadata block at `generation` from `layout`'s
+    /// bitmap and the inodes in `files`. Files too fragmented for one
+    /// inode sector are truncated on media and reported in the second
+    /// return.
+    #[expect(
+        clippy::expect_used,
+        reason = "every extent list is clamped to MAX_EXTENTS just above, and encoding fails on \
+                  nothing else (fs::tests::fragmented_file_is_truncated_on_media)"
+    )]
+    fn group_meta_bytes(
+        &self,
+        layout: &Layout,
+        files: &[Option<Inode>],
+        g: u64,
+        generation: u64,
+    ) -> (Vec<u8>, Option<ShadowError>) {
+        let base = g * BLOCKS_PER_GROUP;
+        let alloc: Vec<bool> = (0..image::group_blocks(g, layout.blocks()))
+            .map(|i| !layout.is_free(base + i))
+            .collect();
+        let mut slots: Vec<Option<image::InodeRec>> = vec![None; image::INODE_SLOTS];
+        let mut err = None;
+        if let Some(owners) = self.slots.get(g as usize) {
+            for (si, owner) in owners.iter().enumerate() {
+                let Some(fid) = owner else { continue };
+                // A deleted file gives its slot up, so every owner is live.
+                let Some(Some(inode)) = files.get(fid.0 as usize) else {
+                    continue;
+                };
+                let mut extents = image::extents_of(&inode.blocks);
+                if extents.len() > image::MAX_EXTENTS {
+                    err = Some(ShadowError::TooManyExtents {
+                        id: fid.0,
+                        have: extents.len(),
+                    });
+                    extents.truncate(image::MAX_EXTENTS);
+                }
+                slots[si] = Some(image::InodeRec {
+                    id: fid.0,
+                    size_bytes: inode.size_bytes,
+                    extents,
+                });
+            }
+        }
+        let bytes = image::encode_group(g, generation, &alloc, &slots)
+            .expect("extent lists are clamped to MAX_EXTENTS");
+        (bytes, err)
+    }
+}
+
 /// Aggregate I/O statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FsStats {
@@ -271,17 +322,14 @@ impl FileSystem {
     /// # Panics
     ///
     /// Panics if the crash shadow is not enabled.
+    #[expect(clippy::expect_used, reason = "the # Panics contract")]
     pub fn format_image(&self) -> SectorImage {
         let sh = self.shadow.as_ref().expect("crash shadow not enabled");
         let mut img = SectorImage::new();
         for g in 0..image::ngroups(self.layout.blocks()) {
-            let (bytes, _) = self.group_meta_bytes(sh, g, sh.generations[g as usize]);
-            let base = image::meta_lbn(g);
-            for (i, chunk) in bytes.chunks(sim_disk::crash::SECTOR_USIZE).enumerate() {
-                let mut s = [0u8; sim_disk::crash::SECTOR_USIZE];
-                s.copy_from_slice(chunk);
-                img.write(base + i as u64, &s);
-            }
+            let generation = sh.generations[g as usize];
+            let (bytes, _) = sh.group_meta_bytes(&self.layout, &self.files, g, generation);
+            image::write_group(&mut img, g, &bytes);
         }
         img
     }
@@ -304,55 +352,15 @@ impl FileSystem {
         self.clock
     }
 
-    /// Encodes group `g`'s metadata block at `generation` from the
-    /// current in-memory state. Files too fragmented for one inode
-    /// sector are truncated on media and reported in the second return.
-    fn group_meta_bytes(
-        &self,
-        sh: &Shadow,
-        g: u64,
-        generation: u64,
-    ) -> (Vec<u8>, Option<ShadowError>) {
-        let base = g * BLOCKS_PER_GROUP;
-        let alloc: Vec<bool> = (0..image::group_blocks(g, self.layout.blocks()))
-            .map(|i| !self.layout.is_free(base + i))
-            .collect();
-        let mut slots: Vec<Option<image::InodeRec>> = vec![None; image::INODE_SLOTS];
-        let mut err = None;
-        if let Some(owners) = sh.slots.get(g as usize) {
-            for (si, owner) in owners.iter().enumerate() {
-                let Some(fid) = owner else { continue };
-                let inode = self.inode(*fid).expect("slot owners are live files");
-                let mut extents = image::extents_of(&inode.blocks);
-                if extents.len() > image::MAX_EXTENTS {
-                    err = Some(ShadowError::TooManyExtents {
-                        id: fid.0,
-                        have: extents.len(),
-                    });
-                    extents.truncate(image::MAX_EXTENTS);
-                }
-                slots[si] = Some(image::InodeRec {
-                    id: fid.0,
-                    size_bytes: inode.size_bytes,
-                    extents,
-                });
-            }
-        }
-        let bytes = image::encode_group(g, generation, &alloc, &slots)
-            .expect("extent lists are clamped to MAX_EXTENTS");
-        (bytes, err)
-    }
-
     /// Attaches group `g`'s freshly encoded metadata block as the payload
     /// of the metadata write just issued, bumping its generation. No-op
     /// without the shadow.
     fn attach_group_payload(&mut self, g: u64) {
-        let Some(sh) = self.shadow.as_deref() else {
+        let Some(sh) = self.shadow.as_deref_mut() else {
             return;
         };
         let generation = sh.generations[g as usize] + 1;
-        let (bytes, err) = self.group_meta_bytes(sh, g, generation);
-        let sh = self.shadow.as_deref_mut().expect("checked above");
+        let (bytes, err) = sh.group_meta_bytes(&self.layout, &self.files, g, generation);
         sh.generations[g as usize] = generation;
         if let Some(e) = err {
             sh.error.get_or_insert(e);
@@ -577,7 +585,7 @@ impl FileSystem {
         let first = offset / BYTES_PER_BLOCK;
         let last = (offset + len - 1) / BYTES_PER_BLOCK;
         for fb in first..=last {
-            self.read_block(file, fb);
+            self.read_block(file, fb)?;
         }
         Ok(())
     }
@@ -586,12 +594,12 @@ impl FileSystem {
     /// a miss and keeping one prefetch outstanding per sequential stream
     /// (unmodified FreeBSD "attempts to have at least one outstanding
     /// request for each active data stream", §4.2.2).
-    fn read_block(&mut self, file: FileId, fb: u64) {
-        let inode = live_inode(&mut self.files, file);
+    fn read_block(&mut self, file: FileId, fb: u64) -> Result<(), FsError> {
+        let inode = live_inode(&mut self.files, file)?;
         let db = inode.blocks[fb as usize];
         if self.cache.contains(db) {
             update_seq(inode, fb);
-            return;
+            return Ok(());
         }
         if let Some((first, len, ready)) = self.prefetch_covering(db) {
             // The prefetch covering this block is in flight. First queue the
@@ -599,20 +607,20 @@ impl FileSystem {
             // always has a request to start on (the command-queueing overlap
             // of §3.2); then wait and absorb the arrived request, its blocks
             // entering the cache in ascending order.
-            self.maybe_prefetch(file, fb + len);
+            self.maybe_prefetch(file, fb + len)?;
             self.clock = self.clock.max(ready);
             self.inflight.remove(&first);
             self.cache_run(first, len);
-            update_seq(live_inode(&mut self.files, file), fb);
-            return;
+            update_seq(live_inode(&mut self.files, file)?, fb);
+            return Ok(());
         }
 
         // Demand miss: fetch a cluster synchronously.
-        let ra_len = self.plan_fetch(file, fb);
+        let ra_len = self.plan_fetch(file, fb)?;
         self.clock = self.issue_fetch(db, ra_len);
         self.cache_run(db, ra_len);
-        update_seq(live_inode(&mut self.files, file), fb);
-        self.maybe_prefetch(file, fb + ra_len);
+        update_seq(live_inode(&mut self.files, file)?, fb);
+        self.maybe_prefetch(file, fb + ra_len)
     }
 
     /// Caches the fetched blocks `[first, first + len)`, in ascending order,
@@ -634,8 +642,8 @@ impl FileSystem {
 
     /// Sizes a fetch starting at file block `fb` according to the
     /// personality.
-    fn plan_fetch(&self, file: FileId, fb: u64) -> u64 {
-        let inode = self.inode(file).expect("file is live");
+    fn plan_fetch(&self, file: FileId, fb: u64) -> Result<u64, FsError> {
+        let inode = self.inode(file)?;
         let db = inode.blocks[fb as usize];
         // History-based ramp-up, as in the unmodified file system.
         let ramp = (inode.seq_count.max(1) + 1).min(self.cluster_cap);
@@ -658,22 +666,22 @@ impl FileSystem {
             Personality::Traxtent if !inode.nonseq_seen => traxtent(self.cluster_cap * 4),
             Personality::Traxtent => traxtent(ramp),
         };
-        contiguous_run(inode, fb, &self.cache, want)
+        Ok(contiguous_run(inode, fb, &self.cache, want))
     }
 
     /// Issues an asynchronous prefetch for the run starting at file block
     /// `fb`, unless the file ends, the pattern is non-sequential, or data is
     /// already cached/in flight.
-    fn maybe_prefetch(&mut self, file: FileId, fb: u64) {
-        let inode = self.inode(file).expect("file is live");
+    fn maybe_prefetch(&mut self, file: FileId, fb: u64) -> Result<(), FsError> {
+        let inode = self.inode(file)?;
         if fb as usize >= inode.blocks.len() || inode.nonseq_seen {
-            return;
+            return Ok(());
         }
         let db = inode.blocks[fb as usize];
         if self.cache.peek(db) || self.prefetch_covering(db).is_some() {
-            return;
+            return Ok(());
         }
-        let len = self.plan_fetch(file, fb);
+        let len = self.plan_fetch(file, fb)?;
         let ready = self.issue_fetch(db, len);
         // Blocks of an older run that this one covers now arrive with it.
         let end = db + len;
@@ -684,6 +692,7 @@ impl FileSystem {
             }
         }
         self.inflight.insert(db, (len, ready));
+        Ok(())
     }
 
     /// Writes `len` bytes at `offset`, extending the file as needed. Data
@@ -698,12 +707,11 @@ impl FileSystem {
         if len == 0 {
             return Ok(());
         }
-        self.inode(file)?;
         let first = offset / BYTES_PER_BLOCK;
         let last = (offset + len - 1) / BYTES_PER_BLOCK;
         for fb in first..=last {
             // Allocate if beyond current allocation.
-            let inode = live_inode(&mut self.files, file);
+            let inode = live_inode(&mut self.files, file)?;
             let nblocks = inode.blocks.len() as u64;
             if fb >= nblocks {
                 debug_assert_eq!(fb, nblocks, "writes are block-continuous");
@@ -727,7 +735,7 @@ impl FileSystem {
             // Commit a full cluster as soon as it exists (FFS behaviour).
             self.maybe_commit_cluster(db);
         }
-        let inode = live_inode(&mut self.files, file);
+        let inode = live_inode(&mut self.files, file)?;
         inode.size_bytes = inode.size_bytes.max(offset + len);
         Ok(())
     }
@@ -814,10 +822,13 @@ impl FileSystem {
     }
 }
 
-/// The inode of a file the caller has already looked up. Borrows the table
-/// alone, so the cache, layout and drive stay usable beside it.
-fn live_inode(files: &mut [Option<Inode>], file: FileId) -> &mut Inode {
-    files[file.0 as usize].as_mut().expect("file is live")
+/// The inode of `file`, borrowing the table alone so the cache, layout and
+/// drive stay usable beside it.
+fn live_inode(files: &mut [Option<Inode>], file: FileId) -> Result<&mut Inode, FsError> {
+    files
+        .get_mut(file.0 as usize)
+        .and_then(Option::as_mut)
+        .ok_or(FsError::NoSuchFile(file))
 }
 
 /// Updates an inode's sequential detector after an access to file block
@@ -1012,8 +1023,8 @@ mod tests {
         // A stale prefetch of file blocks 10..14, then a four-block one at 8.
         let stale = SimTime::from_ns(1);
         f.inflight.insert(blocks[10], (4, stale));
-        live_inode(&mut f.files, id).seq_count = 3;
-        f.maybe_prefetch(id, 8);
+        live_inode(&mut f.files, id).unwrap().seq_count = 3;
+        f.maybe_prefetch(id, 8).unwrap();
         let fresh = f.disk.idle_at();
         let runs: Vec<_> = f.inflight.iter().map(|(&b, &r)| (b, r)).collect();
         assert_eq!(
@@ -1063,6 +1074,35 @@ mod tests {
             f.write(id, 0, total + BYTES_PER_BLOCK),
             Err(FsError::NoSpace)
         ));
+    }
+
+    /// Two files written a block at a time in turn interleave on disk, so
+    /// each needs more extents than an inode sector holds: the shadow
+    /// latches the error and puts the first `MAX_EXTENTS` on media.
+    #[test]
+    fn fragmented_file_is_truncated_on_media() {
+        let mut f = fs(Personality::Unmodified);
+        f.enable_crash_shadow(7);
+        let (a, b) = (f.create(), f.create());
+        for i in 0..2 * image::MAX_EXTENTS as u64 {
+            for id in [a, b] {
+                f.write(id, i * BYTES_PER_BLOCK, BYTES_PER_BLOCK).unwrap();
+            }
+        }
+        f.checkpoint_metadata();
+        assert!(matches!(
+            f.shadow_error(),
+            Some(ShadowError::TooManyExtents { have, .. }) if have > image::MAX_EXTENTS
+        ));
+        let img = f.format_image();
+        let on_media = (0..image::ngroups(f.layout().blocks()))
+            .flat_map(|g| image::decode_group(&img, g, f.layout().blocks()).slots)
+            .find_map(|s| match s {
+                image::SlotState::Inode(rec) if rec.id == a.raw() => Some(rec),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(on_media.extents.len(), image::MAX_EXTENTS);
     }
 
     #[test]

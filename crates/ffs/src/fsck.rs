@@ -26,12 +26,11 @@
 //! repairs nothing and rewrites nothing.
 
 use crate::image::{
-    self, decode_group, group_blocks, is_meta_block, meta_lbn, ngroups, GroupDecode, InodeRec,
-    SlotState, INODE_SLOTS,
+    self, decode_group, group_blocks, is_meta_block, ngroups, InodeRec, SlotState, INODE_SLOTS,
 };
 use crate::layout::{Layout, BLOCKS_PER_GROUP, BYTES_PER_BLOCK};
-use sim_disk::crash::{SectorImage, SECTOR_USIZE};
-use std::collections::BTreeMap;
+use sim_disk::crash::SectorImage;
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -179,12 +178,45 @@ pub struct RecoveredFs {
     pub files: BTreeMap<u64, RecoveredFile>,
 }
 
-/// One surviving inode during repair.
+/// One surviving inode: its slot, and its record once references are
+/// resolved.
 struct LiveInode {
     group: u64,
     slot: usize,
     rec: InodeRec,
-    truncated: bool,
+}
+
+/// What one decoding pass finds in an image. [`check`], [`fsck`] and
+/// [`mount`] all read it, so the invariant the first enforces is the one
+/// the second restores and the third relies on.
+struct Diagnosis {
+    /// Surviving inodes in (group, slot) order, each truncated at its
+    /// first unusable reference.
+    live: Vec<LiveInode>,
+    /// The reference map: blocks the surviving inodes hold.
+    claimed: Vec<bool>,
+    /// Groups whose metadata must be rewritten, as (group, generation
+    /// the rewrite carries).
+    dirty: Vec<(u64, u64)>,
+    report: FsckReport,
+    /// The first violation of the mountable-image invariant.
+    first: Option<MountError>,
+}
+
+/// A group's metadata block as the first half of [`diagnose`] leaves it.
+struct GroupFound {
+    /// The generation a rewrite carries: one past the recorded one.
+    generation: u64,
+    /// The recorded free count and bitmap, when both sectors validate.
+    recorded: Option<(u64, Vec<bool>)>,
+    /// Whether the group's metadata must be rewritten.
+    dirty: bool,
+}
+
+impl Diagnosis {
+    fn violates(&mut self, e: MountError) {
+        self.first.get_or_insert(e);
+    }
 }
 
 /// Whether block `b` may ever hold file data in a layout `layout`.
@@ -194,76 +226,124 @@ fn data_usable(layout: &Layout, b: u64) -> bool {
     b < layout.blocks() && !is_meta_block(b) && !layout.is_excluded(b)
 }
 
-/// Decodes all groups, validates inodes, and resolves references in
-/// deterministic (group, slot) order. Returns the surviving inodes, the
-/// reference map, and the per-group decodes, updating `report` counters
-/// and `dirty` flags for groups whose metadata must be rewritten.
-fn resolve(
-    image: &SectorImage,
-    layout: &Layout,
-    report: &mut FsckReport,
-    dirty: &mut [bool],
-) -> (Vec<LiveInode>, Vec<bool>, Vec<GroupDecode>) {
+/// Decodes every group once and resolves references in deterministic
+/// (group, slot) order. Violations are noted in the order [`check`]
+/// reports them: per group the summary, the bitmap, then each slot (a
+/// torn inode, a duplicate id, its first unusable reference); then per
+/// group the bitmap against the reference map and the free count.
+fn diagnose(image: &SectorImage, layout: &Layout) -> Diagnosis {
     let blocks = layout.blocks();
-    let groups = ngroups(blocks);
-    let decodes: Vec<GroupDecode> = (0..groups)
-        .map(|g| decode_group(image, g, blocks))
-        .collect();
-
-    let mut live: Vec<LiveInode> = Vec::new();
-    let mut seen = BTreeMap::new();
-    for (g, d) in decodes.iter().enumerate() {
-        for (si, slot) in d.slots.iter().enumerate() {
-            match slot {
-                SlotState::Empty => {}
+    let mut d = Diagnosis {
+        live: Vec::new(),
+        claimed: vec![false; blocks as usize],
+        dirty: Vec::new(),
+        report: FsckReport::default(),
+        first: None,
+    };
+    let mut groups: Vec<GroupFound> = Vec::new();
+    let mut seen = BTreeSet::new();
+    for g in 0..ngroups(blocks) {
+        let decoded = decode_group(image, g, blocks);
+        let generation = decoded.summary.map_or(0, |s| s.generation) + 1;
+        let recorded = match decoded.summary {
+            Some(s) if decoded.bitmap_valid => Some((s.free_in_group, decoded.bitmap)),
+            torn => {
+                d.violates(match torn {
+                    None => MountError::BadSummary { group: g },
+                    Some(_) => MountError::BadBitmap { group: g },
+                });
+                d.report.bitmaps_rebuilt += 1;
+                None
+            }
+        };
+        let mut dirty = recorded.is_none();
+        for (slot, state) in decoded.slots.into_iter().enumerate() {
+            let mut rec = match state {
+                SlotState::Empty => continue,
                 SlotState::Bad => {
-                    report.bad_inode_sectors += 1;
-                    dirty[g] = true;
-                }
-                SlotState::Inode(rec) => {
-                    if seen.insert(rec.id, ()).is_some() {
-                        report.duplicate_inodes += 1;
-                        dirty[g] = true;
-                        continue;
-                    }
-                    live.push(LiveInode {
-                        group: g as u64,
-                        slot: si,
-                        rec: rec.clone(),
-                        truncated: false,
+                    d.violates(MountError::BadInode {
+                        group: g,
+                        slot: slot as u64,
                     });
+                    d.report.bad_inode_sectors += 1;
+                    dirty = true;
+                    continue;
+                }
+                SlotState::Inode(rec) => rec,
+            };
+            if !seen.insert(rec.id) {
+                d.violates(MountError::DuplicateFileId { id: rec.id });
+                d.report.duplicate_inodes += 1;
+                dirty = true;
+                continue;
+            }
+            // References win: the file keeps its blocks in file order up
+            // to the first one it may not hold.
+            let mut kept: Vec<u64> = Vec::new();
+            let mut truncated = false;
+            for b in rec.blocks() {
+                let usable = data_usable(layout, b);
+                if !usable || d.claimed[b as usize] {
+                    d.violates(MountError::BadReference {
+                        id: rec.id,
+                        block: b,
+                    });
+                    d.report.double_refs += u64::from(usable);
+                    truncated = true;
+                    break;
+                }
+                d.claimed[b as usize] = true;
+                kept.push(b);
+            }
+            if truncated {
+                d.report.truncated_files += 1;
+                dirty = true;
+                rec.size_bytes = rec.size_bytes.min(kept.len() as u64 * BYTES_PER_BLOCK);
+                rec.extents = image::extents_of(&kept);
+            }
+            d.live.push(LiveInode {
+                group: g,
+                slot,
+                rec,
+            });
+        }
+        groups.push(GroupFound {
+            generation,
+            recorded,
+            dirty,
+        });
+    }
+    d.report.files = d.live.len() as u64;
+
+    for (g, mut found) in (0..).zip(groups) {
+        if let Some((free, bitmap)) = &found.recorded {
+            let expected = expected_bitmap(layout, &d.claimed, g);
+            let mut mismatch = None;
+            for (b, (&on, &want)) in (g * BLOCKS_PER_GROUP..).zip(bitmap.iter().zip(&expected)) {
+                if on != want {
+                    mismatch.get_or_insert(b);
+                    if on {
+                        d.report.leaked_blocks += 1;
+                    } else {
+                        d.report.lost_blocks += 1;
+                        debug_assert!(d.claimed[b as usize], "lost block must be referenced");
+                    }
                 }
             }
+            if let Some(block) = mismatch {
+                d.violates(MountError::BitmapMismatch { group: g, block });
+                found.dirty = true;
+            } else if *free != expected.iter().filter(|&&a| !a).count() as u64 {
+                d.violates(MountError::FreeCountMismatch { group: g });
+                d.report.free_counts_fixed += 1;
+                found.dirty = true;
+            }
+        }
+        if found.dirty {
+            d.dirty.push((g, found.generation));
         }
     }
-
-    // References win: walk every surviving inode's blocks in file order,
-    // truncating at the first reference the file may not hold.
-    let mut claimed = vec![false; blocks as usize];
-    for f in &mut live {
-        let mut kept: Vec<u64> = Vec::new();
-        for b in f.rec.blocks() {
-            if !data_usable(layout, b) {
-                f.truncated = true;
-                break;
-            }
-            if claimed[b as usize] {
-                report.double_refs += 1;
-                f.truncated = true;
-                break;
-            }
-            claimed[b as usize] = true;
-            kept.push(b);
-        }
-        if f.truncated {
-            report.truncated_files += 1;
-            dirty[f.group as usize] = true;
-            f.rec.size_bytes = f.rec.size_bytes.min(kept.len() as u64 * BYTES_PER_BLOCK);
-            f.rec.extents = image::extents_of(&kept);
-        }
-    }
-    report.files = live.len() as u64;
-    (live, claimed, decodes)
+    d
 }
 
 /// The bitmap a group must carry once references win: excluded blocks,
@@ -284,70 +364,29 @@ fn expected_bitmap(layout: &Layout, claimed: &[bool], g: u64) -> Vec<bool> {
 /// crash-invariant); the live post-workload layout or a freshly
 /// formatted twin both work.
 ///
-/// After `fsck` returns, [`check`] passes and a second `fsck` reports
-/// [`FsckReport::clean`] and leaves the image byte-identical. Data
-/// sectors are never touched.
+/// It rewrites every group the diagnosis [`check`] also reads found
+/// wanting, so after `fsck` returns, [`check`] passes and a second `fsck`
+/// reports [`FsckReport::clean`] and leaves the image byte-identical.
+/// Data sectors are never touched.
+#[expect(
+    clippy::expect_used,
+    reason = "every surviving inode came from a valid sector, and a kept prefix of its blocks \
+              compresses to no more extents than it had (crash_fsck's \
+              any_cut_recovers_to_a_mountable_consistent_image and the fsck oracle truncate files)"
+)]
 pub fn fsck(image: &mut SectorImage, layout: &Layout) -> FsckReport {
-    let blocks = layout.blocks();
-    let groups = ngroups(blocks) as usize;
-    let mut report = FsckReport::default();
-    let mut dirty = vec![false; groups];
-    let (live, claimed, decodes) = resolve(image, layout, &mut report, &mut dirty);
-
-    for (g, d) in decodes.iter().enumerate() {
-        let expected = expected_bitmap(layout, &claimed, g as u64);
-        let expected_free = expected.iter().filter(|&&a| !a).count() as u64;
-        match (&d.summary, d.bitmap_valid) {
-            (Some(s), true) => {
-                let mut mismatch = false;
-                for (i, (&on, &want)) in d.bitmap.iter().zip(&expected).enumerate() {
-                    if on != want {
-                        mismatch = true;
-                        let b = g as u64 * BLOCKS_PER_GROUP + i as u64;
-                        if on {
-                            report.leaked_blocks += 1;
-                        } else {
-                            report.lost_blocks += 1;
-                            debug_assert!(claimed[b as usize], "lost block must be referenced");
-                        }
-                    }
-                }
-                if mismatch {
-                    dirty[g] = true;
-                } else if s.free_in_group != expected_free {
-                    report.free_counts_fixed += 1;
-                    dirty[g] = true;
-                }
-            }
-            _ => {
-                report.bitmaps_rebuilt += 1;
-                dirty[g] = true;
-            }
-        }
-    }
-
-    for (g, was_dirty) in dirty.iter().enumerate() {
-        if !was_dirty {
-            continue;
-        }
-        let generation = decodes[g].summary.map_or(0, |s| s.generation) + 1;
-        let expected = expected_bitmap(layout, &claimed, g as u64);
+    let d = diagnose(image, layout);
+    for &(g, generation) in &d.dirty {
         let mut slots: Vec<Option<InodeRec>> = vec![None; INODE_SLOTS];
-        for f in &live {
-            if f.group == g as u64 {
-                slots[f.slot] = Some(f.rec.clone());
-            }
+        for f in d.live.iter().filter(|f| f.group == g) {
+            slots[f.slot] = Some(f.rec.clone());
         }
-        let bytes = image::encode_group(g as u64, generation, &expected, &slots)
+        let bitmap = expected_bitmap(layout, &d.claimed, g);
+        let bytes = image::encode_group(g, generation, &bitmap, &slots)
             .expect("recovered extents fit: they came from valid inode sectors");
-        let base = meta_lbn(g as u64);
-        for (i, chunk) in bytes.chunks(SECTOR_USIZE).enumerate() {
-            let mut s = [0u8; SECTOR_USIZE];
-            s.copy_from_slice(chunk);
-            image.write(base + i as u64, &s);
-        }
+        image::write_group(image, g, &bytes);
     }
-    report
+    d.report
 }
 
 /// The mountable-image invariant: every metadata sector decodes, file
@@ -355,91 +394,34 @@ pub fn fsck(image: &mut SectorImage, layout: &Layout) -> FsckReport {
 /// bitmap and free count agrees exactly with the reference map. Returns
 /// the first violation found (in deterministic group/slot order).
 pub fn check(image: &SectorImage, layout: &Layout) -> Result<(), MountError> {
-    let blocks = layout.blocks();
-    let groups = ngroups(blocks);
-    let decodes: Vec<GroupDecode> = (0..groups)
-        .map(|g| decode_group(image, g, blocks))
-        .collect();
-
-    let mut claimed = vec![false; blocks as usize];
-    let mut seen = BTreeMap::new();
-    for (g, d) in decodes.iter().enumerate() {
-        let Some(_) = d.summary else {
-            return Err(MountError::BadSummary { group: g as u64 });
-        };
-        if !d.bitmap_valid {
-            return Err(MountError::BadBitmap { group: g as u64 });
-        }
-        for (si, slot) in d.slots.iter().enumerate() {
-            match slot {
-                SlotState::Empty => {}
-                SlotState::Bad => {
-                    return Err(MountError::BadInode {
-                        group: g as u64,
-                        slot: si as u64,
-                    })
-                }
-                SlotState::Inode(rec) => {
-                    if seen.insert(rec.id, ()).is_some() {
-                        return Err(MountError::DuplicateFileId { id: rec.id });
-                    }
-                    for b in rec.blocks() {
-                        if !data_usable(layout, b) || claimed[b as usize] {
-                            return Err(MountError::BadReference {
-                                id: rec.id,
-                                block: b,
-                            });
-                        }
-                        claimed[b as usize] = true;
-                    }
-                }
-            }
-        }
-    }
-    for (g, d) in decodes.iter().enumerate() {
-        let expected = expected_bitmap(layout, &claimed, g as u64);
-        for (i, (&on, &want)) in d.bitmap.iter().zip(&expected).enumerate() {
-            if on != want {
-                return Err(MountError::BitmapMismatch {
-                    group: g as u64,
-                    block: g as u64 * BLOCKS_PER_GROUP + i as u64,
-                });
-            }
-        }
-        let free = expected.iter().filter(|&&a| !a).count() as u64;
-        if d.summary.expect("validated above").free_in_group != free {
-            return Err(MountError::FreeCountMismatch { group: g as u64 });
-        }
-    }
-    Ok(())
+    diagnose(image, layout).first.map_or(Ok(()), Err)
 }
 
 /// Mounts a mountable image, returning its files. Run [`fsck`] first
 /// after a crash; mounting a damaged image fails with the violation.
 pub fn mount(image: &SectorImage, layout: &Layout) -> Result<RecoveredFs, MountError> {
-    check(image, layout)?;
-    let blocks = layout.blocks();
-    let mut fs = RecoveredFs::default();
-    for g in 0..ngroups(blocks) {
-        for slot in decode_group(image, g, blocks).slots {
-            if let SlotState::Inode(rec) = slot {
-                fs.files.insert(
-                    rec.id,
-                    RecoveredFile {
-                        id: rec.id,
-                        size_bytes: rec.size_bytes,
-                        extents: rec.extents,
-                    },
-                );
-            }
-        }
+    let d = diagnose(image, layout);
+    if let Some(e) = d.first {
+        return Err(e);
     }
-    Ok(fs)
+    let files = d.live.into_iter().map(|f| {
+        let rec = f.rec;
+        let file = RecoveredFile {
+            id: rec.id,
+            size_bytes: rec.size_bytes,
+            extents: rec.extents,
+        };
+        (rec.id, file)
+    });
+    Ok(RecoveredFs {
+        files: files.collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::meta_lbn;
     use crate::layout::Personality;
     use traxtent::TrackBoundaries;
 
@@ -475,12 +457,11 @@ mod tests {
                     slots[i] = Some(f.clone());
                 }
             }
-            let bytes = image::encode_group(g, 1, &bitmap, &slots).unwrap();
-            for (i, chunk) in bytes.chunks(SECTOR_USIZE).enumerate() {
-                let mut s = [0u8; SECTOR_USIZE];
-                s.copy_from_slice(chunk);
-                image.write(meta_lbn(g) + i as u64, &s);
-            }
+            image::write_group(
+                &mut image,
+                g,
+                &image::encode_group(g, 1, &bitmap, &slots).unwrap(),
+            );
         }
         image
     }
@@ -554,11 +535,7 @@ mod tests {
             s
         })
         .unwrap();
-        for (i, chunk) in bytes.chunks(SECTOR_USIZE).enumerate() {
-            let mut s = [0u8; SECTOR_USIZE];
-            s.copy_from_slice(chunk);
-            img.write(meta_lbn(0) + i as u64, &s);
-        }
+        image::write_group(&mut img, 0, &bytes);
         assert!(matches!(
             check(&img, &l),
             Err(MountError::BitmapMismatch { group: 0, .. })

@@ -164,7 +164,7 @@ fn put(buf: &mut [u8], off: usize, v: u64) {
 }
 
 fn get(buf: &[u8], off: usize) -> u64 {
-    u64::from_le_bytes(buf[off..off + 8].try_into().expect("8 bytes"))
+    u64::from_le_bytes(std::array::from_fn(|i| buf[off + i]))
 }
 
 /// Encodes one inode slot sector.
@@ -298,6 +298,14 @@ pub fn decode_group(image: &SectorImage, g: u64, blocks: u64) -> GroupDecode {
     }
 }
 
+/// Writes `bytes`, a metadata block as [`encode_group`] lays it out, into
+/// `image` as group `g`'s metadata sectors: what [`decode_group`] reads.
+pub fn write_group(image: &mut SectorImage, g: u64, bytes: &[u8]) {
+    for (lbn, sector) in (meta_lbn(g)..).zip(bytes.as_chunks::<SECTOR_USIZE>().0) {
+        image.write(lbn, sector);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,11 +358,7 @@ mod tests {
         });
         let bytes = encode_group(5, 42, &alloc, &slots).unwrap();
         let mut image = SectorImage::new();
-        for (i, chunk) in bytes.chunks(SECTOR_USIZE).enumerate() {
-            let mut s = [0u8; SECTOR_USIZE];
-            s.copy_from_slice(chunk);
-            image.write(meta_lbn(5) + i as u64, &s);
-        }
+        write_group(&mut image, 5, &bytes);
         let blocks = 6 * BLOCKS_PER_GROUP;
         let d = decode_group(&image, 5, blocks);
         let sum = d.summary.expect("summary decodes");

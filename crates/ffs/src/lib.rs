@@ -24,6 +24,12 @@
 //! mountable state.
 
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod cache;
 pub mod fs;

@@ -1,20 +1,28 @@
 //! Slow oracles for the file system's fast structures: the buffer cache's
 //! slab and direct block → slot table against a hash map with a
 //! recency-stamp index, the allocator's word-at-a-time bitmap searches and
-//! low-water mark against a byte map scanned from block 0 every time, and
-//! the per-track `mkfs` sweep against the per-block definition of an
-//! excluded block. Each oracle is the implementation the fast one
-//! replaced, kept here because it is obviously right and nowhere else
-//! because it is slow. Run with `-- --nocapture`, the first two print how
-//! often each branch of the fast code was taken, and fail if one was taken
-//! fewer than 16 times.
+//! low-water mark against a byte map scanned from block 0 every time, the
+//! per-track `mkfs` sweep against the per-block definition of an excluded
+//! block, and fsck's one diagnosis pass against the two walks it replaced.
+//! Each oracle is the implementation the fast or folded one replaced, kept
+//! here because it is obviously right and nowhere else because it is slow
+//! or duplicated. Run with `-- --nocapture`, the tallied ones print how
+//! often each branch was taken, and fail if one was taken fewer than 16
+//! times.
 
 use ffs::cache::BufferCache;
+use ffs::fsck::{self, MountError};
+use ffs::image::{self, decode_group, group_blocks, meta_lbn, ngroups, InodeRec, SlotState};
 use ffs::layout::{AllocStats, BLOCKS_PER_GROUP};
-use ffs::{Layout, Personality, BLOCK_SECTORS};
+use ffs::{FileId, FileSystem, Layout, Personality, BLOCK_SECTORS};
 use proptest::prelude::*;
+use sim_disk::crash::{checksum, replay, splitmix, SectorImage, SECTOR_USIZE};
+use sim_disk::disk::Disk;
+use sim_disk::{models, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use traxtent::{ConfidentBoundaries, TrackBoundaries};
+
+const MB: u64 = 1 << 20;
 
 /// The buffer cache as a map plus a recency index keyed by a monotone
 /// stamp: eviction takes the smallest stamp.
@@ -759,4 +767,551 @@ proptest! {
         let (fast, slow) = layouts(personality(p), &tb, mask);
         assert_same_bitmaps(&fast, &slow);
     }
+}
+
+/// `ffs::fsck` as it stood before one diagnosis pass replaced its two
+/// walks — `check`'s early-return walk, and `resolve` plus `fsck`'s bitmap
+/// pass — kept verbatim but for its imports.
+mod parent {
+    use ffs::fsck::{FsckReport, MountError, RecoveredFile, RecoveredFs};
+    use ffs::image::{
+        self, decode_group, group_blocks, is_meta_block, meta_lbn, ngroups, GroupDecode, InodeRec,
+        SlotState, INODE_SLOTS,
+    };
+    use ffs::layout::{Layout, BLOCKS_PER_GROUP, BYTES_PER_BLOCK};
+    use sim_disk::crash::{SectorImage, SECTOR_USIZE};
+    use std::collections::BTreeMap;
+
+    /// One surviving inode during repair.
+    struct LiveInode {
+        group: u64,
+        slot: usize,
+        rec: InodeRec,
+        truncated: bool,
+    }
+
+    /// Whether block `b` may ever hold file data in a layout `layout`.
+    /// Metadata-reserved and excluded blocks may not; neither may anything
+    /// past the end of the file system.
+    fn data_usable(layout: &Layout, b: u64) -> bool {
+        b < layout.blocks() && !is_meta_block(b) && !layout.is_excluded(b)
+    }
+
+    /// Decodes all groups, validates inodes, and resolves references in
+    /// deterministic (group, slot) order. Returns the surviving inodes, the
+    /// reference map, and the per-group decodes, updating `report` counters
+    /// and `dirty` flags for groups whose metadata must be rewritten.
+    fn resolve(
+        image: &SectorImage,
+        layout: &Layout,
+        report: &mut FsckReport,
+        dirty: &mut [bool],
+    ) -> (Vec<LiveInode>, Vec<bool>, Vec<GroupDecode>) {
+        let blocks = layout.blocks();
+        let groups = ngroups(blocks);
+        let decodes: Vec<GroupDecode> = (0..groups)
+            .map(|g| decode_group(image, g, blocks))
+            .collect();
+
+        let mut live: Vec<LiveInode> = Vec::new();
+        let mut seen = BTreeMap::new();
+        for (g, d) in decodes.iter().enumerate() {
+            for (si, slot) in d.slots.iter().enumerate() {
+                match slot {
+                    SlotState::Empty => {}
+                    SlotState::Bad => {
+                        report.bad_inode_sectors += 1;
+                        dirty[g] = true;
+                    }
+                    SlotState::Inode(rec) => {
+                        if seen.insert(rec.id, ()).is_some() {
+                            report.duplicate_inodes += 1;
+                            dirty[g] = true;
+                            continue;
+                        }
+                        live.push(LiveInode {
+                            group: g as u64,
+                            slot: si,
+                            rec: rec.clone(),
+                            truncated: false,
+                        });
+                    }
+                }
+            }
+        }
+
+        // References win: walk every surviving inode's blocks in file order,
+        // truncating at the first reference the file may not hold.
+        let mut claimed = vec![false; blocks as usize];
+        for f in &mut live {
+            let mut kept: Vec<u64> = Vec::new();
+            for b in f.rec.blocks() {
+                if !data_usable(layout, b) {
+                    f.truncated = true;
+                    break;
+                }
+                if claimed[b as usize] {
+                    report.double_refs += 1;
+                    f.truncated = true;
+                    break;
+                }
+                claimed[b as usize] = true;
+                kept.push(b);
+            }
+            if f.truncated {
+                report.truncated_files += 1;
+                dirty[f.group as usize] = true;
+                f.rec.size_bytes = f.rec.size_bytes.min(kept.len() as u64 * BYTES_PER_BLOCK);
+                f.rec.extents = image::extents_of(&kept);
+            }
+        }
+        report.files = live.len() as u64;
+        (live, claimed, decodes)
+    }
+
+    /// The bitmap a group must carry once references win: excluded blocks,
+    /// metadata-reserved blocks, and every block claimed by a surviving
+    /// inode.
+    fn expected_bitmap(layout: &Layout, claimed: &[bool], g: u64) -> Vec<bool> {
+        let base = g * BLOCKS_PER_GROUP;
+        (0..group_blocks(g, layout.blocks()))
+            .map(|i| {
+                let b = base + i;
+                !data_usable(layout, b) || claimed[b as usize]
+            })
+            .collect()
+    }
+
+    /// Verifies and repairs `image` in place, returning what was done.
+    /// `layout` supplies the geometry (block count and excluded set — both
+    /// crash-invariant); the live post-workload layout or a freshly
+    /// formatted twin both work.
+    ///
+    /// After `fsck` returns, [`check`] passes and a second `fsck` reports
+    /// [`FsckReport::clean`] and leaves the image byte-identical. Data
+    /// sectors are never touched.
+    pub fn fsck(image: &mut SectorImage, layout: &Layout) -> FsckReport {
+        let blocks = layout.blocks();
+        let groups = ngroups(blocks) as usize;
+        let mut report = FsckReport::default();
+        let mut dirty = vec![false; groups];
+        let (live, claimed, decodes) = resolve(image, layout, &mut report, &mut dirty);
+
+        for (g, d) in decodes.iter().enumerate() {
+            let expected = expected_bitmap(layout, &claimed, g as u64);
+            let expected_free = expected.iter().filter(|&&a| !a).count() as u64;
+            match (&d.summary, d.bitmap_valid) {
+                (Some(s), true) => {
+                    let mut mismatch = false;
+                    for (i, (&on, &want)) in d.bitmap.iter().zip(&expected).enumerate() {
+                        if on != want {
+                            mismatch = true;
+                            let b = g as u64 * BLOCKS_PER_GROUP + i as u64;
+                            if on {
+                                report.leaked_blocks += 1;
+                            } else {
+                                report.lost_blocks += 1;
+                                debug_assert!(claimed[b as usize], "lost block must be referenced");
+                            }
+                        }
+                    }
+                    if mismatch {
+                        dirty[g] = true;
+                    } else if s.free_in_group != expected_free {
+                        report.free_counts_fixed += 1;
+                        dirty[g] = true;
+                    }
+                }
+                _ => {
+                    report.bitmaps_rebuilt += 1;
+                    dirty[g] = true;
+                }
+            }
+        }
+
+        for (g, was_dirty) in dirty.iter().enumerate() {
+            if !was_dirty {
+                continue;
+            }
+            let generation = decodes[g].summary.map_or(0, |s| s.generation) + 1;
+            let expected = expected_bitmap(layout, &claimed, g as u64);
+            let mut slots: Vec<Option<InodeRec>> = vec![None; INODE_SLOTS];
+            for f in &live {
+                if f.group == g as u64 {
+                    slots[f.slot] = Some(f.rec.clone());
+                }
+            }
+            let bytes = image::encode_group(g as u64, generation, &expected, &slots)
+                .expect("recovered extents fit: they came from valid inode sectors");
+            let base = meta_lbn(g as u64);
+            for (i, chunk) in bytes.chunks(SECTOR_USIZE).enumerate() {
+                let mut s = [0u8; SECTOR_USIZE];
+                s.copy_from_slice(chunk);
+                image.write(base + i as u64, &s);
+            }
+        }
+        report
+    }
+
+    /// The mountable-image invariant: every metadata sector decodes, file
+    /// ids are unique, every reference is exclusive and usable, and every
+    /// bitmap and free count agrees exactly with the reference map. Returns
+    /// the first violation found (in deterministic group/slot order).
+    pub fn check(image: &SectorImage, layout: &Layout) -> Result<(), MountError> {
+        let blocks = layout.blocks();
+        let groups = ngroups(blocks);
+        let decodes: Vec<GroupDecode> = (0..groups)
+            .map(|g| decode_group(image, g, blocks))
+            .collect();
+
+        let mut claimed = vec![false; blocks as usize];
+        let mut seen = BTreeMap::new();
+        for (g, d) in decodes.iter().enumerate() {
+            let Some(_) = d.summary else {
+                return Err(MountError::BadSummary { group: g as u64 });
+            };
+            if !d.bitmap_valid {
+                return Err(MountError::BadBitmap { group: g as u64 });
+            }
+            for (si, slot) in d.slots.iter().enumerate() {
+                match slot {
+                    SlotState::Empty => {}
+                    SlotState::Bad => {
+                        return Err(MountError::BadInode {
+                            group: g as u64,
+                            slot: si as u64,
+                        })
+                    }
+                    SlotState::Inode(rec) => {
+                        if seen.insert(rec.id, ()).is_some() {
+                            return Err(MountError::DuplicateFileId { id: rec.id });
+                        }
+                        for b in rec.blocks() {
+                            if !data_usable(layout, b) || claimed[b as usize] {
+                                return Err(MountError::BadReference {
+                                    id: rec.id,
+                                    block: b,
+                                });
+                            }
+                            claimed[b as usize] = true;
+                        }
+                    }
+                }
+            }
+        }
+        for (g, d) in decodes.iter().enumerate() {
+            let expected = expected_bitmap(layout, &claimed, g as u64);
+            for (i, (&on, &want)) in d.bitmap.iter().zip(&expected).enumerate() {
+                if on != want {
+                    return Err(MountError::BitmapMismatch {
+                        group: g as u64,
+                        block: g as u64 * BLOCKS_PER_GROUP + i as u64,
+                    });
+                }
+            }
+            let free = expected.iter().filter(|&&a| !a).count() as u64;
+            if d.summary.expect("validated above").free_in_group != free {
+                return Err(MountError::FreeCountMismatch { group: g as u64 });
+            }
+        }
+        Ok(())
+    }
+
+    /// Mounts a mountable image, returning its files. Run [`fsck`] first
+    /// after a crash; mounting a damaged image fails with the violation.
+    pub fn mount(image: &SectorImage, layout: &Layout) -> Result<RecoveredFs, MountError> {
+        check(image, layout)?;
+        let blocks = layout.blocks();
+        let mut fs = RecoveredFs::default();
+        for g in 0..ngroups(blocks) {
+            for slot in decode_group(image, g, blocks).slots {
+                if let SlotState::Inode(rec) = slot {
+                    fs.files.insert(
+                        rec.id,
+                        RecoveredFile {
+                            id: rec.id,
+                            size_bytes: rec.size_bytes,
+                            extents: rec.extents,
+                        },
+                    );
+                }
+            }
+        }
+        Ok(fs)
+    }
+}
+
+/// A crash-test workload: creates, sequential appends, deletes, syncs and
+/// metadata checkpoints drawn from `seed`, sized to stay inside the small
+/// test disk and the shadow's slot and extent limits.
+fn crash_workload(fs: &mut FileSystem, seed: u64) {
+    let mut h = seed;
+    let mut next = move || {
+        h = splitmix(h);
+        h
+    };
+    let mut live: Vec<FileId> = Vec::new();
+    for _ in 0..30 {
+        match next() % 10 {
+            0..=2 if live.len() < 10 => live.push(fs.create()),
+            3..=7 if !live.is_empty() => {
+                let f = live[(next() % live.len() as u64) as usize];
+                let size = fs.size_of(f).unwrap();
+                if size < 2 * MB {
+                    fs.write(f, size, 64 * 1024 + next() % (MB / 2)).unwrap();
+                }
+            }
+            8 if live.len() > 1 => {
+                let f = live.swap_remove((next() % live.len() as u64) as usize);
+                fs.delete(f).unwrap();
+            }
+            9 if next() % 2 == 0 => {
+                fs.sync();
+            }
+            9 => {
+                fs.checkpoint_metadata();
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The image a power cut `frac` thousandths of the way through the
+/// workload's log leaves, with the layout it was formatted with.
+fn cut_image(seed: u64, personality: Personality, frac: u64) -> (Layout, SectorImage) {
+    let mut fs = FileSystem::format(Disk::new(models::small_test_disk()), personality);
+    fs.enable_crash_shadow(seed ^ 0x0ff5_cafe);
+    let initial = fs.format_image();
+    crash_workload(&mut fs, seed);
+    let log = fs.disk_mut().take_crash_log().unwrap();
+    let cut = SimTime::from_ns(log.horizon().as_ns() * frac / 1000);
+    (fs.layout().clone(), replay(&initial, &log, cut).unwrap())
+}
+
+/// Every valid inode on media as (group, slot, record).
+fn inodes(img: &SectorImage, blocks: u64) -> Vec<(u64, u64, InodeRec)> {
+    let mut out = Vec::new();
+    for g in 0..ngroups(blocks) {
+        for (slot, state) in (0..).zip(decode_group(img, g, blocks).slots) {
+            if let SlotState::Inode(rec) = state {
+                out.push((g, slot, rec));
+            }
+        }
+    }
+    out
+}
+
+/// Flips a byte the sector's validation covers.
+fn tear(img: &mut SectorImage, lbn: u64, pick: u64, covered: u64) {
+    let mut s = img.read(lbn);
+    s[(pick % covered) as usize] ^= 1 + (pick >> 16) as u8 % 255;
+    img.write(lbn, &s);
+}
+
+/// Re-seals group `g`'s summary over its bitmap sector as it now stands,
+/// recording the free count `free` makes of the bitmap's own. Debug builds
+/// first set the bits of reserved and excluded blocks: fsck debug-asserts
+/// that a valid bitmap never frees one, as the file system never writes
+/// such a bitmap. Release builds seal whatever the sector holds.
+fn reseal(img: &mut SectorImage, layout: &Layout, g: u64, free: impl FnOnce(u64) -> u64) {
+    let blocks = layout.blocks();
+    let mut bitmap = img.read(meta_lbn(g) + 1);
+    if cfg!(debug_assertions) {
+        for i in 0..group_blocks(g, blocks) {
+            if i == 0 || layout.is_excluded(g * BLOCKS_PER_GROUP + i) {
+                bitmap[(i / 8) as usize] |= 1 << (i % 8);
+            }
+        }
+        img.write(meta_lbn(g) + 1, &bitmap);
+    }
+    let own = image::decode_bitmap(&bitmap, group_blocks(g, blocks))
+        .iter()
+        .filter(|&&a| !a)
+        .count() as u64;
+    let mut s = img.read(meta_lbn(g));
+    s[24..32].copy_from_slice(&free(own).to_le_bytes());
+    s[32..40].copy_from_slice(&checksum(&bitmap).to_le_bytes());
+    let own_ck = checksum(&s[..40]);
+    s[40..48].copy_from_slice(&own_ck.to_le_bytes());
+    img.write(meta_lbn(g), &s);
+}
+
+/// Rewrites the inode at `(g, slot)` with the extent `(start, len)`
+/// inserted at position `at` of its list.
+fn insert_extent(
+    img: &mut SectorImage,
+    (g, slot, mut rec): (u64, u64, InodeRec),
+    at: u64,
+    start: u64,
+    len: u64,
+) {
+    rec.extents.truncate(image::MAX_EXTENTS - 1);
+    let at = (at % (rec.extents.len() as u64 + 1)) as usize;
+    rec.extents.insert(at, (start, len));
+    img.write(meta_lbn(g) + 2 + slot, &image::encode_inode(&rec).unwrap());
+}
+
+/// Applies one targeted damage to `img`: `kind` says what, `pick` where.
+fn damage(img: &mut SectorImage, layout: &Layout, kind: u8, pick: u64) {
+    let blocks = layout.blocks();
+    let groups = ngroups(blocks);
+    let g = pick % groups;
+    let live = inodes(img, blocks);
+    let victim = (!live.is_empty()).then(|| live[(pick % live.len() as u64) as usize].clone());
+    let held: Vec<u64> = live.iter().flat_map(|(_, _, r)| r.blocks()).collect();
+    let slot = pick % image::INODE_SLOTS as u64;
+    match (kind, victim) {
+        // A torn summary (its self-checksum covers the first 48 bytes).
+        (0, _) => tear(img, meta_lbn(g), pick, 48),
+        (1, _) => tear(img, meta_lbn(g) + 1, pick, SECTOR_USIZE as u64),
+        // A torn inode sector: mostly a live file's, sometimes any slot.
+        (2, Some((vg, vslot, _))) if !pick.is_multiple_of(4) => {
+            tear(img, meta_lbn(vg) + 2 + vslot, pick >> 2, 512)
+        }
+        (2, _) => tear(img, meta_lbn(g) + 2 + slot, pick >> 2, 512),
+        // A live inode copied into another slot, of either group.
+        (3, Some((vg, vslot, _))) => {
+            let copy = img.read(meta_lbn(vg) + 2 + vslot);
+            img.write(meta_lbn(g) + 2 + slot, &copy);
+        }
+        // An extent on an excluded, metadata-reserved or out-of-range
+        // block, anywhere in a live file's list.
+        (4, Some(v)) => {
+            let excluded: Vec<u64> = (0..blocks)
+                .filter(|&b| layout.is_excluded(b) && b % BLOCKS_PER_GROUP != 0)
+                .collect();
+            let (start, len) = match (pick >> 8) % 3 {
+                0 if !excluded.is_empty() => (excluded[(pick >> 10) as usize % excluded.len()], 1),
+                2 => (blocks - 1 - (pick >> 10) % 3, 1 + (pick >> 12) % 4),
+                _ => (g * BLOCKS_PER_GROUP, 1),
+            };
+            insert_extent(img, v, pick >> 4, start, len);
+        }
+        // A block some live file (maybe the same one) already holds.
+        (5, Some(v)) if !held.is_empty() => {
+            let b = held[(pick >> 8) as usize % held.len()];
+            insert_extent(img, v, pick >> 4, b, 1 + (pick >> 12) % 2);
+        }
+        // One bitmap bit flipped under a summary that vouches for it,
+        // recording the flipped bitmap's free count or the old one.
+        (6, _) => {
+            let mut s = img.read(meta_lbn(g) + 1);
+            let bit = (pick >> 8) % group_blocks(g, blocks);
+            s[(bit / 8) as usize] ^= 1 << (bit % 8);
+            img.write(meta_lbn(g) + 1, &s);
+            let old = img.read(meta_lbn(g));
+            let recorded = u64::from_le_bytes(std::array::from_fn(|i| old[24 + i]));
+            reseal(
+                img,
+                layout,
+                g,
+                |own| if pick & 1 == 0 { own } else { recorded },
+            );
+        }
+        // A free count off by a few.
+        (7, _) => reseal(img, layout, g, |own| own.wrapping_add(1 + (pick >> 8) % 3)),
+        _ => {}
+    }
+}
+
+/// The first violation `check` reports, as a tally branch.
+fn first_violation(checked: Result<(), MountError>) -> &'static str {
+    match checked {
+        Ok(()) => "clean",
+        Err(MountError::BadSummary { .. }) => "first_bad_summary",
+        Err(MountError::BadBitmap { .. }) => "first_bad_bitmap",
+        Err(MountError::BadInode { .. }) => "first_bad_inode",
+        Err(MountError::DuplicateFileId { .. }) => "first_duplicate_file_id",
+        Err(MountError::BadReference { .. }) => "first_bad_reference",
+        Err(MountError::BitmapMismatch { .. }) => "first_bitmap_mismatch",
+        Err(MountError::FreeCountMismatch { .. }) => "first_free_count_mismatch",
+    }
+}
+
+/// `check`, `fsck` and `mount` read one diagnosis pass, and it answers as
+/// the two walks it replaced did: the same first violation, the same
+/// report and repaired bytes, the same recovered files — on images a
+/// power cut leaves at any instant, raw or already repaired, under up to
+/// four targeted damages.
+#[test]
+fn one_diagnosis_pass_matches_the_two_walks() {
+    let name = "one_diagnosis_pass_matches_the_two_walks";
+    let mut tally = Tally::default();
+    let stacks = prop::collection::vec((0u8..8, 0u64..u64::MAX), 0..5);
+    for_cases(
+        name,
+        32,
+        (
+            0u64..u64::MAX,
+            0u8..2,
+            0u64..=1000,
+            prop::collection::vec(0u64..u64::MAX, 8..9),
+            prop::collection::vec((0u8..2, stacks), 1..4),
+        ),
+        |(seed, trax, frac, picks, stacks)| {
+            let p = if trax == 1 {
+                Personality::Traxtent
+            } else {
+                Personality::Unmodified
+            };
+            let (layout, cut) = cut_image(seed, p, frac);
+            let mut repaired = cut.clone();
+            parent::fsck(&mut repaired, &layout);
+            // Each kind of damage alone on the repair, which is clean, so
+            // that it is the first violation; then stacks of damage on the
+            // raw cut or on the repair.
+            let singles = (0..8)
+                .zip(picks)
+                .map(|(kind, pick)| (true, vec![(kind, pick)]));
+            let stacks = stacks.into_iter().map(|(base, stack)| (base == 1, stack));
+            for (on_repair, damages) in singles.chain(stacks) {
+                let mut img = if on_repair {
+                    repaired.clone()
+                } else {
+                    cut.clone()
+                };
+                for (kind, pick) in damages {
+                    damage(&mut img, &layout, kind, pick);
+                }
+                let checked = parent::check(&img, &layout);
+                assert_eq!(fsck::check(&img, &layout), checked);
+                tally.note(first_violation(checked));
+
+                let (mut new, mut old) = (img.clone(), img.clone());
+                let report = parent::fsck(&mut old, &layout);
+                assert_eq!(fsck::fsck(&mut new, &layout), report);
+                assert!(new == old, "fsck repaired {checked:?} differently");
+                let kinds = [
+                    report.bitmaps_rebuilt,
+                    report.bad_inode_sectors,
+                    report.duplicate_inodes,
+                    report.truncated_files,
+                    report.leaked_blocks,
+                    report.lost_blocks,
+                    report.free_counts_fixed,
+                ];
+                tally.note_if(
+                    kinds.iter().filter(|&&n| n > 0).count() >= 2,
+                    "several_violations",
+                );
+
+                assert_eq!(fsck::mount(&img, &layout), parent::mount(&img, &layout));
+                assert_eq!(fsck::mount(&new, &layout), parent::mount(&new, &layout));
+            }
+        },
+    );
+    tally.require(
+        name,
+        &[
+            "clean",
+            "first_bad_summary",
+            "first_bad_bitmap",
+            "first_bad_inode",
+            "first_duplicate_file_id",
+            "first_bad_reference",
+            "first_bitmap_mismatch",
+            "first_free_count_mismatch",
+            "several_violations",
+        ],
+    );
 }

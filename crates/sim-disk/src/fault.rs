@@ -453,8 +453,6 @@ impl FaultStats {
 /// SCSI sense keys the fault layer can attach to a failed command.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SenseKey {
-    /// Unrecovered (or host-visible) media error.
-    MediumError,
     /// Transient failure; the host should retry the command.
     AbortedCommand,
     /// The command or its arguments are invalid for this drive.
@@ -464,7 +462,6 @@ pub enum SenseKey {
 impl fmt::Display for SenseKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            SenseKey::MediumError => "MEDIUM ERROR",
             SenseKey::AbortedCommand => "ABORTED COMMAND",
             SenseKey::IllegalRequest => "ILLEGAL REQUEST",
         })

@@ -779,19 +779,12 @@ impl DiskGeometry {
     /// the end of the disk (where every spare scheme leaves room).
     fn find_free_spare_slot(&self) -> Option<Pba> {
         for t in (0..self.num_tracks()).rev().map(|id| self.track(id)) {
-            // Candidate slots: those beyond the mapped region.
-            let mapped = match self.spec.policy {
-                DefectPolicy::Slip => {
-                    // The mapped region ends at the slot of the last logical
-                    // sector (or 0 for empty tracks).
-                    if t.count == 0 {
-                        0
-                    } else {
-                        self.slot_of_logical(&t, t.count - 1) + 1
-                    }
-                }
-                DefectPolicy::Remap => t.count,
-            };
+            // Candidate slots: those beyond the mapped region, which ends
+            // at the slot of the last logical sector (0 for an empty track).
+            let mapped = t
+                .count
+                .checked_sub(1)
+                .map_or(0, |last| self.slot_of_logical(&t, last) + 1);
             for slot in (mapped..t.spt).rev() {
                 let taken = (t.remap_targets())
                     .binary_search_by_key(&slot, |&(s, _)| s)

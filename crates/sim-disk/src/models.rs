@@ -226,14 +226,7 @@ impl ModelSheet {
                 ((f64::from(cylinders) * spt_of(z) / weight_total).round() as u32).max(1)
             };
             assigned += cyls;
-            let f = if self.zones > 1 {
-                f64::from(z) / f64::from(self.zones - 1)
-            } else {
-                0.0
-            };
-            let spt = (f64::from(self.spt_outer)
-                + f * (f64::from(self.spt_inner) - f64::from(self.spt_outer)))
-            .round() as u32;
+            let spt = spt_of(z).round() as u32;
             let track_skew = ((self.head_switch_ms / rev_ms) * f64::from(spt)).ceil() as u32 + 2;
             let cyl_skew = ((single / rev_ms) * f64::from(spt)).ceil() as u32 + 2;
             zone_specs.push(ZoneSpec {

@@ -256,14 +256,13 @@ fn lfs_prefers_track_sized_aligned_segments() {
 /// here in the PR that adds it — the review hook for the layering.
 #[test]
 fn crate_graph_matches_the_layering() {
-    const FS: &[&str] = &["rand", "sim-disk", "traxtent"];
     let expected: [(&str, &[&str]); 9] = [
         ("core", &[]),
         ("sim-disk", &["rand", "traxtent"]),
         ("scsi", &["sim-disk"]),
         ("dixtrac", &["scsi", "sim-disk", "traxtent"]),
-        ("ffs", FS),
-        ("lfs", FS),
+        ("ffs", &["sim-disk", "traxtent"]),
+        ("lfs", &["rand", "sim-disk", "traxtent"]),
         ("workloads", &["ffs", "rand", "sim-disk", "traxtent"]),
         ("server", &["rand", "sim-disk", "traxtent"]),
         ("fleet", &["sim-disk", "traxtent"]),
