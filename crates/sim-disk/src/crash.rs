@@ -347,29 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_log_does_not_change_timing() {
-        let mk = |log: bool| {
-            let mut d = crash_disk(true);
-            if !log {
-                let _ = d.take_crash_log();
-            }
-            let mut t = SimTime::ZERO;
-            let mut ends = Vec::new();
-            for i in 0..40u64 {
-                let c = d.service(Request::write((i * 531) % 15_000, 1 + (i * 17) % 400), t);
-                if d.crash_log().is_some() {
-                    let r = c.request;
-                    d.note_write_payload(&pattern_payload(7, r.lbn, r.len));
-                }
-                ends.push(c.completion);
-                t = c.completion;
-            }
-            ends
-        };
-        assert_eq!(mk(true), mk(false), "crash logging must not perturb timing");
-    }
-
-    #[test]
     fn durable_instants_sit_inside_the_media_window() {
         let mut d = crash_disk(false);
         let c = d.service(Request::write(1000, 64), SimTime::ZERO);

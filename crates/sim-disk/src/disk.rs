@@ -339,17 +339,7 @@ impl Disk {
     /// Panics if the request extends past the disk capacity or if `issue`
     /// precedes a previously issued command.
     pub fn service(&mut self, req: Request, issue: SimTime) -> Completion {
-        let cap = self.config.geometry.capacity_lbns();
-        assert!(
-            req.fits(cap),
-            "request of {} sectors at {} exceeds capacity {cap}",
-            req.len,
-            req.lbn,
-        );
-        assert!(
-            issue >= self.last_issue,
-            "commands must be issued in time order"
-        );
+        self.admit(&req, issue, self.last_issue);
         self.serve(req, issue)
     }
 
@@ -367,19 +357,25 @@ impl Disk {
     /// times are not non-decreasing (including against previously issued
     /// commands).
     pub fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>) {
-        let cap = self.config.geometry.capacity_lbns();
         let mut last = self.last_issue;
         for (req, issue) in batch {
-            assert!(
-                req.fits(cap),
-                "request of {} sectors at {} exceeds capacity {cap}",
-                req.len,
-                req.lbn,
-            );
-            assert!(*issue >= last, "commands must be issued in time order");
+            self.admit(req, *issue, last);
             last = *issue;
         }
         out.extend(batch.iter().map(|&(req, issue)| self.serve(req, issue)));
+    }
+
+    /// Checks what [`Disk::service`] promises to panic on: `req` lies
+    /// within the disk and `issue` is not before `last`.
+    fn admit(&self, req: &Request, issue: SimTime, last: SimTime) {
+        let cap = self.config.geometry.capacity_lbns();
+        assert!(
+            req.fits(cap),
+            "request of {} sectors at {} exceeds capacity {cap}",
+            req.len,
+            req.lbn,
+        );
+        assert!(issue >= last, "commands must be issued in time order");
     }
 
     /// Like [`Disk::service`], but surfaces failures the way a real drive
@@ -477,7 +473,8 @@ impl Disk {
     }
 
     /// Services a [`Disk::begin`]-accepted command whose processing
-    /// (transient retries included) took `overhead`.
+    /// (transient retries included) took `overhead`: a read the cache
+    /// holds crosses the bus alone; anything else takes one media pass.
     fn finish(
         &mut self,
         req: Request,
@@ -490,16 +487,26 @@ impl Disk {
             ..Breakdown::default()
         };
         let cmd_ready = issue + overhead;
-
-        let completion = match req.op {
-            Op::Read => self.service_read(req, issue, cmd_ready, breakdown, &mut trc),
-            Op::Write => {
-                self.cache.invalidate(req.lbn, req.len);
-                breakdown.write_settle = self.config.write_settle;
-                self.service_write(req, issue, cmd_ready, breakdown, &mut trc)
-            }
+        let cache_hit = req.op == Op::Read && self.cache.lookup(req.lbn, req.len);
+        let (service_start, media_end, end) = if cache_hit {
+            let range = [("lbn", req.lbn), ("len", req.len)];
+            trc.phase("cache_hit", cmd_ready, None, range);
+            let end = self.bus_transfer(req, cmd_ready, &mut trc);
+            breakdown.bus = end - cmd_ready;
+            (cmd_ready, cmd_ready, end)
+        } else {
+            self.media_pass(req, issue, cmd_ready, &mut breakdown, &mut trc)
         };
-        self.busy_ns += completion.media_end.since(completion.service_start).as_ns();
+        self.busy_ns += media_end.since(service_start).as_ns();
+        let completion = Completion {
+            request: req,
+            issue,
+            service_start,
+            media_end,
+            completion: end,
+            cache_hit,
+            breakdown,
+        };
 
         if trc.on {
             let b = completion.breakdown;
@@ -535,35 +542,45 @@ impl Disk {
         self.trace_scratch = trc.events;
     }
 
-    fn service_read(
+    /// Moves all of `req`'s data across the bus, starting once both the
+    /// command (`ready`) and the bus are: a cache hit's to the host, a
+    /// write's into the drive buffer. Returns when the last byte is across.
+    fn bus_transfer(&mut self, req: Request, ready: SimTime, trc: &mut Trace) -> SimTime {
+        let bus_start = ready.max(self.bus_free);
+        let end = bus_start + self.config.bus.transfer_time(req.bytes());
+        self.bus_free = end;
+        if end > bus_start {
+            let bytes = [("bytes", req.bytes())];
+            trc.phase("bus", bus_start, Some(end - bus_start), bytes);
+        }
+        end
+    }
+
+    /// One media pass — plan, queue, [`Disk::run_visits`], actuator — and
+    /// what only a read or a write does around it: a write invalidates
+    /// the cache, takes its data in over the bus while the arm moves
+    /// (§5.2 "Write performance") and is crash-logged; a read delivers as
+    /// the mechanism goes and fills the cache. Returns the command's
+    /// service start, media end and completion.
+    fn media_pass(
         &mut self,
         req: Request,
         issue: SimTime,
         cmd_ready: SimTime,
-        mut breakdown: Breakdown,
+        breakdown: &mut Breakdown,
         trc: &mut Trace,
-    ) -> Completion {
-        let bytes = [("bytes", req.bytes())];
-        if self.cache.lookup(req.lbn, req.len) {
-            let bus_start = cmd_ready.max(self.bus_free);
-            let end = bus_start + self.config.bus.transfer_time(req.bytes());
-            self.bus_free = end;
-            breakdown.bus = end - cmd_ready;
-            let range = [("lbn", req.lbn), ("len", req.len)];
-            trc.phase("cache_hit", cmd_ready, None, range);
-            if end > bus_start {
-                trc.phase("bus", bus_start, Some(end - bus_start), bytes);
+    ) -> (SimTime, SimTime, SimTime) {
+        let read = req.op == Op::Read;
+        let finite = !self.config.bus.is_infinite();
+        let data_ready = (!read).then(|| {
+            self.cache.invalidate(req.lbn, req.len);
+            breakdown.write_settle = self.config.write_settle;
+            if finite {
+                self.bus_transfer(req, cmd_ready, trc)
+            } else {
+                cmd_ready
             }
-            return Completion {
-                request: req,
-                issue,
-                service_start: cmd_ready,
-                media_end: cmd_ready,
-                completion: end,
-                cache_hit: true,
-                breakdown,
-            };
-        }
+        });
 
         self.plan_visits(req.lbn, req.len);
         let pos_start = cmd_ready.max(self.actuator_free);
@@ -571,12 +588,33 @@ impl Disk {
         if breakdown.queue > SimDur::ZERO {
             trc.phase("queue", cmd_ready, Some(breakdown.queue), []);
         }
-        // Bus delivery rides along with the mechanism, visit by visit.
-        let mut delivery = (!self.config.bus.is_infinite())
-            .then(|| Delivery::new(&self.config.bus, self.bus_free));
-        let sectors = delivery.as_mut().map_or(Sectors::Ignore, Sectors::Deliver);
-        let media_end = self.run_visits(pos_start, None, sectors, &mut breakdown, trc);
+        // A read's bus delivery rides along with the mechanism, visit by
+        // visit. With a crash log attached a write's per-sector scan
+        // collects each sector's media instant; the scan is bit-identical
+        // in timing to the closed form it replaces (the reference drive
+        // holds both to one model), so logging never perturbs results.
+        let mut delivery = (read && finite).then(|| Delivery::new(&self.config.bus, self.bus_free));
+        let sectors = match &mut delivery {
+            Some(bus) => Sectors::Deliver(bus),
+            None if !read && self.crash_log.is_some() => Sectors::Log,
+            None => Sectors::Ignore,
+        };
+        let media_end = self.run_visits(pos_start, data_ready, sectors, breakdown, trc);
         self.actuator_free = media_end;
+        if !read {
+            if let Some(log) = self.crash_log.as_deref_mut() {
+                debug_assert_eq!(self.avail_scratch.len() as u64, req.len);
+                log.records.push(crate::crash::WriteRecord {
+                    req: trc.rid,
+                    lbn: req.lbn,
+                    len: req.len,
+                    issue,
+                    durable: self.avail_scratch.clone(),
+                    payload: None,
+                });
+            }
+            return (pos_start, media_end, media_end);
+        }
 
         // Firmware read-ahead: the cache segment extends to the end of the
         // last track touched. The planned last visit already knows that
@@ -604,86 +642,10 @@ impl Disk {
         self.bus_free = self.bus_free.max(completion);
         breakdown.bus = completion.saturating_since(media_end);
         if completion > media_end {
+            let bytes = [("bytes", req.bytes())];
             trc.phase("bus", media_end, Some(breakdown.bus), bytes);
         }
-
-        Completion {
-            request: req,
-            issue,
-            service_start: pos_start,
-            media_end,
-            completion,
-            cache_hit: false,
-            breakdown,
-        }
-    }
-
-    fn service_write(
-        &mut self,
-        req: Request,
-        issue: SimTime,
-        cmd_ready: SimTime,
-        mut breakdown: Breakdown,
-        trc: &mut Trace,
-    ) -> Completion {
-        // Host data moves into the drive buffer over the bus, overlapping the
-        // seek (§5.2 "Write performance").
-        let all_buffered = if self.config.bus.is_infinite() {
-            cmd_ready
-        } else {
-            let bus_start = cmd_ready.max(self.bus_free);
-            let end = bus_start + self.config.bus.transfer_time(req.bytes());
-            self.bus_free = end;
-            if end > bus_start {
-                let bytes = [("bytes", req.bytes())];
-                trc.phase("bus", bus_start, Some(end - bus_start), bytes);
-            }
-            end
-        };
-
-        self.plan_visits(req.lbn, req.len);
-        let pos_start = cmd_ready.max(self.actuator_free);
-        breakdown.queue = pos_start.since(cmd_ready);
-        if breakdown.queue > SimDur::ZERO {
-            trc.phase("queue", cmd_ready, Some(breakdown.queue), []);
-        }
-        // With a crash log attached the per-sector scan collects each
-        // sector's media instant; the scan is bit-identical in timing to
-        // the closed form it replaces (rotation_props proves this), so
-        // logging never perturbs results.
-        let want_avail = self.crash_log.is_some();
-        let sectors = if want_avail {
-            Sectors::Log
-        } else {
-            Sectors::Ignore
-        };
-        let media_end =
-            self.run_visits(pos_start, Some(all_buffered), sectors, &mut breakdown, trc);
-        self.actuator_free = media_end;
-        if want_avail {
-            debug_assert_eq!(self.avail_scratch.len() as u64, req.len);
-            let durable = self.avail_scratch.clone();
-            if let Some(log) = self.crash_log.as_deref_mut() {
-                log.records.push(crate::crash::WriteRecord {
-                    req: trc.rid,
-                    lbn: req.lbn,
-                    len: req.len,
-                    issue,
-                    durable,
-                    payload: None,
-                });
-            }
-        }
-
-        Completion {
-            request: req,
-            issue,
-            service_start: pos_start,
-            media_end,
-            completion: media_end,
-            cache_hit: false,
-            breakdown,
-        }
+        (pos_start, media_end, completion)
     }
 
     /// Splits an LBN range into mechanical visits (maximal same-track runs,
@@ -1361,32 +1323,6 @@ mod tests {
             assert!(misses >= 250, "{}: only {misses} misses", d.config.name);
             assert_eq!(d.avail_scratch.capacity(), 0, "{}", d.config.name);
         }
-    }
-
-    #[test]
-    fn service_batch_matches_sequential_service() {
-        let mk = || test_disk(true, BusConfig::in_order(160.0));
-        let mut batch: Vec<(Request, SimTime)> = Vec::new();
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut t = 0u64;
-        for i in 0..200u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let lbn = state % 19_000;
-            let len = 1 + state % 300;
-            let req = if i % 3 == 0 {
-                Request::write(lbn, len)
-            } else {
-                Request::read(lbn, len)
-            };
-            t += state % 2_000_000;
-            batch.push((req, SimTime::from_ns(t)));
-        }
-        let mut a = mk();
-        let mut batched = Vec::new();
-        a.service_batch_into(&batch, &mut batched);
-        let mut b = mk();
-        let looped: Vec<Completion> = batch.iter().map(|&(r, at)| b.service(r, at)).collect();
-        assert_eq!(batched, looped);
     }
 
     #[test]

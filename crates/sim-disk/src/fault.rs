@@ -173,7 +173,7 @@ impl FaultConfig {
 
     /// Whether the media transfer of `sectors` sectors in visit `visit` of
     /// request `rid` suffers a recovered error.
-    pub(crate) fn media_error(&self, rid: u64, visit: u64, sectors: u64) -> bool {
+    pub fn media_error(&self, rid: u64, visit: u64, sectors: u64) -> bool {
         if self.media_per_million == 0 {
             return false;
         }
@@ -184,37 +184,37 @@ impl FaultConfig {
     }
 
     /// Whether a media error in this visit escalates to a grown defect.
-    pub(crate) fn grows_defect(&self, rid: u64, visit: u64) -> bool {
+    pub fn grows_defect(&self, rid: u64, visit: u64) -> bool {
         self.grown_per_million > 0
             && unit(self.key(rid, visit, SALT_GROWN)) < f64::from(self.grown_per_million) / 1e6
     }
 
     /// Offset (within the visit's sector count) of the failing sector.
-    pub(crate) fn failing_sector(&self, rid: u64, visit: u64, sectors: u64) -> u64 {
+    pub fn failing_sector(&self, rid: u64, visit: u64, sectors: u64) -> u64 {
         self.key(rid, visit, SALT_MEDIA_SLOT) % sectors.max(1)
     }
 
     /// Whether command `rid`'s transient-failure draw for `attempt` fires.
-    pub(crate) fn transient(&self, rid: u64, attempt: u64) -> bool {
+    pub fn transient(&self, rid: u64, attempt: u64) -> bool {
         self.transient_per_million > 0
             && unit(self.key(rid, attempt, SALT_TRANSIENT))
                 < f64::from(self.transient_per_million) / 1e6
     }
 
     /// Jittered seek duration for visit `visit` of request `rid`.
-    pub(crate) fn jitter_seek(&self, dur: SimDur, rid: u64, visit: u64) -> SimDur {
+    pub fn jitter_seek(&self, dur: SimDur, rid: u64, visit: u64) -> SimDur {
         self.seek_jitter.apply(dur, self.key(rid, visit, SALT_SEEK))
     }
 
     /// Jittered head-switch duration.
-    pub(crate) fn jitter_head_switch(&self, dur: SimDur, rid: u64, visit: u64) -> SimDur {
+    pub fn jitter_head_switch(&self, dur: SimDur, rid: u64, visit: u64) -> SimDur {
         self.head_switch_jitter
             .apply(dur, self.key(rid, visit, SALT_HEAD_SWITCH))
     }
 
     /// Extra rotational delay for one mechanical visit, in fractions of a
     /// revolution.
-    pub(crate) fn rot_extra(&self, revolution: SimDur, rid: u64, visit: u64) -> SimDur {
+    pub fn rot_extra(&self, revolution: SimDur, rid: u64, visit: u64) -> SimDur {
         self.rot_jitter
             .extra(revolution, self.key(rid, visit, SALT_ROT))
     }

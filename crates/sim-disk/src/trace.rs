@@ -40,6 +40,9 @@
 //! one text field: `media_retry`, `grown_defect`, `grown_defect_unspared`,
 //! `transient_retry` or `transient_abort`.
 //!
+//! An `issue`, `complete` or `scsi_command` line carries its variant's
+//! fields in declaration order; each is one row beside the phase table.
+//!
 //! # Attaching a sink
 //!
 //! Sinks attach to a drive's [`crate::disk::DiskConfig::tracer`] field, so
@@ -86,6 +89,48 @@ pub const PHASE_EVENTS: [(&str, bool, &[&str]); 10] = [
     ("bus", true, &["bytes"]),
     ("fault", true, &["kind", "lbn"]),
 ];
+
+/// The events outside [`PHASE_EVENTS`], one field row each: the `ev`
+/// name, the variant, and its fields in line order, each written and
+/// read as its type's [`Field`].
+macro_rules! event_rows {
+    ($($ev:literal => $variant:ident { $($field:ident),+ })+) => {
+        impl TraceEvent {
+            /// Writes the fields of an event that has a row, in row order.
+            fn write_row(&self, s: &mut String) {
+                match self {
+                    $(TraceEvent::$variant { $($field),+ } => {
+                        $(put(s, stringify!($field), $field);)+
+                    })+
+                    TraceEvent::Phase(_) => {}
+                }
+            }
+
+            /// Reads the event of the row named `ev`, each field through
+            /// `get`; `None` if no row is named `ev`.
+            fn read_row<'a>(
+                ev: &str,
+                get: impl Fn(&str) -> Result<&'a json::Value, String>,
+            ) -> Result<Option<TraceEvent>, String> {
+                Ok(Some(match ev {
+                    $($ev => TraceEvent::$variant {
+                        $($field: Field::read(stringify!($field), get(stringify!($field))?)?),+
+                    },)+
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+
+event_rows! {
+    "issue" => Issue { req, t, op, lbn, len }
+    "scsi_command" => ScsiCommand { t, dur, kind }
+    "complete" => Complete {
+        req, t, op, lbn, len, cache_hit, queue, overhead, seek, head_switch, rot_latency, media,
+        bus, write_settle, response
+    }
+}
 
 /// One service phase of one request, shaped like the span it becomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -232,85 +277,14 @@ impl TraceEvent {
         s.push_str("{\"ev\":\"");
         s.push_str(self.name());
         s.push('"');
-        let key = |s: &mut String, k: &str| {
-            s.push_str(",\"");
-            s.push_str(k);
-            s.push_str("\":");
-        };
-        let num = |s: &mut String, k: &str, v: u64| {
-            key(s, k);
-            s.push_str(&v.to_string());
-        };
-        let text = |s: &mut String, k: &str, v: &str| {
-            key(s, k);
-            json::write_string(s, v);
-        };
-        match self {
-            TraceEvent::Issue {
-                req,
-                t,
-                op,
-                lbn,
-                len,
-            } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                text(&mut s, "op", op.as_str());
-                num(&mut s, "lbn", *lbn);
-                num(&mut s, "len", *len);
+        if let TraceEvent::Phase(p) = self {
+            let dur = p.dur.map(|d| ("dur", Value::Num(d)));
+            let head = [("req", Value::Num(p.req)), ("t", Value::Num(p.t))];
+            for (k, v) in head.iter().chain(&dur).chain(&p.attrs) {
+                put(&mut s, k, v);
             }
-            TraceEvent::Phase(p) => {
-                num(&mut s, "req", p.req);
-                num(&mut s, "t", p.t);
-                if let Some(dur) = p.dur {
-                    num(&mut s, "dur", dur);
-                }
-                for (k, v) in &p.attrs {
-                    match v {
-                        Value::Num(n) => num(&mut s, k, *n),
-                        Value::Text(x) => text(&mut s, k, x),
-                    }
-                }
-            }
-            TraceEvent::ScsiCommand { t, dur, kind } => {
-                num(&mut s, "t", *t);
-                num(&mut s, "dur", *dur);
-                text(&mut s, "kind", kind);
-            }
-            TraceEvent::Complete {
-                req,
-                t,
-                op,
-                lbn,
-                len,
-                cache_hit,
-                queue,
-                overhead,
-                seek,
-                head_switch,
-                rot_latency,
-                media,
-                bus,
-                write_settle,
-                response,
-            } => {
-                num(&mut s, "req", *req);
-                num(&mut s, "t", *t);
-                text(&mut s, "op", op.as_str());
-                num(&mut s, "lbn", *lbn);
-                num(&mut s, "len", *len);
-                key(&mut s, "cache_hit");
-                s.push_str(if *cache_hit { "true" } else { "false" });
-                num(&mut s, "queue", *queue);
-                num(&mut s, "overhead", *overhead);
-                num(&mut s, "seek", *seek);
-                num(&mut s, "head_switch", *head_switch);
-                num(&mut s, "rot_latency", *rot_latency);
-                num(&mut s, "media", *media);
-                num(&mut s, "bus", *bus);
-                num(&mut s, "write_settle", *write_settle);
-                num(&mut s, "response", *response);
-            }
+        } else {
+            self.write_row(&mut s);
         }
         s.push('}');
         s
@@ -323,87 +297,101 @@ impl TraceEvent {
         let value = json::parse(line)?;
         let fields = value.as_object().ok_or("not a JSON object")?;
         let get = |k: &str| fields.get(k).ok_or_else(|| format!("missing field `{k}`"));
-        let num = |k: &str| -> Result<u64, String> {
-            get(k)?
-                .as_u64()
-                .ok_or_else(|| format!("field `{k}` is not an integer"))
+        let ev = String::read("ev", get("ev")?)?;
+        if let Some(event) = TraceEvent::read_row(&ev, get)? {
+            return Ok(event);
+        }
+        let Some(&(name, has_dur, keys)) = PHASE_EVENTS.iter().find(|r| r.0 == ev) else {
+            return Err(format!("unknown event `{ev}`"));
         };
-        let string = |k: &str| -> Result<String, String> {
-            get(k)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("field `{k}` is not a string"))
-        };
-        let boolean = |k: &str| -> Result<bool, String> {
-            get(k)?
-                .as_bool()
-                .ok_or_else(|| format!("field `{k}` is not a boolean"))
-        };
-        let op = |k: &str| -> Result<Op, String> {
-            match string(k)?.as_str() {
-                "read" => Ok(Op::Read),
-                "write" => Ok(Op::Write),
-                other => Err(format!("unknown op `{other}`")),
-            }
-        };
-        let field = |k: &'static str| -> Result<(&'static str, Value), String> {
-            let v = match k {
-                "kind" => Value::Text(string(k)?),
-                "from_cyl" | "to_cyl" | "track" => {
-                    let n = num(k)?;
-                    u32::try_from(n).map_err(|_| format!("field `{k}` exceeds u32"))?;
-                    Value::Num(n)
-                }
-                _ => Value::Num(num(k)?),
-            };
-            Ok((k, v))
-        };
+        let num = |k| u64::read(k, get(k)?);
+        Ok(TraceEvent::Phase(Phase {
+            name,
+            req: num("req")?,
+            t: num("t")?,
+            dur: has_dur.then(|| num("dur")).transpose()?,
+            attrs: (keys.iter())
+                .map(|&k| Ok((k, Value::read(k, get(k)?)?)))
+                .collect::<Result<_, String>>()?,
+        }))
+    }
+}
 
-        let ev = string("ev")?;
-        Ok(match ev.as_str() {
-            "issue" => TraceEvent::Issue {
-                req: num("req")?,
-                t: num("t")?,
-                op: op("op")?,
-                lbn: num("lbn")?,
-                len: num("len")?,
-            },
-            "scsi_command" => TraceEvent::ScsiCommand {
-                t: num("t")?,
-                dur: num("dur")?,
-                kind: string("kind")?,
-            },
-            "complete" => TraceEvent::Complete {
-                req: num("req")?,
-                t: num("t")?,
-                op: op("op")?,
-                lbn: num("lbn")?,
-                len: num("len")?,
-                cache_hit: boolean("cache_hit")?,
-                queue: num("queue")?,
-                overhead: num("overhead")?,
-                seek: num("seek")?,
-                head_switch: num("head_switch")?,
-                rot_latency: num("rot_latency")?,
-                media: num("media")?,
-                bus: num("bus")?,
-                write_settle: num("write_settle")?,
-                response: num("response")?,
-            },
-            other => {
-                let Some(&(name, has_dur, keys)) = PHASE_EVENTS.iter().find(|r| r.0 == other)
-                else {
-                    return Err(format!("unknown event `{other}`"));
-                };
-                TraceEvent::Phase(Phase {
-                    name,
-                    req: num("req")?,
-                    t: num("t")?,
-                    dur: has_dur.then(|| num("dur")).transpose()?,
-                    attrs: keys.iter().copied().map(field).collect::<Result<_, _>>()?,
-                })
-            }
-        })
+/// Appends field `k` with value `v` to a line.
+fn put(s: &mut String, k: &str, v: &impl Field) {
+    s.push_str(",\"");
+    s.push_str(k);
+    s.push_str("\":");
+    v.write(s);
+}
+
+/// A type a line's field holds: how it is written, and how it is read
+/// back from field `k`.
+trait Field: Sized {
+    fn write(&self, s: &mut String);
+    fn read(k: &str, v: &json::Value) -> Result<Self, String>;
+}
+
+impl Field for u64 {
+    fn write(&self, s: &mut String) {
+        s.push_str(&self.to_string());
+    }
+    fn read(k: &str, v: &json::Value) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| format!("field `{k}` is not an integer"))
+    }
+}
+
+impl Field for bool {
+    fn write(&self, s: &mut String) {
+        s.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(k: &str, v: &json::Value) -> Result<Self, String> {
+        v.as_bool()
+            .ok_or_else(|| format!("field `{k}` is not a boolean"))
+    }
+}
+
+impl Field for String {
+    fn write(&self, s: &mut String) {
+        json::write_string(s, self);
+    }
+    fn read(k: &str, v: &json::Value) -> Result<Self, String> {
+        (v.as_str().map(str::to_string)).ok_or_else(|| format!("field `{k}` is not a string"))
+    }
+}
+
+impl Field for Op {
+    fn write(&self, s: &mut String) {
+        json::write_string(s, self.as_str());
+    }
+    fn read(k: &str, v: &json::Value) -> Result<Self, String> {
+        match String::read(k, v)?.as_str() {
+            "read" => Ok(Op::Read),
+            "write" => Ok(Op::Write),
+            other => Err(format!("unknown op `{other}`")),
+        }
+    }
+}
+
+/// A phase's field: a fault's `kind` is text and the rest are numbers, of
+/// which a cylinder or a track fits in `u32`.
+impl Field for Value {
+    fn write(&self, s: &mut String) {
+        match self {
+            Value::Num(n) => n.write(s),
+            Value::Text(t) => t.write(s),
+        }
+    }
+    fn read(k: &str, v: &json::Value) -> Result<Self, String> {
+        if k == "kind" {
+            return String::read(k, v).map(Value::Text);
+        }
+        let n = u64::read(k, v)?;
+        if matches!(k, "from_cyl" | "to_cyl" | "track") && u32::try_from(n).is_err() {
+            return Err(format!("field `{k}` exceeds u32"));
+        }
+        Ok(Value::Num(n))
     }
 }
 

@@ -5,69 +5,17 @@
 //! and a geometry that shares its tables with a clone answers as if it did
 //! not, whichever of the two grown defects are written to.
 
+mod common;
+
+use common::arb_spec;
 use proptest::prelude::*;
-use sim_disk::defects::{DefectLocation, DefectPolicy, SpareScheme};
+use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::{Disk, DiskConfig};
 use sim_disk::geometry::{
     DiskGeometry, GeometryError, GeometrySpec, Pba, Track, TrackId, ZoneSpec,
 };
 use sim_disk::models;
 use traxtent::TrackBoundaries;
-
-/// An arbitrary small-but-varied geometry spec with defects the spare
-/// scheme can plausibly absorb.
-fn arb_spec() -> impl Strategy<Value = GeometrySpec> {
-    let zones = prop::collection::vec(
-        (2u32..6, 20u32..120, 0u32..12, 0u32..12).prop_map(|(cyls, spt, ts, cs)| ZoneSpec {
-            cylinders: cyls,
-            spt,
-            track_skew: ts,
-            cyl_skew: cs,
-        }),
-        1..4,
-    );
-    let scheme = prop_oneof![
-        Just(SpareScheme::SectorsPerTrack(3)),
-        Just(SpareScheme::SectorsPerCylinder(6)),
-        Just(SpareScheme::TracksPerZone(2)),
-        Just(SpareScheme::TracksAtEnd(3)),
-    ];
-    let policy = prop_oneof![Just(DefectPolicy::Slip), Just(DefectPolicy::Remap)];
-    (
-        1u32..5,
-        zones,
-        scheme,
-        policy,
-        prop::collection::vec((0u32..1000, 0u32..5, 0u32..120), 0..6),
-    )
-        .prop_map(|(surfaces, zones, spare, policy, raw_defects)| {
-            let total_cyls: u32 = zones.iter().map(|z| z.cylinders).sum();
-            let defects = raw_defects
-                .into_iter()
-                .map(|(c, h, s)| {
-                    let cyl = c % total_cyls;
-                    // Clamp the slot into the owning zone's track.
-                    let mut acc = 0;
-                    let mut spt = zones[0].spt;
-                    for z in &zones {
-                        if cyl < acc + z.cylinders {
-                            spt = z.spt;
-                            break;
-                        }
-                        acc += z.cylinders;
-                    }
-                    DefectLocation::new(cyl, h % surfaces, s % spt)
-                })
-                .collect();
-            GeometrySpec {
-                surfaces,
-                zones,
-                spare,
-                policy,
-                defects,
-            }
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -34,7 +34,7 @@ proptest! {
         arr_raw in arb_angle(),
         fsel in 0u32..10_000,
         csel in 0u32..10_000,
-        snap_sel in 0u32..2,
+        snap_sel in 0u32..3,
     ) {
         if let Ok(geom) = spec.build() {
             let tid = tsel % geom.num_tracks();
@@ -43,13 +43,14 @@ proptest! {
             if spt > 0 {
                 let first = fsel % spt;
                 let count = 1 + csel % (spt - first);
-                // Half the cases pin the arrival exactly on a slot angle
-                // of this track — what back-to-back sequential requests
-                // hit every time.
-                let arr = if snap_sel == 1 {
-                    track.slot_angle(fsel % spt)
-                } else {
-                    arr_raw
+                // A third of the cases pin the arrival exactly on a slot
+                // angle of this track — what back-to-back sequential
+                // requests hit every time — and a third a hair past one,
+                // where the EPS snap fires.
+                let arr = match snap_sel {
+                    0 => arr_raw,
+                    1 => track.slot_angle(fsel % spt),
+                    _ => (track.slot_angle(fsel % spt) + EPS / 2.0).rem_euclid(1.0),
                 };
                 let scan = window_scan(track, arr, first, count);
                 let closed = window_closed(track, arr, first, count);
