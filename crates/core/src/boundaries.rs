@@ -8,6 +8,7 @@
 use crate::extent::Extent;
 use std::error::Error;
 use std::fmt;
+use std::iter;
 use std::sync::Arc;
 
 /// Error validating a boundary table.
@@ -374,12 +375,14 @@ impl TrackBoundaries {
 /// also says which spindle each track lives on (see
 /// [`ConfidentBoundaries::with_spindles`]), so a scheduler can keep every
 /// spindle busy; a table without that knowledge describes one spindle.
+///
+/// Like the table's, its arrays are shared, so a clone costs O(1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfidentBoundaries {
     table: TrackBoundaries,
-    confidence: Vec<f64>,
+    confidence: Arc<[f64]>,
     /// The spindle holding each track; empty when the table is one spindle.
-    spindles: Vec<u16>,
+    spindles: Arc<[u16]>,
 }
 
 impl ConfidentBoundaries {
@@ -397,19 +400,19 @@ impl ConfidentBoundaries {
         }
         Ok(ConfidentBoundaries {
             table,
-            confidence,
-            spindles: Vec::new(),
+            confidence: confidence.into(),
+            spindles: Arc::new([]),
         })
     }
 
     /// Wraps a table whose every track is fully trusted (confidence 1.0),
     /// as produced by the exact SCSI-diagnostic extraction.
     pub fn certain(table: TrackBoundaries) -> Self {
-        let confidence = vec![1.0; table.num_tracks()];
+        let confidence = iter::repeat_n(1.0, table.num_tracks()).collect();
         ConfidentBoundaries {
             table,
             confidence,
-            spindles: Vec::new(),
+            spindles: Arc::new([]),
         }
     }
 
@@ -435,7 +438,7 @@ impl ConfidentBoundaries {
         if spindles.len() != self.table.num_tracks() {
             return Err(BoundariesError::BadSpindles);
         }
-        self.spindles = spindles;
+        self.spindles = spindles.into();
         Ok(self)
     }
 
@@ -504,7 +507,11 @@ impl ConfidentBoundaries {
     pub fn from_unit_lengths<I: IntoIterator<Item = (u64, f64)>>(
         units: I,
     ) -> Result<Self, BoundariesError> {
-        let (lengths, confidence): (Vec<u64>, Vec<f64>) = units.into_iter().unzip();
+        let mut confidence = Vec::new();
+        let lengths = units.into_iter().map(|(len, c)| {
+            confidence.push(c);
+            len
+        });
         let table = TrackBoundaries::from_track_lengths(lengths)?;
         Self::new(table, confidence)
     }

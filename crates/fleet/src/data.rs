@@ -194,7 +194,7 @@ pub(crate) fn fill_in_parts(
 /// mirror).
 fn round_ranges(layout: &VolumeLayout, parts: usize) -> Vec<Range<usize>> {
     let units = layout.units();
-    let rounds = units.last().map_or(0, |u| u.round + 1);
+    let rounds = layout.rounds().len();
     let parts = parts.clamp(1, rounds.max(1));
     let mut start = 0;
     (1..=parts)
@@ -203,7 +203,11 @@ fn round_ranges(layout: &VolumeLayout, parts: usize) -> Vec<Range<usize>> {
             if i < parts {
                 let lbn = layout.capacity() / parts as u64 * i as u64;
                 let at = units.partition_point(|u| u.lstart < lbn);
-                let round = units.get(at).map_or(rounds, |u| u.round);
+                let round = if at < units.len() {
+                    layout.round(at)
+                } else {
+                    rounds
+                };
                 end = round.clamp(start + 1, rounds - (parts - i));
             }
             let range = start..end;
@@ -211,14 +215,6 @@ fn round_ranges(layout: &VolumeLayout, parts: usize) -> Vec<Range<usize>> {
             range
         })
         .collect()
-}
-
-/// The logical units of the rounds `rounds`: units ascend by round in
-/// every kind.
-fn units_of(layout: &VolumeLayout, rounds: Range<usize>) -> &[LogicalUnit] {
-    let units = layout.units();
-    let first = |r| units.partition_point(|u| u.round < r);
-    &units[first(rounds.start)..first(rounds.end)]
 }
 
 /// One live member's share of a round range: `words[0]` is its physical
@@ -258,7 +254,7 @@ fn carve<'a>(
         let (mut base, mut rest) = (0, store.words.as_mut_slice());
         for (i, columns) in shares.iter_mut().enumerate() {
             let end = (ranges.get(i + 1)).map_or(base + rest.len() as u64, |next| {
-                layout.round_start(next.start, m)
+                layout.member_extent(next.start, m).start
             });
             let (words, tail) = std::mem::take(&mut rest).split_at_mut((end - base) as usize);
             columns.push(Some(Column { base, words }));
@@ -277,32 +273,33 @@ fn fill_range(
     columns: &mut [Option<Column>],
     seed: u64,
 ) {
-    let units = units_of(layout, rounds.clone());
+    let units = layout.units();
     match layout.kind() {
         VolumeKind::Striped => {
-            for u in units {
-                if let Some(column) = &mut columns[u.member] {
-                    fill_unit(column.at(u.pstart, u.len), u, seed);
+            for i in layout.units_of(rounds) {
+                if let Some(column) = &mut columns[layout.member(i)] {
+                    fill_unit(column.at(layout.pstart(i), units[i].len), &units[i], seed);
                 }
             }
         }
         VolumeKind::Mirrored => {
-            for u in units {
+            for u in &units[layout.units_of(rounds)] {
                 for column in columns.iter_mut().flatten() {
-                    fill_unit(column.at(u.pstart, u.len), u, seed);
+                    fill_unit(column.at(u.lstart, u.len), u, seed);
                 }
             }
         }
         VolumeKind::Raid5 => {
-            // A round is its `members - 1` data units, in member order.
-            let data_units = units.chunks(layout.members() - 1);
             let mut parity = Vec::new();
-            for (info, units) in layout.rounds()[rounds].iter().zip(data_units) {
+            for r in rounds {
+                let holder = layout.parity(r);
+                let at = layout.member_extent(r, holder);
                 parity.clear();
-                parity.resize(info.len as usize, 0);
-                for u in units {
-                    if let Some(column) = &mut columns[u.member] {
-                        let column = column.at(u.pstart, u.len);
+                parity.resize(at.len as usize, 0);
+                for i in layout.units_of(r..r + 1) {
+                    let u = &units[i];
+                    if let Some(column) = &mut columns[layout.member(i)] {
+                        let column = column.at(layout.pstart(i), u.len);
                         fill_unit(column, u, seed);
                         for (p, w) in parity.iter_mut().zip(column) {
                             *p ^= *w;
@@ -313,10 +310,8 @@ fn fill_range(
                         }
                     }
                 }
-                if let Some(column) = &mut columns[info.parity] {
-                    column
-                        .at(info.pstarts[info.parity], info.len)
-                        .copy_from_slice(&parity);
+                if let Some(column) = &mut columns[holder] {
+                    column.at(at.start, at.len).copy_from_slice(&parity);
                 }
             }
         }
@@ -380,14 +375,14 @@ fn scrub_range(
     match (layout.kind(), reference) {
         (VolumeKind::Striped, _) | (VolumeKind::Mirrored, None) => {}
         (VolumeKind::Mirrored, Some(reference)) => {
-            for u in units_of(layout, rounds) {
+            for u in &layout.units()[layout.units_of(rounds)] {
                 for (m, store) in stores.iter().enumerate() {
                     if m == reference || !live(store) {
                         continue;
                     }
                     syndrome.clear();
-                    stores[reference].read_into(u.pstart, u.len, &mut syndrome);
-                    store.xor_into(u.pstart, &mut syndrome);
+                    stores[reference].read_into(u.lstart, u.len, &mut syndrome);
+                    store.xor_into(u.lstart, &mut syndrome);
                     checked += u.len;
                     mismatches += nonzero(&syndrome);
                 }
@@ -395,13 +390,14 @@ fn scrub_range(
         }
         (VolumeKind::Raid5, _) => {
             if stores.iter().all(live) {
-                for info in &layout.rounds()[rounds] {
+                for r in rounds {
+                    let len = layout.member_extent(r, 0).len;
                     syndrome.clear();
-                    syndrome.resize(info.len as usize, 0);
-                    for (store, &pstart) in stores.iter().zip(&info.pstarts) {
-                        store.xor_into(pstart, &mut syndrome);
+                    syndrome.resize(len as usize, 0);
+                    for (m, store) in stores.iter().enumerate() {
+                        store.xor_into(layout.member_extent(r, m).start, &mut syndrome);
                     }
-                    checked += info.len;
+                    checked += len;
                     mismatches += nonzero(&syndrome);
                 }
             }
@@ -435,18 +431,17 @@ pub fn reconstruct_unit(
     match layout.kind() {
         VolumeKind::Striped => panic!("a striped volume cannot reconstruct anything"),
         VolumeKind::Mirrored => {
-            let u = &layout.units()[round];
             let source = (member + 1) % layout.members();
-            let mut out = Vec::with_capacity(u.len as usize);
-            stores[source].read_into(u.pstart, u.len, &mut out);
+            let at = layout.member_extent(round, source);
+            let mut out = Vec::with_capacity(at.len as usize);
+            stores[source].read_into(at.start, at.len, &mut out);
             out
         }
         VolumeKind::Raid5 => {
-            let info = &layout.rounds()[round];
-            let mut out = vec![0u64; info.len as usize];
+            let mut out = vec![0u64; layout.member_extent(round, member).len as usize];
             for (m, store) in stores.iter().enumerate() {
                 if m != member {
-                    store.xor_into(info.pstarts[m], &mut out);
+                    store.xor_into(layout.member_extent(round, m).start, &mut out);
                 }
             }
             out
@@ -552,7 +547,9 @@ mod tests {
                     VolumeKind::Striped => 0,
                     VolumeKind::Mirrored => (live_copies - 1) * layout.capacity(),
                     VolumeKind::Raid5 if dead.is_some() => 0,
-                    VolumeKind::Raid5 => layout.rounds().iter().map(|info| info.len).sum(),
+                    VolumeKind::Raid5 => (layout.rounds())
+                        .map(|r| layout.member_extent(r, 0).len)
+                        .sum(),
                 };
                 assert_eq!(scrub_in_parts(&layout, &want, reference, 1), (clean, 0));
                 for (at, flip) in &corruptions {

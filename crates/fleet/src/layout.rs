@@ -6,7 +6,9 @@
 //! random heterogeneous geometries.
 
 use crate::FleetError;
+use std::ops::Range;
 use traxtent::boundaries::ConfidentBoundaries;
+use traxtent::Extent;
 
 /// How stripe units are carved out of a member drive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,65 +132,98 @@ pub fn stripe_units(
     policy: &StripePolicy,
 ) -> Result<Vec<StripeUnit>, FleetError> {
     policy.validate()?;
-    let table = map.table();
-    let mut units = Vec::new();
-    match *policy {
-        StripePolicy::Fixed { sectors } => {
-            let mut at = 0;
-            let capacity = table.capacity();
-            while at < capacity {
-                let len = sectors.min(capacity - at);
-                // A fixed unit is still a contiguous physical extent, so
-                // batching within it is safe; it just may straddle track
-                // boundaries (that is the point of the baseline).
-                units.push(StripeUnit {
-                    start: at,
-                    len,
-                    confidence: 1.0,
-                });
-                at += len;
-            }
-        }
-        StripePolicy::Aligned {
-            threshold,
-            fallback_sectors,
-        } => {
-            let mut fuzzy: Option<(u64, f64)> = None; // (region start, min confidence)
-            let flush = |units: &mut Vec<StripeUnit>, fuzzy: &mut Option<(u64, f64)>, end: u64| {
-                if let Some((start, confidence)) = fuzzy.take() {
-                    let mut at = start;
-                    while at < end {
-                        let len = fallback_sectors.min(end - at);
-                        units.push(StripeUnit {
-                            start: at,
-                            len,
-                            confidence,
-                        });
-                        at += len;
-                    }
-                }
-            };
-            for i in 0..table.num_tracks() {
-                let ext = table.track_extent(i);
-                if map.is_confident(i, threshold) {
-                    flush(&mut units, &mut fuzzy, ext.start);
-                    units.push(StripeUnit {
-                        start: ext.start,
-                        len: ext.len,
-                        confidence: map.track_confidence(i),
-                    });
-                } else {
-                    let conf = map.track_confidence(i);
-                    match &mut fuzzy {
-                        Some((_, min_conf)) => *min_conf = min_conf.min(conf),
-                        None => fuzzy = Some((ext.start, conf)),
-                    }
-                }
-            }
-            flush(&mut units, &mut fuzzy, table.capacity());
+    Ok(Carve::new(map, *policy).collect())
+}
+
+/// [`stripe_units`] one unit at a time, for a policy already validated.
+struct Carve<'a> {
+    map: &'a ConfidentBoundaries,
+    policy: StripePolicy,
+    /// The next member track an aligned carve looks at.
+    track: usize,
+    /// The run being carved: `[at, end)` in units of `step` sectors (the
+    /// last one shorter), each carrying `confidence`.
+    at: u64,
+    end: u64,
+    step: u64,
+    confidence: f64,
+}
+
+impl<'a> Carve<'a> {
+    fn new(map: &'a ConfidentBoundaries, policy: StripePolicy) -> Self {
+        // A fixed carve is one run over the whole member; an aligned one
+        // starts with none and finds its runs track by track.
+        let (end, step) = match policy {
+            StripePolicy::Fixed { sectors } => (map.table().capacity(), sectors),
+            StripePolicy::Aligned { .. } => (0, 0),
+        };
+        Carve {
+            map,
+            policy,
+            track: 0,
+            at: 0,
+            end,
+            step,
+            confidence: 1.0,
         }
     }
-    Ok(units)
+
+    /// Starts the next aligned run: a trusted track as one unit, or the
+    /// whole run of untrusted tracks from here in fallback-sized units at
+    /// the run's least confidence. `None` past the last track.
+    fn next_run(&mut self) -> Option<()> {
+        let StripePolicy::Aligned {
+            threshold,
+            fallback_sectors,
+        } = self.policy
+        else {
+            return None;
+        };
+        let (map, table) = (self.map, self.map.table());
+        let tracks = table.num_tracks();
+        if self.track == tracks {
+            return None;
+        }
+        let first = table.track_extent(self.track);
+        self.confidence = map.track_confidence(self.track);
+        self.track += 1;
+        if map.is_confident(self.track - 1, threshold) {
+            (self.at, self.end, self.step) = (first.start, first.end(), first.len);
+            return Some(());
+        }
+        while self.track < tracks && !map.is_confident(self.track, threshold) {
+            self.confidence = self.confidence.min(map.track_confidence(self.track));
+            self.track += 1;
+        }
+        let end = if self.track < tracks {
+            table.track_extent(self.track).start
+        } else {
+            table.capacity()
+        };
+        (self.at, self.end, self.step) = (first.start, end, fallback_sectors);
+        Some(())
+    }
+}
+
+impl Iterator for Carve<'_> {
+    type Item = StripeUnit;
+
+    fn next(&mut self) -> Option<StripeUnit> {
+        if self.at == self.end {
+            self.next_run()?;
+        }
+        // A fixed unit is still a contiguous physical extent, so batching
+        // within it is safe; it just may straddle track boundaries (that
+        // is the point of the baseline).
+        let len = self.step.min(self.end - self.at);
+        let unit = StripeUnit {
+            start: self.at,
+            len,
+            confidence: self.confidence,
+        };
+        self.at += len;
+        Some(unit)
+    }
 }
 
 /// The volume kinds this crate lays out.
@@ -221,35 +256,20 @@ impl VolumeKind {
 }
 
 /// One logical stripe unit: a contiguous run of volume LBNs living on a
-/// single member.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// single member. Which member, where on it and in which round are
+/// [`VolumeLayout`]'s to say, from the unit's index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogicalUnit {
     /// First logical LBN the unit serves.
     pub lstart: u64,
     /// Length in sectors.
     pub len: u64,
-    /// Member that holds the data (for mirrors: the preferred read
-    /// member; the data exists on every member).
-    pub member: usize,
-    /// First physical LBN on that member.
-    pub pstart: u64,
-    /// Stripe round the unit belongs to.
-    pub round: usize,
-    /// Confidence of the underlying stripe unit.
-    pub confidence: f64,
 }
 
-/// Per-round RAID-5 geometry: where every member's round-`r` unit starts,
-/// and which member holds the parity.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundInfo {
-    /// Sectors of each member's unit that participate in the stripe (the
-    /// minimum unit length across members this round).
-    pub len: u64,
-    /// Member holding the parity unit this round.
-    pub parity: usize,
-    /// Physical start of each member's round-`r` unit, indexed by member.
-    pub pstarts: Vec<u64>,
+/// The member of `members` holding round `round`'s RAID-5 parity: rotated
+/// backwards from the last member, the classic left-symmetric placement.
+fn parity_member(round: usize, members: usize) -> usize {
+    members - 1 - round % members
 }
 
 /// One physical fragment of a logical access, produced by
@@ -272,6 +292,13 @@ pub struct Chunk {
 
 /// The complete logical↔physical map of a volume: member stripe-unit
 /// lists interleaved into one logical LBN space.
+///
+/// The units of a stripe round are consecutive, so a unit's round and
+/// member follow from its index: a RAID-0 round is one unit on every
+/// member in member order, a mirror's round is one unit (held by every
+/// member, at its logical address), and a RAID-5 round is one unit on
+/// every member but the round's parity member, `n − 1 − r % n`. Where a
+/// round's units start on their members is one row of a flat table.
 #[derive(Debug, Clone)]
 pub struct VolumeLayout {
     kind: VolumeKind,
@@ -279,17 +306,20 @@ pub struct VolumeLayout {
     units: Vec<LogicalUnit>,
     /// The logical address space with one "track" per unit: what
     /// [`Self::unit_index`] looks up and [`Self::logical_boundaries`]
-    /// publishes.
+    /// publishes, and the units' confidences.
     logical: ConfidentBoundaries,
     member_caps: Vec<u64>,
-    /// RAID-5 only; empty otherwise.
-    rounds: Vec<RoundInfo>,
+    /// Where each member's unit of round `r` starts, at
+    /// `starts[r * members + m]` (the parity member's too); empty for a
+    /// mirror.
+    starts: Vec<u64>,
 }
 
 impl VolumeLayout {
     /// Builds the layout for `kind` over the given per-member boundary
-    /// maps. Pure — no drives involved; [`crate::Volume`] constructors
-    /// call this after validating maps against real drive capacities.
+    /// maps, in one pass over the members' carves. Pure — no drives
+    /// involved; [`crate::Volume`] constructors call this after
+    /// validating maps against real drive capacities.
     #[expect(
         clippy::expect_used,
         reason = "the unit list is nonempty (NoRounds above) and its lengths and confidences \
@@ -311,111 +341,78 @@ impl VolumeLayout {
                 got: maps.len(),
             });
         }
-        let per_member: Vec<Vec<StripeUnit>> = maps
-            .iter()
-            .map(|m| stripe_units(m, policy))
-            .collect::<Result<_, _>>()?;
-        let member_caps: Vec<u64> = maps.iter().map(|m| m.table().capacity()).collect();
+        policy.validate()?;
         let n = maps.len();
+        let spindle =
+            |m: usize| u16::try_from(m).map_err(|_| FleetError::TooManyMembers { got: n });
+        let member_caps: Vec<u64> = maps.iter().map(|m| m.table().capacity()).collect();
+        let mut carves: Vec<Carve> = maps.iter().map(|m| Carve::new(m, *policy)).collect();
 
         let mut units = Vec::new();
-        let mut rounds = Vec::new();
-        match kind {
-            VolumeKind::Striped => {
-                let nrounds = per_member.iter().map(Vec::len).min().unwrap_or(0);
-                if nrounds == 0 {
-                    return Err(FleetError::NoRounds);
+        let mut confidence = Vec::new();
+        let mut spindles = Vec::new();
+        let mut starts = Vec::new();
+        let mut lbn = 0;
+        if kind == VolumeKind::Mirrored {
+            // Logical space is member 0's carve, clipped to the smallest
+            // member; logical == physical on every member.
+            let clip = member_caps.iter().copied().min().unwrap_or(0);
+            for (r, u) in carves[0].by_ref().enumerate() {
+                if lbn >= clip {
+                    break;
                 }
-                let mut lbn = 0;
-                for r in 0..nrounds {
-                    for (m, mu) in per_member.iter().enumerate() {
-                        let u = mu[r];
-                        units.push(LogicalUnit {
-                            lstart: lbn,
-                            len: u.len,
-                            member: m,
-                            pstart: u.start,
-                            round: r,
-                            confidence: u.confidence,
-                        });
-                        lbn += u.len;
-                    }
-                }
+                let len = u.len.min(clip - lbn);
+                units.push(LogicalUnit { lstart: lbn, len });
+                confidence.push(u.confidence);
+                spindles.push(spindle(r % n)?);
+                lbn += len;
             }
-            VolumeKind::Mirrored => {
-                // Logical space is member 0's carve, clipped to the
-                // smallest member; logical == physical on every member.
-                let clip = member_caps.iter().copied().min().unwrap_or(0);
-                let mut lbn = 0;
-                for (r, u) in per_member[0].iter().enumerate() {
-                    if lbn >= clip {
-                        break;
+        } else {
+            // A round takes the next unit of every member; the rounds end
+            // with the shortest carve.
+            let mut round: Vec<StripeUnit> = Vec::with_capacity(n);
+            'rounds: for r in 0.. {
+                round.clear();
+                for carve in &mut carves {
+                    let Some(u) = carve.next() else {
+                        break 'rounds;
+                    };
+                    round.push(u);
+                }
+                starts.extend(round.iter().map(|u| u.start));
+                // RAID-5 stripes the shortest unit's length over every
+                // member but the parity.
+                let (parity, stripe) = match kind {
+                    VolumeKind::Raid5 => (parity_member(r, n), round.iter().map(|u| u.len).min()),
+                    _ => (n, None),
+                };
+                for (m, u) in round.iter().enumerate() {
+                    if m == parity {
+                        continue;
                     }
-                    let len = u.len.min(clip - lbn);
-                    units.push(LogicalUnit {
-                        lstart: lbn,
-                        len,
-                        member: r % n,
-                        pstart: lbn,
-                        round: r,
-                        confidence: u.confidence,
-                    });
+                    let len = stripe.unwrap_or(u.len);
+                    units.push(LogicalUnit { lstart: lbn, len });
+                    confidence.push(u.confidence);
+                    spindles.push(spindle(m)?);
                     lbn += len;
-                }
-                if units.is_empty() {
-                    return Err(FleetError::NoRounds);
-                }
-            }
-            VolumeKind::Raid5 => {
-                let nrounds = per_member.iter().map(Vec::len).min().unwrap_or(0);
-                if nrounds == 0 {
-                    return Err(FleetError::NoRounds);
-                }
-                let mut lbn = 0;
-                for r in 0..nrounds {
-                    let len = per_member.iter().map(|mu| mu[r].len).min().unwrap_or(0);
-                    // Rotate parity backwards from the last member, the
-                    // classic left-symmetric placement.
-                    let parity = n - 1 - (r % n);
-                    let pstarts: Vec<u64> = per_member.iter().map(|mu| mu[r].start).collect();
-                    for (m, mu) in per_member.iter().enumerate() {
-                        if m == parity {
-                            continue;
-                        }
-                        units.push(LogicalUnit {
-                            lstart: lbn,
-                            len,
-                            member: m,
-                            pstart: mu[r].start,
-                            round: r,
-                            confidence: mu[r].confidence,
-                        });
-                        lbn += len;
-                    }
-                    rounds.push(RoundInfo {
-                        len,
-                        parity,
-                        pstarts,
-                    });
                 }
             }
         }
+        if units.is_empty() {
+            return Err(FleetError::NoRounds);
+        }
 
-        let spindles = (units.iter())
-            .map(|u| u16::try_from(u.member))
-            .collect::<Result<_, _>>()
-            .map_err(|_| FleetError::TooManyMembers { got: n })?;
-        let logical =
-            ConfidentBoundaries::from_unit_lengths(units.iter().map(|u| (u.len, u.confidence)))
-                .and_then(|map| map.with_spindles(spindles))
-                .expect("every kind leaves at least one unit, none of them empty");
+        let lengths = units.iter().map(|u| u.len);
+        let logical = ConfidentBoundaries::from_unit_lengths(lengths.zip(confidence))
+            .and_then(|map| map.with_spindles(spindles))
+            .expect("every kind leaves at least one unit, none of them empty");
         Ok(VolumeLayout {
             kind,
             members: n,
             units,
             logical,
             member_caps,
-            rounds,
+            starts,
         })
     }
 
@@ -445,21 +442,92 @@ impl VolumeLayout {
         &self.units
     }
 
-    /// RAID-5 per-round geometry; empty for other kinds.
-    pub fn rounds(&self) -> &[RoundInfo] {
-        &self.rounds
+    /// Logical units a round holds.
+    fn per_round(&self) -> usize {
+        match self.kind {
+            VolumeKind::Striped => self.members,
+            VolumeKind::Mirrored => 1,
+            VolumeKind::Raid5 => self.members - 1,
+        }
     }
 
-    /// Where round `r` begins on member `m`. Every member's units ascend
-    /// physically with the round (`fleet_props::
-    /// rounds_ascend_on_every_member`), so the rounds before `r` lie
-    /// below this LBN on `m` and the others at or above it.
-    pub(crate) fn round_start(&self, r: usize, m: usize) -> u64 {
+    /// The stripe rounds, in logical order.
+    pub fn rounds(&self) -> Range<usize> {
+        0..self.units.len() / self.per_round()
+    }
+
+    /// The logical units of the rounds `rounds`.
+    pub(crate) fn units_of(&self, rounds: Range<usize>) -> Range<usize> {
+        rounds.start * self.per_round()..rounds.end * self.per_round()
+    }
+
+    /// Unit `unit`'s round and member, with one divide (two for RAID-5).
+    fn place(&self, unit: usize) -> (usize, usize) {
+        let per = self.per_round();
+        let (round, k) = (unit / per, unit % per);
+        let member = match self.kind {
+            VolumeKind::Striped => k,
+            VolumeKind::Mirrored => round % self.members,
+            // The data units of a round skip its parity member.
+            VolumeKind::Raid5 => k + usize::from(k >= self.parity(round)),
+        };
+        (round, member)
+    }
+
+    /// Unit `unit`'s physical start, given its round and member.
+    fn pstart_at(&self, unit: usize, (round, member): (usize, usize)) -> u64 {
         match self.kind {
-            VolumeKind::Striped => self.units[r * self.members + m].pstart,
-            VolumeKind::Mirrored => self.units[r].pstart,
-            VolumeKind::Raid5 => self.rounds[r].pstarts[m],
+            VolumeKind::Mirrored => self.units[unit].lstart,
+            _ => self.starts[round * self.members + member],
         }
+    }
+
+    /// Stripe round of unit `unit`.
+    pub fn round(&self, unit: usize) -> usize {
+        self.place(unit).0
+    }
+
+    /// Member that holds unit `unit` (for mirrors: the preferred read
+    /// member; the data exists on every member).
+    pub fn member(&self, unit: usize) -> usize {
+        self.place(unit).1
+    }
+
+    /// First physical LBN of unit `unit` on its member.
+    pub fn pstart(&self, unit: usize) -> u64 {
+        self.pstart_at(unit, self.place(unit))
+    }
+
+    /// Extraction confidence of the member stripe unit that unit `unit`
+    /// was carved from.
+    pub fn confidence(&self, unit: usize) -> f64 {
+        self.logical.track_confidence(unit)
+    }
+
+    /// Member holding round `round`'s parity (RAID-5).
+    pub fn parity(&self, round: usize) -> usize {
+        parity_member(round, self.members)
+    }
+
+    /// The sectors of member `m` that round `round` uses: its unit on `m`
+    /// (every member's, for a mirror). A RAID-5 round uses the same
+    /// length on every member, the parity member included. Every member's
+    /// rounds ascend physically (`fleet_props::
+    /// rounds_ascend_on_every_member`), so the rounds before `round` lie
+    /// below the extent's start on `m` and the others at or above it.
+    pub fn member_extent(&self, round: usize, m: usize) -> Extent {
+        let (start, len) = match self.kind {
+            VolumeKind::Striped => {
+                let unit = round * self.members + m;
+                (self.starts[unit], self.units[unit].len)
+            }
+            VolumeKind::Mirrored => (self.units[round].lstart, self.units[round].len),
+            VolumeKind::Raid5 => (
+                self.starts[round * self.members + m],
+                self.units[round * (self.members - 1)].len,
+            ),
+        };
+        Extent { start, len }
     }
 
     /// Index of the logical unit containing `lbn`.
@@ -485,13 +553,14 @@ impl VolumeLayout {
         while at < end {
             let u = &self.units[ui];
             let take = (u.lstart + u.len - at).min(end - at);
+            let (round, member) = self.place(ui);
             chunks.push(Chunk {
                 unit: ui,
-                member: u.member,
-                pstart: u.pstart + (at - u.lstart),
+                member,
+                pstart: self.pstart_at(ui, (round, member)) + (at - u.lstart),
                 lstart: at,
                 len: take,
-                round: u.round,
+                round,
             });
             at += take;
             ui += 1;
@@ -504,7 +573,7 @@ impl VolumeLayout {
     /// that holds it. Feeding this to the PR 7 server's traxtent scheduler
     /// makes it batch whole stripe units — which, under
     /// [`StripePolicy::Aligned`], are whole member tracks — on one lane
-    /// per member.
+    /// per member. Its tables are shared, so a call costs O(1).
     pub fn logical_boundaries(&self) -> ConfidentBoundaries {
         self.logical.clone()
     }

@@ -80,7 +80,7 @@ pub mod volume;
 pub use crash::PowerCutReport;
 pub use data::{fill_stores, pattern_word, reconstruct_unit, SectorStore};
 pub use layout::{
-    stripe_units, Chunk, LogicalUnit, RoundInfo, StripePolicy, StripeUnit, VolumeKind, VolumeLayout,
+    stripe_units, Chunk, LogicalUnit, StripePolicy, StripeUnit, VolumeKind, VolumeLayout,
 };
 pub use rebuild::{RebuildReport, RepairReport, ScrubReport};
 pub use volume::{member_boundaries, Volume, VolumeCompletion, VolumeStats, FAULT_RETRIES};

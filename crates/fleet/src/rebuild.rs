@@ -8,11 +8,12 @@
 //! same observability surface that watches the server watches repair.
 
 use crate::data::{cores, nonzero, scrub_in_parts, SectorStore};
-use crate::layout::{LogicalUnit, VolumeKind};
+use crate::layout::VolumeKind;
 use crate::volume::{lost, Access, Volume};
 use crate::FleetError;
 use sim_disk::SimTime;
 use traxtent::obs::Registry;
+use traxtent::Extent;
 
 /// What a completed [`Volume::rebuild_member`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,14 +99,14 @@ impl Volume {
         let peers = || (0..self.members.len()).filter(|&m| m != i);
         // A mirror copies one healthy member's units; RAID-5 XORs every
         // surviving column of each round, so it needs all of them.
-        let (source, total) = if self.layout.kind() == VolumeKind::Mirrored {
+        let source = if self.layout.kind() == VolumeKind::Mirrored {
             let source = peers().find(|&m| self.members[m].healthy);
-            (Some(source.ok_or(lost(i))?), self.layout.units().len())
+            Some(source.ok_or(lost(i))?)
         } else {
             if let Some(peer) = peers().find(|&m| !self.members[m].healthy) {
                 return Err(FleetError::DegradedPeer { member: peer });
             }
-            (None, self.layout.rounds().len())
+            None
         };
 
         let mut acc = Access::default();
@@ -113,17 +114,9 @@ impl Volume {
         let mut sectors = 0u64;
         let mut words = Vec::new();
         let mut rebuilt = SectorStore::new(self.layout.member_caps()[i]);
-        for step in 0..total {
-            let (dst, len) = match source {
-                Some(_) => {
-                    let LogicalUnit { pstart, len, .. } = self.layout.units()[step];
-                    (pstart, len)
-                }
-                None => {
-                    let info = &self.layout.rounds()[step];
-                    (info.pstarts[i], info.len)
-                }
-            };
+        let total = self.layout.rounds().len();
+        for step in self.layout.rounds() {
+            let Extent { start: dst, len } = self.layout.member_extent(step, i);
             words.clear();
             words.resize(len as usize, 0);
             let reads_done = match source {
@@ -239,8 +232,8 @@ impl Volume {
         match self.layout.kind() {
             VolumeKind::Striped => {}
             VolumeKind::Mirrored => {
-                for u in 0..self.layout.units().len() {
-                    let LogicalUnit { pstart, len, .. } = self.layout.units()[u];
+                for r in self.layout.rounds() {
+                    let Extent { start: pstart, len } = self.layout.member_extent(r, 0);
                     t = self.read_member(&mut acc, 0, pstart, len, t, "verify")?;
                     words.clear();
                     self.stores()[0].read_into(pstart, len, &mut words);
@@ -261,9 +254,9 @@ impl Volume {
                 }
             }
             VolumeKind::Raid5 => {
-                for r in 0..self.layout.rounds().len() {
-                    let info = &self.layout.rounds()[r];
-                    let (len, p, pdst) = (info.len, info.parity, info.pstarts[info.parity]);
+                for r in self.layout.rounds() {
+                    let p = self.layout.parity(r);
+                    let Extent { start: pdst, len } = self.layout.member_extent(r, p);
                     syndrome.clear();
                     syndrome.resize(len as usize, 0);
                     t = self.xor_survivors(&mut acc, r, 0, &[], t, &mut syndrome)?;

@@ -629,7 +629,7 @@ impl Volume {
     ) -> Result<SimTime, FleetError> {
         let mut done = at;
         for m in (0..self.members.len()).filter(|m| !skip.contains(m)) {
-            let pstart = self.layout.rounds()[round].pstarts[m] + off;
+            let pstart = self.layout.member_extent(round, m).start + off;
             let read = self.read_member(acc, m, pstart, out.len() as u64, at, "survivor")?;
             done = done.max(read);
             self.stores()[m].xor_into(pstart, out);
@@ -710,7 +710,7 @@ impl Volume {
         let mut unkept = Vec::new();
         let data = data.unwrap_or(&mut unkept);
         let owner = chunk.member;
-        let off = chunk.pstart - self.layout.rounds()[chunk.round].pstarts[owner];
+        let off = chunk.pstart - self.layout.member_extent(chunk.round, owner).start;
         let base = data.len();
         data.resize(base + chunk.len as usize, 0);
         let rid = acc.spans.as_mut().map(AccessSpans::begin_reconstruct);
@@ -832,10 +832,9 @@ impl Volume {
         at: SimTime,
     ) -> Result<(), FleetError> {
         let owner = chunk.member;
-        let info = &self.layout.rounds()[chunk.round];
-        let parity = info.parity;
-        let off = chunk.pstart - info.pstarts[owner];
-        let ppstart = info.pstarts[parity] + off;
+        let parity = self.layout.parity(chunk.round);
+        let off = chunk.pstart - self.layout.member_extent(chunk.round, owner).start;
+        let ppstart = self.layout.member_extent(chunk.round, parity).start + off;
         match (self.members[owner].healthy, self.members[parity].healthy) {
             (true, true) => {
                 // Read-modify-write: read old data and old parity, then

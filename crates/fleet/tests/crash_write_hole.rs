@@ -214,8 +214,15 @@ fn raid5_write_onto_a_faulting_member_is_typed_and_atomic() {
     assert!(!v.is_degraded(), "faulting is not failed");
 
     // Member 1's data column is served by XOR of the other two, bit-exact.
-    let units = v.layout().units().to_vec();
-    let on_faulting = units.iter().find(|u| u.member == 1).expect("owns units");
+    let layout = v.layout().clone();
+    let units = layout.units();
+    // The first unit whose member and parity member pass `keep`.
+    let find = |keep: &dyn Fn(usize, usize) -> bool| {
+        (0..units.len())
+            .find(|&i| keep(layout.member(i), layout.parity(layout.round(i))))
+            .map(|i| &units[i])
+    };
+    let on_faulting = find(&|member, _| member == 1).expect("owns units");
     let (c, words) = v
         .read(on_faulting.lstart, 64, SimTime::ZERO)
         .expect("parity stands in");
@@ -227,9 +234,7 @@ fn raid5_write_onto_a_faulting_member_is_typed_and_atomic() {
 
     // A read-modify-write has to read the old data and the old parity,
     // so either column on member 1 stops it at the read, naming member 1.
-    let parity_on_faulting = units
-        .iter()
-        .find(|u| u.member != 1 && v.layout().rounds()[u.round].parity == 1)
+    let parity_on_faulting = find(&|member, parity| member != 1 && parity == 1)
         .expect("parity rotates onto every member");
     let payload = vec![0xabcd_ef01_2345_6789u64; 64];
     for unit in [on_faulting, parity_on_faulting] {
@@ -237,9 +242,7 @@ fn raid5_write_onto_a_faulting_member_is_typed_and_atomic() {
         assert_eq!(err, FleetError::Unrecoverable { member: 1 });
     }
     // A stripe that keeps both columns off member 1 still takes writes.
-    let clear = units
-        .iter()
-        .find(|u| u.member != 1 && v.layout().rounds()[u.round].parity != 1)
+    let clear = find(&|member, parity| member != 1 && parity != 1)
         .expect("some round has member 1 as the bystander");
     let old: Vec<u64> = before[clear.lstart as usize..][..64].to_vec();
     v.write(clear.lstart, &old, SimTime::ZERO)

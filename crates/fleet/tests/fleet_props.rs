@@ -68,14 +68,15 @@ proptest! {
         prop_assert!(layout.capacity() > 0);
         let mut expected_lstart = 0;
         let mut seen = std::collections::HashSet::new();
-        for u in layout.units() {
+        for (i, u) in layout.units().iter().enumerate() {
+            let (member, pstart) = (layout.member(i), layout.pstart(i));
             prop_assert_eq!(u.lstart, expected_lstart, "units tile the logical space");
             prop_assert!(u.len > 0);
-            prop_assert!(u.pstart + u.len <= layout.member_caps()[u.member]);
+            prop_assert!(pstart + u.len <= layout.member_caps()[member]);
             expected_lstart += u.len;
             for o in 0..u.len {
                 prop_assert!(
-                    seen.insert((u.member, u.pstart + o)),
+                    seen.insert((member, pstart + o)),
                     "physical sector owned by two logical LBNs"
                 );
             }
@@ -136,13 +137,14 @@ proptest! {
             layout.member_caps().iter().map(|&c| SectorStore::new(c)).collect();
         fill_stores(&layout, &mut stores, seed);
         let victim = victim_pick % layout.members();
-        for (r, info) in layout.rounds().iter().enumerate() {
+        for r in layout.rounds() {
             let rebuilt = reconstruct_unit(&layout, &stores, r, victim);
-            prop_assert_eq!(rebuilt.len() as u64, info.len);
+            let at = layout.member_extent(r, victim);
+            prop_assert_eq!(rebuilt.len() as u64, at.len);
             for (o, &w) in rebuilt.iter().enumerate() {
                 prop_assert_eq!(
                     w,
-                    stores[victim].word(info.pstarts[victim] + o as u64),
+                    stores[victim].word(at.start + o as u64),
                     "round {} offset {} of member {}", r, o, victim
                 );
             }
@@ -193,11 +195,11 @@ fn walk(layout: &VolumeLayout, lbn: u64, len: u64) -> Option<Vec<Chunk>> {
         let end = (u.lstart + u.len).min(lbn + len);
         (lstart < end).then(|| Chunk {
             unit,
-            member: u.member,
-            pstart: u.pstart + (lstart - u.lstart),
+            member: layout.member(unit),
+            pstart: layout.pstart(unit) + (lstart - u.lstart),
             lstart,
             len: end - lstart,
-            round: u.round,
+            round: layout.round(unit),
         })
     };
     Some(layout.units().iter().enumerate().filter_map(clip).collect())
@@ -222,7 +224,7 @@ fn check_split(
     // A fallback unit carved from a fuzzy run: many short units in one
     // directory bucket.
     tally.note_if(
-        first.confidence < 0.9 && Some(first.len) == fallback,
+        layout.confidence(chunks[0].unit) < 0.9 && Some(first.len) == fallback,
         "starts_in_fallback_unit",
     );
     tally.note(if chunks.len() == 1 {
@@ -309,19 +311,24 @@ fn split_matches_a_walk_over_the_units() {
 fn two_pass_fill(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
     assert_eq!(stores.len(), layout.members(), "one store per member");
     let mut words = Vec::new();
-    for u in layout.units() {
+    for (i, u) in layout.units().iter().enumerate() {
+        let pstart = layout.pstart(i);
         words.clear();
         words.extend((0..u.len).map(|o| pattern_word(seed, u.lstart + o)));
         match layout.kind() {
-            VolumeKind::Mirrored => stores.iter_mut().for_each(|s| s.write(u.pstart, &words)),
-            _ => stores[u.member].write(u.pstart, &words),
+            VolumeKind::Mirrored => stores.iter_mut().for_each(|s| s.write(pstart, &words)),
+            _ => stores[layout.member(i)].write(pstart, &words),
         }
     }
-    // RAID-5 only (no rounds otherwise): a parity unit is what
-    // reconstructing it from its round's data columns yields.
-    for (r, info) in layout.rounds().iter().enumerate() {
-        let parity = reconstruct_unit(layout, stores, r, info.parity);
-        stores[info.parity].write(info.pstarts[info.parity], &parity);
+    // RAID-5 only: a parity unit is what reconstructing it from its
+    // round's data columns yields.
+    if layout.kind() != VolumeKind::Raid5 {
+        return;
+    }
+    for r in layout.rounds() {
+        let p = layout.parity(r);
+        let parity = reconstruct_unit(layout, stores, r, p);
+        stores[p].write(layout.member_extent(r, p).start, &parity);
     }
 }
 
@@ -400,18 +407,22 @@ fn fill_matches_the_two_pass_fill() {
 /// parity unit on the parity member.
 fn member_rounds(layout: &VolumeLayout) -> Vec<Vec<(usize, u64, u64)>> {
     let mut ranges = vec![Vec::new(); layout.members()];
-    for u in layout.units() {
-        let range = (u.round, u.pstart, u.pstart + u.len);
+    for (i, u) in layout.units().iter().enumerate() {
+        let range = (layout.round(i), layout.pstart(i), layout.pstart(i) + u.len);
         match layout.kind() {
             VolumeKind::Mirrored => ranges.iter_mut().for_each(|m| m.push(range)),
-            _ => ranges[u.member].push(range),
+            _ => ranges[layout.member(i)].push(range),
         }
     }
-    for (r, info) in layout.rounds().iter().enumerate() {
-        let start = info.pstarts[info.parity];
-        let parity = &mut ranges[info.parity];
-        let at = parity.partition_point(|&(round, ..)| round < r);
-        parity.insert(at, (r, start, start + info.len));
+    if layout.kind() != VolumeKind::Raid5 {
+        return ranges;
+    }
+    for r in layout.rounds() {
+        let p = layout.parity(r);
+        let at = layout.member_extent(r, p);
+        let parity = &mut ranges[p];
+        let i = parity.partition_point(|&(round, ..)| round < r);
+        parity.insert(i, (r, at.start, at.end()));
     }
     ranges
 }
@@ -431,7 +442,7 @@ fn rounds_ascend_on_every_member() {
             let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
                 return; // e.g. no complete round fits
             };
-            let rounds = layout.units().last().map_or(0, |u| u.round + 1);
+            let rounds = layout.rounds().len();
             for (m, ranges) in member_rounds(&layout).iter().enumerate() {
                 let held: Vec<usize> = ranges.iter().map(|&(round, ..)| round).collect();
                 assert_eq!(held, (0..rounds).collect::<Vec<_>>(), "member {m}");

@@ -540,10 +540,9 @@ fn write_both(
 /// Notes the degraded RAID-5 write arms `chunks` took with `dead` failed.
 fn note_write(layout: &VolumeLayout, chunks: &[Chunk], dead: usize, tally: &mut Tally) {
     if layout.kind() == VolumeKind::Raid5 {
-        let rounds = layout.rounds();
         tally.note_if(chunks.iter().any(|c| c.member == dead), "reconstruct_write");
         tally.note_if(
-            chunks.iter().any(|c| rounds[c.round].parity == dead),
+            chunks.iter().any(|c| layout.parity(c.round) == dead),
             "parity_skip",
         );
     }
@@ -639,10 +638,9 @@ fn run_degraded(spec: &Spec, dead: usize, when: When, ops: &[Degraded], tally: &
     assert_eq!(report.member, dead);
     survivors_match(&v, &twin, None, &"rebuild_member");
     let layout = v.layout();
-    let mapped: u64 = match layout.kind() {
-        VolumeKind::Raid5 => layout.rounds().iter().map(|r| r.len).sum(),
-        _ => layout.units().iter().map(|u| u.len).sum(),
-    };
+    let mapped: u64 = (layout.rounds())
+        .map(|r| layout.member_extent(r, dead).len)
+        .sum();
     tally.note_if(mapped < layout.member_caps()[dead], "unmapped_tail");
 }
 

@@ -82,7 +82,7 @@ impl Backend for Watched<'_> {
         let layout = self.volume.layout();
         let round = self.commands.len();
         for ((req, at), done) in batch.iter().zip(&out[from..]) {
-            let member = layout.units()[layout.unit_index(req.lbn)].member;
+            let member = layout.member(layout.unit_index(req.lbn));
             assert!(
                 *at >= self.busy_until[member],
                 "member {member} dispatched to at {at:?}, busy until {:?}",

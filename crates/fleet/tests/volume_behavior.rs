@@ -70,7 +70,7 @@ fn too_many_members_is_a_typed_error() {
         Some("a volume spans at most 65 536 members, got 65537")
     );
     let layout = VolumeLayout::new(VolumeKind::Striped, &maps[1..], &policy).unwrap();
-    assert_eq!(layout.units().last().map(|u| u.member), Some(65_535));
+    assert_eq!(layout.member(layout.units().len() - 1), 65_535);
 }
 
 #[test]
@@ -86,13 +86,9 @@ fn striped_reads_whole_logical_space() {
     v.fail_member(1).unwrap();
     assert!(!v.can_serve());
     // Anything striped onto the dead member is gone.
-    let lost = v
-        .layout()
-        .units()
-        .iter()
-        .find(|u| u.member == 1)
-        .expect("member 1 owns units")
-        .lstart;
+    let layout = v.layout();
+    let owned = (0..layout.units().len()).find(|&i| layout.member(i) == 1);
+    let lost = layout.units()[owned.expect("member 1 owns units")].lstart;
     assert!(matches!(
         v.read(lost, 8, SimTime::ZERO),
         Err(FleetError::Unrecoverable { member: 1 })
@@ -197,13 +193,9 @@ fn raid5_degraded_reads_and_writes_are_exact() {
     v.fail_member(0).unwrap();
     v.fail_member(2).unwrap();
     assert!(!v.can_serve());
-    let lost = v
-        .layout()
-        .units()
-        .iter()
-        .find(|u| u.member == 2)
-        .expect("member 2 owns units")
-        .lstart;
+    let layout = v.layout();
+    let owned = (0..layout.units().len()).find(|&i| layout.member(i) == 2);
+    let lost = layout.units()[owned.expect("member 2 owns units")].lstart;
     assert!(matches!(
         v.read(lost, 8, SimTime::from_ns(7)),
         Err(FleetError::Unrecoverable { .. })
@@ -260,12 +252,13 @@ fn member_command_accounting_by_mode() {
         .unwrap();
         v.format(SEED);
         let unit = v.layout().units()[0];
-        let parity = v.layout().rounds().get(unit.round).map(|r| r.parity);
+        let owner = v.layout().member(0);
+        let parity = (kind == Raid5).then(|| v.layout().parity(0));
         let dead = match failed {
             Nobody => None,
-            Owner => Some(unit.member),
+            Owner => Some(owner),
             Parity => parity,
-            Bystander => (0..n).find(|&m| m != unit.member && Some(m) != parity),
+            Bystander => (0..n).find(|&m| m != owner && Some(m) != parity),
         };
         if let Some(m) = dead {
             v.fail_member(m).unwrap();
@@ -285,8 +278,7 @@ fn member_command_accounting_by_mode() {
         let reg = Registry::new();
         let steps = match kind {
             Striped => 0,
-            Mirrored => v.layout().units().len() as u64,
-            Raid5 => v.layout().rounds().len() as u64,
+            Mirrored | Raid5 => v.layout().rounds().len() as u64,
         };
         if let (Some(m), true) = (dead, kind.redundant()) {
             let rebuilt = v.rebuild_member(m, &reg, w.completion).unwrap();

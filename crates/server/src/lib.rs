@@ -555,9 +555,7 @@ pub fn serve<B: Backend + ?Sized>(
         rounds += 1;
     }
 
-    // In place: ids are unique, so the unstable sort gives the one order
-    // there is, without the stable sort's scratch copy of half the run.
-    completions.sort_unstable_by_key(|c| c.id);
+    place_by_id(&mut completions, &rejected_ids);
     let (timeline, slo) = match sampler {
         Some(s) => {
             let (t, slo) = s.finish(sim_end);
@@ -577,6 +575,24 @@ pub fn serve<B: Backend + ?Sized>(
         slo,
         depth_ns,
     })
+}
+
+/// Puts `completions` in trace order, in place and without a sort. Ids
+/// are trace indices and every index is either completed or in
+/// `rejected` (ascending), so a completion's final slot is its id less
+/// the rejected ids below it; each swap puts one completion there.
+fn place_by_id(completions: &mut [ClientCompletion], rejected: &[u64]) {
+    let slot = |id: u64| (id - rejected.partition_point(|&r| r < id) as u64) as usize;
+    for i in 0..completions.len() {
+        loop {
+            let to = slot(completions[i].id);
+            if to == i {
+                break;
+            }
+            debug_assert_ne!(slot(completions[to].id), to, "ids are unique");
+            completions.swap(i, to);
+        }
+    }
 }
 
 /// Records the two-span tree of a rejected arrival.

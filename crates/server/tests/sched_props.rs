@@ -304,31 +304,37 @@ fn brute_force(
     (want, prompt)
 }
 
-/// `serve` sorts its completions in place, by id. Overflowing a queue of
-/// four leaves holes in the id range — the rejections, exactly — which is
-/// where placing a completion at the index its id names would go wrong.
+/// `serve` puts each completion in place at its id less the rejected ids
+/// below it. Overflowing a queue of one to four leaves holes in the id
+/// range — the rejections, exactly — which is where placing a completion
+/// at the index its id names would go wrong.
 #[test]
 fn completions_ascend_by_id_around_the_rejected_holes() {
     let table = Disk::new(models::quantum_atlas_10k_ii()).track_boundaries();
-    let trace = workloads::replay::synthetic_trace(&workloads::replay::SyntheticSpec {
-        count: 400,
-        interarrival_ms: 0.2,
-        io_sectors: 128,
-        read_fraction: 0.6,
-        capacity_lbns: table.capacity(),
-        seed: 17,
-    });
-    for kind in SchedulerKind::ALL {
-        let mut cfg =
-            ServerConfig::new(kind).with_boundaries(ConfidentBoundaries::certain(table.clone()));
-        cfg.queue_limit = 4;
-        let mut disk = Disk::new(models::quantum_atlas_10k_ii());
-        let res = serve(&mut disk, &trace, &cfg).unwrap();
-        assert!(res.rejected() > 0 && res.completed() > 4, "{kind:?}");
-        let ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{kind:?}: {ids:?}");
-        let holes: Vec<u64> = (0..400).filter(|id| !ids.contains(id)).collect();
-        assert_eq!(holes, res.rejected_ids, "{kind:?}");
+    for seed in [17, 18, 19] {
+        let trace = workloads::replay::synthetic_trace(&workloads::replay::SyntheticSpec {
+            count: 400,
+            interarrival_ms: 0.2,
+            io_sectors: 128,
+            read_fraction: 0.6,
+            capacity_lbns: table.capacity(),
+            seed,
+        });
+        for (k, kind) in SchedulerKind::ALL.into_iter().enumerate() {
+            // Over the three seeds every kind meets every queue bound.
+            let queue_limit = [1, 2, 4][(k + seed as usize) % 3];
+            let case = format!("{kind:?}, queue {queue_limit}, seed {seed}");
+            let mut cfg = ServerConfig::new(kind)
+                .with_boundaries(ConfidentBoundaries::certain(table.clone()));
+            cfg.queue_limit = queue_limit;
+            let mut disk = Disk::new(models::quantum_atlas_10k_ii());
+            let res = serve(&mut disk, &trace, &cfg).unwrap();
+            assert!(res.rejected() > 0 && res.completed() > 4, "{case}");
+            let ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{case}: {ids:?}");
+            let holes: Vec<u64> = (0..400).filter(|id| !ids.contains(id)).collect();
+            assert_eq!(holes, res.rejected_ids, "{case}");
+        }
     }
 }
 

@@ -798,6 +798,40 @@ impl DiskGeometry {
     }
 }
 
+/// Values binned by track: track `t`'s are `values[offsets[t]..offsets[t + 1]]`,
+/// and a drive with none keeps no offsets.
+struct ByTrack<T> {
+    offsets: Vec<u32>,
+    values: Vec<T>,
+}
+
+impl<T> ByTrack<T> {
+    /// Bins `(track, value)` pairs sorted by track, keeping their order
+    /// within a track.
+    fn new(tracks: u32, pairs: Vec<(u32, T)>) -> Self {
+        let mut offsets = Vec::new();
+        if !pairs.is_empty() {
+            offsets = vec![0; tracks as usize + 1];
+            for &(t, _) in &pairs {
+                offsets[t as usize + 1] += 1;
+            }
+            for t in 0..tracks as usize {
+                offsets[t + 1] += offsets[t];
+            }
+        }
+        let values = pairs.into_iter().map(|(_, v)| v).collect();
+        ByTrack { offsets, values }
+    }
+
+    /// Track `t`'s values.
+    fn of(&self, t: usize) -> &[T] {
+        match self.offsets.get(t..t + 2) {
+            Some(&[from, to]) => &self.values[from as usize..to as usize],
+            _ => &[],
+        }
+    }
+}
+
 fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
     if spec.surfaces == 0 {
         return Err(GeometryError::NoSurfaces);
@@ -821,8 +855,8 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
     let total_tracks = total_cyls * surfaces;
 
     // Validate defects and bin them per track.
-    let mut defects_by_track: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    {
+    let defects = {
+        let mut pairs = Vec::with_capacity(spec.defects.len());
         let mut zone_starts = Vec::with_capacity(spec.zones.len());
         let mut acc = 0;
         for z in &spec.zones {
@@ -837,14 +871,12 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
             if d.slot >= spec.zones[zi].spt {
                 return Err(GeometryError::DefectOutOfRange(*d));
             }
-            let tid = d.cyl * surfaces + d.head;
-            defects_by_track.entry(tid).or_default().push(d.slot);
+            pairs.push((d.cyl * surfaces + d.head, d.slot));
         }
-        for v in defects_by_track.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-    }
+        pairs.sort_unstable();
+        pairs.dedup();
+        ByTrack::new(total_tracks, pairs)
+    };
 
     // Per-track static metadata pass.
     struct Meta {
@@ -938,8 +970,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
             DefectPolicy::Slip => {
                 let mut remaining = capacity;
                 for t in dtracks.clone() {
-                    let defects = defects_by_track.get(&(t as u32)).map_or(0, Vec::len);
-                    let avail = u64::from(metas[t].spt) - defects as u64;
+                    let avail = u64::from(metas[t].spt) - defects.of(t).len() as u64;
                     let take = remaining.min(avail) as u32;
                     remaining -= u64::from(take);
                     if take > 0 {
@@ -962,9 +993,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                 let mut spares: Vec<Pba> = Vec::new();
                 for t in dtracks.clone() {
                     let m = &metas[t];
-                    let defs = defects_by_track
-                        .get(&(t as u32))
-                        .map_or(&[][..], Vec::as_slice);
+                    let defs = defects.of(t);
                     let take = remaining.min(u64::from(m.spt)) as u32;
                     remaining -= u64::from(take);
                     if take > 0 {
@@ -995,22 +1024,22 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
     }
 
     // The spares holding remapped LBNs, by track. Each domain paired its
-    // victims and spares in ascending order, so LBN order puts each
-    // track's targets in slot order.
-    let mut remap_targets: BTreeMap<u32, Vec<(u32, u64)>> = BTreeMap::new();
-    for (&lbn, pba) in &remaps {
-        let tid = pba.cyl * surfaces + pba.head;
-        remap_targets.entry(tid).or_default().push((pba.slot, lbn));
-    }
+    // victims and spares in ascending order, so LBN order (kept by the
+    // stable sort) puts each track's targets in slot order.
+    let mut targets: Vec<(u32, (u32, u64))> = (remaps.iter())
+        .map(|(&lbn, pba)| (pba.cyl * surfaces + pba.head, (pba.slot, lbn)))
+        .collect();
+    targets.sort_by_key(|&(tid, _)| tid);
+    let remap_targets = ByTrack::new(total_tracks, targets);
     // A track with a defect or a remap target gets an entry in the lists
     // table; the rest share entry 0.
     let mut lists = vec![TrackLists::default()];
     let rows: Arc<[TrackRow]> = (metas.iter().enumerate())
         .map(|(t, m)| {
             let entry = TrackLists {
-                defect_slots: defects_by_track.remove(&(t as u32)).unwrap_or_default(),
+                defect_slots: defects.of(t).to_vec(),
                 grown_slots: Vec::new(),
-                remap_targets: remap_targets.remove(&(t as u32)).unwrap_or_default(),
+                remap_targets: remap_targets.of(t).to_vec(),
             };
             let index = if entry.defect_slots.is_empty() && entry.remap_targets.is_empty() {
                 0
