@@ -10,12 +10,13 @@
 //!
 //! Reads a timestamped block trace (see [`workloads::replay`] for the line
 //! format) or generates a deterministic synthetic one, replays it through
-//! [`sim_disk::Disk::service_batch_into`] on the Atlas 10K II, and prints
-//! the simulation outcome. Stdout is a deterministic function of the trace
-//! and seed; the replay *rate* (simulated requests per wall-clock second)
-//! is inherently machine-dependent, so it goes to stderr and into the
-//! manifest — wall time is judged by `bench_diff` only under an explicit
-//! `--wall-tol`.
+//! [`workloads::replay::replay`] on the Atlas 10K II — one
+//! [`sim_disk::Disk::service`] call a request, each folded into 16 bytes
+//! as it is served — and prints the simulation outcome. Stdout is a
+//! deterministic function of the trace and seed; the replay *rate*
+//! (simulated requests per wall-clock second) is inherently
+//! machine-dependent, so it goes to stderr and into the manifest — wall
+//! time is judged by `bench_diff` only under an explicit `--wall-tol`.
 
 use super::read_input;
 use crate::{die, Row, Run};

@@ -391,11 +391,12 @@ pub fn serve<B: Backend + ?Sized>(
     // path of that insert: `serve_raid5` loses 12.5 % of its host rate that
     // way (483 k → 422 k, 0 of 10 alternating pairs; DESIGN.md §8). One
     // lane needs no routing at all. Every id is in `spindles`, so the
-    // count of ids below it is its lane.
-    let lane_of: Vec<usize> = match &cfg.boundaries {
+    // count of ids below it is its lane; the ids are distinct `u16`s, so
+    // that count fits one too.
+    let lane_of: Vec<u16> = match &cfg.boundaries {
         Some(b) if spindles.len() > 1 => (records.iter())
             .map(|r| b.spindle(b.table().track_index(r.request.lbn)))
-            .map(|id| spindles.partition_point(|&s| s < id))
+            .map(|id| spindles.partition_point(|&s| s < id) as u16)
             .collect(),
         _ => Vec::new(),
     };
@@ -463,7 +464,7 @@ pub fn serve<B: Backend + ?Sized>(
                 arrival: r.arrival,
                 request: r.request,
             };
-            let lane = lane_of.get(next).map_or(0, |&l| l);
+            let lane = lane_of.get(next).map_or(0, |&l| usize::from(l));
             if queue.offer(lane, queued, &*scheds[lane]).is_err() {
                 rejected_ids.push(next as u64);
                 if let Some(s) = &mut sampler {

@@ -6,8 +6,8 @@
 //! * [`apps`] — application-level workloads on the FFS prototype (Table 2):
 //!   large-file scan / diff / copy, a Postmark-like small-file transaction
 //!   mix, an SSH-build-like phase mix, and `head*`;
-//! * [`replay`] — timestamped block-trace replay through the batched
-//!   service API, the engine-throughput workload;
+//! * [`replay`] — timestamped block-trace replay, one request at a time,
+//!   the engine-throughput workload;
 //! * [`arrivals`] — open-loop arrival generators (Poisson, bursty ON/OFF,
 //!   diurnal tenant mixes, concurrent video-style streams) emitting
 //!   [`replay`]-format traces for the storage-server experiments.

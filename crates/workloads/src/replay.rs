@@ -1,10 +1,14 @@
 //! Block-level trace replay: the engine-throughput workload.
 //!
 //! Feeds a timestamped request stream — parsed from a trace file or
-//! generated synthetically — through [`Disk::service_batch_into`] and
-//! reports both simulation results (response times, simulated span) and
-//! the replay rate itself (requests simulated per wall-clock second),
-//! which is the headline number for the event-driven engine rework.
+//! generated synthetically — through [`Disk::service`] one request at a
+//! time and reports both simulation results (response times, simulated
+//! span) and the replay rate itself (requests simulated per wall-clock
+//! second), which is the headline number for the event-driven engine
+//! rework. A replay keeps 16 bytes a request ([`Replayed`]): each
+//! [`Completion`](sim_disk::Completion) is folded into its two instants
+//! and three counters as it is served, so the results cost less memory
+//! than the trace.
 //!
 //! # Trace format
 //!
@@ -29,7 +33,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sim_disk::disk::{Disk, Op, Request};
-use sim_disk::{Completion, SimDur, SimTime};
+use sim_disk::{SimDur, SimTime};
 use std::error::Error;
 use std::fmt;
 use traxtent::stats;
@@ -105,8 +109,8 @@ const MAX_ARRIVAL_MS: f64 = 1e12;
 ///
 /// Returns the records in file order. Errors name the offending line
 /// (1-based) and what was wrong with it; an arrival time earlier than its
-/// predecessor's is an error because [`Disk::service_batch_into`] requires
-/// issue times in order.
+/// predecessor's is an error because [`Disk::service`] requires issue
+/// times in order.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
     let mut records = Vec::new();
     let mut last_arrival = SimTime::ZERO;
@@ -247,11 +251,36 @@ pub fn synthetic_trace(spec: &SyntheticSpec) -> Vec<TraceRecord> {
     records
 }
 
+/// One replayed request: when it was issued and when the host saw it
+/// complete — all any caller of [`replay`] reads of a
+/// [`Completion`](sim_disk::Completion).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Replayed {
+    /// When the host issued the command (its trace arrival).
+    pub issue: SimTime,
+    /// When the host observed completion.
+    pub completion: SimTime,
+}
+
+// A replay holds one of these a request; widening it is a decision, not
+// a drift (a 10⁷-request trace holds 160 MB of them).
+const _: () = assert!(std::mem::size_of::<Replayed>() <= 16);
+
+impl Replayed {
+    /// Response time as seen by the host driver.
+    pub fn response_time(&self) -> SimDur {
+        self.completion - self.issue
+    }
+}
+
 /// The measured outcome of a replay run.
 #[derive(Debug, Clone)]
 pub struct ReplayResult {
-    /// Per-request completions, in trace order.
-    pub completions: Vec<Completion>,
+    /// Per-request issue and completion instants, in trace order.
+    pub completions: Vec<Replayed>,
+    reads: u64,
+    cache_hits: u64,
+    sectors: u64,
 }
 
 impl ReplayResult {
@@ -262,8 +291,8 @@ impl ReplayResult {
 
     /// Simulated span from the first arrival to the last completion.
     pub fn sim_span(&self) -> SimDur {
-        match (self.completions.first(), self.completions.last()) {
-            (Some(first), Some(_)) => {
+        match self.completions.first() {
+            Some(first) => {
                 let end = self
                     .completions
                     .iter()
@@ -271,7 +300,7 @@ impl ReplayResult {
                     .fold(SimTime::ZERO, SimTime::max);
                 end.since(first.issue)
             }
-            _ => SimDur::ZERO,
+            None => SimDur::ZERO,
         }
     }
 
@@ -295,29 +324,17 @@ impl ReplayResult {
 
     /// Fraction of reads serviced from the firmware cache.
     pub fn cache_hit_fraction(&self) -> f64 {
-        let reads = self
-            .completions
-            .iter()
-            .filter(|c| c.request.op == Op::Read)
-            .count();
-        if reads == 0 {
+        if self.reads == 0 {
             return 0.0;
         }
-        let hits = self.completions.iter().filter(|c| c.cache_hit).count();
-        hits as f64 / reads as f64
+        self.cache_hits as f64 / self.reads as f64
     }
 
     /// Exports run counters to the observability registry.
     pub fn export_metrics(&self, reg: &traxtent::obs::Registry) {
         reg.add("workloads.replay.requests", self.requests() as u64);
-        reg.add(
-            "workloads.replay.sectors",
-            self.completions.iter().map(|c| c.request.len).sum(),
-        );
-        reg.add(
-            "workloads.replay.cache_hits",
-            self.completions.iter().filter(|c| c.cache_hit).count() as u64,
-        );
+        reg.add("workloads.replay.sectors", self.sectors);
+        reg.add("workloads.replay.cache_hits", self.cache_hits);
         reg.set_max(
             "workloads.replay.sim_span_ms",
             self.sim_span().as_ns() / 1_000_000,
@@ -325,33 +342,38 @@ impl ReplayResult {
     }
 }
 
-/// How many requests each [`Disk::service_batch_into`] call carries.
-///
-/// Batching amortizes the per-call validation sweep without holding the
-/// whole trace's completions in flight; the value is a latency/locality
-/// compromise, not a correctness knob.
-pub const BATCH: usize = 1024;
-
 /// Replays `records` against `disk` in arrival order.
 ///
 /// Requests are issued at their recorded arrival times — an *open* replay:
 /// the drive's own queueing model decides how an arrival during a busy
 /// period is absorbed, exactly as with back-to-back
-/// [`Disk::service`] calls.
+/// [`Disk::service`] calls, which is what serves each one. Each
+/// [`Completion`](sim_disk::Completion) is folded as it is served: its
+/// two instants are kept, its op, length and cache flag are counted, the
+/// rest is dropped.
 ///
 /// # Panics
 ///
 /// Panics if a record reaches beyond the disk's capacity or arrivals are
 /// out of order (a parsed trace has already validated ordering).
 pub fn replay(disk: &mut Disk, records: &[TraceRecord]) -> ReplayResult {
-    let mut completions = Vec::with_capacity(records.len());
-    let mut batch = Vec::with_capacity(BATCH.min(records.len()));
-    for chunk in records.chunks(BATCH.max(1)) {
-        batch.clear();
-        batch.extend(chunk.iter().map(|r| (r.request, r.arrival)));
-        disk.service_batch_into(&batch, &mut completions);
+    let mut result = ReplayResult {
+        completions: Vec::with_capacity(records.len()),
+        reads: 0,
+        cache_hits: 0,
+        sectors: 0,
+    };
+    for r in records {
+        let c = disk.service(r.request, r.arrival);
+        result.reads += u64::from(c.request.op == Op::Read);
+        result.cache_hits += u64::from(c.cache_hit);
+        result.sectors += c.request.len;
+        result.completions.push(Replayed {
+            issue: c.issue,
+            completion: c.completion,
+        });
     }
-    ReplayResult { completions }
+    result
 }
 
 #[cfg(test)]
@@ -476,26 +498,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.windows(2).all(|w| w[0].arrival <= w[1].arrival));
         assert!(a.iter().all(|r| r.request.end() <= 4_000_000));
-    }
-
-    #[test]
-    fn replay_matches_sequential_service_calls() {
-        let spec = SyntheticSpec {
-            count: 3000, // > BATCH so chunking is exercised
-            ..SyntheticSpec::default_for(8_000_000, 0, 0x5eed)
-        };
-        let records = synthetic_trace(&spec);
-        let batched = replay(&mut atlas(), &records);
-        let mut one = atlas();
-        let serial: Vec<Completion> = records
-            .iter()
-            .map(|r| one.service(r.request, r.arrival))
-            .collect();
-        assert_eq!(batched.completions, serial);
-        assert_eq!(batched.requests(), 3000);
-        assert!(batched.sim_span() > SimDur::ZERO);
-        assert!(batched.mean_response_ms() > 0.0);
-        assert!(batched.max_response_ms() >= batched.mean_response_ms());
     }
 
     #[test]
