@@ -71,7 +71,7 @@ pub use sched::{CLook, Dispatch, Fifo, Scheduler, SchedulerKind, Traxtent};
 pub use timeline::{Sampler, SloConfig, SloSummary, Timeline, TimelineBucket, TimelineConfig};
 
 use sim_disk::disk::{Disk, Request};
-use sim_disk::{Completion, SimTime, TraceRecord};
+use sim_disk::{Completion, SimDur, SimTime, TraceRecord};
 use std::error::Error;
 use std::fmt;
 use traxtent::obs::span::{self, Span, SpanRecorder};
@@ -194,32 +194,15 @@ impl fmt::Display for ServerError {
 
 impl Error for ServerError {}
 
-/// One client request's fate, as seen by the client.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientCompletion {
-    /// The request's index in the arrival trace.
-    pub id: u64,
-    /// When it arrived at the server.
-    pub arrival: SimTime,
-    /// When the drive finished it (response = completion − arrival,
-    /// queueing delay included).
-    pub completion: SimTime,
-    /// Whether it was served by a coalesced (multi-request) command.
-    pub coalesced: bool,
-}
-
-impl ClientCompletion {
-    /// Client-observed response time in milliseconds.
-    pub fn response_ms(&self) -> f64 {
-        self.completion.since(self.arrival).as_millis_f64()
-    }
-}
-
 /// The measured outcome of a [`serve`] run.
 #[derive(Debug, Clone)]
 pub struct ServerResult {
-    /// Per-request completions, sorted by trace index.
-    pub completions: Vec<ClientCompletion>,
+    /// Every completed request's response time (completion − arrival,
+    /// queueing delay included), in trace order with the rejected ids left
+    /// out: entry `k` belongs to the `k`-th trace index not in
+    /// [`rejected_ids`](Self::rejected_ids), and its completion instant is
+    /// that record's arrival plus the response. 8 bytes a request.
+    pub responses: Vec<SimDur>,
     /// Trace indices refused admission, in arrival order.
     pub rejected_ids: Vec<u64>,
     /// High-water admission-queue depth.
@@ -243,7 +226,7 @@ pub struct ServerResult {
 impl ServerResult {
     /// Requests that completed.
     pub fn completed(&self) -> u64 {
-        self.completions.len() as u64
+        self.responses.len() as u64
     }
 
     /// Requests refused admission.
@@ -253,7 +236,7 @@ impl ServerResult {
 
     /// Per-request response times in milliseconds, in trace order.
     pub fn response_ms(&self) -> Vec<f64> {
-        self.completions.iter().map(|c| c.response_ms()).collect()
+        self.responses.iter().map(|d| d.as_millis_f64()).collect()
     }
 
     /// Response-time percentile (`p` in `[0, 1]`), or 0 with no
@@ -271,7 +254,7 @@ impl ServerResult {
     pub fn throughput_rps(&self) -> f64 {
         let span = self.sim_end.as_secs_f64();
         if span > 0.0 {
-            self.completions.len() as f64 / span
+            self.responses.len() as f64 / span
         } else {
             0.0
         }
@@ -402,7 +385,11 @@ pub fn serve<B: Backend + ?Sized>(
     };
 
     let mut queue = AdmissionQueue::new(cfg.queue_limit, scheds.len());
-    let mut completions: Vec<ClientCompletion> = Vec::with_capacity(records.len());
+    // One response a trace index, written at the index less the rejected
+    // ids below it: every id below an admitted one has been offered by
+    // then, so the completed requests fill the front in trace order and
+    // the rejected ids' slots are the tail cut off at the end.
+    let mut responses = vec![SimDur::ZERO; records.len()];
     let mut rejected_ids: Vec<u64> = Vec::new();
     let mut dispatches = 0u64;
     let mut coalesced_requests = 0u64;
@@ -520,15 +507,8 @@ pub fn serve<B: Backend + ?Sized>(
                 coalesced_requests += d.parts().count() as u64;
             }
             for p in d.parts() {
-                completions.push(ClientCompletion {
-                    id: p.id,
-                    arrival: p.arrival,
-                    completion: c.completion,
-                    coalesced: d.coalesced(),
-                });
-                if let Some(s) = &mut sampler {
-                    s.observe_completion(c.completion, c.completion.since(p.arrival).as_ns());
-                }
+                let slot = p.id - rejected_ids.partition_point(|&r| r < p.id) as u64;
+                responses[slot as usize] = c.completion.since(p.arrival);
             }
             if let Some(rec) = &spans {
                 record_dispatch(rec, &mut span_buf, d, c, now);
@@ -556,16 +536,17 @@ pub fn serve<B: Backend + ?Sized>(
         rounds += 1;
     }
 
-    place_by_id(&mut completions, &rejected_ids);
+    responses.truncate(records.len() - rejected_ids.len());
     let (timeline, slo) = match sampler {
         Some(s) => {
-            let (t, slo) = s.finish(sim_end);
+            let done = completions(records, &rejected_ids, &responses);
+            let (t, slo) = s.finish(sim_end, done);
             (Some(t), slo)
         }
         None => (None, None),
     };
     Ok(ServerResult {
-        completions,
+        responses,
         rejected_ids,
         max_depth: queue.max_depth(),
         dispatches,
@@ -578,22 +559,21 @@ pub fn serve<B: Backend + ?Sized>(
     })
 }
 
-/// Puts `completions` in trace order, in place and without a sort. Ids
-/// are trace indices and every index is either completed or in
-/// `rejected` (ascending), so a completion's final slot is its id less
-/// the rejected ids below it; each swap puts one completion there.
-fn place_by_id(completions: &mut [ClientCompletion], rejected: &[u64]) {
-    let slot = |id: u64| (id - rejected.partition_point(|&r| r < id) as u64) as usize;
-    for i in 0..completions.len() {
-        loop {
-            let to = slot(completions[i].id);
-            if to == i {
-                break;
-            }
-            debug_assert_ne!(slot(completions[to].id), to, "ids are unique");
-            completions.swap(i, to);
-        }
-    }
+/// Every completed request's completion instant and response time, in
+/// trace order: the arrivals of the trace indices not in `rejected`
+/// (ascending), each plus its entry of `responses`.
+fn completions<'a>(
+    records: &'a [TraceRecord],
+    rejected: &'a [u64],
+    responses: &'a [SimDur],
+) -> impl Iterator<Item = (SimTime, SimDur)> + Clone + 'a {
+    // The runs of admitted records between consecutive rejected ids.
+    let admitted = (0..=rejected.len()).flat_map(move |k| {
+        let from = k.checked_sub(1).map_or(0, |j| rejected[j] as usize + 1);
+        let to = rejected.get(k).map_or(records.len(), |&r| r as usize);
+        &records[from..to]
+    });
+    admitted.zip(responses).map(|(r, &d)| (r.arrival + d, d))
 }
 
 /// Records the two-span tree of a rejected arrival.
@@ -700,10 +680,11 @@ mod tests {
             let mut d = Disk::new(quantum_atlas_10k_ii());
             let res = serve(&mut d, &records, &ServerConfig::new(kind)).unwrap();
             assert_eq!(res.completed() + res.rejected(), 500, "{kind:?}");
-            let mut ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
-            ids.extend(&res.rejected_ids);
-            ids.sort_unstable();
-            assert_eq!(ids, (0..500).collect::<Vec<_>>(), "each id exactly once");
+            // Rejected ids ascend strictly inside the trace, so the
+            // responses are the rest, each id exactly once.
+            let rejected = &res.rejected_ids;
+            assert!(rejected.windows(2).all(|w| w[0] < w[1]) && rejected.iter().all(|&r| r < 500));
+            assert_eq!(res.responses.len() + rejected.len(), 500);
         }
         let table = ConfidentBoundaries::certain(disk.track_boundaries());
         let cfg = ServerConfig::new(SchedulerKind::Traxtent).with_boundaries(table);
@@ -807,10 +788,9 @@ mod tests {
         cfg.max_batch = 1;
         let res = serve(&mut disk, &records, &cfg).unwrap();
         assert_eq!(res.completed(), 2);
-        let a = res.completions[0];
-        let b = res.completions[1];
-        assert!(b.completion > a.completion);
-        assert!(b.response_ms() > a.response_ms());
+        // Same arrival, so the later completion is the longer response.
+        assert!(res.responses[1] > res.responses[0]);
+        assert!(res.response_ms()[1] > res.response_ms()[0]);
     }
 
     /// A backend of independent spindles that each take 10 ms a command.

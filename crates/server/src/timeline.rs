@@ -19,18 +19,21 @@
 //!
 //! ```
 //! use server::timeline::{Sampler, TimelineConfig};
-//! use sim_disk::SimTime;
+//! use sim_disk::{SimDur, SimTime};
 //!
 //! let cfg = TimelineConfig::new(10.0); // 10 ms windows
-//! let mut s = Sampler::new(&cfg);
-//! s.observe_completion(SimTime::from_ns(9_999_999), 2_000_000);
-//! s.observe_completion(SimTime::from_ns(10_000_000), 2_000_000);
-//! let (timeline, _) = s.finish(SimTime::from_ns(20_000_000));
+//! let s = Sampler::new(&cfg);
+//! let response = SimDur::from_ns(2_000_000);
+//! let done = [
+//!     (SimTime::from_ns(9_999_999), response),
+//!     (SimTime::from_ns(10_000_000), response),
+//! ];
+//! let (timeline, _) = s.finish(SimTime::from_ns(20_000_000), done);
 //! assert_eq!(timeline.buckets[0].completed, 1);
 //! assert_eq!(timeline.buckets[1].completed, 1, "boundary goes right");
 //! ```
 
-use sim_disk::SimTime;
+use sim_disk::{SimDur, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 use traxtent::stats;
@@ -94,7 +97,8 @@ impl TimelineConfig {
     }
 }
 
-/// Accumulates per-window observations during a run (see the
+/// Accumulates per-window observations during a run, and folds the
+/// run's completions into them at [`finish`](Sampler::finish) (see the
 /// [module docs](self) for the exact bucketing rules).
 #[derive(Debug)]
 pub struct Sampler {
@@ -109,7 +113,6 @@ pub struct Sampler {
 struct Acc {
     completed: u64,
     rejected: u64,
-    responses_ms: Vec<f64>,
     depth_ns: u128,
     busy_ns: Vec<u64>,
     over: u64,
@@ -144,19 +147,6 @@ impl Sampler {
             self.buckets.resize(index + 1, Acc::default());
         }
         &mut self.buckets[index]
-    }
-
-    /// Records one completed request: `at` buckets it, `response_ns`
-    /// feeds the windowed percentiles and the SLO check.
-    pub fn observe_completion(&mut self, at: SimTime, response_ns: u64) {
-        let i = (at.as_ns() / self.window_ns) as usize;
-        let over = response_ns > self.threshold_ns;
-        let b = self.bucket(i);
-        b.completed += 1;
-        b.responses_ms.push(response_ns as f64 / 1e6);
-        if over {
-            b.over += 1;
-        }
     }
 
     /// Records one rejected arrival.
@@ -218,10 +208,25 @@ impl Sampler {
     }
 
     /// Closes the series at `sim_end` and renders the timeline plus the
-    /// SLO breach summary (when an SLO was configured).
-    pub fn finish(self, sim_end: SimTime) -> (Timeline, Option<SloSummary>) {
+    /// SLO breach summary (when an SLO was configured). `completions` are
+    /// the run's completed requests, `(completion instant, response
+    /// time)`, in any order: the instant buckets each, the response feeds
+    /// the windowed percentiles and the SLO check. They are walked twice,
+    /// to count each window and then to gather its responses.
+    pub fn finish<I>(mut self, sim_end: SimTime, completions: I) -> (Timeline, Option<SloSummary>)
+    where
+        I: IntoIterator<Item = (SimTime, SimDur)>,
+        I::IntoIter: Clone,
+    {
         let w = self.window_ns;
         let end_ns = sim_end.as_ns();
+        let completions = completions.into_iter();
+        for (at, response) in completions.clone() {
+            let over = response.as_ns() > self.threshold_ns;
+            let b = self.bucket((at.as_ns() / w) as usize);
+            b.completed += 1;
+            b.over += u64::from(over);
+        }
         // Cover [0, sim_end) even if the tail windows saw no events.
         let want = if end_ns == 0 {
             self.buckets.len()
@@ -230,6 +235,20 @@ impl Sampler {
         };
         let mut accs = self.buckets;
         accs.resize(want, Acc::default());
+        // Every window's responses, window after window in one buffer (a
+        // counting sort on the window index); `ends[i]` is where window
+        // `i`'s run ends once the buffer is full.
+        let (mut ends, mut total) = (Vec::with_capacity(accs.len()), 0);
+        for acc in &accs {
+            ends.push(total);
+            total += acc.completed as usize;
+        }
+        let mut responses_ms = vec![0.0; total];
+        for (at, response) in completions {
+            let end = &mut ends[(at.as_ns() / w) as usize];
+            responses_ms[*end] = response.as_millis_f64();
+            *end += 1;
+        }
         let mut buckets = Vec::with_capacity(accs.len());
         for (i, acc) in accs.into_iter().enumerate() {
             let start_ns = i as u64 * w;
@@ -244,12 +263,13 @@ impl Sampler {
             for (m, ns) in acc.busy_ns.iter().enumerate() {
                 busy_frac[m] = *ns as f64 / span_ns as f64;
             }
-            let (p50_ms, p99_ms) = if acc.responses_ms.is_empty() {
+            let window = &responses_ms[ends[i] - acc.completed as usize..ends[i]];
+            let (p50_ms, p99_ms) = if window.is_empty() {
                 (0.0, 0.0)
             } else {
                 (
-                    stats::percentile(&acc.responses_ms, 0.5),
-                    stats::percentile(&acc.responses_ms, 0.99),
+                    stats::percentile(window, 0.5),
+                    stats::percentile(window, 0.99),
                 )
             };
             let burn_rate = match self.slo {
@@ -434,14 +454,17 @@ mod tests {
         SimTime::from_ns((x * 1e6).round() as u64)
     }
 
+    /// A completion at `at` that took `response` milliseconds.
+    fn done(at: f64, response: f64) -> (SimTime, SimDur) {
+        (ms(at), SimDur::from_millis_f64(response))
+    }
+
     #[test]
     fn boundary_instants_bucket_rightward() {
         let mut s = Sampler::new(&TimelineConfig::new(10.0));
-        s.observe_completion(ms(0.0), 1_000_000);
-        s.observe_completion(ms(9.999999), 1_000_000);
-        s.observe_completion(ms(10.0), 1_000_000);
         s.observe_rejection(ms(20.0));
-        let (t, slo) = s.finish(ms(30.0));
+        let done = [done(0.0, 1.0), done(9.999999, 1.0), done(10.0, 1.0)];
+        let (t, slo) = s.finish(ms(30.0), done);
         assert!(slo.is_none());
         assert_eq!(t.buckets.len(), 3);
         assert_eq!(t.buckets[0].completed, 2);
@@ -454,7 +477,7 @@ mod tests {
         let mut s = Sampler::new(&TimelineConfig::new(10.0));
         // Depth 2 held over [5 ms, 25 ms): 5 ms in w0, 10 ms in w1, 5 ms in w2.
         s.observe_depth(2, ms(5.0), ms(25.0));
-        let (t, _) = s.finish(ms(30.0));
+        let (t, _) = s.finish(ms(30.0), []);
         assert_eq!(t.buckets[0].mean_depth, 2.0 * 0.5);
         assert_eq!(t.buckets[1].mean_depth, 2.0);
         assert_eq!(t.buckets[2].mean_depth, 2.0 * 0.5);
@@ -464,7 +487,7 @@ mod tests {
     fn short_final_window_uses_its_covered_length() {
         let mut s = Sampler::new(&TimelineConfig::new(10.0));
         s.observe_depth(3, ms(10.0), ms(15.0));
-        let (t, _) = s.finish(ms(15.0));
+        let (t, _) = s.finish(ms(15.0), []);
         assert_eq!(t.buckets.len(), 2);
         assert_eq!(t.buckets[1].mean_depth, 3.0, "5 ms window fully at depth 3");
     }
@@ -475,7 +498,7 @@ mod tests {
         // 7 ms of busy on member 0, 3 on member 1, over [5, 25) ms.
         let deltas = [7_000_000u64, 3_000_001];
         s.observe_busy(ms(5.0), ms(25.0), &deltas);
-        let (t, _) = s.finish(ms(30.0));
+        let (t, _) = s.finish(ms(30.0), []);
         for (m, delta) in deltas.iter().enumerate() {
             let total_frac_ns: u64 = t
                 .buckets
@@ -490,16 +513,16 @@ mod tests {
     #[test]
     fn slo_burn_rate_flags_breached_windows() {
         let cfg = TimelineConfig::new(10.0).with_slo(5.0, 0.25);
-        let mut s = Sampler::new(&cfg);
+        let s = Sampler::new(&cfg);
         // Window 0: 1 of 4 over (burn = 1.0, not breached).
-        for r in [1.0, 2.0, 3.0, 9.0] {
-            s.observe_completion(ms(1.0), (r * 1e6) as u64);
-        }
-        // Window 1: 2 of 4 over (burn = 2.0, breached).
-        for r in [1.0, 6.0, 7.0, 2.0] {
-            s.observe_completion(ms(11.0), (r * 1e6) as u64);
-        }
-        let (t, slo) = s.finish(ms(20.0));
+        let w0 = [1.0, 2.0, 3.0, 9.0].map(|r| done(1.0, r));
+        // Window 1: 2 of 4 over (burn = 2.0, breached), its completions
+        // listed among window 0's: the order is free.
+        let w1 = [1.0, 6.0, 7.0, 2.0].map(|r| done(11.0, r));
+        let (t, slo) = s.finish(
+            ms(20.0),
+            [w0[0], w1[0], w1[1], w0[1], w0[2], w1[2], w1[3], w0[3]],
+        );
         let slo = slo.unwrap();
         assert_eq!(t.buckets[0].slo_over, 1);
         assert_eq!(t.buckets[0].burn_rate, 1.0);
@@ -514,9 +537,8 @@ mod tests {
     #[test]
     fn rows_and_display_render_every_window() {
         let mut s = Sampler::new(&TimelineConfig::new(10.0));
-        s.observe_completion(ms(1.0), 2_000_000);
         s.observe_busy(ms(0.0), ms(10.0), &[4_000_000]);
-        let (t, _) = s.finish(ms(10.0));
+        let (t, _) = s.finish(ms(10.0), [done(1.0, 2.0)]);
         let rows = t.rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0]["completed"], 1.0);

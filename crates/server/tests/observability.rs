@@ -2,12 +2,13 @@
 //! cases, span-tree shape over a bare drive, timeline coverage, and the
 //! invariant that instrumentation never perturbs results.
 
-use server::{serve, SchedulerKind, ServerConfig, TimelineConfig};
+use server::{serve, SchedulerKind, ServerConfig, ServerResult, TimelineConfig};
 use sim_disk::disk::{Disk, Request};
 use sim_disk::models::quantum_atlas_10k_ii;
 use sim_disk::trace::{DiskSpanBridge, Tracer};
 use sim_disk::{SimTime, TraceRecord};
 use traxtent::obs::span::{self, Span, SpanRecorder};
+use traxtent::stats;
 use workloads::replay::{synthetic_trace, SyntheticSpec};
 
 fn trace(count: usize, interarrival_ms: f64) -> Vec<TraceRecord> {
@@ -20,6 +21,15 @@ fn trace(count: usize, interarrival_ms: f64) -> Vec<TraceRecord> {
         capacity_lbns: capacity,
         seed: 23,
     })
+}
+
+/// Each completed request's trace index and completion instant: the
+/// indices not rejected, in order, each at its arrival plus its response.
+fn completions(res: &ServerResult, records: &[TraceRecord]) -> Vec<(u64, SimTime)> {
+    let ids = (0..records.len() as u64).filter(|id| !res.rejected_ids.contains(id));
+    let done = ids.zip(&res.responses);
+    done.map(|(id, &d)| (id, records[id as usize].arrival + d))
+        .collect()
 }
 
 #[test]
@@ -43,7 +53,7 @@ fn percentile_ms_edge_cases() {
     let mut disk = Disk::new(quantum_atlas_10k_ii());
     let res = serve(&mut disk, &one, &cfg).unwrap();
     assert_eq!(res.completed(), 1);
-    let only = res.completions[0].response_ms();
+    let only = res.response_ms()[0];
     assert!(only > 0.0);
     for p in [0.0, 0.25, 1.0] {
         assert_eq!(res.percentile_ms(p), only, "p={p}");
@@ -130,9 +140,10 @@ fn spans_and_timeline_never_perturb_results() {
     assert_eq!(plain.completed(), instrumented.completed());
     assert_eq!(plain.rejected_ids, instrumented.rejected_ids);
     assert_eq!(plain.sim_end, instrumented.sim_end);
-    for (a, b) in plain.completions.iter().zip(&instrumented.completions) {
-        assert_eq!((a.id, a.completion), (b.id, b.completion));
-    }
+    assert_eq!(
+        completions(&plain, &records),
+        completions(&instrumented, &records)
+    );
 
     // A timeline-enabled run is also identical.
     let mut disk = Disk::new(quantum_atlas_10k_ii());
@@ -140,6 +151,7 @@ fn spans_and_timeline_never_perturb_results() {
         .with_timeline(TimelineConfig::new(250.0).with_slo(40.0, 0.05));
     cfg.queue_limit = 24;
     let timed = serve(&mut disk, &records, &cfg).unwrap();
+    assert_eq!(timed.responses, plain.responses);
     assert_eq!(timed.sim_end, plain.sim_end);
     assert_eq!(timed.percentile_ms(0.99), plain.percentile_ms(0.99));
 }
@@ -200,4 +212,34 @@ fn timeline_covers_the_run_and_accounts_every_event() {
         slo.total_over,
         res.response_ms().iter().filter(|&&ms| ms > 25.0).count() as u64
     );
+}
+
+/// Every window's counts, percentiles and SLO tally equal a fold over the
+/// run's responses, each placed at its trace arrival plus its response —
+/// under a queue bound that rejects, so the rejected indices are skipped.
+#[test]
+fn timeline_windows_fold_over_the_responses() {
+    let records = trace(600, 1.0);
+    let mut disk = Disk::new(quantum_atlas_10k_ii());
+    let mut cfg = ServerConfig::new(SchedulerKind::CLook)
+        .with_timeline(TimelineConfig::new(100.0).with_slo(30.0, 0.1));
+    cfg.queue_limit = 8;
+    let res = serve(&mut disk, &records, &cfg).unwrap();
+    assert!(res.rejected() > 0, "the bound bites");
+    let t = res.timeline.as_ref().expect("timeline recorded");
+    let mut windows = vec![Vec::new(); t.buckets.len()];
+    for (id, done) in completions(&res, &records) {
+        let response = done.since(records[id as usize].arrival);
+        windows[(done.as_ns() / 100_000_000) as usize].push(response.as_millis_f64());
+    }
+    for (b, ms) in t.buckets.iter().zip(&windows) {
+        let at = b.start_ms;
+        assert_eq!(b.completed, ms.len() as u64, "window at {at} ms");
+        let over = ms.iter().filter(|&&x| x > 30.0).count() as u64;
+        assert_eq!(b.slo_over, over, "window at {at} ms");
+        if !ms.is_empty() {
+            assert_eq!(b.p50_ms, stats::percentile(ms, 0.5), "window at {at} ms");
+            assert_eq!(b.p99_ms, stats::percentile(ms, 0.99), "window at {at} ms");
+        }
+    }
 }

@@ -15,20 +15,26 @@
 //! * the traxtent sweep keeps C-LOOK's starvation bound for requests
 //!   that lie inside one track;
 //! * `serve` with one lane per spindle equals a brute-force loop that
-//!   wakes at every arrival — same completions, same rejected ids, same
-//!   depth integral — never hands a busy lane a command, dispatches a
-//!   request that finds its lane free and empty the instant it arrives,
-//!   and keeps the starvation bound lane by lane.
+//!   wakes at every arrival — same response at every trace index, same
+//!   rejected ids, same coalesced count, same depth integral — never hands
+//!   a busy lane a command, dispatches a request that finds its lane free
+//!   and empty the instant it arrives, and keeps the starvation bound lane
+//!   by lane;
+//! * `serve` writes each response at its trace index less the rejected
+//!   ids below it, which a request's own span tree confirms on a real
+//!   drive.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use server::{
-    serve, Backend, CLook, Dispatch, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent,
+    serve, Backend, CLook, Dispatch, Queued, Scheduler, SchedulerKind, ServerConfig, ServerResult,
+    Traxtent,
 };
 use sim_disk::disk::{Disk, Op, Request};
 use sim_disk::{models, Completion, SimDur, SimTime, TraceRecord};
 use std::collections::{BTreeMap, BTreeSet};
+use traxtent::obs::span::SpanRecorder;
 use traxtent::{ConfidentBoundaries, TrackBoundaries};
 
 /// A queued entry with id-derived arrival (arrival order == id order,
@@ -202,12 +208,22 @@ impl Backend for Spindles {
     }
 }
 
+/// The trace index of each of `res.responses`, worked out from the
+/// rejected ids alone: the indices below `len` that were not rejected.
+fn completed_ids(res: &ServerResult, len: usize) -> Vec<u64> {
+    let rejected: BTreeSet<u64> = res.rejected_ids.iter().copied().collect();
+    (0..len as u64)
+        .filter(|id| !rejected.contains(id))
+        .collect()
+}
+
 /// What a `serve` run must produce, worked out the slow way.
 #[derive(Debug, Default, PartialEq)]
 struct Expected {
-    /// `(id, arrival, completion, coalesced)`, by id.
-    completions: Vec<(u64, SimTime, SimTime, bool)>,
+    /// `(trace index, response)` of every completed request, by index.
+    responses: Vec<(u64, SimDur)>,
     rejected: Vec<u64>,
+    coalesced_requests: u64,
     max_depth: usize,
     dispatches: u64,
     wraps: u64,
@@ -243,6 +259,7 @@ fn brute_force(
     let mut prompt = Vec::new();
     let mut admitted_wraps = vec![0u64; trace.len()];
     let (mut next, mut last, mut depth_ns) = (0, SimTime::ZERO, 0u128);
+    let mut end = None;
     loop {
         let arrival = trace.get(next).map(|r| r.arrival);
         let work = (0..ids.len())
@@ -287,55 +304,161 @@ fn brute_force(
             want.dispatches += round.len() as u64;
             for (d, c) in round.iter().zip(&done) {
                 free_at[lane] = free_at[lane].max(c.completion);
+                end = end.max(Some(c.completion));
+                if d.coalesced() {
+                    want.coalesced_requests += d.parts().count() as u64;
+                }
                 for p in d.parts() {
                     let waited = scheds[lane].wraps() - admitted_wraps[p.id as usize];
                     assert!(waited <= 2, "request {} waited {waited} wraps", p.id);
-                    want.completions
-                        .push((p.id, p.arrival, c.completion, d.coalesced()));
+                    want.responses.push((p.id, c.completion.since(p.arrival)));
                 }
             }
         }
     }
-    want.completions.sort_unstable();
-    let end = want.completions.iter().map(|c| c.2).max();
+    want.responses.sort_unstable();
     want.mean_depth = end.map_or(0.0, |end| depth_ns as f64 / end.as_ns() as f64);
     want.wraps = scheds.iter().map(|s| s.wraps()).sum();
     want.log = backend.log;
     (want, prompt)
 }
 
-/// `serve` puts each completion in place at its id less the rejected ids
-/// below it. Overflowing a queue of one to four leaves holes in the id
-/// range — the rejections, exactly — which is where placing a completion
-/// at the index its id names would go wrong.
+/// `serve` writes each response at its trace index less the rejected ids
+/// below it. Overflowing a queue of one, two or four leaves holes in the
+/// index range — the rejections, exactly — which is where writing a
+/// response at the index itself would go wrong. A request's root span
+/// says, apart from that placement, when it arrived and completed, or
+/// that it was rejected.
 #[test]
 fn completions_ascend_by_id_around_the_rejected_holes() {
     let table = Disk::new(models::quantum_atlas_10k_ii()).track_boundaries();
-    for seed in [17, 18, 19] {
-        let trace = workloads::replay::synthetic_trace(&workloads::replay::SyntheticSpec {
-            count: 400,
-            interarrival_ms: 0.2,
-            io_sectors: 128,
-            read_fraction: 0.6,
-            capacity_lbns: table.capacity(),
-            seed,
-        });
-        for (k, kind) in SchedulerKind::ALL.into_iter().enumerate() {
-            // Over the three seeds every kind meets every queue bound.
-            let queue_limit = [1, 2, 4][(k + seed as usize) % 3];
-            let case = format!("{kind:?}, queue {queue_limit}, seed {seed}");
+    let trace = workloads::replay::synthetic_trace(&workloads::replay::SyntheticSpec {
+        count: 400,
+        interarrival_ms: 0.2,
+        io_sectors: 128,
+        read_fraction: 0.6,
+        capacity_lbns: table.capacity(),
+        seed: 17,
+    });
+    for kind in SchedulerKind::ALL {
+        for queue_limit in [1, 2, 4] {
+            let case = format!("{kind:?}, queue {queue_limit}");
+            let spans = SpanRecorder::new();
             let mut cfg = ServerConfig::new(kind)
-                .with_boundaries(ConfidentBoundaries::certain(table.clone()));
+                .with_boundaries(ConfidentBoundaries::certain(table.clone()))
+                .with_spans(spans.clone());
             cfg.queue_limit = queue_limit;
             let mut disk = Disk::new(models::quantum_atlas_10k_ii());
             let res = serve(&mut disk, &trace, &cfg).unwrap();
             assert!(res.rejected() > 0 && res.completed() > 4, "{case}");
-            let ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
-            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{case}: {ids:?}");
-            let holes: Vec<u64> = (0..400).filter(|id| !ids.contains(id)).collect();
-            assert_eq!(holes, res.rejected_ids, "{case}");
+            let (mut rejected, mut responses) = (BTreeSet::new(), BTreeMap::new());
+            for root in spans.take_sorted() {
+                if root.parent != 0 || root.name != "request" {
+                    continue;
+                }
+                let id: u64 = root.attr("id").unwrap().parse().unwrap();
+                assert_eq!(root.start_ns, trace[id as usize].arrival.as_ns(), "{case}");
+                if root.attr("rejected").is_some() {
+                    rejected.insert(id);
+                } else {
+                    responses.insert(id, SimDur::from_ns(root.duration_ns()));
+                }
+            }
+            assert_eq!(rejected.len() + responses.len(), trace.len(), "{case}");
+            assert_eq!(res.rejected_ids, Vec::from_iter(rejected), "{case}");
+            assert_eq!(
+                res.responses,
+                Vec::from_iter(responses.into_values()),
+                "{case}"
+            );
         }
     }
+}
+
+/// `serve` against the brute-force reference, over random traces, tables,
+/// spindle maps (none, dense, sparse) and queue bounds, with and without
+/// rejections.
+#[test]
+fn lanes_match_a_brute_force_event_loop() {
+    let name = "lanes_match_a_brute_force_event_loop";
+    let mut tally = Tally::default();
+    for_cases(
+        name,
+        64,
+        (
+            arb_table_case(),
+            prop::collection::vec(0u64..3000, 60..61),
+            0.3f64..0.95,
+            // Half the cases bound the queue to one to three requests, so
+            // that rejections leave holes in the index range.
+            prop_oneof![1usize..4, 4usize..24],
+            1usize..8,
+            0u16..6,
+            1u16..9,
+        ),
+        |(case, gaps, threshold, queue_limit, max_batch, spindles, sparse)| {
+            let (tracks, raw) = case;
+            let mut map = table_of(&tracks, spindles);
+            if spindles > 0 {
+                let ids = (0..tracks.len())
+                    .map(|t| 3 + sparse * map.spindle(t))
+                    .collect();
+                map = map.with_spindles(ids).unwrap();
+            }
+            // Arrivals some microseconds apart, a third of them at the same
+            // instant as the one before.
+            let mut at = 0;
+            let trace: Vec<TraceRecord> = requests_of(&raw, map.table(), true)
+                .iter()
+                .zip(&gaps)
+                .map(|(q, gap)| {
+                    at += if gap % 3 == 0 { 0 } else { 1000 * gap };
+                    TraceRecord {
+                        arrival: SimTime::from_ns(at),
+                        request: q.request,
+                    }
+                })
+                .collect();
+            let (want, prompt) = brute_force(&map, threshold, &trace, queue_limit, max_batch);
+
+            let mut cfg = ServerConfig::new(SchedulerKind::Traxtent).with_boundaries(map.clone());
+            cfg.confidence_threshold = threshold;
+            cfg.queue_limit = queue_limit;
+            cfg.max_batch = max_batch;
+            let mut backend = Spindles::new(&map);
+            let res = serve(&mut backend, &trace, &cfg).unwrap();
+            tally.note(if res.rejected_ids.is_empty() {
+                "run without rejections"
+            } else {
+                "run with rejections"
+            });
+
+            assert_eq!(res.completed() + res.rejected(), trace.len() as u64);
+            let ids = completed_ids(&res, trace.len());
+            let got = Expected {
+                responses: ids.into_iter().zip(res.responses.iter().copied()).collect(),
+                rejected: res.rejected_ids.clone(),
+                coalesced_requests: res.coalesced_requests,
+                max_depth: res.max_depth,
+                dispatches: res.dispatches,
+                wraps: res.wraps,
+                mean_depth: res.mean_depth(),
+                log: backend.log,
+            };
+            assert_eq!(&got, &want);
+            assert!(res.max_depth <= queue_limit);
+            // Whatever the other lanes were doing, a request that found its
+            // lane free and had it to itself went out the instant it arrived.
+            for id in prompt {
+                let r = trace[id as usize];
+                let sent = got.log.iter().any(|(cmd, at)| {
+                    *at == r.arrival && cmd.lbn <= r.request.lbn && r.request.end() <= cmd.end()
+                });
+                assert!(sent, "request {id} was not dispatched on arrival");
+            }
+        },
+    );
+    tally.require(name, &["run with rejections", "run without rejections"]);
 }
 
 proptest! {
@@ -376,14 +499,13 @@ proptest! {
         }
         let res = serve(&mut disk, &trace, &cfg).unwrap();
         prop_assert_eq!(res.completed() + res.rejected(), trace.len() as u64);
-        let mut ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
-        ids.extend(&res.rejected_ids);
-        ids.sort_unstable();
-        prop_assert_eq!(ids, (0..trace.len() as u64).collect::<Vec<_>>());
+        // Every index is rejected at most once, and the rest completed.
+        prop_assert!(res.rejected_ids.windows(2).all(|w| w[0] < w[1]));
+        prop_assert!(res.rejected_ids.iter().all(|&id| id < trace.len() as u64));
         prop_assert!(res.max_depth <= queue_limit);
         // Completions never predate their arrivals.
-        for c in &res.completions {
-            prop_assert!(c.completion > c.arrival);
+        for d in &res.responses {
+            prop_assert!(*d > SimDur::ZERO);
         }
     }
 
@@ -510,72 +632,5 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(sequence(table_of(&tracks, spindles)), sequence(plain));
-    }
-
-    /// `serve` against the brute-force reference, over random traces,
-    /// tables, spindle maps (none, dense, sparse) and queue bounds.
-    #[test]
-    fn lanes_match_a_brute_force_event_loop(
-        case in arb_table_case(),
-        gaps in prop::collection::vec(0u64..3000, 60..61),
-        threshold in 0.3f64..0.95,
-        queue_limit in 1usize..24,
-        max_batch in 1usize..8,
-        spindles in 0u16..6,
-        sparse in 1u16..9,
-    ) {
-        let (tracks, raw) = case;
-        let mut map = table_of(&tracks, spindles);
-        if spindles > 0 {
-            let ids = (0..tracks.len()).map(|t| 3 + sparse * map.spindle(t)).collect();
-            map = map.with_spindles(ids).unwrap();
-        }
-        // Arrivals some microseconds apart, a third of them at the same
-        // instant as the one before.
-        let mut at = 0;
-        let trace: Vec<TraceRecord> = requests_of(&raw, map.table(), true)
-            .iter()
-            .zip(&gaps)
-            .map(|(q, gap)| {
-                at += if gap % 3 == 0 { 0 } else { 1000 * gap };
-                TraceRecord { arrival: SimTime::from_ns(at), request: q.request }
-            })
-            .collect();
-        let (want, prompt) = brute_force(&map, threshold, &trace, queue_limit, max_batch);
-
-        let mut cfg = ServerConfig::new(SchedulerKind::Traxtent).with_boundaries(map.clone());
-        cfg.confidence_threshold = threshold;
-        cfg.queue_limit = queue_limit;
-        cfg.max_batch = max_batch;
-        let mut backend = Spindles::new(&map);
-        let res = serve(&mut backend, &trace, &cfg).unwrap();
-
-        let got = Expected {
-            completions: (res.completions.iter())
-                .map(|c| (c.id, c.arrival, c.completion, c.coalesced))
-                .collect(),
-            rejected: res.rejected_ids.clone(),
-            max_depth: res.max_depth,
-            dispatches: res.dispatches,
-            wraps: res.wraps,
-            mean_depth: res.mean_depth(),
-            log: backend.log,
-        };
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(res.completed() + res.rejected(), trace.len() as u64);
-        let mut ids: Vec<u64> = res.completions.iter().map(|c| c.id).collect();
-        ids.extend(&res.rejected_ids);
-        ids.sort_unstable();
-        prop_assert_eq!(ids, (0..trace.len() as u64).collect::<Vec<_>>(), "exactly once");
-        prop_assert!(res.max_depth <= queue_limit);
-        // Whatever the other lanes were doing, a request that found its
-        // lane free and had it to itself went out the instant it arrived.
-        for id in prompt {
-            let r = trace[id as usize];
-            let sent = got.log.iter().any(|(cmd, at)| {
-                *at == r.arrival && cmd.lbn <= r.request.lbn && r.request.end() <= cmd.end()
-            });
-            prop_assert!(sent, "request {id} was not dispatched on arrival");
-        }
     }
 }

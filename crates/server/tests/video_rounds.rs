@@ -104,11 +104,12 @@ fn a_video_round_matches_the_sorted_loop() {
                 // The twin served the reads in `(lbn, id)` order.
                 let mut order: Vec<usize> = (0..v).collect();
                 order.sort_by_key(|&id| (lbns[id], id));
+                // Every read arrives at the round start and none is
+                // rejected, so read `id` completes at `now` plus its
+                // response.
                 for (k, &id) in order.iter().enumerate() {
-                    let c = got.completions[id];
-                    assert_eq!(c.id, id as u64);
-                    assert_eq!(c.arrival, now);
-                    assert_eq!(c.completion, want[k], "read {id} (sorted {k}) of {lbns:?}");
+                    let done = now + got.responses[id];
+                    assert_eq!(done, want[k], "read {id} (sorted {k}) of {lbns:?}");
                 }
                 assert_eq!(Some(&got.sim_end), want.last(), "the round's end");
                 now = got.sim_end;
