@@ -343,7 +343,7 @@ fn bench_fleet(c: &mut Criterion) {
         b.iter(|| {
             lbn = (lbn.wrapping_mul(2862933555777941757).wrapping_add(3)) % layout.capacity();
             let unit = layout.units()[layout.unit_index(black_box(lbn))];
-            black_box(layout.split(unit.lstart, unit.len).unwrap())
+            black_box(layout.split(unit.lstart, u64::from(unit.len)).unwrap())
         })
     });
     // A RAID-5 volume of five small-drive members (84 000 sectors each).

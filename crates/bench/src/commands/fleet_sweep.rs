@@ -292,10 +292,11 @@ fn run_cell(run: &Run, cell_index: usize, cell: Cell) -> Row {
         volume.export_metrics(&run.reg);
     }
 
+    let [p50, p99] = res.percentiles_ms([0.50, 0.99]);
     row.col(res.completed())
         .col(res.rejected())
-        .num(res.percentile_ms(0.50), 2)
-        .num(res.percentile_ms(0.99), 2)
+        .num(p50, 2)
+        .num(p99, 2)
         .key(format!("{tag}_p99_ms"))
         .num(res.throughput_rps(), 1)
         .col(stats.member_cmds)

@@ -78,9 +78,10 @@ fn run_cell(run: &Run, cell_index: usize, streams: usize, sched: SchedulerKind) 
     // The timeline section is mirrored into a manifest of its own, with
     // the SLO verdict, so CI can diff the series run over run.
     let tag = format!("s{streams}_{}", sched.label());
+    let [p50, p99, p999] = res.percentiles_ms([0.50, 0.99, 0.999]);
     let mut headlines = vec![
         (format!("{tag}_completed"), res.completed() as f64),
-        (format!("{tag}_p99_ms"), res.percentile_ms(0.99)),
+        (format!("{tag}_p99_ms"), p99),
     ];
     if let Some(slo) = &res.slo {
         headlines.push((format!("{tag}_slo_breached"), slo.breached as f64));
@@ -92,11 +93,11 @@ fn run_cell(run: &Run, cell_index: usize, streams: usize, sched: SchedulerKind) 
         .col(res.completed())
         .num(res.rejected() as f64, 0)
         .key(format!("{tag}_rejected"))
-        .num(res.percentile_ms(0.50), 2)
+        .num(p50, 2)
         .key(format!("{tag}_p50_ms"))
-        .num(res.percentile_ms(0.99), 2)
+        .num(p99, 2)
         .key(format!("{tag}_p99_ms"))
-        .num(res.percentile_ms(0.999), 2)
+        .num(p999, 2)
         .key(format!("{tag}_p999_ms"))
         .num(res.mean_depth(), 1)
         .col(res.max_depth)

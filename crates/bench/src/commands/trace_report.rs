@@ -16,7 +16,7 @@ use crate::Cli;
 use sim_disk::disk::Op;
 use sim_disk::trace::{peek_event_name, TraceEvent};
 use std::collections::BTreeMap;
-use traxtent::stats::percentile;
+use traxtent::stats::percentiles;
 
 /// The phases of a [`TraceEvent::Complete`], in report order: eight
 /// additive components, then the host-observed `response` they sum to.
@@ -173,7 +173,7 @@ pub(crate) fn main(cli: &Cli) {
     );
     for (k, phase) in PHASES.iter().enumerate() {
         let samples: Vec<f64> = by_phase.iter().map(|p| p[k] as f64).collect();
-        let [p50, p95, p99, max] = [0.50, 0.95, 0.99, 1.0].map(|q| ms(percentile(&samples, q)));
+        let [p50, p95, p99, max] = percentiles(&samples, [0.50, 0.95, 0.99, 1.0]).map(ms);
         let share = 100.0 * mean_ms[k] / mean_ms[RESPONSE];
         println!(
             "{phase:<13} {:>9.4} {share:>6.1}% {p50:>9.4} {p95:>9.4} {p99:>9.4} {max:>9.4}",

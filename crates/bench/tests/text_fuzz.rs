@@ -150,7 +150,7 @@ const TRACE: Grammar = Grammar {
           "1000000000000.001"],
         &["R", "W", "w", "Q", ""],
         &["0", "18446744073709551615", "ten", "18446744073709551615", "", "-1"],
-        &["0", "8", "", "eight", "18446744073709551616", "8 9"],
+        &["0", "8", "", "eight", "18446744073709551616", "8 9", "4294967295", "4294967296"],
     ],
 };
 
@@ -186,6 +186,7 @@ fn trace_verdict(kind: &ParseErrorKind) -> &'static str {
         ParseErrorKind::FarArrival => "far_arrival",
         ParseErrorKind::BadOp(_) => "bad_op",
         ParseErrorKind::ZeroSectors => "zero_sectors",
+        ParseErrorKind::TooManySectors => "too_many_sectors",
         ParseErrorKind::RangeOverflow => "range_overflow",
         ParseErrorKind::TrailingFields => "trailing_fields",
         ParseErrorKind::NonMonotoneArrival => "non_monotone_arrival",
@@ -235,6 +236,7 @@ fn replay_traces_parse_render_and_replay() {
             "far_arrival",
             "bad_op",
             "zero_sectors",
+            "too_many_sectors",
             "range_overflow",
             "trailing_fields",
             "non_monotone_arrival",

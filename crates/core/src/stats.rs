@@ -64,26 +64,44 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 }
 
 /// The `p`-quantile (0 ≤ p ≤ 1) by linear interpolation between order
-/// statistics. Sorts a copy of the input by [`f64::total_cmp`], so a NaN
-/// sample sorts to an end instead of panicking.
+/// statistics: [`percentiles`] with one rank.
 ///
 /// # Panics
 ///
 /// Panics if `xs` is empty or `p` is outside `[0, 1]`.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    let [q] = percentiles(xs, [p]);
+    q
+}
+
+/// The `p`-quantile (0 ≤ p ≤ 1) of every `p` in `ps`, by linear
+/// interpolation between order statistics, from one sort of a copy of
+/// the input by [`f64::total_cmp`] (so a NaN sample sorts to an end
+/// instead of panicking). Asking for several ranks at once is what saves
+/// the sorts: each answer is bit-equal to its own [`percentile`].
+///
+/// # Panics
+///
+/// Panics if `xs` is empty or a `p` is outside `[0, 1]`.
+pub fn percentiles<const N: usize>(xs: &[f64], ps: [f64; N]) -> [f64; N] {
     assert!(!xs.is_empty(), "percentile of empty sample");
-    assert!((0.0..=1.0).contains(&p), "p must be in [0, 1]");
+    assert!(
+        ps.iter().all(|p| (0.0..=1.0).contains(p)),
+        "p must be in [0, 1]"
+    );
     let mut v = xs.to_vec();
     v.sort_by(f64::total_cmp);
-    let rank = p * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let w = rank - lo as f64;
-        v[lo] * (1.0 - w) + v[hi] * w
-    }
+    ps.map(|p| {
+        let rank = p * (v.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        if lo == hi {
+            v[lo]
+        } else {
+            let w = rank - lo as f64;
+            v[lo] * (1.0 - w) + v[hi] * w
+        }
+    })
 }
 
 #[cfg(test)]
@@ -117,6 +135,23 @@ mod tests {
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&xs, 1.0), 4.0);
         assert!((percentile(&xs, 0.5) - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn percentiles_answer_each_rank_as_one_rank_would() {
+        let xs = [0.3, 9.0, -2.5, 7.25, 7.25, 1e-9, 4.0, f64::NAN, 3.5];
+        let ps = [0.0, 0.25, 0.5, 0.95, 0.99, 0.999, 1.0, 0.5];
+        for (p, q) in ps.into_iter().zip(percentiles(&xs, ps)) {
+            assert_eq!(q.to_bits(), percentile(&xs, p).to_bits(), "p = {p}");
+        }
+        assert_eq!(percentiles(&xs, [0.5, 0.25]), [4.0, 0.3]);
+        assert!(percentile(&xs, 1.0).is_nan(), "NaN sorts last");
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be in [0, 1]")]
+    fn every_rank_is_checked() {
+        let _ = percentiles(&[1.0, 2.0], [0.5, 1.5]);
     }
 
     #[test]

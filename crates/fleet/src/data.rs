@@ -278,14 +278,18 @@ fn fill_range(
         VolumeKind::Striped => {
             for i in layout.units_of(rounds) {
                 if let Some(column) = &mut columns[layout.member(i)] {
-                    fill_unit(column.at(layout.pstart(i), units[i].len), &units[i], seed);
+                    fill_unit(
+                        column.at(layout.pstart(i), u64::from(units[i].len)),
+                        &units[i],
+                        seed,
+                    );
                 }
             }
         }
         VolumeKind::Mirrored => {
             for u in &units[layout.units_of(rounds)] {
                 for column in columns.iter_mut().flatten() {
-                    fill_unit(column.at(u.lstart, u.len), u, seed);
+                    fill_unit(column.at(u.lstart, u64::from(u.len)), u, seed);
                 }
             }
         }
@@ -299,7 +303,7 @@ fn fill_range(
                 for i in layout.units_of(r..r + 1) {
                     let u = &units[i];
                     if let Some(column) = &mut columns[layout.member(i)] {
-                        let column = column.at(layout.pstart(i), u.len);
+                        let column = column.at(layout.pstart(i), u64::from(u.len));
                         fill_unit(column, u, seed);
                         for (p, w) in parity.iter_mut().zip(column) {
                             *p ^= *w;
@@ -381,9 +385,9 @@ fn scrub_range(
                         continue;
                     }
                     syndrome.clear();
-                    stores[reference].read_into(u.lstart, u.len, &mut syndrome);
+                    stores[reference].read_into(u.lstart, u64::from(u.len), &mut syndrome);
                     store.xor_into(u.lstart, &mut syndrome);
-                    checked += u.len;
+                    checked += u64::from(u.len);
                     mismatches += nonzero(&syndrome);
                 }
             }

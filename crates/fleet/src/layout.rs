@@ -55,8 +55,10 @@ impl StripePolicy {
         }
     }
 
+    /// A unit is at least a sector and at most what one member request
+    /// can read: `u32::MAX` sectors, a READ(16) transfer length.
     fn validate(&self) -> Result<(), FleetError> {
-        match *self {
+        let (unit, refusal) = match *self {
             StripePolicy::Aligned {
                 threshold,
                 fallback_sectors,
@@ -64,18 +66,19 @@ impl StripePolicy {
                 if !(0.0..=1.0).contains(&threshold) {
                     return Err(FleetError::BadPolicy("threshold must be in [0, 1]"));
                 }
-                if fallback_sectors == 0 {
-                    return Err(FleetError::BadPolicy("fallback unit size must be nonzero"));
-                }
-                Ok(())
+                (
+                    fallback_sectors,
+                    "fallback unit size must be 1 to u32::MAX sectors",
+                )
             }
             StripePolicy::Fixed { sectors } => {
-                if sectors == 0 {
-                    return Err(FleetError::BadPolicy("fixed unit size must be nonzero"));
-                }
-                Ok(())
+                (sectors, "fixed unit size must be 1 to u32::MAX sectors")
             }
+        };
+        if unit == 0 || unit > u64::from(u32::MAX) {
+            return Err(FleetError::BadPolicy(refusal));
         }
+        Ok(())
     }
 }
 
@@ -262,8 +265,9 @@ impl VolumeKind {
 pub struct LogicalUnit {
     /// First logical LBN the unit serves.
     pub lstart: u64,
-    /// Length in sectors.
-    pub len: u64,
+    /// Length in sectors: what one member request reads of it, so the
+    /// width of [`sim_disk::disk::Request::len`].
+    pub len: u32,
 }
 
 /// The member of `members` holding round `round`'s RAID-5 parity: rotated
@@ -345,6 +349,14 @@ impl VolumeLayout {
         let n = maps.len();
         let spindle =
             |m: usize| u16::try_from(m).map_err(|_| FleetError::TooManyMembers { got: n });
+        // A unit is at most one carved unit long, and `validate` holds
+        // fixed and fallback units to `u32::MAX` sectors: only a trusted
+        // track longer than that fails here.
+        let unit_len = |len: u64| {
+            u32::try_from(len).map_err(|_| {
+                FleetError::BadPolicy("a trusted track must be at most u32::MAX sectors")
+            })
+        };
         let member_caps: Vec<u64> = maps.iter().map(|m| m.table().capacity()).collect();
         let mut carves: Vec<Carve> = maps.iter().map(|m| Carve::new(m, *policy)).collect();
 
@@ -361,11 +373,11 @@ impl VolumeLayout {
                 if lbn >= clip {
                     break;
                 }
-                let len = u.len.min(clip - lbn);
+                let len = unit_len(u.len.min(clip - lbn))?;
                 units.push(LogicalUnit { lstart: lbn, len });
                 confidence.push(u.confidence);
                 spindles.push(spindle(r % n)?);
-                lbn += len;
+                lbn += u64::from(len);
             }
         } else {
             // A round takes the next unit of every member; the rounds end
@@ -390,11 +402,11 @@ impl VolumeLayout {
                     if m == parity {
                         continue;
                     }
-                    let len = stripe.unwrap_or(u.len);
+                    let len = unit_len(stripe.unwrap_or(u.len))?;
                     units.push(LogicalUnit { lstart: lbn, len });
                     confidence.push(u.confidence);
                     spindles.push(spindle(m)?);
-                    lbn += len;
+                    lbn += u64::from(len);
                 }
             }
         }
@@ -402,7 +414,7 @@ impl VolumeLayout {
             return Err(FleetError::NoRounds);
         }
 
-        let lengths = units.iter().map(|u| u.len);
+        let lengths = units.iter().map(|u| u64::from(u.len));
         let logical = ConfidentBoundaries::from_unit_lengths(lengths.zip(confidence))
             .and_then(|map| map.with_spindles(spindles))
             .expect("every kind leaves at least one unit, none of them empty");
@@ -519,12 +531,12 @@ impl VolumeLayout {
         let (start, len) = match self.kind {
             VolumeKind::Striped => {
                 let unit = round * self.members + m;
-                (self.starts[unit], self.units[unit].len)
+                (self.starts[unit], u64::from(self.units[unit].len))
             }
-            VolumeKind::Mirrored => (self.units[round].lstart, self.units[round].len),
+            VolumeKind::Mirrored => (self.units[round].lstart, u64::from(self.units[round].len)),
             VolumeKind::Raid5 => (
                 self.starts[round * self.members + m],
-                self.units[round * (self.members - 1)].len,
+                u64::from(self.units[round * (self.members - 1)].len),
             ),
         };
         Extent { start, len }
@@ -552,7 +564,7 @@ impl VolumeLayout {
         let mut ui = self.unit_index(lbn);
         while at < end {
             let u = &self.units[ui];
-            let take = (u.lstart + u.len - at).min(end - at);
+            let take = (u.lstart + u64::from(u.len) - at).min(end - at);
             let (round, member) = self.place(ui);
             chunks.push(Chunk {
                 unit: ui,

@@ -115,8 +115,9 @@ pub enum FleetError {
         /// Capacity the drive actually has.
         disk: u64,
     },
-    /// The stripe policy is malformed (zero unit size, threshold out of
-    /// `[0, 1]`).
+    /// The stripe policy is malformed (a unit size of zero or above
+    /// `u32::MAX` sectors, threshold out of `[0, 1]`), or an aligned
+    /// policy met a trusted track too long for one unit.
     BadPolicy(&'static str),
     /// No complete stripe round fits the members' unit lists.
     NoRounds,

@@ -887,11 +887,11 @@ impl Volume {
     /// deterministic payloads from an internal sequence number.
     pub fn service(&mut self, req: Request, at: SimTime) -> Result<VolumeCompletion, FleetError> {
         match req.op {
-            Op::Read => self.read_timed(req.lbn, req.len, at, None),
+            Op::Read => self.read_timed(req.lbn, u64::from(req.len), at, None),
             Op::Write => {
                 self.write_seq += 1;
                 let salt = self.fill_seed ^ self.write_seq.rotate_left(17);
-                let words: Vec<u64> = (0..req.len)
+                let words: Vec<u64> = (0..u64::from(req.len))
                     .map(|o| pattern_word(salt, req.lbn + o))
                     .collect();
                 self.write(req.lbn, &words, at)

@@ -72,9 +72,9 @@ proptest! {
             let (member, pstart) = (layout.member(i), layout.pstart(i));
             prop_assert_eq!(u.lstart, expected_lstart, "units tile the logical space");
             prop_assert!(u.len > 0);
-            prop_assert!(pstart + u.len <= layout.member_caps()[member]);
-            expected_lstart += u.len;
-            for o in 0..u.len {
+            prop_assert!(pstart + u64::from(u.len) <= layout.member_caps()[member]);
+            expected_lstart += u64::from(u.len);
+            for o in 0..u64::from(u.len) {
                 prop_assert!(
                     seen.insert((member, pstart + o)),
                     "physical sector owned by two logical LBNs"
@@ -168,7 +168,7 @@ proptest! {
         prop_assert_eq!(lb.table().num_tracks(), layout.units().len());
         for (i, u) in layout.units().iter().enumerate() {
             let ext = lb.table().track_extent(i);
-            prop_assert_eq!((ext.start, ext.len), (u.lstart, u.len));
+            prop_assert_eq!((ext.start, ext.len), (u.lstart, u64::from(u.len)));
         }
     }
 }
@@ -192,7 +192,7 @@ fn walk(layout: &VolumeLayout, lbn: u64, len: u64) -> Option<Vec<Chunk>> {
     }
     let clip = |(unit, u): (usize, &fleet::LogicalUnit)| {
         let lstart = u.lstart.max(lbn);
-        let end = (u.lstart + u.len).min(lbn + len);
+        let end = (u.lstart + u64::from(u.len)).min(lbn + len);
         (lstart < end).then(|| Chunk {
             unit,
             member: layout.member(unit),
@@ -224,7 +224,7 @@ fn check_split(
     // A fallback unit carved from a fuzzy run: many short units in one
     // directory bucket.
     tally.note_if(
-        layout.confidence(chunks[0].unit) < 0.9 && Some(first.len) == fallback,
+        layout.confidence(chunks[0].unit) < 0.9 && Some(u64::from(first.len)) == fallback,
         "starts_in_fallback_unit",
     );
     tally.note(if chunks.len() == 1 {
@@ -314,7 +314,7 @@ fn two_pass_fill(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
     for (i, u) in layout.units().iter().enumerate() {
         let pstart = layout.pstart(i);
         words.clear();
-        words.extend((0..u.len).map(|o| pattern_word(seed, u.lstart + o)));
+        words.extend((0..u64::from(u.len)).map(|o| pattern_word(seed, u.lstart + o)));
         match layout.kind() {
             VolumeKind::Mirrored => stores.iter_mut().for_each(|s| s.write(pstart, &words)),
             _ => stores[layout.member(i)].write(pstart, &words),
@@ -408,7 +408,11 @@ fn fill_matches_the_two_pass_fill() {
 fn member_rounds(layout: &VolumeLayout) -> Vec<Vec<(usize, u64, u64)>> {
     let mut ranges = vec![Vec::new(); layout.members()];
     for (i, u) in layout.units().iter().enumerate() {
-        let range = (layout.round(i), layout.pstart(i), layout.pstart(i) + u.len);
+        let range = (
+            layout.round(i),
+            layout.pstart(i),
+            layout.pstart(i) + u64::from(u.len),
+        );
         match layout.kind() {
             VolumeKind::Mirrored => ranges.iter_mut().for_each(|m| m.push(range)),
             _ => ranges[layout.member(i)].push(range),

@@ -354,7 +354,12 @@ fn check(
     assert_eq!(new.units().len(), old.units.len());
     for (i, u) in old.units.iter().enumerate() {
         let flat = new.units()[i];
-        let got = (flat.lstart, flat.len, new.member(i), new.pstart(i));
+        let got = (
+            flat.lstart,
+            u64::from(flat.len),
+            new.member(i),
+            new.pstart(i),
+        );
         assert_eq!(got, (u.lstart, u.len, u.member, u.pstart), "unit {i}");
         assert_eq!(new.round(i), u.round, "unit {i}'s round");
         assert_eq!(new.confidence(i), u.confidence, "unit {i}'s confidence");

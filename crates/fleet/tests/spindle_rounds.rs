@@ -51,7 +51,7 @@ fn whole_unit_reads(volume: &Volume, rate_per_sec: f64, count: usize) -> Vec<Tra
     });
     for r in &mut trace {
         let unit = &layout.units()[layout.unit_index(r.request.lbn)];
-        r.request = Request::read(unit.lstart, unit.len);
+        r.request = Request::read(unit.lstart, u64::from(unit.len));
     }
     trace
 }
@@ -180,11 +180,13 @@ fn members_work_at_the_same_time() {
     // overlaps, four members idle, and a tail to match.
     let serial = run(&trace, one_spindle, false);
     assert_eq!(overlapping(&serial.commands), 0);
+    let ([lanes_p99], [serial_p99]) = (
+        lanes.res.percentiles_ms([0.99]),
+        serial.res.percentiles_ms([0.99]),
+    );
     assert!(
-        lanes.res.percentile_ms(0.99) < serial.res.percentile_ms(0.99),
-        "p99 {} ms with spindle ids, {} ms without",
-        lanes.res.percentile_ms(0.99),
-        serial.res.percentile_ms(0.99)
+        lanes_p99 < serial_p99,
+        "p99 {lanes_p99} ms with spindle ids, {serial_p99} ms without"
     );
 
     // The trace is read-only: every sector still holds the fill pattern.

@@ -73,6 +73,45 @@ fn too_many_members_is_a_typed_error() {
     assert_eq!(layout.member(layout.units().len() - 1), 65_535);
 }
 
+/// Boundary state: a stripe unit is one member request, so no policy or
+/// track may make it longer than a 32-bit transfer length.
+#[test]
+fn a_unit_past_a_32_bit_transfer_is_a_typed_error() {
+    let tracks = ConfidentBoundaries::from_unit_lengths([(1 << 32, 1.0), (8, 0.0)]).unwrap();
+    let maps = vec![tracks; 3];
+    let longest = u64::from(u32::MAX);
+    let aligned = |fallback_sectors| StripePolicy::Aligned {
+        threshold: 0.9,
+        fallback_sectors,
+    };
+    for (policy, msg) in [
+        (
+            StripePolicy::fixed(0),
+            "fixed unit size must be 1 to u32::MAX sectors",
+        ),
+        (
+            StripePolicy::fixed(longest + 1),
+            "fixed unit size must be 1 to u32::MAX sectors",
+        ),
+        (
+            aligned(longest + 1),
+            "fallback unit size must be 1 to u32::MAX sectors",
+        ),
+        (
+            aligned(8),
+            "a trusted track must be at most u32::MAX sectors",
+        ),
+    ] {
+        for kind in [VolumeKind::Striped, VolumeKind::Mirrored, VolumeKind::Raid5] {
+            let err = VolumeLayout::new(kind, &maps, &policy).err();
+            assert_eq!(err, Some(FleetError::BadPolicy(msg)), "{kind:?} {policy:?}");
+        }
+    }
+    let layout = VolumeLayout::new(VolumeKind::Raid5, &maps, &StripePolicy::fixed(longest));
+    let units = layout.unwrap().units().to_vec();
+    assert_eq!((units[0].len, units[1].lstart), (u32::MAX, longest));
+}
+
 #[test]
 fn striped_reads_whole_logical_space() {
     let mut v = Volume::striped(members(2), StripePolicy::aligned()).unwrap();
@@ -419,7 +458,7 @@ fn an_empty_trace_serves_nothing() {
             let cfg = ServerConfig::new(kind).with_boundaries(map.clone());
             let res = serve(backend, &[], &cfg).expect("an empty trace is served");
             assert_eq!((res.completed(), res.rejected()), (0, 0), "{kind:?}");
-            assert_eq!(res.percentile_ms(0.99), 0.0, "{kind:?}");
+            assert_eq!(res.percentiles_ms([0.99]), [0.0], "{kind:?}");
         }
     };
     let mut disk = Disk::new(small_test_disk());

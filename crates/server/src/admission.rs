@@ -24,6 +24,9 @@ pub struct Queued {
     pub request: Request,
 }
 
+// A server holds one a queued request; widening it is a decision.
+const _: () = assert!(std::mem::size_of::<Queued>() == 32);
+
 /// Why an arrival was refused admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionError {

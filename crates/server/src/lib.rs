@@ -239,14 +239,14 @@ impl ServerResult {
         self.responses.iter().map(|d| d.as_millis_f64()).collect()
     }
 
-    /// Response-time percentile (`p` in `[0, 1]`), or 0 with no
-    /// completions.
-    pub fn percentile_ms(&self, p: f64) -> f64 {
+    /// Response-time percentiles (each `p` in `[0, 1]`) from one sort, or
+    /// 0 each with no completions.
+    pub fn percentiles_ms<const N: usize>(&self, ps: [f64; N]) -> [f64; N] {
         let xs = self.response_ms();
         if xs.is_empty() {
-            0.0
+            [0.0; N]
         } else {
-            stats::percentile(&xs, p)
+            stats::percentiles(&xs, ps)
         }
     }
 

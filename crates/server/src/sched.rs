@@ -316,6 +316,8 @@ impl Scheduler for Traxtent {
                 // overlapping or gapped neighbours stay separate commands
                 // (still within the track).
                 Some(d) if d.request.op == q.request.op && d.request.end() == q.request.lbn => {
+                    // A `u32` sum, bounded by one track's extent: both
+                    // requests lie inside `ext`.
                     d.request.len += q.request.len;
                     d.rest.push(q);
                 }

@@ -264,13 +264,10 @@ impl Sampler {
                 busy_frac[m] = *ns as f64 / span_ns as f64;
             }
             let window = &responses_ms[ends[i] - acc.completed as usize..ends[i]];
-            let (p50_ms, p99_ms) = if window.is_empty() {
-                (0.0, 0.0)
+            let [p50_ms, p99_ms] = if window.is_empty() {
+                [0.0; 2]
             } else {
-                (
-                    stats::percentile(window, 0.5),
-                    stats::percentile(window, 0.99),
-                )
+                stats::percentiles(window, [0.5, 0.99])
             };
             let burn_rate = match self.slo {
                 Some(slo) if acc.completed > 0 => {

@@ -40,9 +40,7 @@ fn percentile_ms_edge_cases() {
     let mut disk = Disk::new(quantum_atlas_10k_ii());
     let empty = serve(&mut disk, &[], &cfg).unwrap();
     assert_eq!(empty.completed(), 0);
-    for p in [0.0, 0.5, 0.99, 1.0] {
-        assert_eq!(empty.percentile_ms(p), 0.0);
-    }
+    assert_eq!(empty.percentiles_ms([0.0, 0.5, 0.99, 1.0]), [0.0; 4]);
     assert_eq!(empty.sim_end, SimTime::ZERO);
 
     // Single sample: every percentile is that sample.
@@ -55,9 +53,7 @@ fn percentile_ms_edge_cases() {
     assert_eq!(res.completed(), 1);
     let only = res.response_ms()[0];
     assert!(only > 0.0);
-    for p in [0.0, 0.25, 1.0] {
-        assert_eq!(res.percentile_ms(p), only, "p={p}");
-    }
+    assert_eq!(res.percentiles_ms([0.0, 0.25, 1.0]), [only; 3]);
 
     // Many samples: p=0.0 is the min, p=1.0 is the max.
     let mut disk = Disk::new(quantum_atlas_10k_ii());
@@ -65,9 +61,9 @@ fn percentile_ms_edge_cases() {
     let ms = res.response_ms();
     let min = ms.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = ms.iter().cloned().fold(0.0, f64::max);
-    assert_eq!(res.percentile_ms(0.0), min);
-    assert_eq!(res.percentile_ms(1.0), max);
-    assert!(res.percentile_ms(0.5) >= min && res.percentile_ms(0.5) <= max);
+    let [lowest, median, highest] = res.percentiles_ms([0.0, 0.5, 1.0]);
+    assert_eq!((lowest, highest), (min, max));
+    assert!(median >= min && median <= max);
 }
 
 /// Runs `serve` with full span instrumentation over a bare drive.
@@ -153,7 +149,7 @@ fn spans_and_timeline_never_perturb_results() {
     let timed = serve(&mut disk, &records, &cfg).unwrap();
     assert_eq!(timed.responses, plain.responses);
     assert_eq!(timed.sim_end, plain.sim_end);
-    assert_eq!(timed.percentile_ms(0.99), plain.percentile_ms(0.99));
+    assert_eq!(timed.percentiles_ms([0.99]), plain.percentiles_ms([0.99]));
 }
 
 #[test]

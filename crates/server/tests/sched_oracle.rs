@@ -330,7 +330,7 @@ fn requests_of(raw: &[(u64, u64, u64, u8)], cap: u64) -> Vec<Queued> {
             let lbn = match shape {
                 0 => prev.lbn,
                 1 => prev.end(),
-                2 => prev.lbn + prev.len / 2,
+                2 => prev.lbn + u64::from(prev.len) / 2,
                 _ => lbn_seed,
             } % cap;
             let op = if op_flag == 0 { Op::Read } else { Op::Write };

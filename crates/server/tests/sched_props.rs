@@ -191,7 +191,7 @@ impl Backend for Spindles {
                 "spindle {spindle} handed a command at {issue}, busy until {busy_until}"
             );
             let free = self.free.entry(spindle).or_insert(SimTime::ZERO);
-            let micros = 200 + 10 * request.len + 50 * (request.lbn % 13);
+            let micros = 200 + 10 * u64::from(request.len) + 50 * (request.lbn % 13);
             let done = issue.max(*free) + SimDur::from_ns(1000 * micros);
             *free = done;
             self.log.push((request, issue));
@@ -579,7 +579,7 @@ proptest! {
                 for p in d.parts() {
                     prop_assert_eq!(p.request.lbn, at, "contiguous run");
                     prop_assert_eq!(p.request.op, d.request.op, "same op");
-                    at += p.request.len;
+                    at += u64::from(p.request.len);
                     let id = p.id as usize;
                     prop_assert!(!dispatched[id], "dispatched twice");
                     dispatched[id] = true;
@@ -625,7 +625,7 @@ proptest! {
                         .iter()
                         .map(|d| {
                             let ids = d.parts().map(|p| p.id).collect();
-                            (d.request.lbn, d.request.len, ids)
+                            (d.request.lbn, u64::from(d.request.len), ids)
                         })
                         .collect()
                 })

@@ -466,7 +466,7 @@ impl Disk {
                 t: issue.as_ns(),
                 op: req.op,
                 lbn: req.lbn,
-                len: req.len,
+                len: u64::from(req.len),
             });
         }
         trc
@@ -487,9 +487,9 @@ impl Disk {
             ..Breakdown::default()
         };
         let cmd_ready = issue + overhead;
-        let cache_hit = req.op == Op::Read && self.cache.lookup(req.lbn, req.len);
+        let cache_hit = req.op == Op::Read && self.cache.lookup(req.lbn, u64::from(req.len));
         let (service_start, media_end, end) = if cache_hit {
-            let range = [("lbn", req.lbn), ("len", req.len)];
+            let range = [("lbn", req.lbn), ("len", u64::from(req.len))];
             trc.phase("cache_hit", cmd_ready, None, range);
             let end = self.bus_transfer(req, cmd_ready, &mut trc);
             breakdown.bus = end - cmd_ready;
@@ -515,7 +515,7 @@ impl Disk {
                 t: completion.completion.as_ns(),
                 op: req.op,
                 lbn: req.lbn,
-                len: req.len,
+                len: u64::from(req.len),
                 cache_hit: completion.cache_hit,
                 queue: b.queue.as_ns(),
                 overhead: b.overhead.as_ns(),
@@ -573,7 +573,7 @@ impl Disk {
         let read = req.op == Op::Read;
         let finite = !self.config.bus.is_infinite();
         let data_ready = (!read).then(|| {
-            self.cache.invalidate(req.lbn, req.len);
+            self.cache.invalidate(req.lbn, u64::from(req.len));
             breakdown.write_settle = self.config.write_settle;
             if finite {
                 self.bus_transfer(req, cmd_ready, trc)
@@ -582,7 +582,7 @@ impl Disk {
             }
         });
 
-        self.plan_visits(req.lbn, req.len);
+        self.plan_visits(req.lbn, u64::from(req.len));
         let pos_start = cmd_ready.max(self.actuator_free);
         breakdown.queue = pos_start.since(cmd_ready);
         if breakdown.queue > SimDur::ZERO {
@@ -603,11 +603,11 @@ impl Disk {
         self.actuator_free = media_end;
         if !read {
             if let Some(log) = self.crash_log.as_deref_mut() {
-                debug_assert_eq!(self.avail_scratch.len() as u64, req.len);
+                debug_assert_eq!(self.avail_scratch.len() as u64, u64::from(req.len));
                 log.records.push(crate::crash::WriteRecord {
                     req: trc.rid,
                     lbn: req.lbn,
-                    len: req.len,
+                    len: u64::from(req.len),
                     issue,
                     durable: self.avail_scratch.clone(),
                     payload: None,

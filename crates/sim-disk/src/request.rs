@@ -24,6 +24,11 @@ impl Op {
 }
 
 /// A block-level request: `len` sectors starting at `lbn`.
+///
+/// `len` is as wide as a SCSI transfer length can be: READ(10)/WRITE(10)
+/// carry 16 bits of it and READ(16)/WRITE(16) 32, so no command the
+/// drive could be sent is longer. That keeps a request at 16 bytes,
+/// which every trace record and queue entry carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// Direction.
@@ -31,17 +36,27 @@ pub struct Request {
     /// First logical block number.
     pub lbn: u64,
     /// Number of sectors (must be positive).
-    pub len: u64,
+    pub len: u32,
 }
+
+// Every trace record and queue entry holds one; widening it is a
+// decision, not a drift.
+const _: () = assert!(std::mem::size_of::<Request>() == 16);
 
 impl Request {
     /// Creates a request.
     ///
     /// # Panics
     ///
-    /// Panics if `len` is zero.
+    /// Panics if `len` is zero or above `u32::MAX`, the longest transfer
+    /// a READ(16) can ask for.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented: a length no SCSI command can carry is a caller's bug, as zero is"
+    )]
     pub fn new(op: Op, lbn: u64, len: u64) -> Self {
         assert!(len > 0, "request length must be positive");
+        let len = u32::try_from(len).expect("request length must fit a 32-bit transfer length");
         Request { op, lbn, len }
     }
 
@@ -57,19 +72,19 @@ impl Request {
 
     /// One past the last LBN touched.
     pub fn end(&self) -> u64 {
-        self.lbn + self.len
+        self.lbn + u64::from(self.len)
     }
 
     /// True if the request lies within a device of `capacity` sectors.
     /// Compares without adding, so no `lbn` / `len` from outside the
     /// program can wrap its way past the check.
     pub fn fits(&self, capacity: u64) -> bool {
-        self.lbn <= capacity && self.len <= capacity - self.lbn
+        self.lbn <= capacity && u64::from(self.len) <= capacity - self.lbn
     }
 
     /// Request size in bytes.
     pub fn bytes(&self) -> u64 {
-        self.len * crate::SECTOR_BYTES
+        u64::from(self.len) * crate::SECTOR_BYTES
     }
 }
 
@@ -82,6 +97,9 @@ pub struct TraceRecord {
     /// The block-level request.
     pub request: Request,
 }
+
+// A trace holds one a request (a 10⁷-request trace is 240 MB of them).
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 24);
 
 /// Where each nanosecond of a request's service went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -165,6 +183,21 @@ mod tests {
     #[should_panic(expected = "length must be positive")]
     fn zero_length_requests_rejected() {
         let _ = Request::read(0, 0);
+    }
+
+    #[test]
+    fn the_longest_transfer_length_is_kept_whole() {
+        let r = Request::write(7, u64::from(u32::MAX));
+        assert_eq!(r.len, u32::MAX);
+        assert_eq!(r.end(), 7 + u64::from(u32::MAX));
+        assert_eq!(r.bytes(), u64::from(u32::MAX) * 512);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit transfer length")]
+    fn lengths_past_a_32_bit_transfer_are_rejected() {
+        // Truncated, 2³² would be a zero-length request.
+        let _ = Request::read(0, 1 << 32);
     }
 
     #[test]

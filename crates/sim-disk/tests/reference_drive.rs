@@ -102,7 +102,7 @@ impl Reference {
         tally: &mut Tally,
     ) -> Result<Completion, CommandFault> {
         let fail = |sense, at| Err(CommandFault { sense, at });
-        if req.lbn + req.len > self.cfg.geometry.capacity_lbns() {
+        if req.lbn + u64::from(req.len) > self.cfg.geometry.capacity_lbns() {
             tally.note("illegal_request");
             return fail(SenseKey::IllegalRequest, issue);
         }

@@ -75,7 +75,7 @@ fn complete_events_account_for_every_nanosecond() {
         };
         assert_eq!(*op, c.request.op);
         assert_eq!(*lbn, c.request.lbn);
-        assert_eq!(*len, c.request.len);
+        assert_eq!(*len, u64::from(c.request.len));
         assert_eq!(*cache_hit, c.cache_hit);
         assert_eq!(*response, c.response_time().as_ns());
         let b = &c.breakdown;

@@ -207,7 +207,7 @@ mod tests {
         assert_eq!(trace.len(), 6 * 200);
         for r in &trace {
             let (start, end) = table.track_bounds(r.request.lbn);
-            assert!(r.request.lbn >= start && r.request.lbn + r.request.len <= end);
+            assert!(r.request.lbn >= start && r.request.end() <= end);
         }
         for w in trace.windows(2) {
             assert!(w[0].arrival <= w[1].arrival);

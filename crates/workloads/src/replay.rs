@@ -5,10 +5,10 @@
 //! time and reports both simulation results (response times, simulated
 //! span) and the replay rate itself (requests simulated per wall-clock
 //! second), which is the headline number for the event-driven engine
-//! rework. A replay keeps 16 bytes a request ([`Replayed`]): each
-//! [`Completion`](sim_disk::Completion) is folded into its two instants
-//! and three counters as it is served, so the results cost less memory
-//! than the trace.
+//! rework. A replay keeps 8 bytes a request ([`Replayed`]): each
+//! [`Completion`](sim_disk::Completion) is folded into its response time,
+//! a running latest completion and three counters as it is served, so
+//! the results cost a third of the trace's 24 bytes a record.
 //!
 //! # Trace format
 //!
@@ -24,7 +24,8 @@
 //!   room for the requests' service); lines must be sorted by arrival;
 //! * `R`/`W` — read or write (lowercase accepted);
 //! * `lbn` — first logical block, decimal;
-//! * `sectors` — request length in sectors, decimal, positive.
+//! * `sectors` — request length in sectors, decimal, positive and at most
+//!   `u32::MAX` (a SCSI READ(16)'s transfer length).
 //!
 //! Blank lines and lines starting with `#` are skipped. This is the same
 //! shape as the ASCII traces distributed with DiskSim-era tooling, kept
@@ -59,6 +60,9 @@ pub enum ParseErrorKind {
     BadOp(String),
     /// `sectors` was zero.
     ZeroSectors,
+    /// `sectors` was above `u32::MAX`, the longest transfer a SCSI
+    /// command can carry (READ(16)'s 32-bit transfer length).
+    TooManySectors,
     /// `lbn + sectors` does not fit in 64 bits: no device holds it.
     RangeOverflow,
     /// Extra fields after `sectors`.
@@ -92,6 +96,7 @@ impl fmt::Display for ParseError {
             ParseErrorKind::FarArrival => write!(f, "arrival_ms must be at most 1e12"),
             ParseErrorKind::BadOp(tok) => write!(f, "op must be R or W, got `{tok}`"),
             ParseErrorKind::ZeroSectors => write!(f, "sectors must be positive"),
+            ParseErrorKind::TooManySectors => write!(f, "sectors must be at most {}", u32::MAX),
             ParseErrorKind::RangeOverflow => write!(f, "lbn + sectors overflows"),
             ParseErrorKind::TrailingFields => write!(f, "trailing fields"),
             ParseErrorKind::NonMonotoneArrival => write!(f, "arrivals must be sorted by time"),
@@ -150,6 +155,9 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, ParseError> {
             .map_err(|_| err(ParseErrorKind::BadField("sectors")))?;
         if sectors == 0 {
             return Err(err(ParseErrorKind::ZeroSectors));
+        }
+        if sectors > u64::from(u32::MAX) {
+            return Err(err(ParseErrorKind::TooManySectors));
         }
         if lbn.checked_add(sectors).is_none() {
             return Err(err(ParseErrorKind::RangeOverflow));
@@ -251,33 +259,30 @@ pub fn synthetic_trace(spec: &SyntheticSpec) -> Vec<TraceRecord> {
     records
 }
 
-/// One replayed request: when it was issued and when the host saw it
-/// complete — all any caller of [`replay`] reads of a
-/// [`Completion`](sim_disk::Completion).
+/// One replayed request: its response time, the one thing any caller of
+/// [`replay`] reads of a [`Completion`](sim_disk::Completion). Its issue
+/// is the record's arrival, so its completion is the arrival plus this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Replayed {
-    /// When the host issued the command (its trace arrival).
-    pub issue: SimTime,
-    /// When the host observed completion.
-    pub completion: SimTime,
-}
+pub struct Replayed(SimDur);
 
 // A replay holds one of these a request; widening it is a decision, not
-// a drift (a 10⁷-request trace holds 160 MB of them).
-const _: () = assert!(std::mem::size_of::<Replayed>() <= 16);
+// a drift (a 10⁷-request trace holds 80 MB of them).
+const _: () = assert!(std::mem::size_of::<Replayed>() == 8);
 
 impl Replayed {
     /// Response time as seen by the host driver.
     pub fn response_time(&self) -> SimDur {
-        self.completion - self.issue
+        self.0
     }
 }
 
 /// The measured outcome of a replay run.
 #[derive(Debug, Clone)]
 pub struct ReplayResult {
-    /// Per-request issue and completion instants, in trace order.
+    /// Per-request response times, in trace order.
     pub completions: Vec<Replayed>,
+    first_arrival: SimTime,
+    last_completion: SimTime,
     reads: u64,
     cache_hits: u64,
     sectors: u64,
@@ -289,19 +294,10 @@ impl ReplayResult {
         self.completions.len()
     }
 
-    /// Simulated span from the first arrival to the last completion.
+    /// Simulated span from the first arrival to the last completion (zero
+    /// for an empty trace, whose two instants are both zero).
     pub fn sim_span(&self) -> SimDur {
-        match self.completions.first() {
-            Some(first) => {
-                let end = self
-                    .completions
-                    .iter()
-                    .map(|c| c.completion)
-                    .fold(SimTime::ZERO, SimTime::max);
-                end.since(first.issue)
-            }
-            None => SimDur::ZERO,
-        }
+        self.last_completion.since(self.first_arrival)
     }
 
     /// Mean response time, milliseconds.
@@ -349,16 +345,20 @@ impl ReplayResult {
 /// period is absorbed, exactly as with back-to-back
 /// [`Disk::service`] calls, which is what serves each one. Each
 /// [`Completion`](sim_disk::Completion) is folded as it is served: its
-/// two instants are kept, its op, length and cache flag are counted, the
-/// rest is dropped.
+/// response time is kept, its completion instant joins the running
+/// maximum, its op, length and cache flag are counted, the rest is
+/// dropped.
 ///
 /// # Panics
 ///
 /// Panics if a record reaches beyond the disk's capacity or arrivals are
 /// out of order (a parsed trace has already validated ordering).
 pub fn replay(disk: &mut Disk, records: &[TraceRecord]) -> ReplayResult {
+    let first_arrival = records.first().map_or(SimTime::ZERO, |r| r.arrival);
     let mut result = ReplayResult {
         completions: Vec::with_capacity(records.len()),
+        first_arrival,
+        last_completion: first_arrival,
         reads: 0,
         cache_hits: 0,
         sectors: 0,
@@ -367,11 +367,9 @@ pub fn replay(disk: &mut Disk, records: &[TraceRecord]) -> ReplayResult {
         let c = disk.service(r.request, r.arrival);
         result.reads += u64::from(c.request.op == Op::Read);
         result.cache_hits += u64::from(c.cache_hit);
-        result.sectors += c.request.len;
-        result.completions.push(Replayed {
-            issue: c.issue,
-            completion: c.completion,
-        });
+        result.sectors += u64::from(c.request.len);
+        result.last_completion = result.last_completion.max(c.completion);
+        result.completions.push(Replayed(c.response_time()));
     }
     result
 }
@@ -424,6 +422,16 @@ mod tests {
         assert_eq!(err.line, 1);
         assert_eq!(err.kind, ParseErrorKind::ZeroSectors);
 
+        // So are requests longer than any SCSI transfer; the longest is not.
+        let err = parse_trace("0.0 R 100 4294967296").unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooManySectors);
+        assert_eq!(
+            err.to_string(),
+            "line 1: sectors must be at most 4294967295"
+        );
+        let longest = parse_trace("0.0 W 100 4294967295").unwrap();
+        assert_eq!(longest[0].request.len, u32::MAX);
+
         // A range that wraps past 2^64 is rejected here, before any
         // capacity check could add it up; the last representable one is not.
         let err = parse_trace("0.0 R 1 1\n1.0 R 18446744073709551615 2\n").unwrap_err();
@@ -469,7 +477,7 @@ mod tests {
         let last = parse_trace("1e12 R 0 8").unwrap();
         assert_eq!(last[0].arrival.as_ns(), 1_000_000_000_000_000_000);
         let completions = replay(&mut atlas(), &last).completions;
-        assert!(completions[0].completion > last[0].arrival);
+        assert!(completions[0].response_time() > SimDur::ZERO);
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! `workloads::replay` against the full `Completion`s it folds away.
 //!
 //! A replay used to keep every request's 128-byte `Completion` and read
-//! its results off them; now it keeps two instants a request and three
-//! counters. The old result lives on here as the oracle, verbatim, over
-//! the `Completion`s a twin drive returns from `Disk::service` for the
-//! same trace: every kept pair of instants must be the twin's, and every
-//! aggregate — the export's counters included — bit-equal. The traces
-//! run past the 1 024-request batches the replay was once cut into, mix
-//! reads and writes, and revisit a few LBNs so that reads hit the
-//! firmware cache. The property prints how often each kind of request
-//! ran and fails if one hardly did.
+//! its results off them; now it keeps one response time a request, the
+//! first arrival, the latest completion and three counters. The old
+//! result lives on here as the oracle, verbatim, over the `Completion`s a
+//! twin drive returns from `Disk::service` for the same trace: every
+//! twin command must be issued at its record's arrival, every kept
+//! response must be the twin's `completion − issue`, and every
+//! aggregate — the simulated span and the export's counters included —
+//! bit-equal. The traces run past the 1 024-request batches the replay
+//! was once cut into, mix reads and writes, and revisit a few LBNs so
+//! that reads hit the firmware cache. The property prints how often each
+//! kind of request ran and fails if one hardly did.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -66,7 +68,7 @@ impl Kept {
         reg.add("workloads.replay.requests", self.requests() as u64);
         reg.add(
             "workloads.replay.sectors",
-            self.0.iter().map(|c| c.request.len).sum(),
+            self.0.iter().map(|c| u64::from(c.request.len)).sum(),
         );
         reg.add(
             "workloads.replay.cache_hits",
@@ -155,16 +157,18 @@ fn a_replay_folds_the_completions_of_a_twin_drive() {
             }
 
             assert_eq!(got.completions.len(), want.0.len());
-            for (i, (g, w)) in got.completions.iter().zip(&want.0).enumerate() {
-                assert_eq!(
-                    (g.issue, g.completion),
-                    (w.issue, w.completion),
-                    "request {i}"
-                );
-                assert_eq!(g.response_time(), w.response_time(), "request {i}");
+            for (i, ((g, w), r)) in got
+                .completions
+                .iter()
+                .zip(&want.0)
+                .zip(&records)
+                .enumerate()
+            {
+                assert_eq!(w.issue, r.arrival, "request {i} is issued at its arrival");
+                assert_eq!(g.response_time(), w.completion - w.issue, "request {i}");
             }
             assert_eq!(got.requests(), want.requests());
-            assert_eq!(got.sim_span(), want.sim_span());
+            assert_eq!(got.sim_span().as_ns(), want.sim_span().as_ns());
             let bits = |x: f64| x.to_bits();
             assert_eq!(bits(got.mean_response_ms()), bits(want.mean_response_ms()));
             assert_eq!(bits(got.max_response_ms()), bits(want.max_response_ms()));
