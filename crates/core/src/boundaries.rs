@@ -8,7 +8,6 @@
 use crate::extent::Extent;
 use std::error::Error;
 use std::fmt;
-use std::iter;
 use std::sync::Arc;
 
 /// Error validating a boundary table.
@@ -84,21 +83,22 @@ impl LbnDirectory {
     /// Entries the scan steps past before a bucket counts as crowded.
     const SCAN: usize = 4;
 
-    /// Indexes `starts` — non-decreasing, `starts[0] == 0`, repeats allowed —
-    /// for lookups of LBNs below `capacity`.
+    /// Indexes `starts` — non-decreasing, `starts[0] == 0`, repeats allowed,
+    /// and the capacity last — for lookups of LBNs below that capacity.
     ///
     /// # Panics
     ///
-    /// Panics if `starts` is empty, does not begin at 0 or holds 2³² entries
-    /// or more, or if `capacity` is zero.
+    /// Panics unless `starts` holds a track start at 0 and a greater
+    /// capacity after it, or if it holds 2³² entries or more.
     #[expect(
         clippy::expect_used,
         reason = "the # Panics contract: a table of 2^32 tracks or more is refused"
     )]
-    pub fn new(starts: &[u64], capacity: u64) -> Self {
-        assert!(starts.first() == Some(&0) && capacity > 0);
+    pub fn new(starts: &[u64]) -> Self {
         let last = u32::try_from(starts.len() - 1).expect("fewer than 2^32 tracks");
-        let shift = (capacity / starts.len() as u64).max(1).ilog2();
+        let capacity = starts[last as usize];
+        assert!(last > 0 && starts[0] == 0 && capacity > 0);
+        let shift = (capacity / u64::from(last)).max(1).ilog2();
         let mut i = 0u32;
         let first = (0..=(capacity - 1) >> shift)
             .map(|b| {
@@ -112,8 +112,8 @@ impl LbnDirectory {
         LbnDirectory { shift, first }
     }
 
-    /// The last `i` with `starts[i] <= lbn`, for the `starts` and below the
-    /// `capacity` the directory was built from.
+    /// The last `i` with `starts[i] <= lbn`, for the `starts` the directory
+    /// was built from and an `lbn` below their capacity.
     #[inline]
     pub fn last_le(&self, starts: &[u64], lbn: u64) -> usize {
         self.locate(starts, lbn).0
@@ -149,14 +149,16 @@ impl LbnDirectory {
 ///
 /// A table never changes once built and its arrays are shared, so a clone
 /// costs O(1): every file system, lane and volume member built over one
-/// drive reads the same copy.
+/// drive reads the same copy, and so does the drive's own LBN lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackBoundaries {
-    /// Strictly increasing track start LBNs; `starts[0] == 0`.
+    /// Strictly increasing track start LBNs from `starts[0] == 0`, then the
+    /// capacity: track `i` is `starts[i]..starts[i + 1]`.
     starts: Arc<[u64]>,
-    /// Total LBNs covered.
+    /// The last entry of `starts`, kept beside the table so that the bound
+    /// every lookup checks does not read the table's far end.
     capacity: u64,
-    /// Where in `starts` an LBN's track is (a pure function of the two).
+    /// Where in `starts` an LBN's track is (a pure function of them).
     dir: LbnDirectory,
 }
 
@@ -196,12 +198,18 @@ impl TrackBoundaries {
         if capacity <= last {
             return Err(BoundariesError::BadCapacity);
         }
-        let dir = LbnDirectory::new(&starts, capacity);
-        Ok(TrackBoundaries {
-            starts: starts.into(),
-            capacity,
-            dir,
-        })
+        Ok(Self::from_bounds(
+            starts.iter().copied().chain([capacity]).collect(),
+        ))
+    }
+
+    /// The table over `bounds`: valid track starts, then the capacity.
+    fn from_bounds(bounds: Arc<[u64]>) -> Self {
+        TrackBoundaries {
+            capacity: bounds[bounds.len() - 1],
+            dir: LbnDirectory::new(&bounds),
+            starts: bounds,
+        }
     }
 
     /// Builds a table from consecutive track lengths.
@@ -242,14 +250,7 @@ impl TrackBoundaries {
     /// Panics if either argument is zero.
     pub fn uniform(tracks: u64, spt: u64) -> Self {
         assert!(tracks > 0 && spt > 0);
-        let starts: Vec<u64> = (0..tracks).map(|t| t * spt).collect();
-        let capacity = tracks * spt;
-        let dir = LbnDirectory::new(&starts, capacity);
-        TrackBoundaries {
-            starts: starts.into(),
-            capacity,
-            dir,
-        }
+        Self::from_bounds((0..=tracks).map(|t| t * spt).collect())
     }
 
     /// Total LBNs covered.
@@ -259,7 +260,14 @@ impl TrackBoundaries {
 
     /// Number of tracks.
     pub fn num_tracks(&self) -> usize {
-        self.starts.len()
+        self.starts.len() - 1
+    }
+
+    /// The track starts with the capacity after them, and the directory over
+    /// them, shared with this table: for an index that reads the same table
+    /// instead of a copy.
+    pub fn shared_parts(&self) -> (Arc<[u64]>, LbnDirectory) {
+        (Arc::clone(&self.starts), self.dir.clone())
     }
 
     /// The index of the track containing `lbn`.
@@ -277,11 +285,8 @@ impl TrackBoundaries {
     ///
     /// Panics if `lbn` is at or beyond capacity.
     pub fn track_index(&self, lbn: u64) -> usize {
-        assert!(
-            lbn < self.capacity,
-            "lbn {lbn} beyond capacity {}",
-            self.capacity
-        );
+        let capacity = self.capacity();
+        assert!(lbn < capacity, "lbn {lbn} beyond capacity {capacity}");
         self.dir.last_le(&self.starts, lbn)
     }
 
@@ -305,12 +310,12 @@ impl TrackBoundaries {
     }
 
     fn track_end(&self, i: usize) -> u64 {
-        self.starts.get(i + 1).copied().unwrap_or(self.capacity)
+        self.starts[i + 1]
     }
 
     /// Iterates over all track extents.
     pub fn iter(&self) -> impl Iterator<Item = Extent> + '_ {
-        (0..self.starts.len()).map(|i| self.track_extent(i))
+        (0..self.num_tracks()).map(|i| self.track_extent(i))
     }
 
     /// Splits an extent at every track boundary it crosses, yielding pieces
@@ -332,7 +337,7 @@ impl TrackBoundaries {
     ///
     /// Panics if the extent extends beyond capacity.
     pub fn split_extent(&self, ext: Extent) -> SplitExtent<'_> {
-        assert!(ext.end() <= self.capacity, "extent {ext} beyond capacity");
+        assert!(ext.end() <= self.capacity(), "extent {ext} beyond capacity");
         SplitExtent {
             table: self,
             cur: ext.start,
@@ -380,6 +385,8 @@ impl TrackBoundaries {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfidentBoundaries {
     table: TrackBoundaries,
+    /// Each track's confidence; empty when every track's is 1.0. Every
+    /// constructor normalises, so equal tables compare equal.
     confidence: Arc<[f64]>,
     /// The spindle holding each track; empty when the table is one spindle.
     spindles: Arc<[u16]>,
@@ -398,20 +405,19 @@ impl ConfidentBoundaries {
         if confidence.iter().any(|c| !(0.0..=1.0).contains(c)) {
             return Err(BoundariesError::BadConfidence);
         }
-        Ok(ConfidentBoundaries {
-            table,
-            confidence: confidence.into(),
-            spindles: Arc::new([]),
-        })
+        let mut map = Self::certain(table);
+        if confidence.iter().any(|&c| c != 1.0) {
+            map.confidence = confidence.into();
+        }
+        Ok(map)
     }
 
     /// Wraps a table whose every track is fully trusted (confidence 1.0),
     /// as produced by the exact SCSI-diagnostic extraction.
     pub fn certain(table: TrackBoundaries) -> Self {
-        let confidence = iter::repeat_n(1.0, table.num_tracks()).collect();
         ConfidentBoundaries {
             table,
-            confidence,
+            confidence: Arc::new([]),
             spindles: Arc::new([]),
         }
     }
@@ -457,24 +463,30 @@ impl ConfidentBoundaries {
         &self.table
     }
 
-    /// Per-track confidence, indexed like the table's tracks.
-    pub fn confidence(&self) -> &[f64] {
-        &self.confidence
+    /// Per-track confidence, in the order of the table's tracks.
+    pub fn confidence(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.table.num_tracks()).map(|i| self.track_confidence(i))
     }
 
-    /// Confidence of track `i`. Panics if `i` is out of range.
+    /// Confidence of track `i` (1.0 for every track of a table whose every
+    /// track is certain). Panics if `i` is out of range of a table that
+    /// carries values.
     pub fn track_confidence(&self, i: usize) -> f64 {
-        self.confidence[i]
+        if self.confidence.is_empty() {
+            1.0
+        } else {
+            self.confidence[i]
+        }
     }
 
     /// Whether track `i`'s boundaries are trusted at `threshold` (inclusive).
     pub fn is_confident(&self, i: usize, threshold: f64) -> bool {
-        self.confidence[i] >= threshold
+        self.track_confidence(i) >= threshold
     }
 
     /// Mean confidence across all tracks (1.0 for an empty-noise run).
     pub fn mean_confidence(&self) -> f64 {
-        self.confidence.iter().sum::<f64>() / self.confidence.len() as f64
+        self.confidence().sum::<f64>() / self.table.num_tracks() as f64
     }
 
     /// Composes a boundary map from consecutive `(length, confidence)`
@@ -599,9 +611,11 @@ mod tests {
     #[test]
     fn certain_tables_trust_every_track() {
         let c = ConfidentBoundaries::certain(table());
-        assert_eq!(c.confidence(), &[1.0; 4]);
+        assert!(c.confidence().eq([1.0; 4]));
         assert_eq!(c.mean_confidence(), 1.0);
         assert_eq!(c.table(), &table());
+        // A table given all-1.0 values is the certain one.
+        assert_eq!(ConfidentBoundaries::new(table(), vec![1.0; 4]), Ok(c));
     }
 
     #[test]

@@ -152,7 +152,7 @@ fn overlapping(commands: &[Command]) -> usize {
 /// presented as one spindle, as before the ids existed.
 fn one_spindle(volume: &Volume) -> ConfidentBoundaries {
     let map = volume.logical_boundaries();
-    ConfidentBoundaries::new(map.table().clone(), map.confidence().to_vec()).unwrap()
+    ConfidentBoundaries::new(map.table().clone(), map.confidence().collect()).unwrap()
 }
 
 #[test]

@@ -123,6 +123,7 @@ pub struct ZoneInfo {
 /// the geometry, so the service path passes it by reference.
 #[derive(Debug, Clone, Copy)]
 pub struct Track<'a> {
+    id: u32,
     first_lbn: u64,
     count: u32,
     cyl: u32,
@@ -137,9 +138,10 @@ pub struct Track<'a> {
     /// `slot_frac[s] = s / spt`, shared across the zone's tracks, so the
     /// access-on-arrival scan reads slot angles without a division.
     slot_frac: &'a [f64],
-    /// The track's defect and remap lists (the shared empty entry on a
-    /// clean track).
-    lists: &'a TrackLists,
+    /// Every track's factory lists.
+    factory: &'a FactoryLists,
+    /// What grown defects wrote to this track, if any reached it.
+    grown: Option<&'a GrownLists>,
 }
 
 impl<'a> Track<'a> {
@@ -208,18 +210,18 @@ impl<'a> Track<'a> {
 
     /// Sorted factory-defective slots on this track.
     pub fn defect_slots(&self) -> &'a [u32] {
-        &self.lists.defect_slots
+        self.factory.defects.of(self.id as usize)
     }
 
     /// Grown-defective slots (remapped after formatting); sorted.
     pub fn grown_slots(&self) -> &'a [u32] {
-        &self.lists.grown_slots
+        self.grown.map_or(&[], |g| &g.slots)
     }
 
     /// Spare slots on this track holding remapped LBNs: `(slot, lbn)`,
     /// sorted by slot.
     pub fn remap_targets(&self) -> &'a [(u32, u64)] {
-        &self.lists.remap_targets
+        (self.grown).map_or_else(|| self.factory.targets.of(self.id as usize), |g| &g.targets)
     }
 
     /// True if the given physical slot is defective (factory or grown).
@@ -247,29 +249,39 @@ impl<'a> Track<'a> {
     }
 }
 
-/// The three lists of one track, kept out of line: on a pristine drive
-/// every track shares the empty entry, and on a defective one ≈ 10 % of
-/// the tracks have an entry of their own.
-#[derive(Debug, Clone, Default)]
-struct TrackLists {
+/// The lists the spec fixes, flat and by track: a pristine drive keeps no
+/// offsets, and a defective one 4 bytes a track and the entries.
+#[derive(Debug)]
+struct FactoryLists {
     /// Sorted factory-defective slots.
-    defect_slots: Vec<u32>,
+    defects: ByTrack<u32>,
+    /// Spare slots holding the LBNs the factory remapped: (slot, lbn),
+    /// sorted by slot.
+    targets: ByTrack<(u32, u64)>,
+}
+
+/// What grown defects wrote to one track, kept out of line: only a track
+/// that [`DiskGeometry::add_grown_defect`] reached has an entry.
+#[derive(Debug, Clone)]
+struct GrownLists {
     /// Grown-defective slots (remapped after formatting); sorted.
-    grown_slots: Vec<u32>,
-    /// Spare slots holding remapped LBNs: (slot, lbn), sorted by slot.
-    remap_targets: Vec<(u32, u64)>,
+    slots: Vec<u32>,
+    /// Every remap target on the track, the factory's copied in when the
+    /// entry was made: (slot, lbn), sorted by slot.
+    targets: Vec<(u32, u64)>,
 }
 
 /// What a track stores of its own beside its start in
 /// [`HotTables::first_lbns`]: its `angle0`, and its cylinder, head, zone
-/// and lists index packed into one word. Cylinder and head are stored, not
-/// derived from the id, so building a [`Track`] never divides.
+/// and grown-lists index packed into one word. Cylinder and head are
+/// stored, not derived from the id, so building a [`Track`] never divides.
 #[derive(Debug, Clone, Copy)]
 struct TrackRow {
     /// Angle of physical slot 0, in revolutions, at spindle phase 0.
     angle0: f64,
-    /// Cylinder in bits 0–23, head in 24–31, zone in 32–39, and the index
-    /// of the track's entry in [`DiskGeometry::lists`] in 40–63.
+    /// Cylinder in bits 0–23, head in 24–31, zone in 32–39, and in 40–63
+    /// one past the index of the track's entry in [`DiskGeometry::grown`]
+    /// (0 for none).
     packed: u64,
 }
 
@@ -283,12 +295,9 @@ const ZONES: usize = 1 << 8;
 const TRACKS: u64 = 1 << 24;
 
 impl TrackRow {
-    fn new(angle0: f64, cyl: u32, head: u32, zone: usize, lists: usize) -> Self {
+    fn new(angle0: f64, cyl: u32, head: u32, zone: usize) -> Self {
         let packed = u64::from(cyl) | u64::from(head) << 24 | (zone as u64) << 32;
-        TrackRow {
-            angle0,
-            packed: packed | (lists as u64) << 40,
-        }
+        TrackRow { angle0, packed }
     }
 
     fn cyl(self) -> u32 {
@@ -303,7 +312,7 @@ impl TrackRow {
         (self.packed >> 32 & 0xFF) as usize
     }
 
-    fn lists(self) -> usize {
+    fn grown(self) -> usize {
         (self.packed >> 40) as usize
     }
 }
@@ -382,6 +391,10 @@ impl Error for GeometryError {}
 /// cache lines, and zones whose tracks all map exactly `spt` LBNs skip the
 /// lookup entirely with one divide. `first_lbns` is also the only copy of
 /// the track starts: a [`Track`]'s first LBN and LBN count are read off it.
+/// When every track maps LBNs, it and `dir` are the drive's boundary
+/// table's own arrays; a spare scheme that leaves tracks empty repeats
+/// their starts, which a boundary table refuses, so that drive indexes a
+/// table of its own.
 ///
 /// Each arm stays because a workload sees it (DESIGN.md §5's table). The
 /// divide and [`last_le`] over the zone starts: one `partition_point` over
@@ -407,13 +420,15 @@ struct HotTables {
     /// pristine drive presets — enabling `track = first + offset / spt`.
     zone_uniform: Vec<bool>,
     /// Over `first_lbns`, for the zones that are not uniform; a drive whose
-    /// zones all are never asks, and does not pay its memory.
+    /// zones all are never asks.
     dir: Option<LbnDirectory>,
 }
 
 impl HotTables {
-    fn build(first_lbns: Arc<[u64]>, zones: &[ZoneInfo], surfaces: u32) -> Self {
-        let capacity = first_lbns[first_lbns.len() - 1];
+    /// Over `table`: the track starts (one a track, then the capacity) and
+    /// the directory over them.
+    fn build(table: (Arc<[u64]>, LbnDirectory), zones: &[ZoneInfo], surfaces: u32) -> Self {
+        let (first_lbns, dir) = table;
         let mut zone_first_lbn = Vec::with_capacity(zones.len());
         let mut zone_first_track = Vec::with_capacity(zones.len());
         let mut zone_spt = Vec::with_capacity(zones.len());
@@ -427,15 +442,13 @@ impl HotTables {
             zone_spt.push(u64::from(z.spt));
             zone_uniform.push(starts.windows(2).all(|w| w[1] - w[0] == u64::from(z.spt)));
         }
-        let dir =
-            (zone_uniform.iter().any(|u| !u)).then(|| LbnDirectory::new(&first_lbns, capacity));
         HotTables {
             first_lbns,
             zone_first_lbn,
             zone_first_track,
             zone_spt,
+            dir: (zone_uniform.iter().any(|u| !u)).then_some(dir),
             zone_uniform,
-            dir,
         }
     }
 }
@@ -461,19 +474,20 @@ fn last_le(table: &[u64], lbn: u64) -> usize {
 /// A fully built disk layout with O(log n) translation in both directions.
 ///
 /// A track's state is flat: its start in `HotTables::first_lbns`, one
-/// `TrackRow`, the `ZoneSlots` of its zone, and an entry in the lists
-/// side table if it has any defect or remap target. The tables are shared
-/// slices, so a clone costs O(1) in them; [`DiskGeometry::add_grown_defect`],
-/// the one mutator, copies a shared table the first time it writes to it,
-/// and only the tables it writes.
+/// `TrackRow`, the `ZoneSlots` of its zone, its factory lists in
+/// `FactoryLists`, and an entry in the grown side table once a grown defect
+/// reaches it. The tables are shared, so a clone costs O(1) in them;
+/// [`DiskGeometry::add_grown_defect`], the one mutator, copies a shared
+/// table the first time it writes to it, and only the tables it writes.
 #[derive(Debug, Clone)]
 pub struct DiskGeometry {
     spec: GeometrySpec,
     rows: Arc<[TrackRow]>,
     zone_slots: Arc<[ZoneSlots]>,
-    /// Every track's lists; entry 0 is the empty one a clean track points
-    /// at, and no other entry is empty.
-    lists: Arc<Vec<TrackLists>>,
+    factory: Arc<FactoryLists>,
+    /// The entries of the tracks a grown defect reached, in the order they
+    /// were made.
+    grown: Arc<Vec<GrownLists>>,
     zones: Vec<ZoneInfo>,
     capacity: u64,
     /// Remapped LBNs (factory remap policy and grown defects): lbn → spare
@@ -482,7 +496,8 @@ pub struct DiskGeometry {
     /// Flat SoA translation tables (see [`HotTables`]).
     hot: HotTables,
     /// The starts of the tracks that map LBNs: fixed at build time, since a
-    /// grown defect remaps one LBN and moves no track start.
+    /// grown defect remaps one LBN and moves no track start. When every
+    /// track maps LBNs, `hot` reads its arrays.
     boundaries: TrackBoundaries,
 }
 
@@ -533,6 +548,7 @@ impl DiskGeometry {
         let starts = &self.hot.first_lbns[i..i + 2];
         let zone = &self.zone_slots[row.zone()];
         Track {
+            id,
             first_lbn: starts[0],
             count: (starts[1] - starts[0]) as u32,
             cyl: row.cyl(),
@@ -541,7 +557,8 @@ impl DiskGeometry {
             angle0: row.angle0,
             inv_spt: zone.inv_spt,
             slot_frac: &zone.slot_frac,
-            lists: &self.lists[row.lists()],
+            factory: &self.factory,
+            grown: row.grown().checked_sub(1).map(|k| &self.grown[k]),
         }
     }
 
@@ -741,15 +758,15 @@ impl DiskGeometry {
             .ok_or(GeometryError::NoSpareForGrownDefect(lbn))?;
         // Mark the old physical slot defective.
         let grown = &mut self
-            .lists_mut(old.cyl * self.spec.surfaces + old.head)
-            .grown_slots;
+            .grown_mut(old.cyl * self.spec.surfaces + old.head)
+            .slots;
         if let Err(pos) = grown.binary_search(&old.slot) {
             grown.insert(pos, old.slot);
         }
         // Record the redirect on the spare's track for pba_to_lbn.
         let targets = &mut self
-            .lists_mut(spare.cyl * self.spec.surfaces + spare.head)
-            .remap_targets;
+            .grown_mut(spare.cyl * self.spec.surfaces + spare.head)
+            .targets;
         let pos = targets.partition_point(|&(s, _)| s < spare.slot);
         targets.insert(pos, (spare.slot, lbn));
         self.remaps.insert(lbn, spare);
@@ -761,18 +778,22 @@ impl DiskGeometry {
         Ok(spare)
     }
 
-    /// Track `tid`'s lists, to write: a track with none gets an entry of
-    /// its own. Copies the lists table if it is shared, and the rows too
-    /// if the entry is new.
-    fn lists_mut(&mut self, tid: u32) -> &mut TrackLists {
-        let mut i = self.rows[tid as usize].lists();
-        if i == 0 {
-            i = self.lists.len();
-            Arc::make_mut(&mut self.lists).push(TrackLists::default());
-            // The row's lists field was 0.
-            Arc::make_mut(&mut self.rows)[tid as usize].packed |= (i as u64) << 40;
+    /// Track `tid`'s grown entry, to write: a track with none gets one,
+    /// holding a copy of its factory remap targets. Copies the grown table
+    /// if it is shared, and the rows too if the entry is new.
+    fn grown_mut(&mut self, tid: u32) -> &mut GrownLists {
+        let mut k = self.rows[tid as usize].grown();
+        if k == 0 {
+            let targets = self.factory.targets.of(tid as usize).to_vec();
+            Arc::make_mut(&mut self.grown).push(GrownLists {
+                slots: Vec::new(),
+                targets,
+            });
+            k = self.grown.len();
+            // The row's grown field was 0.
+            Arc::make_mut(&mut self.rows)[tid as usize].packed |= (k as u64) << 40;
         }
-        &mut Arc::make_mut(&mut self.lists)[i]
+        &mut Arc::make_mut(&mut self.grown)[k - 1]
     }
 
     /// Finds a spare slot holding no LBN and no remap target, scanning from
@@ -800,6 +821,7 @@ impl DiskGeometry {
 
 /// Values binned by track: track `t`'s are `values[offsets[t]..offsets[t + 1]]`,
 /// and a drive with none keeps no offsets.
+#[derive(Debug)]
 struct ByTrack<T> {
     offsets: Vec<u32>,
     values: Vec<T>,
@@ -950,10 +972,9 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         })
         .collect();
 
-    // The first LBN of each track, and of every track that maps any: the
-    // boundary table.
+    // The first LBN of each track, then the capacity.
     let mut first_lbns: Vec<u64> = Vec::with_capacity(total_tracks as usize + 1);
-    let mut starts: Vec<u64> = Vec::with_capacity(total_tracks as usize);
+    let mut empty_track = false;
     let mut next_lbn: u64 = 0;
     let mut remaps: BTreeMap<u64, Pba> = BTreeMap::new();
 
@@ -973,9 +994,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                     let avail = u64::from(metas[t].spt) - defects.of(t).len() as u64;
                     let take = remaining.min(avail) as u32;
                     remaining -= u64::from(take);
-                    if take > 0 {
-                        starts.push(next_lbn);
-                    }
+                    empty_track |= take == 0;
                     first_lbns.push(next_lbn);
                     next_lbn += u64::from(take);
                 }
@@ -996,9 +1015,7 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
                     let defs = defects.of(t);
                     let take = remaining.min(u64::from(m.spt)) as u32;
                     remaining -= u64::from(take);
-                    if take > 0 {
-                        starts.push(next_lbn);
-                    }
+                    empty_track |= take == 0;
                     for &d in defs {
                         if d < take {
                             victims.push(next_lbn + u64::from(d));
@@ -1030,25 +1047,12 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
         .map(|(&lbn, pba)| (pba.cyl * surfaces + pba.head, (pba.slot, lbn)))
         .collect();
     targets.sort_by_key(|&(tid, _)| tid);
-    let remap_targets = ByTrack::new(total_tracks, targets);
-    // A track with a defect or a remap target gets an entry in the lists
-    // table; the rest share entry 0.
-    let mut lists = vec![TrackLists::default()];
-    let rows: Arc<[TrackRow]> = (metas.iter().enumerate())
-        .map(|(t, m)| {
-            let entry = TrackLists {
-                defect_slots: defects.of(t).to_vec(),
-                grown_slots: Vec::new(),
-                remap_targets: remap_targets.of(t).to_vec(),
-            };
-            let index = if entry.defect_slots.is_empty() && entry.remap_targets.is_empty() {
-                0
-            } else {
-                lists.push(entry);
-                lists.len() - 1
-            };
-            TrackRow::new(m.angle0, m.cyl, m.head, m.zone as usize, index)
-        })
+    let factory = FactoryLists {
+        defects,
+        targets: ByTrack::new(total_tracks, targets),
+    };
+    let rows: Arc<[TrackRow]> = (metas.iter())
+        .map(|m| TrackRow::new(m.angle0, m.cyl, m.head, m.zone as usize))
         .collect();
     first_lbns.push(next_lbn);
 
@@ -1074,19 +1078,30 @@ fn build_geometry(spec: GeometrySpec) -> Result<DiskGeometry, GeometryError> {
     if next_lbn == 0 {
         return Err(GeometryError::ZeroCapacity);
     }
-    let hot = HotTables::build(first_lbns.into(), &zones, surfaces);
+    // An empty track repeats its successor's start, which the boundary
+    // table leaves out: such a drive keeps its own table, and any other
+    // shares the boundary table's.
+    let own: Option<Arc<[u64]>> = empty_track.then(|| first_lbns.as_slice().into());
+    first_lbns.dedup();
+    first_lbns.pop();
     #[expect(
         clippy::expect_used,
-        reason = "a start is pushed only for a track that maps LBNs, so the starts begin \
-                  at 0 and rise strictly below next_lbn; geometry_props checks the table"
+        reason = "without repeats, the starts of the tracks that map LBNs begin at 0 and \
+                  rise strictly below next_lbn; geometry_props checks the table"
     )]
     let boundaries =
-        TrackBoundaries::new(starts, next_lbn).expect("the mapped tracks tile the LBN space");
+        TrackBoundaries::new(first_lbns, next_lbn).expect("the mapped tracks tile the LBN space");
+    let table = match own {
+        Some(own) => (Arc::clone(&own), LbnDirectory::new(&own)),
+        None => boundaries.shared_parts(),
+    };
+    let hot = HotTables::build(table, &zones, surfaces);
     Ok(DiskGeometry {
         spec,
         rows,
         zone_slots,
-        lists: Arc::new(lists),
+        factory: Arc::new(factory),
+        grown: Arc::new(Vec::new()),
         zones,
         capacity: next_lbn,
         remaps,
@@ -1312,11 +1327,18 @@ mod tests {
         assert_eq!(g.lbn_to_pba(43).unwrap(), before_neighbors.1);
     }
 
+    /// Whether the drive's lookups read its boundary table's starts.
+    fn one_table(g: &DiskGeometry) -> bool {
+        Arc::ptr_eq(&g.hot.first_lbns, &g.boundaries.shared_parts().0)
+    }
+
     /// Two catalogued drives share one set of track tables, and a failed
     /// write copies nothing; a clone's first grown defect copies the tables
     /// it writes, its next one writes in place, and the tables no write
     /// reaches stay shared: the rows, while every written track already
-    /// has lists, and always the starts and the zone tables.
+    /// has a grown entry, and always the starts, the factory lists and the
+    /// zone tables. A drive whose every track maps LBNs keeps one table of
+    /// track starts, its boundary table's.
     #[test]
     fn clones_share_their_tables_until_a_grown_defect_writes() {
         let (atlas, mut again) = (
@@ -1326,7 +1348,7 @@ mod tests {
         let shared = |a: &DiskGeometry, b: &DiskGeometry| {
             (
                 Arc::ptr_eq(&a.rows, &b.rows),
-                Arc::ptr_eq(&a.lists, &b.lists),
+                Arc::ptr_eq(&a.grown, &b.grown),
             )
         };
         assert_eq!(shared(&atlas, &again), (true, true));
@@ -1341,22 +1363,24 @@ mod tests {
         spec.spare = SpareScheme::SectorsPerCylinder(4);
         spec.defects = vec![DefectLocation::new(3, 0, 7)];
         let original = spec.build().unwrap();
+        assert!(one_table(&atlas) && one_table(&original));
         let mut clone = original.clone();
         assert_eq!(shared(&original, &clone), (true, true));
-        // Track 0 and the spare's track get their first lists.
+        // Track 0 and the spare's track get their first grown entries.
         clone.add_grown_defect(42).unwrap();
         assert_eq!(shared(&original, &clone), (false, false));
-        let private = (Arc::as_ptr(&clone.rows), Arc::as_ptr(&clone.lists));
+        let private = (Arc::as_ptr(&clone.rows), Arc::as_ptr(&clone.grown));
         clone.add_grown_defect(43).unwrap();
         assert_eq!(
-            (Arc::as_ptr(&clone.rows), Arc::as_ptr(&clone.lists)),
+            (Arc::as_ptr(&clone.rows), Arc::as_ptr(&clone.grown)),
             private
         );
-        // The same two tracks again: only the lists are written.
+        // The same two tracks again: only the grown entries are written.
         let mut third = clone.clone();
         third.add_grown_defect(44).unwrap();
         assert_eq!(shared(&clone, &third), (true, false));
         assert!(Arc::ptr_eq(&original.hot.first_lbns, &third.hot.first_lbns));
+        assert!(Arc::ptr_eq(&original.factory, &third.factory));
         assert!(Arc::ptr_eq(&original.zone_slots, &third.zone_slots));
         assert_eq!(original.boundaries, third.boundaries);
         assert!(!original.is_remapped(42) && clone.is_remapped(43) && !clone.is_remapped(44));
@@ -1547,5 +1571,8 @@ mod tests {
         assert_eq!(g.capacity_lbns(), (20 - 2) * 200);
         assert_eq!(g.track(18).lbn_count(), 0);
         assert_eq!(g.track(19).lbn_count(), 0);
+        // Their starts repeat, so the lookups keep a table of their own.
+        assert!(!one_table(&g));
+        assert_eq!(g.hot.first_lbns.len(), 21);
     }
 }

@@ -109,6 +109,16 @@ proptest! {
 // `track_of_lbn` against a linear walk over the tracks.
 // ---------------------------------------------------------------------
 
+/// Whether every track of `geom` maps LBNs: then the drive's lookups read
+/// its boundary table's arrays, and otherwise a table of its own.
+fn table_shape(geom: &DiskGeometry) -> &'static str {
+    if (0..geom.num_tracks()).all(|t| geom.track(t).lbn_count() > 0) {
+        "shared_table"
+    } else {
+        "own_table"
+    }
+}
+
 /// Every LBN of the drive, looked up and compared with the one track whose
 /// `[first_lbn, end_lbn)` holds it, found by walking the tracks in order.
 fn check_every_lbn(geom: &DiskGeometry, tally: &mut Tally) {
@@ -120,6 +130,7 @@ fn check_every_lbn(geom: &DiskGeometry, tally: &mut Tally) {
         })
         .collect();
     tally.note("drives");
+    tally.note(table_shape(geom));
     let (mut t, mut zone) = (0u32, 0usize);
     for lbn in 0..geom.capacity_lbns() {
         while geom.track(t).end_lbn() <= lbn {
@@ -202,6 +213,8 @@ fn track_of_lbn_matches_a_walk_over_the_tracks() {
             "directory",
             "after_empty_track",
             "single_track_zone",
+            "shared_table",
+            "own_table",
         ],
     );
 }
@@ -238,15 +251,23 @@ fn assert_same_answers(got: &DiskGeometry, want: &DiskGeometry, what: &str) {
 }
 
 /// The boundary table a drive over `geometry` hands out, against one
-/// recomputed from the geometry's track starts.
-fn assert_boundaries_match_the_starts(geometry: &DiskGeometry, what: &str) {
+/// recomputed from the geometry's track starts, whichever table the
+/// geometry's own lookups read; returns which that is.
+fn assert_boundaries_match_the_starts(geometry: &DiskGeometry, what: &str) -> &'static str {
     let cfg = DiskConfig {
         geometry: geometry.clone(),
         ..models::small_test_disk()
     };
     let starts = geometry.track_starts().collect();
     let want = TrackBoundaries::new(starts, geometry.capacity_lbns()).expect("the starts tile");
-    assert_eq!(Disk::new(cfg).track_boundaries(), want, "{what}");
+    let got = Disk::new(cfg).track_boundaries();
+    assert_eq!(got, want, "{what}");
+    for t in want.iter() {
+        let bounds = (t.start, t.end());
+        assert_eq!(geometry.track_bounds(t.end() - 1), Ok(bounds), "{what}");
+        assert_eq!(got.track_bounds(t.start), bounds, "{what}");
+    }
+    table_shape(geometry)
 }
 
 /// A built geometry, a clone of it given 1–8 grown defects, and for each
@@ -304,7 +325,10 @@ fn a_written_clone_leaves_its_original_as_built() {
                 assert_same_answers(&original, &fresh(), "the original");
                 tally.note("untouched_sharer"); // checked after its clone was written
                 assert_boundaries_match_the_starts(&clone, "the written clone");
-                assert_boundaries_match_the_starts(&original, "the original");
+                tally.note(assert_boundaries_match_the_starts(
+                    &original,
+                    "the original",
+                ));
                 tally.note(match policy {
                     DefectPolicy::Slip => "slip_policy",
                     DefectPolicy::Remap => "remap_policy",
@@ -320,6 +344,8 @@ fn a_written_clone_leaves_its_original_as_built() {
             "second_write_private",
             "slip_policy",
             "remap_policy",
+            "shared_table",
+            "own_table",
         ],
     );
 }
@@ -434,12 +460,17 @@ fn walk_the_lbns(geom: &DiskGeometry) -> Vec<(u64, u32)> {
 }
 
 /// Every view of `geom` against a rebuild from `spec`, `grown` (the
-/// `(track, slot)` of each grown defect written) and the public
+/// `(track, slot, lbn)` of each grown defect written) and the public
 /// translation: counts and first LBNs from [`walk_the_lbns`], cylinder and
 /// head from the id, `angle0` re-accumulated from the skews, the
 /// per-zone floats recomputed, and the lists from the defect list and the
 /// remapped LBNs' spare locations.
-fn check_views(geom: &DiskGeometry, spec: &GeometrySpec, grown: &[(u32, u32)], tally: &mut Tally) {
+fn check_views(
+    geom: &DiskGeometry,
+    spec: &GeometrySpec,
+    grown: &[(u32, u32, u64)],
+    tally: &mut Tally,
+) {
     let surfaces = spec.surfaces;
     let zone_of_cyl: Vec<usize> = (spec.zones.iter().enumerate())
         .flat_map(|(z, zone)| std::iter::repeat_n(z, zone.cylinders as usize))
@@ -513,6 +544,16 @@ fn check_views(geom: &DiskGeometry, spec: &GeometrySpec, grown: &[(u32, u32)], t
         tally.note_if(!want.remap_targets.is_empty(), "remap_target");
         tally.note_if(count == 0, "empty_spare");
         tally.note_if(!want.grown_slots.is_empty(), "grown");
+        // A grown remap target on a track the factory remapped to: the
+        // track's grown entry starts from a copy of its factory targets.
+        let targets = &want.remap_targets;
+        let ours = (targets.iter())
+            .filter(|t| grown.iter().any(|g| g.2 == t.1))
+            .count();
+        tally.note_if(
+            ours > 0 && ours < targets.len(),
+            "grown_beside_factory_target",
+        );
     }
 }
 
@@ -524,7 +565,7 @@ fn track_views_match_a_walk_over_the_slots() {
     let name = "track_views_match_a_walk_over_the_slots";
     let mut tally = Tally::default();
     let picks = prop::collection::vec(0u64..u64::MAX, 2..3);
-    for_cases(name, 64, (arb_spec(), picks), |(spec, picks)| {
+    for_cases(name, 128, (arb_spec(), picks), |(spec, picks)| {
         // A defect list the scheme cannot absorb is an error.
         let Ok(original) = spec.clone().build() else {
             return;
@@ -538,7 +579,7 @@ fn track_views_match_a_walk_over_the_slots() {
             }
             let old = clone.lbn_to_pba(lbn).expect("in range");
             if clone.add_grown_defect(lbn).is_ok() {
-                grown.push((old.cyl * spec.surfaces + old.head, old.slot));
+                grown.push((old.cyl * spec.surfaces + old.head, old.slot, lbn));
                 check_views(&clone, &spec, &grown, &mut tally);
             }
         }
@@ -556,6 +597,7 @@ fn track_views_match_a_walk_over_the_slots() {
             "remap_target",
             "empty_spare",
             "grown",
+            "grown_beside_factory_target",
         ],
     );
 }

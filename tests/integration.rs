@@ -159,7 +159,7 @@ fn low_confidence_extraction_degrades_to_untracked_allocation() {
     // Simulate a noisier run: mark a band of tracks low-confidence (the
     // extraction above is too clean to produce any on its own).
     let n = truth.num_tracks();
-    let mut conf = auto.boundaries.confidence().to_vec();
+    let mut conf: Vec<f64> = auto.boundaries.confidence().collect();
     let weak: Vec<usize> = (n / 3..n / 2).collect();
     for &i in &weak {
         conf[i] = 0.4;
