@@ -12,7 +12,8 @@
 //!    the first free unit of the closest traxtent (the whole units of one
 //!    track) with room for a run, and
 //!    [`alloc_traxtent`](TraxtentAllocator::alloc_traxtent), a whole free
-//!    traxtent, both walking tracks outward from a hint;
+//!    traxtent, both walking tracks outward from a hint and passing over
+//!    the tracks a per-track index says cannot answer;
 //! 3. [`closest_free_run`](TraxtentAllocator::closest_free_run) and
 //!    [`alloc_near`](TraxtentAllocator::alloc_near) — the closest free run
 //!    regardless of boundaries (the track-unaware fallback).
@@ -172,6 +173,15 @@ pub struct TraxtentAllocator {
     /// Per-track trust mask from a noisy extraction; absent means every
     /// track is trusted.
     trusted: Option<Bitmap>,
+    /// Per-track room index, one bit a track, for the track walk to jump
+    /// between. A clear bit in `room` proves that the track holds no free
+    /// unit; in `pair_room`, no free pair and no free last unit. A set bit
+    /// promises nothing: both start as the trust mask, `take` leaves them
+    /// be, a walk that finds too little on a track clears what that proves
+    /// (`prune`), and `release` and `free` set both bits of every trusted
+    /// track they touch.
+    room: Bitmap,
+    pair_room: Bitmap,
 }
 
 impl TraxtentAllocator {
@@ -217,6 +227,8 @@ impl TraxtentAllocator {
             }
             mask
         });
+        let tracks = boundaries.num_tracks() as u64;
+        let room = trusted.clone().unwrap_or_else(|| Bitmap::ones(tracks));
         TraxtentAllocator {
             boundaries,
             unit,
@@ -227,6 +239,8 @@ impl TraxtentAllocator {
             free_count: units,
             low: 0,
             trusted,
+            pair_room: room.clone(),
+            room,
         }
     }
 
@@ -325,6 +339,11 @@ impl TraxtentAllocator {
     ///
     /// Panics if the unit is free or excluded.
     pub fn release(&mut self, u: u64) {
+        self.release_unit(u);
+        self.rearm(u, u + 1);
+    }
+
+    fn release_unit(&mut self, u: u64) {
         assert!(!self.excluded.get(u), "excluded unit {u} cannot be freed");
         assert!(!self.free.get(u), "double free of unit {u}");
         self.free.set(u);
@@ -362,19 +381,27 @@ impl TraxtentAllocator {
     /// The first free unit of the closest traxtent that starts `want` free
     /// units, or a shorter free run reaching the traxtent's last unit,
     /// walking trusted tracks outward from the one holding unit `near`.
-    pub fn closest_traxtent_run(&self, near: u64, want: u64) -> Option<u64> {
-        self.tracks_outward(near)
-            .find_map(|track| self.traxtent_on_track(track, want))
+    /// Takes `&mut self` because a track that cannot answer is remembered.
+    pub fn closest_traxtent_run(&mut self, near: u64, want: u64) -> Option<u64> {
+        self.walk(near, want > 1, |a, track| {
+            let t = a.traxtent(track);
+            let found = t.and_then(|t| a.run_on(t, want));
+            if found.is_none() {
+                // A track without a whole unit has room for nothing.
+                a.prune(track, if t.is_some() { want } else { 0 });
+            }
+            found
+        })
     }
 
     /// Allocates the closest traxtent whose units are all free, walking
     /// trusted tracks outward from the one holding unit `near`. Returns the
     /// units taken, or `None` if no free traxtent remains.
     pub fn alloc_traxtent(&mut self, near: u64) -> Option<Extent> {
-        let whole = self
-            .tracks_outward(near)
-            .filter_map(|track| self.traxtent(track))
-            .find(|t| self.free.ones_at(t.start, t.len) == t.len)?;
+        let whole = self.walk(near, false, |a, track| {
+            a.traxtent(track)
+                .filter(|t| a.free.ones_at(t.start, t.len) == t.len)
+        })?;
         self.take_extent(whole);
         Some(whole)
     }
@@ -401,7 +428,10 @@ impl TraxtentAllocator {
     /// Panics if any unit of it is free, excluded or past the map.
     pub fn free(&mut self, ext: Extent) {
         for u in ext.start..ext.end() {
-            self.release(u);
+            self.release_unit(u);
+        }
+        if ext.len > 0 {
+            self.rearm(ext.start, ext.end());
         }
     }
 
@@ -422,40 +452,101 @@ impl TraxtentAllocator {
         Extent::from_bounds(first, t.end() >> self.shift)?.intersect(&map)
     }
 
-    /// Trusted tracks outward from the one holding unit `near`: that track,
-    /// then one below, one above, two below, two above, …, one side alone
-    /// once the other has run out. No track below the first free unit's:
-    /// one that ends at or before that unit has nothing free.
-    fn tracks_outward(&self, near: u64) -> impl Iterator<Item = usize> + '_ {
-        let tracks = self.boundaries.num_tracks();
-        // The unit's first sector, or the last sector when that lies past
-        // the table.
+    /// The track holding unit `u`'s first sector, or the table's last
+    /// track when that sector lies past the table.
+    fn track_of(&self, u: u64) -> usize {
         let last = self.boundaries.capacity() - 1;
-        let lbn = if near > last >> self.shift {
+        let lbn = if u > last >> self.shift {
             last
         } else {
-            near << self.shift
+            u << self.shift
         };
-        let origin = self.boundaries.track_index(lbn);
-        let low_track = if self.low < self.units {
-            self.boundaries.track_index(self.low << self.shift)
-        } else {
-            tracks
-        };
-        let ups = origin.max(low_track)..tracks;
-        let downs = (low_track..origin).rev();
-        let paired = ups.len().min(downs.len());
-        let pairs = ups.clone().zip(downs.clone()).flat_map(|(u, d)| [u, d]);
-        pairs
-            .chain(ups.skip(paired))
-            .chain(downs.skip(paired))
-            .filter(|&track| self.track_trusted(track))
+        self.boundaries.track_index(lbn)
     }
 
-    /// The first free unit of track `track`'s traxtent that starts `want`
-    /// free units, or a shorter free run reaching the traxtent's end.
-    fn traxtent_on_track(&self, track: usize, want: u64) -> Option<u64> {
-        let t = self.traxtent(track)?;
+    /// Sets both room bits of every trusted track holding one of units
+    /// `first..end` (`first < end`): a boundary lookup at each end, not one
+    /// a unit.
+    fn rearm(&mut self, first: u64, end: u64) {
+        for track in self.track_of(first)..=self.track_of(end - 1) {
+            if self.track_trusted(track) {
+                self.room.set(track as u64);
+                self.pair_room.set(track as u64);
+            }
+        }
+    }
+
+    /// Clears what a failed search for `want` free units on `track`
+    /// proves. Finding no unit at all (`want` ≤ 1) proves no room; finding
+    /// no pair and no run to the track's last unit (`want` 2) proves no
+    /// pair room; a failed longer run proves neither, since its track may
+    /// still hold a pair.
+    fn prune(&mut self, track: usize, want: u64) {
+        match want {
+            0 | 1 => {
+                self.room.clear(track as u64);
+                self.pair_room.clear(track as u64);
+            }
+            2 => self.pair_room.clear(track as u64),
+            _ => {}
+        }
+    }
+
+    /// The index a walk follows: `pair_room` for runs, `room` for units.
+    fn index(&self, pairs: bool) -> &Bitmap {
+        if pairs {
+            &self.pair_room
+        } else {
+            &self.room
+        }
+    }
+
+    /// The first answer `visit` gives over the tracks outward from the one
+    /// holding unit `near`, the lower first at equal distance, one side
+    /// alone once the other has run out, and none below the first free
+    /// unit's track (a track that ends at or before that unit has nothing
+    /// free). Only tracks whose bit is set in `room`, or in `pair_room`
+    /// when `pairs`, are visited: every other one is known to hold no
+    /// answer, and jumping over it changes nothing but the work.
+    fn walk<T>(
+        &mut self,
+        near: u64,
+        pairs: bool,
+        mut visit: impl FnMut(&mut Self, usize) -> Option<T>,
+    ) -> Option<T> {
+        if self.low == self.units {
+            return None;
+        }
+        let origin = self.track_of(near) as u64;
+        let floor = self.track_of(self.low) as u64;
+        let up_from =
+            |a: &Self, t: u64| Some(a.index(pairs).next_one(t)).filter(|&t| t < a.room.len);
+        let down_from = |a: &Self, t: Option<u64>| {
+            t.and_then(|t| a.index(pairs).prev_one(t))
+                .filter(|&t| t >= floor)
+        };
+        let mut up = up_from(self, origin.max(floor));
+        let mut down = down_from(self, origin.checked_sub(1));
+        loop {
+            let go_up = match (up, down) {
+                (Some(u), Some(d)) => u - origin < origin - d,
+                (up, _) => up.is_some(),
+            };
+            let track = if go_up { up } else { down }?;
+            if let Some(found) = visit(self, track as usize) {
+                return Some(found);
+            }
+            if go_up {
+                up = up_from(self, track + 1);
+            } else {
+                down = down_from(self, track.checked_sub(1));
+            }
+        }
+    }
+
+    /// The first free unit of traxtent `t` that starts `want` free units,
+    /// or a shorter free run reaching the traxtent's end.
+    fn run_on(&self, t: Extent, want: u64) -> Option<u64> {
         let (first, end, width) = (t.start, t.end(), t.len);
         if width <= 64 {
             let bits = self.free.window(first, width);
@@ -506,18 +597,64 @@ mod tests {
         a.boundaries().track_index(u)
     }
 
+    /// The tracks a walk from unit `near` visits when nothing answers.
+    fn walked(a: &mut TraxtentAllocator, near: u64) -> Vec<usize> {
+        let mut seen = Vec::new();
+        a.walk(near, false, |_, track| {
+            seen.push(track);
+            None::<()>
+        });
+        seen
+    }
+
     #[test]
     fn ring_visits_everything_once_starting_near_origin() {
-        let a = TraxtentAllocator::new(TrackBoundaries::uniform(6, 10));
-        let seen: Vec<usize> = a.tracks_outward(35).collect();
-        assert_eq!(seen, [3, 2, 4, 1, 5, 0]);
+        let mut a = TraxtentAllocator::new(TrackBoundaries::uniform(6, 10));
+        assert_eq!(walked(&mut a, 35), [3, 2, 4, 1, 5, 0]);
         // Nothing below the first free unit's track.
-        let mut a = a;
         for u in 0..25 {
             a.take(u);
         }
-        let seen: Vec<usize> = a.tracks_outward(5).collect();
-        assert_eq!(seen, [2, 3, 4, 5]);
+        assert_eq!(walked(&mut a, 5), [2, 3, 4, 5]);
+    }
+
+    /// Postmark's walk: 60 tracks full but for one free unit each, and a
+    /// two-unit run wanted from the first. The first query passes the 60
+    /// and clears their pair bits, so the next jumps straight to the
+    /// answer; a release re-arms its track for the query after it.
+    #[test]
+    fn a_passed_track_is_not_walked_again_until_a_release() {
+        let mut a =
+            TraxtentAllocator::in_units(TrackBoundaries::uniform(100, 320), 16, 32_000, None);
+        a.exclude_straddlers();
+        for u in (0..60 * 20).filter(|u| u % 20 != 5) {
+            a.take(u);
+        }
+        assert_eq!(a.closest_traxtent_run(0, 2), Some(1_200));
+        assert!((0..60).all(|t| !a.pair_room.get(t) && a.room.get(t)));
+        assert_eq!(
+            a.pair_room.next_one(0),
+            60,
+            "the answer is the walk's first track"
+        );
+        assert_eq!(a.closest_traxtent_run(0, 2), Some(1_200));
+        a.release(146);
+        assert!(a.pair_room.get(7));
+        assert_eq!(a.closest_traxtent_run(0, 2), Some(145));
+        // A single unit is still found where the pairs were not.
+        assert_eq!(a.closest_traxtent_run(0, 1), Some(5));
+    }
+
+    /// A walk never examines a track below the first free unit's, so it
+    /// never clears one's bits, though they are stale.
+    #[test]
+    fn a_walk_starts_at_the_first_free_units_track() {
+        let mut a = TraxtentAllocator::new(TrackBoundaries::uniform(10, 10));
+        for u in 0..50 {
+            a.take(u);
+        }
+        assert_eq!(a.closest_traxtent_run(25, 1), Some(50));
+        assert!((0..5).all(|t| a.room.get(t) && a.pair_room.get(t)));
     }
 
     #[test]

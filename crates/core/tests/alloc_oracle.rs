@@ -33,6 +33,14 @@ struct TreeAllocator {
     /// out by the track-aligned policies — only by the untracked
     /// [`alloc_near`](Self::alloc_near) fallback.
     trusted: Option<Vec<bool>>,
+    /// The library's per-track room index as its walks should leave it,
+    /// kept only to tally which tracks a walk passed over: `room` and
+    /// `pair_room` false where a failed search proved no free sector, or
+    /// no free pair and no free last sector; `rearmed` where a free has
+    /// set them again since and no search has examined the track.
+    room: Vec<bool>,
+    pair_room: Vec<bool>,
+    rearmed: Vec<bool>,
 }
 
 impl TreeAllocator {
@@ -41,11 +49,15 @@ impl TreeAllocator {
         let cap = boundaries.capacity();
         let mut free = BTreeMap::new();
         free.insert(0, cap);
+        let tracks = boundaries.num_tracks();
         TreeAllocator {
             boundaries,
             free,
             free_sectors: cap,
             trusted: None,
+            room: vec![true; tracks],
+            pair_room: vec![true; tracks],
+            rearmed: vec![false; tracks],
         }
     }
 
@@ -57,6 +69,8 @@ impl TreeAllocator {
             .map(|i| boundaries.is_confident(i, threshold))
             .collect();
         let mut a = TreeAllocator::new(boundaries.table().clone());
+        a.room.clone_from(&trusted);
+        a.pair_room.clone_from(&trusted);
         a.trusted = Some(trusted);
         a
     }
@@ -115,6 +129,89 @@ impl TreeAllocator {
         None
     }
 
+    /// The first free sector of the closest trusted track, the lower at
+    /// equal distance, that starts `want` free sectors — a run that may
+    /// run on past the track — or a shorter run ending at the track's end:
+    /// every track tested in the order of `ring`.
+    fn closest_traxtent_run(&mut self, near: u64, want: u64, seen: &mut Tally) -> Option<u64> {
+        seen.note(
+            ["want_1", "want_1", "want_2"]
+                .get(want as usize)
+                .unwrap_or(&"want_3_or_more"),
+        );
+        let n = self.boundaries.num_tracks();
+        let origin = self
+            .boundaries
+            .track_index(near.min(self.boundaries.capacity() - 1));
+        // The library starts its walk at the first free sector's track.
+        let floor = (self.free.keys().next()).map_or(n, |&s| self.boundaries.track_index(s));
+        let mut found = None;
+        for idx in ring(origin, n) {
+            if !self.is_track_trusted(idx) {
+                let t = self.boundaries.track_extent(idx);
+                seen.note_if(
+                    self.free_in(t).next().is_some(),
+                    "untrusted_track_skipped_by_a_run",
+                );
+                continue;
+            }
+            found = self.run_on_track(idx, want);
+            let indexed = if want > 1 {
+                self.pair_room[idx]
+            } else {
+                self.room[idx]
+            };
+            if let Some(u) = found {
+                assert!(indexed, "track {idx} answers but the index has passed it");
+                let distance = origin.abs_diff(idx);
+                seen.note_if(idx < origin, "run_below_the_origin");
+                seen.note_if(idx > origin, "run_above_the_origin");
+                seen.note_if(
+                    (idx < origin && origin + distance >= n) || (idx > origin && distance > origin),
+                    "run_once_one_side_ran_out",
+                );
+                seen.note_if(self.rearmed[idx], "passed_track_rearmed_then_taken");
+                self.rearmed[idx] = false;
+                found = Some(u);
+                break;
+            }
+            if idx >= floor && indexed {
+                // The library examined this track and remembers the failure.
+                if want <= 1 {
+                    self.room[idx] = false;
+                }
+                if want <= 2 {
+                    self.pair_room[idx] = false;
+                }
+                self.rearmed[idx] = false;
+            }
+        }
+        seen.note_if(found.is_none(), "no_traxtent_run");
+        found
+    }
+
+    /// The first free sector of track `idx` that starts `want` free
+    /// sectors, or a shorter free run ending at the track's end.
+    fn run_on_track(&self, idx: usize, want: u64) -> Option<u64> {
+        let t = self.boundaries.track_extent(idx);
+        self.free_in(t).find_map(|(s, l)| {
+            let u = s.max(t.start);
+            (s + l - u >= want || s + l == t.end()).then_some(u)
+        })
+    }
+
+    /// The free runs that overlap `t`, as `(start, length)`.
+    fn free_in(&self, t: Extent) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let first = self
+            .free
+            .range(..=t.start)
+            .next_back()
+            .map_or(t.start, |(&s, _)| s);
+        (self.free.range(first..t.end()))
+            .map(|(&s, &l)| (s, l))
+            .filter(move |&(s, l)| s + l > t.start)
+    }
+
     /// *Changed:* the `len` free sectors closest to `near`, the upper
     /// placement at equal distance. The library placed at `near` when the
     /// run holding it had room from there, and at a run's start otherwise.
@@ -167,6 +264,16 @@ impl TreeAllocator {
             );
         }
         self.free_sectors += ext.len;
+        if ext.len > 0 {
+            let last = self.boundaries.track_index(ext.end() - 1);
+            for idx in self.boundaries.track_index(ext.start)..=last {
+                if self.is_track_trusted(idx) {
+                    self.rearmed[idx] |= !(self.room[idx] && self.pair_room[idx]);
+                    self.room[idx] = true;
+                    self.pair_room[idx] = true;
+                }
+            }
+        }
         // Coalesce with predecessor and successor.
         let mut start = ext.start;
         let mut end = ext.end();
@@ -283,15 +390,17 @@ fn arb_case() -> impl Strategy<Value = Case> {
     (
         arb_table(),
         prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
-        prop::collection::vec((0u8..12, 0u64..u64::MAX, len), 1..150),
+        prop::collection::vec((0u8..15, 0u64..u64::MAX, len), 1..150),
     )
 }
 
-/// `alloc_traxtent`, `alloc_near` and `free` return what the tree
-/// allocator returns and leave the same free map, over random tables with
-/// and without a trust mask, from a pristine map to a full one and back:
-/// whole and partial frees, hints anywhere in the table and past it, and
-/// hints between two equidistant runs.
+/// `alloc_traxtent`, `closest_traxtent_run`, `alloc_near` and `free`
+/// return what the tree allocator returns and leave the same free map,
+/// over random tables with and without a trust mask, from a pristine map
+/// to a full one and back: whole and partial frees, hints anywhere in the
+/// table and past it, hints between two equidistant runs, and run queries
+/// where the last free landed, which the library's room index has to have
+/// seen.
 #[test]
 fn sector_api_matches_the_tree_allocator() {
     let name = "sector_api_matches_the_tree_allocator";
@@ -315,6 +424,7 @@ fn sector_api_matches_the_tree_allocator() {
             assert_eq!(fast.is_trusted(t.start), slow.is_track_trusted(i));
         }
         let mut held: Vec<Extent> = Vec::new();
+        let mut last_freed = 0;
         for (op, pick, len) in ops {
             // Mostly inside the table, sometimes past its end, and
             // sometimes halfway between two places `len` sectors fit.
@@ -351,6 +461,18 @@ fn sector_api_matches_the_tree_allocator() {
                     held.extend(Extent::from_bounds(freed.end(), h.end()));
                     fast.free(freed);
                     slow.free(freed, &mut tally);
+                    last_freed = freed.start;
+                }
+                12..=14 => {
+                    // Mostly a pair or a few sectors, as `ffs` asks, near
+                    // anywhere or where the last free landed.
+                    let want = if pick % 3 == 0 { len } else { 1 + len % 3 };
+                    let near = if op == 14 { last_freed } else { near };
+                    assert_eq!(
+                        fast.closest_traxtent_run(near, want),
+                        slow.closest_traxtent_run(near, want, &mut tally),
+                        "closest_traxtent_run({near}, {want})"
+                    );
                 }
                 10 if pick % 4 == 0 => {
                     // Fill the map, a whole free run at a time.
@@ -391,6 +513,15 @@ fn sector_api_matches_the_tree_allocator() {
             "freed_beside_one_run",
             "freed_between_two_runs",
             "map_full",
+            "run_below_the_origin",
+            "run_above_the_origin",
+            "run_once_one_side_ran_out",
+            "want_1",
+            "want_2",
+            "want_3_or_more",
+            "passed_track_rearmed_then_taken",
+            "untrusted_track_skipped_by_a_run",
+            "no_traxtent_run",
         ],
     );
 }

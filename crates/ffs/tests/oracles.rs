@@ -151,6 +151,15 @@ struct ScanLayout {
     excluded: Vec<bool>,
     stats: AllocStats,
     trusted: Vec<bool>,
+    /// The allocator's per-track room index as its walks should leave it,
+    /// kept only to tally which tracks a walk passes over: `room` false
+    /// where a failed search proved no free block, `pair_room` where one
+    /// proved no free pair and no free last block, `rearmed` where a
+    /// release has set both again since and no walk has examined the
+    /// track.
+    room: Vec<bool>,
+    pair_room: Vec<bool>,
+    rearmed: Vec<bool>,
     seen: Tally,
 }
 
@@ -172,6 +181,10 @@ impl ScanLayout {
                 excluded[b as usize] = last >= track_end && track_trusted;
             }
         }
+        let tracks = boundaries.num_tracks();
+        let room: Vec<bool> = (0..tracks)
+            .map(|i| trusted.is_empty() || trusted[i])
+            .collect();
         ScanLayout {
             personality,
             boundaries,
@@ -180,7 +193,20 @@ impl ScanLayout {
             excluded,
             stats: AllocStats::default(),
             trusted,
+            pair_room: room.clone(),
+            room,
+            rearmed: vec![false; tracks],
             seen: Tally::default(),
+        }
+    }
+
+    fn release(&mut self, b: u64) {
+        self.free[b as usize] = true;
+        let idx = self.boundaries.track_index(b * BLOCK_SECTORS);
+        if self.trusted.is_empty() || self.trusted[idx] {
+            self.rearmed[idx] |= !(self.room[idx] && self.pair_room[idx]);
+            self.room[idx] = true;
+            self.pair_room[idx] = true;
         }
     }
 
@@ -267,6 +293,15 @@ impl ScanLayout {
         let near_lbn = (near * BLOCK_SECTORS).min(self.boundaries.capacity() - 1);
         let origin = self.boundaries.track_index(near_lbn);
         let n = self.boundaries.num_tracks();
+        // The fast walk starts at the first free block's track.
+        let floor = (self.free.iter().position(|&f| f))
+            .map_or(n, |b| self.boundaries.track_index(b as u64 * BLOCK_SECTORS));
+        self.walk_tracks(origin, n, floor, want)
+    }
+
+    /// The scan's walk, every trusted track in order, noting where the
+    /// fast walk's room index would have let it jump.
+    fn walk_tracks(&mut self, origin: usize, n: usize, floor: usize, want: u64) -> Option<u64> {
         for k in 0..2 * n {
             let step = k / 2 + k % 2;
             let idx = if k % 2 == 0 {
@@ -282,6 +317,16 @@ impl ScanLayout {
                 self.seen.note("untrusted_track");
                 continue;
             }
+            let indexed = if want > 1 {
+                self.pair_room[idx]
+            } else {
+                self.room[idx]
+            };
+            let examined = idx >= floor && indexed;
+            self.seen.note_if(
+                want > 2 && idx >= floor && self.room[idx] && !self.pair_room[idx],
+                "want_3_passes_a_track_a_pair_query_cleared",
+            );
             let t = self.boundaries.track_extent(idx);
             let first_block = t.start.div_ceil(BLOCK_SECTORS);
             let last_block = t.end() / BLOCK_SECTORS; // exclusive
@@ -304,6 +349,9 @@ impl ScanLayout {
                         self.seen.note_if(run < want, "tail_run");
                         self.seen
                             .note_if(run >= want && b + run > last_block, "run_leaves_the_track");
+                        self.seen
+                            .note_if(self.rearmed[idx], "passed_track_rearmed_then_taken");
+                        self.rearmed[idx] = false;
                         return Some(b);
                     }
                     b += run.max(1);
@@ -312,6 +360,18 @@ impl ScanLayout {
                 }
             }
             self.seen.note_if(last_taken, "skipped_no_run_last_taken");
+            if examined {
+                // What the failure proves: a track without a whole block
+                // holds nothing.
+                let proved = if first_block < last_block.min(self.blocks) {
+                    want
+                } else {
+                    1
+                };
+                self.room[idx] &= proved > 1;
+                self.pair_room[idx] &= proved > 2;
+                self.rearmed[idx] = false;
+            }
         }
         None
     }
@@ -660,7 +720,7 @@ fn low_water_mark_matches_the_full_scan() {
             for b in (0..fill).filter(|b| spacing > 0 && b % spacing < hole) {
                 if !slow.excluded[b as usize] {
                     fast.release(b);
-                    slow.free[b as usize] = true;
+                    slow.release(b);
                 }
             }
             let mut held: Vec<u64> = Vec::new();
@@ -685,7 +745,7 @@ fn low_water_mark_matches_the_full_scan() {
                         if !slow.free[b as usize] && !slow.excluded[b as usize] {
                             held.retain(|&h| h != b);
                             fast.release(b);
-                            slow.free[b as usize] = true;
+                            slow.release(b);
                         }
                     }
                     // Allocate: a file's first block, or the one after a
@@ -741,32 +801,70 @@ fn low_water_mark_matches_the_full_scan() {
             "disk_full",
             "blocks_fill_the_last_word",
             "blocks_end_inside_a_word",
+            "passed_track_rearmed_then_taken",
+            "want_3_passes_a_track_a_pair_query_cleared",
         ],
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The per-track sweep excludes exactly the blocks the per-block
-    /// definition does: uniform tables, zoned ones, tables where every
-    /// track is its own zone, and tracks shorter than a block.
-    #[test]
-    fn one_sweep_format_matches_the_per_block_definition(
-        shape in 0u8..3,
-        zones in prop::collection::vec((1u64..700, 1u64..60), 1..40),
-        p in 0u8..3,
-        mask in prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
-    ) {
-        let zones: Vec<(u64, u64)> = match shape {
-            0 => vec![zones[0]],
-            1 => zones,
-            _ => zones.into_iter().map(|(len, _)| (len, 1)).collect(),
-        };
-        let tb = table(&zones);
-        let (fast, slow) = layouts(personality(p), &tb, mask);
-        assert_same_bitmaps(&fast, &slow);
-    }
+/// The per-track sweep excludes exactly the blocks the per-block
+/// definition does: uniform tables, zoned ones, tables where every track
+/// is its own zone, and tracks shorter than a block, with and without a
+/// trust mask.
+#[test]
+fn one_sweep_format_matches_the_per_block_definition() {
+    let name = "one_sweep_format_matches_the_per_block_definition";
+    let mut tally = Tally::default();
+    // One zone in five of tracks no longer than two blocks.
+    let length = prop_oneof![
+        1u64..700,
+        1u64..700,
+        1u64..700,
+        1u64..700,
+        1..2 * BLOCK_SECTORS
+    ];
+    for_cases(
+        name,
+        96,
+        (
+            0u8..3,
+            prop::collection::vec((length, 1u64..60), 1..40),
+            0u8..3,
+            prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
+        ),
+        |(shape, zones, p, mask)| {
+            let zones: Vec<(u64, u64)> = match shape {
+                0 => vec![zones[0]],
+                1 => zones,
+                _ => zones.into_iter().map(|(len, _)| (len, 1)).collect(),
+            };
+            tally
+                .note(["uniform_table", "zoned_table", "every_track_its_own_zone"][shape as usize]);
+            tally.note_if(
+                zones.iter().any(|&(len, _)| len < BLOCK_SECTORS),
+                "track_shorter_than_a_block",
+            );
+            tally.note(if mask.is_some() {
+                "trust_mask"
+            } else {
+                "no_trust_mask"
+            });
+            let tb = table(&zones);
+            let (fast, slow) = layouts(personality(p), &tb, mask);
+            assert_same_bitmaps(&fast, &slow);
+        },
+    );
+    tally.require(
+        name,
+        &[
+            "uniform_table",
+            "zoned_table",
+            "every_track_its_own_zone",
+            "track_shorter_than_a_block",
+            "trust_mask",
+            "no_trust_mask",
+        ],
+    );
 }
 
 /// `ffs::fsck` as it stood before one diagnosis pass replaced its two
