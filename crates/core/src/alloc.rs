@@ -18,12 +18,9 @@
 //!    [`alloc_near`](TraxtentAllocator::alloc_near) — the closest free run
 //!    regardless of boundaries (the track-unaware fallback).
 //!
-//! Positions and lengths are in units throughout. Tracks a noisy extraction
-//! was not confident about get no exclusions and no track-aligned
-//! placement: alignment to a boundary that may be wrong buys nothing, so
-//! the untracked policies serve them.
+//! Positions and lengths are in units throughout.
 
-use crate::boundaries::{ConfidentBoundaries, TrackBoundaries};
+use crate::boundaries::TrackBoundaries;
 use crate::extent::Extent;
 
 /// One bit per item, item `i` at bit `i % 64` of word `i / 64`. Bits past
@@ -164,51 +161,39 @@ pub struct TraxtentAllocator {
     units: u64,
     /// Bit `u` set → unit `u` is free.
     free: Bitmap,
-    /// Units allocated forever because they span a trusted track boundary.
+    /// Units allocated forever because they span a track boundary.
     excluded: Bitmap,
     free_count: u64,
     /// The first free unit (`units` when none is): no placement search
     /// needs to look below it. `take` advances it, `release` lowers it.
     low: u64,
-    /// Per-track trust mask from a noisy extraction; absent means every
-    /// track is trusted.
-    trusted: Option<Bitmap>,
     /// Per-track room index, one bit a track, for the track walk to jump
     /// between. A clear bit in `room` proves that the track holds no free
     /// unit; in `pair_room`, no free pair and no free last unit. A set bit
-    /// promises nothing: both start as the trust mask, `take` leaves them
-    /// be, a walk that finds too little on a track clears what that proves
-    /// (`prune`), and `release` and `free` set both bits of every trusted
-    /// track they touch.
+    /// promises nothing: both start all ones, `take` leaves them be, a walk
+    /// that finds too little on a track clears what that proves (`prune`),
+    /// and `release` and `free` set both bits of every track they touch.
     room: Bitmap,
     pair_room: Bitmap,
 }
 
 impl TraxtentAllocator {
     /// A sector-granular allocator over the table's whole LBN space, every
-    /// sector free and every track trusted.
+    /// sector free.
     pub fn new(boundaries: TrackBoundaries) -> Self {
         let capacity = boundaries.capacity();
-        Self::in_units(boundaries, 1, capacity, None)
+        Self::in_units(boundaries, 1, capacity)
     }
 
     /// An allocator over the `capacity / unit` whole units of `unit`
-    /// sectors that start the LBN space, every unit free. With `trust` =
-    /// `(extraction, threshold)`, tracks whose confidence falls below the
-    /// threshold are left out of the track-aligned policies and are never
-    /// excluded from.
+    /// sectors that start the LBN space, every unit free.
     ///
     /// # Panics
     ///
     /// Panics if `unit` is not a power of two (the track walk shifts where
     /// it would divide), or if no whole unit fits in `capacity`: an empty
     /// map has no first free unit to keep.
-    pub fn in_units(
-        boundaries: TrackBoundaries,
-        unit: u64,
-        capacity: u64,
-        trust: Option<(&ConfidentBoundaries, f64)>,
-    ) -> Self {
+    pub fn in_units(boundaries: TrackBoundaries, unit: u64, capacity: u64) -> Self {
         assert!(
             unit.is_power_of_two(),
             "a {unit}-sector unit is no power of two"
@@ -219,16 +204,7 @@ impl TraxtentAllocator {
         );
         let shift = unit.trailing_zeros();
         let units = capacity >> shift;
-        let trusted = trust.map(|(extraction, threshold)| {
-            let tracks = extraction.table().num_tracks();
-            let mut mask = Bitmap::zeros(tracks as u64);
-            for i in (0..tracks).filter(|&i| extraction.is_confident(i, threshold)) {
-                mask.set(i as u64);
-            }
-            mask
-        });
-        let tracks = boundaries.num_tracks() as u64;
-        let room = trusted.clone().unwrap_or_else(|| Bitmap::ones(tracks));
+        let room = Bitmap::ones(boundaries.num_tracks() as u64);
         TraxtentAllocator {
             boundaries,
             unit,
@@ -238,26 +214,21 @@ impl TraxtentAllocator {
             excluded: Bitmap::zeros(units),
             free_count: units,
             low: 0,
-            trusted,
             pair_room: room.clone(),
             room,
         }
     }
 
-    /// Excludes every unit that starts on a trusted track and runs past its
-    /// end: the traxtent file system treats such a unit as allocated
-    /// forever, so no allocation spans a boundary. The only candidate per
-    /// track is the unit holding the track's last sector; with one-sector
-    /// units there is none. Call once, on a fresh map.
+    /// Excludes every unit that starts on a track and runs past its end:
+    /// the traxtent file system treats such a unit as allocated forever, so
+    /// no allocation spans a boundary. The only candidate per track is the
+    /// unit holding the track's last sector; with one-sector units there is
+    /// none. Call once, on a fresh map.
     pub fn exclude_straddlers(&mut self) {
-        for (i, track) in self.boundaries.iter().enumerate() {
+        for track in self.boundaries.iter() {
             let u = (track.end() - 1) >> self.shift;
             let first = u << self.shift;
-            if u < self.units
-                && first >= track.start
-                && first + self.unit > track.end()
-                && self.track_trusted(i)
-            {
+            if u < self.units && first >= track.start && first + self.unit > track.end() {
                 self.excluded.set(u);
                 self.free.clear(u);
                 self.free_count -= 1;
@@ -290,17 +261,6 @@ impl TraxtentAllocator {
     /// Whether unit `u` is excluded.
     pub fn is_excluded(&self, u: u64) -> bool {
         self.excluded.get(u)
-    }
-
-    /// Whether the track holding unit `u` has trustworthy boundaries
-    /// (always true for an allocator built without confidence data).
-    #[inline]
-    pub fn is_trusted(&self, u: u64) -> bool {
-        self.trusted.is_none() || self.track_trusted(self.boundaries.track_index(u << self.shift))
-    }
-
-    fn track_trusted(&self, track: usize) -> bool {
-        self.trusted.as_ref().is_none_or(|t| t.get(track as u64))
     }
 
     /// Fraction of all units lost to exclusion.
@@ -380,7 +340,7 @@ impl TraxtentAllocator {
 
     /// The first free unit of the closest traxtent that starts `want` free
     /// units, or a shorter free run reaching the traxtent's last unit,
-    /// walking trusted tracks outward from the one holding unit `near`.
+    /// walking tracks outward from the one holding unit `near`.
     /// Takes `&mut self` because a track that cannot answer is remembered.
     pub fn closest_traxtent_run(&mut self, near: u64, want: u64) -> Option<u64> {
         self.walk(near, want > 1, |a, track| {
@@ -395,7 +355,7 @@ impl TraxtentAllocator {
     }
 
     /// Allocates the closest traxtent whose units are all free, walking
-    /// trusted tracks outward from the one holding unit `near`. Returns the
+    /// tracks outward from the one holding unit `near`. Returns the
     /// units taken, or `None` if no free traxtent remains.
     pub fn alloc_traxtent(&mut self, near: u64) -> Option<Extent> {
         let whole = self.walk(near, false, |a, track| {
@@ -464,15 +424,12 @@ impl TraxtentAllocator {
         self.boundaries.track_index(lbn)
     }
 
-    /// Sets both room bits of every trusted track holding one of units
-    /// `first..end` (`first < end`): a boundary lookup at each end, not one
-    /// a unit.
+    /// Sets both room bits of every track holding one of units `first..end`
+    /// (`first < end`): a boundary lookup at each end, not one a unit.
     fn rearm(&mut self, first: u64, end: u64) {
         for track in self.track_of(first)..=self.track_of(end - 1) {
-            if self.track_trusted(track) {
-                self.room.set(track as u64);
-                self.pair_room.set(track as u64);
-            }
+            self.room.set(track as u64);
+            self.pair_room.set(track as u64);
         }
     }
 
@@ -588,15 +545,6 @@ mod tests {
         TrackBoundaries::uniform(10, 100)
     }
 
-    fn trusting(conf: Vec<f64>, threshold: f64) -> TraxtentAllocator {
-        let cb = ConfidentBoundaries::new(boundaries(), conf).unwrap();
-        TraxtentAllocator::in_units(boundaries(), 1, 1000, Some((&cb, threshold)))
-    }
-
-    fn track_of(a: &TraxtentAllocator, u: u64) -> usize {
-        a.boundaries().track_index(u)
-    }
-
     /// The tracks a walk from unit `near` visits when nothing answers.
     fn walked(a: &mut TraxtentAllocator, near: u64) -> Vec<usize> {
         let mut seen = Vec::new();
@@ -624,8 +572,7 @@ mod tests {
     /// answer; a release re-arms its track for the query after it.
     #[test]
     fn a_passed_track_is_not_walked_again_until_a_release() {
-        let mut a =
-            TraxtentAllocator::in_units(TrackBoundaries::uniform(100, 320), 16, 32_000, None);
+        let mut a = TraxtentAllocator::in_units(TrackBoundaries::uniform(100, 320), 16, 32_000);
         a.exclude_straddlers();
         for u in (0..60 * 20).filter(|u| u % 20 != 5) {
             a.take(u);
@@ -697,50 +644,6 @@ mod tests {
         // The closest position that fits, not the run's start.
         assert_eq!(a.alloc_near(30, 399), Some(Extent::new(20, 30)));
         assert_eq!(all, Extent::new(0, 400));
-    }
-
-    #[test]
-    fn low_confidence_tracks_are_skipped_by_aligned_policies() {
-        // Tracks 3 and 4 came out of a noisy extraction below threshold.
-        let conf = vec![1.0, 1.0, 1.0, 0.4, 0.6, 1.0, 1.0, 1.0, 1.0, 1.0];
-        let mut a = trusting(conf, 0.9);
-        assert!(!a.is_trusted(350) && !a.is_trusted(499));
-        assert!(a.is_trusted(500));
-
-        // A whole-track request near track 3 lands on a trusted neighbour.
-        let e = a.alloc_traxtent(350).unwrap();
-        let idx = track_of(&a, e.start);
-        assert!(idx != 3 && idx != 4, "allocated untrusted track {idx}");
-
-        // A traxtent run near track 4 avoids the untrusted region too, even
-        // though those units are free.
-        let u = a.closest_traxtent_run(430, 50).unwrap();
-        let idx = track_of(&a, u);
-        assert!(idx != 3 && idx != 4, "placed on untrusted track {idx}");
-
-        // The untracked fallback still serves the region.
-        let e = a.alloc_near(50, 330).unwrap();
-        assert_eq!(e.start, 330);
-    }
-
-    #[test]
-    fn fully_untrusted_table_degrades_to_untracked_only() {
-        let mut a = trusting(vec![0.0; 10], 0.5);
-        assert!(a.alloc_traxtent(0).is_none());
-        assert!(a.closest_traxtent_run(0, 10).is_none());
-        // Untracked allocation is unaffected.
-        assert!(a.alloc_near(150, 0).is_some());
-    }
-
-    #[test]
-    fn certain_confidence_changes_nothing() {
-        let mut gated = trusting(vec![1.0; 10], 0.9);
-        let mut plain = TraxtentAllocator::new(boundaries());
-        assert_eq!(gated.alloc_traxtent(350), plain.alloc_traxtent(350));
-        assert_eq!(
-            gated.closest_traxtent_run(120, 33),
-            plain.closest_traxtent_run(120, 33)
-        );
     }
 
     #[test]

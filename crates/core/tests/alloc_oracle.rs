@@ -1,6 +1,5 @@
 //! The allocator's sector API against the allocator it replaced: free runs
-//! in a `BTreeMap`, start → length, and a `Vec<bool>` trust mask, kept here
-//! because it is obviously right and nowhere else because it is slow.
+//! in a `BTreeMap`, start → length, kept here because it is obviously right and nowhere else because it is slow.
 //!
 //! The bitmap allocator took two rules over from the file system, whose
 //! placements every figure ran, and the tree allocator is changed to match
@@ -18,7 +17,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use traxtent::{ConfidentBoundaries, Extent, TrackBoundaries, TraxtentAllocator};
+use traxtent::{Extent, TrackBoundaries, TraxtentAllocator};
 
 /// Free-space manager over the LBN space described by a boundary table.
 #[derive(Debug, Clone)]
@@ -28,11 +27,6 @@ struct TreeAllocator {
     /// (adjacent runs are coalesced), all within `[0, capacity)`.
     free: BTreeMap<u64, u64>,
     free_sectors: u64,
-    /// Per-track trust mask from a noisy extraction; `None` means every
-    /// track's boundaries are trusted. Untrusted tracks are never handed
-    /// out by the track-aligned policies — only by the untracked
-    /// [`alloc_near`](Self::alloc_near) fallback.
-    trusted: Option<Vec<bool>>,
     /// The library's per-track room index as its walks should leave it,
     /// kept only to tally which tracks a walk passed over: `room` and
     /// `pair_room` false where a failed search proved no free sector, or
@@ -54,31 +48,10 @@ impl TreeAllocator {
             boundaries,
             free,
             free_sectors: cap,
-            trusted: None,
             room: vec![true; tracks],
             pair_room: vec![true; tracks],
             rearmed: vec![false; tracks],
         }
-    }
-
-    /// Creates an allocator from a noisy extraction: tracks whose
-    /// confidence falls below `threshold` are excluded from the
-    /// track-aligned policy.
-    fn with_confidence(boundaries: &ConfidentBoundaries, threshold: f64) -> Self {
-        let trusted = (0..boundaries.table().num_tracks())
-            .map(|i| boundaries.is_confident(i, threshold))
-            .collect();
-        let mut a = TreeAllocator::new(boundaries.table().clone());
-        a.room.clone_from(&trusted);
-        a.pair_room.clone_from(&trusted);
-        a.trusted = Some(trusted);
-        a
-    }
-
-    /// Whether track `idx`'s boundaries are trusted for aligned placement
-    /// (always true for an allocator built without confidence data).
-    fn is_track_trusted(&self, idx: usize) -> bool {
-        self.trusted.as_ref().is_none_or(|t| t[idx])
     }
 
     /// Whether the whole extent is currently free.
@@ -99,10 +72,6 @@ impl TreeAllocator {
             .track_index(near.min(self.boundaries.capacity() - 1));
         for idx in ring(origin, n) {
             let t = self.boundaries.track_extent(idx);
-            if !self.is_track_trusted(idx) {
-                seen.note_if(self.is_free(t), "untrusted_free_track_skipped");
-                continue;
-            }
             if self.is_free(t) {
                 seen.note_if(idx == origin, "traxtent_at_the_origin");
                 seen.note_if(idx < origin, "traxtent_below_the_origin");
@@ -129,7 +98,7 @@ impl TreeAllocator {
         None
     }
 
-    /// The first free sector of the closest trusted track, the lower at
+    /// The first free sector of the closest track, the lower at
     /// equal distance, that starts `want` free sectors — a run that may
     /// run on past the track — or a shorter run ending at the track's end:
     /// every track tested in the order of `ring`.
@@ -147,14 +116,6 @@ impl TreeAllocator {
         let floor = (self.free.keys().next()).map_or(n, |&s| self.boundaries.track_index(s));
         let mut found = None;
         for idx in ring(origin, n) {
-            if !self.is_track_trusted(idx) {
-                let t = self.boundaries.track_extent(idx);
-                seen.note_if(
-                    self.free_in(t).next().is_some(),
-                    "untrusted_track_skipped_by_a_run",
-                );
-                continue;
-            }
             found = self.run_on_track(idx, want);
             let indexed = if want > 1 {
                 self.pair_room[idx]
@@ -171,6 +132,10 @@ impl TreeAllocator {
                     "run_once_one_side_ran_out",
                 );
                 seen.note_if(self.rearmed[idx], "passed_track_rearmed_then_taken");
+                seen.note_if(
+                    want == 1 && !self.pair_room[idx],
+                    "unit_found_where_a_pair_was_not",
+                );
                 self.rearmed[idx] = false;
                 found = Some(u);
                 break;
@@ -267,11 +232,9 @@ impl TreeAllocator {
         if ext.len > 0 {
             let last = self.boundaries.track_index(ext.end() - 1);
             for idx in self.boundaries.track_index(ext.start)..=last {
-                if self.is_track_trusted(idx) {
-                    self.rearmed[idx] |= !(self.room[idx] && self.pair_room[idx]);
-                    self.room[idx] = true;
-                    self.pair_room[idx] = true;
-                }
+                self.rearmed[idx] |= !(self.room[idx] && self.pair_room[idx]);
+                self.room[idx] = true;
+                self.pair_room[idx] = true;
             }
         }
         // Coalesce with predecessor and successor.
@@ -339,15 +302,6 @@ fn arb_table() -> impl Strategy<Value = TrackBoundaries> {
     })
 }
 
-/// A per-track trust mask from `seed` (roughly one track in five
-/// untrusted), as certain-or-zero confidences.
-fn confidences(tb: &TrackBoundaries, seed: u64) -> ConfidentBoundaries {
-    let conf = (0..tb.num_tracks() as u64)
-        .map(|i| f64::from(!traxtent::hash::mix64(seed ^ i).is_multiple_of(5)))
-        .collect();
-    ConfidentBoundaries::new(tb.clone(), conf).expect("one confidence per track")
-}
-
 /// The free state, the free count and the fragmentation agree, sector by
 /// sector.
 fn assert_same_map(fast: &TraxtentAllocator, slow: &TreeAllocator) {
@@ -381,22 +335,21 @@ fn between_runs(slow: &TreeAllocator, pick: u64, len: u64) -> Option<u64> {
     Some((s + l - len + next) / 2)
 }
 
-/// What a case draws: the table, a trust-mask seed, and the operations as
-/// `(kind, pick, length)`.
-type Case = (TrackBoundaries, Option<u64>, Vec<(u8, u64, u64)>);
+/// What a case draws: the table and the operations as `(kind, pick,
+/// length)`.
+type Case = (TrackBoundaries, Vec<(u8, u64, u64)>);
 
 fn arb_case() -> impl Strategy<Value = Case> {
     let len = prop_oneof![1u64..8, 1u64..200, 100u64..1_200];
     (
         arb_table(),
-        prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
         prop::collection::vec((0u8..15, 0u64..u64::MAX, len), 1..150),
     )
 }
 
 /// `alloc_traxtent`, `closest_traxtent_run`, `alloc_near` and `free`
 /// return what the tree allocator returns and leave the same free map,
-/// over random tables with and without a trust mask, from a pristine map
+/// over random tables, from a pristine map
 /// to a full one and back: whole and partial frees, hints anywhere in the
 /// table and past it, hints between two equidistant runs, and run queries
 /// where the last free landed, which the library's room index has to have
@@ -405,24 +358,10 @@ fn arb_case() -> impl Strategy<Value = Case> {
 fn sector_api_matches_the_tree_allocator() {
     let name = "sector_api_matches_the_tree_allocator";
     let mut tally = Tally::default();
-    for_cases(name, 128, arb_case(), |(tb, mask, ops)| {
+    for_cases(name, 128, arb_case(), |(tb, ops)| {
         let capacity = tb.capacity();
-        let (mut fast, mut slow) = match mask {
-            None => (
-                TraxtentAllocator::new(tb.clone()),
-                TreeAllocator::new(tb.clone()),
-            ),
-            Some(seed) => {
-                let cb = confidences(&tb, seed);
-                (
-                    TraxtentAllocator::in_units(tb.clone(), 1, capacity, Some((&cb, 0.5))),
-                    TreeAllocator::with_confidence(&cb, 0.5),
-                )
-            }
-        };
-        for (i, t) in tb.iter().enumerate() {
-            assert_eq!(fast.is_trusted(t.start), slow.is_track_trusted(i));
-        }
+        let mut fast = TraxtentAllocator::new(tb.clone());
+        let mut slow = TreeAllocator::new(tb.clone());
         let mut held: Vec<Extent> = Vec::new();
         let mut last_freed = 0;
         for (op, pick, len) in ops {
@@ -474,6 +413,27 @@ fn sector_api_matches_the_tree_allocator() {
                         "closest_traxtent_run({near}, {want})"
                     );
                 }
+                11 if !held.is_empty() => {
+                    // Every other sector of a held extent, then a pair and
+                    // one sector wanted there: the pair search passes a
+                    // track of single free sectors, and the one-sector
+                    // search after it must still find them.
+                    let h = held.swap_remove(pick as usize % held.len());
+                    for u in (h.start..h.end()).step_by(2) {
+                        fast.free(Extent::new(u, 1));
+                        slow.free(Extent::new(u, 1), &mut tally);
+                    }
+                    held.extend((h.start + 1..h.end()).step_by(2).map(|u| Extent::new(u, 1)));
+                    last_freed = h.start;
+                    for want in [2, 1] {
+                        assert_eq!(
+                            fast.closest_traxtent_run(h.start, want),
+                            slow.closest_traxtent_run(h.start, want, &mut tally),
+                            "closest_traxtent_run({}, {want}) among single holes",
+                            h.start
+                        );
+                    }
+                }
                 10 if pick % 4 == 0 => {
                     // Fill the map, a whole free run at a time.
                     let runs: Vec<(u64, u64)> = slow.free.iter().map(|(&s, &l)| (s, l)).collect();
@@ -500,7 +460,6 @@ fn sector_api_matches_the_tree_allocator() {
             "traxtent_below_once_the_top_ran_out",
             "traxtent_above_once_the_bottom_ran_out",
             "origin_below_the_first_free_track",
-            "untrusted_free_track_skipped",
             "no_free_traxtent",
             "run_at_the_hint",
             "run_below_the_hint",
@@ -520,7 +479,7 @@ fn sector_api_matches_the_tree_allocator() {
             "want_2",
             "want_3_or_more",
             "passed_track_rearmed_then_taken",
-            "untrusted_track_skipped_by_a_run",
+            "unit_found_where_a_pair_was_not",
             "no_traxtent_run",
         ],
     );
@@ -535,7 +494,7 @@ fn a_one_track_table() {
     assert_eq!(a.alloc_near(1, 0), None);
     // Six whole 16-sector units; the track ends inside no unit of the
     // map, so nothing is excluded.
-    let mut a = TraxtentAllocator::in_units(tb, 16, 100, None);
+    let mut a = TraxtentAllocator::in_units(tb, 16, 100);
     a.exclude_straddlers();
     assert_eq!((a.units(), a.free_units()), (6, 6));
     assert_eq!(a.closest_traxtent_run(3, 6), Some(0));
@@ -545,14 +504,14 @@ fn a_one_track_table() {
 #[test]
 fn tracks_shorter_than_a_unit() {
     let tb = TrackBoundaries::uniform(20, 10);
-    let mut a = TraxtentAllocator::in_units(tb.clone(), 16, 200, None);
+    let mut a = TraxtentAllocator::in_units(tb.clone(), 16, 200);
     // No track holds a whole unit: no traxtent anywhere, while the
     // untracked fallback still places.
     assert_eq!(a.closest_traxtent_run(5, 1), None);
     assert_eq!(a.alloc_traxtent(5), None);
     assert_eq!(a.closest_free_run(5, 3, u64::MAX), Some(5));
     // Every unit spans a boundary, so exclusion takes them all.
-    let mut a = TraxtentAllocator::in_units(tb, 16, 200, None);
+    let mut a = TraxtentAllocator::in_units(tb, 16, 200);
     a.exclude_straddlers();
     assert_eq!((a.units(), a.free_units()), (12, 0));
     assert_eq!(a.excluded_fraction(), 1.0);
@@ -564,7 +523,7 @@ fn tracks_shorter_than_a_unit() {
 fn a_capacity_that_is_not_a_multiple_of_the_unit() {
     // 300 sectors: 18 whole units, the last 12 sectors in none.
     let tb = TrackBoundaries::uniform(3, 100);
-    let mut a = TraxtentAllocator::in_units(tb, 16, 300, None);
+    let mut a = TraxtentAllocator::in_units(tb, 16, 300);
     a.exclude_straddlers();
     // Tracks 0 and 1 end inside units 6 and 12; track 2 ends past the
     // map.
@@ -600,5 +559,5 @@ fn a_map_filled_to_zero_then_drained_to_one_run() {
 #[test]
 #[should_panic(expected = "no whole 16-sector unit in 10 sectors")]
 fn a_map_without_a_whole_unit_is_refused() {
-    let _ = TraxtentAllocator::in_units(TrackBoundaries::uniform(1, 10), 16, 10, None);
+    let _ = TraxtentAllocator::in_units(TrackBoundaries::uniform(1, 10), 16, 10);
 }

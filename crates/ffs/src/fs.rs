@@ -245,20 +245,6 @@ impl FileSystem {
         Self::with_layout(disk, layout)
     }
 
-    /// Mounts a freshly formatted file system whose boundary table came
-    /// from a noisy extraction: tracks below `threshold` confidence are
-    /// handled untracked (see [`Layout::format_confident`]).
-    pub fn format_confident(
-        disk: Disk,
-        personality: Personality,
-        boundaries: &traxtent::ConfidentBoundaries,
-        threshold: f64,
-    ) -> Self {
-        let capacity = disk.geometry().capacity_lbns();
-        let layout = Layout::format_confident(personality, boundaries, threshold, capacity);
-        Self::with_layout(disk, layout)
-    }
-
     fn with_layout(disk: Disk, layout: Layout) -> Self {
         FileSystem {
             disk,
@@ -659,10 +645,6 @@ impl FileSystem {
             Personality::Unmodified => ramp,
             Personality::FastStart if !inode.accessed => self.cluster_cap,
             Personality::FastStart => ramp,
-            // The extraction was not confident about this track's
-            // boundaries; clipping at them would be arbitrary. Degrade to
-            // the unmodified sizing.
-            Personality::Traxtent if !self.layout.block_trusted(db) => ramp,
             Personality::Traxtent if !inode.nonseq_seen => traxtent(self.cluster_cap * 4),
             Personality::Traxtent => traxtent(ramp),
         };
@@ -753,11 +735,11 @@ impl FileSystem {
     }
 
     /// The most blocks one write-back starting at block `start` may carry:
-    /// to the end of its traxtent, as the planner clips it, where the track
-    /// is trusted, else the cluster cap.
+    /// to the end of its traxtent, as the planner clips it, for the
+    /// traxtent personality, else the cluster cap.
     fn cluster_limit(&self, start: u64) -> u64 {
         match self.layout.personality() {
-            Personality::Traxtent if self.layout.block_trusted(start) => {
+            Personality::Traxtent => {
                 let lbn = self.layout.block_to_lbn(start);
                 whole_blocks(self.planner.plan_writeback(lbn, u64::MAX))
             }

@@ -1,7 +1,7 @@
 //! On-disk layout: block groups and the allocation policies of the three
 //! FFS personalities, over the traxtent allocator's free-block map.
 
-use traxtent::{ConfidentBoundaries, TrackBoundaries, TraxtentAllocator};
+use traxtent::{TrackBoundaries, TraxtentAllocator};
 
 /// Sectors per file-system block (8 KB blocks over 512-byte sectors).
 pub const BLOCK_SECTORS: u64 = 16;
@@ -47,7 +47,7 @@ pub struct AllocStats {
 #[derive(Debug, Clone)]
 pub struct Layout {
     personality: Personality,
-    /// Free, excluded and trusted state of every block.
+    /// Free and excluded state of every block.
     alloc: TraxtentAllocator,
     alloc_stats: AllocStats,
 }
@@ -66,46 +66,11 @@ impl Layout {
         boundaries: TrackBoundaries,
         capacity_lbns: u64,
     ) -> Self {
-        Self::build(personality, boundaries, capacity_lbns, None)
-    }
-
-    /// Like [`format`](Self::format), but from a noisy extraction: tracks
-    /// whose confidence falls below `threshold` are untrusted. The traxtent
-    /// personality degrades to untracked (unmodified-style) behaviour on
-    /// them — no blocks are excluded there, no track-aligned placement
-    /// targets them, and transfers touching them are not clipped at their
-    /// (possibly wrong) boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the disk is smaller than one block group.
-    pub fn format_confident(
-        personality: Personality,
-        boundaries: &ConfidentBoundaries,
-        threshold: f64,
-        capacity_lbns: u64,
-    ) -> Self {
-        let table = boundaries.table().clone();
-        Self::build(
-            personality,
-            table,
-            capacity_lbns,
-            Some((boundaries, threshold)),
-        )
-    }
-
-    fn build(
-        personality: Personality,
-        boundaries: TrackBoundaries,
-        capacity_lbns: u64,
-        trust: Option<(&ConfidentBoundaries, f64)>,
-    ) -> Self {
         assert!(
             capacity_lbns / BLOCK_SECTORS >= BLOCKS_PER_GROUP,
             "disk too small for one block group"
         );
-        let mut alloc =
-            TraxtentAllocator::in_units(boundaries, BLOCK_SECTORS, capacity_lbns, trust);
+        let mut alloc = TraxtentAllocator::in_units(boundaries, BLOCK_SECTORS, capacity_lbns);
         if personality == Personality::Traxtent {
             alloc.exclude_straddlers();
         }
@@ -114,12 +79,6 @@ impl Layout {
             alloc,
             alloc_stats: AllocStats::default(),
         }
-    }
-
-    /// Whether the track holding block `b` has trustworthy boundaries
-    /// (always true for a layout formatted without confidence data).
-    pub fn block_trusted(&self, b: u64) -> bool {
-        self.alloc.is_trusted(b)
     }
 
     /// The personality this layout was formatted with.
@@ -294,59 +253,6 @@ mod tests {
             "{}",
             l.excluded_fraction()
         );
-    }
-
-    #[test]
-    fn untrusted_tracks_get_no_exclusions_and_no_aligned_placement() {
-        // Tracks 0 and 1 fall below threshold; the rest are certain.
-        let mut conf = vec![1.0; 400];
-        conf[0] = 0.3;
-        conf[1] = 0.5;
-        let cb = ConfidentBoundaries::new(boundaries(), conf).unwrap();
-        let l = Layout::format_confident(Personality::Traxtent, &cb, 0.9, 400 * 200);
-
-        // Block 12 straddles track 0's boundary but that boundary is not
-        // trusted, so it stays usable; track 2's straddler (block 37 spans
-        // [592, 608) across the 600 boundary) is excluded as usual.
-        assert!(!l.is_excluded(12));
-        assert!(l.is_excluded(37));
-        assert!(!l.block_trusted(0));
-        assert!(l.block_trusted(30));
-
-        // Track-aligned placement near the untrusted region jumps to the
-        // first trusted track instead.
-        let mut l = l;
-        let b = l.alloc_next(None, 8).expect("space");
-        let track = cb.table().track_index(b * BLOCK_SECTORS);
-        assert!(track >= 2, "aligned placement used untrusted track {track}");
-        let s = l.alloc_stats();
-        assert_eq!(s.track_aligned, 1);
-        assert_eq!(s.fallback, 0);
-    }
-
-    #[test]
-    fn fully_untrusted_layout_behaves_untracked() {
-        let cb = ConfidentBoundaries::new(boundaries(), vec![0.0; 400]).unwrap();
-        let mut l = Layout::format_confident(Personality::Traxtent, &cb, 0.5, 400 * 200);
-        assert_eq!(l.excluded_fraction(), 0.0);
-        assert!(!l.block_trusted(0));
-        // Every placement is a fallback: the aligned policy has nowhere
-        // trusted to go.
-        let a = l.alloc_next(None, 8).expect("space");
-        l.alloc_next(Some(a), 8).expect("space");
-        let s = l.alloc_stats();
-        assert_eq!(s.track_aligned, 0);
-        assert!(s.fallback + s.sequential == 2);
-    }
-
-    #[test]
-    fn confident_format_with_certain_table_matches_plain_format() {
-        let cb = ConfidentBoundaries::certain(boundaries());
-        let confident = Layout::format_confident(Personality::Traxtent, &cb, 0.9, 400 * 200);
-        let plain = Layout::format(Personality::Traxtent, boundaries(), 400 * 200);
-        assert_eq!(confident.excluded_fraction(), plain.excluded_fraction());
-        assert_eq!(confident.free_blocks(), plain.free_blocks());
-        assert!(confident.block_trusted(0));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use sim_disk::crash::{checksum, replay, splitmix, SectorImage, SECTOR_USIZE};
 use sim_disk::disk::Disk;
 use sim_disk::{models, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use traxtent::{ConfidentBoundaries, TrackBoundaries};
+use traxtent::TrackBoundaries;
 
 const MB: u64 = 1 << 20;
 
@@ -150,7 +150,6 @@ struct ScanLayout {
     free: Vec<bool>,
     excluded: Vec<bool>,
     stats: AllocStats,
-    trusted: Vec<bool>,
     /// The allocator's per-track room index as its walks should leave it,
     /// kept only to tally which tracks a walk passes over: `room` false
     /// where a failed search proved no free block, `pair_room` where one
@@ -164,12 +163,7 @@ struct ScanLayout {
 }
 
 impl ScanLayout {
-    fn build(
-        personality: Personality,
-        boundaries: TrackBoundaries,
-        capacity_lbns: u64,
-        trusted: Vec<bool>,
-    ) -> Self {
+    fn build(personality: Personality, boundaries: TrackBoundaries, capacity_lbns: u64) -> Self {
         let blocks = capacity_lbns / BLOCK_SECTORS;
         let mut excluded = vec![false; blocks as usize];
         if personality == Personality::Traxtent {
@@ -177,14 +171,11 @@ impl ScanLayout {
                 let first = b * BLOCK_SECTORS;
                 let last = first + BLOCK_SECTORS - 1;
                 let (_, track_end) = boundaries.track_bounds(first);
-                let track_trusted = trusted.is_empty() || trusted[boundaries.track_index(first)];
-                excluded[b as usize] = last >= track_end && track_trusted;
+                excluded[b as usize] = last >= track_end;
             }
         }
         let tracks = boundaries.num_tracks();
-        let room: Vec<bool> = (0..tracks)
-            .map(|i| trusted.is_empty() || trusted[i])
-            .collect();
+        let room = vec![true; tracks];
         ScanLayout {
             personality,
             boundaries,
@@ -192,7 +183,6 @@ impl ScanLayout {
             free: excluded.iter().map(|&e| !e).collect(),
             excluded,
             stats: AllocStats::default(),
-            trusted,
             pair_room: room.clone(),
             room,
             rearmed: vec![false; tracks],
@@ -203,11 +193,9 @@ impl ScanLayout {
     fn release(&mut self, b: u64) {
         self.free[b as usize] = true;
         let idx = self.boundaries.track_index(b * BLOCK_SECTORS);
-        if self.trusted.is_empty() || self.trusted[idx] {
-            self.rearmed[idx] |= !(self.room[idx] && self.pair_room[idx]);
-            self.room[idx] = true;
-            self.pair_room[idx] = true;
-        }
+        self.rearmed[idx] |= !(self.room[idx] && self.pair_room[idx]);
+        self.room[idx] = true;
+        self.pair_room[idx] = true;
     }
 
     fn alloc_next(&mut self, prev: Option<u64>, run_hint: u64) -> Option<u64> {
@@ -299,7 +287,7 @@ impl ScanLayout {
         self.walk_tracks(origin, n, floor, want)
     }
 
-    /// The scan's walk, every trusted track in order, noting where the
+    /// The scan's walk, every track in order, noting where the
     /// fast walk's room index would have let it jump.
     fn walk_tracks(&mut self, origin: usize, n: usize, floor: usize, want: u64) -> Option<u64> {
         for k in 0..2 * n {
@@ -311,10 +299,6 @@ impl ScanLayout {
             };
             let Some(idx) = idx else { continue };
             if idx >= n {
-                continue;
-            }
-            if !self.trusted.is_empty() && !self.trusted[idx] {
-                self.seen.note("untrusted_track");
                 continue;
             }
             let indexed = if want > 1 {
@@ -436,15 +420,6 @@ fn sized_table(zones: &[(u64, u64)], blocks: u64, whole_words: bool) -> TrackBou
     TrackBoundaries::from_track_lengths(lengths).expect("positive lengths")
 }
 
-/// A per-track trust mask from `seed` (roughly one track in five
-/// untrusted), as certain-or-zero confidences.
-fn confidences(tb: &TrackBoundaries, seed: u64) -> ConfidentBoundaries {
-    let conf = (0..tb.num_tracks() as u64)
-        .map(|i| f64::from(!traxtent::hash::mix64(seed ^ i).is_multiple_of(5)))
-        .collect();
-    ConfidentBoundaries::new(tb.clone(), conf).expect("one confidence per track")
-}
-
 fn personality(p: u8) -> Personality {
     [
         Personality::Unmodified,
@@ -453,24 +428,12 @@ fn personality(p: u8) -> Personality {
     ][p as usize]
 }
 
-/// Both layouts over one table; `mask` picks the trust-mask constructor.
-fn layouts(p: Personality, tb: &TrackBoundaries, mask: Option<u64>) -> (Layout, ScanLayout) {
-    match mask {
-        None => (
-            Layout::format(p, tb.clone(), tb.capacity()),
-            ScanLayout::build(p, tb.clone(), tb.capacity(), Vec::new()),
-        ),
-        Some(seed) => {
-            let cb = confidences(tb, seed);
-            let trusted = (0..tb.num_tracks())
-                .map(|i| cb.is_confident(i, 0.5))
-                .collect();
-            (
-                Layout::format_confident(p, &cb, 0.5, tb.capacity()),
-                ScanLayout::build(p, tb.clone(), tb.capacity(), trusted),
-            )
-        }
-    }
+/// Both layouts over one table.
+fn layouts(p: Personality, tb: &TrackBoundaries) -> (Layout, ScanLayout) {
+    (
+        Layout::format(p, tb.clone(), tb.capacity()),
+        ScanLayout::build(p, tb.clone(), tb.capacity()),
+    )
 }
 
 fn assert_same_bitmaps(fast: &Layout, slow: &ScanLayout) {
@@ -633,7 +596,7 @@ fn cache_matches_the_stamp_model() {
 }
 
 /// What a layout case draws: zones of `(track length, tracks)`, the
-/// personality, a trust-mask seed, the table's shape (every track a whole
+/// personality, the table's shape (every track a whole
 /// number of blocks, so that runs leave tracks; the block count a whole
 /// number of words; everything taken but 12 blocks past the prefix and the
 /// table's last 12, so that the disk fills), the filled prefix with the spacing and length of
@@ -641,7 +604,6 @@ fn cache_matches_the_stamp_model() {
 type LayoutCase = (
     Vec<(u64, u64)>,
     u8,
-    Option<u64>,
     (bool, bool, bool),
     (u64, u64, u64),
     Vec<(u8, u64, u64)>,
@@ -673,17 +635,15 @@ fn arb_layout_case() -> impl Strategy<Value = LayoutCase> {
     (
         prop::collection::vec((length, 1u64..40), 1..6),
         0u8..3,
-        prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
         (one_in_three(), one_in_three(), one_in_three()),
         prefix,
-        prop::collection::vec((0u8..8, 0u64..u64::MAX, hint), 1..80),
+        prop::collection::vec((0u8..10, 0u64..u64::MAX, hint), 1..80),
     )
 }
 
 /// `alloc_next` places every block where the byte-map scan does, and
 /// attributes it the same way, while takes and releases move the low-water
-/// mark about — for all three personalities, with and without a trust
-/// mask, on tracks narrower and wider than a bitmap word, from a pristine
+/// mark about — for all three personalities, on tracks narrower and wider than a bitmap word, from a pristine
 /// disk to a full prefix with single-block holes.
 #[test]
 fn low_water_mark_matches_the_full_scan() {
@@ -693,7 +653,7 @@ fn low_water_mark_matches_the_full_scan() {
         name,
         128,
         arb_layout_case(),
-        |(mut zones, p, mask, shape, (fill, spacing, hole), ops)| {
+        |(mut zones, p, shape, (fill, spacing, hole), ops)| {
             let (whole_blocks, whole_words, nearly_full) = shape;
             if whole_blocks {
                 for (length, _) in &mut zones {
@@ -701,7 +661,7 @@ fn low_water_mark_matches_the_full_scan() {
                 }
             }
             let tb = sized_table(&zones, (BLOCKS_PER_GROUP + 64).max(fill + 600), whole_words);
-            let (mut fast, mut slow) = layouts(personality(p), &tb, mask);
+            let (mut fast, mut slow) = layouts(personality(p), &tb);
             tally.note_if(slow.blocks.is_multiple_of(64), "blocks_fill_the_last_word");
             tally.note_if(!slow.blocks.is_multiple_of(64), "blocks_end_inside_a_word");
             // Fill a prefix so the first free block is far from block 0,
@@ -724,6 +684,7 @@ fn low_water_mark_matches_the_full_scan() {
                 }
             }
             let mut held: Vec<u64> = Vec::new();
+            let mut released = None;
             for (op, pick, hint) in ops {
                 match op {
                     // Take some free block out from under the allocator.
@@ -746,16 +707,19 @@ fn low_water_mark_matches_the_full_scan() {
                             held.retain(|&h| h != b);
                             fast.release(b);
                             slow.release(b);
+                            released = Some(b);
                         }
                     }
                     // Allocate: a file's first block, or the one after a
-                    // block near the table's end, a held block or a block
-                    // of the prefix.
+                    // block near the table's end, a held block, a block of
+                    // the prefix or the block released last, whose track a
+                    // walk may have passed before the release re-armed it.
                     _ => {
                         let prev = match op {
                             4 => Some(slow.blocks - 2 - pick % 30),
                             5 | 6 if !held.is_empty() => Some(held[pick as usize % held.len()]),
                             7 if fill > 0 => Some(pick % fill),
+                            8 | 9 => released,
                             _ => None,
                         };
                         let got = fast.alloc_next(prev, hint);
@@ -777,7 +741,6 @@ fn low_water_mark_matches_the_full_scan() {
     tally.require(
         name,
         &[
-            "untrusted_track",
             "track_skipped_no_free_bit",
             "skipped_no_run_last_taken",
             "run_inside_last_taken",
@@ -809,8 +772,7 @@ fn low_water_mark_matches_the_full_scan() {
 
 /// The per-track sweep excludes exactly the blocks the per-block
 /// definition does: uniform tables, zoned ones, tables where every track
-/// is its own zone, and tracks shorter than a block, with and without a
-/// trust mask.
+/// is its own zone, and tracks shorter than a block.
 #[test]
 fn one_sweep_format_matches_the_per_block_definition() {
     let name = "one_sweep_format_matches_the_per_block_definition";
@@ -830,9 +792,8 @@ fn one_sweep_format_matches_the_per_block_definition() {
             0u8..3,
             prop::collection::vec((length, 1u64..60), 1..40),
             0u8..3,
-            prop_oneof![Just(None), (0u64..u64::MAX).prop_map(Some)],
         ),
-        |(shape, zones, p, mask)| {
+        |(shape, zones, p)| {
             let zones: Vec<(u64, u64)> = match shape {
                 0 => vec![zones[0]],
                 1 => zones,
@@ -844,13 +805,8 @@ fn one_sweep_format_matches_the_per_block_definition() {
                 zones.iter().any(|&(len, _)| len < BLOCK_SECTORS),
                 "track_shorter_than_a_block",
             );
-            tally.note(if mask.is_some() {
-                "trust_mask"
-            } else {
-                "no_trust_mask"
-            });
             let tb = table(&zones);
-            let (fast, slow) = layouts(personality(p), &tb, mask);
+            let (fast, slow) = layouts(personality(p), &tb);
             assert_same_bitmaps(&fast, &slow);
         },
     );
@@ -861,8 +817,6 @@ fn one_sweep_format_matches_the_per_block_definition() {
             "zoned_table",
             "every_track_its_own_zone",
             "track_shorter_than_a_block",
-            "trust_mask",
-            "no_trust_mask",
         ],
     );
 }

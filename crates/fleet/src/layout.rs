@@ -510,12 +510,6 @@ impl VolumeLayout {
         self.pstart_at(unit, self.place(unit))
     }
 
-    /// Extraction confidence of the member stripe unit that unit `unit`
-    /// was carved from.
-    pub fn confidence(&self, unit: usize) -> f64 {
-        self.logical.track_confidence(unit)
-    }
-
     /// Member holding round `round`'s parity (RAID-5).
     pub fn parity(&self, round: usize) -> usize {
         parity_member(round, self.members)

@@ -50,135 +50,180 @@ fn arb_kind() -> impl Strategy<Value = VolumeKind> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// A volume kind's tally branch, in `VolumeKind` order.
+const KINDS: [&str; 3] = ["striped", "mirrored", "raid5"];
 
-    /// (a) The units tile the logical space, every unit lies inside its
-    /// member, and distinct logical LBNs never share a physical home.
-    #[test]
-    fn mapping_is_a_bijection(
-        maps in arb_members(3),
-        kind in arb_kind(),
-        policy in arb_policy(),
-    ) {
-        let layout = match VolumeLayout::new(kind, &maps, &policy) {
-            Ok(l) => l,
-            Err(_) => return, // e.g. no complete round fits
-        };
-        prop_assert!(layout.capacity() > 0);
-        let mut expected_lstart = 0;
-        let mut seen = std::collections::HashSet::new();
-        for (i, u) in layout.units().iter().enumerate() {
-            let (member, pstart) = (layout.member(i), layout.pstart(i));
-            prop_assert_eq!(u.lstart, expected_lstart, "units tile the logical space");
-            prop_assert!(u.len > 0);
-            prop_assert!(pstart + u64::from(u.len) <= layout.member_caps()[member]);
-            expected_lstart += u64::from(u.len);
-            for o in 0..u64::from(u.len) {
-                prop_assert!(
-                    seen.insert((member, pstart + o)),
-                    "physical sector owned by two logical LBNs"
-                );
+/// The layout of `maps` as `kind` under `policy`, tallying the kind built
+/// or the member set refused (too few members for the kind).
+fn built(
+    kind: VolumeKind,
+    maps: &[ConfidentBoundaries],
+    policy: &StripePolicy,
+    tally: &mut Tally,
+) -> Option<VolumeLayout> {
+    let layout = VolumeLayout::new(kind, maps, policy).ok();
+    tally.note(layout.as_ref().map_or("refused", |_| KINDS[kind as usize]));
+    layout
+}
+
+/// (a) The units tile the logical space, every unit lies inside its
+/// member, and distinct logical LBNs never share a physical home.
+#[test]
+fn mapping_is_a_bijection() {
+    let name = "mapping_is_a_bijection";
+    let mut tally = Tally::default();
+    for_cases(
+        name,
+        96,
+        (arb_members(1), arb_kind(), arb_policy()),
+        |(maps, kind, policy)| {
+            let Some(layout) = built(kind, &maps, &policy, &mut tally) else {
+                return;
+            };
+            assert!(layout.capacity() > 0);
+            let mut expected_lstart = 0;
+            let mut seen = std::collections::HashSet::new();
+            for (i, u) in layout.units().iter().enumerate() {
+                let (member, pstart) = (layout.member(i), layout.pstart(i));
+                assert_eq!(u.lstart, expected_lstart, "units tile the logical space");
+                assert!(u.len > 0);
+                assert!(pstart + u64::from(u.len) <= layout.member_caps()[member]);
+                expected_lstart += u64::from(u.len);
+                for o in 0..u64::from(u.len) {
+                    assert!(
+                        seen.insert((member, pstart + o)),
+                        "physical sector owned by two logical LBNs"
+                    );
+                }
             }
-        }
-        prop_assert_eq!(expected_lstart, layout.capacity());
-    }
+            assert_eq!(expected_lstart, layout.capacity());
+        },
+    );
+    tally.require(name, &["striped", "mirrored", "raid5", "refused"]);
+}
 
-    /// (b) Under the aligned policy, no stripe unit crosses a *trusted*
-    /// member track boundary: each unit either is exactly one trusted
-    /// track or sits entirely inside low-confidence tracks.
-    #[test]
-    fn aligned_units_respect_trusted_boundaries(
-        map in arb_member(),
-        fallback in 1u64..200,
-    ) {
-        let policy = StripePolicy::Aligned { threshold: 0.9, fallback_sectors: fallback };
+/// (b) Under the aligned policy, no stripe unit crosses a *trusted*
+/// member track boundary: each unit either is exactly one trusted track
+/// or sits entirely inside low-confidence tracks.
+#[test]
+fn aligned_units_respect_trusted_boundaries() {
+    let name = "aligned_units_respect_trusted_boundaries";
+    let mut tally = Tally::default();
+    for_cases(name, 96, (arb_member(), 1u64..200), |(map, fallback)| {
+        let policy = StripePolicy::Aligned {
+            threshold: 0.9,
+            fallback_sectors: fallback,
+        };
         let units = stripe_units(&map, &policy).expect("valid policy");
         let table = map.table();
         let mut at = 0;
         for u in units {
-            prop_assert_eq!(u.start, at, "units tile the member");
+            assert_eq!(u.start, at, "units tile the member");
             at = u.end();
             let first = table.track_index(u.start);
             let last = table.track_index(u.end() - 1);
             if map.is_confident(first, 0.9) {
                 // A trusted track is carved as exactly itself.
                 let ext = table.track_extent(first);
-                prop_assert_eq!((u.start, u.len), (ext.start, ext.len));
+                assert_eq!((u.start, u.len), (ext.start, ext.len));
+                tally.note("trusted_track_unit");
             } else {
                 // A fallback unit may span fuzzy tracks but must stop at
                 // the first trusted boundary.
                 for t in first..=last {
-                    prop_assert!(
+                    assert!(
                         !map.is_confident(t, 0.9),
-                        "fallback unit [{}, {}) crosses trusted track {}",
-                        u.start, u.end(), t
+                        "fallback unit [{}, {}) crosses trusted track {t}",
+                        u.start,
+                        u.end()
                     );
                 }
+                tally.note("fallback_unit");
             }
         }
-        prop_assert_eq!(at, table.capacity());
-    }
+        assert_eq!(at, table.capacity());
+    });
+    tally.require(name, &["trusted_track_unit", "fallback_unit"]);
+}
 
-    /// (c) RAID-5 reconstruction of any single member — data or parity
-    /// column — is bit-exact against what the member actually held.
-    #[test]
-    fn raid5_reconstruction_is_bit_exact(
-        maps in arb_members(3),
-        policy in arb_policy(),
-        seed in 0u64..u64::MAX,
-        victim_pick in 0usize..16,
-    ) {
-        let layout = match VolumeLayout::new(VolumeKind::Raid5, &maps, &policy) {
-            Ok(l) => l,
-            Err(_) => return,
-        };
-        let mut stores: Vec<SectorStore> =
-            layout.member_caps().iter().map(|&c| SectorStore::new(c)).collect();
-        fill_stores(&layout, &mut stores, seed);
-        let victim = victim_pick % layout.members();
-        for r in layout.rounds() {
-            let rebuilt = reconstruct_unit(&layout, &stores, r, victim);
-            let at = layout.member_extent(r, victim);
-            prop_assert_eq!(rebuilt.len() as u64, at.len);
-            for (o, &w) in rebuilt.iter().enumerate() {
-                prop_assert_eq!(
-                    w,
-                    stores[victim].word(at.start + o as u64),
-                    "round {} offset {} of member {}", r, o, victim
-                );
+/// (c) RAID-5 reconstruction of any single member — data or parity
+/// column — is bit-exact against what the member actually held.
+#[test]
+fn raid5_reconstruction_is_bit_exact() {
+    let name = "raid5_reconstruction_is_bit_exact";
+    let mut tally = Tally::default();
+    for_cases(
+        name,
+        96,
+        (arb_members(1), arb_policy(), 0u64..u64::MAX, 0usize..16),
+        |(maps, policy, seed, victim_pick)| {
+            let Some(layout) = built(VolumeKind::Raid5, &maps, &policy, &mut tally) else {
+                return;
+            };
+            let mut stores: Vec<SectorStore> = (layout.member_caps().iter())
+                .map(|&c| SectorStore::new(c))
+                .collect();
+            fill_stores(&layout, &mut stores, seed);
+            let victim = victim_pick % layout.members();
+            for r in layout.rounds() {
+                let rebuilt = reconstruct_unit(&layout, &stores, r, victim);
+                let at = layout.member_extent(r, victim);
+                assert_eq!(rebuilt.len() as u64, at.len);
+                for (o, &w) in rebuilt.iter().enumerate() {
+                    assert_eq!(
+                        w,
+                        stores[victim].word(at.start + o as u64),
+                        "round {r} offset {o} of member {victim}"
+                    );
+                }
+                tally.note(if layout.parity(r) == victim {
+                    "parity_column_rebuilt"
+                } else {
+                    "data_column_rebuilt"
+                });
             }
-        }
-    }
+        },
+    );
+    tally.require(
+        name,
+        &[
+            "raid5",
+            "refused",
+            "parity_column_rebuilt",
+            "data_column_rebuilt",
+        ],
+    );
+}
 
-    /// The volume-wide boundary map published to the scheduler has one
-    /// "track" per logical unit and exactly the volume's capacity.
-    #[test]
-    fn logical_boundaries_mirror_units(
-        maps in arb_members(2),
-        kind in arb_kind(),
-        policy in arb_policy(),
-    ) {
-        let layout = match VolumeLayout::new(kind, &maps, &policy) {
-            Ok(l) => l,
-            Err(_) => return,
-        };
-        let lb = layout.logical_boundaries();
-        prop_assert_eq!(lb.table().capacity(), layout.capacity());
-        prop_assert_eq!(lb.table().num_tracks(), layout.units().len());
-        for (i, u) in layout.units().iter().enumerate() {
-            let ext = lb.table().track_extent(i);
-            prop_assert_eq!((ext.start, ext.len), (u.lstart, u64::from(u.len)));
-        }
-    }
+/// The volume-wide boundary map published to the scheduler has one
+/// "track" per logical unit and exactly the volume's capacity.
+#[test]
+fn logical_boundaries_mirror_units() {
+    let name = "logical_boundaries_mirror_units";
+    let mut tally = Tally::default();
+    for_cases(
+        name,
+        96,
+        (arb_members(1), arb_kind(), arb_policy()),
+        |(maps, kind, policy)| {
+            let Some(layout) = built(kind, &maps, &policy, &mut tally) else {
+                return;
+            };
+            let lb = layout.logical_boundaries();
+            assert_eq!(lb.table().capacity(), layout.capacity());
+            assert_eq!(lb.table().num_tracks(), layout.units().len());
+            for (i, u) in layout.units().iter().enumerate() {
+                let ext = lb.table().track_extent(i);
+                assert_eq!((ext.start, ext.len), (u.lstart, u64::from(u.len)));
+            }
+        },
+    );
+    tally.require(name, &["striped", "mirrored", "raid5", "refused"]);
 }
 
 // ---------------------------------------------------------------------
 // `split` against a naive walk over the units.
 // ---------------------------------------------------------------------
-
-/// A volume kind's tally branch, in `VolumeKind` order.
-const KINDS: [&str; 3] = ["striped", "mirrored", "raid5"];
 
 /// `split` with no lookup at all: every unit, in order, clipped to the
 /// request.
@@ -223,8 +268,9 @@ fn check_split(
     let first = &layout.units()[chunks[0].unit];
     // A fallback unit carved from a fuzzy run: many short units in one
     // directory bucket.
+    let confidence = layout.logical_boundaries().track_confidence(chunks[0].unit);
     tally.note_if(
-        layout.confidence(chunks[0].unit) < 0.9 && Some(u64::from(first.len)) == fallback,
+        confidence < 0.9 && Some(u64::from(first.len)) == fallback,
         "starts_in_fallback_unit",
     );
     tally.note(if chunks.len() == 1 {

@@ -352,6 +352,7 @@ fn check(
     assert_eq!(new.capacity(), old.logical.table().capacity());
 
     assert_eq!(new.units().len(), old.units.len());
+    let logical = new.logical_boundaries();
     for (i, u) in old.units.iter().enumerate() {
         let flat = new.units()[i];
         let got = (
@@ -362,7 +363,8 @@ fn check(
         );
         assert_eq!(got, (u.lstart, u.len, u.member, u.pstart), "unit {i}");
         assert_eq!(new.round(i), u.round, "unit {i}'s round");
-        assert_eq!(new.confidence(i), u.confidence, "unit {i}'s confidence");
+        let confidence = logical.track_confidence(i);
+        assert_eq!(confidence, u.confidence, "unit {i}'s confidence");
     }
 
     let rounds = old.units.last().map_or(0, |u| u.round + 1);

@@ -34,8 +34,6 @@ pub struct SegmentCache {
     config: CacheConfig,
     /// Cached `[start, end)` runs, least recently used first.
     segs: Vec<(u64, u64)>,
-    hits: u64,
-    misses: u64,
 }
 
 impl SegmentCache {
@@ -44,8 +42,6 @@ impl SegmentCache {
         SegmentCache {
             config,
             segs: Vec::with_capacity(config.segments),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -59,13 +55,9 @@ impl SegmentCache {
         match self.segs.iter().position(|&(s, e)| s <= start && end <= e) {
             Some(at) => {
                 self.segs[at..].rotate_left(1);
-                self.hits += 1;
                 true
             }
-            None => {
-                self.misses += 1;
-                false
-            }
+            None => false,
         }
     }
 
@@ -122,11 +114,6 @@ impl SegmentCache {
         self.segs.clear();
     }
 
-    /// (hits, misses) since creation.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     /// Number of live segments.
     pub fn len(&self) -> usize {
         self.segs.len()
@@ -154,7 +141,6 @@ mod tests {
         assert!(c.lookup(100, 10));
         assert!(c.lookup(150, 50));
         assert!(!c.lookup(150, 51)); // extends past segment end
-        assert_eq!(c.stats(), (2, 2));
     }
 
     #[test]
@@ -212,7 +198,6 @@ mod tests {
         let mut c = SegmentCache::new(CacheConfig { segments: 0 });
         c.insert(0, 1000);
         assert!(!c.lookup(0, 1));
-        assert_eq!(c.stats(), (0, 0));
     }
 
     #[test]

@@ -266,11 +266,6 @@ impl Disk {
         self.actuator_free.max(self.bus_free)
     }
 
-    /// Cache statistics: (hits, misses).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
     /// Totals of every fault injected so far (all zero when fault
     /// injection is off). Like the request sequence number, the totals
     /// survive [`Disk::reset`].
