@@ -460,7 +460,10 @@ fn bench_ffs(c: &mut Criterion) {
         }
         if holes {
             for track in 0..tracks {
-                layout.release(table.track_extent(track).start.div_ceil(BLOCK_SECTORS) + 5);
+                layout.free(
+                    table.track_extent(track).start.div_ceil(BLOCK_SECTORS) + 5,
+                    1,
+                );
             }
         }
         layout
@@ -469,7 +472,7 @@ fn bench_ffs(c: &mut Criterion) {
         let mut layout = filled(2000, false);
         b.iter(|| {
             let first = layout.alloc_next(None, 8).expect("space");
-            layout.release(first);
+            layout.free(first, 1);
             black_box(first)
         })
     });
@@ -478,7 +481,7 @@ fn bench_ffs(c: &mut Criterion) {
         let mut layout = filled(60, true);
         b.iter(|| {
             let first = layout.alloc_next(None, 2).expect("space");
-            layout.release(first);
+            layout.free(first, 1);
             black_box(first)
         })
     });
@@ -488,7 +491,7 @@ fn bench_ffs(c: &mut Criterion) {
         let lowest = table.track_extent(0).start.div_ceil(BLOCK_SECTORS) + 5;
         b.iter(|| {
             layout.take(black_box(lowest));
-            layout.release(lowest);
+            layout.free(lowest, 1);
         })
     });
     c.bench_function("ffs/format_atlas10k", |b| {

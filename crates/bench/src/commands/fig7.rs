@@ -63,7 +63,7 @@ pub(crate) fn main(run: &Run) {
             .num(r.mean_component_ms(|c| c.breakdown.seek), 2)
             .num(mid, 2)
             .num(r.mean_component_ms(|c| c.breakdown.bus), 2)
-            .num(r.mean_response().as_millis_f64(), 2)
+            .num(r.mean_head_time(QueueDepth::One).as_millis_f64(), 2)
             .key(key)
     });
     println!(

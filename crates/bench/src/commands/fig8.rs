@@ -39,7 +39,7 @@ pub(crate) fn main(run: &Run) {
             let spec = RandomIoSpec::reads((track * pct / 100).max(1), alignment, QueueDepth::One);
             let r = random_io(run, &mut Disk::new(cfg.clone()), count, spec);
             Row::new()
-                .num(r.mean_response().as_millis_f64(), 2)
+                .num(r.mean_head_time(QueueDepth::One).as_millis_f64(), 2)
                 .key_if(pct == 100, format!("{name}_mean_ms_at_track"))
                 .num(r.response_std_dev_ms(), 2)
                 .key_if(pct == 100, format!("{name}_sigma_ms_at_track"))

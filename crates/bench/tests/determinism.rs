@@ -64,7 +64,7 @@ fn merged_row_output_is_byte_identical() {
             let r = run_random_io(&mut disk, &spec);
             Row::new()
                 .col(idx)
-                .num(r.mean_response().as_millis_f64(), 3)
+                .num(r.mean_head_time(QueueDepth::One).as_millis_f64(), 3)
                 .num(r.mean_head_time(spec.queue).as_millis_f64(), 3)
                 .num(r.efficiency(spec.queue), 4)
                 .to_string()

@@ -165,14 +165,14 @@ pub struct TraxtentAllocator {
     excluded: Bitmap,
     free_count: u64,
     /// The first free unit (`units` when none is): no placement search
-    /// needs to look below it. `take` advances it, `release` lowers it.
+    /// needs to look below it. `take` advances it, `free` lowers it.
     low: u64,
     /// Per-track room index, one bit a track, for the track walk to jump
     /// between. A clear bit in `room` proves that the track holds no free
     /// unit; in `pair_room`, no free pair and no free last unit. A set bit
     /// promises nothing: both start all ones, `take` leaves them be, a walk
     /// that finds too little on a track clears what that proves (`prune`),
-    /// and `release` and `free` set both bits of every track they touch.
+    /// and `free` sets both bits of every track it touches.
     room: Bitmap,
     pair_room: Bitmap,
 }
@@ -293,24 +293,6 @@ impl TraxtentAllocator {
         }
     }
 
-    /// Releases unit `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the unit is free or excluded.
-    pub fn release(&mut self, u: u64) {
-        self.release_unit(u);
-        self.rearm(u, u + 1);
-    }
-
-    fn release_unit(&mut self, u: u64) {
-        assert!(!self.excluded.get(u), "excluded unit {u} cannot be freed");
-        assert!(!self.free.get(u), "double free of unit {u}");
-        self.free.set(u);
-        self.free_count += 1;
-        self.low = self.low.min(u);
-    }
-
     /// The unit closest to `near` that starts `want` free units — the upper
     /// one at equal distance — no further than `radius` units away.
     pub fn closest_free_run(&self, near: u64, want: u64, radius: u64) -> Option<u64> {
@@ -381,18 +363,24 @@ impl TraxtentAllocator {
         Some(run)
     }
 
-    /// Frees an extent of units.
+    /// Frees an extent of units and re-arms the room bits of every track
+    /// it touches, with one boundary lookup at each end.
     ///
     /// # Panics
     ///
     /// Panics if any unit of it is free, excluded or past the map.
     pub fn free(&mut self, ext: Extent) {
+        if ext.len == 0 {
+            return;
+        }
         for u in ext.start..ext.end() {
-            self.release_unit(u);
+            assert!(!self.excluded.get(u), "excluded unit {u} cannot be freed");
+            assert!(!self.free.get(u), "double free of unit {u}");
+            self.free.set(u);
         }
-        if ext.len > 0 {
-            self.rearm(ext.start, ext.end());
-        }
+        self.free_count += ext.len;
+        self.low = self.low.min(ext.start);
+        self.rearm(ext.start, ext.end());
     }
 
     fn take_extent(&mut self, ext: Extent) {
@@ -585,7 +573,7 @@ mod tests {
             "the answer is the walk's first track"
         );
         assert_eq!(a.closest_traxtent_run(0, 2), Some(1_200));
-        a.release(146);
+        a.free(Extent::new(146, 1));
         assert!(a.pair_room.get(7));
         assert_eq!(a.closest_traxtent_run(0, 2), Some(145));
         // A single unit is still found where the pairs were not.

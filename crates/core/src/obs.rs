@@ -2,27 +2,21 @@
 //!
 //! The layers above the drive engine — extraction, file systems, the video
 //! server, workload generators — expose what they did through a shared
-//! [`Registry`]: a named set of monotonically increasing counters and
-//! set-on-export gauges:
+//! [`Registry`]: one `u64` a name, written once per layer at export by
+//! [`add`](Registry::add), [`set_gauge`](Registry::set_gauge) or
+//! [`set_max`](Registry::set_max), and read back as a [`Snapshot`] sorted
+//! by name, so output is deterministic.
 //!
-//! * hot-path updates are a single relaxed atomic add on a pre-registered
-//!   [`Counter`] handle — no lock, no allocation, no formatting;
-//! * registration (name lookup) takes a mutex, but happens once per counter,
-//!   outside any measured loop;
-//! * reading is always via an immutable point-in-time [`Snapshot`], sorted
-//!   by name so output is deterministic.
-//!
-//! Because relaxed counter additions commute, totals are deterministic even
-//! when independent simulation cells update the same registry from a worker
-//! pool: every interleaving sums to the same value.
+//! Because additions and maxima commute, totals are deterministic even
+//! when independent simulation cells export into the same registry from a
+//! worker pool: every interleaving gives the same value.
 //!
 //! ```
 //! use traxtent::obs::Registry;
 //!
 //! let reg = Registry::new();
-//! let hits = reg.counter("cache.hits");
-//! hits.add(1);
-//! hits.add(2);
+//! reg.add("cache.hits", 1);
+//! reg.add("cache.hits", 2);
 //! reg.set_gauge("segments.live", 17);
 //! let snap = reg.snapshot();
 //! assert_eq!(snap.get("cache.hits"), Some(3));
@@ -30,36 +24,17 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 pub mod json;
 pub mod span;
 
-/// A shared registry of named `u64` cells. Cloning is cheap and yields a
+/// A shared registry of named `u64` values. Cloning is cheap and yields a
 /// handle to the *same* registry, so one registry can be threaded through
 /// every layer of a run.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    cells: Arc<Mutex<BTreeMap<String, Arc<AtomicU64>>>>,
-}
-
-/// A handle to one registered counter: updates are relaxed atomic adds, so
-/// the handle can be used from worker threads without locking.
-#[derive(Debug, Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
+    cells: Arc<Mutex<BTreeMap<String, u64>>>,
 }
 
 impl Registry {
@@ -68,55 +43,43 @@ impl Registry {
         Registry::default()
     }
 
-    /// Returns the counter registered under `name`, creating it at zero on
-    /// first use. Call once and keep the handle; the lookup locks the
-    /// registration table.
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.cell(name))
-    }
-
-    /// Adds `n` to the counter named `name` (registering it if new). A
-    /// convenience for cold paths — e.g. publishing a result struct's totals
-    /// at the end of a run — where keeping a [`Counter`] handle is not worth
-    /// it.
+    /// Adds `n` to the value named `name`, registering it at zero if new.
     pub fn add(&self, name: &str, n: u64) {
-        self.counter(name).add(n);
+        self.update(name, |v| *v += n);
     }
 
-    /// Sets the cell named `name` to exactly `value`, registering it if
-    /// new. Gauges are meant for set-on-export values (an occupancy, a
-    /// fraction scaled to fixed-point) written once from a single thread;
-    /// concurrent setters race by last-write-wins.
+    /// Sets the value named `name` to exactly `value`. Gauges are meant for
+    /// set-on-export values (an occupancy, a fraction scaled to
+    /// fixed-point) written once from a single thread; concurrent setters
+    /// race by last-write-wins.
     pub fn set_gauge(&self, name: &str, value: u64) {
-        self.cell(name).store(value, Ordering::Relaxed);
+        self.update(name, |v| *v = value);
     }
 
-    /// Raises the cell named `name` to at least `value`. Like [`Registry::add`],
-    /// `max` is commutative, so concurrent exporters (e.g. parallel
-    /// simulation cells each publishing a high-water mark) produce the same
-    /// final value under any interleaving.
+    /// Raises the value named `name` to at least `value`. Like
+    /// [`Registry::add`], `max` is commutative, so concurrent exporters
+    /// (e.g. parallel simulation cells each publishing a high-water mark)
+    /// produce the same final value under any interleaving.
     pub fn set_max(&self, name: &str, value: u64) {
-        self.cell(name).fetch_max(value, Ordering::Relaxed);
+        self.update(name, |v| *v = (*v).max(value));
     }
 
-    /// A point-in-time copy of every cell, sorted by name.
+    /// A point-in-time copy of every value, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            entries: (self.cells().iter())
-                .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
-                .collect(),
+            entries: self.cells().iter().map(|(n, &v)| (n.clone(), v)).collect(),
         }
     }
 
-    /// The cell named `name`, registered at zero on first use.
-    fn cell(&self, name: &str) -> Arc<AtomicU64> {
-        Arc::clone(self.cells().entry(name.to_string()).or_default())
+    /// Applies `f` to the value named `name`, registered at zero on first
+    /// use, under the lock.
+    fn update(&self, name: &str, f: impl FnOnce(&mut u64)) {
+        f(self.cells().entry(name.to_string()).or_default());
     }
 
-    /// The registration table. An insert completes or aborts, so a panic
-    /// elsewhere cannot leave it half updated and a poisoned lock is taken
-    /// as is.
-    fn cells(&self) -> MutexGuard<'_, BTreeMap<String, Arc<AtomicU64>>> {
+    /// The table. An update completes or aborts, so a panic elsewhere
+    /// cannot leave it half updated and a poisoned lock is taken as is.
+    fn cells(&self) -> MutexGuard<'_, BTreeMap<String, u64>> {
         self.cells.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -141,20 +104,9 @@ impl Snapshot {
             .map(|i| self.entries[i].1)
     }
 
-    /// True if no cell was ever registered.
+    /// True if no value was ever registered.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-}
-
-impl fmt::Display for Snapshot {
-    /// A fixed-width `name value` table, one cell per line.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        for (name, value) in &self.entries {
-            writeln!(f, "{name:<width$} {value:>12}")?;
-        }
-        Ok(())
     }
 }
 
@@ -165,12 +117,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_share() {
         let reg = Registry::new();
-        let a = reg.counter("a");
-        let a2 = reg.counter("a");
-        a.add(1);
-        a2.add(4);
-        assert_eq!(a.get(), 5, "same name resolves to the same cell");
-        assert_eq!(reg.snapshot().get("a"), Some(5));
+        reg.add("a", 1);
+        reg.add("a", 4);
+        assert_eq!(reg.snapshot().get("a"), Some(5), "same name, same value");
     }
 
     #[test]
@@ -214,7 +163,7 @@ mod tests {
     fn empty_snapshot() {
         let snap = Registry::new().snapshot();
         assert!(snap.is_empty());
-        assert_eq!(snap.to_string(), "");
+        assert_eq!(snap.entries(), []);
     }
 
     #[test]
@@ -222,24 +171,14 @@ mod tests {
         let reg = Registry::new();
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let c = reg.counter("n");
+                let reg = reg.clone();
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.add(1);
+                        reg.add("n", 1);
                     }
                 });
             }
         });
         assert_eq!(reg.snapshot().get("n"), Some(4000));
-    }
-
-    #[test]
-    fn display_lines_up() {
-        let reg = Registry::new();
-        reg.add("short", 1);
-        reg.add("a.much.longer.name", 22);
-        let text = reg.snapshot().to_string();
-        assert!(text.contains("short              "), "{text}");
-        assert!(text.lines().count() == 2);
     }
 }

@@ -29,14 +29,14 @@ fn concurrent_counter_increments_never_lose_updates() {
         let per_thread = 2500u64;
         std::thread::scope(|s| {
             for t in 0..threads {
-                let c = reg.counter("hits");
+                let reg = reg.clone();
                 let mut rng = splitmix(round * 31 + t);
                 s.spawn(move || {
                     let mut budget = per_thread;
                     while budget > 0 {
                         // Seed-dependent increments, so interleavings differ.
                         let n = (rng() % 7 + 1).min(budget);
-                        c.add(n);
+                        reg.add("hits", n);
                         budget -= n;
                     }
                 });
@@ -97,9 +97,8 @@ fn mixed_counters_and_maxima_from_many_threads() {
         for t in 0..threads {
             let reg = reg.clone();
             s.spawn(move || {
-                let c = reg.counter("mixed.count");
                 for i in 0..1000u64 {
-                    c.add(1);
+                    reg.add("mixed.count", 1);
                     reg.set_max("mixed.max", t * 10_000 + i);
                 }
             });

@@ -76,12 +76,12 @@ impl From<ScsiError> for ExtractError {
 }
 
 /// Attempts per command before a transient abort is surfaced.
-pub(crate) const MAX_ATTEMPTS: u32 = 8;
+const MAX_ATTEMPTS: u32 = 8;
 
 /// Deterministic backoff before retry `attempt` (0-based): 250 µs doubling
 /// to a 4 ms ceiling — long enough to outlast transport glitches, short
 /// enough not to distort extraction-cost reporting.
-pub(crate) fn backoff(attempt: u32) -> SimDur {
+fn backoff(attempt: u32) -> SimDur {
     SimDur::from_micros_f64(250.0) * (1u64 << attempt.min(4))
 }
 

@@ -22,8 +22,7 @@
 //!   paper: the common case (next track same size) is confirmed with two
 //!   probes.
 
-use crate::error::with_retries;
-use crate::error::{backoff, ExtractError, MAX_ATTEMPTS};
+use crate::error::{with_retries, ExtractError};
 use scsi::ScsiDisk;
 use sim_disk::{SimDur, SimTime};
 use traxtent::obs::Registry;
@@ -394,35 +393,17 @@ fn step(
                  phase: SimDur,
                  n: &mut u64|
      -> Result<SimDur, ExtractError> {
-        let mut attempt = 0;
-        loop {
+        // Each attempt issues at the next instant at or after its own
+        // `now` whose offset within the revolution equals `phase`, so
+        // backing off never skews the probe phase.
+        let rev_ns = rev.as_ns();
+        let read = with_retries(disk, "read", lbn, |d| {
             *n += 1;
-            let now = disk.elapsed();
-            // Next instant at or after `now` whose offset within the
-            // revolution equals `phase`.
-            let rev_ns = rev.as_ns();
-            let now_off = now.as_ns() % rev_ns;
-            let wait = (phase.as_ns() + rev_ns - now_off) % rev_ns;
-            let at = now + SimDur::from_ns(wait);
-            match disk.read_at_time(lbn, len, at) {
-                Ok(c) => return Ok(c.response_time()),
-                Err(e) if e.is_transient() => {
-                    // The rotation-synchronized issue instant is recomputed
-                    // on the next pass, so backing off never skews the
-                    // probe phase.
-                    attempt += 1;
-                    if attempt >= MAX_ATTEMPTS {
-                        return Err(ExtractError::RetriesExhausted {
-                            command: "read",
-                            lbn,
-                            attempts: attempt,
-                        });
-                    }
-                    disk.wait(backoff(attempt - 1));
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+            let now = d.elapsed();
+            let wait = (phase.as_ns() + rev_ns - now.as_ns() % rev_ns) % rev_ns;
+            d.read_at_time(lbn, len, now + SimDur::from_ns(wait))
+        })?;
+        Ok(read.response_time())
     };
 
     // A measurement under `config.votes`: repeat the probe and keep the

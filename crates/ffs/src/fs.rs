@@ -501,11 +501,13 @@ impl FileSystem {
             .get_mut(file.0 as usize)
             .and_then(Option::take)
             .ok_or(FsError::NoSuchFile(file))?;
-        for b in inode.blocks {
+        for &b in &inode.blocks {
             self.cache.discard(b);
             // A run lies within one file, so its first block is one of these.
             self.inflight.remove(&b);
-            self.layout.release(b);
+        }
+        for (first, len) in image::extents_of(&inode.blocks) {
+            self.layout.free(first, len);
         }
         if let Some(sh) = self.shadow.as_deref_mut() {
             let g = (file.0 % (self.layout.blocks() / BLOCKS_PER_GROUP)) as usize;

@@ -1,7 +1,7 @@
 //! On-disk layout: block groups and the allocation policies of the three
 //! FFS personalities, over the traxtent allocator's free-block map.
 
-use traxtent::{TrackBoundaries, TraxtentAllocator};
+use traxtent::{Extent, TrackBoundaries, TraxtentAllocator};
 
 /// Sectors per file-system block (8 KB blocks over 512-byte sectors).
 pub const BLOCK_SECTORS: u64 = 16;
@@ -161,13 +161,13 @@ impl Layout {
         self.alloc.take(b);
     }
 
-    /// Releases a block.
+    /// Frees the `len` blocks from `first` on.
     ///
     /// # Panics
     ///
-    /// Panics if the block is already free or is excluded.
-    pub fn release(&mut self, b: u64) {
-        self.alloc.release(b);
+    /// Panics if any of them is already free or is excluded.
+    pub fn free(&mut self, first: u64, len: u64) {
+        self.alloc.free(Extent::new(first, len));
     }
 
     /// Allocates the block for file offset following `prev` (FFS's
@@ -292,7 +292,7 @@ mod tests {
         l.take(100);
         assert!(!l.is_free(100));
         assert_eq!(l.free_blocks(), before - 1);
-        l.release(100);
+        l.free(100, 1);
         assert!(l.is_free(100));
         assert_eq!(l.free_blocks(), before);
     }
@@ -309,7 +309,7 @@ mod tests {
     #[should_panic(expected = "excluded unit 12 cannot be freed")]
     fn releasing_excluded_block_panics() {
         let mut l = layout(Personality::Traxtent);
-        l.release(12);
+        l.free(12, 1);
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn build(seed: u64, personality: Personality, finish_clean: bool) -> (FileSystem
     (fs, initial)
 }
 
-/// Ground truth computed independently of `crash::apply_cut`: the
+/// Ground truth computed independently of `crash::durable_sectors`: the
 /// payload of the last write covering `lbn` that was durable by `cut`
 /// (writes are FCFS, so log order is media order).
 fn expected_sector(log: &CrashLog, cut: SimTime, lbn: u64) -> Option<Vec<u8>> {

@@ -679,7 +679,7 @@ fn low_water_mark_matches_the_full_scan() {
             }
             for b in (0..fill).filter(|b| spacing > 0 && b % spacing < hole) {
                 if !slow.excluded[b as usize] {
-                    fast.release(b);
+                    fast.free(b, 1);
                     slow.release(b);
                 }
             }
@@ -705,7 +705,7 @@ fn low_water_mark_matches_the_full_scan() {
                         };
                         if !slow.free[b as usize] && !slow.excluded[b as usize] {
                             held.retain(|&h| h != b);
-                            fast.release(b);
+                            fast.free(b, 1);
                             slow.release(b);
                             released = Some(b);
                         }

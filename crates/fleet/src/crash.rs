@@ -20,7 +20,7 @@
 
 use crate::data::{Plane, SectorStore};
 use crate::volume::Volume;
-use sim_disk::crash::{apply_cut, CrashError, SectorImage};
+use sim_disk::crash::{durable_sectors, CrashError};
 use sim_disk::SimTime;
 
 /// What a [`Volume::power_cut`] resolution found.
@@ -116,18 +116,12 @@ impl Volume {
                     // durable writes land on its fresh, zeroed store.
                     store = SectorStore::new(cap);
                 }
-                // Only sectors the log touched can differ from the armed
-                // snapshot, so only those go through the byte-level replay.
-                let mut img = SectorImage::new();
-                for rec in &log.records {
-                    for lbn in rec.lbn..rec.lbn + rec.len {
-                        img.set_word(lbn, store.word(lbn));
-                    }
-                }
-                apply_cut(&mut img, &log, cut)?;
-                for (lbn, _) in img.iter() {
-                    store.set_word(lbn, img.word(lbn));
-                }
+                // A store keeps one word a sector: the payload's first 8
+                // bytes, little-endian.
+                durable_sectors(&log, cut, |lbn, sector| {
+                    let (word, _) = sector.as_chunks::<8>();
+                    store.set_word(lbn, u64::from_le_bytes(word[0]));
+                })?;
             } else {
                 // Failed since (or before) the arm: it holds no store.
                 store = SectorStore::new(0);

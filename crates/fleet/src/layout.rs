@@ -326,8 +326,9 @@ impl VolumeLayout {
     /// validating maps against real drive capacities.
     #[expect(
         clippy::expect_used,
-        reason = "the unit list is nonempty (NoRounds above) and its lengths and confidences \
-                  come from valid maps: mapping_is_a_bijection builds every kind"
+        reason = "the unit list is nonempty: a valid map carves at least one unit, so a member \
+                  set with enough members makes a round of every kind; its lengths and \
+                  confidences come from valid maps: mapping_is_a_bijection builds every kind"
     )]
     pub fn new(
         kind: VolumeKind,
@@ -409,9 +410,6 @@ impl VolumeLayout {
                     lbn += u64::from(len);
                 }
             }
-        }
-        if units.is_empty() {
-            return Err(FleetError::NoRounds);
         }
 
         let lengths = units.iter().map(|u| u64::from(u.len));

@@ -83,7 +83,7 @@ pub use layout::{
     stripe_units, Chunk, LogicalUnit, StripePolicy, StripeUnit, VolumeKind, VolumeLayout,
 };
 pub use rebuild::{RebuildReport, RepairReport, ScrubReport};
-pub use volume::{member_boundaries, Volume, VolumeCompletion, VolumeStats, FAULT_RETRIES};
+pub use volume::{member_boundaries, Volume, VolumeStats, FAULT_RETRIES};
 
 use std::error::Error;
 use std::fmt;
@@ -119,8 +119,6 @@ pub enum FleetError {
     /// `u32::MAX` sectors, threshold out of `[0, 1]`), or an aligned
     /// policy met a trusted track too long for one unit.
     BadPolicy(&'static str),
-    /// No complete stripe round fits the members' unit lists.
-    NoRounds,
     /// The access runs past the volume's logical capacity.
     OutOfRange {
         /// First logical LBN of the access.
@@ -186,7 +184,6 @@ impl fmt::Display for FleetError {
                 "member {member}: boundary map covers {boundaries} LBNs but the drive has {disk}"
             ),
             FleetError::BadPolicy(msg) => write!(f, "bad stripe policy: {msg}"),
-            FleetError::NoRounds => write!(f, "no complete stripe round fits the members"),
             FleetError::OutOfRange { lbn, len, capacity } => {
                 write!(
                     f,

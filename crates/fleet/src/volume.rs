@@ -76,43 +76,6 @@ pub struct VolumeStats {
     pub degraded_writes: u64,
 }
 
-/// The host-visible result of one logical volume access.
-///
-/// Member-level completions are internal; the volume reports when the
-/// whole logical request finished (the latest member completion) and how
-/// much work it fanned out into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VolumeCompletion {
-    /// The logical request serviced.
-    pub request: Request,
-    /// When the host issued it to the volume.
-    pub issue: SimTime,
-    /// When the last member command completed.
-    pub completion: SimTime,
-    /// Member commands the access fanned out into.
-    pub member_cmds: u32,
-    /// True if any part of the access took a degraded path.
-    pub reconstructed: bool,
-}
-
-impl VolumeCompletion {
-    /// Converts to a [`sim_disk::request::Completion`] for consumers that
-    /// speak the single-drive completion shape (the PR 7 server). The
-    /// component breakdown is zeroed: a multi-member access has no single
-    /// seek/rotation decomposition.
-    pub fn into_completion(self) -> Completion {
-        Completion {
-            request: self.request,
-            issue: self.issue,
-            service_start: self.issue,
-            media_end: self.completion,
-            completion: self.completion,
-            cache_hit: false,
-            breakdown: Default::default(),
-        }
-    }
-}
-
 /// A multi-disk volume: heterogeneous member drives behind one logical
 /// LBN space, with stripe units snapped to member track boundaries.
 #[derive(Debug)]
@@ -249,37 +212,36 @@ impl Drop for AccessSpans {
 #[derive(Default)]
 pub(crate) struct Access {
     spans: Option<AccessSpans>,
-    /// Member commands accepted so far.
-    cmds: u32,
     /// Latest member completion so far.
     done: SimTime,
-    /// True once any chunk took a degraded path.
-    degraded: bool,
 }
 
 impl Access {
-    /// Records the service mode a chunk took (a `mode` attr on the
-    /// `vol_cmd` span) and whether that mode is a degraded one.
-    fn took(&mut self, mode: &'static str, degraded: bool) {
-        self.degraded |= degraded;
+    /// Records the service mode a chunk took: a `mode` attr on the
+    /// `vol_cmd` span.
+    fn took(&mut self, mode: &'static str) {
         if let Some(s) = self.spans.as_mut() {
             s.note(mode);
         }
     }
 
     /// Closes the access issued at `at`: emits its `vol_cmd` span and
-    /// reports what it fanned out into.
-    fn finish(self, request: Request, at: SimTime) -> VolumeCompletion {
+    /// reports when the last member command completed. A multi-member
+    /// access has no single seek/rotation decomposition, so the breakdown
+    /// is zero.
+    fn finish(self, request: Request, at: SimTime) -> Completion {
         let completion = self.done.max(at);
         if let Some(s) = self.spans {
             s.finish(request, at, completion);
         }
-        VolumeCompletion {
+        Completion {
             request,
             issue: at,
+            service_start: at,
+            media_end: completion,
             completion,
-            member_cmds: self.cmds,
-            reconstructed: self.degraded,
+            cache_hit: false,
+            breakdown: Default::default(),
         }
     }
 }
@@ -302,7 +264,6 @@ fn issue_member(
         member: m,
         attempts: FAULT_RETRIES,
     })?;
-    acc.cmds += 1;
     acc.done = acc.done.max(done.completion);
     Ok(done.completion)
 }
@@ -641,7 +602,7 @@ impl Volume {
     fn degraded_read(&mut self, acc: &mut Access, mode: &'static str, sectors: u64) {
         self.stats.degraded_reads += 1;
         self.stats.reconstructed_sectors += sectors;
-        acc.took(mode, true);
+        acc.took(mode);
     }
 
     /// Reads one chunk: from its home member, or — when that member is
@@ -733,7 +694,7 @@ impl Volume {
         lbn: u64,
         len: u64,
         at: SimTime,
-    ) -> Result<(VolumeCompletion, Vec<u64>), FleetError> {
+    ) -> Result<(Completion, Vec<u64>), FleetError> {
         let mut data = Vec::with_capacity(len as usize);
         let done = self.read_timed(lbn, len, at, Some(&mut data))?;
         Ok((done, data))
@@ -747,7 +708,7 @@ impl Volume {
         len: u64,
         at: SimTime,
         mut data: Option<&mut Vec<u64>>,
-    ) -> Result<VolumeCompletion, FleetError> {
+    ) -> Result<Completion, FleetError> {
         let chunks = self.layout.split(lbn, len)?;
         let mut acc = self.begin_access();
         for chunk in &chunks {
@@ -760,12 +721,7 @@ impl Volume {
     /// redundancy invariant: mirrors write every healthy copy; healthy
     /// RAID-5 does the classic read-modify-write of data + parity;
     /// degraded RAID-5 reconstruct-writes through parity.
-    pub fn write(
-        &mut self,
-        lbn: u64,
-        data: &[u64],
-        at: SimTime,
-    ) -> Result<VolumeCompletion, FleetError> {
+    pub fn write(&mut self, lbn: u64, data: &[u64], at: SimTime) -> Result<Completion, FleetError> {
         let len = data.len() as u64;
         let chunks = self.layout.split(lbn, len)?;
         let mut acc = self.begin_access();
@@ -816,7 +772,7 @@ impl Volume {
                     }
                 }
                 if self.is_degraded() {
-                    acc.took("degraded_mirror", true);
+                    acc.took("degraded_mirror");
                 }
             }
             VolumeKind::Raid5 => self.raid5_write_chunk(acc, chunk, words, at)?,
@@ -839,7 +795,7 @@ impl Volume {
             (true, true) => {
                 // Read-modify-write: read old data and old parity, then
                 // write both with the XOR-updated parity.
-                acc.took("rmw", false);
+                acc.took("rmw");
                 let mut new_parity = words.to_vec();
                 let r1 = self
                     .read_member(acc, owner, chunk.pstart, chunk.len, at, "data")
@@ -861,7 +817,7 @@ impl Volume {
                 // Reconstruct-write: the new parity is the XOR of the new
                 // data with every *surviving* data column; the dead
                 // member's platters stay untouched.
-                acc.took("reconstruct_write", true);
+                acc.took("reconstruct_write");
                 let mut new_parity = words.to_vec();
                 let reads_done = self
                     .xor_survivors(acc, chunk.round, off, &[owner, parity], at, &mut new_parity)
@@ -872,7 +828,7 @@ impl Volume {
             }
             (true, false) => {
                 // Parity member is dead: write the data, skip parity.
-                acc.took("parity_skip", true);
+                acc.took("parity_skip");
                 self.write_member(acc, owner, chunk.pstart, words, at, "data")?;
                 self.stores()[owner].write(chunk.pstart, words);
                 self.stats.degraded_writes += 1;
@@ -885,7 +841,7 @@ impl Volume {
     /// Services one logical request as the server sees it: reads return
     /// timing only (contents are checked elsewhere), writes synthesize
     /// deterministic payloads from an internal sequence number.
-    pub fn service(&mut self, req: Request, at: SimTime) -> Result<VolumeCompletion, FleetError> {
+    pub fn service(&mut self, req: Request, at: SimTime) -> Result<Completion, FleetError> {
         match req.op {
             Op::Read => self.read_timed(req.lbn, u64::from(req.len), at, None),
             Op::Write => {
@@ -935,7 +891,7 @@ impl Backend for Volume {
             let done = self
                 .service(req, at)
                 .unwrap_or_else(|e| panic!("volume cannot serve {req:?}: {e}"));
-            out.push(done.into_completion());
+            out.push(done);
         }
     }
 

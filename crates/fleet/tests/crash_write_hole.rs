@@ -1,40 +1,50 @@
-//! Write-hole properties: random volume workloads, a power cut at a
-//! random instant, then the repair scrub must restore the redundancy
-//! invariant without ever touching data columns — reproducibly from
-//! (seed, cut) alone.
+//! Write-hole properties: random volume workloads, power cuts at the
+//! logged durable instants, then the repair scrub must restore the
+//! redundancy invariant without ever touching data columns —
+//! reproducibly from (seed, cut) alone.
 
-use fleet::{member_boundaries, pattern_word, FleetError, StripePolicy, Volume, FAULT_RETRIES};
+use fleet::{
+    member_boundaries, pattern_word, FleetError, SectorStore, StripePolicy, Volume, FAULT_RETRIES,
+};
 use proptest::prelude::*;
-use sim_disk::crash::splitmix;
+use sim_disk::crash::{splitmix, CrashLog};
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use sim_disk::SimTime;
 use traxtent::obs::Registry;
 
-fn raid5(n: usize) -> Volume {
-    let members: Vec<_> = (0..n)
-        .map(|_| {
-            let d = Disk::new(models::small_test_disk());
-            let b = member_boundaries(&d);
-            (d, b)
-        })
-        .collect();
-    let mut v = Volume::raid5(members, StripePolicy::aligned()).unwrap();
-    v.format(0x5eed);
-    v
-}
+/// Member spindle speeds. Identical members service a logical write's
+/// member commands in lockstep, so a cut tears every column at the same
+/// offset and opens no hole; unequal speeds spread their durable instants.
+const RPMS: [u32; 3] = [10_000, 12_000, 15_000];
 
-fn mirror(n: usize) -> Volume {
-    let members: Vec<_> = (0..n)
-        .map(|_| {
-            let d = Disk::new(models::small_test_disk());
+/// A RAID-5 volume of three members (a two-way mirror when `raid5` is
+/// false) at [`RPMS`], formatted, armed, and run through [`workload`]
+/// from `seed`; with every member's store as the arm found it.
+fn armed(raid5: bool, seed: u64) -> (Volume, Vec<SectorStore>) {
+    let n = if raid5 { 3 } else { 2 };
+    let members: Vec<_> = RPMS[..n]
+        .iter()
+        .map(|&rpm| {
+            let mut cfg = models::small_test_disk();
+            cfg.spindle = sim_disk::mech::Spindle::new(rpm);
+            let d = Disk::new(cfg);
             let b = member_boundaries(&d);
             (d, b)
         })
         .collect();
-    let mut v = Volume::mirrored(members, StripePolicy::aligned()).unwrap();
+    let policy = StripePolicy::aligned();
+    let mut v = if raid5 {
+        Volume::raid5(members, policy)
+    } else {
+        Volume::mirrored(members, policy)
+    }
+    .unwrap();
     v.format(0x5eed);
-    v
+    v.arm_crash();
+    let base = (0..n).map(|m| v.member_store(m).unwrap().clone()).collect();
+    workload(&mut v, seed);
+    (v, base)
 }
 
 /// Random writes (and a few reads to interleave member traffic), all
@@ -78,67 +88,164 @@ fn logical_contents(v: &mut Volume) -> Vec<u64> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Every durable instant a volume [`armed`] from `seed` logged, in ns,
+/// ascending.
+fn durable_instants(raid5: bool, seed: u64) -> Vec<u64> {
+    let (v, base) = armed(raid5, seed);
+    let logs = (0..base.len()).map(|m| v.member_crash_log(m).unwrap());
+    let mut instants: Vec<u64> = (logs.flat_map(|l| &l.records))
+        .flat_map(|r| r.durable.iter().map(|d| d.as_ns()))
+        .collect();
+    instants.sort_unstable();
+    instants
+}
 
-    /// RAID-5: any cut leaves at most a write hole, never data loss the
-    /// scrub cannot see. After `power_cut` + `scrub_repair`, a plain
-    /// scrub finds zero mismatches, the repair touched only parity
-    /// columns, and the whole pipeline reproduces from (seed, frac).
-    #[test]
-    fn raid5_repair_closes_every_write_hole(seed in 0u64..u64::MAX, frac in 0u64..=1000) {
-        let mut v = raid5(3);
-        v.arm_crash();
-        workload(&mut v, seed);
-        let cut = SimTime::from_ns(v.crash_horizon().as_ns() * frac / 1000);
-        let report = v.power_cut(cut).expect("all write paths attach payloads");
-        prop_assert_eq!(report.member_writes.len(), 3);
+/// A cut aimed as crash_sweep's `snap_cut` aims one: at the durable
+/// instant `pick` selects, moved by `nudge − 1` ns; or, for `at` 0 and 1,
+/// anywhere before the first durable instant and at or just after the
+/// last.
+fn draw_cut(instants: &[u64], at: u8, pick: u64, nudge: u64) -> SimTime {
+    let (first, last) = (instants[0], instants[instants.len() - 1]);
+    SimTime::from_ns(match at {
+        0 => pick % first,
+        1 => last + nudge,
+        _ => (instants[(pick % instants.len() as u64) as usize] + nudge).saturating_sub(1),
+    })
+}
 
-        // Data columns before repair: repair must recompute parity only,
-        // never rewrite durable data.
-        let reg = Registry::new();
-        let before = v.scrub(&reg);
-        let data_before = logical_contents(&mut v);
-
-        let repair = v.scrub_repair(&reg, SimTime::ZERO).expect("all members healthy");
-        prop_assert_eq!(
-            repair.mismatched_sectors, before.mismatches,
-            "repair must see exactly what the read-only scrub saw"
+/// Cuts a volume [`armed`] from `seed` at `cut` and checks every member
+/// store against the arm's snapshot with, in log order, the first word
+/// of each sector durable by `cut` written over it.
+fn cut_and_check(raid5: bool, seed: u64, cut: SimTime) -> (Volume, fleet::PowerCutReport) {
+    let (mut v, base) = armed(raid5, seed);
+    let logs: Vec<CrashLog> = (0..base.len())
+        .map(|m| v.member_crash_log(m).unwrap().clone())
+        .collect();
+    let report = v.power_cut(cut).expect("all write paths attach payloads");
+    assert_eq!(report.member_writes.len(), base.len());
+    for (m, (mut want, log)) in base.into_iter().zip(&logs).enumerate() {
+        for rec in &log.records {
+            let payload = rec.payload.as_deref().unwrap();
+            for (i, &d) in rec.durable.iter().enumerate() {
+                if d <= cut {
+                    let word = &payload[i * 512..i * 512 + 8];
+                    want.set_word(
+                        rec.lbn + i as u64,
+                        u64::from_le_bytes(word.try_into().unwrap()),
+                    );
+                }
+            }
+        }
+        assert!(
+            v.member_store(m) == Some(&want),
+            "member {m} after a cut at {cut:?}"
         );
-        let after = v.scrub(&reg);
-        prop_assert_eq!(after.mismatches, 0, "repair left holes: {:?}", repair);
-        let data_after = logical_contents(&mut v);
-        prop_assert_eq!(data_after, data_before, "repair rewrote a data column");
-
-        // Reproducibility: identical run, identical cut → identical
-        // repair outcome.
-        let mut v2 = raid5(3);
-        v2.arm_crash();
-        workload(&mut v2, seed);
-        let report2 = v2.power_cut(cut).expect("payloads attached");
-        prop_assert_eq!(report2, report);
-        let repair2 = v2.scrub_repair(&reg, SimTime::ZERO).expect("healthy");
-        prop_assert_eq!(repair2.mismatched_sectors, repair.mismatched_sectors);
-        prop_assert_eq!(repair2.repaired_sectors, repair.repaired_sectors);
     }
+    (v, report)
+}
 
-    /// RAID-1: after any cut, the repair scrub converges every copy onto
-    /// the authoritative member — zero mismatches on re-scrub, and every
-    /// logical read afterwards is identical no matter which copy serves
-    /// it.
-    #[test]
-    fn mirror_repair_converges_all_copies(seed in 0u64..u64::MAX, frac in 0u64..=1000) {
-        let mut v = mirror(2);
-        v.arm_crash();
-        workload(&mut v, seed);
-        let cut = SimTime::from_ns(v.crash_horizon().as_ns() * frac / 1000);
-        v.power_cut(cut).expect("all write paths attach payloads");
+/// RAID-5: any cut leaves at most a write hole, never data loss the scrub
+/// cannot see. After `power_cut` + `scrub_repair`, a plain scrub finds
+/// zero mismatches, the repair touched only parity columns, and the
+/// whole pipeline reproduces from (seed, cut).
+#[test]
+fn raid5_repair_closes_every_write_hole() {
+    let name = "raid5_repair_closes_every_write_hole";
+    let mut tally = Tally::default();
+    let cut = (0u64..u64::MAX, 0u64..3);
+    for_cases(
+        name,
+        16,
+        (0u64..u64::MAX, prop::collection::vec(cut, 3..4)),
+        |(seed, cuts)| {
+            let instants = durable_instants(true, seed);
+            let (first, last) = (instants[0], instants[instants.len() - 1]);
+            // Before any durable write, after everything, and at three
+            // logged durable instants.
+            let plan = [(0, seed, 0), (1, 0, seed % 3)].into_iter();
+            let plan = plan.chain(cuts.iter().map(|&(pick, nudge)| (2, pick, nudge)));
+            for (k, (at, pick, nudge)) in plan.enumerate() {
+                let cut = draw_cut(&instants, at, pick, nudge);
+                let (mut v, report) = cut_and_check(true, seed, cut);
+                tally.note_if(cut.as_ns() < first, "before_any_durable_write");
+                tally.note_if(cut.as_ns() >= last, "after_everything");
+                tally.note_if(report.torn_writes > 0, "torn_command");
 
-        let reg = Registry::new();
-        let repair = v.scrub_repair(&reg, SimTime::ZERO).expect("all members healthy");
-        let after = v.scrub(&reg);
-        prop_assert_eq!(after.mismatches, 0, "copies still diverge: {:?}", repair);
-    }
+                // Data columns before repair: repair must recompute
+                // parity only, never rewrite durable data.
+                let reg = Registry::new();
+                let before = v.scrub(&reg);
+                tally.note_if(before.mismatches > 0, "write_hole");
+                let data_before = logical_contents(&mut v);
+                let repair = v
+                    .scrub_repair(&reg, SimTime::ZERO)
+                    .expect("all members healthy");
+                assert_eq!(
+                    repair.mismatched_sectors, before.mismatches,
+                    "repair must see exactly what the read-only scrub saw"
+                );
+                let after = v.scrub(&reg);
+                assert_eq!(after.mismatches, 0, "repair left holes: {repair:?}");
+                assert_eq!(
+                    logical_contents(&mut v),
+                    data_before,
+                    "repair rewrote a data column"
+                );
+
+                // Reproducibility: identical run, identical cut → identical
+                // repair outcome.
+                if k == 2 {
+                    let (mut v2, report2) = cut_and_check(true, seed, cut);
+                    assert_eq!(report2, report);
+                    let repair2 = v2.scrub_repair(&reg, SimTime::ZERO).expect("healthy");
+                    assert_eq!(repair2.mismatched_sectors, repair.mismatched_sectors);
+                    assert_eq!(repair2.repaired_sectors, repair.repaired_sectors);
+                }
+            }
+        },
+    );
+    tally.require(
+        name,
+        &[
+            "before_any_durable_write",
+            "torn_command",
+            "write_hole",
+            "after_everything",
+        ],
+    );
+}
+
+/// RAID-1: after any cut, the repair scrub converges every copy onto the
+/// authoritative member — zero mismatches on re-scrub.
+#[test]
+fn mirror_repair_converges_all_copies() {
+    let name = "mirror_repair_converges_all_copies";
+    let mut tally = Tally::default();
+    let cut = (0u8..4, 0u64..u64::MAX, 0u64..3);
+    for_cases(
+        name,
+        16,
+        (0u64..u64::MAX, prop::collection::vec(cut, 3..4)),
+        |(seed, cuts)| {
+            let instants = durable_instants(false, seed);
+            for (at, pick, nudge) in cuts {
+                let cut = draw_cut(&instants, at, pick, nudge);
+                let (mut v, _) = cut_and_check(false, seed, cut);
+                let reg = Registry::new();
+                let repair = v
+                    .scrub_repair(&reg, SimTime::ZERO)
+                    .expect("all members healthy");
+                tally.note(if repair.mismatched_sectors > 0 {
+                    "diverged_copies"
+                } else {
+                    "no_divergence"
+                });
+                let after = v.scrub(&reg);
+                assert_eq!(after.mismatches, 0, "copies still diverge: {repair:?}");
+            }
+        },
+    );
+    tally.require(name, &["diverged_copies", "no_divergence"]);
 }
 
 /// Satellite: the degraded RAID-1 write path under transient command
@@ -223,10 +330,13 @@ fn raid5_write_onto_a_faulting_member_is_typed_and_atomic() {
             .map(|i| &units[i])
     };
     let on_faulting = find(&|member, _| member == 1).expect("owns units");
-    let (c, words) = v
+    let before = *v.stats();
+    let (_, words) = v
         .read(on_faulting.lstart, 64, SimTime::ZERO)
         .expect("parity stands in");
-    assert!(c.reconstructed && c.member_cmds == 2);
+    let after = v.stats();
+    assert_eq!(after.degraded_reads, before.degraded_reads + 1);
+    assert_eq!(after.member_cmds, before.member_cmds + 2);
     for (o, &w) in words.iter().enumerate() {
         assert_eq!(w, pattern_word(7, on_faulting.lstart + o as u64));
     }

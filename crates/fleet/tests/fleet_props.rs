@@ -292,9 +292,7 @@ fn split_matches_a_walk_over_the_units() {
         192,
         (arb_members(3), arb_kind(), arb_policy(), requests),
         |(maps, kind, policy, requests)| {
-            let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
-                return; // e.g. no complete round fits
-            };
+            let layout = VolumeLayout::new(kind, &maps, &policy).unwrap();
             let fallback = match policy {
                 StripePolicy::Fixed { .. } => {
                     tally.note("fixed");
@@ -407,9 +405,7 @@ fn fill_matches_the_two_pass_fill() {
             (0u32..2, 0usize..12),
         ),
         |(maps, kind, policy, seed, (old_words, dead))| {
-            let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
-                return; // e.g. no complete round fits
-            };
+            let layout = VolumeLayout::new(kind, &maps, &policy).unwrap();
             let before: Vec<SectorStore> = (layout.member_caps().iter().enumerate())
                 .map(|(m, &cap)| {
                     let mut store = SectorStore::new(cap);
@@ -489,9 +485,7 @@ fn rounds_ascend_on_every_member() {
         192,
         (arb_members(3), arb_kind(), arb_policy()),
         |(maps, kind, policy)| {
-            let Ok(layout) = VolumeLayout::new(kind, &maps, &policy) else {
-                return; // e.g. no complete round fits
-            };
+            let layout = VolumeLayout::new(kind, &maps, &policy).unwrap();
             let rounds = layout.rounds().len();
             for (m, ranges) in member_rounds(&layout).iter().enumerate() {
                 let held: Vec<usize> = ranges.iter().map(|&(round, ..)| round).collect();

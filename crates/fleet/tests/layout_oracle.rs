@@ -132,7 +132,8 @@ impl RecordLayout {
                 got: maps.len(),
             });
         }
-        // *Changed*: `stripe_units` above cannot fail.
+        // *Changed*: `stripe_units` above cannot fail, and it carves every
+        // map into at least one unit, so no kind returns `NoRounds`.
         let per_member: Vec<Vec<StripeUnit>> =
             maps.iter().map(|m| stripe_units(m, policy)).collect();
         let member_caps: Vec<u64> = maps.iter().map(|m| m.table().capacity()).collect();
@@ -143,9 +144,6 @@ impl RecordLayout {
         match kind {
             VolumeKind::Striped => {
                 let nrounds = per_member.iter().map(Vec::len).min().unwrap_or(0);
-                if nrounds == 0 {
-                    return Err(FleetError::NoRounds);
-                }
                 let mut lbn = 0;
                 for r in 0..nrounds {
                     for (m, mu) in per_member.iter().enumerate() {
@@ -182,15 +180,9 @@ impl RecordLayout {
                     });
                     lbn += len;
                 }
-                if units.is_empty() {
-                    return Err(FleetError::NoRounds);
-                }
             }
             VolumeKind::Raid5 => {
                 let nrounds = per_member.iter().map(Vec::len).min().unwrap_or(0);
-                if nrounds == 0 {
-                    return Err(FleetError::NoRounds);
-                }
                 let mut lbn = 0;
                 for r in 0..nrounds {
                     let len = per_member.iter().map(|mu| mu[r].len).min().unwrap_or(0);

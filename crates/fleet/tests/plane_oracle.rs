@@ -299,7 +299,9 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
         let fill = match *step {
             Step::Read { lbn, len } => {
                 let (lbn, len) = fold(cap, lbn, len);
+                let degraded_reads = v.lazy.stats().degraded_reads;
                 let got = v.same(step, |v| v.read(lbn, len, t));
+                let failed_over = v.lazy.stats().degraded_reads > degraded_reads;
                 if let Ok((done, _)) = got {
                     t = t.max(done.completion);
                     if implicit && v.implicit() {
@@ -308,7 +310,7 @@ fn run_case(spec: &Spec, steps: &[Step], tally: &mut Tally) {
                         // a copy other than the preferred one.
                         tally.note("implicit_read");
                         tally.note_if(
-                            spec.kind == VolumeKind::Mirrored && done.reconstructed,
+                            spec.kind == VolumeKind::Mirrored && failed_over,
                             "implicit_failover",
                         );
                     }

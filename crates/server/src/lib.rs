@@ -397,19 +397,11 @@ pub fn serve<B: Backend + ?Sized>(
     let mut span_buf: Vec<Span> = Vec::new();
     let mut sampler = cfg.timeline.as_ref().map(Sampler::new);
     let mut busy_prev = (sampler.as_ref()).map_or(Vec::new(), |_| disk.member_busy_ns());
-    // Exact time-weighted depth integral: advanced to each arrival and
-    // each dispatch instant with the depth that held since the previous
-    // event. Integer arithmetic keeps it bit-deterministic.
+    // Exact time-weighted depth integral: the sum of every queued
+    // request's wait, `[arrival, dispatch)`, added at its dispatch. Every
+    // admitted request is dispatched before the loop ends, and integer
+    // arithmetic keeps it bit-deterministic.
     let mut depth_ns = 0u128;
-    let mut last_event = SimTime::ZERO;
-    let mut integrate =
-        |depth: usize, upto: SimTime, last: &mut SimTime, sampler: &mut Option<Sampler>| {
-            depth_ns += depth as u128 * u128::from(upto.since(*last).as_ns());
-            if let Some(s) = sampler {
-                s.observe_depth(depth, *last, upto);
-            }
-            *last = upto;
-        };
 
     let mut next = 0usize;
     let mut rounds = 0u64;
@@ -440,12 +432,6 @@ pub fn serve<B: Backend + ?Sized>(
         // as admitting each arrival at its own instant would.
         while next < records.len() && records[next].arrival <= now {
             let r = &records[next];
-            integrate(
-                queue.len(),
-                r.arrival.max(last_event),
-                &mut last_event,
-                &mut sampler,
-            );
             let queued = Queued {
                 id: next as u64,
                 arrival: r.arrival,
@@ -454,9 +440,6 @@ pub fn serve<B: Backend + ?Sized>(
             let lane = lane_of.get(next).map_or(0, |&l| usize::from(l));
             if queue.offer(lane, queued, &*scheds[lane]).is_err() {
                 rejected_ids.push(next as u64);
-                if let Some(s) = &mut sampler {
-                    s.observe_rejection(r.arrival);
-                }
                 if let Some(rec) = &spans {
                     record_rejection(rec, next as u64, r, queue.limit());
                 }
@@ -465,7 +448,6 @@ pub fn serve<B: Backend + ?Sized>(
         }
         // One round from every lane that is free and has work, all issued
         // at `now`.
-        let depth = queue.len();
         round.clear();
         for (l, sched) in scheds.iter_mut().enumerate() {
             if free_at[l] <= now && !queue.lane(l).is_empty() {
@@ -477,7 +459,6 @@ pub fn serve<B: Backend + ?Sized>(
         if round.is_empty() {
             continue;
         }
-        integrate(depth, now, &mut last_event, &mut sampler);
         batch.clear();
         batch.extend(round.iter().map(|(_, d)| (d.request, now)));
         results.clear();
@@ -509,6 +490,10 @@ pub fn serve<B: Backend + ?Sized>(
             for p in d.parts() {
                 let slot = p.id - rejected_ids.partition_point(|&r| r < p.id) as u64;
                 responses[slot as usize] = c.completion.since(p.arrival);
+                depth_ns += u128::from(now.since(p.arrival).as_ns());
+                if let Some(s) = &mut sampler {
+                    s.observe_wait(p.arrival, now);
+                }
             }
             if let Some(rec) = &spans {
                 record_dispatch(rec, &mut span_buf, d, c, now);
@@ -540,7 +525,8 @@ pub fn serve<B: Backend + ?Sized>(
     let (timeline, slo) = match sampler {
         Some(s) => {
             let done = completions(records, &rejected_ids, &responses);
-            let (t, slo) = s.finish(sim_end, done);
+            let rejected = rejected_ids.iter().map(|&id| records[id as usize].arrival);
+            let (t, slo) = s.finish(sim_end, done, rejected);
             (Some(t), slo)
         }
         None => (None, None),

@@ -28,7 +28,7 @@
 //!     (SimTime::from_ns(9_999_999), response),
 //!     (SimTime::from_ns(10_000_000), response),
 //! ];
-//! let (timeline, _) = s.finish(SimTime::from_ns(20_000_000), done);
+//! let (timeline, _) = s.finish(SimTime::from_ns(20_000_000), done, []);
 //! assert_eq!(timeline.buckets[0].completed, 1);
 //! assert_eq!(timeline.buckets[1].completed, 1, "boundary goes right");
 //! ```
@@ -149,21 +149,16 @@ impl Sampler {
         &mut self.buckets[index]
     }
 
-    /// Records one rejected arrival.
-    pub fn observe_rejection(&mut self, at: SimTime) {
-        let i = (at.as_ns() / self.window_ns) as usize;
-        self.bucket(i).rejected += 1;
-    }
-
-    /// Integrates queue depth `depth` held over `[from, to)`, split
-    /// exactly at window boundaries.
-    pub fn observe_depth(&mut self, depth: usize, from: SimTime, to: SimTime) {
-        let (mut cur, end) = (from.as_ns(), to.as_ns());
+    /// Adds one request's queue wait, `[arrival, dispatch)`, to the depth
+    /// integral, split exactly at window boundaries: a window's depth
+    /// integral is the sum of the waits' parts inside it.
+    pub fn observe_wait(&mut self, arrival: SimTime, dispatch: SimTime) {
+        let (mut cur, end) = (arrival.as_ns(), dispatch.as_ns());
         let w = self.window_ns;
         while cur < end {
             let i = (cur / w) as usize;
             let seg_end = end.min((cur / w + 1) * w);
-            self.bucket(i).depth_ns += u128::from(depth as u64) * u128::from(seg_end - cur);
+            self.bucket(i).depth_ns += u128::from(seg_end - cur);
             cur = seg_end;
         }
     }
@@ -212,14 +207,23 @@ impl Sampler {
     /// the run's completed requests, `(completion instant, response
     /// time)`, in any order: the instant buckets each, the response feeds
     /// the windowed percentiles and the SLO check. They are walked twice,
-    /// to count each window and then to gather its responses.
-    pub fn finish<I>(mut self, sim_end: SimTime, completions: I) -> (Timeline, Option<SloSummary>)
+    /// to count each window and then to gather its responses. `rejections`
+    /// are the rejected requests' arrival instants, in any order.
+    pub fn finish<I>(
+        mut self,
+        sim_end: SimTime,
+        completions: I,
+        rejections: impl IntoIterator<Item = SimTime>,
+    ) -> (Timeline, Option<SloSummary>)
     where
         I: IntoIterator<Item = (SimTime, SimDur)>,
         I::IntoIter: Clone,
     {
         let w = self.window_ns;
         let end_ns = sim_end.as_ns();
+        for at in rejections {
+            self.bucket((at.as_ns() / w) as usize).rejected += 1;
+        }
         let completions = completions.into_iter();
         for (at, response) in completions.clone() {
             let over = response.as_ns() > self.threshold_ns;
@@ -458,10 +462,9 @@ mod tests {
 
     #[test]
     fn boundary_instants_bucket_rightward() {
-        let mut s = Sampler::new(&TimelineConfig::new(10.0));
-        s.observe_rejection(ms(20.0));
+        let s = Sampler::new(&TimelineConfig::new(10.0));
         let done = [done(0.0, 1.0), done(9.999999, 1.0), done(10.0, 1.0)];
-        let (t, slo) = s.finish(ms(30.0), done);
+        let (t, slo) = s.finish(ms(30.0), done, [ms(20.0)]);
         assert!(slo.is_none());
         assert_eq!(t.buckets.len(), 3);
         assert_eq!(t.buckets[0].completed, 2);
@@ -472,9 +475,11 @@ mod tests {
     #[test]
     fn depth_integral_splits_exactly_at_boundaries() {
         let mut s = Sampler::new(&TimelineConfig::new(10.0));
-        // Depth 2 held over [5 ms, 25 ms): 5 ms in w0, 10 ms in w1, 5 ms in w2.
-        s.observe_depth(2, ms(5.0), ms(25.0));
-        let (t, _) = s.finish(ms(30.0), []);
+        // Two requests waiting over [5 ms, 25 ms): 5 ms in w0, 10 ms in
+        // w1, 5 ms in w2.
+        s.observe_wait(ms(5.0), ms(25.0));
+        s.observe_wait(ms(5.0), ms(25.0));
+        let (t, _) = s.finish(ms(30.0), [], []);
         assert_eq!(t.buckets[0].mean_depth, 2.0 * 0.5);
         assert_eq!(t.buckets[1].mean_depth, 2.0);
         assert_eq!(t.buckets[2].mean_depth, 2.0 * 0.5);
@@ -483,8 +488,10 @@ mod tests {
     #[test]
     fn short_final_window_uses_its_covered_length() {
         let mut s = Sampler::new(&TimelineConfig::new(10.0));
-        s.observe_depth(3, ms(10.0), ms(15.0));
-        let (t, _) = s.finish(ms(15.0), []);
+        for _ in 0..3 {
+            s.observe_wait(ms(10.0), ms(15.0));
+        }
+        let (t, _) = s.finish(ms(15.0), [], []);
         assert_eq!(t.buckets.len(), 2);
         assert_eq!(t.buckets[1].mean_depth, 3.0, "5 ms window fully at depth 3");
     }
@@ -495,7 +502,7 @@ mod tests {
         // 7 ms of busy on member 0, 3 on member 1, over [5, 25) ms.
         let deltas = [7_000_000u64, 3_000_001];
         s.observe_busy(ms(5.0), ms(25.0), &deltas);
-        let (t, _) = s.finish(ms(30.0), []);
+        let (t, _) = s.finish(ms(30.0), [], []);
         for (m, delta) in deltas.iter().enumerate() {
             let total_frac_ns: u64 = t
                 .buckets
@@ -519,6 +526,7 @@ mod tests {
         let (t, slo) = s.finish(
             ms(20.0),
             [w0[0], w1[0], w1[1], w0[1], w0[2], w1[2], w1[3], w0[3]],
+            [],
         );
         let slo = slo.unwrap();
         assert_eq!(t.buckets[0].slo_over, 1);
@@ -535,7 +543,7 @@ mod tests {
     fn rows_and_display_render_every_window() {
         let mut s = Sampler::new(&TimelineConfig::new(10.0));
         s.observe_busy(ms(0.0), ms(10.0), &[4_000_000]);
-        let (t, _) = s.finish(ms(10.0), [done(1.0, 2.0)]);
+        let (t, _) = s.finish(ms(10.0), [done(1.0, 2.0)], []);
         let rows = t.rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0]["completed"], 1.0);

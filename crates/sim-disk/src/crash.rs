@@ -190,64 +190,55 @@ impl SectorImage {
         self.sectors.insert(lbn, Box::new(*data));
     }
 
-    /// The first 8 bytes of the sector as a little-endian word — the
-    /// word-per-sector view used by data planes that track one `u64`
-    /// per sector (e.g. the fleet's member stores).
-    pub fn word(&self, lbn: u64) -> u64 {
-        match self.sectors.get(&lbn) {
-            Some(s) => u64::from_le_bytes(std::array::from_fn(|i| s[i])),
-            None => 0,
-        }
-    }
-
-    /// Writes `w` into the sector's first 8 bytes (rest zeros).
-    pub fn set_word(&mut self, lbn: u64, w: u64) {
-        let mut s = [0u8; SECTOR_USIZE];
-        s[..8].copy_from_slice(&w.to_le_bytes());
-        self.write(lbn, &s);
-    }
-
     /// Iterates written sectors in LBN order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8; SECTOR_USIZE])> {
         self.sectors.iter().map(|(&l, b)| (l, &**b))
     }
 }
 
-/// Applies a power cut at `cut` to `image`: every logged sector whose
-/// durable instant is ≤ `cut` takes its payload bytes; everything else
-/// is untouched. Records are applied in log order (media order), so a
-/// sector written twice before the cut ends with the later payload.
-pub fn apply_cut(image: &mut SectorImage, log: &CrashLog, cut: SimTime) -> Result<(), CrashError> {
+/// Hands `write` every sector a power cut at `cut` leaves durable, with
+/// the payload bytes it holds, in log (media) order: a sector written
+/// twice before the cut comes twice, the later payload last. Sectors
+/// whose durable instant is after `cut` are not handed over.
+///
+/// # Errors
+///
+/// [`CrashError::MissingPayload`] for the first write with a durable
+/// sector and no payload; the sectors of earlier writes have been
+/// handed over by then.
+pub fn durable_sectors(
+    log: &CrashLog,
+    cut: SimTime,
+    mut write: impl FnMut(u64, &[u8; SECTOR_USIZE]),
+) -> Result<(), CrashError> {
     for rec in &log.records {
-        let n = rec.len as usize;
-        let any = rec.durable.iter().take(n).any(|&d| d <= cut);
-        if !any {
+        let durable = &rec.durable[..rec.len as usize];
+        if !durable.iter().any(|&d| d <= cut) {
             continue;
         }
         let payload = rec
             .payload
             .as_deref()
             .ok_or(CrashError::MissingPayload { req: rec.req })?;
-        for i in 0..n {
-            if rec.durable[i] <= cut {
-                let mut s = [0u8; SECTOR_USIZE];
-                s.copy_from_slice(&payload[i * SECTOR_USIZE..(i + 1) * SECTOR_USIZE]);
-                image.write(rec.lbn + i as u64, &s);
+        let (sectors, _) = payload.as_chunks::<SECTOR_USIZE>();
+        for ((lbn, &d), sector) in (rec.lbn..).zip(durable).zip(sectors) {
+            if d <= cut {
+                write(lbn, sector);
             }
         }
     }
     Ok(())
 }
 
-/// [`apply_cut`] on a clone of `initial`: the on-media image an
-/// observer would find after losing power at `cut`.
+/// The on-media image an observer would find after losing power at
+/// `cut`: `initial` with every [`durable_sectors`] sector written over it.
 pub fn replay(
     initial: &SectorImage,
     log: &CrashLog,
     cut: SimTime,
 ) -> Result<SectorImage, CrashError> {
     let mut img = initial.clone();
-    apply_cut(&mut img, log, cut)?;
+    durable_sectors(log, cut, |lbn, sector| img.write(lbn, sector))?;
     Ok(img)
 }
 

@@ -85,14 +85,7 @@ impl RandomIoResult {
     pub fn mean_head_time(&self, queue: QueueDepth) -> SimDur {
         match queue {
             QueueDepth::One => {
-                let ms = stats::mean(
-                    &self
-                        .completions
-                        .iter()
-                        .map(|c| c.response_time().as_millis_f64())
-                        .collect::<Vec<_>>(),
-                );
-                SimDur::from_millis_f64(ms)
+                SimDur::from_millis_f64(self.mean_component_ms(Completion::response_time))
             }
             QueueDepth::Two => {
                 let spacings: Vec<f64> = self
@@ -113,18 +106,6 @@ impl RandomIoResult {
             return 0.0;
         }
         self.ideal_media.as_secs_f64() / ht.as_secs_f64()
-    }
-
-    /// Mean response time.
-    pub fn mean_response(&self) -> SimDur {
-        let ms = stats::mean(
-            &self
-                .completions
-                .iter()
-                .map(|c| c.response_time().as_millis_f64())
-                .collect::<Vec<_>>(),
-        );
-        SimDur::from_millis_f64(ms)
     }
 
     /// Standard deviation of response time, ms.

@@ -272,6 +272,7 @@ const UNCALLED: &[(&str, &str)] = &[
     ("clean", "observer for crash_fsck: a second fsck repairs nothing"),
     ("free_blocks", "observer for fs_behavior and the layout tests: churn leaks no block"),
     ("member_store", "observer for fleet plane_oracle: a member's contents, and whether a format is still implicit"),
+    ("MemorySink", "observer for trace_invariants, fault_injection, scsi's trace test and a doctest: the events a drive emitted"),
 ];
 
 /// `src` with comments, literals and `#[cfg(test)]` items blanked out.
@@ -345,7 +346,10 @@ fn production_text(src: &str) -> String {
 /// common name never fails; what does fail has no caller to serve. A
 /// mention inside the body of a `fn` of the same name does not count: it
 /// is the item calling itself, or a namesake it delegates to, and a
-/// delegating pair would otherwise vouch for itself.
+/// delegating pair would otherwise vouch for itself. Nor does a type's
+/// mention in the header or the body of its own `impl … Type` or
+/// `impl … for Type` block: a type's methods and trait impls do not use
+/// it.
 #[test]
 fn every_public_item_has_a_production_caller() {
     use std::collections::BTreeMap;
@@ -387,6 +391,11 @@ fn every_public_item_has_a_production_caller() {
         // outside them ends a declaration without a body.
         let mut signature: Option<(&str, usize)> = None;
         let mut after_fn = false;
+        // An `impl` item from `impl` to its `{`: its `<>` depth, whether a
+        // `where` has begun, the words it names (counted at the `{`), and
+        // the last word outside `<>` before any `where`, which is the type
+        // it implements.
+        let mut header: Option<(usize, bool, Vec<&str>, &str)> = None;
         for (row, line) in text.lines().enumerate() {
             let mut tokens = Vec::new();
             let mut word_at = None;
@@ -396,7 +405,7 @@ fn every_public_item_has_a_production_caller() {
                     continue;
                 }
                 tokens.extend(word_at.take().map(|from| &line[from..at]));
-                if "{}()[];".contains(c) {
+                if "{}()[];<>".contains(c) && !line[..at].ends_with('-') {
                     tokens.push(&line[at..at + 1]);
                 }
             }
@@ -409,8 +418,27 @@ fn every_public_item_has_a_production_caller() {
             let mut i = 0;
             for token in tokens {
                 let named = std::mem::replace(&mut after_fn, token == "fn");
+                if let Some((depth, bounded, _, ty)) = header.as_mut() {
+                    match token {
+                        "<" => *depth += 1,
+                        ">" => *depth -= 1,
+                        "where" => *bounded = true,
+                        "for" => {}
+                        w if w.starts_with(is_ident) && *depth == 0 && !*bounded => *ty = w,
+                        _ => {}
+                    }
+                }
                 match token {
-                    "{" => open.push(signature.take_if(|s| s.1 == 0).map(|s| s.0)),
+                    "{" => open.push(match header.take() {
+                        Some((_, _, words, ty)) => {
+                            let counted = |&w: &&str| w != ty && !open.contains(&Some(w));
+                            for w in words.into_iter().filter(counted) {
+                                *mentions.entry(w.to_string()).or_default() += 1;
+                            }
+                            Some(ty)
+                        }
+                        None => signature.take_if(|s| s.1 == 0).map(|s| s.0),
+                    }),
                     "}" => {
                         open.pop();
                     }
@@ -431,7 +459,12 @@ fn every_public_item_has_a_production_caller() {
                 if named {
                     signature = Some((word, 0));
                 }
-                if !open.contains(&Some(word)) {
+                if word == "impl" && signature.is_none() {
+                    header = Some((0, false, Vec::new(), word));
+                }
+                if let Some((_, _, words, _)) = header.as_mut() {
+                    words.push(word);
+                } else if !open.contains(&Some(word)) {
                     *mentions.entry(word.to_string()).or_default() += 1;
                 }
                 // `pub(crate)` splits into `pub crate ..` and matches nothing.
