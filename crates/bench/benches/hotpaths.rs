@@ -12,7 +12,7 @@ use ffs::cache::BufferCache;
 use ffs::{FileSystem, Layout, Personality, BLOCK_SECTORS, BYTES_PER_BLOCK};
 use fleet::{member_boundaries, StripePolicy, Volume, VolumeKind, VolumeLayout};
 use lfs::cleaner::{LfsConfig, LfsSim};
-use server::{serve, CLook, Queued, Scheduler, SchedulerKind, ServerConfig, Traxtent};
+use server::{Queued, Scheduler, Traxtent};
 use sim_disk::bus::{BusConfig, Delivery};
 use sim_disk::cache::{CacheConfig, SegmentCache};
 use sim_disk::defects::{DefectPolicy, SpareScheme};
@@ -28,22 +28,6 @@ fn bench_geometry(c: &mut Criterion) {
     let cfg = models::quantum_atlas_10k_ii();
     let geom = cfg.geometry;
     let cap = geom.capacity_lbns();
-    c.bench_function("geometry/lbn_to_pba", |b| {
-        let mut lbn = 0u64;
-        b.iter(|| {
-            lbn = (lbn.wrapping_mul(6364136223846793005).wrapping_add(1)) % cap;
-            black_box(geom.lbn_to_pba(black_box(lbn)).unwrap())
-        })
-    });
-    // Streaming translation: the same lookup as the random case above,
-    // on tables that stay in cache.
-    c.bench_function("geometry/lbn_to_pba_sequential", |b| {
-        let mut lbn = 0u64;
-        b.iter(|| {
-            lbn = (lbn + 1) % cap;
-            black_box(geom.lbn_to_pba(black_box(lbn)).unwrap())
-        })
-    });
     c.bench_function("geometry/track_of_lbn_random", |b| {
         let mut lbn = 0u64;
         b.iter(|| {
@@ -60,20 +44,6 @@ fn bench_geometry(c: &mut Criterion) {
         b.iter(|| {
             lbn = (lbn.wrapping_mul(6364136223846793005).wrapping_add(1)) % cap;
             black_box(geom.track_of_lbn(black_box(lbn)).unwrap())
-        })
-    });
-    c.bench_function("geometry/track_of_lbn_sequential", |b| {
-        let mut lbn = 0u64;
-        b.iter(|| {
-            lbn = (lbn + 1) % cap;
-            black_box(geom.track_of_lbn(black_box(lbn)).unwrap())
-        })
-    });
-    c.bench_function("geometry/track_bounds", |b| {
-        let mut lbn = 0u64;
-        b.iter(|| {
-            lbn = (lbn.wrapping_mul(6364136223846793005).wrapping_add(1)) % cap;
-            black_box(geom.track_bounds(black_box(lbn)).unwrap())
         })
     });
 }
@@ -310,14 +280,6 @@ fn bench_rotation(c: &mut Criterion) {
 }
 
 fn bench_boundaries(c: &mut Criterion) {
-    let tb = TrackBoundaries::uniform(52_014, 440);
-    c.bench_function("boundaries/clip_to_track", |b| {
-        let mut lbn = 0u64;
-        b.iter(|| {
-            lbn = (lbn.wrapping_mul(2862933555777941757).wrapping_add(3)) % tb.capacity();
-            black_box(tb.clip_to_track(black_box(lbn), 528))
-        })
-    });
     // The shape of an aligned RAID-5 volume's logical table: one "track"
     // per stripe unit, ≈ 208 000 of them, looked up at uniform LBNs.
     c.bench_function("boundaries/track_index_random", |b| {
@@ -455,7 +417,9 @@ fn bench_ffs(c: &mut Criterion) {
         let full = table.track_extent(tracks).start / BLOCK_SECTORS;
         for block in 0..full {
             if layout.is_free(block) {
-                layout.take(block);
+                // A free block right after `prev` is the one taken.
+                let taken = layout.alloc_next(block.checked_sub(1), 1);
+                assert_eq!(taken, Some(block));
             }
         }
         if holes {
@@ -485,12 +449,13 @@ fn bench_ffs(c: &mut Criterion) {
             black_box(first)
         })
     });
-    // Taking the lowest hole moves the first-free-block mark a track on.
+    // Taking the lowest hole (the block after its predecessor) moves the
+    // first-free-block mark a track on.
     c.bench_function("ffs/take_at_low_water_fragmented", |b| {
         let mut layout = filled(60, true);
         let lowest = table.track_extent(0).start.div_ceil(BLOCK_SECTORS) + 5;
         b.iter(|| {
-            layout.take(black_box(lowest));
+            black_box(layout.alloc_next(Some(black_box(lowest) - 1), 1));
             layout.free(lowest, 1);
         })
     });
@@ -573,13 +538,11 @@ fn lanes(
     trace.chunks_exact(depth).take(1000).map(lane).collect()
 }
 
-/// The server's host cost per request: one scheduling round on a lane as
-/// `serve` builds it (through `admit`) and on one handed over in arrival
-/// order (what the repo benchmark's `server.sched_select_ns` prices), one
-/// admission, and `serve` end to end on `serve_disk`'s traffic.
+/// The server's host cost per request on `serve_disk`'s traffic: one
+/// scheduling round on a lane as `serve` builds it (through `admit`), and
+/// one admission.
 fn bench_server(c: &mut Criterion) {
-    let cfg = models::quantum_atlas_10k_ii();
-    let table = Disk::new(cfg.clone()).track_boundaries();
+    let table = Disk::new(models::quantum_atlas_10k_ii()).track_boundaries();
     let trace = stream_clients(&table, 50_000);
     let traxtent = Traxtent::new(ConfidentBoundaries::certain(table.clone()), 0.9);
     let admit = |lane: &mut Vec<Queued>, q| traxtent.admit(lane, q);
@@ -601,13 +564,6 @@ fn bench_server(c: &mut Criterion) {
     c.bench_function("server/select_traxtent_lane_40", |b| {
         rounds(b, traxtent.clone(), &in_sweep_order)
     });
-    let arbitrary = lanes(&trace, 128, Vec::push);
-    c.bench_function("server/select_traxtent_arbitrary_128", |b| {
-        rounds(b, traxtent.clone(), &arbitrary)
-    });
-    c.bench_function("server/select_clook_arbitrary_128", |b| {
-        rounds(b, CLook::new(), &arbitrary)
-    });
     for depth in [40, 128] {
         let lanes = lanes(&trace, depth, admit);
         let mut next = 0;
@@ -624,15 +580,6 @@ fn bench_server(c: &mut Criterion) {
             b.iter_batched(lane, one, BatchSize::SmallInput)
         });
     }
-    let config = ServerConfig::new(SchedulerKind::Traxtent)
-        .with_boundaries(ConfidentBoundaries::certain(table));
-    c.bench_function("server/serve_streams_50k", |b| {
-        b.iter_batched(
-            || Disk::new(cfg.clone()),
-            |mut disk| serve(&mut disk, &trace, &config).expect("a valid trace"),
-            BatchSize::LargeInput,
-        )
-    });
 }
 
 /// What a catalogued drive costs the code that asks for one: the preset

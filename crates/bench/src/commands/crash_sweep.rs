@@ -21,9 +21,10 @@ use ffs::image::is_meta_block;
 use ffs::{FileId, FileSystem, Personality, BLOCK_SECTORS};
 use fleet::{member_boundaries, StripePolicy, Volume};
 use lfs::recovery::{recover, LogDisk};
-use sim_disk::crash::{pattern_payload, replay, splitmix, CrashLog, SectorImage, SECTOR_USIZE};
+use sim_disk::crash::{pattern_payload, replay, CrashLog, SectorImage, SECTOR_USIZE};
 use sim_disk::disk::Disk;
 use sim_disk::{models, SimTime};
+use traxtent::hash::splitmix64;
 use traxtent::obs::Registry;
 
 const MB: u64 = 1 << 20;
@@ -32,7 +33,7 @@ const LFS_CAPACITY: u64 = 4096;
 /// The splitmix stream after `seed`: each call returns the next draw.
 fn draws(mut h: u64) -> impl FnMut() -> u64 {
     move || {
-        h = splitmix(h);
+        h = splitmix64(h);
         h
     }
 }
@@ -150,7 +151,7 @@ fn build_raid5(run: &Run, seed: u64) -> Volume {
     for _ in 0..20 {
         let len = 1 + next() % 256;
         let lbn = next() % (cap - len);
-        let words: Vec<u64> = (0..len).map(|o| splitmix(seed ^ (lbn + o))).collect();
+        let words: Vec<u64> = (0..len).map(|o| splitmix64(seed ^ (lbn + o))).collect();
         let c = v
             .write(lbn, &words, t)
             .expect("healthy volume serves writes");

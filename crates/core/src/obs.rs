@@ -103,11 +103,6 @@ impl Snapshot {
             .ok()
             .map(|i| self.entries[i].1)
     }
-
-    /// True if no value was ever registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +157,6 @@ mod tests {
     #[test]
     fn empty_snapshot() {
         let snap = Registry::new().snapshot();
-        assert!(snap.is_empty());
         assert_eq!(snap.entries(), []);
     }
 

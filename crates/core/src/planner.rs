@@ -6,7 +6,6 @@
 //! (§3.2 of the paper).
 
 use crate::boundaries::TrackBoundaries;
-use crate::extent::Extent;
 
 /// Plans request sizes against a boundary table.
 #[derive(Debug, Clone)]
@@ -51,12 +50,6 @@ impl RequestPlanner {
     pub fn plan_writeback(&self, start: u64, want: u64) -> u64 {
         assert!(want > 0, "write-back of zero sectors");
         self.boundaries.clip_to_track(start, want)
-    }
-
-    /// Splits an arbitrary transfer into track-aligned pieces, each of which
-    /// becomes one disk request.
-    pub fn split(&self, ext: Extent) -> Vec<Extent> {
-        self.boundaries.split_extent(ext).collect()
     }
 }
 
@@ -107,13 +100,21 @@ mod tests {
 
     #[test]
     fn split_covers_without_crossing() {
-        let pieces = planner().split(Extent::new(0, 300));
-        assert_eq!(pieces.len(), 3);
-        for e in &pieces {
-            let (_, end) = table().track_bounds(e.start);
-            assert!(e.end() <= end, "{e} crosses a track");
+        // Write-back clipped piece by piece: 300 sectors from 0 are three
+        // requests, one a track.
+        let (p, tb) = (planner(), table());
+        let mut pieces = Vec::new();
+        let mut at = 0;
+        while at < 300 {
+            let len = p.plan_writeback(at, 300 - at);
+            assert!(
+                at + len <= tb.track_bounds(at).1,
+                "[{at}, +{len}) crosses a track"
+            );
+            pieces.push(len);
+            at += len;
         }
-        assert_eq!(pieces.iter().map(|e| e.len).sum::<u64>(), 300);
+        assert_eq!(pieces, [100, 99, 101]);
     }
 
     #[test]

@@ -20,16 +20,12 @@ use std::error::Error;
 use std::fmt;
 use traxtent::RequestPlanner;
 
+/// Cap on clustered transfers, in blocks (32 in FreeBSD).
+const CLUSTER_CAP: u64 = 32;
+
 /// Identifies an open file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(u64);
-
-impl FileId {
-    /// The raw id (as recorded in on-media inodes).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
 
 /// Errors from file-system operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,8 +218,6 @@ pub struct FileSystem {
     /// data arrives). Runs never overlap, and each lies within one file.
     inflight: BTreeMap<u64, (u64, SimTime)>,
     stats: FsStats,
-    /// Cap on clustered transfers, in blocks (32 in FreeBSD).
-    cluster_cap: u64,
     /// The cluster limit of the dirty run starting at block `.0`, as last
     /// worked out by `maybe_commit_cluster` (it depends on the start alone).
     commit_limit: (u64, u64),
@@ -255,7 +249,6 @@ impl FileSystem {
             files: vec![None],
             inflight: BTreeMap::new(),
             stats: FsStats::default(),
-            cluster_cap: 32,
             commit_limit: (u64::MAX, 0),
             shadow: None,
         }
@@ -430,26 +423,22 @@ impl FileSystem {
         self.stats = FsStats::default();
     }
 
-    /// The disk (for inspection).
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
     /// The disk, mutably (crash harnesses detach its log with
     /// [`Disk::take_crash_log`]).
     pub fn disk_mut(&mut self) -> &mut Disk {
         &mut self.disk
     }
 
-    /// Every live file as `(id, size_bytes, blocks)`, in id order — the
-    /// in-memory truth crash harnesses compare recovered images against.
-    pub fn live_files(&self) -> Vec<(FileId, u64, Vec<u64>)> {
+    /// Every live file as `(id, size_bytes, blocks)`, in id order, the id
+    /// as on-media inodes record it — the in-memory truth crash harnesses
+    /// compare recovered images against.
+    pub fn live_files(&self) -> Vec<(u64, u64, Vec<u64>)> {
         self.files
             .iter()
             .enumerate()
             .filter_map(|(id, inode)| {
                 let inode = inode.as_ref()?;
-                Some((FileId(id as u64), inode.size_bytes, inode.blocks.clone()))
+                Some((id as u64, inode.size_bytes, inode.blocks.clone()))
             })
             .collect()
     }
@@ -634,7 +623,7 @@ impl FileSystem {
         let inode = self.inode(file)?;
         let db = inode.blocks[fb as usize];
         // History-based ramp-up, as in the unmodified file system.
-        let ramp = (inode.seq_count.max(1) + 1).min(self.cluster_cap);
+        let ramp = (inode.seq_count.max(1) + 1).min(CLUSTER_CAP);
         // The rest of the traxtent, up to `cap` blocks: the planner never
         // lets a fetch cross a track boundary (§4.2.2, "traxtent-sized
         // access").
@@ -645,9 +634,9 @@ impl FileSystem {
         };
         let want = match self.layout.personality() {
             Personality::Unmodified => ramp,
-            Personality::FastStart if !inode.accessed => self.cluster_cap,
+            Personality::FastStart if !inode.accessed => CLUSTER_CAP,
             Personality::FastStart => ramp,
-            Personality::Traxtent if !inode.nonseq_seen => traxtent(self.cluster_cap * 4),
+            Personality::Traxtent if !inode.nonseq_seen => traxtent(CLUSTER_CAP * 4),
             Personality::Traxtent => traxtent(ramp),
         };
         Ok(contiguous_run(inode, fb, &self.cache, want))
@@ -700,7 +689,7 @@ impl FileSystem {
             if fb >= nblocks {
                 debug_assert_eq!(fb, nblocks, "writes are block-continuous");
                 let prev = inode.blocks.last().copied();
-                let hint = (last - fb + 1).min(self.cluster_cap);
+                let hint = (last - fb + 1).min(CLUSTER_CAP);
                 let db = self.layout.alloc_next(prev, hint).ok_or(FsError::NoSpace)?;
                 inode.blocks.push(db);
             }
@@ -745,7 +734,7 @@ impl FileSystem {
                 let lbn = self.layout.block_to_lbn(start);
                 whole_blocks(self.planner.plan_writeback(lbn, u64::MAX))
             }
-            _ => self.cluster_cap,
+            _ => CLUSTER_CAP,
         }
     }
 
@@ -1082,7 +1071,7 @@ mod tests {
         let on_media = (0..image::ngroups(f.layout().blocks()))
             .flat_map(|g| image::decode_group(&img, g, f.layout().blocks()).slots)
             .find_map(|s| match s {
-                image::SlotState::Inode(rec) if rec.id == a.raw() => Some(rec),
+                image::SlotState::Inode(rec) if rec.id == a.0 => Some(rec),
                 _ => None,
             })
             .unwrap();

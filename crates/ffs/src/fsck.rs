@@ -164,13 +164,6 @@ pub struct RecoveredFile {
     pub extents: Vec<(u64, u64)>,
 }
 
-impl RecoveredFile {
-    /// The file's blocks in file order.
-    pub fn blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.extents.iter().flat_map(|&(s, l)| s..s + l)
-    }
-}
-
 /// The result of mounting a recovered image.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveredFs {
@@ -425,6 +418,11 @@ mod tests {
     use crate::layout::Personality;
     use traxtent::TrackBoundaries;
 
+    /// A recovered file's blocks in file order.
+    fn blocks_of(f: &RecoveredFile) -> Vec<u64> {
+        f.extents.iter().flat_map(|&(s, l)| s..s + l).collect()
+    }
+
     /// 400 tracks × 200 sectors = 5000 blocks: one full group plus a
     /// 904-block trailing partial group.
     fn layout() -> Layout {
@@ -490,10 +488,7 @@ mod tests {
         assert_eq!(img, before, "clean fsck must not rewrite anything");
         let fs = mount(&img, &l).unwrap();
         assert_eq!(fs.files.len(), 2);
-        assert_eq!(
-            fs.files[&1].blocks().collect::<Vec<_>>(),
-            vec![10, 11, 12, 13]
-        );
+        assert_eq!(blocks_of(&fs.files[&1]), vec![10, 11, 12, 13]);
     }
 
     #[test]
@@ -546,7 +541,7 @@ mod tests {
         assert_eq!(report.lost_blocks, 1);
         check(&img, &l).unwrap();
         let fs = mount(&img, &l).unwrap();
-        assert_eq!(fs.files[&1].blocks().count(), 4);
+        assert_eq!(blocks_of(&fs.files[&1]).len(), 4);
     }
 
     #[test]
@@ -567,11 +562,11 @@ mod tests {
         check(&img, &l).unwrap();
         let fs = mount(&img, &l).unwrap();
         assert_eq!(
-            fs.files[&1].blocks().count(),
+            blocks_of(&fs.files[&1]).len(),
             4,
             "first referencer keeps the block"
         );
-        assert_eq!(fs.files[&2].blocks().collect::<Vec<_>>(), vec![20]);
+        assert_eq!(blocks_of(&fs.files[&2]), vec![20]);
         assert_eq!(fs.files[&2].size_bytes, BYTES_PER_BLOCK);
     }
 
@@ -608,6 +603,6 @@ mod tests {
         assert_eq!(report.truncated_files, 1);
         check(&img, &l).unwrap();
         let fs = mount(&img, &l).unwrap();
-        assert_eq!(fs.files[&1].blocks().collect::<Vec<_>>(), vec![10, 11]);
+        assert_eq!(blocks_of(&fs.files[&1]), vec![10, 11]);
     }
 }

@@ -152,15 +152,6 @@ impl Layout {
         }
     }
 
-    /// Marks a block allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is not free.
-    pub fn take(&mut self, b: u64) {
-        self.alloc.take(b);
-    }
-
     /// Frees the `len` blocks from `first` on.
     ///
     /// # Panics
@@ -289,7 +280,7 @@ mod tests {
     fn take_release_round_trip() {
         let mut l = layout(Personality::Unmodified);
         let before = l.free_blocks();
-        l.take(100);
+        l.alloc.take(100);
         assert!(!l.is_free(100));
         assert_eq!(l.free_blocks(), before - 1);
         l.free(100, 1);
@@ -301,8 +292,8 @@ mod tests {
     #[should_panic(expected = "not free")]
     fn double_take_panics() {
         let mut l = layout(Personality::Unmodified);
-        l.take(5);
-        l.take(5);
+        l.alloc.take(5);
+        l.alloc.take(5);
     }
 
     #[test]
@@ -376,7 +367,7 @@ mod tests {
         // while leaving most blocks free.
         let mut b = 0;
         while b < l.blocks() {
-            l.take(b);
+            l.alloc.take(b);
             b += 8;
         }
         let frag = l.fragmentation();

@@ -6,9 +6,10 @@
 use ffs::fsck::{check, fsck, mount};
 use ffs::{FileId, FileSystem, Personality, BLOCK_SECTORS};
 use proptest::prelude::*;
-use sim_disk::crash::{replay, splitmix, CrashLog, SectorImage, SECTOR_USIZE};
+use sim_disk::crash::{replay, CrashLog, SectorImage, SECTOR_USIZE};
 use sim_disk::disk::Disk;
 use sim_disk::{models, SimTime};
+use traxtent::hash::splitmix64;
 
 const MB: u64 = 1 << 20;
 
@@ -18,7 +19,7 @@ const MB: u64 = 1 << 20;
 fn workload(fs: &mut FileSystem, seed: u64) {
     let mut h = seed;
     let mut next = move || {
-        h = splitmix(h);
+        h = splitmix64(h);
         h
     };
     let mut live: Vec<FileId> = Vec::new();
@@ -155,7 +156,7 @@ proptest! {
 
         let recovered = mount(&img, fs.layout()).expect("checked above");
         for f in recovered.files.values() {
-            for b in f.blocks() {
+            for b in f.extents.iter().flat_map(|&(s, l)| s..s + l) {
                 let base = b * BLOCK_SECTORS;
                 for s in base..base + BLOCK_SECTORS {
                     let got = img.read(s);
@@ -203,9 +204,10 @@ proptest! {
 
         prop_assert_eq!(recovered.files.len(), truth.len());
         for (id, size, blocks) in truth {
-            let f = &recovered.files[&id.raw()];
+            let f = &recovered.files[&id];
             prop_assert_eq!(f.size_bytes, size);
-            prop_assert_eq!(f.blocks().collect::<Vec<_>>(), blocks);
+            let got: Vec<u64> = f.extents.iter().flat_map(|&(s, l)| s..s + l).collect();
+            prop_assert_eq!(got, blocks);
         }
     }
 }

@@ -16,10 +16,11 @@ use ffs::image::{self, decode_group, group_blocks, meta_lbn, ngroups, InodeRec, 
 use ffs::layout::{AllocStats, BLOCKS_PER_GROUP};
 use ffs::{FileId, FileSystem, Layout, Personality, BLOCK_SECTORS};
 use proptest::prelude::*;
-use sim_disk::crash::{checksum, replay, splitmix, SectorImage, SECTOR_USIZE};
+use sim_disk::crash::{checksum, replay, SectorImage, SECTOR_USIZE};
 use sim_disk::disk::Disk;
 use sim_disk::{models, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use traxtent::hash::splitmix64;
 use traxtent::TrackBoundaries;
 
 const MB: u64 = 1 << 20;
@@ -436,6 +437,15 @@ fn layouts(p: Personality, tb: &TrackBoundaries) -> (Layout, ScanLayout) {
     )
 }
 
+/// Takes free block `b` on both sides the way a file takes its next
+/// block: as the one after `b - 1`, or block 0 as a first block.
+fn take(fast: &mut Layout, slow: &mut ScanLayout, b: u64) {
+    let prev = b.checked_sub(1);
+    let got = fast.alloc_next(prev, 1);
+    assert_eq!(got, slow.alloc_next(prev, 1), "alloc_next({prev:?}, 1)");
+    assert_eq!(got, Some(b), "block {b} is free");
+}
+
 fn assert_same_bitmaps(fast: &Layout, slow: &ScanLayout) {
     assert_eq!(fast.blocks(), slow.blocks);
     for b in 0..slow.blocks {
@@ -673,8 +683,7 @@ fn low_water_mark_matches_the_full_scan() {
             };
             for b in (0..fill).chain(rest) {
                 if slow.free[b as usize] {
-                    fast.take(b);
-                    slow.free[b as usize] = false;
+                    take(&mut fast, &mut slow, b);
                 }
             }
             for b in (0..fill).filter(|b| spacing > 0 && b % spacing < hole) {
@@ -691,8 +700,7 @@ fn low_water_mark_matches_the_full_scan() {
                     0 => {
                         let b = pick % slow.blocks;
                         if slow.free[b as usize] {
-                            fast.take(b);
-                            slow.free[b as usize] = false;
+                            take(&mut fast, &mut slow, b);
                             held.push(b);
                         }
                     }
@@ -1099,7 +1107,7 @@ mod parent {
 fn crash_workload(fs: &mut FileSystem, seed: u64) {
     let mut h = seed;
     let mut next = move || {
-        h = splitmix(h);
+        h = splitmix64(h);
         h
     };
     let mut live: Vec<FileId> = Vec::new();

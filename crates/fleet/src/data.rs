@@ -109,11 +109,6 @@ impl SectorStore {
         self.words.len() as u64
     }
 
-    /// The word stored at physical LBN `pba`.
-    pub fn word(&self, pba: u64) -> u64 {
-        self.words[pba as usize]
-    }
-
     /// Overwrites the word at physical LBN `pba`.
     pub fn set_word(&mut self, pba: u64, word: u64) {
         self.words[pba as usize] = word;
@@ -561,7 +556,7 @@ mod tests {
                     if live[m] {
                         let store = &mut want[m];
                         let pba = at / members as u64 % store.capacity();
-                        store.set_word(pba, store.word(pba) ^ flip);
+                        store.set_word(pba, store.words[pba as usize] ^ flip);
                     }
                 }
                 let one = scrub_in_parts(&layout, &want, reference, 1);

@@ -47,14 +47,6 @@ impl StripePolicy {
         StripePolicy::Fixed { sectors }
     }
 
-    /// Short label for figure axes: `"aligned"` or `"fixed"`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StripePolicy::Aligned { .. } => "aligned",
-            StripePolicy::Fixed { .. } => "fixed",
-        }
-    }
-
     /// A unit is at least a sector and at most what one member request
     /// can read: `u32::MAX` sectors, a READ(16) transfer length.
     fn validate(&self) -> Result<(), FleetError> {
@@ -93,13 +85,6 @@ pub struct StripeUnit {
     pub confidence: f64,
 }
 
-impl StripeUnit {
-    /// One past the last physical LBN of the unit.
-    pub fn end(&self) -> u64 {
-        self.start + self.len
-    }
-}
-
 /// Carves one member's boundary map into stripe units under `policy`.
 ///
 /// This is the alignment rule of the whole crate: under
@@ -128,7 +113,7 @@ impl StripeUnit {
 /// assert_eq!((units[1].start, units[1].len), (200, 150));
 /// // ...then 64-sector fallback units inside the 200-sector fuzzy run.
 /// assert_eq!((units[2].start, units[2].len), (350, 64));
-/// assert!(units.iter().all(|u| u.end() <= map.table().capacity()));
+/// assert!(units.iter().all(|u| u.start + u.len <= map.table().capacity()));
 /// ```
 pub fn stripe_units(
     map: &ConfidentBoundaries,

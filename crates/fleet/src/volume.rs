@@ -66,13 +66,16 @@ impl Member {
 pub struct VolumeStats {
     /// Commands issued to member drives.
     pub member_cmds: u64,
-    /// Logical reads that could not use their home member and were served
-    /// from a mirror copy or parity reconstruction.
+    /// Read chunks served from redundancy (a mirror copy or a RAID-5
+    /// reconstruction) instead of their home member: one a chunk, not one
+    /// a logical read, so a read over three units of a failed member adds
+    /// 3.
     pub degraded_reads: u64,
     /// Sectors whose contents were reconstructed from redundancy.
     pub reconstructed_sectors: u64,
-    /// Logical writes that had to take a degraded path (reconstruct-write
-    /// or data-only write under a failed parity member).
+    /// RAID-5 chunk writes that took a degraded path (reconstruct-write,
+    /// or the data alone under a failed parity member): one a chunk. A
+    /// mirror write that skips a failed copy adds nothing.
     pub degraded_writes: u64,
 }
 

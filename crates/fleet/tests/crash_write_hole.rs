@@ -7,10 +7,11 @@ use fleet::{
     member_boundaries, pattern_word, FleetError, SectorStore, StripePolicy, Volume, FAULT_RETRIES,
 };
 use proptest::prelude::*;
-use sim_disk::crash::{splitmix, CrashLog};
+use sim_disk::crash::CrashLog;
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use sim_disk::SimTime;
+use traxtent::hash::splitmix64;
 use traxtent::obs::Registry;
 
 /// Member spindle speeds. Identical members service a logical write's
@@ -52,7 +53,7 @@ fn armed(raid5: bool, seed: u64) -> (Volume, Vec<SectorStore>) {
 fn workload(v: &mut Volume, seed: u64) {
     let mut h = seed;
     let mut next = move || {
-        h = splitmix(h);
+        h = splitmix64(h);
         h
     };
     let cap = v.capacity();
@@ -64,7 +65,7 @@ fn workload(v: &mut Volume, seed: u64) {
             let (c, _) = v.read(lbn, len, t).expect("healthy volume serves reads");
             t = c.completion;
         } else {
-            let words: Vec<u64> = (0..len).map(|o| splitmix(seed ^ (lbn + o))).collect();
+            let words: Vec<u64> = (0..len).map(|o| splitmix64(seed ^ (lbn + o))).collect();
             let c = v
                 .write(lbn, &words, t)
                 .expect("healthy volume serves writes");

@@ -394,7 +394,10 @@ fn check(
     }
 
     tally.note(kind.label());
-    tally.note(policy.label());
+    tally.note(match policy {
+        StripePolicy::Aligned { .. } => "aligned",
+        StripePolicy::Fixed { .. } => "fixed",
+    });
     if let StripePolicy::Aligned { threshold, .. } = policy {
         let fuzzy = old.units.iter().any(|u| u.confidence < threshold);
         tally.note_if(fuzzy, "fuzzy_run");

@@ -265,6 +265,25 @@ fn raid5_degraded_reads_and_writes_are_exact() {
     ));
 }
 
+/// A degraded read counts chunks, not logical reads: one read over three
+/// units of a failed RAID-5 member adds 3.
+#[test]
+fn a_degraded_read_counts_each_chunk_served_from_redundancy() {
+    let mut v = Volume::raid5(members(4), StripePolicy::aligned()).unwrap();
+    v.format(SEED);
+    let layout = v.layout();
+    let dead = layout.member(0);
+    let third = (0..layout.units().len())
+        .filter(|&i| layout.member(i) == dead)
+        .nth(2)
+        .expect("the member owns three units");
+    let end = layout.units()[third].lstart + u64::from(layout.units()[third].len);
+    v.fail_member(dead).unwrap();
+    let (read, added) = counted(&mut v, |v| v.read(0, end, SimTime::ZERO));
+    expect_pattern(&read.unwrap().1, 0);
+    assert_eq!(added.degraded_reads, 3);
+}
+
 /// Which member of a one-chunk access's stripe is failed.
 #[derive(Debug, Clone, Copy)]
 enum Failed {
@@ -278,25 +297,26 @@ enum Failed {
 }
 
 /// The accounting the single member-command path owns, as one table:
-/// what a one-chunk read and a one-chunk write fan out into and whether
-/// they count as degraded, per volume kind and per failed member
+/// what a one-chunk read and a one-chunk write fan out into and what they
+/// add to the degraded counters, per volume kind and per failed member
 /// (DESIGN.md §9), read off the volume's counters — and that background
-/// passes add to the same counter.
+/// passes add to the same counter. A degraded mirror write adds no
+/// degraded write: only RAID-5 chunk writes are counted.
 #[test]
 fn member_command_accounting_by_mode() {
     use Failed::*;
     use VolumeKind::*;
-    // (kind, members, failed, read (cmds, degraded), write (cmds, degraded))
+    // (kind, members, failed, read (cmds, degraded_reads), write (cmds, degraded_writes))
     let table = [
-        (Striped, 3, Nobody, (1, false), (1, false)),
-        (Striped, 3, Bystander, (1, false), (1, false)),
-        (Mirrored, 3, Nobody, (1, false), (3, false)),
-        (Mirrored, 3, Owner, (1, true), (2, true)),
-        (Mirrored, 3, Bystander, (1, false), (2, true)),
-        (Raid5, 4, Nobody, (1, false), (4, false)),
-        (Raid5, 4, Owner, (3, true), (3, true)),
-        (Raid5, 4, Parity, (1, false), (1, true)),
-        (Raid5, 4, Bystander, (1, false), (4, false)),
+        (Striped, 3, Nobody, (1, 0), (1, 0)),
+        (Striped, 3, Bystander, (1, 0), (1, 0)),
+        (Mirrored, 3, Nobody, (1, 0), (3, 0)),
+        (Mirrored, 3, Owner, (1, 1), (2, 0)),
+        (Mirrored, 3, Bystander, (1, 0), (2, 0)),
+        (Raid5, 4, Nobody, (1, 0), (4, 0)),
+        (Raid5, 4, Owner, (3, 1), (3, 1)),
+        (Raid5, 4, Parity, (1, 0), (1, 1)),
+        (Raid5, 4, Bystander, (1, 0), (4, 0)),
     ];
     for (kind, n, failed, read, write) in table {
         let case = format!("{kind:?} x {n}, failed: {failed:?}");
@@ -324,13 +344,11 @@ fn member_command_accounting_by_mode() {
         let (r, rs) = counted(&mut v, |v| v.read(unit.lstart, 16, SimTime::ZERO));
         let (r, data) = r.unwrap();
         expect_pattern(&data, unit.lstart);
-        let got = (rs.member_cmds, rs.degraded_reads > 0);
-        assert_eq!(got, read, "{case}: read");
+        assert_eq!((rs.member_cmds, rs.degraded_reads), read, "{case}: read");
         let (w, ws) = counted(&mut v, |v| v.write(unit.lstart, &data, r.completion));
         let w = w.unwrap();
-        // A degraded mirror write counts no degraded write: the mirror is.
-        let degraded = ws.degraded_writes > 0 || (kind == Mirrored && v.is_degraded());
-        assert_eq!((ws.member_cmds, degraded), write, "{case}: write");
+        let got = (ws.member_cmds, ws.degraded_writes);
+        assert_eq!(got, write, "{case}: write");
         let mut issued = rs.member_cmds + ws.member_cmds;
         assert_eq!(v.stats().member_cmds, issued, "{case}: foreground");
 

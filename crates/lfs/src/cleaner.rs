@@ -165,11 +165,6 @@ impl LfsSim {
         self.table.total_live()
     }
 
-    /// The tallies so far.
-    pub fn tally(&self) -> WriteTally {
-        self.tally
-    }
-
     /// How many times the cleaner selected and emptied a victim segment.
     pub fn cleaner_passes(&self) -> u64 {
         self.cleaner_passes

@@ -46,7 +46,7 @@ pub use error::LfsError;
 
 use sim_disk::disk::{Disk, DiskConfig, Request};
 use sim_disk::SimTime;
-use traxtent::stats;
+use traxtent::{stats, Extent};
 
 /// Measures `TransferInefficiency` for random segment-sized writes within
 /// the first zone: actual average write time over the ideal media transfer
@@ -60,11 +60,6 @@ use traxtent::stats;
 ///
 /// Panics unless the segment is shorter than the first zone
 /// ([`DiskGeometry::track_starts_fitting`](sim_disk::geometry::DiskGeometry::track_starts_fitting)).
-#[expect(
-    clippy::expect_used,
-    reason = "every written LBN lies in a segment that `track_starts_fitting` placed inside \
-              zone 0, so it is below capacity; integration's lfs_prefers_track_sized_aligned_segments runs it"
-)]
 pub fn transfer_inefficiency(
     config: &DiskConfig,
     segment_sectors: u64,
@@ -80,6 +75,7 @@ pub fn transfer_inefficiency(
     let zone = disk.geometry().zones()[0];
     let spt = u64::from(zone.spt);
     let track_starts = disk.geometry().track_starts_fitting(0, segment_sectors);
+    let table = disk.track_boundaries();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut times = Vec::with_capacity(samples);
     let mut now = SimTime::ZERO;
@@ -93,15 +89,10 @@ pub fn transfer_inefficiency(
         if aligned {
             // A traxtent LFS writes a segment as track-sized requests,
             // queued back to back.
-            let mut at = start;
-            let mut remaining = segment_sectors;
-            while remaining > 0 {
-                let (_, track_end) = disk.geometry().track_bounds(at).expect("in range");
-                let chunk = remaining.min(track_end - at);
-                let c = disk.service(Request::write(at, chunk), t0);
-                now = c.completion;
-                at += chunk;
-                remaining -= chunk;
+            for piece in table.split_extent(Extent::new(start, segment_sectors)) {
+                now = disk
+                    .service(Request::write(piece.start, piece.len), t0)
+                    .completion;
             }
         } else {
             let c = disk.service(Request::write(start, segment_sectors), t0);

@@ -99,16 +99,6 @@ impl LogDisk {
         self.head
     }
 
-    /// Sequence number of the last appended batch.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Generation of the last checkpoint written.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// The underlying disk (e.g. to take the crash log after a run).
     pub fn disk_mut(&mut self) -> &mut Disk {
         &mut self.disk
@@ -280,7 +270,7 @@ mod tests {
         log.checkpoint();
         let c = pattern_payload(3, 7, 2);
         log.append(&c).unwrap();
-        let (head, seq) = (log.head(), log.seq());
+        let (head, seq) = (log.head(), log.seq);
 
         let img = cut_image(&mut log, None);
         let r = recover(&img, 4096);
@@ -377,7 +367,7 @@ mod tests {
     #[test]
     fn log_full_is_a_typed_error_and_leaves_the_log_untouched() {
         let mut log = LogDisk::new(Disk::new(models::small_test_disk()), LOG_START + 4);
-        let (head, seq) = (log.head(), log.seq());
+        let (head, seq) = (log.head(), log.seq);
         let err = log.append(&pattern_payload(1, 0, 4)).unwrap_err();
         assert_eq!(
             err,
@@ -386,7 +376,7 @@ mod tests {
                 remaining: 4
             }
         );
-        assert_eq!((log.head(), log.seq()), (head, seq));
+        assert_eq!((log.head(), log.seq), (head, seq));
         // A smaller batch still fits afterwards.
         log.append(&pattern_payload(1, 0, 3)).unwrap();
     }

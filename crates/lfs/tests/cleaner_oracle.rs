@@ -378,7 +378,19 @@ fn note_pass(tally: &mut Tally, pass: Pass) {
 
 /// Everything observable about the two simulators is equal.
 fn assert_same(fast: &LfsSim, scan: &ScanCleaner, healthy: bool) {
-    assert_eq!(fast.tally(), scan.tally(), "tally");
+    // The tally after a failed run too, read as a report reads it.
+    let reg = traxtent::obs::Registry::new();
+    fast.export_metrics(&reg);
+    let snap = reg.snapshot();
+    let exported = |name: &str| snap.entries().iter().find(|(n, _)| n == name).map(|e| e.1);
+    let want = scan.tally();
+    assert_eq!(exported("lfs.new_written"), Some(want.new_written), "tally");
+    assert_eq!(exported("lfs.clean_read"), Some(want.clean_read), "tally");
+    assert_eq!(
+        exported("lfs.clean_written"),
+        Some(want.clean_written),
+        "tally"
+    );
     assert_eq!(fast.cleaner_passes(), scan.cleaner_passes(), "passes");
     assert_eq!(
         fast.segment_utilization_histogram(),

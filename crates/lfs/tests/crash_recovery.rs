@@ -5,9 +5,10 @@
 
 use lfs::recovery::{recover, LogDisk, RecoveredLog, LOG_START};
 use proptest::prelude::*;
-use sim_disk::crash::{pattern_payload, replay, splitmix, CrashLog, SectorImage, SECTOR_USIZE};
+use sim_disk::crash::{pattern_payload, replay, CrashLog, SectorImage, SECTOR_USIZE};
 use sim_disk::disk::Disk;
 use sim_disk::{models, SimTime};
+use traxtent::hash::splitmix64;
 
 const CAPACITY: u64 = 4096;
 
@@ -33,25 +34,30 @@ fn build(seed: u64) -> (Vec<Op>, CrashLog) {
     let mut log = LogDisk::new(Disk::new(models::small_test_disk()), CAPACITY);
     let mut h = seed;
     let mut next = move || {
-        h = splitmix(h);
+        h = splitmix64(h);
         h
     };
+    // Checkpoints count generations from 1 and batches count sequence
+    // numbers from 1, each on its own.
+    let (mut generation, mut seq) = (0, 0);
     let mut ops = Vec::new();
     for i in 0..40 {
         if next() % 5 == 0 {
             log.checkpoint();
+            generation += 1;
             ops.push(Op::Checkpoint {
-                generation: log.generation(),
+                generation,
                 head: log.head(),
-                seq: log.seq(),
+                seq,
             });
         } else {
             let sectors = 1 + next() % 16;
             let start_lbn = log.head() + 1;
             let data = pattern_payload(seed ^ (i + 1), start_lbn, sectors);
             log.append(&data).expect("40 small batches fit in the log");
+            seq += 1;
             ops.push(Op::Append {
-                seq: log.seq(),
+                seq,
                 start_lbn,
                 data,
             });

@@ -172,11 +172,6 @@ impl ScsiDisk {
         self.now += dur;
     }
 
-    /// Consumes the wrapper, returning the drive.
-    pub fn into_inner(self) -> Disk {
-        self.disk
-    }
-
     /// Read-only access to the underlying drive. Extraction code must not
     /// use this to peek at geometry; it exists for *verification* in tests
     /// and reports.

@@ -26,7 +26,7 @@ fn aligned_rounds_are_shorter() {
     let u = measure_rounds(&cfg, &spec(false, 4.0), 20, io);
     assert!(
         a.mean_round < u.mean_round,
-        "{} !< {}",
+        "{:?} !< {:?}",
         a.mean_round,
         u.mean_round
     );

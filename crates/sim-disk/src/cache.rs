@@ -108,21 +108,6 @@ impl SegmentCache {
             *s < *e
         });
     }
-
-    /// Drops all cached data.
-    pub fn clear(&mut self) {
-        self.segs.clear();
-    }
-
-    /// Number of live segments.
-    pub fn len(&self) -> usize {
-        self.segs.len()
-    }
-
-    /// True if no segments are cached.
-    pub fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +155,7 @@ mod tests {
         let mut c = cache(4);
         c.insert(0, 100);
         c.insert(50, 150);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.segs.len(), 1);
         assert!(c.lookup(0, 150));
     }
 
@@ -190,22 +175,13 @@ mod tests {
         let mut c = cache(4);
         c.insert(10, 20);
         c.invalidate(0, 100);
-        assert!(c.is_empty());
+        assert!(c.segs.is_empty());
     }
 
     #[test]
     fn disabled_cache_never_hits() {
         let mut c = SegmentCache::new(CacheConfig { segments: 0 });
         c.insert(0, 1000);
-        assert!(!c.lookup(0, 1));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut c = cache(2);
-        c.insert(0, 10);
-        c.clear();
-        assert!(c.is_empty());
         assert!(!c.lookup(0, 1));
     }
 }

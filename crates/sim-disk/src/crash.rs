@@ -38,6 +38,7 @@
 use crate::{SimTime, SECTOR_BYTES};
 use std::collections::BTreeMap;
 use std::fmt;
+use traxtent::hash::splitmix64;
 
 /// Sector size in bytes, as a `usize` (see [`crate::SECTOR_BYTES`]).
 pub const SECTOR_USIZE: usize = SECTOR_BYTES as usize;
@@ -189,11 +190,6 @@ impl SectorImage {
     pub fn write(&mut self, lbn: u64, data: &[u8; SECTOR_USIZE]) {
         self.sectors.insert(lbn, Box::new(*data));
     }
-
-    /// Iterates written sectors in LBN order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8; SECTOR_USIZE])> {
-        self.sectors.iter().map(|(&l, b)| (l, &**b))
-    }
 }
 
 /// Hands `write` every sector a power cut at `cut` leaves durable, with
@@ -242,11 +238,6 @@ pub fn replay(
     Ok(img)
 }
 
-/// SplitMix64 — the workspace's one mixer ([`traxtent::hash`]), exposed
-/// here so on-disk formats can derive checksums and fill patterns without
-/// a second hash implementation.
-pub use traxtent::hash::splitmix64 as splitmix;
-
 /// A 64-bit checksum over arbitrary bytes (SplitMix64-mixed FNV-style
 /// fold). Not cryptographic — it detects torn sectors, which is all an
 /// fsck/roll-forward pass needs.
@@ -255,7 +246,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     for chunk in bytes.chunks(8) {
         let mut w = [0u8; 8];
         w[..chunk.len()].copy_from_slice(chunk);
-        h = splitmix(h ^ u64::from_le_bytes(w));
+        h = splitmix64(h ^ u64::from_le_bytes(w));
     }
     h
 }
@@ -265,9 +256,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 /// against.
 pub fn pattern_sector(salt: u64, lbn: u64) -> [u8; SECTOR_USIZE] {
     let mut s = [0u8; SECTOR_USIZE];
-    let base = splitmix(salt ^ lbn.rotate_left(32));
+    let base = splitmix64(salt ^ lbn.rotate_left(32));
     for (k, w) in s.chunks_mut(8).enumerate() {
-        w.copy_from_slice(&splitmix(base ^ k as u64).to_le_bytes());
+        w.copy_from_slice(&splitmix64(base ^ k as u64).to_le_bytes());
     }
     s
 }
@@ -414,7 +405,7 @@ mod tests {
         assert_eq!(full, expect);
         // Cutting at zero applies nothing.
         let none = replay(&SectorImage::new(), &log, SimTime::ZERO).unwrap();
-        assert_eq!(none.iter().count(), 0);
+        assert_eq!(none, SectorImage::new());
     }
 
     #[test]

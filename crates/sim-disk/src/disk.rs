@@ -1097,7 +1097,6 @@ mod tests {
         // mid-track cannot stream until LBN 0 of the request is read, so the
         // completion trails media_end by roughly the pre-arrival portion.
         let mut d = test_disk(true, BusConfig::in_order(160.0));
-        d.cache.clear();
         let mut trailing = Vec::new();
         let mut t = SimTime::ZERO;
         for i in 0..100 {
@@ -1213,7 +1212,7 @@ mod tests {
             .response_time();
         assert!(
             with_remap > base + SimDur::from_millis_f64(1.0),
-            "remap should cost a mechanical excursion: {with_remap} vs {base}"
+            "remap should cost a mechanical excursion: {with_remap:?} vs {base:?}"
         );
     }
 

@@ -39,12 +39,6 @@ impl Pba {
     }
 }
 
-impl fmt::Display for Pba {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}/h{}/s{}", self.cyl, self.head, self.slot)
-    }
-}
-
 /// One recording zone: a contiguous run of cylinders sharing a
 /// sectors-per-track count and skew settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

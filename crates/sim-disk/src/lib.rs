@@ -68,8 +68,7 @@ pub use geometry::{DiskGeometry, GeometrySpec, Pba, TrackId, ZoneSpec};
 pub use request::{Breakdown, Completion, TraceRecord};
 
 use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An instant of simulated time, in integer nanoseconds since simulation
 /// start.
@@ -105,11 +104,6 @@ impl SimTime {
     /// Milliseconds since the epoch, as a float (for reporting only).
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
     }
 
     /// The duration since `earlier`.
@@ -218,23 +212,6 @@ impl AddAssign<SimDur> for SimDur {
     }
 }
 
-/// # Panics
-///
-/// Panics if `rhs` is longer than `self`: durations are never negative.
-impl Sub<SimDur> for SimDur {
-    type Output = SimDur;
-    #[expect(clippy::expect_used, reason = "the # Panics contract")]
-    fn sub(self, rhs: SimDur) -> SimDur {
-        SimDur(self.0.checked_sub(rhs.0).expect("negative duration"))
-    }
-}
-
-impl SubAssign<SimDur> for SimDur {
-    fn sub_assign(&mut self, rhs: SimDur) {
-        *self = *self - rhs;
-    }
-}
-
 impl Mul<u64> for SimDur {
     type Output = SimDur;
     fn mul(self, rhs: u64) -> SimDur {
@@ -249,19 +226,7 @@ impl Div<u64> for SimDur {
     }
 }
 
-impl Sum for SimDur {
-    fn sum<I: Iterator<Item = SimDur>>(iter: I) -> SimDur {
-        SimDur(iter.map(|d| d.0).sum())
-    }
-}
-
 impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}ms", self.as_millis_f64())
-    }
-}
-
-impl fmt::Display for SimDur {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3}ms", self.as_millis_f64())
     }
@@ -311,12 +276,6 @@ mod tests {
 
     #[test]
     fn display_formats_millis() {
-        assert_eq!(format!("{}", SimDur::from_millis_f64(1.5)), "1.500ms");
-    }
-
-    #[test]
-    fn sum_of_durations() {
-        let total: SimDur = (1..=4).map(SimDur::from_ns).sum();
-        assert_eq!(total.as_ns(), 10);
+        assert_eq!(format!("{}", SimTime::from_ns(1_500_000)), "1.500ms");
     }
 }

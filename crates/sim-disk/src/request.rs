@@ -123,22 +123,6 @@ pub struct Breakdown {
     pub write_settle: SimDur,
 }
 
-impl Breakdown {
-    /// Total of all components, queueing included. Per request this equals
-    /// [`Completion::response_time`] up to the nanosecond-quantization
-    /// residual of per-phase rounding (typically well under 20 µs).
-    pub fn total(&self) -> SimDur {
-        self.queue
-            + self.overhead
-            + self.seek
-            + self.head_switch
-            + self.rot_latency
-            + self.media
-            + self.bus
-            + self.write_settle
-    }
-}
-
 /// The result of servicing one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
@@ -198,20 +182,5 @@ mod tests {
     fn lengths_past_a_32_bit_transfer_are_rejected() {
         // Truncated, 2³² would be a zero-length request.
         let _ = Request::read(0, 1 << 32);
-    }
-
-    #[test]
-    fn breakdown_total_sums_components() {
-        let b = Breakdown {
-            queue: SimDur::from_ns(8),
-            overhead: SimDur::from_ns(1),
-            seek: SimDur::from_ns(2),
-            head_switch: SimDur::from_ns(3),
-            rot_latency: SimDur::from_ns(4),
-            media: SimDur::from_ns(5),
-            bus: SimDur::from_ns(6),
-            write_settle: SimDur::from_ns(7),
-        };
-        assert_eq!(b.total().as_ns(), 36);
     }
 }

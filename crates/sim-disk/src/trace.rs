@@ -247,16 +247,6 @@ impl TraceEvent {
         }
     }
 
-    /// The request sequence number, for events tied to one request.
-    pub fn req(&self) -> Option<u64> {
-        match *self {
-            TraceEvent::Issue { req, .. }
-            | TraceEvent::Phase(Phase { req, .. })
-            | TraceEvent::Complete { req, .. } => Some(req),
-            TraceEvent::ScsiCommand { .. } => None,
-        }
-    }
-
     /// The instant (ns) the event starts.
     pub fn time_ns(&self) -> u64 {
         match *self {

@@ -114,12 +114,22 @@ fn breakdown_sums_to_response() {
         d.reset();
         let lbn = (i * 777_777) % 4_000_000;
         let c = d.service(Request::read(lbn, 300), SimTime::ZERO);
-        let total = c.breakdown.total();
-        let resp = c.response_time();
-        let diff = total.as_ns().abs_diff(resp.as_ns());
+        let b = &c.breakdown;
+        let parts = [
+            b.queue,
+            b.overhead,
+            b.seek,
+            b.head_switch,
+            b.rot_latency,
+            b.media,
+            b.bus,
+            b.write_settle,
+        ];
+        let total: u64 = parts.iter().map(|d| d.as_ns()).sum();
+        let resp = c.response_time().as_ns();
         assert!(
-            diff < 20_000, // ≤ 20 µs of rounding across components
-            "lbn {lbn}: breakdown {total} vs response {resp}"
+            total.abs_diff(resp) < 20_000, // ≤ 20 µs of rounding across components
+            "lbn {lbn}: breakdown {total} ns vs response {resp} ns"
         );
     }
 }

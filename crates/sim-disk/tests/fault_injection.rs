@@ -10,7 +10,8 @@ use sim_disk::trace::{MemorySink, Phase, TraceEvent, Tracer, Value};
 use sim_disk::{SimDur, SimTime};
 use std::sync::{Arc, Mutex};
 
-/// A deterministic mixed workload; returns the completion stream.
+/// A deterministic mixed workload; returns each completion instant and
+/// response time (ns).
 fn run(disk: &mut Disk, count: u64) -> Vec<(SimTime, u64)> {
     let cap = disk.geometry().capacity_lbns();
     let mut t = SimTime::ZERO;
@@ -24,7 +25,7 @@ fn run(disk: &mut Disk, count: u64) -> Vec<(SimTime, u64)> {
         };
         let c = disk.service(req, t);
         t = c.completion;
-        out.push((c.completion, c.breakdown.total().as_ns()));
+        out.push((c.completion, c.response_time().as_ns()));
     }
     out
 }

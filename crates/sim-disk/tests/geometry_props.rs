@@ -244,7 +244,7 @@ fn assert_same_answers(got: &DiskGeometry, want: &DiskGeometry, what: &str) {
     for t in (0..want.num_tracks()).map(|id| want.track(id)) {
         for slot in 0..=t.spt() {
             let pba = Pba::new(t.cyl(), t.head(), slot);
-            assert_eq!(got.pba_to_lbn(pba), want.pba_to_lbn(pba), "{what}: {pba}");
+            assert_eq!(got.pba_to_lbn(pba), want.pba_to_lbn(pba), "{what}: {pba:?}");
         }
     }
     assert!(got.track_starts().eq(want.track_starts()), "{what}: starts");

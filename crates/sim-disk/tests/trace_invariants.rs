@@ -99,6 +99,15 @@ fn complete_events_account_for_every_nanosecond() {
     }
 }
 
+/// The request an event belongs to; a SCSI command belongs to none.
+fn request_of(e: &TraceEvent) -> Option<u64> {
+    match *e {
+        TraceEvent::Issue { req, .. } | TraceEvent::Complete { req, .. } => Some(req),
+        TraceEvent::Phase(ref p) => Some(p.req),
+        TraceEvent::ScsiCommand { .. } => None,
+    }
+}
+
 /// Phase events of one request agree with its `Complete` summary: seek
 /// durations sum to the seek phase, media durations to the media phase,
 /// and every event lands inside the request's [issue, completion] window.
@@ -109,7 +118,7 @@ fn phase_events_match_their_summary() {
     for (rid, c) in completions.iter().enumerate() {
         let mine: Vec<&TraceEvent> = events
             .iter()
-            .filter(|e| e.req() == Some(rid as u64))
+            .filter(|e| request_of(e) == Some(rid as u64))
             .collect();
         assert!(matches!(mine.first(), Some(TraceEvent::Issue { .. })));
         assert!(matches!(mine.last(), Some(TraceEvent::Complete { .. })));

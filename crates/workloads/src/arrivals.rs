@@ -132,8 +132,7 @@ pub fn stream_trace(spec: &StreamsSpec, table: &TrackBoundaries) -> Vec<TraceRec
         let mut pos = table.track_extent(track).start;
         let phase_ns = rng.gen_range(0..period_us.max(1)) * 1000;
         for k in 0..spec.chunks_per_stream {
-            let (_, track_end) = table.track_bounds(pos);
-            let len = spec.chunk_sectors.min(track_end - pos);
+            let len = table.clip_to_track(pos, spec.chunk_sectors);
             records.push(TraceRecord {
                 arrival: SimTime::from_ns(phase_ns + k as u64 * period_us * 1000),
                 request: Request::new(op, pos, len),

@@ -8,7 +8,6 @@ use scsi::ScsiDisk;
 use sim_disk::disk::{Disk, Request};
 use sim_disk::models;
 use sim_disk::SimTime;
-use traxtent::RequestPlanner;
 
 fn main() {
     // A Quantum Atlas 10K II — the paper's measurement platform.
@@ -26,8 +25,10 @@ fn main() {
 
     // Plan requests against the boundaries: a 256 KB transfer at an
     // arbitrary location is split so no piece crosses a track.
-    let planner = RequestPlanner::new(extraction.boundaries.clone());
-    let pieces = planner.split(traxtent::Extent::new(1_000_000, 512));
+    let pieces: Vec<_> = extraction
+        .boundaries
+        .split_extent(traxtent::Extent::new(1_000_000, 512))
+        .collect();
     println!(
         "256 KB at LBN 1000000 becomes {} track-local request(s):",
         pieces.len()
@@ -36,9 +37,9 @@ fn main() {
         println!("  {p}");
     }
 
-    // Compare: one full-track aligned read vs the same size unaligned.
-    let mut disk = scsi.into_inner();
-    disk.reset();
+    // Compare, on a fresh drive: one full-track aligned read vs the same
+    // size unaligned.
+    let mut disk = Disk::new(models::quantum_atlas_10k_ii());
     let track = extraction.boundaries.track_extent(1000);
     let aligned = disk.service(Request::read(track.start, track.len), SimTime::ZERO);
     let unaligned = disk.service(
