@@ -396,7 +396,7 @@ fn bench_ffs(c: &mut Criterion) {
     });
     c.bench_function("ffs/write_block_sequential", |b| {
         let disk = Disk::new(models::quantum_atlas_10k());
-        let mut fs = FileSystem::format(disk, Personality::Traxtent);
+        let mut fs = FileSystem::format(disk, Personality::Traxtent).unwrap();
         let mut file = fs.create();
         let mut at = 0u64;
         b.iter(|| {

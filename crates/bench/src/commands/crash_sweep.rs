@@ -88,7 +88,7 @@ struct FfsRun {
 
 fn build_ffs(run: &Run, seed: u64) -> FfsRun {
     let disk = Disk::new(run.drive(models::small_test_disk()));
-    let mut fs = FileSystem::format(disk, Personality::Traxtent);
+    let mut fs = FileSystem::format(disk, Personality::Traxtent).expect("the test disk is small");
     fs.enable_crash_shadow(seed ^ 0x0ff5_cafe);
     let initial = fs.format_image();
     ffs_workload(&mut fs, seed);

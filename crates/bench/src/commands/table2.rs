@@ -5,7 +5,7 @@
 //! these workloads are streaming-dominated).
 
 use crate::{Row, Run};
-use ffs::{FileSystem, Personality};
+use ffs::Personality;
 use sim_disk::disk::Disk;
 use sim_disk::models;
 use workloads::apps;
@@ -56,7 +56,7 @@ pub(crate) fn main(run: &Run) {
         |p| Row::new().col(format!("{p:?}")),
         |&p, &key| {
             let disk = Disk::new(run.drive(models::quantum_atlas_10k()));
-            let mut fs = FileSystem::format(disk, p);
+            let mut fs = apps::mkfs(disk, p);
             // Postmark reports transactions per second; the rest, run time.
             let mut tps = None;
             let r = match key {

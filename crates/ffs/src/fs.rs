@@ -12,6 +12,7 @@
 use crate::cache::BufferCache;
 use crate::image;
 use crate::layout::{Layout, Personality, BLOCKS_PER_GROUP, BLOCK_SECTORS, BYTES_PER_BLOCK};
+use crate::runs::RunMap;
 use sim_disk::crash::SectorImage;
 use sim_disk::disk::{Disk, Request};
 use sim_disk::{SimDur, SimTime};
@@ -41,6 +42,12 @@ pub enum FsError {
         /// The offending byte offset.
         offset: u64,
     },
+    /// The disk holds 2³² blocks or more, past what a file's run map
+    /// addresses.
+    TooManyBlocks {
+        /// The blocks the disk would hold.
+        blocks: u64,
+    },
 }
 
 impl fmt::Display for FsError {
@@ -50,6 +57,9 @@ impl fmt::Display for FsError {
             FsError::NoSuchFile(id) => write!(f, "file {id:?} does not exist"),
             FsError::BeyondEof { file, offset } => {
                 write!(f, "read beyond end of file {file:?} at offset {offset}")
+            }
+            FsError::TooManyBlocks { blocks } => {
+                write!(f, "{blocks} blocks; a file system holds fewer than 2^32")
             }
         }
     }
@@ -143,19 +153,15 @@ impl Shadow {
                 let Some(Some(inode)) = files.get(fid.0 as usize) else {
                     continue;
                 };
-                let mut extents = image::extents_of(&inode.blocks);
-                if extents.len() > image::MAX_EXTENTS {
+                let mut rec = inode.record(fid.0);
+                if rec.extents.len() > image::MAX_EXTENTS {
                     err = Some(ShadowError::TooManyExtents {
                         id: fid.0,
-                        have: extents.len(),
+                        have: rec.extents.len(),
                     });
-                    extents.truncate(image::MAX_EXTENTS);
+                    rec.extents.truncate(image::MAX_EXTENTS);
                 }
-                slots[si] = Some(image::InodeRec {
-                    id: fid.0,
-                    size_bytes: inode.size_bytes,
-                    extents,
-                });
+                slots[si] = Some(rec);
             }
         }
         let bytes = image::encode_group(g, generation, &alloc, &slots)
@@ -192,15 +198,30 @@ impl FsStats {
 
 #[derive(Debug, Default)]
 struct Inode {
-    /// File block index → disk block number.
-    blocks: Vec<u64>,
+    /// File block → disk block, as the on-media inode records it.
+    runs: RunMap,
     size_bytes: u64,
     /// Sequential-access detector state.
     last_read: Option<u64>,
-    seq_count: u64,
+    seq_count: u32,
     accessed: bool,
     nonseq_seen: bool,
 }
+
+impl Inode {
+    /// The inode as the on-media format records it, under raw id `id`.
+    fn record(&self, id: u64) -> image::InodeRec {
+        image::InodeRec {
+            id,
+            size_bytes: self.size_bytes,
+            extents: self.runs.extents().collect(),
+        }
+    }
+}
+
+// Postmark keeps tens of thousands of inodes: a run map is no wider than
+// the block list it replaced.
+const _: () = assert!(std::mem::size_of::<Option<Inode>>() <= 64);
 
 /// The FFS instance: layout + buffer cache + simulated clock over one disk.
 #[derive(Debug)]
@@ -230,13 +251,18 @@ impl FileSystem {
     pub const DEFAULT_CACHE_BLOCKS: usize = 8192;
 
     /// Mounts a freshly formatted file system.
-    pub fn format(disk: Disk, personality: Personality) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::TooManyBlocks`] for a disk of 2³² blocks or more.
+    pub fn format(disk: Disk, personality: Personality) -> Result<Self, FsError> {
+        let capacity = disk.geometry().capacity_lbns();
+        check_blocks(capacity / BLOCK_SECTORS)?;
         // Ground truth stands in for a prior extraction run (the dixtrac
         // crate produces identical tables).
         let boundaries = disk.track_boundaries();
-        let capacity = disk.geometry().capacity_lbns();
         let layout = Layout::format(personality, boundaries, capacity);
-        Self::with_layout(disk, layout)
+        Ok(Self::with_layout(disk, layout))
     }
 
     fn with_layout(disk: Disk, layout: Layout) -> Self {
@@ -429,17 +455,14 @@ impl FileSystem {
         &mut self.disk
     }
 
-    /// Every live file as `(id, size_bytes, blocks)`, in id order, the id
-    /// as on-media inodes record it — the in-memory truth crash harnesses
-    /// compare recovered images against.
-    pub fn live_files(&self) -> Vec<(u64, u64, Vec<u64>)> {
+    /// Every live file's inode as the on-media format records it, in id
+    /// order — the in-memory truth crash harnesses compare recovered
+    /// images against.
+    pub fn live_files(&self) -> Vec<image::InodeRec> {
         self.files
             .iter()
             .enumerate()
-            .filter_map(|(id, inode)| {
-                let inode = inode.as_ref()?;
-                Some((id as u64, inode.size_bytes, inode.blocks.clone()))
-            })
+            .filter_map(|(id, inode)| Some(inode.as_ref()?.record(id as u64)))
             .collect()
     }
 
@@ -490,12 +513,13 @@ impl FileSystem {
             .get_mut(file.0 as usize)
             .and_then(Option::take)
             .ok_or(FsError::NoSuchFile(file))?;
-        for &b in &inode.blocks {
-            self.cache.discard(b);
-            // A run lies within one file, so its first block is one of these.
-            self.inflight.remove(&b);
-        }
-        for (first, len) in image::extents_of(&inode.blocks) {
+        for (first, len) in inode.runs.extents() {
+            for b in first..first + len {
+                self.cache.discard(b);
+                // A prefetch lies within one file, so its first block is
+                // one of these.
+                self.inflight.remove(&b);
+            }
             self.layout.free(first, len);
         }
         if let Some(sh) = self.shadow.as_deref_mut() {
@@ -573,7 +597,7 @@ impl FileSystem {
     /// request for each active data stream", §4.2.2).
     fn read_block(&mut self, file: FileId, fb: u64) -> Result<(), FsError> {
         let inode = live_inode(&mut self.files, file)?;
-        let db = inode.blocks[fb as usize];
+        let db = block_of(inode, file, fb)?;
         if self.cache.contains(db) {
             update_seq(inode, fb);
             return Ok(());
@@ -621,9 +645,9 @@ impl FileSystem {
     /// personality.
     fn plan_fetch(&self, file: FileId, fb: u64) -> Result<u64, FsError> {
         let inode = self.inode(file)?;
-        let db = inode.blocks[fb as usize];
+        let db = block_of(inode, file, fb)?;
         // History-based ramp-up, as in the unmodified file system.
-        let ramp = (inode.seq_count.max(1) + 1).min(CLUSTER_CAP);
+        let ramp = (u64::from(inode.seq_count.max(1)) + 1).min(CLUSTER_CAP);
         // The rest of the traxtent, up to `cap` blocks: the planner never
         // lets a fetch cross a track boundary (§4.2.2, "traxtent-sized
         // access").
@@ -639,7 +663,7 @@ impl FileSystem {
             Personality::Traxtent if !inode.nonseq_seen => traxtent(CLUSTER_CAP * 4),
             Personality::Traxtent => traxtent(ramp),
         };
-        Ok(contiguous_run(inode, fb, &self.cache, want))
+        Ok(inode.runs.contiguous_run(fb, &self.cache, want))
     }
 
     /// Issues an asynchronous prefetch for the run starting at file block
@@ -647,10 +671,12 @@ impl FileSystem {
     /// already cached/in flight.
     fn maybe_prefetch(&mut self, file: FileId, fb: u64) -> Result<(), FsError> {
         let inode = self.inode(file)?;
-        if fb as usize >= inode.blocks.len() || inode.nonseq_seen {
+        if inode.nonseq_seen {
             return Ok(());
         }
-        let db = inode.blocks[fb as usize];
+        let Some(db) = inode.runs.get(fb) else {
+            return Ok(());
+        };
         if self.cache.peek(db) || self.prefetch_covering(db).is_some() {
             return Ok(());
         }
@@ -685,15 +711,17 @@ impl FileSystem {
         for fb in first..=last {
             // Allocate if beyond current allocation.
             let inode = live_inode(&mut self.files, file)?;
-            let nblocks = inode.blocks.len() as u64;
-            if fb >= nblocks {
+            let nblocks = inode.runs.blocks();
+            let db = if fb < nblocks {
+                block_of(inode, file, fb)?
+            } else {
                 debug_assert_eq!(fb, nblocks, "writes are block-continuous");
-                let prev = inode.blocks.last().copied();
                 let hint = (last - fb + 1).min(CLUSTER_CAP);
+                let prev = inode.runs.last();
                 let db = self.layout.alloc_next(prev, hint).ok_or(FsError::NoSpace)?;
-                inode.blocks.push(db);
-            }
-            let db = inode.blocks[fb as usize];
+                inode.runs.push(db);
+                db
+            };
             // A partial overwrite of an uncached existing block reads it
             // first (read-modify-write at block granularity).
             let partial = (fb == first && !offset.is_multiple_of(BYTES_PER_BLOCK))
@@ -804,11 +832,28 @@ fn live_inode(files: &mut [Option<Inode>], file: FileId) -> Result<&mut Inode, F
         .ok_or(FsError::NoSuchFile(file))
 }
 
+/// The disk block holding file block `fb` of `file`.
+fn block_of(inode: &Inode, file: FileId, fb: u64) -> Result<u64, FsError> {
+    inode.runs.get(fb).ok_or(FsError::BeyondEof {
+        file,
+        offset: fb * BYTES_PER_BLOCK,
+    })
+}
+
+/// Refuses a file system of 2³² blocks or more, which a [`RunMap`] cannot
+/// address.
+fn check_blocks(blocks: u64) -> Result<(), FsError> {
+    if blocks > u64::from(u32::MAX) {
+        return Err(FsError::TooManyBlocks { blocks });
+    }
+    Ok(())
+}
+
 /// Updates an inode's sequential detector after an access to file block
 /// `fb`.
 fn update_seq(inode: &mut Inode, fb: u64) {
     match inode.last_read {
-        Some(last) if fb == last + 1 => inode.seq_count += 1,
+        Some(last) if fb == last + 1 => inode.seq_count = inode.seq_count.saturating_add(1),
         Some(last) if fb == last => {}
         Some(_) => {
             inode.seq_count = 1;
@@ -826,25 +871,13 @@ fn whole_blocks(sectors: u64) -> u64 {
     (sectors / BLOCK_SECTORS).max(1)
 }
 
-/// Length of the contiguously allocated, uncached run starting at file
-/// block `fb`, capped.
-fn contiguous_run(inode: &Inode, fb: u64, cache: &BufferCache, cap: u64) -> u64 {
-    let tail = &inode.blocks[fb as usize..];
-    let run = tail
-        .iter()
-        .zip(tail[0]..)
-        .take(cap as usize)
-        .take_while(|&(&db, next)| db == next && !cache.peek(db));
-    (run.count() as u64).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sim_disk::models;
 
     fn fs(p: Personality) -> FileSystem {
-        FileSystem::format(Disk::new(models::small_test_disk()), p)
+        FileSystem::format(Disk::new(models::small_test_disk()), p).unwrap()
     }
 
     const MB: u64 = 1 << 20;
@@ -990,8 +1023,9 @@ mod tests {
         let mut f = fs(Personality::Unmodified);
         let id = f.create();
         f.write(id, 0, MB).unwrap();
-        let blocks = f.live_files().remove(0).2;
-        assert_eq!(blocks[14], blocks[8] + 6, "the file is contiguous");
+        let extents = f.live_files().remove(0).extents;
+        assert_eq!(extents.len(), 1, "the file is contiguous");
+        let blocks: Vec<u64> = (extents[0].0..).take(16).collect();
         f.remount();
         // A stale prefetch of file blocks 10..14, then a four-block one at 8.
         let stale = SimTime::from_ns(1);
@@ -1076,6 +1110,15 @@ mod tests {
             })
             .unwrap();
         assert_eq!(on_media.extents.len(), image::MAX_EXTENTS);
+    }
+
+    #[test]
+    fn a_layout_past_32_bits_is_refused() {
+        assert_eq!(check_blocks(u64::from(u32::MAX)), Ok(()));
+        assert_eq!(
+            check_blocks(1 << 32),
+            Err(FsError::TooManyBlocks { blocks: 1 << 32 })
+        );
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod fs;
 pub mod fsck;
 pub mod image;
 pub mod layout;
+pub mod runs;
 
 pub use fs::{FileId, FileSystem, FsError, FsStats, ShadowError};
 pub use fsck::{fsck, mount, FsckReport, MountError, RecoveredFile, RecoveredFs};

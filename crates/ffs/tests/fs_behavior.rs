@@ -11,7 +11,7 @@ use sim_disk::models;
 const MB: u64 = 1 << 20;
 
 fn fs(p: Personality) -> FileSystem {
-    FileSystem::format(Disk::new(models::small_test_disk()), p)
+    FileSystem::format(Disk::new(models::small_test_disk()), p).unwrap()
 }
 
 /// Create/write/delete churn conserves free space exactly, for every

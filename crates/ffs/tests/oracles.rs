@@ -3,7 +3,8 @@
 //! recency-stamp index, the allocator's word-at-a-time bitmap searches and
 //! low-water mark against a byte map scanned from block 0 every time, the
 //! per-track `mkfs` sweep against the per-block definition of an excluded
-//! block, and fsck's one diagnosis pass against the two walks it replaced.
+//! block, fsck's one diagnosis pass against the two walks it replaced,
+//! and an inode's run map against the per-block list it replaced.
 //! Each oracle is the implementation the fast or folded one replaced, kept
 //! here because it is obviously right and nowhere else because it is slow
 //! or duplicated. Run with `-- --nocapture`, the tallied ones print how
@@ -14,7 +15,8 @@ use ffs::cache::BufferCache;
 use ffs::fsck::{self, MountError};
 use ffs::image::{self, decode_group, group_blocks, meta_lbn, ngroups, InodeRec, SlotState};
 use ffs::layout::{AllocStats, BLOCKS_PER_GROUP};
-use ffs::{FileId, FileSystem, Layout, Personality, BLOCK_SECTORS};
+use ffs::runs::RunMap;
+use ffs::{FileId, FileSystem, Layout, Personality, ShadowError, BLOCK_SECTORS, BYTES_PER_BLOCK};
 use proptest::prelude::*;
 use sim_disk::crash::{checksum, replay, SectorImage, SECTOR_USIZE};
 use sim_disk::disk::Disk;
@@ -1139,7 +1141,7 @@ fn crash_workload(fs: &mut FileSystem, seed: u64) {
 /// The image a power cut `frac` thousandths of the way through the
 /// workload's log leaves, with the layout it was formatted with.
 fn cut_image(seed: u64, personality: Personality, frac: u64) -> (Layout, SectorImage) {
-    let mut fs = FileSystem::format(Disk::new(models::small_test_disk()), personality);
+    let mut fs = FileSystem::format(Disk::new(models::small_test_disk()), personality).unwrap();
     fs.enable_crash_shadow(seed ^ 0x0ff5_cafe);
     let initial = fs.format_image();
     crash_workload(&mut fs, seed);
@@ -1373,5 +1375,234 @@ fn one_diagnosis_pass_matches_the_two_walks() {
             "first_free_count_mismatch",
             "several_violations",
         ],
+    );
+}
+
+/// The inode's block list before it kept runs: `contiguous_run` as it was
+/// written over one disk block a file block.
+fn listed_contiguous_run(blocks: &[u64], fb: u64, cache: &BufferCache, cap: u64) -> u64 {
+    let tail = &blocks[fb as usize..];
+    let run = tail
+        .iter()
+        .zip(tail[0]..)
+        .take(cap as usize)
+        .take_while(|&(&db, next)| db == next && !cache.peek(db));
+    (run.count() as u64).max(1)
+}
+
+/// Why a walk from file block `fb` over `blocks` stops after `n` blocks:
+/// the cap, the end of its run (or of the file), or a cached block.
+fn run_stop(blocks: &[u64], fb: u64, cache: &BufferCache, cap: u64, n: u64) -> &'static str {
+    let at = (fb + n) as usize;
+    if cache.peek(blocks[fb as usize]) {
+        "cached_block_stops"
+    } else if n == cap {
+        "cap_reached"
+    } else if at == blocks.len() || blocks[at] != blocks[at - 1] + 1 {
+        "run_end"
+    } else {
+        "cached_block_stops"
+    }
+}
+
+/// The run map answers as the per-block list it replaced: every file
+/// block's disk block, the uncached stretch a fetch may take under any
+/// cache state and cap, and the extents `delete` frees and the on-media
+/// inode records — over append sequences that mostly continue the last
+/// block and sometimes jump, anywhere below 2²² or just below 2³².
+#[test]
+fn run_map_matches_the_block_list() {
+    let name = "run_map_matches_the_block_list";
+    let mut tally = Tally::default();
+    let steps = prop::collection::vec((0u8..10, 1u64..300), 1..200);
+    let probes = prop::collection::vec((0usize..200, 1u64..64), 1..40);
+    for_cases(
+        name,
+        64,
+        (
+            0u8..8,
+            0u64..1 << 21,
+            steps,
+            prop::collection::vec(0usize..200, 0..60),
+            probes,
+        ),
+        |(high, base, steps, cached, probes)| {
+            // One case in eight lives just below 2^32, where no cache can
+            // index its blocks (a block past the cache's table is never
+            // cached).
+            let base = if high == 0 {
+                u64::from(u32::MAX) - (1 << 21)
+            } else {
+                base
+            };
+            let mut list: Vec<u64> = Vec::new();
+            let mut map = RunMap::default();
+            for (kind, dist) in steps {
+                let db = match (list.last(), kind) {
+                    (None, _) => base,
+                    (Some(&last), 0..=6) => last + 1,
+                    (Some(&last), 7 | 8) => last + 1 + dist,
+                    (Some(&last), _) => last.saturating_sub(dist),
+                };
+                tally.note(if list.last().is_some_and(|&last| last + 1 == db) {
+                    "merge"
+                } else {
+                    "new_run"
+                });
+                list.push(db);
+                map.push(db);
+                assert_eq!(map.blocks(), list.len() as u64);
+                assert_eq!(map.last(), Some(db));
+            }
+            let n = list.len();
+            for (fb, &db) in list.iter().enumerate() {
+                assert_eq!(map.get(fb as u64), Some(db), "file block {fb}");
+                tally.note_if(fb == 0 || list[fb - 1] + 1 != db, "run_first_block");
+                tally.note_if(fb + 1 == n || list[fb + 1] != db + 1, "run_last_block");
+            }
+            assert_eq!(map.get(n as u64), None);
+            assert_eq!(map.get(n as u64 + 63), None);
+            assert_eq!(map.extents().collect::<Vec<_>>(), image::extents_of(&list));
+
+            let table = if high == 0 { 1 << 22 } else { base + (1 << 22) };
+            let mut cache = BufferCache::new(64, table as usize);
+            for pick in cached {
+                let db = list[pick % n];
+                if db < table {
+                    cache.insert(db);
+                }
+            }
+            for (pick, cap) in probes {
+                let fb = (pick % n) as u64;
+                let got = map.contiguous_run(fb, &cache, cap);
+                assert_eq!(
+                    got,
+                    listed_contiguous_run(&list, fb, &cache, cap),
+                    "at {fb}"
+                );
+                tally.note(run_stop(&list, fb, &cache, cap, got));
+            }
+        },
+    );
+    tally.require(
+        name,
+        &[
+            "merge",
+            "new_run",
+            "run_first_block",
+            "run_last_block",
+            "cap_reached",
+            "run_end",
+            "cached_block_stops",
+        ],
+    );
+}
+
+/// A file system's files against per-block lists built from what the
+/// allocator took for each one-block append: `live_files` reports their
+/// extents, the on-media inode records them (the first `MAX_EXTENTS` of a
+/// file fragmented past that, with the error latched at the next metadata
+/// write), and `delete` frees exactly the file's blocks.
+#[test]
+fn files_keep_the_blocks_the_allocator_gave_them() {
+    let name = "files_keep_the_blocks_the_allocator_gave_them";
+    let mut tally = Tally::default();
+    let ops = prop::collection::vec((0u8..10, 0usize..3, 1u64..12), 1..120);
+    for_cases(name, 24, (0u8..2, ops), |(trax, ops)| {
+        let p = if trax == 1 {
+            Personality::Traxtent
+        } else {
+            Personality::Unmodified
+        };
+        let mut fs = FileSystem::format(Disk::new(models::small_test_disk()), p).unwrap();
+        fs.enable_crash_shadow(7);
+        let free_map = |fs: &FileSystem| -> Vec<bool> {
+            let layout = fs.layout();
+            (0..layout.blocks()).map(|b| layout.is_free(b)).collect()
+        };
+        // Raw ids are handed out from 1 in creation order.
+        let mut next_raw = 1;
+        let mut create = |fs: &mut FileSystem| {
+            next_raw += 1;
+            (fs.create(), next_raw - 1, Vec::new())
+        };
+        let mut files: Vec<(FileId, u64, Vec<u64>)> = (0..3).map(|_| create(&mut fs)).collect();
+        for (op, which, len) in ops {
+            let (id, _, list) = &mut files[which];
+            match op {
+                // Appends, one block a call, so that the block each call
+                // takes is the one that left the free map.
+                0..=7 => {
+                    for _ in 0..len {
+                        let before = free_map(&fs);
+                        let at = list.len() as u64 * BYTES_PER_BLOCK;
+                        fs.write(*id, at, BYTES_PER_BLOCK).unwrap();
+                        let after = free_map(&fs);
+                        let taken: Vec<u64> = (0..)
+                            .zip(before.iter().zip(&after))
+                            .filter(|(_, (was, is))| **was && !**is)
+                            .map(|(b, _)| b)
+                            .collect();
+                        assert_eq!(taken.len(), 1, "one block a one-block append");
+                        list.push(taken[0]);
+                    }
+                }
+                8 => {
+                    let before = free_map(&fs);
+                    fs.delete(*id).unwrap();
+                    let after = free_map(&fs);
+                    let held: HashSet<u64> = list.iter().copied().collect();
+                    for (b, (was, is)) in (0..).zip(before.iter().zip(&after)) {
+                        assert_eq!(*is, *was || held.contains(&b), "block {b} after a delete");
+                    }
+                    tally.note_if(image::extents_of(list).len() > 1, "delete_frees_runs");
+                    files[which] = create(&mut fs);
+                }
+                _ => {
+                    fs.checkpoint_metadata();
+                    let fragmented = files
+                        .iter()
+                        .any(|(_, _, list)| image::extents_of(list).len() > image::MAX_EXTENTS);
+                    assert!(
+                        !fragmented
+                            || matches!(
+                                fs.shadow_error(),
+                                Some(ShadowError::TooManyExtents { .. })
+                            ),
+                        "{:?}",
+                        fs.shadow_error()
+                    );
+                }
+            }
+            let mut want: Vec<InodeRec> = files
+                .iter()
+                .map(|(_, raw, list)| InodeRec {
+                    id: *raw,
+                    size_bytes: list.len() as u64 * BYTES_PER_BLOCK,
+                    extents: image::extents_of(list),
+                })
+                .collect();
+            want.sort_by_key(|rec| rec.id);
+            assert_eq!(fs.live_files(), want);
+            let img = fs.format_image();
+            let blocks = fs.layout().blocks();
+            let on_media: HashMap<u64, InodeRec> = inodes(&img, blocks)
+                .into_iter()
+                .map(|(_, _, rec)| (rec.id, rec))
+                .collect();
+            for mut rec in want {
+                tally.note(if rec.extents.len() <= image::MAX_EXTENTS {
+                    "whole_on_media"
+                } else {
+                    "truncated_on_media"
+                });
+                rec.extents.truncate(image::MAX_EXTENTS);
+                assert_eq!(on_media[&rec.id], rec);
+            }
+        }
+    });
+    tally.require(
+        name,
+        &["delete_frees_runs", "truncated_on_media", "whole_on_media"],
     );
 }

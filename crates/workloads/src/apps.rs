@@ -53,8 +53,14 @@ fn result_of(fs: &FileSystem, elapsed: SimDur) -> AppResult {
 }
 
 /// Builds a fresh file system of the given personality on `disk`.
+///
+/// # Panics
+///
+/// Panics if `disk` holds 2³² blocks or more, which
+/// [`FileSystem::format`] refuses; every drive model is far smaller.
+#[expect(clippy::expect_used, reason = "the # Panics contract")]
 pub fn mkfs(disk: Disk, personality: Personality) -> FileSystem {
-    FileSystem::format(disk, personality)
+    FileSystem::format(disk, personality).expect("the drive holds under 2^32 blocks")
 }
 
 /// Sequential scan of one large file (the paper's 4 GB scan; size here is a

@@ -22,7 +22,7 @@ fn main() {
     let line = |name: &str, f: &dyn Fn(&mut FileSystem) -> f64| {
         let mut cols = format!("{name:<18}");
         for p in personalities {
-            let mut fs = FileSystem::format(Disk::new(models::quantum_atlas_10k()), p);
+            let mut fs = apps::mkfs(Disk::new(models::quantum_atlas_10k()), p);
             cols += &format!("  {:>9.2}s", f(&mut fs));
         }
         println!("{cols}");
@@ -45,7 +45,7 @@ fn main() {
         apps::head_star(fs, 300, 200 * 1024).elapsed.as_secs_f64()
     });
 
-    let fs = FileSystem::format(
+    let fs = apps::mkfs(
         Disk::new(models::quantum_atlas_10k()),
         Personality::Traxtent,
     );

@@ -3,7 +3,7 @@
 //! reports.
 
 use dixtrac::{extract_general, extract_scsi, GeneralConfig};
-use ffs::{FileSystem, Personality};
+use ffs::Personality;
 use scsi::ScsiDisk;
 use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
@@ -108,7 +108,7 @@ fn non_zero_latency_disks_gain_little() {
 /// head*.
 #[test]
 fn ffs_personalities_match_table2_directions() {
-    let fresh = |p| FileSystem::format(Disk::new(models::quantum_atlas_10k()), p);
+    let fresh = |p| apps::mkfs(Disk::new(models::quantum_atlas_10k()), p);
 
     let scan_u = apps::scan(&mut fresh(Personality::Unmodified), 64 * MB, 64 * 1024);
     let scan_t = apps::scan(&mut fresh(Personality::Traxtent), 64 * MB, 64 * 1024);
