@@ -18,7 +18,7 @@
 //! rejected since the sweep sets its own per level.
 
 use crate::{Row, Run};
-use dixtrac::{extract_auto, ExtractionMethod, GeneralConfig};
+use dixtrac::{extract_auto, Extraction, GeneralConfig};
 use scsi::ScsiDisk;
 use sim_disk::defects::{DefectPolicy, SpareScheme};
 use sim_disk::disk::Disk;
@@ -71,17 +71,18 @@ fn run_level(run: &Run, name: &str, spec: &str) -> Row {
     };
     let (method, exact, mean_conf) = match extract_auto(&mut s, &gcfg) {
         Ok(auto) => {
-            if let Some(r) = &auto.scsi {
-                r.export_metrics(&run.reg);
-            }
-            if let Some(g) = &auto.general {
-                g.export_metrics(&run.reg);
-            }
+            let method = match &auto.report {
+                Extraction::Scsi(r) => {
+                    r.export_metrics(&run.reg);
+                    "scsi"
+                }
+                Extraction::General(g) => {
+                    g.export_metrics(&run.reg);
+                    "fallback"
+                }
+            };
             (
-                match auto.method {
-                    ExtractionMethod::Scsi => "scsi",
-                    ExtractionMethod::GeneralFallback => "fallback",
-                },
+                method,
                 auto.boundaries.table() == &truth,
                 auto.boundaries.mean_confidence(),
             )

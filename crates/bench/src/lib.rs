@@ -39,10 +39,10 @@
 //!   a pure function of the fault seed and request identity, so faulty
 //!   runs stay bit-reproducible at any `--threads`.
 //! * **Cells and rows.** [`Run::sweep`] and [`Run::grid`] fan independent
-//!   cells across the worker pool ([`exec`]) and merge the [`Row`]s back in
-//!   submission order, so stdout is byte-identical at any thread count
-//!   (`--trace` forces one thread so the event stream is deterministic
-//!   too). A row states each number once: [`Row::num`] is
+//!   cells across `--threads` workers ([`traxtent::par::map`]) and merge
+//!   the [`Row`]s back in submission order, so stdout is byte-identical
+//!   at any thread count (`--trace` forces one thread so the event stream
+//!   is deterministic too). A row states each number once: [`Row::num`] is
 //!   the formatted column, and [`Row::key`]/[`Row::sum`] make the same
 //!   number a manifest headline, which closing prose reads back with
 //!   [`Run::get`].
@@ -63,7 +63,6 @@
 mod commands;
 pub mod crossings;
 pub mod diff;
-pub mod exec;
 pub mod manifest;
 mod run;
 
@@ -191,7 +190,7 @@ impl Cli {
         let mut cli = Cli {
             quick: false,
             seed: 0x5eed,
-            threads: default_threads(),
+            threads: traxtent::par::cores(),
             trace: None,
             manifest: None,
             fault: None,
@@ -306,11 +305,6 @@ impl Cli {
     }
 }
 
-/// Default worker count: all available cores.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,7 +321,7 @@ mod tests {
         let cli = parse(&[], &[], &[]).unwrap();
         assert!(!cli.quick);
         assert_eq!(cli.seed, 0x5eed);
-        assert_eq!(cli.threads, default_threads());
+        assert_eq!(cli.threads, traxtent::par::cores());
         assert!(cli.flags.is_empty());
     }
 

@@ -1,6 +1,5 @@
 //! [`Run`], [`Row`] and [`CellObs`]: see the crate documentation.
 
-use crate::exec::Executor;
 use crate::manifest::Manifest;
 use crate::Cli;
 use server::{ServerConfig, SloSummary, Timeline, TimelineConfig};
@@ -279,15 +278,15 @@ impl Run {
         }
     }
 
-    /// Runs `job` over `items` on the worker pool; results come back in
-    /// item order (see [`Executor::run`]). Jobs must not print.
+    /// Runs `job` over `items` on `--threads` workers; results come back
+    /// in item order (see [`traxtent::par::map`]). Jobs must not print.
     pub fn map<I, T, F>(&self, items: Vec<I>, job: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
-        Executor::new(self.threads).run(items, job)
+        traxtent::par::map(self.threads, items, job)
     }
 
     /// Prints one row and records its headlines and telemetry.

@@ -1,11 +1,11 @@
-//! Regression test for the executor's core guarantee: fanning a config
+//! Regression test for the parallel map's core guarantee: fanning a config
 //! matrix across threads yields exactly the results (and exactly the
 //! merged output) of a sequential run.
 
 use sim_disk::bus::BusConfig;
 use sim_disk::disk::{Disk, DiskConfig, Op};
 use sim_disk::models;
-use traxtent_bench::exec::Executor;
+use traxtent::par::map;
 use traxtent_bench::Row;
 use workloads::microbench::{run_random_io, Alignment, QueueDepth, RandomIoResult, RandomIoSpec};
 
@@ -34,7 +34,7 @@ fn run_matrix(threads: usize, bus: BusConfig) -> Vec<RandomIoResult> {
         bus,
         ..models::quantum_atlas_10k_ii()
     };
-    Executor::new(threads).run(matrix(), |_, spec| {
+    map(threads, matrix(), |_, spec| {
         let mut disk = Disk::new(cfg.clone());
         run_random_io(&mut disk, &spec)
     })
@@ -59,7 +59,7 @@ fn merged_row_output_is_byte_identical() {
     // order. The joined text must not depend on the thread count.
     let render = |threads: usize| -> String {
         let cfg = models::quantum_atlas_10k_ii();
-        let rows = Executor::new(threads).run(matrix(), |idx, spec| {
+        let rows = map(threads, matrix(), |idx, spec| {
             let mut disk = Disk::new(cfg.clone());
             let r = run_random_io(&mut disk, &spec);
             Row::new()

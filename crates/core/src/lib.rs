@@ -26,7 +26,10 @@
 //!   and fill patterns from;
 //! * [`obs`] — a lightweight counter/gauge registry the upper layers use to
 //!   expose what a run did (lock-free updates, deterministic snapshots),
-//!   causal spans, and the workspace's one JSON reader/writer.
+//!   causal spans, and the workspace's one JSON reader/writer;
+//! * [`par`] — the one parallel map (results in item order at any thread
+//!   count) and the one core count, for the figures' sweeps and a volume's
+//!   fill and scrub.
 //!
 //! # Example
 //!
@@ -58,6 +61,7 @@ pub mod extent;
 pub mod hash;
 pub mod model;
 pub mod obs;
+pub mod par;
 pub mod planner;
 pub mod stats;
 

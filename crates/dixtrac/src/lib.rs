@@ -35,28 +35,24 @@ pub use scsi_probe::{extract_scsi, SchemeGuess, ScsiExtraction};
 use scsi::ScsiDisk;
 use traxtent::boundaries::ConfidentBoundaries;
 
-/// Which extractor produced an [`AutoExtraction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtractionMethod {
+/// Which extractor ran to completion, with its report.
+#[derive(Debug, Clone)]
+pub enum Extraction {
     /// The SCSI-specific five-step extraction succeeded.
-    Scsi,
+    Scsi(ScsiExtraction),
     /// The drive refused diagnostics; the general timing-based extraction
     /// ran instead.
-    GeneralFallback,
+    General(GeneralExtraction),
 }
 
 /// The result of [`extract_auto`]: boundaries with per-track confidence,
-/// plus which path produced them.
+/// plus the report of the path that produced them.
 #[derive(Debug, Clone)]
 pub struct AutoExtraction {
     /// The extracted boundary table with per-track confidence.
     pub boundaries: ConfidentBoundaries,
-    /// Which extractor ran to completion.
-    pub method: ExtractionMethod,
-    /// The SCSI extraction report, when that path succeeded.
-    pub scsi: Option<ScsiExtraction>,
-    /// The general extraction report, when the fallback ran.
-    pub general: Option<GeneralExtraction>,
+    /// The extractor that ran, and what it cost.
+    pub report: Extraction,
 }
 
 /// Extracts track boundaries the way a deployment would: try the fast,
@@ -72,9 +68,7 @@ pub fn extract_auto(
     match extract_scsi(disk) {
         Ok(scsi) => Ok(AutoExtraction {
             boundaries: ConfidentBoundaries::certain(scsi.boundaries.clone()),
-            method: ExtractionMethod::Scsi,
-            scsi: Some(scsi),
-            general: None,
+            report: Extraction::Scsi(scsi),
         }),
         Err(ExtractError::DiagnosticsUnsupported { .. }) => {
             let general = extract_general(disk, config)?;
@@ -85,9 +79,7 @@ pub fn extract_auto(
                     })?;
             Ok(AutoExtraction {
                 boundaries,
-                method: ExtractionMethod::GeneralFallback,
-                scsi: None,
-                general: Some(general),
+                report: Extraction::General(general),
             })
         }
         Err(other) => Err(other),

@@ -3,7 +3,7 @@
 //! the drive refuses diagnostics, and rides out transient command aborts
 //! on both paths — never panicking, always reporting typed errors.
 
-use dixtrac::{extract_auto, extract_scsi, ExtractError, ExtractionMethod, GeneralConfig};
+use dixtrac::{extract_auto, extract_scsi, ExtractError, Extraction, GeneralConfig};
 use scsi::ScsiDisk;
 use sim_disk::disk::Disk;
 use sim_disk::fault::FaultConfig;
@@ -14,11 +14,9 @@ fn auto_extraction_prefers_the_scsi_path() {
     let mut disk = ScsiDisk::new(Disk::new(models::small_test_disk()));
     let truth = disk.ground_truth().track_boundaries();
     let auto = extract_auto(&mut disk, &GeneralConfig::default()).expect("healthy drive");
-    assert_eq!(auto.method, ExtractionMethod::Scsi);
+    assert!(matches!(auto.report, Extraction::Scsi(_)));
     assert_eq!(auto.boundaries.table(), &truth);
     assert_eq!(auto.boundaries.mean_confidence(), 1.0);
-    assert!(auto.scsi.is_some());
-    assert!(auto.general.is_none());
 }
 
 #[test]
@@ -33,10 +31,8 @@ fn auto_extraction_falls_back_when_diagnostics_unsupported() {
     let mut disk = ScsiDisk::new(Disk::new(cfg));
     let auto = extract_auto(&mut disk, &GeneralConfig::default())
         .expect("fallback must absorb the diagnostics refusal");
-    assert_eq!(auto.method, ExtractionMethod::GeneralFallback);
+    assert!(matches!(auto.report, Extraction::General(_)));
     assert_eq!(auto.boundaries.table(), &truth);
-    assert!(auto.scsi.is_none());
-    assert!(auto.general.is_some());
     // A noise-free fallback run is fully confident in every track.
     assert_eq!(auto.boundaries.mean_confidence(), 1.0);
 }
@@ -88,7 +84,7 @@ fn auto_extraction_with_faults_and_fallback_still_finds_the_geometry() {
         ..GeneralConfig::default()
     };
     let auto = extract_auto(&mut disk, &gcfg).expect("fallback plus retries");
-    assert_eq!(auto.method, ExtractionMethod::GeneralFallback);
+    assert!(matches!(auto.report, Extraction::General(_)));
     assert_eq!(auto.boundaries.table(), &truth);
     assert!(auto.boundaries.mean_confidence() > 0.5);
 }

@@ -7,10 +7,9 @@
 //! drives in sight.
 
 use crate::layout::{Chunk, LogicalUnit, VolumeKind, VolumeLayout};
-use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::{panic, thread};
 use traxtent::hash::{splitmix64, GOLDEN_GAMMA};
+use traxtent::par;
 
 /// A volume's data plane: every member's store, or — from a format until
 /// the first operation that changes or snapshots contents — only the
@@ -153,20 +152,15 @@ pub fn pattern_word(seed: u64, lbn: u64) -> u64 {
 /// its data columns still fold into their round's parity, but nothing of
 /// it is stored.
 ///
-/// The rounds are cut into one range per core, each filled on its own
-/// thread into its own share of every store; what lands in the stores
-/// depends on `(layout, seed)` alone, never on how many ranges there are.
+/// The rounds are cut into one range per core ([`par::cores`]), each
+/// filled by its own worker of [`par::map`] into its own share of every
+/// store; what lands in the stores depends on `(layout, seed)` alone,
+/// never on how many ranges there are.
 pub fn fill_stores(layout: &VolumeLayout, stores: &mut [SectorStore], seed: u64) {
-    fill_in_parts(layout, stores, seed, cores());
+    fill_in_parts(layout, stores, seed, par::cores());
 }
 
-/// How many round ranges a fill or a scrub cuts a volume into: one per
-/// core the process may run on.
-pub(crate) fn cores() -> usize {
-    thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
-/// [`fill_stores`] over `parts` round ranges.
+/// [`fill_stores`] over `parts` round ranges, one worker a range.
 pub(crate) fn fill_in_parts(
     layout: &VolumeLayout,
     stores: &mut [SectorStore],
@@ -177,7 +171,7 @@ pub(crate) fn fill_in_parts(
     let ranges = round_ranges(layout, parts);
     let shares = carve(layout, &ranges, stores);
     let jobs = ranges.into_iter().zip(shares).collect();
-    in_parallel(jobs, |(rounds, mut columns)| {
+    par::map(parts, jobs, |_, (rounds, mut columns)| {
         fill_range(layout, rounds, &mut columns, seed);
     });
 }
@@ -325,26 +319,9 @@ fn fill_unit(column: &mut [u64], u: &LogicalUnit, seed: u64) {
     }
 }
 
-/// Runs `work` on every job, each on its own scoped thread but the last,
-/// which runs on the calling thread, and returns the results in job
-/// order. A panicking job panics the caller with its payload.
-fn in_parallel<J: Send, R: Send>(jobs: Vec<J>, work: impl Fn(J) -> R + Sync) -> Vec<R> {
-    let mut jobs = jobs.into_iter();
-    let last = jobs.next_back();
-    thread::scope(|scope| {
-        let work = &work;
-        let spawned: Vec<_> = jobs.map(|job| scope.spawn(move || work(job))).collect();
-        let last = last.map(work);
-        (spawned.into_iter())
-            .map(|handle| handle.join().unwrap_or_else(|e| panic::resume_unwind(e)))
-            .chain(last)
-            .collect()
-    })
-}
-
 /// What [`crate::Volume::scrub`] verifies, folded over `parts` round
-/// ranges: the sectors checked, and those whose redundancy fails. A
-/// RAID-5 round is checked only when no store is empty, and fails where
+/// ranges, one worker a range: the sectors checked, and those whose
+/// redundancy fails. A RAID-5 round is checked only when no store is empty, and fails where
 /// its columns do not XOR to zero; every live mirror copy but
 /// `reference` is compared with `reference`'s (no copy is compared
 /// without one). RAID-0 has nothing to check.
@@ -355,7 +332,7 @@ pub(crate) fn scrub_in_parts(
     parts: usize,
 ) -> (u64, u64) {
     let ranges = round_ranges(layout, parts);
-    let counts = in_parallel(ranges, |rounds| {
+    let counts = par::map(parts, ranges, |_, rounds| {
         scrub_range(layout, stores, reference, rounds)
     });
     (counts.into_iter()).fold((0, 0), |(c, m), (checked, bad)| (c + checked, m + bad))

@@ -33,9 +33,10 @@
 //! Determinism: member commands issue on the calling thread, their
 //! times clamped per member (FCFS at each drive), and the data plane is
 //! pure integer arithmetic. A fill or scrub splits the stripe rounds
-//! into ranges on scoped threads, but each range's words are a function
-//! of the layout and the seed alone — a volume run is bit-identical on
-//! any host at any thread count, like every layer below it.
+//! into ranges run by [`traxtent::par::map`]'s workers, but each range's
+//! words are a function of the layout and the seed alone — a volume run
+//! is bit-identical on any host at any thread count, like every layer
+//! below it.
 //!
 //! # Example
 //!

@@ -7,7 +7,7 @@
 //! stores; all report through the [`traxtent::obs`] registry so the
 //! same observability surface that watches the server watches repair.
 
-use crate::data::{cores, nonzero, scrub_in_parts, SectorStore};
+use crate::data::{nonzero, scrub_in_parts, SectorStore};
 use crate::layout::VolumeKind;
 use crate::volume::{lost, Access, Volume};
 use crate::FleetError;
@@ -174,7 +174,8 @@ impl Volume {
         // A scrub reads the whole plane, so it fills an implicit one.
         let members = &self.members;
         let stores = self.plane.stores(&self.layout, |m| !members[m].healthy);
-        let (checked, mismatches) = scrub_in_parts(&self.layout, stores, reference, cores());
+        let (checked, mismatches) =
+            scrub_in_parts(&self.layout, stores, reference, traxtent::par::cores());
         reg.add("fleet.scrub.passes", 1);
         reg.add("fleet.scrub.checked_sectors", checked);
         reg.add("fleet.scrub.mismatches", mismatches);

@@ -123,7 +123,7 @@ fn build(spec: &Spec) -> Option<Volume> {
                 config.fault.transient_per_million = ppm;
             }
             let disk = Disk::new(config);
-            let cap = disk.capacity_lbns();
+            let cap = disk.geometry().capacity_lbns();
             let mut cuts: Vec<(u64, bool)> =
                 spec.cuts[m].iter().map(|&(c, t)| (c % cap, t)).collect();
             cuts.push((cap, true));

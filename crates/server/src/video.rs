@@ -68,8 +68,6 @@ fn playback_secs(io_sectors: u64, bit_rate_mbps: f64) -> f64 {
 /// Measured behaviour of one (streams-per-disk, I/O size) operating point.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundMeasurement {
-    /// Streams per disk.
-    pub streams_per_disk: usize,
     /// Per-request size, sectors.
     pub io_sectors: u64,
     /// Mean round time.
@@ -200,7 +198,6 @@ pub fn measure_rounds(
         .fold(1.0f64, f64::min);
     let max_round = round_times.iter().copied().fold(0.0f64, f64::max);
     RoundMeasurement {
-        streams_per_disk: v,
         io_sectors,
         mean_round: SimDur::from_secs_f64(stats::mean(&round_times)),
         quantile_round: SimDur::from_secs_f64(stats::percentile(&round_times, quantile)),
@@ -220,16 +217,13 @@ pub mod soft {
     /// for the whole array.
     #[derive(Debug, Clone, Copy)]
     pub struct OperatingPoint {
-        /// Streams per disk.
-        pub streams_per_disk: usize,
         /// Chosen I/O size, sectors.
         pub io_sectors: u64,
-        /// Admission (quantile) round time.
-        pub round_time: SimDur,
-        /// `round_time × (disks + 1)`.
+        /// The admission (quantile) round time × (disks + 1).
         pub startup_latency: SimDur,
-        /// The measurement behind the admission decision (deadline misses,
-        /// buffer occupancy) at the chosen I/O size.
+        /// The measurement behind the admission decision (the quantile
+        /// round time, deadline misses, buffer occupancy) at the chosen
+        /// I/O size.
         pub measurement: RoundMeasurement,
     }
 
@@ -257,9 +251,7 @@ pub mod soft {
             let playback = SimDur::from_secs_f64(playback_secs(io, video.bit_rate_mbps));
             if m.quantile_round <= playback {
                 return Some(OperatingPoint {
-                    streams_per_disk: v,
                     io_sectors: io,
-                    round_time: m.quantile_round,
                     startup_latency: SimDur::from_ns(
                         m.quantile_round.as_ns() * (video.disks as u64 + 1),
                     ),

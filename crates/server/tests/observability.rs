@@ -12,7 +12,7 @@ use traxtent::stats;
 use workloads::replay::{synthetic_trace, SyntheticSpec};
 
 fn trace(count: usize, interarrival_ms: f64) -> Vec<TraceRecord> {
-    let capacity = Disk::new(quantum_atlas_10k_ii()).capacity_lbns();
+    let capacity = Disk::new(quantum_atlas_10k_ii()).geometry().capacity_lbns();
     synthetic_trace(&SyntheticSpec {
         count,
         interarrival_ms,

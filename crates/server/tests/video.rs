@@ -126,7 +126,10 @@ fn operating_point_latency_grows_with_streams() {
     let low = soft::operating_point(&cfg, &server, 20).expect("feasible");
     let high = soft::operating_point(&cfg, &server, 60).expect("feasible");
     assert!(high.startup_latency > low.startup_latency);
-    assert_eq!(low.startup_latency.as_ns(), low.round_time.as_ns() * 11);
+    assert_eq!(
+        low.startup_latency.as_ns(),
+        low.measurement.quantile_round.as_ns() * 11
+    );
 }
 
 #[test]

@@ -53,8 +53,6 @@ pub struct WriteRecord {
     pub lbn: u64,
     /// Number of sectors written.
     pub len: u64,
-    /// Command issue instant.
-    pub issue: SimTime,
     /// Per-sector durable instants, in LBN order (`durable[i]` is when
     /// `lbn + i` hit media). Zero-latency firmware makes these
     /// non-monotonic within a track.

@@ -225,13 +225,6 @@ impl Disk {
         &self.config
     }
 
-    /// Total addressable LBNs — shorthand for
-    /// `geometry().capacity_lbns()`, handy when a drive is one member
-    /// handle among many in a multi-disk volume.
-    pub fn capacity_lbns(&self) -> u64 {
-        self.config.geometry.capacity_lbns()
-    }
-
     /// The drive's ground-truth track-boundary table — what extraction is
     /// scored against, and what a layer that trusts the drive outright
     /// allocates and schedules by. The geometry builds it once and every
@@ -490,7 +483,7 @@ impl Disk {
             breakdown.bus = end - cmd_ready;
             (cmd_ready, cmd_ready, end)
         } else {
-            self.media_pass(req, issue, cmd_ready, &mut breakdown, &mut trc)
+            self.media_pass(req, cmd_ready, &mut breakdown, &mut trc)
         };
         self.busy_ns += media_end.since(service_start).as_ns();
         let completion = Completion {
@@ -560,7 +553,6 @@ impl Disk {
     fn media_pass(
         &mut self,
         req: Request,
-        issue: SimTime,
         cmd_ready: SimTime,
         breakdown: &mut Breakdown,
         trc: &mut Trace,
@@ -603,7 +595,6 @@ impl Disk {
                     req: trc.rid,
                     lbn: req.lbn,
                     len: u64::from(req.len),
-                    issue,
                     durable: self.avail_scratch.clone(),
                     payload: None,
                 });
@@ -948,7 +939,7 @@ pub trait Backend {
 
 impl Backend for Disk {
     fn capacity_lbns(&self) -> u64 {
-        Disk::capacity_lbns(self)
+        self.geometry().capacity_lbns()
     }
 
     fn service_batch_into(&mut self, batch: &[(Request, SimTime)], out: &mut Vec<Completion>) {

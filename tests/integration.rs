@@ -153,7 +153,7 @@ fn low_confidence_extraction_degrades_to_untracked_allocation() {
         },
     )
     .expect("fallback extraction succeeds");
-    assert_eq!(auto.method, dixtrac::ExtractionMethod::GeneralFallback);
+    assert!(matches!(auto.report, dixtrac::Extraction::General(_)));
     assert_eq!(auto.boundaries.table(), &truth);
 
     // Simulate a noisier run: mark a band of tracks low-confidence (the
